@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Protocol, Tuple
+from typing import Callable, Dict, List, Protocol, Sequence, Tuple
 
 from repro.noc.config import NetworkConfig
 from repro.noc.network import EjectionRecord, InjectionRecord
@@ -18,8 +18,10 @@ class Engine(Protocol):
 
     cfg: NetworkConfig
     cycle: int
-    injections: List[InjectionRecord]
-    ejections: List[EjectionRecord]
+    #: cycle-ordered logs; read them as sequences (``len``, index, slice,
+    #: iterate, ``==``) — the batch engine's are columnar until read.
+    injections: Sequence[InjectionRecord]
+    ejections: Sequence[EjectionRecord]
 
     def offer(self, router: int, vc: int, flit) -> bool: ...
 

@@ -47,6 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engines.eventlog import EventLog
 from repro.noc.config import NetworkConfig, Port
 from repro.noc.deadlock import packed_policy
 from repro.noc.flit import FlitType
@@ -103,11 +104,11 @@ class BatchLane:
         return self.engine.cycle
 
     @property
-    def injections(self) -> List[InjectionRecord]:
+    def injections(self) -> Sequence[InjectionRecord]:
         return self.engine.lane_injections(self.lane)
 
     @property
-    def ejections(self) -> List[EjectionRecord]:
+    def ejections(self) -> Sequence[EjectionRecord]:
         return self.engine.lane_ejections(self.lane)
 
     def offer(self, router: int, vc: int, flit) -> bool:
@@ -200,8 +201,10 @@ class BatchEngine:
         self.metrics = DeltaMetrics(n_units=cfg.n_routers)
         self.pre_step_hooks: List = []
         self.quarantined_links: set = set()
-        self._injections: List[List[InjectionRecord]] = [[] for _ in range(lanes)]
-        self._ejections: List[List[EjectionRecord]] = [[] for _ in range(lanes)]
+        #: per-lane logs: list-speed ``append`` on the per-cycle paths,
+        #: column blocks from the chunk kernel, records built on read.
+        self._injections = [EventLog(InjectionRecord) for _ in range(lanes)]
+        self._ejections = [EventLog(EjectionRecord) for _ in range(lanes)]
 
         # -- static gather tables ------------------------------------------
         n = cfg.n_routers
@@ -362,17 +365,17 @@ class BatchEngine:
 
     # -- logs / inspection ---------------------------------------------------
     @property
-    def injections(self) -> List[InjectionRecord]:
+    def injections(self) -> Sequence[InjectionRecord]:
         return self._injections[0]
 
     @property
-    def ejections(self) -> List[EjectionRecord]:
+    def ejections(self) -> Sequence[EjectionRecord]:
         return self._ejections[0]
 
-    def lane_injections(self, lane: int) -> List[InjectionRecord]:
+    def lane_injections(self, lane: int) -> Sequence[InjectionRecord]:
         return self._injections[lane]
 
-    def lane_ejections(self, lane: int) -> List[EjectionRecord]:
+    def lane_ejections(self, lane: int) -> Sequence[EjectionRecord]:
         return self._ejections[lane]
 
     def snapshot(self) -> Tuple:
@@ -796,10 +799,6 @@ class BatchEngine:
 #: Cycles simulated per fused C call on the chunked levelized path.
 _CHUNK = 64
 
-#: Longest no-arrival window the BE lookahead will prove in one scan.
-_FF_SCAN_LIMIT = 4096
-
-
 def _chunk_eligible(engine: BatchEngine, drivers: Sequence) -> bool:
     """May ``run_batched`` hand whole chunks to the fused kernel?
 
@@ -848,18 +847,17 @@ def _hook_horizon(engine: BatchEngine, limit: int) -> int:
 
 
 def _next_arrival_bound(driver, cycle: int, limit: int) -> int:
-    """A proven lower bound on cycles before ``driver`` emits a packet.
+    """A proven lower bound on cycles before ``driver`` emits a packet,
+    from closed forms alone.
 
-    GT streams are periodic, so the next emission is closed-form.  The
-    Bernoulli BE stream is scanned ahead on a *copy* of its LFSR state
-    (the real generator state is untouched): each no-hit cycle consumes
-    exactly ``n_routers`` RNG words, so a clean window of D cycles both
-    proves no arrival and tells the committer exactly how far to
-    :meth:`~repro.traffic.rng.HardwareLfsr.jump`.  Any generator shape
-    this function does not recognise returns 0 (no skip).
+    GT streams are periodic, so the next emission is closed-form; a BE
+    stream is silent for certain only at zero load.  A live Bernoulli
+    stream has no closed form: its idle windows are found (and its LFSR
+    advanced) by the batched C scan, see :func:`_try_fast_forward` —
+    here it, like any generator shape this function does not recognise,
+    returns 0 (no skip, plain stepping).
     """
     from repro.traffic.generators import BernoulliBeTraffic, GtStreamTraffic
-    from repro.traffic.rng import _JUMP
 
     horizon = limit
     gt = driver.gt
@@ -872,44 +870,30 @@ def _next_arrival_bound(driver, cycle: int, limit: int) -> int:
                 horizon,
                 min((phase - cycle) % period for phase in gt._phase),
             )
-            if horizon <= 0:
-                return 0
     be = driver.be
-    if be is not None:
-        if type(be) is not BernoulliBeTraffic:
-            return 0
-        prob = be.packet_probability
-        if prob > 0:
-            threshold = int(prob * 2**32)
-            scan = min(horizon, _FF_SCAN_LIMIT)
-            j0, j1, j2, j3 = _JUMP
-            state = be.rng.state
-            n_src = be.net.n_routers
-            for c in range(scan):
-                for _ in range(n_src):
-                    state = (
-                        j0[state & 0xFF]
-                        ^ j1[(state >> 8) & 0xFF]
-                        ^ j2[(state >> 16) & 0xFF]
-                        ^ j3[state >> 24]
-                    )
-                    if state < threshold:
-                        return c
-            horizon = min(horizon, scan)
+    if be is not None and (
+        type(be) is not BernoulliBeTraffic or be.packet_probability > 0
+    ):
+        return 0
     return horizon
 
 
-def _try_fast_forward(engine: BatchEngine, drivers: Sequence, remaining: int) -> int:
+def _try_fast_forward(
+    engine: BatchEngine, drivers: Sequence, remaining: int, generator=None
+) -> int:
     """Skip a proven-quiescent window; returns the cycles skipped (0 = none).
 
     A window of D cycles may be skipped only when a step provably
     changes nothing: the fabric is empty (no buffered flits, no staged
     injections, no latched ejections), every driver's backlog is empty,
     no fault is resident, every hook is dormant for D cycles, and every
-    generator provably emits nothing for D cycles.  Committing the skip
-    advances each BE LFSR by exactly the words the elided scans would
-    have drawn, then credits the cycle counters and delta metrics —
-    bit-identical to stepping D idle cycles.
+    generator provably emits nothing for D cycles.  With a batched BE
+    ``generator`` (which owns every driver's traffic) that last proof
+    is its C scan in probe mode: one pass over all lanes that stops
+    before the first Bernoulli hit and leaves each LFSR advanced by
+    exactly the words the elided cycles would have drawn.  The skip
+    then credits the cycle counters and delta metrics — bit-identical
+    to stepping D idle cycles.
     """
     from repro.traffic.stimuli import TrafficDriver
 
@@ -922,16 +906,14 @@ def _try_fast_forward(engine: BatchEngine, drivers: Sequence, remaining: int) ->
         if type(driver) is not TrafficDriver or driver.backlog():
             return 0
     horizon = _hook_horizon(engine, remaining)
+    if horizon > 0:
+        if generator is not None:
+            horizon = generator.skip_idle(horizon)
+        else:
+            for driver in drivers:
+                horizon = _next_arrival_bound(driver, engine.cycle, horizon)
     if horizon <= 0:
         return 0
-    for driver in drivers:
-        horizon = _next_arrival_bound(driver, engine.cycle, horizon)
-        if horizon <= 0:
-            return 0
-    for driver in drivers:
-        be = driver.be
-        if be is not None and be.packet_probability > 0:
-            be.rng.jump(horizon * engine.cfg.n_routers)
     engine.skip_cycles(horizon)
     return horizon
 
@@ -953,21 +935,25 @@ def run_batched(
     When the engine runs the jit or levelized tier, every driver is a
     plain Bernoulli-BE/uniform-random stream, and the generated-C tier
     is available, the per-lane generate calls are replaced by one C scan
-    per cycle (:func:`repro.kernels.trafficgen.batched_be_generator`) —
-    a pure reordering of independent per-lane work, bit-identical per
-    lane.  A ``kernel="python"`` engine keeps the all-Python reference
-    path end to end.
+    per cycle or chunk
+    (:func:`repro.kernels.trafficgen.batched_be_generator`) — a pure
+    reordering of independent per-lane work, bit-identical per lane.  A
+    ``kernel="python"`` engine keeps the all-Python reference path end
+    to end.
 
     A levelized engine additionally runs whole :data:`_CHUNK`-cycle
-    windows inside one fused C call (generation stays in Python, staged
-    ahead with timestamps; the pump moves into the kernel) whenever the
-    driver set passes :func:`_chunk_eligible`.
+    windows inside one fused C call (traffic staged ahead with
+    timestamps; the pump moves into the kernel; events come back as
+    column blocks of the lanes' :class:`EventLog`) whenever the driver
+    set passes :func:`_chunk_eligible`.
 
     ``fast_forward`` enables quiescence skipping: before generating each
     cycle the run checks :func:`_try_fast_forward`, and when the fabric,
     queues, hooks and generators are all provably idle for D cycles it
-    jumps the clocks (and the BE LFSRs, in closed form) by D instead of
-    sweeping.  Fast-forward never fires while any fault is resident.
+    jumps the clocks by D instead of sweeping.  Live BE streams are
+    proven idle (and their LFSRs advanced) only by the batched C scan;
+    without it they veto the skip and the run simply steps.
+    Fast-forward never fires while any fault is resident.
     """
     from repro.kernels.trafficgen import batched_be_generator
 
@@ -977,6 +963,12 @@ def run_batched(
         else None
     )
     end = engine.cycle + cycles
+
+    def skipped() -> bool:
+        return fast_forward and bool(
+            _try_fast_forward(engine, drivers, end - engine.cycle, generator)
+        )
+
     compiled = getattr(engine, "_compiled", None)
     if (
         compiled is not None
@@ -984,7 +976,7 @@ def run_batched(
         and _chunk_eligible(engine, drivers)
     ):
         while engine.cycle < end:
-            if fast_forward and _try_fast_forward(engine, drivers, end - engine.cycle):
+            if skipped():
                 continue
             k = min(_CHUNK, end - engine.cycle)
             start = engine.cycle
@@ -999,7 +991,7 @@ def run_batched(
         return
     if generator is not None:
         while engine.cycle < end:
-            if fast_forward and _try_fast_forward(engine, drivers, end - engine.cycle):
+            if skipped():
                 continue
             generator.generate(engine.cycle)
             for driver in drivers:
@@ -1007,7 +999,7 @@ def run_batched(
             engine.step()
         return
     while engine.cycle < end:
-        if fast_forward and _try_fast_forward(engine, drivers, end - engine.cycle):
+        if skipped():
             continue
         cycle = engine.cycle
         for driver in drivers:

@@ -48,13 +48,12 @@ from __future__ import annotations
 
 import hashlib
 import string
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import KernelUnavailableError
 from repro.noc.config import Port
-from repro.noc.network import EjectionRecord, InjectionRecord
 from repro.noc.router import ProtocolError
 
 __all__ = ["CompiledBatchLevel", "generate_level_source", "level_orders"]
@@ -71,18 +70,13 @@ int64_t repro_level_chunk(
     int64_t *alloc_ptr,
     int64_t *inj_word, int64_t *inj_valid, int64_t *rr_ptr, int64_t *delay,
     int64_t *eject_word, int64_t *eject_valid, int64_t *stalled,
-    const int64_t *q_lane, const int64_t *q_router, const int64_t *q_vc,
-    const int64_t *q_end, int64_t *q_head, int64_t *q_stall,
-    int64_t *q_touched,
-    const int64_t *e_word, const int64_t *e_cycle,
+    int64_t *q, int64_t q_cap, const int64_t *e, int64_t e_cap,
     int64_t *buffered, int64_t *injc, int64_t *ejany, int64_t *act,
     int64_t *rooms, int64_t *fwd_out,
     int64_t *choice, int64_t *ej_in,
     int64_t *gq, int64_t *gvc, int64_t *fwd_in,
     int64_t *dec_q, int64_t *dec_ovc, int64_t *dec_n, int64_t *last_alloc,
-    int64_t *sent_lane, int64_t *sent_r, int64_t *sent_vc,
-    int64_t *sent_word, int64_t *sent_delay, int64_t *sent_cycle,
-    int64_t *ej_lane, int64_t *ej_r, int64_t *ej_word, int64_t *ej_cycle,
+    int64_t *ev_sent, int64_t sent_cap, int64_t *ev_ej, int64_t ej_cap,
     int64_t *counts, int64_t *err)
 """
 
@@ -140,6 +134,23 @@ ${signature}
         counts[0] = counts[1] = counts[2] = 0;
         return 5;
     }
+    /* Row buffers, one row per column.  Staged stimuli queues (q) and
+     * their entries (e); injection and ejection events (sent, ej) with
+     * rows in record-field order plus the lane, so Python can log them
+     * as column blocks without touching a single event. */
+    const int64_t *q_lane = q, *q_router = q + q_cap, *q_vc = q + 2 * q_cap;
+    const int64_t *q_end = q + 3 * q_cap;
+    int64_t *q_head = q + 4 * q_cap, *q_stall = q + 5 * q_cap;
+    int64_t *q_touched = q + 6 * q_cap;
+    const int64_t *e_word = e, *e_cycle = e + e_cap;
+    int64_t *sent_cycle = ev_sent, *sent_r = ev_sent + sent_cap;
+    int64_t *sent_vc = ev_sent + 2 * sent_cap;
+    int64_t *sent_word = ev_sent + 3 * sent_cap;
+    int64_t *sent_delay = ev_sent + 4 * sent_cap;
+    int64_t *sent_lane = ev_sent + 5 * sent_cap;
+    int64_t *ej_cycle = ev_ej, *ej_r = ev_ej + ej_cap;
+    int64_t *ej_vc = ev_ej + 2 * ej_cap, *ej_word = ev_ej + 3 * ej_cap;
+    int64_t *ej_lane = ev_ej + 4 * ej_cap;
     int64_t n_sent = 0, n_ej = 0;
     /* Per-router occupancy bitmasks of the current lane, rebuilt from
      * the committed state each cycle:
@@ -514,7 +525,8 @@ ${signature}
                 if (((ej >> DW) & 3) != 0) {
                     ej_lane[n_ej] = b;
                     ej_r[n_ej] = r;
-                    ej_word[n_ej] = ej;
+                    ej_vc[n_ej] = ej >> VC_SHIFT;
+                    ej_word[n_ej] = ej & FLIT_MASK;
                     ej_cycle[n_ej] = ac;
                     n_ej++;
                     eject_word[sc + r] = ej;
@@ -617,17 +629,17 @@ def generate_level_source(spec, schedule) -> str:
     )
 
 
-class _Staged:
-    """Flat view of every driver's per-(router, VC) stimuli queues."""
+#: rows of the grow-only call buffers (see the kernel's unpacking).
+_BUFFER_ROWS = {"q": 7, "e": 2, "sent": 6, "ej": 5}
 
-    __slots__ = (
-        "n_queues",
-        "n_entries",
-        "arrays",
-        "ptrs",
-        "refs",
-        "starts",
-    )
+
+class _Staged(NamedTuple):
+    """One chunk's staged stimuli queues (the words themselves live in
+    the kernel object's ``q``/``e`` buffers until the next ``stage``)."""
+
+    #: per staged queue: (driver, key, deque, backlog length, fresh, start)
+    refs: List[Tuple]
+    n_entries: int
 
 
 class CompiledBatchLevel:
@@ -698,17 +710,6 @@ class CompiledBatchLevel:
             "dec_ovc": B * R * NQ,
             "dec_n": B * R,
             "last_alloc": B * R,
-            # single-cycle event buffers (chunks allocate their own)
-            "sent_lane": B * R * V,
-            "sent_r": B * R * V,
-            "sent_vc": B * R * V,
-            "sent_word": B * R * V,
-            "sent_delay": B * R * V,
-            "sent_cycle": B * R * V,
-            "ej_lane": B * R,
-            "ej_r": B * R,
-            "ej_word": B * R,
-            "ej_cycle": B * R,
             "counts": 3,
             "err": 6,
         }
@@ -716,14 +717,19 @@ class CompiledBatchLevel:
             name: np.zeros(size, dtype=np.int64)
             for name, size in scratch.items()
         }
-        self._empty = np.zeros(1, dtype=np.int64)
         self._bound: dict = {}
         self._ptrs: dict = {}
         for name, arr in self._tables.items():
             self._ptrs[name] = self._ptr(arr)
         for name, arr in self._scratch.items():
             self._ptrs[name] = self._ptr(arr)
-        self._ptrs["empty"] = self._ptr(self._empty)
+        #: grow-only ``[rows, capacity]`` call buffers: staged queues and
+        #: entries in, event columns out.  A single cycle emits at most
+        #: one injection per (lane, router, VC) and one ejection per
+        #: (lane, router), so this floor serves ``step_range`` as is.
+        self._buffers: dict = {}
+        for name in _BUFFER_ROWS:
+            self._rows(name, B * R * V)
         self._rebind()
 
     def _ptr(self, arr):
@@ -733,6 +739,17 @@ class CompiledBatchLevel:
                 f"(got {arr.dtype}, contiguous={arr.flags['C_CONTIGUOUS']})"
             )
         return self._ffi.cast("int64_t *", arr.ctypes.data)
+
+    def _rows(self, name: str, need: int) -> np.ndarray:
+        """Call buffer ``name`` with room for ``need`` columns (contents
+        do not survive growth; every call refills what it reads)."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[1] < need:
+            cap = need if buf is None else max(need, 2 * buf.shape[1])
+            buf = np.zeros((_BUFFER_ROWS[name], cap), dtype=np.int64)
+            self._buffers[name] = buf
+            self._ptrs[name] = self._ptr(buf)
+        return buf
 
     def _rebind(self) -> None:
         engine = self.engine
@@ -772,70 +789,34 @@ class CompiledBatchLevel:
         scratch["ejany"][:n] = S.eject_valid[lo:hi].reshape(n, -1).sum(axis=1)
 
     # -- execution ----------------------------------------------------------
-    def _call(self, lo, hi, n_cycles, base_cycle, stall_limit, staged, events):
+    def _call(self, lo, hi, n_cycles, stall_limit, n_queues) -> int:
+        """Run lanes ``[lo, hi)`` for ``n_cycles`` from the engine's
+        current cycle, then log the emitted events; returns the kernel's
+        error code (0 = the whole window completed)."""
         engine = self.engine
         p = self._ptrs
-        ffi = self._ffi
+        buffers = self._buffers
         off = lambda name: (  # noqa: E731 - local pointer-offset helper
             p[name] + lo * self._lane_stride[name] if lo else p[name]
         )
-        if staged is None:
-            nqs = 0
-            qp = {
-                name: p["empty"]
-                for name in (
-                    "q_lane",
-                    "q_router",
-                    "q_vc",
-                    "q_end",
-                    "q_head",
-                    "q_stall",
-                    "q_touched",
-                    "e_word",
-                    "e_cycle",
-                )
-            }
-        else:
-            nqs = staged.n_queues
-            qp = staged.ptrs
-        ep = {name: self._ptr(arr) for name, arr in events.items()}
-        return self._lib.repro_level_chunk(
+        ret = self._lib.repro_level_chunk(
             hi - lo,
             engine.cfg.n_routers,
             n_cycles,
-            base_cycle,
+            engine.cycle,
             stall_limit,
-            nqs,
+            n_queues,
             p["depth"],
             p["nb_idx"],
             p["nb_ok"],
             p["opp"],
             p["route"],
             p["be_cand"],
-            off("mem"),
-            off("rd"),
-            off("wr"),
-            off("count"),
-            off("alloc"),
-            off("queue_alloc"),
-            off("arb_ptr"),
-            off("alloc_ptr"),
-            off("inj_word"),
-            off("inj_valid"),
-            off("rr_ptr"),
-            off("delay"),
-            off("eject_word"),
-            off("eject_valid"),
-            off("stalled"),
-            qp["q_lane"],
-            qp["q_router"],
-            qp["q_vc"],
-            qp["q_end"],
-            qp["q_head"],
-            qp["q_stall"],
-            qp["q_touched"],
-            qp["e_word"],
-            qp["e_cycle"],
+            *[off(name) for name in _STATE_FIELDS],
+            p["q"],
+            buffers["q"].shape[1],
+            p["e"],
+            buffers["e"].shape[1],
             p["buffered"],
             p["injc"],
             p["ejany"],
@@ -851,51 +832,39 @@ class CompiledBatchLevel:
             p["dec_ovc"],
             p["dec_n"],
             p["last_alloc"],
-            ep["sent_lane"],
-            ep["sent_r"],
-            ep["sent_vc"],
-            ep["sent_word"],
-            ep["sent_delay"],
-            ep["sent_cycle"],
-            ep["ej_lane"],
-            ep["ej_r"],
-            ep["ej_word"],
-            ep["ej_cycle"],
+            p["sent"],
+            buffers["sent"].shape[1],
+            p["ej"],
+            buffers["ej"].shape[1],
             p["counts"],
             p["err"],
         )
+        counts = self._scratch["counts"]
+        self._log_events(engine._injections, "sent", int(counts[0]), lo, hi)
+        self._log_events(engine._ejections, "ej", int(counts[1]), lo, hi)
+        return ret
 
-    def _extract_events(self, events, n_sent, n_ej, lane_offset) -> None:
-        engine = self.engine
-        if n_sent:
-            injections = engine._injections
-            for b, r, v, w, d, c in zip(
-                events["sent_lane"][:n_sent].tolist(),
-                events["sent_r"][:n_sent].tolist(),
-                events["sent_vc"][:n_sent].tolist(),
-                events["sent_word"][:n_sent].tolist(),
-                events["sent_delay"][:n_sent].tolist(),
-                events["sent_cycle"][:n_sent].tolist(),
-            ):
-                injections[b + lane_offset].append(
-                    InjectionRecord(c, r, v, w, d)
-                )
-        if n_ej:
-            vc_shift = engine._vc_shift
-            mask = (1 << vc_shift) - 1
-            ejections = engine._ejections
-            for b, r, w, c in zip(
-                events["ej_lane"][:n_ej].tolist(),
-                events["ej_r"][:n_ej].tolist(),
-                events["ej_word"][:n_ej].tolist(),
-                events["ej_cycle"][:n_ej].tolist(),
-            ):
-                ejections[b + lane_offset].append(
-                    EjectionRecord(c, r, w >> vc_shift, w & mask)
-                )
+    def _log_events(self, logs, name, n, lo, hi) -> None:
+        """Hand ``n`` event columns of buffer ``name`` to the logs of
+        lanes ``[lo, hi)``: one stable sort by lane, then one column
+        slice per lane — no record object is built."""
+        if not n:
+            return
+        rows = self._buffers[name]
+        fields = rows.shape[0] - 1  # the last row is the (relative) lane
+        if hi - lo == 1:
+            logs[lo].extend_block(rows[:fields, :n].copy(), 0, n)
+            return
+        lanes = rows[fields, :n]
+        block = np.take(rows[:fields, :n], np.argsort(lanes, kind="stable"), axis=1)
+        start = 0
+        ends = np.cumsum(np.bincount(lanes, minlength=hi - lo)).tolist()
+        for lane, stop in enumerate(ends, lo):
+            logs[lane].extend_block(block, start, stop)
+            start = stop
 
     def step(self) -> None:
-        """Advance every lane one cycle (events appended, errors raised)."""
+        """Advance every lane one cycle (events logged, errors raised)."""
         self.step_range(0, self.engine.lanes)
 
     def step_range(self, lo: int, hi: int) -> None:
@@ -904,60 +873,41 @@ class CompiledBatchLevel:
         sweep; the two ranges never interact within a cycle)."""
         if self._stale():
             self._rebind()
-        engine = self.engine
         self._refresh_activity(lo, hi)
-        events = {
-            name: self._scratch[name]
-            for name in (
-                "sent_lane",
-                "sent_r",
-                "sent_vc",
-                "sent_word",
-                "sent_delay",
-                "sent_cycle",
-                "ej_lane",
-                "ej_r",
-                "ej_word",
-                "ej_cycle",
-            )
-        }
-        ret = self._call(lo, hi, 1, engine.cycle, 0, None, events)
-        counts = self._scratch["counts"]
-        self._extract_events(events, int(counts[0]), int(counts[1]), lo)
+        ret = self._call(lo, hi, 1, 0, 0)
         if ret:
             self._raise(ret, self._scratch["err"], None)
 
     # -- chunked execution --------------------------------------------------
     def stage(self, drivers: Sequence, window=None) -> _Staged:
         """Flatten every driver's stimuli queues (lane-major, dict
-        order) into the kernel's staged arrays.
+        order) into the kernel's staged ``q``/``e`` buffers.
 
         ``window`` optionally carries this chunk's freshly generated
-        words, keyed ``(lane, router, vc) -> (words, cycles, keys)``
-        (see ``BatchedBeGenerator.generate_window``): they are staged
-        directly after each queue's backlog, skipping the per-entry
-        ``StimuliEntry`` round-trip through the deques.  Every window
-        key is guaranteed to exist in ``driver.queues`` (the generator
-        registers it), so iterating the queues covers both sources.
+        words, one ``{(router, vc): (words, cycles, seqs)}`` dict per
+        lane (see ``BatchedBeGenerator.generate_window``): they are
+        staged directly after each queue's backlog, skipping the
+        per-entry ``StimuliEntry`` round-trip through the deques.  Every
+        window key is guaranteed to exist in ``driver.queues`` (the
+        generator registers it), so iterating the queues covers both
+        sources.
         """
         q_lane: List[int] = []
-        q_router: List[int] = []
-        q_vc: List[int] = []
+        q_key: List[Tuple[int, int]] = []
         q_end: List[int] = []
         q_head: List[int] = []
         q_stall: List[int] = []
         e_word: List[int] = []
         e_cycle: List[int] = []
         refs: List[Tuple] = []
-        starts: List[int] = []
         for lane, driver in enumerate(drivers):
-            stall_map = driver._stall
+            stall_of = driver._stall.get
+            fresh_of = window[lane].get if window else None
             for key, queue in driver.queues.items():
-                fresh = window.get((lane, key[0], key[1])) if window else None
+                fresh = fresh_of(key) if fresh_of else None
                 if not queue and not fresh:
                     continue
                 start = len(e_word)
-                n_queue = len(queue)
                 if queue:
                     e_word.extend([entry.flit_word for entry in queue])
                     e_cycle.extend([entry.cycle for entry in queue])
@@ -965,32 +915,24 @@ class CompiledBatchLevel:
                     e_word.extend(fresh[0])
                     e_cycle.extend(fresh[1])
                 q_lane.append(lane)
-                q_router.append(key[0])
-                q_vc.append(key[1])
+                q_key.append(key)
                 q_head.append(start)
                 q_end.append(len(e_word))
-                q_stall.append(stall_map.get(key, 0))
-                refs.append((driver, key, queue, n_queue, fresh))
-                starts.append(start)
-        staged = _Staged()
-        staged.n_queues = len(q_lane)
-        staged.n_entries = len(e_word)
-        staged.refs = refs
-        staged.starts = starts
-        arrays = {
-            "q_lane": np.array(q_lane or [0], dtype=np.int64),
-            "q_router": np.array(q_router or [0], dtype=np.int64),
-            "q_vc": np.array(q_vc or [0], dtype=np.int64),
-            "q_end": np.array(q_end or [0], dtype=np.int64),
-            "q_head": np.array(q_head or [0], dtype=np.int64),
-            "q_stall": np.array(q_stall or [0], dtype=np.int64),
-            "q_touched": np.zeros(max(1, len(q_lane)), dtype=np.int64),
-            "e_word": np.array(e_word or [0], dtype=np.int64),
-            "e_cycle": np.array(e_cycle or [0], dtype=np.int64),
-        }
-        staged.arrays = arrays
-        staged.ptrs = {name: self._ptr(arr) for name, arr in arrays.items()}
-        return staged
+                q_stall.append(stall_of(key, 0))
+                refs.append((driver, key, queue, len(queue), fresh, start))
+        n = len(refs)
+        if n:
+            q = self._rows("q", n)
+            q[0, :n] = q_lane
+            q[1:3, :n] = np.array(q_key, dtype=np.int64).T
+            q[3, :n] = q_end
+            q[4, :n] = q_head
+            q[5, :n] = q_stall
+            q[6, :n] = 0
+            e = self._rows("e", len(e_word))
+            e[0, : len(e_word)] = e_word
+            e[1, : len(e_word)] = e_cycle
+        return _Staged(refs, len(e_word))
 
     def run_chunk(self, drivers: Sequence, n_cycles: int, window=None) -> None:
         """Advance all lanes ``n_cycles`` cycles in one C call.
@@ -1008,33 +950,14 @@ class CompiledBatchLevel:
         staged = self.stage(drivers, window)
         self._refresh_activity(0, engine.lanes)
         scratch = self._scratch
-        sent_cap = max(1, int(scratch["injc"][: engine.lanes].sum()) + staged.n_entries)
-        ej_cap = sent_cap + max(1, int(scratch["buffered"][: engine.lanes].sum()))
-        events = {
-            "sent_lane": np.zeros(sent_cap, dtype=np.int64),
-            "sent_r": np.zeros(sent_cap, dtype=np.int64),
-            "sent_vc": np.zeros(sent_cap, dtype=np.int64),
-            "sent_word": np.zeros(sent_cap, dtype=np.int64),
-            "sent_delay": np.zeros(sent_cap, dtype=np.int64),
-            "sent_cycle": np.zeros(sent_cap, dtype=np.int64),
-            "ej_lane": np.zeros(ej_cap, dtype=np.int64),
-            "ej_r": np.zeros(ej_cap, dtype=np.int64),
-            "ej_word": np.zeros(ej_cap, dtype=np.int64),
-            "ej_cycle": np.zeros(ej_cap, dtype=np.int64),
-        }
+        # Every staged entry and pending register injects at most once;
+        # everything injected or already buffered ejects at most once.
+        sent_cap = int(scratch["injc"][: engine.lanes].sum()) + staged.n_entries
+        self._rows("sent", sent_cap)
+        self._rows("ej", sent_cap + int(scratch["buffered"][: engine.lanes].sum()))
         stall_limit = drivers[0].stall_limit if drivers else 10_000
-        ret = self._call(
-            0,
-            engine.lanes,
-            n_cycles,
-            engine.cycle,
-            stall_limit,
-            staged,
-            events,
-        )
-        counts = scratch["counts"]
-        self._extract_events(events, int(counts[0]), int(counts[1]), 0)
-        completed = int(counts[2])
+        ret = self._call(0, engine.lanes, n_cycles, stall_limit, len(staged.refs))
+        completed = int(scratch["counts"][2])
         if completed:
             engine.metrics.record_cycles(
                 completed, engine.SWEEPS_PER_CYCLE * engine.cfg.n_routers
@@ -1047,25 +970,29 @@ class CompiledBatchLevel:
         # have queued.
         from repro.traffic.stimuli import StimuliEntry
 
-        arrays = staged.arrays
-        heads = arrays["q_head"].tolist()
-        stalls = arrays["q_stall"].tolist()
-        touched = arrays["q_touched"].tolist()
-        for i, (driver, key, queue, n_queue, fresh) in enumerate(staged.refs):
-            consumed = heads[i] - staged.starts[i]
+        refs = staged.refs
+        heads, stalls, touched = self._buffers["q"][4:7, : len(refs)].tolist()
+        for (driver, key, queue, n_queue, fresh, start), head, stall, hit in zip(
+            refs, heads, stalls, touched
+        ):
+            consumed = head - start
             for _ in range(min(consumed, n_queue)):
                 queue.popleft()
             if fresh:
-                words, cycles, keys = fresh
+                words, cycles, seqs = fresh
                 router, vc = key
                 for j in range(max(0, consumed - n_queue), len(words)):
                     queue.append(
                         StimuliEntry(
-                            cycles[j], router, vc, words[j], packet_key=keys[j]
+                            cycles[j],
+                            router,
+                            vc,
+                            words[j],
+                            packet_key=(router, seqs[j]),
                         )
                     )
-            if touched[i]:
-                driver._stall[key] = stalls[i]
+            if hit:
+                driver._stall[key] = stall
         if ret:
             self._raise(ret, scratch["err"], drivers)
 

@@ -5,16 +5,19 @@ independent :class:`~repro.traffic.generators.BernoulliBeTraffic`
 stream.  The per-cycle cost of those streams is one LFSR jump and a
 threshold compare per source per lane — pure integer arithmetic that
 dominates the driver once the simulation step itself is compiled.  This
-module moves exactly that scan into one C call per cycle:
+module moves exactly that scan into one C call per window of cycles:
 
 * every lane's 32-bit Galois LFSR advances through the same 4x256-byte
   jump tables as :class:`~repro.traffic.rng.HardwareLfsr.next_u32`;
-* a Bernoulli hit records ``(lane, src)`` and immediately draws the
-  uniform-random destination with the same rejection sampling as
+* a Bernoulli hit records ``(lane, cycle, src)`` and immediately draws
+  the uniform-random destination with the same rejection sampling as
   :meth:`~repro.traffic.rng.HardwareLfsr.next_below` — consuming the
   identical number of RNG words in the identical order;
 * Python builds the :class:`~repro.noc.packet.Packet` objects from the
-  hit list (sequence numbers, payloads and tags are per-lane state).
+  hit list (sequence numbers, payloads and tags are per-lane state);
+* in probe mode the same scan stops before the first hit in any lane —
+  the quiescence fast-forward's proof that a window is idle and its
+  LFSR advance over that window, in one pass.
 
 The kernel is built, cached and loaded through the same pipeline as the
 batch-step kernel (:func:`repro.kernels.cbackend.load_source`), so it
@@ -36,7 +39,7 @@ __all__ = [
 
 _CDEF = """
 int64_t repro_gen_be(
-    int64_t lanes, int64_t n_src,
+    int64_t lanes, int64_t n_src, int64_t start, int64_t stop, int64_t probe,
     int64_t threshold, int64_t bound, int64_t span,
     const int64_t *jump,
     int64_t *states, int64_t *reads,
@@ -57,30 +60,46 @@ static inline uint32_t lfsr_jump(uint32_t s, const int64_t *jump)
                     ^ jump[768 + (s >> 24)]);
 }
 
-/* Advance every lane's BE traffic stream by one cycle.
+/* Scan every lane's BE traffic stream over cycles [start, stop).
  *
- * Per lane, per source: one jump + threshold compare (the Bernoulli
- * draw).  On a hit, the destination is drawn in place with rejection
- * sampling below `span` then reduced modulo `bound` — the same word
- * sequence HardwareLfsr.next_below consumes — and (lane, src, dest)
- * is appended to `hits`.  `states` and `reads` (words consumed) are
- * updated in place; the return value is the hit count.
+ * Per cycle, per lane, per source: one jump + threshold compare (the
+ * Bernoulli draw).  `states` and `reads[l]` (words consumed by lane l)
+ * are updated in place.
+ *
+ * probe == 0 (generate): on a hit, the destination is drawn in place
+ * with rejection sampling below `span` then reduced modulo `bound` —
+ * the same word sequence HardwareLfsr.next_below consumes — and
+ * (lane, cycle, src, dest) is appended to `hits` (`cap` rows; the
+ * caller sizes it for the worst case).  Returns the hit count.
+ *
+ * probe != 0 (idle window): stop before the first cycle in which any
+ * lane hits.  A cycle's new states are parked in `hits[0..lanes)` and
+ * committed only once every lane has passed it, so on return every
+ * lane has consumed exactly n_src words per returned cycle.  Returns
+ * the number of hit-free cycles; `reads[lanes]` accumulates every word
+ * examined, the discarded cycle's included.
  */
 int64_t repro_gen_be(
-    int64_t lanes, int64_t n_src,
+    int64_t lanes, int64_t n_src, int64_t start, int64_t stop, int64_t probe,
     int64_t threshold, int64_t bound, int64_t span,
     const int64_t *jump,
     int64_t *states, int64_t *reads,
     int64_t *hits, int64_t cap)
 {
     int64_t n = 0;
-    for (int64_t l = 0; l < lanes; l++) {
-        uint32_t s = (uint32_t)states[l];
-        int64_t rd = 0;
-        for (int64_t src = 0; src < n_src; src++) {
-            s = lfsr_jump(s, jump);
-            rd++;
-            if ((int64_t)s < threshold) {
+    for (int64_t c = start; c < stop; c++) {
+        for (int64_t l = 0; l < lanes; l++) {
+            uint32_t s = (uint32_t)states[l];
+            int64_t rd = 0;
+            for (int64_t src = 0; src < n_src; src++) {
+                s = lfsr_jump(s, jump);
+                rd++;
+                if ((int64_t)s >= threshold)
+                    continue;
+                if (probe) {
+                    reads[lanes] += l * n_src + rd;
+                    return c - start;
+                }
                 uint32_t d;
                 do {
                     d = lfsr_jump(s, jump);
@@ -91,17 +110,29 @@ int64_t repro_gen_be(
                 if (dest >= src)
                     dest += 1;
                 if (n < cap) {
-                    hits[n * 3] = l;
-                    hits[n * 3 + 1] = src;
-                    hits[n * 3 + 2] = dest;
+                    hits[n * 4] = l;
+                    hits[n * 4 + 1] = c;
+                    hits[n * 4 + 2] = src;
+                    hits[n * 4 + 3] = dest;
                 }
                 n++;
             }
+            if (probe) {
+                hits[l] = (int64_t)s;
+            } else {
+                states[l] = (int64_t)s;
+                reads[l] += rd;
+            }
         }
-        states[l] = (int64_t)s;
-        reads[l] += rd;
+        if (probe) {
+            for (int64_t l = 0; l < lanes; l++) {
+                states[l] = hits[l];
+                reads[l] += n_src;
+            }
+            reads[lanes] += lanes * n_src;
+        }
     }
-    return n;
+    return probe ? stop - start : n;
 }
 """
 
@@ -151,7 +182,7 @@ def load_traffic_kernel():
 
 
 class BatchedBeGenerator:
-    """Drive every lane's BE stream through one C scan per cycle."""
+    """Drive every lane's BE stream through one C scan per window."""
 
     def __init__(self, drivers: Sequence, kernel) -> None:
         import numpy as np
@@ -161,39 +192,51 @@ class BatchedBeGenerator:
         self._kernel = kernel
         self._ffi = traffic_ffi()
         net = self.drivers[0].net
+        self._net = net
         self.n_src = net.n_routers
         self.threshold = int(self._bes[0].packet_probability * 2**32)
         self.bound = net.n_routers - 1
         self.span = (2**32 // self.bound) * self.bound
+        self._be_vcs = net.router.be_vcs
+        #: the lanes share one fabric, so one (pure) word cache serves all.
+        self._encoder = self.drivers[0]._encoder
+        #: LFSR words the idle-window probes examined (committed or not).
+        self.probe_words = 0
         lanes = len(self.drivers)
         self._states = np.zeros(lanes, dtype=np.int64)
-        self._reads = np.zeros(lanes, dtype=np.int64)
-        self._cap = lanes * self.n_src
-        self._hits = np.zeros(self._cap * 3, dtype=np.int64)
+        self._reads = np.zeros(lanes + 1, dtype=np.int64)
         self._jump = jump_table()
+        self._p_jump = self._ptr(self._jump)
+        self._p_states = self._ptr(self._states)
+        self._p_reads = self._ptr(self._reads)
+        self._grow_hits(lanes * self.n_src)
 
-        def ptr(arr):
-            return self._ffi.cast("int64_t *", arr.ctypes.data)
+    def _ptr(self, arr):
+        return self._ffi.cast("int64_t *", arr.ctypes.data)
 
-        self._p_jump = ptr(self._jump)
-        self._p_states = ptr(self._states)
-        self._p_reads = ptr(self._reads)
-        self._p_hits = ptr(self._hits)
+    def _grow_hits(self, cap: int) -> None:
+        import numpy as np
 
-    def generate(self, cycle: int) -> None:
-        """What ``driver.generate(cycle)`` would do, for every lane."""
-        from repro.noc.packet import Packet, PacketClass
-        from repro.traffic.generators import _ramp_payload
+        self._cap = cap
+        self._hits = np.zeros(cap * 4, dtype=np.int64)
+        self._p_hits = self._ptr(self._hits)
 
+    def _scan(self, start: int, stop: int, probe: int) -> int:
+        """One C scan of ``[start, stop)`` over every lane's LFSR; the
+        generators' ``state``/``words_read`` are carried in and out."""
         bes = self._bes
-        states = self._states
-        reads = self._reads
-        for i, be in enumerate(bes):
-            states[i] = be.rng.state
-        reads[:] = 0
+        if not probe:  # worst case: every source of every lane hits every cycle
+            cap = len(bes) * self.n_src * (stop - start)
+            if cap > self._cap:
+                self._grow_hits(cap)
+        self._states[:] = [be.rng.state for be in bes]
+        self._reads[:] = 0
         n = self._kernel.repro_gen_be(
             len(bes),
             self.n_src,
+            start,
+            stop,
+            probe,
             self.threshold,
             self.bound,
             self.span,
@@ -203,39 +246,57 @@ class BatchedBeGenerator:
             self._p_hits,
             self._cap,
         )
-        hits = self._hits
-        drivers = self.drivers
-        for k in range(n):
-            lane = int(hits[3 * k])
-            src = int(hits[3 * k + 1])
-            dest = int(hits[3 * k + 2])
-            driver = drivers[lane]
+        reads = self._reads.tolist()
+        for be, state, read in zip(bes, self._states.tolist(), reads):
+            be.rng.state = state
+            be.rng.words_read += read
+        self.probe_words += reads[-1]
+        return n
+
+    def _packets(self, start: int, stop: int):
+        """``(lane, cycle, packet, vc)`` for every Bernoulli hit of cycles
+        ``[start, stop)`` — each lane's in its own generation order, with
+        the sequence numbers and BE-VC toggles advanced exactly as
+        ``TrafficDriver.generate`` advances them."""
+        from repro.noc.packet import Packet, PacketClass
+        from repro.traffic.generators import _ramp_payload
+
+        n = self._scan(start, stop, 0)
+        bes, drivers = self._bes, self.drivers
+        be_vcs = self._be_vcs
+        n_vcs = len(be_vcs)
+        be_class = PacketClass.BE
+        for lane, cycle, src, dest in self._hits[: 4 * n].reshape(n, 4).tolist():
             be = bes[lane]
-            seq = be._seq[src]
-            be._seq[src] = (seq + 1) & 0xFF
-            payload = _ramp_payload(src + seq, be.payload_bytes)
+            seqs = be._seq
+            seq = seqs[src]
+            seqs[src] = (seq + 1) & 0xFF
             packet = Packet(
-                src=src,
-                dest=dest,
-                pclass=PacketClass.BE,
-                payload=payload,
-                tag=seq % 128,
-                seq=seq,
+                src,
+                dest,
+                be_class,
+                _ramp_payload(src + seq, be.payload_bytes),
+                seq % 128,
+                seq,
             )
-            be_vcs = driver.net.router.be_vcs
-            toggle = driver._be_vc_toggle[src]
-            driver._be_vc_toggle[src] = (toggle + 1) % len(be_vcs)
-            driver._submit(packet, be_vcs[toggle], cycle)
-        for i, be in enumerate(bes):
-            be.rng.state = int(states[i])
-            be.rng.words_read += int(reads[i])
+            toggles = drivers[lane]._be_vc_toggle
+            toggle = toggles[src]
+            toggles[src] = (toggle + 1) % n_vcs
+            yield lane, cycle, packet, be_vcs[toggle]
+
+    def generate(self, cycle: int) -> None:
+        """What ``driver.generate(cycle)`` would do, for every lane."""
+        drivers = self.drivers
+        for lane, _, packet, vc in self._packets(cycle, cycle + 1):
+            drivers[lane]._submit(packet, vc, cycle)
 
     def generate_window(self, start: int, stop: int):
-        """Generate cycles ``[start, stop)`` for every lane, handing the
-        encoded flit words over directly instead of queueing them.
+        """Generate cycles ``[start, stop)`` for every lane in one C
+        scan, handing the encoded flit words over directly instead of
+        queueing them.
 
-        Returns ``{(lane, src, vc): (words, cycles, packet_keys)}`` —
-        three parallel lists per stimuli queue, ready to be staged by
+        Returns one ``{(src, vc): (words, cycles, seqs)}`` dict per lane
+        — three parallel lists per stimuli queue, ready to be staged by
         the fused chunk kernel.  All driver bookkeeping that the
         per-cycle path performs is replicated exactly (submit records,
         tracker notes, ``flits_generated``, queue-key registration, RNG
@@ -244,74 +305,43 @@ class BatchedBeGenerator:
         """
         from collections import deque
 
-        from repro.noc.packet import Packet, PacketClass, segment
-        from repro.traffic.generators import _ramp_payload
+        from repro.noc.packet import segment
         from repro.traffic.stimuli import SubmitRecord
 
-        bes = self._bes
-        states = self._states
-        reads = self._reads
-        for i, be in enumerate(bes):
-            states[i] = be.rng.state
-        reads[:] = 0
-        window = {}
-        hits = self._hits
         drivers = self.drivers
-        for cycle in range(start, stop):
-            n = self._kernel.repro_gen_be(
-                len(bes),
-                self.n_src,
-                self.threshold,
-                self.bound,
-                self.span,
-                self._p_jump,
-                self._p_states,
-                self._p_reads,
-                self._p_hits,
-                self._cap,
-            )
-            for k in range(n):
-                lane = int(hits[3 * k])
-                src = int(hits[3 * k + 1])
-                dest = int(hits[3 * k + 2])
-                driver = drivers[lane]
-                be = bes[lane]
-                seq = be._seq[src]
-                be._seq[src] = (seq + 1) & 0xFF
-                packet = Packet(
-                    src=src,
-                    dest=dest,
-                    pclass=PacketClass.BE,
-                    payload=_ramp_payload(src + seq, be.payload_bytes),
-                    tag=seq % 128,
-                    seq=seq,
-                )
-                be_vcs = driver.net.router.be_vcs
-                toggle = driver._be_vc_toggle[src]
-                driver._be_vc_toggle[src] = (toggle + 1) % len(be_vcs)
-                vc = be_vcs[toggle]
-                record = SubmitRecord(packet, vc, cycle)
-                driver.submits.append(record)
-                if driver.tracker is not None:
-                    driver.tracker.note_submit(record)
-                driver.queues.setdefault((src, vc), deque())
-                if driver._encoder is not None and packet.payload:
-                    words = driver._encoder.words(packet)
-                else:
-                    dw = driver.net.router.data_width
-                    words = [f.encode(dw) for f in segment(packet, driver.net)]
-                driver.flits_generated += len(words)
-                slot = window.get((lane, src, vc))
-                if slot is None:
-                    slot = window[(lane, src, vc)] = ([], [], [])
-                slot[0].extend(words)
-                nw = len(words)
-                slot[1].extend([cycle] * nw)
-                slot[2].extend([(src, seq)] * nw)
-        for i, be in enumerate(bes):
-            be.rng.state = int(states[i])
-            be.rng.words_read += int(reads[i])
+        encoder = self._encoder
+        window = [{} for _ in drivers]
+        for lane, cycle, packet, vc in self._packets(start, stop):
+            driver = drivers[lane]
+            record = SubmitRecord(packet, vc, cycle)
+            driver.submits.append(record)
+            if driver.tracker is not None:
+                driver.tracker.note_submit(record)
+            key = (packet.src, vc)
+            if key not in driver.queues:
+                driver.queues[key] = deque()
+            if encoder is not None:
+                words = encoder.words(packet)
+            else:
+                dw = self._net.router.data_width
+                words = [f.encode(dw) for f in segment(packet, self._net)]
+            nw = len(words)
+            driver.flits_generated += nw
+            slot = window[lane].get(key)
+            if slot is None:
+                slot = window[lane][key] = ([], [], [])
+            slot[0].extend(words)
+            slot[1].extend([cycle] * nw)
+            slot[2].extend([packet.seq] * nw)
         return window
+
+    def skip_idle(self, limit: int) -> int:
+        """Advance every lane over the longest window of at most
+        ``limit`` cycles in which no lane generates a packet; returns
+        its length.  The same C scan in probe mode: it stops before the
+        first hit in any lane, having drawn exactly the ``n_src`` words
+        per lane per cycle that stepping the window would have drawn."""
+        return self._scan(0, limit, 1)
 
 
 def batched_be_generator(drivers: Sequence) -> Optional[BatchedBeGenerator]:

@@ -18,6 +18,12 @@ on or off.
 The closed-form LFSR jump underneath fast-forward (and the farm's
 checkpoint cross-check) is property-tested with hypothesis over random
 widths, tap masks and distances.
+
+The columnar chunk boundary adds two identities: one windowed C traffic
+scan equals ``stop - start`` per-cycle ``generate`` calls in every piece
+of driver state, and the same scan in probe mode (the fast-forward's
+idle-window proof) leaves every lane exactly where stepping would —
+within a fixed budget of LFSR words per skipped cycle.
 """
 
 from __future__ import annotations
@@ -33,15 +39,16 @@ from repro.engines.batch import (
     run_batched,
 )
 from repro.experiments.common import fig1_gt_streams, fig1_network
-from repro.kernels import probe_backends
+from repro.kernels import probe_backends, trafficgen
 from repro.noc import NetworkConfig, RouterConfig
+from repro.stats.latency import PacketLatencyTracker
 from repro.traffic.generators import (
     BernoulliBeTraffic,
     GtStreamTraffic,
     uniform_random,
 )
 from repro.traffic.rng import HardwareLfsr, lfsr_jump
-from repro.traffic.stimuli import NetworkOverloadError, TrafficDriver
+from repro.traffic.stimuli import NetworkOverloadError, StimuliEntry, TrafficDriver
 
 JIT_REASON = probe_backends()["cffi"]
 needs_jit = pytest.mark.skipif(
@@ -381,6 +388,166 @@ class TestFastForward:
         drivers = make_drivers(engine, 0.0)
         engine.pre_step_hooks.append(lambda e: None)  # no next_fire_cycle
         assert _try_fast_forward(engine, drivers, 100) == 0
+
+
+def generation_state(drivers):
+    """Everything ``generate`` touches, per driver."""
+    return [
+        (
+            repr(d.submits),
+            {k: list(q) for k, q in d.queues.items()},
+            list(d.queues),
+            {k: list(q) for k, q in d.tracker._pending.items()},
+            d.flits_generated,
+            list(d.be._seq),
+            list(d._be_vc_toggle),
+            d.be.rng.state,
+            d.be.rng.words_read,
+        )
+        for d in drivers
+    ]
+
+
+@needs_jit
+class TestWindowGeneration:
+    """One C scan per window ≡ one ``generate`` call per cycle."""
+
+    def build(self, lanes=3, load=0.3):
+        engine = BatchEngine(torus(), lanes=lanes, kernel="python")
+        drivers = make_drivers(engine, load)
+        for driver in drivers:
+            driver.attach_tracker(PacketLatencyTracker(engine.cfg))
+        return drivers
+
+    def test_window_equals_per_cycle_generate(self):
+        windowed, stepped, batched = self.build(), self.build(), self.build()
+        generator = trafficgen.batched_be_generator(windowed)
+        per_cycle = trafficgen.batched_be_generator(batched)
+        start = 0
+        for width in (1, 7, 64, 7, 1):
+            window = generator.generate_window(start, start + width)
+            for cycle in range(start, start + width):
+                per_cycle.generate(cycle)
+                for driver in stepped:
+                    driver.generate(cycle)
+            # What the chunk kernel's consumer does with unconsumed
+            # words: they become the entries _submit would have queued.
+            for lane, driver in enumerate(windowed):
+                assert set(window[lane]) <= set(driver.queues)
+                for (src, vc), (words, cycles, seqs) in window[lane].items():
+                    assert len(words) == len(cycles) == len(seqs)
+                    assert all(start <= c < start + width for c in cycles)
+                    driver.queues[(src, vc)].extend(
+                        StimuliEntry(c, src, vc, w, packet_key=(src, q))
+                        for w, c, q in zip(words, cycles, seqs)
+                    )
+            assert generation_state(windowed) == generation_state(stepped)
+            assert generation_state(batched) == generation_state(stepped)
+            start += width
+        assert sum(len(d.submits) for d in stepped) > 50
+
+    def test_probe_stops_before_the_first_hit_in_any_lane(self):
+        probed, stepped = self.build(lanes=4, load=0.01), self.build(lanes=4, load=0.01)
+        generator = trafficgen.batched_be_generator(probed)
+        n_routers = probed[0].net.n_routers
+        cycle = 0
+        for _ in range(12):
+            skipped = generator.skip_idle(10_000)
+            for c in range(cycle, cycle + skipped):
+                for driver in stepped:
+                    driver.generate(c)
+            cycle += skipped
+            assert generation_state(probed) == generation_state(stepped)
+            # the very next cycle generates in at least one lane
+            before = sum(len(d.submits) for d in stepped)
+            generator.generate(cycle)
+            for driver in stepped:
+                driver.generate(cycle)
+            cycle += 1
+            assert sum(len(d.submits) for d in stepped) > before
+            assert generation_state(probed) == generation_state(stepped)
+        assert cycle > 100
+        assert generator.skip_idle(0) == 0
+        # a bounded probe stops at its limit, never past it
+        limited = generator.skip_idle(1)
+        assert limited in (0, 1)
+        assert generator.probe_words <= 2 * 4 * n_routers * cycle
+
+
+def capture_generator(monkeypatch):
+    """Collect the batched generators ``run_batched`` builds."""
+    made = []
+    real = trafficgen.batched_be_generator
+
+    def recording(drivers):
+        generator = real(drivers)
+        made.append(generator)
+        return generator
+
+    monkeypatch.setattr(trafficgen, "batched_be_generator", recording)
+    return made
+
+
+@needs_jit
+class TestColumnarFastForward:
+    @pytest.mark.parametrize("lanes", [1, 4, 16])
+    def test_on_equals_off_and_probe_work_is_bounded(self, lanes, monkeypatch):
+        # Distinct seeds per lane (make_drivers: seed + lane).  The
+        # digest covers snapshots, full logs, queues, submits, RNG state
+        # and words_read, the cycle counter and every DeltaMetrics row.
+        # The load shrinks with the lane count: the fabric is idle only
+        # while *every* lane is, so this keeps idle windows at any width.
+        kw = dict(cycles=6000, lanes=lanes, load=0.001 / lanes, cfg=fig1_network())
+        reference = run_case("levelized", fast_forward=False, **kw)
+        made = capture_generator(monkeypatch)
+        engine = BatchEngine(kw["cfg"], lanes=lanes, kernel="levelized")
+        drivers = make_drivers(engine, kw["load"])
+        skips = spy_skips(engine)
+        run_batched(engine, drivers, kw["cycles"], fast_forward=True)
+        assert full_digest(engine, drivers) == reference
+        assert engine.metrics.total_deltas == 3 * engine.cfg.n_routers * kw["cycles"]
+        # The probe is one C scan of every lane per attempt: never more
+        # than 2 x lanes x n_routers LFSR words per skipped cycle, where
+        # the old look-ahead rescanned lane 0 for every other lane's
+        # arrival.  Deterministic: seeds and loads are fixed.
+        (generator,) = made
+        skipped = sum(skips)
+        assert skipped > kw["cycles"] // 4
+        assert 0 < generator.probe_words <= 2 * lanes * engine.cfg.n_routers * skipped
+
+    def test_on_equals_off_with_a_gt_stream_present(self):
+        kw = dict(cycles=600, lanes=4, load=0.002, cfg=fig1_network(), gt_period=97)
+        assert run_case("levelized", fast_forward=True, **kw) == run_case(
+            "levelized", fast_forward=False, **kw
+        )
+        assert run_case("levelized", fast_forward=True, **kw) == run_case(
+            "python", fast_forward=False, **kw
+        )
+
+    def test_multi_segment_run_keeps_identity(self):
+        # run_batched builds a fresh generator per call; the LFSR state
+        # lives in the drivers, so segments compose.
+        mutate = {n: (lambda engine, drivers: None) for n in (100, 1777, 1778)}
+        kw = dict(cycles=3000, lanes=2, load=0.001, mutate=mutate)
+        assert run_case("levelized", fast_forward=True, **kw) == run_case(
+            "python", fast_forward=False, cycles=3000, lanes=2, load=0.001
+        )
+
+
+def test_fast_forward_without_c_tier_just_steps(monkeypatch):
+    # No C tier: there is no BE look-ahead at all, so a live BE stream
+    # vetoes every skip and the run steps — bit-identical by construction.
+    monkeypatch.setenv("REPRO_KERNELS", "numpy")
+    engine = BatchEngine(torus(), lanes=2, kernel="levelized")
+    assert engine._compiled is None
+    drivers = make_drivers(engine, 0.004)
+    skips = spy_skips(engine)
+    run_batched(engine, drivers, 800, fast_forward=True)
+    monkeypatch.delenv("REPRO_KERNELS")
+    assert skips == []
+    assert full_digest(engine, drivers) == run_case(
+        "python", cycles=800, lanes=2, load=0.004
+    )
 
 
 def _reference_shift(state: int, mask: int, width: int) -> int:
