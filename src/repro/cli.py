@@ -596,9 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="execution body: python forces the reference path, "
         "levelized the static-schedule fused body (sequential engine) "
-        "or the fused levelized chunk kernel (batch engine), "
-        "jit the generated-C batch kernel (batch engine); auto picks "
-        "the best available tier",
+        "or the fused generated-C chunk kernel over the level schedule "
+        "(batch engine), jit the same chunk kernel in natural router "
+        "order (batch engine, must compile); auto picks the best "
+        "available tier",
     )
     p.add_argument(
         "--fast-forward", action="store_true",

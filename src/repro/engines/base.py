@@ -116,10 +116,10 @@ def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
     engine pick its best available tier, ``python`` forces the reference
     interpreter/NumPy path, ``levelized`` swaps the sequential engine
     for its static-levelized compiled variant (on the batch engine it
-    selects the fused levelized chunk kernel), and ``jit`` requires the
-    generated-C batch kernel (raising
-    :class:`~repro.kernels.KernelUnavailableError` when no JIT tier can
-    run).
+    binds the fused chunk kernel over the level schedule), and ``jit``
+    requires that same generated-C chunk kernel, bound in natural router
+    order (raising :class:`~repro.kernels.KernelUnavailableError` when
+    no JIT tier can run).
     """
     registry = _registry()
     if name not in registry:

@@ -264,14 +264,15 @@ class BatchEngine:
         self._neg1_br = np.full((B, n), -1, dtype=np.int64)
 
         # -- kernel selection (the repro.kernels backend ladder) -----------
-        #: execution body actually in use: "jit" (generated C, dynamic
-        #: sweep), "levelized" (generated C over the static level
-        #: schedule) or "python" (the NumPy sweeps); benches report this.
+        #: how the execution body was requested: "jit" (the generated-C
+        #: body in natural router order), "levelized" (the same body over
+        #: the static level schedule) or "python" (the NumPy sweeps);
+        #: benches report this.
         self.kernel = "python"
         #: why the requested tier was declined, when it was.
         self.kernel_reason: Optional[str] = None
         self._compiled = None
-        #: static level schedule, when the levelized kernel carries one.
+        #: static level schedule, when the levelized tier carries one.
         self.schedule = None
         #: lanes pinned to the dynamic NumPy sweep (resident faults whose
         #: diagnosis must not ride the statically scheduled fast path).
@@ -280,9 +281,10 @@ class BatchEngine:
             raise ValueError(
                 f"unknown kernel {kernel!r}; known: auto|python|levelized|jit"
             )
-        if kernel == "levelized":
-            self._init_levelized()
-        elif kernel != "python":
+        bound = kernel == "python" or (
+            kernel == "levelized" and self._init_levelized()
+        )
+        if not bound:
             from repro.kernels import KernelUnavailableError, select_backend
 
             try:
@@ -292,21 +294,22 @@ class BatchEngine:
 
                     self._compiled = CompiledBatchStep(self)
                     self.kernel = "jit"
-                else:
+                elif self.kernel_reason is None:
                     self.kernel_reason = "backend ladder selected numpy"
             except KernelUnavailableError as exc:
                 if kernel == "jit":
                     raise
                 self.kernel_reason = str(exc)
 
-    def _init_levelized(self) -> None:
-        """Bind the levelized lane kernel (``kernel="levelized"``).
+    def _init_levelized(self) -> bool:
+        """Bind the body over the level schedule (``kernel="levelized"``).
 
-        Requires a static level schedule (a combinational cycle falls
-        back to the dynamic-sweep tiers, per-batch) and the generated-C
-        tier (``REPRO_KERNELS=numpy`` keeps the engine on the NumPy
-        sweeps — which evaluate the same three levels in the same order,
-        so the fallback is the bit-identical reference).
+        Requires a static level schedule and the generated-C tier
+        (``REPRO_KERNELS=numpy`` keeps the engine on the NumPy sweeps —
+        which evaluate the same three levels in the same order, so the
+        fallback is the bit-identical reference).  Returns ``False``
+        when there is no schedule to carry (a combinational cycle): the
+        caller then binds the ``auto`` tier, with the reason recorded.
         """
         from repro.kernels import resolve_kernels_mode, select_backend
         from repro.kernels.batchlevel import CompiledBatchLevel, level_orders
@@ -315,30 +318,22 @@ class BatchEngine:
         try:
             schedule = levelize(self.cfg)
         except CyclicDependencyError as exc:
-            schedule = None
-            reason = f"no static schedule ({exc})"
-        else:
-            if level_orders(schedule) is None:
-                reason = "schedule is not the 3-level room/fwd/state shape"
-                schedule = None
-        if schedule is None:
-            # No static schedule: the whole batch runs the dynamic sweep
-            # (C tier when available, NumPy otherwise).
-            self.kernel_reason = reason + "; dynamic sweep"
-            if select_backend(None) == "cffi":
-                from repro.kernels.batchstep import CompiledBatchStep
-
-                self._compiled = CompiledBatchStep(self)
-                self.kernel = "jit"
-            return
+            self.kernel_reason = f"no static schedule ({exc}); natural router order"
+            return False
+        if level_orders(schedule) is None:
+            self.kernel_reason = (
+                "schedule is not the 3-level room/fwd/state shape; "
+                "natural router order"
+            )
+            return False
         self.schedule = schedule
+        self.kernel = "levelized"
         if resolve_kernels_mode(None) == "numpy":
-            self.kernel = "levelized"
             self.kernel_reason = "backend ladder selected numpy"
-            return
+            return True
         select_backend("jit")  # raises KernelUnavailableError with reason
         self._compiled = CompiledBatchLevel(self, schedule)
-        self.kernel = "levelized"
+        return True
 
     # -- traffic-side API ---------------------------------------------------
     def lane(self, lane: int) -> BatchLane:
@@ -456,23 +451,18 @@ class BatchEngine:
         for hook in self.pre_step_hooks:
             hook(self)
         compiled = self._compiled
-        if compiled is not None:
-            if not self.lane_faults:
-                compiled.step()
-            elif hasattr(compiled, "step_range"):
-                # Per-lane fallback: clean runs ride the compiled
-                # levelized kernel, faulted runs the dynamic sweep.
-                for lo, hi, faulted in self._lane_runs():
-                    if faulted:
-                        self._step_numpy(lo, hi)
-                    else:
-                        compiled.step_range(lo, hi)
-            else:
-                # The dynamic-sweep C kernel has no lane-range entry:
-                # run the whole batch on the reference path.
-                self._step_numpy(0, self.lanes)
-        else:
+        if compiled is None:
             self._step_numpy(0, self.lanes)
+        elif not self.lane_faults:
+            compiled.step()
+        else:
+            # Per-lane fallback: clean runs ride the compiled kernel,
+            # faulted runs the dynamic sweep.
+            for lo, hi, faulted in self._lane_runs():
+                if faulted:
+                    self._step_numpy(lo, hi)
+                else:
+                    compiled.step_range(lo, hi)
         self.metrics.record_cycle(self.SWEEPS_PER_CYCLE * self.cfg.n_routers)
         self.cycle += 1
 
@@ -865,11 +855,7 @@ def _next_arrival_bound(driver, cycle: int, limit: int) -> int:
         if type(gt) is not GtStreamTraffic:
             return 0
         if gt.streams:
-            period = gt.period
-            horizon = min(
-                horizon,
-                min((phase - cycle) % period for phase in gt._phase),
-            )
+            horizon = min(horizon, gt.cycles_to_next_packet(cycle))
     be = driver.be
     if be is not None and (
         type(be) is not BernoulliBeTraffic or be.packet_probability > 0
@@ -908,7 +894,7 @@ def _try_fast_forward(
     horizon = _hook_horizon(engine, remaining)
     if horizon > 0:
         if generator is not None:
-            horizon = generator.skip_idle(horizon)
+            horizon = generator.skip_idle(engine.cycle, horizon)
         else:
             for driver in drivers:
                 horizon = _next_arrival_bound(driver, engine.cycle, horizon)
@@ -932,20 +918,22 @@ def run_batched(
     what ``TrafficDriver.step`` does per lane — generate, pump, step —
     except the step advances all lanes at once.
 
-    When the engine runs the jit or levelized tier, every driver is a
-    plain Bernoulli-BE/uniform-random stream, and the generated-C tier
-    is available, the per-lane generate calls are replaced by one C scan
-    per cycle or chunk
-    (:func:`repro.kernels.trafficgen.batched_be_generator`) — a pure
-    reordering of independent per-lane work, bit-identical per lane.  A
-    ``kernel="python"`` engine keeps the all-Python reference path end
-    to end.
+    A compiled engine (``jit`` or ``levelized``: one generated body)
+    runs whole :data:`_CHUNK`-cycle windows inside one fused C call
+    whenever the driver set passes :func:`_chunk_eligible` — the Fig. 1
+    GT + BE sweep and the pattern sweeps included: traffic is staged
+    ahead with timestamps, the pump moves into the kernel, and events
+    come back as column blocks of the lanes' :class:`EventLog`.
 
-    A levelized engine additionally runs whole :data:`_CHUNK`-cycle
-    windows inside one fused C call (traffic staged ahead with
-    timestamps; the pump moves into the kernel; events come back as
-    column blocks of the lanes' :class:`EventLog`) whenever the driver
-    set passes :func:`_chunk_eligible`.
+    Where every driver carries a Bernoulli-BE/uniform-random stream
+    (any per-lane load, zero and ``be=None`` included) with or without
+    plain GT streams, and the generated-C tier is available, the
+    per-lane generate calls are replaced by one C scan per chunk or
+    cycle (:func:`repro.kernels.trafficgen.batched_be_generator`) — a
+    pure reordering of independent per-lane work, bit-identical per
+    lane.  Other generators (transpose, hotspot, ...) are generated in
+    Python, ahead of each chunk.  A ``kernel="python"`` engine keeps the
+    all-Python reference path end to end.
 
     ``fast_forward`` enables quiescence skipping: before generating each
     cycle the run checks :func:`_try_fast_forward`, and when the fabric,
@@ -970,11 +958,7 @@ def run_batched(
         )
 
     compiled = getattr(engine, "_compiled", None)
-    if (
-        compiled is not None
-        and hasattr(compiled, "run_chunk")
-        and _chunk_eligible(engine, drivers)
-    ):
+    if compiled is not None and _chunk_eligible(engine, drivers):
         while engine.cycle < end:
             if skipped():
                 continue
@@ -989,22 +973,18 @@ def run_batched(
                         driver.generate(c)
             compiled.run_chunk(drivers, k, window)
         return
-    if generator is not None:
-        while engine.cycle < end:
-            if skipped():
-                continue
-            generator.generate(engine.cycle)
-            for driver in drivers:
-                driver.pump()
-            engine.step()
-        return
     while engine.cycle < end:
         if skipped():
             continue
         cycle = engine.cycle
-        for driver in drivers:
-            driver.generate(cycle)
-            driver.pump()
+        if generator is not None:
+            generator.generate(cycle)
+            for driver in drivers:
+                driver.pump()
+        else:
+            for driver in drivers:
+                driver.generate(cycle)
+                driver.pump()
         engine.step()
 
 

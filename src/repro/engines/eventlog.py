@@ -1,22 +1,42 @@
 """Columnar injection/ejection logs: record objects only when read.
 
-The fused chunk kernel hands back a window's events as integer arrays.
+The generated kernel hands back a window's events as integer arrays.
 :class:`EventLog` keeps them that way: a log is a sequence of *parts*,
-each either a plain list of records (what the per-cycle paths
-``append``) or a ``(block, lo, hi)`` column slice of one chunk's event
-array, whose rows are the record's fields in declaration order.
-``len`` and :meth:`EventLog.extend_block` never build a record;
-indexing, slicing, iteration and comparison build exactly the records
-they hand out, and keep none.
+each either a plain list of records (what the NumPy sweeps ``append``)
+or a ``(block, lo, hi)`` column slice of an event array whose rows are
+the record's fields in declaration order.  A whole chunk's block is
+kept by reference; the few events of a single-cycle step are copied
+into the log's own tail buffer, where adjacent small blocks coalesce
+into one part.  ``len`` and :meth:`EventLog.extend_block` never build a
+record; indexing, slicing, iteration and comparison build exactly the
+records they hand out, and keep none; :meth:`EventLog.columns` reads
+the fields without building any.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
+from dataclasses import fields
 from typing import Callable, List
 
-__all__ = ["EventLog"]
+import numpy as np
+
+__all__ = ["Columns", "EventLog"]
+
+#: blocks narrower than this are copied into the tail buffer.
+_SMALL = 64
+
+#: columns of a log's first tail buffer; each replacement doubles, up to
+#: the cap, so N single-cycle steps leave O(N / cap) parts.
+_TAIL_MIN, _TAIL_MAX = 256, 4096
+
+
+class Columns(tuple):
+    """A log window's events as parallel lists, one per record field in
+    declaration order (what :meth:`EventLog.columns` returns)."""
+
+    __slots__ = ()
 
 
 class EventLog(Sequence):
@@ -25,11 +45,13 @@ class EventLog(Sequence):
     Append-only, and safe for the single-writer/concurrent-reader use
     the streaming pipeline makes of engine logs: parts and their start
     offsets only ever grow at the end (``_parts`` first, ``_starts``
-    second), so a reader that stays below a length it observed earlier
-    resolves the same records whatever the writer does meanwhile.
+    second), the last part may be swapped for one that extends it over
+    columns written beforehand, and no stored column is ever rewritten —
+    so a reader that stays below a length it observed earlier resolves
+    the same records whatever the writer does meanwhile.
     """
 
-    __slots__ = ("_record", "_parts", "_starts", "append")
+    __slots__ = ("_record", "_parts", "_starts", "append", "_tail", "_used")
 
     def __init__(self, record: Callable) -> None:
         self._record = record
@@ -40,6 +62,10 @@ class EventLog(Sequence):
         #: ``list.append`` while one is open, so per-cycle engines log at
         #: list speed.
         self.append = self._open_tail
+        #: the tail buffer (``[fields, capacity]``, replaced when full —
+        #: never resized, earlier parts keep the old one) and its fill.
+        self._tail = None
+        self._used = 0
 
     def _add_part(self, part) -> None:
         start = len(self)
@@ -54,10 +80,29 @@ class EventLog(Sequence):
     def extend_block(self, block, lo: int, hi: int) -> None:
         """Log columns ``[lo, hi)`` of ``block`` (a ``[fields, n]`` integer
         array, one column per event, in cycle order) without building
-        any record.  The block is kept by reference."""
-        if hi > lo:
+        any record.  A wide block is kept by reference; a narrow one is
+        copied, joining the previous narrow block's part."""
+        n = hi - lo
+        if n <= 0:
+            return
+        self.append = self._open_tail
+        if n >= _SMALL:
             self._add_part((block, lo, hi))
-            self.append = self._open_tail
+            return
+        tail, used = self._tail, self._used
+        if tail is None or used + n > tail.shape[1]:
+            cap = _TAIL_MIN if tail is None else min(2 * tail.shape[1], _TAIL_MAX)
+            tail = self._tail = np.empty((block.shape[0], cap), dtype=block.dtype)
+            used = 0
+        tail[:, used : used + n] = block[:, lo:hi]
+        self._used = used + n
+        last = self._parts[-1] if self._parts else None
+        if type(last) is tuple and last[0] is tail and last[2] == used:
+            # the previous narrow block's part ends where this one begins:
+            # extend it (columns first, then the part that exposes them)
+            self._parts[-1] = (tail, last[1], used + n)
+        else:
+            self._add_part((tail, used, used + n))
 
     def __len__(self) -> int:
         last = len(self._starts) - 1  # read once: a writer may be mid-append
@@ -67,23 +112,45 @@ class EventLog(Sequence):
         size = len(part) if type(part) is list else part[2] - part[1]
         return self._starts[last] + size
 
-    def _span(self, start: int, stop: int) -> List:
-        """Records ``[start, stop)`` as a fresh list."""
-        out: List = []
-        if start >= stop:
-            return out
-        starts, parts, record = self._starts, self._parts, self._record
+    def _pieces(self, start: int, stop: int):
+        """``(part, a, b)``: the parts overlapping ``[start, stop)`` and
+        the range of each that lies inside it."""
+        starts, parts = self._starts, self._parts
         known = len(starts)
         i = max(bisect_right(starts, start) - 1, 0)
         while i < known and starts[i] < stop:
             part = parts[i]
             a, b = max(start - starts[i], 0), stop - starts[i]
             if type(part) is list:
-                out += part[a:b]
+                yield part, a, b
             else:
                 block, lo, hi = part
-                out += map(record, *block[:, lo + a : min(lo + b, hi)].tolist())
+                yield block, lo + a, min(lo + b, hi)
             i += 1
+
+    def _span(self, start: int, stop: int) -> List:
+        """Records ``[start, stop)`` as a fresh list."""
+        out: List = []
+        record = self._record
+        for part, a, b in self._pieces(start, stop):
+            if type(part) is list:
+                out += part[a:b]
+            else:
+                out += map(record, *part[:, a:b].tolist())
+        return out
+
+    def columns(self, start: int, stop: int) -> Columns:
+        """Events ``[start, stop)`` field by field, no record built for
+        the column parts (records the NumPy sweeps appended are read)."""
+        names = [f.name for f in fields(self._record)]
+        out = Columns([] for _ in names)
+        for part, a, b in self._pieces(start, stop):
+            if type(part) is list:
+                for column, name in zip(out, names):
+                    column += [getattr(r, name) for r in part[a:b]]
+            else:
+                for column, values in zip(out, part[:, a:b].tolist()):
+                    column += values
         return out
 
     def __getitem__(self, index):

@@ -182,9 +182,10 @@ def run_fig1_workloads_batched(
     warmup = gt_period if warmup is None else warmup
     drivers = []
     trackers = []
+    # one reservation table: the lanes carry identical (immutable) streams
+    streams = fig1_gt_streams(net).streams
     for i, be_load in enumerate(be_loads):
-        gt_table = fig1_gt_streams(net)
-        gt = GtStreamTraffic(net, gt_table.streams, period=gt_period)
+        gt = GtStreamTraffic(net, streams, period=gt_period)
         be = BernoulliBeTraffic(net, be_load, uniform_random(net), seed=seed)
         driver = TrafficDriver(engine.lane(i), be=be, gt=gt)
         tracker = PacketLatencyTracker(net)

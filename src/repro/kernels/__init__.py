@@ -6,12 +6,16 @@ Two cooperating pieces:
   the router dependency graph (feedback arcs broken at the registered
   state boundary) into a static evaluation schedule, replacing
   delta-cycle fixed-point iteration with a bounded number of passes.
-* :mod:`repro.kernels.cbackend` / :mod:`repro.kernels.batchstep` — the
-  **kernel compilation layer**: generate a specialized, loop-fused C
-  body for the three ``ArrayState`` batch sweeps (rooms / forwards /
-  state update, fused into one pass per lane), compile it at first use,
-  and drive it through cffi.  :mod:`repro.kernels.seqbody` generates the
-  analogous fused Python body for the levelized sequential
+* :mod:`repro.kernels.batchlevel` — the **generated simulation body**:
+  one specialized, loop-fused C function for the three ``ArrayState``
+  batch sweeps (rooms / forwards / state update, one pass per lane, one
+  cycle or a whole chunk of cycles per call), compiled at first use by
+  :mod:`repro.kernels.cbackend` and driven through cffi.  It is the
+  only generated body: :mod:`repro.kernels.batchstep` binds it in
+  natural router order for the ``jit`` tier, ``kernel="levelized"``
+  over the levelizer's schedule.  :mod:`repro.kernels.trafficgen` is
+  the matching traffic scan, and :mod:`repro.kernels.seqbody` generates
+  the analogous fused Python body for the levelized sequential
   evaluate/commit path.
 
 Backend ladder, selected at import/construction time::

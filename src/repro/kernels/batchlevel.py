@@ -1,22 +1,29 @@
-"""Levelized lane-parallel batch kernel: the static schedule on the lane axis.
+"""The generated-C simulation body: three level sweeps on the lane axis.
 
-:class:`CompiledBatchLevel` generates one fused C body per **(router
-configuration, level schedule)** pair: the compile-time constants of
-:class:`~repro.kernels.cbackend.KernelSpec` plus the three router
-orders of the NoC's :class:`~repro.kernels.levelize.LevelSchedule`
-(room → forward → state) baked in as static tables.  Each system cycle
-walks the levelized combinational graph exactly once per lane — level 0
-(rooms), level 1 (forwards), then the registered commit — replacing the
-dynamic fixed-point allocation sweep of the batch engine with statically
-scheduled passes, the Manticore/CCSS structure: fast statically ordered
-combinational evaluation, cheap bulk-synchronous sequential commit.
+:class:`CompiledBatchLevel` generates one fused C body per **router
+configuration** (the compile-time constants of
+:class:`~repro.kernels.cbackend.KernelSpec`); the fabric — router count,
+neighbour tables and the three router orders of a
+:class:`~repro.kernels.levelize.LevelSchedule` (room → forward → state)
+— is a runtime argument, so one compiled kernel serves every fabric
+built from the same router.  Each system cycle walks the levelized
+combinational graph exactly once per lane — level 0 (rooms), level 1
+(forwards), then the registered commit — the Manticore/CCSS structure:
+fast statically ordered combinational evaluation, cheap
+bulk-synchronous sequential commit.
+
+It is the only generated simulation body, behind both compiled tiers of
+:class:`~repro.engines.batch.BatchEngine`: ``kernel="levelized"`` binds
+it with the orders the levelizer proved, ``kernel="jit"``/``"auto"``
+(:class:`~repro.kernels.batchstep.CompiledBatchStep`) with natural
+router order, which is a valid level order of the same graph and needs
+no schedule.
 
 Two execution shapes share the one generated function:
 
 * :meth:`CompiledBatchLevel.step` / :meth:`~CompiledBatchLevel.step_range`
   — a single cycle over all lanes (or a contiguous lane range, the
-  per-lane fault-fallback hook), drop-in for
-  :class:`~repro.kernels.batchstep.CompiledBatchStep`;
+  per-lane fault-fallback hook);
 * :meth:`CompiledBatchLevel.run_chunk` — **many cycles per C call**: the
   per-(router, VC) stimuli queues of every lane's
   :class:`~repro.traffic.stimuli.TrafficDriver` are staged into flat
@@ -38,15 +45,12 @@ of the reference path; a mid-chunk error first applies the completed
 cycles' state and events, leaving the engine exactly where the
 per-cycle reference stops.
 
-Compilation rides the PR-8 pipeline (:func:`repro.kernels.cbackend
-.load_source`): availability-gated, sha256 disk cache keyed on the
-generated source — which embeds a digest of the schedule, so distinct
-schedules never collide in the cache.
+Compilation rides :func:`repro.kernels.cbackend.load_source`:
+availability-gated, sha256 disk cache keyed on the generated source.
 """
 
 from __future__ import annotations
 
-import hashlib
 import string
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -64,6 +68,8 @@ int64_t repro_level_chunk(
     int64_t stall_limit, int64_t NQS,
     const int64_t *depth,
     const int64_t *nb_idx, const int64_t *nb_ok, const int64_t *opp,
+    const int64_t *room_level, const int64_t *fwd_level,
+    const int64_t *state_level,
     const int64_t *route, const int64_t *be_cand,
     int64_t *mem, int64_t *rd, int64_t *wr, int64_t *count,
     int64_t *alloc, int64_t *queue_alloc, int64_t *arb_ptr,
@@ -72,7 +78,7 @@ int64_t repro_level_chunk(
     int64_t *eject_word, int64_t *eject_valid, int64_t *stalled,
     int64_t *q, int64_t q_cap, const int64_t *e, int64_t e_cap,
     int64_t *buffered, int64_t *injc, int64_t *ejany, int64_t *act,
-    int64_t *rooms, int64_t *fwd_out,
+    int64_t *neq, int64_t *qam, int64_t *rooms, int64_t *fwd_out,
     int64_t *choice, int64_t *ej_in,
     int64_t *gq, int64_t *gvc, int64_t *fwd_in,
     int64_t *dec_q, int64_t *dec_ovc, int64_t *dec_n, int64_t *last_alloc,
@@ -84,7 +90,6 @@ _TEMPLATE = string.Template(
     """
 /* Generated by repro.kernels.batchlevel -- do not edit.
  * Specialized levelized batch-chunk kernel: ${spec}
- * schedule: ${sched}
  */
 #include <stdint.h>
 
@@ -102,18 +107,16 @@ _TEMPLATE = string.Template(
 #define PAYLOAD_MASK ${PAYLOAD_MASK}
 #define FLIT_MASK ${FLIT_MASK}
 #define VMASK ${VMASK}
-#define RN ${RN}
 
-/* The level schedule, baked in: evaluating ROOM_LEVEL, then FWD_LEVEL,
- * then the registered commit visits every combinational node exactly
- * once with all of its inputs settled (levelize() proves the order).
- * STATE_LEVEL drives the pure allocation-decision scan of level 2; the
- * commit itself runs in ascending router order — a semantically free
- * choice for registered updates, pinned so event logs match the
- * vectorized reference stream for stream. */
-static const int64_t ROOM_LEVEL[RN] = {${ROOM_ORDER}};
-static const int64_t FWD_LEVEL[RN] = {${FWD_ORDER}};
-static const int64_t STATE_LEVEL[RN] = {${STATE_ORDER}};
+/* The fabric is a runtime argument: R routers and the level schedule as
+ * three router orders.  Evaluating room_level, then fwd_level, then the
+ * registered commit visits every combinational node exactly once with
+ * all of its inputs settled (any order within a level is valid; natural
+ * router order always is one).  state_level drives the pure
+ * allocation-decision scan of level 2; the commit itself runs in
+ * ascending router order — a semantically free choice for registered
+ * updates, pinned so event logs match the vectorized reference stream
+ * for stream. */
 
 /* First set bit of req cyclically above `last` (the shared round-robin
  * grant): the bits above the pointer win outright, else wrap. */
@@ -128,12 +131,6 @@ static inline int64_t rr_pick(int64_t req, int64_t last, int64_t width)
 
 ${signature}
 {
-    if (R != RN) { /* bound against a wrong-fabric binding */
-        err[0] = 5;
-        err[1] = R;
-        counts[0] = counts[1] = counts[2] = 0;
-        return 5;
-    }
     /* Row buffers, one row per column.  Staged stimuli queues (q) and
      * their entries (e); injection and ejection events (sent, ej) with
      * rows in record-field order plus the lane, so Python can log them
@@ -152,10 +149,9 @@ ${signature}
     int64_t *ej_vc = ev_ej + 2 * ej_cap, *ej_word = ev_ej + 3 * ej_cap;
     int64_t *ej_lane = ev_ej + 4 * ej_cap;
     int64_t n_sent = 0, n_ej = 0;
-    /* Per-router occupancy bitmasks of the current lane, rebuilt from
-     * the committed state each cycle:
+    /* neq/qam: per-router occupancy bitmasks of the current lane,
+     * rebuilt from the committed state each cycle:
      *   neq bit q — queue q non-empty, qam bit q — queue q allocated. */
-    int64_t neq[RN], qam[RN];
 
     for (int64_t t = 0; t < n_cycles; t++) {
         const int64_t ac = base_cycle + t;
@@ -172,18 +168,18 @@ ${signature}
             const int64_t b = q_lane[i];
             const int64_t r = q_router[i];
             const int64_t v = q_vc[i];
-            const int64_t ix = (b * RN + r) * V + v;
+            const int64_t ix = (b * R + r) * V + v;
             q_touched[i] = 1;
             if (!inj_valid[ix]) {
                 inj_word[ix] = e_word[h];
                 inj_valid[ix] = 1;
                 delay[ix] = 0;
-                stalled[b * RN + r] = 0;
+                stalled[b * R + r] = 0;
                 q_head[i] = h + 1;
                 q_stall[i] = 0;
                 injc[b] += 1;
             } else {
-                stalled[b * RN + r] = 1;
+                stalled[b * R + r] = 1;
                 q_stall[i] += 1;
                 if (q_stall[i] > stall_limit) {
                     err[0] = 4;
@@ -232,10 +228,10 @@ ${signature}
         for (int64_t b = 0; b < B; b++) {
             if (!act[b])
                 continue;
-            const int64_t sc = b * RN;
+            const int64_t sc = b * R;
             /* level 0: room nodes (Moore, committed occupancy only) */
-            for (int64_t li = 0; li < RN; li++) {
-                const int64_t r = ROOM_LEVEL[li];
+            for (int64_t li = 0; li < R; li++) {
+                const int64_t r = room_level[li];
                 const int64_t *cnt = count + (sc + r) * NQ;
                 const int64_t *qa = queue_alloc + (sc + r) * NQ;
                 const int64_t dep = depth[r];
@@ -252,8 +248,8 @@ ${signature}
                     rooms[r * P + p] = (int64_t)((space >> (p * V)) & VMASK);
             }
             /* level 1: forward nodes (stimuli word + crossbar) */
-            for (int64_t li = 0; li < RN; li++) {
-                const int64_t r = FWD_LEVEL[li];
+            for (int64_t li = 0; li < R; li++) {
+                const int64_t r = fwd_level[li];
                 const int64_t *iv = inj_valid + (sc + r) * V;
                 const int64_t room0 = rooms[r * P];
                 int64_t req = 0;
@@ -307,7 +303,7 @@ ${signature}
                 }
             }
             /* forward-wire gather (needs every fwd_out of the lane) */
-            for (int64_t r = 0; r < RN; r++) {
+            for (int64_t r = 0; r < R; r++) {
                 for (int64_t p = 1; p < P; p++)
                     fwd_in[(sc + r) * P + p] =
                         nb_ok[r * P + p]
@@ -317,8 +313,8 @@ ${signature}
             }
             /* level 2, pure half: rotating-priority output-VC
              * allocation decisions, observing only pre-update state */
-            for (int64_t li = 0; li < RN; li++) {
-                const int64_t r = STATE_LEVEL[li];
+            for (int64_t li = 0; li < R; li++) {
+                const int64_t r = state_level[li];
                 uint64_t scan = (uint64_t)(neq[r] & ~qam[r]);
                 if (!scan) {
                     dec_n[sc + r] = 0;
@@ -440,9 +436,9 @@ ${signature}
         for (int64_t b = 0; b < B; b++) {
             if (!act[b])
                 continue;
-            const int64_t sc = b * RN;
+            const int64_t sc = b * R;
             ejany[b] = 0;
-            for (int64_t r = 0; r < RN; r++) {
+            for (int64_t r = 0; r < R; r++) {
                 const int64_t dep = depth[r];
                 int64_t *al = alloc + (sc + r) * NQ;
                 int64_t *qa = queue_alloc + (sc + r) * NQ;
@@ -546,8 +542,9 @@ ${signature}
 """
 )
 
-#: live ``ArrayState`` arrays the kernel reads/writes (the batch-step
-#: set plus ``stalled``, which the in-C pump maintains).
+#: live ``ArrayState`` arrays the kernel reads/writes (``stalled`` is
+#: maintained by the in-C pump); rebinding any of them (NumPy interop,
+#: checkpoint restores) re-derives the pointers.
 _STATE_FIELDS = (
     "mem",
     "rd",
@@ -572,45 +569,43 @@ def level_orders(schedule) -> Optional[Tuple[Tuple[int, ...], ...]]:
 
     ``None`` when the schedule is not the canonical three-level,
     kind-homogeneous NoC shape — the combinational-cycle (or foreign
-    graph) signal the engine treats as "fall back to the dynamic
-    sweep".
+    graph) signal the engine treats as "no schedule to carry: bind
+    natural router order".
     """
     from repro.kernels.seqbody import _kind_levels
 
     return _kind_levels(schedule)
 
 
-def schedule_digest(schedule) -> str:
-    """Cache-key digest of a schedule's level structure."""
-    return hashlib.sha256(repr(schedule.levels).encode()).hexdigest()[:16]
+def level_tables(schedule, n_routers: int) -> np.ndarray:
+    """The kernel's ``[3, R]`` room/fwd/state order table.
 
-
-def generate_level_source(spec, schedule) -> str:
-    """The specialized C translation unit for ``(spec, schedule)``."""
+    ``schedule=None`` is natural router order — always a valid level
+    order of the three-sweep graph (every room before every forward
+    before every state update), which is how the ``jit`` tier binds
+    this body without running the levelizer.
+    """
+    if schedule is None:
+        return np.tile(np.arange(n_routers, dtype=np.int64), (3, 1))
     orders = level_orders(schedule)
     if orders is None:
         raise KernelUnavailableError(
             "levelized batch kernel needs the canonical 3-level "
             f"room/fwd/state schedule (got depth {schedule.depth})"
         )
-    room, fwd, state = orders
-    n = len(room)
-    for name, order in (("room", room), ("fwd", fwd), ("state", state)):
-        if sorted(order) != list(range(n)):
+    for name, order in zip(("room", "fwd", "state"), orders):
+        if sorted(order) != list(range(n_routers)):
             raise KernelUnavailableError(
                 f"levelized batch kernel: {name} level is not a permutation "
-                f"of the {n} routers"
+                f"of the {n_routers} routers"
             )
+    return np.array(orders, dtype=np.int64)
+
+
+def generate_level_source(spec) -> str:
+    """The specialized C translation unit for ``spec``."""
     return _TEMPLATE.substitute(
         spec=" ".join(f"{k}={v}" for k, v in sorted(vars(spec).items())),
-        sched=(
-            f"{schedule_digest(schedule)} depth={schedule.depth} "
-            f"nodes={len(schedule)}"
-        ),
-        RN=n,
-        ROOM_ORDER=", ".join(map(str, room)),
-        FWD_ORDER=", ".join(map(str, fwd)),
-        STATE_ORDER=", ".join(map(str, state)),
         P=spec.n_ports,
         V=spec.n_vcs,
         NQ=spec.n_queues,
@@ -643,9 +638,10 @@ class _Staged(NamedTuple):
 
 
 class CompiledBatchLevel:
-    """The generated levelized execution body for one batch engine."""
+    """The generated execution body bound to one batch engine
+    (``schedule=None``: natural router order)."""
 
-    def __init__(self, engine, schedule) -> None:
+    def __init__(self, engine, schedule=None) -> None:
         from repro.kernels import cbackend
 
         self.engine = engine
@@ -656,7 +652,8 @@ class CompiledBatchLevel:
                 f"per router (got {engine._NQ})"
             )
         spec = cbackend.KernelSpec.from_engine(engine)
-        source = generate_level_source(spec, schedule)
+        levels = level_tables(schedule, engine.cfg.n_routers)
+        source = generate_level_source(spec)
         self._lib = cbackend.load_source(source, _SIGNATURE.strip() + ";")
         self._ffi = cbackend._ffi_for(_SIGNATURE.strip() + ";")
 
@@ -672,6 +669,9 @@ class CompiledBatchLevel:
                 [int(Port(p).opposite) if p else 0 for p in range(P)]
             ),
             "be_cand": table(engine._be_cand),
+            "room_level": levels[0],
+            "fwd_level": levels[1],
+            "state_level": levels[2],
         }
         B, R, V, NQ = engine.lanes, engine.cfg.n_routers, engine._V, engine._NQ
         dmax = int(engine.state.mem.shape[-1])
@@ -699,6 +699,8 @@ class CompiledBatchLevel:
             "injc": B,
             "ejany": B,
             "act": B,
+            "neq": R,
+            "qam": R,
             "rooms": R * P,
             "fwd_out": R * P,
             "choice": B * R,
@@ -810,6 +812,9 @@ class CompiledBatchLevel:
             p["nb_idx"],
             p["nb_ok"],
             p["opp"],
+            p["room_level"],
+            p["fwd_level"],
+            p["state_level"],
             p["route"],
             p["be_cand"],
             *[off(name) for name in _STATE_FIELDS],
@@ -821,6 +826,8 @@ class CompiledBatchLevel:
             p["injc"],
             p["ejany"],
             p["act"],
+            p["neq"],
+            p["qam"],
             p["rooms"],
             p["fwd_out"],
             p["choice"],

@@ -10,9 +10,10 @@ paths included — broken at the registered state boundary), and
 is one past the deepest of its producers, so evaluating level 0, then
 level 1, then level 2 … visits every signal exactly once with all of its
 inputs already settled.  This is the classic levelized compiled-code
-simulation scheme (and the ``nx.topological_sort`` pattern of the myfpga
-simulator); :mod:`networkx` is used for the sort when installed, with a
-dependency-free Kahn fallback otherwise.
+simulation scheme (the ``nx.topological_sort`` pattern of the myfpga
+simulator), here with a dependency-free deterministic Kahn scan: the
+order within a level is semantically free, so nothing is gained by
+importing a graph library for it.
 
 For this NoC the result is provably three levels deep:
 
@@ -91,33 +92,14 @@ def _kahn_partial(nodes: Sequence[Node], edges: Sequence[Edge]):
     return order, remaining
 
 
-def _kahn(nodes: Sequence[Node], edges: Sequence[Edge]) -> List[Node]:
+def toposort(nodes: Sequence[Node], edges: Sequence[Edge]) -> List[Node]:
+    """Topological order of ``nodes`` under ``edges``: a deterministic
+    Kahn scan that preserves the input node order among ready nodes.
+    Raises :class:`CyclicDependencyError` on a cycle."""
     order, remaining = _kahn_partial(nodes, edges)
     if remaining:
         raise CyclicDependencyError(remaining)
     return order
-
-
-def toposort(nodes: Sequence[Node], edges: Sequence[Edge]) -> List[Node]:
-    """Topological order of ``nodes`` under ``edges``.
-
-    Uses :func:`networkx.topological_sort` when networkx is importable
-    (the SNIPPETS levelized-simulator idiom), else a deterministic Kahn
-    scan that preserves the input node order among ready nodes.  Raises
-    :class:`CyclicDependencyError` on a cycle either way.
-    """
-    try:
-        import networkx as nx  # type: ignore
-    except Exception:
-        return _kahn(nodes, edges)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    try:
-        return list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible:
-        _order, remaining = _kahn_partial(nodes, edges)
-        raise CyclicDependencyError(remaining) from None
 
 
 @dataclass(frozen=True)

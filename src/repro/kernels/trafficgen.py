@@ -1,26 +1,35 @@
-"""Generated-C kernel for lane-batched Bernoulli BE traffic.
+"""Generated-C kernel for lane-batched Bernoulli BE (+ GT) traffic.
 
-The bench harness drives every lane of a batch engine with an
-independent :class:`~repro.traffic.generators.BernoulliBeTraffic`
-stream.  The per-cycle cost of those streams is one LFSR jump and a
-threshold compare per source per lane — pure integer arithmetic that
-dominates the driver once the simulation step itself is compiled.  This
-module moves exactly that scan into one C call per window of cycles:
+Sweeps and benches drive every lane of a batch engine with its own
+:class:`~repro.traffic.generators.BernoulliBeTraffic` stream, usually
+beside a fixed set of :class:`~repro.traffic.generators.GtStreamTraffic`
+streams (the Fig. 1 workload).  The per-cycle cost of the BE streams is
+one LFSR jump and a threshold compare per source per lane — pure integer
+arithmetic that dominates the driver once the simulation step itself is
+compiled.  This module moves exactly that scan into one C call per
+window of cycles:
 
 * every lane's 32-bit Galois LFSR advances through the same 4x256-byte
-  jump tables as :class:`~repro.traffic.rng.HardwareLfsr.next_u32`;
+  jump tables as :class:`~repro.traffic.rng.HardwareLfsr.next_u32`,
+  against that lane's own threshold (a zero-load or ``be=None`` lane
+  draws no words at all, like ``packets_for_cycle``'s early return);
 * a Bernoulli hit records ``(lane, cycle, src)`` and immediately draws
   the uniform-random destination with the same rejection sampling as
   :meth:`~repro.traffic.rng.HardwareLfsr.next_below` — consuming the
   identical number of RNG words in the identical order;
-* Python builds the :class:`~repro.noc.packet.Packet` objects from the
-  hit list (sequence numbers, payloads and tags are per-lane state);
+* GT streams are periodic, so their firing cycles inside the window are
+  closed-form; Python merges them with the hit list per lane,
+  cycle-major and GT before BE — the order ``TrafficDriver.generate``
+  submits in, which the tracker's ``(src, seq)`` FIFO matching needs —
+  and builds the :class:`~repro.noc.packet.Packet` objects (sequence
+  numbers, payloads and tags are per-lane state);
 * in probe mode the same scan stops before the first hit in any lane —
   the quiescence fast-forward's proof that a window is idle and its
-  LFSR advance over that window, in one pass.
+  LFSR advance over that window, in one pass (bounded by the next GT
+  firing).
 
 The kernel is built, cached and loaded through the same pipeline as the
-batch-step kernel (:func:`repro.kernels.cbackend.load_source`), so it
+simulation body (:func:`repro.kernels.cbackend.load_source`), so it
 shares the compiler probe, the content-hashed disk cache and the
 availability gating.  When no C tier is available the caller falls back
 to per-lane pure-Python generators, bit-identical by construction.
@@ -28,7 +37,7 @@ to per-lane pure-Python generators, bit-identical by construction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "batched_be_generator",
@@ -40,7 +49,7 @@ __all__ = [
 _CDEF = """
 int64_t repro_gen_be(
     int64_t lanes, int64_t n_src, int64_t start, int64_t stop, int64_t probe,
-    int64_t threshold, int64_t bound, int64_t span,
+    const int64_t *thresholds, int64_t bound, int64_t span,
     const int64_t *jump,
     int64_t *states, int64_t *reads,
     int64_t *hits, int64_t cap);
@@ -62,9 +71,10 @@ static inline uint32_t lfsr_jump(uint32_t s, const int64_t *jump)
 
 /* Scan every lane's BE traffic stream over cycles [start, stop).
  *
- * Per cycle, per lane, per source: one jump + threshold compare (the
- * Bernoulli draw).  `states` and `reads[l]` (words consumed by lane l)
- * are updated in place.
+ * Per cycle, per lane, per source: one jump + compare against the
+ * lane's threshold (the Bernoulli draw).  A lane whose threshold is
+ * negative has no live BE stream and draws no words.  `states` and
+ * `reads[l]` (words consumed by lane l) are updated in place.
  *
  * probe == 0 (generate): on a hit, the destination is drawn in place
  * with rejection sampling below `span` then reduced modulo `bound` —
@@ -75,20 +85,24 @@ static inline uint32_t lfsr_jump(uint32_t s, const int64_t *jump)
  * probe != 0 (idle window): stop before the first cycle in which any
  * lane hits.  A cycle's new states are parked in `hits[0..lanes)` and
  * committed only once every lane has passed it, so on return every
- * lane has consumed exactly n_src words per returned cycle.  Returns
- * the number of hit-free cycles; `reads[lanes]` accumulates every word
- * examined, the discarded cycle's included.
+ * live lane has consumed exactly n_src words per returned cycle.
+ * Returns the number of hit-free cycles; `reads[lanes]` accumulates
+ * every word examined, the discarded cycle's included.
  */
 int64_t repro_gen_be(
     int64_t lanes, int64_t n_src, int64_t start, int64_t stop, int64_t probe,
-    int64_t threshold, int64_t bound, int64_t span,
+    const int64_t *thresholds, int64_t bound, int64_t span,
     const int64_t *jump,
     int64_t *states, int64_t *reads,
     int64_t *hits, int64_t cap)
 {
     int64_t n = 0;
     for (int64_t c = start; c < stop; c++) {
+        int64_t examined = 0;
         for (int64_t l = 0; l < lanes; l++) {
+            const int64_t threshold = thresholds[l];
+            if (threshold < 0)
+                continue;
             uint32_t s = (uint32_t)states[l];
             int64_t rd = 0;
             for (int64_t src = 0; src < n_src; src++) {
@@ -97,7 +111,7 @@ int64_t repro_gen_be(
                 if ((int64_t)s >= threshold)
                     continue;
                 if (probe) {
-                    reads[lanes] += l * n_src + rd;
+                    reads[lanes] += examined + rd;
                     return c - start;
                 }
                 uint32_t d;
@@ -117,6 +131,7 @@ int64_t repro_gen_be(
                 }
                 n++;
             }
+            examined += rd;
             if (probe) {
                 hits[l] = (int64_t)s;
             } else {
@@ -126,10 +141,12 @@ int64_t repro_gen_be(
         }
         if (probe) {
             for (int64_t l = 0; l < lanes; l++) {
+                if (thresholds[l] < 0)
+                    continue;
                 states[l] = hits[l];
                 reads[l] += n_src;
             }
-            reads[lanes] += lanes * n_src;
+            reads[lanes] += examined;
         }
     }
     return probe ? stop - start : n;
@@ -163,7 +180,7 @@ def traffic_ffi():
 def load_traffic_kernel():
     """The dlopened traffic kernel, or ``None`` when no C tier exists.
 
-    Unlike the batch-step kernel this loader never raises: batched
+    Unlike the simulation body's loader this one never raises: batched
     traffic is an internal optimisation with a bit-identical Python
     fallback, so unavailability is not an error the caller must see.
     """
@@ -182,19 +199,18 @@ def load_traffic_kernel():
 
 
 class BatchedBeGenerator:
-    """Drive every lane's BE stream through one C scan per window."""
+    """Drive every lane's BE (and GT) streams through one C scan per
+    window."""
 
     def __init__(self, drivers: Sequence, kernel) -> None:
         import numpy as np
 
         self.drivers: List = list(drivers)
-        self._bes = [driver.be for driver in self.drivers]
         self._kernel = kernel
         self._ffi = traffic_ffi()
         net = self.drivers[0].net
         self._net = net
         self.n_src = net.n_routers
-        self.threshold = int(self._bes[0].packet_probability * 2**32)
         self.bound = net.n_routers - 1
         self.span = (2**32 // self.bound) * self.bound
         self._be_vcs = net.router.be_vcs
@@ -203,9 +219,26 @@ class BatchedBeGenerator:
         #: LFSR words the idle-window probes examined (committed or not).
         self.probe_words = 0
         lanes = len(self.drivers)
+        self._bes = [driver.be for driver in self.drivers]
+        #: ``(lane, be)`` of every lane whose BE stream draws LFSR words;
+        #: the others (``be=None``, zero load) keep threshold -1 in C.
+        self._live = [
+            (lane, be)
+            for lane, be in enumerate(self._bes)
+            if be is not None and be.packet_probability > 0
+        ]
+        #: per lane: its GT generator, ``None`` without streams.
+        self._gts = [
+            driver.gt if driver.gt is not None and driver.gt.streams else None
+            for driver in self.drivers
+        ]
+        self._thresholds = np.full(lanes, -1, dtype=np.int64)
+        for lane, be in self._live:
+            self._thresholds[lane] = int(be.packet_probability * 2**32)
         self._states = np.zeros(lanes, dtype=np.int64)
         self._reads = np.zeros(lanes + 1, dtype=np.int64)
         self._jump = jump_table()
+        self._p_thresholds = self._ptr(self._thresholds)
         self._p_jump = self._ptr(self._jump)
         self._p_states = self._ptr(self._states)
         self._p_reads = self._ptr(self._reads)
@@ -222,22 +255,24 @@ class BatchedBeGenerator:
         self._p_hits = self._ptr(self._hits)
 
     def _scan(self, start: int, stop: int, probe: int) -> int:
-        """One C scan of ``[start, stop)`` over every lane's LFSR; the
-        generators' ``state``/``words_read`` are carried in and out."""
-        bes = self._bes
+        """One C scan of ``[start, stop)`` over every live lane's LFSR;
+        the generators' ``state``/``words_read`` are carried in and out."""
+        live = self._live
         if not probe:  # worst case: every source of every lane hits every cycle
-            cap = len(bes) * self.n_src * (stop - start)
+            cap = len(live) * self.n_src * (stop - start)
             if cap > self._cap:
                 self._grow_hits(cap)
-        self._states[:] = [be.rng.state for be in bes]
+        states = self._states
+        for lane, be in live:
+            states[lane] = be.rng.state
         self._reads[:] = 0
         n = self._kernel.repro_gen_be(
-            len(bes),
+            len(self.drivers),
             self.n_src,
             start,
             stop,
             probe,
-            self.threshold,
+            self._p_thresholds,
             self.bound,
             self.span,
             self._p_jump,
@@ -247,26 +282,53 @@ class BatchedBeGenerator:
             self._cap,
         )
         reads = self._reads.tolist()
-        for be, state, read in zip(bes, self._states.tolist(), reads):
-            be.rng.state = state
-            be.rng.words_read += read
+        new_states = states.tolist()
+        for lane, be in live:
+            be.rng.state = new_states[lane]
+            be.rng.words_read += reads[lane]
         self.probe_words += reads[-1]
         return n
 
+    def _gt_firings(self, start: int, stop: int) -> List[Tuple[int, int, int]]:
+        """``(cycle, lane, stream)`` of every GT emission in ``[start,
+        stop)``, sorted: a stream fires at the cycles congruent to its
+        phase, so the first one at or after ``start`` is closed-form."""
+        firings = []
+        for lane, gt in enumerate(self._gts):
+            if gt is None:
+                continue
+            period = gt.period
+            for stream, phase in enumerate(gt._phase):
+                for cycle in range(
+                    start + (phase - start) % period, stop, period
+                ):
+                    firings.append((cycle, lane, stream))
+        firings.sort()
+        return firings
+
     def _packets(self, start: int, stop: int):
-        """``(lane, cycle, packet, vc)`` for every Bernoulli hit of cycles
-        ``[start, stop)`` — each lane's in its own generation order, with
-        the sequence numbers and BE-VC toggles advanced exactly as
-        ``TrafficDriver.generate`` advances them."""
+        """``(lane, cycle, packet, vc)`` for every packet of cycles
+        ``[start, stop)`` — each lane's in ``TrafficDriver.generate``
+        order (cycle-major, GT streams before BE sources), with the
+        sequence numbers and BE-VC toggles advanced exactly as
+        ``generate`` advances them."""
         from repro.noc.packet import Packet, PacketClass
         from repro.traffic.generators import _ramp_payload
 
-        n = self._scan(start, stop, 0)
-        bes, drivers = self._bes, self.drivers
+        n = self._scan(start, stop, 0) if self._live else 0
+        firings = self._gt_firings(start, stop)
+        fired, n_firings = 0, len(firings)
+        bes, gts, drivers = self._bes, self._gts, self.drivers
         be_vcs = self._be_vcs
         n_vcs = len(be_vcs)
         be_class = PacketClass.BE
         for lane, cycle, src, dest in self._hits[: 4 * n].reshape(n, 4).tolist():
+            # every firing up to and including this (cycle, lane) goes
+            # first: (c, l, i) < (cycle, lane + 1) iff (c, l) <= (cycle, lane)
+            while fired < n_firings and firings[fired] < (cycle, lane + 1):
+                at, gt_lane, stream = firings[fired]
+                yield (gt_lane, at, *gts[gt_lane].emit(stream))
+                fired += 1
             be = bes[lane]
             seqs = be._seq
             seq = seqs[src]
@@ -283,6 +345,8 @@ class BatchedBeGenerator:
             toggle = toggles[src]
             toggles[src] = (toggle + 1) % n_vcs
             yield lane, cycle, packet, be_vcs[toggle]
+        for at, gt_lane, stream in firings[fired:]:
+            yield (gt_lane, at, *gts[gt_lane].emit(stream))
 
     def generate(self, cycle: int) -> None:
         """What ``driver.generate(cycle)`` would do, for every lane."""
@@ -320,7 +384,7 @@ class BatchedBeGenerator:
             key = (packet.src, vc)
             if key not in driver.queues:
                 driver.queues[key] = deque()
-            if encoder is not None:
+            if encoder is not None and packet.payload:
                 words = encoder.words(packet)
             else:
                 dw = self._net.router.data_width
@@ -335,12 +399,19 @@ class BatchedBeGenerator:
             slot[2].extend([packet.seq] * nw)
         return window
 
-    def skip_idle(self, limit: int) -> int:
+    def skip_idle(self, cycle: int, limit: int) -> int:
         """Advance every lane over the longest window of at most
-        ``limit`` cycles in which no lane generates a packet; returns
-        its length.  The same C scan in probe mode: it stops before the
-        first hit in any lane, having drawn exactly the ``n_src`` words
-        per lane per cycle that stepping the window would have drawn."""
+        ``limit`` cycles from ``cycle`` in which no lane generates a
+        packet; returns its length.  The window ends before the next GT
+        firing (closed-form); within it the same C scan in probe mode
+        stops before the first BE hit in any lane, having drawn exactly
+        the ``n_src`` words per live lane per cycle that stepping the
+        window would have drawn."""
+        for gt in self._gts:
+            if gt is not None:
+                limit = min(limit, gt.cycles_to_next_packet(cycle))
+        if limit <= 0:
+            return 0
         return self._scan(0, limit, 1)
 
 
@@ -349,30 +420,31 @@ def batched_be_generator(drivers: Sequence) -> Optional[BatchedBeGenerator]:
 
     Eligibility is strict so the C scan is exactly the Python scan:
     every driver a plain :class:`~repro.traffic.stimuli.TrafficDriver`
-    with no GT streams, a :class:`BernoulliBeTraffic` BE source over the
-    declared-bound uniform-random pattern, one shared positive packet
-    probability — and a loadable C tier.
+    whose GT source (if any) is exactly a :class:`GtStreamTraffic` and
+    whose BE source (if any) is a :class:`BernoulliBeTraffic` over the
+    declared-bound uniform-random pattern, at least one lane with a
+    positive packet probability — loads may differ per lane — and a
+    loadable C tier.
     """
-    from repro.traffic.generators import BernoulliBeTraffic
+    from repro.traffic.generators import BernoulliBeTraffic, GtStreamTraffic
     from repro.traffic.stimuli import TrafficDriver
 
     drivers = list(drivers)
-    if not drivers:
-        return None
-    prob = None
+    live = False
     for driver in drivers:
-        if type(driver) is not TrafficDriver or driver.gt is not None:
+        if type(driver) is not TrafficDriver:
+            return None
+        if driver.gt is not None and type(driver.gt) is not GtStreamTraffic:
             return None
         be = driver.be
+        if be is None:
+            continue
         if not isinstance(be, BernoulliBeTraffic):
             return None
         if getattr(be.pattern, "uniform_bound", None) != driver.net.n_routers - 1:
             return None
-        if prob is None:
-            prob = be.packet_probability
-        elif be.packet_probability != prob:
-            return None
-    if not prob or prob <= 0:
+        live = live or be.packet_probability > 0
+    if not live:
         return None
     kernel = load_traffic_kernel()
     if kernel is None:

@@ -29,12 +29,11 @@ class StreamedSweep:
         return self.reports[0]
 
 
-def _fig1_traffic(net, be_load: float, gt_period: int, seed: int):
-    from repro.experiments.common import fig1_gt_streams
+def _fig1_traffic(net, streams, be_load: float, gt_period: int, seed: int):
+    """One lane's ``(be, gt)`` pair over the shared reserved ``streams``."""
     from repro.traffic import BernoulliBeTraffic, GtStreamTraffic, uniform_random
 
-    gt_table = fig1_gt_streams(net)
-    gt = GtStreamTraffic(net, gt_table.streams, period=gt_period)
+    gt = GtStreamTraffic(net, streams, period=gt_period)
     be = BernoulliBeTraffic(net, be_load, uniform_random(net), seed=seed)
     return be, gt
 
@@ -63,9 +62,15 @@ def stream_fig1_sweep(
     :class:`~repro.platform.profiler.PipelineProfiler`.
     """
     from repro.engines import BatchEngine
-    from repro.experiments.common import _fig1_point_result, fig1_network
+    from repro.experiments.common import (
+        _fig1_point_result,
+        fig1_gt_streams,
+        fig1_network,
+    )
 
     net = fig1_network()
+    # one reservation table for every lane and point (streams are immutable)
+    streams = fig1_gt_streams(net).streams
     warmup = gt_period if warmup is None else warmup
     if profiler is not None:
         profiler.count("points", len(be_loads))
@@ -97,7 +102,8 @@ def stream_fig1_sweep(
         if engine_cls is None:
             engine = BatchEngine(net, lanes=len(be_loads))
             traffic = [
-                _fig1_traffic(net, load, gt_period, seed) for load in be_loads
+                _fig1_traffic(net, streams, load, gt_period, seed)
+                for load in be_loads
             ]
             report = run_pipeline(
                 engine, traffic, warmup + cycles, chunk=chunk, threaded=threaded
@@ -110,7 +116,7 @@ def stream_fig1_sweep(
         points, reports = [], []
         for be_load in be_loads:
             engine = engine_cls(net)
-            traffic = [_fig1_traffic(net, be_load, gt_period, seed)]
+            traffic = [_fig1_traffic(net, streams, be_load, gt_period, seed)]
             report = run_pipeline(
                 engine, traffic, warmup + cycles, chunk=chunk, threaded=threaded
             )

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engines.eventlog import Columns
 from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.flit import FlitType
 from repro.noc.packet import Packet, PacketClass, ProtocolError, flits_per_packet
@@ -75,6 +77,24 @@ class LatencyStats:
         )
 
 
+_EVENT_FIELDS = attrgetter("cycle", "router", "vc", "flit_word")
+
+
+def _unseen(log, seen: int, stop: int):
+    """Events ``[seen, stop)`` of an engine log: as columns where the
+    log can hand them out without building records, else the records."""
+    columns = getattr(log, "columns", None)
+    return columns(seen, stop) if columns is not None else log[seen:stop]
+
+
+def _events(events):
+    """``(cycle, router, vc, flit_word)`` of each event, from records or
+    from the leading columns of a log window."""
+    if isinstance(events, Columns):
+        return zip(*events[:4])
+    return map(_EVENT_FIELDS, events)
+
+
 class PacketLatencyTracker:
     """Matches engine ejection logs against submit records.
 
@@ -103,14 +123,20 @@ class PacketLatencyTracker:
         """Process new injection/ejection records from the engine."""
         injections = engine.injections
         ejections = engine.ejections
-        self.collect_records(injections[self._inj_seen :], ejections[self._ej_seen :])
-        self._inj_seen = len(injections)
-        self._ej_seen = len(ejections)
+        n_inj, n_ej = len(injections), len(ejections)
+        self.collect_records(
+            _unseen(injections, self._inj_seen, n_inj),
+            _unseen(ejections, self._ej_seen, n_ej),
+        )
+        self._inj_seen = n_inj
+        self._ej_seen = n_ej
 
     def collect_records(self, injections, ejections) -> None:
         """Process explicit record slices — the streaming analyze stage's
         entry point (:meth:`collect` is the cursor-keeping wrapper over
-        the engine's full logs).
+        the engine's full logs).  Either argument may instead be the
+        :class:`~repro.engines.eventlog.Columns` of a log window, which
+        are read field by field with no record built.
 
         This is the analysis hot loop, so reassembly is done on the raw
         integer words — type tag and fields by shift/mask, no
@@ -122,32 +148,27 @@ class PacketLatencyTracker:
         data_width = self.net.router.data_width
         mask = (1 << data_width) - 1
         head_t, tail_t = int(FlitType.HEAD), int(FlitType.TAIL)
-        for record in injections:
-            if (record.flit_word >> data_width) & 3 == head_t:
-                self._head_inject.setdefault(
-                    (record.router, record.vc), deque()
-                ).append(record.cycle)
+        for cycle, router, vc, word in _events(injections):
+            if (word >> data_width) & 3 == head_t:
+                self._head_inject.setdefault((router, vc), deque()).append(cycle)
 
         open_packets = self._open
         bytes_per_flit = data_width // 8
-        for record in ejections:
-            word = record.flit_word
+        for cycle, router, vc, word in _events(ejections):
             ftype = (word >> data_width) & 3
             if ftype == 0:  # IDLE
                 continue
-            key = (record.router, record.vc)
+            key = (router, vc)
             if ftype == head_t:
                 if key in open_packets:
-                    raise ProtocolError(
-                        f"VC {record.vc}: HEAD while a packet is open"
-                    )
-                self._head_eject[key] = record.cycle
+                    raise ProtocolError(f"VC {vc}: HEAD while a packet is open")
+                self._head_eject[key] = cycle
                 open_packets[key] = [word & mask]
                 continue
             words = open_packets.get(key)
             if words is None:
                 raise ProtocolError(
-                    f"VC {record.vc}: {FlitType(ftype).name} without a HEAD"
+                    f"VC {vc}: {FlitType(ftype).name} without a HEAD"
                 )
             words.append(word & mask)
             if ftype != tail_t:
@@ -166,7 +187,7 @@ class PacketLatencyTracker:
                 tag=(header >> 9) & 0x7F,
                 seq=(source >> 8) & 0xFF,
             )
-            self._finish(packet, record.router, record.vc, record.cycle)
+            self._finish(packet, router, vc, cycle)
 
     @property
     def open_vcs(self) -> List[Tuple[int, int]]:

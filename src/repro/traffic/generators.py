@@ -263,28 +263,33 @@ class GtStreamTraffic:
         """Offered GT flits per cycle per stream."""
         return flits_per_packet(self.payload_bytes, self.net.router.data_width) / self.period
 
+    def cycles_to_next_packet(self, cycle: int) -> int:
+        """Cycles from ``cycle`` until a stream next fires (0: one fires
+        at ``cycle`` itself) — the streams are periodic, so this is
+        closed-form.  Needs at least one stream."""
+        period = self.period
+        return min((phase - cycle) % period for phase in self._phase)
+
+    def emit(self, index: int) -> Tuple[Packet, int]:
+        """The next ``(packet, reserved VC)`` of stream ``index``; its
+        sequence number advances."""
+        stream = self.streams[index]
+        seq = self._seq[index]
+        self._seq[index] = (seq + 1) & 0xFF
+        packet = Packet(
+            src=stream.src,
+            dest=stream.dest,
+            pclass=PacketClass.GT,
+            payload=_ramp_payload(seq, self.payload_bytes),
+            tag=index % 128,
+            seq=seq,
+        )
+        return packet, stream.vc
+
     def packets_for_cycle(self, cycle: int) -> List[Tuple[Packet, int]]:
         """(packet, reserved VC) pairs emitted this cycle."""
-        out = []
-        for i, stream in enumerate(self.streams):
-            if cycle % self.period == self._phase[i]:
-                seq = self._seq[i]
-                self._seq[i] = (seq + 1) & 0xFF
-                payload = _ramp_payload(seq, self.payload_bytes)
-                out.append(
-                    (
-                        Packet(
-                            src=stream.src,
-                            dest=stream.dest,
-                            pclass=PacketClass.GT,
-                            payload=payload,
-                            tag=i % 128,
-                            seq=seq,
-                        ),
-                        stream.vc,
-                    )
-                )
-        return out
+        at = cycle % self.period
+        return [self.emit(i) for i, phase in enumerate(self._phase) if phase == at]
 
     def packets_for_cycles(
         self, start: int, stop: int
@@ -296,31 +301,11 @@ class GtStreamTraffic:
         by_phase: Dict[int, List[int]] = {}
         for i, phase in enumerate(self._phase):
             by_phase.setdefault(phase, []).append(i)
-        per_cycle: List[List[Tuple[Packet, int]]] = []
         period = self.period
-        payload_bytes = self.payload_bytes
-        for cycle in range(start, stop):
-            out: List[Tuple[Packet, int]] = []
-            for i in by_phase.get(cycle % period, ()):
-                stream = self.streams[i]
-                seq = self._seq[i]
-                self._seq[i] = (seq + 1) & 0xFF
-                payload = _ramp_payload(seq, payload_bytes)
-                out.append(
-                    (
-                        Packet(
-                            src=stream.src,
-                            dest=stream.dest,
-                            pclass=PacketClass.GT,
-                            payload=payload,
-                            tag=i % 128,
-                            seq=seq,
-                        ),
-                        stream.vc,
-                    )
-                )
-            per_cycle.append(out)
-        return per_cycle
+        return [
+            [self.emit(i) for i in by_phase.get(cycle % period, ())]
+            for cycle in range(start, stop)
+        ]
 
 
 def reserve_shift_streams(

@@ -24,6 +24,12 @@ scan equals ``stop - start`` per-cycle ``generate`` calls in every piece
 of driver state, and the same scan in probe mode (the fast-forward's
 idle-window proof) leaves every lane exactly where stepping would —
 within a fixed budget of LFSR words per skipped cycle.
+
+``jit`` and ``levelized`` are one generated body, so the auto engine
+chunks too, and the traffic windows own the driver sets users run: the
+Fig. 1 set (GT streams beside per-lane BE loads, a zero-load lane, a
+``be=None`` lane) is pinned chunked ≡ per-cycle Python ≡ solo golden
+engine on every piece of engine, driver, generator and tracker state.
 """
 
 from __future__ import annotations
@@ -33,18 +39,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engines.base import make_engine
+from repro.engines import CycleEngine
 from repro.engines.batch import (
     BatchEngine,
     _try_fast_forward,
+    drain_batched,
     run_batched,
 )
 from repro.experiments.common import fig1_gt_streams, fig1_network
 from repro.kernels import probe_backends, trafficgen
+from repro.kernels.batchlevel import CompiledBatchLevel
 from repro.noc import NetworkConfig, RouterConfig
 from repro.stats.latency import PacketLatencyTracker
 from repro.traffic.generators import (
     BernoulliBeTraffic,
     GtStreamTraffic,
+    hotspot,
+    transpose,
     uniform_random,
 )
 from repro.traffic.rng import HardwareLfsr, lfsr_jump
@@ -452,7 +463,7 @@ class TestWindowGeneration:
         n_routers = probed[0].net.n_routers
         cycle = 0
         for _ in range(12):
-            skipped = generator.skip_idle(10_000)
+            skipped = generator.skip_idle(cycle, 10_000)
             for c in range(cycle, cycle + skipped):
                 for driver in stepped:
                     driver.generate(c)
@@ -467,9 +478,9 @@ class TestWindowGeneration:
             assert sum(len(d.submits) for d in stepped) > before
             assert generation_state(probed) == generation_state(stepped)
         assert cycle > 100
-        assert generator.skip_idle(0) == 0
+        assert generator.skip_idle(cycle, 0) == 0
         # a bounded probe stops at its limit, never past it
-        limited = generator.skip_idle(1)
+        limited = generator.skip_idle(cycle, 1)
         assert limited in (0, 1)
         assert generator.probe_words <= 2 * 4 * n_routers * cycle
 
@@ -515,7 +526,7 @@ class TestColumnarFastForward:
         assert skipped > kw["cycles"] // 4
         assert 0 < generator.probe_words <= 2 * lanes * engine.cfg.n_routers * skipped
 
-    def test_on_equals_off_with_a_gt_stream_present(self):
+    def test_on_equals_off_with_a_gt_stream_present(self, monkeypatch):
         kw = dict(cycles=600, lanes=4, load=0.002, cfg=fig1_network(), gt_period=97)
         assert run_case("levelized", fast_forward=True, **kw) == run_case(
             "levelized", fast_forward=False, **kw
@@ -523,6 +534,31 @@ class TestColumnarFastForward:
         assert run_case("levelized", fast_forward=True, **kw) == run_case(
             "python", fast_forward=False, **kw
         )
+        # Two short GT streams, sparse BE: idle windows abound, each found
+        # by the C probe and cut at the next GT firing — within the same
+        # word budget as without GT.
+        cfg = fig1_network()
+        streams = fig1_gt_streams(cfg).streams[:2]
+        made = capture_generator(monkeypatch)
+        digests = {}
+        for kernel, fast_forward in (("python", False), ("levelized", True)):
+            engine = BatchEngine(cfg, lanes=2, kernel=kernel)
+            drivers = [
+                TrafficDriver(
+                    engine.lane(i),
+                    be=BernoulliBeTraffic(cfg, 0.0004, uniform_random(cfg), seed=0xBEE + i),
+                    gt=GtStreamTraffic(cfg, streams, period=400, payload_bytes=8),
+                )
+                for i in range(2)
+            ]
+            skips = spy_skips(engine)
+            run_batched(engine, drivers, 4000, fast_forward=fast_forward)
+            digests[kernel] = full_digest(engine, drivers)
+        assert digests["levelized"] == digests["python"]
+        generator = made[-1]
+        assert generator is not None and all(generator._gts)
+        assert sum(skips) > 1000 and max(skips) < 400
+        assert 0 < generator.probe_words <= 2 * 2 * cfg.n_routers * sum(skips)
 
     def test_multi_segment_run_keeps_identity(self):
         # run_batched builds a fresh generator per call; the LFSR state
@@ -532,6 +568,225 @@ class TestColumnarFastForward:
         assert run_case("levelized", fast_forward=True, **kw) == run_case(
             "python", fast_forward=False, cycles=3000, lanes=2, load=0.001
         )
+
+
+#: the Fig. 1 driver set in small: per-lane BE loads on a *shared* seed
+#: (a zero-load lane and a ``be=None`` lane among them) beside the 36
+#: reserved GT streams, GT period short enough to fire several times.
+FIG1_LANE_LOADS = (0.0, 0.04, None, 0.14, 0.08)
+FIG1_GT_PERIOD = 130
+FIG1_SEED = 0x5EED
+
+
+def fig1_driver(target, load, streams):
+    net = target.cfg
+    be = (
+        None
+        if load is None
+        else BernoulliBeTraffic(net, load, uniform_random(net), seed=FIG1_SEED)
+    )
+    driver = TrafficDriver(
+        target, be=be, gt=GtStreamTraffic(net, streams, period=FIG1_GT_PERIOD)
+    )
+    driver.attach_tracker(PacketLatencyTracker(net))
+    return driver
+
+
+def fig1_lane_digest(view, driver, be, gt, drained):
+    """One lane (or one solo engine) after run + drain + collect."""
+    driver.tracker.collect(view)
+    return (
+        view.snapshot(),
+        [r.__dict__ for r in view.injections],
+        [r.__dict__ for r in view.ejections],
+        repr(driver.submits),
+        driver.tracker.samples,
+        None if be is None else (be.rng.state, be.rng.words_read, list(be._seq)),
+        list(gt._seq),
+        list(driver._be_vc_toggle),
+        dict(driver._stall),
+        drained,
+    )
+
+
+def run_fig1_batched(kernel, cycles):
+    engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS), kernel=kernel)
+    streams = fig1_gt_streams(engine.cfg).streams
+    assert len(streams) == 36
+    drivers = [
+        fig1_driver(engine.lane(i), load, streams)
+        for i, load in enumerate(FIG1_LANE_LOADS)
+    ]
+    sources = [(d.be, d.gt) for d in drivers]
+    run_batched(engine, drivers, cycles)
+    for driver in drivers:
+        driver.be = driver.gt = None
+    drained = drain_batched(engine, drivers)
+    return engine, [
+        fig1_lane_digest(engine.lane(i), driver, *sources[i], drained[i])
+        for i, driver in enumerate(drivers)
+    ]
+
+
+class TestOneBodyOwnsFig1:
+    @needs_jit
+    def test_auto_engine_is_the_jit_tier_and_chunks(self):
+        engine = BatchEngine(torus(), lanes=2)
+        assert engine.kernel == "jit" and engine.kernel_reason is None
+        assert isinstance(engine._compiled, CompiledBatchLevel)
+        assert engine.schedule is None  # natural order: no levelize() call
+        explicit = BatchEngine(torus(), lanes=2, kernel="levelized")
+        assert explicit.kernel == "levelized" and explicit.kernel_reason is None
+        # one body, one .so: the fabric and the orders are runtime arguments
+        assert engine._compiled._lib is explicit._compiled._lib
+        assert BatchEngine(torus(4, 4), lanes=1)._compiled._lib is engine._compiled._lib
+
+    @needs_jit
+    def test_fig1_set_chunked_equals_python_equals_solo_golden(self, monkeypatch):
+        cycles = 300
+        chunks = []
+        real = CompiledBatchLevel.run_chunk
+        monkeypatch.setattr(
+            CompiledBatchLevel,
+            "run_chunk",
+            lambda self, drivers, k, window=None: (
+                chunks.append(window is not None),
+                real(self, drivers, k, window),
+            )[1],
+        )
+        engine, chunked = run_fig1_batched("auto", cycles)
+        assert engine.kernel == "jit"
+        assert chunks == [True] * -(-cycles // 64)  # every window from the C scan
+        _, stepped = run_fig1_batched("python", cycles)
+        assert chunks == [True] * -(-cycles // 64)
+        assert chunked == stepped
+        streams = fig1_gt_streams(fig1_network()).streams
+        for lane, load in enumerate(FIG1_LANE_LOADS):
+            golden = CycleEngine(fig1_network())
+            driver = fig1_driver(golden, load, streams)
+            be, gt = driver.be, driver.gt
+            driver.run(cycles)
+            driver.be = driver.gt = None
+            drained = driver.drain()
+            # lanes that drain early idle until the slowest one has
+            golden.run(engine.cycle - golden.cycle)
+            assert chunked[lane] == fig1_lane_digest(golden, driver, be, gt, drained)
+        # the lanes did carry what the name says
+        assert sum(len(d[1]) for d in chunked) > 2000
+        assert chunked[0][5][1] == 0  # zero load: no LFSR word drawn
+        assert chunked[2][5] is None  # be=None
+        assert chunked[3][5][1] > 36 * cycles  # 0.14: draws and destinations
+
+    @needs_jit
+    def test_numpy_env_steps_the_fig1_set_bit_identically(self, monkeypatch):
+        _, reference = run_fig1_batched("python", 200)
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        engine, stepped = run_fig1_batched("auto", 200)
+        assert engine.kernel == "python" and engine._compiled is None
+        assert stepped == reference
+
+    @needs_jit
+    def test_windows_equal_per_cycle_generate_with_gt_and_mixed_loads(self):
+        def build():
+            engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS), kernel="python")
+            streams = fig1_gt_streams(engine.cfg).streams
+            return [
+                fig1_driver(engine.lane(i), load, streams)
+                for i, load in enumerate(FIG1_LANE_LOADS)
+            ]
+
+        def state(drivers):
+            return [
+                (
+                    repr(d.submits),
+                    {k: list(q) for k, q in d.queues.items()},
+                    list(d.queues),
+                    {k: list(q) for k, q in d.tracker._pending.items()},
+                    d.flits_generated,
+                    None if d.be is None else (d.be.rng.state, d.be.rng.words_read, list(d.be._seq)),
+                    list(d.gt._seq),
+                    list(d._be_vc_toggle),
+                )
+                for d in drivers
+            ]
+
+        windowed, stepped, batched = build(), build(), build()
+        generator = trafficgen.batched_be_generator(windowed)
+        per_cycle = trafficgen.batched_be_generator(batched)
+        assert generator is not None
+        start = 0
+        for width in (1, 7, 64, 64, 7, 1, 150):  # 150: wider than the GT period
+            window = generator.generate_window(start, start + width)
+            for cycle in range(start, start + width):
+                per_cycle.generate(cycle)
+                for driver in stepped:
+                    driver.generate(cycle)
+            for lane, driver in enumerate(windowed):
+                for (src, vc), (words, cycles, seqs) in window[lane].items():
+                    assert cycles == sorted(cycles)
+                    driver.queues[(src, vc)].extend(
+                        StimuliEntry(c, src, vc, w, packet_key=(src, q))
+                        for w, c, q in zip(words, cycles, seqs)
+                    )
+            assert state(windowed) == state(stepped)
+            assert state(batched) == state(stepped)
+            start += width
+        gt_packets = sum(sum(d.gt._seq) for d in stepped)
+        assert gt_packets >= 2 * 36 * len(stepped)
+
+    @needs_jit
+    def test_non_uniform_patterns_generate_in_python_inside_chunks(self, monkeypatch):
+        cfg = NetworkConfig(6, 6, topology="torus")
+
+        def run(kernel):
+            engine = BatchEngine(cfg, lanes=2, kernel=kernel)
+            patterns = (transpose(cfg), hotspot(cfg, target=14, fraction=0.4))
+            drivers = [
+                TrafficDriver(
+                    engine.lane(i),
+                    be=BernoulliBeTraffic(cfg, 0.1, pattern, seed=0x7A77),
+                )
+                for i, pattern in enumerate(patterns)
+            ]
+            assert trafficgen.batched_be_generator(drivers) is None
+            run_batched(engine, drivers, 200)
+            return full_digest(engine, drivers)
+
+        chunks = []
+        real = CompiledBatchLevel.run_chunk
+        monkeypatch.setattr(
+            CompiledBatchLevel,
+            "run_chunk",
+            lambda self, drivers, k, window=None: (
+                chunks.append(window),
+                real(self, drivers, k, window),
+            )[1],
+        )
+        assert run("auto") == run("python")
+        assert chunks == [None] * 4  # chunked, stimuli from the drivers' deques
+
+    @needs_jit
+    def test_single_cycle_steps_coalesce_into_few_log_parts(self):
+        # An opaque hook keeps run_batched on the per-cycle path, where
+        # the compiled tiers log through one-cycle step_range calls.
+        cycles = 700
+        results = {}
+        for kernel in ("python", "jit"):
+            engine = BatchEngine(torus(), lanes=3, kernel=kernel)
+            engine.pre_step_hooks.append(lambda e: None)
+            drivers = make_drivers(engine, 0.1)
+            run_batched(engine, drivers, cycles)
+            results[kernel] = (engine, full_digest(engine, drivers))
+        assert results["jit"][1] == results["python"][1]
+        engine = results["jit"][0]
+        reference = results["python"][0]
+        for lane in range(3):
+            for log, want in (
+                (engine.lane_injections(lane), reference.lane_injections(lane)),
+                (engine.lane_ejections(lane), reference.lane_ejections(lane)),
+            ):
+                assert len(log) > 200 and log == list(want)
+                assert len(log._parts) <= 2 + cycles // 64
 
 
 def test_fast_forward_without_c_tier_just_steps(monkeypatch):

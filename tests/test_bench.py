@@ -356,3 +356,26 @@ class TestBenchSmokeMarker:
         assert point.cycles == 50
         assert point.per_lane_cps > 0
         assert point.cps == pytest.approx(2 * point.cycles / point.seconds)
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """The repo benchmark (``bench/``, which a perf PR may not edit)
+    wraps ``owner.__dict__[name]`` of every entry of ``TARGETS``; an
+    attribute that moved to a base class or vanished would leave the
+    traced pass blind, so every target must resolve on its owner."""
+    monkeypatch.syspath_prepend(REPO_ROOT)
+    from bench import trace
+
+    assert len(trace.TARGETS) >= 13
+    for span, module, path, _note in trace.TARGETS:
+        owner, name, current = trace.resolve(module, path)
+        assert callable(current), (span, module, path)
+        assert owner.__dict__[name] is current
+    # the two tiers of the one generated body are traced under their own names
+    from repro.kernels.batchlevel import CompiledBatchLevel
+    from repro.kernels.batchstep import CompiledBatchStep
+
+    assert issubclass(CompiledBatchStep, CompiledBatchLevel)
+    assert "step" in vars(CompiledBatchStep)
+    assert {"stage", "run_chunk"} <= set(vars(CompiledBatchLevel))
+

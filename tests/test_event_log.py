@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engines.batch import BatchEngine, run_batched
-from repro.engines.eventlog import EventLog
+from repro.engines.eventlog import Columns, EventLog
 from repro.kernels import probe_backends
 from repro.kernels.batchlevel import CompiledBatchLevel
 from repro.noc import NetworkConfig, RouterConfig
@@ -150,6 +150,80 @@ class TestSequenceSurface:
             at += 2
         assert [r.cycle for r in log] == list(range(at))
         assert log == [record(i) for i in range(at)]
+
+
+class TestSmallBlocksCoalesce:
+    """Single-cycle steps log a few events per call: they join one part
+    in the log's tail buffer instead of leaving one part per cycle."""
+
+    def test_many_small_blocks_few_parts(self):
+        log = EventLog(EjectionRecord)
+        want, at = [], 0
+        for step in range(4000):
+            width = step % 4  # 0..3 events per "cycle"
+            log.extend_block(block_of(at, at + width), 0, width)
+            want.extend(record(i) for i in range(at, at + width))
+            at += width
+        assert len(log) == len(want) == 6000
+        assert log == want
+        assert log[1234:1250] == want[1234:1250]
+        # tail buffers double from 256 to 4096 columns: O(N / block) parts
+        assert len(log._parts) <= 6
+        sizes = [part[2] - part[1] for part in log._parts]
+        assert all(cap - 3 < n <= cap for n, cap in zip(sizes, (256, 512, 1024, 2048)))
+
+    def test_wide_blocks_stay_by_reference_between_small_ones(self):
+        log = EventLog(EjectionRecord)
+        wide = block_of(2, 102)
+        log.extend_block(block_of(0, 2), 0, 2)
+        log.extend_block(wide, 0, 100)
+        log.extend_block(block_of(102, 103), 0, 1)
+        log.extend_block(block_of(103, 105), 0, 2)
+        log.append(record(105))
+        log.extend_block(block_of(106, 108), 0, 2)
+        assert log == [record(i) for i in range(108)]
+        assert log._parts[1][0] is wide
+        assert [type(p) for p in log._parts] == [tuple, tuple, tuple, list, tuple]
+        # the three small parts share one tail buffer, disjoint columns
+        small = [log._parts[i] for i in (0, 2, 4)]
+        assert len({id(p[0]) for p in small}) == 1
+        assert [(p[1], p[2]) for p in small] == [(0, 2), (2, 5), (5, 7)]
+
+    def test_a_caller_may_reuse_a_small_block(self):
+        log = EventLog(EjectionRecord)
+        scratch = block_of(0, 3)
+        log.extend_block(scratch, 0, 3)
+        scratch[:] = -1
+        assert log == [record(i) for i in range(3)]
+
+
+class TestColumns:
+    def test_columns_equal_the_record_fields(self):
+        log, want = mixed_log()
+        for lo, hi in ((0, 30), (3, 17), (5, 5), (29, 30), (0, 0)):
+            columns = log.columns(lo, hi)
+            assert isinstance(columns, Columns) and len(columns) == 4
+            assert list(zip(*columns)) == [
+                (r.cycle, r.router, r.vc, r.flit_word) for r in want[lo:hi]
+            ]
+        inj = EventLog(InjectionRecord)
+        inj.extend_block(np.arange(10, dtype=np.int64).reshape(5, 2), 0, 2)
+        assert inj.columns(0, 2) == ([0, 1], [2, 3], [4, 5], [6, 7], [8, 9])
+
+    def test_columns_build_no_record(self, monkeypatch):
+        log = EventLog(EjectionRecord)
+        log.extend_block(block_of(0, 100), 0, 100)
+        log.extend_block(block_of(100, 103), 0, 3)
+        built = []
+        original = EjectionRecord.__init__
+        monkeypatch.setattr(
+            EjectionRecord,
+            "__init__",
+            lambda self, *a, **k: (built.append(1), original(self, *a, **k))[1],
+        )
+        assert log.columns(0, 103)[0] == list(range(103))
+        assert built == []
+        assert log[101].cycle == 101 and built == [1]
 
 
 def old_extract_events(events, n_sent, n_ej, lanes, vc_shift):
@@ -305,6 +379,50 @@ def test_chunked_run_builds_no_record_until_a_log_is_read(monkeypatch):
     cycles = [r.cycle for r in engine.lane_ejections(1)]
     assert cycles == sorted(cycles) and len(cycles) == sizes[1][1]
     assert built == {InjectionRecord: 1, EjectionRecord: 15 + sizes[1][1]}
+
+
+@needs_jit
+def test_tracker_collects_a_chunked_run_from_columns(monkeypatch):
+    from repro.stats.latency import PacketLatencyTracker
+
+    cfg = NetworkConfig(3, 3, topology="torus", router=RouterConfig(queue_depth=2))
+
+    def run(kernel):
+        engine = BatchEngine(cfg, lanes=2, kernel=kernel)
+        drivers = be_drivers(engine, 0.1)
+        for driver in drivers:
+            driver.attach_tracker(PacketLatencyTracker(cfg))
+        run_batched(engine, drivers, 200)
+        return engine, drivers
+
+    engine, drivers = run("jit")
+    built = []
+    for cls in (InjectionRecord, EjectionRecord):
+        original = cls.__init__
+        monkeypatch.setattr(
+            cls,
+            "__init__",
+            lambda self, *a, _o=original, **k: (built.append(1), _o(self, *a, **k))[1],
+        )
+    for lane, driver in enumerate(drivers):
+        driver.tracker.collect(engine.lane(lane))
+        driver.tracker.collect(engine.lane(lane))  # cursor: nothing new
+    assert built == []
+    monkeypatch.undo()
+    # ... and reads what the record path reads off the NumPy engine's lists
+    reference, ref_drivers = run("python")
+    for lane, driver in enumerate(ref_drivers):
+        driver.tracker.collect(reference.lane(lane))
+        assert driver.tracker.samples == drivers[lane].tracker.samples
+        assert len(driver.tracker.samples) > 20
+        # explicit record slices (the pipeline's analyze stage) agree too
+        replay = PacketLatencyTracker(cfg)
+        for record in driver.submits:
+            replay.note_submit(record)
+        replay.collect_records(
+            reference.lane_injections(lane)[:], reference.lane_ejections(lane)[:]
+        )
+        assert replay.samples == driver.tracker.samples
 
 
 def test_reader_below_an_observed_length_is_safe_against_the_writer():
