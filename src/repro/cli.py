@@ -147,6 +147,9 @@ def _cmd_simulate(args) -> int:
     if lanes > 1 and args.engine != "batch":
         print("--lanes requires --engine batch", file=sys.stderr)
         return 2
+    if getattr(args, "stream", False) and args.chunk < 1:
+        print(f"--chunk must be >= 1 cycle (got {args.chunk})", file=sys.stderr)
+        return 2
     partitions = getattr(args, "partitions", 0) or 0
     engine_name = args.engine
     if partitions > 1 and engine_name == "sequential":

@@ -819,6 +819,27 @@ def _chunk_eligible(engine: BatchEngine, drivers: Sequence) -> bool:
     return True
 
 
+def chunk_kernel(engine, drivers: Sequence):
+    """The engine's generated body when it may run ``drivers`` in whole
+    chunks (``run_chunk``), else ``None``: step cycle by cycle."""
+    compiled = getattr(engine, "_compiled", None)
+    if compiled is not None and _chunk_eligible(engine, drivers):
+        return compiled
+    return None
+
+
+def window_generator(engine, drivers: Sequence):
+    """The batched C traffic scan over ``drivers`` when the engine was
+    bound to the generated body and the drivers qualify
+    (:func:`repro.kernels.trafficgen.batched_be_generator`), else
+    ``None``: traffic is generated in Python."""
+    from repro.kernels.trafficgen import batched_be_generator
+
+    if getattr(engine, "kernel", None) in ("jit", "levelized"):
+        return batched_be_generator(drivers)
+    return None
+
+
 def _hook_horizon(engine: BatchEngine, limit: int) -> int:
     """How far the pre-step hooks allow skipping (0 = not at all).
 
@@ -943,13 +964,7 @@ def run_batched(
     without it they veto the skip and the run simply steps.
     Fast-forward never fires while any fault is resident.
     """
-    from repro.kernels.trafficgen import batched_be_generator
-
-    generator = (
-        batched_be_generator(drivers)
-        if getattr(engine, "kernel", None) in ("jit", "levelized")
-        else None
-    )
+    generator = window_generator(engine, drivers)
     end = engine.cycle + cycles
 
     def skipped() -> bool:
@@ -957,8 +972,8 @@ def run_batched(
             _try_fast_forward(engine, drivers, end - engine.cycle, generator)
         )
 
-    compiled = getattr(engine, "_compiled", None)
-    if compiled is not None and _chunk_eligible(engine, drivers):
+    compiled = chunk_kernel(engine, drivers)
+    if compiled is not None:
         while engine.cycle < end:
             if skipped():
                 continue

@@ -22,7 +22,7 @@ from typing import Callable, List
 
 import numpy as np
 
-__all__ = ["Columns", "EventLog"]
+__all__ = ["Columns", "EventLog", "log_window"]
 
 #: blocks narrower than this are copied into the tail buffer.
 _SMALL = 64
@@ -37,6 +37,14 @@ class Columns(tuple):
     declaration order (what :meth:`EventLog.columns` returns)."""
 
     __slots__ = ()
+
+
+def log_window(log, start: int, stop: int):
+    """Events ``[start, stop)`` of an engine log: as :class:`Columns`
+    where the log can hand them out without building records, else the
+    record slice (engines whose logs are plain lists)."""
+    columns = getattr(log, "columns", None)
+    return columns(start, stop) if columns is not None else log[start:stop]
 
 
 class EventLog(Sequence):

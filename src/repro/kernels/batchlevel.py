@@ -975,7 +975,7 @@ class CompiledBatchLevel:
         # backlog entries pop off the deque, and any window words not
         # consumed become the exact StimuliEntry objects _submit would
         # have queued.
-        from repro.traffic.stimuli import StimuliEntry
+        from repro.traffic.stimuli import window_entries
 
         refs = staged.refs
         heads, stalls, touched = self._buffers["q"][4:7, : len(refs)].tolist()
@@ -985,19 +985,8 @@ class CompiledBatchLevel:
             consumed = head - start
             for _ in range(min(consumed, n_queue)):
                 queue.popleft()
-            if fresh:
-                words, cycles, seqs = fresh
-                router, vc = key
-                for j in range(max(0, consumed - n_queue), len(words)):
-                    queue.append(
-                        StimuliEntry(
-                            cycles[j],
-                            router,
-                            vc,
-                            words[j],
-                            packet_key=(router, seqs[j]),
-                        )
-                    )
+            if fresh and consumed - n_queue < len(fresh[0]):
+                queue.extend(window_entries(key, fresh, max(0, consumed - n_queue)))
             if hit:
                 driver._stall[key] = stall
         if ret:

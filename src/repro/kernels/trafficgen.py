@@ -354,6 +354,17 @@ class BatchedBeGenerator:
         for lane, _, packet, vc in self._packets(cycle, cycle + 1):
             drivers[lane]._submit(packet, vc, cycle)
 
+    def scan_window(self, start: int, stop: int) -> List[List[Tuple]]:
+        """The pure half of :meth:`generate_window`: one C scan of
+        ``[start, stop)``, returned as one flat ``(cycle, packet, vc)``
+        list per lane in submit order.  Touches only what the generating
+        thread owns — LFSR state, sequence numbers, GT emit counters and
+        BE-VC toggles — never a driver's queues, counters or tracker."""
+        lanes: List[List[Tuple]] = [[] for _ in self.drivers]
+        for lane, cycle, packet, vc in self._packets(start, stop):
+            lanes[lane].append((cycle, packet, vc))
+        return lanes
+
     def generate_window(self, start: int, stop: int):
         """Generate cycles ``[start, stop)`` for every lane in one C
         scan, handing the encoded flit words over directly instead of
@@ -361,42 +372,24 @@ class BatchedBeGenerator:
 
         Returns one ``{(src, vc): (words, cycles, seqs)}`` dict per lane
         — three parallel lists per stimuli queue, ready to be staged by
-        the fused chunk kernel.  All driver bookkeeping that the
-        per-cycle path performs is replicated exactly (submit records,
-        tracker notes, ``flits_generated``, queue-key registration, RNG
-        state), so a consumer that re-queues unconsumed words leaves the
-        drivers bit-identical to ``stop - start`` ``generate`` calls.
+        the fused chunk kernel.  This is :meth:`scan_window` followed by
+        the admit half (:func:`~repro.traffic.stimuli.encode_window`,
+        ``driver.admit``, ``driver.note_submit``), which performs all the
+        driver bookkeeping of the per-cycle path (submit records, tracker
+        notes, ``flits_generated``, queue-key registration), so a
+        consumer that re-queues unconsumed words leaves the drivers
+        bit-identical to ``stop - start`` ``generate`` calls.
         """
-        from collections import deque
+        from repro.traffic.stimuli import encode_window
 
-        from repro.noc.packet import segment
-        from repro.traffic.stimuli import SubmitRecord
-
-        drivers = self.drivers
-        encoder = self._encoder
-        window = [{} for _ in drivers]
-        for lane, cycle, packet, vc in self._packets(start, stop):
-            driver = drivers[lane]
-            record = SubmitRecord(packet, vc, cycle)
-            driver.submits.append(record)
-            if driver.tracker is not None:
-                driver.tracker.note_submit(record)
-            key = (packet.src, vc)
-            if key not in driver.queues:
-                driver.queues[key] = deque()
-            if encoder is not None and packet.payload:
-                words = encoder.words(packet)
-            else:
-                dw = self._net.router.data_width
-                words = [f.encode(dw) for f in segment(packet, self._net)]
-            nw = len(words)
-            driver.flits_generated += nw
-            slot = window[lane].get(key)
-            if slot is None:
-                slot = window[lane][key] = ([], [], [])
-            slot[0].extend(words)
-            slot[1].extend([cycle] * nw)
-            slot[2].extend([packet.seq] * nw)
+        window = []
+        for driver, packets in zip(self.drivers, self.scan_window(start, stop)):
+            fresh = encode_window(self._net, self._encoder, packets)
+            driver.admit(fresh)
+            note = driver.note_submit
+            for cycle, packet, vc in packets:
+                note(packet, vc, cycle)
+            window.append(fresh)
         return window
 
     def skip_idle(self, cycle: int, limit: int) -> int:

@@ -5,19 +5,22 @@ The paper overlaps its five simulation steps — generate stimuli, load
 stimuli, simulate, retrieve results, analyze results — by running them
 concurrently against cyclic buffers: "the cyclic buffers make it
 possible to run the simulation independently from the copying of data".
-This package is that architecture in software:
+This package is that architecture in software, on the fused chunk path:
+a pipeline chunk is one period of x cycles, run as one superstep of the
+generated body, with the host touching the fabric only at its boundary.
 
-* :mod:`~repro.pipeline.stages` — one stage class per paper phase,
-  chunk in / chunk out, each bit-identical to the monolithic
-  :class:`~repro.traffic.stimuli.TrafficDriver` path;
+* :mod:`~repro.pipeline.stages` — one stage class per paper phase, each
+  a thin wrapper over the function ``run_batched``'s chunk path uses
+  (window scan, ``encode_window``, ``run_chunk``, ``EventLog.columns``,
+  ``collect_records``) around one ``TrafficDriver`` per lane;
 * :mod:`~repro.pipeline.ring` — the bounded stage-to-stage handoff,
   built on :class:`~repro.platform.cyclic_buffer.CyclicBuffer` (real
   backpressure: a full ring blocks the producer);
 * :mod:`~repro.pipeline.runner` — threaded execution with a serial
   fallback producing byte-identical results, instrumented by
   :class:`~repro.platform.profiler.PipelineProfiler`;
-* :mod:`~repro.pipeline.shm` — a shared-memory transport for the bulk
-  packed stimulus arrays (``multiprocessing.shared_memory``);
+* :mod:`~repro.pipeline.shm` — a shared-memory array ring (no longer on
+  the pipeline's data path; see its docstring);
 * :mod:`~repro.pipeline.workloads` — streamed versions of the
   Figure-1 and pattern sweeps;
 * :mod:`~repro.pipeline.sweep` — a generic pipelined point sweep

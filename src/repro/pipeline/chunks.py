@@ -6,15 +6,20 @@ lane at once; the stages transform it along the paper's five-step path::
     StimulusChunk --load--> LoadedChunk --simulate--> ResultChunk
                   --retrieve--> RetrievedChunk --analyze--> (stats)
 
-Chunks are plain data: producing them has no side effects on the
-engine, which is what lets the generate and load stages run arbitrarily
-far ahead of the simulation (bounded only by the connecting rings).
+The formats are the fused chunk path's own (DESIGN section 14): packets
+as one flat ``(cycle, packet, vc)`` list per lane, loaded stimuli as the
+``{(src, vc): (words, cycles, seqs)}`` window
+:meth:`~repro.kernels.batchlevel.CompiledBatchLevel.stage` consumes,
+results as :class:`~repro.engines.eventlog.Columns` of the engine logs.
+Chunks are plain data: producing them touches no engine or driver queue,
+which is what lets the generate and load stages run ahead of the
+simulation (bounded only by the connecting rings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.noc.packet import Packet
 
@@ -29,10 +34,10 @@ class _End:
 #: pushed through a ring after the last chunk; consumers stop on it.
 END = _End()
 
-#: per lane, per cycle offset: (packet, vc) pairs in exact submit order
-#: (GT stream packets first, then BE with the per-source VC toggle) —
-#: the order :meth:`repro.traffic.stimuli.TrafficDriver.generate` uses.
-SubmitPlan = List[List[List[Tuple[Packet, int]]]]
+#: per lane: ``(cycle, packet, vc)`` in exact submit order (cycle-major,
+#: GT stream packets first, then BE with the per-source VC toggle) — the
+#: order :meth:`repro.traffic.stimuli.TrafficDriver.generate` uses.
+LanePackets = List[List[Tuple[int, Packet, int]]]
 
 
 @dataclass
@@ -41,7 +46,7 @@ class StimulusChunk:
 
     start: int
     stop: int
-    submits: SubmitPlan
+    packets: LanePackets
 
     @property
     def cycles(self) -> int:
@@ -52,17 +57,16 @@ class StimulusChunk:
 class LoadedChunk:
     """Step 2 output: the same traffic, segmented and flit-encoded.
 
-    ``entries[lane][cycle_offset]`` lists ``(router, vc, words)`` with
-    ``words`` the packet's encoded flit-word tuple, in submit order.
-    ``submits`` rides along untouched — the analyze stage needs the
-    original packets to note submit records.
+    ``window[lane]`` is that lane's ``{(src, vc): (words, cycles,
+    seqs)}`` dict (:func:`repro.traffic.stimuli.encode_window`).
+    ``packets`` rides along untouched — the analyze stage notes the
+    submit records from it.
     """
 
     start: int
     stop: int
-    submits: SubmitPlan
-    entries: List[List[List[Tuple[int, int, Tuple[int, ...]]]]]
-    flits: int = 0
+    packets: LanePackets
+    window: List[Dict]
 
     @property
     def cycles(self) -> int:
@@ -74,31 +78,29 @@ class ResultChunk:
     """Step 3 output: which slice of each lane's logs this window wrote.
 
     The simulate stage only records *bounds* into the engine's
-    append-only injection/ejection logs; copying the records out is the
+    append-only injection/ejection logs; reading the events out is the
     retrieve stage's job (the ARM-reads-FPGA-memory step).  Entries
     below a recorded bound are immutable, so the retrieve thread can
-    slice them while the simulation keeps appending.
+    read them while the simulation keeps appending.
     """
 
     start: int
     stop: int
-    submits: SubmitPlan
+    packets: LanePackets
     inj_bounds: List[Tuple[int, int]]
     ej_bounds: List[Tuple[int, int]]
-    #: set on the final chunk emitted after the drain phase
-    drained: bool = False
-    #: drain phase only: per-lane cycles the drain took
+    #: drain phase only (the final chunk): per-lane cycles the drain took
     done_cycles: Optional[List[int]] = None
 
 
 @dataclass
 class RetrievedChunk:
-    """Step 4 output: the log records, copied out per lane."""
+    """Step 4 output: the window's events per lane — log columns, or
+    record slices for engines whose logs are plain lists."""
 
     start: int
     stop: int
-    submits: SubmitPlan
-    injections: List[list] = field(default_factory=list)
-    ejections: List[list] = field(default_factory=list)
-    drained: bool = False
+    packets: LanePackets
+    injections: List = field(default_factory=list)
+    ejections: List = field(default_factory=list)
     done_cycles: Optional[List[int]] = None

@@ -14,6 +14,14 @@ fill) and a dead peer surfaces as a pointer-state error, not a hang.
 A failing stage aborts every ring, wakes all threads, and the first
 exception is re-raised in the caller.
 
+The stages share one :class:`~repro.traffic.stimuli.TrafficDriver` per
+lane, split by thread (:mod:`repro.pipeline.stages`): generate and load
+run up to ``ring_capacity`` chunks ahead and touch only generator state;
+the calling thread owns the queues.  Under the interpreter lock the
+worker threads overlap only with the C chunk call, which releases it —
+the profiler's ``cpu_seconds`` and CPU-based ``overlap_efficiency`` say
+how much that was.
+
 The serial fallback (``threaded=False``) calls the same stage objects
 in a plain loop — no rings, no threads — and produces exactly the same
 engine state, logs, drain counts and statistics: the stages are
@@ -27,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.engines.base import lane_views
 from repro.noc.config import NetworkConfig
 from repro.pipeline.chunks import END
 from repro.pipeline.ring import StageRing
@@ -38,6 +47,7 @@ from repro.pipeline.stages import (
     SimulateStage,
 )
 from repro.platform.profiler import PipelineProfiler
+from repro.traffic.stimuli import TrafficDriver
 
 #: thread-name prefix; the test suite's leak check keys on it.
 THREAD_PREFIX = "repro-pipeline-"
@@ -56,9 +66,12 @@ class PipelineReport:
     profiler: PipelineProfiler
     analyze: AnalyzeStage
     overloaded: bool = False
-    #: flits the load stage encoded (equals the serial driver's
-    #: ``flits_generated``)
+    #: flits loaded into the drivers (their ``flits_generated`` summed;
+    #: equals the serial drivers' count)
     flits_loaded: int = 0
+    #: the per-lane drivers as the run left them (queues, stall
+    #: counters, ``flits_generated``; no submit records, no tracker)
+    drivers: List[TrafficDriver] = field(default_factory=list)
 
     @property
     def trackers(self):
@@ -100,7 +113,6 @@ def run_pipeline(
     ring_timeout: Optional[float] = 60.0,
     histogram_bin: int = 10,
     drain_max_cycles: int = 100_000,
-    transport: str = "object",
     profiler: Optional[PipelineProfiler] = None,
 ) -> PipelineReport:
     """Run ``cycles`` of traffic through the five-phase pipeline, then
@@ -108,39 +120,43 @@ def run_pipeline(
 
     ``traffic[i]`` is the ``(be, gt)`` generator pair of lane ``i`` —
     one pair for single-lane engines, one per lane for a
-    :class:`~repro.engines.batch.BatchEngine`.
-
-    ``transport="shm"`` moves the bulk stimulus words of the
-    load->simulate handoff as packed int64 arrays through a
-    :class:`~repro.pipeline.shm.ShmArrayRing` (shared memory) instead
-    of the object ring; where shared memory is unavailable the run
-    silently stays on the object transport.
+    :class:`~repro.engines.batch.BatchEngine`.  Each pair gets a
+    tracker-less :class:`~repro.traffic.stimuli.TrafficDriver` on its
+    lane; a compiled batch engine then runs every chunk as one
+    ``run_chunk`` call, any other engine steps cycle by cycle.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1 cycle (got {chunk})")
     net: NetworkConfig = engine.cfg
-    generate = GenerateStage(net, traffic)
-    load = LoadStage(net)
-    simulate = SimulateStage(engine, stall_limit=stall_limit)
-    retrieve = RetrieveStage(engine)
-    analyze = AnalyzeStage(net, simulate.lanes, histogram_bin=histogram_bin)
-    if generate.lanes != simulate.lanes:
+    views = lane_views(engine)
+    if len(traffic) != len(views):
         raise ValueError(
-            f"{generate.lanes} traffic lanes for an engine with "
-            f"{simulate.lanes} lanes"
+            f"{len(traffic)} traffic lanes for an engine with "
+            f"{len(views)} lanes"
         )
+    drivers = [
+        TrafficDriver(view, be=be, gt=gt, stall_limit=stall_limit)
+        for view, (be, gt) in zip(views, traffic)
+    ]
+    generate = GenerateStage(engine, drivers)
+    load = LoadStage(net)
+    simulate = SimulateStage(engine, drivers)
+    retrieve = RetrieveStage(engine)
+    analyze = AnalyzeStage(net, len(drivers), histogram_bin=histogram_bin)
     prof = profiler if profiler is not None else PipelineProfiler()
     prof.threaded = threaded
 
     start_cycle = engine.cycle
     windows = [
         (lo, min(lo + chunk, start_cycle + cycles))
-        for lo in range(start_cycle, start_cycle + cycles, max(1, chunk))
+        for lo in range(start_cycle, start_cycle + cycles, chunk)
     ]
 
     wall_start = time.perf_counter()
     if threaded:
         _run_threaded(
             generate, load, simulate, retrieve, analyze, windows,
-            prof, ring_capacity, ring_timeout, drain_max_cycles, transport,
+            prof, ring_capacity, ring_timeout, drain_max_cycles,
         )
     else:
         _run_serial(
@@ -149,14 +165,15 @@ def run_pipeline(
         )
     prof.wall_seconds += time.perf_counter() - wall_start
 
-    done = analyze.done_cycles or [0] * simulate.lanes
+    done = analyze.done_cycles or [0] * len(drivers)
     return PipelineReport(
         cycles=cycles,
         done_cycles=done,
         profiler=prof,
         analyze=analyze,
         overloaded=simulate.overloaded,
-        flits_loaded=load.flits,
+        flits_loaded=sum(driver.flits_generated for driver in drivers),
+        drivers=drivers,
     )
 
 
@@ -189,23 +206,13 @@ def _run_serial(
 
 def _run_threaded(
     generate, load, simulate, retrieve, analyze, windows,
-    prof, ring_capacity, ring_timeout, drain_max, transport="object",
+    prof, ring_capacity, ring_timeout, drain_max,
 ) -> None:
     g2l = StageRing("g2l", ring_capacity, timeout=ring_timeout)
     l2s = StageRing("l2s", ring_capacity, timeout=ring_timeout)
     s2r = StageRing("s2r", ring_capacity, timeout=ring_timeout)
     r2a = StageRing("r2a", ring_capacity, timeout=ring_timeout)
     rings = (g2l, l2s, s2r, r2a)
-    shm_ring = None
-    if transport == "shm":
-        from repro.pipeline.shm import ShmArrayRing, ShmUnavailableError
-
-        try:
-            shm_ring = ShmArrayRing(
-                "l2s-shm", slots=ring_capacity, timeout=ring_timeout
-            )
-        except ShmUnavailableError:
-            shm_ring = None  # graceful fallback to the object ring
 
     def generate_loop() -> None:
         for lo, hi in windows:
@@ -227,16 +234,6 @@ def _run_threaded(
                 return
             with prof.busy("load"):
                 loaded = load.process(item)
-                if shm_ring is not None:
-                    from repro.pipeline.shm import pack_entries
-
-                    packed = pack_entries(loaded)
-                    if packed.size <= shm_ring.slot_words:
-                        with prof.wait("load"):
-                            shm_ring.put_array(loaded.start, packed)
-                        # The bulk words travel via shared memory; only
-                        # the metadata crosses the object ring.
-                        loaded.entries = None
             prof.add_items("load", 1)
             with prof.wait("load"):
                 l2s.put(item.start, loaded)
@@ -265,12 +262,11 @@ def _run_threaded(
                 analyze.process(item)
             prof.add_items("analyze", 1)
 
-    abortable = rings + ((shm_ring,) if shm_ring is not None else ())
     threads = [
-        _StageThread("generate", generate_loop, abortable),
-        _StageThread("load", load_loop, abortable),
-        _StageThread("retrieve", retrieve_loop, abortable),
-        _StageThread("analyze", analyze_loop, abortable),
+        _StageThread("generate", generate_loop, rings),
+        _StageThread("load", load_loop, rings),
+        _StageThread("retrieve", retrieve_loop, rings),
+        _StageThread("analyze", analyze_loop, rings),
     ]
     for thread in threads:
         thread.start()
@@ -283,14 +279,6 @@ def _run_threaded(
                 item = l2s.get()
             if item is END:
                 break
-            if shm_ring is not None and item.entries is None:
-                from repro.pipeline.shm import unpack_entries
-
-                with prof.wait("simulate"):
-                    packed = shm_ring.get_array()
-                item.entries = unpack_entries(
-                    packed, item.start, item.stop, simulate.lanes
-                )
             with prof.busy("simulate"):
                 result = simulate.process(item)
             prof.add_items("simulate", 1)
@@ -303,7 +291,7 @@ def _run_threaded(
             s2r.close()
     except BaseException as exc:  # noqa: BLE001 - re-raised below
         caller_error = exc
-        for ring in abortable:
+        for ring in rings:
             ring.abort()
 
     try:
@@ -317,16 +305,13 @@ def _run_threaded(
             # once their rings are aborted, so this cannot hang.
             if caller_error is None:
                 caller_error = exc
-            for ring in abortable:
+            for ring in rings:
                 ring.abort()
             for thread in threads:
                 thread.join()
     finally:
         for ring, name in zip(rings, ("g2l", "l2s", "s2r", "r2a")):
             prof.rings[name] = ring.stats()
-        if shm_ring is not None:
-            prof.rings["l2s-shm"] = shm_ring.stats()
-            shm_ring.close()
     errors = [t.error for t in threads if t.error is not None]
     if caller_error is not None:
         errors.append(caller_error)

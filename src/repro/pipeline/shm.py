@@ -1,34 +1,29 @@
-"""Shared-memory transport for the pipeline's bulk arrays.
+"""A shared-memory ring for bulk int64 arrays.
 
-The object rings of :mod:`repro.pipeline.ring` hand over Python lists;
-for the batch engine's wide lanes the stimulus words of one chunk are a
-single packed ``int64`` array, and this module moves those arrays
-through ``multiprocessing.shared_memory`` instead — zero-copy on the
-data plane, so a producer placed in another *process* (or just another
-thread) never pickles the bulk payload.
+:class:`ShmArrayRing` is a bounded ring of fixed-size
+``multiprocessing.shared_memory`` slots.  The control plane (slot
+hand-off, blocking, timeouts) runs on the same
+:class:`~repro.platform.cyclic_buffer.CyclicBuffer` semantics as every
+other ring; the data plane is the shared segment, which a child process
+can attach to by name (:meth:`ShmArrayRing.segment_name`).
 
-* :func:`pack_entries` / :func:`unpack_entries` — a
-  :class:`~repro.pipeline.chunks.LoadedChunk`'s flit words as one
-  ``(n, 5)`` int64 array with columns ``lane, cycle, router, vc, word``
-  (round-trip exact; unpack preserves append order).
-* :class:`ShmArrayRing` — a bounded ring of fixed-size shared-memory
-  slots.  The control plane (slot hand-off, blocking, timeouts) runs on
-  the same :class:`~repro.platform.cyclic_buffer.CyclicBuffer`
-  semantics as every other ring; the data plane is the shared segment.
-  A child process can attach to the segment by name
-  (:meth:`ShmArrayRing.segment_name`).
+The five-phase pipeline no longer routes anything through it: its
+stages are threads of one process and the load->simulate payload is
+already flat integer columns, so the former ``transport="shm"`` knob
+only copied words through ``/dev/shm`` and back.  What stays is the ring
+itself, its lifecycle guarantees and :class:`ShmUnavailableError`
+(shared with :mod:`repro.partition.pool`); whether it survives is
+ROADMAP's "one worker/transport substrate" item.
 
 Creation degrades gracefully: where the platform forbids shared memory
 (sandboxes without ``/dev/shm``), the constructor raises
-:class:`ShmUnavailableError` and callers fall back to the object rings
-— the runner treats the transport as an optimisation, never a
-requirement.
+:class:`ShmUnavailableError`.
 
 Every live ring registers itself in :data:`OPEN_RINGS`; the test
 suite's leak fixture asserts the set drains back to empty, and an
 ``atexit`` sweep unlinks whatever is still registered on abnormal
-interpreter exit — a ``KeyboardInterrupt`` mid-pipeline must not leave
-named segments behind in ``/dev/shm``.
+interpreter exit — a ``KeyboardInterrupt`` must not leave named
+segments behind in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -36,11 +31,10 @@ from __future__ import annotations
 import atexit
 import threading
 import weakref
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.pipeline.chunks import LoadedChunk
 from repro.platform.cyclic_buffer import CyclicBuffer
 
 #: live ShmArrayRing instances (weak): the leak-check fixture reads it.
@@ -66,42 +60,6 @@ atexit.register(_close_open_rings)
 
 class ShmUnavailableError(RuntimeError):
     """Shared memory cannot be created on this platform."""
-
-
-def pack_entries(chunk: LoadedChunk) -> np.ndarray:
-    """Flatten a loaded chunk's flit words into one packed int64 array.
-
-    One row per flit word, columns ``lane, cycle, router, vc, word``,
-    rows in exactly the order the simulate stage appends them.
-    """
-    rows: List[Tuple[int, int, int, int, int]] = []
-    for lane, lane_entries in enumerate(chunk.entries):
-        for off, per_cycle in enumerate(lane_entries):
-            cycle = chunk.start + off
-            for router, vc, words in per_cycle:
-                for word in words:
-                    rows.append((lane, cycle, router, vc, word))
-    if not rows:
-        return np.empty((0, 5), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
-
-
-def unpack_entries(
-    packed: np.ndarray, start: int, stop: int, lanes: int
-) -> List[List[List[Tuple[int, int, Tuple[int, ...]]]]]:
-    """Inverse of :func:`pack_entries` for the simulate stage.
-
-    Words that :func:`pack_entries` flattened from one packet come back
-    as single-word groups — the simulate stage only ever extends a
-    per-key deque with them, so the queue contents (and hence the
-    simulation) are unchanged.
-    """
-    entries: List[List[List[Tuple[int, int, Tuple[int, ...]]]]] = [
-        [[] for _ in range(stop - start)] for _ in range(lanes)
-    ]
-    for lane, cycle, router, vc, word in packed.tolist():
-        entries[lane][cycle - start].append((router, vc, (word,)))
-    return entries
 
 
 class ShmArrayRing:

@@ -1,39 +1,50 @@
 """The five pipeline stages (paper section 5.3, one class per step).
 
-Equivalence contract: driving an engine through
-``GenerateStage -> LoadStage -> SimulateStage`` chunk by chunk performs,
-cycle for cycle, exactly what :class:`~repro.traffic.stimuli.TrafficDriver`
-performs in its monolithic ``generate / pump / step`` loop — the same
-packets in the same submit order, the same per-(router, VC) queue
-contents, the same offer sequence, the same stall accounting and
-overload error.  The equivalence tests compare engine snapshots, full
-logs and drain counts across both paths for every engine.
+Each stage is a thin wrapper over a function the fused chunk path of
+:func:`~repro.engines.batch.run_batched` already uses; the pipeline only
+spreads them over threads and rings.  It owns one tracker-less
+:class:`~repro.traffic.stimuli.TrafficDriver` per lane, and which thread
+touches which part of it is the whole design:
 
-Why that holds:
+* **generate** (runs ahead, up to the ring capacity) — the pure half of
+  generation: ``BatchedBeGenerator.scan_window`` where the batched C scan
+  applies, ``TrafficDriver.packets`` otherwise.  Owns the generators'
+  LFSR state and sequence numbers, the GT emit counters and the drivers'
+  BE-VC toggles; never touches ``driver.queues`` (the simulate thread
+  iterates it while staging).
+* **load** — :func:`~repro.traffic.stimuli.encode_window`, pure.
+* **simulate** (the caller's thread) — ``driver.admit`` then one
+  ``run_chunk(drivers, k, window)`` per chunk when the engine is compiled
+  and the drivers pass ``_chunk_eligible``; any other engine gets each
+  cycle's words queued before that cycle's ``driver.pump()`` +
+  ``engine.step()``.  Owns the drivers' queues, stall counters,
+  ``flits_generated`` and ``overloaded``; the stall accounting and the
+  overload error *are* the driver's.  Draining is ``drain_batched`` /
+  ``TrafficDriver.drain``.
+* **retrieve** — :func:`~repro.engines.eventlog.log_window` below the
+  bounds simulate recorded (safe against a concurrent writer).
+* **analyze** — notes the chunk's submits on its own trackers, then
+  ``PacketLatencyTracker.collect_records`` on the columns.  Every chunk's
+  submits are noted before its events are matched, so per-key FIFO
+  matching pops the same submit record the end-of-run collection would.
 
-* **generate** — the chunked generator APIs are bit-identical to the
-  per-cycle calls (their own contract), and the stage replays the
-  driver's submit order: GT pairs first, then BE packets with the
-  per-source VC toggle.
-* **load** — the cached :class:`~repro.traffic.stimuli.FlitEncoder`
-  produces the same words as ``segment`` + ``encode``.
-* **simulate** — entries for cycle *c* are appended to the per-key
-  queues at cycle *c*, before that cycle's pump, exactly like the
-  driver (generated flits are offerable the same cycle).  Offers to
-  different (router, VC) keys target disjoint injection registers, so
-  key iteration order cannot change engine state; per-key stall
-  counters and the overload limit are replicated verbatim.
-* **retrieve / analyze** — log records are processed in log order with
-  every chunk's submits noted first; per-key FIFO matching then pops
-  the same submit record the end-of-run batch collection would.
+The equivalence tests compare engine snapshots, full logs, driver state
+and drain counts against ``run_batched`` and the solo reference engine.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import List, Optional, Sequence, Tuple
 
 from repro.engines.base import lane_views
+from repro.engines.batch import (
+    BatchEngine,
+    chunk_kernel,
+    drain_batched,
+    window_generator,
+)
+from repro.engines.eventlog import Columns, log_window
 from repro.noc.config import NetworkConfig
 from repro.pipeline.chunks import (
     LoadedChunk,
@@ -44,56 +55,30 @@ from repro.pipeline.chunks import (
 from repro.stats.histogram import Histogram
 from repro.stats.latency import PacketLatencyTracker
 from repro.stats.throughput import ThroughputStats
-from repro.traffic.generators import BernoulliBeTraffic, GtStreamTraffic
-from repro.traffic.stimuli import FlitEncoder, NetworkOverloadError, SubmitRecord
+from repro.traffic.stimuli import (
+    FlitEncoder,
+    SubmitRecord,
+    TrafficDriver,
+    encode_window,
+    window_entries,
+)
 
 
 class GenerateStage:
-    """Step 1: produce stimuli chunks for every lane.
-
-    Owns the traffic generators *and* the per-source BE VC toggle — the
-    piece of :meth:`TrafficDriver.generate` state that decides which BE
-    VC each packet rides.
-    """
+    """Step 1: produce every lane's packets for a window of cycles."""
 
     name = "generate"
 
-    def __init__(
-        self,
-        net: NetworkConfig,
-        traffic: Sequence[
-            Tuple[Optional[BernoulliBeTraffic], Optional[GtStreamTraffic]]
-        ],
-    ) -> None:
-        self.net = net
-        self.traffic = list(traffic)
-        self._be_vc_toggle = [[0] * net.n_routers for _ in self.traffic]
-
-    @property
-    def lanes(self) -> int:
-        return len(self.traffic)
+    def __init__(self, engine, drivers: Sequence[TrafficDriver]) -> None:
+        self.drivers = list(drivers)
+        self.generator = window_generator(engine, self.drivers)
 
     def produce(self, start: int, stop: int) -> StimulusChunk:
-        be_vcs = self.net.router.be_vcs
-        n_be_vcs = len(be_vcs)
-        submits = []
-        for lane, (be, gt) in enumerate(self.traffic):
-            gt_cycles = gt.packets_for_cycles(start, stop) if gt else None
-            be_cycles = be.packets_for_cycles(start, stop) if be else None
-            toggle = self._be_vc_toggle[lane]
-            per_cycle = []
-            for off in range(stop - start):
-                out: List[Tuple] = []
-                if gt_cycles is not None:
-                    out.extend(gt_cycles[off])
-                if be_cycles is not None:
-                    for packet in be_cycles[off]:
-                        t = toggle[packet.src]
-                        toggle[packet.src] = (t + 1) % n_be_vcs
-                        out.append((packet, be_vcs[t]))
-                per_cycle.append(out)
-            submits.append(per_cycle)
-        return StimulusChunk(start, stop, submits)
+        if self.generator is not None:
+            packets = self.generator.scan_window(start, stop)
+        else:
+            packets = [driver.packets(start, stop) for driver in self.drivers]
+        return StimulusChunk(start, stop, packets)
 
 
 class LoadStage:
@@ -102,76 +87,32 @@ class LoadStage:
     name = "load"
 
     def __init__(self, net: NetworkConfig) -> None:
+        self.net = net
         self.encoder = FlitEncoder(net)
-        self.flits = 0
 
     def process(self, chunk: StimulusChunk) -> LoadedChunk:
-        words_of = self.encoder.words
-        entries = []
-        flits = 0
-        for lane_submits in chunk.submits:
-            lane_entries = []
-            for per_cycle in lane_submits:
-                row = []
-                for packet, vc in per_cycle:
-                    words = words_of(packet)
-                    row.append((packet.src, vc, words))
-                    flits += len(words)
-                lane_entries.append(row)
-            entries.append(lane_entries)
-        self.flits += flits
-        return LoadedChunk(
-            chunk.start, chunk.stop, chunk.submits, entries, flits=flits
-        )
+        window = [
+            encode_window(self.net, self.encoder, packets)
+            for packets in chunk.packets
+        ]
+        return LoadedChunk(chunk.start, chunk.stop, chunk.packets, window)
 
 
 class SimulateStage:
-    """Step 3: feed the per-(router, VC) queues and step the engine.
-
-    Owns the engine plus the driver state that interacts with it: the
-    per-lane stimuli queues, stall counters and the overload guard —
-    semantics identical to :class:`~repro.traffic.stimuli.TrafficDriver`
-    (see the module docstring for the argument).
-    """
+    """Step 3: admit the loaded window and advance the engine over it."""
 
     name = "simulate"
 
-    def __init__(self, engine, stall_limit: int = 10_000) -> None:
+    def __init__(self, engine, drivers: Sequence[TrafficDriver]) -> None:
         self.engine = engine
+        self.drivers = list(drivers)
         self.views = lane_views(engine)
-        n = len(self.views)
-        self.queues: List[Dict[Tuple[int, int], Deque[int]]] = [
-            {} for _ in range(n)
-        ]
-        self._stall: List[Dict[Tuple[int, int], int]] = [{} for _ in range(n)]
-        self._inj_seen = [0] * n
-        self._ej_seen = [0] * n
-        self.stall_limit = stall_limit
-        self.overloaded = False
+        self._inj_seen = [0] * len(self.views)
+        self._ej_seen = [0] * len(self.views)
 
     @property
-    def lanes(self) -> int:
-        return len(self.views)
-
-    def _pump(self, lane: int) -> None:
-        view = self.views[lane]
-        stall = self._stall[lane]
-        for key, queue in self.queues[lane].items():
-            if not queue:
-                continue
-            router, vc = key
-            if view.offer(router, vc, queue[0]):
-                queue.popleft()
-                stall[key] = 0
-            else:
-                stalled = stall.get(key, 0) + 1
-                stall[key] = stalled
-                if stalled > self.stall_limit:
-                    self.overloaded = True
-                    raise NetworkOverloadError(
-                        f"router {router} VC {vc} refused stimuli for "
-                        f"{stalled} cycles — network overloaded"
-                    )
+    def overloaded(self) -> bool:
+        return any(driver.overloaded for driver in self.drivers)
 
     def _bounds(self) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
         inj_bounds, ej_bounds = [], []
@@ -183,98 +124,87 @@ class SimulateStage:
         return inj_bounds, ej_bounds
 
     def process(self, chunk: LoadedChunk) -> ResultChunk:
-        engine = self.engine
+        engine, drivers = self.engine, self.drivers
         if engine.cycle != chunk.start:
             raise RuntimeError(
                 f"simulate stage out of sync: engine at cycle {engine.cycle}, "
                 f"chunk starts at {chunk.start}"
             )
-        queues = self.queues
-        for off in range(chunk.stop - chunk.start):
-            for lane in range(len(self.views)):
-                lane_queues = queues[lane]
-                for router, vc, words in chunk.entries[lane][off]:
-                    key = (router, vc)
-                    queue = lane_queues.get(key)
-                    if queue is None:
-                        lane_queues[key] = queue = deque()
-                    queue.extend(words)
-                self._pump(lane)
-            engine.step()
+        for driver, fresh in zip(drivers, chunk.window):
+            driver.admit(fresh)
+        compiled = chunk_kernel(engine, drivers)
+        if compiled is not None:
+            compiled.run_chunk(drivers, chunk.cycles, chunk.window)
+        else:
+            self._step_cycles(chunk)
         inj_bounds, ej_bounds = self._bounds()
         return ResultChunk(
-            chunk.start, chunk.stop, chunk.submits, inj_bounds, ej_bounds
+            chunk.start, chunk.stop, chunk.packets, inj_bounds, ej_bounds
         )
 
-    def backlog(self, lane: int) -> int:
-        return sum(len(q) for q in self.queues[lane].values())
-
-    def _lane_done(self, lane: int) -> bool:
-        return self.backlog(lane) == 0 and self.views[lane].drained()
+    def _step_cycles(self, chunk: LoadedChunk) -> None:
+        """The per-cycle path: each cycle's words are queued right before
+        that cycle's pump, exactly like ``TrafficDriver.step`` (generated
+        flits are offerable the same cycle)."""
+        due: List[dict] = []
+        for driver, fresh in zip(self.drivers, chunk.window):
+            by_cycle: dict = {}
+            for key, slot in fresh.items():
+                queue = driver.queues[key]
+                for entry in window_entries(key, slot):
+                    by_cycle.setdefault(entry.cycle, []).append((queue, entry))
+            due.append(by_cycle)
+        step = self.engine.step
+        for cycle in range(chunk.start, chunk.stop):
+            for driver, by_cycle in zip(self.drivers, due):
+                for queue, entry in by_cycle.get(cycle, ()):
+                    queue.append(entry)
+                driver.pump()
+            step()
 
     def drain(self, max_cycles: int = 100_000) -> ResultChunk:
         """Run until every lane is drained; the returned final chunk
-        carries per-lane drain cycle counts identical to
-        ``TrafficDriver.drain`` / ``drain_batched``."""
-        start = self.engine.cycle
-        n = len(self.views)
-        done = [-1] * n
-        for used in range(max_cycles):
-            for lane in range(n):
-                if done[lane] < 0 and self._lane_done(lane):
-                    done[lane] = used
-            if all(d >= 0 for d in done):
-                inj_bounds, ej_bounds = self._bounds()
-                return ResultChunk(
-                    start,
-                    self.engine.cycle,
-                    [[] for _ in range(n)],
-                    inj_bounds,
-                    ej_bounds,
-                    drained=True,
-                    done_cycles=done,
-                )
-            for lane in range(n):
-                self._pump(lane)
-            self.engine.step()
-        stuck = [i for i, d in enumerate(done) if d < 0]
-        raise NetworkOverloadError(
-            f"lanes {stuck} did not drain within {max_cycles} cycles"
+        carries the per-lane drain cycle counts."""
+        engine = self.engine
+        start = engine.cycle
+        if isinstance(engine, BatchEngine):
+            done = drain_batched(engine, self.drivers, max_cycles)
+        else:
+            done = [self.drivers[0].drain(max_cycles)]
+        inj_bounds, ej_bounds = self._bounds()
+        return ResultChunk(
+            start,
+            engine.cycle,
+            [[] for _ in self.drivers],
+            inj_bounds,
+            ej_bounds,
+            done_cycles=list(done),
         )
 
 
 class RetrieveStage:
-    """Step 4: copy the window's log records out of the engine.
-
-    The simulate stage hands over index *bounds*; this stage performs
-    the actual copy (the ARM reading FPGA memory).  Slicing below a
-    recorded bound of an append-only log is safe while the simulation
-    thread keeps appending past it.
-    """
+    """Step 4: read the window's events out of the engine logs (the ARM
+    reading FPGA memory): columns, no record built, where the log is an
+    :class:`~repro.engines.eventlog.EventLog`."""
 
     name = "retrieve"
 
     def __init__(self, engine) -> None:
         self.views = lane_views(engine)
-        self.records = 0
 
     def process(self, chunk: ResultChunk) -> RetrievedChunk:
-        injections, ejections = [], []
-        for lane, view in enumerate(self.views):
-            lo, hi = chunk.inj_bounds[lane]
-            inj = view.injections[lo:hi]
-            lo, hi = chunk.ej_bounds[lane]
-            ej = view.ejections[lo:hi]
-            self.records += len(inj) + len(ej)
-            injections.append(inj)
-            ejections.append(ej)
         return RetrievedChunk(
             chunk.start,
             chunk.stop,
-            chunk.submits,
-            injections,
-            ejections,
-            drained=chunk.drained,
+            chunk.packets,
+            [
+                log_window(view.injections, *bounds)
+                for view, bounds in zip(self.views, chunk.inj_bounds)
+            ],
+            [
+                log_window(view.ejections, *bounds)
+                for view, bounds in zip(self.views, chunk.ej_bounds)
+            ],
             done_cycles=chunk.done_cycles,
         )
 
@@ -298,30 +228,25 @@ class AnalyzeStage:
         self.ej_counts = [0] * lanes
         self.submit_counts = [0] * lanes
         #: per lane: ejected flits per sink router (hotspot accounting)
-        self.eject_router_counts: List[Dict[int, int]] = [
-            {} for _ in range(lanes)
-        ]
+        self.eject_router_counts: List[Counter] = [Counter() for _ in range(lanes)]
         self._samples_seen = [0] * lanes
         self.done_cycles: Optional[List[int]] = None
 
     def process(self, chunk: RetrievedChunk) -> None:
         for lane, tracker in enumerate(self.trackers):
-            if lane < len(chunk.submits):
-                for off, per_cycle in enumerate(chunk.submits[lane]):
-                    cycle = chunk.start + off
-                    for packet, vc in per_cycle:
-                        tracker.note_submit(SubmitRecord(packet, vc, cycle))
-                        self.submit_counts[lane] += 1
-            tracker.collect_records(
-                chunk.injections[lane], chunk.ejections[lane]
-            )
-            self.inj_counts[lane] += len(chunk.injections[lane])
-            self.ej_counts[lane] += len(chunk.ejections[lane])
-            router_counts = self.eject_router_counts[lane]
-            for record in chunk.ejections[lane]:
-                router_counts[record.router] = (
-                    router_counts.get(record.router, 0) + 1
-                )
+            for cycle, packet, vc in chunk.packets[lane]:
+                tracker.note_submit(SubmitRecord(packet, vc, cycle))
+            self.submit_counts[lane] += len(chunk.packets[lane])
+            injections, ejections = chunk.injections[lane], chunk.ejections[lane]
+            tracker.collect_records(injections, ejections)
+            if isinstance(ejections, Columns):
+                n_inj, routers = len(injections[0]), ejections[1]
+            else:
+                n_inj = len(injections)
+                routers = [record.router for record in ejections]
+            self.inj_counts[lane] += n_inj
+            self.ej_counts[lane] += len(routers)
+            self.eject_router_counts[lane].update(routers)
             seen = self._samples_seen[lane]
             fresh = tracker.samples[seen:]
             if fresh:

@@ -125,15 +125,21 @@ class PipelineProfiler:
     #: True when the stages ran as concurrent threads, False for the
     #: serial fallback (phase timings are comparable either way).
     threaded: bool = True
+    #: CPU seconds the stage's own thread spent inside ``busy`` — unlike
+    #: ``busy_seconds`` this excludes time spent waiting for the
+    #: interpreter lock while another stage's Python ran.
+    cpu_seconds: Dict[str, float] = field(default_factory=dict)
 
     @contextmanager
     def busy(self, stage: str):
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.thread_time()
         try:
             yield
         finally:
             elapsed = time.perf_counter() - start
+            cpu = time.thread_time() - cpu_start
             self.busy_seconds[stage] = self.busy_seconds.get(stage, 0.0) + elapsed
+            self.cpu_seconds[stage] = self.cpu_seconds.get(stage, 0.0) + cpu
 
     @contextmanager
     def wait(self, stage: str):
@@ -148,22 +154,31 @@ class PipelineProfiler:
         self.items[stage] = self.items.get(stage, 0) + n
 
     @property
+    def _stage_costs(self) -> Dict[str, float]:
+        return self.cpu_seconds or self.busy_seconds
+
+    @property
     def serial_seconds(self) -> float:
-        """Sum of stage busy times — what a fully serial execution of
-        the same work costs (the pipeline's speedup denominator)."""
-        return sum(self.busy_seconds.values())
+        """What a fully serial execution of the same work costs (the
+        pipeline's speedup denominator): the sum of the stages' CPU
+        seconds where :meth:`busy` recorded them.  A threaded stage's
+        wall-clock busy time includes waiting for the interpreter lock
+        while another stage's Python ran, which would count that wait as
+        work.  A profiler filled by hand with ``busy_seconds`` alone sums
+        those."""
+        return sum(self._stage_costs.values())
 
     def overlap_efficiency(self) -> float:
         """How much of the achievable overlap the run realised, in [0, 1].
 
-        0 means fully serial (wall == sum of stage busy times); 1 means
-        perfect pipelining (wall == the slowest stage alone).  On a
-        single-CPU host concurrent CPU-bound stages time-slice instead
-        of overlapping, so low values there are a truthful measurement,
-        not a bug.
+        0 means fully serial (wall == :attr:`serial_seconds`); 1 means
+        perfect pipelining (wall == the slowest stage alone).  Under the
+        interpreter lock the stages overlap only with calls that release
+        it (the C chunk kernel), so low values are a truthful
+        measurement, not a bug.
         """
         serial = self.serial_seconds
-        slowest = max(self.busy_seconds.values(), default=0.0)
+        slowest = max(self._stage_costs.values(), default=0.0)
         achievable = serial - slowest
         if achievable <= 0.0 or self.wall_seconds <= 0.0:
             return 0.0
@@ -192,13 +207,14 @@ class PipelineProfiler:
         mode = "threaded" if self.threaded else "serial fallback"
         lines = [
             f"pipeline ({mode}) — wall {self.wall_seconds:.3f} s, "
-            f"stage-busy sum {self.serial_seconds:.3f} s, "
+            f"serial cost {self.serial_seconds:.3f} s, "
             f"overlap efficiency {self.overlap_efficiency():.2f}",
-            f"{'stage':<12} {'busy s':>9} {'wait s':>9} {'items':>8}",
+            f"{'stage':<12} {'busy s':>9} {'cpu s':>9} {'wait s':>9} {'items':>8}",
         ]
         for stage in self.busy_seconds:
             lines.append(
                 f"{stage:<12} {self.busy_seconds[stage]:>9.3f} "
+                f"{self.cpu_seconds.get(stage, 0.0):>9.3f} "
                 f"{self.wait_seconds.get(stage, 0.0):>9.3f} "
                 f"{self.items.get(stage, 0):>8}"
             )

@@ -19,7 +19,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engines.eventlog import Columns
+from repro.engines.eventlog import Columns, log_window
 from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.flit import FlitType
 from repro.noc.packet import Packet, PacketClass, ProtocolError, flits_per_packet
@@ -80,13 +80,6 @@ class LatencyStats:
 _EVENT_FIELDS = attrgetter("cycle", "router", "vc", "flit_word")
 
 
-def _unseen(log, seen: int, stop: int):
-    """Events ``[seen, stop)`` of an engine log: as columns where the
-    log can hand them out without building records, else the records."""
-    columns = getattr(log, "columns", None)
-    return columns(seen, stop) if columns is not None else log[seen:stop]
-
-
 def _events(events):
     """``(cycle, router, vc, flit_word)`` of each event, from records or
     from the leading columns of a log window."""
@@ -125,8 +118,8 @@ class PacketLatencyTracker:
         ejections = engine.ejections
         n_inj, n_ej = len(injections), len(ejections)
         self.collect_records(
-            _unseen(injections, self._inj_seen, n_inj),
-            _unseen(ejections, self._ej_seen, n_ej),
+            log_window(injections, self._inj_seen, n_inj),
+            log_window(ejections, self._ej_seen, n_ej),
         )
         self._inj_seen = n_inj
         self._ej_seen = n_ej

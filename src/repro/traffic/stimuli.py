@@ -119,6 +119,49 @@ class FlitEncoder:
         return (head, source) + tail
 
 
+def flit_words(net: NetworkConfig, encoder: Optional[FlitEncoder], packet: Packet):
+    """Encoded flit words of ``packet``: through the word cache where it
+    applies, else through ``segment`` + ``encode``."""
+    if encoder is not None and packet.payload:
+        return encoder.words(packet)
+    dw = net.router.data_width
+    return [flit.encode(dw) for flit in segment(packet, net)]
+
+
+def encode_window(
+    net: NetworkConfig, encoder: Optional[FlitEncoder], packets
+) -> Dict[Tuple[int, int], Tuple[List[int], List[int], List[int]]]:
+    """Segment and flit-encode one lane's ``(cycle, packet, vc)`` list
+    (submit order) into the window the chunk kernel stages:
+    ``{(src, vc): (words, cycles, seqs)}``, three parallel lists per
+    stimuli queue.  Pure — the paper's load step."""
+    window: Dict = {}
+    for cycle, packet, vc in packets:
+        words = flit_words(net, encoder, packet)
+        key = (packet.src, vc)
+        slot = window.get(key)
+        if slot is None:
+            slot = window[key] = ([], [], [])
+        nw = len(words)
+        slot[0].extend(words)
+        slot[1].extend([cycle] * nw)
+        slot[2].extend([packet.seq] * nw)
+    return window
+
+
+def window_entries(key: Tuple[int, int], slot, start: int = 0) -> List[StimuliEntry]:
+    """Words ``[start:]`` of one window slot as the stimuli entries
+    ``_submit`` would have queued."""
+    router, vc = key
+    words, cycles, seqs = slot
+    return [
+        StimuliEntry(
+            cycles[j], router, vc, words[j], packet_key=(router, seqs[j])
+        )
+        for j in range(start, len(words))
+    ]
+
+
 @dataclass
 class SubmitRecord:
     """Bookkeeping for one submitted packet (for latency analysis)."""
@@ -166,36 +209,65 @@ class TrafficDriver:
         self.tracker = tracker
 
     # -- generation (simulation step 1) --------------------------------------
+    def packets(self, start: int, stop: int) -> List[Tuple[int, Packet, int]]:
+        """The pure half of generation: ``(cycle, packet, vc)`` for every
+        packet of cycles ``[start, stop)`` in submit order (cycle-major,
+        GT streams before BE sources).  Only generator state and the
+        per-source BE-VC toggles advance — no queue, counter or tracker
+        is touched, so a thread may run this ahead of the simulation."""
+        gt_cycles = (
+            self.gt.packets_for_cycles(start, stop) if self.gt is not None else None
+        )
+        be_cycles = (
+            self.be.packets_for_cycles(start, stop) if self.be is not None else None
+        )
+        be_vcs = self.net.router.be_vcs
+        n_vcs = len(be_vcs)
+        toggles = self._be_vc_toggle
+        out = []
+        for off in range(stop - start):
+            cycle = start + off
+            if gt_cycles is not None:
+                for packet, vc in gt_cycles[off]:
+                    out.append((cycle, packet, vc))
+            if be_cycles is not None:
+                for packet in be_cycles[off]:
+                    toggle = toggles[packet.src]
+                    toggles[packet.src] = (toggle + 1) % n_vcs
+                    out.append((cycle, packet, be_vcs[toggle]))
+        return out
+
     def generate(self, cycle: int) -> None:
-        net = self.net
-        if self.gt is not None:
-            for packet, vc in self.gt.packets_for_cycle(cycle):
-                self._submit(packet, vc, cycle)
-        if self.be is not None:
-            be_vcs = net.router.be_vcs
-            for packet in self.be.packets_for_cycle(cycle):
-                toggle = self._be_vc_toggle[packet.src]
-                self._be_vc_toggle[packet.src] = (toggle + 1) % len(be_vcs)
-                self._submit(packet, be_vcs[toggle], cycle)
+        for _, packet, vc in self.packets(cycle, cycle + 1):
+            self._submit(packet, vc, cycle)
 
     def send_packet(self, packet: Packet, vc: int) -> None:
         """Queue a single packet for injection (in addition to whatever
         the attached generators produce)."""
         self._submit(packet, vc, self.engine.cycle)
 
-    def _submit(self, packet: Packet, vc: int, cycle: int) -> None:
+    def note_submit(self, packet: Packet, vc: int, cycle: int) -> None:
+        """Book one submitted packet (record list, attached tracker)."""
         record = SubmitRecord(packet, vc, cycle)
         self.submits.append(record)
         if self.tracker is not None:
             self.tracker.note_submit(record)
+
+    def admit(self, window: Dict) -> None:
+        """Account for one encoded window (see :func:`encode_window`)
+        about to be staged or queued: its queue keys exist from here on
+        and its flits count as generated."""
+        queues = self.queues
+        for key, slot in window.items():
+            if key not in queues:
+                queues[key] = deque()
+            self.flits_generated += len(slot[0])
+
+    def _submit(self, packet: Packet, vc: int, cycle: int) -> None:
+        self.note_submit(packet, vc, cycle)
         queue = self.queues.setdefault((packet.src, vc), deque())
-        if self._encoder is not None and packet.payload:
-            words = self._encoder.words(packet)
-        else:
-            dw = self.net.router.data_width
-            words = [flit.encode(dw) for flit in segment(packet, self.net)]
         key = (packet.src, packet.seq)
-        for word in words:
+        for word in flit_words(self.net, self._encoder, packet):
             queue.append(
                 StimuliEntry(cycle, packet.src, vc, word, packet_key=key)
             )

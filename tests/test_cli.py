@@ -57,6 +57,16 @@ class TestCli:
         assert main(["simulate", "--lanes", "2", "--cycles", "10"]) == 2
         assert "--lanes requires --engine batch" in capsys.readouterr().err
 
+    def test_simulate_streamed_prints_cpu_column_and_rejects_bad_chunk(self, capsys):
+        args = ["simulate", "--stream", "--engine", "batch", "--lanes", "2",
+                "--width", "3", "--height", "3", "--cycles", "80"]
+        assert main(args + ["--chunk", "32"]) == 0
+        out = capsys.readouterr().out
+        assert "batch engine (streamed): 2 lane(s)" in out and "cpu s" in out
+        for chunk in ("0", "-3"):
+            assert main(args + ["--chunk", chunk]) == 2
+            assert "--chunk must be >= 1" in capsys.readouterr().err
+
     def test_trace(self, tmp_path, capsys):
         out_file = tmp_path / "trace.vcd"
         assert main(["trace", "--out", str(out_file), "--cycles", "20"]) == 0
