@@ -3,7 +3,9 @@
 Three benchmarks measure our engines on the identical 6x6 workload (the
 paper's VHDL < SystemC << FPGA hierarchy), and a fourth checks the
 platform timing model against the published 22 kHz / 61.6 kHz / 91.6 kHz
-figures and the 80-300x speedup claim.
+figures and the 80-300x speedup claim.  Together with
+``repro.experiments.table3`` this is the paper's Table 3; performance
+claims about the repo itself come from ``python3 -m bench``.
 """
 
 import pytest

@@ -9,7 +9,6 @@ Commands:
 * ``trace``       — run the RTL engine and dump a VCD waveform
 * ``faults``      — fault-injection campaigns with rollback recovery
 * ``farm``        — fault-tolerant job farm with a crash-safe result cache
-* ``bench``       — Table-3 speed benchmark -> BENCH_table3.json
 * ``experiments`` — regenerate the paper's tables and figures
 
 Exit codes are meaningful: simulation failures (network overload,
@@ -103,26 +102,15 @@ def cmd_simulate(args) -> int:
 
 
 def _report_kernel(engine) -> None:
-    """One line naming the execution body actually in use (satellite:
-    degrade visibly, never silently)."""
+    """One line naming the execution body actually in use (degrade
+    visibly, never silently); engines with a single body print nothing."""
     kernel = getattr(engine, "kernel", None)
-    if kernel is not None:  # batch engine
-        line = f"kernel: {kernel}"
-        reason = getattr(engine, "kernel_reason", None)
-        if reason:
-            line += f" ({reason})"
-        print(line)
-    elif hasattr(engine, "levelizer"):  # levelized sequential
-        if engine.levelizer is None:
-            print(f"kernel: dynamic worklist ({engine.schedule_fallback})")
-        elif engine._body is None:
-            print("kernel: interpreted static schedule (shape not specializable)")
-        else:
-            print(
-                "kernel: levelized fused body "
-                f"({len(engine.levelizer.schedule)} nodes, "
-                f"{engine.levelizer.schedule.depth} levels)"
-            )
+    if kernel is None:
+        return
+    body = "generated C" if engine._compiled is not None else "NumPy sweeps"
+    if engine.kernel_reason:
+        body += f"; {engine.kernel_reason}"
+    print(f"kernel: {kernel} ({body})")
 
 
 def _available_memory_bytes() -> Optional[int]:
@@ -520,22 +508,6 @@ def cmd_farm(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args) -> int:
-    from repro.experiments import bench
-
-    if args.smoke:
-        doc = bench.run(smoke=True)
-        print(bench.render(doc))
-        print(f"\nsmoke run: {args.out} left untouched")
-        return 0
-    cycles = max(1, int(300 * args.scale))
-    doc = bench.run(cycles=cycles, rounds=args.rounds)
-    print(bench.render(doc))
-    path = bench.write(doc, args.out)
-    print(f"\nwrote {path}")
-    return 0
-
-
 def cmd_experiments(args) -> int:
     from repro.experiments.__main__ import main as run_experiments
 
@@ -597,12 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=["auto", "python", "levelized", "jit"],
         default="auto",
-        help="execution body: python forces the reference path, "
-        "levelized the static-schedule fused body (sequential engine) "
-        "or the fused generated-C chunk kernel over the level schedule "
-        "(batch engine), jit the same chunk kernel in natural router "
-        "order (batch engine, must compile); auto picks the best "
-        "available tier",
+        help="execution body (batch engine): python forces the NumPy "
+        "sweeps, levelized binds the generated-C chunk kernel over the "
+        "level schedule, jit the same kernel in natural router order "
+        "(must compile); auto picks the best available tier",
     )
     p.add_argument(
         "--fast-forward", action="store_true",
@@ -722,25 +692,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_farm)
 
-    p = sub.add_parser("bench", help="Table-3 speed benchmark -> JSON")
-    p.add_argument(
-        "--scale", type=float, default=1.0,
-        help="cycle-budget multiplier on the default 300 cycles",
-    )
-    p.add_argument("--out", default="BENCH_table3.json")
-    p.add_argument("--rounds", type=int, default=3, help="best-of-N rounds")
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="one short round of every measurement path; writes nothing",
-    )
-    p.set_defaults(fn=cmd_bench)
-
     p = sub.add_parser("experiments", help="regenerate tables/figures")
     p.add_argument(
         "names",
         nargs="*",
         help="fig1 table1 table2 table3 table4 deltas fig5 "
-        "patterns resilience bench",
+        "patterns resilience",
     )
     p.set_defaults(fn=cmd_experiments)
     return parser

@@ -1,14 +1,14 @@
 """Unified simulation-engine facade.
 
-Three engines simulate the identical NoC bit- and cycle-accurately,
+Every engine simulates the identical NoC bit- and cycle-accurately,
 mirroring the paper's section 3 comparison:
 
 * :class:`RtlEngine` — event-driven, signal-level ("VHDL", Table 3 row 1)
-* :class:`CycleEngine` — cycle-based golden model ("SystemC", row 2)
-* :class:`SequentialEngine` — the FPGA sequential simulator (rows 3-4)
-* :class:`BatchEngine` — vectorized NumPy array sweeps with a lane axis
-  batching many independent simulations (the software analogue of
-  instantiating several FPGA simulator instances side by side)
+* :class:`CycleEngine` — cycle-based golden reference ("SystemC", row 2)
+* :class:`SequentialEngine` — the paper's HBR/delta-cycle sequential
+  simulator (rows 3-4); ``sequential-static`` is its schedule ablation
+* :class:`BatchEngine` — the fast path: one generated-C body over a lane
+  axis of independent simulations, NumPy sweeps as its only fallback
 
 All engines expose the same interface (offer/step/run/snapshot plus the
 injection/ejection logs), so the equivalence checker and the benchmark
@@ -19,7 +19,7 @@ from repro.engines.base import EngineInfo, lane_views, list_engines, make_engine
 from repro.engines.batch import BatchEngine, BatchLane, drain_batched, run_batched
 from repro.engines.cycle import CycleEngine
 from repro.engines.rtl import RtlEngine
-from repro.engines.sequential import LevelizedSequentialEngine, SequentialEngine
+from repro.engines.sequential import SequentialEngine
 from repro.engines.equivalence import EquivalenceReport, run_lockstep
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "CycleEngine",
     "EngineInfo",
     "EquivalenceReport",
-    "LevelizedSequentialEngine",
     "RtlEngine",
     "SequentialEngine",
     "drain_batched",

@@ -108,43 +108,39 @@ def list_engines() -> List[EngineInfo]:
     return list(_registry().values())
 
 
+#: execution bodies ``make_engine(..., kernel=)`` accepts, per engine;
+#: engines not listed have one body and take only ``auto``/``python``.
+_KERNELS = {"batch": ("auto", "python", "levelized", "jit")}
+
+
 def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
     """Instantiate an engine by registry name.
 
-    ``kernel`` selects the execution body where the engine has more than
-    one (``repro simulate --kernel``): ``auto`` (default) lets each
-    engine pick its best available tier, ``python`` forces the reference
-    interpreter/NumPy path, ``levelized`` swaps the sequential engine
-    for its static-levelized compiled variant (on the batch engine it
-    binds the fused chunk kernel over the level schedule), and ``jit``
-    requires that same generated-C chunk kernel, bound in natural router
-    order (raising :class:`~repro.kernels.KernelUnavailableError` when
-    no JIT tier can run).
+    ``kernel`` selects the execution body (``repro simulate --kernel``).
+    Only the batch engine has more than one: ``auto`` (default) binds
+    the generated-C body when it can be built and the NumPy sweeps
+    otherwise, ``python`` forces the NumPy sweeps, and ``levelized`` /
+    ``jit`` bind the generated-C body over the level schedule / in
+    natural router order (``jit`` raising
+    :class:`~repro.kernels.KernelUnavailableError` when it cannot be
+    built).  Every other engine accepts ``auto`` and ``python`` only.
     """
     registry = _registry()
     if name not in registry:
         raise KeyError(f"unknown engine {name!r}; known: {sorted(registry)}")
     kernel = kwargs.pop("kernel", "auto")
-    factory = registry[name].factory
-    if name == "batch":
-        if kernel not in ("auto", "python", "levelized", "jit"):
-            raise ValueError(
-                "engine 'batch' supports kernel auto|python|levelized|jit "
-                f"(got {kernel!r})"
-            )
-        kwargs["kernel"] = kernel
-    elif name == "sequential":
-        if kernel == "levelized":
-            from repro.engines.sequential import LevelizedSequentialEngine
-
-            factory = LevelizedSequentialEngine
-        elif kernel not in ("auto", "python"):
-            raise ValueError(
-                "engine 'sequential' supports kernel auto|python|levelized "
-                f"(got {kernel!r})"
-            )
-    elif kernel not in ("auto", "python"):
-        raise ValueError(
-            f"engine {name!r} supports only kernel auto|python (got {kernel!r})"
+    allowed = _KERNELS.get(name, ("auto", "python"))
+    if kernel not in allowed:
+        message = (
+            f"engine {name!r} supports kernel {'|'.join(allowed)} "
+            f"(got {kernel!r})"
         )
-    return factory(cfg, **kwargs)
+        if name == "sequential" and kernel in _KERNELS["batch"]:
+            message += (
+                "; the compiled body runs on the batch engine: "
+                "--engine batch --lanes 1 --kernel levelized"
+            )
+        raise ValueError(message)
+    if name in _KERNELS:
+        kwargs["kernel"] = kernel
+    return registry[name].factory(cfg, **kwargs)

@@ -835,7 +835,7 @@ def window_generator(engine, drivers: Sequence):
     ``None``: traffic is generated in Python."""
     from repro.kernels.trafficgen import batched_be_generator
 
-    if getattr(engine, "kernel", None) in ("jit", "levelized"):
+    if getattr(engine, "_compiled", None) is not None:
         return batched_be_generator(drivers)
     return None
 

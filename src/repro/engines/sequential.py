@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.seqsim.levelized import LevelizedSequentialNetwork
 from repro.seqsim.sequential import SequentialNetwork, StaticSequentialNetwork
 
 
@@ -17,10 +16,3 @@ class StaticScheduleEngine(StaticSequentialNetwork):
 
     name = "sequential-static"
 
-
-class LevelizedSequentialEngine(LevelizedSequentialNetwork):
-    """Levelized static schedule with a generated fused step body
-    (``--kernel levelized``); falls back to the dynamic scheduler on
-    wire faults or combinational cycles."""
-
-    name = "sequential-levelized"

@@ -2,7 +2,8 @@
 
 Each module exposes ``run(...)`` returning a structured result and a
 ``main()`` that prints the regenerated artifact next to the paper's
-published values.  The benchmark harness in ``benchmarks/`` wraps these.
+published values.  The pytest-benchmark files in ``benchmarks/`` wrap
+these; performance claims come from ``python3 -m bench`` instead.
 
 ==========  ========================================================
 module      reproduces
@@ -18,14 +19,12 @@ module      reproduces
             traffic patterns")
 ``resilience``  fault-injection campaign: parity/watchdog detection
             plus rollback recovery (robustness extension)
-``bench``   Table-3 benchmark: cycles/second per engine -> JSON
 ==========  ========================================================
 
 Run any of them with ``python -m repro.experiments <name>``.
 """
 
 from repro.experiments import (
-    bench,
     deltas,
     fig1,
     fig5,
@@ -47,12 +46,10 @@ ALL = {
     "fig5": fig5,
     "patterns": patterns,
     "resilience": resilience,
-    "bench": bench,
 }
 
 __all__ = [
     "ALL",
-    "bench",
     "deltas",
     "fig1",
     "fig5",

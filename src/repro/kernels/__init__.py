@@ -14,22 +14,19 @@ Two cooperating pieces:
   only generated body: :mod:`repro.kernels.batchstep` binds it in
   natural router order for the ``jit`` tier, ``kernel="levelized"``
   over the levelizer's schedule.  :mod:`repro.kernels.trafficgen` is
-  the matching traffic scan, and :mod:`repro.kernels.seqbody` generates
-  the analogous fused Python body for the levelized sequential
-  evaluate/commit path.
+  the matching traffic scan.
 
 Backend ladder, selected at import/construction time::
 
-    numba  ->  cffi (generated C, compiled on demand)  ->  pure NumPy
+    cffi (generated C, compiled on demand)  ->  pure NumPy
 
-The numba tier is declared (``pip install repro[kernels]``) but the
-implemented JIT tier is the generated-C one — it needs only ``cffi``
-plus any C compiler, both probed lazily; when either is missing every
-consumer degrades to the bit-identical NumPy sweeps with a recorded
-reason, and the test suite passes either way (skip-with-reason for the
-JIT-only cases).  ``REPRO_KERNELS=auto|jit|numpy`` overrides the
-default selection; explicit constructor arguments override the
-environment.
+The generated-C tier needs only ``cffi`` plus any C compiler
+(``pip install repro[kernels]``), both probed lazily; when either is
+missing every consumer degrades to the bit-identical NumPy sweeps with
+a recorded reason, and the test suite passes either way
+(skip-with-reason for the JIT-only cases).
+``REPRO_KERNELS=auto|jit|numpy`` overrides the default selection;
+explicit constructor arguments override the environment.
 """
 
 from __future__ import annotations
@@ -59,27 +56,15 @@ class KernelUnavailableError(RuntimeError):
 def probe_backends() -> Dict[str, str]:
     """Availability of every ladder tier, with reasons.
 
-    Returns ``{backend: "ok" | "unavailable: <reason>"}``.  The numba
-    tier reports importability for the host fingerprint and the
-    optional-dependency test matrix; it is *declared* (the ``[kernels]``
-    extra) but the generated-C tier is the one the ladder selects, so
-    numba never reports plain ``"ok"``.
+    Returns ``{backend: "ok" | "unavailable: <reason>"}``.
     """
-    out: Dict[str, str] = {}
-    try:
-        import numba  # type: ignore  # noqa: F401
-
-        out["numba"] = (
-            "installed (no numba kernel body registered; the generated-C tier is preferred)"
-        )
-    except Exception as exc:  # pragma: no cover - depends on host
-        out["numba"] = f"unavailable: {exc.__class__.__name__}"
     from repro.kernels import cbackend
 
     reason = cbackend.availability()
-    out["cffi"] = "ok" if reason is None else f"unavailable: {reason}"
-    out["numpy"] = "ok"
-    return out
+    return {
+        "cffi": "ok" if reason is None else f"unavailable: {reason}",
+        "numpy": "ok",
+    }
 
 
 def resolve_kernels_mode(mode: Optional[str]) -> str:
@@ -135,12 +120,6 @@ def kernel_versions() -> Dict[str, Optional[str]]:
         out["cffi"] = getattr(cffi, "__version__", "unknown")
     except Exception:
         out["cffi"] = None
-    try:
-        import numba  # type: ignore
-
-        out["numba"] = getattr(numba, "__version__", "unknown")
-    except Exception:
-        out["numba"] = None
     from repro.kernels import cbackend
 
     out["cc"] = cbackend._find_compiler()

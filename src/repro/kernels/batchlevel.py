@@ -572,9 +572,14 @@ def level_orders(schedule) -> Optional[Tuple[Tuple[int, ...], ...]]:
     graph) signal the engine treats as "no schedule to carry: bind
     natural router order".
     """
-    from repro.kernels.seqbody import _kind_levels
-
-    return _kind_levels(schedule)
+    if schedule.depth != 3:
+        return None
+    orders = []
+    for kind, level in zip(("room", "fwd", "state"), schedule.levels):
+        if any(node[0] != kind for node in level):
+            return None
+        orders.append(tuple(node[1] for node in level))
+    return tuple(orders)
 
 
 def level_tables(schedule, n_routers: int) -> np.ndarray:

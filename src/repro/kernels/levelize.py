@@ -21,9 +21,9 @@ For this NoC the result is provably three levels deep:
 * level 1 — every ``fwd`` node (reads neighbouring rooms),
 * level 2 — every ``state`` node (reads neighbouring forwards),
 
-which is why a *bounded* number of passes (one pass over the leveled
-order, :class:`LevelizedScheduler`) replaces the sequential engine's
-delta-cycle fixed-point iteration bit-for-bit on fault-free cycles.
+which is why one pass over the leveled order (the schedule the batch
+engine's generated body carries, :mod:`repro.kernels.batchlevel`)
+replaces delta-cycle fixed-point iteration bit-for-bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.noc.topology import Topology
 __all__ = [
     "CyclicDependencyError",
     "LevelSchedule",
-    "LevelizedScheduler",
     "levelize",
     "toposort",
 ]
@@ -189,36 +188,3 @@ def levelize_graph(nodes: Sequence[Node], edges: Sequence[Edge]) -> LevelSchedul
         buckets[level_of[node]].append(node)
     return LevelSchedule(tuple(tuple(b) for b in buckets), level_of)
 
-
-class LevelizedScheduler:
-    """Drop-in replacement for fixed-point iteration: a bounded pass.
-
-    Where the dynamic HBR scheduler re-picks unstable units until the
-    link memory settles (data-dependent, watchdog-guarded), this
-    scheduler emits the leveled static order — each signal exactly once
-    per system cycle, ``passes == 1`` always.  The correctness argument
-    is the schedule itself: a node only runs after everything it reads,
-    so the single pass *is* the fixed point on fault-free cycles.
-    ``LevelizedSequentialNetwork`` consumes it; wire faults void the
-    argument, so the engine falls back to the dynamic scheduler for
-    exactly those cycles.
-    """
-
-    def __init__(self, schedule: LevelSchedule) -> None:
-        self.schedule = schedule
-
-    @classmethod
-    def for_network(cls, cfg: NetworkConfig) -> "LevelizedScheduler":
-        return cls(levelize(cfg))
-
-    @property
-    def sweeps(self) -> Tuple[Tuple[Node, ...], ...]:
-        """The per-level sweeps, in evaluation order."""
-        return self.schedule.levels
-
-    @property
-    def deltas_per_cycle(self) -> int:
-        """Delta cycles one system cycle costs under this schedule: one
-        evaluation per scheduled node (``3·R`` for the NoC), matching
-        the static-sweep accounting of ``StaticSequentialNetwork``."""
-        return len(self.schedule)

@@ -4,13 +4,11 @@ One OS process per tile, reusing the farm's worker idioms
 (:mod:`repro.farm.supervisor`): fork-context daemon processes with a
 recognisable name prefix, heartbeat values, pipe command channels, and
 the SIGTERM -> grace -> SIGKILL teardown escalation.  The boundary data
-plane optionally rides the pipeline's shared-memory transport
-(:mod:`repro.pipeline.shm` semantics): one int64 slot per boundary wire
+plane optionally rides shared memory: one int64 slot per boundary wire
 per bank in a ``multiprocessing.shared_memory`` segment that workers
 write/read directly, with pipe messages as the control plane — where
-the platform forbids shared memory
-(:class:`~repro.pipeline.shm.ShmUnavailableError`) the values fall back
-to riding the pipes, a pure performance change.
+the platform forbids shared memory (:class:`ShmUnavailableError`) the
+values fall back to riding the pipes, a pure performance change.
 
 The plane is double-buffered: publication *p* of a cycle writes bank
 ``p % 2`` and an exchange round reads the previous publication's bank.
@@ -43,9 +41,8 @@ from repro.faults.errors import FaultDetectedError, LivelockError
 from repro.noc.config import NetworkConfig
 from repro.partition.tiles import PartitionMap
 from repro.partition.worker import PartitionWorkerNetwork
-from repro.pipeline.shm import ShmUnavailableError
 
-__all__ = ["ProcessWorkerPool", "PROCESS_PREFIX"]
+__all__ = ["ProcessWorkerPool", "PROCESS_PREFIX", "ShmUnavailableError"]
 
 #: process-name prefix of partition workers (the leak fixture greps it).
 PROCESS_PREFIX = "repro-partition-"
@@ -54,7 +51,7 @@ PROCESS_PREFIX = "repro-partition-"
 #: a dead worker is detected by process liveness well before this.
 REPLY_TIMEOUT = 300.0
 
-#: live pools, for the atexit sweep (mirrors pipeline.shm.OPEN_RINGS).
+#: live pools, for the atexit sweep.
 _OPEN_POOLS: List["ProcessWorkerPool"] = []
 
 
@@ -67,6 +64,20 @@ def _close_open_pools() -> None:
 
 
 atexit.register(_close_open_pools)
+
+
+class ShmUnavailableError(RuntimeError):
+    """Shared memory cannot be created on this platform."""
+
+
+def _create_plane(slots: int):
+    """The shared boundary segment: two int64 banks of ``slots`` wires."""
+    try:
+        from multiprocessing import shared_memory
+
+        return shared_memory.SharedMemory(create=True, size=max(16 * slots, 16))
+    except (ImportError, OSError, ValueError) as exc:
+        raise ShmUnavailableError(f"cannot create the boundary plane: {exc}") from exc
 
 
 def _apply_op(net: PartitionWorkerNetwork, op: Tuple) -> None:
@@ -259,18 +270,11 @@ class ProcessWorkerPool:
         shm_name = None
         if use_shm:
             try:
-                from multiprocessing import shared_memory
-
-                self._plane = shared_memory.SharedMemory(
-                    create=True, size=max(16 * len(slot_of), 16)
-                )
+                self._plane = _create_plane(len(slot_of))
                 shm_name = self._plane.name
                 self._plane_view = memoryview(self._plane.buf).cast("q")
-            except Exception:
-                # Same contract as pipeline.shm: degrade to the pipes.
-                self._plane = None
-                self._plane_view = None
-                shm_name = None
+            except ShmUnavailableError:
+                pass  # degrade to the pipes
         self.shm_active = shm_name is not None
 
         self._conns = []

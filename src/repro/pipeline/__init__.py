@@ -19,8 +19,6 @@ generated body, with the host touching the fabric only at its boundary.
 * :mod:`~repro.pipeline.runner` — threaded execution with a serial
   fallback producing byte-identical results, instrumented by
   :class:`~repro.platform.profiler.PipelineProfiler`;
-* :mod:`~repro.pipeline.shm` — a shared-memory array ring (no longer on
-  the pipeline's data path; see its docstring);
 * :mod:`~repro.pipeline.workloads` — streamed versions of the
   Figure-1 and pattern sweeps;
 * :mod:`~repro.pipeline.sweep` — a generic pipelined point sweep

@@ -20,11 +20,7 @@ from repro.faults.errors import ConvergenceError, LivelockError, ParityError
 from repro.seqsim.linkmem import LinkMemory
 from repro.seqsim.metrics import DeltaMetrics
 from repro.seqsim.scheduler import ConvergenceWatchdog, RoundRobinScheduler
-from repro.seqsim.sequential import (
-    SequentialNetwork,
-    StaticSequentialNetwork,
-    TwoPassSequentialNetwork,
-)
+from repro.seqsim.sequential import SequentialNetwork, StaticSequentialNetwork
 from repro.seqsim.statemem import PackedStateMemory
 
 __all__ = [
@@ -38,5 +34,4 @@ __all__ = [
     "RoundRobinScheduler",
     "SequentialNetwork",
     "StaticSequentialNetwork",
-    "TwoPassSequentialNetwork",
 ]

@@ -49,7 +49,6 @@ __all__ = [
     "LivelockError",
     "SequentialNetwork",
     "StaticSequentialNetwork",
-    "TwoPassSequentialNetwork",
 ]
 
 
@@ -976,7 +975,3 @@ class StaticSequentialNetwork(SequentialNetwork):
             if w >= 0:
                 fwd_in[p] = self.links.values[w]
         return fwd_in
-
-
-# Backwards-compatible alias used in early design notes.
-TwoPassSequentialNetwork = StaticSequentialNetwork

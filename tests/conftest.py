@@ -53,10 +53,10 @@ def _isolated_kernel_cache(tmp_path_factory):
 @pytest.fixture(autouse=True)
 def _no_pipeline_leaks():
     """Every test must leave the streaming pipeline and the job farm
-    torn down: no ``repro-pipeline-*`` worker threads still alive, no
-    shared-memory rings still registered, and no ``repro-farm-*``
-    worker processes still among our children.  Lazy lookups keep this
-    free for the tests that never touch either subsystem."""
+    torn down: no ``repro-pipeline-*`` worker threads still alive and
+    no ``repro-farm-*`` worker processes still among our children.
+    Lazy lookups keep this free for the tests that never touch either
+    subsystem."""
     yield
     leaked = [
         t.name
@@ -64,10 +64,6 @@ def _no_pipeline_leaks():
         if t.name.startswith("repro-pipeline-") and t.is_alive()
     ]
     assert not leaked, f"leaked pipeline threads: {leaked}"
-    shm = sys.modules.get("repro.pipeline.shm")
-    if shm is not None:
-        rings = [r.name for r in shm.OPEN_RINGS]
-        assert not rings, f"leaked shared-memory rings: {rings}"
     if "repro.farm.supervisor" in sys.modules:
         import multiprocessing
 

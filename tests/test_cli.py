@@ -184,3 +184,82 @@ class TestFarmCli:
         assert main(["farm", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "farm smoke: OK" in out
+
+    def test_sequential_kernel_request_names_the_batch_replacement(self, capsys):
+        for kernel in ("levelized", "jit"):
+            rc = main(["simulate", "--engine", "sequential", "--kernel", kernel,
+                       "--cycles", "10"])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "--engine batch --lanes 1 --kernel levelized" in err
+
+    @pytest.mark.parametrize("pin", ["env", "flag"])
+    def test_kernel_line_names_the_body_that_runs(self, monkeypatch, capsys, pin):
+        """``REPRO_KERNELS=numpy`` and ``--kernel python`` run the NumPy
+        sweeps whatever label was requested: same per-lane lines, and the
+        ``kernel:`` line says so."""
+        args = ["simulate", "--engine", "batch", "--lanes", "2", "--width", "3",
+                "--height", "3", "--cycles", "80"]
+        assert main(args + ["--kernel", "levelized"]) == 0
+        reference = capsys.readouterr().out
+        if pin == "env":
+            monkeypatch.setenv("REPRO_KERNELS", "numpy")
+            assert main(args + ["--kernel", "levelized"]) == 0
+        else:
+            assert main(args + ["--kernel", "python"]) == 0
+        pinned = capsys.readouterr().out
+        assert "(NumPy sweeps" in pinned.splitlines()[0]
+        lanes = [line for line in reference.splitlines() if "  lane " in line]
+        assert len(lanes) == 2
+        assert lanes == [line for line in pinned.splitlines() if "  lane " in line]
+
+
+def _documented_invocations():
+    """Every ``python -m repro.cli ...`` / ``$ repro ...`` command line
+    in the fenced code blocks of the README and the verify notes."""
+    import os
+    import re
+    import shlex
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # the command, after any prompt and VAR=value prefixes
+    command = re.compile(
+        r"(?:python -m repro\.cli|^\$ (?:\w+=\S* )*repro) +(.*)"
+    )
+    found = []
+    for name in ("README.md", os.path.join(".claude", "skills", "verify", "SKILL.md")):
+        path = os.path.join(root, name)
+        if not os.path.exists(path):  # e.g. an sdist without the notes
+            continue
+        with open(path) as stream:
+            text = stream.read().replace("\\\n", " ")
+        for block in re.findall(r"```\w*\n(.*?)```", text, flags=re.S):
+            for line in block.splitlines():
+                match = command.search(line)
+                if match:
+                    found.append((name, shlex.split(match.group(1), comments=True)))
+    return found
+
+
+class TestDocumentedCommands:
+    """A deleted subcommand or flag must not linger in the docs."""
+
+    def test_every_documented_invocation_parses(self):
+        from repro.cli import build_parser
+
+        invocations = _documented_invocations()
+        assert len(invocations) >= 10
+        parser = build_parser()
+        for source, argv in invocations:
+            if argv == ["--help"]:
+                continue  # argparse exits 0 after printing
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{source}: `repro {' '.join(argv)}` no longer parses")
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -1,8 +1,7 @@
 """Levelizer edge cases and the kernel backend ladder.
 
 The levelizer must never produce a silently wrong schedule: a
-combinational cycle raises :class:`CyclicDependencyError`, the owning
-engine records the reason and falls back to the dynamic worklist, and
+combinational cycle raises :class:`CyclicDependencyError`, and
 degenerate graphs (single router, quarantined links) levelize to valid
 schedules.  The ladder half covers capability probing, the environment
 override, and the degrade-with-one-warning contract.
@@ -15,8 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as kernels
-import repro.seqsim.levelized as levelized_mod
-from repro.engines import LevelizedSequentialEngine, SequentialEngine
 from repro.kernels import (
     KernelUnavailableError,
     kernel_versions,
@@ -26,8 +23,6 @@ from repro.kernels import (
 )
 from repro.kernels.levelize import (
     CyclicDependencyError,
-    LevelizedScheduler,
-    LevelSchedule,
     levelize,
     levelize_graph,
     toposort,
@@ -92,13 +87,6 @@ class TestLevelize:
         order = toposort([3, 1, 2], [(1, 2), (2, 3)])
         assert order.index(1) < order.index(2) < order.index(3)
 
-    def test_scheduler_sweeps_and_deltas(self):
-        cfg = NetworkConfig(4, 4, topology="torus")
-        scheduler = LevelizedScheduler.for_network(cfg)
-        assert scheduler.deltas_per_cycle == 3 * cfg.n_routers
-        sweeps = scheduler.sweeps
-        assert len(sweeps) == 3
-
     @given(
         n=st.integers(min_value=1, max_value=12),
         pairs=st.lists(
@@ -138,45 +126,54 @@ class TestLevelize:
 
 
 class TestEngineFallback:
-    def test_cyclic_schedule_falls_back_to_worklist(self, monkeypatch):
-        def boom(cfg):
+    def test_cyclic_schedule_falls_back_to_natural_order(self, monkeypatch):
+        """No 3-level schedule to carry (a combinational cycle, or a
+        foreign graph shape): ``kernel="levelized"`` records why and
+        binds the ``auto`` tier — still the reference results."""
+        import repro.kernels.levelize as levelize_mod
+        from repro.engines import BatchEngine, run_batched
+        from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
+
+        def cyclic(cfg):
             raise CyclicDependencyError([("fwd", 0), ("room", 1)])
 
-        monkeypatch.setattr(levelized_mod, "levelize", boom)
-        cfg = NetworkConfig(3, 3, topology="torus")
-        engine = LevelizedSequentialEngine(cfg)
-        assert engine.levelizer is None
-        assert engine._body is None
-        assert "unresolved" in engine.schedule_fallback or engine.schedule_fallback
-        # the fallback engine still produces the reference results
-        reference = SequentialEngine(cfg)
-        for _ in range(40):
-            engine.step()
-            reference.step()
-        assert engine.snapshot() == reference.snapshot()
-        # worklist deltas, not the 3R static schedule
-        assert engine.metrics.total_deltas == reference.metrics.total_deltas
+        def two_level(cfg):
+            return levelize_graph(["a", "b"], [("a", "b")])
 
-    def test_fault_disables_fused_body_permanently(self):
         cfg = NetworkConfig(3, 3, topology="torus")
-        engine = LevelizedSequentialEngine(cfg)
-        assert engine._body is not None
-        assert engine.links.fault_free
-        engine.quarantine_link(4, 1)
-        assert not engine.links.fault_free
-        reference = SequentialEngine(cfg)
-        reference.quarantine_link(4, 1)
-        for _ in range(40):
-            engine.step()
-            reference.step()
-        assert engine.snapshot() == reference.snapshot()
+
+        def run(engine):
+            be = BernoulliBeTraffic(cfg, 0.1, uniform_random(cfg), seed=5)
+            run_batched(engine, [TrafficDriver(engine.lane(0), be=be)], 80)
+            return engine
+
+        reference = run(BatchEngine(cfg, lanes=1, kernel="python"))
+        assert len(reference.ejections) > 0
+        for broken in (cyclic, two_level):
+            monkeypatch.setattr(levelize_mod, "levelize", broken)
+            engine = BatchEngine(cfg, lanes=1, kernel="levelized")
+            assert engine.schedule is None
+            assert engine.kernel in ("jit", "python")
+            assert "natural router order" in engine.kernel_reason
+            run(engine)
+            assert engine.snapshot() == reference.snapshot()
+            assert engine.ejections == reference.ejections
 
     def test_levelized_rejects_bad_kernel_name(self):
         from repro.engines import make_engine
 
         cfg = NetworkConfig(3, 3)
-        with pytest.raises(ValueError, match="sequential"):
-            make_engine("sequential", cfg, kernel="jit")
+        # the sequential engine has one body; the error names where the
+        # compiled one went
+        for kernel in ("levelized", "jit"):
+            with pytest.raises(
+                ValueError,
+                match="'sequential'.*--engine batch --lanes 1 --kernel levelized",
+            ):
+                make_engine("sequential", cfg, kernel=kernel)
+        with pytest.raises(ValueError, match="'sequential'") as excinfo:
+            make_engine("sequential", cfg, kernel="bogus")
+        assert "--engine batch" not in str(excinfo.value)
         with pytest.raises(ValueError, match="batch"):
             make_engine("batch", cfg, kernel="bogus")
         with pytest.raises(ValueError, match="rtl"):
@@ -191,14 +188,12 @@ class TestEngineFallback:
 class TestBackendLadder:
     def test_probe_backends_shape(self):
         probes = probe_backends()
-        assert set(probes) == {"numba", "cffi", "numpy"}
+        assert set(probes) == {"cffi", "numpy"}
         assert probes["numpy"] == "ok"
-        # numba is declared, never the selected tier
-        assert probes["numba"] != "ok"
 
     def test_kernel_versions_shape(self):
         versions = kernel_versions()
-        assert set(versions) == {"cffi", "numba", "cc"}
+        assert set(versions) == {"cffi", "cc"}
 
     def test_resolve_mode_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "numpy")

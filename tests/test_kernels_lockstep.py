@@ -1,10 +1,11 @@
-"""Compiled kernels are bit-identical to the engines they accelerate.
+"""The compiled kernel is bit-identical to the engines it accelerates.
 
-The levelized fused body must match the dynamic worklist engine and the
-interpreted static schedule snapshot for snapshot — across random
-seeds, topologies, heterogeneous configs, and fault injections (both
-the permanent quarantine that forces the worklist fallback and the
-transient SEU the touch-stamp guard has to catch).  Likewise the batch
+The generated-C body — driven cycle by cycle through a one-lane
+``BatchEngine(kernel="levelized")`` — must match the dynamic worklist
+engine and the interpreted static schedule snapshot for snapshot, across
+random seeds, topologies, heterogeneous configs and a mid-run link
+quarantine.  Transient link-memory SEUs have no batch-engine analogue
+and stay a worklist-vs-static-sweep comparison.  Likewise the batch
 engine's generated-C kernel must match the NumPy reference sweeps lane
 for lane.  The ``kernel_smoke``-marked class is the cheap CI subset.
 """
@@ -15,12 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engines import (
-    BatchEngine,
-    LevelizedSequentialEngine,
-    SequentialEngine,
-    run_batched,
-)
+from repro.engines import BatchEngine, SequentialEngine, run_batched
 from repro.engines.sequential import StaticScheduleEngine
 from repro.kernels import probe_backends
 from repro.noc import NetworkConfig, RouterConfig
@@ -91,13 +87,17 @@ def lockstep(engines, schedule, cycles, events=()):
         assert [r.__dict__ for r in engine.ejections] == ref_ej
 
 
+def duo(cfg):
+    """Reference worklist and interpreted static schedule."""
+    return [SequentialEngine(cfg), StaticScheduleEngine(cfg)]
+
+
 def trio(cfg):
-    """Reference worklist, interpreted static schedule, fused body."""
-    return [
-        SequentialEngine(cfg),
-        StaticScheduleEngine(cfg),
-        LevelizedSequentialEngine(cfg),
-    ]
+    """The duo plus the generated body over the level schedule: the
+    lane-0 surface of a one-lane batch engine (its NumPy sweeps where no
+    compiler exists)."""
+    kernel = "levelized" if JIT_REASON == "ok" else "python"
+    return duo(cfg) + [BatchEngine(cfg, lanes=1, kernel=kernel)]
 
 
 @pytest.mark.kernel_smoke
@@ -108,7 +108,7 @@ class TestKernelSmoke:
     def test_levelized_lockstep_tiny(self):
         cfg = torus()
         engines = trio(cfg)
-        assert engines[2]._body is not None
+        assert (engines[2]._compiled is not None) == (JIT_REASON == "ok")
         lockstep(engines, random_schedule(cfg, seed=7), cycles=60)
 
     @needs_jit
@@ -154,13 +154,11 @@ class TestLevelizedLockstep:
         cfg = torus(
             router_overrides=((4, RouterConfig(queue_depth=8)),)
         )
-        engines = trio(cfg)
-        assert engines[2]._body is not None
-        lockstep(engines, random_schedule(cfg, seed=5), cycles=70)
+        lockstep(trio(cfg), random_schedule(cfg, seed=5), cycles=70)
 
     def test_quarantine_mid_run_lockstep(self):
-        """A permanent link fault mid-run forces the fused body off the
-        fast path; results must stay identical through and after the
+        """A permanent link fault mid-run rebinds the compiled body's
+        tables; results must stay identical through and after the
         transition."""
         cfg = torus(4, 4)
         engines = trio(cfg)
@@ -170,14 +168,14 @@ class TestLevelizedLockstep:
             cycles=100,
             events=[(35, lambda e: e.quarantine_link(5, 1))],
         )
-        assert not engines[2].links.fault_free
+        assert (5, 1) in engines[2].quarantined_links
 
     def test_seu_mid_run_lockstep(self):
-        """A transient link-memory SEU bumps the touch stamps; the idle
-        signature guard must re-evaluate the affected units instead of
-        replaying stale cached values."""
+        """A transient link-memory SEU must perturb the worklist and
+        the static sweep identically (no batch analogue: the lane state
+        has no link memory to upset)."""
         cfg = torus()
-        engines = trio(cfg)
+        engines = duo(cfg)
         wire = engines[0].link_wire_names()[5]
 
         def upset(engine):
@@ -203,7 +201,7 @@ class TestLevelizedLockstep:
                  lambda e: e.inject_link_fault(wire, bit=bit))
             )
         lockstep(
-            trio(cfg),
+            duo(cfg) if events else trio(cfg),
             random_schedule(cfg, seed=seed),
             cycles=60,
             events=events,
@@ -211,9 +209,10 @@ class TestLevelizedLockstep:
 
     def test_traffic_driver_lockstep(self):
         """The Bernoulli traffic pipeline (the bench workload) drives
-        the fused body and the worklist engine to identical streams."""
+        the compiled body and the worklist engine to identical streams."""
         cfg = torus(4, 4)
-        engines = [SequentialEngine(cfg), LevelizedSequentialEngine(cfg)]
+        worklist, _static, compiled = trio(cfg)
+        engines = [worklist, compiled]
         drivers = [
             TrafficDriver(
                 e, be=BernoulliBeTraffic(cfg, 0.08, uniform_random(cfg), seed=42)
@@ -305,3 +304,31 @@ class TestEnvFallback:
         solo = BatchEngine(torus(), lanes=2, kernel="python")
         solo.run(30)
         assert engine.snapshot() == solo.snapshot()
+
+    def test_label_is_presentational_body_decides(self, monkeypatch):
+        """The chunk path and the C traffic scan key on the bound body,
+        never on the ``jit``/``levelized`` label: a levelized-labelled
+        engine pinned to NumPy behaves exactly like ``kernel="python"``."""
+        from repro.engines.batch import chunk_kernel, window_generator
+
+        def paths(engine):
+            drivers = [
+                TrafficDriver(
+                    engine.lane(i),
+                    be=BernoulliBeTraffic(
+                        engine.cfg, 0.1, uniform_random(engine.cfg), seed=3 + i
+                    ),
+                )
+                for i in range(engine.lanes)
+            ]
+            return chunk_kernel(engine, drivers), window_generator(engine, drivers)
+
+        assert paths(BatchEngine(torus(), lanes=2, kernel="python")) == (None, None)
+        if JIT_REASON == "ok":
+            for label in ("levelized", "jit"):
+                compiled, generator = paths(BatchEngine(torus(), lanes=2, kernel=label))
+                assert compiled is not None and generator is not None
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        pinned = BatchEngine(torus(), lanes=2, kernel="levelized")
+        assert pinned.kernel == "levelized" and pinned._compiled is None
+        assert paths(pinned) == (None, None)

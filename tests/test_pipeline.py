@@ -592,57 +592,6 @@ class TestPipelinedSweep:
             pipelined_sweep(bad, range(6), ring_timeout=5.0)
 
 
-class TestShmTransport:
-    def _ring(self, **kwargs):
-        from repro.pipeline.shm import ShmArrayRing, ShmUnavailableError
-
-        try:
-            return ShmArrayRing("test-ring", **kwargs)
-        except ShmUnavailableError:
-            pytest.skip("shared memory unavailable on this platform")
-
-    def test_array_ring_fifo_roundtrip(self):
-        import numpy as np
-
-        from repro.pipeline.shm import OPEN_RINGS
-
-        ring = self._ring(slots=2, slot_words=64, timeout=1.0)
-        arrays = [
-            np.arange(12, dtype=np.int64).reshape(4, 3),
-            np.array([[7, 8, 9, 10, 11]], dtype=np.int64),
-            np.empty((0, 5), dtype=np.int64),
-        ]
-        ring.put_array(0, arrays[0])
-        ring.put_array(1, arrays[1])
-        assert (ring.get_array() == arrays[0]).all()
-        ring.put_array(2, arrays[2])
-        assert (ring.get_array() == arrays[1]).all()
-        assert ring.get_array().shape == (0, 5)
-        assert ring.stats()["arrays"] == 3
-        ring.close()
-        ring.close()  # idempotent
-        assert ring not in OPEN_RINGS
-
-    def test_oversized_array_rejected(self):
-        import numpy as np
-
-        with self._ring(slots=1, slot_words=8, timeout=0.2) as ring:
-            with pytest.raises(ValueError, match="exceeds the slot size"):
-                ring.put_array(0, np.arange(9, dtype=np.int64))
-
-    def test_full_ring_blocks_then_times_out(self):
-        import numpy as np
-
-        from repro.pipeline.shm import ShmUnavailableError
-
-        with self._ring(slots=1, slot_words=8, timeout=0.1) as ring:
-            ring.put_array(0, np.arange(4, dtype=np.int64))
-            with pytest.raises(ShmUnavailableError, match="no free slot"):
-                ring.put_array(1, np.arange(4, dtype=np.int64))
-            assert (ring.get_array() == np.arange(4)).all()
-            ring.put_array(2, np.arange(3, dtype=np.int64))  # slot reusable
-
-
 class TestStreamedExperimentSweeps:
     def test_fig1_stream_param_matches_batched(self):
         from repro.experiments import fig1
@@ -792,64 +741,3 @@ class TestAbortCleanup:
             if t.name.startswith("repro-pipeline-") and t.is_alive()
         ]
         assert leaked == []
-
-
-class TestShmLifecycle:
-    """Satellite of the robustness PR: shared-memory segments must not
-    outlive the interpreter, however it exits."""
-
-    def _ring(self):
-        from repro.pipeline.shm import ShmArrayRing, ShmUnavailableError
-
-        try:
-            return ShmArrayRing("lifecycle-test", slots=2, slot_words=16)
-        except ShmUnavailableError:
-            pytest.skip("shared memory unavailable on this platform")
-
-    def test_atexit_sweep_closes_registered_rings(self):
-        from repro.pipeline.shm import OPEN_RINGS, _close_open_rings
-
-        ring = self._ring()
-        assert ring in OPEN_RINGS
-        _close_open_rings()
-        assert ring.closed
-        assert ring not in OPEN_RINGS
-
-    def test_double_close_is_idempotent(self):
-        ring = self._ring()
-        ring.close()
-        ring.close()  # second close must be a no-op
-        assert ring.closed
-
-    def test_abnormal_exit_leaves_no_leaked_segments(self, tmp_path):
-        """An interpreter that dies without closing its ring must not
-        trip the resource tracker's leaked-shared-memory warning: the
-        atexit sweep unlinks the segment first."""
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.pipeline.shm import ShmArrayRing, ShmUnavailableError\n"
-            "try:\n"
-            "    ring = ShmArrayRing('exit-test', slots=2, slot_words=16)\n"
-            "except ShmUnavailableError:\n"
-            "    print('SKIP')\n"
-            "    raise SystemExit(0)\n"
-            "print(ring.segment_name())\n"
-            "# exit *without* closing: the atexit hook must clean up\n"
-        )
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.abspath(src)
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert result.returncode == 0
-        name = result.stdout.strip().splitlines()[-1]
-        if name == "SKIP":
-            pytest.skip("shared memory unavailable on this platform")
-        assert "leaked shared_memory" not in result.stderr
-        if os.path.isdir("/dev/shm"):
-            assert not os.path.exists(os.path.join("/dev/shm", name.lstrip("/")))
