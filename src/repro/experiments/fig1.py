@@ -25,7 +25,7 @@ from repro.experiments.common import (
     run_fig1_workloads_batched,
     scale,
 )
-from repro.experiments.parallel import lane_batchable, parallel_map, stream_enabled
+from repro.experiments.parallel import lane_batchable, parallel_map, sweep_stage
 
 #: the paper's x-axis, thinned to keep the default run affordable.
 DEFAULT_LOADS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14)
@@ -83,7 +83,7 @@ def run(
     seed: int = 0x5EED,
     workers: Optional[int] = None,
     profiler=None,
-    stream: Optional[bool] = None,
+    stream: bool = False,
 ) -> Fig1Result:
     """Sweep the BE load axis; points run across worker processes.
 
@@ -95,31 +95,26 @@ def run(
     instead run on the batch engine's lane axis — one vectorized
     process, one lane per load, same numbers per point (the batch
     engine is bit-identical to the sequential engine; only the
-    delta-accounting field differs).  ``stream=True`` (or
-    ``REPRO_STREAM=1``) additionally drives those lanes through the
-    five-phase streaming pipeline — same points again, with the
-    generate/load/retrieve/analyze work overlapped against the
-    simulation instead of serialized around it.
+    delta-accounting field differs).  ``stream=True`` additionally
+    drives those lanes through the five-phase streaming pipeline —
+    same points again, with the generate/load/retrieve/analyze work
+    overlapped against the simulation instead of serialized around it.
     """
     from repro.engines import SequentialEngine
 
     cycles = cycles if cycles is not None else scale(4000)
     if engine_cls is None and lane_batchable(len(loads), workers):
-        if stream_enabled(stream):
+        if stream:
             from repro.pipeline import stream_fig1_sweep
 
             swept = stream_fig1_sweep(
                 loads, cycles, seed=seed, profiler=profiler
             )
             return Fig1Result(swept.points)
-        if profiler is not None:
-            profiler.count("points", len(loads))
-            profiler.count("lanes", len(loads))
-            with profiler.stage("sweep"):
-                return Fig1Result(
-                    run_fig1_workloads_batched(loads, cycles, seed=seed)
-                )
-        return Fig1Result(run_fig1_workloads_batched(loads, cycles, seed=seed))
+        with sweep_stage(profiler, points=len(loads), lanes=len(loads)):
+            return Fig1Result(
+                run_fig1_workloads_batched(loads, cycles, seed=seed)
+            )
     engine_cls = engine_cls or SequentialEngine
     point = partial(
         run_fig1_workload, cycles=cycles, engine_cls=engine_cls, seed=seed

@@ -1,16 +1,20 @@
-"""Process-parallel sweep runner.
+"""Sweep fan-out: lanes or supervised farm workers.
 
 Every experiment sweep in this package (the Figure-1 load sweep, the
 traffic-pattern sweep, multi-seed fault campaigns) is embarrassingly
 parallel: each point is a pure function of an explicit, seeded
-configuration, and the points share no state.  :func:`parallel_map`
-exploits that with a :class:`~concurrent.futures.ProcessPoolExecutor`
-while keeping the one property the reproduction cannot give up —
-**determinism**: results are returned in submission order, every worker
-input carries its own seed, and nothing about the output depends on
-worker count or completion order.  ``workers=1`` (or any failure to
-spawn processes — sandboxes, missing ``fork``, unpicklable payloads)
-falls back to a plain serial loop producing byte-identical results.
+configuration, and the points share no state.  A sweep takes exactly
+one decision: a wide homogeneous sweep rides the batch engine's lane
+axis (:func:`lane_batchable`); everything else goes through
+:func:`parallel_map`, which fans the points out over supervised farm
+workers (:func:`repro.farm.client.farm_map`) while keeping the one
+property the reproduction cannot give up — **determinism**: results
+are returned in submission order, every worker input carries its own
+seed, and nothing about the output depends on worker count or
+completion order.  ``workers=1`` is a plain serial loop; a host that
+cannot spawn processes, or a payload that cannot be pickled, ends in
+the same byte-identical results through the farm's ``processes ->
+inline`` ladder — the only degradation ladder there is.
 
 The worker count resolves from, in order: the explicit ``workers``
 argument, the ``REPRO_WORKERS`` environment variable, and
@@ -20,8 +24,8 @@ argument, the ``REPRO_WORKERS`` environment variable, and
 from __future__ import annotations
 
 import os
-import pickle
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterable, List, Optional, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -30,15 +34,15 @@ R = TypeVar("R")
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: sweeps at least this wide default to the batch engine's lane axis
-#: (one vectorized process) instead of the process pool; narrower
-#: sweeps stay on the process path, where the per-point cost dominates.
+#: (one vectorized process) instead of farm workers; narrower sweeps
+#: stay on the process path, where the per-point cost dominates.
 LANE_BATCH_THRESHOLD = 4
 
 
 def lane_batchable(n_points: int, workers: Optional[int] = None) -> bool:
     """Whether a sweep should run on the batch engine's lane axis.
 
-    Lane batching replaces the process pool with a single
+    Lane batching replaces the worker processes with a single
     :class:`repro.engines.BatchEngine` carrying one sweep point per
     lane — every lane is bit-identical to the sequential engine, so the
     numbers do not change, only the wall-clock.  It is chosen
@@ -50,60 +54,34 @@ def lane_batchable(n_points: int, workers: Optional[int] = None) -> bool:
     return workers is None and n_points >= LANE_BATCH_THRESHOLD
 
 
-#: environment opt-in for routing sweeps through the supervised job
-#: farm (:mod:`repro.farm`): retry/timeout/worker-replacement around
-#: every sweep point instead of a bare process pool.
-FARM_ENV = "REPRO_FARM"
-
-#: environment opt-in for the streaming five-phase pipeline sweeps.
-STREAM_ENV = "REPRO_STREAM"
-
-
-def stream_enabled(stream: Optional[bool] = None) -> bool:
-    """Whether a sweep should run through the streaming pipeline.
-
-    An explicit ``stream=`` argument wins; with ``None`` the
-    ``REPRO_STREAM`` environment variable opts the whole process in
-    (the streamed sweeps produce the same points as the monolithic
-    ones — the equivalence tests assert it — so this is purely an
-    execution-strategy switch).
-    """
-    if stream is not None:
-        return stream
-    return os.environ.get(STREAM_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def farm_enabled() -> bool:
-    """Whether sweeps route through the supervised job farm.
-
-    ``REPRO_FARM=1`` turns every :func:`parallel_map` fan-out into a
-    farm batch: same results, same order, but each point gets the
-    farm's retry budget, wall-clock timeout and worker replacement.
-    Points stay byte-identical — supervision wraps execution, it never
-    touches the simulation.
-    """
-    return os.environ.get(FARM_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """The worker count to use: argument > $REPRO_WORKERS > cpu_count."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV)
         if env is not None:
-            workers = int(env)
+            try:
+                workers = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"{WORKERS_ENV} must be an integer worker count, got {env!r}"
+                ) from None
     if workers is None:
         workers = os.cpu_count() or 1
     return max(1, workers)
+
+
+@contextmanager
+def sweep_stage(profiler, **counts: int):
+    """Account one sweep in ``profiler`` (a
+    :class:`repro.platform.profiler.StageProfiler`, or ``None`` for a
+    no-op): bump the given counters, time the body under ``"sweep"``."""
+    if profiler is None:
+        yield
+        return
+    for name, n in counts.items():
+        profiler.count(name, n)
+    with profiler.stage("sweep"):
+        yield
 
 
 def parallel_map(
@@ -112,105 +90,31 @@ def parallel_map(
     workers: Optional[int] = None,
     profiler=None,
 ) -> List[R]:
-    """``[fn(x) for x in items]``, fanned out over worker processes.
+    """``[fn(x) for x in items]``, fanned out over farm workers.
 
     * **Order-preserving**: result ``i`` corresponds to ``items[i]``
       regardless of which worker finished first.
     * **Deterministic**: ``fn`` must be a pure function of its item (all
       experiment points here are seeded), so the output is identical to
       the serial loop — the parallel-sweep tests assert byte equality.
-    * **Graceful fallback**: if the pool cannot be created or dies
-      (``PermissionError``/``OSError`` in sandboxes, broken processes,
-      unpicklable ``fn``/items), the sweep silently reruns serially.
-      A worker raising an ordinary exception is *not* swallowed — that
-      is a real experiment failure and propagates to the caller.
+    * **Supervised**: with more than one worker and more than one item
+      the points run under :func:`repro.farm.client.farm_map` — a
+      killed or hung worker is replaced and its point retried; no
+      process spawning, or an unpicklable ``fn`` (lambda, closure),
+      degrades to in-process execution with the same results.
+    * **Loud**: a point that raises is a real experiment failure.  The
+      serial loop propagates it as is; from a worker it arrives as
+      :class:`repro.farm.FarmJobError` quoting ``TypeName: message``.
 
-    ``fn`` and every item must be picklable when ``workers > 1``: use
-    module-level functions and :func:`functools.partial` rather than
-    closures.  ``profiler``, when given, is a
+    ``profiler``, when given, is a
     :class:`repro.platform.profiler.StageProfiler`; the sweep records
     wall-clock under stage ``"sweep"`` and counts points and workers.
     """
     items = list(items)
-    workers = resolve_workers(workers)
-    workers = min(workers, len(items)) or 1
-
-    def serial() -> List[R]:
-        return [fn(item) for item in items]
-
-    if profiler is not None:
-        profiler.count("points", len(items))
-
-    if workers <= 1 or len(items) <= 1:
-        if profiler is not None:
-            profiler.count("workers", 1)
-            with profiler.stage("sweep"):
-                return serial()
-        return serial()
-
-    if farm_enabled():
+    workers = min(resolve_workers(workers), len(items)) or 1
+    with sweep_stage(profiler, points=len(items), workers=workers):
+        if workers <= 1:
+            return [fn(item) for item in items]
         from repro.farm.client import farm_map
-        from repro.farm.jobs import FarmJobError
 
-        try:
-            if profiler is not None:
-                profiler.count("workers", workers)
-                profiler.count("farm_batches", 1)
-                with profiler.stage("sweep"):
-                    return farm_map(fn, items, workers=workers)
-            return farm_map(fn, items, workers=workers)
-        except FarmJobError:
-            raise  # a sweep point genuinely failed — never silence it
-        except (OSError, pickle.PicklingError, AttributeError, TypeError):
-            # Farm infrastructure unavailable (no spawning, unpicklable
-            # fn) — same graceful fallback as the plain pool below.
-            if profiler is not None:
-                profiler.count("serial_fallbacks", 1)
-                with profiler.stage("sweep"):
-                    return serial()
-            return serial()
-
-    try:
-        # Import lazily: platforms without _multiprocessing still run.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError:
-        return serial()
-
-    try:
-        if profiler is not None:
-            profiler.count("workers", workers)
-            with profiler.stage("sweep"):
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    return list(pool.map(fn, items))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    except (
-        OSError,  # includes PermissionError: no process spawning allowed
-        BrokenProcessPool,
-        pickle.PicklingError,
-        AttributeError,  # unpicklable local function
-        TypeError,  # unpicklable argument
-    ):
-        if profiler is not None:
-            profiler.count("serial_fallbacks", 1)
-            with profiler.stage("sweep"):
-                return serial()
-        return serial()
-
-
-def chunked(items: Sequence[T], n: int) -> List[Sequence[T]]:
-    """Split ``items`` into ``n`` contiguous, order-preserving chunks
-    (the last chunks may be one element shorter).  Useful for sweeps
-    whose per-point cost is too small to amortise process startup."""
-    if not items:
-        return []
-    n = max(1, min(n, len(items)))
-    base, extra = divmod(len(items), n)
-    out: List[Sequence[T]] = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        out.append(items[start : start + size])
-        start += size
-    return out
+        return farm_map(fn, items, workers=workers)

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.common import render_table, scale
-from repro.experiments.parallel import lane_batchable, parallel_map, stream_enabled
+from repro.experiments.parallel import lane_batchable, parallel_map, sweep_stage
 
 #: offered BE load shared by every pattern (fraction of capacity).
 LOAD = 0.10
@@ -198,27 +198,21 @@ def run(
     seed: int = 0x7A77,
     workers: Optional[int] = None,
     profiler=None,
-    stream: Optional[bool] = None,
+    stream: bool = False,
 ) -> PatternsResult:
     cycles = cycles if cycles is not None else scale(1200)
     if lane_batchable(len(patterns), workers):
-        if stream_enabled(stream):
+        if stream:
             from repro.pipeline import stream_pattern_sweep
 
             swept = stream_pattern_sweep(
                 patterns, cycles, load=load, seed=seed, profiler=profiler
             )
             return PatternsResult(swept.points)
-        if profiler is not None:
-            profiler.count("points", len(patterns))
-            profiler.count("lanes", len(patterns))
-            with profiler.stage("sweep"):
-                return PatternsResult(
-                    run_patterns_batched(patterns, cycles, load=load, seed=seed)
-                )
-        return PatternsResult(
-            run_patterns_batched(patterns, cycles, load=load, seed=seed)
-        )
+        with sweep_stage(profiler, points=len(patterns), lanes=len(patterns)):
+            return PatternsResult(
+                run_patterns_batched(patterns, cycles, load=load, seed=seed)
+            )
     point = partial(run_pattern, cycles=cycles, load=load, seed=seed)
     return PatternsResult(
         parallel_map(point, patterns, workers=workers, profiler=profiler)

@@ -54,7 +54,6 @@ def run_sweep(
     base: Optional[CampaignConfig] = None,
     workers: Optional[int] = None,
     profiler=None,
-    stream: Optional[bool] = None,
 ) -> List[ResilienceReport]:
     """One campaign per seed, fanned out over worker processes.
 
@@ -62,26 +61,9 @@ def run_sweep(
     arrive in seed order and match the serial run byte for byte —
     detection *rates* vary per seed, which is the point: the sweep
     turns the single-campaign anecdote into a distribution.
-
-    ``stream=True`` (or ``REPRO_STREAM=1``) runs the campaigns through
-    the ring-buffered :func:`repro.pipeline.pipelined_sweep` instead of
-    the process pool: a feeder thread stages configs ahead of the
-    running campaign with real backpressure — identical reports, in
-    seed order.
     """
-    from repro.experiments.parallel import stream_enabled
-
     base = base or CampaignConfig(n_faults=60, include_flap=True)
     configs = [replace(base, seed=seed) for seed in seeds]
-    if stream_enabled(stream):
-        from repro.pipeline import pipelined_sweep
-
-        if profiler is not None:
-            profiler.count("points", len(configs))
-            profiler.count("streamed", 1)
-            with profiler.stage("sweep"):
-                return pipelined_sweep(run_campaign, configs)
-        return pipelined_sweep(run_campaign, configs)
     return run_campaigns(configs, workers=workers, profiler=profiler)
 
 

@@ -13,6 +13,8 @@ degradation ladder (processes -> inline -> cache-only).
 
 Modules: :mod:`~repro.farm.jobs` (specs + executors),
 :mod:`~repro.farm.queue` (retry/backoff bookkeeping),
+:mod:`~repro.farm.process` (the one worker-process primitive: spawn,
+liveness, kill escalation, exit sweep — partition tiles use it too),
 :mod:`~repro.farm.worker` (worker-process loop + heartbeat),
 :mod:`~repro.farm.supervisor` (deploy/monitor/recover),
 :mod:`~repro.farm.cache` (atomic on-disk results),
@@ -23,7 +25,6 @@ from repro.farm.cache import ResultCache
 from repro.farm.client import farm_map, open_cache, run_smoke, submit_jobs
 from repro.farm.jobs import (
     CallableJob,
-    CampaignJob,
     ChaosJob,
     FarmJobError,
     SimulateJob,
@@ -35,7 +36,6 @@ from repro.farm.supervisor import FarmReport, FarmSupervisor, JobOutcome
 
 __all__ = [
     "CallableJob",
-    "CampaignJob",
     "ChaosJob",
     "FarmJobError",
     "FarmReport",

@@ -3,7 +3,7 @@
 * :func:`submit_jobs` — one batch of specs through a supervised pool
   with the default cache;
 * :func:`farm_map` — ``[fn(x) for x in items]`` with farm supervision
-  (retry/timeout/replacement), the drop-in the experiment sweeps use;
+  (retry/timeout/replacement): the experiment sweeps' one fan-out;
 * :func:`run_smoke` — the ``repro farm --smoke`` self-check: two
   workers, one killed mid-job, and the job must still complete with a
   result bit-identical to a direct in-process run, then be served from
@@ -70,17 +70,25 @@ def farm_map(
 ) -> List[Any]:
     """``[fn(x) for x in items]`` under farm supervision.
 
-    Results come back in ``items`` order.  A job that fails past the
-    retry budget raises :class:`FarmJobError` carrying its failure
-    records — a sweep point crashing is an experiment failure, never a
-    silent hole.  Caching is off by default: sweep closures are not
-    stable content addresses across code changes the way declared job
-    specs are (pass ``cache_dir`` explicitly to opt in).
+    Results come back in ``items`` order.  ``fn`` is any picklable
+    callable; one that cannot cross a process boundary (a lambda, a
+    closure) runs serially right here instead.  A point that raises is
+    not retried — it is a pure function, it would raise again — and
+    surfaces as :class:`FarmJobError` carrying the original
+    ``TypeName: message`` and its failure records; a point whose worker
+    died or timed out is retried within the budget.  A sweep point
+    crashing is an experiment failure, never a silent hole.  Caching is
+    off by default: sweep closures are not stable content addresses
+    across code changes the way declared job specs are (pass
+    ``cache_dir`` explicitly to opt in).
     """
     items = list(items)
     if not items:
         return []
-    specs = [CallableJob.from_callable(fn, item) for item in items]
+    try:
+        specs = [CallableJob.from_callable(fn, item) for item in items]
+    except FarmJobError:
+        return [fn(item) for item in items]
     if workers is None:
         workers = min(len(items), os.cpu_count() or 1)
     report = submit_jobs(

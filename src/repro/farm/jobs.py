@@ -8,11 +8,10 @@ content-addressed result cache (:mod:`repro.farm.cache`) sound.
 * :class:`SimulateJob` — one :class:`~repro.traffic.stimuli.TrafficDriver`
   workload on any single-lane engine, with optional checkpoint-based
   resume (``checkpoint_every``) through :mod:`repro.noc.checkpoint`;
-* :class:`CampaignJob` — one seeded fault-injection campaign
-  (:func:`repro.faults.run_campaign`) reduced to its resilience summary;
-* :class:`CallableJob` — an arbitrary importable pure function applied
-  to one pickled item: the bridge the experiment sweeps use to route
-  their points through the farm;
+* :class:`CallableJob` — any picklable pure callable applied to one
+  pickled item: how the experiment sweeps (Figure-1 loads, traffic
+  patterns, multi-seed fault campaigns) fan their points out
+  (:func:`repro.farm.client.farm_map`);
 * :class:`ChaosJob` — deliberate crash/hang/fail/wedge behaviour for the
   chaos test suite and ``repro farm --smoke``.
 
@@ -49,14 +48,12 @@ def canonical_key(spec) -> str:
     """Content address of a job spec: SHA-256 of its canonical form.
 
     Declared job dataclasses hash their sorted-key JSON (stable across
-    processes and sessions); :class:`CallableJob` additionally hashes
-    the pickled item, since arbitrary sweep points need not be
+    processes and sessions); :class:`CallableJob` hashes the pickled
+    callable and item instead, since arbitrary sweep points need not be
     JSON-serialisable.
     """
     if isinstance(spec, CallableJob):
-        blob = pickle.dumps(
-            (spec.kind, spec.module, spec.qualname, spec.item), protocol=4
-        )
+        blob = pickle.dumps((spec.kind, spec.fn, spec.item), protocol=4)
         return hashlib.sha256(blob).hexdigest()
     payload = {"kind": spec.kind, **asdict(spec)}
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
@@ -97,41 +94,34 @@ class SimulateJob:
 
 
 @dataclass(frozen=True)
-class CampaignJob:
-    """One seeded fault-injection campaign, reduced to its summary."""
-
-    kind = "campaign"
-
-    width: int = 4
-    height: int = 4
-    topology: str = "torus"
-    n_faults: int = 20
-    seed: int = 1
-    load: float = 0.10
-    spacing: int = 4
-    include_flap: bool = False
-
-
-@dataclass(frozen=True)
 class CallableJob:
-    """``fn(item)`` for an importable module-level pure function."""
+    """``fn(item)`` for a picklable pure callable: a module-level
+    function, a :func:`functools.partial` over one, or a callable
+    object such as ``PartitionedEngineFactory``."""
 
     kind = "callable"
+    #: a pure point that raises would raise again: an ``exception``
+    #: failure is final, only worker death / timeout earn a retry.
+    retry_exceptions = False
 
-    module: str
-    qualname: str
+    fn: Any
     item: Any = None
 
     @staticmethod
     def from_callable(fn, item) -> "CallableJob":
-        module = getattr(fn, "__module__", None)
-        qualname = getattr(fn, "__qualname__", None)
-        if not module or not qualname or "<" in qualname:
+        try:
+            pickle.dumps((fn, item), protocol=4)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise FarmJobError(
-                f"farm jobs need an importable module-level function, "
-                f"got {fn!r}"
-            )
-        return CallableJob(module=module, qualname=qualname, item=item)
+                f"farm jobs must pickle to reach a worker process; {fn!r} "
+                f"applied to {item!r} does not: {exc}"
+            ) from exc
+        return CallableJob(fn=fn, item=item)
+
+    @property
+    def qualname(self) -> str:
+        fn = getattr(self.fn, "func", self.fn)  # see through a partial
+        return getattr(fn, "__qualname__", type(fn).__name__)
 
 
 @dataclass(frozen=True)
@@ -153,11 +143,6 @@ class ChaosJob:
     token: str = ""
     scratch: str = ""
     seconds: float = 3600.0
-
-
-JOB_TYPES: Dict[str, type] = {
-    cls.kind: cls for cls in (SimulateJob, CampaignJob, CallableJob, ChaosJob)
-}
 
 
 # ---------------------------------------------------------------------------
@@ -355,46 +340,6 @@ def run_simulate(
     }
 
 
-def run_campaign_job(spec: CampaignJob) -> Dict[str, Any]:
-    from repro.faults import CampaignConfig, run_campaign
-
-    report = run_campaign(
-        CampaignConfig(
-            width=spec.width,
-            height=spec.height,
-            topology=spec.topology,
-            n_faults=spec.n_faults,
-            seed=spec.seed,
-            load=spec.load,
-            spacing=spec.spacing,
-            include_flap=spec.include_flap,
-        )
-    )
-    return {
-        "injected": report.injected,
-        "detected": report.detected,
-        "undetected": report.undetected,
-        "recovered": report.recovered,
-        "rollbacks": report.rollbacks,
-        "detection_rate": round(report.detection_rate, 6),
-        "recovery_rate": round(report.recovery_rate, 6),
-        "recovery_exhausted": report.recovery_exhausted,
-        "quarantined_links": [list(link) for link in report.quarantined_links],
-        "cycles_run": report.cycles_run,
-        "total_deltas": report.total_deltas,
-    }
-
-
-def run_callable(spec: CallableJob) -> Any:
-    import importlib
-
-    module = importlib.import_module(spec.module)
-    fn = module
-    for part in spec.qualname.split("."):
-        fn = getattr(fn, part)
-    return fn(spec.item)
-
-
 def run_chaos(spec: ChaosJob) -> Dict[str, Any]:
     sentinel = (
         os.path.join(spec.scratch, f"chaos-{spec.token or 'job'}")
@@ -435,10 +380,8 @@ def execute(spec, scratch: Optional[str] = None) -> Any:
     """Run any job spec to its result payload (the workers' entry)."""
     if isinstance(spec, SimulateJob):
         return run_simulate(spec, scratch=scratch)
-    if isinstance(spec, CampaignJob):
-        return run_campaign_job(spec)
     if isinstance(spec, CallableJob):
-        return run_callable(spec)
+        return spec.fn(spec.item)
     if isinstance(spec, ChaosJob):
         return run_chaos(spec)
     raise FarmJobError(f"unknown job spec {type(spec).__name__}")

@@ -48,13 +48,17 @@ class JobQueue:
         """Record a failed attempt; requeue with backoff or give up.
 
         Returns ``"retry"`` (the job is back in the queue) or
-        ``"quarantine"`` (budget exhausted; the caller owns the state
-        and its ``failures`` list from here).
+        ``"quarantine"`` (budget exhausted, or the spec declares an
+        exception final via ``retry_exceptions = False``; the caller
+        owns the state and its ``failures`` list from here).
         """
         state.attempts += 1
         record.attempt = state.attempts
         state.failures.append(record)
-        if self.policy.allows(state.attempts):
+        final = record.kind == "exception" and not getattr(
+            state.spec, "retry_exceptions", True
+        )
+        if not final and self.policy.allows(state.attempts):
             state.ready_at = now + self.policy.delay(state.attempts, token=state.key)
             self.add(state)
             return "retry"

@@ -4,7 +4,7 @@
 worker processes and survives every failure mode the chaos suite can
 inject:
 
-* **crash** — a dead worker (EOF on its pipe, ``is_alive()`` false) is
+* **crash** — a dead worker (EOF on its pipe, ``alive()`` false) is
   replaced and its in-flight job requeued with backoff;
 * **hang** — a job past its wall-clock ``job_timeout`` gets its worker
   SIGTERMed, then SIGKILLed (escalation), a fresh worker spawned, and
@@ -17,20 +17,25 @@ inject:
 * **duplicate** — identical specs in one batch execute once; repeats
   across runs are served from the result cache without execution.
 
-Degradation ladder (never an exception, always an answer):
+Workers are :class:`~repro.farm.process.WorkerProcess` instances — the
+spawn / signal-escalation / reaping code is that primitive's, not ours.
+
+Degradation ladder (never an exception, always an answer; the only
+ladder — the experiment sweeps fan out through
+:func:`~repro.farm.client.farm_map` and inherit it):
 
 1. ``processes`` — the supervised pool above;
-2. ``inline`` — process spawning unavailable (sandboxes): jobs run in
-   the supervisor's own process with the same retry budget (timeouts
-   cannot be enforced without a killable process — documented, not
-   hidden);
+2. ``inline`` — process spawning unavailable
+   (:class:`~repro.farm.process.SpawnError`: sandboxes, no ``fork``):
+   jobs run in the supervisor's own process with the same retry budget
+   (timeouts cannot be enforced without a killable process —
+   documented, not hidden);
 3. ``cache-only`` — ``workers=0``: cache hits are served, everything
    else is reported ``unavailable``.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 import time
@@ -39,12 +44,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.farm.cache import ResultCache
 from repro.farm.jobs import FailureRecord, JobState, canonical_key, execute
+from repro.farm.process import WorkerProcess, shutdown
 from repro.farm.queue import JobQueue
+from repro.farm.worker import PROCESS_PREFIX, worker_main
 from repro.faults.policy import RetryPolicy
 from repro.platform.logs import TelemetryCounters
-
-#: seconds a SIGTERM gets before escalating to SIGKILL.
-TERM_GRACE = 0.5
 
 
 @dataclass
@@ -122,29 +126,22 @@ class FarmReport:
         return "\n".join(lines)
 
 
-class _WorkerHandle:
-    """Supervisor-side view of one worker process."""
+class _WorkerHandle(WorkerProcess):
+    """One farm worker plus the supervisor's scheduling state for it."""
 
-    def __init__(self, worker_id: int, proc, job_conn, result_conn, heartbeat):
+    def __init__(
+        self, worker_id: int, farm: str, interval: float, scratch: Optional[str]
+    ) -> None:
+        super().__init__(
+            worker_main,
+            (worker_id, interval, scratch),
+            name=f"{PROCESS_PREFIX}{farm}-w{worker_id}",
+            heartbeat=True,
+        )
         self.worker_id = worker_id
-        self.proc = proc
-        self.job_conn = job_conn  # supervisor -> worker
-        self.result_conn = result_conn  # worker -> supervisor
-        self.heartbeat = heartbeat
         self.busy: Optional[JobState] = None
         self.deadline: float = 0.0
         self.dispatched_at: float = 0.0
-        self.jobs_done = 0
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def close_conns(self) -> None:
-        for conn in (self.job_conn, self.result_conn):
-            try:
-                conn.close()
-            except OSError:
-                pass
 
 
 class FarmSupervisor:
@@ -177,10 +174,12 @@ class FarmSupervisor:
         self.workers: List[_WorkerHandle] = []
         self.mode = "cache-only" if self.n_workers == 0 else "unstarted"
         self._next_worker_id = 0
-        self._ctx = None
         self._scratch = scratch
         self._own_scratch = scratch is None
         self._started = False
+        #: the running batch: retry queue and terminal outcomes by key.
+        self._queue = JobQueue(self.policy)
+        self._outcomes: Dict[str, JobOutcome] = {}
         if self.cache is not None and self.cache.telemetry is None:
             self.cache.telemetry = self.telemetry
 
@@ -202,44 +201,24 @@ class FarmSupervisor:
             self.mode = "cache-only"
             return
         try:
-            import multiprocessing as mp
-
-            methods = mp.get_all_start_methods()
-            self._ctx = mp.get_context("fork" if "fork" in methods else None)
             for _ in range(self.n_workers):
                 self.workers.append(self._spawn())
             self.mode = "processes"
-        except (OSError, PermissionError, ImportError, ValueError,
-                AttributeError, RuntimeError):
-            # No process spawning here (sandbox, missing semaphores...):
-            # degrade to in-process execution, keep the retry budget.
+        except OSError:
+            # SpawnError: no process spawning here (sandbox, no fork,
+            # missing semaphores...).  Degrade to in-process execution,
+            # keep the retry budget.
             self._teardown_workers()
             self.mode = "inline"
             self.telemetry.incr("inline_fallbacks")
 
     def _spawn(self) -> _WorkerHandle:
-        from repro.farm.worker import PROCESS_PREFIX, worker_main
-
-        ctx = self._ctx
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        job_recv, job_send = ctx.Pipe(duplex=False)
-        result_recv, result_send = ctx.Pipe(duplex=False)
-        heartbeat = ctx.Value("d", time.monotonic())
-        proc = ctx.Process(
-            target=worker_main,
-            args=(worker_id, job_recv, result_send, heartbeat,
-                  self.heartbeat_interval, self._scratch),
-            name=f"{PROCESS_PREFIX}{self.name}-w{worker_id}",
-            daemon=True,
+        worker = _WorkerHandle(
+            self._next_worker_id, self.name, self.heartbeat_interval, self._scratch
         )
-        proc.start()
-        # Close the child's ends in this process so a dead worker turns
-        # into EOF on result_recv instead of an eternally open pipe.
-        job_recv.close()
-        result_send.close()
+        self._next_worker_id += 1
         self.telemetry.incr("workers_spawned")
-        return _WorkerHandle(worker_id, proc, job_send, result_recv, heartbeat)
+        return worker
 
     def close(self) -> None:
         """Stop every worker (graceful, then SIGTERM, then SIGKILL)."""
@@ -249,43 +228,18 @@ class FarmSupervisor:
             self._scratch = None
 
     def _teardown_workers(self) -> None:
-        for worker in self.workers:
-            try:
-                worker.job_conn.send(("stop",))
-            except (OSError, ValueError):
-                pass
-        for worker in self.workers:
-            worker.proc.join(timeout=1.0)
-            if worker.proc.is_alive():
-                self._kill(worker)
-            worker.close_conns()
-            # release the process table entry
-            try:
-                worker.proc.join(timeout=1.0)
-            except (OSError, AssertionError):
-                pass
+        sigkilled = shutdown(self.workers, stop=("stop",))
+        if sigkilled:
+            self.telemetry.incr("sigkills", sigkilled)
         self.workers = []
-
-    def _kill(self, worker: _WorkerHandle) -> None:
-        """SIGTERM, short grace, then SIGKILL — a wedged worker cannot
-        refuse."""
-        try:
-            worker.proc.terminate()
-            worker.proc.join(timeout=TERM_GRACE)
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join(timeout=5.0)
-                self.telemetry.incr("sigkills")
-        except (OSError, AttributeError):
-            pass
 
     # -- submission ---------------------------------------------------------
     def submit(self, specs: Sequence[Any]) -> FarmReport:
         """Run a batch of job specs to terminal outcomes."""
         self.start()
         order: List[str] = []
-        outcomes: Dict[str, JobOutcome] = {}
-        queue = JobQueue(self.policy)
+        outcomes = self._outcomes = {}
+        queue = self._queue = JobQueue(self.policy)
         states: Dict[str, JobState] = {}
 
         for spec in specs:
@@ -311,9 +265,9 @@ class FarmSupervisor:
 
         if states:
             if self.mode == "inline":
-                self._run_inline(queue, outcomes)
+                self._run_inline()
             else:
-                self._run_processes(queue, states, outcomes)
+                self._run_processes()
         return FarmReport(
             mode=self.mode,
             order=order,
@@ -323,14 +277,9 @@ class FarmSupervisor:
 
     # -- terminal transitions ----------------------------------------------
     def _complete(
-        self,
-        outcomes: Dict[str, JobOutcome],
-        state: JobState,
-        payload: Any,
-        worker: Optional[int],
-        elapsed: float,
+        self, state: JobState, payload: Any, worker: Optional[int], elapsed: float
     ) -> None:
-        outcomes[state.key] = JobOutcome(
+        self._outcomes[state.key] = JobOutcome(
             state.key,
             state.spec,
             "completed",
@@ -348,33 +297,37 @@ class FarmSupervisor:
 
     def _fail(
         self,
-        queue: JobQueue,
-        outcomes: Dict[str, JobOutcome],
         state: JobState,
-        record: FailureRecord,
-        now: float,
+        kind: str,
+        detail: str,
+        elapsed: float,
+        worker: Optional[int] = None,
     ) -> None:
+        """Record one failed attempt; requeue with backoff or quarantine."""
+        record = FailureRecord(
+            kind, detail, attempt=state.attempts + 1, worker=worker, elapsed=elapsed
+        )
         self.telemetry.incr("job_failures")
-        self.telemetry.incr(f"failures_{record.kind}")
-        if record.worker is not None:
-            self.telemetry.incr("job_failures", scope=f"worker[{record.worker}]")
-        verdict = queue.fail(state, record, now)
-        if verdict == "retry":
+        self.telemetry.incr(f"failures_{kind}")
+        if worker is not None:
+            self.telemetry.incr("job_failures", scope=f"worker[{worker}]")
+        if self._queue.fail(state, record, time.monotonic()) == "retry":
             self.telemetry.incr("retries")
-        else:
-            outcomes[state.key] = JobOutcome(
-                state.key,
-                state.spec,
-                "quarantined",
-                attempts=state.attempts,
-                failures=state.failures,
-            )
-            self.telemetry.incr("jobs_quarantined")
-            if self.cache is not None:
-                self.cache.quarantine_job(state.key, state.spec, state.failures)
+            return
+        self._outcomes[state.key] = JobOutcome(
+            state.key,
+            state.spec,
+            "quarantined",
+            attempts=state.attempts,
+            failures=state.failures,
+        )
+        self.telemetry.incr("jobs_quarantined")
+        if self.cache is not None:
+            self.cache.quarantine_job(state.key, state.spec, state.failures)
 
     # -- inline (degraded) execution ----------------------------------------
-    def _run_inline(self, queue: JobQueue, outcomes: Dict[str, JobOutcome]) -> None:
+    def _run_inline(self) -> None:
+        queue = self._queue
         while queue:
             now = time.monotonic()
             state = queue.next_ready(now)
@@ -387,21 +340,11 @@ class FarmSupervisor:
                 payload = execute(state.spec, scratch=self._scratch)
             except Exception as exc:  # noqa: BLE001 - budgeted retry
                 self._fail(
-                    queue,
-                    outcomes,
-                    state,
-                    FailureRecord(
-                        "exception",
-                        f"{type(exc).__name__}: {exc}",
-                        attempt=state.attempts + 1,
-                        elapsed=time.perf_counter() - started,
-                    ),
-                    time.monotonic(),
+                    state, "exception", f"{type(exc).__name__}: {exc}",
+                    time.perf_counter() - started,
                 )
                 continue
-            self._complete(
-                outcomes, state, payload, None, time.perf_counter() - started
-            )
+            self._complete(state, payload, None, time.perf_counter() - started)
 
     # -- supervised process execution ----------------------------------------
     def _dispatch(self, worker: _WorkerHandle, state: JobState) -> None:
@@ -409,200 +352,108 @@ class FarmSupervisor:
         worker.busy = state
         worker.dispatched_at = now
         worker.deadline = now + self.job_timeout
-        worker.job_conn.send(("job", state.key, state.spec))
+        worker.conn.send(("job", state.key, state.spec))
         self.telemetry.incr("dispatches")
         self.telemetry.incr("dispatches", scope=f"worker[{worker.worker_id}]")
         if self.on_dispatch is not None:
             self.on_dispatch(worker, state)
 
-    def _replace(self, worker: _WorkerHandle) -> None:
-        """Swap a dead/killed worker for a fresh one (same slot)."""
-        worker.close_conns()
-        try:
-            worker.proc.join(timeout=0.5)
-        except (OSError, AssertionError):
-            pass
+    def _lose(self, worker: _WorkerHandle, kind: str, detail: str) -> None:
+        """``worker`` died, hung or wedged: fail its in-flight job
+        (requeue or quarantine), kill it, and put a fresh worker in its
+        slot."""
+        state, worker.busy = worker.busy, None
+        if state is not None:
+            self._fail(
+                state, kind, detail,
+                time.monotonic() - worker.dispatched_at, worker.worker_id,
+            )
+        if worker.close(grace=0.0):
+            self.telemetry.incr("sigkills")
         self.telemetry.incr("workers_replaced")
         index = self.workers.index(worker)
         try:
             self.workers[index] = self._spawn()
-        except (OSError, PermissionError, ValueError, RuntimeError):
+        except OSError:
             # Cannot respawn any more: shrink the pool; if it empties,
             # the drain loop degrades the rest of the batch to inline.
             self.workers.pop(index)
             self.telemetry.incr("respawn_failures")
 
-    def _requeue_inflight(
-        self,
-        queue: JobQueue,
-        outcomes: Dict[str, JobOutcome],
-        worker: _WorkerHandle,
-        kind: str,
-        detail: str,
-    ) -> None:
-        state = worker.busy
-        worker.busy = None
-        if state is None or state.key in outcomes:
-            return
-        self._fail(
-            queue,
-            outcomes,
-            state,
-            FailureRecord(
-                kind,
-                detail,
-                attempt=state.attempts + 1,
-                worker=worker.worker_id,
-                elapsed=time.monotonic() - worker.dispatched_at,
-            ),
-            time.monotonic(),
+    def _lose_dead(self, worker: _WorkerHandle) -> None:
+        self.telemetry.incr("worker_deaths")
+        self._lose(
+            worker, "worker-died",
+            f"worker {worker.worker_id} exited (exitcode {worker.exitcode})",
         )
 
-    def _run_processes(
-        self,
-        queue: JobQueue,
-        states: Dict[str, JobState],
-        outcomes: Dict[str, JobOutcome],
-    ) -> None:
+    def _run_processes(self) -> None:
         from multiprocessing import connection as mp_connection
 
-        inflight: Dict[str, JobState] = {}
-
+        queue = self._queue
         while queue or any(w.busy is not None for w in self.workers):
             if not self.workers:
-                # Every worker died and none could be respawned: finish
-                # the remaining work inline rather than losing it.
+                # Every worker died and none could be respawned (their
+                # jobs are back in the queue): finish the remaining
+                # work inline rather than losing it.
                 self.mode = "inline"
                 self.telemetry.incr("inline_fallbacks")
-                for worker_state in list(inflight.values()):
-                    if worker_state.key not in outcomes:
-                        queue.add(worker_state)
-                inflight.clear()
-                self._run_inline(queue, outcomes)
+                self._run_inline()
                 return
-            now = time.monotonic()
 
             # 1. dispatch ready jobs onto idle workers
-            for worker in self.workers:
+            now = time.monotonic()
+            for worker in list(self.workers):
                 if worker.busy is not None:
                     continue
                 state = queue.next_ready(now)
                 if state is None:
                     break
-                inflight[state.key] = state
                 try:
                     self._dispatch(worker, state)
-                except (OSError, ValueError, BrokenPipeError):
-                    # Pipe already dead: treat as a worker death.
-                    inflight.pop(state.key, None)
-                    self._requeue_inflight(
-                        queue, outcomes, worker, "worker-died",
-                        "job pipe closed at dispatch",
-                    )
-                    self._kill(worker)
-                    self._replace(worker)
+                except (OSError, ValueError):
+                    self._lose(worker, "worker-died", "job pipe closed at dispatch")
 
             # 2. wait for results (bounded by the poll interval)
-            conns = {w.result_conn: w for w in self.workers}
-            ready = mp_connection.wait(list(conns), timeout=self.poll)
-            for conn in ready:
+            conns = {w.conn: w for w in self.workers}
+            for conn in mp_connection.wait(list(conns), timeout=self.poll):
                 worker = conns[conn]
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
-                    self._handle_death(queue, outcomes, worker, inflight)
+                    self._lose_dead(worker)
                     continue
-                self._handle_message(queue, outcomes, worker, message, inflight)
+                self._handle_message(worker, message)
 
-            # 3. enforce per-job deadlines (timeout -> kill escalation)
+            # 3. deadlines (timeout -> kill escalation) and liveness
+            #    (dead processes, stale heartbeats)
             now = time.monotonic()
             for worker in list(self.workers):
                 if worker.busy is not None and now > worker.deadline:
                     self.telemetry.incr("timeouts")
-                    state = worker.busy
-                    inflight.pop(state.key, None)
-                    self._requeue_inflight(
-                        queue, outcomes, worker, "timeout",
+                    self._lose(
+                        worker, "timeout",
                         f"exceeded {self.job_timeout:.1f}s wall clock",
                     )
-                    self._kill(worker)
-                    self._replace(worker)
-
-            # 4. liveness: dead processes and stale heartbeats
-            now = time.monotonic()
-            for worker in list(self.workers):
-                if not worker.alive():
-                    self._handle_death(queue, outcomes, worker, inflight)
-                elif (
-                    now - worker.heartbeat.value > self.heartbeat_timeout
-                ):
+                elif not worker.alive():
+                    self._lose_dead(worker)
+                elif worker.heartbeat_age() > self.heartbeat_timeout:
                     self.telemetry.incr("heartbeat_losses")
-                    state = worker.busy
-                    if state is not None:
-                        inflight.pop(state.key, None)
-                    self._requeue_inflight(
-                        queue, outcomes, worker, "heartbeat",
+                    self._lose(
+                        worker, "heartbeat",
                         f"no heartbeat for {self.heartbeat_timeout:.1f}s",
                     )
-                    self._kill(worker)
-                    self._replace(worker)
 
-    def _handle_death(
-        self,
-        queue: JobQueue,
-        outcomes: Dict[str, JobOutcome],
-        worker: _WorkerHandle,
-        inflight: Dict[str, JobState],
-    ) -> None:
-        self.telemetry.incr("worker_deaths")
+    def _handle_message(self, worker: _WorkerHandle, message) -> None:
+        """``("done", worker_id, key, payload, elapsed)`` or
+        ``("fail", worker_id, key, detail, elapsed)`` from ``worker``."""
+        tag, worker_id, key, body, elapsed = message
         state = worker.busy
-        if state is not None:
-            inflight.pop(state.key, None)
-        self._requeue_inflight(
-            queue, outcomes, worker, "worker-died",
-            f"worker {worker.worker_id} exited "
-            f"(exitcode {worker.proc.exitcode})",
-        )
-        self._kill(worker)
-        self._replace(worker)
-
-    def _handle_message(
-        self,
-        queue: JobQueue,
-        outcomes: Dict[str, JobOutcome],
-        worker: _WorkerHandle,
-        message,
-        inflight: Dict[str, JobState],
-    ) -> None:
-        tag = message[0]
+        if state is None or state.key != key:
+            self.telemetry.incr("stale_results")
+            return
+        worker.busy = None
         if tag == "done":
-            _tag, worker_id, key, payload, elapsed = message
-            state = inflight.pop(key, None)
-            if state is None or key in outcomes:
-                self.telemetry.incr("stale_results")
-            else:
-                worker.jobs_done += 1
-                self._complete(outcomes, state, payload, worker_id, elapsed)
-            if worker.busy is not None and worker.busy.key == key:
-                worker.busy = None
-        elif tag == "fail":
-            _tag, worker_id, key, detail, elapsed = message
-            state = inflight.pop(key, None)
-            if worker.busy is not None and worker.busy.key == key:
-                worker.busy = None
-            if state is None or key in outcomes:
-                self.telemetry.incr("stale_results")
-                return
-            self._fail(
-                queue,
-                outcomes,
-                state,
-                FailureRecord(
-                    "exception",
-                    detail,
-                    attempt=state.attempts + 1,
-                    worker=worker_id,
-                    elapsed=elapsed,
-                ),
-                time.monotonic(),
-            )
+            self._complete(state, body, worker_id, elapsed)
+        else:
+            self._fail(state, "exception", body, elapsed, worker_id)

@@ -1,17 +1,13 @@
 """Worker-process side of the farm.
 
-A worker is one OS process (named ``repro-farm-...`` so the test
-suite's leak check can spot strays) in a loop: receive a job spec over
-its private pipe, execute it, send the result back over its private
-result pipe.  Private pipes — rather than one shared queue — are the
-robustness choice: SIGKILLing a worker mid-send can only ever tear the
-dead worker's own channel (the supervisor sees EOF), never poison a
-lock shared with healthy peers.
+A worker is one :class:`~repro.farm.process.WorkerProcess` (named
+``repro-farm-...``) in a loop: receive a job spec over its private
+pipe, execute it, send the result back.
 
 Liveness is reported two ways:
 
-* the **process** itself — the supervisor polls ``Process.is_alive``
-  and gets EOF on the result pipe when the worker dies;
+* the **process** itself — the supervisor polls ``alive()`` and gets
+  EOF on the pipe when the worker dies;
 * a **heartbeat** — a shared double the worker's daemon heartbeat
   thread stamps with ``time.monotonic()`` every ``interval`` seconds.
   The thread beats even while a job blocks, so a stale heartbeat means
@@ -33,7 +29,7 @@ from typing import Optional
 
 from repro.farm import jobs
 
-#: prefix for worker process names; conftest's leak check keys on it.
+#: prefix for worker process names.
 PROCESS_PREFIX = "repro-farm-"
 
 
@@ -64,12 +60,11 @@ def _beat(heartbeat, stop: threading.Event, interval: float) -> None:
 
 
 def worker_main(
+    conn,
     worker_id: int,
-    job_conn,
-    result_conn,
-    heartbeat,
     interval: float,
     scratch: Optional[str],
+    heartbeat,
 ) -> None:
     """Entry point of one worker process."""
     global _ACTIVE
@@ -86,7 +81,7 @@ def worker_main(
     try:
         while True:
             try:
-                message = job_conn.recv()
+                message = conn.recv()
             except (EOFError, OSError):
                 break
             if not message or message[0] == "stop":
@@ -98,7 +93,7 @@ def worker_main(
             except BaseException as exc:  # noqa: BLE001 - reported, not raised
                 detail = f"{type(exc).__name__}: {exc}"
                 try:
-                    result_conn.send(
+                    conn.send(
                         ("fail", worker_id, key, detail,
                          time.perf_counter() - started)
                     )
@@ -108,7 +103,7 @@ def worker_main(
                     break
                 continue
             try:
-                result_conn.send(
+                conn.send(
                     ("done", worker_id, key, payload, time.perf_counter() - started)
                 )
             except (OSError, ValueError):
@@ -116,7 +111,7 @@ def worker_main(
             except (TypeError, AttributeError, pickle.PicklingError) as exc:
                 # Unpicklable payload: report instead of dying silently.
                 try:
-                    result_conn.send(
+                    conn.send(
                         ("fail", worker_id, key,
                          f"unpicklable result: {exc}",
                          time.perf_counter() - started)
@@ -126,6 +121,6 @@ def worker_main(
     finally:
         stop.set()
         try:
-            result_conn.close()
+            conn.close()
         except OSError:
             pass

@@ -155,7 +155,6 @@ class PartitionedEngine:
         #: (exchange + relay + waiting on workers' round replies).
         self.step_seconds = 0.0
         self.sync_seconds = 0.0
-        self.closed = False
 
         k = partition_map.n_partitions
         self._seen_inj = [0] * k
@@ -573,9 +572,8 @@ class PartitionedEngine:
 
     # -- teardown --------------------------------------------------------------
     def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
+        """Stop the tile processes, if any (idempotent; a forgotten
+        engine's pool also tears itself down when collected)."""
         if self.pool is not None:
             self.pool.close()
 
@@ -584,9 +582,3 @@ class PartitionedEngine:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - safety net
-        try:
-            self.close()
-        except Exception:
-            pass

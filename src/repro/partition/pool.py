@@ -1,10 +1,10 @@
-"""Supervised process pool for partition workers.
+"""Process pool for partition workers.
 
-One OS process per tile, reusing the farm's worker idioms
-(:mod:`repro.farm.supervisor`): fork-context daemon processes with a
-recognisable name prefix, heartbeat values, pipe command channels, and
-the SIGTERM -> grace -> SIGKILL teardown escalation.  The boundary data
-plane optionally rides shared memory: one int64 slot per boundary wire
+One OS process per tile, each a farm
+:class:`~repro.farm.process.WorkerProcess` — spawning, the pipe command
+channel, the exit -> SIGTERM -> grace -> SIGKILL teardown and the
+exit-time sweep are that primitive's.  The boundary data plane
+optionally rides shared memory: one int64 slot per boundary wire
 per bank in a ``multiprocessing.shared_memory`` segment that workers
 write/read directly, with pipe messages as the control plane — where
 the platform forbids shared memory (:class:`ShmUnavailableError`) the
@@ -33,10 +33,10 @@ diagnosis intact.
 
 from __future__ import annotations
 
-import atexit
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import weakref
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.farm.process import SpawnError, WorkerProcess, shutdown
 from repro.faults.errors import FaultDetectedError, LivelockError
 from repro.noc.config import NetworkConfig
 from repro.partition.tiles import PartitionMap
@@ -44,26 +44,12 @@ from repro.partition.worker import PartitionWorkerNetwork
 
 __all__ = ["ProcessWorkerPool", "PROCESS_PREFIX", "ShmUnavailableError"]
 
-#: process-name prefix of partition workers (the leak fixture greps it).
+#: process-name prefix of partition workers.
 PROCESS_PREFIX = "repro-partition-"
 
 #: reply deadline: generous — a worker converging a big tile is slow,
 #: a dead worker is detected by process liveness well before this.
 REPLY_TIMEOUT = 300.0
-
-#: live pools, for the atexit sweep.
-_OPEN_POOLS: List["ProcessWorkerPool"] = []
-
-
-def _close_open_pools() -> None:
-    for pool in list(_OPEN_POOLS):
-        try:
-            pool.close()
-        except Exception:  # pragma: no cover - nothing to do at exit
-            pass
-
-
-atexit.register(_close_open_pools)
 
 
 class ShmUnavailableError(RuntimeError):
@@ -123,12 +109,11 @@ def _raise_worker_error(tile: int, payload: Tuple) -> None:
 
 
 def worker_main(
+    conn,
     cfg: NetworkConfig,
     tile: Sequence[int],
     scheduler: str,
     watchdog_factor: Optional[int],
-    conn,
-    heartbeat,
     shm_name: Optional[str],
     export_slots: Sequence[int],
     import_slots: Sequence[int],
@@ -174,7 +159,6 @@ def worker_main(
         while True:
             message = conn.recv()
             command = message[0]
-            heartbeat.value = time.monotonic()
             try:
                 if command == "begin":
                     _, ops, imports = message
@@ -219,7 +203,6 @@ def worker_main(
                 elif command == "snapshot":
                     conn.send(("ok", net.owned_snapshot()))
                 elif command == "exit":
-                    conn.send(("ok",))
                     return
                 else:  # pragma: no cover - protocol bug
                     raise ValueError(f"unknown command {command!r}")
@@ -235,6 +218,17 @@ def worker_main(
             plane.close()
 
 
+def _teardown(workers: List[WorkerProcess], plane) -> None:
+    """Stop the tile processes, then unlink the plane."""
+    shutdown(workers, stop=("exit",))
+    if plane is not None:
+        plane.close()
+        try:
+            plane.unlink()
+        except FileNotFoundError:  # pragma: no cover - already unlinked
+            pass
+
+
 class ProcessWorkerPool:
     """Spawn, drive and tear down one process per tile."""
 
@@ -246,13 +240,7 @@ class ProcessWorkerPool:
         watchdog_factor: Optional[int] = None,
         use_shm: bool = True,
     ) -> None:
-        import multiprocessing as mp
-
-        self.cfg = cfg
-        self.pmap = pmap
         self.n_workers = pmap.n_partitions
-        self.closed = False
-        ctx = mp.get_context("fork")
 
         # One int64 slot per boundary wire per bank (double-buffered —
         # see the module docstring).  Slot order is the sorted global
@@ -260,65 +248,52 @@ class ProcessWorkerPool:
         # nowhere else — workers get their slot indices by value.
         from repro.partition.switch import BoundarySwitch
 
-        self._switch_names = BoundarySwitch(cfg, pmap, 0)
+        switch = BoundarySwitch(cfg, pmap, 0)
         slot_of: Dict[str, int] = {
-            name: index
-            for index, name in enumerate(sorted(self._switch_names.values))
+            name: index for index, name in enumerate(sorted(switch.values))
         }
-        self._plane = None
-        self._plane_view = None
-        shm_name = None
+        plane = None
         if use_shm:
             try:
-                self._plane = _create_plane(len(slot_of))
-                shm_name = self._plane.name
-                self._plane_view = memoryview(self._plane.buf).cast("q")
+                plane = _create_plane(len(slot_of))
             except ShmUnavailableError:
                 pass  # degrade to the pipes
-        self.shm_active = shm_name is not None
+        self.shm_active = plane is not None
+        shm_name = plane.name if plane is not None else None
 
-        self._conns = []
-        self._procs = []
-        self._heartbeats = []
-        for index, tile in enumerate(pmap.tiles):
-            export_slots = [
-                slot_of[n] for n in self._switch_names.export_names[index]
-            ]
-            import_slots = [
-                slot_of[n] for n in self._switch_names.import_names[index]
-            ]
-            parent, child = ctx.Pipe(duplex=True)
-            heartbeat = ctx.Value("d", time.monotonic())
-            proc = ctx.Process(
-                target=worker_main,
-                args=(
-                    cfg,
-                    tile,
-                    scheduler,
-                    watchdog_factor,
-                    child,
-                    heartbeat,
-                    shm_name,
-                    export_slots,
-                    import_slots,
-                ),
-                name=f"{PROCESS_PREFIX}t{index}",
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
-            self._heartbeats.append(heartbeat)
-        self._import_slots = [
-            [slot_of[n] for n in names]
-            for names in self._switch_names.import_names
-        ]
-        _OPEN_POOLS.append(self)
+        self._workers: List[WorkerProcess] = []
+        # Runs on close(), on garbage collection and at interpreter
+        # exit, whichever comes first — and exactly once.
+        self._finalizer = weakref.finalize(self, _teardown, self._workers, plane)
+        try:
+            for index, tile in enumerate(pmap.tiles):
+                export_slots = [slot_of[n] for n in switch.export_names[index]]
+                import_slots = [slot_of[n] for n in switch.import_names[index]]
+                self._workers.append(
+                    WorkerProcess(
+                        worker_main,
+                        (
+                            cfg,
+                            tile,
+                            scheduler,
+                            watchdog_factor,
+                            shm_name,
+                            export_slots,
+                            import_slots,
+                        ),
+                        name=f"{PROCESS_PREFIX}t{index}",
+                    )
+                )
+        except SpawnError as exc:
+            self.close()
+            raise SpawnError(
+                f'{exc} — transport="process" needs one worker process per '
+                'tile; use transport="local" on this host'
+            ) from None
 
     # -- plumbing ------------------------------------------------------------
     def _recv(self, tile: int):
-        conn = self._conns[tile]
+        conn = self._workers[tile].conn
         if not conn.poll(REPLY_TIMEOUT):
             raise RuntimeError(
                 f"partition worker {tile} unresponsive for "
@@ -329,16 +304,21 @@ class ProcessWorkerPool:
         except EOFError:
             raise RuntimeError(
                 f"partition worker {tile} died mid-protocol "
-                f"(exitcode {self._procs[tile].exitcode})"
+                f"(exitcode {self._workers[tile].exitcode})"
             ) from None
         if reply[0] == "err":
             _raise_worker_error(tile, reply[1])
         return reply
 
-    def _broadcast(self, message) -> List:
-        for conn in self._conns:
-            conn.send(message)
+    def _scatter(self, messages: Sequence) -> List:
+        """Send ``messages[tile]`` to every tile, then gather the replies
+        (all tiles work concurrently between the two loops)."""
+        for worker, message in zip(self._workers, messages):
+            worker.conn.send(message)
         return [self._recv(tile) for tile in range(self.n_workers)]
+
+    def _broadcast(self, message) -> List:
+        return self._scatter([message] * self.n_workers)
 
     def _imports_payload(self, imports: Sequence[Sequence[int]], tile: int):
         """Per-tile import values for the pipe, or None when they ride
@@ -358,40 +338,32 @@ class ProcessWorkerPool:
         before convergence; ``any_changed`` is True when some tile's
         exports differ from its last publication (i.e. a boundary round
         is needed at all)."""
-        for tile, conn in enumerate(self._conns):
-            if imports is None:
-                payload = False
-            else:
-                payload = self._imports_payload(imports, tile)
-            conn.send(("begin", list(ops[tile]), payload))
-        deltas: List[int] = []
-        exports: List[Optional[List[int]]] = []
-        any_changed = False
-        for tile in range(self.n_workers):
-            _, d, e, changed = self._recv(tile)
-            deltas.append(d)
-            exports.append(e)
-            any_changed = any_changed or changed
-        return deltas, exports, any_changed
+        replies = self._scatter(
+            [
+                (
+                    "begin",
+                    list(ops[tile]),
+                    False if imports is None else self._imports_payload(imports, tile),
+                )
+                for tile in range(self.n_workers)
+            ]
+        )
+        _, deltas, exports, changed = zip(*replies)
+        return list(deltas), list(exports), any(changed)
 
     def exchange(
         self, imports: Sequence[Sequence[int]]
     ) -> Tuple[bool, List[int], List[Optional[List[int]]], bool]:
         """One boundary round; returns (any_destabilised, deltas,
         exports, any_changed)."""
-        for tile, conn in enumerate(self._conns):
-            conn.send(("exchange", self._imports_payload(imports, tile)))
-        any_destab = False
-        deltas: List[int] = []
-        exports: List[Optional[List[int]]] = []
-        any_changed = False
-        for tile in range(self.n_workers):
-            _, destab, d, e, changed = self._recv(tile)
-            any_destab = any_destab or destab
-            deltas.append(d)
-            exports.append(e)
-            any_changed = any_changed or changed
-        return any_destab, deltas, exports, any_changed
+        replies = self._scatter(
+            [
+                ("exchange", self._imports_payload(imports, tile))
+                for tile in range(self.n_workers)
+            ]
+        )
+        _, destabilised, deltas, exports, changed = zip(*replies)
+        return any(destabilised), list(deltas), list(exports), any(changed)
 
     def commit(self) -> List[Tuple[List, List, int, int]]:
         """Close the cycle; returns (injections, ejections, buffered,
@@ -409,60 +381,5 @@ class ProcessWorkerPool:
 
     # -- teardown -------------------------------------------------------------
     def close(self) -> None:
-        """Graceful exit, then the farm's SIGTERM -> SIGKILL escalation."""
-        if self.closed:
-            return
-        self.closed = True
-        from repro.farm.supervisor import TERM_GRACE
-
-        for conn in self._conns:
-            try:
-                conn.send(("exit",))
-            except (OSError, BrokenPipeError):
-                pass
-        for tile, proc in enumerate(self._procs):
-            try:
-                conn = self._conns[tile]
-                if conn.poll(TERM_GRACE):
-                    conn.recv()
-            except (OSError, EOFError):
-                pass
-            try:
-                proc.join(timeout=TERM_GRACE)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=TERM_GRACE)
-                if proc.is_alive():  # pragma: no cover - wedged worker
-                    proc.kill()
-                    proc.join(timeout=5.0)
-            except (OSError, AttributeError):  # pragma: no cover
-                pass
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        if self._plane_view is not None:
-            self._plane_view.release()
-            self._plane_view = None
-        if self._plane is not None:
-            try:
-                self._plane.close()
-                self._plane.unlink()
-            except Exception:  # pragma: no cover - already unlinked
-                pass
-            self._plane = None
-        if self in _OPEN_POOLS:
-            _OPEN_POOLS.remove(self)
-
-    def __enter__(self) -> "ProcessWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Stop the tile processes and free the plane.  Idempotent."""
+        self._finalizer()

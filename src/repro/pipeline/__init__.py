@@ -20,9 +20,7 @@ generated body, with the host touching the fabric only at its boundary.
   fallback producing byte-identical results, instrumented by
   :class:`~repro.platform.profiler.PipelineProfiler`;
 * :mod:`~repro.pipeline.workloads` — streamed versions of the
-  Figure-1 and pattern sweeps;
-* :mod:`~repro.pipeline.sweep` — a generic pipelined point sweep
-  (produce / run / collate) for campaign-style workloads.
+  Figure-1 and pattern sweeps.
 """
 
 from repro.pipeline.chunks import END, LoadedChunk, ResultChunk, RetrievedChunk, StimulusChunk
@@ -35,7 +33,6 @@ from repro.pipeline.stages import (
     RetrieveStage,
     SimulateStage,
 )
-from repro.pipeline.sweep import pipelined_sweep
 from repro.pipeline.workloads import stream_fig1_sweep, stream_pattern_sweep
 
 __all__ = [
@@ -51,7 +48,6 @@ __all__ = [
     "SimulateStage",
     "StageRing",
     "StimulusChunk",
-    "pipelined_sweep",
     "run_pipeline",
     "stream_fig1_sweep",
     "stream_pattern_sweep",

@@ -52,11 +52,11 @@ def _isolated_kernel_cache(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def _no_pipeline_leaks():
-    """Every test must leave the streaming pipeline and the job farm
-    torn down: no ``repro-pipeline-*`` worker threads still alive and
-    no ``repro-farm-*`` worker processes still among our children.
-    Lazy lookups keep this free for the tests that never touch either
-    subsystem."""
+    """Every test must leave the streaming pipeline and every worker
+    process torn down: no ``repro-pipeline-*`` threads still alive, and
+    nothing left in the worker primitive's live set (farm workers and
+    partition tiles alike).  The lazy lookup keeps this free for the
+    tests that never start a process."""
     yield
     leaked = [
         t.name
@@ -64,26 +64,11 @@ def _no_pipeline_leaks():
         if t.name.startswith("repro-pipeline-") and t.is_alive()
     ]
     assert not leaked, f"leaked pipeline threads: {leaked}"
-    if "repro.farm.supervisor" in sys.modules:
-        import multiprocessing
-
-        workers = [
-            p.name
-            for p in multiprocessing.active_children()
-            if p.name.startswith("repro-farm-")
-        ]
-        assert not workers, f"leaked farm workers: {workers}"
-    if "repro.partition.pool" in sys.modules:
-        import multiprocessing
-
-        from repro.partition.pool import PROCESS_PREFIX
-
-        tiles = [
-            p.name
-            for p in multiprocessing.active_children()
-            if p.name.startswith(PROCESS_PREFIX)
-        ]
-        assert not tiles, f"leaked partition workers: {tiles}"
+    process = sys.modules.get("repro.farm.process")
+    if process is not None:
+        assert not process.live_workers(), (
+            f"leaked worker processes: {process.live_workers()}"
+        )
 
 
 def pytest_collection_modifyitems(config, items):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -263,3 +265,47 @@ class TestDocumentedCommands:
             main(["bench"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestEnvironmentSurface:
+    """The environment knobs are a counted, documented set — and the
+    sweep/engine import path stays free of process machinery."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def test_repro_env_vars_are_exactly_the_documented_five(self):
+        import re
+
+        read = set()
+        for folder, _dirs, files in os.walk(os.path.join(self.ROOT, "src")):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name)) as stream:
+                        read.update(re.findall(r"\bREPRO_[A-Z_]+\b", stream.read()))
+        assert read == {
+            "REPRO_SCALE",
+            "REPRO_WORKERS",
+            "REPRO_KERNELS",
+            "REPRO_KERNEL_CACHE",
+            "REPRO_FARM_CACHE",
+        }
+        with open(os.path.join(self.ROOT, "README.md")) as stream:
+            readme = stream.read()
+        assert not [name for name in sorted(read) if name not in readme]
+
+    def test_sweep_and_engine_imports_load_no_process_machinery(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import repro.experiments.fig1, repro.pipeline, repro.engines, sys\n"
+            "print([m for m in sys.modules if m.startswith(("
+            "'repro.farm', 'repro.partition', 'multiprocessing', 'concurrent'))])"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(self.ROOT, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

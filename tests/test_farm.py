@@ -50,6 +50,12 @@ def _boom(x):
     raise ValueError(f"boom({x})")
 
 
+def _process_name(x):
+    import multiprocessing
+
+    return multiprocessing.current_process().name
+
+
 # ---------------------------------------------------------------------------
 # content addressing
 # ---------------------------------------------------------------------------
@@ -407,19 +413,15 @@ class TestClient:
         assert info.value.failures
         assert "boom(1)" in info.value.failures[-1].detail
 
-    def test_parallel_map_routes_through_the_farm(self, monkeypatch):
-        from repro.experiments.parallel import farm_enabled, parallel_map
+    def test_parallel_map_routes_through_the_farm(self):
+        from repro.experiments.parallel import parallel_map
 
-        monkeypatch.setenv("REPRO_FARM", "1")
-        assert farm_enabled()
         items = list(range(6))
         assert parallel_map(_square, items, workers=2) == [x * x for x in items]
-
-    def test_parallel_map_farm_off_by_default(self, monkeypatch):
-        from repro.experiments.parallel import farm_enabled
-
-        monkeypatch.delenv("REPRO_FARM", raising=False)
-        assert not farm_enabled()
+        names = set(parallel_map(_process_name, items, workers=2))
+        if names == {"MainProcess"}:
+            pytest.skip("no process spawning in this environment")
+        assert all(name.startswith("repro-farm-") for name in names)
 
     def test_run_smoke_self_check_passes(self):
         lines = []

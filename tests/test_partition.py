@@ -313,6 +313,16 @@ class TestBitIdentical:
         assert engine.pool.shm_active is False
         lockstep(cfg, [mono(cfg), engine])
 
+    def test_process_transport_without_fork_names_the_way_out(self, monkeypatch):
+        from repro.farm import process
+
+        def no_fork():
+            raise ValueError("cannot find context for 'fork'")
+
+        monkeypatch.setattr(process, "_context", no_fork)
+        with pytest.raises(process.SpawnError, match='transport="local"'):
+            PartitionedEngine(torus(4, 4), partitions=2, transport="process")
+
     def test_mesh_partitioned(self):
         cfg = mesh(4, 4)
         lockstep(

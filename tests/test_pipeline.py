@@ -36,7 +36,6 @@ from repro.pipeline import (
     LoadStage,
     SimulateStage,
     StageRing,
-    pipelined_sweep,
     run_pipeline,
 )
 from repro.platform.cyclic_buffer import BufferOverrunError, BufferUnderrunError
@@ -557,41 +556,6 @@ class TestPipelineErrors:
             run_pipeline(engine, [(be, None)], 50)
 
 
-class TestPipelinedSweep:
-    def test_results_in_item_order(self):
-        items = list(range(12))
-        assert pipelined_sweep(lambda x: x * x, items) == [
-            x * x for x in items
-        ]
-
-    def test_fault_campaign_sweep_matches_serial(self):
-        from repro.faults import CampaignConfig, run_campaign
-
-        configs = [
-            CampaignConfig(
-                width=4,
-                height=4,
-                n_faults=6,
-                seed=seed,
-                load=0.10,
-                include_flap=True,  # exercises the watchdog/quarantine path
-            )
-            for seed in (1, 2)
-        ]
-        streamed = pipelined_sweep(run_campaign, configs)
-        serial = [run_campaign(cfg) for cfg in configs]
-        assert streamed == serial
-
-    def test_point_error_propagates(self):
-        def bad(x):
-            if x == 2:
-                raise ValueError("boom at 2")
-            return x
-
-        with pytest.raises(ValueError, match="boom at 2"):
-            pipelined_sweep(bad, range(6), ring_timeout=5.0)
-
-
 class TestStreamedExperimentSweeps:
     def test_fig1_stream_param_matches_batched(self):
         from repro.experiments import fig1
@@ -621,15 +585,6 @@ class TestStreamedExperimentSweeps:
         chunks.clear()
         assert swept.points == run_patterns_batched(PATTERNS, 300)
         assert chunks and not any(window for _, window in chunks)
-
-    def test_resilience_stream_matches_serial(self):
-        from repro.experiments import resilience
-        from repro.faults import CampaignConfig
-
-        base = CampaignConfig(n_faults=6, include_flap=False)
-        streamed = resilience.run_sweep((1, 2), base=base, stream=True)
-        serial = resilience.run_sweep((1, 2), base=base, workers=1)
-        assert streamed == serial
 
 
 class TestOverlapCrosscheck:
