@@ -25,6 +25,9 @@ from typing import List, Optional
 
 from repro.noc import NetworkConfig, RouterConfig
 
+#: ``simulate --stream``: cycles per pipeline chunk when ``--chunk`` is not given.
+DEFAULT_CHUNK = 128
+
 
 def _network_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--width", type=int, default=6)
@@ -125,20 +128,46 @@ def _available_memory_bytes() -> Optional[int]:
     return None
 
 
+def _ignored_flag(args, engine_name: str) -> Optional[str]:
+    """The first ``simulate`` flag the chosen path would ignore, as the
+    error line naming what it needs — or None when every given flag is
+    read.  (A flag counts as given when it differs from its default;
+    ``--transport`` / ``--chunk`` default to None to tell the two apart.)"""
+    partitioned = engine_name == "partitioned"
+    batch = engine_name == "batch"
+    table = (
+        # flag, given?, the path that reads it, is that the chosen path?
+        ("--lanes", args.lanes > 1, "--engine batch", batch),
+        ("--transport", args.transport is not None, "--partitions K", partitioned),
+        ("--link-latency", args.link_latency != 0, "--partitions K", partitioned),
+        (
+            "--scheduler",
+            args.scheduler is not None,
+            "--engine sequential or --partitions K",
+            engine_name == "sequential" or partitioned,
+        ),
+        (
+            "--fast-forward",
+            args.fast_forward,
+            "--engine batch without --stream",
+            batch and not args.stream,
+        ),
+        ("--chunk", args.chunk is not None, "--stream", args.stream),
+    )
+    for flag, given, needs, chosen in table:
+        if given and not chosen:
+            return f"{flag} requires {needs}"
+    return None
+
+
 def _cmd_simulate(args) -> int:
     from repro.engines import make_engine
     from repro.kernels import KernelUnavailableError
     from repro.seqsim.arraystate import estimate_bytes
 
     net = _network_from(args)
-    lanes = getattr(args, "lanes", 1)
-    if lanes > 1 and args.engine != "batch":
-        print("--lanes requires --engine batch", file=sys.stderr)
-        return 2
-    if getattr(args, "stream", False) and args.chunk < 1:
-        print(f"--chunk must be >= 1 cycle (got {args.chunk})", file=sys.stderr)
-        return 2
-    partitions = getattr(args, "partitions", 0) or 0
+    lanes = args.lanes
+    partitions = args.partitions or 0
     engine_name = args.engine
     if partitions > 1 and engine_name == "sequential":
         engine_name = "partitioned"  # --partitions implies the engine
@@ -147,6 +176,13 @@ def _cmd_simulate(args) -> int:
             f"--partitions requires --engine partitioned (got {args.engine})",
             file=sys.stderr,
         )
+        return 2
+    ignored = _ignored_flag(args, engine_name)
+    if ignored is not None:
+        print(ignored, file=sys.stderr)
+        return 2
+    if args.chunk is not None and args.chunk < 1:
+        print(f"--chunk must be >= 1 cycle (got {args.chunk})", file=sys.stderr)
         return 2
     kwargs = {}
     if engine_name in ("sequential", "partitioned") and args.scheduler:
@@ -167,9 +203,9 @@ def _cmd_simulate(args) -> int:
             return 2
     if engine_name == "partitioned":
         kwargs["partitions"] = partitions if partitions > 1 else 2
-        kwargs["transport"] = getattr(args, "transport", "local")
-        kwargs["link_latency"] = getattr(args, "link_latency", 0)
-    kernel = getattr(args, "kernel", "auto")
+        kwargs["transport"] = args.transport or "local"
+        kwargs["link_latency"] = args.link_latency
+    kernel = args.kernel
     if kernel != "auto":
         kwargs["kernel"] = kernel
     try:
@@ -200,10 +236,10 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
     layout = getattr(engine, "layout_line", None)
     if callable(layout):  # partitioned engine
         print(layout())
-    if getattr(args, "stream", False):
+    if args.stream:
         return _simulate_streamed(args, net, engine, lanes)
     if engine_name == "batch" and (
-        lanes > 1 or getattr(args, "fast_forward", False)
+        lanes > 1 or args.fast_forward
     ):
         return _simulate_batched(args, net, engine, lanes)
     be = BernoulliBeTraffic(net, args.load, uniform_random(net), seed=args.seed)
@@ -259,7 +295,9 @@ def _simulate_streamed(args, net, engine, lanes: int) -> int:
         for i in range(n)
     ]
     start = time.perf_counter()
-    report = run_pipeline(engine, traffic, args.cycles, chunk=args.chunk)
+    report = run_pipeline(
+        engine, traffic, args.cycles, chunk=args.chunk or DEFAULT_CHUNK
+    )
     elapsed = time.perf_counter() - start
     print(
         f"{args.engine} engine (streamed): {n} lane(s) x {args.cycles} "
@@ -300,7 +338,7 @@ def _simulate_batched(args, net, engine, lanes: int) -> int:
         engine,
         drivers,
         args.cycles,
-        fast_forward=getattr(args, "fast_forward", False),
+        fast_forward=args.fast_forward,
     )
     for driver in drivers:
         driver.be = None
@@ -552,9 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
         "boundary switch (implies --engine partitioned)",
     )
     p.add_argument(
-        "--transport", choices=["local", "process"], default="local",
-        help="partitioned engine: run tiles in-process (deterministic "
-        "reference) or one OS process each (parallel speedup)",
+        "--transport", choices=["local", "process"], default=None,
+        help="partitioned engine: run tiles in-process (the default; "
+        "deterministic reference) or one OS process each",
     )
     p.add_argument(
         "--link-latency", type=int, default=0,
@@ -587,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate/retrieve/analyze over cyclic buffers)",
     )
     p.add_argument(
-        "--chunk", type=int, default=128,
-        help="cycles per pipeline chunk (--stream only)",
+        "--chunk", type=int, default=None,
+        help=f"cycles per pipeline chunk (--stream only; default {DEFAULT_CHUNK})",
     )
     p.set_defaults(fn=cmd_simulate)
 

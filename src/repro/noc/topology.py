@@ -33,6 +33,24 @@ class Wire:
     reader_port: Port
     kind: str  # "fwd" or "room"
 
+    @property
+    def name(self) -> str:
+        """The wire's link-memory name, ``{kind}:{writer}.{writer_port}``."""
+        return _wire_name(self.kind, self.writer, self.writer_port)
+
+    @property
+    def link(self) -> Tuple[int, int]:
+        """The directed physical link ``(router, port)`` the wire belongs
+        to: a forward wire is its writer's output channel, a room wire
+        carries the credit for the channel its *reader* sends on."""
+        if self.kind == "fwd":
+            return self.writer, int(self.writer_port)
+        return self.reader, int(self.reader_port)
+
+
+def _wire_name(kind: str, router: int, port: Port) -> str:
+    return f"{kind}:{router}.{int(port)}"
+
 
 @dataclass(frozen=True)
 class BoundaryPort:
@@ -71,7 +89,7 @@ class PartitionBoundary:
         (sequential-simulator naming: ``fwd:{writer}.{port}`` /
         ``room:{writer}.{input_port}``)."""
         return [
-            f"{kind}:{bp.router}.{int(bp.port)}"
+            _wire_name(kind, bp.router, bp.port)
             for bp in self.ports
             for kind in ("fwd", "room")
         ]
@@ -79,7 +97,7 @@ class PartitionBoundary:
     def import_wire_names(self) -> List[str]:
         """Wire names this tile samples but a foreign tile drives."""
         return [
-            f"{kind}:{bp.neighbor}.{int(bp.neighbor_port)}"
+            _wire_name(kind, bp.neighbor, bp.neighbor_port)
             for bp in self.ports
             for kind in ("fwd", "room")
         ]
@@ -152,21 +170,42 @@ class Topology:
         return out
 
     def wires(self) -> List[Wire]:
-        """All inter-router wires, forward and backward.
+        """All inter-router wires, in link-memory order.
 
-        For every directed link ``r --(port p)--> s`` there are two wires:
+        Every connected non-local port ``p`` of router ``r`` (neighbour
+        ``s``) contributes the two wires ``r`` *writes* there, both read
+        by ``s`` at ``p.opposite``:
 
-        * forward: written by ``r`` at output ``p``, read by ``s`` at
-          input ``p.opposite`` — carries the link word;
-        * room: written by ``s`` (the state of its input queues at
-          ``p.opposite``), read by ``r`` at output ``p`` — carries the
-          per-VC space mask.
+        * forward ``fwd:{r}.{p}`` — the link word of channel
+          ``r --p--> s``;
+        * room ``room:{r}.{p}`` — the per-VC space mask of ``r``'s input
+          queues at ``p``, i.e. the credit for the reverse channel
+          ``s --p.opposite--> r``.
+
+        This is the one statement of the wire naming and order: the
+        sequential simulator builds its link memory from it, so a wire's
+        index here is its wire id there.
         """
         out: List[Wire] = []
         for src, src_port, dst, dst_port in self.links():
             out.append(Wire(src, src_port, dst, dst_port, "fwd"))
-            out.append(Wire(dst, dst_port, src, src_port, "room"))
+            out.append(Wire(src, src_port, dst, dst_port, "room"))
         return out
+
+    def link_wires(self, router: int, port: int) -> Tuple[str, str]:
+        """Names of the forward wire and the returning credit wire of the
+        directed link ``router --port-->``."""
+        port = Port(port)
+        nb = self.neighbor(router, port)
+        if nb is None:
+            raise ValueError(f"router {router} has no neighbour on port {int(port)}")
+        return _wire_name("fwd", router, port), _wire_name("room", nb, port.opposite)
+
+    def links_behind(self, wire_names) -> List[Tuple[int, int]]:
+        """The directed physical links ``(router, port)`` the named wires
+        belong to, sorted and de-duplicated."""
+        link_of = {wire.name: wire.link for wire in self.wires()}
+        return sorted({link_of[name] for name in wire_names})
 
     def signal_graph(
         self, exclude_links: Optional[set] = None

@@ -6,8 +6,8 @@ switch.  Three execution strategies:
 
 ``transport="local", sync="lockstep"``
     All workers share one link memory and the coordinator runs the
-    monolithic worklist pick loop, dispatching each pick to the owning
-    worker.  Because a boundary write lands directly in the shared link
+    monolithic pick loop over its own scheduler and watchdog,
+    dispatching each pick to the owning worker.  Because a boundary write lands directly in the shared link
     memory — destabilising its cross-tile reader through the ordinary
     HBR rule — this *is* the monolithic algorithm, merely with ownership
     labels: snapshots, logs **and delta counts** are bit-identical to
@@ -46,9 +46,9 @@ DESIGN.md §13).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.noc.config import NetworkConfig, Port
+from repro.noc.config import NetworkConfig
 from repro.noc.network import EjectionRecord, InjectionRecord
 from repro.noc.topology import Topology
 from repro.partition.switch import BoundarySwitch
@@ -59,17 +59,6 @@ from repro.seqsim.scheduler import ConvergenceWatchdog, make_scheduler
 from repro.seqsim.sequential import SequentialNetwork
 
 __all__ = ["PartitionedEngine", "PartitionedEngineFactory"]
-
-
-def _all_wire_names(cfg: NetworkConfig, topo: Topology) -> List[str]:
-    # Mirrors SequentialNetwork's wire construction order exactly.
-    names: List[str] = []
-    for r in range(cfg.n_routers):
-        for p in range(1, cfg.router.n_ports):
-            if topo.neighbor(r, Port(p)) is not None:
-                names.append(f"fwd:{r}.{p}")
-                names.append(f"room:{r}.{p}")
-    return names
 
 
 class PartitionedEngineFactory:
@@ -107,7 +96,6 @@ class PartitionedEngine:
         link_latency: int = 0,
         scheduler: str = "worklist",
         watchdog_factor: Optional[int] = None,
-        use_shm: bool = True,
     ) -> None:
         if transport not in ("local", "process"):
             raise ValueError(
@@ -173,11 +161,12 @@ class PartitionedEngine:
             self._owner_net = [
                 self.workers[self._owner[r]] for r in range(cfg.n_routers)
             ]
+            #: the networks that own a link memory (lockstep shares one).
+            self._link_nets = self.workers
             if sync == "lockstep":
-                shared = self.workers[0].links
                 for w in self.workers[1:]:
-                    w.links = shared
-                self.shared_links = shared
+                    w.links = self.workers[0].links
+                self._link_nets = self.workers[:1]
                 self.scheduler = make_scheduler(scheduler, cfg.n_routers)
                 self.watchdog = ConvergenceWatchdog(
                     cfg.n_routers,
@@ -195,14 +184,11 @@ class PartitionedEngine:
             from repro.partition.pool import ProcessWorkerPool
 
             self.workers = None
-            # With latency the coordinator owns the delay lines, so the
-            # values must ride the pipes where it can see them.
             self.pool = ProcessWorkerPool(
                 cfg,
                 partition_map,
                 scheduler=scheduler,
                 watchdog_factor=watchdog_factor,
-                use_shm=use_shm and link_latency == 0,
             )
             self.switch = BoundarySwitch(
                 cfg, partition_map, link_latency, self.topology
@@ -216,23 +202,18 @@ class PartitionedEngine:
             self._buffered = 0
             #: queued (offer/fault) ops per tile, replayed at cycle open.
             self._pending_ops: List[List[Tuple]] = [[] for _ in range(k)]
-            self._wire_names = _all_wire_names(cfg, self.topology)
 
     # -- description ----------------------------------------------------------
     def layout_line(self) -> str:
         """One-line layout banner (the CLI prints it like the kernel
         backend line)."""
-        transport = self.transport
-        if transport == "process" and self.pool is not None:
-            plane = "shm plane" if self.pool.shm_active else "pipe values"
-            transport = f"process ({plane})"
         latency = (
             f", link latency {self.link_latency}" if self.link_latency else ""
         )
         return (
             f"partitions: {self.pmap.describe()}, "
             f"{self.n_boundary_links} boundary links, "
-            f"switch: {transport}/{self.sync}{latency}"
+            f"switch: {self.transport}/{self.sync}{latency}"
         )
 
     # -- traffic-side API ------------------------------------------------------
@@ -261,45 +242,26 @@ class PartitionedEngine:
         return bool(self._mirror_inj[router][vc])
 
     # -- fault API -------------------------------------------------------------
+    # A process tile replays the op at cycle open; in-process, wire
+    # faults go to each network that owns a link memory and a quarantine
+    # to every worker (each keeps its own routing table).
     def inject_link_fault(self, wire, bit: int) -> Optional[int]:
         if self.workers is None:
             for ops in self._pending_ops:
                 ops.append(("inject_link", wire, bit))
             return None
-        if self.sync == "lockstep":
-            wid = (
-                wire
-                if isinstance(wire, int)
-                else self.shared_links.wire_id(wire)
-            )
-            return self.shared_links.inject_value_fault(wid, 1 << bit)
-        value = None
-        for w in self.workers:
+        for w in self._link_nets:
             value = w.inject_link_fault(wire, bit)
         return value
 
     def install_flap_fault(self, router: int, port: int) -> Tuple[str, str]:
-        nb = self.topology.neighbor(router, Port(port))
-        if nb is None:
-            raise ValueError(f"router {router} has no neighbour on port {port}")
+        names = self.topology.link_wires(router, port)
         if self.workers is None:
             for ops in self._pending_ops:
                 ops.append(("flap", router, port))
-            opposite = int(Port(port).opposite)
-            return (f"fwd:{router}.{port}", f"room:{nb}.{opposite}")
-        if self.sync == "lockstep":
-            w0 = self.workers[0]
-            fwd = w0._out_fwd_wire[router][port]
-            room = w0._in_room_wire[router][port]
-            self.shared_links.set_flaky(fwd)
-            self.shared_links.set_flaky(room)
-            return (
-                self.shared_links.wire_name(fwd),
-                self.shared_links.wire_name(room),
-            )
-        names = None
-        for w in self.workers:
-            names = w.install_flap_fault(router, port)
+        else:
+            for w in self._link_nets:
+                w.install_flap_fault(router, port)
         return names
 
     def quarantine_link(self, router: int, port: int) -> None:
@@ -307,48 +269,20 @@ class PartitionedEngine:
         if self.workers is None:
             for ops in self._pending_ops:
                 ops.append(("quarantine", router, port))
-            return
-        if self.sync == "lockstep":
-            w0 = self.workers[0]
-            fwd = w0._out_fwd_wire[router][port]
-            if fwd >= 0:
-                self.shared_links.quarantine(fwd, 0)
-            room = w0._in_room_wire[router][port]
-            if room >= 0:
-                self.shared_links.quarantine(room, 0)
-            from repro.noc.network import Network
-
+        else:
             for w in self.workers:
-                Network.quarantine_link(w, router, port)
-            return
-        for w in self.workers:
-            w.quarantine_link(router, port)
+                w.quarantine_link(router, port)
 
     def link_wire_names(self) -> List[str]:
-        if self.workers is not None:
-            return self.workers[0].link_wire_names()
-        return list(self._wire_names)
+        return [wire.name for wire in self.topology.wires()]
 
     def quarantine_wires(self, names: Sequence[str]) -> List[Tuple[int, int]]:
         """Quarantine the physical links behind the given wires (the
         repair action of a livelock diagnosis), transport-agnostic."""
-        links = set()
-        for name in names:
-            kind, rest = name.split(":")
-            router_s, port_s = rest.split(".")
-            router, port = int(router_s), int(port_s)
-            if kind == "fwd":
-                links.add((router, port))
-            else:
-                # room:{r}.{p} carries the credit for nb --opposite--> r.
-                nb = self.topology.neighbor(router, Port(port))
-                if nb is None:
-                    raise ValueError(f"wire {name!r} has no physical link")
-                links.add((nb, int(Port(port).opposite)))
-        ordered = sorted(links)
-        for router, port in ordered:
+        links = self.topology.links_behind(names)
+        for router, port in links:
             self.quarantine_link(router, port)
-        return ordered
+        return links
 
     # -- the system cycle ------------------------------------------------------
     def step(self) -> None:
@@ -370,45 +304,26 @@ class PartitionedEngine:
 
     def _step_lockstep(self) -> None:
         workers = self.workers
-        links = self.shared_links
-        n = self.cfg.n_routers
-        links.begin_cycle()
-        fault_free = links.fault_free
+        links = workers[0].links
+        # One shared link memory: open the cycle without `begin_step`'s
+        # ownership mask, so the worklist stays whole-fabric.
         for w in workers:
-            w._events = [None] * n
-            w._fault_free_cycle = fault_free
+            w._begin_cycle()
         scheduler = self.scheduler
         watchdog = self.watchdog
         watchdog.start_cycle(self.cycle)
-        owner = self._owner
         owner_net = self._owner_net
-        counts = [0] * len(workers)
-        pointer = scheduler._pointer
-        limit = watchdog.limit
-        deltas = 0
         while True:
-            mask = links.unstable_mask
-            if not mask:
+            unit = scheduler.next_unit(links)
+            if unit is None:
                 break
-            above = mask >> (pointer + 1)
-            if above:
-                pointer = pointer + 1 + ((above & -above).bit_length() - 1)
-            else:
-                pointer = (mask & -mask).bit_length() - 1
-            owner_net[pointer]._evaluate_unit_fast(pointer)
-            counts[owner[pointer]] += 1
-            deltas += 1
-            if deltas > limit:
-                scheduler._pointer = pointer
-                watchdog._deltas = deltas - 1
-                watchdog.tick(links)
-        scheduler._pointer = pointer
-        watchdog._deltas = deltas
-        for w, count in zip(workers, counts):
-            w._cycle_deltas = count
-            w._finalize_units()
-            w._commit(count)
-        self.metrics.record_cycle(deltas)
+            net = owner_net[unit]
+            net._evaluate(unit)
+            net.watchdog.tick(links)  # the tile's share, for its commit
+            watchdog.tick(links)  # the whole-fabric bound
+        for w in workers:
+            w.finish_step()
+        self.metrics.record_cycle(watchdog.deltas)
         self.boundary_rounds.append(1)
         self._merge_local_records()
 
@@ -451,7 +366,7 @@ class PartitionedEngine:
                 self.sync_seconds += time.perf_counter() - ts
                 if not destabilised:
                     break
-        total = sum(w._cycle_deltas for w in workers)
+        total = sum(w.watchdog.deltas for w in workers)
         for w in workers:
             w.finish_step()
         self.metrics.record_cycle(total)
@@ -480,20 +395,13 @@ class PartitionedEngine:
             while changed:
                 rounds += 1
                 ts = time.perf_counter()
-                if pool.shm_active:
-                    # Exporters already wrote the shared plane; readers
-                    # pull their slots directly — nothing to relay.
-                    imports = None
-                else:
-                    imports = switch.relay(exports)
                 destabilised, deltas, exports, changed = pool.exchange(
-                    imports
+                    switch.relay(exports)
                 )
                 self.sync_seconds += time.perf_counter() - ts
                 if not destabilised:
                     break
         replies = pool.commit()
-        new_records: List[Tuple[str, Tuple]] = []
         buffered = 0
         total_deltas = 0
         inj_all: List[Tuple] = []

@@ -15,9 +15,10 @@ routers of one tile:
 * the system cycle is decomposed into the phases the partition
   coordinator drives: :meth:`begin_step` / :meth:`converge_local` /
   :meth:`export_values` / :meth:`apply_imports` / :meth:`finish_step`.
-  One monolithic :meth:`SequentialNetwork.step` equals ``begin; converge;
-  finish`` with no imports — the decomposition adds no behaviour of its
-  own;
+  Begin, converge and finish *are* the three phases of the monolithic
+  :meth:`SequentialNetwork.step` (``_begin_cycle`` / ``_converge`` /
+  ``_finish_cycle``), called under their public names — the
+  decomposition adds no behaviour of its own;
 * foreign state is frozen at its reset value and never committed,
   recorded or counted; snapshots, logs and delta metrics cover owned
   units only.
@@ -35,9 +36,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.noc.config import NetworkConfig
 from repro.noc.routing import RoutingTable
-from repro.noc.topology import Topology
 from repro.seqsim.metrics import DeltaMetrics
-from repro.seqsim.scheduler import WorklistScheduler
 from repro.seqsim.sequential import SequentialNetwork
 
 __all__ = ["PartitionWorkerNetwork"]
@@ -63,11 +62,10 @@ class PartitionWorkerNetwork(SequentialNetwork):
             optimize=True,
         )
         self.tile: Tuple[int, ...] = tuple(sorted(tile))
-        self.owned_mask = 0
-        for r in self.tile:
-            self.owned_mask |= 1 << r
-        owned = frozenset(self.tile)
-        self.owned_set = owned
+        # Foreign entries of ``states`` / ``iface_states`` stay frozen at
+        # reset: finalize and commit sweep the owned units only.
+        self._units = self.tile
+        self.owned_mask = sum(1 << r for r in self.tile)
         # Delta accounting is per-tile: the floor is one evaluation per
         # *owned* unit per cycle.
         self.metrics = DeltaMetrics(n_units=len(self.tile))
@@ -82,102 +80,23 @@ class PartitionWorkerNetwork(SequentialNetwork):
         wire_id = self.links.wire_id
         self.export_wids: List[int] = [wire_id(n) for n in self.export_names]
         self.import_wids: List[int] = [wire_id(n) for n in self.import_names]
-        self._cycle_deltas = 0
         # Values as of this tile's last publication, for the changed-
         # export optimisation (None forces one full publish at cycle 0).
         self._last_published: Optional[List[int]] = None
 
     # -- the decomposed system cycle ----------------------------------------
     def begin_step(self) -> None:
-        """Open a system cycle: reset HBR bits, restrict the worklist to
-        owned units.  (Pre-step hooks run at the coordinator, which owns
-        the cycle; they are not replayed here.)"""
-        links = self.links
-        links.begin_cycle()
-        links.unstable_mask &= self.owned_mask
-        self._events = [None] * self.cfg.n_routers
-        self.watchdog.start_cycle(self.cycle)
-        self._fault_free_cycle = links.fault_free
-        self._cycle_deltas = 0
+        """Open a system cycle and restrict the worklist to owned units.
+        (Pre-step hooks run at the coordinator, which owns the cycle;
+        they are not replayed here.)"""
+        self._begin_cycle()
+        self.links.unstable_mask &= self.owned_mask
 
-    def converge_local(self) -> int:
-        """Evaluate owned units until the tile is locally quiescent.
-
-        Returns the delta cycles spent in this round; the running total
-        (and the watchdog) accumulate across rounds of the same system
-        cycle.  The loop is the monolithic inlined worklist loop of
-        :meth:`SequentialNetwork.step`, including the inlined
-        "inputs unchanged" signature hit.
-        """
-        links = self.links
-        scheduler = self.scheduler
-        watchdog = self.watchdog
-        before = self._cycle_deltas
-        deltas = before
-        limit = watchdog.limit
-        if type(scheduler) is WorklistScheduler:
-            pointer = scheduler._pointer
-            inline_sig = self._fault_free_cycle
-            states = self.states
-            iface_states = self.iface_states
-            eval_sig = self._eval_sig
-            read_wids = self._read_wids
-            pending = self._pending
-            n_writes = self._n_writes
-            stable_clear = self._stable_clear
-            touch = links.touch_stamp
-            hbr = links.hbr
-            evaluate = self._evaluate_unit_fast
-            sig_writes = 0
-            while True:
-                mask = links.unstable_mask
-                if not mask:
-                    break
-                above = mask >> (pointer + 1)
-                if above:
-                    pointer = pointer + 1 + ((above & -above).bit_length() - 1)
-                else:
-                    pointer = (mask & -mask).bit_length() - 1
-                if inline_sig:
-                    sig = eval_sig[pointer]
-                    if (
-                        sig is not None
-                        and touch[pointer] <= sig[0]
-                        and sig[1][0] is states[pointer]
-                        and sig[1][1] is iface_states[pointer]
-                    ):
-                        for w in read_wids[pointer]:
-                            hbr[w] = 1
-                        pending[pointer] = sig[1]
-                        sig_writes += n_writes[pointer]
-                        links.unstable_mask = mask & stable_clear[pointer]
-                        deltas += 1
-                        if deltas > limit:
-                            scheduler._pointer = pointer
-                            watchdog._deltas = deltas - 1
-                            watchdog.tick(links)
-                        continue
-                evaluate(pointer)
-                deltas += 1
-                if deltas > limit:
-                    scheduler._pointer = pointer
-                    watchdog._deltas = deltas - 1
-                    watchdog.tick(links)
-            scheduler._pointer = pointer
-            links.wire_writes += sig_writes
-        else:
-            while True:
-                unit = scheduler.next_unit(links)
-                if unit is None:
-                    break
-                self._evaluate_unit_fast(unit)
-                deltas += 1
-                if deltas > limit:
-                    watchdog._deltas = deltas - 1
-                    watchdog.tick(links)
-        watchdog._deltas = deltas
-        self._cycle_deltas = deltas
-        return deltas - before
+    def converge_local(self) -> None:
+        """Evaluate owned units until the tile is locally quiescent.  The
+        delta count (``watchdog.deltas``) and its livelock bound run on
+        across the rounds of one system cycle."""
+        self._converge()
 
     def export_values(self) -> List[int]:
         """Current values of every wire this tile drives across the
@@ -203,9 +122,8 @@ class PartitionWorkerNetwork(SequentialNetwork):
         *without* changing value, and the cross-tile livelock diagnosis
         depends on those writes happening (always-export semantics).
         """
-        links = self.links
-        values = [links.values[w] for w in self.export_wids]
-        changed = values != self._last_published or not links.fault_free
+        values = self.export_values()
+        changed = values != self._last_published or not self.links.fault_free
         self._last_published = values
         return values, changed
 
@@ -224,8 +142,7 @@ class PartitionWorkerNetwork(SequentialNetwork):
     def finish_step(self) -> None:
         """Close the system cycle: compute next states once per owned
         unit, swap banks, record events, count deltas."""
-        self._finalize_units()
-        self._commit(self._cycle_deltas)
+        self._finish_cycle()
 
     def step(self) -> None:
         """Single-tile step (no boundary exchange): owned units converge
@@ -239,104 +156,6 @@ class PartitionWorkerNetwork(SequentialNetwork):
         self.finish_step()
 
     # -- owned-only variants of whole-network accessors ----------------------
-    def _finalize_units(self) -> None:
-        """Commit-time next-state computation, owned units only.
-
-        Foreign entries of ``states`` / ``iface_states`` stay frozen at
-        reset (they are never evaluated, mutated or recorded), so the
-        parent's full-network sweep would only burn time re-copying
-        them.
-        """
-        iface = self.iface
-        routers = self.routers
-        pending = self._pending
-        events_out = self._events
-        next_states = self._next_states
-        next_iface = self._next_iface
-        room_cache = self._room_cache
-        iface_output_word = iface.output_word
-        iface_next_state = iface.next_state
-        from repro.noc.router import RouterInputs
-
-        for r in self.tile:
-            rec = pending[r]
-            if rec is None:
-                rec = (self.states[r], self.iface_states[r], None)
-            if rec[2] is None:
-                new_state = rec[0]
-                new_iface = rec[1]
-                events_out[r] = None
-            else:
-                (
-                    state,
-                    iface_state,
-                    fwd_in,
-                    room_in,
-                    grants,
-                    room_local,
-                    eject_word,
-                ) = rec
-                choice, iface_word = iface_output_word(iface_state, room_local)
-                fwd_in[0] = iface_word  # Port.LOCAL
-                router = routers[r]
-                new_state = router.next_state(
-                    state,
-                    RouterInputs(fwd=fwd_in, room=room_in),
-                    grants,
-                    strict=False,
-                )
-                new_iface, events = iface_next_state(
-                    iface_state, choice, eject_word
-                )
-                events_out[r] = events
-                cached = room_cache[r]
-                if (
-                    new_state is not state
-                    and cached is not None
-                    and cached[0] is state
-                ):
-                    n_vcs = router._n_vcs
-                    depth = router._depth
-                    vc_shift = router._vc_shift
-                    data_width = router._data_width
-                    idle = router._idle_type
-                    masks = list(cached[1])
-                    queues = new_state.queues
-                    for g in grants:
-                        if g is not None:
-                            q = g[0]
-                            if queues[q].count < depth:
-                                masks[q // n_vcs] |= 1 << (q % n_vcs)
-                            else:
-                                masks[q // n_vcs] &= ~(1 << (q % n_vcs))
-                    for p, word in enumerate(fwd_in):
-                        if (word >> data_width) & 3 != idle:
-                            q = p * n_vcs + (word >> vc_shift)
-                            if queues[q].count < depth:
-                                masks[q // n_vcs] |= 1 << (q % n_vcs)
-                            else:
-                                masks[q // n_vcs] &= ~(1 << (q % n_vcs))
-                    room_cache[r] = (new_state, masks)
-            next_states[r] = new_state
-            next_iface[r] = new_iface
-            pending[r] = None
-
-    def _commit(self, deltas: int) -> None:
-        self.states, self._next_states = (
-            self._next_states,
-            list(self._next_states),
-        )
-        self.iface_states, self._next_iface = (
-            self._next_iface,
-            list(self._next_iface),
-        )
-        for r in self.tile:
-            events = self._events[r]
-            if events is not None:
-                self._record(r, events)
-        self.metrics.record_cycle(deltas)
-        self.cycle += 1
-
     def total_buffered(self) -> int:
         return sum(self.states[r].total_buffered() for r in self.tile)
 

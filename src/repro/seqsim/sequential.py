@@ -91,38 +91,35 @@ class SequentialNetwork(Network):
         self.scheduler_name = scheduler
         self.scheduler = make_scheduler(scheduler, n)
         self.optimize = bool(optimize)
+        #: one delta cycle of one unit — the entry every pick loop calls.
+        self._evaluate = (
+            self._evaluate_unit_fast if self.optimize else self._evaluate_unit
+        )
+        #: the units this simulator evaluates and commits (all of them;
+        #: a partition tile narrows it to its own).
+        self._units: Sequence[int] = range(n)
         self.watchdog = ConvergenceWatchdog(
             n, watchdog_factor if watchdog_factor is not None else self.MAX_DELTA_FACTOR
         )
 
         # -- link memory ---------------------------------------------------
-        # Per unit, per non-local port: an incoming forward wire and an
-        # incoming room wire (and symmetric outgoing ones owned by the
-        # neighbours).  Build them in (unit, port, kind) order so the wire
-        # lists per unit have a deterministic layout.
-        specs: List[WireSpec] = []
+        # One wire per :meth:`Topology.wires` entry, its index there the
+        # wire id here; per unit and port, the ids of the incoming and
+        # outgoing forward and room wires (-1 where the port is unconnected).
         self._in_fwd_wire: List[List[int]] = [[-1] * rc.n_ports for _ in range(n)]
         self._in_room_wire: List[List[int]] = [[-1] * rc.n_ports for _ in range(n)]
         self._out_fwd_wire: List[List[int]] = [[-1] * rc.n_ports for _ in range(n)]
         self._out_room_wire: List[List[int]] = [[-1] * rc.n_ports for _ in range(n)]
-        wid = 0
-        for r in range(n):
-            for p in range(1, rc.n_ports):
-                nb = self._neighbor_cache[r][p]
-                if nb is None:
-                    continue
-                opposite = int(Port(p).opposite)
-                # Forward wire: written by r at output p, read by nb.
-                specs.append(WireSpec(f"fwd:{r}.{p}", writer=r, reader=nb, width=rc.link_width))
-                self._out_fwd_wire[r][p] = wid
-                self._in_fwd_wire[nb][opposite] = wid
-                wid += 1
-                # Room wire: written by r for its input port p, read by nb
-                # (who sees it at its output port `opposite`).
-                specs.append(WireSpec(f"room:{r}.{p}", writer=r, reader=nb, width=rc.n_vcs))
-                self._out_room_wire[r][p] = wid
-                self._in_room_wire[nb][opposite] = wid
-                wid += 1
+        tables = {
+            "fwd": (self._out_fwd_wire, self._in_fwd_wire, rc.link_width),
+            "room": (self._out_room_wire, self._in_room_wire, rc.n_vcs),
+        }
+        specs: List[WireSpec] = []
+        for wid, wire in enumerate(self.topology.wires()):
+            out_wire, in_wire, width = tables[wire.kind]
+            specs.append(WireSpec(wire.name, wire.writer, wire.reader, width))
+            out_wire[wire.writer][wire.writer_port] = wid
+            in_wire[wire.reader][wire.reader_port] = wid
         self.links = LinkMemory(n, specs)
         # Reset-consistent wire values: empty queues offer full room.
         for r in range(n):
@@ -134,39 +131,27 @@ class SequentialNetwork(Network):
         # -- hot-path structures (fast evaluation path) --------------------
         # Per-unit flat (port, wire) lists, the -1 sentinels filtered out
         # once, so the inner loops never branch on absent wires.
-        self._fwd_reads: List[List[Tuple[int, int]]] = []
-        self._room_reads: List[List[Tuple[int, int]]] = []
-        self._fwd_writes: List[List[Tuple[int, int]]] = []
-        self._room_writes: List[List[Tuple[int, int]]] = []
-        self._n_writes: List[int] = []
-        for r in range(n):
-            self._fwd_reads.append(
-                [(p, w) for p, w in enumerate(self._in_fwd_wire[r]) if w >= 0]
-            )
-            self._room_reads.append(
-                [(p, w) for p, w in enumerate(self._in_room_wire[r]) if w >= 0]
-            )
-            self._fwd_writes.append(
-                [(p, w) for p, w in enumerate(self._out_fwd_wire[r]) if w >= 0]
-            )
-            self._room_writes.append(
-                [(p, w) for p, w in enumerate(self._out_room_wire[r]) if w >= 0]
-            )
-            self._n_writes.append(len(self._fwd_writes[r]) + len(self._room_writes[r]))
-        #: every wire a unit touches (reads and writes), for the
-        #: inputs-unchanged stamp check.
-        self._sig_wires: List[List[int]] = [
-            [
-                w
-                for _p, w in (
-                    self._fwd_reads[r]
-                    + self._room_reads[r]
-                    + self._fwd_writes[r]
-                    + self._room_writes[r]
-                )
+        self._fwd_reads: List[List[Tuple[int, int]]] = [
+            [(p, w) for p, w in enumerate(ws) if w >= 0] for ws in self._in_fwd_wire
+        ]
+        self._room_reads: List[List[Tuple[int, int]]] = [
+            [(p, w) for p, w in enumerate(ws) if w >= 0] for ws in self._in_room_wire
+        ]
+        #: per-unit (slot, wire) write list over the concatenated output
+        #: vector ``fwd_out + rooms``: slot ``p`` is forward port ``p``,
+        #: slot ``n_ports + p`` the room mask of input port ``p``.
+        self._writes: List[List[Tuple[int, int]]] = [
+            [(p, w) for p, w in enumerate(self._out_fwd_wire[r]) if w >= 0]
+            + [
+                (rc.n_ports + p, w)
+                for p, w in enumerate(self._out_room_wire[r])
+                if w >= 0
             ]
             for r in range(n)
         ]
+        self._n_writes: List[int] = [len(ws) for ws in self._writes]
+        #: the output vector of a quiescent unit: idle words, full room.
+        self._idle_out: List[int] = [0] * rc.n_ports + [self._sink] * rc.n_ports
         #: flat read-wire ids, for the sig-hit path (HBR-only touch).
         self._read_wids: List[List[int]] = [
             [w for _p, w in self._fwd_reads[r] + self._room_reads[r]]
@@ -363,7 +348,6 @@ class SequentialNetwork(Network):
             quiescent = state.is_quiescent
             self._quiesc_cache[r] = (state, quiescent)
 
-        reader_bit = self._reader_bit
         if (
             quiescent
             and any_fwd == 0
@@ -371,46 +355,8 @@ class SequentialNetwork(Network):
             and not any(iface_state.inj_valid)
         ):
             # Quiescence fast path: idle outputs, state unchanged.
-            self._pending[r] = (state, iface_state, None)
-            sink = self._sink
-            if fault_free:
-                reader_of = links.reader_of
-                touch = links.touch_stamp
-                links.wire_writes += self._n_writes[r]
-                for _p, w in self._fwd_writes[r]:
-                    if values[w] != 0:
-                        values[w] = 0
-                        links.value_changes += 1
-                        links.changes_this_cycle[w] += 1
-                        clock = links.change_clock + 1
-                        links.change_clock = clock
-                        links.stamp[w] = clock
-                        touch[reader_of[w]] = clock
-                        touch[r] = clock
-                        if hbr[w]:
-                            links.unstable_mask |= reader_bit[w]
-                        hbr[w] = 0
-                for _p, w in self._room_writes[r]:
-                    if values[w] != sink:
-                        values[w] = sink
-                        links.value_changes += 1
-                        links.changes_this_cycle[w] += 1
-                        clock = links.change_clock + 1
-                        links.change_clock = clock
-                        links.stamp[w] = clock
-                        touch[reader_of[w]] = clock
-                        touch[r] = clock
-                        if hbr[w]:
-                            links.unstable_mask |= reader_bit[w]
-                        hbr[w] = 0
-                # Snapshot the change clock *after* the writes: a later
-                # mutation of a touched wire invalidates the memo.
-                self._eval_sig[r] = (links.change_clock, self._pending[r])
-            else:
-                for _p, w in self._fwd_writes[r]:
-                    links.write_wire(w, 0)
-                for _p, w in self._room_writes[r]:
-                    links.write_wire(w, sink)
+            rec = (state, iface_state, None)
+            out = self._idle_out
         else:
             router = self.routers[r]
             cached = self._room_cache[r]
@@ -428,7 +374,7 @@ class SequentialNetwork(Network):
             else:
                 fwd_out, grants = router.output_words(state, room_in)
                 self._out_cache[r] = (state, room_in, fwd_out, grants)
-            self._pending[r] = (
+            rec = (
                 state,
                 iface_state,
                 fwd_in,
@@ -437,49 +383,41 @@ class SequentialNetwork(Network):
                 rooms[0],  # local room mask, for the stimuli output word
                 fwd_out[0],  # local forward word = the ejected word
             )
-            if fault_free:
-                reader_of = links.reader_of
-                touch = links.touch_stamp
-                links.wire_writes += self._n_writes[r]
-                for p, w in self._fwd_writes[r]:
-                    v = fwd_out[p]
-                    if values[w] != v:
-                        values[w] = v
-                        links.value_changes += 1
-                        links.changes_this_cycle[w] += 1
-                        clock = links.change_clock + 1
-                        links.change_clock = clock
-                        links.stamp[w] = clock
-                        touch[reader_of[w]] = clock
-                        touch[r] = clock
-                        if hbr[w]:
-                            links.unstable_mask |= reader_bit[w]
-                        hbr[w] = 0
-                for p, w in self._room_writes[r]:
-                    v = rooms[p]
-                    if values[w] != v:
-                        values[w] = v
-                        links.value_changes += 1
-                        links.changes_this_cycle[w] += 1
-                        clock = links.change_clock + 1
-                        links.change_clock = clock
-                        links.stamp[w] = clock
-                        touch[reader_of[w]] = clock
-                        touch[r] = clock
-                        if hbr[w]:
-                            links.unstable_mask |= reader_bit[w]
-                        hbr[w] = 0
-                # Snapshot the change clock *after* the writes: a later
-                # mutation of a touched wire invalidates the memo.  Only
-                # recorded on fault-free cycles — a stuck mask can leave
-                # the wires carrying something other than fwd_out/rooms.
-                self._eval_sig[r] = (links.change_clock, self._pending[r])
-            else:
-                for p, w in self._fwd_writes[r]:
-                    links.write_wire(w, fwd_out[p])
-                for p, w in self._room_writes[r]:
-                    links.write_wire(w, rooms[p])
+            out = fwd_out + rooms
+        self._pending[r] = rec
 
+        # Write phase.  Fault-free, this is the one inlined copy of the
+        # HBR write rule of :meth:`LinkMemory.write_wire` (minus its
+        # width check and fault lookups); with a wire fault installed
+        # the link memory's own method applies it.
+        if fault_free:
+            reader_of = links.reader_of
+            reader_bit = self._reader_bit
+            touch = links.touch_stamp
+            links.wire_writes += self._n_writes[r]
+            for slot, w in self._writes[r]:
+                v = out[slot]
+                if values[w] != v:
+                    values[w] = v
+                    links.value_changes += 1
+                    links.changes_this_cycle[w] += 1
+                    clock = links.change_clock + 1
+                    links.change_clock = clock
+                    links.stamp[w] = clock
+                    touch[reader_of[w]] = clock
+                    touch[r] = clock
+                    if hbr[w]:
+                        links.unstable_mask |= reader_bit[w]
+                    hbr[w] = 0
+            # Snapshot the change clock *after* the writes: a later
+            # mutation of a touched wire invalidates the memo.  Only
+            # recorded on fault-free cycles — a stuck mask can leave the
+            # wires carrying something other than fwd_out/rooms.
+            self._eval_sig[r] = (links.change_clock, rec)
+        else:
+            write_wire = links.write_wire
+            for slot, w in self._writes[r]:
+                write_wire(w, out[slot])
         links.unstable_mask &= self._stable_clear[r]
 
     def _finalize_units(self) -> None:
@@ -503,7 +441,8 @@ class SequentialNetwork(Network):
         room_cache = self._room_cache
         iface_output_word = iface.output_word
         iface_next_state = iface.next_state
-        for r, rec in enumerate(pending):
+        for r in self._units:
+            rec = pending[r]
             if rec is None:  # unreachable: every unit evaluates every cycle
                 rec = (self.states[r], self.iface_states[r], None)
             if rec[2] is None:
@@ -624,10 +563,10 @@ class SequentialNetwork(Network):
         for p in range(1, n_ports):
             w = out_fwd[p]
             if w >= 0:
-                self._write_wire(w, fwd_out_edge[p])
+                links.write_wire(w, fwd_out_edge[p])
             w = out_room[p]
             if w >= 0:
-                self._write_wire(w, rooms[p])
+                links.write_wire(w, rooms[p])
 
         # Store next state into the other bank.
         if self.packed:
@@ -641,126 +580,111 @@ class SequentialNetwork(Network):
         self._events[r] = events
         links.mark_stable(r)
 
-    def _write_wire(self, wid: int, value: int) -> None:
-        links = self.links
-        if not links.fault_free:
-            links.write_wire(wid, value)
-            return
-        # Fast path: no installed wire faults, inline the HBR update.
-        links.wire_writes += 1
-        if value != links.values[wid]:
-            links.values[wid] = value
-            links.value_changes += 1
-            links.changes_this_cycle[wid] += 1
-            clock = links.change_clock + 1
-            links.change_clock = clock
-            links.stamp[wid] = clock
-            links.touch_stamp[links.reader_of[wid]] = clock
-            links.touch_stamp[links.writer_of[wid]] = clock
-            if links.hbr[wid] == 1:
-                links.unstable_mask |= self._reader_bit[wid]
-            links.hbr[wid] = 0
-
     # -- the system cycle -------------------------------------------------------
     def step(self) -> None:
         for hook in self.pre_step_hooks:
             hook(self)
-        n = self.cfg.n_routers
+        self._begin_cycle()
+        self._converge()
+        self._finish_cycle()
+
+    def _begin_cycle(self) -> None:
+        """Open a system cycle: every HBR bit reset, every unit non-stable."""
         links = self.links
         links.begin_cycle()
-        self._events = [None] * n
+        self._events = [None] * self.cfg.n_routers
+        self.watchdog.start_cycle(self.cycle)
+        # Wire faults are installed by the pre-step hooks or between
+        # cycles, never mid-cycle, so the inline-write decision holds
+        # for the whole system cycle.
+        self._fault_free_cycle = links.fault_free
+
+    def _converge(self) -> None:
+        """Evaluate non-stable units until none is left (section 4.2).
+
+        The delta count runs on from ``watchdog.deltas``: a partition
+        tile re-converging after a boundary exchange stays under the one
+        per-cycle bound, and a monolithic cycle simply starts at 0.
+        """
+        links = self.links
         scheduler = self.scheduler
         watchdog = self.watchdog
-        watchdog.start_cycle(self.cycle)
-        if self.optimize:
-            # Wire faults are installed by the pre-step hooks or between
-            # cycles, never mid-cycle, so the inline-write decision holds
-            # for the whole system cycle.
-            self._fault_free_cycle = links.fault_free
-            evaluate = self._evaluate_unit_fast
-        else:
-            evaluate = self._evaluate_unit
-        if self.optimize and type(scheduler) is WorklistScheduler:
-            # Inline both the worklist pick and the watchdog count: each
-            # is a handful of int ops and the call overhead would
-            # otherwise dominate at ~n deltas per cycle.  The pick is
-            # the scheduler's own algorithm, verbatim.  In plain
-            # fault-free mode the "inputs unchanged" sig-hit — the
-            # single most common evaluation outcome — is inlined too,
-            # saving the call into :meth:`_evaluate_unit_fast`.
-            pointer = scheduler._pointer
-            limit = watchdog.limit
-            deltas = 0
-            inline_sig = not self.packed and self._fault_free_cycle
-            states = self.states
-            iface_states = self.iface_states
-            eval_sig = self._eval_sig
-            read_wids = self._read_wids
-            pending = self._pending
-            n_writes = self._n_writes
-            stable_clear = self._stable_clear
-            touch = links.touch_stamp
-            hbr = links.hbr
-            sig_writes = 0
-            while True:
-                mask = links.unstable_mask
-                if not mask:
-                    break
-                above = mask >> (pointer + 1)
-                if above:
-                    pointer = pointer + 1 + ((above & -above).bit_length() - 1)
-                else:
-                    pointer = (mask & -mask).bit_length() - 1
-                if inline_sig:
-                    sig = eval_sig[pointer]
-                    if (
-                        sig is not None
-                        and touch[pointer] <= sig[0]
-                        and sig[1][0] is states[pointer]
-                        and sig[1][1] is iface_states[pointer]
-                    ):
-                        for w in read_wids[pointer]:
-                            hbr[w] = 1
-                        pending[pointer] = sig[1]
-                        sig_writes += n_writes[pointer]
-                        links.unstable_mask = mask & stable_clear[pointer]
-                        deltas += 1
-                        if deltas > limit:
-                            scheduler._pointer = pointer
-                            watchdog._deltas = deltas - 1
-                            watchdog.tick(links)
-                        continue
-                evaluate(pointer)
-                deltas += 1
-                if deltas > limit:
-                    # Delegate to the watchdog for the trip bookkeeping
-                    # and the livelock diagnosis (raises LivelockError).
-                    scheduler._pointer = pointer
-                    watchdog._deltas = deltas - 1
-                    watchdog.tick(links)
-            scheduler._pointer = pointer
-            watchdog._deltas = deltas
-            # Wire-write accounting for the inlined sig-hits, flushed
-            # once per cycle (nothing reads the counter mid-cycle).
-            links.wire_writes += sig_writes
-        else:
+        evaluate = self._evaluate
+        if not (self.optimize and type(scheduler) is WorklistScheduler):
             while True:
                 unit = scheduler.next_unit(links)
                 if unit is None:
-                    break
+                    return
                 evaluate(unit)
                 watchdog.tick(links)
+        # The hot loop, inlined: the worklist pick (the scheduler's own
+        # algorithm, verbatim), the watchdog count, and — in plain
+        # fault-free mode — the "inputs unchanged" sig-hit, the single
+        # most common evaluation outcome.  Each is a handful of int ops
+        # and the call overhead would otherwise dominate at ~n deltas
+        # per cycle.
+        pointer = scheduler._pointer
+        limit = watchdog.limit
+        deltas = watchdog.deltas
+        inline_sig = not self.packed and self._fault_free_cycle
+        states = self.states
+        iface_states = self.iface_states
+        eval_sig = self._eval_sig
+        read_wids = self._read_wids
+        pending = self._pending
+        n_writes = self._n_writes
+        stable_clear = self._stable_clear
+        touch = links.touch_stamp
+        hbr = links.hbr
+        sig_writes = 0
+        while True:
+            mask = links.unstable_mask
+            if not mask:
+                break
+            above = mask >> (pointer + 1)
+            if above:
+                pointer = pointer + 1 + ((above & -above).bit_length() - 1)
+            else:
+                pointer = (mask & -mask).bit_length() - 1
+            sig = eval_sig[pointer] if inline_sig else None
+            if (
+                sig is not None
+                and touch[pointer] <= sig[0]
+                and sig[1][0] is states[pointer]
+                and sig[1][1] is iface_states[pointer]
+            ):
+                for w in read_wids[pointer]:
+                    hbr[w] = 1
+                pending[pointer] = sig[1]
+                sig_writes += n_writes[pointer]
+                links.unstable_mask = mask & stable_clear[pointer]
+            else:
+                evaluate(pointer)
+            deltas += 1
+            if deltas > limit:
+                # Delegate to the watchdog for the trip bookkeeping
+                # and the livelock diagnosis (raises LivelockError).
+                scheduler._pointer = pointer
+                watchdog._deltas = deltas - 1
+                watchdog.tick(links)
+        scheduler._pointer = pointer
+        watchdog._deltas = deltas
+        # Wire-write accounting for the inlined sig-hits, flushed once
+        # per call (nothing reads the counter mid-convergence).
+        links.wire_writes += sig_writes
+
+    def _finish_cycle(self) -> None:
+        """Close the system cycle: next states, bank swap, delta count."""
         if self.optimize:
             self._finalize_units()
-        self._commit(watchdog.deltas)
+        self._commit(self.watchdog.deltas)
 
     def _commit(self, deltas: int) -> None:
-        n = self.cfg.n_routers
         self.states, self._next_states = self._next_states, list(self._next_states)
         self.iface_states, self._next_iface = self._next_iface, list(self._next_iface)
         if self.packed:
             self.statemem.swap()
-        for r in range(n):
+        for r in self._units:
             events = self._events[r]
             if events is not None:
                 self._record(r, events)
@@ -805,30 +729,12 @@ class SequentialNetwork(Network):
         units invalidate each other forever — the pathological case the
         convergence watchdog exists for.  Returns the wire names.
         """
-        nb = self._neighbor_cache[router][port]
-        if nb is None:
-            raise ValueError(f"router {router} has no neighbour on port {port}")
-        fwd = self._out_fwd_wire[router][port]
-        room = self._in_room_wire[router][port]
-        self.links.set_flaky(fwd)
-        self.links.set_flaky(room)
-        return (self.links.wire_name(fwd), self.links.wire_name(room))
+        names = self.topology.link_wires(router, port)
+        for name in names:
+            self.links.set_flaky(self.links.wire_id(name))
+        return names
 
     # -- quarantine (recovery) ---------------------------------------------------
-    def _wire_to_link(self, name: str) -> Tuple[int, int]:
-        """Map a wire name to the directed physical link it belongs to."""
-        kind, rest = name.split(":")
-        router_s, port_s = rest.split(".")
-        router, port = int(router_s), int(port_s)
-        if kind == "fwd":
-            return router, port
-        # A room wire written by `router` at input port `port` carries the
-        # credit for the reverse channel: neighbour --opposite--> router.
-        nb = self._neighbor_cache[router][port]
-        if nb is None:
-            raise ValueError(f"wire {name!r} has no physical link")
-        return nb, int(Port(port).opposite)
-
     def quarantine_link(self, router: int, port: int) -> None:
         """Kill the directed link in the link memory and reroute.
 
@@ -852,7 +758,7 @@ class SequentialNetwork(Network):
         livelock diagnosis names flapping wires.  Returns the directed
         links taken out of service.
         """
-        links = sorted({self._wire_to_link(name) for name in names})
+        links = self.topology.links_behind(names)
         for router, port in links:
             self.quarantine_link(router, port)
         return links
@@ -891,7 +797,7 @@ class StaticSequentialNetwork(SequentialNetwork):
             for p in range(1, rc.n_ports):
                 w = self._out_room_wire[r][p]
                 if w >= 0:
-                    self._write_wire(w, rooms[p])
+                    self.links.write_wire(w, rooms[p])
             deltas += 1
 
         # Phase B: every unit publishes its forward wires.
@@ -914,7 +820,7 @@ class StaticSequentialNetwork(SequentialNetwork):
             for p in range(1, rc.n_ports):
                 w = self._out_fwd_wire[r][p]
                 if w >= 0:
-                    self._write_wire(w, fwd_out[p])
+                    self.links.write_wire(w, fwd_out[p])
             deltas += 1
 
         # Phase C: every unit commits its next state.  No room wire was

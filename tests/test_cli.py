@@ -59,6 +59,32 @@ class TestCli:
         assert main(["simulate", "--lanes", "2", "--cycles", "10"]) == 2
         assert "--lanes requires --engine batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, needs",
+        [
+            ("--transport process", "--transport requires --partitions K"),
+            ("--link-latency 2", "--link-latency requires --partitions K"),
+            (
+                "--engine batch --scheduler roundrobin",
+                "--scheduler requires --engine sequential or --partitions K",
+            ),
+            ("--fast-forward", "--fast-forward requires --engine batch"),
+            (
+                "--engine batch --stream --fast-forward",
+                "--fast-forward requires --engine batch without --stream",
+            ),
+            ("--chunk 7", "--chunk requires --stream"),
+        ],
+        ids=["transport", "link-latency", "scheduler", "fast-forward",
+             "fast-forward+stream", "chunk"],
+    )
+    def test_simulate_refuses_a_flag_its_path_ignores(self, capsys, flags, needs):
+        """A flag the chosen path never reads is a usage error naming
+        what it needs — not a silent run of the default path."""
+        assert main(["simulate", "--cycles", "10"] + flags.split()) == 2
+        captured = capsys.readouterr()
+        assert needs in captured.err and captured.out == ""
+
     def test_simulate_streamed_prints_cpu_column_and_rejects_bad_chunk(self, capsys):
         args = ["simulate", "--stream", "--engine", "batch", "--lanes", "2",
                 "--width", "3", "--height", "3", "--cycles", "80"]
@@ -309,3 +335,57 @@ class TestEnvironmentSurface:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+class TestSourceAudit:
+    """The HBR cycle is stated once: no block of code lives in two files,
+    and the partitioner reaches the evaluator only through its phases."""
+
+    SRC = os.path.join(TestEnvironmentSurface.ROOT, "src", "repro")
+
+    def _sources(self, folder=""):
+        for here, _dirs, files in os.walk(os.path.join(self.SRC, folder)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    with open(os.path.join(here, name)) as stream:
+                        yield os.path.join(here, name), stream.read()
+
+    def test_no_eight_line_block_appears_in_two_files(self):
+        import ast
+
+        owner = {}
+        shared = set()
+        for path, text in self._sources():
+            docstrings = set()
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(
+                    node, (ast.Module, ast.ClassDef, ast.FunctionDef)
+                ) and ast.get_docstring(node, clean=False):
+                    first = node.body[0]
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+            code = [
+                " ".join(line.split())
+                for number, line in enumerate(text.splitlines(), 1)
+                if number not in docstrings
+            ]
+            # comments and short lines (brackets, field-name lists) are not code
+            code = [ln for ln in code if len(ln) >= 12 and not ln.startswith("#")]
+            for start in range(len(code) - 7):
+                window = "\n".join(code[start:start + 8])
+                if owner.setdefault(window, path) != path:
+                    shared.add((owner[window], path))
+        assert not shared
+
+    def test_partition_names_no_fast_path_internal(self):
+        import re
+
+        internals = re.compile(
+            r"\b(_eval_sig|_pending|_read_wids|_room_cache|_out_cache"
+            r"|_quiesc_cache|_evaluate_unit_fast|_fault_free_cycle)\b"
+        )
+        found = {
+            (os.path.basename(path), name)
+            for path, text in self._sources("partition")
+            for name in internals.findall(text)
+        }
+        assert not found

@@ -5,7 +5,7 @@ workers behind the boundary switch is **bit-identical** to the
 monolithic sequential simulator — snapshots, injection/ejection logs
 and (in lockstep sync) per-cycle delta counts — including under
 boundary-link SEUs and quarantine, in every transport (local lockstep,
-local rounds, process pool with shared-memory plane or pipe fallback).
+local rounds, process pool).
 
 Plus the satellite surfaces: partition-map/manifest properties
 (hypothesis-randomised), the CLI ``--partitions`` flags, the sweep
@@ -297,21 +297,31 @@ class TestBitIdentical:
 
     def test_process_transport_4x4(self):
         cfg = torus(4, 4)
-        lockstep(
-            cfg,
-            [
-                mono(cfg),
-                PartitionedEngine(cfg, partitions=4, transport="process"),
-            ],
-        )
+        for k in (4, 2):  # one test id, both tile counts
+            engine = PartitionedEngine(cfg, partitions=k, transport="process")
+            line = engine.layout_line()
+            lockstep(cfg, [mono(cfg), engine])
+            assert "switch: process/rounds" in line
 
-    def test_process_pipe_fallback_4x4(self):
+    def test_lockstep_runs_the_roundrobin_scheduler(self):
+        """``scheduler="roundrobin"`` reaches the lockstep coordinator's
+        pick loop (it used to scan the worklist mask regardless)."""
+        from unittest import mock
+
+        from repro.seqsim.scheduler import RoundRobinScheduler
+
         cfg = torus(4, 4)
-        engine = PartitionedEngine(
-            cfg, partitions=2, transport="process", use_shm=False
-        )
-        assert engine.pool.shm_active is False
-        lockstep(cfg, [mono(cfg), engine])
+        engine = PartitionedEngine(cfg, partitions=4, scheduler="roundrobin")
+        assert isinstance(engine.scheduler, RoundRobinScheduler)
+        with mock.patch.object(
+            engine.scheduler, "next_unit", wraps=engine.scheduler.next_unit
+        ) as spy:
+            lockstep(
+                cfg,
+                [SequentialNetwork(cfg, scheduler="roundrobin"), engine],
+                check_deltas=True,
+            )
+        assert spy.call_count > 0
 
     def test_process_transport_without_fork_names_the_way_out(self, monkeypatch):
         from repro.farm import process

@@ -210,3 +210,59 @@ class TestDeltaAccounting:
             driver.send(be_packet(cfg, s, (s + 5) % 16, seq=s), vc=2)
         driver.run_until_drained()
         assert len(driver.delivered) == 6
+
+
+VARIANTS = {
+    "fast": lambda cfg: SequentialNetwork(cfg),
+    "reference": lambda cfg: SequentialNetwork(cfg, optimize=False),
+    "roundrobin": lambda cfg: SequentialNetwork(cfg, scheduler="roundrobin"),
+    "packed": lambda cfg: SequentialNetwork(cfg, packed=True),
+}
+
+
+def fig1_run(variant):
+    """300 cycles of load-0.08 uniform BE traffic on the Fig. 1 network;
+    the one-tile partition worker is stepped phase by phase."""
+    from repro.experiments.common import fig1_network
+    from repro.partition import PartitionWorkerNetwork
+    from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
+
+    cfg = fig1_network()
+    if variant == "one-tile":
+        net = PartitionWorkerNetwork(cfg, range(cfg.n_routers))
+        phases = (net.begin_step, net.converge_local, net.finish_step)
+    else:
+        net = VARIANTS[variant](cfg)
+        phases = (net.step,)
+    driver = TrafficDriver(
+        net, be=BernoulliBeTraffic(cfg, 0.08, uniform_random(cfg), seed=0xBEE)
+    )
+    for cycle in range(300):
+        driver.generate(cycle)
+        driver.pump()
+        for phase in phases:
+            phase()
+    return (
+        net.links.wire_writes,
+        net.links.value_changes,
+        tuple(net.metrics.per_cycle),
+        net.snapshot(),
+    )
+
+
+class TestLinkTrafficCounters:
+    """The class docstring's promise, checked: every evaluation path —
+    and the begin / converge / finish decomposition a partition tile
+    drives — produces the same link-memory traffic counters, per-cycle
+    delta counts and state."""
+
+    @pytest.fixture(scope="class")
+    def fast(self):
+        return fig1_run("fast")
+
+    @pytest.mark.parametrize(
+        "variant", ["reference", "roundrobin", "packed", "one-tile"]
+    )
+    def test_counters_equal_the_fast_path(self, fast, variant):
+        assert (fast[0], fast[1], sum(fast[2])) == (107416, 5497, 13427)
+        assert fig1_run(variant) == fast
