@@ -104,16 +104,24 @@ def cmd_simulate(args) -> int:
         return 1
 
 
-def _report_kernel(engine) -> None:
-    """One line naming the execution body actually in use (degrade
-    visibly, never silently); engines with a single body print nothing."""
+def _report_kernel(engine, drivers=None) -> None:
+    """One line naming the execution body actually in use and where the
+    traffic is generated (degrade visibly, never silently); engines with
+    a single body print nothing.  ``drivers`` is the lane-parallel
+    driver set; a lone driver generates per cycle, in Python."""
     kernel = getattr(engine, "kernel", None)
     if kernel is None:
         return
+    from repro.engines.batch import window_source
+
     body = "generated C" if engine._compiled is not None else "NumPy sweeps"
     if engine.kernel_reason:
         body += f"; {engine.kernel_reason}"
-    print(f"kernel: {kernel} ({body})")
+    reason = "a lone driver steps per cycle"
+    if drivers is not None:
+        reason = window_source(engine, drivers).reason
+    traffic = "C scan" if reason is None else f"Python generators ({reason})"
+    print(f"kernel: {kernel} ({body}); traffic: {traffic}")
 
 
 def _available_memory_bytes() -> Optional[int]:
@@ -232,9 +240,8 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
     from repro.stats import PacketLatencyTracker, ThroughputStats
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
-    _report_kernel(engine)
     layout = getattr(engine, "layout_line", None)
-    if callable(layout):  # partitioned engine
+    if callable(layout):  # partitioned engine (it has no kernel line)
         print(layout())
     if args.stream:
         return _simulate_streamed(args, net, engine, lanes)
@@ -242,6 +249,7 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
         lanes > 1 or args.fast_forward
     ):
         return _simulate_batched(args, net, engine, lanes)
+    _report_kernel(engine)
     be = BernoulliBeTraffic(net, args.load, uniform_random(net), seed=args.seed)
     driver = TrafficDriver(engine, be=be)
     tracker = PacketLatencyTracker(net)
@@ -281,8 +289,9 @@ def _simulate_streamed(args, net, engine, lanes: int) -> int:
     """``simulate --stream``: the five-phase pipeline of section 5.3,
     with generate/load/retrieve/analyze overlapped against the
     simulation through real cyclic buffers."""
+    from repro.engines import lane_views
     from repro.pipeline import run_pipeline
-    from repro.traffic import BernoulliBeTraffic, uniform_random
+    from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
     n = lanes if args.engine == "batch" else 1
     traffic = [
@@ -294,6 +303,11 @@ def _simulate_streamed(args, net, engine, lanes: int) -> int:
         )
         for i in range(n)
     ]
+    # the pipeline builds its own drivers over these generators
+    _report_kernel(
+        engine,
+        [TrafficDriver(view, be=be) for view, (be, _) in zip(lane_views(engine), traffic)],
+    )
     start = time.perf_counter()
     report = run_pipeline(
         engine, traffic, args.cycles, chunk=args.chunk or DEFAULT_CHUNK
@@ -333,6 +347,7 @@ def _simulate_batched(args, net, engine, lanes: int) -> int:
         )
         for i in range(lanes)
     ]
+    _report_kernel(engine, drivers)
     start = time.perf_counter()
     run_batched(
         engine,

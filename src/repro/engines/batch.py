@@ -828,16 +828,19 @@ def chunk_kernel(engine, drivers: Sequence):
     return None
 
 
-def window_generator(engine, drivers: Sequence):
-    """The batched C traffic scan over ``drivers`` when the engine was
-    bound to the generated body and the drivers qualify
-    (:func:`repro.kernels.trafficgen.batched_be_generator`), else
-    ``None``: traffic is generated in Python."""
+def window_source(engine, drivers: Sequence):
+    """Where ``drivers``' traffic windows come from: the batched C scan
+    when the engine was bound to the generated body and the drivers
+    qualify (:func:`repro.kernels.trafficgen.batched_be_generator`),
+    else the drivers' own Python generators — ``source.reason`` says
+    why."""
     from repro.kernels.trafficgen import batched_be_generator
+    from repro.traffic.stimuli import DriverWindows
 
-    if getattr(engine, "_compiled", None) is not None:
-        return batched_be_generator(drivers)
-    return None
+    if getattr(engine, "_compiled", None) is None:
+        return DriverWindows(drivers, "the engine has no generated-C body")
+    generator, reason = batched_be_generator(drivers)
+    return generator if generator is not None else DriverWindows(drivers, reason)
 
 
 def _hook_horizon(engine: BatchEngine, limit: int) -> int:
@@ -942,9 +945,10 @@ def run_batched(
     A compiled engine (``jit`` or ``levelized``: one generated body)
     runs whole :data:`_CHUNK`-cycle windows inside one fused C call
     whenever the driver set passes :func:`_chunk_eligible` — the Fig. 1
-    GT + BE sweep and the pattern sweeps included: traffic is staged
-    ahead with timestamps, the pump moves into the kernel, and events
-    come back as column blocks of the lanes' :class:`EventLog`.
+    GT + BE sweep and the pattern sweeps included: each chunk's traffic
+    is one columnar :class:`~repro.traffic.stimuli.Stimuli` window,
+    staged ahead with timestamps; the pump moves into the kernel, and
+    events come back as column blocks of the lanes' :class:`EventLog`.
 
     Where every driver carries a Bernoulli-BE/uniform-random stream
     (any per-lane load, zero and ``be=None`` included) with or without
@@ -952,9 +956,12 @@ def run_batched(
     per-lane generate calls are replaced by one C scan per chunk or
     cycle (:func:`repro.kernels.trafficgen.batched_be_generator`) — a
     pure reordering of independent per-lane work, bit-identical per
-    lane.  Other generators (transpose, hotspot, ...) are generated in
-    Python, ahead of each chunk.  A ``kernel="python"`` engine keeps the
-    all-Python reference path end to end.
+    lane.  Other generators (transpose, hotspot, ...) fill the same
+    columns from Python, a window ahead of each chunk
+    (:func:`window_source` says which, and why).  A ``kernel="python"``
+    engine keeps the all-Python reference path end to end.  A
+    :class:`~repro.traffic.stimuli.NetworkOverloadError` leaves the
+    drivers where that reference loop would, on every path.
 
     ``fast_forward`` enables quiescence skipping: before generating each
     cycle the run checks :func:`_try_fast_forward`, and when the fabric,
@@ -964,12 +971,15 @@ def run_batched(
     without it they veto the skip and the run simply steps.
     Fast-forward never fires while any fault is resident.
     """
-    generator = window_generator(engine, drivers)
+    from repro.traffic.stimuli import step_window
+
+    source = window_source(engine, drivers)
+    scan = source if source.reason is None else None
     end = engine.cycle + cycles
 
     def skipped() -> bool:
         return fast_forward and bool(
-            _try_fast_forward(engine, drivers, end - engine.cycle, generator)
+            _try_fast_forward(engine, drivers, end - engine.cycle, scan)
         )
 
     compiled = chunk_kernel(engine, drivers)
@@ -977,30 +987,23 @@ def run_batched(
         while engine.cycle < end:
             if skipped():
                 continue
-            k = min(_CHUNK, end - engine.cycle)
             start = engine.cycle
-            if generator is not None:
-                window = generator.generate_window(start, start + k)
-            else:
-                window = None
-                for driver in drivers:
-                    for c in range(start, start + k):
-                        driver.generate(c)
-            compiled.run_chunk(drivers, k, window)
+            stop = min(start + _CHUNK, end)
+            compiled.run_chunk(
+                drivers, stop - start, source.generate_window(start, stop)
+            )
         return
     while engine.cycle < end:
         if skipped():
             continue
         cycle = engine.cycle
-        if generator is not None:
-            generator.generate(cycle)
-            for driver in drivers:
-                driver.pump()
+        if scan is not None:
+            step_window(engine, drivers, scan.generate_window(cycle, cycle + 1))
         else:
             for driver in drivers:
                 driver.generate(cycle)
                 driver.pump()
-        engine.step()
+            engine.step()
 
 
 def drain_batched(

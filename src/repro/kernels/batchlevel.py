@@ -26,11 +26,15 @@ Two execution shapes share the one generated function:
   per-lane fault-fallback hook);
 * :meth:`CompiledBatchLevel.run_chunk` — **many cycles per C call**: the
   per-(router, VC) stimuli queues of every lane's
-  :class:`~repro.traffic.stimuli.TrafficDriver` are staged into flat
-  arrays (flit words + generation timestamps), and the kernel runs the
-  driver's pump loop itself, gated on each entry's timestamp, so the
-  whole generate-ahead chunk advances without touching Python between
-  cycles.  Lanes with nothing buffered, nothing pending in the
+  :class:`~repro.traffic.stimuli.TrafficDriver` — already flit columns,
+  :class:`~repro.traffic.stimuli.StimuliQueues` — and the chunk's
+  freshly generated :class:`~repro.traffic.stimuli.Stimuli` window are
+  merged into flat staged arrays (flit words + generation timestamps)
+  by one C pass, and the kernel runs the driver's pump loop itself,
+  gated on each entry's timestamp, so the whole generate-ahead chunk
+  advances without touching Python between cycles; a second C pass
+  writes each queue's unconsumed tail back as the driver's backlog.
+  Lanes with nothing buffered, nothing pending in the
   injection registers and no latched ejection flag are provably
   unchanged by a step and are skipped; a fully idle fabric jumps
   straight to the next staged arrival (the wrapper still credits the
@@ -52,7 +56,7 @@ availability-gated, sha256 disk cache keyed on the generated source.
 from __future__ import annotations
 
 import string
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -629,17 +633,10 @@ def generate_level_source(spec) -> str:
     )
 
 
-#: rows of the grow-only call buffers (see the kernel's unpacking).
-_BUFFER_ROWS = {"q": 7, "e": 2, "sent": 6, "ej": 5}
-
-
-class _Staged(NamedTuple):
-    """One chunk's staged stimuli queues (the words themselves live in
-    the kernel object's ``q``/``e`` buffers until the next ``stage``)."""
-
-    #: per staged queue: (driver, key, deque, backlog length, fresh, start)
-    refs: List[Tuple]
-    n_entries: int
+#: rows of the grow-only call buffers (see the kernel's unpacking; the
+#: staging kernel keeps each queue's store slot in an eighth ``q`` row
+#: and each entry's packet sequence number in a third ``e`` row).
+_BUFFER_ROWS = {"q": 8, "e": 3, "sent": 6, "ej": 5}
 
 
 class CompiledBatchLevel:
@@ -719,6 +716,10 @@ class CompiledBatchLevel:
             "last_alloc": B * R,
             "counts": 3,
             "err": 6,
+            # staging: per store slot, the window queue behind it; per
+            # lane, keys registered before and entries staged, + total
+            "fresh": max(2, R * V),
+            "marks": 2 * B + 1,
         }
         self._scratch = {
             name: np.zeros(size, dtype=np.int64)
@@ -726,6 +727,10 @@ class CompiledBatchLevel:
         }
         self._bound: dict = {}
         self._ptrs: dict = {}
+        #: ``(lib, ffi)`` of the stimuli kernel: staging and carry-over.
+        from repro.kernels.trafficgen import stimuli_kernel
+
+        self._stimuli = stimuli_kernel()
         for name, arr in self._tables.items():
             self._ptrs[name] = self._ptr(arr)
         for name, arr in self._scratch.items():
@@ -888,116 +893,117 @@ class CompiledBatchLevel:
         self._refresh_activity(lo, hi)
         ret = self._call(lo, hi, 1, 0, 0)
         if ret:
-            self._raise(ret, self._scratch["err"], None)
+            self._raise(ret, self._scratch["err"])
 
     # -- chunked execution --------------------------------------------------
-    def stage(self, drivers: Sequence, window=None) -> _Staged:
-        """Flatten every driver's stimuli queues (lane-major, dict
-        order) into the kernel's staged ``q``/``e`` buffers.
-
-        ``window`` optionally carries this chunk's freshly generated
-        words, one ``{(router, vc): (words, cycles, seqs)}`` dict per
-        lane (see ``BatchedBeGenerator.generate_window``): they are
-        staged directly after each queue's backlog, skipping the
-        per-entry ``StimuliEntry`` round-trip through the deques.  Every
-        window key is guaranteed to exist in ``driver.queues`` (the
-        generator registers it), so iterating the queues covers both
-        sources.
+    def stage(self, drivers: Sequence, window=None):
+        """Lay every driver's backlog, and behind it the flits of
+        ``window`` (a loaded :class:`~repro.traffic.stimuli.Stimuli`),
+        out in the kernel's staged ``q``/``e`` rows — one C pass over
+        the drivers' :class:`~repro.traffic.stimuli.StimuliQueues`, lane
+        major, each lane's queues in the order ``pump`` offers them.
+        The window's queue keys are registered in the stores on the way.
+        Returns ``(stores, queues staged, entries staged)``; ``stores``
+        names the drivers' tables and arenas by address.
         """
-        q_lane: List[int] = []
-        q_key: List[Tuple[int, int]] = []
-        q_end: List[int] = []
-        q_head: List[int] = []
-        q_stall: List[int] = []
-        e_word: List[int] = []
-        e_cycle: List[int] = []
-        refs: List[Tuple] = []
-        for lane, driver in enumerate(drivers):
-            stall_of = driver._stall.get
-            fresh_of = window[lane].get if window else None
-            for key, queue in driver.queues.items():
-                fresh = fresh_of(key) if fresh_of else None
-                if not queue and not fresh:
-                    continue
-                start = len(e_word)
-                if queue:
-                    e_word.extend([entry.flit_word for entry in queue])
-                    e_cycle.extend([entry.cycle for entry in queue])
-                if fresh:
-                    e_word.extend(fresh[0])
-                    e_cycle.extend(fresh[1])
-                q_lane.append(lane)
-                q_key.append(key)
-                q_head.append(start)
-                q_end.append(len(e_word))
-                q_stall.append(stall_of(key, 0))
-                refs.append((driver, key, queue, len(queue), fresh, start))
-        n = len(refs)
-        if n:
-            q = self._rows("q", n)
-            q[0, :n] = q_lane
-            q[1:3, :n] = np.array(q_key, dtype=np.int64).T
-            q[3, :n] = q_end
-            q[4, :n] = q_head
-            q[5, :n] = q_stall
-            q[6, :n] = 0
-            e = self._rows("e", len(e_word))
-            e[0, : len(e_word)] = e_word
-            e[1, : len(e_word)] = e_cycle
-        return _Staged(refs, len(e_word))
+        lib, _ = self._stimuli
+        queues = [driver.queues for driver in drivers]
+        lanes = len(queues)
+        stores = np.ascontiguousarray(
+            np.array([store.address() for store in queues], dtype=np.int64).T
+        )
+        backlog = sum(store._mark[1] for store in queues)  # arena fill marks
+        n_fresh = 0 if window is None else window.queues.shape[1]
+        if n_fresh:
+            fresh = window.flits.shape[1]
+            table, flits = self._ptr(window.queues), self._ptr(window.flits)
+        else:
+            fresh, table, flits = 0, self._ptrs["fresh"], self._ptrs["fresh"]
+        e = self._rows("e", backlog + fresh)
+        q = self._buffers["q"]
+        n_queues = lib.repro_stage(
+            lanes,
+            queues[0]._table.shape[1],
+            self.engine._V,
+            self._ptr(stores),
+            n_fresh,
+            table,
+            flits,
+            fresh,
+            self._ptrs["q"],
+            q.shape[1],
+            self._ptrs["e"],
+            e.shape[1],
+            self._ptrs["fresh"],
+            self._ptrs["marks"],
+        )
+        return stores, n_queues, int(self._scratch["marks"][2 * lanes])
 
     def run_chunk(self, drivers: Sequence, n_cycles: int, window=None) -> None:
         """Advance all lanes ``n_cycles`` cycles in one C call.
 
-        The chunk's traffic must already be generated (the staged queues
-        carry the timestamps that gate injection), either into the
-        driver deques or handed over directly via ``window``.  On an
-        architectural error the completed cycles' state, events, metrics
-        and queue consumption are applied first, then the reference
-        path's exact exception is raised.
+        The chunk's traffic is ``window`` (staged behind the drivers'
+        backlog; its timestamps gate injection) or already in the
+        drivers' queues.  Afterwards each queue's unconsumed tail is the
+        driver's backlog again, and the window is booked on the drivers
+        (:func:`~repro.traffic.stimuli.settle`).  On an architectural
+        error the completed cycles' state, events, metrics and queue
+        consumption are applied first, then the reference path's exact
+        exception is raised; an overload first rewinds the traffic to
+        where the per-cycle reference loop stops.
         """
         if self._stale():
             self._rebind()
         engine = self.engine
-        staged = self.stage(drivers, window)
-        self._refresh_activity(0, engine.lanes)
+        lanes = engine.lanes
+        stores, n_queues, n_entries = self.stage(drivers, window)
+        self._refresh_activity(0, lanes)
         scratch = self._scratch
         # Every staged entry and pending register injects at most once;
         # everything injected or already buffered ejects at most once.
-        sent_cap = int(scratch["injc"][: engine.lanes].sum()) + staged.n_entries
+        sent_cap = int(scratch["injc"][:lanes].sum()) + n_entries
         self._rows("sent", sent_cap)
-        self._rows("ej", sent_cap + int(scratch["buffered"][: engine.lanes].sum()))
+        self._rows("ej", sent_cap + int(scratch["buffered"][:lanes].sum()))
         stall_limit = drivers[0].stall_limit if drivers else 10_000
-        ret = self._call(0, engine.lanes, n_cycles, stall_limit, len(staged.refs))
+        ret = self._call(0, lanes, n_cycles, stall_limit, n_queues)
         completed = int(scratch["counts"][2])
         if completed:
             engine.metrics.record_cycles(
                 completed, engine.SWEEPS_PER_CYCLE * engine.cfg.n_routers
             )
             engine.cycle += completed
-        # Sync the consumed entries and touched stall counters back into
-        # the drivers (identical to what their own pump would have left):
-        # backlog entries pop off the deque, and any window words not
-        # consumed become the exact StimuliEntry objects _submit would
-        # have queued.
-        from repro.traffic.stimuli import window_entries
+        # What the drivers' own pump would have left: consumed entries
+        # gone, touched stall counters updated.  An arena too small for
+        # its lane's staged entries is replaced (all of them are in `e`).
+        marks = scratch["marks"]
+        if n_queues:
+            for lane in np.flatnonzero(marks[lanes : 2 * lanes] > stores[2]).tolist():
+                store = drivers[lane].queues
+                store._use(np.empty((3, 2 * int(marks[lanes + lane])), dtype=np.int64))
+                stores[:, lane] = store.address()
+            self._stimuli[0].repro_carry(
+                lanes,
+                drivers[0].queues._table.shape[1],
+                self._ptr(stores),
+                n_queues,
+                self._ptrs["q"],
+                self._buffers["q"].shape[1],
+                self._ptrs["e"],
+                self._buffers["e"].shape[1],
+            )
+        overload = None
+        if ret == 4:
+            lane = int(scratch["err"][4])
+            drivers[lane].overloaded = True
+            overload = (engine.cycle, lane)
+        if window is not None and (overload or window.packets.shape[1]):
+            from repro.traffic.stimuli import settle
 
-        refs = staged.refs
-        heads, stalls, touched = self._buffers["q"][4:7, : len(refs)].tolist()
-        for (driver, key, queue, n_queue, fresh, start), head, stall, hit in zip(
-            refs, heads, stalls, touched
-        ):
-            consumed = head - start
-            for _ in range(min(consumed, n_queue)):
-                queue.popleft()
-            if fresh and consumed - n_queue < len(fresh[0]):
-                queue.extend(window_entries(key, fresh, max(0, consumed - n_queue)))
-            if hit:
-                driver._stall[key] = stall
+            settle(drivers, window, marks, overload)
         if ret:
-            self._raise(ret, scratch["err"], drivers)
+            self._raise(ret, scratch["err"])
 
-    def _raise(self, ret, err, drivers) -> None:
+    def _raise(self, ret, err) -> None:
         if ret == 1:
             data = int(err[1])
             x, y = data & 0xF, (data >> 4) & 0xF
@@ -1011,14 +1017,7 @@ class CompiledBatchLevel:
         if ret == 4:
             from repro.traffic.stimuli import NetworkOverloadError
 
-            router, vc, stall, lane = (
-                int(err[1]),
-                int(err[2]),
-                int(err[3]),
-                int(err[4]),
-            )
-            if drivers is not None:
-                drivers[lane].overloaded = True
+            router, vc, stall = int(err[1]), int(err[2]), int(err[3])
             raise NetworkOverloadError(
                 f"router {router} VC {vc} refused stimuli for "
                 f"{stall} cycles — network overloaded"

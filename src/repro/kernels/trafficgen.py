@@ -1,62 +1,97 @@
-"""Generated-C kernel for lane-batched Bernoulli BE (+ GT) traffic.
+"""Generated-C stimuli kernel: lane-batched traffic windows as columns.
 
 Sweeps and benches drive every lane of a batch engine with its own
 :class:`~repro.traffic.generators.BernoulliBeTraffic` stream, usually
 beside a fixed set of :class:`~repro.traffic.generators.GtStreamTraffic`
-streams (the Fig. 1 workload).  The per-cycle cost of the BE streams is
-one LFSR jump and a threshold compare per source per lane — pure integer
-arithmetic that dominates the driver once the simulation step itself is
-compiled.  This module moves exactly that scan into one C call per
-window of cycles:
+streams (the Fig. 1 workload).  Everything between the LFSR and the
+chunk kernel's stimuli buffers is integer arithmetic on the scan's
+``(lane, cycle, src, dest)`` hits, so it runs here, in four C functions
+over the columns of :mod:`repro.traffic.stimuli`:
 
-* every lane's 32-bit Galois LFSR advances through the same 4x256-byte
-  jump tables as :class:`~repro.traffic.rng.HardwareLfsr.next_u32`,
-  against that lane's own threshold (a zero-load or ``be=None`` lane
-  draws no words at all, like ``packets_for_cycle``'s early return);
-* a Bernoulli hit records ``(lane, cycle, src)`` and immediately draws
-  the uniform-random destination with the same rejection sampling as
-  :meth:`~repro.traffic.rng.HardwareLfsr.next_below` — consuming the
-  identical number of RNG words in the identical order;
-* GT streams are periodic, so their firing cycles inside the window are
-  closed-form; Python merges them with the hit list per lane,
-  cycle-major and GT before BE — the order ``TrafficDriver.generate``
-  submits in, which the tracker's ``(src, seq)`` FIFO matching needs —
-  and builds the :class:`~repro.noc.packet.Packet` objects (sequence
-  numbers, payloads and tags are per-lane state);
-* in probe mode the same scan stops before the first hit in any lane —
-  the quiescence fast-forward's proof that a window is idle and its
-  LFSR advance over that window, in one pass (bounded by the next GT
-  firing).
+* ``repro_gen_be`` — **generate**.  Every lane's 32-bit Galois LFSR
+  advances through the same 4x256-byte jump tables as
+  :class:`~repro.traffic.rng.HardwareLfsr.next_u32`, against that lane's
+  own threshold (a zero-load or ``be=None`` lane draws no words at all,
+  like ``packets_for_cycle``'s early return).  A Bernoulli hit draws the
+  uniform-random destination with the same rejection sampling as
+  :meth:`~repro.traffic.rng.HardwareLfsr.next_below` — the identical
+  number of RNG words in the identical order — and becomes one packet
+  column then and there: sequence number, tag and BE-VC toggle are
+  per-lane counters the scan carries.  GT streams are periodic, so their
+  firings are closed-form; they are emitted cycle-major, GT before BE —
+  the order ``TrafficDriver.generate`` submits in, which the tracker's
+  ``(src, seq)`` FIFO matching needs.  In probe mode the same scan stops
+  before the first hit in any lane — the quiescence fast-forward's proof
+  that a window is idle and its LFSR advance over that window, in one
+  pass (bounded by the next GT firing).
+* ``repro_load_flits`` — **load**.  Packets grouped by lane; head,
+  source-info and ramp-payload flit words (pure functions of a packet
+  column and the flit layout) grouped by stimuli queue.
+* ``repro_stage`` / ``repro_carry`` — the chunk kernel's two ends: merge
+  every driver's backlog with a window's flits into the staged ``q`` /
+  ``e`` rows, and afterwards write each queue's unconsumed tail and
+  stall counter back, in place in the drivers'
+  :class:`~repro.traffic.stimuli.StimuliQueues`.
 
 The kernel is built, cached and loaded through the same pipeline as the
 simulation body (:func:`repro.kernels.cbackend.load_source`), so it
 shares the compiler probe, the content-hashed disk cache and the
-availability gating.  When no C tier is available the caller falls back
-to per-lane pure-Python generators, bit-identical by construction.
+availability gating.  Where the scan does not apply, windows come from
+the drivers' own Python generators
+(:class:`~repro.traffic.stimuli.DriverWindows`), bit-identical by
+construction.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.traffic.stimuli import Stimuli, WindowSource
 
 __all__ = [
+    "BatchedBeGenerator",
     "batched_be_generator",
     "jump_table",
-    "load_traffic_kernel",
-    "traffic_ffi",
+    "stimuli_kernel",
 ]
 
 _CDEF = """
 int64_t repro_gen_be(
-    int64_t lanes, int64_t n_src, int64_t start, int64_t stop, int64_t probe,
+    int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
+    int64_t probe,
     const int64_t *thresholds, int64_t bound, int64_t span,
     const int64_t *jump,
-    int64_t *states, int64_t *reads,
-    int64_t *hits, int64_t cap);
+    int64_t *states, int64_t *tally,
+    int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
+    const int64_t *be_vcs, int64_t n_be_vcs,
+    int64_t n_gt, const int64_t *gt_lane, const int64_t *gt_stream,
+    int64_t *gt_seq, int64_t *gt_fire,
+    int64_t *pk, int64_t cap, int64_t *ends);
+int64_t repro_load_flits(
+    int64_t m, const int64_t *pk,
+    int64_t n_keys, int64_t n_vcs, int64_t width, int64_t dw,
+    int64_t *queues, int64_t q_cap, int64_t *flits, int64_t n,
+    int64_t *key_queue, int64_t *work);
+int64_t repro_stage(
+    int64_t lanes, int64_t n_keys, int64_t n_vcs, const int64_t *stores,
+    int64_t nq_w, const int64_t *wq, const int64_t *wf, int64_t wf_cap,
+    int64_t *q, int64_t q_cap, int64_t *e, int64_t e_cap,
+    int64_t *fresh, int64_t *marks);
+void repro_carry(
+    int64_t lanes, int64_t n_keys, const int64_t *stores,
+    int64_t nqs, const int64_t *q, int64_t q_cap,
+    const int64_t *e, int64_t e_cap);
 """
 
 _SOURCE = """
 #include <stdint.h>
+#include <string.h>
+
+/* Rows of the packet columns (repro.traffic.stimuli.P_*). */
+enum { P_LANE, P_CYCLE, P_SRC, P_DEST, P_VC, P_SEQ, P_TAG, P_GT, P_NBYTES,
+       P_ROWS };
 
 /* One 32-step Galois LFSR jump via the 4x256 byte tables (exactly
  * HardwareLfsr.next_u32: tables are the GF(2) images of each state
@@ -69,37 +104,111 @@ static inline uint32_t lfsr_jump(uint32_t s, const int64_t *jump)
                     ^ jump[768 + (s >> 24)]);
 }
 
-/* Scan every lane's BE traffic stream over cycles [start, stop).
+/* Scan the traffic of lanes [0, upto) over cycles [start, stop); every
+ * table holds `lanes` lanes.
  *
  * Per cycle, per lane, per source: one jump + compare against the
  * lane's threshold (the Bernoulli draw).  A lane whose threshold is
  * negative has no live BE stream and draws no words.  `states` and
- * `reads[l]` (words consumed by lane l) are updated in place.
+ * `tally[l]` (words consumed by lane l) are updated in place.
  *
- * probe == 0 (generate): on a hit, the destination is drawn in place
- * with rejection sampling below `span` then reduced modulo `bound` —
- * the same word sequence HardwareLfsr.next_below consumes — and
- * (lane, cycle, src, dest) is appended to `hits` (`cap` rows; the
- * caller sizes it for the worst case).  Returns the hit count.
+ * probe == 0 (generate): every packet of the window becomes one column
+ * of `pk` (rows of 2 * cap columns; the caller sizes `cap` for the
+ * worst case), in cycle-major, lane, GT-before-BE order, and columns
+ * [cap, cap + n) then hold the same packets grouped by lane (stable, so
+ * each lane keeps its submit order), `ends` their cumulative ends and
+ * flit counts per lane (`bpf` payload bytes per flit).  A lane's GT
+ * streams
+ * (gt_lane rows: count, period, payload bytes; gt_stream rows: phase,
+ * src, dest, vc; `n_gt` columns per lane) fire at the cycles congruent
+ * to their phase, in stream order.  On a BE hit the destination is
+ * drawn in place with rejection sampling below `span` then reduced
+ * modulo `bound` — the same word sequence HardwareLfsr.next_below
+ * consumes.  Sequence numbers (be_seq, gt_seq) and the per-source BE-VC
+ * toggles advance as TrafficDriver.generate advances them.  Returns the
+ * packet count.
  *
- * probe != 0 (idle window): stop before the first cycle in which any
- * lane hits.  A cycle's new states are parked in `hits[0..lanes)` and
- * committed only once every lane has passed it, so on return every
- * live lane has consumed exactly n_src words per returned cycle.
- * Returns the number of hit-free cycles; `reads[lanes]` accumulates
- * every word examined, the discarded cycle's included.
+ * probe != 0 (idle window; the caller cut it at the next GT firing):
+ * stop before the first cycle in which any lane hits.  A cycle's new
+ * states are parked in `pk[0..lanes)` and committed only once every
+ * lane has passed it, so on return every live lane has consumed exactly
+ * n_src words per returned cycle.  Returns the number of hit-free
+ * cycles; `tally[lanes]` accumulates every word examined, the discarded
+ * cycle's included.
  */
 int64_t repro_gen_be(
-    int64_t lanes, int64_t n_src, int64_t start, int64_t stop, int64_t probe,
+    int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
+    int64_t probe,
     const int64_t *thresholds, int64_t bound, int64_t span,
     const int64_t *jump,
-    int64_t *states, int64_t *reads,
-    int64_t *hits, int64_t cap)
+    int64_t *states, int64_t *tally,
+    int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
+    const int64_t *be_vcs, int64_t n_be_vcs,
+    int64_t n_gt, const int64_t *gt_lane, const int64_t *gt_stream,
+    int64_t *gt_seq, int64_t *gt_fire,
+    int64_t *pk, int64_t cap, int64_t *ends)
 {
+    const int64_t *gt_count = gt_lane, *gt_period = gt_lane + lanes;
+    const int64_t *gt_nbytes = gt_lane + 2 * lanes;
+    const int64_t n_streams = lanes * n_gt;
+    const int64_t *gt_phase = gt_stream, *gt_src = gt_stream + n_streams;
+    const int64_t *gt_dest = gt_stream + 2 * n_streams;
+    const int64_t *gt_vc = gt_stream + 3 * n_streams;
+    int64_t *gt_next = gt_fire + n_streams; /* per lane: its next firing */
+    const int64_t stride = 2 * cap;
+    int64_t *lane_ends = ends, *lane_flits = ends + lanes;
     int64_t n = 0;
+#define EMIT(lane, cycle, src, dest, vc, seq, tag, gt, nbytes)              \\
+    do {                                                                    \\
+        if (n < cap) {                                                      \\
+            pk[P_LANE * stride + n] = (lane);                                  \\
+            pk[P_CYCLE * stride + n] = (cycle);                                \\
+            pk[P_SRC * stride + n] = (src);                                    \\
+            pk[P_DEST * stride + n] = (dest);                                  \\
+            pk[P_VC * stride + n] = (vc);                                      \\
+            pk[P_SEQ * stride + n] = (seq);                                    \\
+            pk[P_TAG * stride + n] = (tag);                                    \\
+            pk[P_GT * stride + n] = (gt);                                      \\
+            pk[P_NBYTES * stride + n] = (nbytes);                              \\
+        }                                                                   \\
+        n++;                                                                \\
+    } while (0)
+
+    if (!probe) {
+        /* first firing of every GT stream at or after `start` */
+        for (int64_t l = 0; l < upto; l++) {
+            int64_t next = INT64_MAX;
+            for (int64_t i = 0; i < gt_count[l]; i++) {
+                const int64_t period = gt_period[l];
+                int64_t off = (gt_phase[l * n_gt + i] - start) % period;
+                if (off < 0)
+                    off += period;
+                gt_fire[l * n_gt + i] = start + off;
+                if (start + off < next)
+                    next = start + off;
+            }
+            gt_next[l] = next;
+        }
+    }
     for (int64_t c = start; c < stop; c++) {
         int64_t examined = 0;
-        for (int64_t l = 0; l < lanes; l++) {
+        for (int64_t l = 0; l < upto; l++) {
+            if (!probe && gt_next[l] == c) {
+                int64_t next = INT64_MAX;
+                for (int64_t i = 0; i < gt_count[l]; i++) {
+                    const int64_t k = l * n_gt + i;
+                    if (gt_fire[k] == c) {
+                        const int64_t seq = gt_seq[k];
+                        gt_seq[k] = (seq + 1) & 0xFF;
+                        EMIT(l, c, gt_src[k], gt_dest[k], gt_vc[k], seq,
+                             i % 128, 1, gt_nbytes[l]);
+                        gt_fire[k] += gt_period[l];
+                    }
+                    if (gt_fire[k] < next)
+                        next = gt_fire[k];
+                }
+                gt_next[l] = next;
+            }
             const int64_t threshold = thresholds[l];
             if (threshold < 0)
                 continue;
@@ -111,7 +220,7 @@ int64_t repro_gen_be(
                 if ((int64_t)s >= threshold)
                     continue;
                 if (probe) {
-                    reads[lanes] += examined + rd;
+                    tally[lanes] += examined + rd;
                     return c - start;
                 }
                 uint32_t d;
@@ -123,33 +232,251 @@ int64_t repro_gen_be(
                 int64_t dest = (int64_t)(d % (uint32_t)bound);
                 if (dest >= src)
                     dest += 1;
-                if (n < cap) {
-                    hits[n * 4] = l;
-                    hits[n * 4 + 1] = c;
-                    hits[n * 4 + 2] = src;
-                    hits[n * 4 + 3] = dest;
-                }
-                n++;
+                const int64_t k = l * n_src + src;
+                const int64_t seq = be_seq[k], toggle = toggles[k];
+                be_seq[k] = (seq + 1) & 0xFF;
+                toggles[k] = (toggle + 1) % n_be_vcs;
+                EMIT(l, c, src, dest, be_vcs[toggle], seq, seq % 128, 0,
+                     be_nbytes[l]);
             }
             examined += rd;
             if (probe) {
-                hits[l] = (int64_t)s;
+                pk[l] = (int64_t)s;
             } else {
                 states[l] = (int64_t)s;
-                reads[l] += rd;
+                tally[l] += rd;
             }
         }
         if (probe) {
-            for (int64_t l = 0; l < lanes; l++) {
+            for (int64_t l = 0; l < upto; l++) {
                 if (thresholds[l] < 0)
                     continue;
-                states[l] = hits[l];
-                reads[l] += n_src;
+                states[l] = pk[l];
+                tally[l] += n_src;
             }
-            reads[lanes] += examined;
+            tally[lanes] += examined;
         }
     }
-    return probe ? stop - start : n;
+#undef EMIT
+    if (probe)
+        return stop - start;
+    if (n > cap)
+        return n;
+    /* group by lane: count, then place (lane_flits is the write cursor) */
+    int64_t at = 0;
+    for (int64_t l = 0; l < lanes; l++)
+        lane_ends[l] = 0;
+    for (int64_t j = 0; j < n; j++)
+        lane_ends[pk[P_LANE * stride + j]]++;
+    for (int64_t l = 0; l < lanes; l++) {
+        const int64_t count = lane_ends[l];
+        lane_flits[l] = at;
+        at += count;
+        lane_ends[l] = at;
+    }
+    for (int64_t j = 0; j < n; j++) {
+        const int64_t k = cap + lane_flits[pk[P_LANE * stride + j]]++;
+        for (int64_t f = 0; f < P_ROWS; f++)
+            pk[f * stride + k] = pk[f * stride + j];
+    }
+    for (int64_t l = 0; l < lanes; l++)
+        lane_flits[l] = 0;
+    for (int64_t j = 0; j < n; j++)
+        lane_flits[pk[P_LANE * stride + j]] +=
+            2 + (pk[P_NBYTES * stride + j] + bpf - 1) / bpf;
+    return n;
+}
+
+/* The load step: the flits of `m` packets (`pk`, [P_ROWS, m], grouped
+ * by lane) grouped by stimuli queue.
+ *
+ *   queues     [4, q_cap]   lane, router, vc and cumulative end of each
+ *                           queue's run in `flits`: queues grouped by
+ *                           lane, in first-submit order;
+ *   flits      [3, n]       flit word, release cycle, packet sequence
+ *                           number.
+ *
+ * A packet is HEAD(header) . BODY(source info) . payload flits, the
+ * last one the TAIL (repro.noc.packet.segment); generator payloads are
+ * the byte ramp from `seq` (GT) or `src + seq` (BE), packed
+ * little-endian, dw / 8 bytes per flit.  `key_queue` (n_keys per lane,
+ * all -1 on entry and on return) and `work` (m + q_cap) are scratch.
+ * Returns the number of queues.
+ */
+int64_t repro_load_flits(
+    int64_t m, const int64_t *pk,
+    int64_t n_keys, int64_t n_vcs, int64_t width, int64_t dw,
+    int64_t *queues, int64_t q_cap, int64_t *flits, int64_t n,
+    int64_t *key_queue, int64_t *work)
+{
+    const int64_t bpf = dw / 8;
+    int64_t *q_lane = queues, *q_router = queues + q_cap;
+    int64_t *q_vc = queues + 2 * q_cap, *q_end = queues + 3 * q_cap;
+    int64_t *packet_queue = work, *cursor = work + m;
+    int64_t at = 0, nq = 0;
+
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t lane = pk[P_LANE * m + k];
+        const int64_t key = lane * n_keys + pk[P_SRC * m + k] * n_vcs
+                          + pk[P_VC * m + k];
+        int64_t qi = key_queue[key];
+        if (qi < 0) {
+            qi = key_queue[key] = nq++;
+            q_lane[qi] = lane;
+            q_router[qi] = pk[P_SRC * m + k];
+            q_vc[qi] = pk[P_VC * m + k];
+            q_end[qi] = 0;
+        }
+        q_end[qi] += 2 + (pk[P_NBYTES * m + k] + bpf - 1) / bpf;
+        packet_queue[k] = qi;
+    }
+    at = 0;
+    for (int64_t qi = 0; qi < nq; qi++) {
+        cursor[qi] = at;
+        at += q_end[qi];
+        q_end[qi] = at;
+        key_queue[q_lane[qi] * n_keys + q_router[qi] * n_vcs + q_vc[qi]] = -1;
+    }
+
+    int64_t *f_word = flits, *f_cycle = flits + n, *f_seq = flits + 2 * n;
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t src = pk[P_SRC * m + k], dest = pk[P_DEST * m + k];
+        const int64_t seq = pk[P_SEQ * m + k], gt = pk[P_GT * m + k];
+        const int64_t nbytes = pk[P_NBYTES * m + k];
+        const int64_t chunks = (nbytes + bpf - 1) / bpf;
+        const int64_t ramp = gt ? seq : src + seq;
+        int64_t w = cursor[packet_queue[k]];
+        const int64_t first = w;
+        f_word[w++] = ((int64_t)1 << dw) | (dest % width) | ((dest / width) << 4)
+                    | (gt << 8) | (pk[P_TAG * m + k] << 9);
+        f_word[w++] = ((int64_t)2 << dw) | (src % width) | ((src / width) << 4)
+                    | (seq << 8);
+        for (int64_t c = 0; c < chunks; c++) {
+            const int64_t left = nbytes - c * bpf;
+            int64_t data = 0;
+            for (int64_t j = 0; j < (left < bpf ? left : bpf); j++)
+                data |= ((ramp + c * bpf + j) & 0xFF) << (8 * j);
+            f_word[w++] = ((int64_t)(c == chunks - 1 ? 3 : 2) << dw) | data;
+        }
+        for (int64_t i = first; i < w; i++) {
+            f_cycle[i] = pk[P_CYCLE * m + k];
+            f_seq[i] = seq;
+        }
+        cursor[packet_queue[k]] = w;
+    }
+    return nq;
+}
+
+/* A driver's StimuliQueues, by address: `stores` rows are the table's
+ * address, the entry arena's address and the arena's capacity, one
+ * column per lane (the layout is StimuliQueues' own). */
+#define STORE(l)                                                            \\
+    int64_t *const table = (int64_t *)(intptr_t)stores[(l)];                \\
+    int64_t *const rows = (int64_t *)(intptr_t)stores[lanes + (l)];         \\
+    const int64_t cap = stores[2 * lanes + (l)];                            \\
+    int64_t *const slot_of = table, *const router = table + n_keys;         \\
+    int64_t *const vc = table + 2 * n_keys, *const lo = table + 3 * n_keys; \\
+    int64_t *const hi = table + 4 * n_keys;                                 \\
+    int64_t *const stall = table + 5 * n_keys;                              \\
+    int64_t *const mark = table + 6 * n_keys;                               \\
+    (void)slot_of; (void)router; (void)vc; (void)lo; (void)hi;              \\
+    (void)stall; (void)mark; (void)rows; (void)cap
+
+/* Stage a chunk: every lane's backlog, then the window's flits behind
+ * it, as the chunk kernel's `q` rows (lane, router, vc, end, head,
+ * stall, touched, + the store's slot) and `e` rows (word, cycle, seq) —
+ * lane-major, each lane's queues in its store's slot order, empty
+ * queues left out.  The window's queues (`wq` rows: lane, router, vc,
+ * cumulative end in `wf`, `nq_w` columns) register their keys in the
+ * stores, in window order.  `fresh` is n_keys zeros of scratch; `marks`
+ * returns, per lane, the keys registered before and the entries staged,
+ * then the entry total.  Returns the number of staged queues.
+ */
+int64_t repro_stage(
+    int64_t lanes, int64_t n_keys, int64_t n_vcs, const int64_t *stores,
+    int64_t nq_w, const int64_t *wq, const int64_t *wf, int64_t wf_cap,
+    int64_t *q, int64_t q_cap, int64_t *e, int64_t e_cap,
+    int64_t *fresh, int64_t *marks)
+{
+    const int64_t *w_lane = wq, *w_router = wq + nq_w;
+    const int64_t *w_vc = wq + 2 * nq_w, *w_end = wq + 3 * nq_w;
+    int64_t nq = 0, ne = 0, j = 0;
+    for (int64_t l = 0; l < lanes; l++) {
+        STORE(l);
+        const int64_t first = ne;
+        int64_t n = mark[0];
+        marks[l] = n;
+        for (; j < nq_w && w_lane[j] == l; j++) {
+            const int64_t key = w_router[j] * n_vcs + w_vc[j];
+            int64_t s = slot_of[key];
+            if (s < 0) {
+                s = slot_of[key] = n++;
+                router[s] = w_router[j];
+                vc[s] = w_vc[j];
+                lo[s] = hi[s] = 0;
+                stall[s] = -1;
+            }
+            fresh[s] = j + 1;
+        }
+        mark[0] = n;
+        for (int64_t s = 0; s < n; s++) {
+            const int64_t live = hi[s] - lo[s], f = fresh[s];
+            if (!live && !f)
+                continue;
+            fresh[s] = 0;
+            q[nq] = l;
+            q[q_cap + nq] = router[s];
+            q[2 * q_cap + nq] = vc[s];
+            q[4 * q_cap + nq] = ne;
+            q[5 * q_cap + nq] = stall[s] < 0 ? 0 : stall[s];
+            q[6 * q_cap + nq] = 0;
+            q[7 * q_cap + nq] = s;
+            for (int64_t r = 0; r < 3; r++)
+                memcpy(e + r * e_cap + ne, rows + r * cap + lo[s],
+                       (size_t)live * sizeof(int64_t));
+            ne += live;
+            if (f) {
+                const int64_t a = f > 1 ? w_end[f - 2] : 0, b = w_end[f - 1];
+                for (int64_t r = 0; r < 3; r++)
+                    memcpy(e + r * e_cap + ne, wf + r * wf_cap + a,
+                           (size_t)(b - a) * sizeof(int64_t));
+                ne += b - a;
+            }
+            q[3 * q_cap + nq] = ne;
+            nq++;
+        }
+        marks[lanes + l] = ne - first;
+    }
+    marks[2 * lanes] = ne;
+    return nq;
+}
+
+/* After the chunk: each staged queue's unconsumed tail e[head, end)
+ * becomes its store's backlog (packed from the arena's start: every
+ * live entry was staged), and a queue the pump touched takes its stall
+ * counter back — what TrafficDriver.pump would have left.  The caller
+ * guarantees every arena holds its lane's staged entries. */
+void repro_carry(
+    int64_t lanes, int64_t n_keys, const int64_t *stores,
+    int64_t nqs, const int64_t *q, int64_t q_cap,
+    const int64_t *e, int64_t e_cap)
+{
+    for (int64_t l = 0; l < lanes; l++) {
+        STORE(l);
+        mark[1] = 0;
+    }
+    for (int64_t i = 0; i < nqs; i++) {
+        STORE(q[i]);
+        const int64_t s = q[7 * q_cap + i], head = q[4 * q_cap + i];
+        const int64_t left = q[3 * q_cap + i] - head, top = mark[1];
+        for (int64_t r = 0; r < 3; r++)
+            memcpy(rows + r * cap + top, e + r * e_cap + head,
+                   (size_t)left * sizeof(int64_t));
+        lo[s] = top;
+        hi[s] = mark[1] = top + left;
+        if (q[6 * q_cap + i])
+            stall[s] = q[5 * q_cap + i];
+    }
 }
 """
 
@@ -160,8 +487,6 @@ def jump_table():
     """The 4x256 jump tables flattened for the kernel (1024 words)."""
     global _jump_cache
     if _jump_cache is None:
-        import numpy as np
-
         from repro.traffic.rng import _JUMP
 
         _jump_cache = np.array(
@@ -170,52 +495,33 @@ def jump_table():
     return _jump_cache
 
 
-def traffic_ffi():
-    """The cffi instance whose cdef matches :func:`load_traffic_kernel`."""
+def stimuli_kernel():
+    """``(lib, ffi)`` of the dlopened stimuli kernel; raises
+    :class:`~repro.kernels.KernelUnavailableError` without a C tier."""
     from repro.kernels import cbackend
 
-    return cbackend._ffi_for(_CDEF)
+    return cbackend.load_source(_SOURCE, _CDEF), cbackend._ffi_for(_CDEF)
 
 
-def load_traffic_kernel():
-    """The dlopened traffic kernel, or ``None`` when no C tier exists.
-
-    Unlike the simulation body's loader this one never raises: batched
-    traffic is an internal optimisation with a bit-identical Python
-    fallback, so unavailability is not an error the caller must see.
-    """
-    from repro.kernels import (
-        KernelUnavailableError,
-        cbackend,
-        resolve_kernels_mode,
-    )
-
-    try:
-        if resolve_kernels_mode(None) == "numpy":
-            return None
-        return cbackend.load_source(_SOURCE, _CDEF)
-    except (KernelUnavailableError, ValueError):
-        return None
+def pointer(ffi, array):
+    return ffi.cast("int64_t *", array.ctypes.data)
 
 
-class BatchedBeGenerator:
-    """Drive every lane's BE (and GT) streams through one C scan per
-    window."""
+#: the queue table and flit columns of a window without packets.
+_NO_QUEUES = np.empty((4, 0), dtype=np.int64)
+_NO_FLITS = np.empty((3, 0), dtype=np.int64)
+
+
+class BatchedBeGenerator(WindowSource):
+    """Every lane's BE (and GT) streams through one C scan per window."""
 
     def __init__(self, drivers: Sequence, kernel) -> None:
-        import numpy as np
-
-        self.drivers: List = list(drivers)
-        self._kernel = kernel
-        self._ffi = traffic_ffi()
-        net = self.drivers[0].net
-        self._net = net
+        super().__init__(drivers)
+        self._lib, self._ffi = kernel
+        net = self._net = self.drivers[0].net
         self.n_src = net.n_routers
         self.bound = net.n_routers - 1
         self.span = (2**32 // self.bound) * self.bound
-        self._be_vcs = net.router.be_vcs
-        #: the lanes share one fabric, so one (pure) word cache serves all.
-        self._encoder = self.drivers[0]._encoder
         #: LFSR words the idle-window probes examined (committed or not).
         self.probe_words = 0
         lanes = len(self.drivers)
@@ -227,170 +533,176 @@ class BatchedBeGenerator:
             for lane, be in enumerate(self._bes)
             if be is not None and be.packet_probability > 0
         ]
-        #: per lane: its GT generator, ``None`` without streams.
+        #: ``(lane, gt)`` of every lane with GT streams.
         self._gts = [
-            driver.gt if driver.gt is not None and driver.gt.streams else None
-            for driver in self.drivers
+            (lane, driver.gt)
+            for lane, driver in enumerate(self.drivers)
+            if driver.gt is not None and driver.gt.streams
         ]
         self._thresholds = np.full(lanes, -1, dtype=np.int64)
+        self._be_nbytes = np.zeros(lanes, dtype=np.int64)
+        for lane, be in enumerate(self._bes):
+            if be is not None:
+                self._be_nbytes[lane] = be.payload_bytes
         for lane, be in self._live:
             self._thresholds[lane] = int(be.packet_probability * 2**32)
+        # GT tables: per lane (count, period, payload bytes), per stream
+        # (phase, src, dest, vc)
+        n_gt = max([len(gt.streams) for _, gt in self._gts] + [1])
+        self._gt_lane = np.zeros((3, lanes), dtype=np.int64)
+        self._gt_stream = np.zeros((4, lanes, n_gt), dtype=np.int64)
+        for lane, gt in self._gts:
+            count = len(gt.streams)
+            self._gt_lane[:, lane] = count, gt.period, gt.payload_bytes
+            self._gt_stream[0, lane, :count] = gt._phase
+            for row, field in enumerate(("src", "dest", "vc"), 1):
+                self._gt_stream[row, lane, :count] = [
+                    getattr(stream, field) for stream in gt.streams
+                ]
+        # generator state, loaded from the drivers before every scan
         self._states = np.zeros(lanes, dtype=np.int64)
-        self._reads = np.zeros(lanes + 1, dtype=np.int64)
-        self._jump = jump_table()
-        self._p_thresholds = self._ptr(self._thresholds)
-        self._p_jump = self._ptr(self._jump)
-        self._p_states = self._ptr(self._states)
-        self._p_reads = self._ptr(self._reads)
-        self._grow_hits(lanes * self.n_src)
-
-    def _ptr(self, arr):
-        return self._ffi.cast("int64_t *", arr.ctypes.data)
-
-    def _grow_hits(self, cap: int) -> None:
-        import numpy as np
-
-        self._cap = cap
-        self._hits = np.zeros(cap * 4, dtype=np.int64)
-        self._p_hits = self._ptr(self._hits)
-
-    def _scan(self, start: int, stop: int, probe: int) -> int:
-        """One C scan of ``[start, stop)`` over every live lane's LFSR;
-        the generators' ``state``/``words_read`` are carried in and out."""
-        live = self._live
-        if not probe:  # worst case: every source of every lane hits every cycle
-            cap = len(live) * self.n_src * (stop - start)
-            if cap > self._cap:
-                self._grow_hits(cap)
-        states = self._states
-        for lane, be in live:
-            states[lane] = be.rng.state
-        self._reads[:] = 0
-        n = self._kernel.repro_gen_be(
-            len(self.drivers),
-            self.n_src,
-            start,
-            stop,
-            probe,
-            self._p_thresholds,
-            self.bound,
-            self.span,
-            self._p_jump,
-            self._p_states,
-            self._p_reads,
-            self._p_hits,
-            self._cap,
+        self._tally = np.zeros(lanes + 1, dtype=np.int64)
+        self._be_seq = np.zeros((lanes, self.n_src), dtype=np.int64)
+        self._toggles = np.zeros((lanes, self.n_src), dtype=np.int64)
+        self._gt_seq = np.zeros((lanes, n_gt), dtype=np.int64)
+        self._no_be = [0] * self.n_src
+        #: per lane: cumulative packet ends and flit counts of a scan.
+        self._ends = np.zeros((2, lanes), dtype=np.int64)
+        #: the load step's key -> queue scratch (all -1 between calls).
+        self._n_keys = self.drivers[0].queues._table.shape[1]
+        self._key_queue = np.full(lanes * self._n_keys, -1, dtype=np.int64)
+        self._be_vcs = np.array(net.router.be_vcs, dtype=np.int64)
+        self._gt_fire = np.zeros(lanes * n_gt + lanes, dtype=np.int64)  # scratch
+        at = lambda array: pointer(self._ffi, array)  # noqa: E731
+        #: repro_gen_be's arguments between `probe` and the packet scratch
+        self._scan_args = (
+            at(self._thresholds), self.bound, self.span, at(jump_table()),
+            at(self._states), at(self._tally),
+            net.router.data_width // 8, at(self._be_nbytes), at(self._be_seq),
+            at(self._toggles), at(self._be_vcs), len(self._be_vcs),
+            n_gt, at(self._gt_lane), at(self._gt_stream), at(self._gt_seq),
+            at(self._gt_fire),
         )
-        reads = self._reads.tolist()
-        new_states = states.tolist()
+        self._p_ends, self._p_key_queue = at(self._ends), at(self._key_queue)
+        self._grow_packets(lanes * self.n_src)
+
+    def _grow_packets(self, cap: int) -> None:
+        """Scan scratch: ``cap`` columns in scan order, then ``cap``
+        columns grouped by lane."""
+        self._cap = cap
+        self._packets = np.zeros((9, 2 * cap), dtype=np.int64)
+        self._p_packets = pointer(self._ffi, self._packets)
+
+    def _call(self, upto: int, start: int, stop: int, probe: int) -> int:
+        """One C scan of ``[start, stop)`` over the live LFSRs of lanes
+        ``[0, upto)``; the generators' ``state``/``words_read`` are
+        carried in and out."""
+        live = self._live
+        if upto < len(self.drivers):
+            live = [(lane, be) for lane, be in live if lane < upto]
+        for lane, be in live:
+            self._states[lane] = be.rng.state
+        self._tally[:] = 0
+        n = self._lib.repro_gen_be(
+            len(self.drivers), upto, self.n_src, start, stop, probe,
+            *self._scan_args, self._p_packets, self._cap, self._p_ends,
+        )
+        tally = self._tally.tolist()
+        new_states = self._states.tolist()
         for lane, be in live:
             be.rng.state = new_states[lane]
-            be.rng.words_read += reads[lane]
-        self.probe_words += reads[-1]
+            be.rng.words_read += tally[lane]
+        self.probe_words += tally[-1]
         return n
 
-    def _gt_firings(self, start: int, stop: int) -> List[Tuple[int, int, int]]:
-        """``(cycle, lane, stream)`` of every GT emission in ``[start,
-        stop)``, sorted: a stream fires at the cycles congruent to its
-        phase, so the first one at or after ``start`` is closed-form."""
-        firings = []
-        for lane, gt in enumerate(self._gts):
-            if gt is None:
-                continue
-            period = gt.period
-            for stream, phase in enumerate(gt._phase):
-                for cycle in range(
-                    start + (phase - start) % period, stop, period
-                ):
-                    firings.append((cycle, lane, stream))
-        firings.sort()
-        return firings
+    def _state_in(self) -> Tuple:
+        """Load the counters a scan advances from the drivers; returns
+        them, and each live LFSR's state, as a rewind snapshot."""
+        self._be_seq[:] = [
+            self._no_be if be is None else be._seq for be in self._bes
+        ]
+        self._toggles[:] = [driver._be_vc_toggle for driver in self.drivers]
+        for lane, gt in self._gts:
+            self._gt_seq[lane, : len(gt._seq)] = gt._seq
+        return (
+            [(be.rng.state, be.rng.words_read) for _, be in self._live],
+            self._be_seq.copy(),
+            self._toggles.copy(),
+            self._gt_seq.copy(),
+        )
 
-    def _packets(self, start: int, stop: int):
-        """``(lane, cycle, packet, vc)`` for every packet of cycles
-        ``[start, stop)`` — each lane's in ``TrafficDriver.generate``
-        order (cycle-major, GT streams before BE sources), with the
-        sequence numbers and BE-VC toggles advanced exactly as
-        ``generate`` advances them."""
-        from repro.noc.packet import Packet, PacketClass
-        from repro.traffic.generators import _ramp_payload
+    def _state_out(self, be_seq, toggles, gt_seq) -> None:
+        for be, driver, seq, toggle in zip(
+            self._bes, self.drivers, be_seq.tolist(), toggles.tolist()
+        ):
+            if be is not None:
+                be._seq[:] = seq
+            driver._be_vc_toggle[:] = toggle
+        for lane, gt in self._gts:
+            gt._seq[:] = gt_seq[lane, : len(gt._seq)].tolist()
 
-        n = self._scan(start, stop, 0) if self._live else 0
-        firings = self._gt_firings(start, stop)
-        fired, n_firings = 0, len(firings)
-        bes, gts, drivers = self._bes, self._gts, self.drivers
-        be_vcs = self._be_vcs
-        n_vcs = len(be_vcs)
-        be_class = PacketClass.BE
-        for lane, cycle, src, dest in self._hits[: 4 * n].reshape(n, 4).tolist():
-            # every firing up to and including this (cycle, lane) goes
-            # first: (c, l, i) < (cycle, lane + 1) iff (c, l) <= (cycle, lane)
-            while fired < n_firings and firings[fired] < (cycle, lane + 1):
-                at, gt_lane, stream = firings[fired]
-                yield (gt_lane, at, *gts[gt_lane].emit(stream))
-                fired += 1
-            be = bes[lane]
-            seqs = be._seq
-            seq = seqs[src]
-            seqs[src] = (seq + 1) & 0xFF
-            packet = Packet(
-                src,
-                dest,
-                be_class,
-                _ramp_payload(src + seq, be.payload_bytes),
-                seq % 128,
-                seq,
-            )
-            toggles = drivers[lane]._be_vc_toggle
-            toggle = toggles[src]
-            toggles[src] = (toggle + 1) % n_vcs
-            yield lane, cycle, packet, be_vcs[toggle]
-        for at, gt_lane, stream in firings[fired:]:
-            yield (gt_lane, at, *gts[gt_lane].emit(stream))
+    def _generate(self, upto: int, start: int, stop: int) -> Tuple[Tuple, int]:
+        """Scan ``[start, stop)`` on lanes ``[0, upto)`` in generate
+        mode: the packets land in the scratch columns.  Returns the
+        state the scan started from and the packet count."""
+        cycles = stop - start
+        cap = len(self._live) * self.n_src * cycles + sum(
+            len(gt.streams) * (cycles // gt.period + 1) for _, gt in self._gts
+        )
+        if cap > self._cap:
+            self._grow_packets(cap)
+        snapshot = self._state_in()
+        m = self._call(upto, start, stop, 0)
+        if m:
+            self._state_out(self._be_seq, self._toggles, self._gt_seq)
+        return snapshot, m
 
-    def generate(self, cycle: int) -> None:
-        """What ``driver.generate(cycle)`` would do, for every lane."""
-        drivers = self.drivers
-        for lane, _, packet, vc in self._packets(cycle, cycle + 1):
-            drivers[lane]._submit(packet, vc, cycle)
+    def _scan(self, start: int, stop: int) -> Stimuli:
+        snapshot, m = self._generate(len(self.drivers), start, stop)
+        cap = self._cap
+        lane_ends, lane_flits = self._ends.tolist()
+        stimuli = Stimuli(
+            start, stop, self._packets[:, cap : cap + m].copy(), lane_ends,
+            snapshot=snapshot, source=self,
+        )
+        stimuli.lane_flits = lane_flits  # the scan counted them already
+        return stimuli
 
-    def scan_window(self, start: int, stop: int) -> List[List[Tuple]]:
-        """The pure half of :meth:`generate_window`: one C scan of
-        ``[start, stop)``, returned as one flat ``(cycle, packet, vc)``
-        list per lane in submit order.  Touches only what the generating
-        thread owns — LFSR state, sequence numbers, GT emit counters and
-        BE-VC toggles — never a driver's queues, counters or tracker."""
-        lanes: List[List[Tuple]] = [[] for _ in self.drivers]
-        for lane, cycle, packet, vc in self._packets(start, stop):
-            lanes[lane].append((cycle, packet, vc))
-        return lanes
+    def generate_window(self, start: int, stop: int) -> Stimuli:
+        """Cycles ``[start, stop)`` of every lane as the window the chunk
+        kernel stages: one C scan, one C load."""
+        return self.load_flits(self.scan(start, stop))
 
-    def generate_window(self, start: int, stop: int):
-        """Generate cycles ``[start, stop)`` for every lane in one C
-        scan, handing the encoded flit words over directly instead of
-        queueing them.
+    def load_flits(self, stimuli: Stimuli) -> Stimuli:
+        """The load step of a scanned window (``Stimuli.load``): its flit
+        words, grouped by stimuli queue."""
+        packets = stimuli.packets
+        m, n = packets.shape[1], sum(stimuli.lane_flits)
+        if not m:
+            stimuli.queues, stimuli.flits = _NO_QUEUES, _NO_FLITS
+            return stimuli
+        net, ffi = self._net, self._ffi
+        q_cap = min(m, len(self._key_queue))
+        queues = np.empty((4, q_cap), dtype=np.int64)
+        flits = np.empty((3, n), dtype=np.int64)
+        work = np.empty(m + q_cap, dtype=np.int64)
+        n_queues = self._lib.repro_load_flits(
+            m, pointer(ffi, packets),
+            self._n_keys, net.router.n_vcs, net.width, net.router.data_width,
+            pointer(ffi, queues), q_cap, pointer(ffi, flits), n,
+            self._p_key_queue, pointer(ffi, work),
+        )
+        stimuli.queues = np.ascontiguousarray(queues[:, :n_queues])
+        stimuli.flits = flits
+        return stimuli
 
-        Returns one ``{(src, vc): (words, cycles, seqs)}`` dict per lane
-        — three parallel lists per stimuli queue, ready to be staged by
-        the fused chunk kernel.  This is :meth:`scan_window` followed by
-        the admit half (:func:`~repro.traffic.stimuli.encode_window`,
-        ``driver.admit``, ``driver.note_submit``), which performs all the
-        driver bookkeeping of the per-cycle path (submit records, tracker
-        notes, ``flits_generated``, queue-key registration), so a
-        consumer that re-queues unconsumed words leaves the drivers
-        bit-identical to ``stop - start`` ``generate`` calls.
-        """
-        from repro.traffic.stimuli import encode_window
-
-        window = []
-        for driver, packets in zip(self.drivers, self.scan_window(start, stop)):
-            fresh = encode_window(self._net, self._encoder, packets)
-            driver.admit(fresh)
-            note = driver.note_submit
-            for cycle, packet, vc in packets:
-                note(packet, vc, cycle)
-            window.append(fresh)
-        return window
+    def _rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
+        rngs, be_seq, toggles, gt_seq = stimuli.snapshot
+        for (_, be), (state, words_read) in zip(self._live, rngs):
+            be.rng.state, be.rng.words_read = state, words_read
+        self._state_out(be_seq, toggles, gt_seq)
+        self._generate(len(self.drivers), stimuli.start, cycle)
+        self._generate(lane + 1, cycle, cycle + 1)
 
     def skip_idle(self, cycle: int, limit: int) -> int:
         """Advance every lane over the longest window of at most
@@ -400,46 +712,54 @@ class BatchedBeGenerator:
         stops before the first BE hit in any lane, having drawn exactly
         the ``n_src`` words per live lane per cycle that stepping the
         window would have drawn."""
-        for gt in self._gts:
-            if gt is not None:
-                limit = min(limit, gt.cycles_to_next_packet(cycle))
+        for _, gt in self._gts:
+            limit = min(limit, gt.cycles_to_next_packet(cycle))
         if limit <= 0:
             return 0
-        return self._scan(0, limit, 1)
+        return self._call(len(self.drivers), 0, limit, 1)
 
 
-def batched_be_generator(drivers: Sequence) -> Optional[BatchedBeGenerator]:
-    """A batched generator for ``drivers``, or ``None`` when ineligible.
+def batched_be_generator(
+    drivers: Sequence,
+) -> Tuple[Optional[BatchedBeGenerator], Optional[str]]:
+    """``(generator, None)`` for ``drivers``, or ``(None, reason)`` when
+    the C scan does not apply.
 
     Eligibility is strict so the C scan is exactly the Python scan:
     every driver a plain :class:`~repro.traffic.stimuli.TrafficDriver`
     whose GT source (if any) is exactly a :class:`GtStreamTraffic` and
     whose BE source (if any) is a :class:`BernoulliBeTraffic` over the
     declared-bound uniform-random pattern, at least one lane with a
-    positive packet probability — loads may differ per lane — and a
+    positive packet probability — loads may differ per lane — a data
+    path that holds the 16-bit header and source-info fields, and a
     loadable C tier.
     """
+    from repro.kernels import KernelUnavailableError, resolve_kernels_mode
     from repro.traffic.generators import BernoulliBeTraffic, GtStreamTraffic
     from repro.traffic.stimuli import TrafficDriver
 
     drivers = list(drivers)
     live = False
-    for driver in drivers:
+    for lane, driver in enumerate(drivers):
         if type(driver) is not TrafficDriver:
-            return None
-        if driver.gt is not None and type(driver.gt) is not GtStreamTraffic:
-            return None
-        be = driver.be
+            return None, f"lane {lane}: driver is a TrafficDriver subclass"
+        gt, be = driver.gt, driver.be
+        if gt is not None and (type(gt) is not GtStreamTraffic or gt.payload_bytes < 1):
+            return None, f"lane {lane}: GT source is not a plain GtStreamTraffic"
         if be is None:
             continue
-        if not isinstance(be, BernoulliBeTraffic):
-            return None
+        if not isinstance(be, BernoulliBeTraffic) or be.payload_bytes < 1:
+            return None, f"lane {lane}: BE source is not a BernoulliBeTraffic"
         if getattr(be.pattern, "uniform_bound", None) != driver.net.n_routers - 1:
-            return None
+            return None, f"lane {lane}: non-uniform destination pattern"
         live = live or be.packet_probability > 0
     if not live:
-        return None
-    kernel = load_traffic_kernel()
-    if kernel is None:
-        return None
-    return BatchedBeGenerator(drivers, kernel)
+        return None, "no lane carries a live BE stream"
+    if not 16 <= drivers[0].net.router.data_width <= 56:
+        return None, "flit layout outside the C encoder's 16..56-bit data path"
+    try:
+        if resolve_kernels_mode(None) == "numpy":
+            return None, "REPRO_KERNELS=numpy"
+        return BatchedBeGenerator(drivers, stimuli_kernel()), None
+    except (KernelUnavailableError, ValueError) as exc:
+        return None, f"no generated-C tier ({exc})"

@@ -11,8 +11,10 @@ generated body, with the host touching the fabric only at its boundary.
 
 * :mod:`~repro.pipeline.stages` — one stage class per paper phase, each
   a thin wrapper over the function ``run_batched``'s chunk path uses
-  (window scan, ``encode_window``, ``run_chunk``, ``EventLog.columns``,
-  ``collect_records``) around one ``TrafficDriver`` per lane;
+  (``source.scan``, ``Stimuli.load``, ``run_chunk``,
+  ``EventLog.columns``, ``collect_records``) around one
+  ``TrafficDriver`` per lane; one columnar ``Stimuli`` per window rides
+  the chunks;
 * :mod:`~repro.pipeline.ring` — the bounded stage-to-stage handoff,
   built on :class:`~repro.platform.cyclic_buffer.CyclicBuffer` (real
   backpressure: a full ring blocks the producer);

@@ -6,11 +6,15 @@ lane at once; the stages transform it along the paper's five-step path::
     StimulusChunk --load--> LoadedChunk --simulate--> ResultChunk
                   --retrieve--> RetrievedChunk --analyze--> (stats)
 
-The formats are the fused chunk path's own (DESIGN section 14): packets
-as one flat ``(cycle, packet, vc)`` list per lane, loaded stimuli as the
-``{(src, vc): (words, cycles, seqs)}`` window
-:meth:`~repro.kernels.batchlevel.CompiledBatchLevel.stage` consumes,
-results as :class:`~repro.engines.eventlog.Columns` of the engine logs.
+The formats are the fused chunk path's own (DESIGN section 14), integer
+columns end to end: traffic as one
+:class:`~repro.traffic.stimuli.Stimuli` — packet columns out of the
+generate stage, queue-grouped flit columns added by the load stage, what
+:meth:`~repro.kernels.batchlevel.CompiledBatchLevel.stage` consumes —
+and results as :class:`~repro.engines.eventlog.Columns` of the engine
+logs.  The same ``Stimuli`` object rides every chunk of its window (the
+analyze stage notes the submits from its packet columns); it also
+carries the generator snapshot a mid-window overload rewinds to.
 Chunks are plain data: producing them touches no engine or driver queue,
 which is what lets the generate and load stages run ahead of the
 simulation (bounded only by the connecting rings).
@@ -19,9 +23,9 @@ simulation (bounded only by the connecting rings).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.noc.packet import Packet
+from repro.traffic.stimuli import Stimuli
 
 
 class _End:
@@ -34,43 +38,28 @@ class _End:
 #: pushed through a ring after the last chunk; consumers stop on it.
 END = _End()
 
-#: per lane: ``(cycle, packet, vc)`` in exact submit order (cycle-major,
-#: GT stream packets first, then BE with the per-source VC toggle) — the
-#: order :meth:`repro.traffic.stimuli.TrafficDriver.generate` uses.
-LanePackets = List[List[Tuple[int, Packet, int]]]
-
 
 @dataclass
 class StimulusChunk:
-    """Step 1 output: generated traffic for cycles ``[start, stop)``."""
+    """Step 1 output: generated traffic for cycles ``[start, stop)`` —
+    the packet columns of every lane, each lane's in exact submit order
+    (cycle-major, GT stream packets first, then BE with the per-source
+    VC toggle: the order
+    :meth:`repro.traffic.stimuli.TrafficDriver.generate` uses)."""
 
     start: int
     stop: int
-    packets: LanePackets
+    stimuli: Stimuli
 
     @property
     def cycles(self) -> int:
         return self.stop - self.start
 
 
-@dataclass
-class LoadedChunk:
-    """Step 2 output: the same traffic, segmented and flit-encoded.
-
-    ``window[lane]`` is that lane's ``{(src, vc): (words, cycles,
-    seqs)}`` dict (:func:`repro.traffic.stimuli.encode_window`).
-    ``packets`` rides along untouched — the analyze stage notes the
-    submit records from it.
-    """
-
-    start: int
-    stop: int
-    packets: LanePackets
-    window: List[Dict]
-
-    @property
-    def cycles(self) -> int:
-        return self.stop - self.start
+class LoadedChunk(StimulusChunk):
+    """Step 2 output: the same traffic, segmented and flit-encoded —
+    ``stimuli`` now carries its flit columns, grouped by stimuli queue
+    (:meth:`repro.traffic.stimuli.Stimuli.load`)."""
 
 
 @dataclass
@@ -86,7 +75,8 @@ class ResultChunk:
 
     start: int
     stop: int
-    packets: LanePackets
+    #: the window's traffic; ``None`` on the drain chunk
+    stimuli: Optional[Stimuli]
     inj_bounds: List[Tuple[int, int]]
     ej_bounds: List[Tuple[int, int]]
     #: drain phase only (the final chunk): per-lane cycles the drain took
@@ -100,7 +90,7 @@ class RetrievedChunk:
 
     start: int
     stop: int
-    packets: LanePackets
+    stimuli: Optional[Stimuli]
     injections: List = field(default_factory=list)
     ejections: List = field(default_factory=list)
     done_cycles: Optional[List[int]] = None

@@ -2,31 +2,36 @@
 
 Each stage is a thin wrapper over a function the fused chunk path of
 :func:`~repro.engines.batch.run_batched` already uses; the pipeline only
-spreads them over threads and rings.  It owns one tracker-less
+spreads them over threads and rings.  What travels between them is one
+columnar :class:`~repro.traffic.stimuli.Stimuli` per window.  The
+pipeline owns one tracker-less
 :class:`~repro.traffic.stimuli.TrafficDriver` per lane, and which thread
 touches which part of it is the whole design:
 
-* **generate** (runs ahead, up to the ring capacity) — the pure half of
-  generation: ``BatchedBeGenerator.scan_window`` where the batched C scan
-  applies, ``TrafficDriver.packets`` otherwise.  Owns the generators'
-  LFSR state and sequence numbers, the GT emit counters and the drivers'
-  BE-VC toggles; never touches ``driver.queues`` (the simulate thread
-  iterates it while staging).
-* **load** — :func:`~repro.traffic.stimuli.encode_window`, pure.
-* **simulate** (the caller's thread) — ``driver.admit`` then one
-  ``run_chunk(drivers, k, window)`` per chunk when the engine is compiled
-  and the drivers pass ``_chunk_eligible``; any other engine gets each
-  cycle's words queued before that cycle's ``driver.pump()`` +
-  ``engine.step()``.  Owns the drivers' queues, stall counters,
-  ``flits_generated`` and ``overloaded``; the stall accounting and the
-  overload error *are* the driver's.  Draining is ``drain_batched`` /
-  ``TrafficDriver.drain``.
+* **generate** (runs ahead, up to the ring capacity) — ``source.scan``:
+  the batched C scan where it applies, the drivers' Python generators
+  otherwise (:func:`~repro.engines.batch.window_source`).  Owns the
+  generators' LFSR state and sequence numbers, the GT emit counters and
+  the drivers' BE-VC toggles; never touches ``driver.queues`` (the
+  simulate thread stages from it).
+* **load** — ``Stimuli.load``: the flit columns, pure.
+* **simulate** (the caller's thread) — one ``run_chunk(drivers, k,
+  stimuli)`` per chunk when the engine is compiled and the drivers pass
+  ``_chunk_eligible``; any other engine goes through
+  :func:`~repro.traffic.stimuli.step_window` (``driver.pump()`` +
+  ``engine.step()`` per cycle over the queued window).  Owns the
+  drivers' queues, stall counters, submit logs, ``flits_generated`` and
+  ``overloaded``; the stall accounting and the overload error *are* the
+  driver's, and an overload rewinds the generate side through the
+  window's own source, however far ahead it ran.  Draining is
+  ``drain_batched`` / ``TrafficDriver.drain``.
 * **retrieve** — :func:`~repro.engines.eventlog.log_window` below the
   bounds simulate recorded (safe against a concurrent writer).
-* **analyze** — notes the chunk's submits on its own trackers, then
-  ``PacketLatencyTracker.collect_records`` on the columns.  Every chunk's
-  submits are noted before its events are matched, so per-key FIFO
-  matching pops the same submit record the end-of-run collection would.
+* **analyze** — notes the chunk's submits on its own trackers from the
+  window's packet columns, then
+  ``PacketLatencyTracker.collect_records`` on the event columns.  Every
+  chunk's submits are noted before its events are matched, so per-key
+  FIFO matching pops the same submit the end-of-run collection would.
 
 The equivalence tests compare engine snapshots, full logs, driver state
 and drain counts against ``run_batched`` and the solo reference engine.
@@ -42,7 +47,7 @@ from repro.engines.batch import (
     BatchEngine,
     chunk_kernel,
     drain_batched,
-    window_generator,
+    window_source,
 )
 from repro.engines.eventlog import Columns, log_window
 from repro.noc.config import NetworkConfig
@@ -55,13 +60,7 @@ from repro.pipeline.chunks import (
 from repro.stats.histogram import Histogram
 from repro.stats.latency import PacketLatencyTracker
 from repro.stats.throughput import ThroughputStats
-from repro.traffic.stimuli import (
-    FlitEncoder,
-    SubmitRecord,
-    TrafficDriver,
-    encode_window,
-    window_entries,
-)
+from repro.traffic.stimuli import FlitEncoder, TrafficDriver, step_window
 
 
 class GenerateStage:
@@ -70,15 +69,10 @@ class GenerateStage:
     name = "generate"
 
     def __init__(self, engine, drivers: Sequence[TrafficDriver]) -> None:
-        self.drivers = list(drivers)
-        self.generator = window_generator(engine, self.drivers)
+        self.source = window_source(engine, drivers)
 
     def produce(self, start: int, stop: int) -> StimulusChunk:
-        if self.generator is not None:
-            packets = self.generator.scan_window(start, stop)
-        else:
-            packets = [driver.packets(start, stop) for driver in self.drivers]
-        return StimulusChunk(start, stop, packets)
+        return StimulusChunk(start, stop, self.source.scan(start, stop))
 
 
 class LoadStage:
@@ -91,15 +85,13 @@ class LoadStage:
         self.encoder = FlitEncoder(net)
 
     def process(self, chunk: StimulusChunk) -> LoadedChunk:
-        window = [
-            encode_window(self.net, self.encoder, packets)
-            for packets in chunk.packets
-        ]
-        return LoadedChunk(chunk.start, chunk.stop, chunk.packets, window)
+        return LoadedChunk(
+            chunk.start, chunk.stop, chunk.stimuli.load(self.net, self.encoder)
+        )
 
 
 class SimulateStage:
-    """Step 3: admit the loaded window and advance the engine over it."""
+    """Step 3: advance the engine over the loaded window."""
 
     name = "simulate"
 
@@ -130,37 +122,15 @@ class SimulateStage:
                 f"simulate stage out of sync: engine at cycle {engine.cycle}, "
                 f"chunk starts at {chunk.start}"
             )
-        for driver, fresh in zip(drivers, chunk.window):
-            driver.admit(fresh)
         compiled = chunk_kernel(engine, drivers)
         if compiled is not None:
-            compiled.run_chunk(drivers, chunk.cycles, chunk.window)
+            compiled.run_chunk(drivers, chunk.cycles, chunk.stimuli)
         else:
-            self._step_cycles(chunk)
+            step_window(engine, drivers, chunk.stimuli)
         inj_bounds, ej_bounds = self._bounds()
         return ResultChunk(
-            chunk.start, chunk.stop, chunk.packets, inj_bounds, ej_bounds
+            chunk.start, chunk.stop, chunk.stimuli, inj_bounds, ej_bounds
         )
-
-    def _step_cycles(self, chunk: LoadedChunk) -> None:
-        """The per-cycle path: each cycle's words are queued right before
-        that cycle's pump, exactly like ``TrafficDriver.step`` (generated
-        flits are offerable the same cycle)."""
-        due: List[dict] = []
-        for driver, fresh in zip(self.drivers, chunk.window):
-            by_cycle: dict = {}
-            for key, slot in fresh.items():
-                queue = driver.queues[key]
-                for entry in window_entries(key, slot):
-                    by_cycle.setdefault(entry.cycle, []).append((queue, entry))
-            due.append(by_cycle)
-        step = self.engine.step
-        for cycle in range(chunk.start, chunk.stop):
-            for driver, by_cycle in zip(self.drivers, due):
-                for queue, entry in by_cycle.get(cycle, ()):
-                    queue.append(entry)
-                driver.pump()
-            step()
 
     def drain(self, max_cycles: int = 100_000) -> ResultChunk:
         """Run until every lane is drained; the returned final chunk
@@ -173,12 +143,7 @@ class SimulateStage:
             done = [self.drivers[0].drain(max_cycles)]
         inj_bounds, ej_bounds = self._bounds()
         return ResultChunk(
-            start,
-            engine.cycle,
-            [[] for _ in self.drivers],
-            inj_bounds,
-            ej_bounds,
-            done_cycles=list(done),
+            start, engine.cycle, None, inj_bounds, ej_bounds, done_cycles=list(done)
         )
 
 
@@ -196,7 +161,7 @@ class RetrieveStage:
         return RetrievedChunk(
             chunk.start,
             chunk.stop,
-            chunk.packets,
+            chunk.stimuli,
             [
                 log_window(view.injections, *bounds)
                 for view, bounds in zip(self.views, chunk.inj_bounds)
@@ -233,10 +198,12 @@ class AnalyzeStage:
         self.done_cycles: Optional[List[int]] = None
 
     def process(self, chunk: RetrievedChunk) -> None:
+        stimuli = chunk.stimuli
         for lane, tracker in enumerate(self.trackers):
-            for cycle, packet, vc in chunk.packets[lane]:
-                tracker.note_submit(SubmitRecord(packet, vc, cycle))
-            self.submit_counts[lane] += len(chunk.packets[lane])
+            if stimuli is not None:
+                lo, hi = stimuli.lane_span(lane)
+                tracker.note_submits(*stimuli.submit_columns(lo, hi))
+                self.submit_counts[lane] += hi - lo
             injections, ejections = chunk.injections[lane], chunk.ejections[lane]
             tracker.collect_records(injections, ejections)
             if isinstance(ejections, Columns):

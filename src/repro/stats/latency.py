@@ -22,7 +22,7 @@ import numpy as np
 from repro.engines.eventlog import Columns, log_window
 from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.flit import FlitType
-from repro.noc.packet import Packet, PacketClass, ProtocolError, flits_per_packet
+from repro.noc.packet import PacketClass, ProtocolError, flits_per_packet
 from repro.noc.topology import Topology
 from repro.traffic.stimuli import SubmitRecord
 
@@ -100,17 +100,31 @@ class PacketLatencyTracker:
         self.net = net
         self.topology = Topology(net)
         self.samples: List[LatencySample] = []
-        self._pending: Dict[Tuple[int, int], Deque[SubmitRecord]] = {}
+        #: per (src, seq): ``(vc, submit cycle)`` of each outstanding submit
+        self._pending: Dict[Tuple[int, int], Deque[Tuple[int, int]]] = {}
         self._head_eject: Dict[Tuple[int, int], int] = {}  # (router, vc) -> cycle
         self._head_inject: Dict[Tuple[int, int], Deque[int]] = {}
-        #: per (router, vc) open packet: raw data words, header word first
-        self._open: Dict[Tuple[int, int], List[int]] = {}
+        #: per (router, vc) open packet: [header word, source-info word
+        #: (None until it arrives), flits so far]
+        self._open: Dict[Tuple[int, int], List] = {}
         self._ej_seen = 0
         self._inj_seen = 0
 
     def note_submit(self, record: SubmitRecord) -> None:
-        key = (record.packet.src, record.packet.seq)
-        self._pending.setdefault(key, deque()).append(record)
+        packet = record.packet
+        self.note_submits(
+            (packet.src,), (packet.seq,), (record.vc,), (record.submit_cycle,)
+        )
+
+    def note_submits(self, srcs, seqs, vcs, cycles) -> None:
+        """Note submitted packets from their columns, in submit order."""
+        pending = self._pending
+        for src, seq, vc, cycle in zip(srcs, seqs, vcs, cycles):
+            key = (src, seq)
+            queue = pending.get(key)
+            if queue is None:
+                queue = pending[key] = deque()
+            queue.append((vc, cycle))
 
     def collect(self, engine) -> None:
         """Process new injection/ejection records from the engine."""
@@ -146,7 +160,6 @@ class PacketLatencyTracker:
                 self._head_inject.setdefault((router, vc), deque()).append(cycle)
 
         open_packets = self._open
-        bytes_per_flit = data_width // 8
         for cycle, router, vc, word in _events(ejections):
             ftype = (word >> data_width) & 3
             if ftype == 0:  # IDLE
@@ -156,31 +169,32 @@ class PacketLatencyTracker:
                 if key in open_packets:
                     raise ProtocolError(f"VC {vc}: HEAD while a packet is open")
                 self._head_eject[key] = cycle
-                open_packets[key] = [word & mask]
+                open_packets[key] = [word & mask, None, 1]
                 continue
-            words = open_packets.get(key)
-            if words is None:
+            packet = open_packets.get(key)
+            if packet is None:
                 raise ProtocolError(
                     f"VC {vc}: {FlitType(ftype).name} without a HEAD"
                 )
-            words.append(word & mask)
+            if packet[1] is None:
+                packet[1] = word & mask
+            packet[2] += 1
             if ftype != tail_t:
                 continue
             del open_packets[key]
-            if len(words) < 3:
+            header, source, flits = packet
+            if flits < 3:
                 raise ProtocolError("packet too short: no body flits before TAIL")
-            header, source = words[0], words[1]
-            packet = Packet(
-                src=self.net.index(source & 0xF, (source >> 4) & 0xF),
-                dest=self.net.index(header & 0xF, (header >> 4) & 0xF),
-                pclass=PacketClass.GT if (header >> 8) & 1 else PacketClass.BE,
-                payload=b"".join(
-                    w.to_bytes(bytes_per_flit, "little") for w in words[2:]
-                ),
-                tag=(header >> 9) & 0x7F,
-                seq=(source >> 8) & 0xFF,
+            src = self.net.index(source & 0xF, (source >> 4) & 0xF)
+            self.net.index(header & 0xF, (header >> 4) & 0xF)  # a real router too
+            self._finish(
+                src,
+                (source >> 8) & 0xFF,
+                PacketClass.GT if (header >> 8) & 1 else PacketClass.BE,
+                router,
+                vc,
+                cycle,
             )
-            self._finish(packet, router, vc, cycle)
 
     @property
     def open_vcs(self) -> List[Tuple[int, int]]:
@@ -188,14 +202,14 @@ class PacketLatencyTracker:
         end-of-run checks)."""
         return sorted(self._open)
 
-    def _finish(self, packet, router: int, vc: int, tail_cycle: int) -> None:
-        key = (packet.src, packet.seq)
+    def _finish(self, src, seq, pclass, router: int, vc: int, tail_cycle: int) -> None:
+        key = (src, seq)
         submits = self._pending.get(key)
         if not submits:
             raise RuntimeError(f"delivered packet with no submit record: {key}")
-        submit = submits.popleft()
+        submit_vc, submit_cycle = submits.popleft()
         head_eject = self._head_eject[(router, vc)]
-        inject_queue = self._head_inject.get((packet.src, submit.vc))
+        inject_queue = self._head_inject.get((src, submit_vc))
         # A head cannot eject before it injected, so a front entry newer
         # than the head ejection belongs to a *later* packet on this key
         # (same-key packets can finish out of order across different
@@ -206,11 +220,11 @@ class PacketLatencyTracker:
             head_inject = inject_queue.popleft()
         self.samples.append(
             LatencySample(
-                pclass=packet.pclass,
-                src=packet.src,
+                pclass=pclass,
+                src=src,
                 dest=router,
-                hops=self.topology.hops(packet.src, router),
-                submit_cycle=submit.submit_cycle,
+                hops=self.topology.hops(src, router),
+                submit_cycle=submit_cycle,
                 head_inject_cycle=head_inject,
                 head_eject_cycle=self._head_eject[(router, vc)],
                 tail_eject_cycle=tail_cycle,

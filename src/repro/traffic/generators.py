@@ -132,6 +132,13 @@ class BernoulliBeTraffic:
         )
         self._seq = [0] * self.net.n_routers
 
+    def snapshot(self) -> Tuple:
+        """The generator's mutable state, for :meth:`restore`."""
+        return self.rng.state, self.rng.words_read, list(self._seq)
+
+    def restore(self, state: Tuple) -> None:
+        self.rng.state, self.rng.words_read, self._seq[:] = state
+
     def packets_for_cycle(self, cycle: int) -> List[Packet]:
         """Packets generated network-wide in one cycle.
 
@@ -257,6 +264,13 @@ class GtStreamTraffic:
         self._phase = [
             (hash((s.src, s.dest)) % self.period) for s in self.streams
         ]
+
+    def snapshot(self) -> List[int]:
+        """The generator's mutable state, for :meth:`restore`."""
+        return list(self._seq)
+
+    def restore(self, state: List[int]) -> None:
+        self._seq[:] = state
 
     @property
     def load_per_stream(self) -> float:

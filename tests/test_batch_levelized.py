@@ -59,7 +59,12 @@ from repro.traffic.generators import (
     uniform_random,
 )
 from repro.traffic.rng import HardwareLfsr, lfsr_jump
-from repro.traffic.stimuli import NetworkOverloadError, StimuliEntry, TrafficDriver
+from repro.traffic.stimuli import (
+    F_CYCLE,
+    NetworkOverloadError,
+    TrafficDriver,
+    settle,
+)
 
 JIT_REASON = probe_backends()["cffi"]
 needs_jit = pytest.mark.skipif(
@@ -107,24 +112,6 @@ def full_digest(engine, drivers):
                 repr(driver.submits),
                 driver.flits_generated,
                 None if be is None else (be.rng.state, be.rng.words_read),
-            )
-        )
-    return lanes, engine.cycle, list(engine.metrics.per_cycle)
-
-
-def arch_digest(engine, drivers):
-    """The architectural subset that must match even on a terminal
-    overload: the chunked path pre-generates its whole window, so driver
-    queue/RNG state legitimately runs ahead of the reference there."""
-    lanes = []
-    for i, driver in enumerate(drivers):
-        lanes.append(
-            (
-                engine.lane_snapshot(i),
-                [r.__dict__ for r in engine.lane_injections(i)],
-                [r.__dict__ for r in engine.lane_ejections(i)],
-                dict(driver._stall),
-                driver.overloaded,
             )
         )
     return lanes, engine.cycle, list(engine.metrics.per_cycle)
@@ -230,15 +217,52 @@ class TestLevelizedLockstep:
         # Saturate a queue_depth-1 fabric until a driver diagnoses the
         # livelock.  The diagnostic string, cycle, architectural state,
         # events, metrics and stall counters must be byte-identical to
-        # the reference; queue/RNG state may run ahead (the chunked path
-        # generates its whole window before the fatal pump).
+        # the reference — and so must the drivers: the chunked path
+        # generates its whole window before the fatal pump, then rewinds
+        # queues, submits, counters and RNG to where the per-cycle loop
+        # stops (lanes after the failing one have not generated the
+        # fatal cycle).
+        for lanes, failing in ((2, 0), (3, 2)):  # the first / the last lane fails
+            results = {}
+            for kernel in ("python", "levelized"):
+                engine = BatchEngine(torus(queue_depth=1), lanes=lanes, kernel=kernel)
+                drivers = make_drivers(engine, 0.8, stall_limit=20)
+                with pytest.raises(NetworkOverloadError) as err:
+                    run_batched(engine, drivers, 2000)
+                results[kernel] = (
+                    str(err.value),
+                    full_digest(engine, drivers),
+                    [d.overloaded for d in drivers],
+                    [
+                        (list(d.be._seq), list(d._be_vc_toggle), list(d.queues))
+                        for d in drivers
+                    ],
+                )
+                assert engine.cycle % 64  # mid-chunk
+            assert results["levelized"] == results["python"]
+            assert results["python"][2].index(True) == failing
+
+    @needs_jit
+    def test_overload_parity_with_python_generated_windows(self):
+        # transpose: no C scan, the chunk's window comes from the drivers'
+        # own generators — and rewinds through them
+        cfg = NetworkConfig(
+            4, 4, topology="torus", router=RouterConfig(queue_depth=1)
+        )
         results = {}
         for kernel in ("python", "levelized"):
-            engine = BatchEngine(torus(queue_depth=1), lanes=2, kernel=kernel)
-            drivers = make_drivers(engine, 0.8, stall_limit=20)
+            engine = BatchEngine(cfg, lanes=2, kernel=kernel)
+            drivers = [
+                TrafficDriver(
+                    engine.lane(i),
+                    be=BernoulliBeTraffic(cfg, 0.9, transpose(cfg), seed=0xBEE + i),
+                    stall_limit=20,
+                )
+                for i in range(2)
+            ]
             with pytest.raises(NetworkOverloadError) as err:
                 run_batched(engine, drivers, 2000)
-            results[kernel] = (str(err.value), arch_digest(engine, drivers))
+            results[kernel] = (str(err.value), full_digest(engine, drivers))
         assert results["levelized"] == results["python"]
 
 
@@ -401,22 +425,31 @@ class TestFastForward:
         assert _try_fast_forward(engine, drivers, 100) == 0
 
 
+def driver_state(driver):
+    """Everything generation touches, on any driver (``be``, ``gt`` and
+    the tracker may be ``None``)."""
+    be, gt, tracker = driver.be, driver.gt, driver.tracker
+    return (
+        repr(driver.submits),
+        {k: list(q) for k, q in driver.queues.items()},
+        list(driver.queues),
+        None if tracker is None else {k: list(q) for k, q in tracker._pending.items()},
+        driver.flits_generated,
+        None if be is None else (be.rng.state, be.rng.words_read, list(be._seq)),
+        None if gt is None else list(gt._seq),
+        list(driver._be_vc_toggle),
+    )
+
+
 def generation_state(drivers):
-    """Everything ``generate`` touches, per driver."""
-    return [
-        (
-            repr(d.submits),
-            {k: list(q) for k, q in d.queues.items()},
-            list(d.queues),
-            {k: list(q) for k, q in d.tracker._pending.items()},
-            d.flits_generated,
-            list(d.be._seq),
-            list(d._be_vc_toggle),
-            d.be.rng.state,
-            d.be.rng.words_read,
-        )
-        for d in drivers
-    ]
+    return [driver_state(driver) for driver in drivers]
+
+
+def admit_window(drivers, window):
+    """What a consumer that does not simulate a window does with it:
+    queue its flits, book its packets."""
+    before = [d.queues.admit(window, lane) for lane, d in enumerate(drivers)]
+    settle(drivers, window, before)
 
 
 @needs_jit
@@ -432,26 +465,19 @@ class TestWindowGeneration:
 
     def test_window_equals_per_cycle_generate(self):
         windowed, stepped, batched = self.build(), self.build(), self.build()
-        generator = trafficgen.batched_be_generator(windowed)
-        per_cycle = trafficgen.batched_be_generator(batched)
+        generator, _ = trafficgen.batched_be_generator(windowed)
+        per_cycle, _ = trafficgen.batched_be_generator(batched)
         start = 0
         for width in (1, 7, 64, 7, 1):
             window = generator.generate_window(start, start + width)
             for cycle in range(start, start + width):
-                per_cycle.generate(cycle)
+                admit_window(batched, per_cycle.generate_window(cycle, cycle + 1))
                 for driver in stepped:
                     driver.generate(cycle)
-            # What the chunk kernel's consumer does with unconsumed
-            # words: they become the entries _submit would have queued.
-            for lane, driver in enumerate(windowed):
-                assert set(window[lane]) <= set(driver.queues)
-                for (src, vc), (words, cycles, seqs) in window[lane].items():
-                    assert len(words) == len(cycles) == len(seqs)
-                    assert all(start <= c < start + width for c in cycles)
-                    driver.queues[(src, vc)].extend(
-                        StimuliEntry(c, src, vc, w, packet_key=(src, q))
-                        for w, c, q in zip(words, cycles, seqs)
-                    )
+            released = window.flits[F_CYCLE]
+            assert ((start <= released) & (released < start + width)).all()
+            assert window.flits.shape[1] == sum(window.lane_flits)
+            admit_window(windowed, window)
             assert generation_state(windowed) == generation_state(stepped)
             assert generation_state(batched) == generation_state(stepped)
             start += width
@@ -459,7 +485,7 @@ class TestWindowGeneration:
 
     def test_probe_stops_before_the_first_hit_in_any_lane(self):
         probed, stepped = self.build(lanes=4, load=0.01), self.build(lanes=4, load=0.01)
-        generator = trafficgen.batched_be_generator(probed)
+        generator, _ = trafficgen.batched_be_generator(probed)
         n_routers = probed[0].net.n_routers
         cycle = 0
         for _ in range(12):
@@ -471,7 +497,7 @@ class TestWindowGeneration:
             assert generation_state(probed) == generation_state(stepped)
             # the very next cycle generates in at least one lane
             before = sum(len(d.submits) for d in stepped)
-            generator.generate(cycle)
+            admit_window(probed, generator.generate_window(cycle, cycle + 1))
             for driver in stepped:
                 driver.generate(cycle)
             cycle += 1
@@ -485,15 +511,157 @@ class TestWindowGeneration:
         assert generator.probe_words <= 2 * 4 * n_routers * cycle
 
 
+def columnar_case(widths, loads, gt_period, data_width, be_bytes, gt_bytes):
+    """Windows of ``widths`` cycles from the C scan ≡ the same cycles of
+    per-cycle ``TrafficDriver.generate``."""
+    cfg = NetworkConfig(
+        3, 3, topology="torus", router=RouterConfig(data_width=data_width)
+    )
+    streams = fig1_gt_streams(cfg).streams
+
+    def build():
+        engine = BatchEngine(cfg, lanes=len(loads), kernel="python")
+        return [
+            TrafficDriver(
+                engine.lane(lane),
+                be=None
+                if load is None
+                else BernoulliBeTraffic(
+                    cfg, load, uniform_random(cfg), payload_bytes=be_bytes, seed=0xBEE + lane
+                ),
+                gt=None
+                if gt_period is None
+                else GtStreamTraffic(cfg, streams, period=gt_period, payload_bytes=gt_bytes),
+            )
+            for lane, load in enumerate(loads)
+        ]
+
+    windowed, stepped = build(), build()
+    generator, reason = trafficgen.batched_be_generator(windowed)
+    assert reason is None, reason
+    start = 0
+    for width in widths:
+        admit_window(windowed, generator.generate_window(start, start + width))
+        for driver in stepped:
+            for cycle in range(start, start + width):
+                driver.generate(cycle)
+        start += width
+        assert generation_state(windowed) == generation_state(stepped)
+    return stepped
+
+
+class TestColumnarStimuli:
+    """The in-bound chunk boundary is integer columns: equal to the
+    per-cycle driver in every piece of state, and object-free."""
+
+    @needs_jit
+    @pytest.mark.kernel_smoke
+    def test_one_window_of_every_shape(self):
+        # GT period 1: every stream's sequence number wraps at 256 inside
+        # the 300-cycle window; 7 payload bytes on a 32-bit data path: the
+        # last flit is short
+        stepped = columnar_case(
+            (1, 7, 64, 300), (0.3, 0.0, None, 0.9), gt_period=1,
+            data_width=32, be_bytes=7, gt_bytes=5,
+        )
+        assert max(stepped[0].gt._seq) < 256 and len(stepped[0].submits) > 9 * 372
+        assert stepped[1].be.rng.words_read == 0  # zero load draws nothing
+
+    @needs_jit
+    @given(
+        widths=st.lists(st.sampled_from((1, 7, 64, 300)), min_size=1, max_size=4),
+        loads=st.lists(
+            st.sampled_from((None, 0.0, 0.02, 0.3, 1.0)), min_size=1, max_size=3
+        ).filter(lambda loads: any(loads)),
+        gt_period=st.sampled_from((None, 1, 3, 97)),
+        data_width=st.sampled_from((16, 24, 32)),
+        be_bytes=st.sampled_from((1, 7, 10)),
+        gt_bytes=st.sampled_from((4, 9, 256)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_window_equals_per_cycle_generate(
+        self, widths, loads, gt_period, data_width, be_bytes, gt_bytes
+    ):
+        columnar_case(widths, loads, gt_period, data_width, be_bytes, gt_bytes)
+
+    @needs_jit
+    def test_narrow_data_path_keeps_the_python_generators(self):
+        # below 16 bits the header tag / source seq fields overflow the
+        # data path and the reference encoder raises: the C scan declines
+        cfg = NetworkConfig(3, 3, router=RouterConfig(data_width=12))
+        engine = BatchEngine(cfg, lanes=1)
+        drivers = [
+            TrafficDriver(
+                engine.lane(0), be=BernoulliBeTraffic(cfg, 0.3, uniform_random(cfg))
+            )
+        ]
+        generator, reason = trafficgen.batched_be_generator(drivers)
+        assert generator is None and "data path" in reason
+
+    @needs_jit
+    def test_backlog_rides_across_chunks_as_columns(self, monkeypatch):
+        # load 0.14 beside GT streams on a queue_depth-1 fabric: stimuli
+        # queue up faster than they inject, so every chunk starts from the
+        # previous chunk's unconsumed tail
+        carried = []
+        real = CompiledBatchLevel.run_chunk
+
+        def run_chunk(self, drivers, k, window=None):
+            real(self, drivers, k, window)
+            carried.append(sum(d.backlog() for d in drivers))
+
+        monkeypatch.setattr(CompiledBatchLevel, "run_chunk", run_chunk)
+        kw = dict(
+            cycles=5 * 64 + 17, lanes=2, load=0.14,
+            cfg=NetworkConfig(
+                6, 6, topology="torus", router=RouterConfig(queue_depth=1)
+            ),
+            gt_period=150,
+        )
+        chunked = run_case("levelized", **kw)
+        assert len(carried) == 6 and min(carried[:5]) > 100
+        assert chunked == run_case("python", **kw)
+
+    @needs_jit
+    @pytest.mark.parametrize("gt_period", [None, 130])
+    def test_chunked_run_builds_no_packet_record_or_entry(self, monkeypatch, gt_period):
+        # BE-only and the Fig. 1 GT + BE set, trackers attached: run,
+        # drain and latency collection touch arrays only
+        from repro.noc.packet import Packet
+        from repro.traffic.stimuli import StimuliEntry, SubmitRecord
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built on the chunked path")
+
+        engine = BatchEngine(fig1_network(), lanes=3)
+        drivers = make_drivers(engine, 0.1, gt_period=gt_period)
+        for driver in drivers:
+            driver.attach_tracker(PacketLatencyTracker(engine.cfg))
+        with monkeypatch.context() as patch:
+            for cls in (Packet, SubmitRecord, StimuliEntry):
+                patch.setattr(cls, "__init__", forbidden)
+            run_batched(engine, drivers, 300)
+            assert sum(d.backlog() for d in drivers) > 0
+            for driver in drivers:
+                driver.be = driver.gt = None
+            drain_batched(engine, drivers)
+            for lane, driver in enumerate(drivers):
+                driver.tracker.collect(engine.lane(lane))
+                assert len(driver.tracker.samples) == len(driver.submits) > 100
+        # ... and they are all there the moment a test reads them
+        assert drivers[0].submits[0].packet.payload
+        assert repr(drivers[0].submits).count("SubmitRecord(") == len(drivers[0].submits)
+
+
 def capture_generator(monkeypatch):
     """Collect the batched generators ``run_batched`` builds."""
     made = []
     real = trafficgen.batched_be_generator
 
     def recording(drivers):
-        generator = real(drivers)
+        generator, reason = real(drivers)
         made.append(generator)
-        return generator
+        return generator, reason
 
     monkeypatch.setattr(trafficgen, "batched_be_generator", recording)
     return made
@@ -556,7 +724,7 @@ class TestColumnarFastForward:
             digests[kernel] = full_digest(engine, drivers)
         assert digests["levelized"] == digests["python"]
         generator = made[-1]
-        assert generator is not None and all(generator._gts)
+        assert generator is not None and len(generator._gts) == 2
         assert sum(skips) > 1000 and max(skips) < 400
         assert 0 < generator.probe_words <= 2 * 2 * cfg.n_routers * sum(skips)
 
@@ -695,41 +863,23 @@ class TestOneBodyOwnsFig1:
                 for i, load in enumerate(FIG1_LANE_LOADS)
             ]
 
-        def state(drivers):
-            return [
-                (
-                    repr(d.submits),
-                    {k: list(q) for k, q in d.queues.items()},
-                    list(d.queues),
-                    {k: list(q) for k, q in d.tracker._pending.items()},
-                    d.flits_generated,
-                    None if d.be is None else (d.be.rng.state, d.be.rng.words_read, list(d.be._seq)),
-                    list(d.gt._seq),
-                    list(d._be_vc_toggle),
-                )
-                for d in drivers
-            ]
-
         windowed, stepped, batched = build(), build(), build()
-        generator = trafficgen.batched_be_generator(windowed)
-        per_cycle = trafficgen.batched_be_generator(batched)
-        assert generator is not None
+        generator, reason = trafficgen.batched_be_generator(windowed)
+        per_cycle, _ = trafficgen.batched_be_generator(batched)
+        assert generator is not None and reason is None
         start = 0
         for width in (1, 7, 64, 64, 7, 1, 150):  # 150: wider than the GT period
             window = generator.generate_window(start, start + width)
             for cycle in range(start, start + width):
-                per_cycle.generate(cycle)
+                admit_window(batched, per_cycle.generate_window(cycle, cycle + 1))
                 for driver in stepped:
                     driver.generate(cycle)
-            for lane, driver in enumerate(windowed):
-                for (src, vc), (words, cycles, seqs) in window[lane].items():
-                    assert cycles == sorted(cycles)
-                    driver.queues[(src, vc)].extend(
-                        StimuliEntry(c, src, vc, w, packet_key=(src, q))
-                        for w, c, q in zip(words, cycles, seqs)
-                    )
-            assert state(windowed) == state(stepped)
-            assert state(batched) == state(stepped)
+            ends = [0, *window.queues[3].tolist()]
+            for lo, hi in zip(ends, ends[1:]):  # each queue's run: in release order
+                assert (window.flits[F_CYCLE, lo + 1 : hi] >= window.flits[F_CYCLE, lo : hi - 1]).all()
+            admit_window(windowed, window)
+            assert generation_state(windowed) == generation_state(stepped)
+            assert generation_state(batched) == generation_state(stepped)
             start += width
         gt_packets = sum(sum(d.gt._seq) for d in stepped)
         assert gt_packets >= 2 * 36 * len(stepped)
@@ -748,7 +898,8 @@ class TestOneBodyOwnsFig1:
                 )
                 for i, pattern in enumerate(patterns)
             ]
-            assert trafficgen.batched_be_generator(drivers) is None
+            generator, reason = trafficgen.batched_be_generator(drivers)
+            assert generator is None and "non-uniform destination pattern" in reason
             run_batched(engine, drivers, 200)
             return full_digest(engine, drivers)
 
@@ -758,12 +909,12 @@ class TestOneBodyOwnsFig1:
             CompiledBatchLevel,
             "run_chunk",
             lambda self, drivers, k, window=None: (
-                chunks.append(window),
+                chunks.append(window.objects is not None),
                 real(self, drivers, k, window),
             )[1],
         )
         assert run("auto") == run("python")
-        assert chunks == [None] * 4  # chunked, stimuli from the drivers' deques
+        assert chunks == [True] * 4  # chunked; windows of packet objects
 
     @needs_jit
     def test_single_cycle_steps_coalesce_into_few_log_parts(self):

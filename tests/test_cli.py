@@ -241,6 +241,31 @@ class TestFarmCli:
         assert len(lanes) == 2
         assert lanes == [line for line in pinned.splitlines() if "  lane " in line]
 
+    def test_kernel_line_says_where_the_traffic_is_generated(self, monkeypatch, capsys):
+        """A driver set that falls back to per-packet Python generation
+        is printed, with the reason, not guessed."""
+        from repro.kernels import probe_backends
+
+        args = ["simulate", "--engine", "batch", "--lanes", "2", "--width", "3",
+                "--height", "3", "--cycles", "60"]
+        if probe_backends()["cffi"] == "ok":
+            for extra in ([], ["--stream"]):
+                assert main(args + extra) == 0
+                first = capsys.readouterr().out.splitlines()[0]
+                assert first == "kernel: jit (generated C); traffic: C scan"
+            assert main(args[:3] + args[5:]) == 0  # one lane: TrafficDriver.run
+            first = capsys.readouterr().out.splitlines()[0]
+            assert first.endswith(
+                "traffic: Python generators (a lone driver steps per cycle)"
+            )
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        assert main(args) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("kernel: python (NumPy sweeps")
+        assert first.endswith(
+            "traffic: Python generators (the engine has no generated-C body)"
+        )
+
 
 def _documented_invocations():
     """Every ``python -m repro.cli ...`` / ``$ repro ...`` command line
@@ -375,6 +400,28 @@ class TestSourceAudit:
                 if owner.setdefault(window, path) != path:
                     shared.add((owner[window], path))
         assert not shared
+
+    def test_the_fast_path_names_no_per_packet_object(self):
+        """Traffic crosses the chunk boundary as columns: the chunk
+        kernel, the traffic kernel and the pipeline stages construct no
+        packet, submit record or stimuli entry, and the dict-of-lists
+        window format's helpers are gone from ``src/``."""
+        import re
+
+        built = re.compile(r"\b(Packet|SubmitRecord|StimuliEntry)\(")
+        fast = ("kernels/batchlevel.py", "kernels/trafficgen.py", "pipeline/stages.py")
+        found = {
+            (name, match)
+            for name in fast
+            for path, text in self._sources()
+            if path.endswith(os.path.join(*name.split("/")))
+            for match in built.findall(text)
+        }
+        assert not found
+        gone = re.compile(r"encode_window|window_entries|scan_window")
+        assert not [
+            path for path, text in self._sources() if gone.search(text)
+        ]
 
     def test_partition_names_no_fast_path_internal(self):
         import re

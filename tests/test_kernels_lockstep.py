@@ -309,7 +309,7 @@ class TestEnvFallback:
         """The chunk path and the C traffic scan key on the bound body,
         never on the ``jit``/``levelized`` label: a levelized-labelled
         engine pinned to NumPy behaves exactly like ``kernel="python"``."""
-        from repro.engines.batch import chunk_kernel, window_generator
+        from repro.engines.batch import chunk_kernel, window_source
 
         def paths(engine):
             drivers = [
@@ -321,14 +321,15 @@ class TestEnvFallback:
                 )
                 for i in range(engine.lanes)
             ]
-            return chunk_kernel(engine, drivers), window_generator(engine, drivers)
+            return chunk_kernel(engine, drivers), window_source(engine, drivers).reason
 
-        assert paths(BatchEngine(torus(), lanes=2, kernel="python")) == (None, None)
+        no_body = (None, "the engine has no generated-C body")
+        assert paths(BatchEngine(torus(), lanes=2, kernel="python")) == no_body
         if JIT_REASON == "ok":
             for label in ("levelized", "jit"):
-                compiled, generator = paths(BatchEngine(torus(), lanes=2, kernel=label))
-                assert compiled is not None and generator is not None
+                compiled, reason = paths(BatchEngine(torus(), lanes=2, kernel=label))
+                assert compiled is not None and reason is None  # the C scan
         monkeypatch.setenv("REPRO_KERNELS", "numpy")
         pinned = BatchEngine(torus(), lanes=2, kernel="levelized")
         assert pinned.kernel == "levelized" and pinned._compiled is None
-        assert paths(pinned) == (None, None)
+        assert paths(pinned) == no_body

@@ -49,9 +49,9 @@ from repro.traffic import (
 from repro.traffic.stimuli import FlitEncoder, NetworkOverloadError
 from tests.test_batch_levelized import (
     FIG1_LANE_LOADS,
-    arch_digest,
     fig1_driver,
     fig1_lane_digest,
+    full_digest,
     make_drivers,
     needs_jit,
     run_fig1_batched,
@@ -125,7 +125,7 @@ def fig1_traffic():
 
 def stream_fig1_set(cycles, **kwargs):
     """Stream the Fig. 1 set; one digest per lane, comparable to
-    :func:`fig1_lane_digest` minus its submit-record entry."""
+    :func:`fig1_lane_digest` (the trackers are the analyze stage's)."""
     engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS))
     traffic = fig1_traffic()
     report = run_pipeline(engine, traffic, cycles, **kwargs)
@@ -137,6 +137,7 @@ def stream_fig1_set(cycles, **kwargs):
                 view.snapshot(),
                 [r.__dict__ for r in view.injections],
                 [r.__dict__ for r in view.ejections],
+                repr(driver.submits),
                 report.trackers[lane].samples,
                 None if be is None else (be.rng.state, be.rng.words_read, list(be._seq)),
                 list(gt._seq),
@@ -146,10 +147,6 @@ def stream_fig1_set(cycles, **kwargs):
             )
         )
     return engine, report, digests
-
-
-def without_submits(digest):
-    return digest[:3] + digest[4:]
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +294,7 @@ class TestPipelineEquivalence:
         assert streamed._be_vc_toggle == driver._be_vc_toggle
         assert list(streamed.queues) == list(driver.queues)
         assert report.analyze.submit_counts == [len(driver.submits)]
-        assert streamed.submits == [] and streamed.tracker is None
+        assert streamed.submits == driver.submits and streamed.tracker is None
 
     def test_batch_lanes_match_classic_batched(self):
         net = small_net()
@@ -384,7 +381,7 @@ class TestPipelineEquivalence:
             cycles, chunk=chunk, threaded=threaded
         )
         assert engine.kernel == "jit" and engine.cycle == end_cycle
-        assert streamed == [without_submits(lane) for lane in reference]
+        assert streamed == reference
         assert report.analyze.submit_counts == [
             lane[3].count("SubmitRecord(") for lane in reference
         ]
@@ -399,24 +396,34 @@ class TestPipelineEquivalence:
 
     @needs_jit
     def test_streamed_batch_run_builds_no_record(self, monkeypatch):
-        # test_event_log's zero-records guard, extended to retrieve + analyze
+        # test_event_log's zero-records guard, extended to retrieve +
+        # analyze — and to the way in: no packet, submit record or
+        # stimuli entry either (the Fig. 1 GT + BE set, and BE alone)
+        from repro.noc.packet import Packet
+        from repro.traffic.stimuli import StimuliEntry, SubmitRecord
+
         def forbidden(self, *args, **kwargs):
             raise AssertionError(f"{type(self).__name__} built on the streamed path")
 
-        with monkeypatch.context() as patch:
-            for cls in (InjectionRecord, EjectionRecord):
-                patch.setattr(cls, "__init__", forbidden)
-            engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS))
-            report = run_pipeline(engine, fig1_traffic(), 200, chunk=64)
-        assert sum(report.analyze.ej_counts) > 1000
-        assert sum(len(t.samples) for t in report.trackers) > 100
-        assert report.analyze.inj_counts == [
-            len(engine.lane_injections(i)) for i in range(engine.lanes)
-        ]
-        routers = [r.router for r in engine.lane_ejections(3)]
-        assert report.analyze.eject_router_counts[3] == {
-            router: routers.count(router) for router in set(routers)
-        }
+        for be_only in (False, True):
+            traffic = fig1_traffic()
+            if be_only:
+                traffic = [(be, None) for be, _ in traffic]
+            with monkeypatch.context() as patch:
+                for cls in (InjectionRecord, EjectionRecord, Packet, SubmitRecord, StimuliEntry):
+                    patch.setattr(cls, "__init__", forbidden)
+                engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS))
+                report = run_pipeline(engine, traffic, 200, chunk=64)
+            assert sum(report.analyze.ej_counts) > (300 if be_only else 1000)
+            assert sum(len(t.samples) for t in report.trackers) > (40 if be_only else 100)
+            assert report.analyze.submit_counts == [len(d.submits) for d in report.drivers]
+            assert report.analyze.inj_counts == [
+                len(engine.lane_injections(i)) for i in range(engine.lanes)
+            ]
+            routers = [r.router for r in engine.lane_ejections(3)]
+            assert report.analyze.eject_router_counts[3] == {
+                router: routers.count(router) for router in set(routers)
+            }
 
     @needs_jit
     def test_generate_ahead_never_touches_the_simulate_side(self):
@@ -446,7 +453,7 @@ class TestPipelineEquivalence:
         engine, _, streamed = stream_fig1_set(cycles, chunk=50)
         assert engine.kernel == "python" and engine._compiled is None
         assert chunks == [] and steps == list(range(end_cycle))
-        assert streamed == [without_submits(lane) for lane in reference]
+        assert streamed == reference
 
     @needs_jit
     def test_hooked_engine_steps_per_cycle_from_the_c_scan(
@@ -480,12 +487,34 @@ class TestPipelineEquivalence:
         assert throughput.flits_ejected == len(engine.ejections)
 
 
+def capture_stage_drivers(monkeypatch):
+    """The drivers ``run_pipeline`` builds (it raises before it can hand
+    them out in a report)."""
+    drivers = []
+    real_init = SimulateStage.__init__
+
+    def spy_init(stage, engine, stage_drivers):
+        drivers.extend(stage_drivers)
+        real_init(stage, engine, stage_drivers)
+
+    monkeypatch.setattr(SimulateStage, "__init__", spy_init)
+    return drivers
+
+
 class TestPipelineErrors:
-    def test_overload_root_cause_survives_abort(self):
+    def test_overload_root_cause_survives_abort(self, monkeypatch):
+        # a per-cycle engine: the window is stepped by step_window, its
+        # traffic came from the driver's own generators — and is rewound
+        # through them to where the classic driver loop stops
         net = small_net(queue_depth=1)
         be = BernoulliBeTraffic(net, 0.95, uniform_random(net), seed=1)
-        engine = SequentialEngine(net)
-        with pytest.raises(NetworkOverloadError):
+        classic_engine = CycleEngine(net)
+        classic = TrafficDriver(classic_engine, be=copy.deepcopy(be), stall_limit=50)
+        with pytest.raises(NetworkOverloadError) as want:
+            classic.run(2000)
+        engine = CycleEngine(net)
+        drivers = capture_stage_drivers(monkeypatch)
+        with pytest.raises(NetworkOverloadError) as got:
             run_pipeline(
                 engine,
                 [(be, None)],
@@ -494,6 +523,19 @@ class TestPipelineErrors:
                 stall_limit=50,
                 ring_timeout=10.0,
             )
+        assert str(got.value) == str(want.value)
+        assert engine.cycle == classic_engine.cycle and engine.cycle % 64
+        assert_engines_equal(engine, classic_engine)
+        (streamed,) = drivers
+        assert streamed.overloaded and streamed.submits == classic.submits
+        assert streamed.flits_generated == classic.flits_generated
+        assert {k: list(q) for k, q in streamed.queues.items()} == {
+            k: list(q) for k, q in classic.queues.items()
+        }
+        assert list(streamed.queues) == list(classic.queues)
+        assert streamed._stall == classic._stall
+        assert be.snapshot() == classic.be.snapshot()
+        assert streamed._be_vc_toggle == classic._be_vc_toggle
 
     def test_simulate_stage_out_of_sync(self):
         net = small_net()
@@ -517,23 +559,29 @@ class TestPipelineErrors:
         assert engine.cycle == 0
 
     @needs_jit
-    def test_mid_chunk_overload_raises_the_reference_message(self):
+    def test_mid_chunk_overload_raises_the_reference_message(self, monkeypatch):
         # through the ring abort, with the reference's diagnostic, cycle,
-        # fabric state, events, metrics and stall counters (DESIGN
-        # section 14: queue/RNG state may run ahead, here by whole chunks)
+        # fabric state, events, metrics, stall counters — and driver
+        # state: the generate thread ran whole chunks ahead, and the
+        # failing window's source rewound it (queues, submits, RNG, seq)
         reference = BatchEngine(torus(queue_depth=1), lanes=2, kernel="python")
         ref_drivers = make_drivers(reference, 0.8, stall_limit=20)
         with pytest.raises(NetworkOverloadError) as want:
             run_batched(reference, ref_drivers, 2000)
+        assert [d.overloaded for d in ref_drivers] == [True, False]
 
+        # chunk=16: the overload (cycle 63) is chunks behind the generator
         engine = BatchEngine(torus(queue_depth=1), lanes=2)
-        traffic = [(d.be, None) for d in make_drivers(engine, 0.8)]
+        sources = make_drivers(engine, 0.8)
+        stage_drivers = capture_stage_drivers(monkeypatch)
         with pytest.raises(NetworkOverloadError) as got:
             run_pipeline(
-                engine, traffic, 2000, chunk=50, stall_limit=20, ring_timeout=10.0
+                engine, [(d.be, None) for d in sources], 2000, chunk=16,
+                stall_limit=20, ring_timeout=10.0,
             )
         assert str(got.value) == str(want.value)
-        assert engine.cycle == reference.cycle and engine.cycle % 50
+        assert engine.cycle == reference.cycle and engine.cycle % 16
+        assert full_digest(engine, stage_drivers) == full_digest(reference, ref_drivers)
 
         # the stages by hand: report.overloaded is the drivers' own flag
         engine = BatchEngine(torus(queue_depth=1), lanes=2)
@@ -546,7 +594,7 @@ class TestPipelineErrors:
                 simulate.process(load.process(generate.produce(start, start + 50)))
         assert simulate.overloaded
         assert [d.overloaded for d in drivers] == [d.overloaded for d in ref_drivers]
-        assert arch_digest(engine, drivers) == arch_digest(reference, ref_drivers)
+        assert full_digest(engine, drivers) == full_digest(reference, ref_drivers)
 
     def test_traffic_lane_mismatch(self):
         net = small_net()
@@ -584,7 +632,7 @@ class TestStreamedExperimentSweeps:
         assert len(steps) == max(swept.report.done_cycles)
         chunks.clear()
         assert swept.points == run_patterns_batched(PATTERNS, 300)
-        assert chunks and not any(window for _, window in chunks)
+        assert chunks and all(window for _, window in chunks)
 
 
 class TestOverlapCrosscheck:
