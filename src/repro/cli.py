@@ -124,6 +124,26 @@ def _report_kernel(engine, drivers=None) -> None:
     print(f"kernel: {kernel} ({body}); traffic: {traffic}")
 
 
+def _report_run(engine, drivers=None) -> None:
+    """One line after the run, for engines with a kernel ladder: whether
+    the generated body took whole chunks or one call per cycle (and
+    why), and the share of router-cycles it had to evaluate."""
+    if getattr(engine, "kernel", None) is None:
+        return
+    from repro.engines.batch import chunk_decline
+
+    decline = "a lone driver steps per cycle"
+    if drivers is not None:
+        decline = chunk_decline(engine, drivers)
+    line = "chunked" if decline is None else f"stepping per cycle ({decline})"
+    if engine.kernel_lane_cycles:
+        share = engine.kernel_router_evals / (
+            engine.kernel_lane_cycles * engine.cfg.n_routers
+        )
+        line += f"; activity: {100 * share:.0f} % of router-cycles evaluated"
+    print(f"kernel run: {line}")
+
+
 def _available_memory_bytes() -> Optional[int]:
     """Bytes of memory available right now, or None where unknowable."""
     try:
@@ -266,6 +286,7 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
         f"{engine_name} engine: {engine.cycle} cycles in {elapsed:.2f} s "
         f"({engine.cycle / elapsed:,.0f} simulated cycles/s)"
     )
+    _report_run(engine)
     print(
         f"traffic: {throughput.flits_injected} flits injected, "
         f"accepted load {throughput.accepted_load:.3f} flits/cycle/node"
@@ -304,10 +325,10 @@ def _simulate_streamed(args, net, engine, lanes: int) -> int:
         for i in range(n)
     ]
     # the pipeline builds its own drivers over these generators
-    _report_kernel(
-        engine,
-        [TrafficDriver(view, be=be) for view, (be, _) in zip(lane_views(engine), traffic)],
-    )
+    drivers = [
+        TrafficDriver(view, be=be) for view, (be, _) in zip(lane_views(engine), traffic)
+    ]
+    _report_kernel(engine, drivers)
     start = time.perf_counter()
     report = run_pipeline(
         engine, traffic, args.cycles, chunk=args.chunk or DEFAULT_CHUNK
@@ -318,6 +339,7 @@ def _simulate_streamed(args, net, engine, lanes: int) -> int:
         f"cycles (+drain) in {elapsed:.2f} s "
         f"({n * engine.cycle / elapsed:,.0f} lane-cycles/s)"
     )
+    _report_run(engine, drivers)
     for i in range(n):
         stats = report.trackers[i].stats()
         line = (
@@ -365,6 +387,7 @@ def _simulate_batched(args, net, engine, lanes: int) -> int:
         f"in {elapsed:.2f} s ({lane_cycles / elapsed:,.0f} aggregate "
         f"lane-cycles/s, {engine.cycle / elapsed:,.0f} wall cycles/s)"
     )
+    _report_run(engine, drivers)
     for i in range(lanes):
         inj = len(engine.lane_injections(i))
         ej = len(engine.lane_ejections(i))
@@ -623,9 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "python", "levelized", "jit"],
         default="auto",
         help="execution body (batch engine): python forces the NumPy "
-        "sweeps, levelized binds the generated-C chunk kernel over the "
-        "level schedule, jit the same kernel in natural router order "
-        "(must compile); auto picks the best available tier",
+        "sweeps, levelized binds the generated-C chunk kernel once the "
+        "levelizer has proved the level schedule, jit the same kernel "
+        "without one (must compile); auto picks the best available tier",
     )
     p.add_argument(
         "--fast-forward", action="store_true",

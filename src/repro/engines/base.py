@@ -120,8 +120,8 @@ def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
     Only the batch engine has more than one: ``auto`` (default) binds
     the generated-C body when it can be built and the NumPy sweeps
     otherwise, ``python`` forces the NumPy sweeps, and ``levelized`` /
-    ``jit`` bind the generated-C body over the level schedule / in
-    natural router order (``jit`` raising
+    ``jit`` bind the generated-C body with / without the levelizer's
+    proof of the level schedule (``jit`` raising
     :class:`~repro.kernels.KernelUnavailableError` when it cannot be
     built).  Every other engine accepts ``auto`` and ``python`` only.
     """

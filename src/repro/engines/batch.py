@@ -265,12 +265,19 @@ class BatchEngine:
 
         # -- kernel selection (the repro.kernels backend ladder) -----------
         #: how the execution body was requested: "jit" (the generated-C
-        #: body in natural router order), "levelized" (the same body over
-        #: the static level schedule) or "python" (the NumPy sweeps);
-        #: benches report this.
+        #: body), "levelized" (the same body, bound once the static level
+        #: schedule is proved) or "python" (the NumPy sweeps); benches
+        #: report this.
         self.kernel = "python"
         #: why the requested tier was declined, when it was.
         self.kernel_reason: Optional[str] = None
+        #: what the generated body actually did, summed over its calls:
+        #: routers evaluated (a router holding no flit and no valid
+        #: injection register is skipped) out of ``kernel_lane_cycles``
+        #: x routers — the lane-cycles it stepped, idle lanes and idle
+        #: fabric windows left out.  The delta metrics stay nominal.
+        self.kernel_router_evals = 0
+        self.kernel_lane_cycles = 0
         self._compiled = None
         #: static level schedule, when the levelized tier carries one.
         self.schedule = None
@@ -789,42 +796,45 @@ class BatchEngine:
 #: Cycles simulated per fused C call on the chunked levelized path.
 _CHUNK = 64
 
-def _chunk_eligible(engine: BatchEngine, drivers: Sequence) -> bool:
-    """May ``run_batched`` hand whole chunks to the fused kernel?
+def chunk_decline(engine, drivers: Sequence) -> Optional[str]:
+    """Why ``run_batched`` steps ``drivers`` cycle by cycle — ``None``
+    when it hands whole chunks to the fused kernel.
 
-    The chunked path moves the pump loop into C, so it must see exactly
-    the reference driver set: one plain :class:`TrafficDriver` per lane,
-    in lane order, with a uniform stall limit — and no per-cycle hooks
-    or per-lane fault fallbacks that need Python between cycles.
+    The chunked path moves the pump loop into C, so it needs the
+    generated body and exactly the reference driver set: one plain
+    :class:`TrafficDriver` per lane, in lane order, with a uniform stall
+    limit — and no per-cycle hooks or per-lane fault fallbacks that need
+    Python between cycles.
     """
     from repro.traffic.stimuli import TrafficDriver
 
-    if engine.pre_step_hooks or engine.lane_faults:
-        return False
+    if getattr(engine, "_compiled", None) is None:
+        return "the engine has no generated-C body"
+    if engine.pre_step_hooks:
+        return "a pre-step hook runs between cycles"
+    if engine.lane_faults:
+        return "a lane carries a resident fault"
     if len(drivers) != engine.lanes:
-        return False
-    limit = None
+        return f"{len(drivers)} drivers for {engine.lanes} lanes"
     for i, driver in enumerate(drivers):
         if type(driver) is not TrafficDriver:
-            return False
+            return f"lane {i}'s driver is a {type(driver).__name__}"
         lane = driver.engine
         if not isinstance(lane, BatchLane) or lane.engine is not engine:
-            return False
+            return f"lane {i}'s driver is bound to another engine"
         if lane.lane != i:
-            return False
-        if limit is None:
-            limit = driver.stall_limit
-        elif driver.stall_limit != limit:
-            return False
-    return True
+            return f"driver {i} is bound to lane {lane.lane}"
+        if driver.stall_limit != drivers[0].stall_limit:
+            return "the drivers' stall limits differ"
+    return None
 
 
 def chunk_kernel(engine, drivers: Sequence):
     """The engine's generated body when it may run ``drivers`` in whole
-    chunks (``run_chunk``), else ``None``: step cycle by cycle."""
-    compiled = getattr(engine, "_compiled", None)
-    if compiled is not None and _chunk_eligible(engine, drivers):
-        return compiled
+    chunks (``run_chunk``), else ``None``: step cycle by cycle
+    (:func:`chunk_decline` says why)."""
+    if chunk_decline(engine, drivers) is None:
+        return engine._compiled
     return None
 
 
@@ -944,7 +954,7 @@ def run_batched(
 
     A compiled engine (``jit`` or ``levelized``: one generated body)
     runs whole :data:`_CHUNK`-cycle windows inside one fused C call
-    whenever the driver set passes :func:`_chunk_eligible` — the Fig. 1
+    whenever :func:`chunk_decline` finds no objection — the Fig. 1
     GT + BE sweep and the pattern sweeps included: each chunk's traffic
     is one columnar :class:`~repro.traffic.stimuli.Stimuli` window,
     staged ahead with timestamps; the pump moves into the kernel, and

@@ -7,13 +7,13 @@ Two cooperating pieces:
   state boundary) into a static evaluation schedule, replacing
   delta-cycle fixed-point iteration with a bounded number of passes.
 * :mod:`repro.kernels.batchlevel` — the **generated simulation body**:
-  one specialized, loop-fused C function for the three ``ArrayState``
-  batch sweeps (rooms / forwards / state update, one pass per lane, one
+  one specialized C function for the ``ArrayState`` batch cycle (one
+  pure evaluation of the routers that hold something, one commit; one
   cycle or a whole chunk of cycles per call), compiled at first use by
   :mod:`repro.kernels.cbackend` and driven through cffi.  It is the
-  only generated body: :mod:`repro.kernels.batchstep` binds it in
-  natural router order for the ``jit`` tier, ``kernel="levelized"``
-  over the levelizer's schedule.  :mod:`repro.kernels.trafficgen` is
+  only generated body: :mod:`repro.kernels.batchstep` binds it for the
+  ``jit`` tier, ``kernel="levelized"`` once the levelizer has proved
+  the schedule.  :mod:`repro.kernels.trafficgen` is
   the matching traffic scan.
 
 Backend ladder, selected at import/construction time::

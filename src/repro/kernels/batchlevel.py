@@ -1,23 +1,41 @@
-"""The generated-C simulation body: three level sweeps on the lane axis.
+"""The generated-C simulation body: activity-driven, on the lane axis.
 
 :class:`CompiledBatchLevel` generates one fused C body per **router
 configuration** (the compile-time constants of
-:class:`~repro.kernels.cbackend.KernelSpec`); the fabric — router count,
-neighbour tables and the three router orders of a
-:class:`~repro.kernels.levelize.LevelSchedule` (room → forward → state)
-— is a runtime argument, so one compiled kernel serves every fabric
-built from the same router.  Each system cycle walks the levelized
-combinational graph exactly once per lane — level 0 (rooms), level 1
-(forwards), then the registered commit — the Manticore/CCSS structure:
-fast statically ordered combinational evaluation, cheap
-bulk-synchronous sequential commit.
+:class:`~repro.kernels.cbackend.KernelSpec`); the fabric — router count
+and neighbour tables — is a runtime argument, so one compiled kernel
+serves every fabric built from the same router.  Each system cycle is
+the Manticore/CCSS structure — one pure combinational evaluation, one
+cheap bulk-synchronous sequential commit — but its cost follows fabric
+*activity*, not fabric size:
+
+* four occupancy words per (lane, router) — queue non-empty / full /
+  allocated, injection register valid — are **derived from the state
+  arrays at call entry** and maintained at the only places they change.
+  They live in call scratch: :class:`~repro.seqsim.arraystate.ArrayState`
+  stays the single source of truth, so ``offer()``, NumPy interop,
+  checkpoint restores and ``step_range`` need no contract with them;
+* "room at (router, port, VC)" is a bit of the neighbour's committed
+  full-mask, so evaluation reads committed state only, any router order
+  is a valid level order of the room → forward → state graph, and a
+  router with nothing buffered and nothing pending is skipped outright;
+* arbitration walks the set bits of ``non-empty & allocated`` (one or
+  two queues, not ports x VCs), and what a router decides — pops,
+  pushes, allocations, stimuli updates, ejections — goes into work
+  lists the commit applies;
+* events leave the call grouped by lane with per-lane counts, so
+  logging them is one block copy and one column slice per lane.
+
+Delta accounting stays nominal (three sweeps of every router per cycle:
+the schedule's cost on the paper's hardware); what the body actually
+evaluated is counted beside it (``engine.kernel_router_evals`` out of
+``engine.kernel_lane_cycles`` x routers).
 
 It is the only generated simulation body, behind both compiled tiers of
 :class:`~repro.engines.batch.BatchEngine`: ``kernel="levelized"`` binds
-it with the orders the levelizer proved, ``kernel="jit"``/``"auto"``
-(:class:`~repro.kernels.batchstep.CompiledBatchStep`) with natural
-router order, which is a valid level order of the same graph and needs
-no schedule.
+it after the levelizer proved the canonical schedule (:func:`level_tables`
+refuses any other), ``kernel="jit"``/``"auto"``
+(:class:`~repro.kernels.batchstep.CompiledBatchStep`) without one.
 
 Two execution shapes share the one generated function:
 
@@ -72,8 +90,6 @@ int64_t repro_level_chunk(
     int64_t stall_limit, int64_t NQS,
     const int64_t *depth,
     const int64_t *nb_idx, const int64_t *nb_ok, const int64_t *opp,
-    const int64_t *room_level, const int64_t *fwd_level,
-    const int64_t *state_level,
     const int64_t *route, const int64_t *be_cand,
     int64_t *mem, int64_t *rd, int64_t *wr, int64_t *count,
     int64_t *alloc, int64_t *queue_alloc, int64_t *arb_ptr,
@@ -81,21 +97,18 @@ int64_t repro_level_chunk(
     int64_t *inj_word, int64_t *inj_valid, int64_t *rr_ptr, int64_t *delay,
     int64_t *eject_word, int64_t *eject_valid, int64_t *stalled,
     int64_t *q, int64_t q_cap, const int64_t *e, int64_t e_cap,
-    int64_t *buffered, int64_t *injc, int64_t *ejany, int64_t *act,
-    int64_t *neq, int64_t *qam, int64_t *rooms, int64_t *fwd_out,
-    int64_t *choice, int64_t *ej_in,
-    int64_t *gq, int64_t *gvc, int64_t *fwd_in,
-    int64_t *dec_q, int64_t *dec_ovc, int64_t *dec_n, int64_t *last_alloc,
+    int64_t *lane, int64_t *occ, int64_t *work,
     int64_t *ev_sent, int64_t sent_cap, int64_t *ev_ej, int64_t ej_cap,
-    int64_t *counts, int64_t *err)
+    int64_t *lane_n, int64_t *counts, int64_t *err)
 """
 
 _TEMPLATE = string.Template(
     """
 /* Generated by repro.kernels.batchlevel -- do not edit.
- * Specialized levelized batch-chunk kernel: ${spec}
+ * Specialized activity-driven batch-chunk kernel: ${spec}
  */
 #include <stdint.h>
+#include <string.h>
 
 #define P ${P}
 #define V ${V}
@@ -103,7 +116,6 @@ _TEMPLATE = string.Template(
 #define DMAX ${DMAX}
 #define DW ${DW}
 #define VC_SHIFT ${VC_SHIFT}
-#define SINK ${SINK}
 #define HEAD_T ${HEAD_T}
 #define TAIL_T ${TAIL_T}
 #define IDLE_T ${IDLE_T}
@@ -112,63 +124,166 @@ _TEMPLATE = string.Template(
 #define FLIT_MASK ${FLIT_MASK}
 #define VMASK ${VMASK}
 
-/* The fabric is a runtime argument: R routers and the level schedule as
- * three router orders.  Evaluating room_level, then fwd_level, then the
- * registered commit visits every combinational node exactly once with
- * all of its inputs settled (any order within a level is valid; natural
- * router order always is one).  state_level drives the pure
- * allocation-decision scan of level 2; the commit itself runs in
- * ascending router order — a semantically free choice for registered
- * updates, pinned so event logs match the vectorized reference stream
- * for stream. */
+/* The fabric is a runtime argument: R routers and their neighbour
+ * tables.  Each cycle is one pure evaluation pass over every lane, then
+ * one registered commit.  Evaluation reads committed state only — room
+ * at a neighbour's queue is a bit of that neighbour's committed
+ * full-mask — so any router order is a valid level order of the
+ * room -> forward -> state graph; the walk is ascending, the order the
+ * event logs need.
+ *
+ * Cost follows activity, not fabric size.  Four occupancy words per
+ * (lane, router) — queue q non-empty / full / allocated, injection
+ * register v valid — are derived from the state arrays at call entry
+ * and maintained at the only places they change (pump accept, pop,
+ * push, tail release, allocation, injection sent); they are call
+ * scratch, the state arrays stay the single source of truth.  A router
+ * with nothing buffered and nothing pending is skipped; the others
+ * record what they decide — pops, pushes, allocations, stimuli updates,
+ * ejections — in work lists, and the commit walks the lists. */
+enum { O_NE, O_FULL, O_QAM, O_INJ, O_WORDS };
+
+#define CTZ(x) ((int64_t)__builtin_ctzll((unsigned long long)(x)))
+#define BIT(n) ((uint64_t)1 << (n))
 
 /* First set bit of req cyclically above `last` (the shared round-robin
  * grant): the bits above the pointer win outright, else wrap. */
-static inline int64_t rr_pick(int64_t req, int64_t last, int64_t width)
+static inline int64_t rr_pick(int64_t req, int64_t last)
 {
-    int64_t above = req >> (last + 1);
-    if (above)
-        return (int64_t)__builtin_ctzll((unsigned long long)above) + last + 1;
-    (void)width;
-    return (int64_t)__builtin_ctzll((unsigned long long)req);
+    const int64_t above = req >> (last + 1);
+    return above ? CTZ(above) + last + 1 : CTZ(req);
+}
+
+/* Close the gaps between the per-lane segments of an event buffer
+ * (`rows` rows of `cap` columns; lane b holds n[b] events from column
+ * at[b]): afterwards the events are one block, grouped by lane. */
+static void pack_lanes(int64_t *ev, int64_t cap, int64_t rows, int64_t B,
+                       const int64_t *at, const int64_t *n)
+{
+    int64_t out = 0;
+    for (int64_t b = 0; b < B; b++) {
+        if (n[b] && at[b] != out)
+            for (int64_t f = 0; f < rows; f++)
+                memmove(ev + f * cap + out, ev + f * cap + at[b],
+                        (size_t)n[b] * sizeof(int64_t));
+        out += n[b];
+    }
 }
 
 ${signature}
 {
+    const int64_t BR = B * R;
     /* Row buffers, one row per column.  Staged stimuli queues (q) and
      * their entries (e); injection and ejection events (sent, ej) with
-     * rows in record-field order plus the lane, so Python can log them
-     * as column blocks without touching a single event. */
+     * rows in record-field order, one segment per lane, so Python can
+     * log them as column blocks without touching a single event. */
     const int64_t *q_lane = q, *q_router = q + q_cap, *q_vc = q + 2 * q_cap;
     const int64_t *q_end = q + 3 * q_cap;
     int64_t *q_head = q + 4 * q_cap, *q_stall = q + 5 * q_cap;
     int64_t *q_touched = q + 6 * q_cap;
+    /* q_due: the generation timestamp of each queue's head entry
+     * (never, once the queue is exhausted) — the one word the pump
+     * reads of a queue that has nothing to offer this cycle */
+    int64_t *q_due = q + 8 * q_cap;
     const int64_t *e_word = e, *e_cycle = e + e_cap;
     int64_t *sent_cycle = ev_sent, *sent_r = ev_sent + sent_cap;
     int64_t *sent_vc = ev_sent + 2 * sent_cap;
     int64_t *sent_word = ev_sent + 3 * sent_cap;
     int64_t *sent_delay = ev_sent + 4 * sent_cap;
-    int64_t *sent_lane = ev_sent + 5 * sent_cap;
     int64_t *ej_cycle = ev_ej, *ej_r = ev_ej + ej_cap;
     int64_t *ej_vc = ev_ej + 2 * ej_cap, *ej_word = ev_ej + 3 * ej_cap;
-    int64_t *ej_lane = ev_ej + 4 * ej_cap;
-    int64_t n_sent = 0, n_ej = 0;
-    /* neq/qam: per-router occupancy bitmasks of the current lane,
-     * rebuilt from the committed state each cycle:
-     *   neq bit q — queue q non-empty, qam bit q — queue q allocated. */
+    int64_t *n_sent = lane_n, *n_ej = lane_n + B;
+    /* Per-lane words: flits buffered, injection registers valid, eject
+     * flags latched, the cycle's activity, where the lane's event
+     * segments start, and where its share of each work list ends. */
+    int64_t *buffered = lane, *injc = lane + B, *latched = lane + 2 * B;
+    int64_t *act = lane + 3 * B, *sent_at = lane + 4 * B;
+    int64_t *ej_at = lane + 5 * B, *pop_end = lane + 6 * B;
+    int64_t *push_end = lane + 7 * B, *inj_end = lane + 8 * B;
+    int64_t *loc_end = lane + 9 * B;
+    /* Behind the occupancy words: per lane, the routers whose eject
+     * flag is latched (cleared from this list, not by a sweep). */
+    int64_t *ejl = occ + O_WORDS * BR;
+    /* The cycle's work lists: pops (flat queue, flat output port, queue
+     * depth), pushes (flat queue, flit word, queue depth), allocations
+     * (flat queue, output VC), stimuli interfaces with a valid register
+     * (flat router, granted VC or -1), local-output grants (flat
+     * router, link word: the ejections); then one lane's busy routers. */
+    int64_t *pop_q = work, *pop_p = pop_q + BR * P, *pop_d = pop_p + BR * P;
+    int64_t *push_q = pop_d + BR * P, *push_w = push_q + BR * P;
+    int64_t *push_d = push_w + BR * P;
+    int64_t *alloc_q = push_d + BR * P, *alloc_o = alloc_q + BR * NQ;
+    int64_t *inj_x = alloc_o + BR * NQ, *inj_ch = inj_x + BR;
+    int64_t *loc_x = inj_ch + BR, *loc_w = loc_x + BR;
+    int64_t *busy = loc_w + BR;
+    int64_t ret = 0, t = 0, evals = 0, stepped = 0;
 
-    for (int64_t t = 0; t < n_cycles; t++) {
+    /* ---- call entry: derive the occupancy words from the state ---- */
+    for (int64_t b = 0; b < B; b++) {
+        int64_t buf = 0, inj = 0, lat = 0;
+        for (int64_t r = 0; r < R; r++) {
+            const int64_t x = b * R + r, dep = depth[r];
+            const int64_t *cnt = count + x * NQ;
+            const int64_t *qa = queue_alloc + x * NQ;
+            uint64_t ne = 0, full = 0, qm = 0, ip = 0;
+            for (int64_t k = 0; k < NQ; k++) {
+                const int64_t c = cnt[k];
+                ne |= (uint64_t)(c > 0) << k;
+                full |= (uint64_t)(c >= dep) << k;
+                qm |= (uint64_t)(qa[k] >= 0) << k;
+                buf += c;
+            }
+            for (int64_t v = 0; v < V; v++) {
+                ip |= (uint64_t)(inj_valid[x * V + v] != 0) << v;
+                inj += inj_valid[x * V + v] != 0;
+            }
+            int64_t *o = occ + O_WORDS * x;
+            o[O_NE] = (int64_t)ne;
+            o[O_FULL] = (int64_t)full;
+            o[O_QAM] = (int64_t)qm;
+            o[O_INJ] = (int64_t)ip;
+            if (eject_valid[x])
+                ejl[b * R + lat++] = r;
+        }
+        buffered[b] = buf;
+        injc[b] = inj;
+        latched[b] = lat;
+        n_sent[b] = n_ej[b] = sent_at[b] = 0;
+    }
+    /* Event segments: a lane injects at most its valid registers plus
+     * its staged entries, ejects at most that plus what it has
+     * buffered, and either at most once per router per cycle. */
+    for (int64_t i = 0; i < NQS; i++) {
+        sent_at[q_lane[i]] += q_end[i] - q_head[i];
+        q_due[i] = q_head[i] < q_end[i] ? e_cycle[q_head[i]] : INT64_MAX;
+    }
+    {
+        const int64_t most = R * n_cycles;
+        int64_t s = 0, j = 0;
+        for (int64_t b = 0; b < B; b++) {
+            const int64_t in = injc[b] + sent_at[b], out = in + buffered[b];
+            sent_at[b] = s;
+            s += in < most ? in : most;
+            ej_at[b] = j;
+            j += out < most ? out : most;
+        }
+        if (s > sent_cap || j > ej_cap) {
+            ret = 5; /* the caller's event buffers are too small */
+            goto done;
+        }
+    }
+
+    for (; t < n_cycles; t++) {
         const int64_t ac = base_cycle + t;
-        const int64_t sent_mark = n_sent, ej_mark = n_ej;
 
         /* ---- stimuli pump: TrafficDriver.pump, staged lane-major ----
          * Offer each queue's head entry once its generation timestamp
          * has arrived; maintain the per-queue stall counters and the
          * sticky per-router stalled flag exactly like the driver. */
         for (int64_t i = 0; i < NQS; i++) {
-            const int64_t h = q_head[i];
-            if (h >= q_end[i] || e_cycle[h] > ac)
+            if (q_due[i] > ac)
                 continue;
+            const int64_t h = q_head[i];
             const int64_t b = q_lane[i];
             const int64_t r = q_router[i];
             const int64_t v = q_vc[i];
@@ -180,7 +295,9 @@ ${signature}
                 delay[ix] = 0;
                 stalled[b * R + r] = 0;
                 q_head[i] = h + 1;
+                q_due[i] = h + 1 < q_end[i] ? e_cycle[h + 1] : INT64_MAX;
                 q_stall[i] = 0;
+                occ[O_WORDS * (b * R + r) + O_INJ] |= (int64_t)BIT(v);
                 injc[b] += 1;
             } else {
                 stalled[b * R + r] = 1;
@@ -191,20 +308,18 @@ ${signature}
                     err[2] = v;
                     err[3] = q_stall[i];
                     err[4] = b;
-                    counts[0] = n_sent;
-                    counts[1] = n_ej;
-                    counts[2] = t;
-                    return 4;
+                    ret = 4;
+                    goto done;
                 }
             }
         }
 
         /* ---- lane activity: a lane with nothing buffered, nothing
          * pending in the injection registers and no latched ejection
-         * flag is provably unchanged by a step — skip its sweeps. ---- */
+         * flag is provably unchanged by a step — skip it. ---- */
         int64_t any_active = 0;
         for (int64_t b = 0; b < B; b++) {
-            act[b] = (buffered[b] | injc[b] | ejany[b]) != 0;
+            act[b] = (buffered[b] | injc[b] | latched[b]) != 0;
             any_active |= act[b];
         }
         if (!any_active) {
@@ -212,134 +327,122 @@ ${signature}
              * Python wrapper still credits the skipped cycles' delta
              * accounting, so this is pure evaluation elision). */
             int64_t next = base_cycle + n_cycles;
-            for (int64_t i = 0; i < NQS; i++) {
-                const int64_t h = q_head[i];
-                if (h < q_end[i] && e_cycle[h] < next)
-                    next = e_cycle[h];
-            }
+            for (int64_t i = 0; i < NQS; i++)
+                if (q_due[i] < next)
+                    next = q_due[i];
             if (next <= ac)
                 next = ac + 1;
             t += next - ac - 1;
             continue;
         }
 
-        /* ---- pass 1: pure evaluation, level by level.  Route errors
-         * outrank GT errors across the whole cycle, and within each
-         * class the lowest flat (lane, router, queue) candidate wins —
-         * the vectorized sweep's raise order. ---- */
+        /* ---- pass 1: pure evaluation of every router that holds a
+         * flit or a valid injection register.  Route errors outrank GT
+         * errors across the whole cycle, and within each class the
+         * lowest flat (lane, router, queue) candidate wins — the
+         * vectorized sweep's raise order. ---- */
+        int64_t n_pop = 0, n_push = 0, n_alloc = 0, n_inj = 0, n_loc = 0;
         int64_t route_err = 0, route_key = 0, route_data = 0;
         int64_t gt_err = 0, gt_key = 0, gt_r = 0, gt_vc = 0;
+        int64_t cycle_evals = 0, cycle_lanes = 0;
         for (int64_t b = 0; b < B; b++) {
             if (!act[b])
                 continue;
+            cycle_lanes++;
             const int64_t sc = b * R;
-            /* level 0: room nodes (Moore, committed occupancy only) */
-            for (int64_t li = 0; li < R; li++) {
-                const int64_t r = room_level[li];
-                const int64_t *cnt = count + (sc + r) * NQ;
-                const int64_t *qa = queue_alloc + (sc + r) * NQ;
-                const int64_t dep = depth[r];
-                uint64_t space = 0, ne = 0, qm = 0;
-                for (int64_t q = 0; q < NQ; q++) {
-                    const int64_t c = cnt[q];
-                    space |= (uint64_t)(c < dep) << q;
-                    ne |= (uint64_t)(c > 0) << q;
-                    qm |= (uint64_t)(qa[q] >= 0) << q;
-                }
-                neq[r] = (int64_t)ne;
-                qam[r] = (int64_t)qm;
-                for (int64_t p = 0; p < P; p++)
-                    rooms[r * P + p] = (int64_t)((space >> (p * V)) & VMASK);
-            }
-            /* level 1: forward nodes (stimuli word + crossbar) */
-            for (int64_t li = 0; li < R; li++) {
-                const int64_t r = fwd_level[li];
-                const int64_t *iv = inj_valid + (sc + r) * V;
-                const int64_t room0 = rooms[r * P];
-                int64_t req = 0;
-                for (int64_t v = 0; v < V; v++)
-                    if (iv[v] && ((room0 >> v) & 1))
-                        req |= (int64_t)1 << v;
-                int64_t ch = -1, ifw = 0;
-                if (req) {
-                    ch = rr_pick(req, rr_ptr[sc + r], V);
-                    ifw = (ch << VC_SHIFT) | inj_word[(sc + r) * V + ch];
-                }
-                choice[sc + r] = ch;
-                fwd_in[(sc + r) * P] = ifw; /* local port: the stimuli word */
-
-                const int64_t ne = neq[r];
-                if (!ne) { /* nothing queued: no grants on any port */
-                    for (int64_t p = 0; p < P; p++) {
-                        fwd_out[r * P + p] = 0;
-                        gq[(sc + r) * P + p] = -1;
-                        gvc[(sc + r) * P + p] = 0;
-                    }
-                    continue;
-                }
-                const int64_t *al = alloc + (sc + r) * NQ;
-                for (int64_t p = 0; p < P; p++) {
-                    int64_t room_in;
-                    if (p == 0)
-                        room_in = SINK; /* the local sink always has room */
-                    else if (nb_ok[r * P + p])
-                        room_in = rooms[nb_idx[r * P + p] * P + opp[p]];
-                    else
-                        room_in = 0;
-                    int64_t preq = 0;
-                    for (int64_t v = 0; v < V; v++) {
-                        const int64_t q = al[p * V + v];
-                        if (q >= 0 && ((room_in >> v) & 1) && ((ne >> q) & 1))
-                            preq |= (int64_t)1 << q;
-                    }
-                    int64_t out = 0, gqv = -1, gv = 0;
-                    if (preq) {
-                        gqv = rr_pick(preq, arb_ptr[(sc + r) * P + p], NQ);
-                        while (gv < V && al[p * V + gv] != gqv)
-                            gv++;
-                        out = (gv << VC_SHIFT)
-                            | mem[((sc + r) * NQ + gqv) * DMAX
-                                  + rd[(sc + r) * NQ + gqv]];
-                    }
-                    fwd_out[r * P + p] = out;
-                    gq[(sc + r) * P + p] = gqv;
-                    gvc[(sc + r) * P + p] = gv;
-                }
-            }
-            /* forward-wire gather (needs every fwd_out of the lane) */
+            int64_t n_busy = 0;
             for (int64_t r = 0; r < R; r++) {
-                for (int64_t p = 1; p < P; p++)
-                    fwd_in[(sc + r) * P + p] =
-                        nb_ok[r * P + p]
-                            ? fwd_out[nb_idx[r * P + p] * P + opp[p]]
-                            : 0;
-                ej_in[sc + r] = fwd_out[r * P]; /* local output = ejection */
+                const int64_t *o = occ + O_WORDS * (sc + r);
+                busy[n_busy] = r;
+                n_busy += (o[O_NE] | o[O_INJ]) != 0;
             }
-            /* level 2, pure half: rotating-priority output-VC
-             * allocation decisions, observing only pre-update state */
-            for (int64_t li = 0; li < R; li++) {
-                const int64_t r = state_level[li];
-                uint64_t scan = (uint64_t)(neq[r] & ~qam[r]);
-                if (!scan) {
-                    dec_n[sc + r] = 0;
-                    continue;
+            cycle_evals += n_busy;
+            for (int64_t k = 0; k < n_busy; k++) {
+                const int64_t r = busy[k], x = sc + r;
+                const int64_t *o = occ + O_WORDS * x;
+                const uint64_t ne = (uint64_t)o[O_NE];
+                /* stimuli interface: round-robin over the valid
+                 * registers whose local input queue has room */
+                if (o[O_INJ]) {
+                    const int64_t req = o[O_INJ] & ~o[O_FULL] & VMASK;
+                    int64_t ch = -1;
+                    if (req) {
+                        ch = rr_pick(req, rr_ptr[x]);
+                        const int64_t word = inj_word[x * V + ch];
+                        if (((word >> DW) & 3) != IDLE_T) {
+                            push_q[n_push] = x * NQ + ch;
+                            push_w[n_push] = word & FLIT_MASK;
+                            push_d[n_push++] = depth[r];
+                        }
+                    }
+                    inj_x[n_inj] = x;
+                    inj_ch[n_inj++] = ch;
                 }
-                const int64_t *al = alloc + (sc + r) * NQ;
-                const int64_t *rdv = rd + (sc + r) * NQ;
-                int64_t cand_op[NQ], cand_gt[NQ], cand_iv[NQ];
+                if (!ne)
+                    continue;
+                const uint64_t qm = (uint64_t)o[O_QAM];
+                const int64_t *qa = queue_alloc + x * NQ;
+                /* crossbar: every non-empty allocated queue whose
+                 * output VC has room downstream requests its port;
+                 * each requested port grants round-robin */
+                uint64_t ready = ne & qm, ports = 0;
+                int64_t preq[P] = {0};
+                while (ready) {
+                    const int64_t q = CTZ(ready);
+                    ready &= ready - 1;
+                    const int64_t p = qa[q] / V, v = qa[q] % V;
+                    if (p) { /* the local sink always has room */
+                        const int64_t w = r * P + p;
+                        if (!nb_ok[w]
+                            || ((occ[O_WORDS * (sc + nb_idx[w]) + O_FULL]
+                                 >> (opp[p] * V + v)) & 1))
+                            continue;
+                    }
+                    preq[p] |= (int64_t)BIT(q);
+                    ports |= BIT(p);
+                }
+                while (ports) {
+                    const int64_t p = CTZ(ports);
+                    ports &= ports - 1;
+                    const int64_t g = rr_pick(preq[p], arb_ptr[x * P + p]);
+                    const int64_t gv = qa[g] - p * V;
+                    const int64_t word =
+                        mem[(x * NQ + g) * DMAX + rd[x * NQ + g]];
+                    pop_q[n_pop] = x * NQ + g;
+                    pop_p[n_pop] = x * P + p;
+                    pop_d[n_pop++] = depth[r];
+                    if (((word >> DW) & 3) == IDLE_T)
+                        continue;
+                    if (p) {
+                        const int64_t nr = nb_idx[r * P + p];
+                        push_q[n_push] = (sc + nr) * NQ + opp[p] * V + gv;
+                        push_w[n_push] = word & FLIT_MASK;
+                        push_d[n_push++] = depth[nr];
+                    } else { /* local output = ejection */
+                        loc_x[n_loc] = x;
+                        loc_w[n_loc++] = (gv << VC_SHIFT) | word;
+                    }
+                }
+                /* rotating-priority output-VC allocation decisions,
+                 * observing only pre-update state */
+                uint64_t scan = ne & ~qm;
+                if (!scan)
+                    continue;
+                const int64_t *al = alloc + x * NQ;
+                int64_t cand_op[NQ], cand_gt[NQ];
                 uint64_t candmask = 0;
                 /* candidate decode + validation in ascending queue order */
                 while (scan) {
-                    const int64_t q = (int64_t)__builtin_ctzll(scan);
+                    const int64_t q = CTZ(scan);
                     scan &= scan - 1;
                     const int64_t headw =
-                        mem[((sc + r) * NQ + q) * DMAX + rdv[q]];
+                        mem[(x * NQ + q) * DMAX + rd[x * NQ + q]];
                     if (((headw >> DW) & 3) != HEAD_T)
                         continue;
                     const int64_t data = headw & PAYLOAD_MASK;
                     const int64_t in_vc = q % V;
                     const int64_t op = route[r * 256 + (data & 0xFF)];
-                    const int64_t key = (sc + r) * NQ + q;
+                    const int64_t key = x * NQ + q;
                     if (op < 0) {
                         if (!route_err || key < route_key) {
                             route_err = 1;
@@ -357,191 +460,172 @@ ${signature}
                         }
                         continue;
                     }
-                    candmask |= (uint64_t)1 << q;
+                    candmask |= BIT(q);
                     cand_op[q] = op;
                     cand_gt[q] = (data >> 8) & 1;
-                    cand_iv[q] = in_vc;
                 }
-                int64_t claimed = 0, last = -1, nd = 0;
-                if (candmask) {
-                    /* rotate the candidate mask so the scan starts one
-                     * past the rotating-priority pointer, then walk set
-                     * bits — identical visit order to the off = 1..NQ
-                     * modular scan. */
-                    int64_t s = alloc_ptr[sc + r] + 1;
-                    if (s >= NQ)
-                        s -= NQ;
-                    if (s < 0)
-                        s += NQ;
-                    uint64_t rot = s ? ((candmask >> s) | (candmask << (NQ - s)))
-                                         & (((uint64_t)1 << NQ) - 1)
-                                   : candmask;
-                    while (rot) {
-                        const int64_t bit = (int64_t)__builtin_ctzll(rot);
-                        rot &= rot - 1;
-                        int64_t q = bit + s;
-                        if (q >= NQ)
-                            q -= NQ;
-                        const int64_t op = cand_op[q];
-                        int64_t won = -1;
-                        if (cand_gt[q]) { /* GT traffic keeps its VC */
-                            const int64_t o = op * V + cand_iv[q];
-                            if (al[o] < 0 && !((claimed >> o) & 1))
-                                won = o;
-                        } else {
-                            const int64_t *cg =
-                                be_cand
-                                + (((r * P + q / V) * V + cand_iv[q]) * P + op)
-                                      * V;
-                            for (int64_t i = 0; i < V; i++) {
-                                const int64_t v = cg[i];
-                                if (v < 0)
-                                    continue;
-                                const int64_t o = op * V + v;
-                                if (al[o] < 0 && !((claimed >> o) & 1)) {
-                                    won = o;
-                                    break;
-                                }
-                            }
-                        }
-                        if (won >= 0) {
-                            dec_q[(sc + r) * NQ + nd] = q;
-                            dec_ovc[(sc + r) * NQ + nd] = won;
-                            nd++;
-                            claimed |= (int64_t)1 << won;
-                            last = q;
+                if (!candmask)
+                    continue;
+                /* rotate the candidate mask so the scan starts one past
+                 * the rotating-priority pointer, then walk set bits —
+                 * identical visit order to the off = 1..NQ modular
+                 * scan. */
+                int64_t s = alloc_ptr[x] + 1;
+                if (s >= NQ)
+                    s -= NQ;
+                if (s < 0)
+                    s += NQ;
+                uint64_t rot = s ? ((candmask >> s) | (candmask << (NQ - s)))
+                                       & (BIT(NQ) - 1)
+                                 : candmask;
+                uint64_t claimed = 0;
+                while (rot) {
+                    int64_t q = CTZ(rot) + s;
+                    rot &= rot - 1;
+                    if (q >= NQ)
+                        q -= NQ;
+                    const int64_t op = cand_op[q], in_vc = q % V;
+                    int64_t won = -1;
+                    if (cand_gt[q]) { /* GT traffic keeps its VC */
+                        const int64_t ovc = op * V + in_vc;
+                        if (al[ovc] < 0 && !((claimed >> ovc) & 1))
+                            won = ovc;
+                    } else {
+                        const int64_t *cg =
+                            be_cand
+                            + (((r * P + q / V) * V + in_vc) * P + op) * V;
+                        for (int64_t i = 0; i < V && won < 0; i++) {
+                            const int64_t ovc = op * V + cg[i];
+                            if (cg[i] >= 0 && al[ovc] < 0
+                                && !((claimed >> ovc) & 1))
+                                won = ovc;
                         }
                     }
+                    if (won >= 0) {
+                        alloc_q[n_alloc] = x * NQ + q;
+                        alloc_o[n_alloc++] = won;
+                        claimed |= BIT(won);
+                    }
                 }
-                dec_n[sc + r] = nd;
-                last_alloc[sc + r] = last;
             }
+            pop_end[b] = n_pop;
+            push_end[b] = n_push;
+            inj_end[b] = n_inj;
+            loc_end[b] = n_loc;
         }
         if (route_err) {
             err[0] = 1;
             err[1] = route_data;
-            counts[0] = sent_mark;
-            counts[1] = ej_mark;
-            counts[2] = t;
-            return 1;
+            ret = 1;
+            goto done;
         }
         if (gt_err) {
             err[0] = 2;
             err[1] = gt_r;
             err[2] = gt_vc;
-            counts[0] = sent_mark;
-            counts[1] = ej_mark;
-            counts[2] = t;
-            return 2;
+            ret = 2;
+            goto done;
         }
 
-        /* ---- pass 2: registered commit (pops, pushes, allocation,
-         * stimuli), ascending router order ---- */
+        /* ---- pass 2: registered commit, list by list: every pop,
+         * the overflow check of every push, every push, every
+         * allocation; then per lane the stimuli interfaces and the
+         * ejections, which emit the events. ---- */
+        for (int64_t i = 0; i < n_pop; i++) {
+            const int64_t xq = pop_q[i], x = xq / NQ, q = xq - x * NQ;
+            const int64_t word = mem[xq * DMAX + rd[xq]];
+            int64_t *o = occ + O_WORDS * x;
+            rd[xq] = rd[xq] + 1 == pop_d[i] ? 0 : rd[xq] + 1;
+            arb_ptr[pop_p[i]] = q;
+            if (--count[xq] == 0)
+                o[O_NE] &= ~(int64_t)BIT(q);
+            o[O_FULL] &= ~(int64_t)BIT(q);
+            if (((word >> DW) & 3) == TAIL_T) {
+                alloc[x * NQ + queue_alloc[xq]] = -1;
+                queue_alloc[xq] = -1;
+                o[O_QAM] &= ~(int64_t)BIT(q);
+            }
+        }
+        for (int64_t i = 0; i < n_push; i++)
+            if (count[push_q[i]] >= push_d[i]) {
+                err[0] = 3;
+                ret = 3;
+                goto done;
+            }
+        for (int64_t i = 0; i < n_push; i++) {
+            const int64_t xq = push_q[i], x = xq / NQ, q = xq - x * NQ;
+            int64_t *o = occ + O_WORDS * x;
+            mem[xq * DMAX + wr[xq]] = push_w[i];
+            wr[xq] = wr[xq] + 1 == push_d[i] ? 0 : wr[xq] + 1;
+            o[O_NE] |= (int64_t)BIT(q);
+            if (++count[xq] >= push_d[i])
+                o[O_FULL] |= (int64_t)BIT(q);
+        }
+        for (int64_t i = 0; i < n_alloc; i++) {
+            const int64_t xq = alloc_q[i], x = xq / NQ, q = xq - x * NQ;
+            alloc[x * NQ + alloc_o[i]] = q;
+            queue_alloc[xq] = alloc_o[i];
+            occ[O_WORDS * x + O_QAM] |= (int64_t)BIT(q);
+            alloc_ptr[x] = q; /* a router's last decision parks the pointer */
+        }
+        int64_t pops = 0, pushes = 0, ij = 0, lo = 0;
         for (int64_t b = 0; b < B; b++) {
             if (!act[b])
                 continue;
             const int64_t sc = b * R;
-            ejany[b] = 0;
-            for (int64_t r = 0; r < R; r++) {
-                const int64_t dep = depth[r];
-                int64_t *al = alloc + (sc + r) * NQ;
-                int64_t *qa = queue_alloc + (sc + r) * NQ;
-                int64_t *cnt = count + (sc + r) * NQ;
-                int64_t *rdv = rd + (sc + r) * NQ;
-                int64_t *wrv = wr + (sc + r) * NQ;
-                /* pops: granted queues emit their head */
-                for (int64_t p = 0; p < P; p++) {
-                    const int64_t q = gq[(sc + r) * P + p];
-                    if (q < 0)
-                        continue;
-                    const int64_t word =
-                        mem[((sc + r) * NQ + q) * DMAX + rdv[q]];
-                    rdv[q] = rdv[q] + 1 == dep ? 0 : rdv[q] + 1;
-                    cnt[q] -= 1;
-                    buffered[b] -= 1;
-                    arb_ptr[(sc + r) * P + p] = q;
-                    if (((word >> DW) & 3) == TAIL_T) {
-                        al[p * V + gvc[(sc + r) * P + p]] = -1;
-                        qa[q] = -1;
-                    }
-                }
-                /* pushes: overflow-check every arrival, then commit */
-                for (int64_t p = 0; p < P; p++) {
-                    const int64_t word = fwd_in[(sc + r) * P + p];
-                    if (((word >> DW) & 3) == IDLE_T)
-                        continue;
-                    if (cnt[p * V + (word >> VC_SHIFT)] >= dep) {
-                        err[0] = 3;
-                        counts[0] = sent_mark;
-                        counts[1] = ej_mark;
-                        counts[2] = t;
-                        return 3;
-                    }
-                }
-                for (int64_t p = 0; p < P; p++) {
-                    const int64_t word = fwd_in[(sc + r) * P + p];
-                    if (((word >> DW) & 3) == IDLE_T)
-                        continue;
-                    const int64_t q = p * V + (word >> VC_SHIFT);
-                    mem[((sc + r) * NQ + q) * DMAX + wrv[q]] = word & FLIT_MASK;
-                    wrv[q] = wrv[q] + 1 == dep ? 0 : wrv[q] + 1;
-                    cnt[q] += 1;
-                    buffered[b] += 1;
-                }
-                /* apply the allocation decisions (old-state scan results) */
-                const int64_t nd = dec_n[sc + r];
-                for (int64_t i = 0; i < nd; i++) {
-                    const int64_t q = dec_q[(sc + r) * NQ + i];
-                    const int64_t o = dec_ovc[(sc + r) * NQ + i];
-                    al[o] = q;
-                    qa[q] = o;
-                }
-                if (nd > 0)
-                    alloc_ptr[sc + r] = last_alloc[sc + r];
-                /* stimuli interface update + event extraction */
-                const int64_t ch = choice[sc + r];
-                for (int64_t v = 0; v < V; v++) {
-                    const int64_t i = (sc + r) * V + v;
-                    if (!inj_valid[i])
-                        continue;
-                    if (v == ch) {
-                        sent_lane[n_sent] = b;
-                        sent_r[n_sent] = r;
-                        sent_vc[n_sent] = v;
-                        sent_word[n_sent] = inj_word[i];
-                        sent_delay[n_sent] = delay[i];
-                        sent_cycle[n_sent] = ac;
-                        n_sent++;
-                        inj_valid[i] = 0;
-                        delay[i] = 0;
-                        injc[b] -= 1;
-                    } else {
+            buffered[b] += (push_end[b] - pushes) - (pop_end[b] - pops);
+            pushes = push_end[b];
+            pops = pop_end[b];
+            for (int64_t k = 0; k < latched[b]; k++)
+                eject_valid[sc + ejl[sc + k]] = 0;
+            latched[b] = 0;
+            /* stimuli interface update + event extraction */
+            for (; ij < inj_end[b]; ij++) {
+                const int64_t x = inj_x[ij], ch = inj_ch[ij];
+                uint64_t ip = (uint64_t)occ[O_WORDS * x + O_INJ];
+                while (ip) {
+                    const int64_t v = CTZ(ip), i = x * V + v;
+                    ip &= ip - 1;
+                    if (v != ch) {
                         delay[i] = (delay[i] + 1) & 0xFFFFF;
+                        continue;
                     }
-                }
-                if (ch >= 0)
-                    rr_ptr[sc + r] = ch;
-                const int64_t ej = ej_in[sc + r];
-                if (((ej >> DW) & 3) != 0) {
-                    ej_lane[n_ej] = b;
-                    ej_r[n_ej] = r;
-                    ej_vc[n_ej] = ej >> VC_SHIFT;
-                    ej_word[n_ej] = ej & FLIT_MASK;
-                    ej_cycle[n_ej] = ac;
-                    n_ej++;
-                    eject_word[sc + r] = ej;
-                    eject_valid[sc + r] = 1;
-                    ejany[b] = 1;
-                } else {
-                    eject_valid[sc + r] = 0;
+                    const int64_t k = sent_at[b] + n_sent[b]++;
+                    sent_cycle[k] = ac;
+                    sent_r[k] = x - sc;
+                    sent_vc[k] = v;
+                    sent_word[k] = inj_word[i];
+                    sent_delay[k] = delay[i];
+                    inj_valid[i] = 0;
+                    delay[i] = 0;
+                    rr_ptr[x] = v;
+                    occ[O_WORDS * x + O_INJ] &= ~(int64_t)BIT(v);
+                    injc[b] -= 1;
                 }
             }
+            for (; lo < loc_end[b]; lo++) {
+                const int64_t x = loc_x[lo], word = loc_w[lo];
+                const int64_t k = ej_at[b] + n_ej[b]++;
+                ej_cycle[k] = ac;
+                ej_r[k] = x - sc;
+                ej_vc[k] = word >> VC_SHIFT;
+                ej_word[k] = word & FLIT_MASK;
+                eject_word[x] = word;
+                eject_valid[x] = 1;
+                ejl[sc + latched[b]++] = x - sc;
+            }
         }
+        evals += cycle_evals;
+        stepped += cycle_lanes;
     }
-    counts[0] = n_sent;
-    counts[1] = n_ej;
-    counts[2] = n_cycles;
-    return 0;
+done:
+    pack_lanes(ev_sent, sent_cap, 5, B, sent_at, n_sent);
+    pack_lanes(ev_ej, ej_cap, 4, B, ej_at, n_ej);
+    /* cycles completed; over them, routers evaluated and lanes stepped */
+    counts[0] = t;
+    counts[1] = evals;
+    counts[2] = stepped;
+    return ret;
 }
 """
 )
@@ -586,16 +670,16 @@ def level_orders(schedule) -> Optional[Tuple[Tuple[int, ...], ...]]:
     return tuple(orders)
 
 
-def level_tables(schedule, n_routers: int) -> np.ndarray:
-    """The kernel's ``[3, R]`` room/fwd/state order table.
-
-    ``schedule=None`` is natural router order — always a valid level
-    order of the three-sweep graph (every room before every forward
-    before every state update), which is how the ``jit`` tier binds
-    this body without running the levelizer.
+def level_tables(schedule, n_routers: int) -> None:
+    """Check that ``schedule`` is a level schedule this body honours:
+    the canonical room/fwd/state shape, each level a permutation of the
+    routers.  The orders themselves are not carried — evaluation reads
+    committed state only, so the kernel's ascending walk is a valid
+    order of every such schedule (and ``schedule=None``, the ``jit``
+    tier's binding, needs no check at all).
     """
     if schedule is None:
-        return np.tile(np.arange(n_routers, dtype=np.int64), (3, 1))
+        return
     orders = level_orders(schedule)
     if orders is None:
         raise KernelUnavailableError(
@@ -608,7 +692,6 @@ def level_tables(schedule, n_routers: int) -> np.ndarray:
                 f"levelized batch kernel: {name} level is not a permutation "
                 f"of the {n_routers} routers"
             )
-    return np.array(orders, dtype=np.int64)
 
 
 def generate_level_source(spec) -> str:
@@ -621,7 +704,6 @@ def generate_level_source(spec) -> str:
         DMAX=spec.depth_max,
         DW=spec.data_width,
         VC_SHIFT=spec.vc_shift,
-        SINK=spec.sink,
         HEAD_T=1,
         TAIL_T=3,
         IDLE_T=0,
@@ -635,13 +717,15 @@ def generate_level_source(spec) -> str:
 
 #: rows of the grow-only call buffers (see the kernel's unpacking; the
 #: staging kernel keeps each queue's store slot in an eighth ``q`` row
-#: and each entry's packet sequence number in a third ``e`` row).
-_BUFFER_ROWS = {"q": 8, "e": 3, "sent": 6, "ej": 5}
+#: and each entry's packet sequence number in a third ``e`` row; the
+#: ninth ``q`` row is the chunk kernel's own).
+_BUFFER_ROWS = {"q": 9, "e": 3, "sent": 5, "ej": 4}
 
 
 class CompiledBatchLevel:
     """The generated execution body bound to one batch engine
-    (``schedule=None``: natural router order)."""
+    (``schedule``: the level schedule the ``levelized`` tier proved,
+    checked here; ``None`` for the ``jit`` tier)."""
 
     def __init__(self, engine, schedule=None) -> None:
         from repro.kernels import cbackend
@@ -654,7 +738,7 @@ class CompiledBatchLevel:
                 f"per router (got {engine._NQ})"
             )
         spec = cbackend.KernelSpec.from_engine(engine)
-        levels = level_tables(schedule, engine.cfg.n_routers)
+        level_tables(schedule, engine.cfg.n_routers)
         source = generate_level_source(spec)
         self._lib = cbackend.load_source(source, _SIGNATURE.strip() + ";")
         self._ffi = cbackend._ffi_for(_SIGNATURE.strip() + ";")
@@ -671,49 +755,18 @@ class CompiledBatchLevel:
                 [int(Port(p).opposite) if p else 0 for p in range(P)]
             ),
             "be_cand": table(engine._be_cand),
-            "room_level": levels[0],
-            "fwd_level": levels[1],
-            "state_level": levels[2],
         }
         B, R, V, NQ = engine.lanes, engine.cfg.n_routers, engine._V, engine._NQ
-        dmax = int(engine.state.mem.shape[-1])
-        #: per-lane element strides of the state arrays, for lane-range
-        #: pointer offsets (``step_range``).
-        self._lane_stride = {
-            "mem": R * NQ * dmax,
-            "rd": R * NQ,
-            "wr": R * NQ,
-            "count": R * NQ,
-            "alloc": R * NQ,
-            "queue_alloc": R * NQ,
-            "arb_ptr": R * P,
-            "alloc_ptr": R,
-            "inj_word": R * V,
-            "inj_valid": R * V,
-            "rr_ptr": R,
-            "delay": R * V,
-            "eject_word": R,
-            "eject_valid": R,
-            "stalled": R,
-        }
         scratch = {
-            "buffered": B,
-            "injc": B,
-            "ejany": B,
-            "act": B,
-            "neq": R,
-            "qam": R,
-            "rooms": R * P,
-            "fwd_out": R * P,
-            "choice": B * R,
-            "ej_in": B * R,
-            "gq": B * R * P,
-            "gvc": B * R * P,
-            "fwd_in": B * R * P,
-            "dec_q": B * R * NQ,
-            "dec_ovc": B * R * NQ,
-            "dec_n": B * R,
-            "last_alloc": B * R,
+            # call scratch, rows as the kernel unpacks them: ten words
+            # per lane; four occupancy words per (lane, router) plus the
+            # latched-eject list; the cycle's work lists
+            "lane": 10 * B,
+            "occ": 5 * B * R,
+            "work": (6 * P + 2 * NQ + 4) * B * R + R,
+            # out: events per lane (injections, then ejections); cycles
+            # completed, routers evaluated, lane-cycles stepped
+            "lane_n": 2 * B,
             "counts": 3,
             "err": 6,
             # staging: per store slot, the window queue behind it; per
@@ -737,8 +790,8 @@ class CompiledBatchLevel:
             self._ptrs[name] = self._ptr(arr)
         #: grow-only ``[rows, capacity]`` call buffers: staged queues and
         #: entries in, event columns out.  A single cycle emits at most
-        #: one injection per (lane, router, VC) and one ejection per
-        #: (lane, router), so this floor serves ``step_range`` as is.
+        #: one injection and one ejection per (lane, router), so this
+        #: floor serves ``step_range`` as is.
         self._buffers: dict = {}
         for name in _BUFFER_ROWS:
             self._rows(name, B * R * V)
@@ -767,6 +820,9 @@ class CompiledBatchLevel:
         engine = self.engine
         state = engine.state
         bound = {name: getattr(state, name) for name in _STATE_FIELDS}
+        #: per-lane element strides of the state arrays, for lane-range
+        #: pointer offsets (``step_range``).
+        self._lane_stride = {name: bound[name][0].size for name in _STATE_FIELDS}
         bound["depth"] = state.depth
         bound["route_src"] = engine._route
         # The routing table is re-packed (new object) on quarantine, and
@@ -788,23 +844,12 @@ class CompiledBatchLevel:
             getattr(state, name) is not bound[name] for name in _STATE_FIELDS
         )
 
-    # -- activity counters --------------------------------------------------
-    def _refresh_activity(self, lo: int, hi: int) -> None:
-        """Recompute the per-lane activity counters for lanes [lo, hi)
-        into slots [0, hi-lo) (``offer`` and state mutations between
-        calls invalidate any maintained values)."""
-        S = self.engine.state
-        n = hi - lo
-        scratch = self._scratch
-        scratch["buffered"][:n] = S.count[lo:hi].reshape(n, -1).sum(axis=1)
-        scratch["injc"][:n] = S.inj_valid[lo:hi].reshape(n, -1).sum(axis=1)
-        scratch["ejany"][:n] = S.eject_valid[lo:hi].reshape(n, -1).sum(axis=1)
-
     # -- execution ----------------------------------------------------------
     def _call(self, lo, hi, n_cycles, stall_limit, n_queues) -> int:
         """Run lanes ``[lo, hi)`` for ``n_cycles`` from the engine's
-        current cycle, then log the emitted events; returns the kernel's
-        error code (0 = the whole window completed)."""
+        current cycle, then log the emitted events and book the activity
+        counters; returns the kernel's error code (0 = the whole window
+        completed)."""
         engine = self.engine
         p = self._ptrs
         buffers = self._buffers
@@ -822,9 +867,6 @@ class CompiledBatchLevel:
             p["nb_idx"],
             p["nb_ok"],
             p["opp"],
-            p["room_level"],
-            p["fwd_level"],
-            p["state_level"],
             p["route"],
             p["be_cand"],
             *[off(name) for name in _STATE_FIELDS],
@@ -832,53 +874,39 @@ class CompiledBatchLevel:
             buffers["q"].shape[1],
             p["e"],
             buffers["e"].shape[1],
-            p["buffered"],
-            p["injc"],
-            p["ejany"],
-            p["act"],
-            p["neq"],
-            p["qam"],
-            p["rooms"],
-            p["fwd_out"],
-            p["choice"],
-            p["ej_in"],
-            p["gq"],
-            p["gvc"],
-            p["fwd_in"],
-            p["dec_q"],
-            p["dec_ovc"],
-            p["dec_n"],
-            p["last_alloc"],
+            p["lane"],
+            p["occ"],
+            p["work"],
             p["sent"],
             buffers["sent"].shape[1],
             p["ej"],
             buffers["ej"].shape[1],
+            p["lane_n"],
             p["counts"],
             p["err"],
         )
+        n = hi - lo
+        sent, ejected = self._scratch["lane_n"][: 2 * n].reshape(2, n).tolist()
+        self._log_events(engine._injections, "sent", sent, lo)
+        self._log_events(engine._ejections, "ej", ejected, lo)
         counts = self._scratch["counts"]
-        self._log_events(engine._injections, "sent", int(counts[0]), lo, hi)
-        self._log_events(engine._ejections, "ej", int(counts[1]), lo, hi)
+        engine.kernel_router_evals += int(counts[1])
+        engine.kernel_lane_cycles += int(counts[2])
         return ret
 
-    def _log_events(self, logs, name, n, lo, hi) -> None:
-        """Hand ``n`` event columns of buffer ``name`` to the logs of
-        lanes ``[lo, hi)``: one stable sort by lane, then one column
-        slice per lane — no record object is built."""
-        if not n:
+    def _log_events(self, logs, name, counts, lo) -> None:
+        """Hand the events of buffer ``name`` — grouped by lane by the
+        kernel, ``counts[i]`` of them for lane ``lo + i`` — to the
+        lanes' logs: one block sized to the events, one column slice per
+        lane, no record object built."""
+        total = sum(counts)
+        if not total:
             return
-        rows = self._buffers[name]
-        fields = rows.shape[0] - 1  # the last row is the (relative) lane
-        if hi - lo == 1:
-            logs[lo].extend_block(rows[:fields, :n].copy(), 0, n)
-            return
-        lanes = rows[fields, :n]
-        block = np.take(rows[:fields, :n], np.argsort(lanes, kind="stable"), axis=1)
+        block = self._buffers[name][:, :total].copy()
         start = 0
-        ends = np.cumsum(np.bincount(lanes, minlength=hi - lo)).tolist()
-        for lane, stop in enumerate(ends, lo):
-            logs[lane].extend_block(block, start, stop)
-            start = stop
+        for lane, n in enumerate(counts, lo):
+            logs[lane].extend_block(block, start, start + n)
+            start += n
 
     def step(self) -> None:
         """Advance every lane one cycle (events logged, errors raised)."""
@@ -890,7 +918,6 @@ class CompiledBatchLevel:
         sweep; the two ranges never interact within a cycle)."""
         if self._stale():
             self._rebind()
-        self._refresh_activity(lo, hi)
         ret = self._call(lo, hi, 1, 0, 0)
         if ret:
             self._raise(ret, self._scratch["err"])
@@ -957,16 +984,19 @@ class CompiledBatchLevel:
         engine = self.engine
         lanes = engine.lanes
         stores, n_queues, n_entries = self.stage(drivers, window)
-        self._refresh_activity(0, lanes)
         scratch = self._scratch
-        # Every staged entry and pending register injects at most once;
-        # everything injected or already buffered ejects at most once.
-        sent_cap = int(scratch["injc"][:lanes].sum()) + n_entries
-        self._rows("sent", sent_cap)
-        self._rows("ej", sent_cap + int(scratch["buffered"][:lanes].sum()))
+        # Every staged entry and valid register injects at most once;
+        # everything injected or already buffered ejects at most once;
+        # a router does either at most once a cycle.  (The kernel splits
+        # the same bounds by lane, and checks them against the buffers.)
+        state = engine.state
+        most = lanes * engine.cfg.n_routers * n_cycles
+        injects = int(np.count_nonzero(state.inj_valid)) + n_entries
+        self._rows("sent", min(injects, most))
+        self._rows("ej", min(injects + int(state.count.sum()), most))
         stall_limit = drivers[0].stall_limit if drivers else 10_000
         ret = self._call(0, lanes, n_cycles, stall_limit, n_queues)
-        completed = int(scratch["counts"][2])
+        completed = int(scratch["counts"][0])
         if completed:
             engine.metrics.record_cycles(
                 completed, engine.SWEEPS_PER_CYCLE * engine.cfg.n_routers

@@ -1,15 +1,15 @@
 """The ``jit`` tier's binding of the generated-C body.
 
 :class:`CompiledBatchStep` is what ``BatchEngine(kernel="auto"|"jit")``
-binds: the one generated body of :mod:`repro.kernels.batchlevel` in
-natural router order.  Every room node precedes every forward node
-precedes every state update whatever the order within a sweep, so
-ascending router order is a valid level order and this tier needs
-neither :func:`~repro.kernels.levelize.levelize` nor a schedule.
-Everything else — table binding, pointer rebinding on quarantine or
-checkpoint restore, ``step_range``, ``run_chunk``, columnar event
-logging, error re-raising — is inherited unchanged, so ``jit`` and
-``levelized`` engines differ only in how the tier was requested.
+binds: the one generated body of :mod:`repro.kernels.batchlevel` with no
+schedule to check.  The body's evaluation reads committed state only,
+so its ascending router walk is a valid level order of every fabric and
+this tier needs neither :func:`~repro.kernels.levelize.levelize` nor a
+schedule.  Everything else — table binding, pointer rebinding on
+quarantine or checkpoint restore, ``step_range``, ``run_chunk``,
+columnar event logging, error re-raising — is inherited unchanged, so
+``jit`` and ``levelized`` engines differ only in how the tier was
+requested.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ __all__ = ["CompiledBatchStep"]
 
 
 class CompiledBatchStep(CompiledBatchLevel):
-    """The generated-C body in natural router order."""
+    """The generated-C body, bound without a level schedule."""
 
     def __init__(self, engine) -> None:
         super().__init__(engine, schedule=None)

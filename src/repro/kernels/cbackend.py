@@ -66,10 +66,6 @@ class KernelSpec:
     def vc_shift(self) -> int:
         return self.data_width + 2
 
-    @property
-    def sink(self) -> int:
-        return (1 << self.n_vcs) - 1
-
 
 def _find_compiler() -> Optional[str]:
     cc = os.environ.get("CC")

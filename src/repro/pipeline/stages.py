@@ -16,8 +16,8 @@ touches which part of it is the whole design:
   simulate thread stages from it).
 * **load** — ``Stimuli.load``: the flit columns, pure.
 * **simulate** (the caller's thread) — one ``run_chunk(drivers, k,
-  stimuli)`` per chunk when the engine is compiled and the drivers pass
-  ``_chunk_eligible``; any other engine goes through
+  stimuli)`` per chunk when ``engines.batch.chunk_decline`` has no
+  objection; any other engine goes through
   :func:`~repro.traffic.stimuli.step_window` (``driver.pump()`` +
   ``engine.step()`` per cycle over the queued window).  Owns the
   drivers' queues, stall counters, submit logs, ``flits_generated`` and

@@ -34,6 +34,9 @@ engine on every piece of engine, driver, generator and tracker state.
 
 from __future__ import annotations
 
+import subprocess
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,13 +46,18 @@ from repro.engines import CycleEngine
 from repro.engines.batch import (
     BatchEngine,
     _try_fast_forward,
+    chunk_decline,
+    chunk_kernel,
     drain_batched,
     run_batched,
 )
 from repro.experiments.common import fig1_gt_streams, fig1_network
-from repro.kernels import probe_backends, trafficgen
-from repro.kernels.batchlevel import CompiledBatchLevel
-from repro.noc import NetworkConfig, RouterConfig
+from repro.kernels import cbackend, probe_backends, trafficgen
+from repro.kernels.batchlevel import CompiledBatchLevel, generate_level_source
+from repro.noc import NetworkConfig, Packet, PacketClass, RouterConfig
+from repro.noc.router import ProtocolError
+from repro.noc.flit import IDLE_FLIT, Flit, FlitType, Header
+from repro.seqsim.arraystate import FIELDS
 from repro.stats.latency import PacketLatencyTracker
 from repro.traffic.generators import (
     BernoulliBeTraffic,
@@ -66,6 +74,8 @@ from repro.traffic.stimuli import (
     settle,
 )
 
+from tests.helpers import PacketDriver, gt_packet
+
 JIT_REASON = probe_backends()["cffi"]
 needs_jit = pytest.mark.skipif(
     JIT_REASON != "ok", reason=f"cffi backend unavailable: {JIT_REASON}"
@@ -78,42 +88,52 @@ def torus(width: int = 3, height: int = 3, queue_depth: int = 2) -> NetworkConfi
     )
 
 
+def lane_driver(target, load, seed, gt_period=None, stall_limit=10_000):
+    """A Bernoulli-BE (optionally plus GT) driver over ``target`` — a
+    lane of a batch engine, or a solo engine."""
+    net = target.cfg
+    gt = None
+    if gt_period is not None:
+        gt = GtStreamTraffic(net, fig1_gt_streams(net).streams, period=gt_period)
+    be = (
+        BernoulliBeTraffic(net, load, uniform_random(net), seed=seed)
+        if load is not None
+        else None
+    )
+    return TrafficDriver(target, be=be, gt=gt, stall_limit=stall_limit)
+
+
 def make_drivers(engine, load, seed=0xBEE, gt_period=None, stall_limit=10_000):
-    """One Bernoulli-BE (optionally plus GT) driver per lane."""
-    net = engine.cfg
-    drivers = []
-    for i in range(engine.lanes):
-        gt = None
-        if gt_period is not None:
-            gt = GtStreamTraffic(net, fig1_gt_streams(net).streams, period=gt_period)
-        be = (
-            BernoulliBeTraffic(net, load, uniform_random(net), seed=seed + i)
-            if load is not None
-            else None
-        )
-        drivers.append(
-            TrafficDriver(engine.lane(i), be=be, gt=gt, stall_limit=stall_limit)
-        )
-    return drivers
+    """One :func:`lane_driver` per lane, seeds ascending."""
+    return [
+        lane_driver(engine.lane(i), load, seed + i, gt_period, stall_limit)
+        for i in range(engine.lanes)
+    ]
+
+
+def driver_digest(driver):
+    """The driver half of the lockstep contract."""
+    be = driver.be
+    return (
+        {k: list(q) for k, q in driver.queues.items()},
+        dict(driver._stall),
+        repr(driver.submits),
+        driver.flits_generated,
+        None if be is None else (be.rng.state, be.rng.words_read),
+    )
 
 
 def full_digest(engine, drivers):
     """Everything the lockstep contract covers, per lane plus globals."""
-    lanes = []
-    for i, driver in enumerate(drivers):
-        be = driver.be
-        lanes.append(
-            (
-                engine.lane_snapshot(i),
-                [r.__dict__ for r in engine.lane_injections(i)],
-                [r.__dict__ for r in engine.lane_ejections(i)],
-                {k: list(q) for k, q in driver.queues.items()},
-                dict(driver._stall),
-                repr(driver.submits),
-                driver.flits_generated,
-                None if be is None else (be.rng.state, be.rng.words_read),
-            )
+    lanes = [
+        (
+            engine.lane_snapshot(i),
+            [r.__dict__ for r in engine.lane_injections(i)],
+            [r.__dict__ for r in engine.lane_ejections(i)],
+            *driver_digest(driver),
         )
+        for i, driver in enumerate(drivers)
+    ]
     return lanes, engine.cycle, list(engine.metrics.per_cycle)
 
 
@@ -159,6 +179,29 @@ class TestLevelizedKernelSmoke:
         assert run_case("levelized", cycles=120, lanes=2) == run_case(
             "python", cycles=120, lanes=2
         )
+
+    def test_generated_c_compiles_without_a_warning(self, tmp_path):
+        # an argument or scratch row a rewrite leaves unused fails here
+        reason = cbackend.availability()
+        if reason is not None:
+            pytest.skip(reason)
+        gt_less = NetworkConfig(
+            3, 3, topology="torus", router=RouterConfig(gt_vcs=frozenset())
+        )
+        units = {"stimuli": trafficgen._SOURCE}
+        for name, net in (("fig1", fig1_network()), ("gt-less", gt_less)):
+            spec = cbackend.KernelSpec.from_engine(BatchEngine(net, kernel="python"))
+            units[name] = generate_level_source(spec)
+        for name, source in units.items():
+            path = tmp_path / f"{name}.c"
+            path.write_text(source)
+            proc = subprocess.run(
+                [cbackend._find_compiler(), "-Wall", "-Wextra", "-Werror",
+                 "-fsyntax-only", str(path)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, f"{name}:\n{proc.stderr}"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="auto|python|levelized|jit"):
@@ -938,6 +981,391 @@ class TestOneBodyOwnsFig1:
             ):
                 assert len(log) > 200 and log == list(want)
                 assert len(log._parts) <= 2 + cycles // 64
+
+
+# -- the corner battery of the activity-driven body --------------------------
+#
+# The body derives its occupancy masks from the state arrays at call
+# entry and evaluates only routers that hold something.  Every corner
+# where a stale or wrong mask would show is driven here against the NumPy
+# sweeps on every lane and against the golden cycle engine on the first
+# and last: saturation (full-masks, stalls, overload parity), depth 1,
+# per-router depths, mesh edges, a link quarantined mid-run, GT + BE,
+# chunk lengths 1 / 7 / 64 around single steps of a lane sub-range (a
+# fault-pinned lane splits the others into ``step_range`` calls), and
+# state changed *between* calls — by ``offer()`` (an idle word too: sent,
+# never buffered), by a restore that rebinds every state array, by direct
+# ``ArrayState`` writes — so lanes also enter calls with latched eject
+# flags and valid injection registers.
+
+CORNER_FABRICS = {
+    "depth 1": lambda: torus(queue_depth=1),
+    "per-router depths": lambda: NetworkConfig(
+        3,
+        3,
+        topology="torus",
+        router=RouterConfig(queue_depth=2),
+        router_overrides=(
+            (4, RouterConfig(queue_depth=5)),
+            (7, RouterConfig(queue_depth=1)),
+        ),
+    ),
+    "mesh": lambda: NetworkConfig(
+        3, 4, topology="mesh", router=RouterConfig(queue_depth=2)
+    ),
+    "fig1": fig1_network,
+}
+
+
+def planted_words(net, dest):
+    """A complete two-flit GT packet for ``dest``: HEAD, TAIL."""
+    dw = net.router.data_width
+    x, y = net.coords(dest)
+    return [
+        Header(x, y, gt=True).head_flit().encode(dw),
+        Flit(FlitType.TAIL, 0x5A).encode(dw),
+    ]
+
+
+class BatchCorner:
+    """One batched engine walking a corner plan."""
+
+    def __init__(self, kernel, net, lanes, load, gt_period, stall_limit):
+        self.net = net
+        self.engine = BatchEngine(net, lanes=lanes, kernel=kernel)
+        self.drivers = make_drivers(
+            self.engine, load, gt_period=gt_period, stall_limit=stall_limit
+        )
+        self.extras = [PacketDriver(self.engine.lane(i)) for i in range(lanes)]
+
+    def run(self, cycles):
+        run_batched(self.engine, self.drivers, cycles)
+
+    def fault(self, lane, cycles):
+        self.engine.mark_lane_fault(lane)
+        self.run(cycles)
+        self.engine.clear_lane_fault(lane)
+
+    def offer(self, lane, src, dest):
+        self.extras[lane].send(gt_packet(self.net, src, dest, nbytes=6), 0)
+
+    def idle(self, lane, router):
+        self.engine.offer(router, 3, IDLE_FLIT, lane=lane)
+
+    def rebind(self):
+        state = self.engine.state
+        for name in FIELDS:
+            setattr(state, name, getattr(state, name).copy())
+
+    def plant(self, lane, router, dest):
+        S = self.engine.state
+        words = planted_words(self.net, dest)
+        if (
+            S.count[lane, router, 1]
+            or S.queue_alloc[lane, router, 1] >= 0
+            or S.depth[router] < len(words)
+        ):
+            return
+        for word in words:
+            S.mem[lane, router, 1, S.wr[lane, router, 1]] = word
+            S.wr[lane, router, 1] = (S.wr[lane, router, 1] + 1) % S.depth[router]
+            S.count[lane, router, 1] += 1
+
+    def quarantine(self, router, port):
+        self.engine.quarantine_link(router, port)
+
+    def boundary(self):
+        for extra in self.extras:
+            extra.pump()
+
+    def digest(self):
+        return full_digest(self.engine, self.drivers)
+
+
+class GoldenCorner:
+    """The golden cycle engine walking the same plan as one lane."""
+
+    def __init__(self, net, lane, load, gt_period, stall_limit):
+        self.net = net
+        self.lane = lane
+        self.engine = CycleEngine(net)
+        self.driver = lane_driver(self.engine, load, 0xBEE + lane, gt_period, stall_limit)
+        self.extra = PacketDriver(self.engine)
+
+    def run(self, cycles):
+        for _ in range(cycles):
+            self.driver.step()
+
+    def fault(self, lane, cycles):
+        self.run(cycles)
+
+    def offer(self, lane, src, dest):
+        if lane == self.lane:
+            self.extra.send(gt_packet(self.net, src, dest, nbytes=6), 0)
+
+    def idle(self, lane, router):
+        if lane == self.lane:
+            self.engine.offer(router, 3, IDLE_FLIT)
+
+    def rebind(self):
+        pass
+
+    def plant(self, lane, router, dest):
+        queue = self.engine.states[router].queues[1]
+        words = planted_words(self.net, dest)
+        if lane != self.lane or queue.count or queue.depth < len(words):
+            return
+        if self.engine.states[router].queue_alloc[1] >= 0:
+            return
+        for word in words:
+            queue.push(word)
+
+    def quarantine(self, router, port):
+        self.engine.quarantine_link(router, port)
+
+    def boundary(self):
+        self.extra.pump()
+
+
+def walk(corner, plan):
+    """Apply ``plan`` step by step; returns the overload message, if the
+    run ended in one."""
+    try:
+        for step, *args in plan:
+            getattr(corner, step)(*args)
+            corner.boundary()
+    except NetworkOverloadError as exc:
+        return str(exc)
+    return None
+
+
+def check_corner(fabric, load, plan, lanes=3, gt_period=None, stall_limit=10_000):
+    net = CORNER_FABRICS[fabric]()
+    sides = {}
+    for kernel in ("levelized", "python"):
+        corner = BatchCorner(kernel, net, lanes, load, gt_period, stall_limit)
+        error = walk(corner, plan)
+        sides[kernel] = (error, corner.digest(), [d.overloaded for d in corner.drivers])
+    assert sides["levelized"] == sides["python"]
+    engine = corner.engine  # the reference: the compiled side equals it
+    error = sides["python"][0]
+    if error is not None:
+        return error  # the solo engines stop elsewhere; parity is the claim
+    for lane in sorted({0, lanes - 1}):
+        golden = GoldenCorner(net, lane, load, gt_period, stall_limit)
+        assert walk(golden, plan) is None
+        assert engine.lane_snapshot(lane) == golden.engine.snapshot()
+        assert engine.lane_injections(lane) == golden.engine.injections
+        assert engine.lane_ejections(lane) == golden.engine.ejections
+        assert driver_digest(corner.drivers[lane]) == driver_digest(golden.driver)
+    return None
+
+
+@st.composite
+def corner_plans(draw):
+    fabric = draw(st.sampled_from(sorted(CORNER_FABRICS)))
+    gt = fabric == "fig1"
+    routers = CORNER_FABRICS[fabric]().n_routers
+    router = st.integers(min_value=0, max_value=routers - 1)
+    lane = st.integers(min_value=0, max_value=2)
+    steps = [
+        st.tuples(st.just("run"), st.sampled_from([1, 7, 64])),
+        st.tuples(st.just("fault"), lane, st.sampled_from([1, 3])),
+        st.tuples(st.just("rebind")),
+        st.tuples(st.just("idle"), lane, router),
+    ]
+    if not gt:  # the GT VCs are free for traffic from outside the drivers
+        steps += [
+            st.tuples(st.just("offer"), lane, router, router),
+            st.tuples(st.just("plant"), lane, router, router),
+        ]
+    if fabric != "mesh":  # a mesh has no second path to reroute onto
+        steps.append(st.tuples(st.just("quarantine"), router, st.integers(1, 4)))
+    plan = draw(st.lists(st.one_of(steps), min_size=4, max_size=10))
+    load = draw(st.sampled_from([0.05, 0.3, 0.6, 1.0]))
+    stall_limit = draw(st.sampled_from([25, 10_000]))
+    return fabric, load, plan, (40 if gt else None), stall_limit
+
+
+class TestCornerBattery:
+    @needs_jit
+    @given(case=corner_plans())
+    @settings(max_examples=25, deadline=None)
+    def test_compiled_equals_numpy_equals_golden(self, case):
+        fabric, load, plan, gt_period, stall_limit = case
+        check_corner(fabric, load, plan, gt_period=gt_period, stall_limit=stall_limit)
+
+    @needs_jit
+    @pytest.mark.kernel_smoke
+    def test_fixed_point_visits_every_corner(self):
+        plan = [
+            ("run", 7),
+            ("offer", 0, 2, 5),
+            ("run", 1),
+            ("plant", 2, 4, 0),
+            ("run", 1),
+            ("fault", 1, 3),
+            ("rebind",),
+            ("idle", 0, 6),
+            ("run", 64),
+            ("quarantine", 5, 1),
+            ("offer", 2, 8, 1),
+            ("run", 7),
+            ("plant", 0, 3, 7),
+            ("run", 1),
+            ("run", 64),
+        ]
+        assert check_corner("per-router depths", 0.3, plan) is None
+        # saturated, depth 1: the run ends in the reference's diagnosis
+        error = check_corner("depth 1", 1.0, plan, stall_limit=25)
+        assert error is not None and "network overloaded" in error
+        assert check_corner("mesh", 0.6, [s for s in plan if s[0] != "quarantine"]) is None
+        gt_plan = [("run", 7), ("fault", 0, 1), ("rebind",), ("run", 64), ("run", 1)]
+        assert check_corner("fig1", 0.3, gt_plan, gt_period=40) is None
+
+
+def poisoned_run(kernel, poison, at=75):
+    """BE traffic on two lanes with ``poison`` — ``(lane, router, head
+    flit)`` triples — staged at the head of a BE queue for cycle ``at``,
+    mid-chunk: every head is offered at ``at``, buffered in that cycle's
+    commit and decoded, fatally, in the next."""
+    engine = BatchEngine(torus(), lanes=2, kernel=kernel)
+    drivers = make_drivers(engine, 0.05)
+    dw = engine.cfg.router.data_width
+    vc = engine.cfg.router.be_vcs[0]
+    tail = Flit(FlitType.TAIL, 0).encode(dw)
+    for lane, router, head in poison:
+        drivers[lane].queues.append(router, vc, [head.encode(dw), tail], at, 10_000)
+    with pytest.raises((IndexError, ProtocolError)) as err:
+        run_batched(engine, drivers, 200)
+    assert engine.cycle == at + 1
+    # the engine stands where the per-cycle reference stops (the traffic
+    # does not: a chunk's window is generated ahead, and only an overload
+    # — an error the *drivers* diagnose — rewinds it)
+    lanes, cycle, deltas = full_digest(engine, drivers)
+    return type(err.value), str(err.value), [lane[:3] for lane in lanes], cycle, deltas
+
+
+@needs_jit
+class TestChunkErrorParity:
+    """Architectural errors raised mid-chunk, with candidates on several
+    lanes in one cycle: the class precedence and the lowest-flat-index
+    rule of the vectorized sweep, and the reference's state after it."""
+
+    LOST = Header(dest_x=9, dest_y=9).head_flit()
+    ASTRAY = Header(dest_x=8, dest_y=8).head_flit()
+    GT_ON_BE = Header(dest_x=1, dest_y=0, gt=True).head_flit()
+
+    def both(self, poison):
+        compiled = poisoned_run("levelized", poison)
+        assert compiled == poisoned_run("python", poison)
+        return compiled
+
+    def test_route_error_outranks_gt_error_on_a_lower_lane(self):
+        kind, message, *_ = self.both([(1, 2, self.LOST), (0, 1, self.GT_ON_BE)])
+        assert kind is IndexError and "(9, 9)" in message
+
+    def test_lowest_lane_then_router_wins_within_a_class(self):
+        _, message, *_ = self.both([(1, 0, self.ASTRAY), (0, 5, self.LOST)])
+        assert "(9, 9)" in message  # lane 0, whatever the router
+        _, message, *_ = self.both([(1, 6, self.LOST), (1, 2, self.ASTRAY)])
+        assert "(8, 8)" in message  # one lane: router 2 before router 6
+        kind, message, *_ = self.both([(1, 1, self.GT_ON_BE), (0, 7, self.GT_ON_BE)])
+        assert kind is ProtocolError and message.startswith("router 7: GT head")
+
+    def test_corrupted_count_trips_the_overflow_check(self):
+        # The full-mask says "room" only while count < depth; a count
+        # corrupted beyond the depth breaks that as soon as the queue
+        # pops, and the commit's check of every push still catches it.
+        cfg = NetworkConfig(4, 4, topology="torus", router=RouterConfig(queue_depth=2))
+        engine = BatchEngine(cfg, lanes=1, kernel="levelized")
+        drivers = [TrafficDriver(engine.lane(0))]
+        drivers[0].send_packet(
+            Packet(src=0, dest=2, pclass=PacketClass.BE, payload=bytes(80)),
+            cfg.router.be_vcs[0],
+        )
+        run_batched(engine, drivers, 8)  # the worm now streams through router 1
+        state = engine.state
+        (queue,) = np.flatnonzero((state.count[0, 1] > 0) & (state.queue_alloc[0, 1] >= 0))
+        state.count[0, 1, queue] = state.depth[1] + 2
+        with pytest.raises(ProtocolError, match="queue overflow: upstream ignored room"):
+            run_batched(engine, drivers, 8)
+
+
+@needs_jit
+class TestActivityCounters:
+    """``kernel_router_evals`` / ``kernel_lane_cycles`` are counts: they
+    repeat exactly, however the run is cut into calls."""
+
+    CYCLES = 448
+
+    def run(self, length, hook=False):
+        engine = BatchEngine(torus(), lanes=3, kernel="levelized")
+        if hook:  # declines the chunk path: one call per cycle
+            engine.pre_step_hooks.append(lambda e: None)
+        drivers = make_drivers(engine, 0.08)
+        for _ in range(self.CYCLES // length):
+            run_batched(engine, drivers, length)
+        assert engine.cycle == self.CYCLES
+        return engine.kernel_router_evals, engine.kernel_lane_cycles
+
+    def test_repeat_across_runs_and_chunk_lengths(self):
+        evals, lane_cycles = self.run(64)
+        assert (evals, lane_cycles) == self.run(64)
+        assert (evals, lane_cycles) == self.run(7)
+        assert (evals, lane_cycles) == self.run(1)
+        assert (evals, lane_cycles) == self.run(64, hook=True)
+        assert 0 < lane_cycles <= 3 * self.CYCLES
+        assert 0 < evals <= lane_cycles * 9
+        # the delta metrics stay nominal: three sweeps of every router
+        engine = BatchEngine(torus(), lanes=3, kernel="levelized")
+        run_batched(engine, make_drivers(engine, 0.08), 70)
+        assert engine.metrics.total_deltas == 70 * 3 * 9
+
+    def test_numpy_sweeps_count_nothing(self):
+        engine = BatchEngine(torus(), lanes=2, kernel="python")
+        run_batched(engine, make_drivers(engine, 0.08), 40)
+        assert (engine.kernel_router_evals, engine.kernel_lane_cycles) == (0, 0)
+
+
+class TestChunkDecline:
+    """Every way ``run_batched`` drops to one call per cycle has a name."""
+
+    def reason(self, engine, drivers=None):
+        drivers = make_drivers(engine, 0.05) if drivers is None else drivers
+        reason = chunk_decline(engine, drivers)
+        assert (chunk_kernel(engine, drivers) is None) == (reason is not None)
+        return reason
+
+    def test_no_body(self):
+        engine = BatchEngine(torus(), lanes=2, kernel="python")
+        assert self.reason(engine) == "the engine has no generated-C body"
+        assert self.reason(CycleEngine(torus()), []) == "the engine has no generated-C body"
+
+    @needs_jit
+    def test_each_objection(self):
+        engine = BatchEngine(torus(), lanes=2, kernel="levelized")
+        drivers = make_drivers(engine, 0.05)
+        assert self.reason(engine, drivers) is None
+        engine.pre_step_hooks.append(lambda e: None)
+        assert "pre-step hook" in self.reason(engine, drivers)
+        engine.pre_step_hooks.clear()
+        engine.mark_lane_fault(1)
+        assert "resident fault" in self.reason(engine, drivers)
+        engine.clear_lane_fault(1)
+        assert self.reason(engine, drivers[:1]) == "1 drivers for 2 lanes"
+        assert "bound to lane 1" in self.reason(engine, drivers[::-1])
+        other = make_drivers(BatchEngine(torus(), lanes=2, kernel="levelized"), 0.05)
+        assert "another engine" in self.reason(engine, [drivers[0], other[1]])
+
+        class Custom(TrafficDriver):
+            pass
+
+        custom = Custom(engine.lane(1))
+        assert "is a Custom" in self.reason(engine, [drivers[0], custom])
+        mixed = make_drivers(engine, 0.05, stall_limit=7)
+        assert "stall limits differ" in self.reason(engine, [drivers[0], mixed[1]])
+        assert self.reason(engine, drivers) is None
 
 
 def test_fast_forward_without_c_tier_just_steps(monkeypatch):

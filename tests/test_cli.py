@@ -267,6 +267,43 @@ class TestFarmCli:
         )
 
 
+    RUN_ARGS = ["simulate", "--engine", "batch", "--lanes", "2", "--width", "3",
+                "--height", "3", "--cycles", "80"]
+
+    def run_line(self, capsys, args):
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [line for line in lines if line.startswith("kernel run: ")]
+        return line
+
+    def test_run_line_says_chunked_with_the_activity_factor(self, capsys):
+        import re
+
+        from repro.kernels import probe_backends
+
+        if probe_backends()["cffi"] != "ok":
+            pytest.skip("no generated-C body")
+        for extra in ([], ["--stream"]):
+            line = self.run_line(capsys, self.RUN_ARGS + extra)
+            match = re.fullmatch(
+                r"kernel run: chunked; activity: (\d+) % of router-cycles evaluated", line
+            )
+            assert match and 0 < int(match.group(1)) < 100
+
+    def test_run_line_says_why_a_run_steps_per_cycle(self, monkeypatch, capsys):
+        from repro.kernels import probe_backends
+
+        if probe_backends()["cffi"] == "ok":
+            line = self.run_line(capsys, self.RUN_ARGS[:3] + self.RUN_ARGS[5:])
+            assert line.startswith(
+                "kernel run: stepping per cycle (a lone driver steps per cycle); activity: "
+            )
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        line = self.run_line(capsys, self.RUN_ARGS)
+        # no body ran, so there is no activity factor to print
+        assert line == "kernel run: stepping per cycle (the engine has no generated-C body)"
+
+
 def _documented_invocations():
     """Every ``python -m repro.cli ...`` / ``$ repro ...`` command line
     in the fenced code blocks of the README and the verify notes."""

@@ -294,8 +294,18 @@ class TestMatchesOldExtraction:
             old_inj, old_ej = old_extract_events(
                 events, counts["sent"], counts["ej"], lanes, VC_SHIFT
             )
-            # The kernel's row buffers: record fields in order, then lane.
+            # The kernel's row buffers: record fields in order, the events
+            # grouped by lane (cycle order within a lane), plus how many
+            # each lane has.
             ej_word = events["ej_word"]
+            by_lane = {
+                prefix: np.argsort(events[f"{prefix}_lane"], kind="stable")
+                for prefix in ("sent", "ej")
+            }
+            per_lane = {
+                prefix: np.bincount(events[f"{prefix}_lane"], minlength=lanes).tolist()
+                for prefix in ("sent", "ej")
+            }
             buffers = {
                 "sent": np.stack(
                     [
@@ -304,22 +314,20 @@ class TestMatchesOldExtraction:
                         events["sent_vc"],
                         events["sent_word"],
                         events["sent_delay"],
-                        events["sent_lane"],
                     ]
-                ).astype(np.int64),
+                ).astype(np.int64)[:, by_lane["sent"]],
                 "ej": np.stack(
                     [
                         events["ej_cycle"],
                         events["ej_r"],
                         ej_word >> VC_SHIFT,
                         ej_word & ((1 << VC_SHIFT) - 1),
-                        events["ej_lane"],
                     ]
-                ).astype(np.int64),
+                ).astype(np.int64)[:, by_lane["ej"]],
             }
             kernel = SimpleNamespace(_buffers=buffers)
-            CompiledBatchLevel._log_events(kernel, inj_logs, "sent", counts["sent"], 0, lanes)
-            CompiledBatchLevel._log_events(kernel, ej_logs, "ej", counts["ej"], 0, lanes)
+            CompiledBatchLevel._log_events(kernel, inj_logs, "sent", per_lane["sent"], 0)
+            CompiledBatchLevel._log_events(kernel, ej_logs, "ej", per_lane["ej"], 0)
             cycle += n_cycles
             for lane in range(lanes):
                 want_inj[lane] += old_inj[lane]

@@ -459,7 +459,7 @@ class TestPipelineEquivalence:
     def test_hooked_engine_steps_per_cycle_from_the_c_scan(
         self, fig1_reference, monkeypatch
     ):
-        # an opaque hook fails _chunk_eligible: same branch as run_batched
+        # an opaque hook makes chunk_decline object: same branch as run_batched
         cycles, end_cycle, reference = fig1_reference
         chunks, steps = spy_paths(monkeypatch)
         engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS))
