@@ -11,7 +11,7 @@ energy proxy of Table 1), and the simulator's own FPGA footprint.
 Run:  python examples/design_exploration.py
 """
 
-from repro.engines import SequentialEngine
+from repro.engines import CycleEngine, SequentialEngine
 from repro.experiments.common import render_table, scale
 from repro.fpga.resources import simulator_resources
 from repro.noc import NetworkConfig, RouterConfig
@@ -24,9 +24,13 @@ from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 def study_depth(depth: int, load: float, cycles: int):
     router = RouterConfig(queue_depth=depth)
     net = NetworkConfig(6, 6, router=router)
-    engine = SequentialEngine(net)
-    be = BernoulliBeTraffic(net, load, uniform_random(net), seed=0xD1CE)
-    driver = TrafficDriver(engine, be=be)
+
+    def traffic():
+        return BernoulliBeTraffic(net, load, uniform_random(net), seed=0xD1CE)
+
+    # performance and energy: the probe counts the cycle engine's wires
+    engine = CycleEngine(net)
+    driver = TrafficDriver(engine, be=traffic())
     tracker = PacketLatencyTracker(net)
     driver.attach_tracker(tracker)
     probe = EnergyProbe(engine)
@@ -38,6 +42,9 @@ def study_depth(depth: int, load: float, cycles: int):
     driver.be = None
     driver.drain()
     tracker.collect(engine)
+    # the simulator's own cost: the same traffic under HBR scheduling
+    sequential = SequentialEngine(net)
+    TrafficDriver(sequential, be=traffic()).run(cycles)
     stats = tracker.stats(PacketClass.BE)
     bits = table1(router)
     resources = simulator_resources(net)
@@ -48,7 +55,7 @@ def study_depth(depth: int, load: float, cycles: int):
         "buffer_bits": bits["Input queues"],
         "state_word": bits["Total"],
         "sim_bram": resources.total_bram,
-        "extra_deltas": engine.metrics.extra_fraction(),
+        "extra_deltas": sequential.metrics.extra_fraction(),
         "energy_per_flit": probe.energy_per_delivered_flit(),
     }
 

@@ -104,27 +104,27 @@ def cmd_simulate(args) -> int:
         return 1
 
 
-def _report_kernel(engine, drivers=None) -> None:
-    """One line naming the execution body actually in use and where the
-    traffic is generated (degrade visibly, never silently); engines with
-    a single body print nothing.  ``drivers`` is the lane-parallel
-    driver set; a lone driver generates per cycle, in Python."""
+def _report_kernel(engine, drivers) -> None:
+    """One line naming the execution body actually in use and where
+    ``drivers``' traffic is generated (degrade visibly, never silently);
+    engines with a single body print nothing."""
     kernel = getattr(engine, "kernel", None)
     if kernel is None:
         return
     from repro.engines.batch import window_source
 
-    body = "generated C" if engine._compiled is not None else "NumPy sweeps"
+    if getattr(engine, "_compiled", None) is not None:
+        body = "generated C"
+    else:
+        body = "Python model" if engine.name == "sequential" else "NumPy sweeps"
     if engine.kernel_reason:
         body += f"; {engine.kernel_reason}"
-    reason = "a lone driver steps per cycle"
-    if drivers is not None:
-        reason = window_source(engine, drivers).reason
+    reason = window_source(engine, drivers).reason
     traffic = "C scan" if reason is None else f"Python generators ({reason})"
     print(f"kernel: {kernel} ({body}); traffic: {traffic}")
 
 
-def _report_run(engine, drivers=None) -> None:
+def _report_run(engine, drivers) -> None:
     """One line after the run, for engines with a kernel ladder: whether
     the generated body took whole chunks or one call per cycle (and
     why), and the share of router-cycles it had to evaluate."""
@@ -132,11 +132,9 @@ def _report_run(engine, drivers=None) -> None:
         return
     from repro.engines.batch import chunk_decline
 
-    decline = "a lone driver steps per cycle"
-    if drivers is not None:
-        decline = chunk_decline(engine, drivers)
+    decline = chunk_decline(engine, drivers)
     line = "chunked" if decline is None else f"stepping per cycle ({decline})"
-    if engine.kernel_lane_cycles:
+    if getattr(engine, "kernel_lane_cycles", 0):
         share = engine.kernel_router_evals / (
             engine.kernel_lane_cycles * engine.cfg.n_routers
         )
@@ -171,8 +169,9 @@ def _ignored_flag(args, engine_name: str) -> Optional[str]:
         (
             "--scheduler",
             args.scheduler is not None,
-            "--engine sequential or --partitions K",
-            engine_name == "sequential" or partitioned,
+            "--engine sequential --kernel python or --partitions K",
+            (engine_name == "sequential" and args.kernel == "python")
+            or partitioned,
         ),
         (
             "--fast-forward",
@@ -265,13 +264,11 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
         print(layout())
     if args.stream:
         return _simulate_streamed(args, net, engine, lanes)
-    if engine_name == "batch" and (
-        lanes > 1 or args.fast_forward
-    ):
+    if engine_name == "batch":
         return _simulate_batched(args, net, engine, lanes)
-    _report_kernel(engine)
     be = BernoulliBeTraffic(net, args.load, uniform_random(net), seed=args.seed)
     driver = TrafficDriver(engine, be=be)
+    _report_kernel(engine, [driver])
     tracker = PacketLatencyTracker(net)
     driver.attach_tracker(tracker)
     start = time.perf_counter()
@@ -286,7 +283,7 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
         f"{engine_name} engine: {engine.cycle} cycles in {elapsed:.2f} s "
         f"({engine.cycle / elapsed:,.0f} simulated cycles/s)"
     )
-    _report_run(engine)
+    _report_run(engine, [driver])
     print(
         f"traffic: {throughput.flits_injected} flits injected, "
         f"accepted load {throughput.accepted_load:.3f} flits/cycle/node"
@@ -639,16 +636,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--scheduler", choices=["worklist", "roundrobin"], default=None,
-        help="delta-cycle scheduler (sequential engine only)",
+        help="delta-cycle scheduler of the Python HBR model (--engine "
+        "sequential --kernel python, or --partitions K)",
     )
     p.add_argument(
         "--kernel",
         choices=["auto", "python", "levelized", "jit"],
         default="auto",
-        help="execution body (batch engine): python forces the NumPy "
-        "sweeps, levelized binds the generated-C chunk kernel once the "
-        "levelizer has proved the level schedule, jit the same kernel "
-        "without one (must compile); auto picks the best available tier",
+        help="execution body: auto picks the best available tier — the "
+        "generated-C kernel (on the sequential engine with its HBR "
+        "delta-accounting pass), else the fallback; python forces the "
+        "fallback (batch engine: NumPy sweeps; sequential engine: the "
+        "Python HBR model); batch engine only: levelized binds the C "
+        "kernel once the levelizer has proved the level schedule, jit "
+        "the same kernel without one (must compile)",
     )
     p.add_argument(
         "--fast-forward", action="store_true",

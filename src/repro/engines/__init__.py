@@ -5,8 +5,10 @@ mirroring the paper's section 3 comparison:
 
 * :class:`RtlEngine` — event-driven, signal-level ("VHDL", Table 3 row 1)
 * :class:`CycleEngine` — cycle-based golden reference ("SystemC", row 2)
-* :class:`SequentialEngine` — the paper's HBR/delta-cycle sequential
-  simulator (rows 3-4); ``sequential-static`` is its schedule ablation
+* :func:`SequentialEngine` — the paper's HBR/delta-cycle sequential
+  simulator (rows 3-4): one lane of the generated-C body with its HBR
+  accounting pass, the Python model where that cannot be bound;
+  ``sequential-static`` is its schedule ablation
 * :class:`BatchEngine` — the fast path: one generated-C body over a lane
   axis of independent simulations, NumPy sweeps as its only fallback
 

@@ -110,20 +110,26 @@ def list_engines() -> List[EngineInfo]:
 
 #: execution bodies ``make_engine(..., kernel=)`` accepts, per engine;
 #: engines not listed have one body and take only ``auto``/``python``.
-_KERNELS = {"batch": ("auto", "python", "levelized", "jit")}
+_KERNELS = {
+    "batch": ("auto", "python", "levelized", "jit"),
+    "sequential": ("auto", "python"),
+}
 
 
 def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
     """Instantiate an engine by registry name.
 
     ``kernel`` selects the execution body (``repro simulate --kernel``).
-    Only the batch engine has more than one: ``auto`` (default) binds
-    the generated-C body when it can be built and the NumPy sweeps
-    otherwise, ``python`` forces the NumPy sweeps, and ``levelized`` /
-    ``jit`` bind the generated-C body with / without the levelizer's
-    proof of the level schedule (``jit`` raising
+    On the batch engine ``auto`` (default) binds the generated-C body
+    when it can be built and the NumPy sweeps otherwise, ``python``
+    forces the NumPy sweeps, and ``levelized`` / ``jit`` bind the
+    generated-C body with / without the levelizer's proof of the level
+    schedule (``jit`` raising
     :class:`~repro.kernels.KernelUnavailableError` when it cannot be
-    built).  Every other engine accepts ``auto`` and ``python`` only.
+    built).  On the sequential engine ``auto`` is the generated-C body
+    with its HBR accounting pass, falling back to the Python model, and
+    ``python`` is that model.  Every other engine has one body and
+    accepts ``auto`` and ``python`` only.
     """
     registry = _registry()
     if name not in registry:
@@ -136,10 +142,7 @@ def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
             f"(got {kernel!r})"
         )
         if name == "sequential" and kernel in _KERNELS["batch"]:
-            message += (
-                "; the compiled body runs on the batch engine: "
-                "--engine batch --lanes 1 --kernel levelized"
-            )
+            message += "; auto already binds the generated-C body"
         raise ValueError(message)
     if name in _KERNELS:
         kwargs["kernel"] = kernel

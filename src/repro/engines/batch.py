@@ -91,7 +91,8 @@ class BatchLane:
     :class:`~repro.traffic.stimuli.TrafficDriver` or a latency tracker
     can be pointed at a single lane.  Stepping is a whole-batch action:
     use :func:`run_batched` (or ``engine.step()``) — a lane cannot
-    advance alone, which is exactly the bulk-synchronous contract.
+    advance alone, which is exactly the bulk-synchronous contract; the
+    only lane of a one-lane engine *is* the engine, and steps it.
     """
 
     def __init__(self, engine: "BatchEngine", lane: int) -> None:
@@ -127,10 +128,12 @@ class BatchLane:
         return self.engine.state.total_buffered(self.lane)
 
     def step(self) -> None:
-        raise RuntimeError(
-            "a BatchLane cannot step alone: lanes advance together — "
-            "step the BatchEngine, or drive lanes with run_batched()"
-        )
+        if self.engine.lanes != 1:
+            raise RuntimeError(
+                "a BatchLane cannot step alone: lanes advance together — "
+                "step the BatchEngine, or drive lanes with run_batched()"
+            )
+        self.engine.step()
 
 
 class _LaneWindow:
@@ -184,6 +187,11 @@ class BatchEngine:
     #: evaluate every unit once (the static-schedule accounting).
     SWEEPS_PER_CYCLE = 3
 
+    #: whether the body is generated with the HBR accounting pass and the
+    #: metrics hold the paper's delta count per cycle, not the nominal
+    #: figure (the sequential engine's; needs the generated body).
+    HBR_ACCOUNTING = False
+
     def __init__(
         self,
         cfg: NetworkConfig,
@@ -196,7 +204,7 @@ class BatchEngine:
         self.topology = Topology(cfg)
         self.routing = routing if routing is not None else RoutingTable(cfg)
         rc = cfg.router
-        self.state = ArrayState(cfg, lanes)
+        self.state = ArrayState(cfg, lanes, hbr=self.HBR_ACCOUNTING)
         self.cycle = 0
         self.metrics = DeltaMetrics(n_units=cfg.n_routers)
         self.pre_step_hooks: List = []
@@ -433,11 +441,20 @@ class BatchEngine:
         architectural state is touched."""
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        if cycles:
+        self.book_cycles(cycles)
+
+    def book_cycles(self, cycles: int, deltas: Optional[List[int]] = None) -> None:
+        """Advance the clock over ``cycles`` completed system cycles and
+        credit their delta cycles: ``deltas``, one measured count per
+        cycle (the HBR pass's column), where given; else
+        :data:`SWEEPS_PER_CYCLE` sweeps of every unit each."""
+        if deltas is not None:
+            self.metrics.record_counts(deltas)
+        elif cycles:
             self.metrics.record_cycles(
                 cycles, self.SWEEPS_PER_CYCLE * self.cfg.n_routers
             )
-            self.cycle += cycles
+        self.cycle += cycles
 
     def _lane_runs(self) -> List[Tuple[int, int, bool]]:
         """Maximal contiguous lane runs of equal fault status:
@@ -458,10 +475,12 @@ class BatchEngine:
         for hook in self.pre_step_hooks:
             hook(self)
         compiled = self._compiled
+        deltas = None
         if compiled is None:
             self._step_numpy(0, self.lanes)
         elif not self.lane_faults:
             compiled.step()
+            deltas = compiled.delta_column(1)
         else:
             # Per-lane fallback: clean runs ride the compiled kernel,
             # faulted runs the dynamic sweep.
@@ -470,8 +489,7 @@ class BatchEngine:
                     self._step_numpy(lo, hi)
                 else:
                     compiled.step_range(lo, hi)
-        self.metrics.record_cycle(self.SWEEPS_PER_CYCLE * self.cfg.n_routers)
-        self.cycle += 1
+        self.book_cycles(1, deltas)
 
     def _step_numpy(self, lo: int, hi: int) -> None:
         """One cycle of the NumPy sweeps over lanes ``[lo, hi)``."""
@@ -802,9 +820,10 @@ def chunk_decline(engine, drivers: Sequence) -> Optional[str]:
 
     The chunked path moves the pump loop into C, so it needs the
     generated body and exactly the reference driver set: one plain
-    :class:`TrafficDriver` per lane, in lane order, with a uniform stall
-    limit — and no per-cycle hooks or per-lane fault fallbacks that need
-    Python between cycles.
+    :class:`TrafficDriver` per lane, in lane order (a one-lane engine's
+    may be bound to the engine itself), with a uniform stall limit — and
+    no per-cycle hooks or per-lane fault fallbacks that need Python
+    between cycles.
     """
     from repro.traffic.stimuli import TrafficDriver
 
@@ -820,6 +839,8 @@ def chunk_decline(engine, drivers: Sequence) -> Optional[str]:
         if type(driver) is not TrafficDriver:
             return f"lane {i}'s driver is a {type(driver).__name__}"
         lane = driver.engine
+        if lane is engine and engine.lanes == 1:
+            continue
         if not isinstance(lane, BatchLane) or lane.engine is not engine:
             return f"lane {i}'s driver is bound to another engine"
         if lane.lane != i:

@@ -85,6 +85,11 @@ class EventLog(Sequence):
         self._add_part(tail)
         self.append = tail.append
 
+    def extend(self, records) -> None:
+        """Log ``records`` one by one (a resumed run's saved log)."""
+        for record in records:
+            self.append(record)
+
     def extend_block(self, block, lo: int, hi: int) -> None:
         """Log columns ``[lo, hi)`` of ``block`` (a ``[fields, n]`` integer
         array, one column per event, in cycle order) without building

@@ -2,12 +2,15 @@
 
 Two complementary reproductions:
 
-1. **Measured**: wall-clock speed of our three Python engines on the
-   same 6x6 workload.  Absolute values are Python-on-today's-hardware;
-   the reproducible ordering is event-driven ("VHDL") slowest by a wide
-   margin.  The sequential method does not beat the cycle-based engine
-   on a CPU — per the paper's own section 7, its speed comes entirely
-   from the FPGA's parallel bit updates, which the model rows capture.
+1. **Measured**: wall-clock speed of our engines on the same 6x6
+   workload.  Absolute values are this host's; the reproducible
+   ordering is event-driven ("VHDL") slowest by a wide margin.  The
+   sequential row is the engine users get — one lane of the generated-C
+   body counting HBR delta cycles — and lands beside the paper's own
+   22 / 61.6 kHz; the *Python model* of the same method (the row's
+   fallback, labelled when it ran) stays at the cycle-based engine's
+   order of magnitude, as section 7 predicts for a method whose speed
+   comes from parallel bit updates once it runs on a sequential host.
 
 2. **Modelled**: the platform timing model converts the measured event
    counts (flits, delta cycles) of the same workload into the predicted
@@ -34,6 +37,8 @@ class EngineMeasurement:
     paper_analogue: str
     cycles: int
     seconds: float
+    #: which body ran, where the engine has more than one
+    body: str = ""
 
     @property
     def cps(self) -> float:
@@ -50,7 +55,9 @@ class Table3Result:
 
     def rows(self) -> List[Tuple]:
         rows = [
-            (m.name, m.paper_analogue, f"{m.cps:,.0f}") for m in self.measurements
+            (f"{m.name} ({m.body})" if m.body else m.name, m.paper_analogue,
+             f"{m.cps:,.0f}")
+            for m in self.measurements
         ]
         rows.append(("FPGA model (average)", "FPGA average 22 kHz", f"{self.modeled_avg_cps:,.0f}"))
         rows.append(("FPGA model (fastest)", "FPGA fastest 61.6 kHz", f"{self.modeled_fast_cps:,.0f}"))
@@ -61,12 +68,16 @@ class Table3Result:
         """The host-side part of the Table 3 ordering: the event-driven
         simulator is the slowest method by a wide margin.
 
-        Note the sequential engine does *not* beat the cycle engine on a
-        CPU — nor should it: the paper's section 7 attributes the FPGA's
-        win entirely to hardware parallelism ("the number of bits that
+        Where the sequential row lands depends on which statement of the
+        method ran.  The Python model stays at the cycle engine's order
+        of magnitude — as it should: the paper's section 7 attributes
+        the FPGA's win to hardware parallelism ("the number of bits that
         can be updated in parallel in a delta cycle is much larger in an
-        FPGA compared to a 32-bit processor").  The FPGA rows therefore
-        come from the platform model, not from Python wall-clock.
+        FPGA compared to a 32-bit processor").  The generated-C body
+        with its HBR accounting pass is faster by about two orders of
+        magnitude and reads inside or above the paper's 22-61.6 kHz band
+        on a current host; the FPGA rows proper still come from the
+        platform model.
         """
         by_name = {m.name: m.cps for m in self.measurements}
         return (
@@ -93,6 +104,11 @@ def _measure(engine_cls, cycles: int, load: float) -> EngineMeasurement:
     engine = engine_cls(net)
     be = BernoulliBeTraffic(net, load, uniform_random(net), seed=0xBEE)
     driver = TrafficDriver(engine, be=be)
+    body = ""
+    if engine.name == "sequential":
+        compiled = engine.kernel_reason is None
+        body = "generated C, HBR pass" if compiled else "Python model"
+        cycles *= 10 if compiled else 1  # long enough to time
     start = time.perf_counter()
     driver.run(cycles)
     elapsed = time.perf_counter() - start
@@ -101,7 +117,7 @@ def _measure(engine_cls, cycles: int, load: float) -> EngineMeasurement:
         "cycle": "SystemC 215 Hz",
         "sequential": "FPGA 22-61.6 kHz",
     }[engine.name]
-    return EngineMeasurement(engine.name, analogue, cycles, elapsed)
+    return EngineMeasurement(engine.name, analogue, cycles, elapsed, body)
 
 
 def run(load: float = 0.08, base_cycles: Optional[int] = None) -> Table3Result:

@@ -26,10 +26,22 @@ cheap bulk-synchronous sequential commit — but its cost follows fabric
 * events leave the call grouped by lane with per-lane counts, so
   logging them is one block copy and one column slice per lane.
 
-Delta accounting stays nominal (three sweeps of every router per cycle:
-the schedule's cost on the paper's hardware); what the body actually
-evaluated is counted beside it (``engine.kernel_router_evals`` out of
-``engine.kernel_lane_cycles`` x routers).
+Delta accounting is nominal by default (three sweeps of every router
+per cycle: the static schedule's cost on the paper's hardware); what the
+body actually evaluated is counted beside it
+(``engine.kernel_router_evals`` out of ``engine.kernel_lane_cycles`` x
+routers).  Generated with ``KernelSpec.hbr`` (the sequential engine: a
+second variant of the one template, handed the wire plane of
+``ArrayState(..., hbr=True)``), the body also runs the **HBR accounting
+pass** before each stepped lane-cycle's commit: the paper's section 4.2
+protocol — every status bit cleared, every unit non-stable, round-robin
+picks above a persistent pointer, wires that still hold last cycle's
+value until rewritten, the ``LinkMemory.write_wire`` rule — over
+committed state, changing nothing architectural, returning one delta
+count per cycle, exactly the Python model's
+(:class:`~repro.seqsim.sequential.SequentialNetwork`).  A cycle the body
+skips costs the floor, one evaluation per unit: an idle lane's wires are
+at their reset values.
 
 It is the only generated simulation body, behind both compiled tiers of
 :class:`~repro.engines.batch.BatchEngine`: ``kernel="levelized"`` binds
@@ -78,9 +90,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.faults.errors import ConvergenceError
 from repro.kernels import KernelUnavailableError
 from repro.noc.config import Port
 from repro.noc.router import ProtocolError
+from repro.seqsim.scheduler import ConvergenceWatchdog
 
 __all__ = ["CompiledBatchLevel", "generate_level_source", "level_orders"]
 
@@ -99,7 +113,8 @@ int64_t repro_level_chunk(
     int64_t *q, int64_t q_cap, const int64_t *e, int64_t e_cap,
     int64_t *lane, int64_t *occ, int64_t *work,
     int64_t *ev_sent, int64_t sent_cap, int64_t *ev_ej, int64_t ej_cap,
-    int64_t *lane_n, int64_t *counts, int64_t *err)
+    int64_t *lane_n, int64_t *counts, int64_t *err,
+    int64_t *wires, int64_t *deltas)
 """
 
 _TEMPLATE = string.Template(
@@ -123,6 +138,7 @@ _TEMPLATE = string.Template(
 #define PAYLOAD_MASK ${PAYLOAD_MASK}
 #define FLIT_MASK ${FLIT_MASK}
 #define VMASK ${VMASK}
+#define HBR ${HBR}
 
 /* The fabric is a runtime argument: R routers and their neighbour
  * tables.  Each cycle is one pure evaluation pass over every lane, then
@@ -170,6 +186,116 @@ static void pack_lanes(int64_t *ev, int64_t cap, int64_t rows, int64_t B,
     }
 }
 
+#if HBR
+/* ---- HBR delta accounting (the paper's section 4.2 schedule) ----
+ * Generated only for an engine that counts them (the sequential
+ * engine): the batch engine's body carries none of this, not even the
+ * call site, so its loops compile as they always did.
+ * One lane's link memory is a wire plane: per (router, port) the forward
+ * word and the room word the router last wrote there, then the
+ * round-robin scheduler's pointer.  Values and pointer persist across
+ * system cycles; the Has-Been-Read bits and the non-stable set live for
+ * one cycle, in scratch: hbr[r] holds one bit per wire unit r samples
+ * (bit p: the forward wire at input port p, bit P + p: the room wire at
+ * output port p), unst one bit per unit. */
+
+/* LinkMemory.write_wire: a changed value is stored; a reader that had
+ * consumed the old one is no longer stable; the wire is unread again. */
+static inline void write_wire(int64_t *slot, int64_t value, int64_t reader,
+                              int64_t bit, uint64_t *hbr, uint64_t *unst)
+{
+    if (*slot == value)
+        return;
+    *slot = value;
+    if ((hbr[reader] >> bit) & 1)
+        unst[reader >> 6] |= BIT(reader & 63);
+    hbr[reader] &= ~BIT(bit);
+}
+
+/* One system cycle of one lane under the HBR protocol, on the committed
+ * state (x0: the lane's first flat router): every status bit cleared
+ * and every unit non-stable; evaluate the next non-stable unit
+ * cyclically above the pointer until none is left.  An evaluation reads
+ * the unit's wires, computes its room words from its full-mask and its
+ * forward words by the crossbar arbitration against the room words *as
+ * stored* — they may still be last cycle's — and writes its wires.  No
+ * architectural state changes.  Returns the delta cycles spent, -1 past
+ * `limit`. */
+static int64_t hbr_cycle(
+    int64_t R, int64_t x0, int64_t limit,
+    const int64_t *nb_idx, const int64_t *nb_ok, const int64_t *opp,
+    const int64_t *mem, const int64_t *rd, const int64_t *queue_alloc,
+    const int64_t *arb_ptr, const int64_t *occ,
+    int64_t *wires, uint64_t *hbr, uint64_t *unst)
+{
+    int64_t *wfwd = wires, *wroom = wires + R * P;
+    const int64_t W = (R + 63) >> 6;
+    int64_t pointer = wires[2 * R * P], deltas = 0;
+    memset(hbr, 0, (size_t)R * sizeof(uint64_t));
+    memset(unst, 0xFF, (size_t)W * sizeof(uint64_t));
+    if (R & 63)
+        unst[W - 1] = BIT(R & 63) - 1;
+    for (;;) {
+        /* the round-robin pick: words from the pointer's upwards, the
+         * first masked to the units above it, wrapping to its rest */
+        int64_t s = pointer + 1 < R ? pointer + 1 : 0, w = s >> 6, u = -1;
+        uint64_t m = unst[w] & (~(uint64_t)0 << (s & 63));
+        for (int64_t k = 0; k <= W; k++) {
+            if (m) {
+                u = (w << 6) + CTZ(m);
+                break;
+            }
+            w = w + 1 < W ? w + 1 : 0;
+            m = unst[w];
+        }
+        if (u < 0)
+            break;
+        if (++deltas > limit)
+            return -1;
+        pointer = u;
+        const int64_t x = x0 + u;
+        const int64_t *o = occ + O_WORDS * x;
+        hbr[u] = ~(uint64_t)0; /* read phase: every sampled wire is read */
+        int64_t fwd[P] = {0};
+        uint64_t ready = (uint64_t)(o[O_NE] & o[O_QAM]), ports = 0;
+        if (ready) {
+            const int64_t *qa = queue_alloc + x * NQ;
+            int64_t preq[P] = {0};
+            while (ready) {
+                const int64_t q = CTZ(ready);
+                ready &= ready - 1;
+                const int64_t p = qa[q] / V, v = qa[q] % V, k = u * P + p;
+                /* the local output is no wire */
+                if (!p || !nb_ok[k]
+                    || !((wroom[nb_idx[k] * P + opp[p]] >> v) & 1))
+                    continue;
+                preq[p] |= (int64_t)BIT(q);
+                ports |= BIT(p);
+            }
+            while (ports) {
+                const int64_t p = CTZ(ports);
+                ports &= ports - 1;
+                const int64_t g = rr_pick(preq[p], arb_ptr[x * P + p]);
+                fwd[p] = ((qa[g] - p * V) << VC_SHIFT)
+                         | mem[(x * NQ + g) * DMAX + rd[x * NQ + g]];
+            }
+        }
+        for (int64_t p = 1; p < P; p++) { /* write phase */
+            const int64_t k = u * P + p;
+            if (!nb_ok[k])
+                continue;
+            const int64_t room =
+                (int64_t)(~(uint64_t)o[O_FULL] >> (p * V)) & VMASK;
+            write_wire(wfwd + k, fwd[p], nb_idx[k], opp[p], hbr, unst);
+            write_wire(wroom + k, room, nb_idx[k], P + opp[p], hbr, unst);
+        }
+        unst[u >> 6] &= ~BIT(u & 63);
+    }
+    wires[2 * R * P] = pointer;
+    return deltas;
+}
+#endif
+
 ${signature}
 {
     const int64_t BR = B * R;
@@ -216,6 +342,13 @@ ${signature}
     int64_t *inj_x = alloc_o + BR * NQ, *inj_ch = inj_x + BR;
     int64_t *loc_x = inj_ch + BR, *loc_w = loc_x + BR;
     int64_t *busy = loc_w + BR;
+#if HBR
+    /* the pass's per-cycle scratch: status bits, non-stable set */
+    uint64_t *hbr = (uint64_t *)(busy + R), *unst = hbr + R;
+#else
+    (void)wires;
+    (void)deltas;
+#endif
     int64_t ret = 0, t = 0, evals = 0, stepped = 0;
 
     /* ---- call entry: derive the occupancy words from the state ---- */
@@ -250,6 +383,13 @@ ${signature}
         latched[b] = lat;
         n_sent[b] = n_ej[b] = sent_at[b] = 0;
     }
+#if HBR
+    /* A cycle the body does not step — an idle lane's, an idle fabric's
+     * — finds the wire plane at its reset values and costs the HBR
+     * floor: every unit evaluated once. */
+    for (int64_t i = 0; i < B * n_cycles; i++)
+        deltas[i] = R;
+#endif
     /* Event segments: a lane injects at most its valid registers plus
      * its staged entries, ejects at most that plus what it has
      * buffered, and either at most once per router per cycle. */
@@ -350,6 +490,18 @@ ${signature}
                 continue;
             cycle_lanes++;
             const int64_t sc = b * R;
+#if HBR
+            deltas[b * n_cycles + t] = hbr_cycle(
+                R, sc, ${MAX_DELTA_FACTOR} * R, nb_idx, nb_ok, opp, mem, rd,
+                queue_alloc, arb_ptr, occ,
+                wires + b * (2 * R * P + 1), hbr, unst);
+            if (deltas[b * n_cycles + t] < 0) {
+                err[0] = 6;
+                err[1] = b;
+                ret = 6;
+                goto done;
+            }
+#endif
             int64_t n_busy = 0;
             for (int64_t r = 0; r < R; r++) {
                 const int64_t *o = occ + O_WORDS * (sc + r);
@@ -711,6 +863,8 @@ def generate_level_source(spec) -> str:
         PAYLOAD_MASK=(1 << spec.data_width) - 1,
         FLIT_MASK=(1 << spec.vc_shift) - 1,
         VMASK=(1 << spec.n_vcs) - 1,
+        HBR=int(spec.hbr),
+        MAX_DELTA_FACTOR=ConvergenceWatchdog.DEFAULT_FACTOR,
         signature=_SIGNATURE.strip(),
     )
 
@@ -718,8 +872,9 @@ def generate_level_source(spec) -> str:
 #: rows of the grow-only call buffers (see the kernel's unpacking; the
 #: staging kernel keeps each queue's store slot in an eighth ``q`` row
 #: and each entry's packet sequence number in a third ``e`` row; the
-#: ninth ``q`` row is the chunk kernel's own).
-_BUFFER_ROWS = {"q": 9, "e": 3, "sent": 5, "ej": 4}
+#: ninth ``q`` row is the chunk kernel's own; ``deltas`` is the HBR
+#: pass's count per cycle, lane-major).
+_BUFFER_ROWS = {"q": 9, "e": 3, "sent": 5, "ej": 4, "deltas": 1}
 
 
 class CompiledBatchLevel:
@@ -760,10 +915,11 @@ class CompiledBatchLevel:
         scratch = {
             # call scratch, rows as the kernel unpacks them: ten words
             # per lane; four occupancy words per (lane, router) plus the
-            # latched-eject list; the cycle's work lists
+            # latched-eject list; the cycle's work lists, one lane's busy
+            # routers and the HBR pass's status bits and non-stable set
             "lane": 10 * B,
             "occ": 5 * B * R,
-            "work": (6 * P + 2 * NQ + 4) * B * R + R,
+            "work": (6 * P + 2 * NQ + 4) * B * R + 3 * R + 1,
             # out: events per lane (injections, then ejections); cycles
             # completed, routers evaluated, lane-cycles stepped
             "lane_n": 2 * B,
@@ -824,6 +980,10 @@ class CompiledBatchLevel:
         #: pointer offsets (``step_range``).
         self._lane_stride = {name: bound[name][0].size for name in _STATE_FIELDS}
         bound["depth"] = state.depth
+        #: the HBR wire plane (NULL: the pass is off, accounting nominal)
+        self._ptrs["wires"] = (
+            self._ffi.NULL if state.wires is None else self._ptr(state.wires)
+        )
         bound["route_src"] = engine._route
         # The routing table is re-packed (new object) on quarantine, and
         # never mutated in place, so a private contiguous copy is safe.
@@ -856,6 +1016,10 @@ class CompiledBatchLevel:
         off = lambda name: (  # noqa: E731 - local pointer-offset helper
             p[name] + lo * self._lane_stride[name] if lo else p[name]
         )
+        wires = p["wires"]
+        if engine.state.wires is not None:
+            self._rows("deltas", (hi - lo) * n_cycles)
+            wires += lo * engine.state.wires[0].size
         ret = self._lib.repro_level_chunk(
             hi - lo,
             engine.cfg.n_routers,
@@ -884,6 +1048,8 @@ class CompiledBatchLevel:
             p["lane_n"],
             p["counts"],
             p["err"],
+            wires,
+            p["deltas"],
         )
         n = hi - lo
         sent, ejected = self._scratch["lane_n"][: 2 * n].reshape(2, n).tolist()
@@ -907,6 +1073,14 @@ class CompiledBatchLevel:
         for lane, n in enumerate(counts, lo):
             logs[lane].extend_block(block, start, start + n)
             start += n
+
+    def delta_column(self, cycles: int) -> Optional[list]:
+        """The HBR pass's delta count for each of the last call's first
+        ``cycles`` cycles (its first lane's) — ``None`` while the pass is
+        off and the engine's accounting nominal."""
+        if self.engine.state.wires is None:
+            return None
+        return self._buffers["deltas"][0, :cycles].tolist()
 
     def step(self) -> None:
         """Advance every lane one cycle (events logged, errors raised)."""
@@ -997,11 +1171,7 @@ class CompiledBatchLevel:
         stall_limit = drivers[0].stall_limit if drivers else 10_000
         ret = self._call(0, lanes, n_cycles, stall_limit, n_queues)
         completed = int(scratch["counts"][0])
-        if completed:
-            engine.metrics.record_cycles(
-                completed, engine.SWEEPS_PER_CYCLE * engine.cfg.n_routers
-            )
-            engine.cycle += completed
+        engine.book_cycles(completed, self.delta_column(completed))
         # What the drivers' own pump would have left: consumed entries
         # gone, touched stall counters updated.  An arena too small for
         # its lane's staged entries is replaced (all of them are in `e`).
@@ -1051,5 +1221,11 @@ class CompiledBatchLevel:
             raise NetworkOverloadError(
                 f"router {router} VC {vc} refused stimuli for "
                 f"{stall} cycles — network overloaded"
+            )
+        if ret == 6:
+            limit = ConvergenceWatchdog.DEFAULT_FACTOR * self.engine.cfg.n_routers
+            raise ConvergenceError(
+                f"cycle {self.engine.cycle}: the HBR schedule of lane "
+                f"{int(err[1])} did not settle within {limit} delta cycles"
             )
         raise RuntimeError(f"levelized batch kernel returned error code {ret}")

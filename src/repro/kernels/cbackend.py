@@ -50,6 +50,8 @@ class KernelSpec:
     depth_max: int
     data_width: int
     gt_mask: int
+    #: whether the body carries the HBR delta-accounting pass
+    hbr: bool = False
 
     @classmethod
     def from_engine(cls, engine) -> "KernelSpec":
@@ -60,6 +62,7 @@ class KernelSpec:
             depth_max=int(engine.state.mem.shape[-1]),
             data_width=engine._dw,
             gt_mask=engine._gt_mask,
+            hbr=engine.HBR_ACCOUNTING,
         )
 
     @property

@@ -10,7 +10,11 @@ A checkpoint captures every router core word, every stimuli-interface
 word and the cycle counter.  Restoring into *any* engine (even a
 different engine type than the one that saved it) resumes the identical
 simulation — the cross-engine restore test is the strongest form of the
-bit-accuracy claim.
+bit-accuracy claim.  An array-state engine (the batch engine, the
+compiled sequential engine) is read and written through lane 0 of its
+:class:`~repro.seqsim.arraystate.ArrayState`; link-memory contents — the
+Python model's, the compiled pass's wire plane — are simulator state and
+travel in no checkpoint.
 """
 
 from __future__ import annotations
@@ -75,15 +79,24 @@ class Checkpoint:
             raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
 
 
+def _object_state(engine):
+    """``(router states, stimuli states)`` of ``engine``: a Network's
+    own lists, or lane 0 of an array-state engine read out as objects."""
+    if hasattr(engine, "states"):
+        return engine.states, engine.iface_states
+    return engine.state.lane_objects(0)
+
+
 def save_checkpoint(engine) -> Checkpoint:
-    """Snapshot a Network-based engine's architectural state."""
+    """Snapshot an engine's architectural state."""
     cfg = engine.cfg
+    states, iface_states = _object_state(engine)
     cores: List = []
     ifaces: List = []
     for r in range(cfg.n_routers):
         rc = cfg.router_at(r)
-        core = pack_router_core(rc, engine.states[r])
-        stim = pack_stimuli(rc, engine.iface_states[r])
+        core = pack_router_core(rc, states[r])
+        stim = pack_stimuli(rc, iface_states[r])
         cores.append((core.width, core.value))
         ifaces.append((stim.width, stim.value))
     return Checkpoint(
@@ -97,7 +110,7 @@ def save_checkpoint(engine) -> Checkpoint:
 
 
 def restore_checkpoint(engine, checkpoint: Checkpoint) -> None:
-    """Write a checkpoint into a Network-based engine.
+    """Write a checkpoint into an engine.
 
     The target must have the same fabric shape and per-router word
     widths (i.e. the same configuration); the engine *type* is free.
@@ -114,18 +127,21 @@ def restore_checkpoint(engine, checkpoint: Checkpoint) -> None:
         )
     if len(checkpoint.core_words) != cfg.n_routers:
         raise CheckpointError("router count mismatch")
+    states, iface_states = _object_state(engine)
     for r in range(cfg.n_routers):
         rc = cfg.router_at(r)
         core_width, core_value = checkpoint.core_words[r]
         stim_width, stim_value = checkpoint.iface_words[r]
-        probe = pack_router_core(rc, engine.states[r])
+        probe = pack_router_core(rc, states[r])
         if probe.width != core_width:
             raise CheckpointError(
                 f"router {r}: word width {core_width} != target {probe.width} "
                 "(different RouterConfig)"
             )
-        engine.states[r] = unpack_router_core(rc, BitVector(core_width, core_value))
-        engine.iface_states[r] = unpack_stimuli(rc, BitVector(stim_width, stim_value))
+        states[r] = unpack_router_core(rc, BitVector(core_width, core_value))
+        iface_states[r] = unpack_stimuli(rc, BitVector(stim_width, stim_value))
+    if not hasattr(engine, "states"):
+        engine.state.load_lane(0, states, iface_states)
     engine.cycle = checkpoint.cycle
     # Sequential engines keep packed shadows of the committed state.
     # `initialize` writes *both* banks (with fresh parity), so a restore

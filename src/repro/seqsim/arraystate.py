@@ -27,7 +27,12 @@ array                     shape               Table-1 analogue
 ========================  ==================  =================================
 
 (R = routers, Q = P*V input queues, D = the widest queue depth, P =
-ports, V = virtual channels.)  Every array is a fixed-width integer
+ports, V = virtual channels.)  With ``hbr=True`` the state also carries
+the link memory the generated body's HBR accounting pass walks —
+``wires``, ``[B, 2*R*P + 1]``: per lane the forward word, then the room
+word, each router last wrote at each port, then the round-robin
+scheduler's pointer.  It is simulator state, not architecture: no
+snapshot or checkpoint holds it.  Every array is a fixed-width integer
 dtype — an ``object`` dtype anywhere in here would silently fall back
 to per-element Python arithmetic, which is why the CI gate asserts
 :func:`packed_dtypes` stays object-free.
@@ -102,7 +107,7 @@ class ArrayState:
     starts at 0.
     """
 
-    def __init__(self, cfg: NetworkConfig, lanes: int) -> None:
+    def __init__(self, cfg: NetworkConfig, lanes: int, hbr: bool = False) -> None:
         if lanes < 1:
             raise ValueError("at least one lane required")
         rc = cfg.router
@@ -135,6 +140,8 @@ class ArrayState:
             self.eject_word = np.zeros(shape, dtype=DTYPE)
             self.eject_valid = np.zeros(shape, dtype=DTYPE)
             self.stalled = np.zeros(shape, dtype=DTYPE)
+            #: the HBR wire plane, ``None`` without the accounting pass
+            self.wires = self.reset_wires() if hbr else None
         except MemoryError as exc:
             raise MemoryError(
                 f"cannot allocate packed state for {lanes} lane(s) of a "
@@ -142,6 +149,17 @@ class ArrayState:
                 f"(~{estimate_bytes(cfg, lanes):,} bytes); reduce --lanes "
                 "or shard the network across workers with --partitions"
             ) from exc
+
+    def reset_wires(self) -> np.ndarray:
+        """The wire plane at reset — and whenever a lane is idle: idle
+        forward words, full room (empty queues have space), the
+        scheduler's pointer parked so the first pick is unit 0."""
+        rc = self.cfg.router
+        plane = self.n_routers * rc.n_ports
+        wires = np.zeros((self.lanes, 2 * plane + 1), dtype=DTYPE)
+        wires[:, plane : 2 * plane] = (1 << rc.n_vcs) - 1
+        wires[:, -1] = self.n_routers - 1
+        return wires
 
     # -- interchange with the object model ---------------------------------
     def load_lane(self, lane: int, states, iface_states) -> None:
@@ -169,6 +187,38 @@ class ArrayState:
             self.eject_word[lane, r] = iface.eject_word
             self.eject_valid[lane, r] = iface.eject_valid
             self.stalled[lane, r] = iface.stalled
+
+    def lane_objects(self, lane: int) -> Tuple[list, list]:
+        """One lane as object-model state lists, bit-for-bit — the
+        inverse of :meth:`load_lane` (what a checkpoint packs)."""
+        from repro.noc.network import StimuliState
+        from repro.noc.router import RouterState
+
+        states, ifaces = [], []
+        for r in range(self.n_routers):
+            rc = self.cfg.router_at(r)
+            state = RouterState(rc)
+            for q, queue in enumerate(state.queues):
+                queue.mem = self.mem[lane, r, q, : rc.queue_depth].tolist()
+                queue.rd = int(self.rd[lane, r, q])
+                queue.wr = int(self.wr[lane, r, q])
+                queue.count = int(self.count[lane, r, q])
+            state.alloc = self.alloc[lane, r].tolist()
+            state.queue_alloc = self.queue_alloc[lane, r].tolist()
+            state.arb_ptr = self.arb_ptr[lane, r].tolist()
+            state.alloc_ptr = int(self.alloc_ptr[lane, r])
+            state.flags = int(self.flags[lane, r])
+            states.append(state)
+            iface = StimuliState(rc.n_vcs)
+            iface.inj_word = self.inj_word[lane, r].tolist()
+            iface.inj_valid = self.inj_valid[lane, r].tolist()
+            iface.rr_ptr = int(self.rr_ptr[lane, r])
+            iface.delay = self.delay[lane, r].tolist()
+            iface.eject_word = int(self.eject_word[lane, r])
+            iface.eject_valid = int(self.eject_valid[lane, r])
+            iface.stalled = int(self.stalled[lane, r])
+            ifaces.append(iface)
+        return states, ifaces
 
     def snapshot_lane(self, lane: int) -> Tuple:
         """Bit-exact architectural snapshot of one lane, in exactly the

@@ -22,12 +22,15 @@ class DeltaMetrics:
     n_units: int
     per_cycle: List[int] = field(default_factory=list)
 
-    def record_cycle(self, deltas: int) -> None:
+    def _check_floor(self, deltas: int) -> None:
         if deltas < self.n_units:
             raise ValueError(
                 f"{deltas} deltas < {self.n_units} units: every unit must be "
                 "evaluated at least once per system cycle"
             )
+
+    def record_cycle(self, deltas: int) -> None:
+        self._check_floor(deltas)
         self.per_cycle.append(deltas)
 
     def record_cycles(self, cycles: int, deltas: int) -> None:
@@ -40,12 +43,15 @@ class DeltaMetrics:
         """
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        if deltas < self.n_units:
-            raise ValueError(
-                f"{deltas} deltas < {self.n_units} units: every unit must be "
-                "evaluated at least once per system cycle"
-            )
+        self._check_floor(deltas)
         self.per_cycle.extend([deltas] * cycles)
+
+    def record_counts(self, deltas: List[int]) -> None:
+        """Book one measured delta count per system cycle: the column
+        the generated body's HBR accounting pass hands back."""
+        if deltas:
+            self._check_floor(min(deltas))
+        self.per_cycle.extend(deltas)
 
     @property
     def system_cycles(self) -> int:

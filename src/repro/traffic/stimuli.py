@@ -795,6 +795,18 @@ class TrafficDriver:
         self.engine.step()
 
     def run(self, cycles: int) -> None:
+        """``cycles`` driver cycles.  A one-lane engine that can take
+        whole windows gets them (:func:`~repro.engines.batch.run_batched`:
+        generated traffic windows, fused chunks); any other engine,
+        driver subclass or hooked run steps per cycle —
+        :func:`~repro.engines.batch.chunk_decline` names the reason.
+        Bit-identical either way."""
+        from repro.engines import batch
+
+        engine = getattr(self.engine, "engine", self.engine)  # a lane's
+        if batch.chunk_decline(engine, [self]) is None:
+            batch.run_batched(engine, [self], cycles)
+            return
         for _ in range(cycles):
             self.step()
 

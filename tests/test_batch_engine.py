@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.engines import (
     BatchEngine,
     CycleEngine,
-    SequentialEngine,
     drain_batched,
     list_engines,
     make_engine,
@@ -26,6 +25,7 @@ from repro.engines import (
 )
 from repro.noc import NetworkConfig, RouterConfig
 from repro.noc.flit import Header
+from repro.seqsim.sequential import SequentialNetwork
 
 from tests.helpers import PacketDriver, be_packet
 
@@ -97,14 +97,14 @@ class TestRegistry:
 class TestLockstep:
     def test_torus(self):
         cfg = torus()
-        engines = [SequentialEngine(cfg), CycleEngine(cfg), BatchEngine(cfg)]
+        engines = [SequentialNetwork(cfg), CycleEngine(cfg), BatchEngine(cfg)]
         lockstep(engines, random_schedule(cfg, seed=1), cycles=140)
 
     def test_mesh(self):
         cfg = NetworkConfig(
             3, 3, topology="mesh", router=RouterConfig(queue_depth=4)
         )
-        engines = [SequentialEngine(cfg), CycleEngine(cfg), BatchEngine(cfg)]
+        engines = [SequentialNetwork(cfg), CycleEngine(cfg), BatchEngine(cfg)]
         lockstep(engines, random_schedule(cfg, seed=2), cycles=140)
 
     def test_heterogeneous_queue_depths(self):
@@ -114,14 +114,14 @@ class TestLockstep:
                 (7, RouterConfig(queue_depth=2)),
             )
         )
-        engines = [SequentialEngine(cfg), BatchEngine(cfg)]
+        engines = [SequentialNetwork(cfg), BatchEngine(cfg)]
         lockstep(engines, random_schedule(cfg, seed=3), cycles=140)
 
     def test_quarantined_links(self):
         """Wire faults (quarantined links + recomputed routes) stay in
         lockstep: both engines detour identically."""
         cfg = torus()
-        engines = [SequentialEngine(cfg), BatchEngine(cfg)]
+        engines = [SequentialNetwork(cfg), BatchEngine(cfg)]
         for engine in engines:
             engine.quarantine_link(5, 1)
             engine.quarantine_link(10, 3)
@@ -133,7 +133,7 @@ class TestLockstep:
         cfg = NetworkConfig(
             3, 3, topology="torus", router=RouterConfig(queue_depth=2)
         )
-        engines = [SequentialEngine(cfg), BatchEngine(cfg)]
+        engines = [SequentialNetwork(cfg), BatchEngine(cfg)]
         schedule = random_schedule(
             cfg, seed=seed, packets=packets, horizon=40
         )
@@ -150,7 +150,7 @@ class TestErrorParity:
         cfg = torus()
         bad = Header(dest_x=9, dest_y=9)  # beyond the 4x4 fabric
         messages = []
-        for engine in (SequentialEngine(cfg), BatchEngine(cfg)):
+        for engine in (SequentialNetwork(cfg), BatchEngine(cfg)):
             self.offer_head(engine, bad, cfg.router.be_vcs[0])
             with pytest.raises(IndexError) as err:
                 engine.run(4)
@@ -162,7 +162,7 @@ class TestErrorParity:
         cfg = torus()
         bad = Header(dest_x=1, dest_y=0, gt=True)
         messages = []
-        for engine in (SequentialEngine(cfg), BatchEngine(cfg)):
+        for engine in (SequentialNetwork(cfg), BatchEngine(cfg)):
             self.offer_head(engine, bad, cfg.router.be_vcs[0])
             with pytest.raises(Exception) as err:
                 engine.run(4)
@@ -200,7 +200,7 @@ class TestLaneIsolation:
         total = engine.cycle
 
         for i in range(self.LANES):
-            solo = SequentialEngine(cfg)
+            solo = SequentialNetwork(cfg)
             driver = TrafficDriver(
                 solo,
                 be=BernoulliBeTraffic(

@@ -34,6 +34,7 @@ engine on every piece of engine, driver, generator and tracker state.
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 
 import numpy as np
@@ -192,6 +193,9 @@ class TestLevelizedKernelSmoke:
         for name, net in (("fig1", fig1_network()), ("gt-less", gt_less)):
             spec = cbackend.KernelSpec.from_engine(BatchEngine(net, kernel="python"))
             units[name] = generate_level_source(spec)
+        # the sequential engine's variant: the same body + the HBR pass
+        units["fig1-hbr"] = generate_level_source(dataclasses.replace(spec, hbr=True))
+        assert "#define HBR 1" in units["fig1-hbr"] and "#define HBR 0" in units["fig1"]
         for name, source in units.items():
             path = tmp_path / f"{name}.c"
             path.write_text(source)

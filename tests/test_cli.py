@@ -66,7 +66,13 @@ class TestCli:
             ("--link-latency 2", "--link-latency requires --partitions K"),
             (
                 "--engine batch --scheduler roundrobin",
-                "--scheduler requires --engine sequential or --partitions K",
+                "--scheduler requires --engine sequential --kernel python "
+                "or --partitions K",
+            ),
+            (
+                "--scheduler roundrobin",  # the compiled engine has one order
+                "--scheduler requires --engine sequential --kernel python "
+                "or --partitions K",
             ),
             ("--fast-forward", "--fast-forward requires --engine batch"),
             (
@@ -75,8 +81,8 @@ class TestCli:
             ),
             ("--chunk 7", "--chunk requires --stream"),
         ],
-        ids=["transport", "link-latency", "scheduler", "fast-forward",
-             "fast-forward+stream", "chunk"],
+        ids=["transport", "link-latency", "scheduler", "scheduler-compiled",
+             "fast-forward", "fast-forward+stream", "chunk"],
     )
     def test_simulate_refuses_a_flag_its_path_ignores(self, capsys, flags, needs):
         """A flag the chosen path never reads is a usage error naming
@@ -213,13 +219,50 @@ class TestFarmCli:
         out = capsys.readouterr().out
         assert "farm smoke: OK" in out
 
-    def test_sequential_kernel_request_names_the_batch_replacement(self, capsys):
+    def test_sequential_kernel_request_says_auto_binds_the_body(self, capsys):
         for kernel in ("levelized", "jit"):
             rc = main(["simulate", "--engine", "sequential", "--kernel", kernel,
                        "--cycles", "10"])
             assert rc == 2
             err = capsys.readouterr().err
-            assert "--engine batch --lanes 1 --kernel levelized" in err
+            assert "supports kernel auto|python" in err
+            assert "auto already binds the generated-C body" in err
+            assert "--engine batch" not in err
+
+    def test_sequential_engine_prints_its_kernel_lines(self, monkeypatch, capsys):
+        """The default engine says which statement of the method runs,
+        how it was driven, and counts the same deltas either way — the
+        Python model under either scheduler included."""
+        from repro.kernels import probe_backends
+
+        args = ["simulate", "--width", "3", "--height", "3", "--cycles", "150"]
+
+        def run(extra):
+            assert main(args + extra) == 0
+            lines = capsys.readouterr().out.splitlines()
+            (deltas,) = [ln for ln in lines if ln.startswith("delta cycles:")]
+            (ran,) = [ln for ln in lines if ln.startswith("kernel run: ")]
+            return lines[0], ran, deltas
+
+        first, ran, deltas = run([])
+        if probe_backends()["cffi"] == "ok":
+            assert first == "kernel: jit (generated C); traffic: C scan"
+            assert ran.startswith("kernel run: chunked; activity: ")
+        for extra in (["--kernel", "python"],
+                      ["--kernel", "python", "--scheduler", "roundrobin"]):
+            first, ran, model_deltas = run(extra)
+            assert first.startswith(
+                "kernel: python (Python model; kernel='python' requested); "
+            )
+            assert ran == (
+                "kernel run: stepping per cycle "
+                "(the engine has no generated-C body)"
+            )
+            assert model_deltas == deltas
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        first, _, model_deltas = run([])
+        assert first.startswith("kernel: python (Python model; REPRO_KERNELS=numpy)")
+        assert model_deltas == deltas
 
     @pytest.mark.parametrize("pin", ["env", "flag"])
     def test_kernel_line_names_the_body_that_runs(self, monkeypatch, capsys, pin):
@@ -253,11 +296,10 @@ class TestFarmCli:
                 assert main(args + extra) == 0
                 first = capsys.readouterr().out.splitlines()[0]
                 assert first == "kernel: jit (generated C); traffic: C scan"
-            assert main(args[:3] + args[5:]) == 0  # one lane: TrafficDriver.run
-            first = capsys.readouterr().out.splitlines()[0]
-            assert first.endswith(
-                "traffic: Python generators (a lone driver steps per cycle)"
-            )
+            assert main(args[:3] + args[5:]) == 0  # one lane rides them too
+            out = capsys.readouterr().out.splitlines()
+            assert out[0] == "kernel: jit (generated C); traffic: C scan"
+            assert out[1].startswith("batch engine: 1 lanes x ")
         monkeypatch.setenv("REPRO_KERNELS", "numpy")
         assert main(args) == 0
         first = capsys.readouterr().out.splitlines()[0]
@@ -294,10 +336,9 @@ class TestFarmCli:
         from repro.kernels import probe_backends
 
         if probe_backends()["cffi"] == "ok":
+            # one lane is no reason: it rides whole chunks like any other
             line = self.run_line(capsys, self.RUN_ARGS[:3] + self.RUN_ARGS[5:])
-            assert line.startswith(
-                "kernel run: stepping per cycle (a lone driver steps per cycle); activity: "
-            )
+            assert line.startswith("kernel run: chunked; activity: ")
         monkeypatch.setenv("REPRO_KERNELS", "numpy")
         line = self.run_line(capsys, self.RUN_ARGS)
         # no body ran, so there is no activity factor to print
@@ -460,16 +501,50 @@ class TestSourceAudit:
             path for path, text in self._sources() if gone.search(text)
         ]
 
+    #: the Python model's memo layers and fast-path switches
+    INTERNALS = (
+        r"\b(_eval_sig|_pending|_read_wids|_room_cache|_out_cache"
+        r"|_quiesc_cache|_evaluate_unit_fast|_fault_free_cycle)\b"
+    )
+
     def test_partition_names_no_fast_path_internal(self):
         import re
 
-        internals = re.compile(
-            r"\b(_eval_sig|_pending|_read_wids|_room_cache|_out_cache"
-            r"|_quiesc_cache|_evaluate_unit_fast|_fault_free_cycle)\b"
-        )
         found = {
             (os.path.basename(path), name)
             for path, text in self._sources("partition")
-            for name in internals.findall(text)
+            for name in re.findall(self.INTERNALS, text)
         }
         assert not found
+
+    def test_the_sequential_engine_names_no_memo_layer(self):
+        """Compiled or fallen back to the model, the engine module
+        reaches into none of the model's memos."""
+        import re
+
+        (text,) = [
+            text
+            for path, text in self._sources("engines")
+            if os.path.basename(path) == "sequential.py"
+        ]
+        assert not re.findall(self.INTERNALS, text)
+
+    def test_the_hbr_write_rule_is_stated_in_exactly_three_places(self):
+        """"A changed write un-stabilises the reader if it had read the
+        old value" is the one decision of section 4.2; whoever tests a
+        wire's HBR bit states it.  That is ``LinkMemory.write_wire``, the
+        model's one inlined fault-free copy, and the generated body's
+        accounting pass — a fourth would be a fork."""
+        import re
+
+        rule = re.compile(r"\bif\b[^\n]*\bhbr\[")
+        stated = {
+            os.path.relpath(path, self.SRC): len(rule.findall(text))
+            for path, text in self._sources()
+            if rule.search(text)
+        }
+        assert stated == {
+            os.path.join("seqsim", "linkmem.py"): 1,
+            os.path.join("seqsim", "sequential.py"): 1,
+            os.path.join("kernels", "batchlevel.py"): 1,
+        }

@@ -8,6 +8,7 @@ import pytest
 from repro.engines import CycleEngine, RtlEngine, SequentialEngine, run_lockstep
 from repro.noc import NetworkConfig, RouterConfig
 from repro.noc.layout import table1
+from repro.seqsim.sequential import SequentialNetwork
 
 from tests.helpers import PacketDriver, be_packet
 from tests.test_rtl_engine import traffic_from_packets
@@ -107,7 +108,7 @@ class TestHeterogeneousBehavior:
         """The packed state memory pads to the widest unit word."""
         cfg = hetero_net(3, 2)
         golden = CycleEngine(cfg)
-        packed = SequentialEngine(cfg, packed=True)
+        packed = SequentialNetwork(cfg, packed=True)
         rng = random.Random(5)
         sends = [
             (

@@ -163,12 +163,12 @@ class TestEngineFallback:
         from repro.engines import make_engine
 
         cfg = NetworkConfig(3, 3)
-        # the sequential engine has one body; the error names where the
-        # compiled one went
+        # the sequential engine takes no tier label; the error says its
+        # default already is the compiled body
         for kernel in ("levelized", "jit"):
             with pytest.raises(
                 ValueError,
-                match="'sequential'.*--engine batch --lanes 1 --kernel levelized",
+                match="'sequential'.*auto already binds the generated-C body",
             ):
                 make_engine("sequential", cfg, kernel=kernel)
         with pytest.raises(ValueError, match="'sequential'") as excinfo:

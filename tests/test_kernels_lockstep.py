@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engines import BatchEngine, SequentialEngine, run_batched
+from repro.engines import BatchEngine, run_batched
 from repro.engines.sequential import StaticScheduleEngine
 from repro.kernels import probe_backends
 from repro.noc import NetworkConfig, RouterConfig
+from repro.seqsim.sequential import SequentialNetwork
 from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
 from tests.helpers import PacketDriver, be_packet
@@ -88,8 +89,9 @@ def lockstep(engines, schedule, cycles, events=()):
 
 
 def duo(cfg):
-    """Reference worklist and interpreted static schedule."""
-    return [SequentialEngine(cfg), StaticScheduleEngine(cfg)]
+    """Reference worklist model (the host of wire faults and
+    quarantine) and interpreted static schedule."""
+    return [SequentialNetwork(cfg), StaticScheduleEngine(cfg)]
 
 
 def trio(cfg):

@@ -11,6 +11,7 @@ from repro.noc.checkpoint import (
     save_checkpoint,
 )
 from repro.platform.logs import AccessDelayLog, LinkTrafficLog
+from repro.seqsim.sequential import SequentialNetwork
 from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
 from tests.helpers import PacketDriver, be_packet
@@ -118,16 +119,18 @@ class TestCheckpoint:
 
     def test_cross_engine_restore(self):
         """A checkpoint saved by the cycle engine resumes bit-identically
-        on the sequential (FPGA) engine — bit accuracy across methods."""
+        on the sequential (FPGA) method — its packed Python model and the
+        engine's array state alike — and back: bit accuracy across methods."""
         cfg = NetworkConfig(3, 3)
         a = CycleEngine(cfg)
         run_with_traffic(a)
         checkpoint = save_checkpoint(a)
-        b = SequentialEngine(cfg, packed=True)
-        restore_checkpoint(b, checkpoint)
         a.run(25)
-        b.run(25)
-        assert b.snapshot() == a.snapshot()
+        for b in (SequentialNetwork(cfg, packed=True), SequentialEngine(cfg)):
+            restore_checkpoint(b, checkpoint)
+            assert save_checkpoint(b) == checkpoint
+            b.run(25)
+            assert b.snapshot() == a.snapshot()
 
     def test_json_roundtrip(self):
         cfg = NetworkConfig(3, 3)
@@ -194,10 +197,8 @@ class TestCheckpointAfterRollback:
         """A checkpoint taken from a packed sequential engine that has
         been through fault -> rollback restores bit-identically onto the
         reference cycle engine: rollback leaves no hidden corruption."""
-        from repro.engines import SequentialEngine as _SeqEngine
-
         cfg = NetworkConfig(3, 3)
-        engine = _SeqEngine(cfg, packed=True)
+        engine = SequentialNetwork(cfg, packed=True)
         run_with_traffic(engine)
         pristine = save_checkpoint(engine)
 
