@@ -9,8 +9,8 @@ kept by reference; the few events of a single-cycle step are copied
 into the log's own tail buffer, where adjacent small blocks coalesce
 into one part.  ``len`` and :meth:`EventLog.extend_block` never build a
 record; indexing, slicing, iteration and comparison build exactly the
-records they hand out, and keep none; :meth:`EventLog.columns` reads
-the fields without building any.
+records they hand out, and keep none; :meth:`EventLog.arrays` hands a
+window out as one integer block without building any.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import fields
+from operator import attrgetter
 from typing import Callable, List
 
 import numpy as np
 
-__all__ = ["Columns", "EventLog", "log_window"]
+__all__ = ["EventLog", "log_window", "record_block"]
 
 #: blocks narrower than this are copied into the tail buffer.
 _SMALL = 64
@@ -32,19 +33,24 @@ _SMALL = 64
 _TAIL_MIN, _TAIL_MAX = 256, 4096
 
 
-class Columns(tuple):
-    """A log window's events as parallel lists, one per record field in
-    declaration order (what :meth:`EventLog.columns` returns)."""
+#: the fields every injection / ejection record starts with.
+EVENT_FIELDS = ("cycle", "router", "vc", "flit_word")
 
-    __slots__ = ()
+
+def record_block(records, names=EVENT_FIELDS):
+    """Fields ``names`` of ``records`` as a ``[fields, n]`` int64 block —
+    the one pass that reads record objects the Python engines logged."""
+    rows = list(map(attrgetter(*names), records))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(names)).T
 
 
 def log_window(log, start: int, stop: int):
-    """Events ``[start, stop)`` of an engine log: as :class:`Columns`
-    where the log can hand them out without building records, else the
-    record slice (engines whose logs are plain lists)."""
-    columns = getattr(log, "columns", None)
-    return columns(start, stop) if columns is not None else log[start:stop]
+    """Events ``[start, stop)`` of an engine log as a ``[fields, n]``
+    int64 block, rows in record-field order (:data:`EVENT_FIELDS` first).
+    An :class:`EventLog` hands out its columns; engines whose logs are
+    plain lists have the slice's records read once."""
+    arrays = getattr(log, "arrays", None)
+    return arrays(start, stop) if arrays is not None else record_block(log[start:stop])
 
 
 class EventLog(Sequence):
@@ -152,19 +158,21 @@ class EventLog(Sequence):
                 out += map(record, *part[:, a:b].tolist())
         return out
 
-    def columns(self, start: int, stop: int) -> Columns:
-        """Events ``[start, stop)`` field by field, no record built for
-        the column parts (records the NumPy sweeps appended are read)."""
-        names = [f.name for f in fields(self._record)]
-        out = Columns([] for _ in names)
-        for part, a, b in self._pieces(start, stop):
-            if type(part) is list:
-                for column, name in zip(out, names):
-                    column += [getattr(r, name) for r in part[a:b]]
-            else:
-                for column, values in zip(out, part[:, a:b].tolist()):
-                    column += values
-        return out
+    def arrays(self, start: int, stop: int):
+        """Events ``[start, stop)`` as one ``[fields, n]`` int64 block,
+        no record built: a view where one column part covers the window,
+        else a copy (records the NumPy sweeps appended are read once)."""
+        blocks = [
+            record_block(part[a:b], [f.name for f in fields(self._record)])
+            if type(part) is list
+            else part[:, a:b]
+            for part, a, b in self._pieces(start, stop)
+        ]
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return np.empty((len(fields(self._record)), 0), dtype=np.int64)
+        return np.concatenate(blocks, axis=1)
 
     def __getitem__(self, index):
         n = len(self)

@@ -8,8 +8,9 @@ from typing import Optional, Sequence
 
 from repro.engines import SequentialEngine
 from repro.noc import NetworkConfig, RouterConfig
-from repro.noc.packet import GT_PAYLOAD_BYTES, PacketClass
+from repro.noc.packet import GT_PAYLOAD_BYTES
 from repro.stats import PacketLatencyTracker, gt_guarantee_bound
+from repro.stats.latency import S_GT, S_HOPS, S_SUBMIT
 from repro.traffic import BernoulliBeTraffic, GtStreamTraffic, TrafficDriver, uniform_random
 from repro.noc.reservation import GtReservationTable
 from repro.traffic.generators import neighbor_shift
@@ -125,22 +126,22 @@ def _fig1_point_result(
     of a batched sweep reports the same number as its solo run even
     when other lanes kept the batch stepping longer.
     """
+    columns = tracker.samples.columns
+    latency = tracker.samples.total_latency()
+    measured = columns[S_SUBMIT] >= warmup
+    is_gt = columns[S_GT] == 1
 
-    def stats_for(pclass):
-        values = [
-            s.total_latency
-            for s in tracker.samples
-            if s.pclass is pclass and s.submit_cycle >= warmup
-        ]
-        if not values:
+    def stats_for(chosen):
+        values = latency[chosen & measured]
+        if not values.size:
             return None, None, 0
-        return sum(values) / len(values), max(values), len(values)
+        # an integer sum divided once: the mean the per-sample loop gave
+        return int(values.sum()) / values.size, int(values.max()), values.size
 
-    gt_mean, gt_max, gt_n = stats_for(PacketClass.GT)
-    be_mean, be_max, be_n = stats_for(PacketClass.BE)
-    max_hops = max(
-        (s.hops for s in tracker.samples if s.pclass is PacketClass.GT), default=2
-    )
+    gt_mean, gt_max, gt_n = stats_for(is_gt)
+    be_mean, be_max, be_n = stats_for(~is_gt)
+    gt_hops = columns[S_HOPS, is_gt]
+    max_hops = int(gt_hops.max()) if gt_hops.size else 2
     return WorkloadResult(
         be_load=be_load,
         gt_period=gt_period,

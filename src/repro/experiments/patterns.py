@@ -92,17 +92,22 @@ def run_pattern(
 
 def _pattern_result(name: str, net, tracker, ejection_log) -> PatternResult:
     """Summarise one pattern run from its collected tracker and log."""
+    from repro.engines.eventlog import log_window
+    from repro.stats.latency import S_HOPS
+
     stats = tracker.stats()
+    hops = tracker.samples.columns[S_HOPS]
     target = net.index(*HOTSPOT_XY)
     ejections = len(ejection_log)
-    to_target = sum(1 for e in ejection_log if e.router == target)
+    routers = log_window(ejection_log, 0, ejections)[1]
+    to_target = int((routers == target).sum())
     return PatternResult(
         name=name,
         mean=stats.mean,
         p99=stats.p99,
         max=stats.maximum,
         packets=stats.count,
-        mean_hops=sum(s.hops for s in tracker.samples) / len(tracker.samples),
+        mean_hops=int(hops.sum()) / hops.size,
         ejections=ejections,
         to_hotspot_fraction=to_target / ejections if ejections else 0.0,
     )

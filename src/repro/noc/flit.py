@@ -70,6 +70,28 @@ def link_word_type(word: int, data_width: int = 16) -> int:
     return (word >> data_width) & 3
 
 
+#: ``(shift, mask)`` of each field of the two addressing words, stated
+#: once: :class:`Header` and :class:`SourceInfo` encode and decode with
+#: them, and the latency tracker reads whole event columns through
+#: :func:`field`.
+X_FIELD = (0, 0xF)
+Y_FIELD = (4, 0xF)
+GT_FIELD = (8, 0x1)
+TAG_FIELD = (9, 0x7F)
+SEQ_FIELD = (8, 0xFF)
+
+
+def field(data, spec):
+    """One field of a data word — of an integer, or of an integer array
+    of them."""
+    shift, mask = spec
+    return (data >> shift) & mask
+
+
+def _fits(value: int, spec) -> bool:
+    return 0 <= value <= spec[1]
+
+
 @dataclass(frozen=True)
 class Header:
     """Contents of a HEAD flit's data field.
@@ -91,19 +113,24 @@ class Header:
     tag: int = 0
 
     def encode(self) -> int:
-        if not (0 <= self.dest_x < 16 and 0 <= self.dest_y < 16):
+        if not (_fits(self.dest_x, X_FIELD) and _fits(self.dest_y, Y_FIELD)):
             raise ValueError("coordinates must fit 4 bits")
-        if not 0 <= self.tag < 128:
+        if not _fits(self.tag, TAG_FIELD):
             raise ValueError("tag must fit 7 bits")
-        return self.dest_x | (self.dest_y << 4) | (int(self.gt) << 8) | (self.tag << 9)
+        return (
+            self.dest_x << X_FIELD[0]
+            | self.dest_y << Y_FIELD[0]
+            | int(self.gt) << GT_FIELD[0]
+            | self.tag << TAG_FIELD[0]
+        )
 
     @staticmethod
     def decode(data: int) -> "Header":
         return Header(
-            dest_x=data & 0xF,
-            dest_y=(data >> 4) & 0xF,
-            gt=bool((data >> 8) & 1),
-            tag=(data >> 9) & 0x7F,
+            dest_x=field(data, X_FIELD),
+            dest_y=field(data, Y_FIELD),
+            gt=bool(field(data, GT_FIELD)),
+            tag=field(data, TAG_FIELD),
         )
 
     def head_flit(self) -> Flit:
@@ -124,12 +151,16 @@ class SourceInfo:
     seq: int
 
     def encode(self) -> int:
-        if not (0 <= self.src_x < 16 and 0 <= self.src_y < 16):
+        if not (_fits(self.src_x, X_FIELD) and _fits(self.src_y, Y_FIELD)):
             raise ValueError("coordinates must fit 4 bits")
-        if not 0 <= self.seq < 256:
+        if not _fits(self.seq, SEQ_FIELD):
             raise ValueError("seq must fit 8 bits")
-        return self.src_x | (self.src_y << 4) | (self.seq << 8)
+        return (
+            self.src_x << X_FIELD[0] | self.src_y << Y_FIELD[0] | self.seq << SEQ_FIELD[0]
+        )
 
     @staticmethod
     def decode(data: int) -> "SourceInfo":
-        return SourceInfo(data & 0xF, (data >> 4) & 0xF, (data >> 8) & 0xFF)
+        return SourceInfo(
+            field(data, X_FIELD), field(data, Y_FIELD), field(data, SEQ_FIELD)
+        )

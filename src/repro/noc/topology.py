@@ -11,6 +11,7 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.noc.config import NetworkConfig, Port
@@ -290,19 +291,32 @@ class Topology:
                     boundary.append(BoundaryPort(r, port, nb, port.opposite))
         return sub, PartitionBoundary(tuple(sorted(members)), tuple(boundary))
 
+    def hop_table(self):
+        """``[n_routers, n_routers]`` minimal hop distances under
+        dimension-order routing, read-only and shared by every
+        :class:`Topology` of the same shape."""
+        net = self.net
+        return _hop_table(net.width, net.height, net.topology)
+
     def hops(self, src: int, dest: int) -> int:
         """Minimal hop distance under dimension-order routing."""
-        sx, sy = self.net.coords(src)
-        dx, dy = self.net.coords(dest)
-        return self._axis_distance(sx, dx, self.net.width) + self._axis_distance(
-            sy, dy, self.net.height
-        )
+        for router in (src, dest):
+            self.net.coords(router)  # IndexError off the fabric
+        return int(self.hop_table()[src, dest])
 
-    def _axis_distance(self, a: int, b: int, size: int) -> int:
-        d = abs(a - b)
-        if self.net.topology == "torus":
-            return min(d, size - d)
-        return d
+
+@lru_cache(maxsize=16)
+def _hop_table(width: int, height: int, topology: str):
+    import numpy as np
+
+    def axis(position, size):
+        d = np.abs(position[:, None] - position[None, :])
+        return np.minimum(d, size - d) if topology == "torus" else d
+
+    index = np.arange(width * height)
+    table = axis(index % width, width) + axis(index // width, height)
+    table.flags.writeable = False
+    return table
 
 
 _DIRECTION = {

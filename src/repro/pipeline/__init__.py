@@ -12,7 +12,7 @@ generated body, with the host touching the fabric only at its boundary.
 * :mod:`~repro.pipeline.stages` — one stage class per paper phase, each
   a thin wrapper over the function ``run_batched``'s chunk path uses
   (``source.scan``, ``Stimuli.load``, ``run_chunk``,
-  ``EventLog.columns``, ``collect_records``) around one
+  ``EventLog.arrays``, ``collect_records``) around one
   ``TrafficDriver`` per lane; one columnar ``Stimuli`` per window rides
   the chunks;
 * :mod:`~repro.pipeline.ring` — the bounded stage-to-stage handoff,

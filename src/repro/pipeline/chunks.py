@@ -11,8 +11,8 @@ columns end to end: traffic as one
 :class:`~repro.traffic.stimuli.Stimuli` — packet columns out of the
 generate stage, queue-grouped flit columns added by the load stage, what
 :meth:`~repro.kernels.batchlevel.CompiledBatchLevel.stage` consumes —
-and results as :class:`~repro.engines.eventlog.Columns` of the engine
-logs.  The same ``Stimuli`` object rides every chunk of its window (the
+and results as ``[fields, n]`` blocks of the engine logs
+(:func:`~repro.engines.eventlog.log_window`).  The same ``Stimuli`` object rides every chunk of its window (the
 analyze stage notes the submits from its packet columns); it also
 carries the generator snapshot a mid-window overload rewinds to.
 Chunks are plain data: producing them touches no engine or driver queue,
@@ -85,8 +85,8 @@ class ResultChunk:
 
 @dataclass
 class RetrievedChunk:
-    """Step 4 output: the window's events per lane — log columns, or
-    record slices for engines whose logs are plain lists."""
+    """Step 4 output: the window's events per lane, one integer block
+    per log (rows in record-field order)."""
 
     start: int
     stop: int

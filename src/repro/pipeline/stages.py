@@ -26,12 +26,15 @@ touches which part of it is the whole design:
   window's own source, however far ahead it ran.  Draining is
   ``drain_batched`` / ``TrafficDriver.drain``.
 * **retrieve** — :func:`~repro.engines.eventlog.log_window` below the
-  bounds simulate recorded (safe against a concurrent writer).
+  bounds simulate recorded (safe against a concurrent writer): one
+  integer block per lane and log.
 * **analyze** — notes the chunk's submits on its own trackers from the
   window's packet columns, then
-  ``PacketLatencyTracker.collect_records`` on the event columns.  Every
-  chunk's submits are noted before its events are matched, so per-key
-  FIFO matching pops the same submit the end-of-run collection would.
+  ``PacketLatencyTracker.collect_records`` on the event blocks; the
+  histogram, the per-sink counts and the flit counts read columns and
+  shapes.  Every chunk's submits are noted before its events are
+  matched, so per-key FIFO matching pops the same submit the end-of-run
+  collection would.
 
 The equivalence tests compare engine snapshots, full logs, driver state
 and drain counts against ``run_batched`` and the solo reference engine.
@@ -39,8 +42,9 @@ and drain counts against ``run_batched`` and the solo reference engine.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.engines.base import lane_views
 from repro.engines.batch import (
@@ -49,7 +53,7 @@ from repro.engines.batch import (
     drain_batched,
     window_source,
 )
-from repro.engines.eventlog import Columns, log_window
+from repro.engines.eventlog import log_window
 from repro.noc.config import NetworkConfig
 from repro.pipeline.chunks import (
     LoadedChunk,
@@ -149,8 +153,8 @@ class SimulateStage:
 
 class RetrieveStage:
     """Step 4: read the window's events out of the engine logs (the ARM
-    reading FPGA memory): columns, no record built, where the log is an
-    :class:`~repro.engines.eventlog.EventLog`."""
+    reading FPGA memory): one ``[fields, n]`` block per lane, no record
+    built where the log is an :class:`~repro.engines.eventlog.EventLog`."""
 
     name = "retrieve"
 
@@ -193,8 +197,7 @@ class AnalyzeStage:
         self.ej_counts = [0] * lanes
         self.submit_counts = [0] * lanes
         #: per lane: ejected flits per sink router (hotspot accounting)
-        self.eject_router_counts: List[Counter] = [Counter() for _ in range(lanes)]
-        self._samples_seen = [0] * lanes
+        self.eject_router_counts = np.zeros((lanes, net.n_routers), dtype=np.int64)
         self.done_cycles: Optional[List[int]] = None
 
     def process(self, chunk: RetrievedChunk) -> None:
@@ -206,21 +209,13 @@ class AnalyzeStage:
                 self.submit_counts[lane] += hi - lo
             injections, ejections = chunk.injections[lane], chunk.ejections[lane]
             tracker.collect_records(injections, ejections)
-            if isinstance(ejections, Columns):
-                n_inj, routers = len(injections[0]), ejections[1]
-            else:
-                n_inj = len(injections)
-                routers = [record.router for record in ejections]
-            self.inj_counts[lane] += n_inj
-            self.ej_counts[lane] += len(routers)
-            self.eject_router_counts[lane].update(routers)
-            seen = self._samples_seen[lane]
-            fresh = tracker.samples[seen:]
-            if fresh:
-                self.histograms[lane].extend_array(
-                    [s.total_latency for s in fresh]
-                )
-                self._samples_seen[lane] = seen + len(fresh)
+            self.inj_counts[lane] += injections.shape[1]
+            self.ej_counts[lane] += ejections.shape[1]
+            self.eject_router_counts[lane] += np.bincount(
+                ejections[1], minlength=self.net.n_routers
+            )
+            histogram = self.histograms[lane]  # holds every sample seen so far
+            histogram.extend_array(tracker.samples.total_latency()[histogram.total :])
         if chunk.done_cycles is not None:
             self.done_cycles = chunk.done_cycles
 

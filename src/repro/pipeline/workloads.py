@@ -115,6 +115,7 @@ def stream_pattern_sweep(
         _make_pattern,
     )
     from repro.noc import NetworkConfig
+    from repro.stats.latency import S_HOPS
     from repro.traffic import BernoulliBeTraffic
 
     net = NetworkConfig(6, 6, topology="torus")
@@ -134,7 +135,8 @@ def stream_pattern_sweep(
         tracker = report.trackers[i]
         stats = tracker.stats()
         ejections = report.analyze.ej_counts[i]
-        to_target = report.analyze.eject_router_counts[i].get(target, 0)
+        to_target = int(report.analyze.eject_router_counts[i, target])
+        hops = tracker.samples.columns[S_HOPS]
         points.append(
             PatternResult(
                 name=name,
@@ -142,9 +144,7 @@ def stream_pattern_sweep(
                 p99=stats.p99,
                 max=stats.maximum,
                 packets=stats.count,
-                mean_hops=(
-                    sum(s.hops for s in tracker.samples) / len(tracker.samples)
-                ),
+                mean_hops=int(hops.sum()) / hops.size,
                 ejections=ejections,
                 to_hotspot_fraction=(
                     to_target / ejections if ejections else 0.0

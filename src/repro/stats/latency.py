@@ -12,16 +12,22 @@ Latency definitions (Figure 1 plots the *total* latency):
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.engines.eventlog import Columns, log_window
+from repro.engines.eventlog import log_window, record_block
 from repro.noc.config import NetworkConfig, RouterConfig
-from repro.noc.flit import FlitType
+from repro.noc.flit import (
+    GT_FIELD,
+    SEQ_FIELD,
+    X_FIELD,
+    Y_FIELD,
+    FlitType,
+    field,
+)
 from repro.noc.packet import PacketClass, ProtocolError, flits_per_packet
 from repro.noc.topology import Topology
 from repro.traffic.stimuli import SubmitRecord
@@ -51,6 +57,89 @@ class LatencySample:
         return self.tail_eject_cycle - self.head_inject_cycle
 
 
+#: rows of the sample block, in :class:`LatencySample` field order.
+#: ``S_GT`` is the header's class bit; ``S_HEAD_INJECT`` is -1 where the
+#: sample's ``head_inject_cycle`` is ``None``.
+(
+    S_GT,
+    S_SRC,
+    S_DEST,
+    S_HOPS,
+    S_SUBMIT,
+    S_HEAD_INJECT,
+    S_HEAD_EJECT,
+    S_TAIL_EJECT,
+) = range(8)
+
+_CLASSES = (PacketClass.BE, PacketClass.GT)
+
+
+def _sample(column) -> LatencySample:
+    gt, src, dest, hops, submit, head_inject, head_eject, tail_eject = map(int, column)
+    return LatencySample(
+        _CLASSES[gt],
+        src,
+        dest,
+        hops,
+        submit,
+        None if head_inject < 0 else head_inject,
+        head_eject,
+        tail_eject,
+    )
+
+
+class SampleLog(Sequence):
+    """The delivered packets' timings, in delivery order: one growing
+    ``[8, n]`` integer block (rows ``S_*``).  Like an
+    :class:`~repro.engines.eventlog.EventLog`, indexing, slicing,
+    iteration and comparison build exactly the :class:`LatencySample`
+    objects they hand out; ``len`` and :attr:`columns` build none."""
+
+    def __init__(self) -> None:
+        self._block = np.empty((8, 0), dtype=np.int64)
+        self._used = 0
+
+    @property
+    def columns(self):
+        """The ``[8, n]`` sample block (a view: read it, do not write)."""
+        return self._block[:, : self._used]
+
+    def total_latency(self):
+        """Submit to TAIL ejection, per sample."""
+        columns = self.columns
+        return columns[S_TAIL_EJECT] - columns[S_SUBMIT]
+
+    def extend_block(self, block) -> None:
+        used = self._used + block.shape[1]
+        if used > self._block.shape[1]:
+            grown = np.empty((8, max(used, 2 * self._block.shape[1])), dtype=np.int64)
+            grown[:, : self._used] = self.columns
+            self._block = grown
+        self._block[:, self._used : used] = block
+        self._used = used
+
+    def __len__(self) -> int:
+        return self._used
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(_sample, self.columns.T[index]))
+        return _sample(self.columns.T[index])
+
+    def __iter__(self):
+        return map(_sample, self.columns.T)
+
+    def __eq__(self, other):
+        if isinstance(other, SampleLog):
+            return np.array_equal(self.columns, other.columns)
+        if isinstance(other, list):
+            return self[:] == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SampleLog({self[:]!r})"
+
+
 @dataclass
 class LatencyStats:
     """Aggregate over one traffic class."""
@@ -63,10 +152,10 @@ class LatencyStats:
     p99: float
 
     @staticmethod
-    def from_samples(latencies: List[int]) -> Optional["LatencyStats"]:
-        if not latencies:
-            return None
+    def from_samples(latencies) -> Optional["LatencyStats"]:
         arr = np.asarray(latencies, dtype=np.int64)
+        if not arr.size:
+            return None
         return LatencyStats(
             count=int(arr.size),
             mean=float(arr.mean()),
@@ -77,36 +166,83 @@ class LatencyStats:
         )
 
 
-_EVENT_FIELDS = attrgetter("cycle", "router", "vc", "flit_word")
+_HEAD, _TAIL = int(FlitType.HEAD), int(FlitType.TAIL)
+
+#: sequence numbers per source on the wire: the radix of a packet key.
+_SEQS = SEQ_FIELD[1] + 1
 
 
-def _events(events):
-    """``(cycle, router, vc, flit_word)`` of each event, from records or
-    from the leading columns of a log window."""
-    if isinstance(events, Columns):
-        return zip(*events[:4])
-    return map(_EVENT_FIELDS, events)
+def _queue_key(router, vc):
+    """One integer per ``(router, vc)`` — a sink's reassembly queue, or a
+    source's injection queue.  Fits 16 bits on any fabric the header can
+    address."""
+    return router * 256 + vc
+
+
+def _event_block(events):
+    """A window's events as integer rows ``cycle, router, vc,
+    flit_word``, from a log block or from records."""
+    if not isinstance(events, np.ndarray):
+        events = record_block(events)
+    return events[:4]
+
+
+def _stable_order(keys):
+    """Stable sort order of non-negative ``keys``; 16-bit keys get
+    NumPy's radix sort."""
+    if keys.size and keys.max() < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+def _fifo_slots(queue_keys, keys):
+    """Which queue entry a per-key FIFO pops for each of ``keys``, taken
+    in order: the r-th entry queued under a key for that key's r-th
+    occurrence, -1 once its queue has run out."""
+    slots = np.full(keys.size, -1, dtype=np.int64)
+    if not (queue_keys.size and keys.size):
+        return slots
+    order = _stable_order(keys)
+    ordered = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    rank = np.arange(keys.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    queue_order = _stable_order(queue_keys)
+    queued = queue_keys[queue_order]
+    at = np.searchsorted(queued, ordered) + rank
+    inside = np.minimum(at, queued.size - 1)
+    # past the key's run lies a larger key, or the end of the queue
+    found = (at == inside) & (queued[inside] == ordered)
+    slots[order[found]] = queue_order[inside[found]]
+    return slots
 
 
 class PacketLatencyTracker:
-    """Matches engine ejection logs against submit records.
+    """Matches engine ejection logs against submit records, on arrays.
 
     Matching key is ``(src, seq)``; sequence numbers wrap at 256, so
     outstanding submits are matched FIFO per key — correct because a
     single (source, VC) stream delivers in order.
+
+    State between windows is integer blocks only (DESIGN, "Analysis in
+    columns"): the outstanding submits, the HEAD injections no packet
+    has claimed, the ejection events of packets still open, and the
+    :class:`SampleLog`.
     """
 
     def __init__(self, net: NetworkConfig) -> None:
         self.net = net
         self.topology = Topology(net)
-        self.samples: List[LatencySample] = []
-        #: per (src, seq): ``(vc, submit cycle)`` of each outstanding submit
-        self._pending: Dict[Tuple[int, int], Deque[Tuple[int, int]]] = {}
-        self._head_eject: Dict[Tuple[int, int], int] = {}  # (router, vc) -> cycle
-        self._head_inject: Dict[Tuple[int, int], Deque[int]] = {}
-        #: per (router, vc) open packet: [header word, source-info word
-        #: (None until it arrives), flits so far]
-        self._open: Dict[Tuple[int, int], List] = {}
+        self.samples = SampleLog()
+        #: outstanding submits in submit order, rows ``src * 256 + seq,
+        #: vc, submit cycle``: the block left by the last window, then
+        #: the blocks noted since (joined when a window is matched)
+        self._submits: List = [np.empty((3, 0), dtype=np.int64)]
+        #: unclaimed HEAD injections in event order, rows ``queue key,
+        #: cycle``
+        self._head_injects = np.empty((2, 0), dtype=np.int64)
+        #: ejection events so far of the packets still open
+        self._open = np.empty((4, 0), dtype=np.int64)
         self._ej_seen = 0
         self._inj_seen = 0
 
@@ -118,13 +254,21 @@ class PacketLatencyTracker:
 
     def note_submits(self, srcs, seqs, vcs, cycles) -> None:
         """Note submitted packets from their columns, in submit order."""
-        pending = self._pending
-        for src, seq, vc, cycle in zip(srcs, seqs, vcs, cycles):
-            key = (src, seq)
-            queue = pending.get(key)
-            if queue is None:
-                queue = pending[key] = deque()
-            queue.append((vc, cycle))
+        keys = np.asarray(srcs) * _SEQS + (np.asarray(seqs) & SEQ_FIELD[1])
+        self._submits.append(np.array([keys, vcs, cycles], dtype=np.int64))
+
+    def _pending_block(self):
+        if len(self._submits) > 1:
+            self._submits = [np.concatenate(self._submits, axis=1)]
+        return self._submits[0]
+
+    def pending(self) -> List[Tuple[int, int, int, int]]:
+        """The outstanding submits as ``(src, seq, vc, submit cycle)``,
+        in submit order."""
+        return [
+            (*divmod(int(key), _SEQS), int(vc), int(cycle))
+            for key, vc, cycle in self._pending_block().T
+        ]
 
     def collect(self, engine) -> None:
         """Process new injection/ejection records from the engine."""
@@ -139,115 +283,184 @@ class PacketLatencyTracker:
         self._ej_seen = n_ej
 
     def collect_records(self, injections, ejections) -> None:
-        """Process explicit record slices — the streaming analyze stage's
+        """Process one window of events — the streaming analyze stage's
         entry point (:meth:`collect` is the cursor-keeping wrapper over
-        the engine's full logs).  Either argument may instead be the
-        :class:`~repro.engines.eventlog.Columns` of a log window, which
-        are read field by field with no record built.
+        the engine's full logs).  Either argument is the ``[fields, n]``
+        block of a log window (:func:`~repro.engines.eventlog.log_window`)
+        or a list of records.
 
-        This is the analysis hot loop, so reassembly is done on the raw
-        integer words — type tag and fields by shift/mask, no
-        intermediate :class:`~repro.noc.flit.Flit` objects — with the
-        same wormhole-protocol checks (and the same
-        :class:`~repro.noc.packet.ProtocolError` messages) as
-        :class:`~repro.noc.packet.Reassembler`.
+        This is the analysis hot path, so reassembly is whole-array
+        arithmetic on the raw integer words, with the same
+        wormhole-protocol checks (and the same
+        :class:`~repro.noc.packet.ProtocolError` messages, for the first
+        offending event in event order) as
+        :class:`~repro.noc.packet.Reassembler`.  A window that raises
+        leaves the tracker as it was.
         """
-        data_width = self.net.router.data_width
-        mask = (1 << data_width) - 1
-        head_t, tail_t = int(FlitType.HEAD), int(FlitType.TAIL)
-        for cycle, router, vc, word in _events(injections):
-            if (word >> data_width) & 3 == head_t:
-                self._head_inject.setdefault((router, vc), deque()).append(cycle)
+        cycle, router, vc, word = _event_block(injections)
+        heads = (word >> self.net.router.data_width) & 3 == _HEAD
+        head_injects = np.concatenate(
+            [
+                self._head_injects,
+                np.array(
+                    [_queue_key(router[heads], vc[heads]), cycle[heads]],
+                    dtype=np.int64,
+                ),
+            ],
+            axis=1,
+        )
+        events = np.concatenate([self._open, _event_block(ejections)], axis=1)
+        samples, submits, head_injects, still_open = self._match(
+            self._pending_block(), head_injects, events
+        )
+        self.samples.extend_block(samples)
+        self._submits = [submits]
+        self._head_injects = head_injects
+        self._open = still_open
 
-        open_packets = self._open
-        for cycle, router, vc, word in _events(ejections):
-            ftype = (word >> data_width) & 3
-            if ftype == 0:  # IDLE
-                continue
-            key = (router, vc)
-            if ftype == head_t:
-                if key in open_packets:
-                    raise ProtocolError(f"VC {vc}: HEAD while a packet is open")
-                self._head_eject[key] = cycle
-                open_packets[key] = [word & mask, None, 1]
-                continue
-            packet = open_packets.get(key)
-            if packet is None:
-                raise ProtocolError(
-                    f"VC {vc}: {FlitType(ftype).name} without a HEAD"
-                )
-            if packet[1] is None:
-                packet[1] = word & mask
-            packet[2] += 1
-            if ftype != tail_t:
-                continue
-            del open_packets[key]
-            header, source, flits = packet
-            if flits < 3:
-                raise ProtocolError("packet too short: no body flits before TAIL")
-            src = self.net.index(source & 0xF, (source >> 4) & 0xF)
-            self.net.index(header & 0xF, (header >> 4) & 0xF)  # a real router too
-            self._finish(
-                src,
-                (source >> 8) & 0xFF,
-                PacketClass.GT if (header >> 8) & 1 else PacketClass.BE,
-                router,
-                vc,
-                cycle,
+    def _match(self, submits, head_injects, events):
+        """The samples ``events`` complete, and what is left of the
+        three queues: ``(samples, submits, head_injects, open events)``."""
+        net = self.net
+        data_width = net.router.data_width
+        ftype = (events[3] >> data_width) & 3
+        live = ftype != 0
+        if not live.all():  # IDLE words carry nothing
+            events, ftype = events[:, live], ftype[live]
+        cycle, router, vc, word = events
+        n = ftype.size
+
+        # -- reassembly: one stable sort by sink queue ------------------
+        queue = _queue_key(router, vc)
+        order = _stable_order(queue)
+        queue, ftype = queue[order], ftype[order]
+        is_head, is_tail = ftype == _HEAD, ftype == _TAIL
+        # a queue's flit is a HEAD exactly where no packet is open: at
+        # the queue's first event here, and after a TAIL
+        starts_packet = np.ones(n, dtype=bool)
+        starts_packet[1:] = (queue[1:] != queue[:-1]) | is_tail[:-1]
+        broken = np.flatnonzero(is_head != starts_packet)
+        if broken.size:
+            first = broken[np.argmin(order[broken])]
+            at = order[first]
+            # the events before it are sound, and may hold the first offender
+            self._match(submits, head_injects, events[:, :at])
+            if is_head[first]:
+                raise ProtocolError(f"VC {vc[at]}: HEAD while a packet is open")
+            raise ProtocolError(
+                f"VC {vc[at]}: {FlitType(ftype[first]).name} without a HEAD"
             )
+        head_at, tail_at = np.flatnonzero(is_head), np.flatnonzero(is_tail)
+        # finished packets in the order their TAILs left; each one's HEAD
+        # is the last one before its TAIL
+        tail_at = tail_at[np.argsort(order[tail_at])]
+        packet = np.searchsorted(head_at, tail_at) - 1
+        head_at = head_at[packet]
+        flits = tail_at - head_at + 1
+        at_head, at_source, at_tail = order[head_at], order[head_at + 1], order[tail_at]
+        closed = np.zeros(is_head.sum(), dtype=bool)
+        closed[packet] = True
+        still_open = ~closed[np.cumsum(is_head) - 1]
+
+        # -- the packets' fields, off the HEAD and the source-info word --
+        mask = (1 << data_width) - 1
+        header, source = word[at_head] & mask, word[at_source] & mask
+        src_x, src_y = field(source, X_FIELD), field(source, Y_FIELD)
+        dest_x, dest_y = field(header, X_FIELD), field(header, Y_FIELD)
+        src, seq = src_y * net.width + src_x, field(source, SEQ_FIELD)
+        dest = router[at_tail]
+        head_eject, tail_eject = cycle[at_head], cycle[at_tail]
+
+        # -- submits: FIFO per (src, seq) -----------------------------------
+        submit = _fifo_slots(submits[0], src * _SEQS + seq)
+
+        off_src = (src_x >= net.width) | (src_y >= net.height)
+        off_dest = (dest_x >= net.width) | (dest_y >= net.height)
+        wrong = (flits < 3) | off_src | off_dest | (submit < 0)
+        if wrong.any():
+            i = int(np.argmax(wrong))  # first in event order; checks in the sink's order
+            if flits[i] < 3:
+                raise ProtocolError("packet too short: no body flits before TAIL")
+            if off_src[i]:
+                net.index(int(src_x[i]), int(src_y[i]))
+            if off_dest[i]:
+                net.index(int(dest_x[i]), int(dest_y[i]))  # a real router too
+            raise RuntimeError(
+                f"delivered packet with no submit record: {(int(src[i]), int(seq[i]))}"
+            )
+        submit_vc, submit_cycle = submits[1:, submit]
+        left = np.ones(submits.shape[1], dtype=bool)
+        left[submit] = False
+
+        # -- head injections: FIFO per (src, submit vc) ------------------------
+        inject_queue = _queue_key(src, submit_vc)
+        slot = _fifo_slots(head_injects[0], inject_queue)
+        head_inject = np.full(slot.size, -1, dtype=np.int64)
+        head_inject[slot >= 0] = head_injects[1, slot[slot >= 0]]
+        # A head cannot eject before it injected, so a front entry newer
+        # than the head ejection belongs to a *later* packet on this key
+        # (same-key packets can finish out of order across different
+        # sinks).  Leaving it queued keeps the attribution deterministic
+        # whether the logs are matched at end of run or chunk by chunk —
+        # and means the packets behind it see a different front than
+        # their rank says: those queues are replayed entry by entry.
+        claimed = (slot >= 0) & (head_inject <= head_eject)
+        unclaimed = np.ones(head_injects.shape[1], dtype=bool)
+        unclaimed[slot[claimed]] = False
+        for key in np.unique(inject_queue[~claimed]):
+            entries = np.flatnonzero(head_injects[0] == key)
+            front = 0
+            for i in np.flatnonzero(inject_queue == key):
+                head_inject[i] = -1
+                if front < entries.size:
+                    injected = head_injects[1, entries[front]]
+                    if injected <= head_eject[i]:
+                        head_inject[i] = injected
+                        front += 1
+            unclaimed[entries] = np.arange(entries.size) >= front
+
+        samples = np.array(
+            [
+                field(header, GT_FIELD),
+                src,
+                dest,
+                self.topology.hop_table()[src, dest],
+                submit_cycle,
+                head_inject,
+                head_eject,
+                tail_eject,
+            ],
+            dtype=np.int64,
+        )
+        keep = np.zeros(n, dtype=bool)
+        keep[order[still_open]] = True
+        return samples, submits[:, left], head_injects[:, unclaimed], events[:, keep]
 
     @property
     def open_vcs(self) -> List[Tuple[int, int]]:
         """(router, VC) pairs with a partially ejected packet (for
         end-of-run checks)."""
-        return sorted(self._open)
-
-    def _finish(self, src, seq, pclass, router: int, vc: int, tail_cycle: int) -> None:
-        key = (src, seq)
-        submits = self._pending.get(key)
-        if not submits:
-            raise RuntimeError(f"delivered packet with no submit record: {key}")
-        submit_vc, submit_cycle = submits.popleft()
-        head_eject = self._head_eject[(router, vc)]
-        inject_queue = self._head_inject.get((src, submit_vc))
-        # A head cannot eject before it injected, so a front entry newer
-        # than the head ejection belongs to a *later* packet on this key
-        # (same-key packets can finish out of order across different
-        # sinks).  Leaving it queued keeps the attribution deterministic
-        # whether the logs are matched at end of run or chunk by chunk.
-        head_inject = None
-        if inject_queue and inject_queue[0] <= head_eject:
-            head_inject = inject_queue.popleft()
-        self.samples.append(
-            LatencySample(
-                pclass=pclass,
-                src=src,
-                dest=router,
-                hops=self.topology.hops(src, router),
-                submit_cycle=submit_cycle,
-                head_inject_cycle=head_inject,
-                head_eject_cycle=self._head_eject[(router, vc)],
-                tail_eject_cycle=tail_cycle,
-            )
-        )
+        return sorted({(int(router), int(vc)) for router, vc in self._open[1:3].T})
 
     # -- aggregation ----------------------------------------------------------
     def stats(
         self, pclass: Optional[PacketClass] = None, network: bool = False
     ) -> Optional[LatencyStats]:
-        values = []
-        for sample in self.samples:
-            if pclass is not None and sample.pclass is not pclass:
-                continue
-            value = sample.network_latency if network else sample.total_latency
-            if value is not None:
-                values.append(value)
-        return LatencyStats.from_samples(values)
+        columns = self.samples.columns
+        chosen = np.ones(columns.shape[1], dtype=bool)
+        if pclass is not None:
+            chosen &= columns[S_GT] == _CLASSES.index(pclass)
+        since = S_SUBMIT
+        if network:
+            since = S_HEAD_INJECT
+            chosen &= columns[S_HEAD_INJECT] >= 0
+        latency = columns[S_TAIL_EJECT] - columns[since]
+        return LatencyStats.from_samples(latency[chosen])
 
     def delivered(self, pclass: Optional[PacketClass] = None) -> int:
         if pclass is None:
             return len(self.samples)
-        return sum(1 for s in self.samples if s.pclass is pclass)
+        return int((self.samples.columns[S_GT] == _CLASSES.index(pclass)).sum())
 
 
 def gt_guarantee_bound(

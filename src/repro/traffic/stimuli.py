@@ -261,10 +261,10 @@ class Stimuli:
         """``[lo, hi)`` of ``lane``'s packet columns."""
         return (self.lane_ends[lane - 1] if lane else 0), self.lane_ends[lane]
 
-    def submit_columns(self, lo: int, hi: int) -> List[List[int]]:
-        """``src, seq, vc, cycle`` of packet columns ``[lo, hi)`` — what
-        a latency tracker notes of a submit."""
-        return self.packets[[P_SRC, P_SEQ, P_VC, P_CYCLE], lo:hi].tolist()
+    def submit_columns(self, lo: int, hi: int):
+        """Rows ``src, seq, vc, cycle`` of packet columns ``[lo, hi)`` —
+        what a latency tracker notes of a submit."""
+        return self.packets[[P_SRC, P_SEQ, P_VC, P_CYCLE], lo:hi]
 
     def load(self, net: NetworkConfig, encoder: Optional[FlitEncoder]) -> "Stimuli":
         """Segment and flit-encode the packets into the queue-grouped

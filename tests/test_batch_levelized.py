@@ -480,7 +480,7 @@ def driver_state(driver):
         repr(driver.submits),
         {k: list(q) for k, q in driver.queues.items()},
         list(driver.queues),
-        None if tracker is None else {k: list(q) for k, q in tracker._pending.items()},
+        None if tracker is None else tracker.pending(),
         driver.flits_generated,
         None if be is None else (be.rng.state, be.rng.words_read, list(be._seq)),
         None if gt is None else list(gt._seq),
@@ -674,7 +674,9 @@ class TestColumnarStimuli:
     def test_chunked_run_builds_no_packet_record_or_entry(self, monkeypatch, gt_period):
         # BE-only and the Fig. 1 GT + BE set, trackers attached: run,
         # drain and latency collection touch arrays only
+        from repro.noc.network import EjectionRecord, InjectionRecord
         from repro.noc.packet import Packet
+        from repro.stats.latency import LatencySample
         from repro.traffic.stimuli import StimuliEntry, SubmitRecord
 
         def forbidden(self, *args, **kwargs):
@@ -685,7 +687,14 @@ class TestColumnarStimuli:
         for driver in drivers:
             driver.attach_tracker(PacketLatencyTracker(engine.cfg))
         with monkeypatch.context() as patch:
-            for cls in (Packet, SubmitRecord, StimuliEntry):
+            for cls in (
+                Packet,
+                SubmitRecord,
+                StimuliEntry,
+                InjectionRecord,
+                EjectionRecord,
+                LatencySample,
+            ):
                 patch.setattr(cls, "__init__", forbidden)
             run_batched(engine, drivers, 300)
             assert sum(d.backlog() for d in drivers) > 0
@@ -695,7 +704,9 @@ class TestColumnarStimuli:
             for lane, driver in enumerate(drivers):
                 driver.tracker.collect(engine.lane(lane))
                 assert len(driver.tracker.samples) == len(driver.submits) > 100
+                assert driver.tracker.stats().count == driver.tracker.delivered()
         # ... and they are all there the moment a test reads them
+        assert drivers[0].tracker.samples[0].total_latency > 0
         assert drivers[0].submits[0].packet.payload
         assert repr(drivers[0].submits).count("SubmitRecord(") == len(drivers[0].submits)
 

@@ -501,6 +501,25 @@ class TestSourceAudit:
             path for path, text in self._sources() if gone.search(text)
         ]
 
+    def test_analysis_turns_no_column_into_a_list(self):
+        """Events, submits and samples stay integer arrays from the log
+        to the statistics: the tracker, the pipeline stages and the
+        submit hand-over never call ``.tolist()``."""
+        import inspect
+
+        from repro.traffic.stimuli import Stimuli
+
+        columnar = ("stats/latency.py", "pipeline/stages.py")
+        texts = {
+            name: text
+            for name in columnar
+            for path, text in self._sources()
+            if path.endswith(os.path.join(*name.split("/")))
+        }
+        assert sorted(texts) == sorted(columnar)
+        texts["Stimuli.submit_columns"] = inspect.getsource(Stimuli.submit_columns)
+        assert not [name for name, text in texts.items() if "tolist" in text]
+
     #: the Python model's memo layers and fast-path switches
     INTERNALS = (
         r"\b(_eval_sig|_pending|_read_wids|_room_cache|_out_cache"

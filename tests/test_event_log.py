@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engines.batch import BatchEngine, run_batched
-from repro.engines.eventlog import Columns, EventLog
+from repro.engines.eventlog import EventLog, log_window
 from repro.kernels import probe_backends
 from repro.kernels.batchlevel import CompiledBatchLevel
 from repro.noc import NetworkConfig, RouterConfig
@@ -201,14 +201,17 @@ class TestColumns:
     def test_columns_equal_the_record_fields(self):
         log, want = mixed_log()
         for lo, hi in ((0, 30), (3, 17), (5, 5), (29, 30), (0, 0)):
-            columns = log.columns(lo, hi)
-            assert isinstance(columns, Columns) and len(columns) == 4
-            assert list(zip(*columns)) == [
+            block = log.arrays(lo, hi)
+            assert block.dtype == np.int64 and block.shape == (4, hi - lo)
+            assert list(zip(*block.tolist())) == [
                 (r.cycle, r.router, r.vc, r.flit_word) for r in want[lo:hi]
             ]
+            # a plain record list (the Python engines' logs) reads the same
+            assert np.array_equal(log_window(want, lo, hi), block)
         inj = EventLog(InjectionRecord)
         inj.extend_block(np.arange(10, dtype=np.int64).reshape(5, 2), 0, 2)
-        assert inj.columns(0, 2) == ([0, 1], [2, 3], [4, 5], [6, 7], [8, 9])
+        assert inj.arrays(0, 2).tolist() == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+        assert inj.arrays(0, 0).shape == (5, 0)
 
     def test_columns_build_no_record(self, monkeypatch):
         log = EventLog(EjectionRecord)
@@ -221,7 +224,7 @@ class TestColumns:
             "__init__",
             lambda self, *a, **k: (built.append(1), original(self, *a, **k))[1],
         )
-        assert log.columns(0, 103)[0] == list(range(103))
+        assert log.arrays(0, 103)[0].tolist() == list(range(103))
         assert built == []
         assert log[101].cycle == 101 and built == [1]
 
