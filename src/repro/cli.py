@@ -25,9 +25,6 @@ from typing import List, Optional
 
 from repro.noc import NetworkConfig, RouterConfig
 
-#: ``simulate --stream``: cycles per pipeline chunk when ``--chunk`` is not given.
-DEFAULT_CHUNK = 128
-
 
 def _network_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--width", type=int, default=6)
@@ -126,8 +123,10 @@ def _report_kernel(engine, drivers) -> None:
 
 def _report_run(engine, drivers) -> None:
     """One line after the run, for engines with a kernel ladder: whether
-    the generated body took whole chunks or one call per cycle (and
-    why), and the share of router-cycles it had to evaluate."""
+    the generated body took whole windows or one call per cycle (and
+    why), the share of router-cycles it had to evaluate and the
+    simulation period it ran at (section 5.3: windows, their mean
+    length and flits)."""
     if getattr(engine, "kernel", None) is None:
         return
     from repro.engines.batch import chunk_decline
@@ -139,6 +138,13 @@ def _report_run(engine, drivers) -> None:
             engine.kernel_lane_cycles * engine.cfg.n_routers
         )
         line += f"; activity: {100 * share:.0f} % of router-cycles evaluated"
+    windows = getattr(engine, "kernel_windows", 0)
+    if windows:
+        line += (
+            f"; windows: {windows} "
+            f"(mean {engine.kernel_window_cycles / windows:.0f} cycles, "
+            f"{engine.kernel_window_flits / windows:.0f} flits)"
+        )
     print(f"kernel run: {line}")
 
 
@@ -309,6 +315,7 @@ def _simulate_streamed(args, net, engine, lanes: int) -> int:
     simulation through real cyclic buffers."""
     from repro.engines import lane_views
     from repro.pipeline import run_pipeline
+    from repro.pipeline.runner import DEFAULT_CHUNK
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
     n = lanes if args.engine == "batch" else 1
@@ -665,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chunk", type=int, default=None,
-        help=f"cycles per pipeline chunk (--stream only; default {DEFAULT_CHUNK})",
+        help="cycles per pipeline chunk, a ring slot's size (--stream only; "
+        "default: repro.pipeline.runner.DEFAULT_CHUNK)",
     )
     p.set_defaults(fn=cmd_simulate)
 

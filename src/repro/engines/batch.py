@@ -50,7 +50,7 @@ import numpy as np
 from repro.engines.eventlog import EventLog
 from repro.noc.config import NetworkConfig, Port
 from repro.noc.deadlock import packed_policy
-from repro.noc.flit import FlitType
+from repro.noc.flit import X_FIELD, Y_FIELD, FlitType, field
 from repro.noc.network import EjectionRecord, InjectionRecord
 from repro.noc.router import ProtocolError
 from repro.noc.routing import RoutingTable
@@ -286,6 +286,11 @@ class BatchEngine:
         #: fabric windows left out.  The delta metrics stay nominal.
         self.kernel_router_evals = 0
         self.kernel_lane_cycles = 0
+        #: traffic windows it ran, one fused call each, their cycles and
+        #: fresh flits: the simulation period as section 5.3 states it.
+        self.kernel_windows = 0
+        self.kernel_window_cycles = 0
+        self.kernel_window_flits = 0
         self._compiled = None
         #: static level schedule, when the levelized tier carries one.
         self.schedule = None
@@ -661,7 +666,7 @@ class BatchEngine:
         out_port = self._route[pr, data & 0xFF]
         if (out_port < 0).any():
             bad = int(np.argmax(out_port < 0))
-            x, y = int(data[bad] & 0xF), int((data[bad] >> 4) & 0xF)
+            x, y = int(field(data[bad], X_FIELD)), int(field(data[bad], Y_FIELD))
             raise IndexError(f"coordinates ({x}, {y}) out of range")
         in_vc = pq % V
         in_port = pq // V
@@ -810,9 +815,6 @@ class BatchEngine:
         for _ in range(cycles):
             self.step()
 
-
-#: Cycles simulated per fused C call on the chunked levelized path.
-_CHUNK = 64
 
 def chunk_decline(engine, drivers: Sequence) -> Optional[str]:
     """Why ``run_batched`` steps ``drivers`` cycle by cycle — ``None``
@@ -974,17 +976,20 @@ def run_batched(
     except the step advances all lanes at once.
 
     A compiled engine (``jit`` or ``levelized``: one generated body)
-    runs whole :data:`_CHUNK`-cycle windows inside one fused C call
-    whenever :func:`chunk_decline` finds no objection — the Fig. 1
-    GT + BE sweep and the pattern sweeps included: each chunk's traffic
-    is one columnar :class:`~repro.traffic.stimuli.Stimuli` window,
-    staged ahead with timestamps; the pump moves into the kernel, and
-    events come back as column blocks of the lanes' :class:`EventLog`.
+    runs whole traffic windows inside one fused C call each whenever
+    :func:`chunk_decline` finds no objection — the Fig. 1 GT + BE sweep
+    and the pattern sweeps included.  A window is a stimuli buffer's
+    worth of flits (:data:`~repro.traffic.stimuli.FLIT_BUDGET`), not a
+    number of cycles: a hundred-odd cycles of a loaded fabric, the whole
+    of a near-idle run.  Each is one columnar
+    :class:`~repro.traffic.stimuli.Stimuli`, staged ahead with
+    timestamps; the pump moves into the kernel, and events come back as
+    column blocks of the lanes' :class:`EventLog`.
 
     Where every driver carries a Bernoulli-BE/uniform-random stream
     (any per-lane load, zero and ``be=None`` included) with or without
     plain GT streams, and the generated-C tier is available, the
-    per-lane generate calls are replaced by one C scan per chunk or
+    per-lane generate calls are replaced by one C scan per window or
     cycle (:func:`repro.kernels.trafficgen.batched_be_generator`) — a
     pure reordering of independent per-lane work, bit-identical per
     lane.  Other generators (transpose, hotspot, ...) fill the same
@@ -1018,11 +1023,8 @@ def run_batched(
         while engine.cycle < end:
             if skipped():
                 continue
-            start = engine.cycle
-            stop = min(start + _CHUNK, end)
-            compiled.run_chunk(
-                drivers, stop - start, source.generate_window(start, stop)
-            )
+            window = source.generate_window(engine.cycle, end)
+            compiled.run_chunk(drivers, window.stop - window.start, window)
         return
     while engine.cycle < end:
         if skipped():

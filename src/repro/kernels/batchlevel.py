@@ -93,6 +93,7 @@ import numpy as np
 from repro.faults.errors import ConvergenceError
 from repro.kernels import KernelUnavailableError
 from repro.noc.config import Port
+from repro.noc.flit import X_FIELD, Y_FIELD, field
 from repro.noc.router import ProtocolError
 from repro.seqsim.scheduler import ConvergenceWatchdog
 
@@ -1172,6 +1173,10 @@ class CompiledBatchLevel:
         ret = self._call(0, lanes, n_cycles, stall_limit, n_queues)
         completed = int(scratch["counts"][0])
         engine.book_cycles(completed, self.delta_column(completed))
+        engine.kernel_windows += 1
+        engine.kernel_window_cycles += completed
+        if window is not None:
+            engine.kernel_window_flits += window.flits.shape[1]
         # What the drivers' own pump would have left: consumed entries
         # gone, touched stall counters updated.  An arena too small for
         # its lane's staged entries is replaced (all of them are in `e`).
@@ -1206,7 +1211,7 @@ class CompiledBatchLevel:
     def _raise(self, ret, err) -> None:
         if ret == 1:
             data = int(err[1])
-            x, y = data & 0xF, (data >> 4) & 0xF
+            x, y = field(data, X_FIELD), field(data, Y_FIELD)
             raise IndexError(f"coordinates ({x}, {y}) out of range")
         if ret == 2:
             raise ProtocolError(

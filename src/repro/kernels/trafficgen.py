@@ -9,10 +9,13 @@ chunk kernel's stimuli buffers is integer arithmetic on the scan's
 over the columns of :mod:`repro.traffic.stimuli`:
 
 * ``repro_gen_be`` — **generate**.  Every lane's 32-bit Galois LFSR
-  advances through the same 4x256-byte jump tables as
-  :class:`~repro.traffic.rng.HardwareLfsr.next_u32`, against that lane's
-  own threshold (a zero-load or ``be=None`` lane draws no words at all,
-  like ``packets_for_cycle``'s early return).  A Bernoulli hit draws the
+  yields the words of :class:`~repro.traffic.rng.HardwareLfsr.next_u32`
+  — four per dependency step, through the byte tables of one to four
+  register reads (:func:`~repro.traffic.rng.lookahead_tables`) — against
+  that lane's own threshold (a zero-load or ``be=None`` lane draws no
+  words at all, like ``packets_for_cycle``'s early return).  A window
+  ends at the first cycle boundary at which it holds its flit budget
+  (:data:`~repro.traffic.stimuli.FLIT_BUDGET`).  A Bernoulli hit draws the
   uniform-random destination with the same rejection sampling as
   :meth:`~repro.traffic.rng.HardwareLfsr.next_below` — the identical
   number of RNG words in the identical order — and becomes one packet
@@ -48,12 +51,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.traffic.rng import lookahead_tables
 from repro.traffic.stimuli import Stimuli, WindowSource
 
 __all__ = [
     "BatchedBeGenerator",
     "batched_be_generator",
-    "jump_table",
     "stimuli_kernel",
 ]
 
@@ -62,13 +65,13 @@ int64_t repro_gen_be(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
     int64_t probe,
     const int64_t *thresholds, int64_t bound, int64_t span,
-    const int64_t *jump,
+    const uint32_t *jump,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
     const int64_t *be_vcs, int64_t n_be_vcs,
     int64_t n_gt, const int64_t *gt_lane, const int64_t *gt_stream,
     int64_t *gt_seq, int64_t *gt_fire,
-    int64_t *pk, int64_t cap, int64_t *ends);
+    int64_t *pk, int64_t cap, int64_t budget, int64_t *ends);
 int64_t repro_load_flits(
     int64_t m, const int64_t *pk,
     int64_t n_keys, int64_t n_vcs, int64_t width, int64_t dw,
@@ -93,60 +96,73 @@ _SOURCE = """
 enum { P_LANE, P_CYCLE, P_SRC, P_DEST, P_VC, P_SEQ, P_TAG, P_GT, P_NBYTES,
        P_ROWS };
 
-/* One 32-step Galois LFSR jump via the 4x256 byte tables (exactly
- * HardwareLfsr.next_u32: tables are the GF(2) images of each state
- * byte after 32 single shifts, XORed together). */
-static inline uint32_t lfsr_jump(uint32_t s, const int64_t *jump)
+/* Flits of a packet: head, source info, `bpf` payload bytes per flit. */
+static inline int64_t packet_flits(int64_t nbytes, int64_t bpf)
 {
-    return (uint32_t)(jump[s & 0xFF]
-                    ^ jump[256 + ((s >> 8) & 0xFF)]
-                    ^ jump[512 + ((s >> 16) & 0xFF)]
-                    ^ jump[768 + (s >> 24)]);
+    return 2 + (nbytes + bpf - 1) / bpf;
 }
 
-/* Scan the traffic of lanes [0, upto) over cycles [start, stop); every
- * table holds `lanes` lanes.
+/* The k-th next word of LFSR state `s`, `t` row k - 1 of the look-ahead
+ * tables (repro.traffic.rng.lookahead_tables: 4 x 256 byte images of
+ * k register reads, XORed together).  Row 0 is exactly
+ * HardwareLfsr.next_u32.  The scan unrolls the LOOKAHEAD rows by hand. */
+#define LOOKAHEAD 4
+static inline uint32_t lfsr_read(uint32_t s, const uint32_t *t)
+{
+    return t[s & 0xFF] ^ t[256 + ((s >> 8) & 0xFF)]
+         ^ t[512 + ((s >> 16) & 0xFF)] ^ t[768 + (s >> 24)];
+}
+
+/* Scan the traffic of lanes [0, upto) from cycle `start`, to `stop` at
+ * most; every table holds `lanes` lanes.  Returns the cycle the scan
+ * stopped at.
  *
- * Per cycle, per lane, per source: one jump + compare against the
- * lane's threshold (the Bernoulli draw).  A lane whose threshold is
- * negative has no live BE stream and draws no words.  `states` and
- * `tally[l]` (words consumed by lane l) are updated in place.
+ * Per cycle, per lane, per source: one LFSR word compared against the
+ * lane's threshold (the Bernoulli draw).  The words of a lane are a
+ * dependency chain, one table lookup deep per word; the scan instead
+ * reads the next LOOKAHEAD words of one state at once (independent
+ * lookups) and, when none of them is a hit, takes them all.  A block
+ * that holds a hit is walked one word at a time, so the hit, its
+ * destination words and the word count are the serial scan's.  A lane
+ * whose threshold is negative has no live BE stream and draws no words.
+ * `states` and `tally[l]` (words consumed by lane l) are updated in
+ * place.
  *
- * probe == 0 (generate): every packet of the window becomes one column
- * of `pk` (rows of 2 * cap columns; the caller sizes `cap` for the
- * worst case), in cycle-major, lane, GT-before-BE order, and columns
- * [cap, cap + n) then hold the same packets grouped by lane (stable, so
- * each lane keeps its submit order), `ends` their cumulative ends and
- * flit counts per lane (`bpf` payload bytes per flit).  A lane's GT
- * streams
+ * probe == 0 (generate): stop at the first cycle boundary at which the
+ * window holds `budget` flits (`bpf` payload bytes per flit).  Every
+ * packet of the window becomes one column of `pk` (rows of 2 * cap
+ * columns; the caller sizes `cap` for the packets of one flit short of
+ * the budget plus one cycle's worst case), in cycle-major, lane,
+ * GT-before-BE order, and columns [cap, cap + n) then hold the same
+ * packets grouped by lane (stable, so each lane keeps its submit
+ * order), `ends` their cumulative ends and flit counts per lane.  A
+ * lane's GT streams
  * (gt_lane rows: count, period, payload bytes; gt_stream rows: phase,
  * src, dest, vc; `n_gt` columns per lane) fire at the cycles congruent
  * to their phase, in stream order.  On a BE hit the destination is
  * drawn in place with rejection sampling below `span` then reduced
  * modulo `bound` — the same word sequence HardwareLfsr.next_below
  * consumes.  Sequence numbers (be_seq, gt_seq) and the per-source BE-VC
- * toggles advance as TrafficDriver.generate advances them.  Returns the
- * packet count.
+ * toggles advance as TrafficDriver.generate advances them.
  *
  * probe != 0 (idle window; the caller cut it at the next GT firing):
  * stop before the first cycle in which any lane hits.  A cycle's new
  * states are parked in `pk[0..lanes)` and committed only once every
  * lane has passed it, so on return every live lane has consumed exactly
- * n_src words per returned cycle.  Returns the number of hit-free
- * cycles; `tally[lanes]` accumulates every word examined, the discarded
- * cycle's included.
+ * n_src words per completed cycle.  `tally[lanes]` accumulates every
+ * word examined, the discarded cycle's included.
  */
 int64_t repro_gen_be(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
     int64_t probe,
     const int64_t *thresholds, int64_t bound, int64_t span,
-    const int64_t *jump,
+    const uint32_t *jump,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
     const int64_t *be_vcs, int64_t n_be_vcs,
     int64_t n_gt, const int64_t *gt_lane, const int64_t *gt_stream,
     int64_t *gt_seq, int64_t *gt_fire,
-    int64_t *pk, int64_t cap, int64_t *ends)
+    int64_t *pk, int64_t cap, int64_t budget, int64_t *ends)
 {
     const int64_t *gt_count = gt_lane, *gt_period = gt_lane + lanes;
     const int64_t *gt_nbytes = gt_lane + 2 * lanes;
@@ -157,20 +173,19 @@ int64_t repro_gen_be(
     int64_t *gt_next = gt_fire + n_streams; /* per lane: its next firing */
     const int64_t stride = 2 * cap;
     int64_t *lane_ends = ends, *lane_flits = ends + lanes;
-    int64_t n = 0;
+    int64_t n = 0, flits = 0, c;
 #define EMIT(lane, cycle, src, dest, vc, seq, tag, gt, nbytes)              \\
     do {                                                                    \\
-        if (n < cap) {                                                      \\
-            pk[P_LANE * stride + n] = (lane);                                  \\
-            pk[P_CYCLE * stride + n] = (cycle);                                \\
-            pk[P_SRC * stride + n] = (src);                                    \\
-            pk[P_DEST * stride + n] = (dest);                                  \\
-            pk[P_VC * stride + n] = (vc);                                      \\
-            pk[P_SEQ * stride + n] = (seq);                                    \\
-            pk[P_TAG * stride + n] = (tag);                                    \\
-            pk[P_GT * stride + n] = (gt);                                      \\
-            pk[P_NBYTES * stride + n] = (nbytes);                              \\
-        }                                                                   \\
+        pk[P_LANE * stride + n] = (lane);                                   \\
+        pk[P_CYCLE * stride + n] = (cycle);                                 \\
+        pk[P_SRC * stride + n] = (src);                                     \\
+        pk[P_DEST * stride + n] = (dest);                                   \\
+        pk[P_VC * stride + n] = (vc);                                       \\
+        pk[P_SEQ * stride + n] = (seq);                                     \\
+        pk[P_TAG * stride + n] = (tag);                                     \\
+        pk[P_GT * stride + n] = (gt);                                       \\
+        pk[P_NBYTES * stride + n] = (nbytes);                               \\
+        flits += packet_flits((nbytes), bpf);                               \\
         n++;                                                                \\
     } while (0)
 
@@ -190,7 +205,7 @@ int64_t repro_gen_be(
             gt_next[l] = next;
         }
     }
-    for (int64_t c = start; c < stop; c++) {
+    for (c = start; c < stop && flits < budget; c++) {
         int64_t examined = 0;
         for (int64_t l = 0; l < upto; l++) {
             if (!probe && gt_next[l] == c) {
@@ -215,17 +230,30 @@ int64_t repro_gen_be(
             uint32_t s = (uint32_t)states[l];
             int64_t rd = 0;
             for (int64_t src = 0; src < n_src; src++) {
-                s = lfsr_jump(s, jump);
+                if (src + LOOKAHEAD <= n_src) {
+                    const uint32_t w1 = lfsr_read(s, jump);
+                    const uint32_t w2 = lfsr_read(s, jump + 1024);
+                    const uint32_t w3 = lfsr_read(s, jump + 2048);
+                    const uint32_t w4 = lfsr_read(s, jump + 3072);
+                    if ((w1 >= threshold) & (w2 >= threshold)
+                            & (w3 >= threshold) & (w4 >= threshold)) {
+                        s = w4;
+                        rd += LOOKAHEAD;
+                        src += LOOKAHEAD - 1;
+                        continue;
+                    }
+                }
+                s = lfsr_read(s, jump);
                 rd++;
                 if ((int64_t)s >= threshold)
                     continue;
                 if (probe) {
                     tally[lanes] += examined + rd;
-                    return c - start;
+                    return c;
                 }
                 uint32_t d;
                 do {
-                    d = lfsr_jump(s, jump);
+                    d = lfsr_read(s, jump);
                     rd++;
                     s = d;
                 } while ((int64_t)d >= span);
@@ -259,9 +287,7 @@ int64_t repro_gen_be(
     }
 #undef EMIT
     if (probe)
-        return stop - start;
-    if (n > cap)
-        return n;
+        return c;
     /* group by lane: count, then place (lane_flits is the write cursor) */
     int64_t at = 0;
     for (int64_t l = 0; l < lanes; l++)
@@ -283,8 +309,8 @@ int64_t repro_gen_be(
         lane_flits[l] = 0;
     for (int64_t j = 0; j < n; j++)
         lane_flits[pk[P_LANE * stride + j]] +=
-            2 + (pk[P_NBYTES * stride + j] + bpf - 1) / bpf;
-    return n;
+            packet_flits(pk[P_NBYTES * stride + j], bpf);
+    return c;
 }
 
 /* The load step: the flits of `m` packets (`pk`, [P_ROWS, m], grouped
@@ -327,7 +353,7 @@ int64_t repro_load_flits(
             q_vc[qi] = pk[P_VC * m + k];
             q_end[qi] = 0;
         }
-        q_end[qi] += 2 + (pk[P_NBYTES * m + k] + bpf - 1) / bpf;
+        q_end[qi] += packet_flits(pk[P_NBYTES * m + k], bpf);
         packet_queue[k] = qi;
     }
     at = 0;
@@ -480,20 +506,6 @@ void repro_carry(
 }
 """
 
-_jump_cache = None
-
-
-def jump_table():
-    """The 4x256 jump tables flattened for the kernel (1024 words)."""
-    global _jump_cache
-    if _jump_cache is None:
-        from repro.traffic.rng import _JUMP
-
-        _jump_cache = np.array(
-            [word for table in _JUMP for word in table], dtype=np.int64
-        )
-    return _jump_cache
-
 
 def stimuli_kernel():
     """``(lib, ffi)`` of the dlopened stimuli kernel; raises
@@ -573,39 +585,38 @@ class BatchedBeGenerator(WindowSource):
         self._key_queue = np.full(lanes * self._n_keys, -1, dtype=np.int64)
         self._be_vcs = np.array(net.router.be_vcs, dtype=np.int64)
         self._gt_fire = np.zeros(lanes * n_gt + lanes, dtype=np.int64)  # scratch
+        #: scan scratch: ``cap`` packet columns in scan order, then ``cap``
+        #: grouped by lane.  A window is one flit short of its budget at
+        #: the last cycle it enters and a packet is three flits or more.
+        cap = self.budget // 3 + lanes * (self.n_src + n_gt)
+        self._packets = np.zeros((9, 2 * cap), dtype=np.int64)
         at = lambda array: pointer(self._ffi, array)  # noqa: E731
-        #: repro_gen_be's arguments between `probe` and the packet scratch
+        #: repro_gen_be's arguments after `probe`
         self._scan_args = (
-            at(self._thresholds), self.bound, self.span, at(jump_table()),
+            at(self._thresholds), self.bound, self.span,
+            self._ffi.cast("uint32_t *", lookahead_tables().ctypes.data),
             at(self._states), at(self._tally),
             net.router.data_width // 8, at(self._be_nbytes), at(self._be_seq),
             at(self._toggles), at(self._be_vcs), len(self._be_vcs),
             n_gt, at(self._gt_lane), at(self._gt_stream), at(self._gt_seq),
-            at(self._gt_fire),
+            at(self._gt_fire), at(self._packets), cap, self.budget, at(self._ends),
         )
-        self._p_ends, self._p_key_queue = at(self._ends), at(self._key_queue)
-        self._grow_packets(lanes * self.n_src)
-
-    def _grow_packets(self, cap: int) -> None:
-        """Scan scratch: ``cap`` columns in scan order, then ``cap``
-        columns grouped by lane."""
-        self._cap = cap
-        self._packets = np.zeros((9, 2 * cap), dtype=np.int64)
-        self._p_packets = pointer(self._ffi, self._packets)
+        self._p_key_queue = at(self._key_queue)
 
     def _call(self, upto: int, start: int, stop: int, probe: int) -> int:
-        """One C scan of ``[start, stop)`` over the live LFSRs of lanes
-        ``[0, upto)``; the generators' ``state``/``words_read`` are
-        carried in and out."""
+        """One C scan from ``start``, to ``stop`` at most, over the live
+        LFSRs of lanes ``[0, upto)``; the generators' ``state`` /
+        ``words_read`` are carried in and out.  Returns the cycle the
+        scan stopped at."""
         live = self._live
         if upto < len(self.drivers):
             live = [(lane, be) for lane, be in live if lane < upto]
         for lane, be in live:
             self._states[lane] = be.rng.state
         self._tally[:] = 0
-        n = self._lib.repro_gen_be(
+        stopped = self._lib.repro_gen_be(
             len(self.drivers), upto, self.n_src, start, stop, probe,
-            *self._scan_args, self._p_packets, self._cap, self._p_ends,
+            *self._scan_args,
         )
         tally = self._tally.tolist()
         new_states = self._states.tolist()
@@ -613,7 +624,7 @@ class BatchedBeGenerator(WindowSource):
             be.rng.state = new_states[lane]
             be.rng.words_read += tally[lane]
         self.probe_words += tally[-1]
-        return n
+        return stopped
 
     def _state_in(self) -> Tuple:
         """Load the counters a scan advances from the drivers; returns
@@ -641,37 +652,31 @@ class BatchedBeGenerator(WindowSource):
         for lane, gt in self._gts:
             gt._seq[:] = gt_seq[lane, : len(gt._seq)].tolist()
 
-    def _generate(self, upto: int, start: int, stop: int) -> Tuple[Tuple, int]:
-        """Scan ``[start, stop)`` on lanes ``[0, upto)`` in generate
-        mode: the packets land in the scratch columns.  Returns the
-        state the scan started from and the packet count."""
-        cycles = stop - start
-        cap = len(self._live) * self.n_src * cycles + sum(
-            len(gt.streams) * (cycles // gt.period + 1) for _, gt in self._gts
-        )
-        if cap > self._cap:
-            self._grow_packets(cap)
+    def _generate(self, upto: int, start: int, limit: int) -> Tuple[Tuple, int]:
+        """Scan lanes ``[0, upto)`` from ``start`` in generate mode: the
+        packets land in the scratch columns.  Returns the state the scan
+        started from and the cycle it stopped at."""
         snapshot = self._state_in()
-        m = self._call(upto, start, stop, 0)
-        if m:
+        stop = self._call(upto, start, limit, 0)
+        if self._ends[0, -1]:
             self._state_out(self._be_seq, self._toggles, self._gt_seq)
-        return snapshot, m
+        return snapshot, stop
 
-    def _scan(self, start: int, stop: int) -> Stimuli:
-        snapshot, m = self._generate(len(self.drivers), start, stop)
-        cap = self._cap
+    def _scan(self, start: int, limit: int) -> Stimuli:
+        snapshot, stop = self._generate(len(self.drivers), start, limit)
+        cap = self._packets.shape[1] // 2
         lane_ends, lane_flits = self._ends.tolist()
         stimuli = Stimuli(
-            start, stop, self._packets[:, cap : cap + m].copy(), lane_ends,
-            snapshot=snapshot, source=self,
+            start, stop, self._packets[:, cap : cap + lane_ends[-1]].copy(),
+            lane_ends, snapshot=snapshot, source=self,
         )
         stimuli.lane_flits = lane_flits  # the scan counted them already
         return stimuli
 
-    def generate_window(self, start: int, stop: int) -> Stimuli:
-        """Cycles ``[start, stop)`` of every lane as the window the chunk
-        kernel stages: one C scan, one C load."""
-        return self.load_flits(self.scan(start, stop))
+    def generate_window(self, start: int, limit: int) -> Stimuli:
+        """The window from ``start`` (:meth:`scan`: to ``limit`` at most)
+        as the chunk kernel stages it: one C scan, one C load."""
+        return self.load_flits(self.scan(start, limit))
 
     def load_flits(self, stimuli: Stimuli) -> Stimuli:
         """The load step of a scanned window (``Stimuli.load``): its flit

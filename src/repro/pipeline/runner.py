@@ -146,11 +146,7 @@ def run_pipeline(
     prof = profiler if profiler is not None else PipelineProfiler()
     prof.threaded = threaded
 
-    start_cycle = engine.cycle
-    windows = [
-        (lo, min(lo + chunk, start_cycle + cycles))
-        for lo in range(start_cycle, start_cycle + cycles, chunk)
-    ]
+    windows = _windows(generate, prof, engine.cycle, engine.cycle + cycles, chunk)
 
     wall_start = time.perf_counter()
     if threaded:
@@ -177,13 +173,22 @@ def run_pipeline(
     )
 
 
+def _windows(generate, prof, start: int, end: int, chunk: int):
+    """The generate stage over ``[start, end)``: one window per ring
+    slot, ``chunk`` cycles each — fewer where the source's flit budget
+    ends one, and the next slot starts there."""
+    while start < end:
+        with prof.busy("generate"):
+            stimulus = generate.produce(start, min(start + chunk, end))
+        prof.add_items("generate", 1)
+        yield stimulus
+        start = stimulus.stop
+
+
 def _run_serial(
     generate, load, simulate, retrieve, analyze, windows, prof, drain_max
 ) -> None:
-    for lo, hi in windows:
-        with prof.busy("generate"):
-            stimulus = generate.produce(lo, hi)
-        prof.add_items("generate", 1)
+    for stimulus in windows:
         with prof.busy("load"):
             loaded = load.process(stimulus)
         prof.add_items("load", 1)
@@ -215,12 +220,9 @@ def _run_threaded(
     rings = (g2l, l2s, s2r, r2a)
 
     def generate_loop() -> None:
-        for lo, hi in windows:
-            with prof.busy("generate"):
-                stimulus = generate.produce(lo, hi)
-            prof.add_items("generate", 1)
+        for stimulus in windows:
             with prof.wait("generate"):
-                g2l.put(lo, stimulus)
+                g2l.put(stimulus.start, stimulus)
         with prof.wait("generate"):
             g2l.close()
 

@@ -75,8 +75,11 @@ class GenerateStage:
     def __init__(self, engine, drivers: Sequence[TrafficDriver]) -> None:
         self.source = window_source(engine, drivers)
 
-    def produce(self, start: int, stop: int) -> StimulusChunk:
-        return StimulusChunk(start, stop, self.source.scan(start, stop))
+    def produce(self, start: int, limit: int) -> StimulusChunk:
+        """The next window from ``start``: to ``limit``, or to where the
+        source's flit budget ends it."""
+        stimuli = self.source.scan(start, limit)
+        return StimulusChunk(start, stimuli.stop, stimuli)
 
 
 class LoadStage:

@@ -11,6 +11,7 @@ cycle costs two FPGA clock cycles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -44,7 +45,7 @@ class DeltaMetrics:
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
         self._check_floor(deltas)
-        self.per_cycle.extend([deltas] * cycles)
+        self.per_cycle.extend(itertools.repeat(deltas, cycles))
 
     def record_counts(self, deltas: List[int]) -> None:
         """Book one measured delta count per system cycle: the column

@@ -264,6 +264,10 @@ class GtStreamTraffic:
         self._phase = [
             (hash((s.src, s.dest)) % self.period) for s in self.streams
         ]
+        #: emission phase -> the streams firing at it, in stream order
+        self._by_phase: Dict[int, List[int]] = {}
+        for i, phase in enumerate(self._phase):
+            self._by_phase.setdefault(phase, []).append(i)
 
     def snapshot(self) -> List[int]:
         """The generator's mutable state, for :meth:`restore`."""
@@ -302,24 +306,16 @@ class GtStreamTraffic:
 
     def packets_for_cycle(self, cycle: int) -> List[Tuple[Packet, int]]:
         """(packet, reserved VC) pairs emitted this cycle."""
-        at = cycle % self.period
-        return [self.emit(i) for i, phase in enumerate(self._phase) if phase == at]
+        return [self.emit(i) for i in self._by_phase.get(cycle % self.period, ())]
 
     def packets_for_cycles(
         self, start: int, stop: int
     ) -> List[List[Tuple[Packet, int]]]:
         """Chunked streaming form of :meth:`packets_for_cycle`: one
         ``(packet, reserved VC)`` list per cycle in ``[start, stop)``,
-        bit-identical to the per-cycle calls.  Streams are pre-bucketed
-        by emission phase so idle cycles cost one dict probe."""
-        by_phase: Dict[int, List[int]] = {}
-        for i, phase in enumerate(self._phase):
-            by_phase.setdefault(phase, []).append(i)
-        period = self.period
-        return [
-            [self.emit(i) for i in by_phase.get(cycle % period, ())]
-            for cycle in range(start, stop)
-        ]
+        bit-identical to the per-cycle calls.  Streams are bucketed by
+        emission phase, so an idle cycle costs one dict probe."""
+        return [self.packets_for_cycle(cycle) for cycle in range(start, stop)]
 
 
 def reserve_shift_streams(

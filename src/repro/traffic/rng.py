@@ -12,6 +12,10 @@ ablation benchmark compares the real algorithms.
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
+
 #: Maximal-length 32-bit Galois LFSR feedback mask (taps 32, 30, 26, 25 —
 #: polynomial 0xA3000000 reversed for right-shift form).
 GALOIS_MASK = 0xA3000000
@@ -114,6 +118,39 @@ def lfsr_jump(state: int, steps: int, mask: int = GALOIS_MASK, width: int = 32) 
         if steps:
             acc = _compose_map(acc, acc)
     return result
+
+
+#: register reads the C traffic scan looks ahead per dependency step
+#: (``repro_gen_be`` unrolls them by hand).
+LOOKAHEAD = 4
+
+
+@functools.lru_cache(maxsize=None)
+def lookahead_tables():
+    """Byte tables of ``J^1 .. J^LOOKAHEAD``, ``J`` one register read.
+
+    ``[LOOKAHEAD, 4, 256]`` ``uint32``: row ``k - 1`` holds the images
+    of every byte value at every byte position after ``k`` reads, so
+    the ``k``-th next word of a state is four lookups XORed — and the
+    ``LOOKAHEAD`` next words are independent of one another.  Built by
+    composing the GF(2) step map (five squarings for one read, one
+    product per further row), never by stepping; the result is shared
+    and read-only.
+    """
+    read = _single_shift_map(GALOIS_MASK, 32)
+    for _ in range(5):  # 2**5 shifts
+        read = _compose_map(read, read)
+    bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint32)
+    tables = np.empty((LOOKAHEAD, 4, 256), dtype=np.uint32)
+    images = read
+    for row in tables:
+        columns = np.array(images, dtype=np.uint32).reshape(4, 1, 8)
+        row[:] = np.bitwise_xor.reduce(bits * columns, axis=2)  # [value, bit]
+        images = _compose_map(read, images)
+    if tables[0].tolist() != [list(table) for table in _JUMP]:
+        raise AssertionError("composed jump tables differ from the stepped ones")
+    tables.setflags(write=False)
+    return tables
 
 
 class HardwareLfsr:

@@ -36,7 +36,7 @@ import numpy as np
 from repro.engines.eventlog import EventLog
 from repro.noc.config import NetworkConfig
 from repro.noc.flit import FlitType, Header, SourceInfo
-from repro.noc.packet import Packet, PacketClass, segment
+from repro.noc.packet import Packet, PacketClass, flits_per_packet, segment
 from repro.traffic.generators import (
     BernoulliBeTraffic,
     GtStreamTraffic,
@@ -51,6 +51,17 @@ F_WORD, F_CYCLE, F_SEQ = range(3)
 #: rows of a window's queue table (``Stimuli.queues``): ``END`` is the
 #: cumulative end of the queue's run in the flit columns.
 Q_LANE, Q_ROUTER, Q_VC, Q_END = range(4)
+
+
+#: Flits one traffic window holds: a window ends at the first cycle
+#: boundary at which it has this many (or at the caller's limit).  The
+#: paper sizes a simulation period by the depth of the VC stimuli buffers
+#: (section 5.3); here they are the staged columns, and the period that
+#: balances per-window Python (tens of microseconds a lane) against the
+#: columns' cache and RSS footprint was measured at 4k-16k flits on
+#: every bench workload (DESIGN section 10): 128-256 cycles of 16 loaded
+#: lanes, 2k+ cycles of one, the whole of a near-idle run.
+FLIT_BUDGET = 8192
 
 
 class NetworkOverloadError(RuntimeError):
@@ -579,7 +590,8 @@ class WindowSource:
     sequence numbers, BE-VC toggles — never a driver's queues, books or
     tracker, so a pipeline stage may scan ahead of the simulation.  The
     lock orders such a thread against :meth:`rewind`, after which the
-    source is spent: a scan that lost the race generates nothing.
+    source is spent: a scan that lost the race generates nothing (its
+    window is empty).
     """
 
     #: why the traffic is not scanned in C (``None``: it is).
@@ -587,17 +599,24 @@ class WindowSource:
 
     def __init__(self, drivers) -> None:
         self.drivers: List = list(drivers)
+        #: flits after which a window ends (:data:`FLIT_BUDGET`).
+        self.budget = FLIT_BUDGET
         self._lock = threading.Lock()
         self._spent = False
 
-    def scan(self, start: int, stop: int) -> Stimuli:
-        """The packets of cycles ``[start, stop)`` for every lane, each
-        lane's generator state advanced exactly as ``stop - start``
-        ``TrafficDriver.generate`` calls advance it."""
+    def scan(self, start: int, limit: int) -> Stimuli:
+        """The next window from ``start``: every lane's packets of cycles
+        ``[start, window.stop)``, ``window.stop`` the first cycle
+        boundary at which the window holds its flit budget — ``limit``
+        at most, one cycle at least.  Each lane's generator state
+        advances exactly as that many ``TrafficDriver.generate`` calls
+        advance it."""
         with self._lock:
-            if self._spent:
-                stop = start
-            return self._scan(start, stop)
+            if not self._spent:
+                return self._scan(start, limit)
+            window = self._scan(start, start)  # generates nothing
+            window.stop = limit
+            return window
 
     def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
         """Put the generators where the per-cycle reference loop leaves
@@ -619,14 +638,23 @@ class DriverWindows(WindowSource):
         #: the lanes share one fabric, so one (pure) word cache serves all.
         self._encoder = self.drivers[0]._encoder
 
-    def generate_window(self, start: int, stop: int) -> Stimuli:
+    def generate_window(self, start: int, limit: int) -> Stimuli:
         """:meth:`scan` plus the load step: the window the chunk kernel
         stages."""
-        return self.scan(start, stop).load(self.drivers[0].net, self._encoder)
+        return self.scan(start, limit).load(self.drivers[0].net, self._encoder)
 
-    def _scan(self, start: int, stop: int) -> Stimuli:
+    def _scan(self, start: int, limit: int) -> Stimuli:
         snapshot = [driver.snapshot() for driver in self.drivers]
-        packets = [driver.packets(start, stop) for driver in self.drivers]
+        packets: List[List] = [[] for _ in self.drivers]
+        width = self.drivers[0].net.router.data_width
+        flits, stop = 0, start
+        while stop < limit and flits < self.budget:
+            for driver, lane in zip(self.drivers, packets):
+                fresh = driver.packets(stop, stop + 1)
+                for _, packet, _ in fresh:
+                    flits += flits_per_packet(len(packet.payload), width)
+                lane += fresh
+            stop += 1
         return Stimuli.from_packets(start, stop, packets, snapshot, self)
 
     def _rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
@@ -661,6 +689,7 @@ class TrafficDriver:
         #: order; a C-scanned window's are built when read.
         self.submits = EventLog(_submit_record)
         self._be_vc_toggle = [0] * self.net.n_routers
+        self._be_vcs = self.net.router.be_vcs  # the VCs a source alternates over
         self.overloaded = False
         self.flits_generated = 0
         self.tracker = None  # optional PacketLatencyTracker
@@ -690,7 +719,7 @@ class TrafficDriver:
         be_cycles = (
             self.be.packets_for_cycles(start, stop) if self.be is not None else None
         )
-        be_vcs = self.net.router.be_vcs
+        be_vcs = self._be_vcs
         n_vcs = len(be_vcs)
         toggles = self._be_vc_toggle
         out = []

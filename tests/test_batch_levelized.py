@@ -559,8 +559,9 @@ class TestWindowGeneration:
 
 
 def columnar_case(widths, loads, gt_period, data_width, be_bytes, gt_bytes):
-    """Windows of ``widths`` cycles from the C scan ≡ the same cycles of
-    per-cycle ``TrafficDriver.generate``."""
+    """Windows of ``widths`` cycles from the C scan (fewer where the
+    flit budget ends one early) ≡ the same cycles of per-cycle
+    ``TrafficDriver.generate``."""
     cfg = NetworkConfig(
         3, 3, topology="torus", router=RouterConfig(data_width=data_width)
     )
@@ -588,11 +589,15 @@ def columnar_case(widths, loads, gt_period, data_width, be_bytes, gt_bytes):
     assert reason is None, reason
     start = 0
     for width in widths:
-        admit_window(windowed, generator.generate_window(start, start + width))
         for driver in stepped:
             for cycle in range(start, start + width):
                 driver.generate(cycle)
-        start += width
+        stop = start + width
+        while start < stop:
+            window = generator.generate_window(start, stop)
+            assert start < window.stop <= stop
+            admit_window(windowed, window)
+            start = window.stop
         assert generation_state(windowed) == generation_state(stepped)
     return stepped
 
@@ -648,8 +653,9 @@ class TestColumnarStimuli:
     @needs_jit
     def test_backlog_rides_across_chunks_as_columns(self, monkeypatch):
         # load 0.14 beside GT streams on a queue_depth-1 fabric: stimuli
-        # queue up faster than they inject, so every chunk starts from the
-        # previous chunk's unconsumed tail
+        # queue up faster than they inject, so every window (a flit
+        # budget's worth: ~100 cycles here) starts from the previous
+        # window's unconsumed tail
         carried = []
         real = CompiledBatchLevel.run_chunk
 
@@ -666,7 +672,7 @@ class TestColumnarStimuli:
             gt_period=150,
         )
         chunked = run_case("levelized", **kw)
-        assert len(carried) == 6 and min(carried[:5]) > 100
+        assert len(carried) > 2 and min(carried) > 100
         assert chunked == run_case("python", **kw)
 
     @needs_jit
@@ -746,10 +752,13 @@ class TestColumnarFastForward:
         # The probe is one C scan of every lane per attempt: never more
         # than 2 x lanes x n_routers LFSR words per skipped cycle, where
         # the old look-ahead rescanned lane 0 for every other lane's
-        # arrival.  Deterministic: seeds and loads are fixed.
+        # arrival.  On the chunk path it fires once — up to the first
+        # arrival; the rest of this near-idle run is one traffic window,
+        # whose idle gaps the kernel jumps.  Deterministic: seeds and
+        # loads are fixed.
         (generator,) = made
-        skipped = sum(skips)
-        assert skipped > kw["cycles"] // 4
+        (skipped,) = skips
+        assert 200 < skipped < kw["cycles"] // 4 and engine.kernel_windows == 1
         assert 0 < generator.probe_words <= 2 * lanes * engine.cfg.n_routers * skipped
 
     def test_on_equals_off_with_a_gt_stream_present(self, monkeypatch):
@@ -760,9 +769,9 @@ class TestColumnarFastForward:
         assert run_case("levelized", fast_forward=True, **kw) == run_case(
             "python", fast_forward=False, **kw
         )
-        # Two short GT streams, sparse BE: idle windows abound, each found
-        # by the C probe and cut at the next GT firing — within the same
-        # word budget as without GT.
+        # Two short GT streams, sparse BE: the idle window the run opens
+        # on is found by the C probe and cut at the next GT firing —
+        # within the same word budget as without GT.
         cfg = fig1_network()
         streams = fig1_gt_streams(cfg).streams[:2]
         made = capture_generator(monkeypatch)
@@ -783,7 +792,7 @@ class TestColumnarFastForward:
         assert digests["levelized"] == digests["python"]
         generator = made[-1]
         assert generator is not None and len(generator._gts) == 2
-        assert sum(skips) > 1000 and max(skips) < 400
+        assert len(skips) == 1 and 0 < skips[0] < 400
         assert 0 < generator.probe_words <= 2 * 2 * cfg.n_routers * sum(skips)
 
     def test_multi_segment_run_keeps_identity(self):
@@ -882,9 +891,10 @@ class TestOneBodyOwnsFig1:
         )
         engine, chunked = run_fig1_batched("auto", cycles)
         assert engine.kernel == "jit"
-        assert chunks == [True] * -(-cycles // 64)  # every window from the C scan
+        assert len(chunks) > 1 and all(chunks)  # every window from the C scan
+        ran = len(chunks)
         _, stepped = run_fig1_batched("python", cycles)
-        assert chunks == [True] * -(-cycles // 64)
+        assert len(chunks) == ran
         assert chunked == stepped
         streams = fig1_gt_streams(fig1_network()).streams
         for lane, load in enumerate(FIG1_LANE_LOADS):
@@ -927,18 +937,20 @@ class TestOneBodyOwnsFig1:
         assert generator is not None and reason is None
         start = 0
         for width in (1, 7, 64, 64, 7, 1, 150):  # 150: wider than the GT period
-            window = generator.generate_window(start, start + width)
             for cycle in range(start, start + width):
                 admit_window(batched, per_cycle.generate_window(cycle, cycle + 1))
                 for driver in stepped:
                     driver.generate(cycle)
-            ends = [0, *window.queues[3].tolist()]
-            for lo, hi in zip(ends, ends[1:]):  # each queue's run: in release order
-                assert (window.flits[F_CYCLE, lo + 1 : hi] >= window.flits[F_CYCLE, lo : hi - 1]).all()
-            admit_window(windowed, window)
+            stop = start + width
+            while start < stop:  # the flit budget ends a window early
+                window = generator.generate_window(start, stop)
+                ends = [0, *window.queues[3].tolist()]
+                for lo, hi in zip(ends, ends[1:]):  # each queue's run: in release order
+                    assert (window.flits[F_CYCLE, lo + 1 : hi] >= window.flits[F_CYCLE, lo : hi - 1]).all()
+                admit_window(windowed, window)
+                start = window.stop
             assert generation_state(windowed) == generation_state(stepped)
             assert generation_state(batched) == generation_state(stepped)
-            start += width
         gt_packets = sum(sum(d.gt._seq) for d in stepped)
         assert gt_packets >= 2 * 36 * len(stepped)
 
@@ -972,7 +984,7 @@ class TestOneBodyOwnsFig1:
             )[1],
         )
         assert run("auto") == run("python")
-        assert chunks == [True] * 4  # chunked; windows of packet objects
+        assert chunks and all(chunks)  # chunked; windows of packet objects
 
     @needs_jit
     def test_single_cycle_steps_coalesce_into_few_log_parts(self):

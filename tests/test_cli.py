@@ -328,9 +328,14 @@ class TestFarmCli:
         for extra in ([], ["--stream"]):
             line = self.run_line(capsys, self.RUN_ARGS + extra)
             match = re.fullmatch(
-                r"kernel run: chunked; activity: (\d+) % of router-cycles evaluated", line
+                r"kernel run: chunked; activity: (\d+) % of router-cycles evaluated"
+                r"; windows: (\d+) \(mean (\d+) cycles, (\d+) flits\)", line
             )
             assert match and 0 < int(match.group(1)) < 100
+            # the simulation period, as section 5.3 states it: this run
+            # is one window unstreamed, one per 128-cycle ring slot streamed
+            windows, cycles, flits = map(int, match.group(2, 3, 4))
+            assert (windows, cycles) == (1, 80) and 0 < flits < 8192
 
     def test_run_line_says_why_a_run_steps_per_cycle(self, monkeypatch, capsys):
         from repro.kernels import probe_backends
@@ -567,3 +572,37 @@ class TestSourceAudit:
             os.path.join("seqsim", "sequential.py"): 1,
             os.path.join("kernels", "batchlevel.py"): 1,
         }
+
+    def test_the_window_budget_is_stated_once(self):
+        """A traffic window is a stimuli buffer's worth of flits: one
+        constant, read where a window source is built, and no
+        cycle-length chunk constant left on ``run_batched``'s path (the
+        pipeline's ring-slot size is its own, in ``pipeline/runner.py``)."""
+        import re
+
+        named = re.compile(r"\bFLIT_BUDGET\b(?! flits)(?!`)")
+        code = {
+            os.path.relpath(path, self.SRC): [
+                line.strip()
+                for line in text.splitlines()
+                if named.search(line) and not line.lstrip().startswith(("#", ":", "*"))
+            ]
+            for path, text in self._sources()
+        }
+        ((path, (stated, read)),) = [
+            (path, lines) for path, lines in code.items() if lines
+        ]
+        assert path == os.path.join("traffic", "stimuli.py")
+        assert re.fullmatch(r"FLIT_BUDGET = \d+", stated)
+        assert read == "self.budget = FLIT_BUDGET"
+        chunk = re.compile(r"^_?[A-Z_]*(CHUNK|CYCLES)[A-Z_]*\s*=\s*\d", re.M)
+        on_path = ("engines/batch.py", "kernels/trafficgen.py",
+                   "kernels/batchlevel.py", "traffic/stimuli.py")
+        texts = {
+            name: text
+            for name in on_path
+            for path, text in self._sources()
+            if path.endswith(os.path.join(*name.split("/")))
+        }
+        assert sorted(texts) == sorted(on_path)
+        assert not [name for name, text in texts.items() if chunk.search(text)]

@@ -46,7 +46,7 @@ from repro.traffic import (
     TrafficDriver,
     uniform_random,
 )
-from repro.traffic.stimuli import FlitEncoder, NetworkOverloadError
+from repro.traffic.stimuli import FLIT_BUDGET, FlitEncoder, NetworkOverloadError
 from tests.test_batch_levelized import (
     FIG1_LANE_LOADS,
     fig1_driver,
@@ -94,14 +94,17 @@ def assert_engines_equal(a, b):
     assert list(a.ejections) == list(b.ejections)
 
 
-def spy_paths(monkeypatch):
+def spy_paths(monkeypatch, flits=None):
     """Count the two ways a batch engine can advance: whole chunks
-    (``run_chunk``: the chunk lengths) and single ``BatchEngine.step``s."""
+    (``run_chunk``: the chunk lengths; their windows' flit counts go to
+    ``flits``) and single ``BatchEngine.step``s."""
     chunks, steps = [], []
     real_chunk, real_step = CompiledBatchLevel.run_chunk, BatchEngine.step
 
     def run_chunk(self, drivers, k, window=None):
         chunks.append((k, window is not None))
+        if flits is not None:
+            flits.append(window.flits.shape[1])
         return real_chunk(self, drivers, k, window)
 
     def step(self):
@@ -376,7 +379,8 @@ class TestPipelineEquivalence:
         self, fig1_reference, monkeypatch, chunk, threaded
     ):
         cycles, end_cycle, reference = fig1_reference
-        chunks, steps = spy_paths(monkeypatch)
+        flits = []
+        chunks, steps = spy_paths(monkeypatch, flits)
         engine, report, streamed = stream_fig1_set(
             cycles, chunk=chunk, threaded=threaded
         )
@@ -385,10 +389,21 @@ class TestPipelineEquivalence:
         assert report.analyze.submit_counts == [
             lane[3].count("SubmitRecord(") for lane in reference
         ]
-        # path accounting: one run_chunk per pipeline chunk, every window
-        # handed over encoded; BatchEngine.step only drains
-        full, rest = divmod(cycles, chunk)
-        assert chunks == [(chunk, True)] * full + [(rest, True)] * bool(rest)
+        # path accounting: one run_chunk per window, every window handed
+        # over encoded; BatchEngine.step only drains.  A window is a ring
+        # slot of `chunk` cycles, or as much of one as its flit budget
+        # allows (this set stages 100-170 flits a cycle: 40-65 cycles);
+        # the next slot starts where it ended.
+        lengths = [k for k, _ in chunks]
+        assert all(encoded for _, encoded in chunks) and sum(lengths) == cycles
+        assert all(
+            k == chunk or held >= FLIT_BUDGET for k, held in zip(lengths[:-1], flits)
+        )
+        if chunk <= 7:
+            full, rest = divmod(cycles, chunk)
+            assert lengths == [chunk] * full + [rest] * bool(rest)
+        else:
+            assert lengths[0] == 49 and max(lengths) <= min(chunk, 65)
         assert steps == list(range(cycles, end_cycle))
         assert end_cycle - cycles == max(report.done_cycles)
         assert report.flits_loaded == sum(report.analyze.inj_counts)
