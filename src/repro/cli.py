@@ -124,9 +124,10 @@ def _report_kernel(engine, drivers) -> None:
 def _report_run(engine, drivers) -> None:
     """One line after the run, for engines with a kernel ladder: whether
     the generated body took whole windows or one call per cycle (and
-    why), the share of router-cycles it had to evaluate and the
+    why), the share of router-cycles it had to evaluate, the
     simulation period it ran at (section 5.3: windows, their mean
-    length and flits)."""
+    length and flits) and the cycles the drain ran inside the body (a
+    stepped run's drain steps too, for the reason the line opens with)."""
     if getattr(engine, "kernel", None) is None:
         return
     from repro.engines.batch import chunk_decline
@@ -145,6 +146,8 @@ def _report_run(engine, drivers) -> None:
             f"(mean {engine.kernel_window_cycles / windows:.0f} cycles, "
             f"{engine.kernel_window_flits / windows:.0f} flits)"
         )
+    if decline is None:
+        line += f"; drain: {engine.kernel_drain_cycles} cycles in C"
     print(f"kernel run: {line}")
 
 

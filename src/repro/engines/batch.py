@@ -291,6 +291,9 @@ class BatchEngine:
         self.kernel_windows = 0
         self.kernel_window_cycles = 0
         self.kernel_window_flits = 0
+        #: cycles it ran to quiescence in, after the last window (a
+        #: drain is no traffic window and counts in none of the above).
+        self.kernel_drain_cycles = 0
         self._compiled = None
         #: static level schedule, when the levelized tier carries one.
         self.schedule = None
@@ -731,9 +734,11 @@ class BatchEngine:
             off = np.where(off == 0, NQ, off)  # q == alloc_ptr scans last
             order = multi[np.argsort(off, kind="stable")]
             claimed = np.zeros(S.alloc_ptr.shape, dtype=np.int64)
-            offsets, starts = np.unique(np.sort(off), return_index=True)
-            bounds = list(starts) + [order.size]
-            for gi in range(offsets.size):
+            # group boundaries in the sorted offsets (np.unique would
+            # do, at the price of importing numpy.ma on first use)
+            steps = np.flatnonzero(np.diff(np.sort(off))) + 1
+            bounds = [0, *steps.tolist(), order.size]
+            for gi in range(len(bounds) - 1):
                 sel = order[bounds[gi] : bounds[gi + 1]]
                 bb, rr, qq = pb[sel], pr[sel], pq[sel]
                 op = out_port[sel]
@@ -1051,20 +1056,32 @@ def drain_batched(
     until the slowest lane drains (bulk-synchronous lanes cannot park),
     which never creates events — the final lane state equals a solo run
     stepped to the batch's total cycle count.
-    """
-    done = [-1] * len(drivers)
-    for used in range(max_cycles):
-        for i, driver in enumerate(drivers):
-            if done[i] < 0 and driver.backlog() == 0 and engine.state.drained(i):
-                done[i] = used
-        if all(d >= 0 for d in done):
-            return done
-        for driver in drivers:
-            driver.pump()
-        engine.step()
-    from repro.traffic.stimuli import NetworkOverloadError
 
+    Like a traffic window, the drain is one fused C call wherever
+    :func:`chunk_decline` finds no objection (the backlogs staged once,
+    the pump and the done test inside the kernel:
+    :meth:`~repro.kernels.batchlevel.CompiledBatchLevel.drain`); the
+    loop below is the reference, and the path of everything else.
+    """
+    compiled = chunk_kernel(engine, drivers)
+    if compiled is not None:
+        done = compiled.drain(drivers, max_cycles)
+    else:
+        done = [-1] * len(drivers)
+        for used in range(max_cycles):
+            for i, driver in enumerate(drivers):
+                if done[i] < 0 and driver.backlog() == 0 and engine.state.drained(i):
+                    done[i] = used
+            if all(d >= 0 for d in done):
+                break
+            for driver in drivers:
+                driver.pump()
+            engine.step()
     stuck = [i for i, d in enumerate(done) if d < 0]
-    raise NetworkOverloadError(
-        f"lanes {stuck} did not drain within {max_cycles} cycles"
-    )
+    if stuck:
+        from repro.traffic.stimuli import NetworkOverloadError
+
+        raise NetworkOverloadError(
+            f"lanes {stuck} did not drain within {max_cycles} cycles"
+        )
+    return done

@@ -21,9 +21,11 @@ Backend ladder, selected at import/construction time::
     cffi (generated C, compiled on demand)  ->  pure NumPy
 
 The generated-C tier needs only ``cffi`` plus any C compiler
-(``pip install repro[kernels]``), both probed lazily; when either is
-missing every consumer degrades to the bit-identical NumPy sweeps with
-a recorded reason, and the test suite passes either way
+(``pip install repro[kernels]``), both probed lazily — at run time
+``_cffi_backend`` alone: the ``cffi`` package parses declarations only
+where a kernel is first built (:mod:`~repro.kernels.cbackend`).  When
+either is missing every consumer degrades to the bit-identical NumPy
+sweeps with a recorded reason, and the test suite passes either way
 (skip-with-reason for the JIT-only cases).
 ``REPRO_KERNELS=auto|jit|numpy`` overrides the default selection;
 explicit constructor arguments override the environment.

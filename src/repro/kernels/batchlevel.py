@@ -49,7 +49,7 @@ it after the levelizer proved the canonical schedule (:func:`level_tables`
 refuses any other), ``kernel="jit"``/``"auto"``
 (:class:`~repro.kernels.batchstep.CompiledBatchStep`) without one.
 
-Two execution shapes share the one generated function:
+Three execution shapes share the one generated function:
 
 * :meth:`CompiledBatchLevel.step` / :meth:`~CompiledBatchLevel.step_range`
   — a single cycle over all lanes (or a contiguous lane range, the
@@ -69,7 +69,15 @@ Two execution shapes share the one generated function:
   unchanged by a step and are skipped; a fully idle fabric jumps
   straight to the next staged arrival (the wrapper still credits the
   skipped cycles' delta accounting, so metrics and the cycle counter
-  are identical to stepping through them).
+  are identical to stepping through them);
+* :meth:`CompiledBatchLevel.drain` — **run to quiescence**: the same
+  call with no fresh window and one more column, ``done``.  A lane is
+  done at the first cycle at whose top, before the pump, it has no
+  staged entry left, nothing buffered and no valid injection register
+  (``driver.backlog() == 0 and state.drained(lane)``; a latched eject
+  flag holds nothing back); the call returns at the cycle every lane
+  has been.  A drain is no traffic window and is booked as none
+  (``engine.kernel_drain_cycles``).
 
 Bit-identity contract: per lane, every snapshot, injection/ejection
 record (cycle stamps included), stall counter and overload diagnosis
@@ -79,8 +87,10 @@ of the reference path; a mid-chunk error first applies the completed
 cycles' state and events, leaving the engine exactly where the
 per-cycle reference stops.
 
-Compilation rides :func:`repro.kernels.cbackend.load_source`:
-availability-gated, sha256 disk cache keyed on the generated source.
+Compilation and binding ride :func:`repro.kernels.cbackend.load_source`:
+availability-gated, sha256 disk cache keyed on the generated source, the
+signature bound through its pre-parsed module (no declaration is parsed
+in a warm-cache process).
 """
 
 from __future__ import annotations
@@ -115,7 +125,7 @@ int64_t repro_level_chunk(
     int64_t *lane, int64_t *occ, int64_t *work,
     int64_t *ev_sent, int64_t sent_cap, int64_t *ev_ej, int64_t ej_cap,
     int64_t *lane_n, int64_t *counts, int64_t *err,
-    int64_t *wires, int64_t *deltas)
+    int64_t *wires, int64_t *deltas, int64_t *done)
 """
 
 _TEMPLATE = string.Template(
@@ -322,12 +332,13 @@ ${signature}
     int64_t *n_sent = lane_n, *n_ej = lane_n + B;
     /* Per-lane words: flits buffered, injection registers valid, eject
      * flags latched, the cycle's activity, where the lane's event
-     * segments start, and where its share of each work list ends. */
+     * segments start, where its share of each work list ends, and the
+     * staged queues that still hold an entry for the pump. */
     int64_t *buffered = lane, *injc = lane + B, *latched = lane + 2 * B;
     int64_t *act = lane + 3 * B, *sent_at = lane + 4 * B;
     int64_t *ej_at = lane + 5 * B, *pop_end = lane + 6 * B;
     int64_t *push_end = lane + 7 * B, *inj_end = lane + 8 * B;
-    int64_t *loc_end = lane + 9 * B;
+    int64_t *loc_end = lane + 9 * B, *staged = lane + 10 * B;
     /* Behind the occupancy words: per lane, the routers whose eject
      * flag is latched (cleared from this list, not by a sweep). */
     int64_t *ejl = occ + O_WORDS * BR;
@@ -382,7 +393,7 @@ ${signature}
         buffered[b] = buf;
         injc[b] = inj;
         latched[b] = lat;
-        n_sent[b] = n_ej[b] = sent_at[b] = 0;
+        n_sent[b] = n_ej[b] = sent_at[b] = staged[b] = 0;
     }
 #if HBR
     /* A cycle the body does not step — an idle lane's, an idle fabric's
@@ -396,6 +407,7 @@ ${signature}
      * buffered, and either at most once per router per cycle. */
     for (int64_t i = 0; i < NQS; i++) {
         sent_at[q_lane[i]] += q_end[i] - q_head[i];
+        staged[q_lane[i]] += q_head[i] < q_end[i];
         q_due[i] = q_head[i] < q_end[i] ? e_cycle[q_head[i]] : INT64_MAX;
     }
     {
@@ -417,6 +429,22 @@ ${signature}
     for (; t < n_cycles; t++) {
         const int64_t ac = base_cycle + t;
 
+        /* ---- run to quiescence (a drain call hands in `done`, -1 per
+         * lane still open): a lane is done at the first cycle at whose
+         * top it has no staged entry left, nothing buffered and no
+         * valid injection register; return once every lane has been.
+         * A latched eject flag holds nothing back. ---- */
+        if (done) {
+            int64_t open = 0;
+            for (int64_t b = 0; b < B; b++) {
+                if (done[b] < 0 && !(staged[b] | buffered[b] | injc[b]))
+                    done[b] = ac;
+                open += done[b] < 0;
+            }
+            if (!open)
+                break;
+        }
+
         /* ---- stimuli pump: TrafficDriver.pump, staged lane-major ----
          * Offer each queue's head entry once its generation timestamp
          * has arrived; maintain the per-queue stall counters and the
@@ -436,7 +464,12 @@ ${signature}
                 delay[ix] = 0;
                 stalled[b * R + r] = 0;
                 q_head[i] = h + 1;
-                q_due[i] = h + 1 < q_end[i] ? e_cycle[h + 1] : INT64_MAX;
+                if (h + 1 < q_end[i]) {
+                    q_due[i] = e_cycle[h + 1];
+                } else { /* the queue's last entry */
+                    q_due[i] = INT64_MAX;
+                    staged[b] -= 1;
+                }
                 q_stall[i] = 0;
                 occ[O_WORDS * (b * R + r) + O_INJ] |= (int64_t)BIT(v);
                 injc[b] += 1;
@@ -896,8 +929,9 @@ class CompiledBatchLevel:
         spec = cbackend.KernelSpec.from_engine(engine)
         level_tables(schedule, engine.cfg.n_routers)
         source = generate_level_source(spec)
-        self._lib = cbackend.load_source(source, _SIGNATURE.strip() + ";")
-        self._ffi = cbackend._ffi_for(_SIGNATURE.strip() + ";")
+        self._lib, self._ffi = cbackend.load_source(
+            source, _SIGNATURE.strip() + ";"
+        )
 
         def table(arr):
             return np.ascontiguousarray(arr, dtype=np.int64)
@@ -914,18 +948,20 @@ class CompiledBatchLevel:
         }
         B, R, V, NQ = engine.lanes, engine.cfg.n_routers, engine._V, engine._NQ
         scratch = {
-            # call scratch, rows as the kernel unpacks them: ten words
+            # call scratch, rows as the kernel unpacks them: eleven words
             # per lane; four occupancy words per (lane, router) plus the
             # latched-eject list; the cycle's work lists, one lane's busy
             # routers and the HBR pass's status bits and non-stable set
-            "lane": 10 * B,
+            "lane": 11 * B,
             "occ": 5 * B * R,
             "work": (6 * P + 2 * NQ + 4) * B * R + 3 * R + 1,
             # out: events per lane (injections, then ejections); cycles
-            # completed, routers evaluated, lane-cycles stepped
+            # completed, routers evaluated, lane-cycles stepped; of a
+            # drain, the cycle each lane was done at
             "lane_n": 2 * B,
             "counts": 3,
             "err": 6,
+            "done": B,
             # staging: per store slot, the window queue behind it; per
             # lane, keys registered before and entries staged, + total
             "fresh": max(2, R * V),
@@ -1006,9 +1042,10 @@ class CompiledBatchLevel:
         )
 
     # -- execution ----------------------------------------------------------
-    def _call(self, lo, hi, n_cycles, stall_limit, n_queues) -> int:
+    def _call(self, lo, hi, n_cycles, stall_limit, n_queues, done=None) -> int:
         """Run lanes ``[lo, hi)`` for ``n_cycles`` from the engine's
-        current cycle, then log the emitted events and book the activity
+        current cycle — with a ``done`` column, until every lane has
+        drained — then log the emitted events and book the activity
         counters; returns the kernel's error code (0 = the whole window
         completed)."""
         engine = self.engine
@@ -1051,6 +1088,7 @@ class CompiledBatchLevel:
             p["err"],
             wires,
             p["deltas"],
+            self._ffi.NULL if done is None else done,
         )
         n = hi - lo
         sent, ejected = self._scratch["lane_n"][: 2 * n].reshape(2, n).tolist()
@@ -1154,6 +1192,45 @@ class CompiledBatchLevel:
         exception is raised; an overload first rewinds the traffic to
         where the per-cycle reference loop stops.
         """
+        engine = self.engine
+        completed, ret = self._advance(drivers, n_cycles, window)
+        engine.kernel_windows += 1
+        engine.kernel_window_cycles += completed
+        if window is not None:
+            engine.kernel_window_flits += window.flits.shape[1]
+        if ret:
+            self._raise(ret, self._scratch["err"])
+
+    def drain(self, drivers: Sequence, max_cycles: int) -> list:
+        """Run until every lane is drained (the module docstring's
+        ``done`` rule), ``max_cycles`` at most.  Returns per lane the
+        cycles it took, -1 for a lane still open at the bound; the
+        engine stops at the cycle the last lane was done.  Errors as
+        :meth:`run_chunk`.  (The HBR delta plane holds one word per
+        cycle of a call: an engine that counts deltas drains in calls
+        of its capacity.)
+        """
+        engine = self.engine
+        done = self._scratch["done"]
+        done[:] = -1
+        start, left = engine.cycle, max_cycles
+        while left > 0:
+            bound = left
+            if engine.state.wires is not None:
+                bound = min(left, self._buffers["deltas"].shape[1] // engine.lanes)
+            completed, ret = self._advance(drivers, bound, None, self._ptrs["done"])
+            engine.kernel_drain_cycles += completed
+            if ret:
+                self._raise(ret, self._scratch["err"])
+            if completed < bound:  # it returned early: every lane was done
+                break
+            left -= completed
+        return [at - start if at >= 0 else -1 for at in done.tolist()]
+
+    def _advance(self, drivers, n_cycles, window, done=None) -> Tuple[int, int]:
+        """Stage, run and carry over one call of ``n_cycles`` at most;
+        returns the cycles completed and the kernel's error code, with
+        everything up to the error applied."""
         if self._stale():
             self._rebind()
         engine = self.engine
@@ -1170,13 +1247,9 @@ class CompiledBatchLevel:
         self._rows("sent", min(injects, most))
         self._rows("ej", min(injects + int(state.count.sum()), most))
         stall_limit = drivers[0].stall_limit if drivers else 10_000
-        ret = self._call(0, lanes, n_cycles, stall_limit, n_queues)
+        ret = self._call(0, lanes, n_cycles, stall_limit, n_queues, done)
         completed = int(scratch["counts"][0])
         engine.book_cycles(completed, self.delta_column(completed))
-        engine.kernel_windows += 1
-        engine.kernel_window_cycles += completed
-        if window is not None:
-            engine.kernel_window_flits += window.flits.shape[1]
         # What the drivers' own pump would have left: consumed entries
         # gone, touched stall counters updated.  An arena too small for
         # its lane's staged entries is replaced (all of them are in `e`).
@@ -1205,8 +1278,7 @@ class CompiledBatchLevel:
             from repro.traffic.stimuli import settle
 
             settle(drivers, window, marks, overload)
-        if ret:
-            self._raise(ret, scratch["err"])
+        return completed, ret
 
     def _raise(self, ret, err) -> None:
         if ret == 1:

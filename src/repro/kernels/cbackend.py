@@ -9,9 +9,16 @@ traffic scan by :mod:`repro.kernels.trafficgen`, and both come through
 Compilation is on demand and cached on disk: the source is hashed, the
 shared object lands in ``$REPRO_KERNEL_CACHE`` (default
 ``~/.cache/repro-kernels``), and later processes dlopen the cached
-``.so`` without invoking the compiler again.  Everything degrades with
-a reason instead of an exception: no cffi, no C compiler, or a failing
-compile all surface through :func:`availability` /
+``.so`` without invoking the compiler again.  Beside it the cache holds
+the **binding module** of each distinct ``cdef``: cffi's pre-parsed
+form of the declarations (out-of-line ABI mode, a KB or so of Python
+that needs only ``_cffi_backend``), so a warm-cache process never
+imports ``cffi.cparser`` / ``pycparser`` or parses a declaration;
+``import cffi`` survives only in :func:`_emit_binding`.  Both files are
+executed from the cache directory, so they carry the same trust; one
+that fails to load is rebuilt once.  Everything degrades with a reason
+instead of an exception: no cffi, no C compiler, a failing compile or
+an unusable cache directory all surface through :func:`availability` /
 :class:`~repro.kernels.KernelUnavailableError` and the callers fall
 back to the bit-identical NumPy sweeps.
 """
@@ -24,7 +31,7 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.kernels import KernelUnavailableError
 
@@ -81,10 +88,12 @@ def _find_compiler() -> Optional[str]:
 
 
 def availability() -> Optional[str]:
-    """``None`` when the generated-C tier can run, else the reason not."""
+    """``None`` when the generated-C tier can run, else the reason not.
+    Running needs cffi's backend module only; the ``cffi`` package is
+    asked for where a binding has to be generated."""
     try:
-        import cffi  # type: ignore  # noqa: F401
-    except Exception:
+        import _cffi_backend  # type: ignore  # noqa: F401
+    except ImportError:
         return "cffi is not installed"
     if _find_compiler() is None:
         return "no C compiler found (set $CC or install cc/gcc/clang)"
@@ -101,28 +110,60 @@ def cache_dir() -> str:
     return path
 
 
-_FFI_CACHE: Dict[str, object] = {}
+def _atomic(path: str, suffix: str):
+    """An open temporary file beside ``path`` (same directory, so the
+    ``os.replace`` that publishes it is atomic against racers)."""
+    fd, tmp = tempfile.mkstemp(suffix=suffix, dir=os.path.dirname(path))
+    return os.fdopen(fd, "w"), tmp
 
 
-def _ffi_for(cdef: str):
-    ffi = _FFI_CACHE.get(cdef)
-    if ffi is None:
+def _unlink(*paths: str) -> None:
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+
+def _emit_binding(cdef: str, py_path: str) -> None:
+    """Parse ``cdef`` and write its out-of-line binding module to
+    ``py_path`` — the one place that needs the ``cffi`` package (and,
+    through it, ``pycparser``)."""
+    try:
         import cffi  # type: ignore
+    except ImportError:
+        raise KernelUnavailableError(
+            f"the cffi package is needed to generate the kernel binding "
+            f"{py_path} (only its _cffi_backend module is installed)"
+        ) from None
+    ffi = cffi.FFI()
+    ffi.cdef(cdef)
+    ffi.set_source("repro_kernel_binding", None, compiler_verbose=0)
+    stream, tmp = _atomic(py_path, ".py")
+    try:
+        with stream:
+            ffi.emit_python_code(stream)
+        os.replace(tmp, py_path)
+    finally:
+        _unlink(tmp)
 
-        ffi = cffi.FFI()
-        ffi.cdef(cdef)
-        _FFI_CACHE[cdef] = ffi
-    return ffi
+
+def _load_binding(py_path: str):
+    """The ``ffi`` of the binding module at ``py_path`` (executed, like
+    the ``.so`` beside it; nothing is parsed)."""
+    namespace: Dict[str, object] = {}
+    with open(py_path) as stream:
+        exec(compile(stream.read(), py_path, "exec"), namespace)
+    return namespace["ffi"]
 
 
 def _build(source: str, so_path: str, cc: str) -> None:
     """Compile ``source`` into ``so_path`` (atomic against racers)."""
-    directory = os.path.dirname(so_path)
-    fd, c_path = tempfile.mkstemp(suffix=".c", dir=directory)
+    stream, c_path = _atomic(so_path, ".c")
+    tmp_so = c_path[:-2] + ".so"
     try:
-        with os.fdopen(fd, "w") as stream:
+        with stream:
             stream.write(source)
-        tmp_so = c_path[:-2] + ".so"
         cmd = [cc, *CFLAGS, c_path, "-o", tmp_so]
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120
@@ -133,48 +174,62 @@ def _build(source: str, so_path: str, cc: str) -> None:
             )
         os.replace(tmp_so, so_path)
     finally:
-        for path in (c_path, c_path[:-2] + ".so"):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        _unlink(c_path, tmp_so)
 
 
-_LIB_CACHE: Dict[str, object] = {}
+_LIB_CACHE: Dict[str, Tuple[object, object]] = {}
+
+
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\x00".join(parts).encode()).hexdigest()[:24]
+
+
+def _once_more(load, path: str, rebuild, *errors):
+    """``load(path)``; a cache entry that fails with one of ``errors``
+    (stale, truncated, foreign) is rebuilt once and loaded again."""
+    if os.path.exists(path):
+        try:
+            return load(path)
+        except errors:
+            _unlink(path)
+    rebuild(path)
+    return load(path)
 
 
 def load_source(source: str, cdef: str):
-    """Compile, disk-cache and dlopen one generated C translation unit.
+    """Compile, disk-cache and dlopen one generated C translation unit;
+    returns ``(lib, ffi)``.
 
     The shared entry point for every generated kernel (the simulation
-    body, the traffic generator): availability-gated, hashed over compiler +
-    flags + source, atomic against concurrent builders.  Raises
+    body, the traffic generator): availability-gated, the ``.so`` hashed
+    over compiler + flags + source + ``cdef`` and the binding module
+    over the ``cdef``, both atomic against concurrent builders.  Raises
     :class:`~repro.kernels.KernelUnavailableError` when the tier cannot
-    run or the compile fails.
+    run, the compile fails or the cache directory cannot take the files.
     """
     reason = availability()
     if reason is not None:
         raise KernelUnavailableError(reason)
     cc = _find_compiler()
-    key = hashlib.sha256(
-        "\x00".join((cc or "", " ".join(CFLAGS), source, cdef)).encode()
-    ).hexdigest()[:24]
+    key = _digest(cc or "", " ".join(CFLAGS), source, cdef)
     cached = _LIB_CACHE.get(key)
     if cached is not None:
         return cached
-    so_path = os.path.join(cache_dir(), f"repro-kernel-{key}.so")
-    if not os.path.exists(so_path):
-        _build(source, so_path, cc)
-    ffi = _ffi_for(cdef)
     try:
-        lib = ffi.dlopen(so_path)
-    except OSError:
-        # A stale or truncated cache entry: rebuild once.
-        try:
-            os.unlink(so_path)
-        except OSError:
-            pass
-        _build(source, so_path, cc)
-        lib = ffi.dlopen(so_path)
-    _LIB_CACHE[key] = lib
-    return lib
+        directory = cache_dir()
+        ffi = _once_more(
+            _load_binding,
+            os.path.join(directory, f"repro-binding-{_digest(cdef)}.py"),
+            lambda path: _emit_binding(cdef, path),
+            Exception,  # whatever executing a damaged module raises
+        )
+        lib = _once_more(
+            ffi.dlopen,
+            os.path.join(directory, f"repro-kernel-{key}.so"),
+            lambda path: _build(source, path, cc),
+            OSError,
+        )
+    except OSError as exc:
+        raise KernelUnavailableError(f"the kernel cache is unusable: {exc}") from exc
+    _LIB_CACHE[key] = lib, ffi
+    return lib, ffi

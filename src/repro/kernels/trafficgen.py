@@ -512,7 +512,7 @@ def stimuli_kernel():
     :class:`~repro.kernels.KernelUnavailableError` without a C tier."""
     from repro.kernels import cbackend
 
-    return cbackend.load_source(_SOURCE, _CDEF), cbackend._ffi_for(_CDEF)
+    return cbackend.load_source(_SOURCE, _CDEF)
 
 
 def pointer(ffi, array):

@@ -407,7 +407,10 @@ class PacketLatencyTracker:
         claimed = (slot >= 0) & (head_inject <= head_eject)
         unclaimed = np.ones(head_injects.shape[1], dtype=bool)
         unclaimed[slot[claimed]] = False
-        for key in np.unique(inject_queue[~claimed]):
+        # each such key once, ascending (np.unique's order, without the
+        # numpy.ma import its first call costs)
+        keys = np.sort(inject_queue[~claimed])
+        for key in keys[np.flatnonzero(np.diff(keys, prepend=-1))]:
             entries = np.flatnonzero(head_injects[0] == key)
             front = 0
             for i in np.flatnonzero(inject_queue == key):

@@ -845,12 +845,22 @@ class TrafficDriver:
         return self.queues.backlog()
 
     def drain(self, max_cycles: int = 100_000) -> int:
-        """Stop generating, run until everything in flight is delivered."""
-        for used in range(max_cycles):
-            if self.backlog() == 0 and self.engine.drained():
+        """Stop generating, run until everything in flight is delivered
+        (one fused call on an engine :meth:`run` hands windows to)."""
+        from repro.engines import batch
+
+        engine = getattr(self.engine, "engine", self.engine)  # a lane's
+        compiled = batch.chunk_kernel(engine, [self])
+        if compiled is not None:
+            (used,) = compiled.drain([self], max_cycles)
+            if used >= 0:
                 return used
-            self.pump()
-            self.engine.step()
+        else:
+            for used in range(max_cycles):
+                if self.backlog() == 0 and self.engine.drained():
+                    return used
+                self.pump()
+                self.engine.step()
         raise NetworkOverloadError(
             f"network did not drain within {max_cycles} cycles "
             f"({self.backlog()} flits still queued)"

@@ -314,7 +314,7 @@ class TestFarmCli:
 
     def run_line(self, capsys, args):
         assert main(args) == 0
-        lines = capsys.readouterr().out.splitlines()
+        self.lines = lines = capsys.readouterr().out.splitlines()
         (line,) = [line for line in lines if line.startswith("kernel run: ")]
         return line
 
@@ -329,13 +329,17 @@ class TestFarmCli:
             line = self.run_line(capsys, self.RUN_ARGS + extra)
             match = re.fullmatch(
                 r"kernel run: chunked; activity: (\d+) % of router-cycles evaluated"
-                r"; windows: (\d+) \(mean (\d+) cycles, (\d+) flits\)", line
+                r"; windows: (\d+) \(mean (\d+) cycles, (\d+) flits\)"
+                r"; drain: (\d+) cycles in C", line
             )
             assert match and 0 < int(match.group(1)) < 100
             # the simulation period, as section 5.3 states it: this run
             # is one window unstreamed, one per 128-cycle ring slot streamed
             windows, cycles, flits = map(int, match.group(2, 3, 4))
             assert (windows, cycles) == (1, 80) and 0 < flits < 8192
+            # the drain ran inside the body too: the slowest lane's count
+            drained = re.findall(r"drained after (\d+) extra", "\n".join(self.lines))
+            assert int(match.group(5)) == max(map(int, drained)) > 0
 
     def test_run_line_says_why_a_run_steps_per_cycle(self, monkeypatch, capsys):
         from repro.kernels import probe_backends

@@ -390,7 +390,8 @@ class TestPipelineEquivalence:
             lane[3].count("SubmitRecord(") for lane in reference
         ]
         # path accounting: one run_chunk per window, every window handed
-        # over encoded; BatchEngine.step only drains.  A window is a ring
+        # over encoded; the drain is one more call into the body and
+        # BatchEngine.step never runs.  A window is a ring
         # slot of `chunk` cycles, or as much of one as its flit budget
         # allows (this set stages 100-170 flits a cycle: 40-65 cycles);
         # the next slot starts where it ended.
@@ -404,7 +405,7 @@ class TestPipelineEquivalence:
             assert lengths == [chunk] * full + [rest] * bool(rest)
         else:
             assert lengths[0] == 49 and max(lengths) <= min(chunk, 65)
-        assert steps == list(range(cycles, end_cycle))
+        assert steps == [] and engine.kernel_drain_cycles == end_cycle - cycles
         assert end_cycle - cycles == max(report.done_cycles)
         assert report.flits_loaded == sum(report.analyze.inj_counts)
         assert not report.overloaded
@@ -644,7 +645,7 @@ class TestStreamedExperimentSweeps:
         swept = stream_pattern_sweep(PATTERNS, 300, chunk=128)
         # transpose/hotspot: no C scan, yet one run_chunk per chunk
         assert chunks == [(128, True), (128, True), (44, True)]
-        assert len(steps) == max(swept.report.done_cycles)
+        assert steps == [] and max(swept.report.done_cycles) > 0  # drained in C
         chunks.clear()
         assert swept.points == run_patterns_batched(PATTERNS, 300)
         assert chunks and all(window for _, window in chunks)
