@@ -151,6 +151,12 @@ def _report_run(engine, drivers) -> None:
     print(f"kernel run: {line}")
 
 
+def _report_analysis(tracker) -> None:
+    """One line naming the body that matched the packets (phase five)."""
+    body = "C pass" if tracker.kernel == "c" else f"NumPy ({tracker.kernel_reason})"
+    print(f"analysis: {body}")
+
+
 def _available_memory_bytes() -> Optional[int]:
     """Bytes of memory available right now, or None where unknowable."""
     try:
@@ -293,6 +299,7 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
         f"({engine.cycle / elapsed:,.0f} simulated cycles/s)"
     )
     _report_run(engine, [driver])
+    _report_analysis(tracker)
     print(
         f"traffic: {throughput.flits_injected} flits injected, "
         f"accepted load {throughput.accepted_load:.3f} flits/cycle/node"
@@ -347,6 +354,7 @@ def _simulate_streamed(args, net, engine, lanes: int) -> int:
         f"({n * engine.cycle / elapsed:,.0f} lane-cycles/s)"
     )
     _report_run(engine, drivers)
+    _report_analysis(report.trackers[0])
     for i in range(n):
         stats = report.trackers[i].stats()
         line = (

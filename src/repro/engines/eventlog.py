@@ -9,8 +9,9 @@ kept by reference; the few events of a single-cycle step are copied
 into the log's own tail buffer, where adjacent small blocks coalesce
 into one part.  ``len`` and :meth:`EventLog.extend_block` never build a
 record; indexing, slicing, iteration and comparison build exactly the
-records they hand out, and keep none; :meth:`EventLog.arrays` hands a
-window out as one integer block without building any.
+records they hand out, and keep none; :meth:`EventLog.blocks` hands a
+window out part by part as integer blocks without building any, and
+:meth:`EventLog.arrays` joins them into one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, List
 
 import numpy as np
 
-__all__ = ["EventLog", "log_window", "record_block"]
+__all__ = ["EventLog", "log_blocks", "log_window", "record_block"]
 
 #: blocks narrower than this are copied into the tail buffer.
 _SMALL = 64
@@ -51,6 +52,13 @@ def log_window(log, start: int, stop: int):
     plain lists have the slice's records read once."""
     arrays = getattr(log, "arrays", None)
     return arrays(start, stop) if arrays is not None else record_block(log[start:stop])
+
+
+def log_blocks(log, start: int, stop: int):
+    """:func:`log_window` without the join: the window as the blocks of
+    the log's own parts, in order (one block for a plain list)."""
+    blocks = getattr(log, "blocks", None)
+    return blocks(start, stop) if blocks is not None else [record_block(log[start:stop])]
 
 
 class EventLog(Sequence):
@@ -158,21 +166,22 @@ class EventLog(Sequence):
                 out += map(record, *part[:, a:b].tolist())
         return out
 
+    def blocks(self, start: int, stop: int):
+        """Events ``[start, stop)`` part by part, each a ``[fields, n]``
+        int64 block and no record built: a column part is handed out as
+        a view, the records the NumPy sweeps appended are read once."""
+        names = [f.name for f in fields(self._record)]
+        for part, a, b in self._pieces(start, stop):
+            yield record_block(part[a:b], names) if type(part) is list else part[:, a:b]
+
     def arrays(self, start: int, stop: int):
-        """Events ``[start, stop)`` as one ``[fields, n]`` int64 block,
-        no record built: a view where one column part covers the window,
-        else a copy (records the NumPy sweeps appended are read once)."""
-        blocks = [
-            record_block(part[a:b], [f.name for f in fields(self._record)])
-            if type(part) is list
-            else part[:, a:b]
-            for part, a, b in self._pieces(start, stop)
-        ]
+        """Events ``[start, stop)`` as one ``[fields, n]`` int64 block: a
+        view where one column part covers the window, else a copy."""
+        blocks = list(self.blocks(start, stop))
         if len(blocks) == 1:
             return blocks[0]
-        if not blocks:
-            return np.empty((len(fields(self._record)), 0), dtype=np.int64)
-        return np.concatenate(blocks, axis=1)
+        empty = np.empty((len(fields(self._record)), 0), dtype=np.int64)
+        return np.concatenate([empty, *blocks], axis=1)
 
     def __getitem__(self, index):
         n = len(self)

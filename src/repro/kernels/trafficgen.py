@@ -5,8 +5,9 @@ Sweeps and benches drive every lane of a batch engine with its own
 beside a fixed set of :class:`~repro.traffic.generators.GtStreamTraffic`
 streams (the Fig. 1 workload).  Everything between the LFSR and the
 chunk kernel's stimuli buffers is integer arithmetic on the scan's
-``(lane, cycle, src, dest)`` hits, so it runs here, in four C functions
-over the columns of :mod:`repro.traffic.stimuli`:
+``(lane, cycle, src, dest)`` hits, so it runs here, in C functions over
+the columns of :mod:`repro.traffic.stimuli` — and so is the other end of
+the run, matching the packets that came out (``repro_match``):
 
 * ``repro_gen_be`` — **generate**.  Every lane's 32-bit Galois LFSR
   yields the words of :class:`~repro.traffic.rng.HardwareLfsr.next_u32`
@@ -35,6 +36,11 @@ over the columns of :mod:`repro.traffic.stimuli`:
   ``e`` rows, and afterwards write each queue's unconsumed tail and
   stall counter back, in place in the drivers'
   :class:`~repro.traffic.stimuli.StimuliQueues`.
+* ``repro_match`` — **analyze**.  The C body of
+  ``PacketLatencyTracker._match`` (DESIGN section 15): one pass over a
+  window's events, read in place in the engine's logs.  It lives in this
+  translation unit because every compiled engine has it loaded already;
+  :class:`PacketMatch` is its binding, one per tracker.
 
 The kernel is built, cached and loaded through the same pipeline as the
 simulation body (:func:`repro.kernels.cbackend.load_source`), so it
@@ -56,7 +62,9 @@ from repro.traffic.stimuli import Stimuli, WindowSource
 
 __all__ = [
     "BatchedBeGenerator",
+    "PacketMatch",
     "batched_be_generator",
+    "bind_stimuli_kernel",
     "stimuli_kernel",
 ]
 
@@ -86,6 +94,14 @@ void repro_carry(
     int64_t lanes, int64_t n_keys, const int64_t *stores,
     int64_t nqs, const int64_t *q, int64_t q_cap,
     const int64_t *e, int64_t e_cap);
+int64_t repro_match(
+    int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
+    const int64_t *hops, const int64_t *submits, int64_t m,
+    const int64_t *heads, int64_t k, int64_t k_cap,
+    const int64_t *blocks, int64_t n_inj, int64_t n_blocks,
+    int64_t *scratch, int64_t *links, int64_t *samples, int64_t s_cap,
+    int64_t *submits_left, int64_t *heads_left, int64_t *still_open,
+    int64_t o_cap, int64_t *counts);
 """
 
 _SOURCE = """
@@ -504,6 +520,217 @@ void repro_carry(
             stall[s] = q[5 * q_cap + i];
     }
 }
+
+/* Phase five: the packets one window of events completes — the per-flit
+ * loop of a sink (repro.noc.packet.Reassembler) with the latency
+ * tracker's queues beside it (DESIGN section 15 has the contract).
+ * Events come as blocks (`blocks` rows: address, columns a row, events)
+ * of rows cycle, router, vc, flit word, each read in place in the log
+ * it is a column slice of: `n_inj` blocks of injections, then the
+ * ejections so far of the packets still open and the window's.
+ *
+ *   submits [3, m]  src * 256 + seq, submit VC, submit cycle, in submit
+ *                   order: a finished packet pops the oldest of its key;
+ *   heads   [2, k]  router * 256 + vc, cycle of the HEAD injections no
+ *                   packet claimed yet; the window's queue up behind
+ *                   them first.  A packet takes the front one of (src,
+ *                   submit VC) unless that is newer than its own HEAD
+ *                   ejection: it is a later packet's and stays queued.
+ *
+ * Returns the number of samples, rows S_GT .. S_TAIL_EJECT of `samples`
+ * (`s_cap` columns) in the order the TAILs left.  What the queues keep
+ * is left, in order, in `submits_left` (m columns) and `heads_left`
+ * (`k_cap`), the open packets' events, in event order, in
+ * `still_open` — as many as its `o_cap` columns hold; `counts` says how
+ * many of each there are.  A stream no sink accepts ends the pass at its
+ * first offending event: a negative code (a finished packet's checks in
+ * the sink's order) and the event's particulars in `counts`.  DECLINED:
+ * a router, VC or key outside the tables below.
+ *
+ * `scratch` is the calling tracker's alone (no GIL is held): n_routers
+ * * 256 submit-list fronts, all -1 on entry and on return, n_queues
+ * head-list fronts, n_queues reassembly registers; `links` (m + k_cap)
+ * the lists' next pointers.
+ */
+enum { HEAD_WHILE_OPEN = -1, NO_HEAD = -2, TOO_SHORT = -3, OFF_SRC = -4,
+       OFF_DEST = -5, NO_SUBMIT = -6, DECLINED = -7, TAKEN = -2 };
+enum { Q_HEAD_AT, Q_FLITS, Q_HEADER, Q_SOURCE, Q_HEAD_CYCLE, Q_REGS };
+
+/* Pack the entries nobody took to the front of `queue` (`rows` rows of
+ * `cap` columns, `n` in use); returns how many. */
+static int64_t left_over(int64_t *queue, int64_t rows, int64_t cap,
+                         int64_t n, const int64_t *next)
+{
+    int64_t left = 0;
+    for (int64_t j = 0; j < n; j++) {
+        if (next[j] == TAKEN)
+            continue;
+        for (int64_t r = 0; r < rows; r++)
+            queue[r * cap + left] = queue[r * cap + j];
+        left++;
+    }
+    return left;
+}
+
+int64_t repro_match(
+    int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
+    const int64_t *hops, const int64_t *submits, int64_t m,
+    const int64_t *heads, int64_t k, int64_t k_cap,
+    const int64_t *blocks, int64_t n_inj, int64_t n_blocks,
+    int64_t *scratch, int64_t *links, int64_t *samples, int64_t s_cap,
+    int64_t *submits_left, int64_t *heads_left, int64_t *still_open,
+    int64_t o_cap, int64_t *counts)
+{
+    const int64_t n_routers = width * height, n_queues = n_routers * n_vcs;
+    const int64_t n_keys = n_routers * 256, mask = ((int64_t)1 << dw) - 1;
+    int64_t *const submit_front = scratch, *const head_front = scratch + n_keys;
+    int64_t *const regs = head_front + n_queues;
+    int64_t *const submit_next = links, *const head_next = links + m;
+    int64_t n = 0, indexed = m, n_heads = k, base = 0, left = 0, oldest;
+#define EVENTS(b)                                                           \\
+    const int64_t stride = blocks[n_blocks + (b)];                          \\
+    const int64_t count = blocks[2 * n_blocks + (b)];                       \\
+    const int64_t *const e_cycle = (const int64_t *)(intptr_t)blocks[b];    \\
+    const int64_t *const e_router = e_cycle + stride;                       \\
+    const int64_t *const e_vc = e_router + stride, *const e_word = e_vc + stride
+#define FAIL(code, a, b)                                                    \\
+    do { counts[0] = (a); counts[1] = (b); n = (code); goto done; } while (0)
+#define OUTSIDE(router, vc)                                                 \\
+    ((router) < 0 || (router) >= n_routers || (vc) < 0 || (vc) >= n_vcs)
+
+    int64_t *const head_key = heads_left, *const head_cycle = heads_left + k_cap;
+    /* the queues, as lists by key: built back to front, so that every
+     * list runs oldest first */
+    for (int64_t q = 0; q < n_queues; q++)
+        head_front[q] = regs[q * Q_REGS + Q_HEAD_AT] = -1;
+    memcpy(submits_left, submits, (size_t)(3 * m) * sizeof(int64_t));
+    for (int64_t j = m - 1; j >= 0; j--) {
+        const int64_t key = submits[j];
+        if (key < 0 || key >= n_keys || OUTSIDE(0, submits[m + j])) {
+            indexed = j + 1;
+            FAIL(DECLINED, 0, 0);
+        }
+        submit_next[j] = submit_front[key];
+        submit_front[key] = j;
+    }
+    indexed = 0;
+    memcpy(head_key, heads, (size_t)k * sizeof(int64_t));
+    memcpy(head_cycle, heads + k, (size_t)k * sizeof(int64_t));
+    for (int64_t b = 0; b < n_inj; b++) {
+        EVENTS(b);
+        for (int64_t i = 0; i < count; i++) {
+            if (((e_word[i] >> dw) & 3) != 1)
+                continue;
+            if (n_heads == k_cap) /* more HEADs than packets to inject */
+                FAIL(DECLINED, 0, 0);
+            head_key[n_heads] = e_router[i] * 256 + e_vc[i];
+            head_cycle[n_heads++] = e_cycle[i];
+        }
+    }
+    for (int64_t j = n_heads - 1; j >= 0; j--) {
+        const int64_t key = head_key[j];
+        if (OUTSIDE(key >> 8, key & 0xFF))
+            FAIL(DECLINED, 0, 0);
+        int64_t *const front = head_front + (key >> 8) * n_vcs + (key & 0xFF);
+        head_next[j] = *front;
+        *front = j;
+    }
+
+    for (int64_t b = n_inj; b < n_blocks; b++) {
+        EVENTS(b);
+        for (int64_t i = 0; i < count; i++) {
+            const int64_t word = e_word[i], ftype = (word >> dw) & 3;
+            if (!ftype) /* IDLE words carry nothing */
+                continue;
+            const int64_t router = e_router[i], vc = e_vc[i];
+            if (OUTSIDE(router, vc))
+                FAIL(DECLINED, 0, 0);
+            int64_t *const reg = regs + (router * n_vcs + vc) * Q_REGS;
+            if (ftype == 1) {
+                if (reg[Q_HEAD_AT] >= 0)
+                    FAIL(HEAD_WHILE_OPEN, vc, 0);
+                reg[Q_HEAD_AT] = base + i;
+                reg[Q_FLITS] = 1;
+                reg[Q_HEADER] = word & mask;
+                reg[Q_HEAD_CYCLE] = e_cycle[i];
+                continue;
+            }
+            if (reg[Q_HEAD_AT] < 0)
+                FAIL(NO_HEAD, vc, ftype);
+            if (++reg[Q_FLITS] == 2)
+                reg[Q_SOURCE] = word & mask;
+            if (ftype != 3)
+                continue;
+            /* TAIL: the packet is whole.  Both addressing words hold x
+             * and y in their low nibbles (noc.flit), the GT bit and the
+             * sequence number above. */
+            reg[Q_HEAD_AT] = -1;
+            if (reg[Q_FLITS] < 3)
+                FAIL(TOO_SHORT, 0, 0);
+            const int64_t source = reg[Q_SOURCE], header = reg[Q_HEADER];
+            const int64_t src_x = source & 0xF, src_y = (source >> 4) & 0xF;
+            const int64_t dest_x = header & 0xF, dest_y = (header >> 4) & 0xF;
+            if (src_x >= width || src_y >= height)
+                FAIL(OFF_SRC, src_x, src_y);
+            if (dest_x >= width || dest_y >= height)
+                FAIL(OFF_DEST, dest_x, dest_y);
+            const int64_t src = src_y * width + src_x, seq = (source >> 8) & 0xFF;
+            const int64_t submit = submit_front[src * 256 + seq];
+            if (submit < 0)
+                FAIL(NO_SUBMIT, src, seq);
+            submit_front[src * 256 + seq] = submit_next[submit];
+            submit_next[submit] = TAKEN;
+            int64_t *const front = head_front + src * n_vcs + submits[m + submit];
+            const int64_t head = *front;
+            int64_t head_inject = -1;
+            if (head >= 0 && head_cycle[head] <= reg[Q_HEAD_CYCLE]) {
+                head_inject = head_cycle[head];
+                *front = head_next[head];
+                head_next[head] = TAKEN;
+            }
+            const int64_t sample[8] = {
+                (header >> 8) & 1, src, router, hops[src * n_routers + router],
+                submits[2 * m + submit], head_inject, reg[Q_HEAD_CYCLE], e_cycle[i] };
+            for (int64_t r = 0; r < 8; r++)
+                samples[r * s_cap + n] = sample[r];
+            n++;
+        }
+        base += count;
+    }
+
+    counts[0] = left_over(submits_left, 3, m, m, submit_next);
+    counts[1] = left_over(heads_left, 2, k_cap, n_heads, head_next);
+    /* the open packets' events: a queue's, from its open HEAD on */
+    oldest = base;
+    for (int64_t q = 0; q < n_queues; q++) {
+        const int64_t at = regs[q * Q_REGS + Q_HEAD_AT];
+        if (at >= 0 && at < oldest)
+            oldest = at;
+    }
+    base = 0;
+    for (int64_t b = n_inj; b < n_blocks; b++) {
+        EVENTS(b);
+        for (int64_t i = oldest > base ? oldest - base : 0; i < count; i++) {
+            if (!((e_word[i] >> dw) & 3))
+                continue;
+            const int64_t at = regs[(e_router[i] * n_vcs + e_vc[i]) * Q_REGS + Q_HEAD_AT];
+            if (at < 0 || at > base + i)
+                continue;
+            for (int64_t r = 0; r < 4 && left < o_cap; r++)
+                still_open[r * o_cap + left] = e_cycle[r * stride + i];
+            left++;
+        }
+        base += count;
+    }
+    counts[2] = left;
+done:
+#undef EVENTS
+#undef FAIL
+#undef OUTSIDE
+    for (int64_t j = indexed; j < m; j++)
+        submit_front[submits[j]] = -1;
+    return n;
+}
 """
 
 
@@ -515,8 +742,90 @@ def stimuli_kernel():
     return cbackend.load_source(_SOURCE, _CDEF)
 
 
+def bind_stimuli_kernel():
+    """``(kernel, None)`` where the backend ladder selects the generated-C
+    tier, else ``(None, reason)``."""
+    from repro.kernels import KernelUnavailableError, resolve_kernels_mode
+
+    try:
+        if resolve_kernels_mode(None) == "numpy":
+            return None, "REPRO_KERNELS=numpy"
+        return stimuli_kernel(), None
+    except (KernelUnavailableError, ValueError) as exc:
+        return None, f"no generated-C tier ({exc})"
+
+
 def pointer(ffi, array):
     return ffi.cast("int64_t *", array.ctypes.data)
+
+
+#: ``repro_match``'s return for a stream outside the fabric's tables.
+MATCH_DECLINED = -7
+
+
+class PacketMatch:
+    """``repro_match`` for one latency tracker: the fabric's constants
+    and the call's scratch.  The call runs without the GIL, so the
+    scratch is this object's alone — one per tracker, never shared."""
+
+    def __init__(self, kernel, net, hops) -> None:
+        self._lib, self._ffi = kernel
+        n_routers, n_vcs = net.n_routers, net.router.n_vcs
+        #: submit-list fronts (all -1 between calls), head-list fronts,
+        #: reassembly registers (five words a sink queue)
+        self._scratch = np.full(n_routers * (256 + 6 * n_vcs), -1, dtype=np.int64)
+        #: what the three queues keep, or the offending event's particulars
+        self._counts = np.zeros(3, dtype=np.int64)
+        self._hops = hops  # a pointer keeps nothing alive
+        at = lambda array: pointer(self._ffi, array)  # noqa: E731
+        self._fabric = net.width, net.height, n_vcs, net.router.data_width, at(hops)
+        self._tail = at(self._scratch), at(self._counts)
+
+    def __call__(self, submits, head_injects, still_open, injections, ejections, refuse):
+        """One window, its two logs as lists of event blocks: ``(samples,
+        submits, head_injects, open events)``, each a block of its own.
+        Has ``refuse(code, *particulars)`` raise for a stream no sink
+        accepts; ``None`` for one outside the fabric's tables."""
+        # the two queues are small; every event block is read in place
+        submits, head_injects = map(np.ascontiguousarray, (submits, head_injects))
+        blocks = [
+            block
+            if block.dtype == np.int64 and block.strides[1] == 8
+            else np.ascontiguousarray(block, dtype=np.int64)
+            for block in (*injections, still_open, *ejections)
+        ]
+        sizes = [block.shape[1] for block in blocks]
+        table = self._ffi.new(
+            "int64_t[]",
+            [block.ctypes.data for block in blocks]
+            + [block.strides[0] // 8 for block in blocks]
+            + sizes,
+        )
+        m, k, first = submits.shape[1], head_injects.shape[1], len(injections)
+        # a HEAD is injected for a submit, a sample pops one and ends three flits
+        k_cap, s_cap = k + min(sum(sizes[:first]), m), min(sum(sizes[first:]) // 3, m) + 1
+        # the open packets' events seldom outnumber a part of the log
+        o_cap = max(sizes[first:]) + sizes[first]
+        buffer, (scratch, counts) = self._ffi.from_buffer, self._tail
+        while True:
+            out = [
+                np.empty(shape, dtype=np.int64)
+                for shape in ((m + k_cap,), (8, s_cap), (3, m), (2, k_cap), (4, o_cap))
+            ]
+            links, samples, *left = (buffer("int64_t[]", block) for block in out)
+            found = self._lib.repro_match(
+                *self._fabric, buffer("int64_t[]", submits), m,
+                buffer("int64_t[]", head_injects), k, k_cap, table, first, len(blocks),
+                scratch, links, samples, s_cap, *left, o_cap, counts,
+            )
+            used = self._counts.tolist()
+            if found == MATCH_DECLINED:
+                return None
+            if found < 0:
+                refuse(found, *used[:2])
+            if used[2] <= o_cap:
+                return [block[:, :n].copy() for block, n in zip(out[1:], [found] + used)]
+            o_cap = used[2]
 
 
 #: the queue table and flit columns of a window without packets.
@@ -739,7 +1048,6 @@ def batched_be_generator(
     path that holds the 16-bit header and source-info fields, and a
     loadable C tier.
     """
-    from repro.kernels import KernelUnavailableError, resolve_kernels_mode
     from repro.traffic.generators import BernoulliBeTraffic, GtStreamTraffic
     from repro.traffic.stimuli import TrafficDriver
 
@@ -762,9 +1070,7 @@ def batched_be_generator(
         return None, "no lane carries a live BE stream"
     if not 16 <= drivers[0].net.router.data_width <= 56:
         return None, "flit layout outside the C encoder's 16..56-bit data path"
-    try:
-        if resolve_kernels_mode(None) == "numpy":
-            return None, "REPRO_KERNELS=numpy"
-        return BatchedBeGenerator(drivers, stimuli_kernel()), None
-    except (KernelUnavailableError, ValueError) as exc:
-        return None, f"no generated-C tier ({exc})"
+    kernel, reason = bind_stimuli_kernel()
+    if kernel is None:
+        return None, reason
+    return BatchedBeGenerator(drivers, kernel), None

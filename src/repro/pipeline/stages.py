@@ -30,11 +30,14 @@ touches which part of it is the whole design:
   integer block per lane and log.
 * **analyze** — notes the chunk's submits on its own trackers from the
   window's packet columns, then
-  ``PacketLatencyTracker.collect_records`` on the event blocks; the
-  histogram, the per-sink counts and the flit counts read columns and
-  shapes.  Every chunk's submits are noted before its events are
-  matched, so per-key FIFO matching pops the same submit the end-of-run
-  collection would.
+  ``PacketLatencyTracker.collect_records`` on the event blocks — one C
+  pass per (chunk, lane) that runs without the GIL, so this thread
+  overlaps the simulation (``tracker.kernel`` names the body; the NumPy
+  one holds the GIL).  The histogram takes the chunk's new samples only;
+  the per-sink counts and the flit counts read columns and shapes.
+  Every chunk's submits are noted before its events are matched, so
+  per-key FIFO matching pops the same submit the end-of-run collection
+  would.
 
 The equivalence tests compare engine snapshots, full logs, driver state
 and drain counts against ``run_batched`` and the solo reference engine.
@@ -218,7 +221,7 @@ class AnalyzeStage:
                 ejections[1], minlength=self.net.n_routers
             )
             histogram = self.histograms[lane]  # holds every sample seen so far
-            histogram.extend_array(tracker.samples.total_latency()[histogram.total :])
+            histogram.extend_array(tracker.samples.total_latency(histogram.total))
         if chunk.done_cycles is not None:
             self.done_cycles = chunk.done_cycles
 

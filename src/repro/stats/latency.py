@@ -8,6 +8,10 @@ Latency definitions (Figure 1 plots the *total* latency):
   when the network saturates.
 * **network latency** — from the cycle the HEAD flit entered the source
   router to the TAIL ejection.
+
+:class:`PacketLatencyTracker` finds the packets in the engines' event
+logs: one function (``_match``) with a C and a NumPy body, DESIGN
+section 15.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.engines.eventlog import log_window, record_block
+from repro.engines.eventlog import log_blocks, record_block
 from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.flit import (
     GT_FIELD,
@@ -104,9 +108,9 @@ class SampleLog(Sequence):
         """The ``[8, n]`` sample block (a view: read it, do not write)."""
         return self._block[:, : self._used]
 
-    def total_latency(self):
-        """Submit to TAIL ejection, per sample."""
-        columns = self.columns
+    def total_latency(self, start: int = 0):
+        """Submit to TAIL ejection, per sample from ``start`` on."""
+        columns = self.columns[:, start:]
         return columns[S_TAIL_EJECT] - columns[S_SUBMIT]
 
     def extend_block(self, block) -> None:
@@ -184,7 +188,16 @@ def _event_block(events):
     flit_word``, from a log block or from records."""
     if not isinstance(events, np.ndarray):
         events = record_block(events)
+    if len(events) < 4:
+        raise ValueError("an event block has rows cycle, router, vc, flit word")
     return events[:4]
+
+
+_NO_EVENTS = np.empty((4, 0), dtype=np.int64)
+_NO_SAMPLES = [np.empty((8, 0), dtype=np.int64)]
+
+#: what a sink refuses: ``repro_match``'s return codes (``kernels/trafficgen.py``)
+_HEAD_WHILE_OPEN, _NO_HEAD, _TOO_SHORT, _OFF_SRC, _OFF_DEST, _NO_SUBMIT = range(-1, -7, -1)
 
 
 def _stable_order(keys):
@@ -227,7 +240,11 @@ class PacketLatencyTracker:
     State between windows is integer blocks only (DESIGN, "Analysis in
     columns"): the outstanding submits, the HEAD injections no packet
     has claimed, the ejection events of packets still open, and the
-    :class:`SampleLog`.
+    :class:`SampleLog`.  The matching itself (:meth:`_match`) is one
+    function with two bodies, chosen by the kernels backend ladder when
+    the tracker is built, copied or unpickled: :attr:`kernel` is ``"c"``
+    (``repro_match``, one pass over the events in the stimuli kernel) or
+    ``"numpy"`` (whole-array arithmetic; :attr:`kernel_reason` says why).
     """
 
     def __init__(self, net: NetworkConfig) -> None:
@@ -245,6 +262,27 @@ class PacketLatencyTracker:
         self._open = np.empty((4, 0), dtype=np.int64)
         self._ej_seen = 0
         self._inj_seen = 0
+        self._bind()
+
+    def _bind(self) -> None:
+        from repro.kernels.trafficgen import PacketMatch, bind_stimuli_kernel
+
+        kernel, self.kernel_reason = bind_stimuli_kernel()
+        self.kernel = "numpy" if kernel is None else "c"
+        #: the C body with this tracker's call scratch; not state
+        self._c_match = kernel and PacketMatch(
+            kernel, self.net, self.topology.hop_table()
+        )
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for bound in ("kernel", "kernel_reason", "_c_match"):
+            del state[bound]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     def note_submit(self, record: SubmitRecord) -> None:
         packet = record.packet
@@ -271,13 +309,14 @@ class PacketLatencyTracker:
         ]
 
     def collect(self, engine) -> None:
-        """Process new injection/ejection records from the engine."""
+        """Process new injection/ejection records from the engine, read
+        part by part where its logs lie: no copy of a log is made."""
         injections = engine.injections
         ejections = engine.ejections
         n_inj, n_ej = len(injections), len(ejections)
-        self.collect_records(
-            log_window(injections, self._inj_seen, n_inj),
-            log_window(ejections, self._ej_seen, n_ej),
+        self._collect(
+            log_blocks(injections, self._inj_seen, n_inj),
+            log_blocks(ejections, self._ej_seen, n_ej),
         )
         self._inj_seen = n_inj
         self._ej_seen = n_ej
@@ -289,40 +328,71 @@ class PacketLatencyTracker:
         block of a log window (:func:`~repro.engines.eventlog.log_window`)
         or a list of records.
 
-        This is the analysis hot path, so reassembly is whole-array
-        arithmetic on the raw integer words, with the same
-        wormhole-protocol checks (and the same
-        :class:`~repro.noc.packet.ProtocolError` messages, for the first
-        offending event in event order) as
+        This is the analysis hot path, so reassembly works on the raw
+        integer words, with the same wormhole-protocol checks (and the
+        same :class:`~repro.noc.packet.ProtocolError` messages, for the
+        first offending event in event order) as
         :class:`~repro.noc.packet.Reassembler`.  A window that raises
         leaves the tracker as it was.
         """
-        cycle, router, vc, word = _event_block(injections)
-        heads = (word >> self.net.router.data_width) & 3 == _HEAD
-        head_injects = np.concatenate(
-            [
-                self._head_injects,
-                np.array(
-                    [_queue_key(router[heads], vc[heads]), cycle[heads]],
-                    dtype=np.int64,
-                ),
-            ],
-            axis=1,
-        )
-        events = np.concatenate([self._open, _event_block(ejections)], axis=1)
-        samples, submits, head_injects, still_open = self._match(
-            self._pending_block(), head_injects, events
+        self._collect((injections,), (ejections,))
+
+    def _collect(self, injections, ejections) -> None:
+        samples, submits, self._head_injects, self._open = self._match(
+            self._pending_block(),
+            self._head_injects,
+            self._open,
+            list(map(_event_block, injections)),
+            list(map(_event_block, ejections)),
         )
         self.samples.extend_block(samples)
         self._submits = [submits]
-        self._head_injects = head_injects
-        self._open = still_open
 
-    def _match(self, submits, head_injects, events):
-        """The samples ``events`` complete, and what is left of the
-        three queues: ``(samples, submits, head_injects, open events)``."""
+    def _refuse(self, code: int, a=0, b=0):
+        """Raise what a sink raises for the offending event ``code``
+        names; ``a, b`` are its particulars."""
+        if code == _HEAD_WHILE_OPEN:
+            raise ProtocolError(f"VC {a}: HEAD while a packet is open")
+        if code == _NO_HEAD:
+            raise ProtocolError(f"VC {a}: {FlitType(b).name} without a HEAD")
+        if code == _TOO_SHORT:
+            raise ProtocolError("packet too short: no body flits before TAIL")
+        if code in (_OFF_SRC, _OFF_DEST):
+            self.net.index(int(a), int(b))  # IndexError: a real router too
+        raise RuntimeError(
+            f"delivered packet with no submit record: {(int(a), int(b))}"
+        )
+
+    def _match(self, submits, head_injects, still_open, injections, ejections):
+        """One window, its two logs as lists of event blocks: the HEAD
+        ``injections`` join the queue, then the samples that
+        ``still_open ++ ejections`` complete are found.  Returns them
+        and what is left of the three queues — ``(samples, submits,
+        head_injects, open events)``.  Pure: the tracker changes when
+        the caller commits what this returns."""
+        if self._c_match:
+            found = self._c_match(
+                submits, head_injects, still_open, injections, ejections, self._refuse
+            )
+            if found is not None:  # else the NumPy body's to judge
+                return found
+        queued = [head_injects]
+        for cycle, router, vc, word in injections:
+            heads = (word >> self.net.router.data_width) & 3 == _HEAD
+            queued.append([_queue_key(router[heads], vc[heads]), cycle[heads]])
+        state, found = (submits, np.concatenate(queued, axis=1), still_open), []
+        for events in ejections:  # in turn: a window cut anywhere finds the same
+            samples, *state = self._match_numpy(*state, events)
+            found.append(samples)
+        return [np.concatenate(found or _NO_SAMPLES, axis=1), *state]
+
+    def _match_numpy(self, submits, head_injects, still_open, events):
+        """One block of :meth:`_match`'s ejections in whole-array
+        arithmetic — the body of a host without a C compiler, and the
+        reference the C pass is held to."""
         net = self.net
         data_width = net.router.data_width
+        events = np.concatenate([still_open, events], axis=1)
         ftype = (events[3] >> data_width) & 3
         live = ftype != 0
         if not live.all():  # IDLE words carry nothing
@@ -344,11 +414,9 @@ class PacketLatencyTracker:
             first = broken[np.argmin(order[broken])]
             at = order[first]
             # the events before it are sound, and may hold the first offender
-            self._match(submits, head_injects, events[:, :at])
-            if is_head[first]:
-                raise ProtocolError(f"VC {vc[at]}: HEAD while a packet is open")
-            raise ProtocolError(
-                f"VC {vc[at]}: {FlitType(ftype[first]).name} without a HEAD"
+            self._match_numpy(submits, head_injects, events[:, :at], _NO_EVENTS)
+            self._refuse(
+                _HEAD_WHILE_OPEN if is_head[first] else _NO_HEAD, vc[at], ftype[first]
             )
         head_at, tail_at = np.flatnonzero(is_head), np.flatnonzero(is_tail)
         # finished packets in the order their TAILs left; each one's HEAD
@@ -380,14 +448,12 @@ class PacketLatencyTracker:
         if wrong.any():
             i = int(np.argmax(wrong))  # first in event order; checks in the sink's order
             if flits[i] < 3:
-                raise ProtocolError("packet too short: no body flits before TAIL")
+                self._refuse(_TOO_SHORT)
             if off_src[i]:
-                net.index(int(src_x[i]), int(src_y[i]))
+                self._refuse(_OFF_SRC, src_x[i], src_y[i])
             if off_dest[i]:
-                net.index(int(dest_x[i]), int(dest_y[i]))  # a real router too
-            raise RuntimeError(
-                f"delivered packet with no submit record: {(int(src[i]), int(seq[i]))}"
-            )
+                self._refuse(_OFF_DEST, dest_x[i], dest_y[i])
+            self._refuse(_NO_SUBMIT, src[i], seq[i])
         submit_vc, submit_cycle = submits[1:, submit]
         left = np.ones(submits.shape[1], dtype=bool)
         left[submit] = False

@@ -353,6 +353,31 @@ class TestFarmCli:
         # no body ran, so there is no activity factor to print
         assert line == "kernel run: stepping per cycle (the engine has no generated-C body)"
 
+    def test_analysis_line_names_the_body_that_matched(self, monkeypatch, capsys):
+        """Phase five reports its own path on a line of its own, in the
+        runs that build a tracker: plain and streamed (a batch run
+        without ``--stream`` measures no latency)."""
+        from repro.kernels import probe_backends
+
+        tracked = (["simulate", "--width", "3", "--height", "3", "--cycles", "80"],
+                   self.RUN_ARGS + ["--stream"])
+
+        def analysis(args):
+            assert main(args) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [line for line in lines if line.startswith("analysis: ")]
+
+        for args in tracked:
+            (line,) = analysis(args)
+            if probe_backends()["cffi"] == "ok":
+                assert line == "analysis: C pass"
+            else:
+                assert line.startswith("analysis: NumPy (no generated-C tier (")
+        assert analysis(self.RUN_ARGS) == []
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        for args in tracked:
+            assert analysis(args) == ["analysis: NumPy (REPRO_KERNELS=numpy)"]
+
 
 def _documented_invocations():
     """Every ``python -m repro.cli ...`` / ``$ repro ...`` command line

@@ -1,11 +1,16 @@
 """The columnar latency tracker against a per-flit oracle.
 
-``PacketLatencyTracker`` matches packets with whole-array arithmetic;
-the loop it replaced lives on here, written on
-:class:`repro.noc.packet.Reassembler`.  Whatever the logs — engine
-records, engine column blocks, hand-made streams — and however they are
-cut into windows, the tracker's sample block equals the oracle's list,
-and a broken stream raises the oracle's exception for the oracle's event.
+``PacketLatencyTracker`` matches packets on integer blocks; the loop it
+replaced lives on here, written on :class:`repro.noc.packet.Reassembler`.
+Whatever the logs — engine records, engine column blocks, hand-made
+streams — and however they are cut into windows, the tracker's sample
+block equals the oracle's list, and a broken stream raises the oracle's
+exception for the oracle's event.
+
+The tracker's matching has two bodies (DESIGN section 15).  This module
+holds the one the backend ladder selects by default — the C pass where
+there is a compiler; ``test_latency_columns_numpy`` runs the same tests,
+imported, not copied, with ``REPRO_KERNELS=numpy``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,20 @@ from repro.noc.network import EjectionRecord, InjectionRecord
 from repro.noc.packet import ProtocolError, Reassembler, segment
 from repro.noc.topology import Topology
 from repro.stats import PacketLatencyTracker
-from tests.test_batch_levelized import lane_driver, needs_jit, torus
+from tests.test_batch_levelized import JIT_REASON, lane_driver, needs_jit, torus
+
+#: the ``_match`` body under test; the module that imports this battery
+#: for the other body overrides it.
+BODY = "c"
+
+
+@pytest.fixture(autouse=True)
+def body(request, monkeypatch):
+    """Every tracker a test builds binds the module's ``BODY`` (the
+    NumPy one anyway where no C tier can run)."""
+    want = request.module.BODY
+    monkeypatch.setenv("REPRO_KERNELS", "numpy" if want == "numpy" else "auto")
+    return "numpy" if JIT_REASON != "ok" else want
 
 
 class Oracle:
@@ -186,10 +204,13 @@ def cycle_engine_run() -> Scenario:
 
 @lru_cache(maxsize=None)
 def compiled_run() -> Scenario:
-    """The Fig. 1 set near saturation on the generated body."""
-    engine = BatchEngine(fig1_network(), lanes=1)
-    view = engine.lane(0)
-    scenario = engine_scenario(engine, view, lane_driver(view, 0.14, 11, 400), 1500)
+    """The Fig. 1 set near saturation on the generated body (whatever
+    body the tracker under test is on)."""
+    with pytest.MonkeyPatch.context() as env:
+        env.delenv("REPRO_KERNELS", raising=False)
+        engine = BatchEngine(fig1_network(), lanes=1)
+        view = engine.lane(0)
+        scenario = engine_scenario(engine, view, lane_driver(view, 0.14, 11, 400), 1500)
     assert len(scenario.want) > 1000
     return scenario
 
@@ -198,9 +219,10 @@ SCENARIOS = [wrapping_stream, cycle_engine_run, pytest.param(compiled_run, marks
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_one_window_equals_the_oracle(scenario):
+def test_one_window_equals_the_oracle(scenario, body):
     scenario = scenario()
     tracker = scenario.run(())
+    assert tracker.kernel == body and (tracker.kernel_reason is None) == (body == "c")
     assert tracker.samples.columns.T.tolist() == scenario.want
     assert tracker.pending() == [] and tracker.open_vcs == []
     # the rule bit somewhere: a packet went without its head-inject cycle
@@ -291,9 +313,11 @@ def broken_streams():
     yield "an orphan body, then no submit", good + unknown[:3] + [orphan] + unknown[3:]
     yield "orphan at the very first event", [orphan] + good
     yield "idle words are skipped", [eject(0, 4, 1, FlitType.IDLE)] + good + [orphan]
+    # a sink counts the flits before it reads the addresses
+    yield "too short and off the fabric", packet_at(0, 4, 1, src=(9, 9), dest=(1, 7), flits=2)
 
 
-@pytest.mark.parametrize("name,stream", broken_streams())
+@pytest.mark.parametrize("name,stream", list(broken_streams()))
 @pytest.mark.parametrize("split", [None, 1, 3])
 def test_a_broken_stream_raises_what_the_oracle_raises(name, stream, split):
     stream = sorted(stream, key=lambda event: event.cycle)

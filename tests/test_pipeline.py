@@ -650,6 +650,61 @@ class TestStreamedExperimentSweeps:
         assert swept.points == run_patterns_batched(PATTERNS, 300)
         assert chunks and all(window for _, window in chunks)
 
+    #: the Fig. 1 sweep at 1/20 size, unstreamed and streamed (serial,
+    #: threaded): which body matched the packets, and the points.
+    ANALYSIS_PROBE = """
+import dataclasses, json
+from repro.experiments.common import run_fig1_workloads_batched
+from repro.kernels.trafficgen import PacketMatch
+from repro.pipeline import stream_fig1_sweep
+from repro.stats import PacketLatencyTracker
+
+calls = {"c": 0, "numpy": 0}
+
+def count(owner, name, body):
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls[body] += 1
+        return real(*args, **kwargs)
+
+    setattr(owner, name, spy)
+
+count(PacketMatch, "__call__", "c")
+count(PacketLatencyTracker, "_match_numpy", "numpy")
+loads, sized = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14), dict(seed=7, warmup=65)
+runs = [run_fig1_workloads_batched(loads, 100, **sized)] + [
+    stream_fig1_sweep(loads, 100, threaded=threaded, **sized).points
+    for threaded in (False, True)
+]
+print(json.dumps([calls, [[dataclasses.astuple(p) for p in run] for run in runs]]))
+"""
+
+    @needs_jit
+    def test_fig1_analysis_path_accounting(self):
+        """With the kernel bound phase five never enters the NumPy body;
+        under REPRO_KERNELS=numpy it never calls C; same points."""
+        import json
+        import os
+        import subprocess
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+        def probe(kernels):
+            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), REPRO_KERNELS=kernels)
+            done = subprocess.run(
+                [sys.executable, "-c", self.ANALYSIS_PROBE],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout)
+
+        (bound, points), (degraded, same_points) = probe("auto"), probe("numpy")
+        # 8 lanes: one pass a lane unstreamed, one a (chunk, lane) streamed
+        assert bound["numpy"] == 0 and bound["c"] > 3 * 8
+        assert degraded["c"] == 0 and degraded["numpy"] >= bound["c"]
+        assert points == same_points and points[0] == points[1] == points[2]
+
 
 class TestOverlapCrosscheck:
     def _controller_report(self):
