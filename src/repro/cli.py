@@ -173,14 +173,12 @@ def _ignored_flag(args, engine_name: str) -> Optional[str]:
     """The first ``simulate`` flag the chosen path would ignore, as the
     error line naming what it needs — or None when every given flag is
     read.  (A flag counts as given when it differs from its default;
-    ``--transport`` / ``--chunk`` default to None to tell the two apart.)"""
+    ``--scheduler`` / ``--chunk`` default to None to tell the two apart.)"""
     partitioned = engine_name == "partitioned"
     batch = engine_name == "batch"
     table = (
         # flag, given?, the path that reads it, is that the chosen path?
         ("--lanes", args.lanes > 1, "--engine batch", batch),
-        ("--transport", args.transport is not None, "--partitions K", partitioned),
-        ("--link-latency", args.link_latency != 0, "--partitions K", partitioned),
         (
             "--scheduler",
             args.scheduler is not None,
@@ -238,15 +236,12 @@ def _cmd_simulate(args) -> int:
             print(
                 f"packed state for {lanes} lane(s) of a "
                 f"{net.width}x{net.height} network needs ~{need:,} bytes "
-                f"but only ~{have:,} are available; reduce --lanes or "
-                "shard the network with --partitions",
+                f"but only ~{have:,} are available; reduce --lanes",
                 file=sys.stderr,
             )
             return 2
     if engine_name == "partitioned":
         kwargs["partitions"] = partitions if partitions > 1 else 2
-        kwargs["transport"] = args.transport or "local"
-        kwargs["link_latency"] = args.link_latency
     kernel = args.kernel
     if kernel != "auto":
         kwargs["kernel"] = kernel
@@ -262,12 +257,7 @@ def _cmd_simulate(args) -> int:
         else:
             print(f"--kernel {kernel}: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _drive_simulate(args, net, engine, lanes, engine_name)
-    finally:
-        close = getattr(engine, "close", None)
-        if callable(close):
-            close()
+    return _drive_simulate(args, net, engine, lanes, engine_name)
 
 
 def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
@@ -639,18 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--partitions", type=int, default=0,
-        help="shard ONE simulation across K tile workers joined by a "
-        "boundary switch (implies --engine partitioned)",
-    )
-    p.add_argument(
-        "--transport", choices=["local", "process"], default=None,
-        help="partitioned engine: run tiles in-process (the default; "
-        "deterministic reference) or one OS process each",
-    )
-    p.add_argument(
-        "--link-latency", type=int, default=0,
-        help="partitioned engine: model L-cycle inter-tile channels "
-        "(0 = exact, bit-identical to monolithic)",
+        help="split ONE simulation into K tiles, the lockstep "
+        "multi-FPGA model (implies --engine partitioned)",
     )
     p.add_argument(
         "--scheduler", choices=["worklist", "roundrobin"], default=None,

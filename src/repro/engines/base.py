@@ -81,8 +81,8 @@ def _registry() -> Dict[str, EngineInfo]:
         ),
         "partitioned": EngineInfo(
             "partitioned",
-            "one NoC sharded across tile workers behind a boundary switch",
-            "multi-FPGA partitioning (one fabric per tile, switched links)",
+            "one NoC split into tiles, stepped in lockstep on one link memory",
+            "multi-FPGA partitioning (one FPGA per tile, section 6)",
             PartitionedEngine,
         ),
     }

@@ -14,7 +14,7 @@ degradation ladder (processes -> inline -> cache-only).
 Modules: :mod:`~repro.farm.jobs` (specs + executors),
 :mod:`~repro.farm.queue` (retry/backoff bookkeeping),
 :mod:`~repro.farm.process` (the one worker-process primitive: spawn,
-liveness, kill escalation, exit sweep — partition tiles use it too),
+liveness, kill escalation, exit sweep),
 :mod:`~repro.farm.worker` (worker-process loop + heartbeat),
 :mod:`~repro.farm.supervisor` (deploy/monitor/recover),
 :mod:`~repro.farm.cache` (atomic on-disk results),

@@ -1,9 +1,9 @@
 """The one worker-process primitive.
 
-Every OS process this codebase starts — farm workers and partition
-tiles alike — is a :class:`WorkerProcess`: a fork-context daemon with a
-recognisable name, one private duplex pipe to its owner, and optionally
-a shared heartbeat stamp.  Spawning, liveness, the ``stop -> SIGTERM ->
+Every OS process this codebase starts — the farm's workers — is a
+:class:`WorkerProcess`: a fork-context daemon with a recognisable name,
+one private duplex pipe to its owner, and optionally a shared heartbeat
+stamp.  Spawning, liveness, the ``stop -> SIGTERM ->
 grace -> SIGKILL`` escalation and the exit-time sweep of forgotten
 workers live here and nowhere else; owners only decide *what* runs in
 the child and *when* to give up on it.

@@ -53,57 +53,6 @@ def _wire_name(kind: str, router: int, port: Port) -> str:
     return f"{kind}:{router}.{int(port)}"
 
 
-@dataclass(frozen=True)
-class BoundaryPort:
-    """One tile-side port whose neighbour lives in another tile.
-
-    Named from the tile's perspective: ``router`` is inside the tile,
-    ``neighbor`` outside.  The wires the tile *drives* across this port
-    are ``fwd:{router}.{port}`` (the outgoing link word) and
-    ``room:{router}.{port}`` (the credit for the tile's input queue at
-    ``port``); the wires it *samples* are the mirror pair owned by the
-    neighbour (see :meth:`PartitionBoundary.export_wire_names`).
-    """
-
-    router: int
-    port: Port
-    neighbor: int
-    neighbor_port: Port
-
-
-@dataclass(frozen=True)
-class PartitionBoundary:
-    """Boundary-port manifest of one extracted tile.
-
-    ``ports`` lists every (router, port) pair of the tile whose link
-    crosses the tile boundary — torus wrap-around links included.  Each
-    physical boundary channel therefore appears in exactly two tiles'
-    manifests, once per side; the partition switch pairs them up by wire
-    name.
-    """
-
-    tile: Tuple[int, ...]
-    ports: Tuple[BoundaryPort, ...]
-
-    def export_wire_names(self) -> List[str]:
-        """Link-memory wire names this tile drives and foreign tiles read
-        (sequential-simulator naming: ``fwd:{writer}.{port}`` /
-        ``room:{writer}.{input_port}``)."""
-        return [
-            _wire_name(kind, bp.router, bp.port)
-            for bp in self.ports
-            for kind in ("fwd", "room")
-        ]
-
-    def import_wire_names(self) -> List[str]:
-        """Wire names this tile samples but a foreign tile drives."""
-        return [
-            _wire_name(kind, bp.neighbor, bp.neighbor_port)
-            for bp in self.ports
-            for kind in ("fwd", "room")
-        ]
-
-
 class Topology:
     """Neighbour relation and wire list for a :class:`NetworkConfig`."""
 
@@ -253,43 +202,6 @@ class Topology:
             edges.append((("room", dst), ("fwd", src)))
             edges.append((("fwd", src), ("state", dst)))
         return nodes, edges
-
-    def extract_partition(
-        self, tile
-    ) -> Tuple["Topology", PartitionBoundary]:
-        """Subgraph of the fabric induced by the routers in ``tile``.
-
-        Returns ``(sub_topology, boundary)``: a :class:`Topology` over
-        the *same* index space whose neighbour relation keeps only the
-        intra-tile links (so :meth:`packed_neighbors`, :meth:`links`,
-        :meth:`wires` and :meth:`signal_graph` all describe exactly the
-        tile-internal fabric), plus the :class:`PartitionBoundary`
-        manifest of every port whose link crosses the tile boundary —
-        including torus wrap-around links, which cross whenever the two
-        wrap endpoints land in different tiles.
-        """
-        members = frozenset(tile)
-        if not members:
-            raise ValueError("a partition tile must contain at least one router")
-        for r in members:
-            if not 0 <= r < self.net.n_routers:
-                raise ValueError(
-                    f"tile router {r} out of range for a "
-                    f"{self.net.width}x{self.net.height} network"
-                )
-        sub = Topology.__new__(Topology)
-        sub.net = self.net
-        sub._neighbor = [dict() for _ in range(self.net.n_routers)]
-        boundary: List[BoundaryPort] = []
-        for r in sorted(members):
-            for port, nb in sorted(
-                self._neighbor[r].items(), key=lambda kv: int(kv[0])
-            ):
-                if nb in members:
-                    sub._neighbor[r][port] = nb
-                else:
-                    boundary.append(BoundaryPort(r, port, nb, port.opposite))
-        return sub, PartitionBoundary(tuple(sorted(members)), tuple(boundary))
 
     def hop_table(self):
         """``[n_routers, n_routers]`` minimal hop distances under

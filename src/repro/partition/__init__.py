@@ -1,10 +1,10 @@
-"""Partitioned large-network simulation.
+"""Partitioned large-network simulation: the lockstep multi-FPGA model.
 
-Shards one NoC across K tile workers — each an ownership-masked
-sequential simulator — connected through a software boundary switch that
-relays the cut wires' values, with a partition-aware delta-convergence
-protocol keeping the result bit-identical to the monolithic run (or,
-with ``link_latency >= 1``, a FireSim-style decoupled approximation).
+Splits one NoC into K tiles the way section 6 of the paper splits a
+fabric over several FPGAs.  Every tile is an ownership-labelled
+sequential simulator; all tiles share one link memory and one
+coordinator pick loop, so a partitioned run is bit-identical to the
+monolithic one — snapshots, logs and per-cycle delta counts.
 
 Public surface:
 
@@ -12,13 +12,10 @@ Public surface:
   :class:`~repro.partition.tiles.PartitionMap` — splitting the fabric;
 * :class:`~repro.partition.engine.PartitionedEngine` — the engine
   (registered as ``partitioned`` in :mod:`repro.engines`);
-* :class:`~repro.partition.switch.BoundarySwitch` — the wire relay;
-* :class:`~repro.partition.worker.PartitionWorkerNetwork` — one tile;
-* :class:`~repro.partition.pool.ProcessWorkerPool` — process transport.
+* :class:`~repro.partition.worker.PartitionWorkerNetwork` — one tile.
 """
 
 from repro.partition.engine import PartitionedEngine, PartitionedEngineFactory
-from repro.partition.switch import BoundarySwitch
 from repro.partition.tiles import (
     PartitionMap,
     grid_partition,
@@ -27,7 +24,6 @@ from repro.partition.tiles import (
 from repro.partition.worker import PartitionWorkerNetwork
 
 __all__ = [
-    "BoundarySwitch",
     "PartitionMap",
     "PartitionWorkerNetwork",
     "PartitionedEngine",

@@ -1,23 +1,22 @@
 """Partition maps: splitting one NoC into K edge-disjoint tiles.
 
-The multi-FPGA pattern (FireSim's switch model, fpgagraphlib's
-inter-FPGA connections) shards one target network across simulator
-instances along *link* boundaries: every router belongs to exactly one
-tile, every boundary channel is cut exactly once and re-materialised as
-switch traffic.  :class:`PartitionMap` is the explicit API — any
-assignment of routers to tiles that covers the network exactly once —
-and :func:`grid_partition` is the default grid-block partitioner that
-cuts a ``width x height`` fabric into a ``kx x ky`` grid of rectangular
+The multi-FPGA pattern (section 6 of the paper) shards one target
+network across devices along *link* boundaries: every router belongs to
+exactly one tile and every boundary channel is cut exactly once.
+:class:`PartitionMap` is the explicit API — any assignment of routers
+to tiles that covers the network exactly once — and
+:func:`grid_partition` is the default grid-block partitioner that cuts
+a ``width x height`` fabric into a ``kx x ky`` grid of rectangular
 tiles, minimising the number of cut channels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.noc.config import NetworkConfig
-from repro.noc.topology import PartitionBoundary, Topology
+from repro.noc.topology import Topology
 
 __all__ = [
     "PartitionMap",
@@ -81,24 +80,20 @@ class PartitionMap:
                 out[r] = index
         return out
 
-    def boundaries(self, topology: Topology = None) -> List[PartitionBoundary]:
-        """Per-tile boundary manifests (see
-        :meth:`repro.noc.topology.Topology.extract_partition`)."""
-        topo = topology if topology is not None else Topology(self.cfg)
-        return [topo.extract_partition(tile)[1] for tile in self.tiles]
-
     def boundary_links(self, topology: Topology = None):
         """Directed inter-tile links ``(router, port, neighbor)``.
 
         Each physical boundary channel contributes two entries (one per
-        direction), mirroring :meth:`Topology.links`.
+        direction), torus wrap-around links included, in
+        :meth:`Topology.links` order.
         """
-        out = []
-        for manifest in self.boundaries(topology):
-            out.extend(
-                (bp.router, bp.port, bp.neighbor) for bp in manifest.ports
-            )
-        return out
+        topo = topology if topology is not None else Topology(self.cfg)
+        owner = self.owner()
+        return [
+            (router, port, neighbor)
+            for router, port, neighbor, _ in topo.links()
+            if owner[router] != owner[neighbor]
+        ]
 
     def describe(self) -> str:
         """One-line layout summary for the CLI banner."""

@@ -146,8 +146,7 @@ class ArrayState:
             raise MemoryError(
                 f"cannot allocate packed state for {lanes} lane(s) of a "
                 f"{cfg.width}x{cfg.height} network "
-                f"(~{estimate_bytes(cfg, lanes):,} bytes); reduce --lanes "
-                "or shard the network across workers with --partitions"
+                f"(~{estimate_bytes(cfg, lanes):,} bytes); reduce --lanes"
             ) from exc
 
     def reset_wires(self) -> np.ndarray:

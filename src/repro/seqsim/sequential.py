@@ -602,9 +602,8 @@ class SequentialNetwork(Network):
     def _converge(self) -> None:
         """Evaluate non-stable units until none is left (section 4.2).
 
-        The delta count runs on from ``watchdog.deltas``: a partition
-        tile re-converging after a boundary exchange stays under the one
-        per-cycle bound, and a monolithic cycle simply starts at 0.
+        The delta count runs on from ``watchdog.deltas`` (0 after
+        :meth:`_begin_cycle`) under the one per-cycle bound.
         """
         links = self.links
         scheduler = self.scheduler

@@ -54,9 +54,9 @@ def _isolated_kernel_cache(tmp_path_factory):
 def _no_pipeline_leaks():
     """Every test must leave the streaming pipeline and every worker
     process torn down: no ``repro-pipeline-*`` threads still alive, and
-    nothing left in the worker primitive's live set (farm workers and
-    partition tiles alike).  The lazy lookup keeps this free for the
-    tests that never start a process."""
+    nothing left in the worker primitive's live set (the farm's
+    workers).  The lazy lookup keeps this free for the tests that never
+    start a process."""
     yield
     leaked = [
         t.name

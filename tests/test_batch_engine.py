@@ -255,3 +255,49 @@ class TestPackedState:
             "floaty": np.zeros(3, dtype=np.float64).dtype,
         }
         assert assert_packed(arrays) == ["bad", "floaty"]
+
+
+class TestMemoryPreflight:
+    """The packed-state allocator estimates its footprint and fails with
+    a plan (reduce --lanes), not an opaque numpy MemoryError.  Only
+    --lanes shrinks it: --partitions runs the Python model instead."""
+
+    def test_estimate_matches_actual_allocation(self):
+        from repro.seqsim.arraystate import ArrayState, estimate_bytes
+
+        cfg = torus(4, 4)
+        state = ArrayState(cfg, lanes=3)
+        actual = sum(
+            getattr(state, name).nbytes
+            for name in (
+                "mem", "rd", "wr", "count", "alloc", "queue_alloc",
+                "arb_ptr", "alloc_ptr", "flags", "inj_word", "inj_valid",
+                "rr_ptr", "delay", "eject_word", "eject_valid", "stalled",
+            )
+        )
+        assert estimate_bytes(cfg, 3) == actual
+
+    def test_memoryerror_wraps_with_suggestion(self, monkeypatch):
+        from repro.seqsim import arraystate
+
+        def exploding_zeros(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(arraystate.np, "zeros", exploding_zeros)
+        with pytest.raises(MemoryError) as err:
+            arraystate.ArrayState(torus(4, 4), lanes=2)
+        message = str(err.value)
+        assert message.endswith("reduce --lanes")
+        assert "--partitions" not in message
+        assert f"{arraystate.estimate_bytes(torus(4, 4), 2):,}" in message
+
+    def test_cli_preflight_names_lanes_only(self, monkeypatch, capsys):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "_available_memory_bytes", lambda: 1)
+        rc = cli.main(["simulate", "--engine", "batch", "--lanes", "2",
+                       "--cycles", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.strip().endswith("are available; reduce --lanes")
+        assert "--partitions" not in err

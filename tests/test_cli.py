@@ -62,8 +62,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, needs",
         [
-            ("--transport process", "--transport requires --partitions K"),
-            ("--link-latency 2", "--link-latency requires --partitions K"),
             (
                 "--engine batch --scheduler roundrobin",
                 "--scheduler requires --engine sequential --kernel python "
@@ -81,7 +79,7 @@ class TestCli:
             ),
             ("--chunk 7", "--chunk requires --stream"),
         ],
-        ids=["transport", "link-latency", "scheduler", "scheduler-compiled",
+        ids=["scheduler", "scheduler-compiled",
              "fast-forward", "fast-forward+stream", "chunk"],
     )
     def test_simulate_refuses_a_flag_its_path_ignores(self, capsys, flags, needs):
@@ -569,6 +567,31 @@ class TestSourceAudit:
             for name in re.findall(self.INTERNALS, text)
         }
         assert not found
+
+    def test_process_machinery_stays_in_the_farm(self):
+        """Only the job farm starts processes, and the partitioner keeps
+        no trace of its removed process transport or boundary switch."""
+        import re
+
+        farm = os.path.join(self.SRC, "farm") + os.sep
+        process = re.compile(
+            r"^\s*(import|from)\s+[\w.]*"
+            r"(multiprocessing|repro\.farm\.process|shared_memory)\b",
+            re.M,
+        )
+        assert not [
+            os.path.relpath(path, self.SRC)
+            for path, text in self._sources()
+            if not path.startswith(farm) and process.search(text)
+        ]
+        removed = re.compile(
+            r"link_latency|BoundarySwitch|transport|ProcessWorkerPool"
+        )
+        assert not {
+            (os.path.basename(path), name)
+            for path, text in self._sources("partition")
+            for name in removed.findall(text)
+        }
 
     def test_the_sequential_engine_names_no_memo_layer(self):
         """Compiled or fallen back to the model, the engine module

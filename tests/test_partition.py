@@ -1,19 +1,15 @@
 """Partitioned large-network simulation: correctness gates.
 
-The tentpole guarantee under test: sharding one NoC across K tile
-workers behind the boundary switch is **bit-identical** to the
-monolithic sequential simulator — snapshots, injection/ejection logs
-and (in lockstep sync) per-cycle delta counts — including under
-boundary-link SEUs and quarantine, in every transport (local lockstep,
-local rounds, process pool).
+The guarantee under test: splitting one NoC into K lockstep tiles is
+**bit-identical** to the monolithic sequential simulator — snapshots,
+injection/ejection logs and per-cycle delta counts — including under
+boundary-link SEUs, quarantine and a flapping boundary link.
 
-Plus the satellite surfaces: partition-map/manifest properties
-(hypothesis-randomised), the CLI ``--partitions`` flags, the sweep
-``engine_cls`` hook, and the packed-state memory preflight.
+Plus the partition-map properties (hypothesis-randomised), the CLI
+``--partitions`` flags and the sweep ``engine_cls`` hook.
 """
 
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -72,33 +68,28 @@ def lockstep(cfg, engines, cycles=100, events=None, check_deltas=False,
     snapshots each cycle and identical logs at the end."""
     sched = random_schedule(cfg, seed)
     drivers = [PacketDriver(e) for e in engines]
-    try:
-        for c in range(cycles):
-            if events and c in events:
-                for e in engines:
-                    events[c](e)
-            for d, e in zip(drivers, engines):
-                for when, vc, pkt in sched:
-                    if when == c:
-                        d.send(pkt, vc)
-                d.pump()
-                e.step()
-            ref = engines[0].snapshot()
-            for e in engines[1:]:
-                assert e.snapshot() == ref, f"snapshot diverged at cycle {c}"
-        ref_inj = [tuple(r.__dict__.items()) for r in engines[0].injections]
-        ref_ej = [tuple(r.__dict__.items()) for r in engines[0].ejections]
+    for c in range(cycles):
+        if events and c in events:
+            for e in engines:
+                events[c](e)
+        for d, e in zip(drivers, engines):
+            for when, vc, pkt in sched:
+                if when == c:
+                    d.send(pkt, vc)
+            d.pump()
+            e.step()
+        ref = engines[0].snapshot()
         for e in engines[1:]:
-            assert [tuple(r.__dict__.items()) for r in e.injections] == ref_inj
-            assert [tuple(r.__dict__.items()) for r in e.ejections] == ref_ej
-        if check_deltas:
-            ref_d = engines[0].metrics.per_cycle
-            for e in engines[1:]:
-                assert e.metrics.per_cycle == ref_d, "delta counts diverged"
-    finally:
-        for e in engines:
-            if hasattr(e, "close"):
-                e.close()
+            assert e.snapshot() == ref, f"snapshot diverged at cycle {c}"
+    ref_inj = [tuple(r.__dict__.items()) for r in engines[0].injections]
+    ref_ej = [tuple(r.__dict__.items()) for r in engines[0].ejections]
+    for e in engines[1:]:
+        assert [tuple(r.__dict__.items()) for r in e.injections] == ref_inj
+        assert [tuple(r.__dict__.items()) for r in e.ejections] == ref_ej
+    if check_deltas:
+        ref_d = engines[0].metrics.per_cycle
+        for e in engines[1:]:
+            assert e.metrics.per_cycle == ref_d, "delta counts diverged"
 
 
 class TestGridPartition:
@@ -140,60 +131,42 @@ class TestGridPartition:
             PartitionMap(cfg, (tuple(range(15)),))  # router 15 missing
 
 
+def bottom_half(cfg):
+    """A two-tile map: rows y < 2 against the rest."""
+    bottom = tuple(r for r in range(cfg.n_routers) if cfg.coords(r)[1] < 2)
+    top = tuple(r for r in range(cfg.n_routers) if r not in bottom)
+    return PartitionMap(cfg, (bottom, top))
+
+
 class TestBoundaryManifest:
-    """`Topology.extract_partition`: the boundary-port manifest,
-    torus wrap-around links included."""
+    """`PartitionMap.boundary_links`: the cut links, torus wrap-around
+    links included."""
 
     def test_torus_wraparound_ports_in_manifest(self):
         cfg = torus(4, 4)
-        topo = Topology(cfg)
-        # the bottom two rows: y in {0, 1}
-        tile = tuple(
-            r for r in range(cfg.n_routers) if cfg.coords(r)[1] < 2
-        )
-        _sub, manifest = topo.extract_partition(tile)
-        crossing = {(bp.router, bp.neighbor) for bp in manifest.ports}
+        crossing = {(r, nb) for r, _p, nb in bottom_half(cfg).boundary_links()}
         # the seam at y=1 -> y=2 and the wrap at y=0 -> y=3 both cross
         seam = [(cfg.index(x, 1), cfg.index(x, 2)) for x in range(4)]
         wrap = [(cfg.index(x, 0), cfg.index(x, 3)) for x in range(4)]
-        for pair in seam + wrap:
-            assert pair in crossing, f"missing boundary crossing {pair}"
-        # east/west links stay internal: never in the manifest
-        for bp in manifest.ports:
-            assert cfg.coords(bp.router)[0] == cfg.coords(bp.neighbor)[0]
+        for src, dst in seam + wrap:
+            assert (src, dst) in crossing, f"missing crossing {src, dst}"
+            assert (dst, src) in crossing, f"missing crossing {dst, src}"
+        # east/west links stay internal: never cut
+        for r, nb in crossing:
+            assert cfg.coords(r)[0] == cfg.coords(nb)[0]
 
     def test_mesh_edge_has_no_wraparound(self):
         cfg = mesh(4, 4)
-        topo = Topology(cfg)
-        tile = tuple(
-            r for r in range(cfg.n_routers) if cfg.coords(r)[1] < 2
-        )
-        _sub, manifest = topo.extract_partition(tile)
-        crossing = {(bp.router, bp.neighbor) for bp in manifest.ports}
-        assert crossing == {
-            (cfg.index(x, 1), cfg.index(x, 2)) for x in range(4)
-        }
-
-    def test_export_import_names_mirror_between_tiles(self):
-        cfg = torus(4, 4)
-        topo = Topology(cfg)
-        pmap = grid_partition(cfg, 2)
-        manifests = [
-            topo.extract_partition(tile)[1] for tile in pmap.tiles
-        ]
-        assert sorted(manifests[0].export_wire_names()) == sorted(
-            manifests[1].import_wire_names()
-        )
-        assert sorted(manifests[0].import_wire_names()) == sorted(
-            manifests[1].export_wire_names()
-        )
+        crossing = {(r, nb) for r, _p, nb in bottom_half(cfg).boundary_links()}
+        seam = {(cfg.index(x, 1), cfg.index(x, 2)) for x in range(4)}
+        assert crossing == seam | {(dst, src) for src, dst in seam}
 
 
 class TestPartitionProperties:
     """Hypothesis: ANY partition map — grid or arbitrary shuffle — of a
-    random torus/mesh covers every router exactly once, and every
-    boundary channel shows up in exactly two manifests (once per side),
-    with export/import wire-name multisets matching globally."""
+    random torus/mesh covers every router exactly once, and its boundary
+    links are exactly the links whose ends lie in two tiles, each
+    physical channel once per direction."""
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -222,23 +195,23 @@ class TestPartitionProperties:
         assert all(r in pmap.tiles[owner[r]] for r in range(n))
 
         topo = Topology(cfg)
-        exports, imports = Counter(), Counter()
-        channels = Counter()
-        for tile in pmap.tiles:
-            _sub, manifest = topo.extract_partition(tile)
-            exports.update(manifest.export_wire_names())
-            imports.update(manifest.import_wire_names())
-            for bp in manifest.ports:
-                key = min(
-                    (bp.router, int(bp.port)),
-                    (bp.neighbor, int(bp.neighbor_port)),
-                )
-                channels[key] += 1
-        # every exported wire is imported by exactly one other tile
-        assert exports == imports
-        assert all(count == 1 for count in exports.values())
-        # every boundary channel appears exactly twice, once per side
-        assert all(count == 2 for count in channels.values())
+        cut = pmap.boundary_links(topo)
+        assert len(set(cut)) == len(cut)
+        # every tile's ports that face another tile, and nothing else
+        for index, tile in enumerate(pmap.tiles):
+            leaving = {
+                (r, int(p))
+                for r in tile
+                for p in topo.connected_ports(r)
+                if topo.neighbor(r, p) not in tile
+            }
+            assert leaving == {
+                (r, int(p)) for r, p, _nb in cut if owner[r] == index
+            }
+        # each cut channel is cut in both directions
+        as_set = {(r, int(p)) for r, p, _nb in cut}
+        for r, p, nb in cut:
+            assert (nb, int(p.opposite)) in as_set
 
     @given(seed=st.integers(0, 2**32))
     @settings(max_examples=5, deadline=None)
@@ -264,7 +237,7 @@ class TestPartitionProperties:
 
 
 class TestBitIdentical:
-    """The tentpole gate: partitioned == monolithic, all transports."""
+    """The gate: partitioned == monolithic, delta counts included."""
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_lockstep_4x4_including_delta_counts(self, k):
@@ -275,33 +248,14 @@ class TestBitIdentical:
             check_deltas=True,
         )
 
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_rounds_4x4(self, k):
-        cfg = torus(4, 4)
-        lockstep(
-            cfg,
-            [mono(cfg), PartitionedEngine(cfg, partitions=k, sync="rounds")],
-        )
-
-    def test_lockstep_and_rounds_6x6(self):
+    def test_lockstep_6x6(self):
         cfg = torus(6, 6, depth=2)
         lockstep(
             cfg,
-            [
-                mono(cfg),
-                PartitionedEngine(cfg, partitions=4),
-                PartitionedEngine(cfg, partitions=4, sync="rounds"),
-            ],
+            [mono(cfg), PartitionedEngine(cfg, partitions=4)],
             cycles=80,
+            check_deltas=True,
         )
-
-    def test_process_transport_4x4(self):
-        cfg = torus(4, 4)
-        for k in (4, 2):  # one test id, both tile counts
-            engine = PartitionedEngine(cfg, partitions=k, transport="process")
-            line = engine.layout_line()
-            lockstep(cfg, [mono(cfg), engine])
-            assert "switch: process/rounds" in line
 
     def test_lockstep_runs_the_roundrobin_scheduler(self):
         """``scheduler="roundrobin"`` reaches the lockstep coordinator's
@@ -323,15 +277,18 @@ class TestBitIdentical:
             )
         assert spy.call_count > 0
 
-    def test_process_transport_without_fork_names_the_way_out(self, monkeypatch):
-        from repro.farm import process
-
-        def no_fork():
-            raise ValueError("cannot find context for 'fork'")
-
-        monkeypatch.setattr(process, "_context", no_fork)
-        with pytest.raises(process.SpawnError, match='transport="local"'):
-            PartitionedEngine(torus(4, 4), partitions=2, transport="process")
+    def test_heterogeneous_scattered_map(self):
+        """Tiles of 2, 5 and 9 routers, none of them contiguous."""
+        cfg = torus(4, 4, depth=3)
+        routers = list(range(cfg.n_routers))
+        random.Random(7).shuffle(routers)
+        tiles = (routers[:2], routers[2:7], routers[7:])
+        pmap = PartitionMap(cfg, tuple(tuple(sorted(t)) for t in tiles))
+        lockstep(
+            cfg,
+            [mono(cfg), PartitionedEngine(cfg, partition_map=pmap)],
+            check_deltas=True,
+        )
 
     def test_mesh_partitioned(self):
         cfg = mesh(4, 4)
@@ -344,7 +301,7 @@ class TestBitIdentical:
 
 class TestFaultEquivalence:
     """Boundary SEU at cycle 20 + boundary quarantine at cycle 45 —
-    still bit-identical in every mode (the ISSUE's fault gate)."""
+    still bit-identical, delta counts included."""
 
     @staticmethod
     def _seu(e):
@@ -354,90 +311,42 @@ class TestFaultEquivalence:
     def _quarantine(e):
         e.quarantine_link(1, 3)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda cfg: PartitionedEngine(cfg, partitions=2),
-            lambda cfg: PartitionedEngine(cfg, partitions=2, sync="rounds"),
-            lambda cfg: PartitionedEngine(
-                cfg, partitions=2, transport="process"
-            ),
-        ],
-        ids=["lockstep", "rounds", "process"],
-    )
-    def test_seu_and_quarantine_at_boundary(self, make):
+    def test_seu_and_quarantine_at_boundary(self):
         cfg = torus(4, 4)
         lockstep(
             cfg,
-            [mono(cfg), make(cfg)],
+            [mono(cfg), PartitionedEngine(cfg, partitions=2)],
             events={20: self._seu, 45: self._quarantine},
+            check_deltas=True,
         )
 
     def test_flap_fault_trips_identical_livelock_diagnosis(self):
         cfg = torus(4, 4)
 
         def diagnose(engine):
-            try:
-                engine.install_flap_fault(1, 3)
-                with pytest.raises(LivelockError) as err:
-                    engine.run(5)
-                exc = err.value
-                return (
-                    exc.cycle,
-                    exc.deltas,
-                    exc.limit,
-                    tuple(sorted(exc.suspect_wires)),
-                )
-            finally:
-                if hasattr(engine, "close"):
-                    engine.close()
+            engine.install_flap_fault(1, 3)
+            with pytest.raises(LivelockError) as err:
+                engine.run(5)
+            exc = err.value
+            return (
+                exc.cycle,
+                exc.deltas,
+                exc.limit,
+                tuple(sorted(exc.suspect_wires)),
+            )
 
         ref = diagnose(mono(cfg))
         assert set(ref[3]) == {"fwd:1.3", "room:5.1"}
-        for make in (
-            lambda: PartitionedEngine(cfg, partitions=2),
-            lambda: PartitionedEngine(cfg, partitions=2, sync="rounds"),
-            lambda: PartitionedEngine(cfg, partitions=2, transport="process"),
-        ):
-            assert diagnose(make()) == ref
+        assert diagnose(PartitionedEngine(cfg, partitions=2)) == ref
 
     def test_quarantine_wires_repairs_diagnosed_link(self):
         cfg = torus(4, 4)
-        engine = PartitionedEngine(cfg, partitions=2, sync="rounds")
-        try:
-            names = engine.install_flap_fault(1, 3)
-            repaired = engine.quarantine_wires(names)
-            assert (1, 3) in repaired
-            engine.run(30)  # no livelock after the repair
-            assert (1, 3) in engine.quarantined_links
-        finally:
-            engine.close()
-
-
-class TestLinkLatency:
-    """`link_latency >= 1` is the FireSim-style decoupled discipline:
-    one round per cycle, values delayed L cycles — it drains, but it is
-    a different machine (registered inter-tile channels)."""
-
-    def test_latency_mode_runs_one_round_and_drains(self):
-        cfg = torus(4, 4)
-        engine = PartitionedEngine(cfg, partitions=2, link_latency=1)
-        driver = PacketDriver(engine)
-        try:
-            for when, vc, pkt in random_schedule(cfg, 0xA5):
-                driver.send(pkt, vc)
-            driver.run_until_drained(5000)
-            assert engine.drained()
-            assert engine.mean_boundary_rounds() == 1.0
-        finally:
-            engine.close()
-
-    def test_latency_requires_rounds(self):
-        cfg = torus(4, 4)
-        with pytest.raises(ValueError):
-            PartitionedEngine(
-                cfg, partitions=2, sync="lockstep", link_latency=1
-            )
+        engine = PartitionedEngine(cfg, partitions=2)
+        names = engine.install_flap_fault(1, 3)
+        repaired = engine.quarantine_wires(names)
+        assert (1, 3) in repaired
+        engine.run(30)  # no livelock after the repair
+        assert (1, 3) in engine.quarantined_links
 
 
 class TestEngineSurface:
@@ -447,26 +356,16 @@ class TestEngineSurface:
         assert "partitioned" in {info.name for info in list_engines()}
         cfg = torus(4, 4)
         engine = make_engine("partitioned", cfg, partitions=2)
-        try:
-            assert engine.name == "partitioned"
-            assert "2 tiles" in engine.layout_line()
-        finally:
-            engine.close()
-
-    def test_layout_line_names_transport_and_sync(self):
-        cfg = torus(4, 4)
-        engine = PartitionedEngine(cfg, partitions=2)
-        try:
-            line = engine.layout_line()
-            assert "boundary links" in line
-            assert "local/lockstep" in line
-        finally:
-            engine.close()
+        assert engine.name == "partitioned"
+        assert engine.layout_line() == (
+            "partitions: 2 tiles (1x2 blocks of 4x2, 8 routers each), "
+            "16 boundary links"
+        )
 
     def test_sweep_engine_cls_hook(self):
         """fig1/pattern sweeps take the partitioned engine through their
         ``engine_cls`` extension point — points identical to the
-        sequential engine's (lockstep sync is the exact protocol)."""
+        sequential engine's (the lockstep model is the exact protocol)."""
         from repro.experiments.patterns import run_pattern
 
         ref = run_pattern("transpose", cycles=80)
@@ -474,56 +373,6 @@ class TestEngineSurface:
             "transpose", cycles=80, engine_cls=PartitionedEngineFactory(2)
         )
         assert part == ref
-
-    def test_boundary_overhead_accounting(self):
-        cfg = torus(4, 4)
-        engine = PartitionedEngine(cfg, partitions=2, sync="rounds")
-        driver = PacketDriver(engine)
-        try:
-            for when, vc, pkt in random_schedule(cfg, 0xA5):
-                driver.send(pkt, vc)
-            driver.run(60)
-            assert len(engine.boundary_rounds) == 60
-            assert engine.mean_boundary_rounds() >= 1.0
-            assert 0.0 <= engine.boundary_sync_fraction() <= 1.0
-        finally:
-            engine.close()
-
-
-class TestMemoryPreflight:
-    """Satellite: the packed-state allocator estimates its footprint and
-    fails with a plan (reduce --lanes / use --partitions), not an opaque
-    numpy MemoryError."""
-
-    def test_estimate_matches_actual_allocation(self):
-        from repro.seqsim.arraystate import ArrayState, estimate_bytes
-
-        cfg = torus(4, 4)
-        state = ArrayState(cfg, lanes=3)
-        actual = sum(
-            getattr(state, name).nbytes
-            for name in (
-                "mem", "rd", "wr", "count", "alloc", "queue_alloc",
-                "arb_ptr", "alloc_ptr", "flags", "inj_word", "inj_valid",
-                "rr_ptr", "delay", "eject_word", "eject_valid", "stalled",
-            )
-        )
-        assert estimate_bytes(cfg, 3) == actual
-
-    def test_memoryerror_wraps_with_suggestion(self, monkeypatch):
-        import numpy as np
-
-        from repro.seqsim import arraystate
-
-        def exploding_zeros(*args, **kwargs):
-            raise MemoryError("Unable to allocate")
-
-        monkeypatch.setattr(arraystate.np, "zeros", exploding_zeros)
-        with pytest.raises(MemoryError) as err:
-            arraystate.ArrayState(torus(4, 4), lanes=2)
-        message = str(err.value)
-        assert "--partitions" in message and "--lanes" in message
-        assert f"{arraystate.estimate_bytes(torus(4, 4), 2):,}" in message
 
 
 class TestCli:
@@ -566,22 +415,19 @@ class TestCli:
         assert rc == 2
 
     def test_simulate_process_transport(self, capsys):
+        """Tiles run in lockstep in one process: there is no transport
+        to choose, and the flag is a usage error."""
         from repro.cli import main
 
-        rc = main(
-            [
-                "simulate", "--width", "4", "--height", "4",
-                "--partitions", "2", "--transport", "process",
-                "--cycles", "30",
-            ]
-        )
-        assert rc == 0
-        assert "process" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--partitions", "2", "--transport", "process"])
+        assert exc.value.code == 2
+        assert "--transport" in capsys.readouterr().err
 
 
 @pytest.mark.partition_smoke
 class TestPartitionSmoke:
-    """Tiny 2-partition 4x4 runs in the default suite — the cheap
+    """A tiny 2-partition 4x4 run in the default suite — the cheap
     always-on canary for the partition stack (select standalone with
     ``-m partition_smoke``)."""
 
@@ -593,15 +439,3 @@ class TestPartitionSmoke:
             cycles=40,
             check_deltas=True,
         )
-
-    def test_tiny_process_partitioned_run(self):
-        cfg = torus(4, 4)
-        engine = PartitionedEngine(cfg, partitions=2, transport="process")
-        driver = PacketDriver(engine)
-        try:
-            for when, vc, pkt in random_schedule(cfg, 0xB0, packets=10):
-                driver.send(pkt, vc)
-            driver.run(30)
-            assert engine.cycle == 30
-        finally:
-            engine.close()

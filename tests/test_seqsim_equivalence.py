@@ -222,26 +222,24 @@ VARIANTS = {
 
 def fig1_run(variant):
     """300 cycles of load-0.08 uniform BE traffic on the Fig. 1 network;
-    the one-tile partition worker is stepped phase by phase."""
+    the one-tile partitioned engine runs the coordinator's pick loop."""
     from repro.experiments.common import fig1_network
-    from repro.partition import PartitionWorkerNetwork
+    from repro.partition import PartitionedEngine, PartitionMap
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
     cfg = fig1_network()
     if variant == "one-tile":
-        net = PartitionWorkerNetwork(cfg, range(cfg.n_routers))
-        phases = (net.begin_step, net.converge_local, net.finish_step)
+        one_tile = PartitionMap(cfg, (tuple(range(cfg.n_routers)),))
+        net = PartitionedEngine(cfg, partition_map=one_tile)
     else:
         net = VARIANTS[variant](cfg)
-        phases = (net.step,)
     driver = TrafficDriver(
         net, be=BernoulliBeTraffic(cfg, 0.08, uniform_random(cfg), seed=0xBEE)
     )
     for cycle in range(300):
         driver.generate(cycle)
         driver.pump()
-        for phase in phases:
-            phase()
+        net.step()
     return (
         net.links.wire_writes,
         net.links.value_changes,
@@ -252,9 +250,9 @@ def fig1_run(variant):
 
 class TestLinkTrafficCounters:
     """The class docstring's promise, checked: every evaluation path —
-    and the begin / converge / finish decomposition a partition tile
-    drives — produces the same link-memory traffic counters, per-cycle
-    delta counts and state."""
+    and the partition coordinator's pick loop over one tile — produces
+    the same link-memory traffic counters, per-cycle delta counts and
+    state."""
 
     @pytest.fixture(scope="class")
     def fast(self):
