@@ -62,6 +62,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, needs",
         [
+            # Tiles run in lockstep in one process: these flags are gone,
+            # and argparse refuses them before any path is chosen.
+            ("--transport process", "unrecognized arguments: --transport"),
+            ("--link-latency 2", "unrecognized arguments: --link-latency"),
             (
                 "--engine batch --scheduler roundrobin",
                 "--scheduler requires --engine sequential --kernel python "
@@ -79,13 +83,17 @@ class TestCli:
             ),
             ("--chunk 7", "--chunk requires --stream"),
         ],
-        ids=["scheduler", "scheduler-compiled",
+        ids=["transport", "link-latency", "scheduler", "scheduler-compiled",
              "fast-forward", "fast-forward+stream", "chunk"],
     )
     def test_simulate_refuses_a_flag_its_path_ignores(self, capsys, flags, needs):
         """A flag the chosen path never reads is a usage error naming
         what it needs — not a silent run of the default path."""
-        assert main(["simulate", "--cycles", "10"] + flags.split()) == 2
+        try:
+            rc = main(["simulate", "--cycles", "10"] + flags.split())
+        except SystemExit as exc:  # argparse: an unknown flag
+            rc = exc.code
+        assert rc == 2
         captured = capsys.readouterr()
         assert needs in captured.err and captured.out == ""
 

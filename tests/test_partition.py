@@ -362,6 +362,14 @@ class TestEngineSurface:
             "16 boundary links"
         )
 
+    def test_layout_line_names_transport_and_sync(self):
+        """The banner names tiles and boundary links; with one lockstep
+        protocol left it names no transport or sync mode any more."""
+        line = PartitionedEngine(torus(4, 4), partitions=2).layout_line()
+        assert "boundary links" in line
+        assert "local" not in line and "lockstep" not in line
+        assert "switch" not in line
+
     def test_sweep_engine_cls_hook(self):
         """fig1/pattern sweeps take the partitioned engine through their
         ``engine_cls`` extension point — points identical to the
