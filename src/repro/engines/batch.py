@@ -451,7 +451,7 @@ class BatchEngine:
             raise ValueError("cycles must be non-negative")
         self.book_cycles(cycles)
 
-    def book_cycles(self, cycles: int, deltas: Optional[List[int]] = None) -> None:
+    def book_cycles(self, cycles: int, deltas: Optional[Sequence[int]] = None) -> None:
         """Advance the clock over ``cycles`` completed system cycles and
         credit their delta cycles: ``deltas``, one measured count per
         cycle (the HBR pass's column), where given; else

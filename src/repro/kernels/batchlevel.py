@@ -1113,13 +1113,14 @@ class CompiledBatchLevel:
             logs[lane].extend_block(block, start, start + n)
             start += n
 
-    def delta_column(self, cycles: int) -> Optional[list]:
+    def delta_column(self, cycles: int) -> Optional[np.ndarray]:
         """The HBR pass's delta count for each of the last call's first
-        ``cycles`` cycles (its first lane's) — ``None`` while the pass is
-        off and the engine's accounting nominal."""
+        ``cycles`` cycles (its first lane's; a view, valid until the next
+        call) — ``None`` while the pass is off and the engine's
+        accounting nominal."""
         if self.engine.state.wires is None:
             return None
-        return self._buffers["deltas"][0, :cycles].tolist()
+        return self._buffers["deltas"][0, :cycles]
 
     def step(self) -> None:
         """Advance every lane one cycle (events logged, errors raised)."""

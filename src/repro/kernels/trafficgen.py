@@ -11,12 +11,16 @@ the run, matching the packets that came out (``repro_match``):
 
 * ``repro_gen_be`` — **generate**.  Every lane's 32-bit Galois LFSR
   yields the words of :class:`~repro.traffic.rng.HardwareLfsr.next_u32`
-  — four per dependency step, through the byte tables of one to four
-  register reads (:func:`~repro.traffic.rng.lookahead_tables`) — against
-  that lane's own threshold (a zero-load or ``be=None`` lane draws no
-  words at all, like ``packets_for_cycle``'s early return).  A window
-  ends at the first cycle boundary at which it holds its flit budget
-  (:data:`~repro.traffic.stimuli.FLIT_BUDGET`).  A Bernoulli hit draws the
+  against that lane's own threshold (a zero-load or ``be=None`` lane
+  draws no words at all, like ``packets_for_cycle``'s early return).
+  One dependency step rejects sixteen words: four lookups give their
+  top bytes (:func:`lfsr_tables`), a byte compare proves none is a hit,
+  one ``J^16`` lookup takes them.  A lane's scan runs on across cycles
+  to its next hit, so the cycle-major loop visits only cycles in which
+  some lane hits or a GT stream fires.  A window ends at the first
+  cycle boundary at which it holds its flit budget
+  (:data:`~repro.traffic.stimuli.FLIT_BUDGET`), and a lane that read
+  past it is advanced again to it.  A Bernoulli hit draws the
   uniform-random destination with the same rejection sampling as
   :meth:`~repro.traffic.rng.HardwareLfsr.next_below` — the identical
   number of RNG words in the identical order — and becomes one packet
@@ -24,10 +28,11 @@ the run, matching the packets that came out (``repro_match``):
   per-lane counters the scan carries.  GT streams are periodic, so their
   firings are closed-form; they are emitted cycle-major, GT before BE —
   the order ``TrafficDriver.generate`` submits in, which the tracker's
-  ``(src, seq)`` FIFO matching needs.  In probe mode the same scan stops
-  before the first hit in any lane — the quiescence fast-forward's proof
-  that a window is idle and its LFSR advance over that window, in one
-  pass (bounded by the next GT firing).
+  ``(src, seq)`` FIFO matching needs.  In probe mode the same scan,
+  cycle by cycle, stops before the first hit in any lane — the
+  quiescence fast-forward's proof that a window is idle and its LFSR
+  advance over that window, in one pass (bounded by the next GT
+  firing).
 * ``repro_load_flits`` — **load**.  Packets grouped by lane; head,
   source-info and ramp-payload flit words (pure functions of a packet
   column and the flit layout) grouped by stimuli queue.
@@ -53,11 +58,12 @@ construction.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.traffic.rng import lookahead_tables
+from repro.traffic.rng import GALOIS_MASK
 from repro.traffic.stimuli import Stimuli, WindowSource
 
 __all__ = [
@@ -65,6 +71,7 @@ __all__ = [
     "PacketMatch",
     "batched_be_generator",
     "bind_stimuli_kernel",
+    "lfsr_tables",
     "stimuli_kernel",
 ]
 
@@ -73,13 +80,14 @@ int64_t repro_gen_be(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
     int64_t probe,
     const int64_t *thresholds, int64_t bound, int64_t span,
-    const uint32_t *jump,
+    const uint32_t *jumps, const uint64_t *tops,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
     const int64_t *be_vcs, int64_t n_be_vcs,
     int64_t n_gt, const int64_t *gt_lane, const int64_t *gt_stream,
-    int64_t *gt_seq, int64_t *gt_fire,
+    int64_t *gt_seq, int64_t *work,
     int64_t *pk, int64_t cap, int64_t budget, int64_t *ends);
+void repro_lfsr_tables(int64_t mask, uint32_t *jumps, uint64_t *tops);
 int64_t repro_load_flits(
     int64_t m, const int64_t *pk,
     int64_t n_keys, int64_t n_vcs, int64_t width, int64_t dw,
@@ -118,15 +126,139 @@ static inline int64_t packet_flits(int64_t nbytes, int64_t bpf)
     return 2 + (nbytes + bpf - 1) / bpf;
 }
 
-/* The k-th next word of LFSR state `s`, `t` row k - 1 of the look-ahead
- * tables (repro.traffic.rng.lookahead_tables: 4 x 256 byte images of
- * k register reads, XORed together).  Row 0 is exactly
- * HardwareLfsr.next_u32.  The scan unrolls the LOOKAHEAD rows by hand. */
-#define LOOKAHEAD 4
-static inline uint32_t lfsr_read(uint32_t s, const uint32_t *t)
+/* The look-ahead tables of the 32-bit Galois LFSR, J one register read
+ * (32 shifts; HardwareLfsr.next_u32).  Every J^k is linear over GF(2),
+ * so the image of a state is the XOR of the images of its four bytes:
+ *
+ *   jumps  [3][4][256] uint32  byte images of J^1, J^8 and J^16 (rows
+ *                              J1, J8, J16);
+ *   tops   [4][256][2] uint64  the top bytes of the images under J^1 ..
+ *                              J^16, packed little-endian: word k of a
+ *                              state in byte (k - 1) % 8 of uint64
+ *                              (k - 1) / 8.
+ */
+enum { J1 = 0, J8 = 1024, J16 = 2048 };
+
+static inline uint32_t lfsr_image(uint32_t s, const uint32_t *t)
 {
     return t[s & 0xFF] ^ t[256 + ((s >> 8) & 0xFF)]
          ^ t[512 + ((s >> 16) & 0xFF)] ^ t[768 + (s >> 24)];
+}
+
+/* Fill both tables for the feedback mask `mask`, by stepping single
+ * bits and bytes: no map composition. */
+void repro_lfsr_tables(int64_t mask, uint32_t *jumps, uint64_t *tops)
+{
+    uint32_t bit_image[32];
+    for (int b = 0; b < 32; b++) {
+        uint32_t s = (uint32_t)1 << b;
+        for (int shift = 0; shift < 32; shift++)
+            s = (s >> 1) ^ ((s & 1) ? (uint32_t)mask : 0);
+        bit_image[b] = s;
+    }
+    for (int p = 0; p < 4; p++)
+        for (int v = 0; v < 256; v++) {
+            uint32_t image = 0;
+            for (int b = 0; b < 8; b++)
+                if ((v >> b) & 1)
+                    image ^= bit_image[8 * p + b];
+            jumps[J1 + 256 * p + v] = image;
+        }
+    for (int p = 0; p < 4; p++)
+        for (int v = 0; v < 256; v++) {
+            uint32_t s = (uint32_t)v << (8 * p);
+            uint64_t *const top = tops + 2 * (256 * p + v);
+            top[0] = top[1] = 0;
+            for (int k = 0; k < 16; k++) {
+                s = lfsr_image(s, jumps + J1);
+                top[k / 8] |= (uint64_t)(s >> 24) << (8 * (k % 8));
+                if (k == 7)
+                    jumps[J8 + 256 * p + v] = s;
+            }
+            jumps[J16 + 256 * p + v] = s;
+        }
+}
+
+/* `s` advanced `n` register reads: one lookup per sixteen. */
+static inline uint32_t lfsr_advance(uint32_t s, int64_t n, const uint32_t *jumps)
+{
+    for (; n >= 16; n -= 16)
+        s = lfsr_image(s, jumps + J16);
+    if (n >= 8) {
+        s = lfsr_image(s, jumps + J8);
+        n -= 8;
+    }
+    for (; n > 0; n--)
+        s = lfsr_image(s, jumps + J1);
+    return s;
+}
+
+/* The high bit of each byte of `x` below the byte value `under`
+ * (<= 128; broadcast to every byte): zero exactly when no byte is, and
+ * the lowest one set is the first such byte (a borrow runs only upward,
+ * from a byte that is below). */
+static inline uint64_t bytes_below(uint64_t x, uint64_t under)
+{
+    return (x - under) & ~x & 0x8080808080808080ULL;
+}
+
+/* The Bernoulli draws of the next `n` words of the LFSR at `*state`:
+ * returns the index of the first word below `threshold`, leaving that
+ * word in `*state`, or `n`, with `*state` advanced `n` words.
+ *
+ * A word is below the threshold only if its top byte is at most
+ * (threshold - 1) >> 24.  Up to 2^31 that limit fits a SWAR byte
+ * compare, so one dependency step reads the top bytes of the next 16
+ * words (four lookups, two uint64) and, when none can be a hit, takes
+ * all 16 through J^16.  A block whose first 8 words hold no candidate
+ * takes those 8 through J^8; the words before the first candidate are
+ * stepped without a test, and the candidate is tested whole — so hits
+ * and word counts are the serial walk's.  Above 2^31 nearly every block
+ * holds a candidate, and the scan is the serial walk. */
+static int64_t lfsr_scan(uint32_t *state, int64_t n, int64_t threshold,
+                         const uint32_t *jumps, const uint64_t *tops)
+{
+    const int blocks = threshold <= ((int64_t)1 << 31);
+    const uint64_t under = 0x0101010101010101ULL
+                         * (uint64_t)(threshold > 0 ? ((threshold - 1) >> 24) + 1 : 0);
+    uint32_t s = *state;
+    int64_t k = 0;
+    while (k < n) {
+        int64_t skip = 0; /* words before the next candidate */
+        if (blocks && n - k >= 8) {
+            const uint64_t *const t0 = tops + 2 * (s & 0xFF);
+            const uint64_t *const t1 = tops + 2 * (256 + ((s >> 8) & 0xFF));
+            const uint64_t *const t2 = tops + 2 * (512 + ((s >> 16) & 0xFF));
+            const uint64_t *const t3 = tops + 2 * (768 + (s >> 24));
+            uint64_t below = bytes_below(t0[0] ^ t1[0] ^ t2[0] ^ t3[0], under);
+            if (!below) {
+                if (n - k >= 16) {
+                    below = bytes_below(t0[1] ^ t1[1] ^ t2[1] ^ t3[1], under);
+                    if (!below) {
+                        s = lfsr_image(s, jumps + J16);
+                        k += 16;
+                        continue;
+                    }
+                }
+                s = lfsr_image(s, jumps + J8);
+                k += 8;
+                if (!below)
+                    continue;
+            }
+            skip = __builtin_ctzll(below) >> 3;
+        }
+        k += skip;
+        for (; skip > 0; skip--)
+            s = lfsr_image(s, jumps + J1);
+        s = lfsr_image(s, jumps + J1);
+        if ((int64_t)s < threshold) {
+            *state = s;
+            return k;
+        }
+        k++;
+    }
+    *state = s;
+    return n;
 }
 
 /* Scan the traffic of lanes [0, upto) from cycle `start`, to `stop` at
@@ -134,18 +266,21 @@ static inline uint32_t lfsr_read(uint32_t s, const uint32_t *t)
  * stopped at.
  *
  * Per cycle, per lane, per source: one LFSR word compared against the
- * lane's threshold (the Bernoulli draw).  The words of a lane are a
- * dependency chain, one table lookup deep per word; the scan instead
- * reads the next LOOKAHEAD words of one state at once (independent
- * lookups) and, when none of them is a hit, takes them all.  A block
- * that holds a hit is walked one word at a time, so the hit, its
- * destination words and the word count are the serial scan's.  A lane
- * whose threshold is negative has no live BE stream and draws no words.
- * `states` and `tally[l]` (words consumed by lane l) are updated in
- * place.
+ * lane's threshold (the Bernoulli draw; lfsr_scan rejects 16 words per
+ * dependency step).  A lane whose threshold is negative has no live BE
+ * stream and draws no words.  `states` and `tally[l]` (words consumed
+ * by lane l) are updated in place.  `work` is scratch: n_gt + 5 words a
+ * lane.
  *
  * probe == 0 (generate): stop at the first cycle boundary at which the
- * window holds `budget` flits (`bpf` payload bytes per flit).  Every
+ * window holds `budget` flits (`bpf` payload bytes per flit).  Between
+ * hits a lane's Bernoulli words run on across cycles (word i of the
+ * window is source i % n_src of cycle start + i / n_src), so each lane
+ * scans ahead from its last exact state to its next hit — the window's
+ * last word at most — and the cycle-major loop visits only cycles in
+ * which some lane hits or a GT stream fires.  At the window's end a
+ * lane whose scan read past it is advanced again, through the jump
+ * tables, from its last exact state.  Every
  * packet of the window becomes one column of `pk` (rows of 2 * cap
  * columns; the caller sizes `cap` for the packets of one flit short of
  * the budget plus one cycle's worst case), in cycle-major, lane,
@@ -162,22 +297,24 @@ static inline uint32_t lfsr_read(uint32_t s, const uint32_t *t)
  * toggles advance as TrafficDriver.generate advances them.
  *
  * probe != 0 (idle window; the caller cut it at the next GT firing):
- * stop before the first cycle in which any lane hits.  A cycle's new
- * states are parked in `pk[0..lanes)` and committed only once every
- * lane has passed it, so on return every live lane has consumed exactly
- * n_src words per completed cycle.  `tally[lanes]` accumulates every
- * word examined, the discarded cycle's included.
+ * stop before the first cycle in which any lane hits.  The scan goes
+ * cycle by cycle, lane by lane, so no word past the discarded cycle is
+ * read.  A cycle's new states are parked in `pk[0..lanes)` and
+ * committed only once every lane has passed it, so on return every
+ * live lane has consumed exactly n_src words per completed cycle.
+ * `tally[lanes]` accumulates every word examined, the discarded cycle's
+ * included.
  */
 int64_t repro_gen_be(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
     int64_t probe,
     const int64_t *thresholds, int64_t bound, int64_t span,
-    const uint32_t *jump,
+    const uint32_t *jumps, const uint64_t *tops,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
     const int64_t *be_vcs, int64_t n_be_vcs,
     int64_t n_gt, const int64_t *gt_lane, const int64_t *gt_stream,
-    int64_t *gt_seq, int64_t *gt_fire,
+    int64_t *gt_seq, int64_t *work,
     int64_t *pk, int64_t cap, int64_t budget, int64_t *ends)
 {
     const int64_t *gt_count = gt_lane, *gt_period = gt_lane + lanes;
@@ -186,7 +323,14 @@ int64_t repro_gen_be(
     const int64_t *gt_phase = gt_stream, *gt_src = gt_stream + n_streams;
     const int64_t *gt_dest = gt_stream + 2 * n_streams;
     const int64_t *gt_vc = gt_stream + 3 * n_streams;
-    int64_t *gt_next = gt_fire + n_streams; /* per lane: its next firing */
+    /* per stream: its next firing; per lane: its next firing, the
+     * window word of states[l] (its last exact state), its next hit
+     * (`total`: none in the window), that hit's cycle and the hit word
+     * (with no hit: the state at `total`) */
+    int64_t *gt_fire = work, *gt_next = work + n_streams;
+    int64_t *exact = gt_next + lanes, *hit = exact + lanes;
+    int64_t *hit_cycle = hit + lanes, *hit_word = hit_cycle + lanes;
+    const int64_t total = n_src * (stop - start);
     const int64_t stride = 2 * cap;
     int64_t *lane_ends = ends, *lane_flits = ends + lanes;
     int64_t n = 0, flits = 0, c;
@@ -205,26 +349,76 @@ int64_t repro_gen_be(
         n++;                                                                \\
     } while (0)
 
-    if (!probe) {
-        /* first firing of every GT stream at or after `start` */
-        for (int64_t l = 0; l < upto; l++) {
-            int64_t next = INT64_MAX;
-            for (int64_t i = 0; i < gt_count[l]; i++) {
-                const int64_t period = gt_period[l];
-                int64_t off = (gt_phase[l * n_gt + i] - start) % period;
-                if (off < 0)
-                    off += period;
-                gt_fire[l * n_gt + i] = start + off;
-                if (start + off < next)
-                    next = start + off;
+    if (probe) {
+        for (c = start; c < stop; c++) {
+            int64_t examined = 0;
+            for (int64_t l = 0; l < upto; l++) {
+                if (thresholds[l] < 0)
+                    continue;
+                uint32_t s = (uint32_t)states[l];
+                const int64_t k = lfsr_scan(&s, n_src, thresholds[l], jumps, tops);
+                if (k < n_src) {
+                    tally[lanes] += examined + k + 1;
+                    return c;
+                }
+                examined += n_src;
+                pk[l] = (int64_t)s;
             }
-            gt_next[l] = next;
+            for (int64_t l = 0; l < upto; l++) {
+                if (thresholds[l] < 0)
+                    continue;
+                states[l] = pk[l];
+                tally[l] += n_src;
+            }
+            tally[lanes] += examined;
         }
+        return c;
+    }
+
+    /* lane l's next hit from its last exact state */
+#define FIND_HIT(l)                                                         \\
+    do {                                                                    \\
+        uint32_t s_ = (uint32_t)states[l];                                  \\
+        hit[l] = exact[l] + lfsr_scan(&s_, total - exact[l], thresholds[l], \\
+                                      jumps, tops);                         \\
+        hit_cycle[l] = hit[l] < total ? start + hit[l] / n_src : INT64_MAX; \\
+        hit_word[l] = (int64_t)s_;                                          \\
+    } while (0)
+
+    for (int64_t l = 0; l < upto; l++) {
+        /* first firing of every GT stream at or after `start` */
+        int64_t next = INT64_MAX;
+        for (int64_t i = 0; i < gt_count[l]; i++) {
+            const int64_t period = gt_period[l];
+            int64_t off = (gt_phase[l * n_gt + i] - start) % period;
+            if (off < 0)
+                off += period;
+            gt_fire[l * n_gt + i] = start + off;
+            if (start + off < next)
+                next = start + off;
+        }
+        gt_next[l] = next;
+        exact[l] = 0;
+        hit[l] = total;
+        hit_cycle[l] = INT64_MAX;
+        if (thresholds[l] >= 0)
+            FIND_HIT(l);
     }
     for (c = start; c < stop && flits < budget; c++) {
-        int64_t examined = 0;
+        int64_t due = INT64_MAX; /* the next cycle holding a packet */
         for (int64_t l = 0; l < upto; l++) {
-            if (!probe && gt_next[l] == c) {
+            if (gt_next[l] < due)
+                due = gt_next[l];
+            if (hit_cycle[l] < due)
+                due = hit_cycle[l];
+        }
+        if (due >= stop) {
+            c = stop;
+            break;
+        }
+        c = due;
+        for (int64_t l = 0; l < upto; l++) {
+            if (gt_next[l] == c) {
                 int64_t next = INT64_MAX;
                 for (int64_t i = 0; i < gt_count[l]; i++) {
                     const int64_t k = l * n_gt + i;
@@ -240,39 +434,15 @@ int64_t repro_gen_be(
                 }
                 gt_next[l] = next;
             }
-            const int64_t threshold = thresholds[l];
-            if (threshold < 0)
-                continue;
-            uint32_t s = (uint32_t)states[l];
-            int64_t rd = 0;
-            for (int64_t src = 0; src < n_src; src++) {
-                if (src + LOOKAHEAD <= n_src) {
-                    const uint32_t w1 = lfsr_read(s, jump);
-                    const uint32_t w2 = lfsr_read(s, jump + 1024);
-                    const uint32_t w3 = lfsr_read(s, jump + 2048);
-                    const uint32_t w4 = lfsr_read(s, jump + 3072);
-                    if ((w1 >= threshold) & (w2 >= threshold)
-                            & (w3 >= threshold) & (w4 >= threshold)) {
-                        s = w4;
-                        rd += LOOKAHEAD;
-                        src += LOOKAHEAD - 1;
-                        continue;
-                    }
-                }
-                s = lfsr_read(s, jump);
-                rd++;
-                if ((int64_t)s >= threshold)
-                    continue;
-                if (probe) {
-                    tally[lanes] += examined + rd;
-                    return c;
-                }
-                uint32_t d;
+            while (hit_cycle[l] == c) {
+                /* the destination, drawn as HardwareLfsr.next_below draws */
+                uint32_t s = (uint32_t)hit_word[l], d;
                 do {
-                    d = lfsr_read(s, jump);
-                    rd++;
+                    d = lfsr_image(s, jumps + J1);
+                    tally[l]++;
                     s = d;
                 } while ((int64_t)d >= span);
+                const int64_t src = hit[l] - (c - start) * n_src;
                 int64_t dest = (int64_t)(d % (uint32_t)bound);
                 if (dest >= src)
                     dest += 1;
@@ -282,28 +452,25 @@ int64_t repro_gen_be(
                 toggles[k] = (toggle + 1) % n_be_vcs;
                 EMIT(l, c, src, dest, be_vcs[toggle], seq, seq % 128, 0,
                      be_nbytes[l]);
-            }
-            examined += rd;
-            if (probe) {
-                pk[l] = (int64_t)s;
-            } else {
                 states[l] = (int64_t)s;
-                tally[l] += rd;
+                exact[l] = hit[l] + 1;
+                FIND_HIT(l);
             }
-        }
-        if (probe) {
-            for (int64_t l = 0; l < upto; l++) {
-                if (thresholds[l] < 0)
-                    continue;
-                states[l] = pk[l];
-                tally[l] += n_src;
-            }
-            tally[lanes] += examined;
         }
     }
+#undef FIND_HIT
 #undef EMIT
-    if (probe)
-        return c;
+    /* every live lane at the window's end: its Bernoulli words there */
+    const int64_t end = n_src * (c - start);
+    for (int64_t l = 0; l < upto; l++) {
+        if (thresholds[l] < 0)
+            continue;
+        if (hit[l] == total && end == total)
+            states[l] = hit_word[l];
+        else
+            states[l] = (int64_t)lfsr_advance((uint32_t)states[l], end - exact[l], jumps);
+        tally[l] += end;
+    }
     /* group by lane: count, then place (lane_flits is the write cursor) */
     int64_t at = 0;
     for (int64_t l = 0; l < lanes; l++)
@@ -742,6 +909,31 @@ def stimuli_kernel():
     return cbackend.load_source(_SOURCE, _CDEF)
 
 
+@functools.lru_cache(maxsize=None)
+def lfsr_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """The scan's look-ahead tables ``(jumps, tops)`` for
+    :data:`~repro.traffic.rng.GALOIS_MASK`, ``J`` one register read.
+
+    ``jumps`` (``[3, 4, 256]`` ``uint32``) holds the byte images of
+    ``J^1``, ``J^8`` and ``J^16``; ``tops`` (``[4, 256, 2]`` ``uint64``)
+    the top bytes of the images under ``J^1 .. J^16``, word ``k`` in
+    byte ``(k - 1) % 8`` of ``tops[..., (k - 1) // 8]``.  The kernel
+    fills them (``repro_lfsr_tables``, tens of microseconds) once per
+    process; the arrays are shared and read-only.
+    """
+    lib, ffi = stimuli_kernel()
+    jumps = np.empty((3, 4, 256), dtype=np.uint32)
+    tops = np.empty((4, 256, 2), dtype=np.uint64)
+    lib.repro_lfsr_tables(
+        GALOIS_MASK,
+        ffi.cast("uint32_t *", jumps.ctypes.data),
+        ffi.cast("uint64_t *", tops.ctypes.data),
+    )
+    for table in (jumps, tops):
+        table.setflags(write=False)
+    return jumps, tops
+
+
 def bind_stimuli_kernel():
     """``(kernel, None)`` where the backend ladder selects the generated-C
     tier, else ``(None, reason)``."""
@@ -893,22 +1085,26 @@ class BatchedBeGenerator(WindowSource):
         self._n_keys = self.drivers[0].queues._table.shape[1]
         self._key_queue = np.full(lanes * self._n_keys, -1, dtype=np.int64)
         self._be_vcs = np.array(net.router.be_vcs, dtype=np.int64)
-        self._gt_fire = np.zeros(lanes * n_gt + lanes, dtype=np.int64)  # scratch
+        #: scan scratch: GT firings, per-lane scan cursors
+        self._work = np.zeros(lanes * (n_gt + 5), dtype=np.int64)
         #: scan scratch: ``cap`` packet columns in scan order, then ``cap``
         #: grouped by lane.  A window is one flit short of its budget at
         #: the last cycle it enters and a packet is three flits or more.
         cap = self.budget // 3 + lanes * (self.n_src + n_gt)
         self._packets = np.zeros((9, 2 * cap), dtype=np.int64)
-        at = lambda array: pointer(self._ffi, array)  # noqa: E731
+        ffi = self._ffi
+        at = lambda array: pointer(ffi, array)  # noqa: E731
+        jumps, tops = lfsr_tables()
         #: repro_gen_be's arguments after `probe`
         self._scan_args = (
             at(self._thresholds), self.bound, self.span,
-            self._ffi.cast("uint32_t *", lookahead_tables().ctypes.data),
+            ffi.cast("uint32_t *", jumps.ctypes.data),
+            ffi.cast("uint64_t *", tops.ctypes.data),
             at(self._states), at(self._tally),
             net.router.data_width // 8, at(self._be_nbytes), at(self._be_seq),
             at(self._toggles), at(self._be_vcs), len(self._be_vcs),
             n_gt, at(self._gt_lane), at(self._gt_stream), at(self._gt_seq),
-            at(self._gt_fire), at(self._packets), cap, self.budget, at(self._ends),
+            at(self._work), at(self._packets), cap, self.budget, at(self._ends),
         )
         self._p_key_queue = at(self._key_queue)
 

@@ -13,15 +13,27 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 
 @dataclass
 class DeltaMetrics:
-    """Per-run delta-cycle statistics of a sequential simulation."""
+    """Per-run delta-cycle statistics of a sequential simulation.
+
+    The per-cycle column is kept as runs: ``values[i]`` deltas in each
+    of ``counts[i]`` consecutive system cycles, no two neighbouring runs
+    of one value.  A chunk of statically scheduled or fast-forwarded
+    cycles is one run, whatever its length; :attr:`per_cycle` expands
+    the column on demand.
+    """
 
     n_units: int
-    per_cycle: List[int] = field(default_factory=list)
+    values: List[int] = field(default_factory=list)
+    counts: List[int] = field(default_factory=list)
+    system_cycles: int = 0
+    total_deltas: int = 0
 
     def _check_floor(self, deltas: int) -> None:
         if deltas < self.n_units:
@@ -30,9 +42,16 @@ class DeltaMetrics:
                 "evaluated at least once per system cycle"
             )
 
+    def _book(self, values: List[int], counts: List[int]) -> None:
+        """Append runs (no two neighbours among them equal, none empty)."""
+        if self.values and self.values[-1] == values[0]:
+            self.counts[-1] += counts[0]
+            values, counts = values[1:], counts[1:]
+        self.values += values
+        self.counts += counts
+
     def record_cycle(self, deltas: int) -> None:
-        self._check_floor(deltas)
-        self.per_cycle.append(deltas)
+        self.record_cycles(1, deltas)
 
     def record_cycles(self, cycles: int, deltas: int) -> None:
         """Credit ``cycles`` system cycles of ``deltas`` each at once.
@@ -45,22 +64,36 @@ class DeltaMetrics:
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
         self._check_floor(deltas)
-        self.per_cycle.extend(itertools.repeat(deltas, cycles))
+        if cycles:
+            self._book([deltas], [cycles])
+            self.system_cycles += cycles
+            self.total_deltas += cycles * deltas
 
-    def record_counts(self, deltas: List[int]) -> None:
+    def record_counts(self, deltas: Sequence[int]) -> None:
         """Book one measured delta count per system cycle: the column
-        the generated body's HBR accounting pass hands back."""
-        if deltas:
-            self._check_floor(min(deltas))
-        self.per_cycle.extend(deltas)
+        the generated body's HBR accounting pass hands back (a list or
+        a NumPy array)."""
+        if len(deltas) <= 1:  # a stepped cycle
+            for value in deltas:
+                self.record_cycle(int(value))
+            return
+        column = np.asarray(deltas, dtype=np.int64)
+        self._check_floor(int(column.min()))
+        # a run starts at 0 and wherever the count changes
+        starts = np.flatnonzero(column[1:] != column[:-1]) + 1
+        self._book(
+            column[np.append(0, starts)].tolist(),
+            np.diff(starts, prepend=0, append=len(column)).tolist(),
+        )
+        self.system_cycles += len(column)
+        self.total_deltas += int(column.sum())
 
     @property
-    def system_cycles(self) -> int:
-        return len(self.per_cycle)
-
-    @property
-    def total_deltas(self) -> int:
-        return sum(self.per_cycle)
+    def per_cycle(self) -> List[int]:
+        """The delta count of every system cycle, in order (a new list)."""
+        return list(
+            itertools.chain.from_iterable(map(itertools.repeat, self.values, self.counts))
+        )
 
     @property
     def min_deltas(self) -> int:
@@ -79,7 +112,7 @@ class DeltaMetrics:
         return self.extra_deltas / self.min_deltas
 
     def mean_deltas_per_cycle(self) -> float:
-        if not self.per_cycle:
+        if not self.system_cycles:
             return 0.0
         return self.total_deltas / self.system_cycles
 
@@ -92,5 +125,5 @@ class DeltaMetrics:
             "extra_deltas": self.extra_deltas,
             "extra_fraction": self.extra_fraction(),
             "mean_deltas_per_cycle": self.mean_deltas_per_cycle(),
-            "max_deltas_per_cycle": max(self.per_cycle, default=0),
+            "max_deltas_per_cycle": max(self.values, default=0),
         }

@@ -1,6 +1,7 @@
 """Unit tests for the sequential simulator's building blocks:
 state memory, link memory (HBR protocol), scheduler, metrics."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -233,3 +234,70 @@ class TestDeltaMetrics:
             metrics.record_cycle(7 + e)
         assert metrics.total_deltas == metrics.min_deltas + metrics.extra_deltas
         assert metrics.extra_deltas == sum(extras)
+
+    #: one booking: ("cycle", deltas), ("cycles", (n, deltas)) or
+    #: ("counts", [deltas, ...]) as a list or as a NumPy column
+    BOOKINGS = st.one_of(
+        st.tuples(st.just("cycle"), st.integers(5, 8)),
+        st.tuples(st.just("cycles"), st.tuples(st.integers(0, 300), st.integers(5, 8))),
+        st.tuples(
+            st.sampled_from(["counts", "column"]),
+            st.lists(st.integers(5, 8), max_size=40),
+        ),
+    )
+
+    @given(st.lists(BOOKINGS, max_size=12))
+    def test_runs_read_as_the_per_cycle_list(self, bookings):
+        # every mix of bookings reads as the plain per-cycle list would
+        metrics, plain = DeltaMetrics(n_units=5), []
+        for kind, arg in bookings:
+            if kind == "cycle":
+                metrics.record_cycle(arg)
+                plain.append(arg)
+            elif kind == "cycles":
+                metrics.record_cycles(*arg)
+                plain += [arg[1]] * arg[0]
+            else:
+                metrics.record_counts(arg if kind == "counts" else np.array(arg, dtype=np.int64))
+                plain += arg
+        assert metrics.per_cycle == plain
+        assert all(type(d) is int for d in metrics.per_cycle)
+        # neighbouring runs differ, and no run is empty
+        assert all(a != b for a, b in zip(metrics.values, metrics.values[1:]))
+        assert all(n > 0 for n in metrics.counts)
+        total, cycles = sum(plain), len(plain)
+        extra = total - 5 * cycles
+        assert metrics.summary() == {
+            "system_cycles": cycles,
+            "units": 5,
+            "total_deltas": total,
+            "min_deltas": 5 * cycles,
+            "extra_deltas": extra,
+            "extra_fraction": extra / (5 * cycles) if cycles else 0.0,
+            "mean_deltas_per_cycle": total / cycles if cycles else 0.0,
+            "max_deltas_per_cycle": max(plain, default=0),
+        }
+
+    def test_a_fast_forwarded_stretch_is_one_run(self):
+        metrics = DeltaMetrics(n_units=36)
+        metrics.record_counts([108, 108, 110])
+        metrics.record_cycles(198_848, 108)
+        metrics.record_cycles(0, 108)
+        metrics.record_cycle(108)
+        assert metrics.values == [108, 110, 108]
+        assert metrics.counts == [2, 1, 198_849]
+        assert metrics.system_cycles == 198_852
+        assert metrics.total_deltas == 108 * 198_851 + 110
+
+    def test_the_floor_holds_for_every_booking(self):
+        metrics = DeltaMetrics(n_units=4)
+        for book in (
+            lambda: metrics.record_cycles(3, 3),
+            lambda: metrics.record_counts([4, 3, 4]),
+            lambda: metrics.record_counts(np.array([3])),
+        ):
+            with pytest.raises(ValueError):
+                book()
+        with pytest.raises(ValueError):
+            metrics.record_cycles(-1, 4)
+        assert metrics.per_cycle == [] and metrics.system_cycles == 0

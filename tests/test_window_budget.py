@@ -9,11 +9,15 @@ Two contracts of the generate phase (DESIGN section 10):
   submit logs, tracker samples, stall counters and per-cycle delta
   columns, all equal to the golden cycle engine — through an overload
   that rewinds a cut window, and with fast-forward on or off.
-* ``repro_gen_be`` reads the next four words of an LFSR state at once
-  and takes them all when none is a hit.  Word for word it is the serial
-  scan on :class:`~repro.traffic.rng.HardwareLfsr`: a hit at any block
-  position, back-to-back hits, rejection-sampled destinations, fabrics
-  whose source count is no multiple of four, in generate and probe mode.
+* ``repro_gen_be`` reads the top bytes of the next sixteen words of an
+  LFSR state at once and takes them all when none can be a hit; in
+  generate mode a lane's blocks run on across cycles, and a lane that
+  read past the window's end is advanced again to it.  Word for word it
+  is the serial scan on :class:`~repro.traffic.rng.HardwareLfsr`: a hit
+  at any block position and across a cycle boundary, thresholds at the
+  byte limit, back-to-back hits, rejection-sampled destinations, any
+  source count, windows cut by the budget or the limit, GT firings
+  between hits, in generate and probe mode.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.traffic.generators import (
     transpose,
     uniform_random,
 )
-from repro.traffic.rng import LOOKAHEAD, HardwareLfsr, lfsr_jump, lookahead_tables
+from repro.traffic.rng import _JUMP, HardwareLfsr, lfsr_jump
 from repro.traffic.stimuli import (
     P_CYCLE,
     P_DEST,
@@ -69,8 +73,11 @@ UNBOUNDED = 10**6
 # (a) the look-ahead scan against the serial one
 # --------------------------------------------------------------------------
 
-#: fabrics by source count: 4 is one block, the others leave a tail
+#: fabrics by source count: a cycle of 4, 6 or 9 sources is shorter
+#: than a block, 36 and 100 leave a tail
 SHAPES = {4: (2, 2), 6: (3, 2), 9: (3, 3), 36: (6, 6), 100: (10, 10)}
+#: LFSR words the scan rejects per dependency step
+BLOCK = 16
 PERIOD = 2**32 - 1
 #: a Bernoulli threshold of 4096: hits only where a test plants one
 RARE = 2**-20
@@ -179,26 +186,44 @@ def assert_probe_is_serial(n_src, probabilities, seeds, limit):
     return idle
 
 
+def image(table, state: int) -> int:
+    """A ``[4][256]`` byte table's image of ``state``: four lookups XORed."""
+    out = 0
+    for position, row in enumerate(table):
+        out ^= row[(state >> (8 * position)) & 0xFF]
+    return out
+
+
 @needs_jit
 class TestLookaheadScan:
     def test_table_rows_are_successive_reads(self):
-        tables = lookahead_tables()
-        assert tables.shape == (LOOKAHEAD, 4, 256) and tables.dtype == np.uint32
-        assert not tables.flags.writeable and lookahead_tables() is tables
-        rng = HardwareLfsr(0xC0FFEE)
-        state = rng.state
-        for row in tables:
-            image = 0
-            for position, table in enumerate(row.tolist()):
-                image ^= table[(state >> (8 * position)) & 0xFF]
-            assert image == rng.next_u32()
+        jumps, tops = trafficgen.lfsr_tables()
+        assert jumps.shape == (3, 4, 256) and jumps.dtype == np.uint32
+        assert tops.shape == (4, 256, 2) and tops.dtype == np.uint64
+        assert not jumps.flags.writeable and not tops.flags.writeable
+        assert trafficgen.lfsr_tables()[0] is jumps
+        # J^1 is next_u32's own table
+        j1, j8, j16 = jumps.tolist()
+        assert j1 == [list(table) for table in _JUMP]
+        # the 16 packed top bytes as one integer: byte k - 1 is word k's
+        packed = [[lo | hi << 64 for lo, hi in row] for row in tops.tolist()]
+        rng = np.random.default_rng(0xC0FFEE)
+        for state in [1, 0xFFFFFFFF, *rng.integers(1, 2**32, size=20).tolist()]:
+            lfsr = HardwareLfsr(state)
+            words = [lfsr.next_u32() for _ in range(16)]
+            assert image(j1, state) == words[0]
+            assert image(j8, state) == words[7]
+            assert image(j16, state) == words[15]
+            assert image(packed, state) == int.from_bytes(
+                bytes(word >> 24 for word in words), "little"
+            )
 
     @pytest.mark.parametrize("n_src", sorted(SHAPES))
     def test_a_hit_at_every_block_position_is_the_serial_hit(self, n_src):
         # lane 0 and lane 2 each meet one planted word below the
         # threshold, a dead lane between them; every position of a full
         # block, the tail past the last block and cycle 1 are covered
-        positions = sorted({*range(min(n_src, 2 * LOOKAHEAD + 1)), n_src - 1})
+        positions = sorted({*range(min(n_src, 2 * BLOCK + 1)), n_src - 1})
         for position in positions:
             for cycle, lane in ((0, 0), (1, 2), (1, 0)):
                 seeds = [0xBEE, 0xBEE, 0xFEED]
@@ -245,6 +270,321 @@ class TestLookaheadScan:
         seeds[live] = seed_reading(7, planted + 1)
         assert_scan_is_serial(n_src, probabilities, seeds, cycles)
         assert_probe_is_serial(n_src, probabilities, seeds, cycles + 2)
+
+
+class DirectScan:
+    """``repro_gen_be`` called directly, beside its serial model on
+    :class:`HardwareLfsr`.
+
+    No fabric is needed, so any source count works: the destination
+    bound is ``max(n_src - 1, 1)``.  Each lane has a Bernoulli threshold
+    (``None``: no BE stream), a seed and GT streams (``(period,
+    [(phase, src, dest, vc), ...])``).  Every call checks the kernel's
+    packets, stop cycle, LFSR states, word tally and counters against
+    the model's, which the call advances alike.
+    """
+
+    BPF, BE_BYTES, GT_BYTES = 4, 8, 4  # BE packets are 4 flits, GT ones 3
+    BE_VCS = (2, 3)
+
+    def __init__(self, n_src, thresholds, seeds, gts=None):
+        self.lib, self.ffi = trafficgen.stimuli_kernel()
+        lanes = self.lanes = len(thresholds)
+        self.n_src, self.thresholds = n_src, list(thresholds)
+        self.bound = max(n_src - 1, 1)
+        self.span = 2**32 // self.bound * self.bound
+        self.gts = gts or [(1, [])] * lanes
+        n_gt = self.n_gt = max(len(streams) for _, streams in self.gts) or 1
+        self.rngs = [HardwareLfsr(seed) for seed in seeds]
+        self.probe_words = 0
+        # the kernel's tables
+        self.states = np.array(seeds, dtype=np.int64)
+        self.be_seq = np.zeros((lanes, n_src), dtype=np.int64)
+        self.toggles = np.zeros((lanes, n_src), dtype=np.int64)
+        self.gt_seq = np.zeros((lanes, n_gt), dtype=np.int64)
+        self.gt_lane = np.zeros((3, lanes), dtype=np.int64)
+        self.gt_stream = np.zeros((4, lanes, n_gt), dtype=np.int64)
+        for lane, (period, streams) in enumerate(self.gts):
+            self.gt_lane[:, lane] = len(streams), period, self.GT_BYTES
+            for i, stream in enumerate(streams):
+                self.gt_stream[:, lane, i] = stream
+        # the model's counters
+        self.model = (self.be_seq.tolist(), self.toggles.tolist(), self.gt_seq.tolist())
+
+    def _call(self, start, stop, probe, budget, upto):
+        lanes, ffi = self.lanes, self.ffi
+        cap = max(stop - start, 1) * lanes * (self.n_src + self.n_gt)
+        pk = np.zeros((9, 2 * cap), dtype=np.int64)
+        tally = np.zeros(lanes + 1, dtype=np.int64)
+        ends = np.zeros((2, lanes), dtype=np.int64)
+        work = np.zeros(lanes * (self.n_gt + 5), dtype=np.int64)
+        thresholds = np.array(
+            [-1 if t is None else t for t in self.thresholds], dtype=np.int64
+        )
+        be_nbytes = np.full(lanes, self.BE_BYTES, dtype=np.int64)
+        be_vcs = np.array(self.BE_VCS, dtype=np.int64)
+        jumps, tops = trafficgen.lfsr_tables()
+        at = lambda array: trafficgen.pointer(ffi, array)  # noqa: E731
+        stopped = self.lib.repro_gen_be(
+            lanes, upto, self.n_src, start, stop, probe,
+            at(thresholds), self.bound, self.span,
+            ffi.cast("uint32_t *", jumps.ctypes.data),
+            ffi.cast("uint64_t *", tops.ctypes.data),
+            at(self.states), at(tally), self.BPF, at(be_nbytes), at(self.be_seq),
+            at(self.toggles), at(be_vcs), len(be_vcs), self.n_gt, at(self.gt_lane),
+            at(self.gt_stream), at(self.gt_seq), at(work), at(pk), cap, budget,
+            at(ends),
+        )
+        return stopped, pk, cap, tally, ends
+
+    def _serial_window(self, start, stop, budget, upto):
+        be_seq, toggles, gt_seq = self.model
+        packets, flits, cycle = [], 0, start
+        while cycle < stop and flits < budget:
+            for lane in range(upto):
+                period, streams = self.gts[lane]
+                for i, (phase, src, dest, vc) in enumerate(streams):
+                    if (cycle - phase) % period == 0:
+                        seq = gt_seq[lane][i]
+                        gt_seq[lane][i] = (seq + 1) & 0xFF
+                        packets.append((lane, cycle, src, dest, vc, seq, i % 128, 1,
+                                        self.GT_BYTES))
+                        flits += 3
+                threshold, rng = self.thresholds[lane], self.rngs[lane]
+                if threshold is None:
+                    continue
+                for src in range(self.n_src):
+                    if rng.next_u32() < threshold:
+                        dest = rng.next_below(self.bound)
+                        seq, toggle = be_seq[lane][src], toggles[lane][src]
+                        be_seq[lane][src] = (seq + 1) & 0xFF
+                        toggles[lane][src] = (toggle + 1) % len(self.BE_VCS)
+                        packets.append((lane, cycle, src, dest + (dest >= src),
+                                        self.BE_VCS[toggle], seq, seq % 128, 0,
+                                        self.BE_BYTES))
+                        flits += 4
+            cycle += 1
+        return packets, cycle
+
+    def _serial_probe(self, start, stop):
+        """Probe mode, as the kernel counts its words: a cycle's words
+        lane by lane up to the first hit, which discards the cycle."""
+        live = [rng for t, rng in zip(self.thresholds, self.rngs) if t is not None]
+        for cycle in range(start, stop):
+            before, examined = [(rng.state, rng.words_read) for rng in live], 0
+            for t, rng in zip(self.thresholds, self.rngs):
+                if t is None:
+                    continue
+                for k in range(self.n_src):
+                    if rng.next_u32() < t:
+                        for rng, state in zip(live, before):
+                            rng.state, rng.words_read = state
+                        self.probe_words += examined + k + 1
+                        return cycle
+                examined += self.n_src
+            self.probe_words += examined
+        return stop
+
+    def _check_lanes(self, tally, words):
+        assert self.states.tolist() == [rng.state for rng in self.rngs]
+        assert tally[:-1].tolist() == [
+            rng.words_read - read for rng, read in zip(self.rngs, words)
+        ]
+
+    def window(self, start, stop, budget=UNBOUNDED, upto=None):
+        """One generate-mode scan; returns its packets (lane, cycle, src,
+        dest, vc, seq, tag, gt, bytes) and the cycle it stopped at."""
+        upto = self.lanes if upto is None else upto
+        words = [rng.words_read for rng in self.rngs]
+        stopped, pk, cap, tally, ends = self._call(start, stop, 0, budget, upto)
+        want, cycle = self._serial_window(start, stop, budget, upto)
+        assert stopped == cycle
+        n = len(want)
+        assert list(zip(*pk[:, :n].tolist())) == want
+        by_lane = sorted(want, key=lambda packet: packet[0])  # stable
+        assert list(zip(*pk[:, cap : cap + n].tolist())) == by_lane
+        lanes = [packet[0] for packet in want]
+        assert ends[0].tolist() == np.cumsum(
+            [lanes.count(lane) for lane in range(self.lanes)]
+        ).tolist()
+        assert ends[1].tolist() == [
+            sum(2 + -(-packet[8] // self.BPF) for packet in want if packet[0] == lane)
+            for lane in range(self.lanes)
+        ]
+        self._check_lanes(tally, words)
+        assert (self.be_seq.tolist(), self.toggles.tolist(), self.gt_seq.tolist()) == (
+            self.model
+        )
+        return want, stopped
+
+    def probe(self, start, stop):
+        """One probe-mode scan; returns the cycle it stopped at."""
+        words, probed = [rng.words_read for rng in self.rngs], self.probe_words
+        stopped, _, _, tally, _ = self._call(start, stop, 1, UNBOUNDED, self.lanes)
+        assert stopped == self._serial_probe(start, stop)
+        assert tally[-1] == self.probe_words - probed
+        self._check_lanes(tally, words)
+        return stopped
+
+
+#: source counts of the direct scan: shorter than a block, one block,
+#: either side of one and two blocks, and long cycles
+N_SRCS = (1, 7, 8, 15, 16, 17, 31, 36, 100)
+#: a threshold whose hits have top byte 0: hits only where planted
+T_RARE = 4096
+
+
+def planted(word: int, position: int) -> int:
+    """The seed whose ``position``-th word (from 0) is ``word``."""
+    return seed_reading(word, position + 1)
+
+
+def spans(cycles):
+    """Windows ``[start, stop)`` covering ``[0, cycles)`` of growing
+    length, so every cut falls somewhere new."""
+    start, length = 0, 1
+    while start < cycles:
+        yield start, min(start + length, cycles)
+        start, length = start + length, length + 1
+
+
+@needs_jit
+class TestBlockScan:
+    @pytest.mark.parametrize("n_src", N_SRCS)
+    def test_a_hit_at_every_block_position_and_across_cycles(self, n_src):
+        # lane 1 reads its planted hit as word `position`: every position
+        # of the first three blocks, wherever the cycle boundaries fall
+        # (a 16-word block of 7 sources spans three cycles); lane 0 has
+        # no hit, lane 2 no BE stream
+        cycles = 3 * BLOCK // n_src + 2
+        for position in range(3 * BLOCK + 1):
+            seeds = (0xBEE, planted(T_RARE - 1, position), 0xFEED)
+            thresholds = (T_RARE, T_RARE, None)
+            hits, stop = DirectScan(n_src, thresholds, seeds).window(0, cycles)
+            assert stop == cycles
+            assert [hit[:3] for hit in hits] == [(1, *divmod(position, n_src))]
+            probe = DirectScan(n_src, thresholds, seeds)
+            assert probe.probe(0, cycles) == position // n_src
+            # a window per cycle: the block is cut at every boundary
+            scan = DirectScan(n_src, thresholds, seeds)
+            assert [scan.window(c, c + 1)[1] for c in range(cycles)] == list(
+                range(1, cycles + 1)
+            )
+
+    @pytest.mark.parametrize(
+        "threshold",
+        [1, 2, T_RARE, 2**24 - 1, 2**24, 2**24 + 1, (5 << 24) - 1, 5 << 24,
+         (5 << 24) + 1, (0x7F << 24) + 1, 2**31 - 1, 2**31, 2**31 + 1, 2**32],
+    )
+    @pytest.mark.parametrize("n_src", [7, 36])
+    def test_thresholds_at_the_byte_limit(self, threshold, n_src):
+        # lane 0 reads the largest hit, threshold - 1, whose top byte is
+        # the scan's byte limit; lane 1 reads the threshold itself, a
+        # candidate of that byte or the next that is no hit
+        seeds = [0xBEE, 0xC0DE, 0xFEED]
+        if threshold > 1:
+            seeds[0] = planted(threshold - 1, 20)
+        if threshold < 2**32:
+            seeds[1] = planted(threshold, 9)
+        scan = DirectScan(n_src, (threshold,) * 3, seeds)
+        hits, _ = scan.window(0, 80 // n_src + 1)
+        if 1 < threshold <= 2**24 + 1:  # no earlier hit shifts its words
+            assert (0, *divmod(20, n_src)) in [hit[:3] for hit in hits]
+        probe = DirectScan(n_src, (threshold,) * 3, seeds)
+        probe.probe(0, 80 // n_src + 1)
+
+    @given(
+        n_src=st.sampled_from(N_SRCS),
+        thresholds=st.lists(
+            st.sampled_from(
+                (None, 0, T_RARE, 1 << 24, int(0.02 * 2**32), int(0.3 * 2**32),
+                 2**31 + 1, 2**32)
+            ),
+            min_size=1, max_size=4,
+        ),
+        seeds=st.lists(st.integers(1, PERIOD), min_size=4, max_size=4),
+        position=st.integers(0, 200),
+        budget=st.sampled_from((1, 4, 30, 200, UNBOUNDED)),
+        gt=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_windows_cut_by_the_budget_and_the_limit(
+        self, n_src, thresholds, seeds, position, budget, gt
+    ):
+        # lanes scan ahead across cycles; every window ends at a budget
+        # cut or at its limit, and each lane must stand exactly there
+        seeds = list(seeds)
+        seeds[0] = planted(T_RARE - 1, position)
+        gts = None
+        if gt:
+            streams = [(1, 0, n_src - 1, 0), (4, n_src - 1, 0, 1)]
+            gts = [(5 + lane, streams[: lane % 3]) for lane in range(len(thresholds))]
+        scan = DirectScan(n_src, thresholds, seeds[: len(thresholds)], gts)
+        cycles = 400 // n_src + 3
+        for start, limit in spans(cycles):
+            while start < limit:
+                _, start = scan.window(start, limit, budget)
+
+    @pytest.mark.parametrize("n_src", [7, 36])
+    def test_a_scan_past_the_budget_cut_stands_at_the_cut(self, n_src):
+        # lane 0 fills the budget in cycle 0; lane 1 had scanned ahead to
+        # its hit in cycle 9 and lane 2 to the limit, so both are
+        # advanced again to the cut — and find the same hit from there
+        seeds = (0xBEE, planted(T_RARE - 1, 9 * n_src + 2), 0xFEED)
+        scan = DirectScan(n_src, (2**32, T_RARE, T_RARE), seeds)
+        assert scan.window(0, 12, budget=4)[1] == 1
+        hits, stop = scan.window(1, 12)
+        assert stop == 12 and (1, 9, 2) in [hit[:3] for hit in hits]
+
+    def test_gt_firings_between_two_hits(self):
+        # sparse BE lanes whose GT streams fire between their hits: the
+        # cycle-major loop must visit every firing, however far the
+        # lane's scan ran ahead to its next hit
+        n_src, threshold = 17, int(0.004 * 2**32)
+        gts = [
+            (6, [(2, 3, 4, 0)]),
+            (1, []),
+            (4, [(1, 0, 5, 0), (3, 16, 2, 1)]),
+            (9, [(8, 7, 7, 1)]),
+        ]
+        seeds = (0xBEE, 0x5EED, 0xFEED, 0xC0DE)
+        scan = DirectScan(n_src, (threshold, threshold, None, threshold), seeds, gts)
+        packets, start = [], 0
+        for budget in (UNBOUNDED, 10, 1, 25, UNBOUNDED):
+            window, start = scan.window(start, start + 60, budget)
+            packets += window
+        for lane in (0, 3):
+            hits = [p[1] for p in packets if p[0] == lane and not p[7]]
+            firings = [p[1] for p in packets if p[0] == lane and p[7]]
+            assert any(a < f < b for a, b in zip(hits, hits[1:]) for f in firings)
+
+    @pytest.mark.parametrize("n_src", [7, 36])
+    def test_a_rewound_window_scans_a_prefix_of_the_lanes(self, n_src):
+        # BatchedBeGenerator._rewind: the window to the fatal cycle, then
+        # that cycle for the lanes up to the failing one
+        seeds = (planted(T_RARE - 1, 3 * n_src + 5), 0xBEE, planted(T_RARE - 1, 40))
+        thresholds = (T_RARE, int(0.05 * 2**32), T_RARE)
+        gts = [(3, [(0, 1, 2, 0)])] * 3
+        for upto in (1, 2):
+            scan = DirectScan(n_src, thresholds, seeds, gts)
+            scan.window(0, 3)
+            scan.window(3, 4, upto=upto)
+
+    @pytest.mark.parametrize("lanes", [1, 4, 16])
+    def test_probe_words_are_the_cycles_examined(self, lanes):
+        # the probe reads cycle by cycle: every word it examines lies in
+        # a completed cycle or the discarded one, the last lane's hit
+        # included — never more than 2 x lanes x n_src per cycle skipped
+        n_src, hit_cycle = 36, 5
+        seeds = [0xBEE + lane for lane in range(lanes)]
+        seeds[-1] = planted(T_RARE - 1, hit_cycle * n_src + 30)
+        scan = DirectScan(n_src, (T_RARE,) * lanes, seeds)
+        assert scan.probe(0, 40) == hit_cycle
+        assert scan.probe_words == lanes * n_src * (hit_cycle + 1) - (n_src - 31)
+        assert scan.probe_words <= 2 * lanes * n_src * hit_cycle
+        # a limit before the hit: exactly the cycles up to it
+        scan = DirectScan(n_src, (T_RARE,) * lanes, seeds)
+        assert scan.probe(0, 3) == 3 and scan.probe_words == lanes * n_src * 3
 
 
 # --------------------------------------------------------------------------
