@@ -122,7 +122,7 @@ def _report_kernel(engine, drivers) -> None:
 
 
 def _report_run(engine, drivers) -> None:
-    """One line after the run, for engines with a kernel ladder: whether
+    """One line after the run, for engines with a kernel choice: whether
     the generated body took whole windows or one call per cycle (and
     why), the share of router-cycles it had to evaluate, the
     simulation period it ran at (section 5.3: windows, their mean
@@ -641,13 +641,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=["auto", "python", "levelized", "jit"],
         default="auto",
-        help="execution body: auto picks the best available tier — the "
-        "generated-C kernel (on the sequential engine with its HBR "
-        "delta-accounting pass), else the fallback; python forces the "
+        help="execution body: auto binds the generated-C kernel (on the "
+        "sequential engine with its HBR delta-accounting pass) where the "
+        "host has a C compiler, else the fallback; python forces the "
         "fallback (batch engine: NumPy sweeps; sequential engine: the "
         "Python HBR model); batch engine only: levelized binds the C "
         "kernel once the levelizer has proved the level schedule, jit "
-        "the same kernel without one (must compile)",
+        "the same kernel without one (both must compile)",
     )
     p.add_argument(
         "--fast-forward", action="store_true",

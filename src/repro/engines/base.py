@@ -124,7 +124,7 @@ def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
     when it can be built and the NumPy sweeps otherwise, ``python``
     forces the NumPy sweeps, and ``levelized`` / ``jit`` bind the
     generated-C body with / without the levelizer's proof of the level
-    schedule (``jit`` raising
+    schedule (both raising
     :class:`~repro.kernels.KernelUnavailableError` when it cannot be
     built).  On the sequential engine ``auto`` is the generated-C body
     with its HBR accounting pass, falling back to the Python model, and

@@ -39,10 +39,16 @@ Traffic enters per lane through :meth:`BatchEngine.lane` views (each a
 drop-in ``offer``/log surface for one lane); :func:`run_batched` pumps
 one :class:`~repro.traffic.stimuli.TrafficDriver` per lane against a
 single batched step loop.
+
+The sweeps are the reference body (``kernel="python"``); every other
+``kernel=`` binds the generated-C body of :mod:`repro.kernels.batchlevel`
+over all lanes at once, where the host can build it
+(:meth:`BatchEngine._bind`).
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +67,9 @@ from repro.seqsim.metrics import DeltaMetrics
 __all__ = ["BatchEngine", "BatchLane", "run_batched", "drain_batched"]
 
 _ONE = np.int64(1)
+
+#: the one-warning latch of the degrade path (reset only by tests).
+_warned_degrade = False
 
 
 def _ctz(x):
@@ -134,41 +143,6 @@ class BatchLane:
                 "step the BatchEngine, or drive lanes with run_batched()"
             )
         self.engine.step()
-
-
-class _LaneWindow:
-    """A contiguous lane slice of an :class:`ArrayState`.
-
-    Every attribute is a NumPy view over ``state`` (lane-major, so the
-    slices stay C-contiguous); in-place writes land in the full state.
-    The NumPy sweeps run unchanged against a window — this is how a
-    faulted lane range falls back to the dynamic sweep while the clean
-    lanes stay on the compiled levelized kernel within the same cycle.
-    """
-
-    __slots__ = (
-        "mem",
-        "rd",
-        "wr",
-        "count",
-        "alloc",
-        "queue_alloc",
-        "arb_ptr",
-        "alloc_ptr",
-        "inj_word",
-        "inj_valid",
-        "rr_ptr",
-        "delay",
-        "eject_word",
-        "eject_valid",
-        "depth",
-    )
-
-    def __init__(self, state: ArrayState, lo: int, hi: int) -> None:
-        for name in self.__slots__:
-            if name != "depth":
-                setattr(self, name, getattr(state, name)[lo:hi])
-        self.depth = state.depth  # per-router, lane-independent
 
 
 class BatchEngine:
@@ -271,13 +245,14 @@ class BatchEngine:
         self._zeros_br = np.zeros((B, n), dtype=np.int64)
         self._neg1_br = np.full((B, n), -1, dtype=np.int64)
 
-        # -- kernel selection (the repro.kernels backend ladder) -----------
+        # -- the execution body ----------------------------------------------
         #: how the execution body was requested: "jit" (the generated-C
         #: body), "levelized" (the same body, bound once the static level
         #: schedule is proved) or "python" (the NumPy sweeps); benches
         #: report this.
         self.kernel = "python"
-        #: why the requested tier was declined, when it was.
+        #: why ``auto`` fell back to the NumPy sweeps (or ``levelized``
+        #: to the ``jit`` binding), when it did.
         self.kernel_reason: Optional[str] = None
         #: what the generated body actually did, summed over its calls:
         #: routers evaluated (a router holding no flit and no valid
@@ -297,44 +272,49 @@ class BatchEngine:
         self._compiled = None
         #: static level schedule, when the levelized tier carries one.
         self.schedule = None
-        #: lanes pinned to the dynamic NumPy sweep (resident faults whose
-        #: diagnosis must not ride the statically scheduled fast path).
-        self.lane_faults: set = set()
+        self._bind(kernel)
+
+    def _bind(self, kernel: str) -> None:
+        """Bind the body ``kernel`` asks for: ``python`` the NumPy sweeps,
+        anything else the generated-C body, where the host can build it.
+        Where it cannot, ``auto`` falls back to the sweeps with the reason
+        (and one warning per process); ``jit`` / ``levelized`` raise it."""
+        global _warned_degrade
         if kernel not in ("auto", "python", "levelized", "jit"):
             raise ValueError(
                 f"unknown kernel {kernel!r}; known: auto|python|levelized|jit"
             )
-        bound = kernel == "python" or (
-            kernel == "levelized" and self._init_levelized()
-        )
-        if not bound:
-            from repro.kernels import KernelUnavailableError, select_backend
+        if kernel == "python":
+            return
+        from repro.kernels import KernelUnavailableError
+        from repro.kernels.batchstep import CompiledBatchStep
 
-            try:
-                backend = select_backend("jit" if kernel == "jit" else None)
-                if backend == "cffi":
-                    from repro.kernels.batchstep import CompiledBatchStep
-
-                    self._compiled = CompiledBatchStep(self)
-                    self.kernel = "jit"
-                elif self.kernel_reason is None:
-                    self.kernel_reason = "backend ladder selected numpy"
-            except KernelUnavailableError as exc:
-                if kernel == "jit":
-                    raise
-                self.kernel_reason = str(exc)
+        try:  # the bind asks cbackend.availability() first
+            if kernel == "levelized" and self._init_levelized():
+                return
+            self._compiled = CompiledBatchStep(self)
+            self.kernel = "jit"
+            return
+        except KernelUnavailableError as exc:
+            if kernel != "auto":
+                raise
+            self.kernel_reason = str(exc)
+        if not _warned_degrade:
+            _warned_degrade = True
+            warnings.warn(
+                "repro.engines.batch: no generated-C body "
+                f"({self.kernel_reason}); falling back to the NumPy sweeps",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
     def _init_levelized(self) -> bool:
         """Bind the body over the level schedule (``kernel="levelized"``).
 
-        Requires a static level schedule and the generated-C tier
-        (``REPRO_KERNELS=numpy`` keeps the engine on the NumPy sweeps —
-        which evaluate the same three levels in the same order, so the
-        fallback is the bit-identical reference).  Returns ``False``
-        when there is no schedule to carry (a combinational cycle): the
-        caller then binds the ``auto`` tier, with the reason recorded.
+        Returns ``False`` when there is no schedule to carry (a
+        combinational cycle): the caller then binds the ``jit`` body,
+        with the reason recorded.
         """
-        from repro.kernels import resolve_kernels_mode, select_backend
         from repro.kernels.batchlevel import CompiledBatchLevel, level_orders
         from repro.kernels.levelize import CyclicDependencyError, levelize
 
@@ -351,10 +331,6 @@ class BatchEngine:
             return False
         self.schedule = schedule
         self.kernel = "levelized"
-        if resolve_kernels_mode(None) == "numpy":
-            self.kernel_reason = "backend ladder selected numpy"
-            return True
-        select_backend("jit")  # raises KernelUnavailableError with reason
         self._compiled = CompiledBatchLevel(self, schedule)
         return True
 
@@ -418,29 +394,12 @@ class BatchEngine:
         self.routing.recompute_avoiding(self.quarantined_links)
         self._route = self.routing.packed()
 
-    def mark_lane_fault(self, lane: int) -> None:
-        """Pin ``lane`` to the dynamic NumPy sweep.
-
-        Used when a lane carries a resident fault (injected state
-        corruption, a diagnosis experiment): its cycles run the
-        reference dynamic path while clean lanes stay on the compiled
-        levelized kernel — both see the identical architectural
-        semantics, so marking a clean lane is always safe.
-        """
-        if not 0 <= lane < self.lanes:
-            raise IndexError(f"lane {lane} out of range (lanes={self.lanes})")
-        self.lane_faults.add(lane)
-
-    def clear_lane_fault(self, lane: int) -> None:
-        """Lift a :meth:`mark_lane_fault` pin (fault repaired/rolled back)."""
-        self.lane_faults.discard(lane)
-
     @property
     def fault_resident(self) -> bool:
-        """True while any fault state is resident (quarantined links or
-        fault-pinned lanes) — quiescence fast-forward is disabled then,
-        so watchdog and livelock diagnosis behave exactly as without it."""
-        return bool(self.quarantined_links or self.lane_faults)
+        """True while any link is quarantined — quiescence fast-forward
+        is disabled then, so watchdog and livelock diagnosis behave
+        exactly as without it."""
+        return bool(self.quarantined_links)
 
     def skip_cycles(self, cycles: int) -> None:
         """Advance the clock over provably idle cycles (quiescence
@@ -464,20 +423,6 @@ class BatchEngine:
             )
         self.cycle += cycles
 
-    def _lane_runs(self) -> List[Tuple[int, int, bool]]:
-        """Maximal contiguous lane runs of equal fault status:
-        ``(lo, hi, faulted)`` triples covering ``[0, lanes)``."""
-        runs: List[Tuple[int, int, bool]] = []
-        start = 0
-        current = 0 in self.lane_faults
-        for lane in range(1, self.lanes):
-            faulted = lane in self.lane_faults
-            if faulted != current:
-                runs.append((start, lane, current))
-                start, current = lane, faulted
-        runs.append((start, self.lanes, current))
-        return runs
-
     # -- the system cycle ----------------------------------------------------
     def step(self) -> None:
         for hook in self.pre_step_hooks:
@@ -485,39 +430,18 @@ class BatchEngine:
         compiled = self._compiled
         deltas = None
         if compiled is None:
-            self._step_numpy(0, self.lanes)
-        elif not self.lane_faults:
+            self._step_numpy()
+        else:
             compiled.step()
             deltas = compiled.delta_column(1)
-        else:
-            # Per-lane fallback: clean runs ride the compiled kernel,
-            # faulted runs the dynamic sweep.
-            for lo, hi, faulted in self._lane_runs():
-                if faulted:
-                    self._step_numpy(lo, hi)
-                else:
-                    compiled.step_range(lo, hi)
         self.book_cycles(1, deltas)
 
-    def _step_numpy(self, lo: int, hi: int) -> None:
-        """One cycle of the NumPy sweeps over lanes ``[lo, hi)``."""
-        B = hi - lo
-        S = (
-            self.state
-            if B == self.lanes
-            else _LaneWindow(self.state, lo, hi)
-        )
-        R = self.cfg.n_routers
+    def _step_numpy(self) -> None:
+        """One cycle of the NumPy sweeps over every lane."""
+        S = self.state
+        B, R = self.lanes, self.cfg.n_routers
         P, V, NQ = self._P, self._V, self._NQ
         dw, vc_shift = self._dw, self._vc_shift
-        # Lane-window slices of the flat gather tables: the flat offsets
-        # only encode the lane *within* the window (lane-major layout),
-        # so the first B rows address any contiguous window's planes.
-        wire_flat = self._wire_flat[:B]
-        wire_maskB = self._wire_maskB[:B]
-        mem_base = self._mem_base[:B]
-        brq_base = self._brq_base[:B]
-        brv_base = self._brv_base[:B]
         fabric_active = bool(S.count.any())
         inj_active = bool(S.inj_valid.any())
 
@@ -542,27 +466,27 @@ class BatchEngine:
             )
             inj_sel = np.take(
                 S.inj_word.reshape(-1),
-                brv_base + np.maximum(choice, 0),
+                self._brv_base + np.maximum(choice, 0),
             )
             iface_word = np.where(has_inj, (choice << vc_shift) | inj_sel, 0)
         else:
-            choice = self._neg1_br[:B]
-            iface_word = self._zeros_br[:B]
+            choice = self._neg1_br
+            iface_word = self._zeros_br
 
         # -- sweep 2b: crossbar arbitration and forward words --------------
         granted_any = False
-        fwd_out = self._zeros_brp[:B]
+        fwd_out = self._zeros_brp
         head = None
         if fabric_active:
-            head = np.take(S.mem.reshape(-1), mem_base + S.rd)
+            head = np.take(S.mem.reshape(-1), self._mem_base + S.rd)
             ready = S.count > 0
             alloc_pv = S.alloc.reshape(B, R, P, V)
             aqc = np.maximum(alloc_pv, 0)
             ready_at = np.take(
-                ready.reshape(-1), brq_base + aqc.reshape(B, R, NQ)
+                ready.reshape(-1), self._brq_base + aqc.reshape(B, R, NQ)
             ).reshape(B, R, P, V)
             room_in = np.where(
-                wire_maskB, np.take(rooms.reshape(-1), wire_flat), 0
+                self._wire_maskB, np.take(rooms.reshape(-1), self._wire_flat), 0
             )
             room_in[:, :, 0] = self._sink  # the local sink always has room
             requesting = (
@@ -579,13 +503,11 @@ class BatchEngine:
             if granted_any:
                 g = _rr_pick(req, S.arb_ptr, NQ, self._nq_rrmask)
                 grant_vc = np.argmax(alloc_pv == g[:, :, :, None], axis=3)
-                head_g = np.take(
-                    head.reshape(-1), brq_base + g
-                )
+                head_g = np.take(head.reshape(-1), self._brq_base + g)
                 fwd_out = np.where(granted, (grant_vc << vc_shift) | head_g, 0)
 
         fwd_in = np.where(
-            wire_maskB, np.take(fwd_out.reshape(-1), wire_flat), 0
+            self._wire_maskB, np.take(fwd_out.reshape(-1), self._wire_flat), 0
         )
         fwd_in[:, :, 0] = iface_word
 
@@ -637,7 +559,7 @@ class BatchEngine:
             S.alloc_ptr[...] = new_alloc_ptr
 
         # -- sweep 3e: stimuli interface state + event records -------------
-        self._stimuli_update(S, lo, choice, fwd_out[:, :, 0], inj_active)
+        self._stimuli_update(choice, fwd_out[:, :, 0], inj_active)
 
     def _allocation_sweep(self, S, head, ready):
         """Vectorized rotating-priority output-VC allocation.
@@ -772,11 +694,9 @@ class BatchEngine:
             new_alloc_ptr,
         )
 
-    def _stimuli_update(self, S, lo, choice, eject_in, inj_active) -> None:
-        """Advance every stimuli interface one cycle and log events.
-
-        ``S`` is the full state or a lane window starting at lane
-        ``lo``; all writes are in place so windows update the batch."""
+    def _stimuli_update(self, choice, eject_in, inj_active) -> None:
+        """Advance every stimuli interface one cycle and log events."""
+        S = self.state
         dw, vc_shift = self._dw, self._vc_shift
         R, V = self.cfg.n_routers, self._V
         cycle = self.cycle
@@ -790,7 +710,7 @@ class BatchEngine:
                 for i, flat in enumerate(sent_flat.tolist()):
                     b, rv = divmod(flat, R * V)
                     r, vc = divmod(rv, V)
-                    self._injections[lo + b].append(
+                    self._injections[b].append(
                         InjectionRecord(cycle, r, vc, words[i], delays[i])
                     )
             S.delay[...] = np.where(
@@ -808,7 +728,7 @@ class BatchEngine:
             for i, flat in enumerate(ej_flat.tolist()):
                 b, r = divmod(flat, R)
                 word = words[i]
-                self._ejections[lo + b].append(
+                self._ejections[b].append(
                     EjectionRecord(cycle, r, word >> vc_shift, word & eject_mask)
                 )
             S.eject_word[...] = np.where(ejected, eject_in, S.eject_word)
@@ -829,8 +749,7 @@ def chunk_decline(engine, drivers: Sequence) -> Optional[str]:
     generated body and exactly the reference driver set: one plain
     :class:`TrafficDriver` per lane, in lane order (a one-lane engine's
     may be bound to the engine itself), with a uniform stall limit — and
-    no per-cycle hooks or per-lane fault fallbacks that need Python
-    between cycles.
+    no per-cycle hooks that need Python between cycles.
     """
     from repro.traffic.stimuli import TrafficDriver
 
@@ -838,8 +757,6 @@ def chunk_decline(engine, drivers: Sequence) -> Optional[str]:
         return "the engine has no generated-C body"
     if engine.pre_step_hooks:
         return "a pre-step hook runs between cycles"
-    if engine.lane_faults:
-        return "a lane carries a resident fault"
     if len(drivers) != engine.lanes:
         return f"{len(drivers)} drivers for {engine.lanes} lanes"
     for i, driver in enumerate(drivers):

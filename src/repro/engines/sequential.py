@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.engines.batch import BatchEngine
-from repro.kernels import KernelUnavailableError, cbackend, resolve_kernels_mode
+from repro.kernels import KernelUnavailableError, cbackend
 from repro.noc.config import NetworkConfig
 from repro.noc.routing import RoutingTable
 from repro.seqsim.sequential import SequentialNetwork, StaticSequentialNetwork
@@ -57,10 +57,6 @@ class CompiledSequentialEngine(BatchEngine):
         # the model freezes the link's wires; the pass has no such state
         raise NotImplementedError(_MODEL_ONLY.format(what="quarantine_link()"))
 
-    def mark_lane_fault(self, lane: int) -> None:
-        # a fault-pinned lane runs the NumPy sweeps, which count nothing
-        raise NotImplementedError(_MODEL_ONLY.format(what="a resident fault"))
-
 
 class ModelSequentialEngine(SequentialNetwork):
     """The Python model as the engine, where the generated body cannot
@@ -81,10 +77,10 @@ def SequentialEngine(
     """The paper's sequential engine for ``cfg``.
 
     ``kernel="auto"`` binds :class:`CompiledSequentialEngine` and falls
-    back to :class:`ModelSequentialEngine` under ``REPRO_KERNELS=numpy``
-    or where the generated-C tier cannot be built; ``kernel="python"``
-    asks for the model, and is the only way to pass one of its options
-    (``packed=``, ``scheduler=``, ``watchdog_factor=``, ``optimize=``).
+    back to :class:`ModelSequentialEngine` where the generated-C tier
+    cannot be built; ``kernel="python"`` asks for the model, and is the
+    only way to pass one of its options (``packed=``, ``scheduler=``,
+    ``watchdog_factor=``, ``optimize=``).
     """
     if kernel not in ("auto", "python"):
         raise ValueError(f"unknown kernel {kernel!r}; known: auto|python")
@@ -92,8 +88,6 @@ def SequentialEngine(
         reason = "kernel='python' requested"
     elif model_options:
         raise TypeError(_MODEL_ONLY.format(what=f"{sorted(model_options)[0]}="))
-    elif resolve_kernels_mode(None) == "numpy":
-        reason = "REPRO_KERNELS=numpy"
     else:
         reason = cbackend.availability()
     if reason is None:

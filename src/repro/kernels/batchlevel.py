@@ -13,8 +13,8 @@ cheap bulk-synchronous sequential commit — but its cost follows fabric
   allocated, injection register valid — are **derived from the state
   arrays at call entry** and maintained at the only places they change.
   They live in call scratch: :class:`~repro.seqsim.arraystate.ArrayState`
-  stays the single source of truth, so ``offer()``, NumPy interop,
-  checkpoint restores and ``step_range`` need no contract with them;
+  stays the single source of truth, so ``offer()``, NumPy interop and
+  checkpoint restores need no contract with them;
 * "room at (router, port, VC)" is a bit of the neighbour's committed
   full-mask, so evaluation reads committed state only, any router order
   is a valid level order of the room → forward → state graph, and a
@@ -51,9 +51,7 @@ refuses any other), ``kernel="jit"``/``"auto"``
 
 Three execution shapes share the one generated function:
 
-* :meth:`CompiledBatchLevel.step` / :meth:`~CompiledBatchLevel.step_range`
-  — a single cycle over all lanes (or a contiguous lane range, the
-  per-lane fault-fallback hook);
+* :meth:`CompiledBatchLevel.step` — a single cycle over all lanes;
 * :meth:`CompiledBatchLevel.run_chunk` — **many cycles per C call**: the
   per-(router, VC) stimuli queues of every lane's
   :class:`~repro.traffic.stimuli.TrafficDriver` — already flit columns,
@@ -984,7 +982,7 @@ class CompiledBatchLevel:
         #: grow-only ``[rows, capacity]`` call buffers: staged queues and
         #: entries in, event columns out.  A single cycle emits at most
         #: one injection and one ejection per (lane, router), so this
-        #: floor serves ``step_range`` as is.
+        #: floor serves ``step`` as is.
         self._buffers: dict = {}
         for name in _BUFFER_ROWS:
             self._rows(name, B * R * V)
@@ -1013,9 +1011,6 @@ class CompiledBatchLevel:
         engine = self.engine
         state = engine.state
         bound = {name: getattr(state, name) for name in _STATE_FIELDS}
-        #: per-lane element strides of the state arrays, for lane-range
-        #: pointer offsets (``step_range``).
-        self._lane_stride = {name: bound[name][0].size for name in _STATE_FIELDS}
         bound["depth"] = state.depth
         #: the HBR wire plane (NULL: the pass is off, accounting nominal)
         self._ptrs["wires"] = (
@@ -1042,24 +1037,20 @@ class CompiledBatchLevel:
         )
 
     # -- execution ----------------------------------------------------------
-    def _call(self, lo, hi, n_cycles, stall_limit, n_queues, done=None) -> int:
-        """Run lanes ``[lo, hi)`` for ``n_cycles`` from the engine's
-        current cycle — with a ``done`` column, until every lane has
-        drained — then log the emitted events and book the activity
-        counters; returns the kernel's error code (0 = the whole window
+    def _call(self, n_cycles, stall_limit, n_queues, done=None) -> int:
+        """Run every lane for ``n_cycles`` from the engine's current
+        cycle — with a ``done`` column, until every lane has drained —
+        then log the emitted events and book the activity counters;
+        returns the kernel's error code (0 = the whole window
         completed)."""
         engine = self.engine
+        lanes = engine.lanes
         p = self._ptrs
         buffers = self._buffers
-        off = lambda name: (  # noqa: E731 - local pointer-offset helper
-            p[name] + lo * self._lane_stride[name] if lo else p[name]
-        )
-        wires = p["wires"]
         if engine.state.wires is not None:
-            self._rows("deltas", (hi - lo) * n_cycles)
-            wires += lo * engine.state.wires[0].size
+            self._rows("deltas", lanes * n_cycles)
         ret = self._lib.repro_level_chunk(
-            hi - lo,
+            lanes,
             engine.cfg.n_routers,
             n_cycles,
             engine.cycle,
@@ -1071,7 +1062,7 @@ class CompiledBatchLevel:
             p["opp"],
             p["route"],
             p["be_cand"],
-            *[off(name) for name in _STATE_FIELDS],
+            *[p[name] for name in _STATE_FIELDS],
             p["q"],
             buffers["q"].shape[1],
             p["e"],
@@ -1086,22 +1077,22 @@ class CompiledBatchLevel:
             p["lane_n"],
             p["counts"],
             p["err"],
-            wires,
+            p["wires"],
             p["deltas"],
             self._ffi.NULL if done is None else done,
         )
-        n = hi - lo
-        sent, ejected = self._scratch["lane_n"][: 2 * n].reshape(2, n).tolist()
-        self._log_events(engine._injections, "sent", sent, lo)
-        self._log_events(engine._ejections, "ej", ejected, lo)
+        lane_n = self._scratch["lane_n"][: 2 * lanes]
+        sent, ejected = lane_n.reshape(2, lanes).tolist()
+        self._log_events(engine._injections, "sent", sent)
+        self._log_events(engine._ejections, "ej", ejected)
         counts = self._scratch["counts"]
         engine.kernel_router_evals += int(counts[1])
         engine.kernel_lane_cycles += int(counts[2])
         return ret
 
-    def _log_events(self, logs, name, counts, lo) -> None:
+    def _log_events(self, logs, name, counts) -> None:
         """Hand the events of buffer ``name`` — grouped by lane by the
-        kernel, ``counts[i]`` of them for lane ``lo + i`` — to the
+        kernel, ``counts[i]`` of them for lane ``i`` — to the
         lanes' logs: one block sized to the events, one column slice per
         lane, no record object built."""
         total = sum(counts)
@@ -1109,7 +1100,7 @@ class CompiledBatchLevel:
             return
         block = self._buffers[name][:, :total].copy()
         start = 0
-        for lane, n in enumerate(counts, lo):
+        for lane, n in enumerate(counts):
             logs[lane].extend_block(block, start, start + n)
             start += n
 
@@ -1124,15 +1115,9 @@ class CompiledBatchLevel:
 
     def step(self) -> None:
         """Advance every lane one cycle (events logged, errors raised)."""
-        self.step_range(0, self.engine.lanes)
-
-    def step_range(self, lo: int, hi: int) -> None:
-        """Advance lanes ``[lo, hi)`` one cycle — the per-lane fault
-        fallback's clean-lane path (faulted lanes run the dynamic NumPy
-        sweep; the two ranges never interact within a cycle)."""
         if self._stale():
             self._rebind()
-        ret = self._call(lo, hi, 1, 0, 0)
+        ret = self._call(1, 0, 0)
         if ret:
             self._raise(ret, self._scratch["err"])
 
@@ -1248,7 +1233,7 @@ class CompiledBatchLevel:
         self._rows("sent", min(injects, most))
         self._rows("ej", min(injects + int(state.count.sum()), most))
         stall_limit = drivers[0].stall_limit if drivers else 10_000
-        ret = self._call(0, lanes, n_cycles, stall_limit, n_queues, done)
+        ret = self._call(n_cycles, stall_limit, n_queues, done)
         completed = int(scratch["counts"][0])
         engine.book_cycles(completed, self.delta_column(completed))
         # What the drivers' own pump would have left: consumed entries

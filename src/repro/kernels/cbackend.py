@@ -16,11 +16,11 @@ that needs only ``_cffi_backend``), so a warm-cache process never
 imports ``cffi.cparser`` / ``pycparser`` or parses a declaration;
 ``import cffi`` survives only in :func:`_emit_binding`.  Both files are
 executed from the cache directory, so they carry the same trust; one
-that fails to load is rebuilt once.  Everything degrades with a reason
-instead of an exception: no cffi, no C compiler, a failing compile or
-an unusable cache directory all surface through :func:`availability` /
-:class:`~repro.kernels.KernelUnavailableError` and the callers fall
-back to the bit-identical NumPy sweeps.
+that fails to load is rebuilt once.  No cffi, no C compiler, a failing
+compile or an unusable cache directory all surface through
+:func:`availability` / :class:`~repro.kernels.KernelUnavailableError`:
+a consumer asked for ``auto`` falls back to its bit-identical reference
+with the reason, one asked for ``jit`` or ``levelized`` raises it.
 """
 
 from __future__ import annotations

@@ -935,15 +935,14 @@ def lfsr_tables() -> Tuple[np.ndarray, np.ndarray]:
 
 
 def bind_stimuli_kernel():
-    """``(kernel, None)`` where the backend ladder selects the generated-C
-    tier, else ``(None, reason)``."""
-    from repro.kernels import KernelUnavailableError, resolve_kernels_mode
+    """``(kernel, None)`` where the host can build the generated-C tier
+    (:func:`~repro.kernels.cbackend.availability`), else ``(None,
+    reason)``."""
+    from repro.kernels import KernelUnavailableError
 
     try:
-        if resolve_kernels_mode(None) == "numpy":
-            return None, "REPRO_KERNELS=numpy"
         return stimuli_kernel(), None
-    except (KernelUnavailableError, ValueError) as exc:
+    except KernelUnavailableError as exc:
         return None, f"no generated-C tier ({exc})"
 
 

@@ -241,8 +241,8 @@ class PacketLatencyTracker:
     columns"): the outstanding submits, the HEAD injections no packet
     has claimed, the ejection events of packets still open, and the
     :class:`SampleLog`.  The matching itself (:meth:`_match`) is one
-    function with two bodies, chosen by the kernels backend ladder when
-    the tracker is built, copied or unpickled: :attr:`kernel` is ``"c"``
+    function with two bodies, chosen by what the host can build when the
+    tracker is built, copied or unpickled: :attr:`kernel` is ``"c"``
     (``repro_match``, one pass over the events in the stimuli kernel) or
     ``"numpy"`` (whole-array arithmetic; :attr:`kernel_reason` says why).
     """

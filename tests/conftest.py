@@ -50,6 +50,20 @@ def _isolated_kernel_cache(tmp_path_factory):
         os.environ.pop("REPRO_KERNEL_CACHE", None)
 
 
+@pytest.fixture
+def no_cc(monkeypatch):
+    """A host without a C compiler: ``cbackend._find_compiler`` finds
+    none, so every consumer of the generated-C tier takes its degraded
+    path (or raises, where ``jit`` / ``levelized`` was asked for).  The
+    batch engine's one degrade warning counts as given: it has a test of
+    its own."""
+    import repro.engines.batch as batch
+    from repro.kernels import cbackend
+
+    monkeypatch.setattr(cbackend, "_find_compiler", lambda: None)
+    monkeypatch.setattr(batch, "_warned_degrade", True)
+
+
 @pytest.fixture(autouse=True)
 def _no_pipeline_leaks():
     """Every test must leave the streaming pipeline and every worker

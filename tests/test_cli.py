@@ -235,7 +235,7 @@ class TestFarmCli:
             assert "auto already binds the generated-C body" in err
             assert "--engine batch" not in err
 
-    def test_sequential_engine_prints_its_kernel_lines(self, monkeypatch, capsys):
+    def test_sequential_engine_prints_its_kernel_lines(self, request, capsys):
         """The default engine says which statement of the method runs,
         how it was driven, and counts the same deltas either way — the
         Python model under either scheduler included."""
@@ -265,23 +265,25 @@ class TestFarmCli:
                 "(the engine has no generated-C body)"
             )
             assert model_deltas == deltas
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        request.getfixturevalue("no_cc")
         first, _, model_deltas = run([])
-        assert first.startswith("kernel: python (Python model; REPRO_KERNELS=numpy)")
+        assert first.startswith("kernel: python (Python model; no C compiler found")
         assert model_deltas == deltas
 
     @pytest.mark.parametrize("pin", ["env", "flag"])
-    def test_kernel_line_names_the_body_that_runs(self, monkeypatch, capsys, pin):
-        """``REPRO_KERNELS=numpy`` and ``--kernel python`` run the NumPy
-        sweeps whatever label was requested: same per-lane lines, and the
-        ``kernel:`` line says so."""
+    def test_kernel_line_names_the_body_that_runs(self, request, capsys, pin):
+        """A host without a C compiler and ``--kernel python`` run the
+        NumPy sweeps: same per-lane lines, and the ``kernel:`` line says
+        so.  Without a compiler a named C tier is refused, not swapped."""
         args = ["simulate", "--engine", "batch", "--lanes", "2", "--width", "3",
                 "--height", "3", "--cycles", "80"]
-        assert main(args + ["--kernel", "levelized"]) == 0
+        assert main(args) == 0
         reference = capsys.readouterr().out
         if pin == "env":
-            monkeypatch.setenv("REPRO_KERNELS", "numpy")
-            assert main(args + ["--kernel", "levelized"]) == 0
+            request.getfixturevalue("no_cc")
+            assert main(args + ["--kernel", "levelized"]) == 2
+            assert "--kernel levelized: " in capsys.readouterr().err
+            assert main(args) == 0
         else:
             assert main(args + ["--kernel", "python"]) == 0
         pinned = capsys.readouterr().out
@@ -290,7 +292,7 @@ class TestFarmCli:
         assert len(lanes) == 2
         assert lanes == [line for line in pinned.splitlines() if "  lane " in line]
 
-    def test_kernel_line_says_where_the_traffic_is_generated(self, monkeypatch, capsys):
+    def test_kernel_line_says_where_the_traffic_is_generated(self, request, capsys):
         """A driver set that falls back to per-packet Python generation
         is printed, with the reason, not guessed."""
         from repro.kernels import probe_backends
@@ -306,10 +308,10 @@ class TestFarmCli:
             out = capsys.readouterr().out.splitlines()
             assert out[0] == "kernel: jit (generated C); traffic: C scan"
             assert out[1].startswith("batch engine: 1 lanes x ")
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        request.getfixturevalue("no_cc")
         assert main(args) == 0
         first = capsys.readouterr().out.splitlines()[0]
-        assert first.startswith("kernel: python (NumPy sweeps")
+        assert first.startswith("kernel: python (NumPy sweeps; no C compiler found")
         assert first.endswith(
             "traffic: Python generators (the engine has no generated-C body)"
         )
@@ -347,19 +349,19 @@ class TestFarmCli:
             drained = re.findall(r"drained after (\d+) extra", "\n".join(self.lines))
             assert int(match.group(5)) == max(map(int, drained)) > 0
 
-    def test_run_line_says_why_a_run_steps_per_cycle(self, monkeypatch, capsys):
+    def test_run_line_says_why_a_run_steps_per_cycle(self, request, capsys):
         from repro.kernels import probe_backends
 
         if probe_backends()["cffi"] == "ok":
             # one lane is no reason: it rides whole chunks like any other
             line = self.run_line(capsys, self.RUN_ARGS[:3] + self.RUN_ARGS[5:])
             assert line.startswith("kernel run: chunked; activity: ")
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        request.getfixturevalue("no_cc")
         line = self.run_line(capsys, self.RUN_ARGS)
         # no body ran, so there is no activity factor to print
         assert line == "kernel run: stepping per cycle (the engine has no generated-C body)"
 
-    def test_analysis_line_names_the_body_that_matched(self, monkeypatch, capsys):
+    def test_analysis_line_names_the_body_that_matched(self, request, capsys):
         """Phase five reports its own path on a line of its own, in the
         runs that build a tracker: plain and streamed (a batch run
         without ``--stream`` measures no latency)."""
@@ -380,9 +382,10 @@ class TestFarmCli:
             else:
                 assert line.startswith("analysis: NumPy (no generated-C tier (")
         assert analysis(self.RUN_ARGS) == []
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        request.getfixturevalue("no_cc")
         for args in tracked:
-            assert analysis(args) == ["analysis: NumPy (REPRO_KERNELS=numpy)"]
+            (line,) = analysis(args)
+            assert line.startswith("analysis: NumPy (no generated-C tier (no C compiler")
 
 
 def _documented_invocations():
@@ -442,7 +445,7 @@ class TestEnvironmentSurface:
 
     ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-    def test_repro_env_vars_are_exactly_the_documented_five(self):
+    def test_repro_env_vars_are_exactly_the_documented_four(self):
         import re
 
         read = set()
@@ -454,7 +457,6 @@ class TestEnvironmentSurface:
         assert read == {
             "REPRO_SCALE",
             "REPRO_WORKERS",
-            "REPRO_KERNELS",
             "REPRO_KERNEL_CACHE",
             "REPRO_FARM_CACHE",
         }

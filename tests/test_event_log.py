@@ -329,8 +329,8 @@ class TestMatchesOldExtraction:
                 ).astype(np.int64)[:, by_lane["ej"]],
             }
             kernel = SimpleNamespace(_buffers=buffers)
-            CompiledBatchLevel._log_events(kernel, inj_logs, "sent", per_lane["sent"], 0)
-            CompiledBatchLevel._log_events(kernel, ej_logs, "ej", per_lane["ej"], 0)
+            CompiledBatchLevel._log_events(kernel, inj_logs, "sent", per_lane["sent"])
+            CompiledBatchLevel._log_events(kernel, ej_logs, "ej", per_lane["ej"])
             cycle += n_cycles
             for lane in range(lanes):
                 want_inj[lane] += old_inj[lane]

@@ -1,10 +1,11 @@
-"""Levelizer edge cases and the kernel backend ladder.
+"""Levelizer edge cases and the choice of execution body.
 
 The levelizer must never produce a silently wrong schedule: a
 combinational cycle raises :class:`CyclicDependencyError`, and
 degenerate graphs (single router, quarantined links) levelize to valid
-schedules.  The ladder half covers capability probing, the environment
-override, and the degrade-with-one-warning contract.
+schedules.  The body-selection half covers capability probing, the
+one rule (the ``kernel=`` argument and what the host can build), the
+degrade-with-one-warning contract and a host without a C compiler.
 """
 
 import warnings
@@ -13,14 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.kernels as kernels
-from repro.kernels import (
-    KernelUnavailableError,
-    kernel_versions,
-    probe_backends,
-    resolve_kernels_mode,
-    select_backend,
-)
+import repro.engines.batch as batch
+from repro.kernels import KernelUnavailableError, kernel_versions, probe_backends
 from repro.kernels.levelize import (
     CyclicDependencyError,
     levelize,
@@ -29,6 +24,7 @@ from repro.kernels.levelize import (
 )
 from repro.noc import NetworkConfig
 from repro.noc.topology import Topology
+from tests.test_batch_levelized import needs_jit
 
 
 class TestLevelize:
@@ -126,10 +122,11 @@ class TestLevelize:
 
 
 class TestEngineFallback:
+    @needs_jit
     def test_cyclic_schedule_falls_back_to_natural_order(self, monkeypatch):
         """No 3-level schedule to carry (a combinational cycle, or a
         foreign graph shape): ``kernel="levelized"`` records why and
-        binds the ``auto`` tier — still the reference results."""
+        binds the ``jit`` body — still the reference results."""
         import repro.kernels.levelize as levelize_mod
         from repro.engines import BatchEngine, run_batched
         from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
@@ -153,7 +150,7 @@ class TestEngineFallback:
             monkeypatch.setattr(levelize_mod, "levelize", broken)
             engine = BatchEngine(cfg, lanes=1, kernel="levelized")
             assert engine.schedule is None
-            assert engine.kernel in ("jit", "python")
+            assert engine.kernel == "jit"
             assert "natural router order" in engine.kernel_reason
             run(engine)
             assert engine.snapshot() == reference.snapshot()
@@ -178,11 +175,10 @@ class TestEngineFallback:
             make_engine("batch", cfg, kernel="bogus")
         with pytest.raises(ValueError, match="rtl"):
             make_engine("rtl", cfg, kernel="jit")
-        # batch + levelized is a valid pairing: the fused chunk kernel.
-        assert make_engine("batch", cfg, kernel="levelized").kernel in (
-            "levelized",
-            "python",  # no compiler: falls back, never raises
-        )
+        # batch + levelized is a valid pairing: the fused chunk kernel
+        # (KernelUnavailableError where the host cannot build it).
+        if probe_backends()["cffi"] == "ok":
+            assert make_engine("batch", cfg, kernel="levelized").kernel == "levelized"
 
 
 class TestBackendLadder:
@@ -195,48 +191,41 @@ class TestBackendLadder:
         versions = kernel_versions()
         assert set(versions) == {"cffi", "cc"}
 
-    def test_resolve_mode_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        assert resolve_kernels_mode("jit") == "jit"
-        assert resolve_kernels_mode(None) == "numpy"
-        assert resolve_kernels_mode("auto") == "numpy"
-        monkeypatch.delenv("REPRO_KERNELS")
-        assert resolve_kernels_mode(None) == "auto"
+    def test_resolve_mode_rejects_unknown(self):
+        from repro.engines import BatchEngine, SequentialEngine
 
-    def test_resolve_mode_rejects_unknown(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown kernels mode"):
-            resolve_kernels_mode("fortran")
-        monkeypatch.setenv("REPRO_KERNELS", "fortran")
-        with pytest.raises(ValueError, match="unknown kernels mode"):
-            resolve_kernels_mode(None)
+        cfg = NetworkConfig(3, 3)
+        with pytest.raises(ValueError, match="auto|python|levelized|jit"):
+            BatchEngine(cfg, kernel="fortran")
+        with pytest.raises(ValueError, match="auto|python"):
+            SequentialEngine(cfg, kernel="fortran")
 
-    def test_numpy_mode_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        assert select_backend(None) == "numpy"
+    def test_numpy_mode_forces_fallback(self):
+        from repro.engines import BatchEngine
 
-    def test_degrade_warns_exactly_once(self, monkeypatch):
-        from repro.kernels import cbackend
+        engine = BatchEngine(NetworkConfig(3, 3), lanes=2, kernel="python")
+        assert engine.kernel == "python" and engine._compiled is None
+        assert engine.kernel_reason is None  # asked for, not fallen back to
 
-        monkeypatch.setattr(
-            cbackend, "availability", lambda: "cffi is not installed"
-        )
-        monkeypatch.setattr(kernels, "_warned_degrade", False)
+    def test_degrade_warns_exactly_once(self, monkeypatch, no_cc):
+        from repro.engines import BatchEngine
+
+        monkeypatch.setattr(batch, "_warned_degrade", False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert select_backend(None) == "numpy"
-            assert select_backend(None) == "numpy"
+            for _ in range(2):
+                assert BatchEngine(NetworkConfig(3, 3)).kernel == "python"
         runtime = [w for w in caught if w.category is RuntimeWarning]
         assert len(runtime) == 1
         assert "falling back" in str(runtime[0].message)
+        assert "no C compiler" in str(runtime[0].message)
 
-    def test_jit_mode_raises_when_unavailable(self, monkeypatch):
-        from repro.kernels import cbackend
+    def test_jit_mode_raises_when_unavailable(self, no_cc):
+        from repro.engines import BatchEngine
 
-        monkeypatch.setattr(
-            cbackend, "availability", lambda: "no C compiler found"
-        )
-        with pytest.raises(KernelUnavailableError, match="no C compiler"):
-            select_backend("jit")
+        for kernel in ("jit", "levelized"):
+            with pytest.raises(KernelUnavailableError, match="no C compiler"):
+                BatchEngine(NetworkConfig(3, 3), kernel=kernel)
 
     def test_batch_engine_degrades_with_reason(self, monkeypatch):
         from repro.engines import BatchEngine
@@ -246,9 +235,94 @@ class TestBackendLadder:
         monkeypatch.setattr(
             cbackend, "availability", lambda: "cffi is not installed"
         )
-        monkeypatch.setattr(kernels, "_warned_degrade", True)  # quiet
+        monkeypatch.setattr(batch, "_warned_degrade", True)  # quiet
         engine = BatchEngine(NetworkConfig(3, 3), lanes=2)
         assert engine.kernel == "python"
-        assert engine.kernel_reason
-        with pytest.raises(KernelUnavailableError):
+        assert engine.kernel_reason == "cffi is not installed"
+        with pytest.raises(KernelUnavailableError, match="cffi is not installed"):
             BatchEngine(NetworkConfig(3, 3), lanes=2, kernel="jit")
+
+    @needs_jit
+    def test_without_a_compiler_every_consumer_ends_bit_identical(self, request):
+        """Each consumer of the generated-C tier falls back to its
+        reference with the reason named — same state, logs and samples
+        as on the C bodies — and an explicit ``jit`` / ``levelized``
+        refuses."""
+        from repro.engines import BatchEngine
+
+        compiled, bodies, reasons = run_every_consumer()
+        assert bodies == ("jit", "jit", None, ["c", "c"])
+        assert set(reasons) == {None}
+        request.getfixturevalue("no_cc")
+        degraded, bodies, reasons = run_every_consumer()
+        assert degraded == compiled
+        assert bodies == (
+            "python",
+            "python",
+            "the engine has no generated-C body",
+            ["numpy", "numpy"],
+        )
+        assert all("no C compiler" in reason for reason in reasons)
+        for kernel in ("jit", "levelized"):
+            with pytest.raises(KernelUnavailableError, match="no C compiler"):
+                BatchEngine(NetworkConfig(4, 4, topology="torus"), kernel=kernel)
+
+
+def run_every_consumer():
+    """One workload through every consumer of the C tier, each on the
+    body the host allows: a two-lane auto :class:`BatchEngine` (its
+    windows from ``window_source``), a latency tracker per lane and the
+    auto sequential engine.  Returns what they computed, the bodies they
+    ran on and their recorded reasons."""
+    from repro.engines import BatchEngine, SequentialEngine, drain_batched, run_batched
+    from repro.engines.batch import window_source
+    from repro.kernels.trafficgen import batched_be_generator
+    from repro.stats import PacketLatencyTracker
+    from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
+
+    cfg = NetworkConfig(4, 4, topology="torus")
+
+    def driver(target, seed):
+        be = BernoulliBeTraffic(cfg, 0.1, uniform_random(cfg), seed=seed)
+        return TrafficDriver(target, be=be)
+
+    engine = BatchEngine(cfg, lanes=2)
+    drivers = [driver(engine.lane(i), 7 + i) for i in range(2)]
+    source = window_source(engine, drivers)
+    _, scan_reason = batched_be_generator(drivers)
+    run_batched(engine, drivers, 300)
+    drain_batched(engine, drivers)
+    trackers = []
+    for lane, lane_driver in enumerate(drivers):
+        tracker = PacketLatencyTracker(cfg)
+        for record in lane_driver.submits:
+            tracker.note_submit(record)
+        tracker.collect(engine.lane(lane))
+        trackers.append(tracker)
+    sequential = SequentialEngine(cfg)
+    driver(sequential, 9).run(300)
+    computed = (
+        [
+            (engine.lane_snapshot(i), list(engine.lane_injections(i)),
+             list(engine.lane_ejections(i)), trackers[i].samples.columns.tolist())
+            for i in range(2)
+        ],
+        engine.cycle,
+        sequential.snapshot(),
+        list(sequential.injections),
+        list(sequential.ejections),
+        list(sequential.metrics.per_cycle),
+    )
+    bodies = (
+        engine.kernel,
+        sequential.kernel,
+        source.reason,
+        [tracker.kernel for tracker in trackers],
+    )
+    reasons = (
+        engine.kernel_reason,
+        sequential.kernel_reason,
+        scan_reason,
+        *(tracker.kernel_reason for tracker in trackers),
+    )
+    return computed, bodies, reasons

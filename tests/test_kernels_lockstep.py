@@ -291,26 +291,31 @@ class TestBatchJitLockstep:
 
 
 class TestEnvFallback:
-    def test_numpy_env_forces_python_batch(self, monkeypatch):
-        """``REPRO_KERNELS=numpy`` pins the reference path and records
-        why, without any warning noise."""
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+    def test_numpy_env_forces_python_batch(self, monkeypatch, no_cc):
+        """Without a compiler the auto engine runs the reference path,
+        records why, and warns once per process, not per engine."""
+        import repro.engines.batch as batch
         import warnings
 
+        monkeypatch.setattr(batch, "_warned_degrade", False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine = BatchEngine(torus(), lanes=2)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert engine.kernel == "python"
+        assert "no C compiler" in engine.kernel_reason
+        engine.run(30)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            engine = BatchEngine(torus(), lanes=2)
-        assert engine.kernel == "python"
-        assert engine.kernel_reason
-        engine.run(30)
-        solo = BatchEngine(torus(), lanes=2, kernel="python")
+            solo = BatchEngine(torus(), lanes=2)
         solo.run(30)
         assert engine.snapshot() == solo.snapshot()
 
-    def test_label_is_presentational_body_decides(self, monkeypatch):
+    def test_label_is_presentational_body_decides(self, request):
         """The chunk path and the C traffic scan key on the bound body,
-        never on the ``jit``/``levelized`` label: a levelized-labelled
-        engine pinned to NumPy behaves exactly like ``kernel="python"``."""
+        never on the ``jit``/``levelized`` label: both labels bind the
+        one C body, and no label runs the NumPy sweeps but ``python``
+        (or ``auto`` on a host without a compiler)."""
         from repro.engines.batch import chunk_kernel, window_source
 
         def paths(engine):
@@ -331,7 +336,7 @@ class TestEnvFallback:
             for label in ("levelized", "jit"):
                 compiled, reason = paths(BatchEngine(torus(), lanes=2, kernel=label))
                 assert compiled is not None and reason is None  # the C scan
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        pinned = BatchEngine(torus(), lanes=2, kernel="levelized")
-        assert pinned.kernel == "levelized" and pinned._compiled is None
-        assert paths(pinned) == no_body
+        request.getfixturevalue("no_cc")
+        fallen_back = BatchEngine(torus(), lanes=2)
+        assert fallen_back.kernel == "python" and fallen_back._compiled is None
+        assert paths(fallen_back) == no_body

@@ -8,9 +8,9 @@ block equals the oracle's list, and a broken stream raises the oracle's
 exception for the oracle's event.
 
 The tracker's matching has two bodies (DESIGN section 15).  This module
-holds the one the backend ladder selects by default — the C pass where
-there is a compiler; ``test_latency_columns_numpy`` runs the same tests,
-imported, not copied, with ``REPRO_KERNELS=numpy``.
+holds the one a tracker binds by default — the C pass where there is a
+compiler; ``test_latency_columns_numpy`` runs the same tests, imported,
+not copied, on a host without one (the ``no_cc`` fixture).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.engines import BatchEngine, CycleEngine, drain_batched, run_batched
 from repro.engines.eventlog import log_window
 from repro.experiments.common import fig1_network
+from repro.kernels import cbackend
 from repro.noc import NetworkConfig, Packet, PacketClass
 from repro.noc.flit import Flit, FlitType, Header, SourceInfo
 from repro.noc.network import EjectionRecord, InjectionRecord
@@ -40,13 +41,18 @@ from tests.test_batch_levelized import JIT_REASON, lane_driver, needs_jit, torus
 #: for the other body overrides it.
 BODY = "c"
 
+#: the host's compiler probe, for the scenario that needs the generated
+#: body even inside the NumPy battery
+FIND_COMPILER = cbackend._find_compiler
+
 
 @pytest.fixture(autouse=True)
-def body(request, monkeypatch):
+def body(request):
     """Every tracker a test builds binds the module's ``BODY`` (the
     NumPy one anyway where no C tier can run)."""
     want = request.module.BODY
-    monkeypatch.setenv("REPRO_KERNELS", "numpy" if want == "numpy" else "auto")
+    if want == "numpy":
+        request.getfixturevalue("no_cc")
     return "numpy" if JIT_REASON != "ok" else want
 
 
@@ -207,7 +213,7 @@ def compiled_run() -> Scenario:
     """The Fig. 1 set near saturation on the generated body (whatever
     body the tracker under test is on)."""
     with pytest.MonkeyPatch.context() as env:
-        env.delenv("REPRO_KERNELS", raising=False)
+        env.setattr(cbackend, "_find_compiler", FIND_COMPILER)
         engine = BatchEngine(fig1_network(), lanes=1)
         view = engine.lane(0)
         scenario = engine_scenario(engine, view, lane_driver(view, 0.14, 11, 400), 1500)

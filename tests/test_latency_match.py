@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engines.eventlog import EventLog, record_block
+from repro.kernels import cbackend
 from repro.noc import NetworkConfig, Packet, PacketClass, RouterConfig
 from repro.noc.flit import Flit, FlitType, Header, SourceInfo
 from repro.noc.network import EjectionRecord
@@ -40,9 +41,16 @@ from tests.test_latency_columns import (
 pytestmark = needs_jit
 
 
+def without_a_compiler(env, body: str) -> None:
+    """Take the compiler away (the ``no_cc`` seam) where ``body`` is the
+    NumPy one."""
+    if body == "numpy":
+        env.setattr(cbackend, "_find_compiler", lambda: None)
+
+
 def tracker_on(body: str, net) -> PacketLatencyTracker:
     with pytest.MonkeyPatch.context() as env:
-        env.setenv("REPRO_KERNELS", "numpy" if body == "numpy" else "auto")
+        without_a_compiler(env, body)
         tracker = PacketLatencyTracker(net)
     assert tracker.kernel == body
     return tracker
@@ -290,7 +298,7 @@ def test_a_run_resumes_on_the_other_body(first, then, clone):
     scenario.feed(tracker, 0, cut, records=False)
     assert tracker.open_vcs and tracker.pending()
     with pytest.MonkeyPatch.context() as env:
-        env.setenv("REPRO_KERNELS", "numpy" if then == "numpy" else "auto")
+        without_a_compiler(env, then)
         twin = clone(tracker)
     assert (tracker.kernel, twin.kernel) == (first, then)
     state = pickle.dumps(tracker)

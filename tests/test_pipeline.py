@@ -461,11 +461,11 @@ class TestPipelineEquivalence:
 
     @needs_jit
     def test_numpy_env_streams_per_cycle_bit_identically(
-        self, fig1_reference, monkeypatch
+        self, fig1_reference, monkeypatch, request
     ):
         cycles, end_cycle, reference = fig1_reference
         chunks, steps = spy_paths(monkeypatch)
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        request.getfixturevalue("no_cc")
         engine, _, streamed = stream_fig1_set(cycles, chunk=50)
         assert engine.kernel == "python" and engine._compiled is None
         assert chunks == [] and steps == list(range(end_cycle))
@@ -681,17 +681,19 @@ print(json.dumps([calls, [[dataclasses.astuple(p) for p in run] for run in runs]
 """
 
     @needs_jit
-    def test_fig1_analysis_path_accounting(self):
+    def test_fig1_analysis_path_accounting(self, tmp_path):
         """With the kernel bound phase five never enters the NumPy body;
-        under REPRO_KERNELS=numpy it never calls C; same points."""
+        on a host whose PATH holds no C compiler it never calls C; same
+        points."""
         import json
         import os
         import subprocess
 
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-        def probe(kernels):
-            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), REPRO_KERNELS=kernels)
+        def probe(path):
+            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PATH=path)
+            env.pop("CC", None)
             done = subprocess.run(
                 [sys.executable, "-c", self.ANALYSIS_PROBE],
                 env=env, capture_output=True, text=True, timeout=300,
@@ -699,7 +701,8 @@ print(json.dumps([calls, [[dataclasses.astuple(p) for p in run] for run in runs]
             assert done.returncode == 0, done.stderr
             return json.loads(done.stdout)
 
-        (bound, points), (degraded, same_points) = probe("auto"), probe("numpy")
+        bound, points = probe(os.environ["PATH"])
+        degraded, same_points = probe(str(tmp_path))  # a PATH without cc
         # 8 lanes: one pass a lane unstreamed, one a (chunk, lane) streamed
         assert bound["numpy"] == 0 and bound["c"] > 3 * 8
         assert degraded["c"] == 0 and degraded["numpy"] >= bound["c"]
