@@ -311,8 +311,8 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
 
 def _simulate_streamed(args, net, engine, lanes: int) -> int:
     """``simulate --stream``: the five-phase pipeline of section 5.3,
-    with generate/load/retrieve/analyze overlapped against the
-    simulation through real cyclic buffers."""
+    with generate/load/retrieve/analyze in the caller overlapped against
+    the simulation on the fabric thread."""
     from repro.engines import lane_views
     from repro.pipeline import run_pipeline
     from repro.pipeline.runner import DEFAULT_CHUNK
@@ -658,12 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--stream", action="store_true",
-        help="run the five-phase streaming pipeline (generate/load/"
-        "simulate/retrieve/analyze over cyclic buffers)",
+        help="run the five-phase streaming pipeline (the simulation on a "
+        "fabric thread, generate/load/retrieve/analyze beside it)",
     )
     p.add_argument(
         "--chunk", type=int, default=None,
-        help="cycles per pipeline chunk, a ring slot's size (--stream only; "
+        help="cycles per pipeline window at most (--stream only; "
         "default: repro.pipeline.runner.DEFAULT_CHUNK)",
     )
     p.set_defaults(fn=cmd_simulate)

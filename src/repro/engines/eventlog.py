@@ -64,13 +64,12 @@ def log_blocks(log, start: int, stop: int):
 class EventLog(Sequence):
     """One lane's cycle-ordered event log.
 
-    Append-only, and safe for the single-writer/concurrent-reader use
-    the streaming pipeline makes of engine logs: parts and their start
-    offsets only ever grow at the end (``_parts`` first, ``_starts``
-    second), the last part may be swapped for one that extends it over
-    columns written beforehand, and no stored column is ever rewritten —
-    so a reader that stays below a length it observed earlier resolves
-    the same records whatever the writer does meanwhile.
+    Append-only: parts and their start offsets only ever grow at the
+    end (``_parts`` first, ``_starts`` second), the last part may be
+    swapped for one that extends it over columns written beforehand, and
+    no stored column is ever rewritten — so a reader that stays below a
+    length it observed earlier resolves the same records whatever is
+    appended meanwhile.
     """
 
     __slots__ = ("_record", "_parts", "_starts", "append", "_tail", "_used")
@@ -170,9 +169,11 @@ class EventLog(Sequence):
         """Events ``[start, stop)`` part by part, each a ``[fields, n]``
         int64 block and no record built: a column part is handed out as
         a view, the records the NumPy sweeps appended are read once."""
-        names = [f.name for f in fields(self._record)]
         for part, a, b in self._pieces(start, stop):
-            yield record_block(part[a:b], names) if type(part) is list else part[:, a:b]
+            if type(part) is list:
+                yield record_block(part[a:b], [f.name for f in fields(self._record)])
+            else:
+                yield part[:, a:b]
 
     def arrays(self, start: int, stop: int):
         """Events ``[start, stop)`` as one ``[fields, n]`` int64 block: a

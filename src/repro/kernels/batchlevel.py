@@ -94,6 +94,7 @@ in a warm-cache process).
 from __future__ import annotations
 
 import string
+import time
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,7 +106,14 @@ from repro.noc.flit import X_FIELD, Y_FIELD, field
 from repro.noc.router import ProtocolError
 from repro.seqsim.scheduler import ConvergenceWatchdog
 
-__all__ = ["CompiledBatchLevel", "generate_level_source", "level_orders"]
+__all__ = [
+    "CompiledBatchLevel",
+    "FabricJob",
+    "fabric_threads",
+    "generate_level_source",
+    "jobs_in_flight",
+    "level_orders",
+]
 
 _SIGNATURE = """
 int64_t repro_level_chunk(
@@ -131,8 +139,11 @@ _TEMPLATE = string.Template(
 /* Generated by repro.kernels.batchlevel -- do not edit.
  * Specialized activity-driven batch-chunk kernel: ${spec}
  */
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 #define P ${P}
 #define V ${V}
@@ -811,8 +822,164 @@ done:
     counts[2] = stepped;
     return ret;
 }
-"""
+${fabric}"""
 )
+
+#: the chunk body's parameters, ``(declaration, name)`` in order.
+_PARAMS = [
+    (decl, decl.split()[-1].lstrip("*"))
+    for decl in map(str.strip, _SIGNATURE[_SIGNATURE.index("(") + 1 : _SIGNATURE.rindex(")")].split(","))
+]
+
+_FABRIC_POST = (
+    f"void repro_fabric_post(int64_t *fabric, {', '.join(decl for decl, _ in _PARAMS)})"
+)
+
+_FABRIC_SIGNATURE = f"""
+int64_t repro_fabric_words(void);
+int64_t repro_fabric_open(int64_t *fabric);
+{_FABRIC_POST};
+int64_t repro_fabric_wait(int64_t *fabric);
+void repro_fabric_close(int64_t *fabric);
+"""
+
+#: the fabric thread: ``repro_level_chunk`` calls beside the caller.
+_FABRIC = string.Template(
+    """
+/* ---- the fabric thread: the paper's FPGA beside its ARM ----
+ * repro_fabric_open starts a thread that runs the repro_level_chunk
+ * calls posted to it, one at a time, until repro_fabric_close.
+ * repro_fabric_post hands it a call and returns at once;
+ * repro_fabric_wait returns the call's code once it is done.  The
+ * record is caller memory, repro_fabric_words() zeroed int64 words: the
+ * last call's code and the thread's wall and CPU nanoseconds on it
+ * first, then the hand-over state, its lock, the thread and the call's
+ * arguments.  Either side first looks for the other for a while,
+ * yielding its CPU in between (a fabric between two windows idles for
+ * a few hundred microseconds), then sleeps on the condition variable.
+ * Until the wait returns, the call owns everything its arguments point
+ * at. */
+enum { F_IDLE, F_POSTED, F_DONE, F_QUIT };
+#define F_LOOK_NS 1000000
+
+struct fabric {
+    int64_t ret, wall_ns, cpu_ns, state;
+    pthread_mutex_t lock;
+    pthread_cond_t cond;
+    pthread_t thread;
+${fields}
+};
+
+static int64_t clock_ns(clockid_t clock)
+{
+    struct timespec now;
+    clock_gettime(clock, &now);
+    return (int64_t)now.tv_sec * 1000000000 + now.tv_nsec;
+}
+
+/* The hand-over state once it is one of `states` (a bit each). */
+static int64_t await_state(struct fabric *f, int64_t states)
+{
+    int64_t now = __atomic_load_n(&f->state, __ATOMIC_ACQUIRE);
+    for (const int64_t since = clock_ns(CLOCK_MONOTONIC); !((states >> now) & 1)
+         && clock_ns(CLOCK_MONOTONIC) - since < F_LOOK_NS;) {
+        sched_yield();
+        now = __atomic_load_n(&f->state, __ATOMIC_ACQUIRE);
+    }
+    if ((states >> now) & 1)
+        return now;
+    pthread_mutex_lock(&f->lock);
+    while (!((states >> (now = __atomic_load_n(&f->state, __ATOMIC_ACQUIRE))) & 1))
+        pthread_cond_wait(&f->cond, &f->lock);
+    pthread_mutex_unlock(&f->lock);
+    return now;
+}
+
+static void set_state(struct fabric *f, int64_t state)
+{
+    pthread_mutex_lock(&f->lock);
+    __atomic_store_n(&f->state, state, __ATOMIC_RELEASE);
+    pthread_cond_broadcast(&f->cond);
+    pthread_mutex_unlock(&f->lock);
+}
+
+static void *fabric_main(void *record)
+{
+    struct fabric *f = record;
+    while (await_state(f, (1 << F_POSTED) | (1 << F_QUIT)) == F_POSTED) {
+        const int64_t wall = clock_ns(CLOCK_MONOTONIC);
+        const int64_t cpu = clock_ns(CLOCK_THREAD_CPUTIME_ID);
+        f->ret = repro_level_chunk(${args});
+        f->cpu_ns = clock_ns(CLOCK_THREAD_CPUTIME_ID) - cpu;
+        f->wall_ns = clock_ns(CLOCK_MONOTONIC) - wall;
+        set_state(f, F_DONE);
+    }
+    return NULL;
+}
+
+int64_t repro_fabric_words(void)
+{
+    return (int64_t)((sizeof(struct fabric) + sizeof(int64_t) - 1) / sizeof(int64_t));
+}
+
+int64_t repro_fabric_open(int64_t *fabric)
+{
+    struct fabric *f = (struct fabric *)fabric;
+    f->state = F_IDLE;
+    pthread_mutex_init(&f->lock, NULL);
+    pthread_cond_init(&f->cond, NULL);
+    const int failed = pthread_create(&f->thread, NULL, fabric_main, f);
+    if (failed) {
+        pthread_cond_destroy(&f->cond);
+        pthread_mutex_destroy(&f->lock);
+    }
+    return failed;
+}
+
+${post}
+{
+    struct fabric *f = (struct fabric *)fabric;
+${stores}
+    set_state(f, F_POSTED);
+}
+
+int64_t repro_fabric_wait(int64_t *fabric)
+{
+    struct fabric *f = (struct fabric *)fabric;
+    await_state(f, 1 << F_DONE);
+    return f->ret;
+}
+
+void repro_fabric_close(int64_t *fabric)
+{
+    struct fabric *f = (struct fabric *)fabric;
+    set_state(f, F_QUIT);
+    pthread_join(f->thread, NULL);
+    pthread_cond_destroy(&f->cond);
+    pthread_mutex_destroy(&f->lock);
+}
+"""
+).substitute(
+    fields="\n".join(f"    {decl};" for decl, _ in _PARAMS),
+    args=", ".join(f"f->{name}" for _, name in _PARAMS),
+    post=_FABRIC_POST,
+    stores="\n".join(f"    f->{name} = {name};" for _, name in _PARAMS),
+)
+
+#: the bodies whose fabric thread is running (the test suite's leak
+#: check reads them through the two functions below).
+_OPEN: set = set()
+
+
+def jobs_in_flight() -> int:
+    """How many chunk-body calls run on a fabric thread right now."""
+    return sum(body._in_flight is not None for body in _OPEN)
+
+
+def fabric_threads() -> int:
+    """How many fabric threads are running."""
+    return len(_OPEN)
+
 
 #: live ``ArrayState`` arrays the kernel reads/writes (``stalled`` is
 #: maintained by the in-C pump); rebinding any of them (NumPy interop,
@@ -898,6 +1065,7 @@ def generate_level_source(spec) -> str:
         HBR=int(spec.hbr),
         MAX_DELTA_FACTOR=ConvergenceWatchdog.DEFAULT_FACTOR,
         signature=_SIGNATURE.strip(),
+        fabric=_FABRIC,
     )
 
 
@@ -906,7 +1074,10 @@ def generate_level_source(spec) -> str:
 #: and each entry's packet sequence number in a third ``e`` row; the
 #: ninth ``q`` row is the chunk kernel's own; ``deltas`` is the HBR
 #: pass's count per cycle, lane-major).
-_BUFFER_ROWS = {"q": 9, "e": 3, "sent": 5, "ej": 4, "deltas": 1}
+_BUFFER_ROWS = {"q": 9, "e": 3, "deltas": 1}
+
+#: rows of a call's event buffers: injection and ejection records.
+_EVENT_ROWS = {"sent": 5, "ej": 4}
 
 
 class CompiledBatchLevel:
@@ -928,7 +1099,7 @@ class CompiledBatchLevel:
         level_tables(schedule, engine.cfg.n_routers)
         source = generate_level_source(spec)
         self._lib, self._ffi = cbackend.load_source(
-            source, _SIGNATURE.strip() + ";"
+            source, _SIGNATURE.strip() + ";" + _FABRIC_SIGNATURE
         )
 
         def table(arr):
@@ -964,6 +1135,8 @@ class CompiledBatchLevel:
             # lane, keys registered before and entries staged, + total
             "fresh": max(2, R * V),
             "marks": 2 * B + 1,
+            # the fabric thread's record
+            "fabric": self._lib.repro_fabric_words(),
         }
         self._scratch = {
             name: np.zeros(size, dtype=np.int64)
@@ -971,6 +1144,8 @@ class CompiledBatchLevel:
         }
         self._bound: dict = {}
         self._ptrs: dict = {}
+        #: the call on this body's fabric thread, if one is
+        self._in_flight: Optional["FabricJob"] = None
         #: ``(lib, ffi)`` of the stimuli kernel: staging and carry-over.
         from repro.kernels.trafficgen import stimuli_kernel
 
@@ -980,12 +1155,16 @@ class CompiledBatchLevel:
         for name, arr in self._scratch.items():
             self._ptrs[name] = self._ptr(arr)
         #: grow-only ``[rows, capacity]`` call buffers: staged queues and
-        #: entries in, event columns out.  A single cycle emits at most
-        #: one injection and one ejection per (lane, router), so this
-        #: floor serves ``step`` as is.
+        #: entries in.  A single cycle emits at most one injection and
+        #: one ejection per (lane, router), so this floor serves ``step``
+        #: as is.
         self._buffers: dict = {}
         for name in _BUFFER_ROWS:
             self._rows(name, B * R * V)
+        #: event buffers no call holds: a call takes a pair and gives it
+        #: back once its events are logged, so a landed call's events
+        #: stay put while the next call fills another pair.
+        self._event_pool: list = []
         self._rebind()
 
     def _ptr(self, arr):
@@ -1006,6 +1185,20 @@ class CompiledBatchLevel:
             self._buffers[name] = buf
             self._ptrs[name] = self._ptr(buf)
         return buf
+
+    def _events(self, sent: int, ejected: int) -> dict:
+        """A free pair of event buffers with room for ``sent`` injection
+        and ``ejected`` ejection events (grow-only, like the call
+        buffers; ``events[name, "ptr"]`` is a buffer's pointer)."""
+        pool = self._event_pool
+        events = pool.pop() if pool else {}
+        for name, need in (("sent", sent), ("ej", ejected)):
+            buf = events.get(name)
+            if buf is None or buf.shape[1] < need:
+                cap = need if buf is None else max(need, 2 * buf.shape[1])
+                events[name] = buf = np.zeros((_EVENT_ROWS[name], cap), dtype=np.int64)
+                events[name, "ptr"] = self._ptr(buf)
+        return events
 
     def _rebind(self) -> None:
         engine = self.engine
@@ -1037,20 +1230,18 @@ class CompiledBatchLevel:
         )
 
     # -- execution ----------------------------------------------------------
-    def _call(self, n_cycles, stall_limit, n_queues, done=None) -> int:
-        """Run every lane for ``n_cycles`` from the engine's current
-        cycle — with a ``done`` column, until every lane has drained —
-        then log the emitted events and book the activity counters;
-        returns the kernel's error code (0 = the whole window
-        completed)."""
+    def _args(self, n_cycles, stall_limit, n_queues, events, done=None) -> tuple:
+        """``repro_level_chunk``'s arguments: run every lane for
+        ``n_cycles`` from the engine's current cycle — with a ``done``
+        column, until every lane has drained — its events into the
+        ``events`` pair."""
         engine = self.engine
-        lanes = engine.lanes
         p = self._ptrs
         buffers = self._buffers
         if engine.state.wires is not None:
-            self._rows("deltas", lanes * n_cycles)
-        ret = self._lib.repro_level_chunk(
-            lanes,
+            self._rows("deltas", engine.lanes * n_cycles)
+        return (
+            engine.lanes,
             engine.cfg.n_routers,
             n_cycles,
             engine.cycle,
@@ -1070,10 +1261,10 @@ class CompiledBatchLevel:
             p["lane"],
             p["occ"],
             p["work"],
-            p["sent"],
-            buffers["sent"].shape[1],
-            p["ej"],
-            buffers["ej"].shape[1],
+            events["sent", "ptr"],
+            events["sent"].shape[1],
+            events["ej", "ptr"],
+            events["ej"].shape[1],
             p["lane_n"],
             p["counts"],
             p["err"],
@@ -1081,28 +1272,37 @@ class CompiledBatchLevel:
             p["deltas"],
             self._ffi.NULL if done is None else done,
         )
-        lane_n = self._scratch["lane_n"][: 2 * lanes]
-        sent, ejected = lane_n.reshape(2, lanes).tolist()
-        self._log_events(engine._injections, "sent", sent)
-        self._log_events(engine._ejections, "ej", ejected)
+
+    def _collect(self, events) -> list:
+        """Where the last call left its events in the ``events`` pair —
+        ``(logs, block view, per-lane counts)`` — with its activity
+        booked."""
+        engine = self.engine
+        lanes = engine.lanes
+        sent, ejected = self._scratch["lane_n"][: 2 * lanes].reshape(2, lanes).tolist()
         counts = self._scratch["counts"]
         engine.kernel_router_evals += int(counts[1])
         engine.kernel_lane_cycles += int(counts[2])
-        return ret
+        return [
+            (logs, events[name][:, : sum(n)], n)
+            for logs, name, n in (
+                (engine._injections, "sent", sent),
+                (engine._ejections, "ej", ejected),
+            )
+            if sum(n)
+        ]
 
-    def _log_events(self, logs, name, counts) -> None:
-        """Hand the events of buffer ``name`` — grouped by lane by the
-        kernel, ``counts[i]`` of them for lane ``i`` — to the
+    def _log(self, collected, events) -> None:
+        """Hand collected events — grouped by lane by the kernel — to the
         lanes' logs: one block sized to the events, one column slice per
-        lane, no record object built."""
-        total = sum(counts)
-        if not total:
-            return
-        block = self._buffers[name][:, :total].copy()
-        start = 0
-        for lane, n in enumerate(counts):
-            logs[lane].extend_block(block, start, start + n)
-            start += n
+        lane, no record object built; the pair is free again."""
+        for logs, block, counts in collected:
+            block = block.copy()
+            start = 0
+            for lane, n in enumerate(counts):
+                logs[lane].extend_block(block, start, start + n)
+                start += n
+        self._event_pool.append(events)
 
     def delta_column(self, cycles: int) -> Optional[np.ndarray]:
         """The HBR pass's delta count for each of the last call's first
@@ -1117,7 +1317,10 @@ class CompiledBatchLevel:
         """Advance every lane one cycle (events logged, errors raised)."""
         if self._stale():
             self._rebind()
-        ret = self._call(1, 0, 0)
+        most = self.engine.lanes * self.engine.cfg.n_routers
+        events = self._events(most, most)
+        ret = self._lib.repro_level_chunk(*self._args(1, 0, 0, events))
+        self._log(self._collect(events), events)
         if ret:
             self._raise(ret, self._scratch["err"])
 
@@ -1165,6 +1368,49 @@ class CompiledBatchLevel:
         )
         return stores, n_queues, int(self._scratch["marks"][2 * lanes])
 
+    def prepare(self, drivers: Sequence, n_cycles: int, window=None, done=None) -> "FabricJob":
+        """Stage one call of at most ``n_cycles`` — the drivers' backlog,
+        then ``window``'s flits — and size its event buffers; returns it
+        as a :class:`FabricJob`, not yet run.  ``done`` is the drain's
+        column (:meth:`drain`)."""
+        if self._in_flight is not None:
+            raise RuntimeError("the chunk body is still running a job")
+        if self._stale():
+            self._rebind()
+        engine = self.engine
+        stores, n_queues, n_entries = self.stage(drivers, window)
+        # Every staged entry and valid register injects at most once;
+        # everything injected or already buffered ejects at most once;
+        # a router does either at most once a cycle.  (The kernel splits
+        # the same bounds by lane, and checks them against the buffers.)
+        state = engine.state
+        most = engine.lanes * engine.cfg.n_routers * n_cycles
+        injects = int(np.count_nonzero(state.inj_valid)) + n_entries
+        events = self._events(
+            min(injects, most), min(injects + int(state.count.sum()), most)
+        )
+        stall_limit = drivers[0].stall_limit if drivers else 10_000
+        args = self._args(n_cycles, stall_limit, n_queues, events, done)
+        return FabricJob(self, drivers, window, done, stores, n_queues, events, args)
+
+    def open_fabric(self) -> bool:
+        """Start this body's fabric thread unless it runs; ``False`` on a
+        host that cannot start one."""
+        if self not in _OPEN:
+            if self._lib.repro_fabric_open(self._ptrs["fabric"]):
+                return False
+            _OPEN.add(self)
+        return True
+
+    def close_fabric(self) -> None:
+        """Stop this body's fabric thread, if it runs (no call may be in
+        flight)."""
+        if self in _OPEN:
+            if self._in_flight is not None:
+                raise RuntimeError("the fabric thread is still running a job")
+            self._lib.repro_fabric_close(self._ptrs["fabric"])
+            _OPEN.discard(self)
+
     def run_chunk(self, drivers: Sequence, n_cycles: int, window=None) -> None:
         """Advance all lanes ``n_cycles`` cycles in one C call.
 
@@ -1178,14 +1424,7 @@ class CompiledBatchLevel:
         exception is raised; an overload first rewinds the traffic to
         where the per-cycle reference loop stops.
         """
-        engine = self.engine
-        completed, ret = self._advance(drivers, n_cycles, window)
-        engine.kernel_windows += 1
-        engine.kernel_window_cycles += completed
-        if window is not None:
-            engine.kernel_window_flits += window.flits.shape[1]
-        if ret:
-            self._raise(ret, self._scratch["err"])
+        self.prepare(drivers, n_cycles, window).run().finish()
 
     def drain(self, drivers: Sequence, max_cycles: int) -> list:
         """Run until every lane is drained (the module docstring's
@@ -1204,67 +1443,15 @@ class CompiledBatchLevel:
             bound = left
             if engine.state.wires is not None:
                 bound = min(left, self._buffers["deltas"].shape[1] // engine.lanes)
-            completed, ret = self._advance(drivers, bound, None, self._ptrs["done"])
-            engine.kernel_drain_cycles += completed
-            if ret:
-                self._raise(ret, self._scratch["err"])
-            if completed < bound:  # it returned early: every lane was done
+            job = self.prepare(drivers, bound, None, self._ptrs["done"]).run()
+            job.land()
+            job.book()
+            engine.kernel_drain_cycles += job.completed
+            job.check()
+            if job.completed < bound:  # it returned early: every lane was done
                 break
-            left -= completed
+            left -= job.completed
         return [at - start if at >= 0 else -1 for at in done.tolist()]
-
-    def _advance(self, drivers, n_cycles, window, done=None) -> Tuple[int, int]:
-        """Stage, run and carry over one call of ``n_cycles`` at most;
-        returns the cycles completed and the kernel's error code, with
-        everything up to the error applied."""
-        if self._stale():
-            self._rebind()
-        engine = self.engine
-        lanes = engine.lanes
-        stores, n_queues, n_entries = self.stage(drivers, window)
-        scratch = self._scratch
-        # Every staged entry and valid register injects at most once;
-        # everything injected or already buffered ejects at most once;
-        # a router does either at most once a cycle.  (The kernel splits
-        # the same bounds by lane, and checks them against the buffers.)
-        state = engine.state
-        most = lanes * engine.cfg.n_routers * n_cycles
-        injects = int(np.count_nonzero(state.inj_valid)) + n_entries
-        self._rows("sent", min(injects, most))
-        self._rows("ej", min(injects + int(state.count.sum()), most))
-        stall_limit = drivers[0].stall_limit if drivers else 10_000
-        ret = self._call(n_cycles, stall_limit, n_queues, done)
-        completed = int(scratch["counts"][0])
-        engine.book_cycles(completed, self.delta_column(completed))
-        # What the drivers' own pump would have left: consumed entries
-        # gone, touched stall counters updated.  An arena too small for
-        # its lane's staged entries is replaced (all of them are in `e`).
-        marks = scratch["marks"]
-        if n_queues:
-            for lane in np.flatnonzero(marks[lanes : 2 * lanes] > stores[2]).tolist():
-                store = drivers[lane].queues
-                store._use(np.empty((3, 2 * int(marks[lanes + lane])), dtype=np.int64))
-                stores[:, lane] = store.address()
-            self._stimuli[0].repro_carry(
-                lanes,
-                drivers[0].queues._table.shape[1],
-                self._ptr(stores),
-                n_queues,
-                self._ptrs["q"],
-                self._buffers["q"].shape[1],
-                self._ptrs["e"],
-                self._buffers["e"].shape[1],
-            )
-        overload = None
-        if ret == 4:
-            lane = int(scratch["err"][4])
-            drivers[lane].overloaded = True
-            overload = (engine.cycle, lane)
-        if window is not None and (overload or window.packets.shape[1]):
-            from repro.traffic.stimuli import settle
-
-            settle(drivers, window, marks, overload)
-        return completed, ret
 
     def _raise(self, ret, err) -> None:
         if ret == 1:
@@ -1292,3 +1479,144 @@ class CompiledBatchLevel:
                 f"{int(err[1])} did not settle within {limit} delta cycles"
             )
         raise RuntimeError(f"levelized batch kernel returned error code {ret}")
+
+
+class FabricJob:
+    """One call of the chunk body, from staging to booking.
+
+    :meth:`CompiledBatchLevel.prepare` stages it; :meth:`run` runs it in
+    the caller, :meth:`start` on the body's fabric thread — the paper's
+    FPGA simulating while its ARM generates, books and analyses the
+    neighbouring windows.  From the start until :meth:`land` returns,
+    the call owns the engine's state arrays, the staged ``q``/``e``
+    rows, its event buffers and the call scratch: Python reads and
+    writes none of them.  :meth:`land` waits for the call, books its
+    cycles and hands each queue's unconsumed tail back to its driver,
+    after which the next call may be staged; :meth:`book` copies the
+    events into the logs (the event buffers are the job's until then)
+    and books the window on the drivers; :meth:`check` raises the call's
+    architectural error, if it had one.  Landing and booking happen
+    once, however often asked.
+    """
+
+    def __init__(
+        self, body, drivers, window, done, stores, n_queues, events, args
+    ) -> None:
+        self.body = body
+        self.drivers = drivers
+        self.window = window
+        self.done = done
+        self._stores = stores
+        self._n_queues = n_queues
+        self._events = events
+        self._args = args
+        #: whether it ran on a fabric thread; the call's code, the cycles
+        #: it completed, its wall and CPU seconds (the thread's own)
+        self.threaded = False
+        self.ret: Optional[int] = None
+        self.completed = 0
+        self.seconds = self.cpu_seconds = 0.0
+        self._collected: list = []
+        self._overload = None
+        self._marks = self._err = None
+        self._landed = self._booked = False
+
+    def run(self) -> "FabricJob":
+        """Run the call in the caller's thread."""
+        start, cpu = time.perf_counter(), time.thread_time()
+        self.ret = self.body._lib.repro_level_chunk(*self._args)
+        self.seconds = time.perf_counter() - start
+        self.cpu_seconds = time.thread_time() - cpu
+        return self
+
+    def start(self) -> "FabricJob":
+        """Hand the call to the body's fabric thread and return; a host
+        that cannot start one runs it here instead."""
+        body = self.body
+        if not body.open_fabric():
+            return self.run()
+        body._lib.repro_fabric_post(body._ptrs["fabric"], *self._args)
+        self.threaded = True
+        body._in_flight = self
+        return self
+
+    def wait(self) -> int:
+        """The call's code, once it has returned."""
+        body = self.body
+        if body._in_flight is self:
+            self.ret = body._lib.repro_fabric_wait(body._ptrs["fabric"])
+            body._in_flight = None
+            wall, cpu = body._scratch["fabric"][1:3].tolist()
+            self.seconds, self.cpu_seconds = wall / 1e9, cpu / 1e9
+        return self.ret
+
+    def land(self) -> None:
+        """Wait for the call, then take back what it owned: the cycles
+        it completed are booked, and the drivers' queues left as their
+        own pump would have left them — consumed entries gone, touched
+        stall counters updated."""
+        ret = self.wait()
+        if self._landed:
+            return
+        self._landed = True
+        body, drivers = self.body, self.drivers
+        engine = body.engine
+        scratch = body._scratch
+        lanes = engine.lanes
+        self._collected = body._collect(self._events)
+        self.completed = completed = int(scratch["counts"][0])
+        engine.book_cycles(completed, body.delta_column(completed))
+        # An arena too small for its lane's staged entries is replaced
+        # (all of them are in `e`).
+        marks, stores = scratch["marks"], self._stores
+        if self._n_queues:
+            for lane in np.flatnonzero(marks[lanes : 2 * lanes] > stores[2]).tolist():
+                store = drivers[lane].queues
+                store._use(np.empty((3, 2 * int(marks[lanes + lane])), dtype=np.int64))
+                stores[:, lane] = store.address()
+            body._stimuli[0].repro_carry(
+                lanes,
+                drivers[0].queues._table.shape[1],
+                body._ptr(stores),
+                self._n_queues,
+                body._ptrs["q"],
+                body._buffers["q"].shape[1],
+                body._ptrs["e"],
+                body._buffers["e"].shape[1],
+            )
+        if ret == 4:
+            lane = int(scratch["err"][4])
+            drivers[lane].overloaded = True
+            self._overload = (engine.cycle, lane)
+        if self.done is None:  # a traffic window (a drain is booked as none)
+            engine.kernel_windows += 1
+            engine.kernel_window_cycles += completed
+            if self.window is not None:
+                engine.kernel_window_flits += self.window.flits.shape[1]
+        self._marks = marks[:lanes].copy()
+        self._err = scratch["err"].copy()
+
+    def book(self) -> None:
+        """Log the call's events and book its window on the drivers
+        (:func:`~repro.traffic.stimuli.settle`; an overload rewinds the
+        window's source)."""
+        if self._booked:
+            return
+        self._booked = True
+        self.body._log(self._collected, self._events)
+        window = self.window
+        if window is not None and (self._overload or window.packets.shape[1]):
+            from repro.traffic.stimuli import settle
+
+            settle(self.drivers, window, self._marks, self._overload)
+
+    def check(self) -> None:
+        """Raise the reference path's exception for the call's error."""
+        if self.ret:
+            self.body._raise(self.ret, self._err)
+
+    def finish(self) -> None:
+        """The call's end, in the caller: land, book, check."""
+        self.land()
+        self.book()
+        self.check()

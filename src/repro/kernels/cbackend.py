@@ -25,6 +25,7 @@ with the reason, one asked for ``jit`` or ``levelized`` raises it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import shutil
@@ -78,11 +79,18 @@ class KernelSpec:
 
 
 def _find_compiler() -> Optional[str]:
-    cc = os.environ.get("CC")
-    if cc and shutil.which(cc):
+    """The C compiler: ``$CC`` where it names one, else the first of
+    ``cc``, ``gcc``, ``clang`` on ``$PATH`` — probed once a process for
+    each value of the two."""
+    return _probe_compiler(os.environ.get("CC"), os.environ.get("PATH"))
+
+
+@functools.lru_cache(maxsize=8)
+def _probe_compiler(cc: Optional[str], path: Optional[str]) -> Optional[str]:
+    if cc and shutil.which(cc, path=path):
         return cc
     for candidate in ("cc", "gcc", "clang"):
-        if shutil.which(candidate):
+        if shutil.which(candidate, path=path):
             return candidate
     return None
 
@@ -177,7 +185,9 @@ def _build(source: str, so_path: str, cc: str) -> None:
         _unlink(c_path, tmp_so)
 
 
-_LIB_CACHE: Dict[str, Tuple[object, object]] = {}
+#: ``(lib, ffi)`` of every unit this process loaded, by compiler, source
+#: and ``cdef``.
+_LIB_CACHE: Dict[Tuple[Optional[str], str, str], Tuple[object, object]] = {}
 
 
 def _digest(*parts: str) -> str:
@@ -211,10 +221,10 @@ def load_source(source: str, cdef: str):
     if reason is not None:
         raise KernelUnavailableError(reason)
     cc = _find_compiler()
-    key = _digest(cc or "", " ".join(CFLAGS), source, cdef)
-    cached = _LIB_CACHE.get(key)
+    cached = _LIB_CACHE.get((cc, source, cdef))
     if cached is not None:
         return cached
+    key = _digest(cc or "", " ".join(CFLAGS), source, cdef)
     try:
         directory = cache_dir()
         ffi = _once_more(
@@ -231,5 +241,5 @@ def load_source(source: str, cdef: str):
         )
     except OSError as exc:
         raise KernelUnavailableError(f"the kernel cache is unusable: {exc}") from exc
-    _LIB_CACHE[key] = lib, ffi
+    _LIB_CACHE[cc, source, cdef] = lib, ffi
     return lib, ffi

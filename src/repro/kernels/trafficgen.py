@@ -103,13 +103,12 @@ void repro_carry(
     int64_t nqs, const int64_t *q, int64_t q_cap,
     const int64_t *e, int64_t e_cap);
 int64_t repro_match(
-    int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
-    const int64_t *hops, const int64_t *submits, int64_t m,
-    const int64_t *heads, int64_t k, int64_t k_cap,
-    const int64_t *blocks, int64_t n_inj, int64_t n_blocks,
-    int64_t *scratch, int64_t *links, int64_t *samples, int64_t s_cap,
-    int64_t *submits_left, int64_t *heads_left, int64_t *still_open,
-    int64_t o_cap, int64_t *counts);
+    int64_t lanes, int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
+    const int64_t *hops, const int64_t *lane, const int64_t *blocks,
+    int64_t n_table, int64_t *scratch, int64_t *work,
+    int64_t *samples, int64_t s_stride, int64_t *submits_left, int64_t m_stride,
+    int64_t *heads_left, int64_t k_stride, int64_t *still_open, int64_t o_stride,
+    int64_t *counts);
 """
 
 _SOURCE = """
@@ -691,28 +690,30 @@ void repro_carry(
 /* Phase five: the packets one window of events completes — the per-flit
  * loop of a sink (repro.noc.packet.Reassembler) with the latency
  * tracker's queues beside it (DESIGN section 15 has the contract).
- * Events come as blocks (`blocks` rows: address, columns a row, events)
- * of rows cycle, router, vc, flit word, each read in place in the log
- * it is a column slice of: `n_inj` blocks of injections, then the
- * ejections so far of the packets still open and the window's.
+ * Events come as blocks (`blocks` rows, `b_stride` apart: address,
+ * columns a row, events) of rows cycle, router, vc, flit word, each read
+ * in place in the log it is a column slice of: `n_inj` blocks of
+ * injections, then the ejections so far of the packets still open and
+ * the window's.
  *
  *   submits [3, m]  src * 256 + seq, submit VC, submit cycle, in submit
  *                   order: a finished packet pops the oldest of its key;
  *   heads   [2, k]  router * 256 + vc, cycle of the HEAD injections no
- *                   packet claimed yet; the window's queue up behind
- *                   them first.  A packet takes the front one of (src,
- *                   submit VC) unless that is newer than its own HEAD
- *                   ejection: it is a later packet's and stays queued.
+ *                   packet claimed yet (rows `h_stride` apart); the
+ *                   window's queue up behind them first.  A packet takes
+ *                   the front one of (src, submit VC) unless that is
+ *                   newer than its own HEAD ejection: it is a later
+ *                   packet's and stays queued.
  *
  * Returns the number of samples, rows S_GT .. S_TAIL_EJECT of `samples`
- * (`s_cap` columns) in the order the TAILs left.  What the queues keep
- * is left, in order, in `submits_left` (m columns) and `heads_left`
- * (`k_cap`), the open packets' events, in event order, in
- * `still_open` — as many as its `o_cap` columns hold; `counts` says how
- * many of each there are.  A stream no sink accepts ends the pass at its
- * first offending event: a negative code (a finished packet's checks in
- * the sink's order) and the event's particulars in `counts`.  DECLINED:
- * a router, VC or key outside the tables below.
+ * (rows `s_stride` apart) in the order the TAILs left.  What the queues
+ * keep is left, in order, in `submits_left` (m columns) and `heads_left`
+ * (`k_cap`), the open packets' events, in event order, in `still_open` —
+ * as many as its `o_cap` columns hold; `counts` says how many of each
+ * there are.  A stream no sink accepts ends the pass at its first
+ * offending event: a negative code (a finished packet's checks in the
+ * sink's order) and the event's particulars in `counts`.  DECLINED: a
+ * router, VC or key outside the tables below.
  *
  * `scratch` is the calling tracker's alone (no GIL is held): n_routers
  * * 256 submit-list fronts, all -1 on entry and on return, n_queues
@@ -739,14 +740,15 @@ static int64_t left_over(int64_t *queue, int64_t rows, int64_t cap,
     return left;
 }
 
-int64_t repro_match(
+static int64_t match_lane(
     int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
     const int64_t *hops, const int64_t *submits, int64_t m,
-    const int64_t *heads, int64_t k, int64_t k_cap,
-    const int64_t *blocks, int64_t n_inj, int64_t n_blocks,
-    int64_t *scratch, int64_t *links, int64_t *samples, int64_t s_cap,
-    int64_t *submits_left, int64_t *heads_left, int64_t *still_open,
-    int64_t o_cap, int64_t *counts)
+    const int64_t *heads, int64_t h_stride, int64_t k, int64_t k_cap,
+    const int64_t *blocks, int64_t b_stride, int64_t n_inj, int64_t n_blocks,
+    int64_t *scratch, int64_t *links, int64_t *samples, int64_t s_stride,
+    int64_t *submits_left, int64_t m_stride, int64_t *heads_left,
+    int64_t k_stride, int64_t *still_open, int64_t o_stride, int64_t o_cap,
+    int64_t *counts)
 {
     const int64_t n_routers = width * height, n_queues = n_routers * n_vcs;
     const int64_t n_keys = n_routers * 256, mask = ((int64_t)1 << dw) - 1;
@@ -755,8 +757,8 @@ int64_t repro_match(
     int64_t *const submit_next = links, *const head_next = links + m;
     int64_t n = 0, indexed = m, n_heads = k, base = 0, left = 0, oldest;
 #define EVENTS(b)                                                           \\
-    const int64_t stride = blocks[n_blocks + (b)];                          \\
-    const int64_t count = blocks[2 * n_blocks + (b)];                       \\
+    const int64_t stride = blocks[b_stride + (b)];                          \\
+    const int64_t count = blocks[2 * b_stride + (b)];                       \\
     const int64_t *const e_cycle = (const int64_t *)(intptr_t)blocks[b];    \\
     const int64_t *const e_router = e_cycle + stride;                       \\
     const int64_t *const e_vc = e_router + stride, *const e_word = e_vc + stride
@@ -765,12 +767,13 @@ int64_t repro_match(
 #define OUTSIDE(router, vc)                                                 \\
     ((router) < 0 || (router) >= n_routers || (vc) < 0 || (vc) >= n_vcs)
 
-    int64_t *const head_key = heads_left, *const head_cycle = heads_left + k_cap;
+    int64_t *const head_key = heads_left, *const head_cycle = heads_left + k_stride;
     /* the queues, as lists by key: built back to front, so that every
      * list runs oldest first */
     for (int64_t q = 0; q < n_queues; q++)
         head_front[q] = regs[q * Q_REGS + Q_HEAD_AT] = -1;
-    memcpy(submits_left, submits, (size_t)(3 * m) * sizeof(int64_t));
+    for (int64_t r = 0; r < 3; r++)
+        memcpy(submits_left + r * m_stride, submits + r * m, (size_t)m * sizeof(int64_t));
     for (int64_t j = m - 1; j >= 0; j--) {
         const int64_t key = submits[j];
         if (key < 0 || key >= n_keys || OUTSIDE(0, submits[m + j])) {
@@ -782,7 +785,7 @@ int64_t repro_match(
     }
     indexed = 0;
     memcpy(head_key, heads, (size_t)k * sizeof(int64_t));
-    memcpy(head_cycle, heads + k, (size_t)k * sizeof(int64_t));
+    memcpy(head_cycle, heads + h_stride, (size_t)k * sizeof(int64_t));
     for (int64_t b = 0; b < n_inj; b++) {
         EVENTS(b);
         for (int64_t i = 0; i < count; i++) {
@@ -859,14 +862,14 @@ int64_t repro_match(
                 (header >> 8) & 1, src, router, hops[src * n_routers + router],
                 submits[2 * m + submit], head_inject, reg[Q_HEAD_CYCLE], e_cycle[i] };
             for (int64_t r = 0; r < 8; r++)
-                samples[r * s_cap + n] = sample[r];
+                samples[r * s_stride + n] = sample[r];
             n++;
         }
         base += count;
     }
 
-    counts[0] = left_over(submits_left, 3, m, m, submit_next);
-    counts[1] = left_over(heads_left, 2, k_cap, n_heads, head_next);
+    counts[0] = left_over(submits_left, 3, m_stride, m, submit_next);
+    counts[1] = left_over(heads_left, 2, k_stride, n_heads, head_next);
     /* the open packets' events: a queue's, from its open HEAD on */
     oldest = base;
     for (int64_t q = 0; q < n_queues; q++) {
@@ -884,7 +887,7 @@ int64_t repro_match(
             if (at < 0 || at > base + i)
                 continue;
             for (int64_t r = 0; r < 4 && left < o_cap; r++)
-                still_open[r * o_cap + left] = e_cycle[r * stride + i];
+                still_open[r * o_stride + left] = e_cycle[r * stride + i];
             left++;
         }
         base += count;
@@ -897,6 +900,53 @@ done:
     for (int64_t j = indexed; j < m; j++)
         submit_front[submits[j]] = -1;
     return n;
+}
+
+/* Rows of repro_match's per-lane words: where the lane's blocks start in
+ * the table and how many it has of each — submits, injections,
+ * ejections (the open packets' events first) — its unclaimed HEAD
+ * injections (address, row stride, count) and their room, then where its
+ * outputs start in the shared ones and the room for open events. */
+enum { L_FIRST, L_SUBMITS, L_INJ, L_EJ, L_HEADS, L_H_STRIDE, L_K, L_K_CAP,
+       L_S_AT, L_M_AT, L_K_AT, L_O_AT, L_O_CAP, L_WORDS };
+
+/* match_lane for each of `lanes` trackers, in one call: lane l's words
+ * are `lane` + l * L_WORDS, its blocks columns of the [3, n_table]
+ * `blocks` table, its outputs columns of the shared output rows.  Its
+ * submit blocks are joined first, in `work` (4 m + k_cap words at
+ * least).  counts[4 l .. 4 l + 2] are the lane's counts, counts[4 l + 3]
+ * what match_lane returned. */
+int64_t repro_match(
+    int64_t lanes, int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
+    const int64_t *hops, const int64_t *lane, const int64_t *blocks,
+    int64_t n_table, int64_t *scratch, int64_t *work,
+    int64_t *samples, int64_t s_stride, int64_t *submits_left, int64_t m_stride,
+    int64_t *heads_left, int64_t k_stride, int64_t *still_open, int64_t o_stride,
+    int64_t *counts)
+{
+    for (int64_t l = 0; l < lanes; l++) {
+        const int64_t *w = lane + l * L_WORDS;
+        const int64_t first = w[L_FIRST], inj = first + w[L_SUBMITS];
+        int64_t m = 0;
+        for (int64_t b = first; b < inj; b++)
+            m += blocks[2 * n_table + b];
+        for (int64_t b = first, at = 0; b < inj; b++) {
+            const int64_t *from = (const int64_t *)(intptr_t)blocks[b];
+            const int64_t stride = blocks[n_table + b], count = blocks[2 * n_table + b];
+            for (int64_t r = 0; r < 3; r++)
+                memcpy(work + r * m + at, from + r * stride, (size_t)count * sizeof(int64_t));
+            at += count;
+        }
+        int64_t *const c = counts + 4 * l;
+        c[3] = match_lane(
+            width, height, n_vcs, dw, hops, work, m,
+            (const int64_t *)(intptr_t)w[L_HEADS], w[L_H_STRIDE], w[L_K], w[L_K_CAP],
+            blocks + inj, n_table, w[L_INJ], w[L_INJ] + w[L_EJ],
+            scratch, work + 3 * m, samples + w[L_S_AT], s_stride,
+            submits_left + w[L_M_AT], m_stride, heads_left + w[L_K_AT], k_stride,
+            still_open + w[L_O_AT], o_stride, w[L_O_CAP], c);
+    }
+    return lanes;
 }
 """
 
@@ -954,10 +1004,18 @@ def pointer(ffi, array):
 MATCH_DECLINED = -7
 
 
+def _columns(block):
+    """``block`` as ``repro_match`` reads it in place: int64 columns one
+    word apart (rows any distance apart); a copy only where it is not."""
+    if block.dtype == np.int64 and block.strides[1] == 8:
+        return block
+    return np.ascontiguousarray(block, dtype=np.int64)
+
+
 class PacketMatch:
-    """``repro_match`` for one latency tracker: the fabric's constants
-    and the call's scratch.  The call runs without the GIL, so the
-    scratch is this object's alone — one per tracker, never shared."""
+    """``repro_match`` for latency trackers: the fabric's constants and
+    the call's scratch.  The call runs without the GIL, so the scratch is
+    this object's alone — one per tracker, never shared between threads."""
 
     def __init__(self, kernel, net, hops) -> None:
         self._lib, self._ffi = kernel
@@ -965,58 +1023,92 @@ class PacketMatch:
         #: submit-list fronts (all -1 between calls), head-list fronts,
         #: reassembly registers (five words a sink queue)
         self._scratch = np.full(n_routers * (256 + 6 * n_vcs), -1, dtype=np.int64)
-        #: what the three queues keep, or the offending event's particulars
-        self._counts = np.zeros(3, dtype=np.int64)
         self._hops = hops  # a pointer keeps nothing alive
-        at = lambda array: pointer(self._ffi, array)  # noqa: E731
-        self._fabric = net.width, net.height, n_vcs, net.router.data_width, at(hops)
-        self._tail = at(self._scratch), at(self._counts)
+        self._fabric = (
+            net.width, net.height, n_vcs, net.router.data_width, pointer(self._ffi, hops)
+        )
 
     def __call__(self, submits, head_injects, still_open, injections, ejections, refuse):
         """One window, its two logs as lists of event blocks: ``(samples,
-        submits, head_injects, open events)``, each a block of its own.
-        Has ``refuse(code, *particulars)`` raise for a stream no sink
-        accepts; ``None`` for one outside the fabric's tables."""
-        # the two queues are small; every event block is read in place
-        submits, head_injects = map(np.ascontiguousarray, (submits, head_injects))
-        blocks = [
-            block
-            if block.dtype == np.int64 and block.strides[1] == 8
-            else np.ascontiguousarray(block, dtype=np.int64)
-            for block in (*injections, still_open, *ejections)
-        ]
-        sizes = [block.shape[1] for block in blocks]
-        table = self._ffi.new(
-            "int64_t[]",
-            [block.ctypes.data for block in blocks]
-            + [block.strides[0] // 8 for block in blocks]
-            + sizes,
-        )
-        m, k, first = submits.shape[1], head_injects.shape[1], len(injections)
-        # a HEAD is injected for a submit, a sample pops one and ends three flits
-        k_cap, s_cap = k + min(sum(sizes[:first]), m), min(sum(sizes[first:]) // 3, m) + 1
-        # the open packets' events seldom outnumber a part of the log
-        o_cap = max(sizes[first:]) + sizes[first]
-        buffer, (scratch, counts) = self._ffi.from_buffer, self._tail
-        while True:
-            out = [
-                np.empty(shape, dtype=np.int64)
-                for shape in ((m + k_cap,), (8, s_cap), (3, m), (2, k_cap), (4, o_cap))
+        submits, head_injects, open events)``.  Has ``refuse(code,
+        *particulars)`` raise for a stream no sink accepts; ``None`` for
+        one outside the fabric's tables."""
+        (found,) = self.lanes([([submits], head_injects, still_open, injections, ejections)])
+        if type(found) is tuple:
+            refuse(*found)
+        return found
+
+    def lanes(self, windows) -> list:
+        """One pass over several trackers' windows, each ``(submit blocks,
+        head injections, open events, injection blocks, ejection
+        blocks)``.  Per window: its ``[samples, submits, head
+        injections, open events]`` (the samples a column slice of an
+        array the windows share), ``None`` for a stream outside the
+        fabric's tables, or
+        ``(code, *particulars)`` for one a sink refuses.  Every block is
+        read in place."""
+        lanes = []
+        for submits, heads, still_open, injections, ejections in windows:
+            submits = list(map(_columns, submits))
+            events = list(map(_columns, (*injections, still_open, *ejections)))
+            sizes = [block.shape[1] for block in events]
+            first, m = len(injections), sum(block.shape[1] for block in submits)
+            ejected = sum(sizes[first:])
+            # a HEAD is injected for a submit, a sample pops one and ends
+            # three flits; the open packets' events seldom outnumber a
+            # part of the log
+            caps = [
+                min(ejected // 3, m) + 1,
+                m,
+                heads.shape[1] + min(sum(sizes[:first]), m),
+                min(ejected, max(sizes[first:]) + sizes[first]),
             ]
-            links, samples, *left = (buffer("int64_t[]", block) for block in out)
-            found = self._lib.repro_match(
-                *self._fabric, buffer("int64_t[]", submits), m,
-                buffer("int64_t[]", head_injects), k, k_cap, table, first, len(blocks),
-                scratch, links, samples, s_cap, *left, o_cap, counts,
+            lanes.append((submits, events, _columns(heads), first, caps))
+        blocks = [block for submits, events, *_ in lanes for block in (*submits, *events)]
+        table = np.array(
+            [
+                [block.ctypes.data for block in blocks],
+                [block.strides[0] // 8 for block in blocks],
+                [block.shape[1] for block in blocks],
+            ],
+            dtype=np.int64,
+        )
+        at = lambda array: pointer(self._ffi, array)  # noqa: E731
+        while True:
+            words, ends, base = [], [0, 0, 0, 0], 0
+            for submits, events, heads, first, caps in lanes:
+                words.append(
+                    [base, len(submits), first, len(events) - first, heads.ctypes.data,
+                     heads.strides[0] // 8, heads.shape[1], caps[2], *ends, caps[3]]
+                )
+                base += len(submits) + len(events)
+                ends = [end + cap for end, cap in zip(ends, caps)]
+            out = [np.empty((rows, end), dtype=np.int64) for rows, end in zip((8, 3, 2, 4), ends)]
+            word_table = np.array(words, dtype=np.int64)
+            counts = np.empty((len(lanes), 4), dtype=np.int64)
+            work = np.empty(max(4 * caps[1] + caps[2] for *_, caps in lanes), dtype=np.int64)
+            self._lib.repro_match(
+                len(lanes), *self._fabric, at(word_table), at(table), table.shape[1],
+                at(self._scratch), at(work),
+                *[arg for block in out for arg in (at(block), block.shape[1])],
+                at(counts),
             )
-            used = self._counts.tolist()
-            if found == MATCH_DECLINED:
-                return None
-            if found < 0:
-                refuse(found, *used[:2])
-            if used[2] <= o_cap:
-                return [block[:, :n].copy() for block, n in zip(out[1:], [found] + used)]
-            o_cap = used[2]
+            found, short = [], False
+            for (*_, caps), word, (left_m, left_k, left_o, n) in zip(lanes, words, counts.tolist()):
+                if n == MATCH_DECLINED:
+                    found.append(None)
+                elif n < 0:
+                    found.append((n, left_m, left_k))
+                elif left_o > caps[3]:
+                    caps[3], short = left_o, True
+                else:  # the queues' leftovers are copied: they outlive the call
+                    samples, *left = (
+                        block[:, lo : lo + used]
+                        for block, lo, used in zip(out, word[8:12], (n, left_m, left_k, left_o))
+                    )
+                    found.append([samples, *(block.copy() for block in left)])
+            if not short:
+                return found
 
 
 #: the queue table and flit columns of a window without packets.
@@ -1166,7 +1258,7 @@ class BatchedBeGenerator(WindowSource):
             self._state_out(self._be_seq, self._toggles, self._gt_seq)
         return snapshot, stop
 
-    def _scan(self, start: int, limit: int) -> Stimuli:
+    def scan(self, start: int, limit: int) -> Stimuli:
         snapshot, stop = self._generate(len(self.drivers), start, limit)
         cap = self._packets.shape[1] // 2
         lane_ends, lane_flits = self._ends.tolist()
@@ -1205,7 +1297,7 @@ class BatchedBeGenerator(WindowSource):
         stimuli.flits = flits
         return stimuli
 
-    def _rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
+    def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
         rngs, be_seq, toggles, gt_seq = stimuli.snapshot
         for (_, be), (state, words_read) in zip(self._live, rngs):
             be.rng.state, be.rng.words_read = state, words_read

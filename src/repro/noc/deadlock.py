@@ -25,7 +25,7 @@ all engines stay bit-identical.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.noc.config import NetworkConfig, Port, RouterConfig
 
@@ -81,18 +81,7 @@ def dateline_policy(net: NetworkConfig, position: int) -> BeVcPolicy:
     half = len(be) // 2
     low: Tuple[int, ...] = be[:half] if half else be
     high: Tuple[int, ...] = be[half:]
-    x, y = net.coords(position)
-    # Which output ports cross their ring's dateline from this position.
-    wraps = set()
-    if net.topology == "torus":
-        if x == net.width - 1 and net.width > 1:
-            wraps.add(int(Port.EAST))
-        if x == 0 and net.width > 1:
-            wraps.add(int(Port.WEST))
-        if y == net.height - 1 and net.height > 1:
-            wraps.add(int(Port.SOUTH))
-        if y == 0 and net.height > 1:
-            wraps.add(int(Port.NORTH))
+    wraps = _wrap_ports(net, position)
 
     def policy(in_port: int, in_vc: int, out_port: int) -> Tuple[int, ...]:
         if out_port == int(Port.LOCAL):
@@ -107,9 +96,31 @@ def dateline_policy(net: NetworkConfig, position: int) -> BeVcPolicy:
     return policy
 
 
+def _wrap_ports(net: NetworkConfig, position: int) -> FrozenSet[int]:
+    """The output ports at ``position`` that cross their ring's dateline
+    (a torus's wrap-around links)."""
+    if net.topology != "torus":
+        return frozenset()
+    x, y = net.coords(position)
+    wraps = set()
+    if x == net.width - 1 and net.width > 1:
+        wraps.add(int(Port.EAST))
+    if x == 0 and net.width > 1:
+        wraps.add(int(Port.WEST))
+    if y == net.height - 1 and net.height > 1:
+        wraps.add(int(Port.SOUTH))
+    if y == 0 and net.height > 1:
+        wraps.add(int(Port.NORTH))
+    return frozenset(wraps)
+
+
+def _uses_dateline(net: NetworkConfig) -> bool:
+    return net.router.deadlock_avoidance and len(net.router.be_vcs) >= 2
+
+
 def make_policy(net: NetworkConfig, position: int) -> BeVcPolicy:
     """The policy selected by the network configuration."""
-    if net.router.deadlock_avoidance and len(net.router.be_vcs) >= 2:
+    if _uses_dateline(net):
         return dateline_policy(net, position)
     return free_policy(net.router)
 
@@ -121,22 +132,30 @@ def packed_policy(net: NetworkConfig):
     NumPy array: ``table[r, in_port, in_vc, out_port]`` holds the
     candidate output VCs in trial order, padded with ``-1``.  The
     entries are produced by calling :func:`make_policy` itself for every
-    position and argument combination, so the packed table is the exact
-    policy every engine shares — the batch engine gathers from it
-    instead of calling the closure per HEAD flit.
+    argument combination, so the packed table is the exact policy every
+    engine shares — the batch engine gathers from it instead of calling
+    the closure per HEAD flit.  A router's policy depends on its
+    position only through its dateline ports, so one ``[P, V, P, V]``
+    table is built per distinct set of them and broadcast to its
+    routers.
     """
     import numpy as np
 
     cfg = net.router
     n_ports, n_vcs = cfg.n_ports, cfg.n_vcs
-    table = np.full(
-        (net.n_routers, n_ports, n_vcs, n_ports, n_vcs), -1, dtype=np.int64
-    )
+    classes: Dict[FrozenSet[int], List[int]] = {}
+    dateline = _uses_dateline(net)
     for r in range(net.n_routers):
-        policy = make_policy(net, r)
+        key = _wrap_ports(net, r) if dateline else frozenset()
+        classes.setdefault(key, []).append(r)
+    table = np.empty((net.n_routers, n_ports, n_vcs, n_ports, n_vcs), dtype=np.int64)
+    for routers in classes.values():
+        policy = make_policy(net, routers[0])
+        block = np.full((n_ports, n_vcs, n_ports, n_vcs), -1, dtype=np.int64)
         for in_port in range(n_ports):
             for in_vc in range(n_vcs):
                 for out_port in range(n_ports):
                     cands = policy(in_port, in_vc, out_port)
-                    table[r, in_port, in_vc, out_port, : len(cands)] = cands
+                    block[in_port, in_vc, out_port, : len(cands)] = cands
+        table[routers] = block
     return table

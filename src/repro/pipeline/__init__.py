@@ -2,31 +2,31 @@
 Figure 8).
 
 The paper overlaps its five simulation steps — generate stimuli, load
-stimuli, simulate, retrieve results, analyze results — by running them
-concurrently against cyclic buffers: "the cyclic buffers make it
-possible to run the simulation independently from the copying of data".
-This package is that architecture in software, on the fused chunk path:
-a pipeline chunk is one period of x cycles, run as one superstep of the
-generated body, with the host touching the fabric only at its boundary.
+stimuli, simulate, retrieve results, analyze results — by letting the
+ARM generate, load, retrieve and analyse while the FPGA simulates,
+against cyclic buffers: "the cyclic buffers make it possible to run the
+simulation independently from the copying of data".  This package is
+that split in software, on the fused chunk path: the calling thread is
+the ARM, a fabric thread of the generated C is the FPGA, and a window is
+one period of cycles, run as one call of the chunk body with the host
+touching the fabric only at its boundary.
 
 * :mod:`~repro.pipeline.stages` — one stage class per paper phase, each
   a thin wrapper over the function ``run_batched``'s chunk path uses
-  (``source.scan``, ``Stimuli.load``, ``run_chunk``,
-  ``EventLog.arrays``, ``collect_records``) around one
-  ``TrafficDriver`` per lane; one columnar ``Stimuli`` per window rides
-  the chunks;
-* :mod:`~repro.pipeline.ring` — the bounded stage-to-stage handoff,
-  built on :class:`~repro.platform.cyclic_buffer.CyclicBuffer` (real
-  backpressure: a full ring blocks the producer);
-* :mod:`~repro.pipeline.runner` — threaded execution with a serial
-  fallback producing byte-identical results, instrumented by
+  (``source.scan``, ``Stimuli.load``, the chunk body's
+  :class:`~repro.kernels.batchlevel.FabricJob`, ``EventLog.arrays``,
+  ``repro_match``) around one ``TrafficDriver`` per lane; one columnar
+  ``Stimuli`` per window rides the chunks;
+* :mod:`~repro.pipeline.runner` — the caller's loop: window k+1
+  generated and window k-1 analysed while window k simulates on the
+  fabric thread, or every call in the caller (``threaded=False``) with
+  byte-identical results; instrumented by
   :class:`~repro.platform.profiler.PipelineProfiler`;
 * :mod:`~repro.pipeline.workloads` — streamed versions of the
   Figure-1 and pattern sweeps.
 """
 
-from repro.pipeline.chunks import END, LoadedChunk, ResultChunk, RetrievedChunk, StimulusChunk
-from repro.pipeline.ring import StageRing
+from repro.pipeline.chunks import LoadedChunk, ResultChunk, RetrievedChunk, StimulusChunk
 from repro.pipeline.runner import PipelineReport, run_pipeline
 from repro.pipeline.stages import (
     AnalyzeStage,
@@ -39,7 +39,6 @@ from repro.pipeline.workloads import stream_fig1_sweep, stream_pattern_sweep
 
 __all__ = [
     "AnalyzeStage",
-    "END",
     "GenerateStage",
     "LoadStage",
     "LoadedChunk",
@@ -48,7 +47,6 @@ __all__ = [
     "RetrieveStage",
     "RetrievedChunk",
     "SimulateStage",
-    "StageRing",
     "StimulusChunk",
     "run_pipeline",
     "stream_fig1_sweep",

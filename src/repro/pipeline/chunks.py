@@ -12,12 +12,12 @@ columns end to end: traffic as one
 generate stage, queue-grouped flit columns added by the load stage, what
 :meth:`~repro.kernels.batchlevel.CompiledBatchLevel.stage` consumes —
 and results as ``[fields, n]`` blocks of the engine logs
-(:func:`~repro.engines.eventlog.log_window`).  The same ``Stimuli`` object rides every chunk of its window (the
-analyze stage notes the submits from its packet columns); it also
-carries the generator snapshot a mid-window overload rewinds to.
-Chunks are plain data: producing them touches no engine or driver queue,
-which is what lets the generate and load stages run ahead of the
-simulation (bounded only by the connecting rings).
+(:func:`~repro.engines.eventlog.log_window`).  The same ``Stimuli``
+object rides every chunk of its window (the analyze stage notes the
+submits from its packet columns); it also carries the generator snapshot
+a mid-window overload rewinds to.  Chunks are plain data: producing them
+touches no engine or driver queue, which is what lets the generate and
+load stages run while the window before them simulates.
 """
 
 from __future__ import annotations
@@ -26,17 +26,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.traffic.stimuli import Stimuli
-
-
-class _End:
-    """Stream-termination sentinel (one instance: :data:`END`)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<pipeline END>"
-
-
-#: pushed through a ring after the last chunk; consumers stop on it.
-END = _End()
 
 
 @dataclass
@@ -69,8 +58,8 @@ class ResultChunk:
     The simulate stage only records *bounds* into the engine's
     append-only injection/ejection logs; reading the events out is the
     retrieve stage's job (the ARM-reads-FPGA-memory step).  Entries
-    below a recorded bound are immutable, so the retrieve thread can
-    read them while the simulation keeps appending.
+    below a recorded bound are immutable, so they read the same while
+    the next window simulates.
     """
 
     start: int

@@ -1,43 +1,45 @@
 """The five pipeline stages (paper section 5.3, one class per step).
 
 Each stage is a thin wrapper over a function the fused chunk path of
-:func:`~repro.engines.batch.run_batched` already uses; the pipeline only
-spreads them over threads and rings.  What travels between them is one
-columnar :class:`~repro.traffic.stimuli.Stimuli` per window.  The
-pipeline owns one tracker-less
-:class:`~repro.traffic.stimuli.TrafficDriver` per lane, and which thread
-touches which part of it is the whole design:
+:func:`~repro.engines.batch.run_batched` already uses; the runner
+(:mod:`repro.pipeline.runner`) orders their calls so that one window's
+simulation overlaps the other four phases of its neighbours.  What
+travels between them is one columnar
+:class:`~repro.traffic.stimuli.Stimuli` per window.  The pipeline owns
+one tracker-less :class:`~repro.traffic.stimuli.TrafficDriver` per
+lane, and what each phase may touch while a window simulates is the
+whole design:
 
-* **generate** (runs ahead, up to the ring capacity) — ``source.scan``:
-  the batched C scan where it applies, the drivers' Python generators
-  otherwise (:func:`~repro.engines.batch.window_source`).  Owns the
-  generators' LFSR state and sequence numbers, the GT emit counters and
-  the drivers' BE-VC toggles; never touches ``driver.queues`` (the
-  simulate thread stages from it).
+* **generate** (a window ahead) — ``source.scan``: the batched C scan
+  where it applies, the drivers' Python generators otherwise
+  (:func:`~repro.engines.batch.window_source`).  Owns the generators'
+  LFSR state and sequence numbers, the GT emit counters and the
+  drivers' BE-VC toggles; never touches ``driver.queues``.
 * **load** — ``Stimuli.load``: the flit columns, pure.
-* **simulate** (the caller's thread) — one ``run_chunk(drivers, k,
-  stimuli)`` per chunk when ``engines.batch.chunk_decline`` has no
-  objection; any other engine goes through
-  :func:`~repro.traffic.stimuli.step_window` (``driver.pump()`` +
-  ``engine.step()`` per cycle over the queued window).  Owns the
-  drivers' queues, stall counters, submit logs, ``flits_generated`` and
-  ``overloaded``; the stall accounting and the overload error *are* the
-  driver's, and an overload rewinds the generate side through the
-  window's own source, however far ahead it ran.  Draining is
-  ``drain_batched`` / ``TrafficDriver.drain``.
+* **simulate** — where ``engines.batch.chunk_decline`` has no
+  objection, one call of the chunk body per window
+  (:class:`~repro.kernels.batchlevel.FabricJob`): :meth:`SimulateStage.launch`
+  stages the window behind the drivers' backlog and starts the call,
+  on the fabric thread or in the caller; :meth:`SimulateStage.land`
+  waits for it and hands each queue's unconsumed tail back to its
+  driver; :meth:`SimulateStage.book` logs its events and books its
+  traffic on the drivers.  Any other engine steps the window in
+  ``launch`` through :func:`~repro.traffic.stimuli.step_window`
+  (``driver.pump()`` + ``engine.step()`` per cycle).  The stall
+  accounting and the overload error *are* the driver's, and an
+  overload rewinds the generate side through the window's own source,
+  however far ahead it ran.  Draining is ``drain_batched`` /
+  ``TrafficDriver.drain``.
 * **retrieve** — :func:`~repro.engines.eventlog.log_window` below the
-  bounds simulate recorded (safe against a concurrent writer): one
-  integer block per lane and log.
-* **analyze** — notes the chunk's submits on its own trackers from the
-  window's packet columns, then
-  ``PacketLatencyTracker.collect_records`` on the event blocks — one C
-  pass per (chunk, lane) that runs without the GIL, so this thread
-  overlaps the simulation (``tracker.kernel`` names the body; the NumPy
-  one holds the GIL).  The histogram takes the chunk's new samples only;
-  the per-sink counts and the flit counts read columns and shapes.
-  Every chunk's submits are noted before its events are matched, so
-  per-key FIFO matching pops the same submit the end-of-run collection
-  would.
+  bounds the booked window left: one integer block per lane and log.
+* **analyze** — notes the window's submits on its trackers from the
+  packet columns, then matches every lane's events in one pass
+  (:func:`~repro.stats.latency.collect_lanes`: one ``repro_match`` call
+  where the trackers have the C body).  Every window's submits are noted
+  before its events are matched, so per-key FIFO matching pops the same
+  submit the end-of-run collection would.  The per-sink counts and the
+  flit counts read columns and shapes; the histograms are the trackers'
+  samples, binned when read.
 
 The equivalence tests compare engine snapshots, full logs, driver state
 and drain counts against ``run_batched`` and the solo reference engine.
@@ -57,6 +59,7 @@ from repro.engines.batch import (
     window_source,
 )
 from repro.engines.eventlog import log_window
+from repro.kernels.batchlevel import FabricJob
 from repro.noc.config import NetworkConfig
 from repro.pipeline.chunks import (
     LoadedChunk,
@@ -65,7 +68,7 @@ from repro.pipeline.chunks import (
     StimulusChunk,
 )
 from repro.stats.histogram import Histogram
-from repro.stats.latency import PacketLatencyTracker
+from repro.stats.latency import PacketLatencyTracker, collect_lanes, note_lanes
 from repro.stats.throughput import ThroughputStats
 from repro.traffic.stimuli import FlitEncoder, TrafficDriver, step_window
 
@@ -116,16 +119,21 @@ class SimulateStage:
     def overloaded(self) -> bool:
         return any(driver.overloaded for driver in self.drivers)
 
-    def _bounds(self) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    def _result(self, start, stop, stimuli, done_cycles=None) -> ResultChunk:
+        """The window's chunk: the log bounds its events occupy."""
         inj_bounds, ej_bounds = [], []
         for lane, view in enumerate(self.views):
             hi_i, hi_e = len(view.injections), len(view.ejections)
             inj_bounds.append((self._inj_seen[lane], hi_i))
             ej_bounds.append((self._ej_seen[lane], hi_e))
             self._inj_seen[lane], self._ej_seen[lane] = hi_i, hi_e
-        return inj_bounds, ej_bounds
+        return ResultChunk(start, stop, stimuli, inj_bounds, ej_bounds, done_cycles)
 
-    def process(self, chunk: LoadedChunk) -> ResultChunk:
+    def launch(self, chunk: LoadedChunk, fabric: bool):
+        """Start simulating ``chunk``: the chunk body's call, on the
+        fabric thread (``fabric``) or run here — a job for :meth:`land`
+        and :meth:`book` — or, on an engine without the body, the window
+        stepped here to its finished :class:`ResultChunk`."""
         engine, drivers = self.engine, self.drivers
         if engine.cycle != chunk.start:
             raise RuntimeError(
@@ -133,14 +141,58 @@ class SimulateStage:
                 f"chunk starts at {chunk.start}"
             )
         compiled = chunk_kernel(engine, drivers)
-        if compiled is not None:
-            compiled.run_chunk(drivers, chunk.cycles, chunk.stimuli)
-        else:
+        if compiled is None:
             step_window(engine, drivers, chunk.stimuli)
-        inj_bounds, ej_bounds = self._bounds()
-        return ResultChunk(
-            chunk.start, chunk.stop, chunk.stimuli, inj_bounds, ej_bounds
-        )
+            return self._result(chunk.start, chunk.stop, chunk.stimuli)
+        job = compiled.prepare(drivers, chunk.cycles, chunk.stimuli)
+        return job.start() if fabric else job.run()
+
+    @staticmethod
+    def wait(launched) -> Tuple[float, float]:
+        """Wait for a launched window; returns the wall and CPU seconds
+        a fabric thread spent on it (none for one run here)."""
+        if isinstance(launched, FabricJob) and launched.threaded:
+            launched.wait()
+            return launched.seconds, launched.cpu_seconds
+        return 0.0, 0.0
+
+    @staticmethod
+    def land(launched) -> None:
+        """Take a launched window back: its cycles and the drivers'
+        queues.  A window the body stopped with an error is booked, and
+        the error raised."""
+        if isinstance(launched, FabricJob):
+            launched.land()
+            if launched.ret:
+                launched.book()
+                launched.check()
+
+    def book(self, launched) -> ResultChunk:
+        """Log a landed window's events, book its traffic, and return
+        its chunk."""
+        if not isinstance(launched, FabricJob):
+            return launched
+        launched.book()
+        window = launched.window
+        return self._result(window.start, window.stop, window)
+
+    def close(self, launched) -> None:
+        """End the run: a window still out (a failing run unwinds past
+        it) is landed and booked, so the engine and drivers end where it
+        ended — its own error gives way to the one unwinding — and the
+        fabric thread stops."""
+        if isinstance(launched, FabricJob):
+            launched.land()
+            launched.book()
+        compiled = getattr(self.engine, "_compiled", None)
+        if compiled is not None:
+            compiled.close_fabric()
+
+    def process(self, chunk: LoadedChunk) -> ResultChunk:
+        """The whole step, in the caller."""
+        launched = self.launch(chunk, fabric=False)
+        self.land(launched)
+        return self.book(launched)
 
     def drain(self, max_cycles: int = 100_000) -> ResultChunk:
         """Run until every lane is drained; the returned final chunk
@@ -151,10 +203,7 @@ class SimulateStage:
             done = drain_batched(engine, self.drivers, max_cycles)
         else:
             done = [self.drivers[0].drain(max_cycles)]
-        inj_bounds, ej_bounds = self._bounds()
-        return ResultChunk(
-            start, engine.cycle, None, inj_bounds, ej_bounds, done_cycles=list(done)
-        )
+        return self._result(start, engine.cycle, None, list(done))
 
 
 class RetrieveStage:
@@ -187,8 +236,8 @@ class RetrieveStage:
 class AnalyzeStage:
     """Step 5: fold each chunk into the running statistics.
 
-    Latency trackers, throughput counters and the latency histogram all
-    update incrementally — no stage ever holds a full run's logs.
+    Latency trackers and throughput counters update window by window —
+    no stage ever holds a full run's logs.
     """
 
     name = "analyze"
@@ -197,8 +246,8 @@ class AnalyzeStage:
         self, net: NetworkConfig, lanes: int, histogram_bin: int = 10
     ) -> None:
         self.net = net
+        self.histogram_bin = histogram_bin
         self.trackers = [PacketLatencyTracker(net) for _ in range(lanes)]
-        self.histograms = [Histogram(histogram_bin) for _ in range(lanes)]
         self.inj_counts = [0] * lanes
         self.ej_counts = [0] * lanes
         self.submit_counts = [0] * lanes
@@ -208,22 +257,35 @@ class AnalyzeStage:
 
     def process(self, chunk: RetrievedChunk) -> None:
         stimuli = chunk.stimuli
-        for lane, tracker in enumerate(self.trackers):
-            if stimuli is not None:
-                lo, hi = stimuli.lane_span(lane)
-                tracker.note_submits(*stimuli.submit_columns(lo, hi))
+        if stimuli is not None:
+            note_lanes(
+                self.trackers,
+                stimuli.submit_columns(0, stimuli.packets.shape[1]),
+                stimuli.lane_ends,
+            )
+            lo = 0
+            for lane, hi in enumerate(stimuli.lane_ends):
                 self.submit_counts[lane] += hi - lo
-            injections, ejections = chunk.injections[lane], chunk.ejections[lane]
-            tracker.collect_records(injections, ejections)
-            self.inj_counts[lane] += injections.shape[1]
+                lo = hi
+        collect_lanes(self.trackers, chunk.injections, chunk.ejections)
+        for lane, ejections in enumerate(chunk.ejections):
+            self.inj_counts[lane] += chunk.injections[lane].shape[1]
             self.ej_counts[lane] += ejections.shape[1]
             self.eject_router_counts[lane] += np.bincount(
                 ejections[1], minlength=self.net.n_routers
             )
-            histogram = self.histograms[lane]  # holds every sample seen so far
-            histogram.extend_array(tracker.samples.total_latency(histogram.total))
         if chunk.done_cycles is not None:
             self.done_cycles = chunk.done_cycles
+
+    @property
+    def histograms(self) -> List[Histogram]:
+        """Per lane, every total latency matched so far, binned."""
+        histograms = []
+        for tracker in self.trackers:
+            histogram = Histogram(self.histogram_bin)
+            histogram.extend_array(tracker.samples.total_latency())
+            histograms.append(histogram)
+        return histograms
 
     def throughput(self, lane: int, cycles: int) -> ThroughputStats:
         """Throughput from the accumulated counters (lane's own cycle

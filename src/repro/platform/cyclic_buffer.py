@@ -9,8 +9,6 @@ over-run."
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from typing import Generic, List, Optional, TypeVar
 
@@ -60,29 +58,9 @@ class CyclicBuffer(Generic[T]):
         self._wr = 0
         self.total_written = 0
         self.total_read = 0
-        #: pointer-violation counters — every over/underrun event,
-        #: whether from a non-blocking access or a blocking timeout.
-        #: The pipeline stall metrics read these per ring.
+        #: pointer-violation counters: every over/underrun event.
         self.overruns = 0
         self.underruns = 0
-        #: blocking accesses that had to wait for the other side.
-        self.put_waits = 0
-        self.get_waits = 0
-        self._cond = threading.Condition()
-
-    # The condition variable holds OS locks, which neither deepcopy nor
-    # pickle can traverse — and the platform controller deep-copies
-    # whole buffer maps into its rollback snapshots.  Strip it on the
-    # way out and rebuild it fresh on the way in; a restored buffer has
-    # no waiters by construction.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_cond"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._cond = threading.Condition()
 
     # -- state -------------------------------------------------------------
     @property
@@ -158,87 +136,6 @@ class CyclicBuffer(Generic[T]):
         if not isinstance(entry.payload, int):
             raise TypeError(f"{self.name}: can only corrupt int payloads")
         self._entries[slot] = TimestampedEntry(entry.timestamp, entry.payload ^ xor_mask)
-
-    # -- blocking access -----------------------------------------------------
-    #
-    # The streaming pipeline runs producer and consumer stages in
-    # different threads with this buffer between them.  ``put``/``get``
-    # block on the pointer state instead of raising, but only up to
-    # ``timeout`` seconds: a stalled peer then surfaces as the existing
-    # pointer-state error (with the full rd/wr diagnosis) rather than a
-    # deadlocked thread.
-
-    def put(
-        self,
-        timestamp: int,
-        payload: T,
-        timeout: Optional[float] = None,
-        abort=None,
-    ) -> None:
-        """Blocking :meth:`write`: wait while full, up to ``timeout``
-        seconds, then raise :class:`BufferOverrunError`.
-
-        ``abort`` is an optional zero-argument predicate re-checked on
-        every wake-up; when it turns true the wait ends immediately with
-        the same error (use :meth:`kick` to wake waiters after flipping
-        an abort flag).
-        """
-        with self._cond:
-            if self.is_full:
-                self.put_waits += 1
-                deadline = None if timeout is None else time.monotonic() + timeout
-                while self.is_full:
-                    if abort is not None and abort():
-                        self.overruns += 1
-                        raise BufferOverrunError(
-                            f"{self.name}: put aborted on a full buffer "
-                            f"({self._pointer_state()})"
-                        )
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        self.overruns += 1
-                        raise BufferOverrunError(
-                            f"{self.name}: put timed out after {timeout}s on a "
-                            f"full buffer ({self._pointer_state()})"
-                        )
-                    self._cond.wait(remaining)
-            self.write(timestamp, payload)
-            self._cond.notify_all()
-
-    def get(
-        self, timeout: Optional[float] = None, abort=None
-    ) -> TimestampedEntry[T]:
-        """Blocking :meth:`read`: wait while empty, up to ``timeout``
-        seconds, then raise :class:`BufferUnderrunError` (``abort`` as
-        in :meth:`put`)."""
-        with self._cond:
-            if self.is_empty:
-                self.get_waits += 1
-                deadline = None if timeout is None else time.monotonic() + timeout
-                while self.is_empty:
-                    if abort is not None and abort():
-                        self.underruns += 1
-                        raise BufferUnderrunError(
-                            f"{self.name}: get aborted on an empty buffer "
-                            f"({self._pointer_state()})"
-                        )
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        self.underruns += 1
-                        raise BufferUnderrunError(
-                            f"{self.name}: get timed out after {timeout}s on an "
-                            f"empty buffer ({self._pointer_state()})"
-                        )
-                    self._cond.wait(remaining)
-            entry = self.read()
-            self._cond.notify_all()
-            return entry
-
-    def kick(self) -> None:
-        """Wake every thread blocked in :meth:`put`/:meth:`get` so it
-        re-examines the pointer state (used by ring close/abort)."""
-        with self._cond:
-            self._cond.notify_all()
 
     def try_write(self, timestamp: int, payload: T) -> bool:
         if self.is_full:

@@ -1,13 +1,13 @@
 """Per-phase profiling — the machinery behind Table 4 — plus a generic
 wall-clock stage profiler for the experiment sweeps and the streaming
-pipeline's per-stage busy/wait/occupancy instrumentation."""
+pipeline's per-stage busy/wait instrumentation."""
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: canonical phase names, in the order of Table 4.
 PHASES = ("generate", "load", "simulate", "retrieve", "analyze")
@@ -109,25 +109,22 @@ class PipelineProfiler:
 
     Where :class:`PhaseProfiler` *models* the paper's Table-4 phase
     split from analytic cost functions, this records what the pipeline
-    actually did: busy seconds (inside a stage's ``process``), wait
-    seconds (blocked on a ring, i.e. starved or backpressured), items
-    processed, and the connecting rings' pointer statistics.  The
+    actually did: busy seconds per phase, whichever thread did the work
+    (the caller's, and for ``simulate`` also the fabric thread's), wait
+    seconds (the caller blocked on the fabric) and items processed.  The
     Table-4 per-phase breakdown then falls out as a *measurement*.
     """
 
     busy_seconds: Dict[str, float] = field(default_factory=dict)
     wait_seconds: Dict[str, float] = field(default_factory=dict)
     items: Dict[str, int] = field(default_factory=dict)
-    #: ring name -> pointer statistics (filled by the runner at the end)
-    rings: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: end-to-end wall seconds of the whole pipeline run
     wall_seconds: float = 0.0
-    #: True when the stages ran as concurrent threads, False for the
-    #: serial fallback (phase timings are comparable either way).
+    #: True when the simulation ran on the fabric thread, False for the
+    #: serial loop (phase timings are comparable either way).
     threaded: bool = True
-    #: CPU seconds the stage's own thread spent inside ``busy`` — unlike
-    #: ``busy_seconds`` this excludes time spent waiting for the
-    #: interpreter lock while another stage's Python ran.
+    #: CPU seconds the working thread spent on the stage — unlike
+    #: ``busy_seconds`` this excludes time the thread was descheduled.
     cpu_seconds: Dict[str, float] = field(default_factory=dict)
 
     @contextmanager
@@ -136,10 +133,14 @@ class PipelineProfiler:
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            cpu = time.thread_time() - cpu_start
-            self.busy_seconds[stage] = self.busy_seconds.get(stage, 0.0) + elapsed
-            self.cpu_seconds[stage] = self.cpu_seconds.get(stage, 0.0) + cpu
+            self.record(
+                stage, time.perf_counter() - start, time.thread_time() - cpu_start
+            )
+
+    def record(self, stage: str, seconds: float, cpu: float) -> None:
+        """Book work measured elsewhere (the fabric thread's)."""
+        self.busy_seconds[stage] = self.busy_seconds.get(stage, 0.0) + seconds
+        self.cpu_seconds[stage] = self.cpu_seconds.get(stage, 0.0) + cpu
 
     @contextmanager
     def wait(self, stage: str):
@@ -161,21 +162,19 @@ class PipelineProfiler:
     def serial_seconds(self) -> float:
         """What a fully serial execution of the same work costs (the
         pipeline's speedup denominator): the sum of the stages' CPU
-        seconds where :meth:`busy` recorded them.  A threaded stage's
-        wall-clock busy time includes waiting for the interpreter lock
-        while another stage's Python ran, which would count that wait as
-        work.  A profiler filled by hand with ``busy_seconds`` alone sums
-        those."""
+        seconds where they were recorded.  A stage's wall-clock busy time
+        includes the time its thread was descheduled, which would count
+        as work.  A profiler filled by hand with ``busy_seconds`` alone
+        sums those."""
         return sum(self._stage_costs.values())
 
     def overlap_efficiency(self) -> float:
         """How much of the achievable overlap the run realised, in [0, 1].
 
         0 means fully serial (wall == :attr:`serial_seconds`); 1 means
-        perfect pipelining (wall == the slowest stage alone).  Under the
-        interpreter lock the stages overlap only with calls that release
-        it (the C chunk kernel), so low values are a truthful
-        measurement, not a bug.
+        perfect pipelining (wall == the slowest stage alone).  The caller
+        overlaps only the fabric thread's simulation, so the achievable
+        is bounded by that split, not by five threads.
         """
         serial = self.serial_seconds
         slowest = max(self._stage_costs.values(), default=0.0)
@@ -190,21 +189,8 @@ class PipelineProfiler:
         for stages named after the paper phases."""
         return {p: self.busy_seconds.get(p, 0.0) for p in PHASES}
 
-    def stall_counts(self) -> Dict[str, int]:
-        """Per-ring stall events: blocking waits plus pointer errors,
-        read straight from the cyclic buffers' counters."""
-        out = {}
-        for name, stats in self.rings.items():
-            out[name] = (
-                stats.get("put_waits", 0)
-                + stats.get("get_waits", 0)
-                + stats.get("overruns", 0)
-                + stats.get("underruns", 0)
-            )
-        return out
-
     def render(self) -> str:
-        mode = "threaded" if self.threaded else "serial fallback"
+        mode = "fabric thread" if self.threaded else "serial loop"
         lines = [
             f"pipeline ({mode}) — wall {self.wall_seconds:.3f} s, "
             f"serial cost {self.serial_seconds:.3f} s, "
@@ -217,11 +203,5 @@ class PipelineProfiler:
                 f"{self.cpu_seconds.get(stage, 0.0):>9.3f} "
                 f"{self.wait_seconds.get(stage, 0.0):>9.3f} "
                 f"{self.items.get(stage, 0):>8}"
-            )
-        for name, stats in self.rings.items():
-            lines.append(
-                f"ring {name:<12} peak {stats.get('peak', 0)}/"
-                f"{stats.get('capacity', 0)}, "
-                f"waits {stats.get('put_waits', 0)}w/{stats.get('get_waits', 0)}r"
             )
         return "\n".join(lines)

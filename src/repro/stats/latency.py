@@ -338,13 +338,20 @@ class PacketLatencyTracker:
         self._collect((injections,), (ejections,))
 
     def _collect(self, injections, ejections) -> None:
-        samples, submits, self._head_injects, self._open = self._match(
-            self._pending_block(),
-            self._head_injects,
-            self._open,
-            list(map(_event_block, injections)),
-            list(map(_event_block, ejections)),
+        self._commit(
+            self._match(
+                self._pending_block(),
+                self._head_injects,
+                self._open,
+                list(map(_event_block, injections)),
+                list(map(_event_block, ejections)),
+            )
         )
+
+    def _commit(self, found) -> None:
+        """Take what a match returned: the samples it found, and what is
+        left of the three queues."""
+        samples, submits, self._head_injects, self._open = found
         self.samples.extend_block(samples)
         self._submits = [submits]
 
@@ -530,6 +537,42 @@ class PacketLatencyTracker:
         if pclass is None:
             return len(self.samples)
         return int((self.samples.columns[S_GT] == _CLASSES.index(pclass)).sum())
+
+
+def note_lanes(trackers, columns, lane_ends) -> None:
+    """:meth:`PacketLatencyTracker.note_submits` for every tracker at
+    once: ``columns`` are rows ``src, seq, vc, cycle`` of all the
+    trackers' submits, grouped by tracker, tracker ``i``'s ending at
+    column ``lane_ends[i]``."""
+    src, seq, vc, cycle = columns
+    block = np.array([src * _SEQS + (seq & SEQ_FIELD[1]), vc, cycle], dtype=np.int64)
+    lo = 0
+    for tracker, hi in zip(trackers, lane_ends):
+        tracker._submits.append(block[:, lo:hi])
+        lo = hi
+
+
+def collect_lanes(trackers, injections, ejections) -> None:
+    """:meth:`PacketLatencyTracker.collect_records` for every tracker,
+    tracker ``i`` taking the window blocks ``injections[i]`` and
+    ``ejections[i]``: one C pass over all of them where the trackers
+    have the C body.  Trackers take their results in order, so a window
+    a sink refuses raises with the trackers before it updated and it and
+    those after it as they were."""
+    match = trackers[0]._c_match if trackers else None
+    windows = [
+        (tracker._submits, tracker._head_injects, tracker._open,
+         [_event_block(inj)], [_event_block(ej)])
+        for tracker, inj, ej in zip(trackers, injections, ejections)
+    ]
+    found = match.lanes(windows) if match else [None] * len(windows)
+    for tracker, inj, ej, result in zip(trackers, injections, ejections, found):
+        if result is None:  # the NumPy body's to judge
+            tracker.collect_records(inj, ej)
+        elif type(result) is tuple:
+            tracker._refuse(*result)
+        else:
+            tracker._commit(result)
 
 
 def gt_guarantee_bound(

@@ -26,7 +26,6 @@ built only where a caller reads one (``driver.queues[key][i]``,
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -413,6 +412,7 @@ class StimuliQueues(Mapping):
     def _use(self, rows) -> None:
         """Make ``rows`` the entry arena."""
         self._rows = rows
+        self._address = self._table_at, rows.ctypes.data, rows.shape[1]
         self._words, self._cycles = memoryview(rows[F_WORD]), memoryview(rows[F_CYCLE])
 
     # -- the mapping ---------------------------------------------------------
@@ -439,8 +439,7 @@ class StimuliQueues(Mapping):
     def address(self) -> Tuple[int, int, int]:
         """Where the staging kernel finds this store: the table's
         address, the entry arena's address and capacity."""
-        rows = self._rows
-        return self._table_at, rows.ctypes.data, rows.shape[1]
+        return self._address
 
     # -- the FIFOs -----------------------------------------------------------
     def _live(self):
@@ -586,12 +585,10 @@ class WindowSource:
     (:class:`DriverWindows`) or in C
     (:class:`repro.kernels.trafficgen.BatchedBeGenerator`).
 
-    A scan touches only what the generating thread owns — LFSR state,
-    sequence numbers, BE-VC toggles — never a driver's queues, books or
-    tracker, so a pipeline stage may scan ahead of the simulation.  The
-    lock orders such a thread against :meth:`rewind`, after which the
-    source is spent: a scan that lost the race generates nothing (its
-    window is empty).
+    A scan touches only generator state — LFSR state, sequence numbers,
+    BE-VC toggles — never a driver's queues, books or tracker, so the
+    streaming pipeline scans the next window while the current one
+    simulates.
     """
 
     #: why the traffic is not scanned in C (``None``: it is).
@@ -601,8 +598,6 @@ class WindowSource:
         self.drivers: List = list(drivers)
         #: flits after which a window ends (:data:`FLIT_BUDGET`).
         self.budget = FLIT_BUDGET
-        self._lock = threading.Lock()
-        self._spent = False
 
     def scan(self, start: int, limit: int) -> Stimuli:
         """The next window from ``start``: every lane's packets of cycles
@@ -611,21 +606,14 @@ class WindowSource:
         at most, one cycle at least.  Each lane's generator state
         advances exactly as that many ``TrafficDriver.generate`` calls
         advance it."""
-        with self._lock:
-            if not self._spent:
-                return self._scan(start, limit)
-            window = self._scan(start, start)  # generates nothing
-            window.stop = limit
-            return window
+        raise NotImplementedError
 
     def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
         """Put the generators where the per-cycle reference loop leaves
         them when ``lane``'s pump raises at ``cycle`` inside ``stimuli``:
         lanes up to ``lane`` have generated ``cycle``, later lanes have
-        not.  However far ahead a generating thread had run."""
-        with self._lock:
-            self._spent = True
-            self._rewind(stimuli, cycle, lane)
+        not — however far past the window the generators had run."""
+        raise NotImplementedError
 
 
 class DriverWindows(WindowSource):
@@ -643,7 +631,7 @@ class DriverWindows(WindowSource):
         stages."""
         return self.scan(start, limit).load(self.drivers[0].net, self._encoder)
 
-    def _scan(self, start: int, limit: int) -> Stimuli:
+    def scan(self, start: int, limit: int) -> Stimuli:
         snapshot = [driver.snapshot() for driver in self.drivers]
         packets: List[List] = [[] for _ in self.drivers]
         width = self.drivers[0].net.router.data_width
@@ -657,7 +645,7 @@ class DriverWindows(WindowSource):
             stop += 1
         return Stimuli.from_packets(start, stop, packets, snapshot, self)
 
-    def _rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
+    def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
         for i, (driver, state) in enumerate(zip(self.drivers, stimuli.snapshot)):
             driver.restore(state)
             driver.packets(stimuli.start, cycle + (i <= lane))
@@ -712,7 +700,7 @@ class TrafficDriver:
         packet of cycles ``[start, stop)`` in submit order (cycle-major,
         GT streams before BE sources).  Only generator state and the
         per-source BE-VC toggles advance — no queue, counter or tracker
-        is touched, so a thread may run this ahead of the simulation."""
+        is touched, so it may run while the window before simulates."""
         gt_cycles = (
             self.gt.packets_for_cycles(start, stop) if self.gt is not None else None
         )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import signal
 import sys
-import threading
 
 import pytest
 
@@ -56,28 +55,29 @@ def no_cc(monkeypatch):
     none, so every consumer of the generated-C tier takes its degraded
     path (or raises, where ``jit`` / ``levelized`` was asked for).  The
     batch engine's one degrade warning counts as given: it has a test of
-    its own."""
+    its own.  The process's memoized probe is dropped on the way out, so
+    the next test probes the host afresh."""
     import repro.engines.batch as batch
     from repro.kernels import cbackend
 
     monkeypatch.setattr(cbackend, "_find_compiler", lambda: None)
     monkeypatch.setattr(batch, "_warned_degrade", True)
+    yield
+    cbackend._probe_compiler.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def _no_pipeline_leaks():
     """Every test must leave the streaming pipeline and every worker
-    process torn down: no ``repro-pipeline-*`` threads still alive, and
+    process torn down: no fabric thread, let alone a chunk-body job on it, and
     nothing left in the worker primitive's live set (the farm's
-    workers).  The lazy lookup keeps this free for the tests that never
-    start a process."""
+    workers).  The lazy lookups keep this free for the tests that never
+    start either."""
     yield
-    leaked = [
-        t.name
-        for t in threading.enumerate()
-        if t.name.startswith("repro-pipeline-") and t.is_alive()
-    ]
-    assert not leaked, f"leaked pipeline threads: {leaked}"
+    batchlevel = sys.modules.get("repro.kernels.batchlevel")
+    if batchlevel is not None:
+        assert not batchlevel.jobs_in_flight(), "a fabric job is still in flight"
+        assert not batchlevel.fabric_threads(), "a fabric thread is still running"
     process = sys.modules.get("repro.farm.process")
     if process is not None:
         assert not process.live_workers(), (

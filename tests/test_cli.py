@@ -342,7 +342,7 @@ class TestFarmCli:
             )
             assert match and 0 < int(match.group(1)) < 100
             # the simulation period, as section 5.3 states it: this run
-            # is one window unstreamed, one per 128-cycle ring slot streamed
+            # is one window unstreamed, one per 128 cycles streamed
             windows, cycles, flits = map(int, match.group(2, 3, 4))
             assert (windows, cycles) == (1, 80) and 0 < flits < 8192
             # the drain ran inside the body too: the slowest lane's count
@@ -639,7 +639,7 @@ class TestSourceAudit:
         """A traffic window is a stimuli buffer's worth of flits: one
         constant, read where a window source is built, and no
         cycle-length chunk constant left on ``run_batched``'s path (the
-        pipeline's ring-slot size is its own, in ``pipeline/runner.py``)."""
+        pipeline's window length is its own, in ``pipeline/runner.py``)."""
         import re
 
         named = re.compile(r"\bFLIT_BUDGET\b(?! flits)(?!`)")

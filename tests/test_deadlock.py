@@ -121,3 +121,50 @@ class TestDatelinePolicy:
     def test_free_policy_offers_all_be_vcs(self):
         policy = free_policy(RouterConfig())
         assert policy(int(Port.LOCAL), 2, int(Port.EAST)) == (2, 3)
+
+
+class TestPackedPolicy:
+    """The batch engine's gather table, built once per dateline class,
+    equals the table of one policy call per router and argument."""
+
+    @staticmethod
+    def per_call(net):
+        import numpy as np
+
+        cfg = net.router
+        P, V = cfg.n_ports, cfg.n_vcs
+        table = np.full((net.n_routers, P, V, P, V), -1, dtype=np.int64)
+        for r in range(net.n_routers):
+            policy = make_policy(net, r)
+            for in_port in range(P):
+                for in_vc in range(V):
+                    for out_port in range(P):
+                        cands = policy(in_port, in_vc, out_port)
+                        table[r, in_port, in_vc, out_port, : len(cands)] = cands
+        return table
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            NetworkConfig(4, 3),
+            NetworkConfig(6, 6, topology="torus"),
+            NetworkConfig(5, 1, topology="torus"),
+            NetworkConfig(
+                3, 3, topology="torus", router=RouterConfig(queue_depth=2),
+                router_overrides=((4, RouterConfig(queue_depth=8)),),
+            ),
+            NetworkConfig(
+                4, 4, topology="torus", router=RouterConfig(n_vcs=6, gt_vcs=frozenset({0}))
+            ),
+            NetworkConfig(
+                4, 4, topology="torus", router=RouterConfig(gt_vcs=frozenset({0, 1, 2}))
+            ),
+        ],
+        ids=["mesh", "torus", "ring", "heterogeneous", "five-be-vcs", "single-be-vc"],
+    )
+    def test_packed_table_equals_the_per_call_table(self, net):
+        import numpy as np
+
+        from repro.noc.deadlock import packed_policy
+
+        np.testing.assert_array_equal(packed_policy(net), self.per_call(net))

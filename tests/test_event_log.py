@@ -328,9 +328,15 @@ class TestMatchesOldExtraction:
                     ]
                 ).astype(np.int64)[:, by_lane["ej"]],
             }
-            kernel = SimpleNamespace(_buffers=buffers)
-            CompiledBatchLevel._log_events(kernel, inj_logs, "sent", per_lane["sent"])
-            CompiledBatchLevel._log_events(kernel, ej_logs, "ej", per_lane["ej"])
+            kernel = SimpleNamespace(_event_pool=[])
+            CompiledBatchLevel._log(
+                kernel,
+                [
+                    (inj_logs, buffers["sent"], per_lane["sent"]),
+                    (ej_logs, buffers["ej"], per_lane["ej"]),
+                ],
+                buffers,
+            )
             cycle += n_cycles
             for lane in range(lanes):
                 want_inj[lane] += old_inj[lane]

@@ -1,19 +1,17 @@
 """Tests for the streaming five-phase pipeline (:mod:`repro.pipeline`).
 
-The load-bearing property is *equivalence*: streaming the five phases
-through rings — threaded or not, any chunk size, on the chunk kernel or
-stepping per cycle — must produce byte-identical engine state, logs,
-driver state, drain counts and statistics to the monolithic
-:class:`~repro.traffic.stimuli.TrafficDriver` / ``run_batched`` loop it
-wraps.
+The load-bearing property is *equivalence*: streaming the five phases —
+the simulation on the fabric thread or in the caller, any chunk size, on
+the chunk kernel or stepping per cycle — must produce byte-identical
+engine state, logs, driver state, drain counts and statistics to the
+monolithic :class:`~repro.traffic.stimuli.TrafficDriver` /
+``run_batched`` loop it wraps.
 """
 
 from __future__ import annotations
 
 import copy
 import sys
-import threading
-import time
 import warnings
 
 import pytest
@@ -27,18 +25,15 @@ from repro.engines import (
 )
 from repro.noc.network import EjectionRecord, InjectionRecord
 from repro.experiments.common import fig1_gt_streams, fig1_network
-from repro.kernels.batchlevel import CompiledBatchLevel
+from repro.kernels.batchlevel import CompiledBatchLevel, jobs_in_flight
 from repro.noc import NetworkConfig, RouterConfig
 from repro.noc.packet import segment
 from repro.pipeline import (
-    END,
     GenerateStage,
     LoadStage,
     SimulateStage,
-    StageRing,
     run_pipeline,
 )
-from repro.platform.cyclic_buffer import BufferOverrunError, BufferUnderrunError
 from repro.stats import PacketLatencyTracker
 from repro.traffic import (
     BernoulliBeTraffic,
@@ -95,23 +90,25 @@ def assert_engines_equal(a, b):
 
 
 def spy_paths(monkeypatch, flits=None):
-    """Count the two ways a batch engine can advance: whole chunks
-    (``run_chunk``: the chunk lengths; their windows' flit counts go to
-    ``flits``) and single ``BatchEngine.step``s."""
+    """Count the two ways a batch engine can advance: whole windows (one
+    call of the chunk body each, in the caller or on the fabric thread:
+    the window lengths; their flit counts go to ``flits``) and single
+    ``BatchEngine.step``s."""
     chunks, steps = [], []
-    real_chunk, real_step = CompiledBatchLevel.run_chunk, BatchEngine.step
+    real_prepare, real_step = CompiledBatchLevel.prepare, BatchEngine.step
 
-    def run_chunk(self, drivers, k, window=None):
-        chunks.append((k, window is not None))
-        if flits is not None:
-            flits.append(window.flits.shape[1])
-        return real_chunk(self, drivers, k, window)
+    def prepare(self, drivers, k, window=None, done=None):
+        if done is None:  # a window, not a drain
+            chunks.append((k, window is not None))
+            if flits is not None:
+                flits.append(window.flits.shape[1])
+        return real_prepare(self, drivers, k, window, done)
 
     def step(self):
         steps.append(self.cycle)
         return real_step(self)
 
-    monkeypatch.setattr(CompiledBatchLevel, "run_chunk", run_chunk)
+    monkeypatch.setattr(CompiledBatchLevel, "prepare", prepare)
     monkeypatch.setattr(BatchEngine, "step", step)
     return chunks, steps
 
@@ -169,57 +166,6 @@ def fig1_reference():
         golden.run(engine.cycle - golden.cycle)
         assert lanes[lane] == fig1_lane_digest(golden, driver, be, gt, drained)
     return cycles, engine.cycle, lanes
-
-
-class TestStageRing:
-    def test_fifo_and_close(self):
-        ring = StageRing("t", capacity=4, timeout=1.0)
-        ring.put(0, "a")
-        ring.put(1, "b")
-        ring.close()
-        assert ring.get() == "a"
-        assert ring.get() == "b"
-        assert ring.get() is END
-
-    def test_get_timeout_counts_underrun(self):
-        ring = StageRing("t", capacity=2, timeout=0.05)
-        with pytest.raises(BufferUnderrunError):
-            ring.get()
-        assert ring.stats()["underruns"] == 1
-        assert ring.stats()["get_waits"] == 1
-
-    def test_put_timeout_counts_overrun(self):
-        ring = StageRing("t", capacity=1, timeout=0.05)
-        ring.put(0, "a")
-        with pytest.raises(BufferOverrunError):
-            ring.put(1, "b")
-        assert ring.stats()["overruns"] == 1
-        assert ring.stats()["put_waits"] == 1
-
-    def test_abort_wakes_blocked_consumer(self):
-        ring = StageRing("t", capacity=2, timeout=10.0)
-        errors = []
-
-        def consumer():
-            try:
-                ring.get()
-            except BufferUnderrunError as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        time.sleep(0.05)
-        ring.abort()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert len(errors) == 1 and "abort" in str(errors[0])
-
-    def test_peak_occupancy_tracked(self):
-        ring = StageRing("t", capacity=4, timeout=1.0)
-        for i in range(3):
-            ring.put(i, i)
-        assert ring.stats()["peak"] == 3
-        assert ring.stats()["chunks"] == 3
 
 
 class TestChunkedGenerators:
@@ -389,12 +335,12 @@ class TestPipelineEquivalence:
         assert report.analyze.submit_counts == [
             lane[3].count("SubmitRecord(") for lane in reference
         ]
-        # path accounting: one run_chunk per window, every window handed
-        # over encoded; the drain is one more call into the body and
-        # BatchEngine.step never runs.  A window is a ring
-        # slot of `chunk` cycles, or as much of one as its flit budget
-        # allows (this set stages 100-170 flits a cycle: 40-65 cycles);
-        # the next slot starts where it ended.
+        # path accounting: one call of the body per window, every window
+        # handed over encoded; the drain is one more call into the body
+        # and BatchEngine.step never runs.  A window is `chunk` cycles,
+        # or as many of them as its flit budget allows (this set stages
+        # 100-170 flits a cycle: 40-65 cycles); the next starts where it
+        # ended.
         lengths = [k for k, _ in chunks]
         assert all(encoded for _, encoded in chunks) and sum(lengths) == cycles
         assert all(
@@ -443,21 +389,15 @@ class TestPipelineEquivalence:
 
     @needs_jit
     def test_generate_ahead_never_touches_the_simulate_side(self):
-        # generate runs up to ring_capacity chunks ahead of simulate: were
-        # it to register queue keys or count flits itself, staging would
-        # see a changing dict / the runs would diverge
+        # window k+1 is generated, and window k-1 booked and analysed,
+        # while window k simulates on the fabric thread: were either to
+        # touch the queues, the state arrays or the call buffers, staging
+        # would see a changing store / the runs would diverge
         cycles = 96
         _, _, serial = stream_fig1_set(cycles, chunk=8, threaded=False)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _ in range(20):
-                _, _, threaded = stream_fig1_set(
-                    cycles, chunk=8, ring_capacity=4, ring_timeout=30.0
-                )
-                assert threaded == serial
-        finally:
-            sys.setswitchinterval(interval)
+        for _ in range(20):
+            _, _, threaded = stream_fig1_set(cycles, chunk=8)
+            assert threaded == serial
 
     @needs_jit
     def test_numpy_env_streams_per_cycle_bit_identically(
@@ -537,7 +477,6 @@ class TestPipelineErrors:
                 2000,
                 chunk=64,
                 stall_limit=50,
-                ring_timeout=10.0,
             )
         assert str(got.value) == str(want.value)
         assert engine.cycle == classic_engine.cycle and engine.cycle % 64
@@ -576,10 +515,10 @@ class TestPipelineErrors:
 
     @needs_jit
     def test_mid_chunk_overload_raises_the_reference_message(self, monkeypatch):
-        # through the ring abort, with the reference's diagnostic, cycle,
-        # fabric state, events, metrics, stall counters — and driver
-        # state: the generate thread ran whole chunks ahead, and the
-        # failing window's source rewound it (queues, submits, RNG, seq)
+        # at the landing, with the reference's diagnostic, cycle, fabric
+        # state, events, metrics, stall counters — and driver state: the
+        # generate side ran a window ahead, and the failing window's
+        # source rewound it (queues, submits, RNG, seq)
         reference = BatchEngine(torus(queue_depth=1), lanes=2, kernel="python")
         ref_drivers = make_drivers(reference, 0.8, stall_limit=20)
         with pytest.raises(NetworkOverloadError) as want:
@@ -593,7 +532,7 @@ class TestPipelineErrors:
         with pytest.raises(NetworkOverloadError) as got:
             run_pipeline(
                 engine, [(d.be, None) for d in sources], 2000, chunk=16,
-                stall_limit=20, ring_timeout=10.0,
+                stall_limit=20,
             )
         assert str(got.value) == str(want.value)
         assert engine.cycle == reference.cycle and engine.cycle % 16
@@ -670,7 +609,7 @@ def count(owner, name, body):
 
     setattr(owner, name, spy)
 
-count(PacketMatch, "__call__", "c")
+count(PacketMatch, "lanes", "c")
 count(PacketLatencyTracker, "_match_numpy", "numpy")
 loads, sized = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14), dict(seed=7, warmup=65)
 runs = [run_fig1_workloads_batched(loads, 100, **sized)] + [
@@ -703,8 +642,10 @@ print(json.dumps([calls, [[dataclasses.astuple(p) for p in run] for run in runs]
 
         bound, points = probe(os.environ["PATH"])
         degraded, same_points = probe(str(tmp_path))  # a PATH without cc
-        # 8 lanes: one pass a lane unstreamed, one a (chunk, lane) streamed
-        assert bound["numpy"] == 0 and bound["c"] > 3 * 8
+        # 8 lanes: one pass a lane unstreamed; streamed, one a window (two
+        # of 128 cycles and the drain) for every lane at once, serial and
+        # threaded
+        assert bound["numpy"] == 0 and bound["c"] == 8 + 2 * 3
         assert degraded["c"] == 0 and degraded["numpy"] >= bound["c"]
         assert points == same_points and points[0] == points[1] == points[2]
 
@@ -781,7 +722,7 @@ class TestPipelineSmoke:
         assert report.analyze.ej_counts[0] > 0
         assert engine.cycle >= 64  # measured cycles plus drain
         assert prof.wall_seconds > 0
-        assert set(prof.rings) == {"g2l", "l2s", "s2r", "r2a"}
+        assert set(prof.wait_seconds) <= {"simulate"}  # the caller waits on the fabric only
         stages = {"generate", "load", "simulate", "retrieve", "analyze"}
         assert set(prof.cpu_seconds) == set(prof.busy_seconds) == stages
         assert all(seconds >= 0.0 for seconds in prof.cpu_seconds.values())
@@ -790,31 +731,31 @@ class TestPipelineSmoke:
 
 class TestAbortCleanup:
     """Aborting mid-stream — KeyboardInterrupt, watchdog, overload —
-    must join every stage thread.  The conftest leak fixture re-checks
-    it after each test; this makes the abort path explicit."""
-
-    def _interrupt_after(self, monkeypatch, n_chunks):
-        calls = []
-        original = SimulateStage.process
-
-        def bomb(stage, item):
-            calls.append(item)
-            if len(calls) == n_chunks:
-                raise KeyboardInterrupt("operator hit ctrl-c")
-            return original(stage, item)
-
-        monkeypatch.setattr(SimulateStage, "process", bomb)
+    must take the window on the fabric thread back before the run
+    unwinds.  The conftest leak fixture re-checks it after each test;
+    this makes the abort path explicit."""
 
     def test_keyboard_interrupt_mid_stream_joins_all_stages(self, monkeypatch):
-        self._interrupt_after(monkeypatch, n_chunks=2)
+        from repro.pipeline.stages import AnalyzeStage
+
+        calls = []
+        original = AnalyzeStage.process
+
+        def bomb(stage, chunk):
+            calls.append(chunk)
+            if len(calls) == 2:  # window 1's analysis, window 2 on the fabric
+                raise KeyboardInterrupt("operator hit ctrl-c")
+            return original(stage, chunk)
+
+        monkeypatch.setattr(AnalyzeStage, "process", bomb)
         net = small_net()
         be, _ = make_traffic(net)
         engine = SequentialEngine(net)
         with pytest.raises(KeyboardInterrupt):
-            run_pipeline(engine, [(be, None)], 300, chunk=32, ring_timeout=10.0)
-        leaked = [
-            t.name
-            for t in threading.enumerate()
-            if t.name.startswith("repro-pipeline-") and t.is_alive()
-        ]
-        assert leaked == []
+            run_pipeline(engine, [(copy.deepcopy(be), None)], 300, chunk=32)
+        assert jobs_in_flight() == 0
+        # the window on the fabric was landed and booked on the way out
+        assert engine.cycle == 3 * 32
+        reference = SequentialEngine(net)
+        TrafficDriver(reference, be=be).run(engine.cycle)
+        assert_engines_equal(engine, reference)

@@ -560,7 +560,7 @@ class TestBlockScan:
 
     @pytest.mark.parametrize("n_src", [7, 36])
     def test_a_rewound_window_scans_a_prefix_of_the_lanes(self, n_src):
-        # BatchedBeGenerator._rewind: the window to the fatal cycle, then
+        # BatchedBeGenerator.rewind: the window to the fatal cycle, then
         # that cycle for the lanes up to the failing one
         seeds = (planted(T_RARE - 1, 3 * n_src + 5), 0xBEE, planted(T_RARE - 1, 40))
         thresholds = (T_RARE, int(0.05 * 2**32), T_RARE)
