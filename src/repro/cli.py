@@ -113,7 +113,7 @@ def _report_kernel(engine, drivers) -> None:
     if getattr(engine, "_compiled", None) is not None:
         body = "generated C"
     else:
-        body = "Python model" if engine.name == "sequential" else "NumPy sweeps"
+        body = "Python model" if engine.name == "sequential" else "golden lanes"
     if engine.kernel_reason:
         body += f"; {engine.kernel_reason}"
     reason = window_source(engine, drivers).reason
@@ -644,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution body: auto binds the generated-C kernel (on the "
         "sequential engine with its HBR delta-accounting pass) where the "
         "host has a C compiler, else the fallback; python forces the "
-        "fallback (batch engine: NumPy sweeps; sequential engine: the "
+        "fallback (batch engine: golden lanes, one golden network per "
+        "lane; sequential engine: the "
         "Python HBR model); batch engine only: levelized binds the C "
         "kernel once the levelizer has proved the level schedule, jit "
         "the same kernel without one (both must compile)",
@@ -654,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip provably quiescent windows (batch engine): when the "
         "fabric, queues and generators are all idle for D cycles the "
         "clocks and traffic LFSRs jump D in closed form instead of "
-        "sweeping — bit-identical, disabled while any fault is resident",
+        "stepping — bit-identical, disabled while any fault is resident",
     )
     p.add_argument(
         "--stream", action="store_true",

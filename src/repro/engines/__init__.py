@@ -10,7 +10,8 @@ mirroring the paper's section 3 comparison:
   accounting pass, the Python model where that cannot be bound;
   ``sequential-static`` is its schedule ablation
 * :class:`BatchEngine` — the fast path: one generated-C body over a lane
-  axis of independent simulations, NumPy sweeps as its only fallback
+  axis of independent simulations; golden lanes (one golden network per
+  lane) where that cannot be bound
 
 All engines expose the same interface (offer/step/run/snapshot plus the
 injection/ejection logs), so the equivalence checker and the benchmark

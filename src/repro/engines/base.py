@@ -75,7 +75,7 @@ def _registry() -> Dict[str, EngineInfo]:
         ),
         "batch": EngineInfo(
             "batch",
-            "vectorized bulk-synchronous array sweeps, lane-parallel seeds",
+            "lane-parallel seeds on one generated-C body (golden lanes without one)",
             "batched FPGA lanes (one instance per independent run)",
             BatchEngine,
         ),
@@ -121,10 +121,10 @@ def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
 
     ``kernel`` selects the execution body (``repro simulate --kernel``).
     On the batch engine ``auto`` (default) binds the generated-C body
-    when it can be built and the NumPy sweeps otherwise, ``python``
-    forces the NumPy sweeps, and ``levelized`` / ``jit`` bind the
-    generated-C body with / without the levelizer's proof of the level
-    schedule (both raising
+    when it can be built and golden lanes (one golden network per lane)
+    otherwise, ``python`` forces golden lanes, and ``levelized`` /
+    ``jit`` bind the generated-C body with / without the levelizer's
+    proof of the level schedule (both raising
     :class:`~repro.kernels.KernelUnavailableError` when it cannot be
     built).  On the sequential engine ``auto`` is the generated-C body
     with its HBR accounting pass, falling back to the Python model, and

@@ -1,49 +1,28 @@
-"""The vectorized batch engine: NumPy delta sweeps, lane-parallel lanes.
+"""The batch engine: B independent simulations on one lane axis.
 
-``BatchEngine`` evaluates the whole network with whole-array NumPy
-operations over the bit-packed structure-of-arrays state of
-:mod:`repro.seqsim.arraystate`.  One :meth:`step` advances **every
-router of every lane** through the three bulk-synchronous sweeps of the
-static sequential schedule (rooms, forwards, state update — the same
-sweep structure as :class:`repro.seqsim.sequential.StaticSequentialNetwork`,
-3·R delta cycles per system cycle), so the per-cycle cost is a fixed,
-small number of array kernels instead of a Python loop over routers.
+``BatchEngine`` advances ``lanes`` independent networks (different
+seeds, offered loads or traffic patterns) together, one system cycle at
+a time — the paper's "batched FPGA instances" analogue.  Each lane is
+bit-identical to a solo run of the same traffic on
+:class:`~repro.engines.cycle.CycleEngine`, and its delta metrics are the
+static schedule's nominal 3·R per cycle.
 
-The extra **lane axis B** is the paper's "batched FPGA instances"
-analogue: B independent simulations (different seeds, offered loads or
-traffic patterns) ride through the identical array operations in one
-pass.  Each lane is bit-identical to a solo run of the same traffic on
-:class:`~repro.engines.sequential.SequentialEngine` or
-:class:`~repro.engines.cycle.CycleEngine` — the batch lockstep tests
-drive all three and compare every architectural bit every cycle.
+A lane is a lane of one of two bodies:
 
-Equivalence argument (vs. the golden three-phase semantics, which the
-sequential engine's delta iteration provably reproduces):
-
-* **room sweep** — per-queue occupancy compare + bit-pack; Moore, from
-  committed state only, exactly phase 1;
-* **forward sweep** — the stimuli round-robin grant and the per-output
-  crossbar arbitration are bit-scan arithmetic (``x & -x`` /
-  trailing-zero-count), the vectorized twin of the shared
-  :func:`~repro.rtl.primitives.round_robin_grant`; Mealy only in the
-  settled room wires, exactly phase 2;
-* **update sweep** — pops, pushes and output-VC allocation decisions
-  observe the pre-update state (allocation against the *old* table,
-  registered-RTL behaviour), exactly phase 3.  The rotating-priority
-  allocation scan is the one data-dependent sequential loop; it runs
-  over the Q scan offsets with all lanes and routers advancing together,
-  gathering routes and dateline VC candidates from the packed tables
-  exported by :mod:`repro.noc` instead of calling per-router closures.
+* the generated C of :mod:`repro.kernels.batchlevel`, one fused body
+  over every lane's :class:`~repro.seqsim.arraystate.ArrayState` arrays,
+  bound by every ``kernel=`` but ``python`` where the host can build it
+  (:meth:`BatchEngine._bind`);
+* **golden lanes** — one :class:`~repro.noc.network.Network` per lane,
+  sharing the engine's :class:`~repro.noc.routing.RoutingTable` — under
+  ``kernel="python"``, or ``auto`` on a host that cannot build the C.
+  They are the reference itself, so they are bit-identical by
+  construction, just slow.
 
 Traffic enters per lane through :meth:`BatchEngine.lane` views (each a
 drop-in ``offer``/log surface for one lane); :func:`run_batched` pumps
 one :class:`~repro.traffic.stimuli.TrafficDriver` per lane against a
 single batched step loop.
-
-The sweeps are the reference body (``kernel="python"``); every other
-``kernel=`` binds the generated-C body of :mod:`repro.kernels.batchlevel`
-over all lanes at once, where the host can build it
-(:meth:`BatchEngine._bind`).
 """
 
 from __future__ import annotations
@@ -51,13 +30,10 @@ from __future__ import annotations
 import warnings
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.engines.eventlog import EventLog
-from repro.noc.config import NetworkConfig, Port
+from repro.noc.config import NetworkConfig
 from repro.noc.deadlock import packed_policy
-from repro.noc.flit import X_FIELD, Y_FIELD, FlitType, field
-from repro.noc.network import EjectionRecord, InjectionRecord
+from repro.noc.network import EjectionRecord, InjectionRecord, Network
 from repro.noc.router import ProtocolError
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Topology
@@ -66,29 +42,8 @@ from repro.seqsim.metrics import DeltaMetrics
 
 __all__ = ["BatchEngine", "BatchLane", "run_batched", "drain_batched"]
 
-_ONE = np.int64(1)
-
 #: the one-warning latch of the degrade path (reset only by tests).
 _warned_degrade = False
-
-
-def _ctz(x):
-    """Trailing-zero count of each element; callers mask out zeros
-    (x == 0 yields a garbage 1, never an error)."""
-    return np.bitwise_count((x & -x) - _ONE)
-
-
-def _rr_pick(req, last, n, mask):
-    """First set bit of ``req`` cyclically above ``last`` (mod ``n``).
-
-    The rotate-and-ctz formulation of the shared round-robin scan:
-    rotating ``req`` right by ``last + 1`` turns "first set bit above
-    the pointer, wrapping" into a plain trailing-zero count.  Undefined
-    where ``req == 0`` — callers mask.
-    """
-    shift = last + 1
-    rot = ((req >> shift) | (req << (n - shift))) & mask
-    return (_ctz(rot) + shift) % n
 
 
 class BatchLane:
@@ -131,10 +86,10 @@ class BatchLane:
         return self.engine.lane_snapshot(self.lane)
 
     def drained(self) -> bool:
-        return self.engine.state.drained(self.lane)
+        return self.engine.drained(self.lane)
 
     def total_buffered(self) -> int:
-        return self.engine.state.total_buffered(self.lane)
+        return self.engine.total_buffered(self.lane)
 
     def step(self) -> None:
         if self.engine.lanes != 1:
@@ -146,7 +101,7 @@ class BatchLane:
 
 
 class BatchEngine:
-    """Vectorized bulk-synchronous simulation of ``lanes`` networks.
+    """Bulk-synchronous simulation of ``lanes`` networks.
 
     With ``lanes=1`` this is a drop-in engine (the default for
     ``make_engine('batch', cfg)`` and ``repro simulate --engine
@@ -157,8 +112,8 @@ class BatchEngine:
 
     name = "batch"
 
-    #: delta cycles per system cycle: the three fixed array sweeps each
-    #: evaluate every unit once (the static-schedule accounting).
+    #: delta cycles per system cycle: the static schedule's three sweeps
+    #: (rooms, forwards, state update), each evaluating every unit once.
     SWEEPS_PER_CYCLE = 3
 
     #: whether the body is generated with the HBR accounting pass and the
@@ -173,86 +128,35 @@ class BatchEngine:
         lanes: int = 1,
         kernel: str = "auto",
     ) -> None:
+        if lanes < 1:
+            raise ValueError("at least one lane required")
         self.cfg = cfg
         self.lanes = lanes
         self.topology = Topology(cfg)
         self.routing = routing if routing is not None else RoutingTable(cfg)
         rc = cfg.router
-        self.state = ArrayState(cfg, lanes, hbr=self.HBR_ACCOUNTING)
         self.cycle = 0
         self.metrics = DeltaMetrics(n_units=cfg.n_routers)
         self.pre_step_hooks: List = []
         self.quarantined_links: set = set()
-        #: per-lane logs: list-speed ``append`` on the per-cycle paths,
-        #: column blocks from the chunk kernel, records built on read.
-        self._injections = [EventLog(InjectionRecord) for _ in range(lanes)]
-        self._ejections = [EventLog(EjectionRecord) for _ in range(lanes)]
 
-        # -- static gather tables ------------------------------------------
-        n = cfg.n_routers
+        # -- what the generated body is specialized for and reads ---------
         self._P = rc.n_ports
         self._V = rc.n_vcs
         self._NQ = rc.n_queues
         self._dw = rc.data_width
-        self._vc_shift = rc.data_width + 2
-        self._payload_mask = (1 << rc.data_width) - 1
-        self._flit_mask = (1 << self._vc_shift) - 1
-        self._sink = (1 << rc.n_vcs) - 1
-        self._head_t = int(FlitType.HEAD)
-        self._tail_t = int(FlitType.TAIL)
-        self._idle_t = int(FlitType.IDLE)
         self._gt_mask = sum(1 << vc for vc in rc.gt_vcs)
-        nb_idx, nb_mask = self.topology.packed_neighbors()
-        opp = np.array(
-            [int(Port(p).opposite) if p else 0 for p in range(self._P)],
-            dtype=np.int64,
-        )
-        opp_idx = np.broadcast_to(opp, (n, self._P))
-        self._vcs = np.arange(self._V, dtype=np.int64)
-        self._pow2_vc = _ONE << self._vcs
         self._route = self.routing.packed()
         self._be_cand = packed_policy(cfg)
-        # Flattened gather indices (np.take on precomputed flat offsets
-        # beats both take_along_axis and open-grid fancy indexing by a
-        # wide margin at these array sizes).
-        B, P, NQ = lanes, self._P, self._NQ
-        dmax = int(self.state.depth.max())
-        #: [B,R,P] flat index into a [B,R,P] wire plane: the neighbour's
-        #: opposite port (the link-memory addressing function).
-        self._wire_flat = (
-            np.arange(B, dtype=np.int64)[:, None, None] * (n * P)
-            + nb_idx[None, :, :] * P
-            + opp_idx[None, :, :]
-        )
-        self._wire_maskB = np.broadcast_to(nb_mask, (B, n, P))
-        #: [B,R,NQ] flat base into [B,R,NQ,D] queue memory (add rd).
-        self._mem_base = (
-            np.arange(B * n * NQ, dtype=np.int64) * dmax
-        ).reshape(B, n, NQ)
-        #: [B,R,1] flat base into a [B,R,NQ] plane (add a queue index).
-        self._brq_base = (
-            np.arange(B * n, dtype=np.int64) * NQ
-        ).reshape(B, n)[:, :, None]
-        #: [B,R] flat base into a [B,R,V] plane (add a VC index).
-        self._brv_base = (
-            np.arange(B * n, dtype=np.int64) * self._V
-        ).reshape(B, n)
-        self._ones_v = np.ones(self._V, dtype=np.int64)
-        self._nq_rrmask = (_ONE << NQ) - 1
-        self._v_rrmask = (_ONE << self._V) - 1
-        # Read-only cached results for skipped sweeps (never mutated).
-        self._zeros_brp = np.zeros((B, n, P), dtype=np.int64)
-        self._zeros_br = np.zeros((B, n), dtype=np.int64)
-        self._neg1_br = np.full((B, n), -1, dtype=np.int64)
 
         # -- the execution body ----------------------------------------------
         #: how the execution body was requested: "jit" (the generated-C
         #: body), "levelized" (the same body, bound once the static level
-        #: schedule is proved) or "python" (the NumPy sweeps); benches
-        #: report this.
+        #: schedule is proved) or "python" (golden lanes); benches report
+        #: this.
         self.kernel = "python"
-        #: why ``auto`` fell back to the NumPy sweeps (or ``levelized``
-        #: to the ``jit`` binding), when it did.
+        #: why ``auto`` fell back to golden lanes (or ``levelized`` to the
+        #: ``jit`` binding), when it did.
         self.kernel_reason: Optional[str] = None
         #: what the generated body actually did, summed over its calls:
         #: routers evaluated (a router holding no flit and no valid
@@ -269,16 +173,30 @@ class BatchEngine:
         #: cycles it ran to quiescence in, after the last window (a
         #: drain is no traffic window and counts in none of the above).
         self.kernel_drain_cycles = 0
+        #: the generated body's store (``None`` on golden lanes).
+        self.state: Optional[ArrayState] = None
+        #: the golden lanes, one network each (``None`` on the C body).
+        self.networks: Optional[List[Network]] = None
         self._compiled = None
         #: static level schedule, when the levelized tier carries one.
         self.schedule = None
         self._bind(kernel)
+        # per-lane logs: the lane networks' own record lists, or column
+        # blocks from the generated body with records built on read
+        if self._compiled is None:
+            self.networks = [Network(cfg, self.routing) for _ in range(lanes)]
+            self._injections = [net.injections for net in self.networks]
+            self._ejections = [net.ejections for net in self.networks]
+        else:
+            self._injections = [EventLog(InjectionRecord) for _ in range(lanes)]
+            self._ejections = [EventLog(EjectionRecord) for _ in range(lanes)]
 
     def _bind(self, kernel: str) -> None:
-        """Bind the body ``kernel`` asks for: ``python`` the NumPy sweeps,
+        """Bind the body ``kernel`` asks for: ``python`` golden lanes,
         anything else the generated-C body, where the host can build it.
-        Where it cannot, ``auto`` falls back to the sweeps with the reason
-        (and one warning per process); ``jit`` / ``levelized`` raise it."""
+        Where it cannot, ``auto`` falls back to golden lanes with the
+        reason (and one warning per process); ``jit`` / ``levelized``
+        raise it."""
         global _warned_degrade
         if kernel not in ("auto", "python", "levelized", "jit"):
             raise ValueError(
@@ -290,6 +208,7 @@ class BatchEngine:
         from repro.kernels.batchstep import CompiledBatchStep
 
         try:  # the bind asks cbackend.availability() first
+            self.state = ArrayState(self.cfg, self.lanes, hbr=self.HBR_ACCOUNTING)
             if kernel == "levelized" and self._init_levelized():
                 return
             self._compiled = CompiledBatchStep(self)
@@ -299,11 +218,12 @@ class BatchEngine:
             if kernel != "auto":
                 raise
             self.kernel_reason = str(exc)
+            self.state = None
         if not _warned_degrade:
             _warned_degrade = True
             warnings.warn(
                 "repro.engines.batch: no generated-C body "
-                f"({self.kernel_reason}); falling back to the NumPy sweeps",
+                f"({self.kernel_reason}); falling back to golden lanes",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -343,6 +263,8 @@ class BatchEngine:
 
     def offer(self, router: int, vc: int, flit, lane: int = 0) -> bool:
         """Load one injection head register (see ``Network.offer``)."""
+        if self.networks is not None:
+            return self.networks[lane].offer(router, vc, flit)
         S = self.state
         if S.inj_valid[lane, router, vc]:
             S.stalled[lane, router] = 1
@@ -355,6 +277,8 @@ class BatchEngine:
         return True
 
     def injection_pending(self, router: int, vc: int, lane: int = 0) -> bool:
+        if self.networks is not None:
+            return self.networks[lane].injection_pending(router, vc)
         return bool(self.state.inj_valid[lane, router, vc])
 
     # -- logs / inspection ---------------------------------------------------
@@ -373,23 +297,63 @@ class BatchEngine:
         return self._ejections[lane]
 
     def snapshot(self) -> Tuple:
-        return self.state.snapshot_lane(0)
+        return self.lane_snapshot(0)
 
     def lane_snapshot(self, lane: int) -> Tuple:
+        if self.networks is not None:
+            return self.networks[lane].snapshot()
         return self.state.snapshot_lane(lane)
 
-    def drained(self) -> bool:
-        """True when every lane is drained."""
-        return self.state.drained()
+    def drained(self, lane: Optional[int] = None) -> bool:
+        """True when nothing is buffered and no injection is pending (in
+        ``lane``, or in every lane)."""
+        if self.networks is None:
+            return self.state.drained(lane)
+        nets = self.networks if lane is None else [self.networks[lane]]
+        return all(net.drained() for net in nets)
 
-    def total_buffered(self) -> int:
-        return self.state.total_buffered()
+    def total_buffered(self, lane: Optional[int] = None) -> int:
+        """Flits buffered in the fabric (of ``lane``, or of every lane)."""
+        if self.networks is None:
+            return self.state.total_buffered(lane)
+        nets = self.networks if lane is None else [self.networks[lane]]
+        return sum(net.total_buffered() for net in nets)
+
+    def quiescent(self) -> bool:
+        """True when no lane holds a flit, a staged injection or a latched
+        ejection: a step would advance nothing but the clock."""
+        if self.networks is None:
+            S = self.state
+            return not (S.count.any() or S.inj_valid.any() or S.eject_valid.any())
+        return all(
+            net.drained() and not any(s.eject_valid for s in net.iface_states)
+            for net in self.networks
+        )
+
+    def lane_objects(self, lane: int) -> Tuple[list, list]:
+        """``(router states, stimuli states)`` of one lane as object-model
+        lists — the lane network's own, or read out of the C body's
+        store — for :meth:`load_lane` to write back (checkpoints)."""
+        if self.networks is None:
+            return self.state.lane_objects(lane)
+        net = self.networks[lane]
+        return net.states, net.iface_states
+
+    def load_lane(self, lane: int, states, iface_states) -> None:
+        """Overwrite one lane from object-model state lists."""
+        if self.networks is None:
+            self.state.load_lane(lane, states, iface_states)
+            return
+        net = self.networks[lane]
+        net.states[:] = states
+        net.iface_states[:] = iface_states
 
     # -- degraded mode -------------------------------------------------------
     def quarantine_link(self, router: int, port: int) -> None:
         """Take a directed link out of service and reroute around it
         (the golden semantics: routing avoids the link; see
-        ``Network.quarantine_link``)."""
+        ``Network.quarantine_link``).  Golden lanes route through the
+        shared table's rows, so one recompute serves every lane."""
         self.quarantined_links.add((router, int(port)))
         self.routing.recompute_avoiding(self.quarantined_links)
         self._route = self.routing.packed()
@@ -428,313 +392,34 @@ class BatchEngine:
         for hook in self.pre_step_hooks:
             hook(self)
         compiled = self._compiled
-        deltas = None
         if compiled is None:
-            self._step_numpy()
+            self._step_lanes()
+            self.book_cycles(1)
         else:
             compiled.step()
-            deltas = compiled.delta_column(1)
-        self.book_cycles(1, deltas)
+            self.book_cycles(1, compiled.delta_column(1))
 
-    def _step_numpy(self) -> None:
-        """One cycle of the NumPy sweeps over every lane."""
-        S = self.state
-        B, R = self.lanes, self.cfg.n_routers
-        P, V, NQ = self._P, self._V, self._NQ
-        dw, vc_shift = self._dw, self._vc_shift
-        fabric_active = bool(S.count.any())
-        inj_active = bool(S.inj_valid.any())
+    def _step_lanes(self) -> None:
+        """One cycle of every golden lane, each on the engine's clock,
+        in the C body's two passes: every lane decides, then every lane
+        commits.
 
-        # -- sweep 1: room wires (Moore, committed occupancy only) ---------
-        if fabric_active or inj_active:
-            avail = S.count < S.depth[None, :, None]  # [B,R,NQ]
-            # Bit-pack 4 per-VC booleans into a room nibble per port;
-            # matmul against the power-of-two vector is the fastest
-            # last-axis reduction at this size.
-            rooms = avail.reshape(B, R, P, V) @ self._pow2_vc  # [B,R,P]
-
-        # -- sweep 2a: stimuli interface output words ----------------------
-        if inj_active:
-            rooms_local = rooms[:, :, 0]
-            inj_req = (
-                (S.inj_valid != 0)
-                & (((rooms_local[:, :, None] >> self._vcs) & 1) != 0)
-            ) @ self._pow2_vc  # [B,R]
-            has_inj = inj_req != 0
-            choice = np.where(
-                has_inj, _rr_pick(inj_req, S.rr_ptr, V, self._v_rrmask), -1
-            )
-            inj_sel = np.take(
-                S.inj_word.reshape(-1),
-                self._brv_base + np.maximum(choice, 0),
-            )
-            iface_word = np.where(has_inj, (choice << vc_shift) | inj_sel, 0)
-        else:
-            choice = self._neg1_br
-            iface_word = self._zeros_br
-
-        # -- sweep 2b: crossbar arbitration and forward words --------------
-        granted_any = False
-        fwd_out = self._zeros_brp
-        head = None
-        if fabric_active:
-            head = np.take(S.mem.reshape(-1), self._mem_base + S.rd)
-            ready = S.count > 0
-            alloc_pv = S.alloc.reshape(B, R, P, V)
-            aqc = np.maximum(alloc_pv, 0)
-            ready_at = np.take(
-                ready.reshape(-1), self._brq_base + aqc.reshape(B, R, NQ)
-            ).reshape(B, R, P, V)
-            room_in = np.where(
-                self._wire_maskB, np.take(rooms.reshape(-1), self._wire_flat), 0
-            )
-            room_in[:, :, 0] = self._sink  # the local sink always has room
-            requesting = (
-                (alloc_pv >= 0)
-                & (((room_in[:, :, :, None] >> self._vcs) & 1) != 0)
-                & ready_at
-            )
-            # The queues allocated to one port's VCs are always distinct
-            # (alloc/queue_alloc are inverse maps), so a sum over the VC
-            # axis equals the bitwise OR of their request bits.
-            req = np.where(requesting, _ONE << aqc, 0) @ self._ones_v
-            granted = req != 0
-            granted_any = bool(granted.any())
-            if granted_any:
-                g = _rr_pick(req, S.arb_ptr, NQ, self._nq_rrmask)
-                grant_vc = np.argmax(alloc_pv == g[:, :, :, None], axis=3)
-                head_g = np.take(head.reshape(-1), self._brq_base + g)
-                fwd_out = np.where(granted, (grant_vc << vc_shift) | head_g, 0)
-
-        fwd_in = np.where(
-            self._wire_maskB, np.take(fwd_out.reshape(-1), self._wire_flat), 0
-        )
-        fwd_in[:, :, 0] = iface_word
-
-        # -- sweep 3a: output-VC allocation decisions (old state only) -----
-        decisions = (
-            self._allocation_sweep(S, head, ready) if fabric_active else None
-        )
-
-        # -- sweep 3b: pops (granted queues emit their head) ---------------
-        if granted_any:
-            flat = np.flatnonzero(granted)
-            bb = flat // (R * P)
-            rem = flat - bb * (R * P)
-            rr = rem // P
-            pp = rem - rr * P
-            gq = g[bb, rr, pp]
-            words = head[bb, rr, gq]
-            dep = S.depth[rr]
-            S.rd[bb, rr, gq] = (S.rd[bb, rr, gq] + 1) % dep
-            S.count[bb, rr, gq] -= 1
-            S.arb_ptr[bb, rr, pp] = gq
-            tail = ((words >> dw) & 3) == self._tail_t
-            if tail.any():
-                ovc = pp * V + grant_vc[bb, rr, pp]
-                S.alloc[bb[tail], rr[tail], ovc[tail]] = -1
-                S.queue_alloc[bb[tail], rr[tail], gq[tail]] = -1
-
-        # -- sweep 3c: pushes (arriving link words enter the queues) -------
-        arriving = ((fwd_in >> dw) & 3) != self._idle_t
-        if arriving.any():
-            flat = np.flatnonzero(arriving)
-            bb = flat // (R * P)
-            rem = flat - bb * (R * P)
-            rr = rem // P
-            pp = rem - rr * P
-            words = fwd_in[bb, rr, pp]
-            q = pp * V + (words >> vc_shift)
-            if (S.count[bb, rr, q] >= S.depth[rr]).any():
-                raise ProtocolError("queue overflow: upstream ignored room")
-            S.mem[bb, rr, q, S.wr[bb, rr, q]] = words & self._flit_mask
-            S.wr[bb, rr, q] = (S.wr[bb, rr, q] + 1) % S.depth[rr]
-            S.count[bb, rr, q] += 1
-
-        # -- sweep 3d: apply the allocation decisions ----------------------
-        if decisions is not None:
-            db, dr, dq, dovc, new_alloc_ptr = decisions
-            S.alloc[db, dr, dovc] = dq
-            S.queue_alloc[db, dr, dq] = dovc
-            S.alloc_ptr[...] = new_alloc_ptr
-
-        # -- sweep 3e: stimuli interface state + event records -------------
-        self._stimuli_update(choice, fwd_out[:, :, 0], inj_active)
-
-    def _allocation_sweep(self, S, head, ready):
-        """Vectorized rotating-priority output-VC allocation.
-
-        Observes only pre-update state (``alloc``/``queue_alloc``/queue
-        heads as of the top of the cycle), exactly like the object
-        model's ``Router._allocation_decisions``; the caller applies the
-        returned decisions after pops and pushes.
+        A decision error leaves every lane and the clock where the cycle
+        found them, as on the C body.  Each lane's error is its own
+        network's; across lanes the lowest lane's unroutable head
+        outranks the lowest lane's GT error, as the C body ranks them.
         """
-        V, NQ = self._V, self._NQ
-        dw = self._dw
-        cand = (
-            (S.queue_alloc < 0)
-            & ready
-            & (((head >> dw) & 3) == self._head_t)
-        )
-        flat = np.flatnonzero(cand)
-        if flat.size == 0:
-            return None
-        R = self.cfg.n_routers
-        pb = flat // (R * NQ)
-        rem = flat - pb * (R * NQ)
-        pr = rem // NQ
-        pq = rem - pr * NQ
-        # Decode every candidate head at once: route, GT class, VC trial
-        # list — all pure gathers from the packed tables.
-        data = head[pb, pr, pq] & self._payload_mask
-        gt = (data >> 8) & 1
-        out_port = self._route[pr, data & 0xFF]
-        if (out_port < 0).any():
-            bad = int(np.argmax(out_port < 0))
-            x, y = int(field(data[bad], X_FIELD)), int(field(data[bad], Y_FIELD))
-            raise IndexError(f"coordinates ({x}, {y}) out of range")
-        in_vc = pq % V
-        in_port = pq // V
-        bad_gt = (gt != 0) & (((self._gt_mask >> in_vc) & 1) == 0)
-        if bad_gt.any():
-            i = int(np.argmax(bad_gt))
-            raise ProtocolError(
-                f"router {int(pr[i])}: GT head on non-GT VC {int(in_vc[i])}"
-            )
-        gt_cands = np.full((pb.size, V), -1, dtype=np.int64)
-        gt_cands[:, 0] = in_vc
-        cands = np.where(
-            (gt != 0)[:, None],
-            gt_cands,
-            self._be_cand[pr, in_port, in_vc, out_port],
-        )
-        new_alloc_ptr = S.alloc_ptr.copy()
-        dec_b: List[np.ndarray] = []
-        dec_r: List[np.ndarray] = []
-        dec_q: List[np.ndarray] = []
-        dec_ovc: List[np.ndarray] = []
-        # Candidates in *different* routers never interact (the claimed
-        # set and alloc_ptr are per router), so any router holding a
-        # single candidate — the overwhelmingly common case — skips the
-        # ordered scan entirely: one parallel pass over the VC trial
-        # slots.  np.nonzero is row-major, so equal (lane, router) rows
-        # are adjacent.
-        row = pb * self.cfg.n_routers + pr
-        shared = np.zeros(pb.size, dtype=bool)
-        if pb.size > 1:
-            same = row[1:] == row[:-1]
-            shared[1:] |= same
-            shared[:-1] |= same
-        iso = np.nonzero(~shared)[0]
-        if iso.size:
-            bb, rr, qq = pb[iso], pr[iso], pq[iso]
-            op = out_port[iso]
-            cg = cands[iso]
-            done = np.zeros(iso.size, dtype=bool)
-            for slot in range(cg.shape[1]):
-                vc_out = cg[:, slot]
-                ovc = op * V + np.maximum(vc_out, 0)
-                take = ~done & (vc_out >= 0) & (S.alloc[bb, rr, ovc] < 0)
-                if take.any():
-                    tb = np.nonzero(take)[0]
-                    dec_b.append(bb[tb])
-                    dec_r.append(rr[tb])
-                    dec_q.append(qq[tb])
-                    dec_ovc.append(ovc[tb])
-                    new_alloc_ptr[bb[tb], rr[tb]] = qq[tb]
-                    done |= take
-                if done.all():
-                    break
-        # Routers with several competing candidates run the real
-        # rotating-priority scan, grouped by scan offset: a router
-        # visits each queue at exactly one offset, so processing the
-        # groups in ascending offset order IS the sequential scan —
-        # with every contended lane and router advancing together.
-        multi = np.nonzero(shared)[0]
-        if multi.size:
-            off = (pq[multi] - S.alloc_ptr[pb[multi], pr[multi]]) % NQ
-            off = np.where(off == 0, NQ, off)  # q == alloc_ptr scans last
-            order = multi[np.argsort(off, kind="stable")]
-            claimed = np.zeros(S.alloc_ptr.shape, dtype=np.int64)
-            # group boundaries in the sorted offsets (np.unique would
-            # do, at the price of importing numpy.ma on first use)
-            steps = np.flatnonzero(np.diff(np.sort(off))) + 1
-            bounds = [0, *steps.tolist(), order.size]
-            for gi in range(len(bounds) - 1):
-                sel = order[bounds[gi] : bounds[gi + 1]]
-                bb, rr, qq = pb[sel], pr[sel], pq[sel]
-                op = out_port[sel]
-                cg = cands[sel]
-                done = np.zeros(sel.size, dtype=bool)
-                for slot in range(cg.shape[1]):
-                    vc_out = cg[:, slot]
-                    ovc = op * V + np.maximum(vc_out, 0)
-                    free = (S.alloc[bb, rr, ovc] < 0) & (
-                        ((claimed[bb, rr] >> ovc) & 1) == 0
-                    )
-                    take = ~done & (vc_out >= 0) & free
-                    if take.any():
-                        tb = np.nonzero(take)[0]
-                        dec_b.append(bb[tb])
-                        dec_r.append(rr[tb])
-                        dec_q.append(qq[tb])
-                        dec_ovc.append(ovc[tb])
-                        claimed[bb[tb], rr[tb]] |= _ONE << ovc[tb]
-                        new_alloc_ptr[bb[tb], rr[tb]] = qq[tb]
-                        done |= take
-                    if done.all():
-                        break
-        if not dec_b:
-            return None
-        return (
-            np.concatenate(dec_b),
-            np.concatenate(dec_r),
-            np.concatenate(dec_q),
-            np.concatenate(dec_ovc),
-            new_alloc_ptr,
-        )
-
-    def _stimuli_update(self, choice, eject_in, inj_active) -> None:
-        """Advance every stimuli interface one cycle and log events."""
-        S = self.state
-        dw, vc_shift = self._dw, self._vc_shift
-        R, V = self.cfg.n_routers, self._V
-        cycle = self.cycle
-        if inj_active:
-            pending = S.inj_valid != 0
-            sent = pending & (self._vcs[None, None, :] == choice[:, :, None])
-            sent_flat = np.flatnonzero(sent)
-            if sent_flat.size:
-                words = S.inj_word.reshape(-1)[sent_flat].tolist()
-                delays = S.delay.reshape(-1)[sent_flat].tolist()
-                for i, flat in enumerate(sent_flat.tolist()):
-                    b, rv = divmod(flat, R * V)
-                    r, vc = divmod(rv, V)
-                    self._injections[b].append(
-                        InjectionRecord(cycle, r, vc, words[i], delays[i])
-                    )
-            S.delay[...] = np.where(
-                sent,
-                0,
-                np.where(pending, (S.delay + 1) & 0xFFFFF, S.delay),
-            )
-            S.inj_valid[sent] = 0
-            S.rr_ptr[...] = np.where(choice >= 0, choice, S.rr_ptr)
-        ejected = ((eject_in >> dw) & 3) != 0
-        if ejected.any():
-            eject_mask = (1 << vc_shift) - 1
-            ej_flat = np.flatnonzero(ejected)
-            words = eject_in.reshape(-1)[ej_flat].tolist()
-            for i, flat in enumerate(ej_flat.tolist()):
-                b, r = divmod(flat, R)
-                word = words[i]
-                self._ejections[b].append(
-                    EjectionRecord(cycle, r, word >> vc_shift, word & eject_mask)
-                )
-            S.eject_word[...] = np.where(ejected, eject_in, S.eject_word)
-            S.eject_valid[...] = ejected
-        elif S.eject_valid.any():
-            S.eject_valid[...] = 0
+        plans, errors = [], []
+        for net in self.networks:
+            try:
+                plans.append(net.decide())
+            except (IndexError, ProtocolError) as exc:
+                errors.append(exc)
+        if errors:
+            raise next((e for e in errors if isinstance(e, IndexError)), errors[0])
+        for net, plan in zip(self.networks, plans):
+            net.cycle = self.cycle
+            net.commit(plan)
 
     def run(self, cycles: int) -> None:
         for _ in range(cycles):
@@ -862,10 +547,7 @@ def _try_fast_forward(
     """
     from repro.traffic.stimuli import TrafficDriver
 
-    if remaining <= 0 or engine.fault_resident:
-        return 0
-    S = engine.state
-    if S.count.any() or S.inj_valid.any() or S.eject_valid.any():
+    if remaining <= 0 or engine.fault_resident or not engine.quiescent():
         return 0
     for driver in drivers:
         if type(driver) is not TrafficDriver or driver.backlog():
@@ -916,15 +598,15 @@ def run_batched(
     pure reordering of independent per-lane work, bit-identical per
     lane.  Other generators (transpose, hotspot, ...) fill the same
     columns from Python, a window ahead of each chunk
-    (:func:`window_source` says which, and why).  A ``kernel="python"``
-    engine keeps the all-Python reference path end to end.  A
+    (:func:`window_source` says which, and why).  Golden lanes keep the
+    all-Python reference path end to end.  A
     :class:`~repro.traffic.stimuli.NetworkOverloadError` leaves the
     drivers where that reference loop would, on every path.
 
     ``fast_forward`` enables quiescence skipping: before generating each
     cycle the run checks :func:`_try_fast_forward`, and when the fabric,
     queues, hooks and generators are all provably idle for D cycles it
-    jumps the clocks by D instead of sweeping.  Live BE streams are
+    jumps the clocks by D instead of stepping.  Live BE streams are
     proven idle (and their LFSRs advanced) only by the batched C scan;
     without it they veto the skip and the run simply steps.
     Fast-forward never fires while any fault is resident.
@@ -987,7 +669,7 @@ def drain_batched(
         done = [-1] * len(drivers)
         for used in range(max_cycles):
             for i, driver in enumerate(drivers):
-                if done[i] < 0 and driver.backlog() == 0 and engine.state.drained(i):
+                if done[i] < 0 and driver.backlog() == 0 and engine.drained(i):
                     done[i] = used
             if all(d >= 0 for d in done):
                 break

@@ -2,9 +2,11 @@
 
 The generated kernel hands back a window's events as integer arrays.
 :class:`EventLog` keeps them that way: a log is a sequence of *parts*,
-each either a plain list of records (what the NumPy sweeps ``append``)
-or a ``(block, lo, hi)`` column slice of an event array whose rows are
-the record's fields in declaration order.  A whole chunk's block is
+each a ``(block, lo, hi)`` column slice of an event array whose rows
+are the record's fields in declaration order, or a plain list of
+records — what a driver's submit log appends (packets built in Python,
+whose payloads are no columns) and what :meth:`EventLog.extend` reads
+back from a resumed run's saved log.  A whole chunk's block is
 kept by reference; the few events of a single-cycle step are copied
 into the log's own tail buffer, where adjacent small blocks coalesce
 into one part.  ``len`` and :meth:`EventLog.extend_block` never build a
@@ -168,7 +170,7 @@ class EventLog(Sequence):
     def blocks(self, start: int, stop: int):
         """Events ``[start, stop)`` part by part, each a ``[fields, n]``
         int64 block and no record built: a column part is handed out as
-        a view, the records the NumPy sweeps appended are read once."""
+        a view, appended records are read once."""
         for part, a, b in self._pieces(start, stop):
             if type(part) is list:
                 yield record_block(part[a:b], [f.name for f in fields(self._record)])

@@ -49,7 +49,7 @@ def lane_batchable(n_points: int, workers: Optional[int] = None) -> bool:
     automatically only when the caller did not pin a worker count
     (an explicit ``workers=`` keeps the historical process path, which
     the serial-vs-parallel byte-equality tests rely on) and the sweep
-    is wide enough to amortise the vectorized sweep setup.
+    is wide enough to amortise the batch engine's setup.
     """
     return workers is None and n_points >= LANE_BATCH_THRESHOLD
 

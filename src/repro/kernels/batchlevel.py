@@ -79,11 +79,14 @@ Three execution shapes share the one generated function:
 
 Bit-identity contract: per lane, every snapshot, injection/ejection
 record (cycle stamps included), stall counter and overload diagnosis
-equals the reference NumPy path driven cycle by cycle — the batch
-lockstep tests compare all of it.  Errors re-raise the exact exceptions
-of the reference path; a mid-chunk error first applies the completed
-cycles' state and events, leaving the engine exactly where the
-per-cycle reference stops.
+equals the golden network driven cycle by cycle — the batch lockstep
+tests compare all of it.  Errors re-raise the reference's exceptions,
+text included, each lane's error the one its golden network raises
+(across lanes the lowest lane's route error first, then the lowest
+lane's GT error); a mid-chunk error first applies the completed cycles'
+state and events, leaving the engine exactly where the per-cycle
+reference stops.  The one exception is a queue overflow, which only a
+corrupted store reaches: it is checked after the failing cycle's pops.
 
 Compilation and binding ride :func:`repro.kernels.cbackend.load_source`:
 availability-gated, sha256 disk cache keyed on the generated source, the
@@ -520,13 +523,14 @@ ${signature}
         }
 
         /* ---- pass 1: pure evaluation of every router that holds a
-         * flit or a valid injection register.  Route errors outrank GT
-         * errors across the whole cycle, and within each class the
-         * lowest flat (lane, router, queue) candidate wins — the
-         * vectorized sweep's raise order. ---- */
+         * flit or a valid injection register.  A lane's error is the one
+         * its golden network raises: the first router's, and in it the
+         * first queue of the allocation scan's rotating order.  Across
+         * lanes the lowest lane's route error outranks the lowest
+         * lane's GT error. ---- */
         int64_t n_pop = 0, n_push = 0, n_alloc = 0, n_inj = 0, n_loc = 0;
-        int64_t route_err = 0, route_key = 0, route_data = 0;
-        int64_t gt_err = 0, gt_key = 0, gt_r = 0, gt_vc = 0;
+        int64_t route_err = 0, route_data = 0;
+        int64_t gt_err = 0, gt_r = 0, gt_vc = 0;
         int64_t cycle_evals = 0, cycle_lanes = 0;
         for (int64_t b = 0; b < B; b++) {
             if (!act[b])
@@ -545,6 +549,8 @@ ${signature}
                 goto done;
             }
 #endif
+            int64_t lane_err = 0, lane_r = 0, lane_pos = 0;
+            int64_t lane_data = 0, lane_vc = 0;
             int64_t n_busy = 0;
             for (int64_t r = 0; r < R; r++) {
                 const int64_t *o = occ + O_WORDS * (sc + r);
@@ -626,7 +632,14 @@ ${signature}
                 const int64_t *al = alloc + x * NQ;
                 int64_t cand_op[NQ], cand_gt[NQ];
                 uint64_t candmask = 0;
-                /* candidate decode + validation in ascending queue order */
+                /* the scan starts one past the rotating-priority pointer */
+                int64_t s = alloc_ptr[x] + 1;
+                if (s >= NQ)
+                    s -= NQ;
+                if (s < 0)
+                    s += NQ;
+                /* candidate decode + validation in ascending queue order;
+                 * an error keeps its position in the scan's order */
                 while (scan) {
                     const int64_t q = CTZ(scan);
                     scan &= scan - 1;
@@ -637,21 +650,14 @@ ${signature}
                     const int64_t data = headw & PAYLOAD_MASK;
                     const int64_t in_vc = q % V;
                     const int64_t op = route[r * 256 + (data & 0xFF)];
-                    const int64_t key = x * NQ + q;
-                    if (op < 0) {
-                        if (!route_err || key < route_key) {
-                            route_err = 1;
-                            route_key = key;
-                            route_data = data;
-                        }
-                        continue;
-                    }
-                    if (((data >> 8) & 1) && !((GT_MASK >> in_vc) & 1)) {
-                        if (!gt_err || key < gt_key) {
-                            gt_err = 1;
-                            gt_key = key;
-                            gt_r = r;
-                            gt_vc = in_vc;
+                    if (op < 0 || (((data >> 8) & 1) && !((GT_MASK >> in_vc) & 1))) {
+                        const int64_t pos = q >= s ? q - s : q - s + NQ;
+                        if (!lane_err || (lane_r == r && pos < lane_pos)) {
+                            lane_err = op < 0 ? 1 : 2;
+                            lane_r = r;
+                            lane_pos = pos;
+                            lane_data = data;
+                            lane_vc = in_vc;
                         }
                         continue;
                     }
@@ -661,15 +667,9 @@ ${signature}
                 }
                 if (!candmask)
                     continue;
-                /* rotate the candidate mask so the scan starts one past
-                 * the rotating-priority pointer, then walk set bits —
-                 * identical visit order to the off = 1..NQ modular
-                 * scan. */
-                int64_t s = alloc_ptr[x] + 1;
-                if (s >= NQ)
-                    s -= NQ;
-                if (s < 0)
-                    s += NQ;
+                /* rotate the candidate mask to start at s, then walk set
+                 * bits — identical visit order to the off = 1..NQ
+                 * modular scan. */
                 uint64_t rot = s ? ((candmask >> s) | (candmask << (NQ - s)))
                                        & (BIT(NQ) - 1)
                                  : candmask;
@@ -707,6 +707,15 @@ ${signature}
             push_end[b] = n_push;
             inj_end[b] = n_inj;
             loc_end[b] = n_loc;
+            if (lane_err == 1 && !route_err) {
+                route_err = 1;
+                route_data = lane_data;
+            }
+            if (lane_err == 2 && !gt_err) {
+                gt_err = 1;
+                gt_r = lane_r;
+                gt_vc = lane_vc;
+            }
         }
         if (route_err) {
             err[0] = 1;

@@ -10,11 +10,10 @@ A checkpoint captures every router core word, every stimuli-interface
 word and the cycle counter.  Restoring into *any* engine (even a
 different engine type than the one that saved it) resumes the identical
 simulation — the cross-engine restore test is the strongest form of the
-bit-accuracy claim.  An array-state engine (the batch engine, the
-compiled sequential engine) is read and written through lane 0 of its
-:class:`~repro.seqsim.arraystate.ArrayState`; link-memory contents — the
-Python model's, the compiled pass's wire plane — are simulator state and
-travel in no checkpoint.
+bit-accuracy claim.  A batch engine (the compiled sequential engine
+included) is read and written through its lane 0, whichever body runs
+it; link-memory contents — the Python model's, the compiled pass's wire
+plane — are simulator state and travel in no checkpoint.
 """
 
 from __future__ import annotations
@@ -81,10 +80,10 @@ class Checkpoint:
 
 def _object_state(engine):
     """``(router states, stimuli states)`` of ``engine``: a Network's
-    own lists, or lane 0 of an array-state engine read out as objects."""
+    own lists, or lane 0 of a batch engine as objects."""
     if hasattr(engine, "states"):
         return engine.states, engine.iface_states
-    return engine.state.lane_objects(0)
+    return engine.lane_objects(0)
 
 
 def save_checkpoint(engine) -> Checkpoint:
@@ -141,7 +140,7 @@ def restore_checkpoint(engine, checkpoint: Checkpoint) -> None:
         states[r] = unpack_router_core(rc, BitVector(core_width, core_value))
         iface_states[r] = unpack_stimuli(rc, BitVector(stim_width, stim_value))
     if not hasattr(engine, "states"):
-        engine.state.load_lane(0, states, iface_states)
+        engine.load_lane(0, states, iface_states)
     engine.cycle = checkpoint.cycle
     # Sequential engines keep packed shadows of the committed state.
     # `initialize` writes *both* banks (with fresh parity), so a restore

@@ -342,24 +342,43 @@ class Network:
         """Advance the whole network by one system cycle."""
         for hook in self.pre_step_hooks:
             hook(self)
-        n = self.cfg.n_routers
-        iface_choice, _iface_word, fwd_out, grants = self.compute_wires()
+        self.commit(self.decide())
 
-        # Phase 3: state updates.  The cycle engine owns its states, so
-        # routers update in place; quiescent routers with idle inputs and
-        # idle interfaces are skipped entirely (their next state is their
-        # current state) — a pure host-side optimisation with no effect
-        # on results, covered by the engine-equivalence tests.
+    def decide(self) -> Tuple:
+        """Phases 1 and 2 and the allocation decisions of phase 3: the
+        cycle's plan, read off the current state alone.  A decision error
+        (an unroutable head, a GT head on a BE VC) raises here, the first
+        router's first, before :meth:`commit` changes any state.
+
+        A quiescent router (no buffered flits, no allocations) can
+        produce no grants; with idle inputs its state is a fixpoint, so
+        its plan is ``None`` and phase 3 skips it — a pure host-side
+        optimisation with no effect on results, covered by the
+        engine-equivalence tests.
+        """
+        iface_choice, _iface_word, fwd_out, grants = self.compute_wires()
         fwd_in = self.fwd_in
-        for r in range(n):
-            row = fwd_in[r]
+        allocation = [
+            self.routers[r].allocation_decisions(state)
+            if any(fwd_in[r]) or not state.is_quiescent
+            else None
+            for r, state in enumerate(self.states)
+        ]
+        return iface_choice, fwd_out, grants, allocation
+
+    def commit(self, plan: Tuple) -> None:
+        """Phase 3: apply a :meth:`decide` plan — the state updates, in
+        place (the cycle engine owns its states) — and log the cycle's
+        events."""
+        iface_choice, fwd_out, grants, allocation = plan
+        fwd_in = self.fwd_in
+        for r in range(self.cfg.n_routers):
             state = self.states[r]
-            # A quiescent router (no buffered flits, no allocations) can
-            # produce no grants; with idle inputs its state is a fixpoint.
-            if any(row) or not state.is_quiescent:
-                inputs = RouterInputs(fwd=row, room=self.room_in[r])
+            if allocation[r] is not None:
+                inputs = RouterInputs(fwd=fwd_in[r], room=self.room_in[r])
                 self.routers[r].next_state(
-                    state, inputs, grants[r], in_place=True
+                    state, inputs, grants[r], in_place=True,
+                    allocation=allocation[r],
                 )
             iface_state = self.iface_states[r]
             eject = fwd_out[r][Port.LOCAL]

@@ -35,6 +35,7 @@ All hot-path values are plain integers (encoded flits / link words); see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.noc.config import Port, RouterConfig
@@ -218,6 +219,15 @@ class RouterOutputs:
 Grant = Optional[Tuple[int, int]]
 
 
+@lru_cache(maxsize=None)
+def _scan_orders(nq: int) -> Tuple[Tuple[int, ...], ...]:
+    """The allocation scan's queue order for each pointer value — one
+    table shared by every router with ``nq`` queues."""
+    return tuple(
+        tuple((ptr + off) % nq for off in range(1, nq + 1)) for ptr in range(nq)
+    )
+
+
 class Router:
     """The evaluation function of one router instance.
 
@@ -261,11 +271,7 @@ class Router:
         # Rotating-priority scan orders, one per pointer value: replaces
         # the per-iteration ``(ptr + off) % n_queues`` of the allocation
         # scan with a precomputed tuple walk.
-        nq = self._n_queues
-        self._scan_order = [
-            tuple((ptr + off) % nq for off in range(1, nq + 1))
-            for ptr in range(nq)
-        ]
+        self._scan_order = _scan_orders(self._n_queues)
 
     # -- phase 1 ---------------------------------------------------------
     def room_mask(self, state: RouterState) -> List[int]:
@@ -327,13 +333,15 @@ class Router:
         return fwd, grants
 
     # -- phase 3 ----------------------------------------------------------
-    def _allocation_decisions(self, state: RouterState):
+    def allocation_decisions(self, state: RouterState):
         """Output-VC allocation: rotating-priority scan over queues whose
         head is an unserved HEAD flit.  Decisions observe only the *old*
         allocation table and queue heads (so a VC freed by a TAIL this
         cycle becomes claimable only next cycle — registered-RTL
         behaviour), which lets callers apply them after mutating the
-        queues in place.
+        queues in place.  A head that cannot be routed (``IndexError``)
+        or a GT head on a BE VC (:class:`ProtocolError`) raises at the
+        first such queue in scan order.
 
         Returns ``([(queue, ovc), ...], last_allocated_queue_or_-1)``.
         """
@@ -384,12 +392,15 @@ class Router:
         grants: Optional[Sequence[Grant]] = None,
         strict: bool = True,
         in_place: bool = False,
+        allocation=None,
     ) -> RouterState:
         """Next-state function.
 
         ``grants`` may be passed in when the caller already ran
         :meth:`output_words` (the three-phase network step does); when
-        omitted they are recomputed from ``inputs.room``.  ``strict``
+        omitted they are recomputed from ``inputs.room``.  Likewise
+        ``allocation``, the ``(decisions, last queue)`` pair of
+        :meth:`allocation_decisions` for ``state``.  ``strict``
         controls overflow checking (see :meth:`FlitQueue.push`); the
         sequential simulator disables it because provisional evaluations
         may see stale room wires.  ``in_place=True`` mutates ``state``
@@ -401,7 +412,9 @@ class Router:
         if grants is None:
             _, grants = self.output_words(state, inputs.room)
         # Allocation decisions observe the pre-update state only.
-        decisions, last_alloc = self._allocation_decisions(state)
+        if allocation is None:
+            allocation = self.allocation_decisions(state)
+        decisions, last_alloc = allocation
         idle_type = self._idle_type
         data_width = self._data_width
         if not in_place and not decisions:

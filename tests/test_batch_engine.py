@@ -1,7 +1,7 @@
 """The batch engine is bit-identical to the engines it vectorizes.
 
-The batch engine replays the golden three-phase cycle as three
-bulk-synchronous NumPy array sweeps, so lane 0 must match the
+The batch engine runs the generated-C body over a lane axis (golden
+lanes where it has none), so lane 0 must match the
 sequential engine and the cycle-based golden model bit for bit — the
 same lockstep discipline the sequential simulator itself is held to.
 On top of that it carries a lane axis: lane *i* of a multi-lane run
@@ -239,10 +239,9 @@ class TestPackedState:
     """The CI dtype gate: every batched array stays integer-packed."""
 
     def test_state_arrays_are_packed(self):
-        from repro.seqsim.arraystate import assert_packed
+        from repro.seqsim.arraystate import ArrayState, assert_packed
 
-        engine = BatchEngine(torus(), lanes=2)
-        assert assert_packed(engine.state.packed_dtypes()) == []
+        assert assert_packed(ArrayState(torus(), lanes=2).packed_dtypes()) == []
 
     def test_gate_flags_object_dtype(self):
         import numpy as np

@@ -5,9 +5,9 @@ The levelized chunk kernel (``repro.kernels.batchlevel``) replaces the
 per-cycle dynamic allocation sweep with one fused C walk of the static
 level schedule per cycle, whole chunks at a time — it is only allowed
 to be *faster*, never *different*.  Every test here pins some facet of
-that contract: lane-for-lane lockstep against the NumPy reference and
-the dynamic-sweep JIT, chunked-versus-per-cycle identity, and exact
-overload diagnosis parity.
+that contract: lane-for-lane lockstep against golden lanes (one golden
+network per lane, ``kernel="python"``) and the JIT binding,
+chunked-versus-per-cycle identity, and exact overload diagnosis parity.
 
 Fast-forward (``run_batched(..., fast_forward=True)``) gets the safety
 battery the design doc promises: it never skips while a fault is
@@ -191,7 +191,7 @@ class TestLevelizedKernelSmoke:
         )
         units = {"stimuli": trafficgen._SOURCE}
         for name, net in (("fig1", fig1_network()), ("gt-less", gt_less)):
-            spec = cbackend.KernelSpec.from_engine(BatchEngine(net, kernel="python"))
+            spec = cbackend.KernelSpec.from_engine(BatchEngine(net, kernel="jit"))
             units[name] = generate_level_source(spec)
         # the sequential engine's variant: the same body + the HBR pass
         units["fig1-hbr"] = generate_level_source(dataclasses.replace(spec, hbr=True))
@@ -237,7 +237,7 @@ class TestLevelizedLockstep:
 
     def test_numpy_fallback_env(self, no_cc):
         # levelized names a body: without a compiler it is refused, not
-        # swapped for the NumPy sweeps under the same label
+        # swapped for golden lanes under the same label
         with pytest.raises(KernelUnavailableError, match="no C compiler"):
             BatchEngine(torus(), lanes=2, kernel="levelized")
 
@@ -543,8 +543,8 @@ def columnar_case(widths, loads, gt_period, data_width, be_bytes, gt_bytes):
     )
     streams = fig1_gt_streams(cfg).streams
 
-    def build():
-        engine = BatchEngine(cfg, lanes=len(loads), kernel="python")
+    def build():  # the engine only hosts the drivers: the C body is the cheapest host
+        engine = BatchEngine(cfg, lanes=len(loads))
         return [
             TrafficDriver(
                 engine.lane(lane),
@@ -990,8 +990,8 @@ class TestOneBodyOwnsFig1:
 #
 # The body derives its occupancy masks from the state arrays at call
 # entry and evaluates only routers that hold something.  Every corner
-# where a stale or wrong mask would show is driven here against the NumPy
-# sweeps on every lane and against the golden cycle engine on the first
+# where a stale or wrong mask would show is driven here against golden
+# lanes on every lane and against the golden cycle engine on the first
 # and last: saturation (full-masks, stalls, overload parity), depth 1,
 # per-router depths, mesh edges, a link quarantined mid-run, GT + BE,
 # chunk lengths 1 / 7 / 64 around single steps (cycles run under an
@@ -1030,6 +1030,17 @@ def planted_words(net, dest):
     ]
 
 
+def plant_in(network, router, words):
+    """Write ``words`` into the first BE queue of ``router`` in a golden
+    network, where it is empty, free and deep enough."""
+    state = network.states[router]
+    queue = state.queues[1]
+    if queue.count or state.queue_alloc[1] >= 0 or queue.depth < len(words):
+        return
+    for word in words:
+        queue.push(word)
+
+
 class BatchCorner:
     """One batched engine walking a corner plan."""
 
@@ -1061,12 +1072,17 @@ class BatchCorner:
 
     def rebind(self):
         state = self.engine.state
+        if state is None:  # golden lanes: no arrays to rebind
+            return
         for name in FIELDS:
             setattr(state, name, getattr(state, name).copy())
 
     def plant(self, lane, router, dest):
-        S = self.engine.state
         words = planted_words(self.net, dest)
+        S = self.engine.state
+        if S is None:
+            plant_in(self.engine.networks[lane], router, words)
+            return
         if (
             S.count[lane, router, 1]
             or S.queue_alloc[lane, router, 1] >= 0
@@ -1118,14 +1134,8 @@ class GoldenCorner:
         pass
 
     def plant(self, lane, router, dest):
-        queue = self.engine.states[router].queues[1]
-        words = planted_words(self.net, dest)
-        if lane != self.lane or queue.count or queue.depth < len(words):
-            return
-        if self.engine.states[router].queue_alloc[1] >= 0:
-            return
-        for word in words:
-            queue.push(word)
+        if lane == self.lane:
+            plant_in(self.engine, router, planted_words(self.net, dest))
 
     def quarantine(self, router, port):
         self.engine.quarantine_link(router, port)
@@ -1231,12 +1241,12 @@ class TestCornerBattery:
         assert check_corner("fig1", 0.3, gt_plan, gt_period=40) is None
 
 
-def poisoned_run(kernel, poison, at=75):
-    """BE traffic on two lanes with ``poison`` — ``(lane, router, head
-    flit)`` triples — staged at the head of a BE queue for cycle ``at``,
-    mid-chunk: every head is offered at ``at``, buffered in that cycle's
-    commit and decoded, fatally, in the next."""
-    engine = BatchEngine(torus(), lanes=2, kernel=kernel)
+def poisoned_run(kernel, poison, at=75, lanes=2):
+    """BE traffic on ``lanes`` lanes with ``poison`` — ``(lane, router,
+    head flit)`` triples — staged at the head of a BE queue for cycle
+    ``at``, mid-chunk: every head is offered at ``at``, buffered in that
+    cycle's commit and decoded, fatally, in the next."""
+    engine = BatchEngine(torus(), lanes=lanes, kernel=kernel)
     drivers = make_drivers(engine, 0.05)
     dw = engine.cfg.router.data_width
     vc = engine.cfg.router.be_vcs[0]
@@ -1249,23 +1259,38 @@ def poisoned_run(kernel, poison, at=75):
     # the engine stands where the per-cycle reference stops (the traffic
     # does not: a chunk's window is generated ahead, and only an overload
     # — an error the *drivers* diagnose — rewinds it)
-    lanes, cycle, deltas = full_digest(engine, drivers)
-    return type(err.value), str(err.value), [lane[:3] for lane in lanes], cycle, deltas
+    digests, cycle, deltas = full_digest(engine, drivers)
+    return type(err.value), str(err.value), [d[:3] for d in digests], cycle, deltas
+
+
+def worm_through_router_one(kernel, lanes=1):
+    """A 4x4 torus whose every lane sends one long BE packet from router
+    0 to router 2: after 8 cycles its worm streams through router 1."""
+    cfg = NetworkConfig(4, 4, topology="torus", router=RouterConfig(queue_depth=2))
+    engine = BatchEngine(cfg, lanes=lanes, kernel=kernel)
+    drivers = [TrafficDriver(engine.lane(i)) for i in range(lanes)]
+    for driver in drivers:
+        driver.send_packet(
+            Packet(src=0, dest=2, pclass=PacketClass.BE, payload=bytes(80)),
+            cfg.router.be_vcs[0],
+        )
+    return engine, drivers
 
 
 @needs_jit
 class TestChunkErrorParity:
     """Architectural errors raised mid-chunk, with candidates on several
-    lanes in one cycle: the class precedence and the lowest-flat-index
-    rule of the vectorized sweep, and the reference's state after it."""
+    lanes in one cycle: each lane's error is its golden network's, the
+    lanes rank by class and then lane, and both bodies raise it at the
+    same cycle with the same lanes, logs and metrics."""
 
     LOST = Header(dest_x=9, dest_y=9).head_flit()
     ASTRAY = Header(dest_x=8, dest_y=8).head_flit()
     GT_ON_BE = Header(dest_x=1, dest_y=0, gt=True).head_flit()
 
-    def both(self, poison):
-        compiled = poisoned_run("levelized", poison)
-        assert compiled == poisoned_run("python", poison)
+    def both(self, poison, lanes=2):
+        compiled = poisoned_run("levelized", poison, lanes=lanes)
+        assert compiled == poisoned_run("python", poison, lanes=lanes)
         return compiled
 
     def test_route_error_outranks_gt_error_on_a_lower_lane(self):
@@ -1280,17 +1305,84 @@ class TestChunkErrorParity:
         kind, message, *_ = self.both([(1, 1, self.GT_ON_BE), (0, 7, self.GT_ON_BE)])
         assert kind is ProtocolError and message.startswith("router 7: GT head")
 
+    def test_within_a_lane_the_first_router_wins_whatever_the_class(self):
+        # one lane's error is the one its golden network raises: router 2
+        # decides before router 6, so its GT error beats the route error
+        kind, message, *_ = self.both([(1, 2, self.GT_ON_BE), (1, 6, self.LOST)])
+        assert kind is ProtocolError and message.startswith("router 2: GT head")
+        solo = CycleEngine(torus())
+        vc = solo.cfg.router.be_vcs[0]
+        dw = solo.cfg.router.data_width
+        for router, head in ((2, self.GT_ON_BE), (6, self.LOST)):
+            solo.states[router].queues[vc].push(head.encode(dw))
+        before = solo.snapshot()
+        with pytest.raises(ProtocolError, match=r"^router 2: GT head"):
+            solo.step()
+        assert solo.snapshot() == before and solo.cycle == 0
+
+    def test_within_a_router_the_allocation_scan_order_wins(self):
+        # two bad heads in router 4's local BE queues: the scan starts one
+        # past the rotating pointer, so the pointer picks which one raises
+        def first_error(kernel, ptr):
+            engine = BatchEngine(torus(), kernel=kernel)
+            states, ifaces = engine.lane_objects(0)
+            dw = engine.cfg.router.data_width
+            lost_q, gt_q = engine.cfg.router.be_vcs
+            states[4].queues[lost_q].push(self.LOST.encode(dw))
+            states[4].queues[gt_q].push(self.GT_ON_BE.encode(dw))
+            states[4].alloc_ptr = ptr
+            engine.load_lane(0, states, ifaces)
+            with pytest.raises((IndexError, ProtocolError)) as err:
+                engine.step()
+            return type(err.value), engine.snapshot(), engine.cycle
+
+        lost_q, gt_q = torus().router.be_vcs
+        for ptr, kind in ((lost_q, ProtocolError), (gt_q, IndexError)):
+            got = first_error("levelized", ptr)
+            assert got == first_error("python", ptr) and got[0] is kind
+
+    def test_golden_lanes_raise_lane_one_errors_as_the_c_body(self):
+        # (b) an out-of-range coordinate on lane 1 of three
+        kind, message, *_ = self.both([(1, 4, self.LOST)], lanes=3)
+        assert kind is IndexError and message == "coordinates (9, 9) out of range"
+        # (a) a queue overflow on lane 1 of three.  A consistent store
+        # never overflows, and no one corruption reaches both checks:
+        # golden lanes offer no room into a count past the depth (the C
+        # body's full-mask clears at its first pop), and the C store
+        # refuses a queue built shallower than its router.  So each body
+        # meets its own corrupted queue in router 1 and raises the
+        # reference's text at a stated cycle; the two are not compared.
+        def overflow(kernel, cycles, corrupt):
+            engine, drivers = worm_through_router_one(kernel, lanes=3)
+            run_batched(engine, drivers, cycles)  # the worm is in router 1
+            states, ifaces = engine.lane_objects(1)
+            (fifo,) = [
+                fifo for q, fifo in enumerate(states[1].queues)
+                if fifo.count and states[1].queue_alloc[q] >= 0
+            ]
+            corrupt(fifo)
+            engine.load_lane(1, states, ifaces)
+            with pytest.raises(ProtocolError) as err:
+                run_batched(engine, drivers, 8)
+            return str(err.value), engine.cycle
+
+        def past_depth(fifo):
+            fifo.count = fifo.depth + 2
+
+        def shallower(fifo):
+            fifo.depth = fifo.count
+
+        text = "queue overflow: upstream ignored room"
+        assert overflow("levelized", 8, past_depth) == (text, 9)
+        assert overflow("python", 6, shallower) == (text, 6)
+        with pytest.raises(ValueError, match="depth mismatch"):
+            overflow("levelized", 6, shallower)
+
     def test_corrupted_count_trips_the_overflow_check(self):
         # The full-mask says "room" only while count < depth; a count
         # corrupted beyond the depth breaks that as soon as the queue
         # pops, and the commit's check of every push still catches it.
-        cfg = NetworkConfig(4, 4, topology="torus", router=RouterConfig(queue_depth=2))
-        engine = BatchEngine(cfg, lanes=1, kernel="levelized")
-        drivers = [TrafficDriver(engine.lane(0))]
-        drivers[0].send_packet(
-            Packet(src=0, dest=2, pclass=PacketClass.BE, payload=bytes(80)),
-            cfg.router.be_vcs[0],
-        )
+        engine, drivers = worm_through_router_one("levelized")
         run_batched(engine, drivers, 8)  # the worm now streams through router 1
         state = engine.state
         (queue,) = np.flatnonzero((state.count[0, 1] > 0) & (state.queue_alloc[0, 1] >= 0))

@@ -272,9 +272,8 @@ class TestFarmCli:
 
     @pytest.mark.parametrize("pin", ["env", "flag"])
     def test_kernel_line_names_the_body_that_runs(self, request, capsys, pin):
-        """A host without a C compiler and ``--kernel python`` run the
-        NumPy sweeps: same per-lane lines, and the ``kernel:`` line says
-        so.  Without a compiler a named C tier is refused, not swapped."""
+        """A host without a C compiler and ``--kernel python`` run golden
+        lanes: same per-lane lines, and the ``kernel:`` line says so.  Without a compiler a named C tier is refused, not swapped."""
         args = ["simulate", "--engine", "batch", "--lanes", "2", "--width", "3",
                 "--height", "3", "--cycles", "80"]
         assert main(args) == 0
@@ -287,7 +286,7 @@ class TestFarmCli:
         else:
             assert main(args + ["--kernel", "python"]) == 0
         pinned = capsys.readouterr().out
-        assert "(NumPy sweeps" in pinned.splitlines()[0]
+        assert "(golden lanes" in pinned.splitlines()[0]
         lanes = [line for line in reference.splitlines() if "  lane " in line]
         assert len(lanes) == 2
         assert lanes == [line for line in pinned.splitlines() if "  lane " in line]
@@ -311,7 +310,7 @@ class TestFarmCli:
         request.getfixturevalue("no_cc")
         assert main(args) == 0
         first = capsys.readouterr().out.splitlines()[0]
-        assert first.startswith("kernel: python (NumPy sweeps; no C compiler found")
+        assert first.startswith("kernel: python (golden lanes; no C compiler found")
         assert first.endswith(
             "traffic: Python generators (the engine has no generated-C body)"
         )
@@ -602,6 +601,32 @@ class TestSourceAudit:
             for path, text in self._sources("partition")
             for name in removed.findall(text)
         }
+
+    def test_the_router_step_lives_in_the_models_and_the_kernels(self):
+        """The batch engine steps golden lanes, not a router step of its
+        own: its NumPy sweeps are gone, and outside ``kernels/`` only the
+        golden model (``noc/``) and the HBR model (``seqsim/``) state the
+        step — its allocation scan, or the architectural errors every
+        statement of it raises."""
+        import re
+
+        (batch,) = [
+            text
+            for path, text in self._sources("engines")
+            if os.path.basename(path) == "batch.py"
+        ]
+        sweeps = r"\bdef (_step_numpy|_allocation_sweep|_stimuli_update|_rr_pick|_ctz)\b"
+        assert not re.findall(sweeps, batch)
+        step = re.compile(
+            r"upstream ignored room|GT head on non-GT VC"
+            r"|def (allocation_decisions|room_mask|output_words)\b"
+        )
+        stated = {
+            os.path.relpath(path, self.SRC).split(os.sep)[0]
+            for path, text in self._sources()
+            if step.search(text)
+        }
+        assert "noc" in stated and stated - {"kernels"} <= {"noc", "seqsim"}
 
     def test_the_sequential_engine_names_no_memo_layer(self):
         """Compiled or fallen back to the model, the engine module

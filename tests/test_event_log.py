@@ -426,7 +426,7 @@ def test_tracker_collects_a_chunked_run_from_columns(monkeypatch):
         driver.tracker.collect(engine.lane(lane))  # cursor: nothing new
     assert built == []
     monkeypatch.undo()
-    # ... and reads what the record path reads off the NumPy engine's lists
+    # ... and reads what the record path reads off the golden lanes' lists
     reference, ref_drivers = run("python")
     for lane, driver in enumerate(ref_drivers):
         driver.tracker.collect(reference.lane(lane))

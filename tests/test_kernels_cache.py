@@ -4,7 +4,7 @@ A warm-cache process binds a compiled engine through cffi's pre-parsed
 out-of-line module and never imports ``cffi.cparser`` / ``pycparser``;
 the builder that first meets a ``cdef`` emits the module, atomically;
 a damaged entry of either kind is rebuilt once; a cache directory that
-cannot take the files degrades to the NumPy sweeps with the reason
+cannot take the files degrades to golden lanes with the reason
 (DESIGN section "kernel cache").
 """
 
@@ -102,8 +102,8 @@ class TestWarmBind:
 
     def test_fig1_sweep_imports_no_parser_and_no_masked_arrays(self, tmp_path):
         """The timed region of Fig. 1 holds simulation only: a warm bind
-        parses nothing, and the latency tracker and the NumPy sweeps
-        group keys without ``np.unique`` (whose first call imports
+        parses nothing, and the latency tracker groups keys without
+        ``np.unique`` (whose first call imports
         ``numpy.ma``)."""
         finish(spawn(tmp_path, FIG1_CHILD))  # warms the cache
         assert finish(spawn(tmp_path, FIG1_CHILD)) == []

@@ -6,8 +6,7 @@ engine and the interpreted static schedule snapshot for snapshot, across
 random seeds, topologies, heterogeneous configs and a mid-run link
 quarantine.  Transient link-memory SEUs have no batch-engine analogue
 and stay a worklist-vs-static-sweep comparison.  Likewise the batch
-engine's generated-C kernel must match the NumPy reference sweeps lane
-for lane.  The ``kernel_smoke``-marked class is the cheap CI subset.
+engine's generated-C kernel must match golden lanes lane for lane.  The ``kernel_smoke``-marked class is the cheap CI subset.
 """
 
 import random
@@ -96,7 +95,7 @@ def duo(cfg):
 
 def trio(cfg):
     """The duo plus the generated body over the level schedule: the
-    lane-0 surface of a one-lane batch engine (its NumPy sweeps where no
+    lane-0 surface of a one-lane batch engine (a golden lane where no
     compiler exists)."""
     kernel = "levelized" if JIT_REASON == "ok" else "python"
     return duo(cfg) + [BatchEngine(cfg, lanes=1, kernel=kernel)]
@@ -314,7 +313,7 @@ class TestEnvFallback:
     def test_label_is_presentational_body_decides(self, request):
         """The chunk path and the C traffic scan key on the bound body,
         never on the ``jit``/``levelized`` label: both labels bind the
-        one C body, and no label runs the NumPy sweeps but ``python``
+        one C body, and no label runs golden lanes but ``python``
         (or ``auto`` on a host without a compiler)."""
         from repro.engines.batch import chunk_kernel, window_source
 

@@ -97,7 +97,8 @@ def scan_drivers(n_src, probabilities, seeds):
     ``seeds[lane]`` (``None``: no BE stream), and the C scan over them."""
     width, height = SHAPES[n_src]
     cfg = NetworkConfig(width, height, topology="torus")
-    engine = BatchEngine(cfg, lanes=len(probabilities), kernel="python")
+    # the engine only hosts the drivers: the C body is the cheapest host
+    engine = BatchEngine(cfg, lanes=len(probabilities))
     drivers = []
     for lane, (probability, seed) in enumerate(zip(probabilities, seeds)):
         be = None
