@@ -268,7 +268,7 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
     if callable(layout):  # partitioned engine (it has no kernel line)
         print(layout())
     if args.stream:
-        return _simulate_streamed(args, net, engine, lanes)
+        return _simulate_streamed(args, net, engine)
     if engine_name == "batch":
         return _simulate_batched(args, net, engine, lanes)
     be = BernoulliBeTraffic(net, args.load, uniform_random(net), seed=args.seed)
@@ -309,7 +309,7 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
     return 0
 
 
-def _simulate_streamed(args, net, engine, lanes: int) -> int:
+def _simulate_streamed(args, net, engine) -> int:
     """``simulate --stream``: the five-phase pipeline of section 5.3,
     with generate/load/retrieve/analyze in the caller overlapped against
     the simulation on the fabric thread."""
@@ -318,24 +318,20 @@ def _simulate_streamed(args, net, engine, lanes: int) -> int:
     from repro.pipeline.runner import DEFAULT_CHUNK
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
-    n = lanes if args.engine == "batch" else 1
-    traffic = [
-        (
-            BernoulliBeTraffic(
+    drivers = [
+        TrafficDriver(
+            view,
+            be=BernoulliBeTraffic(
                 net, args.load, uniform_random(net), seed=args.seed + i
             ),
-            None,
         )
-        for i in range(n)
+        for i, view in enumerate(lane_views(engine))
     ]
-    # the pipeline builds its own drivers over these generators
-    drivers = [
-        TrafficDriver(view, be=be) for view, (be, _) in zip(lane_views(engine), traffic)
-    ]
+    n = len(drivers)
     _report_kernel(engine, drivers)
     start = time.perf_counter()
     report = run_pipeline(
-        engine, traffic, args.cycles, chunk=args.chunk or DEFAULT_CHUNK
+        engine, drivers, args.cycles, chunk=args.chunk or DEFAULT_CHUNK
     )
     elapsed = time.perf_counter() - start
     print(

@@ -25,7 +25,7 @@ from repro.experiments.common import (
     run_fig1_workloads_batched,
     scale,
 )
-from repro.experiments.parallel import lane_batchable, parallel_map, sweep_stage
+from repro.experiments.parallel import lane_batchable, parallel_map
 
 #: the paper's x-axis, thinned to keep the default run affordable.
 DEFAULT_LOADS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14)
@@ -82,7 +82,6 @@ def run(
     engine_cls=None,
     seed: int = 0x5EED,
     workers: Optional[int] = None,
-    profiler=None,
     stream: bool = False,
 ) -> Fig1Result:
     """Sweep the BE load axis; points run across worker processes.
@@ -107,19 +106,13 @@ def run(
         if stream:
             from repro.pipeline import stream_fig1_sweep
 
-            swept = stream_fig1_sweep(
-                loads, cycles, seed=seed, profiler=profiler
-            )
-            return Fig1Result(swept.points)
-        with sweep_stage(profiler, points=len(loads), lanes=len(loads)):
-            return Fig1Result(
-                run_fig1_workloads_batched(loads, cycles, seed=seed)
-            )
+            return Fig1Result(stream_fig1_sweep(loads, cycles, seed=seed).points)
+        return Fig1Result(run_fig1_workloads_batched(loads, cycles, seed=seed))
     engine_cls = engine_cls or SequentialEngine
     point = partial(
         run_fig1_workload, cycles=cycles, engine_cls=engine_cls, seed=seed
     )
-    points = parallel_map(point, loads, workers=workers, profiler=profiler)
+    points = parallel_map(point, loads, workers=workers)
     return Fig1Result(points)
 
 

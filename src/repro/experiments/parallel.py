@@ -24,7 +24,6 @@ argument, the ``REPRO_WORKERS`` environment variable, and
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from typing import Callable, Iterable, List, Optional, TypeVar
 
 T = TypeVar("T")
@@ -70,25 +69,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(1, workers)
 
 
-@contextmanager
-def sweep_stage(profiler, **counts: int):
-    """Account one sweep in ``profiler`` (a
-    :class:`repro.platform.profiler.StageProfiler`, or ``None`` for a
-    no-op): bump the given counters, time the body under ``"sweep"``."""
-    if profiler is None:
-        yield
-        return
-    for name, n in counts.items():
-        profiler.count(name, n)
-    with profiler.stage("sweep"):
-        yield
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     workers: Optional[int] = None,
-    profiler=None,
 ) -> List[R]:
     """``[fn(x) for x in items]``, fanned out over farm workers.
 
@@ -105,16 +89,11 @@ def parallel_map(
     * **Loud**: a point that raises is a real experiment failure.  The
       serial loop propagates it as is; from a worker it arrives as
       :class:`repro.farm.FarmJobError` quoting ``TypeName: message``.
-
-    ``profiler``, when given, is a
-    :class:`repro.platform.profiler.StageProfiler`; the sweep records
-    wall-clock under stage ``"sweep"`` and counts points and workers.
     """
     items = list(items)
     workers = min(resolve_workers(workers), len(items)) or 1
-    with sweep_stage(profiler, points=len(items), workers=workers):
-        if workers <= 1:
-            return [fn(item) for item in items]
-        from repro.farm.client import farm_map
+    if workers <= 1:
+        return [fn(item) for item in items]
+    from repro.farm.client import farm_map
 
-        return farm_map(fn, items, workers=workers)
+    return farm_map(fn, items, workers=workers)

@@ -53,7 +53,6 @@ def run_sweep(
     seeds: Sequence[int],
     base: Optional[CampaignConfig] = None,
     workers: Optional[int] = None,
-    profiler=None,
 ) -> List[ResilienceReport]:
     """One campaign per seed, fanned out over worker processes.
 
@@ -64,7 +63,7 @@ def run_sweep(
     """
     base = base or CampaignConfig(n_faults=60, include_flap=True)
     configs = [replace(base, seed=seed) for seed in seeds]
-    return run_campaigns(configs, workers=workers, profiler=profiler)
+    return run_campaigns(configs, workers=workers)
 
 
 def main() -> None:

@@ -205,7 +205,6 @@ def run_campaign(config: CampaignConfig) -> ResilienceReport:
 def run_campaigns(
     configs: Sequence[CampaignConfig],
     workers: Optional[int] = None,
-    profiler=None,
 ) -> List[ResilienceReport]:
     """Run several campaigns, fanned out over worker processes.
 
@@ -217,7 +216,7 @@ def run_campaigns(
     """
     from repro.experiments.parallel import parallel_map
 
-    return parallel_map(run_campaign, configs, workers=workers, profiler=profiler)
+    return parallel_map(run_campaign, configs, workers=workers)
 
 
 def _collate(

@@ -12,7 +12,7 @@ the run, matching the packets that came out (``repro_match``):
 * ``repro_gen_be`` — **generate**.  Every lane's 32-bit Galois LFSR
   yields the words of :class:`~repro.traffic.rng.HardwareLfsr.next_u32`
   against that lane's own threshold (a zero-load or ``be=None`` lane
-  draws no words at all, like ``packets_for_cycle``'s early return).
+  draws no words at all, like ``packets_for_cycles``' early return).
   One dependency step rejects sixteen words: four lookups give their
   top bytes (:func:`lfsr_tables`), a byte compare proves none is a hit,
   one ``J^16`` lookup takes them.  A lane's scan runs on across cycles

@@ -1,5 +1,7 @@
-"""Pipeline execution: the caller beside one fabric thread, or the serial
-loop over the same stages — byte-identical results either way.
+"""The streamed run: the five steps of the paper's control program
+(section 5.3, Figure 8) as one loop over the calls the chunk path of
+:func:`~repro.engines.batch.run_batched` makes, the caller beside one
+fabric thread — or every call in the caller, byte-identical.
 
 Figure 8's split: the paper's ARM generates, loads, retrieves and
 analyses while its FPGA simulates.  Here the calling thread is the ARM
@@ -12,186 +14,276 @@ never touches Python.  Per window the caller::
     launch window k+1               (stage it; the fabric starts)
     book, retrieve, analyse window k   (window k+1 simulating)
 
-so only the landing and the staging separate two simulations.  While a
-window is on the fabric it owns the engine's state arrays, the staged
-rows, the event buffers and the call scratch; the caller touches none of
-them (the generate side owns only generator state, and booking and
-analysis read what the landing copied out).  An error the body stops
-on surfaces at the landing — the window booked first, so the engine,
-drivers and generators stand where the serial loop leaves them — and a
-run that unwinds with a window on the fabric lands and books it on the
-way out.  The fabric thread lives from the first launch to the end of
-:func:`run_pipeline`, no longer.
+so only the landing and the staging separate two simulations.  What
+each step may touch while a window simulates is the whole design:
 
-The serial loop (``threaded=False``) runs each call in the caller, in
-the same order.  Engines without the generated body (``kernel="python"``,
-a pre-step hook) step each window in the caller either way.
+* **generate** (a window ahead) — ``source.scan``
+  (:func:`~repro.engines.batch.window_source`: the batched C scan where
+  it applies, the drivers' Python generators otherwise).  It owns the
+  generators' LFSR state and sequence numbers, the GT emit counters and
+  the drivers' BE-VC toggles; never ``driver.queues``.
+* **load** — ``Stimuli.load``: the flit columns, pure.
+* **simulate** — the window in flight owns the engine's state arrays,
+  the staged rows, its event buffers and the call scratch.  Landing it
+  hands each queue's unconsumed tail back to its driver; booking it logs
+  its events and books its traffic on the drivers (an overload rewinds
+  the generate side through the window's own source, however far ahead
+  it ran).  Engines without the generated body (``kernel="python"``, a
+  pre-step hook) step each window in the caller instead
+  (:func:`~repro.traffic.stimuli.step_window`).
+* **retrieve** — :func:`~repro.engines.eventlog.log_window` below the
+  log bounds the booked window left: one integer block per lane and log.
+* **analyze** — :meth:`Analysis.add`: the report's own trackers and
+  counters.
+
+An error the body stops on surfaces at the landing — the window booked
+first, so the engine, drivers and generators stand where the serial
+loop leaves them — and a run that unwinds with a window on the fabric
+lands and books it on the way out.  The fabric thread lives from the
+first launch to the end of :func:`run_pipeline`, no longer.  The serial
+loop (``threaded=False``) makes each call in the caller, in the same
+order.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.engines.base import lane_views
+from repro.engines.batch import BatchEngine, chunk_kernel, drain_batched, window_source
+from repro.engines.eventlog import log_window
 from repro.noc.config import NetworkConfig
-from repro.pipeline.stages import (
-    AnalyzeStage,
-    GenerateStage,
-    LoadStage,
-    RetrieveStage,
-    SimulateStage,
-)
 from repro.platform.profiler import PipelineProfiler
-from repro.traffic.stimuli import TrafficDriver
+from repro.stats.histogram import Histogram
+from repro.stats.latency import PacketLatencyTracker, collect_lanes, note_lanes
+from repro.stats.throughput import ThroughputStats
+from repro.traffic.stimuli import FlitEncoder, TrafficDriver, step_window
 
 #: default cycles per chunk: big enough to amortise per-chunk overhead,
 #: small enough that a window and its neighbours stay in cache.
 DEFAULT_CHUNK = 128
 
+#: bin width, in cycles, of :attr:`Analysis.histograms`
+HISTOGRAM_BIN = 10
+
+
+class Analysis:
+    """Step 5's running statistics, per lane, folded in window by window
+    — no full run's log is ever held."""
+
+    def __init__(self, net: NetworkConfig, lanes: int) -> None:
+        self.net = net
+        self.trackers = [PacketLatencyTracker(net) for _ in range(lanes)]
+        self.inj_counts = [0] * lanes
+        self.ej_counts = [0] * lanes
+        self.submit_counts = [0] * lanes
+        #: per lane: ejected flits per sink router (hotspot accounting)
+        self.eject_router_counts = np.zeros((lanes, net.n_routers), dtype=np.int64)
+
+    def add(self, stimuli, injections, ejections) -> None:
+        """Fold in one window: its submits noted on the trackers from the
+        packet columns (``stimuli`` is ``None`` for the drain), then every
+        lane's events matched in one pass
+        (:func:`~repro.stats.latency.collect_lanes`).  Every window's
+        submits are noted before its events are matched, so per-key FIFO
+        matching pops the same submit the end-of-run collection would."""
+        if stimuli is not None:
+            note_lanes(
+                self.trackers,
+                stimuli.submit_columns(0, stimuli.packets.shape[1]),
+                stimuli.lane_ends,
+            )
+            lo = 0
+            for lane, hi in enumerate(stimuli.lane_ends):
+                self.submit_counts[lane] += hi - lo
+                lo = hi
+        collect_lanes(self.trackers, injections, ejections)
+        for lane, ejected in enumerate(ejections):
+            self.inj_counts[lane] += injections[lane].shape[1]
+            self.ej_counts[lane] += ejected.shape[1]
+            self.eject_router_counts[lane] += np.bincount(
+                ejected[1], minlength=self.net.n_routers
+            )
+
+    @property
+    def histograms(self) -> List[Histogram]:
+        """Per lane, every total latency matched so far, binned."""
+        histograms = []
+        for tracker in self.trackers:
+            histogram = Histogram(HISTOGRAM_BIN)
+            histogram.extend_array(tracker.samples.total_latency())
+            histograms.append(histogram)
+        return histograms
+
+    def throughput(self, lane: int, cycles: int) -> ThroughputStats:
+        """Throughput from the accumulated counters (lane's own cycle
+        count: warmup + measured + its drain cycles)."""
+        return ThroughputStats.from_counts(
+            cycles=cycles,
+            flits_injected=self.inj_counts[lane],
+            flits_ejected=self.ej_counts[lane],
+            n_routers=self.net.n_routers,
+        )
+
 
 @dataclass
 class PipelineReport:
-    """Everything a streamed run produced."""
+    """Everything a streamed run produced besides the engine and drivers."""
 
     cycles: int
     done_cycles: List[int]
     profiler: PipelineProfiler
-    analyze: AnalyzeStage
-    overloaded: bool = False
-    #: flits loaded into the drivers (their ``flits_generated`` summed;
-    #: equals the serial drivers' count)
-    flits_loaded: int = 0
-    #: the per-lane drivers as the run left them (queues, stall
-    #: counters, ``flits_generated``; no submit records, no tracker)
-    drivers: List[TrafficDriver] = field(default_factory=list)
+    analyze: Analysis
 
     @property
-    def trackers(self):
+    def trackers(self) -> List[PacketLatencyTracker]:
         return self.analyze.trackers
-
-    @property
-    def histograms(self):
-        return self.analyze.histograms
 
 
 def run_pipeline(
     engine,
-    traffic: Sequence[Tuple],
+    drivers: Sequence[TrafficDriver],
     cycles: int,
     *,
     chunk: int = DEFAULT_CHUNK,
     threaded: bool = True,
-    stall_limit: int = 10_000,
-    histogram_bin: int = 10,
-    drain_max_cycles: int = 100_000,
-    profiler: Optional[PipelineProfiler] = None,
 ) -> PipelineReport:
-    """Run ``cycles`` of traffic through the five-phase pipeline, then
-    drain.
+    """Run ``cycles`` of ``drivers``' traffic through the five steps,
+    then drain — what ``run_batched`` + ``drain_batched`` do, streamed.
 
-    ``traffic[i]`` is the ``(be, gt)`` generator pair of lane ``i`` —
-    one pair for single-lane engines, one per lane for a
-    :class:`~repro.engines.batch.BatchEngine`.  Each pair gets a
-    tracker-less :class:`~repro.traffic.stimuli.TrafficDriver` on its
-    lane; a compiled engine then runs every window as one call of its
-    chunk body — on the fabric thread unless ``threaded`` is false — and
-    any other engine steps cycle by cycle.
+    ``drivers[i]`` is a plain :class:`~repro.traffic.stimuli.TrafficDriver`
+    on lane ``i`` (one for single-lane engines, one per lane of a
+    :class:`~repro.engines.batch.BatchEngine`), with no tracker: the
+    report's trackers analyse the run.  A compiled engine runs every
+    window as one call of its chunk body — on the fabric thread unless
+    ``threaded`` is false — and any other engine steps cycle by cycle.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1 cycle (got {chunk})")
-    net: NetworkConfig = engine.cfg
     views = lane_views(engine)
-    if len(traffic) != len(views):
+    if len(drivers) != len(views):
         raise ValueError(
-            f"{len(traffic)} traffic lanes for an engine with "
-            f"{len(views)} lanes"
+            f"{len(drivers)} drivers for an engine with {len(views)} lanes"
         )
-    drivers = [
-        TrafficDriver(view, be=be, gt=gt, stall_limit=stall_limit)
-        for view, (be, gt) in zip(views, traffic)
-    ]
-    generate = GenerateStage(engine, drivers)
-    load = LoadStage(net)
-    simulate = SimulateStage(engine, drivers)
-    retrieve = RetrieveStage(engine)
-    analyze = AnalyzeStage(net, len(drivers), histogram_bin=histogram_bin)
-    prof = profiler if profiler is not None else PipelineProfiler()
-    prof.threaded = threaded
+    tracked = [i for i, driver in enumerate(drivers) if driver.tracker is not None]
+    if tracked:
+        raise ValueError(
+            f"lane {tracked[0]}'s driver has a tracker; the pipeline's own "
+            "trackers analyse the run"
+        )
+    net: NetworkConfig = engine.cfg
+    source, encoder = window_source(engine, drivers), FlitEncoder(net)
+    body = chunk_kernel(engine, drivers)
+    analysis = Analysis(net, len(views))
+    prof = PipelineProfiler(threaded=threaded)
+    marks = [(0, 0)] * len(views)
 
-    windows = _windows(generate, prof, engine.cycle, engine.cycle + cycles, chunk)
+    def booked():
+        """Per lane, the ``(lo, hi)`` log bounds of each log's events
+        booked since the last call (entries below them never change)."""
+        nonlocal marks
+        now = [(len(view.injections), len(view.ejections)) for view in views]
+        spans, marks = list(zip(marks, now)), now
+        return spans
 
+    def launch(window):
+        """Start simulating a loaded window — one call of the chunk body,
+        on the fabric thread or here — or, without the body, step it here
+        and book it: ``(job, window, log spans once booked)``."""
+        if body is None:
+            step_window(engine, drivers, window)
+            return None, window, booked()
+        job = body.prepare(drivers, window.stop - window.start, window)
+        return (job.start() if threaded else job.run()), window, None
+
+    def land(flight) -> None:
+        """Take a window back: its cycles and the drivers' queues.  A
+        window the body stopped with an error is booked, and the error
+        raised.  (A stepped window is back already.)"""
+        job = flight[0]
+        if job is None:
+            return
+        if job.threaded:
+            with prof.wait("simulate"):
+                job.wait()
+            prof.record("simulate", job.seconds, job.cpu_seconds)
+        with prof.busy("simulate"):
+            job.land()
+            if job.ret:
+                job.book()
+                job.check()
+
+    def book(flight):
+        """Log a landed window's events and book its traffic."""
+        job, window, spans = flight
+        if job is None:
+            return window, spans
+        job.book()
+        return window, booked()
+
+    def analyse(window, spans) -> None:
+        with prof.busy("retrieve"):
+            injections = [
+                log_window(view.injections, lo[0], hi[0])
+                for view, (lo, hi) in zip(views, spans)
+            ]
+            ejections = [
+                log_window(view.ejections, lo[1], hi[1])
+                for view, (lo, hi) in zip(views, spans)
+            ]
+        prof.add_items("retrieve", 1)
+        with prof.busy("analyze"):
+            analysis.add(window, injections, ejections)
+        prof.add_items("analyze", 1)
+
+    start, end = engine.cycle, engine.cycle + cycles
+    flight = None  # the window simulating
     wall_start = time.perf_counter()
-    _run(load, simulate, retrieve, analyze, windows, prof, drain_max_cycles, threaded)
-    prof.wall_seconds += time.perf_counter() - wall_start
-
-    done = analyze.done_cycles or [0] * len(drivers)
-    return PipelineReport(
-        cycles=cycles,
-        done_cycles=done,
-        profiler=prof,
-        analyze=analyze,
-        overloaded=simulate.overloaded,
-        flits_loaded=sum(driver.flits_generated for driver in drivers),
-        drivers=drivers,
-    )
-
-
-def _windows(generate, prof, start: int, end: int, chunk: int):
-    """The generate stage over ``[start, end)``: ``chunk`` cycles a
-    window — fewer where the source's flit budget ends one, and the next
-    starts there."""
-    while start < end:
-        with prof.busy("generate"):
-            stimulus = generate.produce(start, min(start + chunk, end))
-        prof.add_items("generate", 1)
-        yield stimulus
-        start = stimulus.stop
-
-
-def _run(load, simulate, retrieve, analyze, windows, prof, drain_max, fabric) -> None:
-    launched = None  # the window simulating
     try:
-        for stimulus in windows:
+        while start < end:
+            with prof.busy("generate"):
+                window = source.scan(start, min(start + chunk, end))
+            prof.add_items("generate", 1)
+            start = window.stop
             with prof.busy("load"):
-                loaded = load.process(stimulus)
+                window = window.load(net, encoder)
             prof.add_items("load", 1)
-            landed = launched
+            landed = flight
             if landed is not None:
-                _land(simulate, landed, prof)
+                land(landed)
             with prof.busy("simulate"):
                 try:
-                    launched = simulate.launch(loaded, fabric)
+                    flight = launch(window)
                 finally:  # the landed window's events go to the logs first
-                    result = None if landed is None else simulate.book(landed)
+                    if landed is not None:
+                        landed = book(landed)
             prof.add_items("simulate", 1)
-            if result is not None:
-                _analyse(retrieve, analyze, result, prof)
-        if launched is not None:
-            _land(simulate, launched, prof)
+            if landed is not None:
+                analyse(*landed)
+        if flight is not None:
+            land(flight)
             with prof.busy("simulate"):
-                result = simulate.book(launched)
-            _analyse(retrieve, analyze, result, prof)
+                landed = book(flight)
+            analyse(*landed)
         with prof.busy("simulate"):
-            final = simulate.drain(max_cycles=drain_max)
-        _analyse(retrieve, analyze, final, prof)
+            if isinstance(engine, BatchEngine):
+                done = list(drain_batched(engine, drivers))
+            else:
+                done = [drivers[0].drain()]
+            spans = booked()
+        analyse(None, spans)
     finally:
-        simulate.close(launched)
-
-
-def _land(simulate, launched, prof) -> None:
-    with prof.wait("simulate"):
-        fabric_s, fabric_cpu = simulate.wait(launched)
-    prof.record("simulate", fabric_s, fabric_cpu)
-    with prof.busy("simulate"):
-        simulate.land(launched)
-
-
-def _analyse(retrieve, analyze, result, prof) -> None:
-    with prof.busy("retrieve"):
-        retrieved = retrieve.process(result)
-    prof.add_items("retrieve", 1)
-    with prof.busy("analyze"):
-        analyze.process(retrieved)
-    prof.add_items("analyze", 1)
+        # a window a failing run unwinds past is landed and booked, so the
+        # engine and drivers end where it ended; its own error gives way
+        # to the one unwinding
+        if flight is not None and flight[0] is not None:
+            flight[0].land()
+            flight[0].book()
+        if body is not None:
+            body.close_fabric()
+    prof.wall_seconds += time.perf_counter() - wall_start
+    return PipelineReport(cycles, done, prof, analysis)

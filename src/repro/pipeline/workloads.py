@@ -14,23 +14,17 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.pipeline.runner import DEFAULT_CHUNK, PipelineReport, run_pipeline
+from repro.traffic.stimuli import TrafficDriver
 
 
 @dataclass
 class StreamedSweep:
-    """A sweep's points plus the pipeline telemetry that produced them."""
+    """A sweep's points, the pipeline telemetry that produced them and
+    the drivers it ran (one a lane, as the run left them)."""
 
     points: List
     report: PipelineReport
-
-
-def _fig1_traffic(net, streams, be_load: float, gt_period: int, seed: int):
-    """One lane's ``(be, gt)`` pair over the shared reserved ``streams``."""
-    from repro.traffic import BernoulliBeTraffic, GtStreamTraffic, uniform_random
-
-    gt = GtStreamTraffic(net, streams, period=gt_period)
-    be = BernoulliBeTraffic(net, be_load, uniform_random(net), seed=seed)
-    return be, gt
+    drivers: List[TrafficDriver]
 
 
 def stream_fig1_sweep(
@@ -41,16 +35,12 @@ def stream_fig1_sweep(
     warmup: Optional[int] = None,
     chunk: int = DEFAULT_CHUNK,
     threaded: bool = True,
-    profiler=None,
 ) -> StreamedSweep:
     """The Figure-1 load sweep, streamed.
 
     The whole sweep runs on one :class:`~repro.engines.BatchEngine`
     (one lane per load) behind a single pipeline.  Points equal the
-    monolithic sweep's.  ``profiler`` is the experiments'
-    :class:`StageProfiler` convention; the pipeline's own
-    :class:`~repro.platform.profiler.PipelineProfiler` is
-    ``result.report.profiler``.
+    monolithic sweep's.
     """
     from repro.engines import BatchEngine
     from repro.experiments.common import (
@@ -58,21 +48,24 @@ def stream_fig1_sweep(
         fig1_gt_streams,
         fig1_network,
     )
-    from repro.experiments.parallel import sweep_stage
+    from repro.traffic import BernoulliBeTraffic, GtStreamTraffic, uniform_random
 
     net = fig1_network()
     # one reservation table for every lane and point (streams are immutable)
     streams = fig1_gt_streams(net).streams
     warmup = gt_period if warmup is None else warmup
-    with sweep_stage(profiler, points=len(be_loads), streamed=1):
-        engine = BatchEngine(net, lanes=len(be_loads))
-        traffic = [
-            _fig1_traffic(net, streams, load, gt_period, seed)
-            for load in be_loads
-        ]
-        report = run_pipeline(
-            engine, traffic, warmup + cycles, chunk=chunk, threaded=threaded
+    engine = BatchEngine(net, lanes=len(be_loads))
+    drivers = [
+        TrafficDriver(
+            engine.lane(lane),
+            be=BernoulliBeTraffic(net, load, uniform_random(net), seed=seed),
+            gt=GtStreamTraffic(net, streams, period=gt_period),
         )
+        for lane, load in enumerate(be_loads)
+    ]
+    report = run_pipeline(
+        engine, drivers, warmup + cycles, chunk=chunk, threaded=threaded
+    )
     metrics = getattr(engine, "metrics", None)
     points = [
         _fig1_point_result(
@@ -88,7 +81,7 @@ def stream_fig1_sweep(
         )
         for lane, be_load in enumerate(be_loads)
     ]
-    return StreamedSweep(points, report)
+    return StreamedSweep(points, report, drivers)
 
 
 def stream_pattern_sweep(
@@ -98,17 +91,15 @@ def stream_pattern_sweep(
     seed: int = 0x7A77,
     chunk: int = DEFAULT_CHUNK,
     threaded: bool = True,
-    profiler=None,
 ) -> StreamedSweep:
     """The traffic-pattern sweep, streamed on the batch engine's lanes.
 
     Summaries equal :func:`repro.experiments.patterns.run_patterns_batched`
     (same traffic, same engine semantics) but are assembled from the
-    analyze stage's incremental counters — the full ejection log is
-    never rescanned.
+    analysis's incremental counters — the full ejection log is never
+    rescanned.
     """
     from repro.engines import BatchEngine
-    from repro.experiments.parallel import sweep_stage
     from repro.experiments.patterns import (
         HOTSPOT_XY,
         PatternResult,
@@ -120,14 +111,14 @@ def stream_pattern_sweep(
 
     net = NetworkConfig(6, 6, topology="torus")
     engine = BatchEngine(net, lanes=len(names))
-    traffic = [
-        (BernoulliBeTraffic(net, load, _make_pattern(name, net), seed=seed), None)
-        for name in names
-    ]
-    with sweep_stage(profiler, points=len(names), streamed=1):
-        report = run_pipeline(
-            engine, traffic, cycles, chunk=chunk, threaded=threaded
+    drivers = [
+        TrafficDriver(
+            engine.lane(lane),
+            be=BernoulliBeTraffic(net, load, _make_pattern(name, net), seed=seed),
         )
+        for lane, name in enumerate(names)
+    ]
+    report = run_pipeline(engine, drivers, cycles, chunk=chunk, threaded=threaded)
 
     target = net.index(*HOTSPOT_XY)
     points = []
@@ -151,4 +142,4 @@ def stream_pattern_sweep(
                 ),
             )
         )
-    return StreamedSweep(points, report)
+    return StreamedSweep(points, report, drivers)

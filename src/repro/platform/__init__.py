@@ -10,7 +10,13 @@ buffers (Fig. 8).  This package reproduces that control program:
   (generate, load, simulate one period, retrieve, analyze), including
   the overload stop, the per-phase profile of Table 4, and the
   checkpoint/rollback fault-recovery machinery;
-* :mod:`repro.platform.profiler` — modelled-time profiling.
+* :mod:`repro.platform.profiler` — per-phase accounting: modelled
+  seconds (:class:`PhaseProfiler`, Table 4) and the measured busy, CPU
+  and wait seconds of a streamed run (:class:`PipelineProfiler`).
+
+The same five steps run on the fused chunk path as one loop,
+:func:`repro.pipeline.run_pipeline`, with the simulation on a fabric
+thread beside the caller.
 """
 
 from repro.platform.cyclic_buffer import BufferOverrunError, BufferUnderrunError, CyclicBuffer
@@ -19,7 +25,7 @@ from repro.platform.controller import (
     SimulationReport,
     crosscheck_overlap,
 )
-from repro.platform.profiler import PhaseProfiler, PipelineProfiler, StageProfiler
+from repro.platform.profiler import PhaseProfiler, PipelineProfiler
 
 __all__ = [
     "BufferOverrunError",
@@ -29,6 +35,5 @@ __all__ = [
     "PipelineProfiler",
     "SimulationController",
     "SimulationReport",
-    "StageProfiler",
     "crosscheck_overlap",
 ]

@@ -1,6 +1,5 @@
-"""Per-phase profiling — the machinery behind Table 4 — plus a generic
-wall-clock stage profiler for the experiment sweeps and the streaming
-pipeline's per-stage busy/wait instrumentation."""
+"""Per-phase profiling — the machinery behind Table 4 — plus the
+streaming pipeline's per-phase busy/wait instrumentation."""
 
 from __future__ import annotations
 
@@ -52,54 +51,6 @@ class PhaseProfiler:
         lines = [f"{'Simulation step':<32} {'%':>6}"]
         for phase, pct in self.rows():
             lines.append(f"{labels[phase]:<32} {pct:>5.1f}%")
-        return "\n".join(lines)
-
-
-@dataclass
-class StageProfiler:
-    """Wall-clock timing per named stage, plus free-form counters.
-
-    Unlike :class:`PhaseProfiler` (which models the paper's fixed Table-4
-    phases from analytic cost models), this measures *real* elapsed time
-    of arbitrary stages — the experiment sweeps use it to report setup /
-    sweep / analysis splits and the parallel runner records point and
-    worker counts in it.
-
-    >>> prof = StageProfiler()
-    >>> with prof.stage("sweep"):
-    ...     pass
-    >>> prof.count("points", 8)
-    """
-
-    seconds: Dict[str, float] = field(default_factory=dict)
-    calls: Dict[str, int] = field(default_factory=dict)
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def stage(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-            self.calls[name] = self.calls.get(name, 0) + 1
-
-    def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())
-
-    def render(self) -> str:
-        lines = [f"{'stage':<20} {'calls':>6} {'seconds':>9}"]
-        for name in self.seconds:
-            lines.append(
-                f"{name:<20} {self.calls.get(name, 0):>6} {self.seconds[name]:>9.3f}"
-            )
-        for name, value in self.counters.items():
-            lines.append(f"{name:<20} {value:>6}")
         return "\n".join(lines)
 
 

@@ -140,62 +140,17 @@ class BernoulliBeTraffic:
         self.rng.state, self.rng.words_read, self._seq[:] = state
 
     def packets_for_cycle(self, cycle: int) -> List[Packet]:
-        """Packets generated network-wide in one cycle.
+        """Packets generated network-wide in one cycle."""
+        return self.packets_for_cycles(cycle, cycle + 1)[0]
+
+    def packets_for_cycles(self, start: int, stop: int) -> List[List[Packet]]:
+        """One packet list per cycle in ``[start, stop)``, from a single
+        pass that keeps the LFSR state in locals across the whole chunk.
 
         The per-source Bernoulli draw is inlined (one LFSR jump and a
         threshold compare, exactly :meth:`HardwareLfsr.bernoulli`) —
-        this is the simulation's innermost traffic loop, executed once
+        this is the Python traffic path's innermost loop, executed once
         per router per cycle whether or not a packet is generated.
-        """
-        out = []
-        prob = self.packet_probability
-        if prob <= 0:
-            return out
-        threshold = int(prob * 2**32)
-        rng = self.rng
-        j0, j1, j2, j3 = _JUMP
-        state = rng.state
-        reads = 0
-        for src in range(self.net.n_routers):
-            state = (
-                j0[state & 0xFF]
-                ^ j1[(state >> 8) & 0xFF]
-                ^ j2[(state >> 16) & 0xFF]
-                ^ j3[state >> 24]
-            )
-            reads += 1
-            if state < threshold:
-                # Sync the generator before the pattern consumes it.
-                rng.state = state
-                rng.words_read += reads
-                reads = 0
-                seq = self._seq[src]
-                self._seq[src] = (seq + 1) & 0xFF
-                payload = _ramp_payload(src + seq, self.payload_bytes)
-                out.append(
-                    Packet(
-                        src=src,
-                        dest=self.pattern(src, self.rng),
-                        pclass=PacketClass.BE,
-                        payload=payload,
-                        tag=seq % 128,
-                        seq=seq,
-                    )
-                )
-                state = rng.state
-        rng.state = state
-        rng.words_read += reads
-        return out
-
-    def packets_for_cycles(self, start: int, stop: int) -> List[List[Packet]]:
-        """Chunked streaming form of :meth:`packets_for_cycle`.
-
-        Returns one packet list per cycle in ``[start, stop)``, produced
-        by a single pass that keeps the LFSR state in locals across the
-        whole chunk — the generator state afterwards, and every packet,
-        is bit-identical to ``stop - start`` per-cycle calls.  This is
-        the generate stage's API: one chunk of stimuli per call, cheap
-        enough that generation streams ahead of the simulation.
         """
         per_cycle: List[List[Packet]] = []
         prob = self.packet_probability
@@ -221,8 +176,7 @@ class BernoulliBeTraffic:
                 )
                 reads += 1
                 if state < threshold:
-                    # Sync the generator before the pattern consumes it
-                    # (identical to the per-cycle loop).
+                    # Sync the generator before the pattern consumes it.
                     rng.state = state
                     rng.words_read += reads
                     reads = 0

@@ -522,13 +522,16 @@ class TestSourceAudit:
 
     def test_the_fast_path_names_no_per_packet_object(self):
         """Traffic crosses the chunk boundary as columns: the chunk
-        kernel, the traffic kernel and the pipeline stages construct no
+        kernel, the traffic kernel and the pipeline's loop construct no
         packet, submit record or stimuli entry, and the dict-of-lists
-        window format's helpers are gone from ``src/``."""
+        window format's helpers are gone from ``src/`` — as are stage
+        and chunk classes around the loop, and the sweeps' stage
+        profiler."""
+        import ast
         import re
 
         built = re.compile(r"\b(Packet|SubmitRecord|StimuliEntry)\(")
-        fast = ("kernels/batchlevel.py", "kernels/trafficgen.py", "pipeline/stages.py")
+        fast = ("kernels/batchlevel.py", "kernels/trafficgen.py", "pipeline/runner.py")
         found = {
             (name, match)
             for name in fast
@@ -537,20 +540,29 @@ class TestSourceAudit:
             for match in built.findall(text)
         }
         assert not found
-        gone = re.compile(r"encode_window|window_entries|scan_window")
+        sources = [path for path, _ in self._sources()]
+        assert all(any(p.endswith(name) for p in sources) for name in fast)
+        gone = re.compile(r"encode_window|window_entries|scan_window|StageProfiler|sweep_stage")
         assert not [
             path for path, text in self._sources() if gone.search(text)
         ]
+        wrappers = [
+            node.name
+            for _path, text in self._sources("pipeline")
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef) and node.name.endswith(("Stage", "Chunk"))
+        ]
+        assert not wrappers
 
     def test_analysis_turns_no_column_into_a_list(self):
         """Events, submits and samples stay integer arrays from the log
-        to the statistics: the tracker, the pipeline stages and the
+        to the statistics: the tracker, the pipeline's loop and the
         submit hand-over never call ``.tolist()``."""
         import inspect
 
         from repro.traffic.stimuli import Stimuli
 
-        columnar = ("stats/latency.py", "pipeline/stages.py")
+        columnar = ("stats/latency.py", "pipeline/runner.py")
         texts = {
             name: text
             for name in columnar

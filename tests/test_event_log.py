@@ -93,7 +93,7 @@ class TestSequenceSurface:
         assert isinstance(log[2:9], list)
 
     def test_cursor_reads(self):
-        # PacketLatencyTracker.collect / controller / RetrieveStage:
+        # PacketLatencyTracker.collect / controller / the pipeline retrieve:
         # remember len, later read log[seen:] or log[lo:hi].
         log = EventLog(EjectionRecord)
         want, seen, got = [], 0, []

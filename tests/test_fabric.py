@@ -33,13 +33,14 @@ from repro.kernels.batchlevel import _STATE_FIELDS, FabricJob, jobs_in_flight
 from repro.noc import Port
 from repro.noc.reservation import GtStream
 from repro.noc.router import ProtocolError
-from repro.pipeline import SimulateStage, run_pipeline, stream_fig1_sweep
+from repro.pipeline import run_pipeline, stream_fig1_sweep
 from repro.traffic import GtStreamTraffic
 from repro.traffic.stimuli import NetworkOverloadError
 from tests.test_batch_levelized import full_digest, make_drivers, needs_jit, torus
 from tests.test_pipeline import (
     assert_engines_equal,
     classic_run,
+    lane_drivers,
     make_traffic,
     small_net,
     stream_fig1_set,
@@ -65,9 +66,7 @@ class TestThreadedEqualsSerialBatchedAndGolden:
             LOADS, CYCLES, **sized
         )
         assert threaded.report.done_cycles == serial.report.done_cycles
-        assert [d.submits for d in threaded.report.drivers] == [
-            d.submits for d in serial.report.drivers
-        ]
+        assert [d.submits for d in threaded.drivers] == [d.submits for d in serial.drivers]
         for lane in (0, len(LOADS) - 1):
             golden = run_fig1_workload(LOADS[lane], CYCLES, engine_cls=CycleEngine, **sized)
             # extra_delta_fraction is the engine's own accounting, not a result
@@ -107,11 +106,10 @@ class TestThreadedEqualsSerialBatchedAndGolden:
         want = full_digest(reference, drivers)
         for threaded in (True, False):
             streamed = engine()
-            report = run_pipeline(
-                streamed, copy.deepcopy(traffic), cycles, chunk=40, threaded=threaded
-            )
+            drivers = lane_drivers(streamed, copy.deepcopy(traffic))
+            report = run_pipeline(streamed, drivers, cycles, chunk=40, threaded=threaded)
             assert streamed.fault_resident and report.done_cycles == list(done)
-            lanes, cycle, deltas = full_digest(streamed, report.drivers)
+            lanes, cycle, deltas = full_digest(streamed, drivers)
             assert [lane[:3] for lane in lanes] == [lane[:3] for lane in want[0]]
             assert (cycle, deltas) == want[1:]
 
@@ -124,9 +122,8 @@ class TestThreadedEqualsSerialBatchedAndGolden:
         classic_run(golden, copy.deepcopy(be), copy.deepcopy(gt), cycles)
         for threaded in (True, False):
             engine = SequentialEngine(net)
-            report = run_pipeline(
-                engine, [copy.deepcopy((be, gt))], cycles, chunk=48, threaded=threaded
-            )
+            drivers = lane_drivers(engine, [copy.deepcopy((be, gt))])
+            report = run_pipeline(engine, drivers, cycles, chunk=48, threaded=threaded)
             assert engine.kernel_reason is None  # the compiled HBR body ran
             assert_engines_equal(engine, classic)
             assert_engines_equal(engine, golden)
@@ -140,7 +137,7 @@ def test_no_python_writes_what_a_job_in_flight_owns(monkeypatch):
     """Between the launch and the wait, the engine's state arrays, the
     staged rows, the job's event buffers and the call scratch are
     read-only to Python: the threaded run goes through untouched."""
-    _, _, want = stream_fig1_set(150, chunk=40, threaded=False)
+    want = stream_fig1_set(150, chunk=40, threaded=False)[2]
     frozen = []
     real_start, real_wait = FabricJob.start, FabricJob.wait
 
@@ -172,29 +169,15 @@ def test_no_python_writes_what_a_job_in_flight_owns(monkeypatch):
     owned_jobs = []
     monkeypatch.setattr(FabricJob, "start", start)
     monkeypatch.setattr(FabricJob, "wait", wait)
-    engine, report, got = stream_fig1_set(150, chunk=40)
+    _, report, got, _ = stream_fig1_set(150, chunk=40)
     assert got == want
     assert len(owned_jobs) == report.profiler.items["simulate"] and not frozen
-
-
-def capture(patch):
-    """The drivers the next ``run_pipeline`` builds."""
-    drivers = []
-    real_init = SimulateStage.__init__
-
-    def spy(stage, engine, stage_drivers):
-        drivers.extend(stage_drivers)
-        real_init(stage, engine, stage_drivers)
-
-    patch.setattr(SimulateStage, "__init__", spy)
-    return drivers
 
 
 def overload_run():
     """Saturated depth-1 queues: lane 0 overloads at cycle 63, window 3."""
     engine = BatchEngine(torus(queue_depth=1), lanes=2)
-    traffic = [(d.be, None) for d in make_drivers(engine, 0.8)]
-    return engine, traffic, dict(stall_limit=20)
+    return engine, make_drivers(engine, 0.8, stall_limit=20)
 
 
 def protocol_run():
@@ -203,21 +186,17 @@ def protocol_run():
     engine = BatchEngine(torus(4, 4), lanes=2)
     net = engine.cfg
     stream = GtStream(src=5, dest=6, vc=net.router.be_vcs[0], links=((5, Port.EAST),))
-    traffic = [
-        (d.be, GtStreamTraffic(net, [stream], period=97) if lane == 0 else None)
-        for lane, d in enumerate(make_drivers(engine, 0.05))
-    ]
-    return engine, traffic, {}
+    drivers = make_drivers(engine, 0.05)
+    drivers[0].gt = GtStreamTraffic(net, [stream], period=97)
+    return engine, drivers
 
 
 @pytest.mark.parametrize("scenario", [overload_run, protocol_run], ids=["overload", "protocol"])
-def test_an_error_ends_a_threaded_run_where_the_serial_loop_ends(monkeypatch, scenario):
+def test_an_error_ends_a_threaded_run_where_the_serial_loop_ends(scenario):
     def run(threaded):
-        engine, traffic, kwargs = scenario()
-        with monkeypatch.context() as patch:
-            drivers = capture(patch)
-            with pytest.raises((NetworkOverloadError, ProtocolError)) as err:
-                run_pipeline(engine, traffic, 400, chunk=16, threaded=threaded, **kwargs)
+        engine, drivers = scenario()
+        with pytest.raises((NetworkOverloadError, ProtocolError)) as err:
+            run_pipeline(engine, drivers, 400, chunk=16, threaded=threaded)
         assert jobs_in_flight() == 0
         return type(err.value), str(err.value), engine.cycle, full_digest(engine, drivers)
 
@@ -228,7 +207,7 @@ def test_an_error_ends_a_threaded_run_where_the_serial_loop_ends(monkeypatch, sc
         NetworkOverloadError if scenario is overload_run else ProtocolError
     )
     # and the process runs on: the next streamed run is the serial one
-    _, _, want = stream_fig1_set(100, chunk=30, threaded=False)
+    want = stream_fig1_set(100, chunk=30, threaded=False)[2]
     assert stream_fig1_set(100, chunk=30)[2] == want
 
 

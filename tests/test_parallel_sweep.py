@@ -20,7 +20,6 @@ from repro.experiments import fig1, patterns
 from repro.experiments.parallel import WORKERS_ENV, parallel_map, resolve_workers
 from repro.farm import FarmJobError
 from repro.faults import CampaignConfig
-from repro.platform import StageProfiler
 
 
 def square(x):
@@ -119,14 +118,6 @@ class TestParallelMap:
             len(o.failures) == 1 for o in farm_reports[0].outcomes.values()
         )
         assert time.perf_counter() - started < 5.0
-
-    def test_profiler_counters(self):
-        profiler = StageProfiler()
-        parallel_map(square, range(5), workers=1, profiler=profiler)
-        assert profiler.counters["points"] == 5
-        assert profiler.counters["workers"] == 1
-        assert profiler.seconds["sweep"] >= 0.0
-        assert "sweep" in profiler.render()
 
 
 class TestResolveWorkers:
@@ -232,8 +223,17 @@ class TestLaneBatching:
         laned = patterns.run(names, cycles=100)
         assert process.points == laned.points
 
-    def test_lane_sweep_profiled(self):
-        profiler = StageProfiler()
-        fig1.run((0.0, 0.04, 0.08, 0.12), cycles=60, profiler=profiler)
-        assert profiler.counters["lanes"] == 4
-        assert "sweep" in profiler.seconds
+    def test_lane_sweep_profiled(self, monkeypatch):
+        # four loads and no worker count: one lane-batched run, no farm
+        calls = []
+        real = fig1.run_fig1_workloads_batched
+
+        def spy(loads, *args, **kwargs):
+            calls.append(tuple(loads))
+            return real(loads, *args, **kwargs)
+
+        monkeypatch.setattr(fig1, "run_fig1_workloads_batched", spy)
+        monkeypatch.setattr(fig1, "parallel_map", None)
+        loads = (0.0, 0.04, 0.08, 0.12)
+        assert len(fig1.run(loads, cycles=60).points) == 4
+        assert calls == [loads]

@@ -21,6 +21,7 @@ from repro.engines import (
     CycleEngine,
     SequentialEngine,
     drain_batched,
+    lane_views,
     run_batched,
 )
 from repro.noc.network import EjectionRecord, InjectionRecord
@@ -28,12 +29,7 @@ from repro.experiments.common import fig1_gt_streams, fig1_network
 from repro.kernels.batchlevel import CompiledBatchLevel, jobs_in_flight
 from repro.noc import NetworkConfig, RouterConfig
 from repro.noc.packet import segment
-from repro.pipeline import (
-    GenerateStage,
-    LoadStage,
-    SimulateStage,
-    run_pipeline,
-)
+from repro.pipeline import run_pipeline
 from repro.stats import PacketLatencyTracker
 from repro.traffic import (
     BernoulliBeTraffic,
@@ -67,6 +63,15 @@ def make_traffic(net, load=0.08, seed=0xA5, with_gt=False):
         table = fig1_gt_streams(net)
         gt = GtStreamTraffic(net, table.streams, period=200)
     return be, gt
+
+
+def lane_drivers(engine, traffic, **kwargs):
+    """One plain driver per lane view over ``traffic``'s ``(be, gt)``
+    pairs: what :func:`run_pipeline` takes."""
+    return [
+        TrafficDriver(view, be=be, gt=gt, **kwargs)
+        for view, (be, gt) in zip(lane_views(engine), traffic)
+    ]
 
 
 def classic_run(engine, be, gt, cycles):
@@ -125,13 +130,15 @@ def fig1_traffic():
 
 def stream_fig1_set(cycles, **kwargs):
     """Stream the Fig. 1 set; one digest per lane, comparable to
-    :func:`fig1_lane_digest` (the trackers are the analyze stage's)."""
+    :func:`fig1_lane_digest` (the trackers are the report's), and the
+    drivers."""
     engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS))
     traffic = fig1_traffic()
-    report = run_pipeline(engine, traffic, cycles, **kwargs)
+    drivers = lane_drivers(engine, traffic)
+    report = run_pipeline(engine, drivers, cycles, **kwargs)
     digests = []
     for lane, (be, gt) in enumerate(traffic):
-        view, driver = engine.lane(lane), report.drivers[lane]
+        view, driver = engine.lane(lane), drivers[lane]
         digests.append(
             (
                 view.snapshot(),
@@ -146,7 +153,7 @@ def stream_fig1_set(cycles, **kwargs):
                 report.done_cycles[lane],
             )
         )
-    return engine, report, digests
+    return engine, report, digests, drivers
 
 
 @pytest.fixture(scope="module")
@@ -230,14 +237,13 @@ class TestPipelineEquivalence:
         )
 
         streamed_engine = engine_cls(net)
-        report = run_pipeline(streamed_engine, [(be, gt)], cycles, chunk=64)
+        (streamed,) = drivers = lane_drivers(streamed_engine, [(be, gt)])
+        report = run_pipeline(streamed_engine, drivers, cycles, chunk=64)
         assert_engines_equal(streamed_engine, classic_engine)
         assert report.done_cycles == [done]
-        assert report.flits_loaded == driver.flits_generated
         assert report.trackers[0].samples == classic_tracker.samples
         assert report.trackers[0].stats() == classic_tracker.stats()
-        # the pipeline's driver *is* a TrafficDriver: same state left behind
-        streamed = report.drivers[0]
+        # the pipeline ran the caller's driver: same state left behind
         assert streamed.flits_generated == driver.flits_generated
         assert streamed._stall == driver._stall
         assert streamed._be_vc_toggle == driver._be_vc_toggle
@@ -274,7 +280,9 @@ class TestPipelineEquivalence:
             (BernoulliBeTraffic(net, 0.08, uniform_random(net), seed=s), None)
             for s in seeds
         ]
-        report = run_pipeline(streamed_engine, traffic, cycles, chunk=64)
+        report = run_pipeline(
+            streamed_engine, lane_drivers(streamed_engine, traffic), cycles, chunk=64
+        )
         assert streamed_engine.snapshot() == classic_engine.snapshot()
         assert report.done_cycles == list(done)
         for i in range(lanes):
@@ -291,16 +299,16 @@ class TestPipelineEquivalence:
         cycles = 300
         be, gt = make_traffic(net, with_gt=True)
         threaded_engine = SequentialEngine(net)
-        threaded = run_pipeline(
-            threaded_engine, [(copy.deepcopy(be), copy.deepcopy(gt))], cycles
+        (threaded_driver,) = drivers = lane_drivers(
+            threaded_engine, [(copy.deepcopy(be), copy.deepcopy(gt))]
         )
+        threaded = run_pipeline(threaded_engine, drivers, cycles)
         serial_engine = SequentialEngine(net)
-        serial = run_pipeline(
-            serial_engine, [(be, gt)], cycles, threaded=False
-        )
+        (serial_driver,) = drivers = lane_drivers(serial_engine, [(be, gt)])
+        serial = run_pipeline(serial_engine, drivers, cycles, threaded=False)
         assert_engines_equal(threaded_engine, serial_engine)
         assert threaded.done_cycles == serial.done_cycles
-        assert threaded.flits_loaded == serial.flits_loaded
+        assert threaded_driver.flits_generated == serial_driver.flits_generated
         assert threaded.trackers[0].samples == serial.trackers[0].samples
         assert threaded.profiler.threaded and not serial.profiler.threaded
 
@@ -314,7 +322,9 @@ class TestPipelineEquivalence:
             reference_engine, copy.deepcopy(be), None, cycles
         )
         engine = SequentialEngine(net)
-        report = run_pipeline(engine, [(be, None)], cycles, chunk=chunk)
+        report = run_pipeline(
+            engine, lane_drivers(engine, [(be, None)]), cycles, chunk=chunk
+        )
         assert_engines_equal(engine, reference_engine)
         assert report.trackers[0].samples == ref_tracker.samples
 
@@ -327,7 +337,7 @@ class TestPipelineEquivalence:
         cycles, end_cycle, reference = fig1_reference
         flits = []
         chunks, steps = spy_paths(monkeypatch, flits)
-        engine, report, streamed = stream_fig1_set(
+        engine, report, streamed, drivers = stream_fig1_set(
             cycles, chunk=chunk, threaded=threaded
         )
         assert engine.kernel == "jit" and engine.cycle == end_cycle
@@ -353,8 +363,8 @@ class TestPipelineEquivalence:
             assert lengths[0] == 49 and max(lengths) <= min(chunk, 65)
         assert steps == [] and engine.kernel_drain_cycles == end_cycle - cycles
         assert end_cycle - cycles == max(report.done_cycles)
-        assert report.flits_loaded == sum(report.analyze.inj_counts)
-        assert not report.overloaded
+        assert sum(d.flits_generated for d in drivers) == sum(report.analyze.inj_counts)
+        assert not any(d.overloaded for d in drivers)
 
     @needs_jit
     def test_streamed_batch_run_builds_no_record(self, monkeypatch):
@@ -375,10 +385,11 @@ class TestPipelineEquivalence:
                 for cls in (InjectionRecord, EjectionRecord, Packet, SubmitRecord, StimuliEntry):
                     patch.setattr(cls, "__init__", forbidden)
                 engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS))
-                report = run_pipeline(engine, traffic, 200, chunk=64)
+                drivers = lane_drivers(engine, traffic)
+                report = run_pipeline(engine, drivers, 200, chunk=64)
             assert sum(report.analyze.ej_counts) > (300 if be_only else 1000)
             assert sum(len(t.samples) for t in report.trackers) > (40 if be_only else 100)
-            assert report.analyze.submit_counts == [len(d.submits) for d in report.drivers]
+            assert report.analyze.submit_counts == [len(d.submits) for d in drivers]
             assert report.analyze.inj_counts == [
                 len(engine.lane_injections(i)) for i in range(engine.lanes)
             ]
@@ -394,9 +405,9 @@ class TestPipelineEquivalence:
         # touch the queues, the state arrays or the call buffers, staging
         # would see a changing store / the runs would diverge
         cycles = 96
-        _, _, serial = stream_fig1_set(cycles, chunk=8, threaded=False)
+        serial = stream_fig1_set(cycles, chunk=8, threaded=False)[2]
         for _ in range(20):
-            _, _, threaded = stream_fig1_set(cycles, chunk=8)
+            threaded = stream_fig1_set(cycles, chunk=8)[2]
             assert threaded == serial
 
     @needs_jit
@@ -406,7 +417,7 @@ class TestPipelineEquivalence:
         cycles, end_cycle, reference = fig1_reference
         chunks, steps = spy_paths(monkeypatch)
         request.getfixturevalue("no_cc")
-        engine, _, streamed = stream_fig1_set(cycles, chunk=50)
+        engine, _, streamed, _ = stream_fig1_set(cycles, chunk=50)
         assert engine.kernel == "python" and engine._compiled is None
         assert chunks == [] and steps == list(range(end_cycle))
         assert streamed == reference
@@ -420,22 +431,23 @@ class TestPipelineEquivalence:
         chunks, steps = spy_paths(monkeypatch)
         engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS))
         engine.pre_step_hooks.append(lambda e: None)
-        report = run_pipeline(engine, fig1_traffic(), cycles, chunk=50)
+        drivers = lane_drivers(engine, fig1_traffic())
+        report = run_pipeline(engine, drivers, cycles, chunk=50)
         assert chunks == [] and len(steps) == end_cycle
         for lane, want in enumerate(reference):
             assert engine.lane_snapshot(lane) == want[0]
             assert report.trackers[lane].samples == want[4]
-            assert report.drivers[lane]._stall == want[8]
+            assert drivers[lane]._stall == want[8]
 
     def test_incremental_stats_match_end_of_run(self):
         net = small_net()
         be, gt = make_traffic(net, with_gt=True)
         engine = SequentialEngine(net)
-        report = run_pipeline(engine, [(be, gt)], 300, chunk=64)
-        # analyze-stage counters equal the full logs they never held
+        report = run_pipeline(engine, lane_drivers(engine, [(be, gt)]), 300, chunk=64)
+        # the analysis's counters equal the full logs they never held
         assert report.analyze.inj_counts[0] == len(engine.injections)
         assert report.analyze.ej_counts[0] == len(engine.ejections)
-        hist = report.histograms[0]
+        hist = report.analyze.histograms[0]
         samples = report.trackers[0].samples
         assert hist.total == len(samples)
         throughput = report.analyze.throughput(0, engine.cycle)
@@ -443,22 +455,8 @@ class TestPipelineEquivalence:
         assert throughput.flits_ejected == len(engine.ejections)
 
 
-def capture_stage_drivers(monkeypatch):
-    """The drivers ``run_pipeline`` builds (it raises before it can hand
-    them out in a report)."""
-    drivers = []
-    real_init = SimulateStage.__init__
-
-    def spy_init(stage, engine, stage_drivers):
-        drivers.extend(stage_drivers)
-        real_init(stage, engine, stage_drivers)
-
-    monkeypatch.setattr(SimulateStage, "__init__", spy_init)
-    return drivers
-
-
 class TestPipelineErrors:
-    def test_overload_root_cause_survives_abort(self, monkeypatch):
+    def test_overload_root_cause_survives_abort(self):
         # a per-cycle engine: the window is stepped by step_window, its
         # traffic came from the driver's own generators — and is rewound
         # through them to where the classic driver loop stops
@@ -469,19 +467,12 @@ class TestPipelineErrors:
         with pytest.raises(NetworkOverloadError) as want:
             classic.run(2000)
         engine = CycleEngine(net)
-        drivers = capture_stage_drivers(monkeypatch)
+        (streamed,) = drivers = lane_drivers(engine, [(be, None)], stall_limit=50)
         with pytest.raises(NetworkOverloadError) as got:
-            run_pipeline(
-                engine,
-                [(be, None)],
-                2000,
-                chunk=64,
-                stall_limit=50,
-            )
+            run_pipeline(engine, drivers, 2000, chunk=64)
         assert str(got.value) == str(want.value)
         assert engine.cycle == classic_engine.cycle and engine.cycle % 64
         assert_engines_equal(engine, classic_engine)
-        (streamed,) = drivers
         assert streamed.overloaded and streamed.submits == classic.submits
         assert streamed.flits_generated == classic.flits_generated
         assert {k: list(q) for k, q in streamed.queues.items()} == {
@@ -492,29 +483,29 @@ class TestPipelineErrors:
         assert be.snapshot() == classic.be.snapshot()
         assert streamed._be_vc_toggle == classic._be_vc_toggle
 
-    def test_simulate_stage_out_of_sync(self):
-        net = small_net()
-        be, _ = make_traffic(net)
-        engine = SequentialEngine(net)
-        drivers = [TrafficDriver(engine, be=be)]
-        generate = GenerateStage(engine, drivers)
-        load = LoadStage(net)
-        simulate = SimulateStage(engine, drivers)
-        chunk = load.process(generate.produce(5, 10))
-        with pytest.raises(RuntimeError, match="out of sync"):
-            simulate.process(chunk)
-
     @pytest.mark.parametrize("chunk", [0, -3])
     def test_chunk_must_be_positive(self, chunk):
         net = small_net()
         be, _ = make_traffic(net)
         engine = SequentialEngine(net)
         with pytest.raises(ValueError, match="chunk must be >= 1"):
-            run_pipeline(engine, [(be, None)], 50, chunk=chunk)
+            run_pipeline(engine, lane_drivers(engine, [(be, None)]), 50, chunk=chunk)
         assert engine.cycle == 0
 
+    def test_driver_with_a_tracker_is_refused(self):
+        # the report's trackers do the analysis: a second one would see
+        # every submit twice over two matching bodies
+        net = small_net()
+        be, _ = make_traffic(net)
+        engine = BatchEngine(net, lanes=2)
+        drivers = lane_drivers(engine, [(be, None), (None, None)])
+        drivers[1].attach_tracker(PacketLatencyTracker(net))
+        with pytest.raises(ValueError, match="lane 1's driver has a tracker"):
+            run_pipeline(engine, drivers, 50)
+        assert engine.cycle == 0 and jobs_in_flight() == 0
+
     @needs_jit
-    def test_mid_chunk_overload_raises_the_reference_message(self, monkeypatch):
+    def test_mid_chunk_overload_raises_the_reference_message(self):
         # at the landing, with the reference's diagnostic, cycle, fabric
         # state, events, metrics, stall counters — and driver state: the
         # generate side ran a window ahead, and the failing window's
@@ -527,27 +518,19 @@ class TestPipelineErrors:
 
         # chunk=16: the overload (cycle 63) is chunks behind the generator
         engine = BatchEngine(torus(queue_depth=1), lanes=2)
-        sources = make_drivers(engine, 0.8)
-        stage_drivers = capture_stage_drivers(monkeypatch)
+        drivers = make_drivers(engine, 0.8, stall_limit=20)
         with pytest.raises(NetworkOverloadError) as got:
-            run_pipeline(
-                engine, [(d.be, None) for d in sources], 2000, chunk=16,
-                stall_limit=20,
-            )
+            run_pipeline(engine, drivers, 2000, chunk=16)
         assert str(got.value) == str(want.value)
         assert engine.cycle == reference.cycle and engine.cycle % 16
-        assert full_digest(engine, stage_drivers) == full_digest(reference, ref_drivers)
+        assert full_digest(engine, drivers) == full_digest(reference, ref_drivers)
 
-        # the stages by hand: report.overloaded is the drivers' own flag
+        # every call in the caller, 50-cycle windows: the overload flag
+        # is the drivers' own
         engine = BatchEngine(torus(queue_depth=1), lanes=2)
         drivers = make_drivers(engine, 0.8, stall_limit=20)
-        generate, load = GenerateStage(engine, drivers), LoadStage(engine.cfg)
-        simulate = SimulateStage(engine, drivers)
-        assert not simulate.overloaded
         with pytest.raises(NetworkOverloadError):
-            for start in range(0, 2000, 50):
-                simulate.process(load.process(generate.produce(start, start + 50)))
-        assert simulate.overloaded
+            run_pipeline(engine, drivers, 2000, chunk=50, threaded=False)
         assert [d.overloaded for d in drivers] == [d.overloaded for d in ref_drivers]
         assert full_digest(engine, drivers) == full_digest(reference, ref_drivers)
 
@@ -556,7 +539,7 @@ class TestPipelineErrors:
         be, _ = make_traffic(net)
         engine = BatchEngine(net, lanes=3)
         with pytest.raises(ValueError, match="lanes"):
-            run_pipeline(engine, [(be, None)], 50)
+            run_pipeline(engine, [TrafficDriver(engine.lane(0), be=be)], 50)
 
 
 class TestStreamedExperimentSweeps:
@@ -714,7 +697,7 @@ class TestPipelineSmoke:
         net = small_net()
         be, _ = make_traffic(net, load=0.06, seed=9)
         engine = SequentialEngine(net)
-        report = run_pipeline(engine, [(be, None)], 64, chunk=32)
+        report = run_pipeline(engine, lane_drivers(engine, [(be, None)]), 64, chunk=32)
         prof = report.profiler
         assert prof.items["simulate"] == 2
         assert prof.items["generate"] == 2
@@ -736,23 +719,25 @@ class TestAbortCleanup:
     this makes the abort path explicit."""
 
     def test_keyboard_interrupt_mid_stream_joins_all_stages(self, monkeypatch):
-        from repro.pipeline.stages import AnalyzeStage
+        from repro.pipeline.runner import Analysis
 
         calls = []
-        original = AnalyzeStage.process
+        original = Analysis.add
 
-        def bomb(stage, chunk):
-            calls.append(chunk)
+        def bomb(analysis, *window):
+            calls.append(window)
             if len(calls) == 2:  # window 1's analysis, window 2 on the fabric
                 raise KeyboardInterrupt("operator hit ctrl-c")
-            return original(stage, chunk)
+            return original(analysis, *window)
 
-        monkeypatch.setattr(AnalyzeStage, "process", bomb)
+        monkeypatch.setattr(Analysis, "add", bomb)
         net = small_net()
         be, _ = make_traffic(net)
         engine = SequentialEngine(net)
         with pytest.raises(KeyboardInterrupt):
-            run_pipeline(engine, [(copy.deepcopy(be), None)], 300, chunk=32)
+            run_pipeline(
+                engine, lane_drivers(engine, [(copy.deepcopy(be), None)]), 300, chunk=32
+            )
         assert jobs_in_flight() == 0
         # the window on the fabric was landed and booked on the way out
         assert engine.cycle == 3 * 32
