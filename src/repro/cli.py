@@ -124,7 +124,8 @@ def _report_kernel(engine, drivers) -> None:
 def _report_run(engine, drivers) -> None:
     """One line after the run, for engines with a kernel choice: whether
     the generated body took whole windows or one call per cycle (and
-    why), the share of router-cycles it had to evaluate, the
+    why), the share of router-cycles it had to evaluate and its host
+    time per stepped lane-cycle, the
     simulation period it ran at (section 5.3: windows, their mean
     length and flits) and the cycles the drain ran inside the body (a
     stepped run's drain steps too, for the reason the line opens with)."""
@@ -138,7 +139,11 @@ def _report_run(engine, drivers) -> None:
         share = engine.kernel_router_evals / (
             engine.kernel_lane_cycles * engine.cfg.n_routers
         )
-        line += f"; activity: {100 * share:.0f} % of router-cycles evaluated"
+        line += (
+            f"; activity: {100 * share:.0f} % of router-cycles evaluated"
+            f"; body: {1e9 * engine.kernel_seconds / engine.kernel_lane_cycles:.0f}"
+            " ns per stepped lane-cycle"
+        )
     windows = getattr(engine, "kernel_windows", 0)
     if windows:
         line += (

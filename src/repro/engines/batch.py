@@ -165,6 +165,10 @@ class BatchEngine:
         #: fabric windows left out.  The delta metrics stay nominal.
         self.kernel_router_evals = 0
         self.kernel_lane_cycles = 0
+        #: the body's own seconds over its calls (a call on the fabric
+        #: thread counts that thread's wall): over ``kernel_lane_cycles``,
+        #: the host time per stepped lane-cycle.
+        self.kernel_seconds = 0.0
         #: traffic windows it ran, one fused call each, their cycles and
         #: fresh flits: the simulation period as section 5.3 states it.
         self.kernel_windows = 0

@@ -26,6 +26,13 @@ cheap bulk-synchronous sequential commit — but its cost follows fabric
 * events leave the call grouped by lane with per-lane counts, so
   logging them is one block copy and one column slice per lane.
 
+The per-flit cost is kept down where a measurement showed it (DESIGN
+section 14, *The hot loop*): the pointer parameters are ``restrict`` —
+:meth:`CompiledBatchLevel._rebind` refuses arrays that share memory —
+so a store to one array does not force reloads of the others; the
+commit updates the occupancy words by mask arithmetic, not by
+data-dependent branches.
+
 Delta accounting is nominal by default (three sweeps of every router
 per cycle: the static schedule's cost on the paper's hardware); what the
 body actually evaluated is counted beside it
@@ -319,6 +326,9 @@ static int64_t hbr_cycle(
 }
 #endif
 
+/* Every pointer parameter is `restrict`: no two of the arrays overlap
+ * (CompiledBatchLevel._rebind refuses any that do), so a store to one
+ * does not force the others to be reloaded. */
 ${signature}
 {
     const int64_t BR = B * R;
@@ -734,15 +744,17 @@ ${signature}
         /* ---- pass 2: registered commit, list by list: every pop,
          * the overflow check of every push, every push, every
          * allocation; then per lane the stimuli interfaces and the
-         * ejections, which emit the events. ---- */
+         * ejections, which emit the events.  A pop clears its queue's
+         * non-empty bit and a push sets its full bit by mask arithmetic
+         * on the new count: at the usual depth of 2 either test is a
+         * coin flip, too dear as a branch. ---- */
         for (int64_t i = 0; i < n_pop; i++) {
             const int64_t xq = pop_q[i], x = xq / NQ, q = xq - x * NQ;
             const int64_t word = mem[xq * DMAX + rd[xq]];
             int64_t *o = occ + O_WORDS * x;
             rd[xq] = rd[xq] + 1 == pop_d[i] ? 0 : rd[xq] + 1;
             arb_ptr[pop_p[i]] = q;
-            if (--count[xq] == 0)
-                o[O_NE] &= ~(int64_t)BIT(q);
+            o[O_NE] &= ~((int64_t)(--count[xq] == 0) << q);
             o[O_FULL] &= ~(int64_t)BIT(q);
             if (((word >> DW) & 3) == TAIL_T) {
                 alloc[x * NQ + queue_alloc[xq]] = -1;
@@ -762,8 +774,7 @@ ${signature}
             mem[xq * DMAX + wr[xq]] = push_w[i];
             wr[xq] = wr[xq] + 1 == push_d[i] ? 0 : wr[xq] + 1;
             o[O_NE] |= (int64_t)BIT(q);
-            if (++count[xq] >= push_d[i])
-                o[O_FULL] |= (int64_t)BIT(q);
+            o[O_FULL] |= (int64_t)(++count[xq] >= push_d[i]) << q;
         }
         for (int64_t i = 0; i < n_alloc; i++) {
             const int64_t xq = alloc_q[i], x = xq / NQ, q = xq - x * NQ;
@@ -1073,7 +1084,7 @@ def generate_level_source(spec) -> str:
         VMASK=(1 << spec.n_vcs) - 1,
         HBR=int(spec.hbr),
         MAX_DELTA_FACTOR=ConvergenceWatchdog.DEFAULT_FACTOR,
-        signature=_SIGNATURE.strip(),
+        signature=_SIGNATURE.strip().replace("*", "*restrict "),
         fabric=_FABRIC,
     )
 
@@ -1214,14 +1225,24 @@ class CompiledBatchLevel:
         state = engine.state
         bound = {name: getattr(state, name) for name in _STATE_FIELDS}
         bound["depth"] = state.depth
+        # The routing table is re-packed (new object) on quarantine, and
+        # never mutated in place, so a private contiguous copy is safe.
+        bound["route"] = np.ascontiguousarray(engine._route, dtype=np.int64)
+        # The body's pointer parameters are `restrict`: no two arrays it
+        # is handed may overlap, or the compiled code is undefined.
+        arrays = {**bound, **self._tables, **self._scratch, "wires": state.wires}
+        named = [(name, arr) for name, arr in arrays.items() if arr is not None]
+        for i, (name, arr) in enumerate(named):
+            for other, arr2 in named[i + 1 :]:
+                if np.shares_memory(arr, arr2):
+                    raise KernelUnavailableError(
+                        f"the chunk body's arrays {name} and {other} share memory"
+                    )
         #: the HBR wire plane (NULL: the pass is off, accounting nominal)
         self._ptrs["wires"] = (
             self._ffi.NULL if state.wires is None else self._ptr(state.wires)
         )
         bound["route_src"] = engine._route
-        # The routing table is re-packed (new object) on quarantine, and
-        # never mutated in place, so a private contiguous copy is safe.
-        bound["route"] = np.ascontiguousarray(engine._route, dtype=np.int64)
         self._bound = bound
         for name in (*_STATE_FIELDS, "depth", "route"):
             self._ptrs[name] = self._ptr(bound[name])
@@ -1328,7 +1349,9 @@ class CompiledBatchLevel:
             self._rebind()
         most = self.engine.lanes * self.engine.cfg.n_routers
         events = self._events(most, most)
+        start = time.perf_counter()
         ret = self._lib.repro_level_chunk(*self._args(1, 0, 0, events))
+        self.engine.kernel_seconds += time.perf_counter() - start
         self._log(self._collect(events), events)
         if ret:
             self._raise(ret, self._scratch["err"])
@@ -1574,6 +1597,7 @@ class FabricJob:
         lanes = engine.lanes
         self._collected = body._collect(self._events)
         self.completed = completed = int(scratch["counts"][0])
+        engine.kernel_seconds += self.seconds
         engine.book_cycles(completed, body.delta_column(completed))
         # An arena too small for its lane's staged entries is replaced
         # (all of them are in `e`).

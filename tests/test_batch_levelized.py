@@ -182,7 +182,9 @@ class TestLevelizedKernelSmoke:
         )
 
     def test_generated_c_compiles_without_a_warning(self, tmp_path):
-        # an argument or scratch row a rewrite leaves unused fails here
+        # an argument or scratch row a rewrite leaves unused fails here;
+        # compiled to an object at the release flags, so the optimiser's
+        # own warnings (maybe-uninitialized, restrict, array-bounds) run
         reason = cbackend.availability()
         if reason is not None:
             pytest.skip(reason)
@@ -199,9 +201,10 @@ class TestLevelizedKernelSmoke:
         for name, source in units.items():
             path = tmp_path / f"{name}.c"
             path.write_text(source)
+            flags = [flag for flag in cbackend.CFLAGS if flag != "-shared"]
             proc = subprocess.run(
-                [cbackend._find_compiler(), "-Wall", "-Wextra", "-Werror",
-                 "-fsyntax-only", str(path)],
+                [cbackend._find_compiler(), *flags, "-Wall", "-Wextra", "-Werror",
+                 "-c", str(path), "-o", str(path.with_suffix(".o"))],
                 capture_output=True,
                 text=True,
             )
@@ -1425,6 +1428,29 @@ class TestActivityCounters:
         engine = BatchEngine(torus(), lanes=2, kernel="python")
         run_batched(engine, make_drivers(engine, 0.08), 40)
         assert (engine.kernel_router_evals, engine.kernel_lane_cycles) == (0, 0)
+        assert engine.kernel_seconds == 0
+
+    def test_body_seconds_add_up_over_the_calls(self):
+        engine = BatchEngine(torus(), lanes=2, kernel="levelized")
+        drivers = make_drivers(engine, 0.08)
+        run_batched(engine, drivers, 40)
+        first = engine.kernel_seconds
+        assert first > 0
+        drain_batched(engine, drivers)
+        assert engine.kernel_seconds > first
+
+
+@needs_jit
+def test_arrays_that_share_memory_are_refused_before_the_body_runs():
+    # the body's pointer parameters are `restrict`: two state fields
+    # bound to one array would make the compiled code undefined
+    engine = BatchEngine(torus(), lanes=2, kernel="levelized")
+    drivers = make_drivers(engine, 0.08)
+    run_batched(engine, drivers, 20)
+    engine.state.wr = engine.state.rd
+    with pytest.raises(KernelUnavailableError, match="rd and wr share memory"):
+        run_batched(engine, drivers, 20)
+    assert engine.cycle == 20
 
 
 class TestChunkDecline:

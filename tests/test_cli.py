@@ -336,17 +336,20 @@ class TestFarmCli:
             line = self.run_line(capsys, self.RUN_ARGS + extra)
             match = re.fullmatch(
                 r"kernel run: chunked; activity: (\d+) % of router-cycles evaluated"
+                r"; body: (\d+) ns per stepped lane-cycle"
                 r"; windows: (\d+) \(mean (\d+) cycles, (\d+) flits\)"
                 r"; drain: (\d+) cycles in C", line
             )
             assert match and 0 < int(match.group(1)) < 100
+            # the body's host time over the lane-cycles it stepped
+            assert int(match.group(2)) > 0
             # the simulation period, as section 5.3 states it: this run
             # is one window unstreamed, one per 128 cycles streamed
-            windows, cycles, flits = map(int, match.group(2, 3, 4))
+            windows, cycles, flits = map(int, match.group(3, 4, 5))
             assert (windows, cycles) == (1, 80) and 0 < flits < 8192
             # the drain ran inside the body too: the slowest lane's count
             drained = re.findall(r"drained after (\d+) extra", "\n".join(self.lines))
-            assert int(match.group(5)) == max(map(int, drained)) > 0
+            assert int(match.group(6)) == max(map(int, drained)) > 0
 
     def test_run_line_says_why_a_run_steps_per_cycle(self, request, capsys):
         from repro.kernels import probe_backends

@@ -47,11 +47,16 @@ CHILD = textwrap.dedent(
     generator, reason = batched_be_generator(drivers)
     assert isinstance(generator, BatchedBeGenerator), reason
     cache = os.environ["REPRO_KERNEL_CACHE"]
+    files = {}
+    for name in sorted(os.listdir(cache)):
+        try:
+            files[name] = os.stat(os.path.join(cache, name)).st_mtime_ns
+        except FileNotFoundError:  # a racing builder's temporary, gone since
+            pass
     print(json.dumps({
         "kernel": [engine.kernel, engine.kernel_reason],
         "parsers": [m for m in ("cffi.cparser", "pycparser") if m in sys.modules],
-        "files": {name: os.stat(os.path.join(cache, name)).st_mtime_ns
-                  for name in sorted(os.listdir(cache))},
+        "files": files,
     }))
     """
 )
