@@ -149,11 +149,16 @@ _TEMPLATE = string.Template(
 /* Generated by repro.kernels.batchlevel -- do not edit.
  * Specialized activity-driven batch-chunk kernel: ${spec}
  */
+#define _GNU_SOURCE
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
 #include <string.h>
 #include <time.h>
+#ifdef __linux__
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #define P ${P}
 #define V ${V}
@@ -872,18 +877,25 @@ _FABRIC = string.Template(
  * repro_fabric_post hands it a call and returns at once;
  * repro_fabric_wait returns the call's code once it is done.  The
  * record is caller memory, repro_fabric_words() zeroed int64 words: the
- * last call's code and the thread's wall and CPU nanoseconds on it
- * first, then the hand-over state, its lock, the thread and the call's
+ * last call's code, the thread's wall and CPU nanoseconds on it and the
+ * CPU it started on first, then the CPU the opener ran on, the thread's
+ * native id, the hand-over state, its lock, the thread and the call's
  * arguments.  Either side first looks for the other for a while,
  * yielding its CPU in between (a fabric between two windows idles for
  * a few hundred microseconds), then sleeps on the condition variable.
  * Until the wait returns, the call owns everything its arguments point
- * at. */
+ * at.
+ *
+ * The thread leaves the opener's CPU: before its first call it drops
+ * that CPU from its own affinity mask where another stays allowed, so
+ * the caller and the fabric do not take turns on one core.  The
+ * caller's mask is not touched; a one-CPU mask stays as it is.  Off
+ * Linux the CPUs and the id read -1. */
 enum { F_IDLE, F_POSTED, F_DONE, F_QUIT };
 #define F_LOOK_NS 1000000
 
 struct fabric {
-    int64_t ret, wall_ns, cpu_ns, state;
+    int64_t ret, wall_ns, cpu_ns, on_cpu, opener_cpu, tid, state;
     pthread_mutex_t lock;
     pthread_cond_t cond;
     pthread_t thread;
@@ -923,10 +935,31 @@ static void set_state(struct fabric *f, int64_t state)
     pthread_mutex_unlock(&f->lock);
 }
 
+/* The CPU the calling thread runs on, -1 where unknown. */
+static int64_t this_cpu(void)
+{
+#ifdef __linux__
+    return sched_getcpu();
+#else
+    return -1;
+#endif
+}
+
 static void *fabric_main(void *record)
 {
     struct fabric *f = record;
+#ifdef __linux__
+    f->tid = syscall(SYS_gettid);
+    cpu_set_t allowed;
+    if (f->opener_cpu >= 0 && f->opener_cpu < CPU_SETSIZE
+        && !pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed)
+        && CPU_ISSET(f->opener_cpu, &allowed) && CPU_COUNT(&allowed) > 1) {
+        CPU_CLR(f->opener_cpu, &allowed);
+        pthread_setaffinity_np(pthread_self(), sizeof allowed, &allowed);
+    }
+#endif
     while (await_state(f, (1 << F_POSTED) | (1 << F_QUIT)) == F_POSTED) {
+        f->on_cpu = this_cpu();
         const int64_t wall = clock_ns(CLOCK_MONOTONIC);
         const int64_t cpu = clock_ns(CLOCK_THREAD_CPUTIME_ID);
         f->ret = repro_level_chunk(${args});
@@ -946,6 +979,8 @@ int64_t repro_fabric_open(int64_t *fabric)
 {
     struct fabric *f = (struct fabric *)fabric;
     f->state = F_IDLE;
+    f->on_cpu = f->tid = -1;
+    f->opener_cpu = this_cpu();
     pthread_mutex_init(&f->lock, NULL);
     pthread_cond_init(&f->cond, NULL);
     const int failed = pthread_create(&f->thread, NULL, fabric_main, f);
@@ -1443,6 +1478,13 @@ class CompiledBatchLevel:
             self._lib.repro_fabric_close(self._ptrs["fabric"])
             _OPEN.discard(self)
 
+    def fabric_placement(self) -> Tuple[int, int]:
+        """``(opener's CPU, native id)`` of this body's fabric thread:
+        the CPU the thread that opened it ran on, which the fabric thread
+        leaves, and its id once a call has returned; -1 where unknown."""
+        opener, tid = self._scratch["fabric"][4:6].tolist()
+        return opener, tid
+
     def run_chunk(self, drivers: Sequence, n_cycles: int, window=None) -> None:
         """Advance all lanes ``n_cycles`` cycles in one C call.
 
@@ -1543,11 +1585,13 @@ class FabricJob:
         self._events = events
         self._args = args
         #: whether it ran on a fabric thread; the call's code, the cycles
-        #: it completed, its wall and CPU seconds (the thread's own)
+        #: it completed, its wall and CPU seconds (the thread's own) and,
+        #: on the fabric thread, the CPU it started on (-1: unknown)
         self.threaded = False
         self.ret: Optional[int] = None
         self.completed = 0
         self.seconds = self.cpu_seconds = 0.0
+        self.started_on = -1
         self._collected: list = []
         self._overload = None
         self._marks = self._err = None
@@ -1578,7 +1622,7 @@ class FabricJob:
         if body._in_flight is self:
             self.ret = body._lib.repro_fabric_wait(body._ptrs["fabric"])
             body._in_flight = None
-            wall, cpu = body._scratch["fabric"][1:3].tolist()
+            wall, cpu, self.started_on = body._scratch["fabric"][1:4].tolist()
             self.seconds, self.cpu_seconds = wall / 1e9, cpu / 1e9
         return self.ret
 

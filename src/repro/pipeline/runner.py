@@ -6,8 +6,10 @@ fabric thread — or every call in the caller, byte-identical.
 Figure 8's split: the paper's ARM generates, loads, retrieves and
 analyses while its FPGA simulates.  Here the calling thread is the ARM
 and a *fabric thread* of the generated C is the FPGA: it runs one
-window's chunk body (:class:`~repro.kernels.batchlevel.FabricJob`) and
-never touches Python.  Per window the caller::
+window's chunk body (:class:`~repro.kernels.batchlevel.FabricJob`),
+never touches Python and runs off the caller's CPU where another is
+allowed (the profiler's ``caller_cpu`` / ``fabric_cpus``).  Per window
+the caller::
 
     generate + load window k+1      (window k simulating)
     land window k                   (wait; cycles and queues back)
@@ -198,7 +200,12 @@ def run_pipeline(
             step_window(engine, drivers, window)
             return None, window, booked()
         job = body.prepare(drivers, window.stop - window.start, window)
-        return (job.start() if threaded else job.run()), window, None
+        if not threaded:
+            return job.run(), window, None
+        job.start()
+        if job.threaded and prof.caller_cpu < 0:
+            prof.caller_cpu = body.fabric_placement()[0]
+        return job, window, None
 
     def land(flight) -> None:
         """Take a window back: its cycles and the drivers' queues.  A
@@ -211,6 +218,7 @@ def run_pipeline(
             with prof.wait("simulate"):
                 job.wait()
             prof.record("simulate", job.seconds, job.cpu_seconds)
+            prof.fabric_call(job.started_on)
         with prof.busy("simulate"):
             job.land()
             if job.ret:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 #: canonical phase names, in the order of Table 4.
 PHASES = ("generate", "load", "simulate", "retrieve", "analyze")
@@ -77,6 +77,13 @@ class PipelineProfiler:
     #: CPU seconds the working thread spent on the stage — unlike
     #: ``busy_seconds`` this excludes time the thread was descheduled.
     cpu_seconds: Dict[str, float] = field(default_factory=dict)
+    #: where the fabric thread ran: the CPU the caller was on when it
+    #: started the thread (the one the thread leaves), the CPUs the
+    #: fabric's calls started on and how many started on the caller's
+    #: CPU (-1 / empty where unknown: the serial loop, off Linux)
+    caller_cpu: int = -1
+    fabric_cpus: Set[int] = field(default_factory=set)
+    calls_on_caller_cpu: int = 0
 
     @contextmanager
     def busy(self, stage: str):
@@ -92,6 +99,12 @@ class PipelineProfiler:
         """Book work measured elsewhere (the fabric thread's)."""
         self.busy_seconds[stage] = self.busy_seconds.get(stage, 0.0) + seconds
         self.cpu_seconds[stage] = self.cpu_seconds.get(stage, 0.0) + cpu
+
+    def fabric_call(self, cpu: int) -> None:
+        """Note the CPU a call on the fabric thread started on."""
+        if cpu >= 0:
+            self.fabric_cpus.add(cpu)
+            self.calls_on_caller_cpu += cpu == self.caller_cpu
 
     @contextmanager
     def wait(self, stage: str):
@@ -142,6 +155,12 @@ class PipelineProfiler:
 
     def render(self) -> str:
         mode = "fabric thread" if self.threaded else "serial loop"
+        if self.fabric_cpus:
+            cpus = ",".join(map(str, sorted(self.fabric_cpus)))
+            mode += (
+                f" on CPU {cpus}; caller's CPU {self.caller_cpu}, "
+                f"{self.calls_on_caller_cpu} windows on it"
+            )
         lines = [
             f"pipeline ({mode}) — wall {self.wall_seconds:.3f} s, "
             f"serial cost {self.serial_seconds:.3f} s, "

@@ -5,9 +5,10 @@ neighbours (:mod:`repro.pipeline.runner`).
 Held here: the threaded run equals the serial loop, ``run_batched`` and
 the golden engine on every path the pipeline drives; no Python writes
 what a job in flight owns; an error ends a threaded run exactly where the
-serial loop ends, and the process runs on; the caller's wait is shorter
-than the fabric's work where a second core exists; and the degraded hosts
-(one core, no compiler) give the same numbers.
+serial loop ends, and the process runs on; the fabric thread leaves the
+caller's CPU where a second one is allowed, so the caller's wait is
+shorter than the fabric's work and the two overlap; and the degraded
+hosts (one core, no compiler) give the same numbers.
 """
 
 from __future__ import annotations
@@ -211,10 +212,57 @@ def test_an_error_ends_a_threaded_run_where_the_serial_loop_ends(scenario):
     assert stream_fig1_set(100, chunk=30)[2] == want
 
 
-@pytest.mark.skipif(
+#: where one CPU is allowed the caller and the fabric thread take turns
+one_cpu = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else True,
     reason="one CPU: the caller and the fabric thread take turns",
 )
+
+
+@one_cpu
+def test_the_fabric_thread_leaves_the_callers_cpu(monkeypatch):
+    """The thread the caller opens drops the caller's CPU from its own
+    mask (read at each landing, while the thread runs); the caller's
+    mask stays as it was."""
+    before = os.sched_getaffinity(0)
+    masks = []
+    real_wait = FabricJob.wait
+
+    def wait(job):
+        landing = job.body._in_flight is job
+        ret = real_wait(job)
+        if landing:
+            opener, tid = job.body.fabric_placement()
+            masks.append((opener, os.sched_getaffinity(tid)))
+        return ret
+
+    monkeypatch.setattr(FabricJob, "wait", wait)
+    swept = stream_fig1_sweep(LOADS, CYCLES, seed=SEED, warmup=WARMUP)
+    assert os.sched_getaffinity(0) == before
+    prof = swept.report.profiler
+    assert len(masks) == prof.items["simulate"]
+    for opener, mask in masks:
+        assert opener == prof.caller_cpu and mask == before - {opener}
+    assert prof.fabric_cpus and prof.caller_cpu not in prof.fabric_cpus
+    assert prof.calls_on_caller_cpu == 0
+    assert "windows on it" in prof.render()
+
+
+@one_cpu
+def test_the_fabric_overlaps_the_caller():
+    """With a CPU of its own the fabric simulates while the caller works:
+    the best of three runs realises a fifth of the achievable overlap (a
+    loaded host may lend the second CPU away)."""
+    best = 0.0
+    for _ in range(3):
+        swept = stream_fig1_sweep(LOADS, 1000, seed=SEED, warmup=WARMUP)
+        best = max(best, swept.report.profiler.overlap_efficiency())
+        if best > 0.2:
+            break
+    assert best > 0.2
+
+
+@one_cpu
 def test_the_caller_waits_less_than_the_fabric_works(monkeypatch):
     """While a window simulates the caller books, analyses and generates
     its neighbours, so it waits for less than the fabric works (the
@@ -240,16 +288,29 @@ def test_the_caller_waits_less_than_the_fabric_works(monkeypatch):
 
 
 #: the threaded and serial short sweep, points as JSON, run pinned to one
-#: CPU when the host can pin
+#: CPU when the host can pin; then the pinned CPU and the fabric thread's
+#: mask at each landing
 ONE_CPU = """
 import dataclasses, json, os, sys
+from repro.kernels.batchlevel import FabricJob
+pinned = []
 if hasattr(os, "sched_setaffinity"):
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    pinned = [min(os.sched_getaffinity(0))]
+    os.sched_setaffinity(0, set(pinned))
+masks, real_wait = [], FabricJob.wait
+def wait(job):
+    landing = job.body._in_flight is job
+    ret = real_wait(job)
+    if landing and pinned:
+        masks.append(sorted(os.sched_getaffinity(job.body.fabric_placement()[1])))
+    return ret
+FabricJob.wait = wait
 from repro.pipeline import stream_fig1_sweep
 loads = (0.0, 0.04, 0.08, 0.14)
 runs = [stream_fig1_sweep(loads, 200, seed=7, warmup=65, threaded=threaded)
         for threaded in (True, False)]
 print(json.dumps([[dataclasses.astuple(p) for p in run.points] for run in runs]))
+print(json.dumps([pinned, masks]))
 """
 
 
@@ -260,9 +321,14 @@ def test_one_cpu_runs_the_threaded_sweep_bit_identically():
         [sys.executable, "-c", ONE_CPU], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    threaded, serial = json.loads(done.stdout)
+    runs, placed = done.stdout.splitlines()
+    threaded, serial = json.loads(runs)
     want = points(stream_fig1_sweep(LOADS, CYCLES, seed=SEED, warmup=WARMUP, threaded=False))
     assert threaded == serial == json.loads(json.dumps(want))
+    # a one-CPU mask is the fabric thread's too: there is no other CPU to take
+    pinned, masks = json.loads(placed)
+    assert all(mask == pinned for mask in masks)
+    assert masks or not pinned
 
 
 def test_no_compiler_runs_the_threaded_sweep_bit_identically(request):
