@@ -127,8 +127,10 @@ def _report_run(engine, drivers) -> None:
     why), the share of router-cycles it had to evaluate and its host
     time per stepped lane-cycle, the
     simulation period it ran at (section 5.3: windows, their mean
-    length and flits) and the cycles the drain ran inside the body (a
-    stepped run's drain steps too, for the reason the line opens with)."""
+    length and flits), the cycles the drain ran inside the body (a
+    stepped run's drain steps too, for the reason the line opens with)
+    and, when any did, the calls that met an error and ran again in
+    cycle order."""
     if getattr(engine, "kernel", None) is None:
         return
     from repro.engines.batch import chunk_decline
@@ -153,6 +155,8 @@ def _report_run(engine, drivers) -> None:
         )
     if decline is None:
         line += f"; drain: {engine.kernel_drain_cycles} cycles in C"
+    if getattr(engine, "kernel_replays", 0):
+        line += f"; replays: {engine.kernel_replays}"
     print(f"kernel run: {line}")
 
 

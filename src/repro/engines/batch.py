@@ -165,6 +165,9 @@ class BatchEngine:
         #: fabric windows left out.  The delta metrics stay nominal.
         self.kernel_router_evals = 0
         self.kernel_lane_cycles = 0
+        #: calls that met an architectural error and re-ran in cycle
+        #: order (the body runs a window lane by lane; DESIGN section 14).
+        self.kernel_replays = 0
         #: the body's own seconds over its calls (a call on the fabric
         #: thread counts that thread's wall): over ``kernel_lane_cycles``,
         #: the host time per stepped lane-cycle.

@@ -69,19 +69,22 @@ Three execution shapes share the one generated function:
   gated on each entry's timestamp, so the whole generate-ahead chunk
   advances without touching Python between cycles; a second C pass
   writes each queue's unconsumed tail back as the driver's backlog.
-  Lanes with nothing buffered, nothing pending in the
-  injection registers and no latched ejection flag are provably
-  unchanged by a step and are skipped; a fully idle fabric jumps
-  straight to the next staged arrival (the wrapper still credits the
-  skipped cycles' delta accounting, so metrics and the cycle counter
-  are identical to stepping through them);
+  The call runs in **lane order** — lane 0 through the whole window,
+  then lane 1, ... — so one lane's state stays in L1 for the window.
+  A lane with nothing buffered, nothing pending in the
+  injection registers and no latched ejection flag is provably
+  unchanged by a step and jumps straight to its next staged arrival
+  (the wrapper still credits the skipped cycles' delta accounting, so
+  metrics and the cycle counter are identical to stepping through
+  them);
 * :meth:`CompiledBatchLevel.drain` — **run to quiescence**: the same
   call with no fresh window and one more column, ``done``.  A lane is
   done at the first cycle at whose top, before the pump, it has no
   staged entry left, nothing buffered and no valid injection register
   (``driver.backlog() == 0 and state.drained(lane)``; a latched eject
   flag holds nothing back); the call returns at the cycle every lane
-  has been.  A drain is no traffic window and is booked as none
+  has been, so it runs all lanes a cycle (cycle order), as ``step``
+  does.  A drain is no traffic window and is booked as none
   (``engine.kernel_drain_cycles``).
 
 Bit-identity contract: per lane, every snapshot, injection/ejection
@@ -92,8 +95,12 @@ text included, each lane's error the one its golden network raises
 (across lanes the lowest lane's route error first, then the lowest
 lane's GT error); a mid-chunk error first applies the completed cycles'
 state and events, leaving the engine exactly where the per-cycle
-reference stops.  The one exception is a queue overflow, which only a
-corrupted store reaches: it is checked after the failing cycle's pops.
+reference stops.  Lane order reaches that end by replay: each lane's
+state is copied to call scratch before it runs, and a lane's error
+restores every lane run so far and runs the call again in cycle order
+(``engine.kernel_replays`` counts such calls).  The one exception is a
+queue overflow, which only a corrupted store reaches: it is checked
+after the failing cycle's pops.
 
 Compilation and binding ride :func:`repro.kernels.cbackend.load_source`:
 availability-gated, sha256 disk cache keyed on the generated source, the
@@ -176,12 +183,13 @@ _TEMPLATE = string.Template(
 #define HBR ${HBR}
 
 /* The fabric is a runtime argument: R routers and their neighbour
- * tables.  Each cycle is one pure evaluation pass over every lane, then
- * one registered commit.  Evaluation reads committed state only — room
- * at a neighbour's queue is a bit of that neighbour's committed
- * full-mask — so any router order is a valid level order of the
- * room -> forward -> state graph; the walk is ascending, the order the
- * event logs need.
+ * tables.  Each cycle of a lane range is one pure evaluation pass over
+ * its lanes, then one registered commit; a traffic window runs one
+ * lane at a time through the whole window (lane order, in the body
+ * below).  Evaluation reads committed state only — room at a
+ * neighbour's queue is a bit of that neighbour's committed full-mask —
+ * so any router order is a valid level order of the room -> forward ->
+ * state graph; the walk is ascending, the order the event logs need.
  *
  * Cost follows activity, not fabric size.  Four occupancy words per
  * (lane, router) — queue q non-empty / full / allocated, injection
@@ -218,6 +226,35 @@ static void pack_lanes(int64_t *ev, int64_t cap, int64_t rows, int64_t B,
                 memmove(ev + f * cap + out, ev + f * cap + at[b],
                         (size_t)n[b] * sizeof(int64_t));
         out += n[b];
+    }
+}
+
+/* Lane order's snapshot: per (lane, router), the words of every mutable
+ * state array, in parameter order (mem, rd, wr, count, alloc,
+ * queue_alloc, arb_ptr, alloc_ptr, inj_word, inj_valid, rr_ptr, delay,
+ * eject_word, eject_valid, stalled). */
+#define KEEP (NQ * DMAX + 5 * NQ + P + 5 + 3 * V)
+
+/* Copy lanes [L0, L1) of the state arrays to `keep` (save) or back
+ * (restore), and their staged queues' head, stall and touched rows to
+ * the three rows five below them.  Array a holds w[a] words a (lane,
+ * router) and is kept at keep + BR x (the words of the arrays before
+ * it); queue i at column i. */
+static void keep_lanes(int64_t *const *state, int64_t *keep, int64_t BR,
+                       int64_t R, int64_t L0, int64_t L1, int64_t *q,
+                       int64_t q_cap, const int64_t *q_at, int save)
+{
+    const int64_t w[] = {NQ * DMAX, NQ, NQ, NQ, NQ, NQ, P, 1, V, V, 1, V, 1, 1, 1};
+    for (int64_t a = 0; a < 15; a++) {
+        int64_t *s = state[a] + L0 * R * w[a], *k = keep + L0 * R * w[a];
+        const size_t n = (size_t)((L1 - L0) * R * w[a]) * sizeof(int64_t);
+        memcpy(save ? k : s, save ? s : k, n);
+        keep += BR * w[a];
+    }
+    for (int64_t row = 4; row < 7; row++) {
+        int64_t *s = q + row * q_cap + q_at[L0], *k = s + 5 * q_cap;
+        const size_t n = (size_t)(q_at[L1] - q_at[L0]) * sizeof(int64_t);
+        memcpy(save ? k : s, save ? s : k, n);
     }
 }
 
@@ -349,6 +386,7 @@ ${signature}
      * (never, once the queue is exhausted) — the one word the pump
      * reads of a queue that has nothing to offer this cycle */
     int64_t *q_due = q + 8 * q_cap;
+    /* (rows 9-11: lane order's copy of rows 4-6, keep_lanes) */
     const int64_t *e_word = e, *e_cycle = e + e_cap;
     int64_t *sent_cycle = ev_sent, *sent_r = ev_sent + sent_cap;
     int64_t *sent_vc = ev_sent + 2 * sent_cap;
@@ -359,13 +397,15 @@ ${signature}
     int64_t *n_sent = lane_n, *n_ej = lane_n + B;
     /* Per-lane words: flits buffered, injection registers valid, eject
      * flags latched, the cycle's activity, where the lane's event
-     * segments start, where its share of each work list ends, and the
-     * staged queues that still hold an entry for the pump. */
+     * segments start, where its share of each work list ends, the
+     * staged queues that still hold an entry for the pump; then where
+     * each lane's staged queues start (q is lane-major), B + 1 words. */
     int64_t *buffered = lane, *injc = lane + B, *latched = lane + 2 * B;
     int64_t *act = lane + 3 * B, *sent_at = lane + 4 * B;
     int64_t *ej_at = lane + 5 * B, *pop_end = lane + 6 * B;
     int64_t *push_end = lane + 7 * B, *inj_end = lane + 8 * B;
     int64_t *loc_end = lane + 9 * B, *staged = lane + 10 * B;
+    int64_t *q_at = lane + 11 * B;
     /* Behind the occupancy words: per lane, the routers whose eject
      * flag is latched (cleared from this list, not by a sweep). */
     int64_t *ejl = occ + O_WORDS * BR;
@@ -373,14 +413,18 @@ ${signature}
      * depth), pushes (flat queue, flit word, queue depth), allocations
      * (flat queue, output VC), stimuli interfaces with a valid register
      * (flat router, granted VC or -1), local-output grants (flat
-     * router, link word: the ejections); then one lane's busy routers. */
+     * router, link word: the ejections); lane order's snapshot of the
+     * state arrays; then one lane's busy routers. */
     int64_t *pop_q = work, *pop_p = pop_q + BR * P, *pop_d = pop_p + BR * P;
     int64_t *push_q = pop_d + BR * P, *push_w = push_q + BR * P;
     int64_t *push_d = push_w + BR * P;
     int64_t *alloc_q = push_d + BR * P, *alloc_o = alloc_q + BR * NQ;
     int64_t *inj_x = alloc_o + BR * NQ, *inj_ch = inj_x + BR;
     int64_t *loc_x = inj_ch + BR, *loc_w = loc_x + BR;
-    int64_t *busy = loc_w + BR;
+    int64_t *keep = loc_w + BR, *busy = keep + BR * KEEP;
+    int64_t *const state[] = {mem, rd, wr, count, alloc, queue_alloc,
+                              arb_ptr, alloc_ptr, inj_word, inj_valid,
+                              rr_ptr, delay, eject_word, eject_valid, stalled};
 #if HBR
     /* the pass's per-cycle scratch: status bits, non-stable set */
     uint64_t *hbr = (uint64_t *)(busy + R), *unst = hbr + R;
@@ -388,8 +432,20 @@ ${signature}
     (void)wires;
     (void)deltas;
 #endif
-    int64_t ret = 0, t = 0, evals = 0, stepped = 0;
+    int64_t ret = 0, t = 0, evals = 0, stepped = 0, replays = 0;
+    int64_t L0, L1, i0, i1; /* the lane range and its staged queues */
+    /* Lane order: lanes share no state, so a traffic window runs as one
+     * lane range [b, b + 1) after another, each lane's state in L1 for
+     * the whole window; an idle lane jumps to its own next arrival.
+     * Before a lane runs, its state is copied to `keep`.  An error on
+     * any lane restores every lane run so far and replays the call in
+     * cycle order, one range [0, B): across lanes only that order ranks
+     * errors and stops at the failing cycle.  A drain (its return needs
+     * every lane), a one-cycle call (no window to keep in L1) and the
+     * HBR body (its wire plane is not kept) run in cycle order. */
+    int64_t solo = !HBR && !done && B > 1 && n_cycles > 1;
 
+entry:
     /* ---- call entry: derive the occupancy words from the state ---- */
     for (int64_t b = 0; b < B; b++) {
         int64_t buf = 0, inj = 0, lat = 0;
@@ -437,6 +493,11 @@ ${signature}
         staged[q_lane[i]] += q_head[i] < q_end[i];
         q_due[i] = q_head[i] < q_end[i] ? e_cycle[q_head[i]] : INT64_MAX;
     }
+    for (int64_t b = 0, i = 0; b <= B; b++) {
+        while (i < NQS && q_lane[i] < b)
+            i++;
+        q_at[b] = i;
+    }
     {
         const int64_t most = R * n_cycles;
         int64_t s = 0, j = 0;
@@ -453,7 +514,15 @@ ${signature}
         }
     }
 
-    for (; t < n_cycles; t++) {
+    /* ---- one lane range: lane order's [b, b + 1), else [0, B) ---- */
+    L0 = 0;
+range:
+    L1 = solo ? L0 + 1 : B;
+    i0 = q_at[L0];
+    i1 = q_at[L1];
+    if (solo)
+        keep_lanes(state, keep, BR, R, L0, L1, q, q_cap, q_at, 1);
+    for (t = 0; t < n_cycles; t++) {
         const int64_t ac = base_cycle + t;
 
         /* ---- run to quiescence (a drain call hands in `done`, -1 per
@@ -463,7 +532,7 @@ ${signature}
          * A latched eject flag holds nothing back. ---- */
         if (done) {
             int64_t open = 0;
-            for (int64_t b = 0; b < B; b++) {
+            for (int64_t b = L0; b < L1; b++) {
                 if (done[b] < 0 && !(staged[b] | buffered[b] | injc[b]))
                     done[b] = ac;
                 open += done[b] < 0;
@@ -476,7 +545,7 @@ ${signature}
          * Offer each queue's head entry once its generation timestamp
          * has arrived; maintain the per-queue stall counters and the
          * sticky per-router stalled flag exactly like the driver. */
-        for (int64_t i = 0; i < NQS; i++) {
+        for (int64_t i = i0; i < i1; i++) {
             if (q_due[i] > ac)
                 continue;
             const int64_t h = q_head[i];
@@ -510,7 +579,7 @@ ${signature}
                     err[3] = q_stall[i];
                     err[4] = b;
                     ret = 4;
-                    goto done;
+                    goto stop;
                 }
             }
         }
@@ -519,16 +588,17 @@ ${signature}
          * pending in the injection registers and no latched ejection
          * flag is provably unchanged by a step — skip it. ---- */
         int64_t any_active = 0;
-        for (int64_t b = 0; b < B; b++) {
+        for (int64_t b = L0; b < L1; b++) {
             act[b] = (buffered[b] | injc[b] | latched[b]) != 0;
             any_active |= act[b];
         }
         if (!any_active) {
-            /* Fully idle fabric: jump to the next staged arrival (the
-             * Python wrapper still credits the skipped cycles' delta
-             * accounting, so this is pure evaluation elision). */
+            /* Idle range (lane, or fabric): jump to its next staged
+             * arrival (the Python wrapper still credits the skipped
+             * cycles' delta accounting, so this is pure evaluation
+             * elision). */
             int64_t next = base_cycle + n_cycles;
-            for (int64_t i = 0; i < NQS; i++)
+            for (int64_t i = i0; i < i1; i++)
                 if (q_due[i] < next)
                     next = q_due[i];
             if (next <= ac)
@@ -547,7 +617,7 @@ ${signature}
         int64_t route_err = 0, route_data = 0;
         int64_t gt_err = 0, gt_r = 0, gt_vc = 0;
         int64_t cycle_evals = 0, cycle_lanes = 0;
-        for (int64_t b = 0; b < B; b++) {
+        for (int64_t b = L0; b < L1; b++) {
             if (!act[b])
                 continue;
             cycle_lanes++;
@@ -561,7 +631,7 @@ ${signature}
                 err[0] = 6;
                 err[1] = b;
                 ret = 6;
-                goto done;
+                goto stop;
             }
 #endif
             int64_t lane_err = 0, lane_r = 0, lane_pos = 0;
@@ -736,14 +806,14 @@ ${signature}
             err[0] = 1;
             err[1] = route_data;
             ret = 1;
-            goto done;
+            goto stop;
         }
         if (gt_err) {
             err[0] = 2;
             err[1] = gt_r;
             err[2] = gt_vc;
             ret = 2;
-            goto done;
+            goto stop;
         }
 
         /* ---- pass 2: registered commit, list by list: every pop,
@@ -771,7 +841,7 @@ ${signature}
             if (count[push_q[i]] >= push_d[i]) {
                 err[0] = 3;
                 ret = 3;
-                goto done;
+                goto stop;
             }
         for (int64_t i = 0; i < n_push; i++) {
             const int64_t xq = push_q[i], x = xq / NQ, q = xq - x * NQ;
@@ -789,7 +859,7 @@ ${signature}
             alloc_ptr[x] = q; /* a router's last decision parks the pointer */
         }
         int64_t pops = 0, pushes = 0, ij = 0, lo = 0;
-        for (int64_t b = 0; b < B; b++) {
+        for (int64_t b = L0; b < L1; b++) {
             if (!act[b])
                 continue;
             const int64_t sc = b * R;
@@ -838,13 +908,26 @@ ${signature}
         evals += cycle_evals;
         stepped += cycle_lanes;
     }
+    if (L1 < B) {
+        L0 = L1;
+        goto range;
+    }
+stop:
+    if (ret && solo) { /* restore the lanes run, replay in cycle order */
+        keep_lanes(state, keep, BR, R, 0, L1, q, q_cap, q_at, 0);
+        solo = evals = stepped = ret = 0;
+        replays = 1;
+        goto entry;
+    }
 done:
     pack_lanes(ev_sent, sent_cap, 5, B, sent_at, n_sent);
     pack_lanes(ev_ej, ej_cap, 4, B, ej_at, n_ej);
-    /* cycles completed; over them, routers evaluated and lanes stepped */
+    /* cycles completed; over them, routers evaluated and lanes stepped;
+     * whether the call replayed in cycle order */
     counts[0] = t;
     counts[1] = evals;
     counts[2] = stepped;
+    counts[3] = replays;
     return ret;
 }
 ${fabric}"""
@@ -1127,9 +1210,9 @@ def generate_level_source(spec) -> str:
 #: rows of the grow-only call buffers (see the kernel's unpacking; the
 #: staging kernel keeps each queue's store slot in an eighth ``q`` row
 #: and each entry's packet sequence number in a third ``e`` row; the
-#: ninth ``q`` row is the chunk kernel's own; ``deltas`` is the HBR
-#: pass's count per cycle, lane-major).
-_BUFFER_ROWS = {"q": 9, "e": 3, "deltas": 1}
+#: last four ``q`` rows are the chunk kernel's own; ``deltas`` is the
+#: HBR pass's count per cycle, lane-major).
+_BUFFER_ROWS = {"q": 12, "e": 3, "deltas": 1}
 
 #: rows of a call's event buffers: injection and ejection records.
 _EVENT_ROWS = {"sent": 5, "ej": 4}
@@ -1171,19 +1254,21 @@ class CompiledBatchLevel:
             "be_cand": table(engine._be_cand),
         }
         B, R, V, NQ = engine.lanes, engine.cfg.n_routers, engine._V, engine._NQ
+        keep = (spec.depth_max + 5) * NQ + P + 5 + 3 * V  # the kernel's KEEP
         scratch = {
             # call scratch, rows as the kernel unpacks them: eleven words
-            # per lane; four occupancy words per (lane, router) plus the
-            # latched-eject list; the cycle's work lists, one lane's busy
+            # per lane and the lanes' queue starts; four occupancy words
+            # per (lane, router) plus the latched-eject list; the cycle's
+            # work lists, lane order's state snapshot, one lane's busy
             # routers and the HBR pass's status bits and non-stable set
-            "lane": 11 * B,
+            "lane": 12 * B + 1,
             "occ": 5 * B * R,
-            "work": (6 * P + 2 * NQ + 4) * B * R + 3 * R + 1,
+            "work": (6 * P + 2 * NQ + 4 + keep) * B * R + 3 * R + 1,
             # out: events per lane (injections, then ejections); cycles
-            # completed, routers evaluated, lane-cycles stepped; of a
-            # drain, the cycle each lane was done at
+            # completed, routers evaluated, lane-cycles stepped, replays;
+            # of a drain, the cycle each lane was done at
             "lane_n": 2 * B,
-            "counts": 3,
+            "counts": 4,
             "err": 6,
             "done": B,
             # staging: per store slot, the window queue behind it; per
@@ -1348,6 +1433,7 @@ class CompiledBatchLevel:
         counts = self._scratch["counts"]
         engine.kernel_router_evals += int(counts[1])
         engine.kernel_lane_cycles += int(counts[2])
+        engine.kernel_replays += int(counts[3])
         return [
             (logs, events[name][:, : sum(n)], n)
             for logs, name, n in (

@@ -72,6 +72,7 @@ from repro.traffic.stimuli import (
     F_CYCLE,
     NetworkOverloadError,
     TrafficDriver,
+    flit_words,
     settle,
 )
 
@@ -1244,26 +1245,51 @@ class TestCornerBattery:
         assert check_corner("fig1", 0.3, gt_plan, gt_period=40) is None
 
 
-def poisoned_run(kernel, poison, at=75, lanes=2):
+def explicit_traffic(driver, lane, cycles=200, every=16):
+    """BE packets without a generator: one from every router every
+    ``every`` cycles (phase by router and lane) on the second BE VC."""
+    net = driver.engine.cfg
+    n = net.n_routers
+    for src in range(n):
+        for k, at in enumerate(range((src + 5 * lane) % every, cycles, every)):
+            packet = Packet(src=src, dest=(src + 1 + k % (n - 1)) % n,
+                            pclass=PacketClass.BE, payload=bytes(6))
+            driver.queues.append(src, net.router.be_vcs[1], flit_words(net, None, packet), at, k)
+
+
+def poisoned_run(kernel, poison, at=75, lanes=2, load=0.05):
     """BE traffic on ``lanes`` lanes with ``poison`` — ``(lane, router,
-    head flit)`` triples — staged at the head of a BE queue for cycle
-    ``at``, mid-chunk: every head is offered at ``at``, buffered in that
-    cycle's commit and decoded, fatally, in the next."""
+    head flit)`` triples, or with a fourth item, the cycle — staged at
+    the head of a BE queue for cycle ``at`` (or its own), mid-chunk:
+    every head is offered then, buffered in that cycle's commit and
+    decoded, fatally, in the next.  ``load=None`` replaces the
+    generators by :func:`explicit_traffic`: the run is then one call of
+    the chunk body, and the drivers' queues, stall counters and overload
+    flags join the comparison.  Returns what both bodies must agree on,
+    and the engine."""
     engine = BatchEngine(torus(), lanes=lanes, kernel=kernel)
-    drivers = make_drivers(engine, 0.05)
+    drivers = make_drivers(engine, load)
+    if load is None:
+        for lane, driver in enumerate(drivers):
+            explicit_traffic(driver, lane)
     dw = engine.cfg.router.data_width
     vc = engine.cfg.router.be_vcs[0]
     tail = Flit(FlitType.TAIL, 0).encode(dw)
-    for lane, router, head in poison:
-        drivers[lane].queues.append(router, vc, [head.encode(dw), tail], at, 10_000)
+    poison = [(*p, at)[:4] for p in poison]
+    for lane, router, head, cycle in poison:
+        drivers[lane].queues.append(router, vc, [head.encode(dw), tail], cycle, 10_000)
     with pytest.raises((IndexError, ProtocolError)) as err:
         run_batched(engine, drivers, 200)
-    assert engine.cycle == at + 1
+    assert engine.cycle == min(cycle for *_, cycle in poison) + 1
     # the engine stands where the per-cycle reference stops (the traffic
     # does not: a chunk's window is generated ahead, and only an overload
     # — an error the *drivers* diagnose — rewinds it)
     digests, cycle, deltas = full_digest(engine, drivers)
-    return type(err.value), str(err.value), [d[:3] for d in digests], cycle, deltas
+    if load is None:
+        digests = (digests, [d.overloaded for d in drivers])
+    else:
+        digests = [d[:3] for d in digests]
+    return (type(err.value), str(err.value), digests, cycle, deltas), engine
 
 
 def worm_through_router_one(kernel, lanes=1):
@@ -1291,10 +1317,32 @@ class TestChunkErrorParity:
     ASTRAY = Header(dest_x=8, dest_y=8).head_flit()
     GT_ON_BE = Header(dest_x=1, dest_y=0, gt=True).head_flit()
 
-    def both(self, poison, lanes=2):
-        compiled = poisoned_run("levelized", poison, lanes=lanes)
-        assert compiled == poisoned_run("python", poison, lanes=lanes)
+    def both(self, poison, lanes=2, load=0.05):
+        compiled, engine = poisoned_run("levelized", poison, lanes=lanes, load=load)
+        assert compiled == poisoned_run("python", poison, lanes=lanes, load=load)[0]
+        # a window runs lane by lane; the error replays it in cycle order
+        if load is None:
+            assert engine.kernel_windows == 1 and engine.kernel_replays == 1
         return compiled
+
+    # Lane order (one lane through the whole window, then the next): the
+    # call that meets an error restores every lane run so far and runs
+    # again in cycle order.  One call each, on explicit traffic.
+
+    def test_a_higher_lane_failing_earlier_wins(self):
+        kind, message, _, cycle, _ = self.both(
+            [(0, 3, self.ASTRAY, 120), (1, 5, self.LOST, 40)], load=None
+        )
+        assert kind is IndexError and "(9, 9)" in message and cycle == 41
+
+    def test_the_last_lane_failing_after_the_others_ran_the_window(self):
+        kind, message, _, cycle, _ = self.both([(2, 4, self.LOST, 170)], lanes=3, load=None)
+        assert kind is IndexError and "(9, 9)" in message and cycle == 171
+
+    def test_lane_zero_failing_before_the_others_ran(self):
+        kind, message, _, cycle, _ = self.both([(0, 6, self.GT_ON_BE, 20)], lanes=3, load=None)
+        assert kind is ProtocolError and message.startswith("router 6: GT head")
+        assert cycle == 21
 
     def test_route_error_outranks_gt_error_on_a_lower_lane(self):
         kind, message, *_ = self.both([(1, 2, self.LOST), (0, 1, self.GT_ON_BE)])
@@ -1409,6 +1457,7 @@ class TestActivityCounters:
         for _ in range(self.CYCLES // length):
             run_batched(engine, drivers, length)
         assert engine.cycle == self.CYCLES
+        assert engine.kernel_replays == 0  # a clean run replays no call
         return engine.kernel_router_evals, engine.kernel_lane_cycles
 
     def test_repeat_across_runs_and_chunk_lengths(self):
@@ -1423,6 +1472,31 @@ class TestActivityCounters:
         engine = BatchEngine(torus(), lanes=3, kernel="levelized")
         run_batched(engine, make_drivers(engine, 0.08), 70)
         assert engine.metrics.total_deltas == 70 * 3 * 9
+
+    def test_an_idle_lane_jumps_on_its_own(self):
+        # lane 0 is loaded for the whole call; lane 1 idles between two
+        # packets 900 cycles apart, a gap it jumps while lane 0 steps
+        def run(kernel, hook=False):
+            engine = BatchEngine(torus(), lanes=2, kernel=kernel)
+            if hook:
+                engine.pre_step_hooks.append(lambda e: None)
+            drivers = make_drivers(engine, None)
+            explicit_traffic(drivers[0], 0, cycles=1000)
+            net = engine.cfg
+            for k, at in enumerate((10, 910)):
+                packet = Packet(src=2, dest=7, pclass=PacketClass.BE, payload=bytes(6))
+                drivers[1].queues.append(2, net.router.be_vcs[0],
+                                         flit_words(net, None, packet), at, k)
+            run_batched(engine, drivers, 1000)
+            counts = engine.kernel_router_evals, engine.kernel_lane_cycles
+            return full_digest(engine, drivers), counts, engine
+
+        chunked, counts, engine = run("levelized")
+        assert engine.kernel_windows == 1 and engine.kernel_replays == 0
+        stepped, step_counts, _ = run("levelized", hook=True)
+        assert chunked == stepped == run("python")[0]
+        assert counts == step_counts
+        assert 1000 < counts[1] < 1100  # lane 1 stepped only near its packets
 
     def test_numpy_sweeps_count_nothing(self):
         engine = BatchEngine(torus(), lanes=2, kernel="python")

@@ -351,6 +351,29 @@ class TestFarmCli:
             drained = re.findall(r"drained after (\d+) extra", "\n".join(self.lines))
             assert int(match.group(6)) == max(map(int, drained)) > 0
 
+    def test_run_line_counts_the_calls_replayed_in_cycle_order(self, capsys):
+        # a clean run's line has no replays part (the fullmatch above); a
+        # call whose lane 1 meets a head to nowhere runs again
+        from repro.cli import _report_run
+        from repro.engines import BatchEngine, run_batched
+        from repro.kernels import probe_backends
+        from repro.noc import NetworkConfig
+        from repro.noc.flit import Flit, FlitType, Header
+        from repro.traffic import TrafficDriver
+
+        if probe_backends()["cffi"] != "ok":
+            pytest.skip("no generated-C body")
+        engine = BatchEngine(NetworkConfig(3, 3, topology="torus"), lanes=2, kernel="jit")
+        drivers = [TrafficDriver(engine.lane(i)) for i in range(2)]
+        dw = engine.cfg.router.data_width
+        words = [Header(dest_x=9, dest_y=9).head_flit().encode(dw), Flit(FlitType.TAIL, 0).encode(dw)]
+        drivers[1].queues.append(4, engine.cfg.router.be_vcs[0], words, 5, 0)
+        with pytest.raises(IndexError):
+            run_batched(engine, drivers, 40)
+        _report_run(engine, drivers)
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("kernel run: chunked; ") and line.endswith("; replays: 1")
+
     def test_run_line_says_why_a_run_steps_per_cycle(self, request, capsys):
         from repro.kernels import probe_backends
 

@@ -5,9 +5,13 @@ and the stimuli kernel — with ``-fsanitize=address,undefined`` into a
 private kernel cache and drives their main call shapes: a multi-lane
 chunked run whose event buffers regrow, a drain, the sequential
 engine's HBR body, a threaded streamed run (scan, staging, carry-over
-and the packet match included) and a stall-limit overload.  Those are the places where the C sizes its own buffers, so an
-off-by-one shows up here as a sanitizer report instead of a quiet
-corruption.  The override lives in the subprocess only.
+and the packet match included), a stall-limit overload, a lane-order
+window replayed in cycle order after its last lane overloads (the
+state snapshot and its restore), the packet match run again after its
+open-event output came out too short, and scans cut by a small flit
+budget.  Those are the places where the C sizes or copies its own
+buffers, so an off-by-one shows up here as a sanitizer report instead
+of a quiet corruption.  The override lives in the subprocess only.
 """
 
 from __future__ import annotations
@@ -29,11 +33,16 @@ SCRIPT = textwrap.dedent(
     from repro.kernels import cbackend
     cbackend.CFLAGS = {SANITIZED!r}
 
+    import numpy as np
+
     from repro.engines import lane_views
     from repro.engines.batch import BatchEngine, drain_batched, run_batched
     from repro.engines.sequential import SequentialEngine
     from repro.noc import NetworkConfig, RouterConfig
+    from repro.noc.flit import Flit, FlitType
     from repro.pipeline import run_pipeline
+    from repro.stats.latency import PacketLatencyTracker
+    from repro.traffic import stimuli
     from repro.traffic.generators import BernoulliBeTraffic, uniform_random
     from repro.traffic.stimuli import NetworkOverloadError, TrafficDriver
 
@@ -42,8 +51,9 @@ SCRIPT = textwrap.dedent(
 
     def drivers(engine, load, stall_limit=10_000):
         net = engine.cfg
+        loads = load if isinstance(load, list) else [load] * engine.lanes
         return [
-            TrafficDriver(view, be=BernoulliBeTraffic(net, load, uniform_random(net),
+            TrafficDriver(view, be=BernoulliBeTraffic(net, loads[i], uniform_random(net),
                                                       seed=0xBEE + i),
                           stall_limit=stall_limit)
             for i, view in enumerate(lane_views(engine))
@@ -77,6 +87,40 @@ SCRIPT = textwrap.dedent(
         pass
     else:
         raise AssertionError("no overload")
+
+    # lane order: lanes 0-2 run the whole window, lane 3 overloads, and
+    # the window is restored from the snapshot and replayed
+    engine = BatchEngine(torus(depth=1), lanes=4, kernel="levelized")
+    lanes = drivers(engine, [0.02] * 3 + [0.8], stall_limit=20)
+    try:
+        run_batched(engine, lanes, 100)
+    except NetworkOverloadError:
+        pass
+    else:
+        raise AssertionError("no overload")
+    assert (engine.kernel_windows, engine.kernel_replays) == (1, 1)
+    assert [d.overloaded for d in lanes] == [False] * 3 + [True]
+
+    # repro_match: a window's open packets outnumber the largest part of
+    # its log, so the first pass's open-event output is too short
+    dw = torus().router.data_width
+    opened = np.array(
+        [[cycle, router, vc, Flit(ftype, 0).encode(dw)]
+         for cycle, ftype in enumerate((FlitType.HEAD, FlitType.BODY, FlitType.BODY))
+         for router in range(5) for vc in range(2)], dtype=np.int64).T.copy()
+    tracker = PacketLatencyTracker(torus())
+    assert tracker.kernel == "c"
+    found = tracker._match(np.empty((3, 0), dtype=np.int64), np.empty((2, 0), dtype=np.int64),
+                           np.empty((4, 0), dtype=np.int64), [],
+                           [opened[:, lo : lo + 10] for lo in range(0, 30, 10)])
+    assert np.array_equal(found[3], opened)
+
+    # the scan's budget cut: windows of a few cycles, lanes that scanned
+    # past a cut advanced back to it
+    stimuli.FLIT_BUDGET = 16
+    engine = BatchEngine(torus(), lanes=4, kernel="levelized")
+    run_batched(engine, drivers(engine, 0.1), 200)
+    assert engine.kernel_windows > 20
     print("sanitized run ok")
     """
 )

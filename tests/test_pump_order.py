@@ -10,7 +10,9 @@ several cross the stall limit in the same cycle.  Each case here runs the compil
 and compares snapshots, logs, stall counters, overload flags and error
 text.  The cases are chosen so that a pump visiting due queues in
 descending order, or losing a queue that is due again in the next
-cycle, fails one of them.
+cycle, fails one of them.  A window runs lane by lane; an error on any
+lane replays the call in cycle order, where the pump's overload of a
+cycle outranks every route error found in that cycle's evaluation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 from repro.engines.batch import BatchEngine, drain_batched, run_batched
 from repro.kernels import probe_backends
 from repro.noc import NetworkConfig, Packet, PacketClass, RouterConfig
+from repro.noc.flit import Flit, FlitType, Header
 from repro.traffic.stimuli import NetworkOverloadError, TrafficDriver, flit_words
 
 pytestmark = pytest.mark.skipif(
@@ -46,10 +49,11 @@ def stage(driver, src, dest, vc, cycles, nbytes=12):
     driver.queues.append(src, vc, words, cycles, 0)
 
 
-def both(cfg, lanes, setup, run, stall_limit=10_000):
+def both(cfg, lanes, setup, run, stall_limit=10_000, replays=None):
     """``setup(lane, driver)`` then ``run(engine, drivers)`` on the
     compiled body and on golden lanes; everything the two leave behind,
-    which must be equal."""
+    which must be equal.  ``replays``: the calls the compiled body must
+    have replayed in cycle order."""
     sides = {}
     for kernel in ("levelized", "python"):
         engine = BatchEngine(cfg, lanes=lanes, kernel=kernel)
@@ -58,8 +62,10 @@ def both(cfg, lanes, setup, run, stall_limit=10_000):
             setup(lane, driver)
         try:
             result, error = run(engine, drivers), None
-        except NetworkOverloadError as exc:
-            result, error = None, str(exc)
+        except (NetworkOverloadError, IndexError) as exc:
+            result, error = None, f"{type(exc).__name__}: {exc}"
+        if kernel == "levelized" and replays is not None:
+            assert engine.kernel_replays == replays
         sides[kernel] = (
             result,
             error,
@@ -144,3 +150,40 @@ def test_an_idle_jump_across_a_long_gap_and_a_long_drain():
     assert error is None and min(done) > 16_000 and cycle > 22_000
     # every flit went in: 4 + 6 staged up front, 4 for the drain
     assert [(len(injections), backlog) for _, injections, _, _, backlog in lanes] == [(14, 0)] * 2
+
+
+def test_an_overload_and_a_route_error_in_one_cycle():
+    # Lane 1 floods router 4 of a depth-1 fabric until the pump of cycle
+    # T refuses a flit past the stall limit; lane 0's only flit is a head
+    # to nowhere, decoded in the evaluation of that same cycle T.  Lane
+    # order meets lane 0's error first; the replay, in cycle order, runs
+    # the pump of T before its evaluation, so the overload is raised.
+    def flood(lane, driver):
+        if lane == 1:
+            for src in range(9):
+                if src != 4:
+                    for vc in BE_VCS:
+                        stage(driver, src, 4, vc, 0, nbytes=60)
+
+    def run(engine, drivers):
+        return run_batched(engine, drivers, 400)
+
+    cfg = torus(queue_depth=1)
+    _, overload, at, overloaded, _ = both(cfg, 2, flood, run, stall_limit=12, replays=1)
+    assert overload.startswith("NetworkOverloadError") and overloaded == [False, True]
+    head = Header(dest_x=9, dest_y=9).head_flit().encode(cfg.router.data_width)
+    tail = Flit(FlitType.TAIL, 0).encode(cfg.router.data_width)
+
+    def poison(lane, driver):
+        if lane == 0:  # offered at T - 1, buffered then, decoded at T
+            driver.queues.append(5, BE_VCS[0], [head, tail], at - 1, 0)
+
+    _, error, cycle, _, _ = both(cfg, 2, poison, run, stall_limit=12, replays=1)
+    assert error == "IndexError: coordinates (9, 9) out of range" and cycle == at
+
+    def both_errors(lane, driver):
+        flood(lane, driver)
+        poison(lane, driver)
+
+    _, error, cycle, overloaded, _ = both(cfg, 2, both_errors, run, stall_limit=12, replays=1)
+    assert (error, cycle, overloaded) == (overload, at, [False, True])
