@@ -128,9 +128,10 @@ def _report_run(engine, drivers) -> None:
     time per stepped lane-cycle, the
     simulation period it ran at (section 5.3: windows, their mean
     length and flits), the cycles the drain ran inside the body (a
-    stepped run's drain steps too, for the reason the line opens with)
-    and, when any did, the calls that met an error and ran again in
-    cycle order."""
+    stepped run's drain steps too, for the reason the line opens with),
+    the host's wall time a window around the body (the drain's call
+    included) and, when any did, the calls that met an error and ran
+    again in cycle order."""
     if getattr(engine, "kernel", None) is None:
         return
     from repro.engines.batch import chunk_decline
@@ -155,6 +156,9 @@ def _report_run(engine, drivers) -> None:
         )
     if decline is None:
         line += f"; drain: {engine.kernel_drain_cycles} cycles in C"
+        if windows:
+            host = (engine.kernel_loop_seconds - engine.kernel_seconds) / windows
+            line += f"; host: {1e6 * host:.0f} µs a window outside the body"
     if getattr(engine, "kernel_replays", 0):
         line += f"; replays: {engine.kernel_replays}"
     print(f"kernel run: {line}")

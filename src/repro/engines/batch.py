@@ -27,6 +27,7 @@ single batched step loop.
 
 from __future__ import annotations
 
+import time
 import warnings
 from typing import List, Optional, Sequence, Tuple
 
@@ -180,6 +181,10 @@ class BatchEngine:
         #: cycles it ran to quiescence in, after the last window (a
         #: drain is no traffic window and counts in none of the above).
         self.kernel_drain_cycles = 0
+        #: wall seconds of the chunk path's window loops and drains
+        #: (``run_batched``, ``run_pipeline``): less ``kernel_seconds``,
+        #: the host's work around the body.
+        self.kernel_loop_seconds = 0.0
         #: the generated body's store (``None`` on golden lanes).
         self.state: Optional[ArrayState] = None
         #: the golden lanes, one network each (``None`` on the C body).
@@ -631,11 +636,15 @@ def run_batched(
 
     compiled = chunk_kernel(engine, drivers)
     if compiled is not None:
-        while engine.cycle < end:
-            if skipped():
-                continue
-            window = source.generate_window(engine.cycle, end)
-            compiled.run_chunk(drivers, window.stop - window.start, window)
+        start = time.perf_counter()
+        try:
+            while engine.cycle < end:
+                if skipped():
+                    continue
+                window = source.generate_window(engine.cycle, end)
+                compiled.run_chunk(drivers, window.stop - window.start, window)
+        finally:
+            engine.kernel_loop_seconds += time.perf_counter() - start
         return
     while engine.cycle < end:
         if skipped():

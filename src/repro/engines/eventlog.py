@@ -3,7 +3,8 @@
 The generated kernel hands back a window's events as integer arrays.
 :class:`EventLog` keeps them that way: a log is a sequence of *parts*,
 each a ``(block, lo, hi)`` column slice of an event array whose rows
-are the record's fields in declaration order, or a plain list of
+are the log's row names (the record's fields in declaration order, by
+default), or a plain list of
 records — what a driver's submit log appends (packets built in Python,
 whose payloads are no columns) and what :meth:`EventLog.extend` reads
 back from a resumed run's saved log.  A whole chunk's block is
@@ -40,10 +41,11 @@ _TAIL_MIN, _TAIL_MAX = 256, 4096
 EVENT_FIELDS = ("cycle", "router", "vc", "flit_word")
 
 
-def record_block(records, names=EVENT_FIELDS):
+def record_block(records, names=EVENT_FIELDS, row=None):
     """Fields ``names`` of ``records`` as a ``[fields, n]`` int64 block —
-    the one pass that reads record objects the Python engines logged."""
-    rows = list(map(attrgetter(*names), records))
+    the one pass that reads record objects the Python engines logged
+    (``row(record)``, where given, reads them; else the attributes)."""
+    rows = list(map(row or attrgetter(*names), records))
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(names)).T
 
 
@@ -74,10 +76,16 @@ class EventLog(Sequence):
     appended meanwhile.
     """
 
-    __slots__ = ("_record", "_parts", "_starts", "append", "_tail", "_used")
+    __slots__ = ("_record", "_names", "_row", "_parts", "_starts", "append", "_tail", "_used")
 
-    def __init__(self, record: Callable) -> None:
+    def __init__(self, record: Callable, names=None, row=None) -> None:
+        """``record`` builds a record from one column's values; its
+        dataclass fields name the rows unless ``names`` does, and an
+        appended record is read back into a column by ``row`` (default:
+        the attributes ``names``)."""
         self._record = record
+        self._names = tuple(names or (f.name for f in fields(record)))
+        self._row = row
         self._parts: List = []
         #: index of each part's first record (parallel to ``_parts``).
         self._starts: List[int] = []
@@ -173,7 +181,7 @@ class EventLog(Sequence):
         a view, appended records are read once."""
         for part, a, b in self._pieces(start, stop):
             if type(part) is list:
-                yield record_block(part[a:b], [f.name for f in fields(self._record)])
+                yield record_block(part[a:b], self._names, self._row)
             else:
                 yield part[:, a:b]
 
@@ -183,7 +191,7 @@ class EventLog(Sequence):
         blocks = list(self.blocks(start, stop))
         if len(blocks) == 1:
             return blocks[0]
-        empty = np.empty((len(fields(self._record)), 0), dtype=np.int64)
+        empty = np.empty((len(self._names), 0), dtype=np.int64)
         return np.concatenate([empty, *blocks], axis=1)
 
     def __getitem__(self, index):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.engines import SequentialEngine
 from repro.noc import NetworkConfig, RouterConfig
 from repro.noc.packet import GT_PAYLOAD_BYTES
 from repro.stats import PacketLatencyTracker, gt_guarantee_bound
+from repro.stats.latency import analyse_lanes
 from repro.stats.latency import S_GT, S_HOPS, S_SUBMIT
 from repro.traffic import BernoulliBeTraffic, GtStreamTraffic, TrafficDriver, uniform_random
 from repro.noc.reservation import GtReservationTable
@@ -175,48 +176,51 @@ def run_fig1_workloads_batched(
     by construction (three bulk-synchronous sweeps per cycle against the
     one-sweep-per-router static minimum).
     """
-    from repro.engines import BatchEngine, drain_batched, run_batched
+    from repro.engines import BatchEngine
 
     net = fig1_network()
-    lanes = len(be_loads)
-    engine = BatchEngine(net, lanes=lanes)
+    engine = BatchEngine(net, lanes=len(be_loads))
     warmup = gt_period if warmup is None else warmup
-    drivers = []
-    trackers = []
     # one reservation table: the lanes carry identical (immutable) streams
     streams = fig1_gt_streams(net).streams
-    for i, be_load in enumerate(be_loads):
-        gt = GtStreamTraffic(net, streams, period=gt_period)
-        be = BernoulliBeTraffic(net, be_load, uniform_random(net), seed=seed)
-        driver = TrafficDriver(engine.lane(i), be=be, gt=gt)
-        tracker = PacketLatencyTracker(net)
-        driver.attach_tracker(tracker)
-        drivers.append(driver)
-        trackers.append(tracker)
-
-    run_batched(engine, drivers, warmup + cycles)
-    for driver in drivers:
-        driver.be = None
-        driver.gt = None
-    done = drain_batched(engine, drivers)
-
-    results = []
-    for i, be_load in enumerate(be_loads):
-        trackers[i].collect(engine.lane(i))
-        results.append(
-            _fig1_point_result(
-                net,
-                trackers[i],
-                be_load=be_load,
-                gt_period=gt_period,
-                cycles=cycles,
-                warmup=warmup,
-                n_injections=len(engine.lane_injections(i)),
-                done_cycle=warmup + cycles + done[i],
-                extra_delta_fraction=engine.metrics.extra_fraction(),
-            )
+    drivers = [
+        TrafficDriver(
+            engine.lane(i),
+            be=BernoulliBeTraffic(net, be_load, uniform_random(net), seed=seed),
+            gt=GtStreamTraffic(net, streams, period=gt_period),
         )
-    return results
+        for i, be_load in enumerate(be_loads)
+    ]
+    done = run_lane_sweep(engine, drivers, warmup + cycles)
+    return [
+        _fig1_point_result(
+            net,
+            driver.tracker,
+            be_load=be_load,
+            gt_period=gt_period,
+            cycles=cycles,
+            warmup=warmup,
+            n_injections=len(engine.lane_injections(i)),
+            done_cycle=warmup + cycles + done[i],
+            extra_delta_fraction=engine.metrics.extra_fraction(),
+        )
+        for i, (be_load, driver) in enumerate(zip(be_loads, drivers))
+    ]
+
+
+def run_lane_sweep(engine, drivers: Sequence[TrafficDriver], cycles: int) -> List[int]:
+    """A lane-batched sweep's run: ``cycles`` of ``drivers``' traffic on
+    ``engine``, the drain, then every lane's latency analysis in one pass
+    (:func:`~repro.stats.latency.analyse_lanes`: each driver ends with its
+    lane's tracker).  Returns each lane's drain cycles."""
+    from repro.engines import drain_batched, run_batched
+
+    run_batched(engine, drivers, cycles)
+    for driver in drivers:
+        driver.be = driver.gt = None
+    done = drain_batched(engine, drivers)
+    analyse_lanes(drivers)
+    return done
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:

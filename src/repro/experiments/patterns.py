@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import render_table, scale
+from repro.experiments.common import render_table, run_lane_sweep, scale
 from repro.experiments.parallel import lane_batchable, parallel_map
 
 #: offered BE load shared by every pattern (fraction of capacity).
@@ -122,33 +122,24 @@ def run_patterns_batched(
     run would, and the batch engine is bit-identical to the sequential
     engine per lane, so the summaries match the process-path sweep.
     """
-    from repro.engines import BatchEngine, drain_batched, run_batched
+    from repro.engines import BatchEngine
     from repro.noc import NetworkConfig
-    from repro.stats import PacketLatencyTracker
     from repro.traffic import BernoulliBeTraffic, TrafficDriver
 
     net = NetworkConfig(6, 6, topology="torus")
     engine = BatchEngine(net, lanes=len(names))
-    drivers = []
-    trackers = []
-    for i, name in enumerate(names):
-        be = BernoulliBeTraffic(net, load, _make_pattern(name, net), seed=seed)
-        driver = TrafficDriver(engine.lane(i), be=be)
-        tracker = PacketLatencyTracker(net)
-        driver.attach_tracker(tracker)
-        drivers.append(driver)
-        trackers.append(tracker)
-    run_batched(engine, drivers, cycles)
-    for driver in drivers:
-        driver.be = None
-    drain_batched(engine, drivers)
-    results = []
-    for i, name in enumerate(names):
-        trackers[i].collect(engine.lane(i))
-        results.append(
-            _pattern_result(name, net, trackers[i], engine.lane_ejections(i))
+    drivers = [
+        TrafficDriver(
+            engine.lane(i),
+            be=BernoulliBeTraffic(net, load, _make_pattern(name, net), seed=seed),
         )
-    return results
+        for i, name in enumerate(names)
+    ]
+    run_lane_sweep(engine, drivers, cycles)
+    return [
+        _pattern_result(name, net, driver.tracker, engine.lane_ejections(i))
+        for i, (name, driver) in enumerate(zip(names, drivers))
+    ]
 
 
 @dataclass

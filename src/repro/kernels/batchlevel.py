@@ -1284,6 +1284,16 @@ class CompiledBatchLevel:
         }
         self._bound: dict = {}
         self._ptrs: dict = {}
+        #: ``repro_level_chunk``'s arguments as a list, the per-call words
+        #: patched in (:meth:`_args`); ``None`` once a pointer moved
+        self._template: Optional[list] = None
+        #: the drivers' stores as :meth:`stage` names them: their
+        #: addresses, and the ``[3, lanes]`` table of them
+        self._addresses: list = []
+        self._stores = np.zeros((3, 0), dtype=np.int64)
+        #: what a call may inject besides its staged entries (every valid
+        #: injection register), and eject (those, and every buffered flit)
+        self._held = B * R * V, B * R * (V + NQ * spec.depth_max)
         #: the call on this body's fabric thread, if one is
         self._in_flight: Optional["FabricJob"] = None
         #: ``(lib, ffi)`` of the stimuli kernel: staging and carry-over.
@@ -1313,7 +1323,7 @@ class CompiledBatchLevel:
                 "kernel binding needs C-contiguous int64 arrays "
                 f"(got {arr.dtype}, contiguous={arr.flags['C_CONTIGUOUS']})"
             )
-        return self._ffi.cast("int64_t *", arr.ctypes.data)
+        return self._ffi.from_buffer("int64_t[]", arr)
 
     def _rows(self, name: str, need: int) -> np.ndarray:
         """Call buffer ``name`` with room for ``need`` columns (contents
@@ -1324,6 +1334,7 @@ class CompiledBatchLevel:
             buf = np.zeros((_BUFFER_ROWS[name], cap), dtype=np.int64)
             self._buffers[name] = buf
             self._ptrs[name] = self._ptr(buf)
+            self._template = None
         return buf
 
     def _events(self, sent: int, ejected: int) -> dict:
@@ -1336,7 +1347,7 @@ class CompiledBatchLevel:
             buf = events.get(name)
             if buf is None or buf.shape[1] < need:
                 cap = need if buf is None else max(need, 2 * buf.shape[1])
-                events[name] = buf = np.zeros((_EVENT_ROWS[name], cap), dtype=np.int64)
+                events[name] = buf = np.empty((_EVENT_ROWS[name], cap), dtype=np.int64)
                 events[name, "ptr"] = self._ptr(buf)
         return events
 
@@ -1366,6 +1377,7 @@ class CompiledBatchLevel:
         self._bound = bound
         for name in (*_STATE_FIELDS, "depth", "route"):
             self._ptrs[name] = self._ptr(bound[name])
+        self._template = None
 
     def _stale(self) -> bool:
         engine = self.engine
@@ -1386,42 +1398,28 @@ class CompiledBatchLevel:
         column, until every lane has drained — its events into the
         ``events`` pair."""
         engine = self.engine
-        p = self._ptrs
-        buffers = self._buffers
         if engine.state.wires is not None:
             self._rows("deltas", engine.lanes * n_cycles)
-        return (
-            engine.lanes,
-            engine.cfg.n_routers,
-            n_cycles,
-            engine.cycle,
-            stall_limit,
-            n_queues,
-            p["depth"],
-            p["nb_idx"],
-            p["nb_ok"],
-            p["opp"],
-            p["route"],
-            p["be_cand"],
-            *[p[name] for name in _STATE_FIELDS],
-            p["q"],
-            buffers["q"].shape[1],
-            p["e"],
-            buffers["e"].shape[1],
-            p["lane"],
-            p["occ"],
-            p["work"],
-            events["sent", "ptr"],
-            events["sent"].shape[1],
-            events["ej", "ptr"],
-            events["ej"].shape[1],
-            p["lane_n"],
-            p["counts"],
-            p["err"],
-            p["wires"],
-            p["deltas"],
-            self._ffi.NULL if done is None else done,
+        args = self._template
+        if args is None:
+            p, buffers = self._ptrs, self._buffers
+            args = self._template = [
+                engine.lanes, engine.cfg.n_routers, 0, 0, 0, 0,
+                p["depth"], p["nb_idx"], p["nb_ok"], p["opp"], p["route"], p["be_cand"],
+                *[p[name] for name in _STATE_FIELDS],
+                p["q"], buffers["q"].shape[1], p["e"], buffers["e"].shape[1],
+                p["lane"], p["occ"], p["work"],
+                None, 0, None, 0,  # the event buffers
+                p["lane_n"], p["counts"], p["err"], p["wires"], p["deltas"], None,
+            ]
+        args[2:6] = n_cycles, engine.cycle, stall_limit, n_queues
+        at = 19 + len(_STATE_FIELDS)  # the event buffers' place
+        args[at : at + 4] = (
+            events["sent", "ptr"], events["sent"].shape[1],
+            events["ej", "ptr"], events["ej"].shape[1],
         )
+        args[-1] = self._ffi.NULL if done is None else done
+        return tuple(args)
 
     def _collect(self, events) -> list:
         """Where the last call left its events in the ``events`` pair —
@@ -1430,10 +1428,10 @@ class CompiledBatchLevel:
         engine = self.engine
         lanes = engine.lanes
         sent, ejected = self._scratch["lane_n"][: 2 * lanes].reshape(2, lanes).tolist()
-        counts = self._scratch["counts"]
-        engine.kernel_router_evals += int(counts[1])
-        engine.kernel_lane_cycles += int(counts[2])
-        engine.kernel_replays += int(counts[3])
+        _, evals, lane_cycles, replays = self._scratch["counts"].tolist()
+        engine.kernel_router_evals += evals
+        engine.kernel_lane_cycles += lane_cycles
+        engine.kernel_replays += replays
         return [
             (logs, events[name][:, : sum(n)], n)
             for logs, name, n in (
@@ -1491,9 +1489,12 @@ class CompiledBatchLevel:
         lib, _ = self._stimuli
         queues = [driver.queues for driver in drivers]
         lanes = len(queues)
-        stores = np.ascontiguousarray(
-            np.array([store.address() for store in queues], dtype=np.int64).T
-        )
+        addresses = [store.address() for store in queues]
+        if addresses != self._addresses:  # other stores, or a new arena
+            self._addresses = addresses
+            self._stores = np.array(addresses, dtype=np.int64).T.copy()
+            self._ptrs["stores"] = self._ptr(self._stores)
+        stores = self._stores
         backlog = sum(store._mark[1] for store in queues)  # arena fill marks
         n_fresh = 0 if window is None else window.queues.shape[1]
         if n_fresh:
@@ -1507,7 +1508,7 @@ class CompiledBatchLevel:
             lanes,
             queues[0]._table.shape[1],
             self.engine._V,
-            self._ptr(stores),
+            self._ptrs["stores"],
             n_fresh,
             table,
             flits,
@@ -1536,12 +1537,8 @@ class CompiledBatchLevel:
         # everything injected or already buffered ejects at most once;
         # a router does either at most once a cycle.  (The kernel splits
         # the same bounds by lane, and checks them against the buffers.)
-        state = engine.state
         most = engine.lanes * engine.cfg.n_routers * n_cycles
-        injects = int(np.count_nonzero(state.inj_valid)) + n_entries
-        events = self._events(
-            min(injects, most), min(injects + int(state.count.sum()), most)
-        )
+        events = self._events(*(min(held + n_entries, most) for held in self._held))
         stall_limit = drivers[0].stall_limit if drivers else 10_000
         args = self._args(n_cycles, stall_limit, n_queues, events, done)
         return FabricJob(self, drivers, window, done, stores, n_queues, events, args)
@@ -1599,18 +1596,22 @@ class CompiledBatchLevel:
         done = self._scratch["done"]
         done[:] = -1
         start, left = engine.cycle, max_cycles
-        while left > 0:
-            bound = left
-            if engine.state.wires is not None:
-                bound = min(left, self._buffers["deltas"].shape[1] // engine.lanes)
-            job = self.prepare(drivers, bound, None, self._ptrs["done"]).run()
-            job.land()
-            job.book()
-            engine.kernel_drain_cycles += job.completed
-            job.check()
-            if job.completed < bound:  # it returned early: every lane was done
-                break
-            left -= job.completed
+        wall = time.perf_counter()
+        try:
+            while left > 0:
+                bound = left
+                if engine.state.wires is not None:
+                    bound = min(left, self._buffers["deltas"].shape[1] // engine.lanes)
+                job = self.prepare(drivers, bound, None, self._ptrs["done"]).run()
+                job.land()
+                job.book()
+                engine.kernel_drain_cycles += job.completed
+                job.check()
+                if job.completed < bound:  # it returned early: every lane was done
+                    break
+                left -= job.completed
+        finally:
+            engine.kernel_loop_seconds += time.perf_counter() - wall
         return [at - start if at >= 0 else -1 for at in done.tolist()]
 
     def _raise(self, ret, err) -> None:
@@ -1740,7 +1741,7 @@ class FabricJob:
             body._stimuli[0].repro_carry(
                 lanes,
                 drivers[0].queues._table.shape[1],
-                body._ptr(stores),
+                body._ptrs["stores"],
                 self._n_queues,
                 body._ptrs["q"],
                 body._buffers["q"].shape[1],
@@ -1756,8 +1757,9 @@ class FabricJob:
             engine.kernel_window_cycles += completed
             if self.window is not None:
                 engine.kernel_window_flits += self.window.flits.shape[1]
-        self._marks = marks[:lanes].copy()
-        self._err = scratch["err"].copy()
+        if ret:  # what settling an overload and raising the error read
+            self._marks = marks[:lanes].copy()
+            self._err = scratch["err"].copy()
 
     def book(self) -> None:
         """Log the call's events and book its window on the drivers

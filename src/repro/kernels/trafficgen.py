@@ -997,7 +997,9 @@ def bind_stimuli_kernel():
 
 
 def pointer(ffi, array):
-    return ffi.cast("int64_t *", array.ctypes.data)
+    """``array`` (C-contiguous int64) as the kernel's ``int64_t *``; the
+    pointer keeps the array alive."""
+    return ffi.from_buffer("int64_t[]", array)
 
 
 #: ``repro_match``'s return for a stream outside the fabric's tables.
@@ -1021,9 +1023,10 @@ class PacketMatch:
         self._lib, self._ffi = kernel
         n_routers, n_vcs = net.n_routers, net.router.n_vcs
         #: submit-list fronts (all -1 between calls), head-list fronts,
-        #: reassembly registers (five words a sink queue)
-        self._scratch = np.full(n_routers * (256 + 6 * n_vcs), -1, dtype=np.int64)
-        self._hops = hops  # a pointer keeps nothing alive
+        #: reassembly registers (five words a sink queue); made by the
+        #: first call, so a tracker another's pass serves holds none
+        self._scratch = None
+        self._scratch_size = n_routers * (256 + 6 * n_vcs)
         self._fabric = (
             net.width, net.height, n_vcs, net.router.data_width, pointer(self._ffi, hops)
         )
@@ -1065,15 +1068,20 @@ class PacketMatch:
             ]
             lanes.append((submits, events, _columns(heads), first, caps))
         blocks = [block for submits, events, *_ in lanes for block in (*submits, *events)]
+        ffi = self._ffi
         table = np.array(
             [
-                [block.ctypes.data for block in blocks],
+                # a row's buffer names the block's address (half the cost
+                # of `.ctypes.data`, a few hundred blocks a pass)
+                [int(ffi.cast("intptr_t", ffi.from_buffer(block[0]))) for block in blocks],
                 [block.strides[0] // 8 for block in blocks],
                 [block.shape[1] for block in blocks],
             ],
             dtype=np.int64,
         )
         at = lambda array: pointer(self._ffi, array)  # noqa: E731
+        if self._scratch is None:
+            self._scratch = np.full(self._scratch_size, -1, dtype=np.int64)
         while True:
             words, ends, base = [], [0, 0, 0, 0], 0
             for submits, events, heads, first, caps in lanes:
@@ -1163,13 +1171,25 @@ class BatchedBeGenerator(WindowSource):
                 self._gt_stream[row, lane, :count] = [
                     getattr(stream, field) for stream in gt.streams
                 ]
-        # generator state, loaded from the drivers before every scan
+        # generator state: the sequence numbers and BE-VC toggles live
+        # here, the generators' and drivers' own lists replaced by row
+        # views, so a scan advances them in place and whatever reads the
+        # objects reads the same values; the LFSRs are carried in and out
         self._states = np.zeros(lanes, dtype=np.int64)
         self._tally = np.zeros(lanes + 1, dtype=np.int64)
         self._be_seq = np.zeros((lanes, self.n_src), dtype=np.int64)
         self._toggles = np.zeros((lanes, self.n_src), dtype=np.int64)
         self._gt_seq = np.zeros((lanes, n_gt), dtype=np.int64)
-        self._no_be = [0] * self.n_src
+        for lane, (be, driver) in enumerate(zip(self._bes, self.drivers)):
+            self._toggles[lane] = driver._be_vc_toggle
+            driver._be_vc_toggle = self._toggles[lane]
+            if be is not None:
+                self._be_seq[lane] = be._seq
+                be._seq = self._be_seq[lane]
+        for lane, gt in self._gts:
+            count = len(gt.streams)
+            self._gt_seq[lane, :count] = gt._seq
+            gt._seq = self._gt_seq[lane, :count]
         #: per lane: cumulative packet ends and flit counts of a scan.
         self._ends = np.zeros((2, lanes), dtype=np.int64)
         #: the load step's key -> queue scratch (all -1 between calls).
@@ -1198,6 +1218,9 @@ class BatchedBeGenerator(WindowSource):
             at(self._work), at(self._packets), cap, self.budget, at(self._ends),
         )
         self._p_key_queue = at(self._key_queue)
+        #: the load step's scratch: a window's queue table, then its work
+        #: words (grow-only)
+        self._load_work = np.empty(0, dtype=np.int64)
 
     def _call(self, upto: int, start: int, stop: int, probe: int) -> int:
         """One C scan from ``start``, to ``stop`` at most, over the live
@@ -1222,41 +1245,17 @@ class BatchedBeGenerator(WindowSource):
         self.probe_words += tally[-1]
         return stopped
 
-    def _state_in(self) -> Tuple:
-        """Load the counters a scan advances from the drivers; returns
-        them, and each live LFSR's state, as a rewind snapshot."""
-        self._be_seq[:] = [
-            self._no_be if be is None else be._seq for be in self._bes
-        ]
-        self._toggles[:] = [driver._be_vc_toggle for driver in self.drivers]
-        for lane, gt in self._gts:
-            self._gt_seq[lane, : len(gt._seq)] = gt._seq
-        return (
+    def _generate(self, upto: int, start: int, limit: int) -> Tuple[Tuple, int]:
+        """Scan lanes ``[0, upto)`` from ``start`` in generate mode: the
+        packets land in the scratch columns.  Returns the state the scan
+        started from (a rewind snapshot) and the cycle it stopped at."""
+        snapshot = (
             [(be.rng.state, be.rng.words_read) for _, be in self._live],
             self._be_seq.copy(),
             self._toggles.copy(),
             self._gt_seq.copy(),
         )
-
-    def _state_out(self, be_seq, toggles, gt_seq) -> None:
-        for be, driver, seq, toggle in zip(
-            self._bes, self.drivers, be_seq.tolist(), toggles.tolist()
-        ):
-            if be is not None:
-                be._seq[:] = seq
-            driver._be_vc_toggle[:] = toggle
-        for lane, gt in self._gts:
-            gt._seq[:] = gt_seq[lane, : len(gt._seq)].tolist()
-
-    def _generate(self, upto: int, start: int, limit: int) -> Tuple[Tuple, int]:
-        """Scan lanes ``[0, upto)`` from ``start`` in generate mode: the
-        packets land in the scratch columns.  Returns the state the scan
-        started from and the cycle it stopped at."""
-        snapshot = self._state_in()
-        stop = self._call(upto, start, limit, 0)
-        if self._ends[0, -1]:
-            self._state_out(self._be_seq, self._toggles, self._gt_seq)
-        return snapshot, stop
+        return snapshot, self._call(upto, start, limit, 0)
 
     def scan(self, start: int, limit: int) -> Stimuli:
         snapshot, stop = self._generate(len(self.drivers), start, limit)
@@ -1284,24 +1283,24 @@ class BatchedBeGenerator(WindowSource):
             return stimuli
         net, ffi = self._net, self._ffi
         q_cap = min(m, len(self._key_queue))
-        queues = np.empty((4, q_cap), dtype=np.int64)
+        if self._load_work.size < 5 * q_cap + m:  # the queue table, the work words
+            self._load_work = np.empty(5 * q_cap + m, dtype=np.int64)
+            self._p_load_work = pointer(ffi, self._load_work)
         flits = np.empty((3, n), dtype=np.int64)
-        work = np.empty(m + q_cap, dtype=np.int64)
         n_queues = self._lib.repro_load_flits(
             m, pointer(ffi, packets),
             self._n_keys, net.router.n_vcs, net.width, net.router.data_width,
-            pointer(ffi, queues), q_cap, pointer(ffi, flits), n,
-            self._p_key_queue, pointer(ffi, work),
+            self._p_load_work, q_cap, pointer(ffi, flits), n,
+            self._p_key_queue, self._p_load_work + 4 * q_cap,
         )
-        stimuli.queues = np.ascontiguousarray(queues[:, :n_queues])
+        stimuli.queues = self._load_work[: 4 * q_cap].reshape(4, q_cap)[:, :n_queues].copy()
         stimuli.flits = flits
         return stimuli
 
     def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
-        rngs, be_seq, toggles, gt_seq = stimuli.snapshot
+        rngs, self._be_seq[:], self._toggles[:], self._gt_seq[:] = stimuli.snapshot
         for (_, be), (state, words_read) in zip(self._live, rngs):
             be.rng.state, be.rng.words_read = state, words_read
-        self._state_out(be_seq, toggles, gt_seq)
         self._generate(len(self.drivers), stimuli.start, cycle)
         self._generate(lane + 1, cycle, cycle + 1)
 

@@ -204,17 +204,21 @@ class Topology:
         return nodes, edges
 
     def hop_table(self):
-        """``[n_routers, n_routers]`` minimal hop distances under
-        dimension-order routing, read-only and shared by every
-        :class:`Topology` of the same shape."""
-        net = self.net
-        return _hop_table(net.width, net.height, net.topology)
+        """:func:`hop_table` of this topology's fabric."""
+        return hop_table(self.net)
 
     def hops(self, src: int, dest: int) -> int:
         """Minimal hop distance under dimension-order routing."""
         for router in (src, dest):
             self.net.coords(router)  # IndexError off the fabric
         return int(self.hop_table()[src, dest])
+
+
+def hop_table(net: NetworkConfig):
+    """``[n_routers, n_routers]`` minimal hop distances under
+    dimension-order routing on ``net``'s fabric, read-only and shared by
+    every caller with a fabric of the same shape."""
+    return _hop_table(net.width, net.height, net.topology)
 
 
 @lru_cache(maxsize=16)

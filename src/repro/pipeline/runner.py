@@ -103,7 +103,9 @@ class Analysis:
             for lane, hi in enumerate(stimuli.lane_ends):
                 self.submit_counts[lane] += hi - lo
                 lo = hi
-        collect_lanes(self.trackers, injections, ejections)
+        collect_lanes(
+            self.trackers, [[block] for block in injections], [[block] for block in ejections]
+        )
         for lane, ejected in enumerate(ejections):
             self.inj_counts[lane] += injections[lane].shape[1]
             self.ej_counts[lane] += ejected.shape[1]
@@ -251,6 +253,7 @@ def run_pipeline(
     start, end = engine.cycle, engine.cycle + cycles
     flight = None  # the window simulating
     wall_start = time.perf_counter()
+    looped = None  # the window loop's wall, once it ended (the drain times itself)
     try:
         while start < end:
             with prof.busy("generate"):
@@ -277,6 +280,7 @@ def run_pipeline(
             with prof.busy("simulate"):
                 landed = book(flight)
             analyse(*landed)
+        looped = time.perf_counter() - wall_start
         with prof.busy("simulate"):
             if isinstance(engine, BatchEngine):
                 done = list(drain_batched(engine, drivers))
@@ -293,5 +297,8 @@ def run_pipeline(
             flight[0].book()
         if body is not None:
             body.close_fabric()
+            if looped is None:
+                looped = time.perf_counter() - wall_start
+            engine.kernel_loop_seconds += looped
     prof.wall_seconds += time.perf_counter() - wall_start
     return PipelineReport(cycles, done, prof, analysis)

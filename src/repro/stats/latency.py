@@ -33,7 +33,7 @@ from repro.noc.flit import (
     field,
 )
 from repro.noc.packet import PacketClass, ProtocolError, flits_per_packet
-from repro.noc.topology import Topology
+from repro.noc.topology import hop_table
 from repro.traffic.stimuli import SubmitRecord
 
 
@@ -114,6 +114,9 @@ class SampleLog(Sequence):
         return columns[S_TAIL_EJECT] - columns[S_SUBMIT]
 
     def extend_block(self, block) -> None:
+        if not self._used:  # a first block is kept as handed over, unread
+            self._block, self._used = block, block.shape[1]
+            return
         used = self._used + block.shape[1]
         if used > self._block.shape[1]:
             grown = np.empty((8, max(used, 2 * self._block.shape[1])), dtype=np.int64)
@@ -249,7 +252,6 @@ class PacketLatencyTracker:
 
     def __init__(self, net: NetworkConfig) -> None:
         self.net = net
-        self.topology = Topology(net)
         self.samples = SampleLog()
         #: outstanding submits in submit order, rows ``src * 256 + seq,
         #: vc, submit cycle``: the block left by the last window, then
@@ -271,7 +273,7 @@ class PacketLatencyTracker:
         self.kernel = "numpy" if kernel is None else "c"
         #: the C body with this tracker's call scratch; not state
         self._c_match = kernel and PacketMatch(
-            kernel, self.net, self.topology.hop_table()
+            kernel, self.net, hop_table(self.net)
         )
 
     def __getstate__(self):
@@ -500,7 +502,7 @@ class PacketLatencyTracker:
                 field(header, GT_FIELD),
                 src,
                 dest,
-                self.topology.hop_table()[src, dest],
+                hop_table(net)[src, dest],
                 submit_cycle,
                 head_inject,
                 head_eject,
@@ -554,25 +556,51 @@ def note_lanes(trackers, columns, lane_ends) -> None:
 
 def collect_lanes(trackers, injections, ejections) -> None:
     """:meth:`PacketLatencyTracker.collect_records` for every tracker,
-    tracker ``i`` taking the window blocks ``injections[i]`` and
-    ``ejections[i]``: one C pass over all of them where the trackers
-    have the C body.  Trackers take their results in order, so a window
-    a sink refuses raises with the trackers before it updated and it and
-    those after it as they were."""
+    tracker ``i`` taking the event blocks ``injections[i]`` and
+    ``ejections[i]`` (each a list of blocks, in log order): one C pass
+    over all of them where the trackers have the C body.  Trackers take
+    their results in order, so a window a sink refuses raises with the
+    trackers before it updated and it and those after it as they were."""
     match = trackers[0]._c_match if trackers else None
     windows = [
         (tracker._submits, tracker._head_injects, tracker._open,
-         [_event_block(inj)], [_event_block(ej)])
+         list(map(_event_block, inj)), list(map(_event_block, ej)))
         for tracker, inj, ej in zip(trackers, injections, ejections)
     ]
     found = match.lanes(windows) if match else [None] * len(windows)
     for tracker, inj, ej, result in zip(trackers, injections, ejections, found):
         if result is None:  # the NumPy body's to judge
-            tracker.collect_records(inj, ej)
+            tracker._collect(inj, ej)
         elif type(result) is tuple:
             tracker._refuse(*result)
         else:
             tracker._commit(result)
+
+
+def analyse_lanes(drivers) -> List[PacketLatencyTracker]:
+    """Every lane's latency analysis in one pass once its run has
+    drained — the batched sweeps' schedule of what the streamed run's
+    :class:`~repro.pipeline.runner.Analysis` does window by window.  Each
+    lane's submits are noted part by part from its driver's submit log,
+    then :func:`collect_lanes` matches every lane's whole event logs,
+    read in place.  Matching is FIFO per key, so the samples are the
+    ones window-by-window matching finds (DESIGN section 15).  Each
+    driver is handed its lane's tracker; returns them."""
+    trackers = [PacketLatencyTracker(driver.net) for driver in drivers]
+    for tracker, driver in zip(trackers, drivers):
+        log = driver.submits
+        for cycle, src, _, vc, seq in (block[:5] for block in log.blocks(0, len(log))):
+            tracker.note_submits(src, seq, vc, cycle)
+    logs = [(driver.engine.injections, driver.engine.ejections) for driver in drivers]
+    collect_lanes(
+        trackers,
+        [list(log_blocks(inj, 0, len(inj))) for inj, _ in logs],
+        [list(log_blocks(ej, 0, len(ej))) for _, ej in logs],
+    )
+    for driver, tracker, (inj, ej) in zip(drivers, trackers, logs):
+        tracker._inj_seen, tracker._ej_seen = len(inj), len(ej)
+        driver.attach_tracker(tracker)
+    return trackers
 
 
 def gt_guarantee_bound(

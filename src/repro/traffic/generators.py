@@ -180,7 +180,7 @@ class BernoulliBeTraffic:
                     rng.state = state
                     rng.words_read += reads
                     reads = 0
-                    seq = seq_table[src]
+                    seq = int(seq_table[src])  # a list, or a C scan's row
                     seq_table[src] = (seq + 1) & 0xFF
                     payload = _ramp_payload(src + seq, payload_bytes)
                     out.append(
@@ -246,7 +246,7 @@ class GtStreamTraffic:
         """The next ``(packet, reserved VC)`` of stream ``index``; its
         sequence number advances."""
         stream = self.streams[index]
-        seq = self._seq[index]
+        seq = int(self._seq[index])  # a list, or a C scan's row
         self._seq[index] = (seq + 1) & 0xFF
         packet = Packet(
             src=stream.src,

@@ -179,10 +179,23 @@ class SubmitRecord:
     submit_cycle: int
 
 
-def _submit_record(lane, cycle, src, dest, vc, seq, tag, gt, nbytes) -> SubmitRecord:
-    """The record of one row of a C-scanned window's packet columns
-    (generator packets carry the byte ramp, so the payload is a function
-    of the row)."""
+#: rows of a driver's submit log (``TrafficDriver.submits``): a
+#: window's packet columns from ``P_CYCLE`` on.
+SUBMIT_FIELDS = ("cycle", "src", "dest", "vc", "seq", "tag", "gt", "nbytes")
+
+
+def _submit_row(record: SubmitRecord) -> Tuple[int, ...]:
+    """One submit log column (rows :data:`SUBMIT_FIELDS`) of ``record``."""
+    packet = record.packet
+    return (
+        record.submit_cycle, packet.src, packet.dest, record.vc, packet.seq,
+        packet.tag, packet.pclass is PacketClass.GT, len(packet.payload),
+    )
+
+
+def _submit_record(cycle, src, dest, vc, seq, tag, gt, nbytes) -> SubmitRecord:
+    """The record of one submit log column (generator packets carry the
+    byte ramp, so the payload is a function of the column)."""
     if gt:
         packet = Packet(src, dest, PacketClass.GT, _ramp_payload(seq, nbytes), tag, seq)
     else:
@@ -545,15 +558,20 @@ def settle(drivers, stimuli: Stimuli, before, overload=None) -> None:
     registered before the window) and the books, and the window's source
     rewinds its generators to the same point.
     """
-    cycles = stimuli.packets[P_CYCLE]
-    for lane, driver in enumerate(drivers):
-        lo, hi = stimuli.lane_span(lane)
-        flits = stimuli.lane_flits[lane]
-        if overload is not None:
-            cut = overload[0] + (lane <= overload[1])
-            hi = lo + int(np.searchsorted(cycles[lo:hi], cut))
-            flits -= driver.queues.trim(cut, int(before[lane]))
-        driver.book(stimuli, lo, hi, flits)
+    ends, flits = stimuli.lane_ends, stimuli.lane_flits
+    starts = [0, *ends[:-1]]
+    if overload is not None:
+        # a lane's packets are in cycle order: it keeps those before its cut
+        lanes = stimuli.packets[P_LANE]
+        cuts = overload[0] + (np.arange(len(drivers)) <= overload[1])
+        kept = np.bincount(lanes[stimuli.packets[P_CYCLE] < cuts[lanes]], minlength=len(drivers))
+        ends = (kept + starts).tolist()
+        flits = [
+            n - driver.queues.trim(cut, int(mark))
+            for driver, n, cut, mark in zip(drivers, flits, cuts.tolist(), before)
+        ]
+    for driver, lo, hi, n in zip(drivers, starts, ends, flits):
+        driver.book(stimuli, lo, hi, n)
     if overload is not None:
         stimuli.source.rewind(stimuli, *overload)
 
@@ -675,7 +693,7 @@ class TrafficDriver:
         self.queues = StimuliQueues(self.net)
         #: one :class:`SubmitRecord` per submitted packet, in submit
         #: order; a C-scanned window's are built when read.
-        self.submits = EventLog(_submit_record)
+        self.submits = EventLog(_submit_record, SUBMIT_FIELDS, _submit_row)
         self._be_vc_toggle = [0] * self.net.n_routers
         self._be_vcs = self.net.router.be_vcs  # the VCs a source alternates over
         self.overloaded = False
@@ -766,7 +784,7 @@ class TrafficDriver:
             return
         packets = stimuli.packets
         if stimuli.objects is None:
-            self.submits.extend_block(packets, lo, hi)
+            self.submits.extend_block(packets[P_CYCLE:], lo, hi)
         else:
             vcs, cycles = packets[P_VC, lo:hi].tolist(), packets[P_CYCLE, lo:hi].tolist()
             for packet, vc, cycle in zip(stimuli.objects[lo:hi], vcs, cycles):

@@ -338,7 +338,8 @@ class TestFarmCli:
                 r"kernel run: chunked; activity: (\d+) % of router-cycles evaluated"
                 r"; body: (\d+) ns per stepped lane-cycle"
                 r"; windows: (\d+) \(mean (\d+) cycles, (\d+) flits\)"
-                r"; drain: (\d+) cycles in C", line
+                r"; drain: (\d+) cycles in C"
+                r"; host: (-?\d+) µs a window outside the body", line
             )
             assert match and 0 < int(match.group(1)) < 100
             # the body's host time over the lane-cycles it stepped
@@ -350,6 +351,39 @@ class TestFarmCli:
             # the drain ran inside the body too: the slowest lane's count
             drained = re.findall(r"drained after (\d+) extra", "\n".join(self.lines))
             assert int(match.group(6)) == max(map(int, drained)) > 0
+            # the loop's wall around the body's own time
+            assert int(match.group(7)) >= 0
+
+    def test_run_line_reports_the_host_time_a_window(self, capsys):
+        # the window loops' and the drain's wall, less the body's own
+        # seconds, over the windows: the host's work around the body
+        from repro.cli import _report_run
+        from repro.engines import BatchEngine, drain_batched, run_batched
+        from repro.kernels import probe_backends
+        from repro.noc import NetworkConfig
+        from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
+
+        if probe_backends()["cffi"] != "ok":
+            pytest.skip("no generated-C body")
+        net = NetworkConfig(4, 4, topology="torus")
+        engine = BatchEngine(net, lanes=3)
+        drivers = [
+            TrafficDriver(
+                engine.lane(i),
+                be=BernoulliBeTraffic(net, 0.25, uniform_random(net), seed=5 + i),
+            )
+            for i in range(3)
+        ]
+        run_batched(engine, drivers, 1200)
+        looped = engine.kernel_loop_seconds
+        assert looped > engine.kernel_seconds > 0
+        drain_batched(engine, drivers)
+        assert engine.kernel_loop_seconds > looped  # the drain's call counts too
+        _report_run(engine, drivers)
+        (line,) = capsys.readouterr().out.splitlines()
+        host = (engine.kernel_loop_seconds - engine.kernel_seconds) / engine.kernel_windows
+        assert engine.kernel_windows > 1
+        assert line.endswith(f"; host: {1e6 * host:.0f} µs a window outside the body")
 
     def test_run_line_counts_the_calls_replayed_in_cycle_order(self, capsys):
         # a clean run's line has no replays part (the fullmatch above); a

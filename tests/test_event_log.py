@@ -28,7 +28,7 @@ from repro.kernels.batchlevel import CompiledBatchLevel
 from repro.noc import NetworkConfig, RouterConfig
 from repro.noc.network import EjectionRecord, InjectionRecord
 from repro.traffic.generators import BernoulliBeTraffic, uniform_random
-from repro.traffic.stimuli import TrafficDriver
+from repro.traffic.stimuli import SUBMIT_FIELDS, TrafficDriver, _submit_row
 
 JIT_REASON = probe_backends()["cffi"]
 needs_jit = pytest.mark.skipif(
@@ -494,3 +494,35 @@ def test_reader_below_an_observed_length_is_safe_against_the_writer():
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures
     assert len(log) >= total and log[-1].cycle == len(log) - 1
+
+
+class TestSubmitLogRows:
+    """A driver's submit log knows its row names: the columns a window's
+    scan wrote and the records the per-cycle path appended read back as
+    the same ``[8, n]`` block (rows ``SUBMIT_FIELDS``)."""
+
+    def submit_logs(self, kernel):
+        cfg = NetworkConfig(4, 4, topology="torus")
+        engine = BatchEngine(cfg, lanes=2, kernel=kernel)
+        drivers = [
+            TrafficDriver(
+                engine.lane(i), be=BernoulliBeTraffic(cfg, 0.3, uniform_random(cfg), seed=3 + i)
+            )
+            for i in range(2)
+        ]
+        run_batched(engine, drivers, 1500)
+        return [driver.submits for driver in drivers]
+
+    @needs_jit
+    def test_the_column_and_per_cycle_paths_read_the_same_rows(self):
+        scanned = self.submit_logs("jit")  # C-scanned windows: column parts
+        stepped = self.submit_logs("python")  # generated per cycle: records
+        for columns, records in zip(scanned, stepped):
+            n = len(columns)
+            want = np.array([_submit_row(r) for r in records], dtype=np.int64).T
+            assert want.shape == (len(SUBMIT_FIELDS), n) and n > 200
+            assert len(columns._parts) > 1 and type(records._parts[0]) is list
+            for log in (columns, records):
+                assert np.array_equal(log.arrays(0, n), want)
+                assert np.array_equal(np.concatenate(list(log.blocks(0, n)), axis=1), want)
+                assert np.array_equal(log.arrays(n // 3, n // 2), want[:, n // 3 : n // 2])

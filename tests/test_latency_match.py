@@ -30,7 +30,7 @@ from repro.noc.flit import Flit, FlitType, Header, SourceInfo
 from repro.noc.network import EjectionRecord
 from repro.noc.packet import ProtocolError, segment
 from repro.stats import PacketLatencyTracker
-from repro.stats.latency import _NO_EVENTS, _SEQS
+from repro.stats.latency import _NO_EVENTS, _SEQS, collect_lanes
 from tests.test_batch_levelized import needs_jit
 from tests.test_latency_columns import (
     compiled_run,
@@ -260,6 +260,46 @@ def test_events_outside_the_fabric_are_the_numpy_bodys_to_judge():
     got = outcome(tracker_on("c", net), *window, [], [stray])
     assert got == outcome(tracker_on("numpy", net), *window, [], [stray])
     assert got[0] is ProtocolError
+
+
+def test_one_pass_over_lanes_refuses_alike_and_stops_at_the_lane():
+    """``collect_lanes`` over three lanes whose middle one a sink refuses
+    (its first ejected HEAD lost): both bodies raise the same text; the
+    lane before has its samples, it and the lane after stand as noted."""
+    from repro.engines import BatchEngine, drain_batched, run_batched
+    from repro.engines.eventlog import log_window
+    from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
+
+    net = NetworkConfig(4, 4, topology="torus")
+    engine = BatchEngine(net, lanes=3)
+    drivers = [
+        TrafficDriver(engine.lane(i), be=BernoulliBeTraffic(net, 0.2, uniform_random(net), seed=7 + i))
+        for i in range(3)
+    ]
+    run_batched(engine, drivers, 300)
+    drain_batched(engine, drivers)
+    logs = [(view.injections, view.ejections) for view in map(engine.lane, range(3))]
+    injections = [[log_window(inj, 0, len(inj))] for inj, _ in logs]
+    ejections = [[log_window(ej, 0, len(ej))] for _, ej in logs]
+    (block,) = ejections[1]
+    heads = (block[3] >> net.router.data_width) & 3 == int(FlitType.HEAD)
+    ejections[1] = [np.delete(block, np.flatnonzero(heads)[0], axis=1)]
+    outcomes = []
+    for body in ("c", "numpy"):
+        trackers = [tracker_on(body, net) for _ in drivers]
+        for tracker, driver in zip(trackers, drivers):
+            log = driver.submits
+            for cycle, src, _, vc, seq in (b[:5] for b in log.blocks(0, len(log))):
+                tracker.note_submits(src, seq, vc, cycle)
+        noted = [tracker.pending() for tracker in trackers]
+        with pytest.raises(ProtocolError, match="without a HEAD") as err:
+            collect_lanes(trackers, injections, ejections)
+        assert len(trackers[0].samples) > 20 and trackers[0].pending() != noted[0]
+        for tracker, pending in zip(trackers[1:], noted[1:]):
+            assert len(tracker.samples) == 0 and tracker.pending() == pending
+            assert tracker.open_vcs == []
+        outcomes.append((str(err.value), trackers[0].samples.columns.tolist()))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- what the C body alone promises -------------------------------------------

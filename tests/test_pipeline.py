@@ -246,7 +246,7 @@ class TestPipelineEquivalence:
         # the pipeline ran the caller's driver: same state left behind
         assert streamed.flits_generated == driver.flits_generated
         assert streamed._stall == driver._stall
-        assert streamed._be_vc_toggle == driver._be_vc_toggle
+        assert list(streamed._be_vc_toggle) == list(driver._be_vc_toggle)
         assert list(streamed.queues) == list(driver.queues)
         assert report.analyze.submit_counts == [len(driver.submits)]
         assert streamed.submits == driver.submits and streamed.tracker is None
@@ -572,6 +572,49 @@ class TestStreamedExperimentSweeps:
         assert swept.points == run_patterns_batched(PATTERNS, 300)
         assert chunks and all(window for _, window in chunks)
 
+    @pytest.mark.parametrize("host", ["cc", "no_cc"])
+    def test_batched_sweeps_hand_each_driver_its_lanes_tracker(
+        self, host, request, monkeypatch
+    ):
+        """After the one analysis pass each driver the sweep ran holds
+        its lane's tracker, with exactly the samples of the streamed
+        sweep (Fig. 1) or of the process path (patterns)."""
+        import repro.engines
+        from repro.experiments import patterns
+        from repro.experiments.common import run_fig1_workloads_batched
+        from repro.pipeline import stream_fig1_sweep
+        from repro.stats import PacketLatencyTracker
+
+        if host == "no_cc":
+            request.getfixturevalue("no_cc")
+        swept, run_batched = [], repro.engines.run_batched
+        monkeypatch.setattr(
+            repro.engines,
+            "run_batched",
+            lambda engine, drivers, cycles: (swept.append(drivers), run_batched(engine, drivers, cycles))[1],
+        )
+        loads = (0.0, 0.04, 0.08, 0.12)
+        run_fig1_workloads_batched(loads, 150, warmup=65)
+        streamed = stream_fig1_sweep(loads, 150, warmup=65).report.trackers
+        solo, collect = [], PacketLatencyTracker.collect
+        monkeypatch.setattr(
+            PacketLatencyTracker,
+            "collect",
+            lambda tracker, engine: (solo.append(tracker), collect(tracker, engine))[1],
+        )
+        patterns.run_patterns_batched(patterns.PATTERNS, 200)
+        assert solo == []  # the batched sweep's pass collects no lane alone
+        for name in patterns.PATTERNS:
+            patterns.run_pattern(name, 200)
+        body = "numpy" if host == "no_cc" else "c"
+        for drivers, want in zip(swept, (streamed, solo)):
+            assert len(drivers) == len(want)
+            for driver, tracker in zip(drivers, want):
+                assert driver.tracker.kernel == tracker.kernel == body
+                assert driver.tracker.samples == tracker.samples
+                assert driver.tracker.pending() == tracker.pending()
+        assert all(len(d.tracker.samples) > 20 for d in swept[1])
+
     #: the Fig. 1 sweep at 1/20 size, unstreamed and streamed (serial,
     #: threaded): which body matched the packets, and the points.
     ANALYSIS_PROBE = """
@@ -625,10 +668,10 @@ print(json.dumps([calls, [[dataclasses.astuple(p) for p in run] for run in runs]
 
         bound, points = probe(os.environ["PATH"])
         degraded, same_points = probe(str(tmp_path))  # a PATH without cc
-        # 8 lanes: one pass a lane unstreamed; streamed, one a window (two
-        # of 128 cycles and the drain) for every lane at once, serial and
-        # threaded
-        assert bound["numpy"] == 0 and bound["c"] == 8 + 2 * 3
+        # 8 lanes: unstreamed, one pass for every lane after the drain;
+        # streamed, one a window (two of 128 cycles and the drain) for
+        # every lane at once, serial and threaded
+        assert bound["numpy"] == 0 and bound["c"] == 1 + 2 * 3
         assert degraded["c"] == 0 and degraded["numpy"] >= bound["c"]
         assert points == same_points and points[0] == points[1] == points[2]
 
