@@ -8,7 +8,6 @@ Commands:
 * ``simulate``    — run a workload on any engine and print statistics
 * ``trace``       — run the RTL engine and dump a VCD waveform
 * ``faults``      — fault-injection campaigns with rollback recovery
-* ``farm``        — fault-tolerant job farm with a crash-safe result cache
 * ``experiments`` — regenerate the paper's tables and figures
 
 Exit codes are meaningful: simulation failures (network overload,
@@ -518,86 +517,6 @@ def cmd_faults(args) -> int:
     return 1 if exhausted or below else 0
 
 
-def cmd_farm(args) -> int:
-    from repro.farm import SimulateJob, open_cache, run_smoke, submit_jobs
-    from repro.faults.policy import RetryPolicy
-
-    if args.smoke:
-        # The self-check is hermetic: it always uses a throwaway cache.
-        ok = run_smoke()
-        print("farm smoke: " + ("OK" if ok else "FAILED"))
-        return 0 if ok else 1
-
-    if args.action == "cache":
-        cache = open_cache(args.cache)
-        if cache is None:
-            print("caching disabled (--cache -)", file=sys.stderr)
-            return 2
-        if args.clear:
-            print(f"cleared {cache.clear()} cache entries")
-        bad = cache.verify()["evicted"] if args.verify else 0
-        if bad:
-            print(f"evicted {bad} corrupt entries", file=sys.stderr)
-        stats = cache.stats()
-        print(f"cache at {cache.root}")
-        for name in sorted(stats):
-            print(f"  {name:<18} {stats[name]}")
-        return 1 if bad else 0
-
-    if args.action == "status":
-        cache = open_cache(args.cache)
-        if cache is None:
-            print("caching disabled (--cache -)")
-            return 0
-        stats = cache.stats()
-        quarantined = cache.quarantined_jobs()
-        print(
-            f"cache at {cache.root}: {stats['entries']} entries, "
-            f"{len(quarantined)} quarantined jobs"
-        )
-        for record in quarantined:
-            failures = record.get("failures", [])
-            last = failures[-1]["detail"] if failures else "?"
-            print(f"  quarantined {record.get('key', '?')[:12]}: {last}")
-        return 0
-
-    if args.action != "run":
-        print(f"unknown farm action {args.action!r}; try run/status/cache",
-              file=sys.stderr)
-        return 2
-
-    loads = args.loads or [args.load]
-    seeds = list(range(args.seed, args.seed + max(1, args.seeds)))
-    specs = [
-        SimulateJob(
-            width=args.width,
-            height=args.height,
-            topology=args.topology,
-            queue_depth=args.queue_depth,
-            engine=args.engine,
-            load=load,
-            seed=seed,
-            cycles=args.cycles,
-            checkpoint_every=args.checkpoint_every,
-        )
-        for load in loads
-        for seed in seeds
-    ]
-    policy = RetryPolicy(max_retries=args.retries)
-    start = time.perf_counter()
-    report = submit_jobs(
-        specs,
-        workers=args.workers,
-        cache_dir=args.cache,
-        policy=policy,
-        job_timeout=args.timeout,
-    )
-    elapsed = time.perf_counter() - start
-    print(report.render())
-    print(f"\nfarm wall time: {elapsed:.1f} s")
-    return 0 if report.ok else 1
-
-
 def cmd_experiments(args) -> int:
     from repro.experiments.__main__ import main as run_experiments
 
@@ -720,63 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         "detections falls below this fraction (default 0.9)",
     )
     p.set_defaults(fn=cmd_faults)
-
-    p = sub.add_parser(
-        "farm", help="fault-tolerant simulation job farm + result cache"
-    )
-    p.add_argument(
-        "action", nargs="?", default="run", help="run | status | cache"
-    )
-    _network_args(p)
-    p.set_defaults(width=4, height=4)
-    p.add_argument(
-        "--engine",
-        choices=["rtl", "cycle", "sequential", "batch"],
-        default="sequential",
-    )
-    p.add_argument("--load", type=float, default=0.08)
-    p.add_argument(
-        "--loads", type=float, nargs="*", default=None,
-        help="sweep these offered loads (overrides --load)",
-    )
-    p.add_argument("--cycles", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0xC11)
-    p.add_argument(
-        "--seeds", type=int, default=1,
-        help="run N seeds per load (seed..seed+N-1)",
-    )
-    p.add_argument("--workers", type=int, default=2, help="worker processes")
-    p.add_argument(
-        "--cache", default=None,
-        help="result-cache directory (default .repro_farm_cache or "
-        "$REPRO_FARM_CACHE; '-' disables caching)",
-    )
-    p.add_argument(
-        "--timeout", type=float, default=60.0,
-        help="per-job wall-clock timeout in seconds",
-    )
-    p.add_argument(
-        "--retries", type=int, default=3,
-        help="retry budget per job before quarantine",
-    )
-    p.add_argument(
-        "--checkpoint-every", type=int, default=0,
-        help="checkpoint the job every N cycles for crash resume (0 = off)",
-    )
-    p.add_argument(
-        "--clear", action="store_true",
-        help="with 'cache': delete every entry first",
-    )
-    p.add_argument(
-        "--verify", action="store_true",
-        help="with 'cache': re-verify all entries, evicting corrupt ones",
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="self-check: 2 workers, one killed mid-job; the job must "
-        "retry and match a direct run bit for bit",
-    )
-    p.set_defaults(fn=cmd_farm)
 
     p = sub.add_parser("experiments", help="regenerate tables/figures")
     p.add_argument(

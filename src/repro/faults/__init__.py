@@ -11,10 +11,7 @@ when the bits themselves fail.  It provides:
   the state memory, link memory, cyclic buffers and transfer path;
 * :mod:`repro.faults.campaign` — campaign runner sweeping fault sites
   x cycles under the platform controller's checkpoint/rollback
-  recovery, emitting a :class:`ResilienceReport`;
-* :mod:`repro.faults.policy` — the :class:`RetryPolicy` budget/backoff
-  contract shared by the controller's rollback retries and the
-  :mod:`repro.farm` job supervisor.
+  recovery, emitting a :class:`ResilienceReport`.
 """
 
 from repro.faults.campaign import (
@@ -38,7 +35,6 @@ from repro.faults.model import (
     FaultModel,
     PlannedFault,
 )
-from repro.faults.policy import RetryPolicy
 
 __all__ = [
     "CampaignConfig",
@@ -54,7 +50,6 @@ __all__ = [
     "PlannedFault",
     "RecoveryExhaustedError",
     "ResilienceReport",
-    "RetryPolicy",
     "run_campaign",
     "run_campaigns",
 ]

@@ -109,7 +109,6 @@ class SimulationController:
         checkpoint_interval: int = 0,
         max_retries: int = 3,
         recover_crashes: bool = True,
-        retry_policy=None,
     ) -> None:
         self.engine = engine
         self.net: NetworkConfig = engine.cfg
@@ -173,15 +172,9 @@ class SimulationController:
         #: periods between architectural snapshots; 0 disables recovery
         #: (a detected fault then propagates to the caller unchanged).
         self.checkpoint_interval = checkpoint_interval
-        #: rollback attempts allowed per fault before giving up.  A
-        #: :class:`~repro.faults.policy.RetryPolicy` (the budget contract
-        #: shared with the ``repro.farm`` supervisor) may supply the
-        #: budget instead of the raw ``max_retries`` integer; the
-        #: controller's period-halving *is* its backoff, so only the
-        #: budget is consumed here.
-        self.max_retries = (
-            retry_policy.max_retries if retry_policy is not None else max_retries
-        )
+        #: rollback attempts allowed per fault before giving up; the
+        #: controller's period-halving is its backoff.
+        self.max_retries = max_retries
         self._base_period = self.period
         self._snapshot: Optional[Dict[str, Any]] = None
         self.fault_detections = 0

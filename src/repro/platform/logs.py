@@ -1,4 +1,4 @@
-"""The two extra log buffers of section 5.2, plus host-side telemetry.
+"""The two extra log buffers of section 5.2.
 
 "Two extra cyclic buffers make it possible to log 1) the traffic of a
 specific link and 2) the access delay a flit notices before it enters
@@ -8,55 +8,12 @@ NoC."
 Both are read-only probes over the committed simulation state, backed by
 the same 512-entry cyclic buffers the Table-2 resource model accounts
 for in the Router block.
-
-:class:`TelemetryCounters` is the software twin for the host side: flat
-monotone counters with optional scopes, used by the :mod:`repro.farm`
-supervisor for its per-job / per-worker accounting (dispatches, retries,
-timeouts, worker deaths, cache hits) — observability for failures the
-simulation-level logs cannot see.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-
-class TelemetryCounters:
-    """Named monotone counters with optional scope breakdown.
-
-    A bare ``incr(name)`` lands in the global scope (``""``); passing
-    ``scope="worker[3]"`` additionally files the count under that scope
-    — so the farm can answer both "how many retries total" and "which
-    worker keeps failing" from the one object.  Counters never reset;
-    :meth:`snapshot` is cheap and safe to embed in reports.
-    """
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, Dict[str, int]] = {}
-
-    def incr(self, name: str, n: int = 1, scope: str = "") -> None:
-        bucket = self._counts.setdefault(scope, {})
-        bucket[name] = bucket.get(name, 0) + n
-
-    def get(self, name: str, scope: str = "") -> int:
-        return self._counts.get(scope, {}).get(name, 0)
-
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        """``{scope: {counter: value}}``; the global scope is ``""``."""
-        return {scope: dict(bucket) for scope, bucket in self._counts.items()}
-
-    def render(self) -> str:
-        lines = []
-        for scope in sorted(self._counts):
-            bucket = self._counts[scope]
-            label = scope or "(global)"
-            counts = ", ".join(
-                f"{name}={bucket[name]}" for name in sorted(bucket) if bucket[name]
-            )
-            if counts:
-                lines.append(f"{label}: {counts}")
-        return "\n".join(lines)
+from typing import List, Optional, Tuple
 
 from repro.fpga.resources import LOG_BUFFER_DEPTH
 from repro.noc.config import Port

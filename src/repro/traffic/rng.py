@@ -97,9 +97,11 @@ def lfsr_jump(state: int, steps: int, mask: int = GALOIS_MASK, width: int = 32) 
     Square-and-multiply on the GF(2) shift matrix: O(width^2 log steps)
     instead of O(steps), bit-identical to iterating :func:`_shift_once`
     ``steps`` times (the hypothesis suite asserts this over random
-    widths, tap masks and distances).  This is what lets quiescence
-    fast-forward advance the traffic RNG over a skipped window, and the
-    farm cross-check a resumed checkpoint's RNG against its word count.
+    widths, tap masks and distances).  It is the Python statement of
+    the jump quiescence fast-forward makes over a skipped window (the
+    generated C traffic scan does it from byte tables);
+    :meth:`HardwareLfsr.jump` advances a register with it, and the
+    tests use it to seed a stream a known number of reads ahead.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")

@@ -69,20 +69,18 @@ def no_cc(monkeypatch):
 @pytest.fixture(autouse=True)
 def _no_pipeline_leaks():
     """Every test must leave the streaming pipeline and every worker
-    process torn down: no fabric thread, let alone a chunk-body job on it, and
-    nothing left in the worker primitive's live set (the farm's
-    workers).  The lazy lookups keep this free for the tests that never
-    start either."""
+    process torn down: no fabric thread, let alone a chunk-body job on it,
+    and no live child process (a sweep's pool left running).  The lazy
+    lookups keep this free for the tests that never start either."""
     yield
     batchlevel = sys.modules.get("repro.kernels.batchlevel")
     if batchlevel is not None:
         assert not batchlevel.jobs_in_flight(), "a fabric job is still in flight"
         assert not batchlevel.fabric_threads(), "a fabric thread is still running"
-    process = sys.modules.get("repro.farm.process")
-    if process is not None:
-        assert not process.live_workers(), (
-            f"leaked worker processes: {process.live_workers()}"
-        )
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None:
+        children = multiprocessing.active_children()
+        assert children == [], f"leaked worker processes: {children}"
 
 
 def pytest_collection_modifyitems(config, items):

@@ -15,9 +15,8 @@ resident, a planned fault mid-skip-window still lands on exactly its
 cycle, and a livelock-style diagnosis is byte-identical with the flag
 on or off.
 
-The closed-form LFSR jump underneath fast-forward (and the farm's
-checkpoint cross-check) is property-tested with hypothesis over random
-widths, tap masks and distances.
+The closed-form LFSR jump underneath fast-forward is property-tested
+with hypothesis over random widths, tap masks and distances.
 
 The columnar chunk boundary adds two identities: one windowed C traffic
 scan equals ``stop - start`` per-cycle ``generate`` calls in every piece
@@ -1633,31 +1632,3 @@ class TestLfsrJump:
             lfsr_jump(1 << 32, 1)
         with pytest.raises(ValueError):
             HardwareLfsr().jump(-1)
-
-
-class TestFarmRngResumeCheck:
-    """The farm reuses lfsr_jump to cross-check a resumed checkpoint's
-    RNG state against its word count."""
-
-    def test_consistent_pair_accepted(self):
-        from repro.farm.jobs import _validate_rng_resume
-
-        rng = HardwareLfsr(seed=0x5EED)
-        for _ in range(37):
-            rng.next_u32()
-        _validate_rng_resume(
-            HardwareLfsr(seed=0x5EED),
-            {"rng_state": rng.state, "rng_words": rng.words_read},
-        )
-
-    def test_torn_pair_rejected(self):
-        from repro.farm.jobs import _validate_rng_resume
-
-        rng = HardwareLfsr(seed=0x5EED)
-        for _ in range(37):
-            rng.next_u32()
-        with pytest.raises(ValueError, match="does not match its word count"):
-            _validate_rng_resume(
-                HardwareLfsr(seed=0x5EED),
-                {"rng_state": rng.state, "rng_words": rng.words_read - 1},
-            )

@@ -190,41 +190,7 @@ class TestCliExitCodes:
         assert "recovery budget exhausted" in capsys.readouterr().err
 
 
-@pytest.mark.farm_smoke
 class TestFarmCli:
-    def test_farm_run_then_cache_hit(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        args = [
-            "farm", "run", "--width", "3", "--height", "3", "--cycles", "40",
-            "--load", "0.05", "--workers", "2", "--cache", cache,
-        ]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert "completed" in first and "farm report" in first
-
-        assert main(args) == 0  # identical batch: served from cache
-        assert "via cache" in capsys.readouterr().out
-
-        assert main(["farm", "status", "--cache", cache]) == 0
-        assert "1 entries" in capsys.readouterr().out
-
-        assert main(["farm", "cache", "--cache", cache, "--verify"]) == 0
-        assert "entries" in capsys.readouterr().out
-
-    def test_farm_cache_clear(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        assert main(
-            ["farm", "run", "--width", "3", "--height", "3", "--cycles", "30",
-             "--workers", "1", "--cache", cache]
-        ) == 0
-        assert main(["farm", "cache", "--cache", cache, "--clear"]) == 0
-        assert "cleared 1 cache entries" in capsys.readouterr().out
-
-    def test_farm_smoke_self_check(self, capsys):
-        assert main(["farm", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "farm smoke: OK" in out
-
     def test_sequential_kernel_request_says_auto_binds_the_body(self, capsys):
         for kernel in ("levelized", "jit"):
             rc = main(["simulate", "--engine", "sequential", "--kernel", kernel,
@@ -504,7 +470,7 @@ class TestEnvironmentSurface:
 
     ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-    def test_repro_env_vars_are_exactly_the_documented_four(self):
+    def test_repro_env_vars_are_exactly_the_documented_three(self):
         import re
 
         read = set()
@@ -517,7 +483,6 @@ class TestEnvironmentSurface:
             "REPRO_SCALE",
             "REPRO_WORKERS",
             "REPRO_KERNEL_CACHE",
-            "REPRO_FARM_CACHE",
         }
         with open(os.path.join(self.ROOT, "README.md")) as stream:
             readme = stream.read()
@@ -649,22 +614,21 @@ class TestSourceAudit:
         }
         assert not found
 
-    def test_process_machinery_stays_in_the_farm(self):
-        """Only the job farm starts processes, and the partitioner keeps
-        no trace of its removed process transport or boundary switch."""
+    def test_process_machinery_stays_in_the_sweep_pool(self):
+        """Only the sweep fan-out starts processes, and the partitioner
+        keeps no trace of its removed process transport or boundary
+        switch."""
         import re
 
-        farm = os.path.join(self.SRC, "farm") + os.sep
         process = re.compile(
-            r"^\s*(import|from)\s+[\w.]*"
-            r"(multiprocessing|repro\.farm\.process|shared_memory)\b",
-            re.M,
+            r"^\s*(import|from)\s+(multiprocessing|concurrent\.futures)\b", re.M
         )
-        assert not [
+        assert [
             os.path.relpath(path, self.SRC)
             for path, text in self._sources()
-            if not path.startswith(farm) and process.search(text)
-        ]
+            if process.search(text)
+        ] == [os.path.join("experiments", "parallel.py")]
+        assert not os.path.exists(os.path.join(self.SRC, "farm"))
         removed = re.compile(
             r"link_latency|BoundarySwitch|transport|ProcessWorkerPool"
         )

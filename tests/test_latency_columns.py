@@ -267,7 +267,8 @@ def test_windows_cut_packets_mid_flight():
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_a_copied_tracker_resumes_mid_packet(scenario, clone):
-    """Controller rollback deep-copies the tracker, farm resume pickles it."""
+    """Controller rollback deep-copies the tracker; crossing a process
+    boundary pickles it."""
     scenario = scenario()
     cut = scenario.end // 2 + 15
     tracker = PacketLatencyTracker(scenario.net)

@@ -1,24 +1,26 @@
 """Determinism contract of the sweep fan-out.
 
 :func:`repro.experiments.parallel.parallel_map` promises results in
-submission order, byte-identical to the serial loop, on supervised farm
-workers — with the same results when worker processes cannot be used
-(no ``fork``, unpicklable payload, a worker killed mid-sweep) and *no*
+submission order, byte-identical to the serial loop, on a process pool
+— with the same results when worker processes cannot be used (no
+``fork``, unpicklable payload) or one is killed mid-sweep, and *no*
 swallowing of real experiment failures.  These tests pin each clause,
 then assert byte equality on the real sweeps built on top of it
 (Figure-1 load sweep, traffic-pattern sweep, multi-seed fault
 campaigns).
 """
 
+import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.experiments import fig1, patterns
 from repro.experiments.parallel import WORKERS_ENV, parallel_map, resolve_workers
-from repro.farm import FarmJobError
 from repro.faults import CampaignConfig
 
 
@@ -26,7 +28,24 @@ def square(x):
     return x * x
 
 
+def square_and_pid(x):
+    return x * x, os.getpid()
+
+
+def pid_after_nap(x):
+    time.sleep(0.2)  # long enough that every worker gets a point
+    return os.getpid()
+
+
 def boom(x):
+    raise ValueError(f"point {x} failed")
+
+
+def boom_logged(item):
+    """Raise for every point, noting each attempt in a log file."""
+    x, log = item
+    with open(log, "a") as stream:
+        stream.write(f"{x}\n")
     raise ValueError(f"point {x} failed")
 
 
@@ -40,20 +59,34 @@ def die_once(item):
     return x * x
 
 
+def die_always(x):
+    """SIGKILL the worker running point 2, on every attempt."""
+    if x == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
 @pytest.fixture
-def farm_reports(monkeypatch):
-    """Every :class:`FarmReport` the sweeps under test produce."""
-    from repro.farm import client
+def submitted(monkeypatch):
+    """The argument tuple of every point handed to a process pool."""
+    points = []
+    real = ProcessPoolExecutor.submit
 
-    reports = []
-    real = client.submit_jobs
+    def spy(self, fn, *args, **kwargs):
+        points.append(args)
+        return real(self, fn, *args, **kwargs)
 
-    def spy(*args, **kwargs):
-        reports.append(real(*args, **kwargs))
-        return reports[-1]
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+    return points
 
-    monkeypatch.setattr(client, "submit_jobs", spy)
-    return reports
+
+def no_context(monkeypatch, error):
+    """Make every process-context lookup raise ``error``."""
+
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
 
 
 class TestParallelMap:
@@ -71,52 +104,54 @@ class TestParallelMap:
         assert parallel_map(square, [], workers=4) == []
         assert parallel_map(square, [7], workers=4) == [49]
 
-    def test_unpicklable_fn_falls_back_to_serial(self, farm_reports):
+    def test_points_run_in_worker_processes(self):
+        # a silent fall-back to the serial loop would run every point
+        # in the caller
+        pids = parallel_map(pid_after_nap, range(4), workers=2)
+        assert os.getpid() not in pids
+        assert len(set(pids)) >= 2
+
+    def test_unpicklable_fn_falls_back_to_serial(self, monkeypatch, submitted):
         # A lambda cannot cross a process boundary: the points run
-        # in-process, no farm batch is ever submitted.
-        result = parallel_map(lambda x: x + 1, range(6), workers=4)
-        assert result == list(range(1, 7))
-        assert farm_reports == []
+        # in-process, no process context is even asked for.
+        no_context(monkeypatch, AssertionError("a process context was requested"))
+        result = parallel_map(lambda x: (x + 1, os.getpid()), range(6), workers=4)
+        assert result == [(x + 1, os.getpid()) for x in range(6)]
+        assert submitted == []
 
-    def test_no_fork_degrades_to_inline(self, monkeypatch, farm_reports):
-        from repro.farm import process
-
-        def no_fork():
-            raise ValueError("cannot find context for 'fork'")
-
-        monkeypatch.setattr(process, "_context", no_fork)
-        assert parallel_map(square, range(6), workers=2) == [
-            x * x for x in range(6)
+    def test_no_fork_degrades_to_inline(self, monkeypatch, submitted):
+        no_context(monkeypatch, ValueError("cannot find context for 'fork'"))
+        assert parallel_map(square_and_pid, range(6), workers=2) == [
+            (x * x, os.getpid()) for x in range(6)
         ]
-        (report,) = farm_reports
-        assert report.mode == "inline"
-        assert "farm report (inline)" in report.render()
+        assert submitted == []
 
-    def test_worker_killed_mid_sweep_matches_serial(self, tmp_path, farm_reports):
+    def test_worker_killed_mid_sweep_matches_serial(self, tmp_path):
         items = [(x, str(tmp_path / "killed")) for x in range(5)]
         assert parallel_map(die_once, items, workers=2) == [
             x * x for x in range(5)
         ]
-        (report,) = farm_reports
-        if report.mode != "processes":
-            pytest.skip("no process spawning in this environment")
         assert os.path.exists(items[0][1])
-        (retried,) = [o for o in report.completed if o.failures]
-        assert [f.kind for f in retried.failures] == ["worker-died"]
+
+    def test_worker_killed_on_every_attempt_names_the_point(self):
+        with pytest.raises(
+            BrokenProcessPool, match=r"died twice running sweep points \[.*\b2\b"
+        ):
+            parallel_map(die_always, range(5), workers=2)
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError, match="failed"):
             parallel_map(boom, range(4), workers=1)
 
-    def test_point_exception_is_one_attempt_and_names_the_error(self, farm_reports):
+    def test_point_exception_is_one_attempt_and_names_the_error(self, tmp_path):
+        log = str(tmp_path / "attempts")
         started = time.perf_counter()
-        with pytest.raises(FarmJobError, match="ValueError: point 0 failed") as info:
-            parallel_map(boom, [0, 1], workers=2)
+        with pytest.raises(ValueError, match="^point 0 failed$"):
+            parallel_map(boom_logged, [(0, log), (1, log)], workers=2)
         # a deterministic failure is final: no retries, no backoff
-        assert [f.kind for f in info.value.failures] == ["exception"]
-        assert all(
-            len(o.failures) == 1 for o in farm_reports[0].outcomes.values()
-        )
+        with open(log) as stream:
+            attempts = stream.read().split()
+        assert attempts.count("0") == 1 and attempts.count("1") <= 1
         assert time.perf_counter() - started < 5.0
 
 
@@ -146,25 +181,21 @@ class TestResolveWorkers:
 class TestSweepDeterminism:
     """Serial and parallel runs of the real sweeps are byte-identical."""
 
-    def test_fig1_serial_equals_parallel(self, farm_reports):
+    def test_fig1_serial_equals_parallel(self, submitted):
         # the points are functools.partial objects: they must reach
-        # real worker processes, not be refused or run in-process
+        # the process pool, not be refused and run in-process
         loads = (0.0, 0.06, 0.12)
         serial = fig1.run(loads, cycles=120, workers=1)
         parallel = fig1.run(loads, cycles=120, workers=4)
         assert serial.points == parallel.points
-        (report,) = farm_reports
-        assert len(report.completed) == 3
-        assert report.mode == "inline" or all(
-            o.worker is not None for o in report.completed
-        )
+        assert len(submitted) == 3
 
-    def test_patterns_serial_equals_parallel(self, farm_reports):
+    def test_patterns_serial_equals_parallel(self, submitted):
         names = ("uniform", "transpose")
         serial = patterns.run(names, cycles=100, workers=1)
         parallel = patterns.run(names, cycles=100, workers=4)
         assert serial.points == parallel.points
-        assert len(farm_reports) == 1 and len(farm_reports[0].completed) == 2
+        assert len(submitted) == 2
 
     def test_callable_object_engine_cls_crosses_the_process_boundary(self):
         from repro.partition import PartitionedEngineFactory
@@ -224,7 +255,7 @@ class TestLaneBatching:
         assert process.points == laned.points
 
     def test_lane_sweep_profiled(self, monkeypatch):
-        # four loads and no worker count: one lane-batched run, no farm
+        # four loads and no worker count: one lane-batched run, no pool
         calls = []
         real = fig1.run_fig1_workloads_batched
 
