@@ -12,7 +12,7 @@ per-queue/per-VC state of the router is laid out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Union
 
 from repro.bits.bitvector import BitVector
 
@@ -197,26 +197,3 @@ def _unpack_member(member: Union[Field, ArrayField, StructLayout], raw: int) -> 
     if isinstance(member, StructLayout):
         return _unpack_members(member.members, raw)
     raise TypeError(f"unknown member type {type(member).__name__}")
-
-
-def flatten_offsets(layout: StructLayout, prefix: str = "") -> List[Tuple[str, int, int]]:
-    """Return ``(dotted_name, offset, width)`` for every scalar leaf field.
-
-    Useful for generating memory maps and VCD variable declarations.
-    """
-    leaves: List[Tuple[str, int, int]] = []
-
-    def walk(member: Union[Field, ArrayField, StructLayout], base: int, name: str) -> None:
-        if isinstance(member, Field):
-            leaves.append((name, base, member.width))
-        elif isinstance(member, ArrayField):
-            stride = member.element.total_width
-            for i in range(member.count):
-                walk(member.element, base + i * stride, f"{name}[{i}]")
-        else:
-            for sub in member.members:
-                walk(sub, base + member.offset_of(sub.name), f"{name}.{sub.name}")
-
-    for m in layout.members:
-        walk(m, layout.offset_of(m.name), f"{prefix}{m.name}")
-    return leaves

@@ -57,10 +57,6 @@ class CircuitNetwork:
         self.inj_word[router][lane] = word
         self.inj_valid[router][lane] = 1
 
-    def clear_injection(self, router: int, lane: int) -> None:
-        self.inj_word[router][lane] = 0
-        self.inj_valid[router][lane] = 0
-
     # -- one system cycle -------------------------------------------------------
     def _input_channel_value(self, router: int, in_channel: int) -> Tuple[int, int]:
         """(word, valid) currently on an input channel of ``router``."""

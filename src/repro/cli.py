@@ -25,6 +25,24 @@ from typing import List, Optional
 from repro.noc import NetworkConfig, RouterConfig
 
 
+def _bounded(convert, ok, bound):
+    """An argparse ``type=``: ``convert`` the text and reject a value
+    outside ``bound`` at parse time (exit 2, one line naming the flag)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound} (got {text})")
+        return value
+
+    return parse
+
+
+_count = _bounded(int, lambda v: v >= 0, ">= 0")
+_positive = _bounded(int, lambda v: v >= 1, ">= 1")
+_fraction = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
 def _network_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--width", type=int, default=6)
     parser.add_argument("--height", type=int, default=6)
@@ -548,11 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rtl", "cycle", "sequential", "batch", "partitioned"],
         default="sequential",
     )
-    p.add_argument("--load", type=float, default=0.08)
-    p.add_argument("--cycles", type=int, default=500)
+    p.add_argument("--load", type=_fraction, default=0.08)
+    p.add_argument("--cycles", type=_count, default=500)
     p.add_argument("--seed", type=int, default=0xC11)
     p.add_argument(
-        "--lanes", type=int, default=1,
+        "--lanes", type=_positive, default=1,
         help="independent simulations run side by side (batch engine only)",
     )
     p.add_argument(
@@ -574,9 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
         "host has a C compiler, else the fallback; python forces the "
         "fallback (batch engine: golden lanes, one golden network per "
         "lane; sequential engine: the "
-        "Python HBR model); batch engine only: levelized binds the C "
-        "kernel once the levelizer has proved the level schedule, jit "
-        "the same kernel without one (both must compile)",
+        "Python HBR model); batch engine only: levelized and jit are two "
+        "labels for the one C kernel (both must compile)",
     )
     p.add_argument(
         "--fast-forward", action="store_true",
@@ -602,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(width=2, height=2)
     p.add_argument("--out", default="noc.vcd")
     p.add_argument("--filter", default="r0.", help="substring filter on signal names")
-    p.add_argument("--load", type=float, default=0.1)
-    p.add_argument("--cycles", type=int, default=50)
+    p.add_argument("--load", type=_fraction, default=0.1)
+    p.add_argument("--cycles", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0xC11)
     p.set_defaults(fn=cmd_trace)
 
@@ -611,10 +628,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", nargs="?", default="campaign", help="campaign")
     _network_args(p)
     p.set_defaults(width=4, height=4)
-    p.add_argument("--faults", type=int, default=100, help="faults to inject")
+    p.add_argument("--faults", type=_count, default=100, help="faults to inject")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--load", type=float, default=0.10)
-    p.add_argument("--spacing", type=int, default=4, help="cycles between strikes")
+    p.add_argument("--load", type=_fraction, default=0.10)
+    p.add_argument("--spacing", type=_positive, default=4, help="cycles between strikes")
     p.add_argument(
         "--domains", choices=["state", "link", "both"], default="both",
         help="which memories to strike",

@@ -123,8 +123,7 @@ def make_engine(name: str, cfg: NetworkConfig, **kwargs) -> "Engine":
     On the batch engine ``auto`` (default) binds the generated-C body
     when it can be built and golden lanes (one golden network per lane)
     otherwise, ``python`` forces golden lanes, and ``levelized`` /
-    ``jit`` bind the generated-C body with / without the levelizer's
-    proof of the level schedule (both raising
+    ``jit`` are two labels for the generated-C body (both raising
     :class:`~repro.kernels.KernelUnavailableError` when it cannot be
     built).  On the sequential engine ``auto`` is the generated-C body
     with its HBR accounting pass, falling back to the Python model, and

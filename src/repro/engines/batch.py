@@ -151,13 +151,11 @@ class BatchEngine:
         self._be_cand = packed_policy(cfg)
 
         # -- the execution body ----------------------------------------------
-        #: how the execution body was requested: "jit" (the generated-C
-        #: body), "levelized" (the same body, bound once the static level
-        #: schedule is proved) or "python" (golden lanes); benches report
-        #: this.
+        #: how the execution body was requested: "jit" or "levelized"
+        #: (two labels for the one generated-C body) or "python" (golden
+        #: lanes); benches report this.
         self.kernel = "python"
-        #: why ``auto`` fell back to golden lanes (or ``levelized`` to the
-        #: ``jit`` binding), when it did.
+        #: why ``auto`` fell back to golden lanes, when it did.
         self.kernel_reason: Optional[str] = None
         #: what the generated body actually did, summed over its calls:
         #: routers evaluated (a router holding no flit and no valid
@@ -190,8 +188,6 @@ class BatchEngine:
         #: the golden lanes, one network each (``None`` on the C body).
         self.networks: Optional[List[Network]] = None
         self._compiled = None
-        #: static level schedule, when the levelized tier carries one.
-        self.schedule = None
         self._bind(kernel)
         # per-lane logs: the lane networks' own record lists, or column
         # blocks from the generated body with records built on read
@@ -217,14 +213,17 @@ class BatchEngine:
         if kernel == "python":
             return
         from repro.kernels import KernelUnavailableError
+        from repro.kernels.batchlevel import CompiledBatchLevel
         from repro.kernels.batchstep import CompiledBatchStep
 
         try:  # the bind asks cbackend.availability() first
             self.state = ArrayState(self.cfg, self.lanes, hbr=self.HBR_ACCOUNTING)
-            if kernel == "levelized" and self._init_levelized():
-                return
-            self._compiled = CompiledBatchStep(self)
-            self.kernel = "jit"
+            if kernel == "levelized":
+                self._compiled = CompiledBatchLevel(self)
+                self.kernel = "levelized"
+            else:
+                self._compiled = CompiledBatchStep(self)
+                self.kernel = "jit"
             return
         except KernelUnavailableError as exc:
             if kernel != "auto":
@@ -239,32 +238,6 @@ class BatchEngine:
                 RuntimeWarning,
                 stacklevel=3,
             )
-
-    def _init_levelized(self) -> bool:
-        """Bind the body over the level schedule (``kernel="levelized"``).
-
-        Returns ``False`` when there is no schedule to carry (a
-        combinational cycle): the caller then binds the ``jit`` body,
-        with the reason recorded.
-        """
-        from repro.kernels.batchlevel import CompiledBatchLevel, level_orders
-        from repro.kernels.levelize import CyclicDependencyError, levelize
-
-        try:
-            schedule = levelize(self.cfg)
-        except CyclicDependencyError as exc:
-            self.kernel_reason = f"no static schedule ({exc}); natural router order"
-            return False
-        if level_orders(schedule) is None:
-            self.kernel_reason = (
-                "schedule is not the 3-level room/fwd/state shape; "
-                "natural router order"
-            )
-            return False
-        self.schedule = schedule
-        self.kernel = "levelized"
-        self._compiled = CompiledBatchLevel(self, schedule)
-        return True
 
     # -- traffic-side API ---------------------------------------------------
     def lane(self, lane: int) -> BatchLane:

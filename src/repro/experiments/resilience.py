@@ -21,10 +21,9 @@ Expected outcome, deterministic per seed:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from repro.faults import CampaignConfig, ResilienceReport, run_campaign, run_campaigns
+from repro.faults import CampaignConfig, ResilienceReport, run_campaign
 
 
 def run(
@@ -47,23 +46,6 @@ def run(
         include_flap=include_flap,
     )
     return run_campaign(cfg)
-
-
-def run_sweep(
-    seeds: Sequence[int],
-    base: Optional[CampaignConfig] = None,
-    workers: Optional[int] = None,
-) -> List[ResilienceReport]:
-    """One campaign per seed, fanned out over worker processes.
-
-    Each campaign is a pure function of its config, so the reports
-    arrive in seed order and match the serial run byte for byte —
-    detection *rates* vary per seed, which is the point: the sweep
-    turns the single-campaign anecdote into a distribution.
-    """
-    base = base or CampaignConfig(n_faults=60, include_flap=True)
-    configs = [replace(base, seed=seed) for seed in seeds]
-    return run_campaigns(configs, workers=workers)
 
 
 def main() -> None:

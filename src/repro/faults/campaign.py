@@ -110,10 +110,6 @@ class ResilienceReport:
     def recovery_rate(self) -> float:
         return self.recovered / self.detected if self.detected else 0.0
 
-    def domain_detection_rate(self, domain: FaultDomain) -> float:
-        det, total = self.per_domain.get(domain.value, (0, 0))
-        return det / total if total else 0.0
-
     def render(self) -> str:
         cfg = self.config
         lines = [

@@ -183,15 +183,6 @@ class FaultModel:
         else:
             engine.links.inject_value_fault(fault.target, mask)
 
-    def wire_name(self, fault: PlannedFault) -> str:
-        if fault.domain is FaultDomain.LINK and fault.kind not in (
-            FaultKind.FLAP,
-            FaultKind.STUCK_AT,
-        ):
-            return self._wire_names[fault.target]
-        return ""
-
-
 class FaultInjector:
     """Pre-step hook that fires each planned fault exactly once.
 

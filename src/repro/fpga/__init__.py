@@ -15,7 +15,7 @@ from repro.fpga.resources import (
     direct_instantiation_limit,
     simulator_resources,
 )
-from repro.fpga.memory_map import MemoryMap, TransferPath
+from repro.fpga.memory_map import MemoryMap
 from repro.fpga.timing import ArmSoftwareModel, FpgaTimingModel, PlatformModel
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "MemoryMap",
     "PlatformModel",
     "ResourceReport",
-    "TransferPath",
     "VIRTEX2_6000",
     "VIRTEX2_8000",
     "direct_instantiation_limit",

@@ -30,17 +30,6 @@ class FpgaDevice:
         """Virtex-II: one CLB = four slices."""
         return self.slices // 4
 
-    @property
-    def bram_bits_total(self) -> int:
-        return self.bram_blocks * self.BRAM_BITS
-
-    def slice_utilisation(self, used: int) -> float:
-        return used / self.slices
-
-    def bram_utilisation(self, used: int) -> float:
-        return used / self.bram_blocks
-
-
 #: The paper's platform FPGA.
 VIRTEX2_8000 = FpgaDevice(
     name="XC2V8000",

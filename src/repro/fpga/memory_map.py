@@ -3,15 +3,14 @@
 "All registers and memory of the FPGA design, via the memory interface,
 are available in the address map of the ARM9 processor."  The interface
 is 32 bits of data and 17 bits of address (section 5.1), i.e. a 128K-word
-window — this module lays the design's memories into that window and is
-what the platform co-simulation uses to count transfer words (the
-Table 3/4 load/retrieve costs).
+window — this module lays the design's memories into that window and
+counts the bus words an entry takes to cross it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.fpga.resources import (
     BUFFER_ENTRY_BITS,
@@ -114,50 +113,3 @@ class MemoryMap:
             f"{'(used / available)':<28} {self.words_used:>8} / {1 << ADDRESS_BITS}"
         )
         return "\n".join(lines)
-
-
-#: hook signature: (direction, word_index, word) -> possibly-corrupted word
-FaultHook = Callable[[str, int, int], int]
-
-
-class TransferPath:
-    """The 32-bit ARM↔FPGA word path with an optional fault hook.
-
-    Every entry crossing the memory interface is split into
-    ``words_per_entry`` bus words; a registered hook sees each word
-    (with its running index) and may corrupt it — modelling bus glitches
-    or SEUs in the interface FIFOs during load/retrieve.  Without a hook
-    the path is the identity and costs one pass over the words, so the
-    fault-free platform flow is unchanged.
-    """
-
-    def __init__(self, mmap: MemoryMap) -> None:
-        self.mmap = mmap
-        self.hook: Optional[FaultHook] = None
-        self.words_moved: Dict[str, int] = {"load": 0, "retrieve": 0}
-        self.faults_injected = 0
-
-    def set_hook(self, hook: Optional[FaultHook]) -> None:
-        self.hook = hook
-
-    def move(self, direction: str, payload: int, payload_bits: int) -> Tuple[int, int]:
-        """Move one entry across the bus.
-
-        Returns ``(payload_after, n_words)``; ``payload_after`` differs
-        from ``payload`` only if the hook corrupted a word in flight.
-        """
-        if direction not in self.words_moved:
-            raise ValueError(f"direction must be 'load' or 'retrieve', not {direction!r}")
-        n_words = self.mmap.transfer_words(payload_bits)
-        mask = (1 << DATA_BITS) - 1
-        out = 0
-        for i in range(n_words):
-            word = (payload >> (i * DATA_BITS)) & mask
-            if self.hook is not None:
-                faulted = self.hook(direction, self.words_moved[direction] + i, word) & mask
-                if faulted != word:
-                    self.faults_injected += 1
-                word = faulted
-            out |= word << (i * DATA_BITS)
-        self.words_moved[direction] += n_words
-        return out, n_words

@@ -1,20 +1,15 @@
-"""Static-scheduled compiled kernels: the "10x the hot loop" layer.
+"""Compiled kernels: the "10x the hot loop" layer.
 
-Two cooperating pieces:
-
-* :mod:`repro.kernels.levelize` — the **levelizer**: topologically level
-  the router dependency graph (feedback arcs broken at the registered
-  state boundary) into a static evaluation schedule, replacing
-  delta-cycle fixed-point iteration with a bounded number of passes.
 * :mod:`repro.kernels.batchlevel` — the **generated simulation body**:
   one specialized C function for the ``ArrayState`` batch cycle (one
   pure evaluation of the routers that hold something, one commit; one
   cycle or a whole chunk of cycles per call), compiled at first use by
   :mod:`repro.kernels.cbackend` and driven through cffi.  It is the
-  only generated body: :mod:`repro.kernels.batchstep` binds it for the
-  ``jit`` tier, ``kernel="levelized"`` once the levelizer has proved
-  the schedule.  :mod:`repro.kernels.trafficgen` is
-  the matching traffic scan.
+  only generated body; ``kernel="levelized"`` and ``kernel="jit"`` are
+  two labels for it (:mod:`repro.kernels.batchstep` is the ``jit``
+  binding).  Evaluation reads committed state only, so any router order
+  is a valid order and no schedule is computed or carried.
+* :mod:`repro.kernels.trafficgen` — the matching traffic scan.
 
 Which body runs depends on two things only: the consumer's ``kernel=``
 argument and :func:`repro.kernels.cbackend.availability` (``cffi`` plus

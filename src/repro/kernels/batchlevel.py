@@ -50,11 +50,13 @@ count per cycle, exactly the Python model's
 skips costs the floor, one evaluation per unit: an idle lane's wires are
 at their reset values.
 
-It is the only generated simulation body, behind both compiled tiers of
-:class:`~repro.engines.batch.BatchEngine`: ``kernel="levelized"`` binds
-it after the levelizer proved the canonical schedule (:func:`level_tables`
-refuses any other), ``kernel="jit"``/``"auto"``
-(:class:`~repro.kernels.batchstep.CompiledBatchStep`) without one.
+It is the only generated simulation body, behind both compiled labels
+of :class:`~repro.engines.batch.BatchEngine`: ``kernel="levelized"``
+binds this class, ``kernel="jit"``/``"auto"`` its subclass
+:class:`~repro.kernels.batchstep.CompiledBatchStep`.  Neither carries a
+schedule: evaluation reads committed state only (section 4.1: with
+registered outputs the evaluation order "can be arbitrary"), so the
+ascending router walk is a valid order of every fabric.
 
 Three execution shapes share the one generated function:
 
@@ -129,7 +131,6 @@ __all__ = [
     "fabric_threads",
     "generate_level_source",
     "jobs_in_flight",
-    "level_orders",
 ]
 
 _SIGNATURE = """
@@ -1141,48 +1142,6 @@ _STATE_FIELDS = (
 )
 
 
-def level_orders(schedule) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """The ``(room, fwd, state)`` router orders of ``schedule``.
-
-    ``None`` when the schedule is not the canonical three-level,
-    kind-homogeneous NoC shape — the combinational-cycle (or foreign
-    graph) signal the engine treats as "no schedule to carry: bind
-    natural router order".
-    """
-    if schedule.depth != 3:
-        return None
-    orders = []
-    for kind, level in zip(("room", "fwd", "state"), schedule.levels):
-        if any(node[0] != kind for node in level):
-            return None
-        orders.append(tuple(node[1] for node in level))
-    return tuple(orders)
-
-
-def level_tables(schedule, n_routers: int) -> None:
-    """Check that ``schedule`` is a level schedule this body honours:
-    the canonical room/fwd/state shape, each level a permutation of the
-    routers.  The orders themselves are not carried — evaluation reads
-    committed state only, so the kernel's ascending walk is a valid
-    order of every such schedule (and ``schedule=None``, the ``jit``
-    tier's binding, needs no check at all).
-    """
-    if schedule is None:
-        return
-    orders = level_orders(schedule)
-    if orders is None:
-        raise KernelUnavailableError(
-            "levelized batch kernel needs the canonical 3-level "
-            f"room/fwd/state schedule (got depth {schedule.depth})"
-        )
-    for name, order in zip(("room", "fwd", "state"), orders):
-        if sorted(order) != list(range(n_routers)):
-            raise KernelUnavailableError(
-                f"levelized batch kernel: {name} level is not a permutation "
-                f"of the {n_routers} routers"
-            )
-
-
 def generate_level_source(spec) -> str:
     """The specialized C translation unit for ``spec``."""
     return _TEMPLATE.substitute(
@@ -1219,22 +1178,18 @@ _EVENT_ROWS = {"sent": 5, "ej": 4}
 
 
 class CompiledBatchLevel:
-    """The generated execution body bound to one batch engine
-    (``schedule``: the level schedule the ``levelized`` tier proved,
-    checked here; ``None`` for the ``jit`` tier)."""
+    """The generated execution body bound to one batch engine."""
 
-    def __init__(self, engine, schedule=None) -> None:
+    def __init__(self, engine) -> None:
         from repro.kernels import cbackend
 
         self.engine = engine
-        self.schedule = schedule
         if engine._NQ > 63:
             raise KernelUnavailableError(
                 "compiled allocation scan supports at most 63 queues "
                 f"per router (got {engine._NQ})"
             )
         spec = cbackend.KernelSpec.from_engine(engine)
-        level_tables(schedule, engine.cfg.n_routers)
         source = generate_level_source(spec)
         self._lib, self._ffi = cbackend.load_source(
             source, _SIGNATURE.strip() + ";" + _FABRIC_SIGNATURE

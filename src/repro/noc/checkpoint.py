@@ -18,7 +18,6 @@ plane — are simulator state and travel in no checkpoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List
 
@@ -45,38 +44,6 @@ class Checkpoint:
     topology: str
     core_words: tuple  # (width, value) per router
     iface_words: tuple  # (width, value) per router
-
-    # -- serialisation ------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cycle": self.cycle,
-                "width": self.width,
-                "height": self.height,
-                "topology": self.topology,
-                "core_words": [[w, f"{v:x}"] for w, v in self.core_words],
-                "iface_words": [[w, f"{v:x}"] for w, v in self.iface_words],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Checkpoint":
-        try:
-            data = json.loads(text)
-            return Checkpoint(
-                cycle=data["cycle"],
-                width=data["width"],
-                height=data["height"],
-                topology=data["topology"],
-                core_words=tuple((w, int(v, 16)) for w, v in data["core_words"]),
-                iface_words=tuple((w, int(v, 16)) for w, v in data["iface_words"]),
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            # json.JSONDecodeError is a ValueError: truncated or garbled
-            # text, missing keys and malformed words all surface as the
-            # one checkpoint-domain error.
-            raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
-
 
 def _object_state(engine):
     """``(router states, stimuli states)`` of ``engine``: a Network's

@@ -47,11 +47,6 @@ class Flit:
         """Inverse of :meth:`encode`."""
         return Flit(FlitType((word >> data_width) & 3), word & ((1 << data_width) - 1))
 
-    @property
-    def is_idle(self) -> bool:
-        return self.ftype == FlitType.IDLE
-
-
 IDLE_FLIT = Flit(FlitType.IDLE, 0)
 
 

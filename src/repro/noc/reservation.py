@@ -68,10 +68,6 @@ class GtReservationTable:
             f"links carry {[sorted(self._used.get(l, ())) for l in links]}"
         )
 
-    def used_on(self, router: int, port: Port) -> Set[int]:
-        """GT VCs already reserved on a directed link."""
-        return set(self._used.get((router, port), ()))
-
     def max_link_sharing(self) -> int:
         """Largest number of GT streams sharing any physical link."""
         return max((len(v) for v in self._used.values()), default=0)

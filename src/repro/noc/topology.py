@@ -157,52 +157,6 @@ class Topology:
         link_of = {wire.name: wire.link for wire in self.wires()}
         return sorted({link_of[name] for name in wire_names})
 
-    def signal_graph(
-        self, exclude_links: Optional[set] = None
-    ) -> Tuple[List[Tuple[str, int]], List[Tuple[Tuple[str, int], Tuple[str, int]]]]:
-        """The combinational dependency graph of the evaluated network.
-
-        Nodes are ``(kind, router)`` with ``kind`` one of ``"room"``
-        (the per-input-port space masks, a Moore function of committed
-        state), ``"fwd"`` (the forward link words and the stimuli output
-        word, which read the neighbouring — and the local — room masks),
-        and ``"state"`` (the registered next-state update, which reads
-        the arriving forward words).  Every physical feedback loop in
-        the fabric (torus wrap-around included) closes through the state
-        registers, so the ``state -> room`` arcs are *omitted*: they are
-        the registered boundary, and the remaining graph is acyclic by
-        construction — the property :func:`repro.kernels.levelize.levelize`
-        verifies and turns into a static schedule.
-
-        ``exclude_links`` optionally removes directed links (as
-        ``(router, port)`` pairs, the :meth:`quarantine_link` naming)
-        from the dependency edges, modelling a quarantined channel whose
-        frozen wires no longer couple the units.
-        """
-        n = self.net.n_routers
-        nodes: List[Tuple[str, int]] = []
-        for kind in ("room", "fwd", "state"):
-            nodes.extend((kind, r) for r in range(n))
-        edges: List[Tuple[Tuple[str, int], Tuple[str, int]]] = []
-        excluded = exclude_links or set()
-        for r in range(n):
-            # The stimuli output word consults the local room mask, and
-            # the crossbar consults the local sink: the unit's own rooms
-            # gate its own forwards.
-            edges.append((("room", r), ("fwd", r)))
-            # The local forward word (ejection) and the stimuli word
-            # both feed the unit's registered update.
-            edges.append((("fwd", r), ("state", r)))
-        for src, src_port, dst, _dst_port in self.links():
-            if (src, int(src_port)) in excluded:
-                continue
-            # The sender's arbiter reads the receiver's room mask; the
-            # receiver's registered queues absorb the sender's forward
-            # word.
-            edges.append((("room", dst), ("fwd", src)))
-            edges.append((("fwd", src), ("state", dst)))
-        return nodes, edges
-
     def hop_table(self):
         """:func:`hop_table` of this topology's fabric."""
         return hop_table(self.net)

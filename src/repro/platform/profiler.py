@@ -148,11 +148,6 @@ class PipelineProfiler:
         realised = serial - self.wall_seconds
         return max(0.0, min(1.0, realised / achievable))
 
-    def phase_seconds(self) -> Dict[str, float]:
-        """Busy seconds keyed by canonical phase name (Table-4 order),
-        for stages named after the paper phases."""
-        return {p: self.busy_seconds.get(p, 0.0) for p in PHASES}
-
     def render(self) -> str:
         mode = "fabric thread" if self.threaded else "serial loop"
         if self.fabric_cpus:

@@ -1,9 +1,9 @@
 """Reusable RTL building blocks on the event-driven kernel.
 
 These are the generic primitives the structural router description is
-assembled from: clocked registers, synchronous FIFOs and round-robin
-arbiters.  Each primitive registers its own processes; designs only wire
-signals together.
+assembled from: synchronous FIFOs and the round-robin grant function.
+Each primitive registers its own processes; designs only wire signals
+together.
 """
 
 from __future__ import annotations
@@ -14,39 +14,6 @@ from repro.bits.bitvector import BitVector
 from repro.rtl.module import Module
 from repro.rtl.signal import Signal
 from repro.rtl.simulator import Simulator
-
-
-class ClockedRegister(Module):
-    """A ``width``-bit register with enable, clocked on the rising edge.
-
-    Ports: ``d`` (in), ``q`` (out), ``en`` (in, optional — defaults to 1).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        clk: Signal,
-        d: Signal,
-        width: int,
-        parent: Optional[Module] = None,
-        en: Optional[Signal] = None,
-        reset_value: int = 0,
-    ) -> None:
-        super().__init__(sim, name, parent)
-        self.clk = clk
-        self.d = d
-        self.en = en
-        self.q = self.signal("q", width, reset_value)
-        self._prev_clk = clk.uint  # no spurious edge when clk resets high
-
-        def proc() -> None:
-            rising = self._prev_clk == 0 and clk.uint == 1
-            self._prev_clk = clk.uint
-            if rising and (en is None or en.uint == 1):
-                self.q.assign(d.value)
-
-        self.process("ff", proc, sensitivity=[clk])
 
 
 class SyncFifo(Module):
@@ -147,61 +114,3 @@ def round_robin_grant(requests: int, width: int, last_grant: int) -> int:
         if (requests >> index) & 1:
             return index
     return -1
-
-
-class RoundRobinArbiter(Module):
-    """N-input round-robin arbiter with a registered pointer.
-
-    ``req`` (in, N bits) -> ``grant`` (out, N bits one-hot or zero),
-    ``grant_index`` (out).  The pointer updates on the clock edge to the
-    granted index when ``advance`` is asserted (the router asserts it when
-    the granted flit is actually transferred).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        clk: Signal,
-        req: Signal,
-        n: int,
-        parent: Optional[Module] = None,
-        advance: Optional[Signal] = None,
-    ) -> None:
-        super().__init__(sim, name, parent)
-        self.n = n
-        self.req = req
-        self.grant = self.signal("grant", n)
-        self.grant_index = self.signal("grant_index", max(1, (n - 1).bit_length() + 1))
-        self.advance = advance
-        self._pointer = n - 1  # so the first scan starts at index 0
-        self._prev_clk = clk.uint  # no spurious edge when clk resets high
-
-        def comb() -> None:
-            index = round_robin_grant(req.uint, n, self._pointer)
-            if index < 0:
-                self.grant.assign(0)
-                self.grant_index.assign(self.grant_index.value.mask)  # all-ones = none
-            else:
-                self.grant.assign(1 << index)
-                self.grant_index.assign(index)
-
-        self.process("comb", comb, sensitivity=[req])
-
-        def edge() -> None:
-            rising = self._prev_clk == 0 and clk.uint == 1
-            self._prev_clk = clk.uint
-            if not rising:
-                return
-            if advance is None or advance.uint == 1:
-                index = round_robin_grant(req.uint, n, self._pointer)
-                if index >= 0:
-                    self._pointer = index
-                    comb()  # pointer moved: recompute the grant
-
-        self.process("edge", edge, sensitivity=[clk])
-
-    @property
-    def pointer(self) -> int:
-        """Current round-robin pointer (index of last granted requester)."""
-        return self._pointer

@@ -116,9 +116,6 @@ class LinkMemory:
     def wire_id(self, name: str) -> int:
         return self._by_name[name]
 
-    def wire_name(self, wid: int) -> str:
-        return self.specs[wid].name
-
     @property
     def fault_free(self) -> bool:
         """True while no persistent wire fault or quarantine is installed
@@ -238,13 +235,6 @@ class LinkMemory:
         self.touch_stamp[self.writer_of[wid]] = clock
         self.faults_injected += 1
         return value
-
-    def inject_hbr_fault(self, wid: int) -> None:
-        """Flip a stored HBR status bit (transient SEU in the status
-        plane): either suppresses one re-evaluation or forces a
-        spurious one."""
-        self.hbr[wid] ^= 1
-        self.faults_injected += 1
 
     def set_stuck(self, wid: int, bit: int, value: int) -> None:
         """Install a persistent stuck-at fault on one bit of a wire."""

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-from repro.noc.config import NetworkConfig
 
 
 @dataclass
@@ -47,38 +44,5 @@ class ThroughputStats:
         return self.flits_injected / (self.cycles * self.n_routers)
 
     @property
-    def delivered_load(self) -> float:
-        if self.cycles == 0:
-            return 0.0
-        return self.flits_ejected / (self.cycles * self.n_routers)
-
-    @property
     def in_flight(self) -> int:
         return self.flits_injected - self.flits_ejected
-
-
-def per_class_flit_counts(engine) -> Dict[str, int]:
-    """Ejected flit counts split by packet class.
-
-    Class is recovered from the VC label: GT rides GT-capable VCs, BE the
-    rest (the configuration invariant the routers enforce).
-    """
-    cfg: NetworkConfig = engine.cfg
-    gt_vcs = cfg.router.gt_vcs
-    counts = {"GT": 0, "BE": 0}
-    for record in engine.ejections:
-        counts["GT" if record.vc in gt_vcs else "BE"] += 1
-    return counts
-
-
-def access_delay_stats(engine) -> Optional[Dict[str, float]]:
-    """Summary of the per-flit source access delays (the quantity the
-    paper's second extra log buffer records)."""
-    delays = [r.access_delay for r in engine.injections]
-    if not delays:
-        return None
-    return {
-        "count": float(len(delays)),
-        "mean": sum(delays) / len(delays),
-        "max": float(max(delays)),
-    }

@@ -24,7 +24,7 @@ from repro.traffic.generators import (
     transpose,
     uniform_random,
 )
-from repro.traffic.stimuli import NetworkOverloadError, StimuliTable, TrafficDriver
+from repro.traffic.stimuli import NetworkOverloadError, TrafficDriver
 
 __all__ = [
     "BernoulliBeTraffic",
@@ -33,7 +33,6 @@ __all__ = [
     "HardwareLfsr",
     "NetworkOverloadError",
     "SoftwareRand",
-    "StimuliTable",
     "TrafficDriver",
     "bit_complement",
     "hotspot",

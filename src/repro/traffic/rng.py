@@ -132,11 +132,6 @@ class HardwareLfsr:
         self.state = seed
         self.words_read = 0
 
-    def _shift(self) -> int:
-        lsb = self.state & 1
-        self.state = _shift_once(self.state)
-        return lsb
-
     def next_u32(self) -> int:
         """Advance 32 shifts and return the register value."""
         s = self.state

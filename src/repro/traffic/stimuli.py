@@ -79,33 +79,6 @@ class StimuliEntry:
     packet_key: Optional[Tuple[int, int]] = None  # (src, seq) of its packet
 
 
-class StimuliTable:
-    """The generated-traffic staging area of simulation step 1."""
-
-    def __init__(self) -> None:
-        self.entries: List[StimuliEntry] = []
-
-    def add_packet(self, net: NetworkConfig, packet: Packet, vc: int, cycle: int) -> None:
-        key = (packet.src, packet.seq)
-        for flit in segment(packet, net):
-            self.entries.append(
-                StimuliEntry(
-                    cycle,
-                    packet.src,
-                    vc,
-                    flit.encode(net.router.data_width),
-                    packet_key=key,
-                )
-            )
-
-    def drain(self) -> List[StimuliEntry]:
-        out, self.entries = self.entries, []
-        return out
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class FlitEncoder:
     """Caching ``segment`` + ``encode``: packet -> encoded flit words.
 
@@ -279,10 +252,6 @@ class Stimuli:
             start, stop, np.ascontiguousarray(columns), lane_ends, objects,
             snapshot, source,
         )
-
-    def lane_span(self, lane: int) -> Tuple[int, int]:
-        """``[lo, hi)`` of ``lane``'s packet columns."""
-        return (self.lane_ends[lane - 1] if lane else 0), self.lane_ends[lane]
 
     def submit_columns(self, lo: int, hi: int):
         """Rows ``src, seq, vc, cycle`` of packet columns ``[lo, hi)`` —

@@ -1,10 +1,11 @@
 """Bit-identity gates for the fused levelized batch kernel and
 quiescence fast-forward.
 
-The levelized chunk kernel (``repro.kernels.batchlevel``) replaces the
-per-cycle dynamic allocation sweep with one fused C walk of the static
-level schedule per cycle, whole chunks at a time — it is only allowed
-to be *faster*, never *different*.  Every test here pins some facet of
+The chunk kernel (``repro.kernels.batchlevel``) replaces the per-cycle
+dynamic allocation sweep with one fused C walk of the routers per
+cycle — any order, since evaluation reads committed state only — whole
+chunks at a time; it is only allowed to be *faster*, never
+*different*.  Every test here pins some facet of
 that contract: lane-for-lane lockstep against golden lanes (one golden
 network per lane, ``kernel="python"``) and the JIT binding,
 chunked-versus-per-cycle identity, and exact overload diagnosis parity.
@@ -171,8 +172,7 @@ class TestLevelizedKernelSmoke:
     @needs_jit
     def test_backend_selected(self):
         engine = BatchEngine(torus(), lanes=2, kernel="levelized")
-        assert engine.kernel == "levelized"
-        assert engine.schedule is not None
+        assert engine.kernel == "levelized" and engine.kernel_reason is None
         assert hasattr(engine._compiled, "run_chunk")
 
     @needs_jit
@@ -848,11 +848,13 @@ class TestOneBodyOwnsFig1:
         engine = BatchEngine(torus(), lanes=2)
         assert engine.kernel == "jit" and engine.kernel_reason is None
         assert isinstance(engine._compiled, CompiledBatchLevel)
-        assert engine.schedule is None  # natural order: no levelize() call
-        explicit = BatchEngine(torus(), lanes=2, kernel="levelized")
-        assert explicit.kernel == "levelized" and explicit.kernel_reason is None
-        # one body, one .so: the fabric and the orders are runtime arguments
-        assert engine._compiled._lib is explicit._compiled._lib
+        # two labels, one body, one .so: the fabric is a runtime argument
+        mesh = NetworkConfig(3, 3, topology="mesh", router=RouterConfig(queue_depth=2))
+        for cfg in (torus(), mesh):
+            for label in ("levelized", "jit"):
+                explicit = BatchEngine(cfg, lanes=2, kernel=label)
+                assert explicit.kernel == label and explicit.kernel_reason is None
+                assert explicit._compiled._lib is engine._compiled._lib
         assert BatchEngine(torus(4, 4), lanes=1)._compiled._lib is engine._compiled._lib
 
     @needs_jit

@@ -97,6 +97,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert needs in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("simulate --cycles -5", "--cycles"),
+            ("simulate --engine batch --lanes 0", "--lanes"),
+            ("simulate --load -0.1", "--load"),
+            ("simulate --load 1.5", "--load"),
+            ("faults campaign --faults -1", "--faults"),
+            ("faults campaign --spacing 0", "--spacing"),
+        ],
+        ids=["cycles", "lanes", "load-negative", "load-above-one", "faults", "spacing"],
+    )
+    def test_out_of_range_number_is_a_usage_error(self, capsys, argv, flag):
+        """A number outside its range is refused at parse time: exit 2
+        and one error line naming the flag, before anything runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: must be" in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_simulate_streamed_prints_cpu_column_and_rejects_bad_chunk(self, capsys):
         args = ["simulate", "--stream", "--engine", "batch", "--lanes", "2",
                 "--width", "3", "--height", "3", "--cycles", "80"]
@@ -190,7 +213,7 @@ class TestCliExitCodes:
         assert "recovery budget exhausted" in capsys.readouterr().err
 
 
-class TestFarmCli:
+class TestSimulateReportLines:
     def test_sequential_kernel_request_says_auto_binds_the_body(self, capsys):
         for kernel in ("levelized", "jit"):
             rc = main(["simulate", "--engine", "sequential", "--kernel", kernel,
@@ -729,3 +752,126 @@ class TestSourceAudit:
         }
         assert sorted(texts) == sorted(on_path)
         assert not [name for name, text in texts.items() if chunk.search(text)]
+
+    #: definitions in ``src/repro`` that no file under ``src/``, ``bench/``
+    #: or ``examples/`` calls, and why each stays.  The list only shrinks:
+    #: a name here that gains a caller, or goes, fails the audit too.
+    _REFERENCE = "reference for tests"
+    _PROBE = "introspection the tests read the model through"
+    _TEST_HOOK = "hook the test harness drives"
+    ONLY_TESTS_CALL = {
+        "BitVector.popcount": "bit-vector value type: word operations",
+        "BitVector.reversed_bits": "bit-vector value type: word operations",
+        "BitVector.signed": "bit-vector value type: word operations",
+        "BitVector.trunc": "bit-vector value type: word operations",
+        "BitVector.with_bit": "bit-vector value type: word operations",
+        "BitVector.with_field": "bit-vector value type: word operations",
+        "BitVector.zext": "bit-vector value type: word operations",
+        "StructLayout.offset_of": "paper statement (Table 1 field offsets)",
+        "CircuitManager.teardown": "paper statement (section 4.1 circuit set-up)",
+        "StaticScheduleEngine": _REFERENCE + ": the section 4.1 static schedule",
+        "Table1Result.exact": "paper statement (Table 1)",
+        "Table2Result.exact": "paper statement (Table 2)",
+        "FpgaDevice.clbs": "paper statement (Table 2 device capacity)",
+        "MemoryMap": "paper statement (Figs. 6/7 address map)",
+        "MemoryMap.transfer_words": "paper statement (Figs. 6/7 address map)",
+        "MemoryMap.output_entry_address": "paper statement (Figs. 6/7 address map)",
+        "MemoryMap.region_of": "paper statement (Figs. 6/7 address map)",
+        "MemoryMap.stimuli_entry_address": "paper statement (Figs. 6/7 address map)",
+        "ResourceReport.fits": "paper statement (Table 2: 256 routers fit)",
+        "kernel_versions": _PROBE + ": the C tier's ingredients",
+        "fabric_threads": _TEST_HOOK + ": no fabric thread outlives a test",
+        "jobs_in_flight": _TEST_HOOK + ": no fabric job outlives a test",
+        "NetworkConfig.is_heterogeneous": _PROBE,
+        "decode_link_word": _REFERENCE + ": the link word format",
+        "encode_link_word": _REFERENCE + ": the link word format",
+        "link_word_type": _REFERENCE + ": the link word format",
+        "Network.current_inputs": _PROBE,
+        "Reassembler": _REFERENCE + ": per-packet oracle of the columnar match",
+        "Reassembler.open_vcs": _REFERENCE + ": per-packet oracle of the columnar match",
+        "GtReservationTable.max_link_sharing": "paper statement (Fig. 1 GT streams)",
+        "Router.eval": "paper statement (Fig. 4b: H(x))",
+        "route_port": _REFERENCE + ": dimension-order routing",
+        "Topology.connected_ports": _PROBE,
+        "PartitionedEngineFactory": "picklable engine_cls for the process-pool sweeps",
+        "crosscheck_overlap": _REFERENCE + ": modelled against measured overlap",
+        "CyclicBuffer.free": "paper statement (section 5.3 cyclic buffers)",
+        "CyclicBuffer.try_read": "paper statement (section 5.3 cyclic buffers)",
+        "CyclicBuffer.try_write": "paper statement (section 5.3 cyclic buffers)",
+        "Module.all_signals": _PROBE + ": the RTL kernel",
+        "Module.local_signals": _PROBE + ": the RTL kernel",
+        "Simulator.find_signal": _PROBE + ": the RTL kernel",
+        "trace_to_string": _PROBE + ": the RTL kernel",
+        "ArrayState.packed_dtypes": _TEST_HOOK + ": the packed-dtype gate",
+        "assert_packed": _TEST_HOOK + ": the packed-dtype gate",
+        "DynamicBlockSimulator.state_of": _PROBE + ": the Fig. 5 block model",
+        "DynamicBlockSimulator.wire_value": _PROBE + ": the Fig. 5 block model",
+        "LinkMemory.all_stable": _PROBE + ": the section 4.2 link memory",
+        "LinkMemory.read_inputs": _PROBE + ": the section 4.2 link memory",
+        "LinkMemory.total_bits": _PROBE + ": the section 4.2 link memory",
+        "LinkMemory.unit_hbr_group": _PROBE + ": the section 4.2 link memory",
+        "DeltaMetrics.summary": _PROBE + ": delta-cycle counts",
+        "SequentialNetwork.inject_state_fault": _TEST_HOOK + ": state-memory SEUs",
+        "PackedStateMemory.current_bank": _PROBE + ": the packed state memory",
+        "PackedStateMemory.total_bits": _PROBE + ": the packed state memory",
+        "EnergyProbe.run_instrumented": _PROBE + ": energy events",
+        "PacketLatencyTracker.open_vcs": _PROBE + ": latency tracking",
+        "ThroughputStats.in_flight": _PROBE + ": flit conservation",
+        "GtStreamTraffic.load_per_stream": _PROBE + ": GT stream load",
+        "SoftwareRand": "paper statement (section 8: the ARM rand() the LFSR replaces)",
+    }
+
+    def test_every_src_definition_has_a_caller_outside_tests(self):
+        """Code that only tests reach cannot grow back: every top-level
+        function, class and method in ``src/repro`` is named somewhere in
+        ``src/``, ``bench/`` or ``examples/`` beyond its own definition,
+        or is on the allowlist with a reason."""
+        import ast
+
+        root = TestEnvironmentSurface.ROOT
+        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        referenced = set()
+        defined = {}
+        for folder in ("src", "bench", "examples"):
+            for here, _dirs, files in os.walk(os.path.join(root, folder)):
+                for name in files:
+                    if not name.endswith(".py"):
+                        continue
+                    path = os.path.join(here, name)
+                    with open(path) as stream:
+                        tree = ast.parse(stream.read())
+                    exports = {  # an ``__all__`` entry is no caller
+                        id(node)
+                        for assign in ast.walk(tree)
+                        if isinstance(assign, ast.Assign)
+                        and any(getattr(t, "id", None) == "__all__" for t in assign.targets)
+                        for node in ast.walk(assign.value)
+                    }
+                    for node in ast.walk(tree):
+                        if isinstance(node, ast.Name):
+                            referenced.add(node.id)
+                        elif isinstance(node, ast.Attribute):
+                            referenced.add(node.attr)
+                        elif (
+                            isinstance(node, ast.Constant)
+                            and isinstance(node.value, str)
+                            and id(node) not in exports
+                        ):  # dotted targets, e.g. bench/trace.py's
+                            referenced.update(node.value.split("."))
+                    if path.startswith(self.SRC):
+                        for top in tree.body:
+                            if not isinstance(top, kinds):
+                                continue
+                            defined[top.name] = top.name
+                            if isinstance(top, ast.ClassDef):
+                                for sub in top.body:
+                                    if isinstance(sub, kinds):
+                                        defined[f"{top.name}.{sub.name}"] = sub.name
+        uncalled = {
+            qualified
+            for qualified, name in defined.items()
+            if name not in referenced and not name.startswith("__")
+        }
+        assert sorted(uncalled - set(self.ONLY_TESTS_CALL)) == []
+        assert sorted(set(self.ONLY_TESTS_CALL) - uncalled) == []
+        assert all(reason.strip() for reason in self.ONLY_TESTS_CALL.values())

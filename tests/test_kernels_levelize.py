@@ -1,161 +1,21 @@
-"""Levelizer edge cases and the choice of execution body.
+"""The choice of execution body: the ``kernel=`` labels.
 
-The levelizer must never produce a silently wrong schedule: a
-combinational cycle raises :class:`CyclicDependencyError`, and
-degenerate graphs (single router, quarantined links) levelize to valid
-schedules.  The body-selection half covers capability probing, the
-one rule (the ``kernel=`` argument and what the host can build), the
+Capability probing, the one rule (the ``kernel=`` argument and what the
+host can build), which engine takes which label, the
 degrade-with-one-warning contract and a host without a C compiler.
 """
 
 import warnings
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.engines.batch as batch
 from repro.kernels import KernelUnavailableError, kernel_versions, probe_backends
-from repro.kernels.levelize import (
-    CyclicDependencyError,
-    levelize,
-    levelize_graph,
-    toposort,
-)
 from repro.noc import NetworkConfig
-from repro.noc.topology import Topology
 from tests.test_batch_levelized import needs_jit
 
 
-class TestLevelize:
-    def test_torus_levelizes_to_three_kind_levels(self):
-        cfg = NetworkConfig(4, 4, topology="torus")
-        schedule = levelize(cfg)
-        assert schedule.depth == 3
-        assert len(schedule) == 3 * cfg.n_routers
-        for kind, level in zip(("room", "fwd", "state"), schedule.levels):
-            assert len(level) == cfg.n_routers
-            assert all(node[0] == kind for node in level)
-        nodes, edges = Topology(cfg).signal_graph()
-        schedule.validate(nodes, edges)
-
-    def test_mesh_levelizes_and_validates(self):
-        cfg = NetworkConfig(3, 5, topology="mesh")
-        schedule = levelize(cfg)
-        nodes, edges = Topology(cfg).signal_graph()
-        schedule.validate(nodes, edges)
-        # every edge goes strictly downward in level order
-        for src, dst in edges:
-            assert schedule.level_of[src] < schedule.level_of[dst]
-
-    def test_single_router_graph(self):
-        nodes = [("room", 0), ("fwd", 0), ("state", 0)]
-        edges = [(("room", 0), ("fwd", 0)), (("fwd", 0), ("state", 0))]
-        schedule = levelize_graph(nodes, edges)
-        assert schedule.depth == 3
-        assert schedule.order == (("room", 0), ("fwd", 0), ("state", 0))
-        schedule.validate(nodes, edges)
-
-    def test_quarantined_link_graph_levelizes(self):
-        cfg = NetworkConfig(4, 4, topology="torus")
-        topo = Topology(cfg)
-        full_nodes, full_edges = topo.signal_graph()
-        nodes, edges = topo.signal_graph(exclude_links=[(5, 1)])
-        assert nodes == full_nodes
-        assert len(edges) < len(full_edges)
-        schedule = levelize_graph(nodes, edges)
-        assert schedule.depth == 3
-        schedule.validate(nodes, edges)
-
-    def test_cycle_raises_with_remaining_nodes(self):
-        nodes = ["a", "b", "c", "d"]
-        edges = [("a", "b"), ("b", "c"), ("c", "b"), ("a", "d")]
-        with pytest.raises(CyclicDependencyError) as excinfo:
-            levelize_graph(nodes, edges)
-        remaining = set(excinfo.value.remaining)
-        assert remaining == {"b", "c"}
-
-    def test_self_loop_is_a_cycle(self):
-        with pytest.raises(CyclicDependencyError):
-            levelize_graph(["a"], [("a", "a")])
-
-    def test_toposort_linear_chain(self):
-        order = toposort([3, 1, 2], [(1, 2), (2, 3)])
-        assert order.index(1) < order.index(2) < order.index(3)
-
-    @given(
-        n=st.integers(min_value=1, max_value=12),
-        pairs=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=11),
-                st.integers(min_value=0, max_value=11),
-            ),
-            max_size=30,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_random_dag_levels_respect_edges(self, n, pairs):
-        nodes = list(range(n))
-        # orient every pair low -> high: guaranteed acyclic
-        edges = [
-            (min(a, b), max(a, b))
-            for a, b in pairs
-            if a != b and max(a, b) < n
-        ]
-        schedule = levelize_graph(nodes, edges)
-        schedule.validate(nodes, edges)
-        assert sorted(schedule.order) == nodes
-        for src, dst in edges:
-            assert schedule.level_of[src] < schedule.level_of[dst]
-        # levels are as early as possible: a node's level is one past
-        # its deepest predecessor
-        preds = {v: [] for v in nodes}
-        for src, dst in edges:
-            preds[dst].append(src)
-        for v in nodes:
-            expected = (
-                0
-                if not preds[v]
-                else 1 + max(schedule.level_of[p] for p in preds[v])
-            )
-            assert schedule.level_of[v] == expected
-
-
 class TestEngineFallback:
-    @needs_jit
-    def test_cyclic_schedule_falls_back_to_natural_order(self, monkeypatch):
-        """No 3-level schedule to carry (a combinational cycle, or a
-        foreign graph shape): ``kernel="levelized"`` records why and
-        binds the ``jit`` body — still the reference results."""
-        import repro.kernels.levelize as levelize_mod
-        from repro.engines import BatchEngine, run_batched
-        from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
-
-        def cyclic(cfg):
-            raise CyclicDependencyError([("fwd", 0), ("room", 1)])
-
-        def two_level(cfg):
-            return levelize_graph(["a", "b"], [("a", "b")])
-
-        cfg = NetworkConfig(3, 3, topology="torus")
-
-        def run(engine):
-            be = BernoulliBeTraffic(cfg, 0.1, uniform_random(cfg), seed=5)
-            run_batched(engine, [TrafficDriver(engine.lane(0), be=be)], 80)
-            return engine
-
-        reference = run(BatchEngine(cfg, lanes=1, kernel="python"))
-        assert len(reference.ejections) > 0
-        for broken in (cyclic, two_level):
-            monkeypatch.setattr(levelize_mod, "levelize", broken)
-            engine = BatchEngine(cfg, lanes=1, kernel="levelized")
-            assert engine.schedule is None
-            assert engine.kernel == "jit"
-            assert "natural router order" in engine.kernel_reason
-            run(engine)
-            assert engine.snapshot() == reference.snapshot()
-            assert engine.ejections == reference.ejections
-
     def test_levelized_rejects_bad_kernel_name(self):
         from repro.engines import make_engine
 

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bits import ArrayField, BitVector, Field, StructLayout, bv
-from repro.bits.packing import flatten_offsets
 
 
 @pytest.fixture
@@ -111,25 +110,6 @@ class TestPacking:
     def test_negative_scalar_wraps(self, flit_layout):
         word = flit_layout.pack({"data": -1, "type": 0})
         assert flit_layout.unpack(word)["data"] == 0xFFFF
-
-
-class TestFlattenOffsets:
-    def test_leaves_cover_width_exactly(self, router_like_layout):
-        leaves = flatten_offsets(router_like_layout)
-        covered = sum(w for _, _, w in leaves)
-        assert covered == router_like_layout.total_width
-        # Offsets are disjoint and sorted coverage of [0, total)
-        spans = sorted((off, off + w) for _, off, w in leaves)
-        position = 0
-        for start, end in spans:
-            assert start == position
-            position = end
-        assert position == router_like_layout.total_width
-
-    def test_names_are_dotted_and_indexed(self, router_like_layout):
-        names = [n for n, _, _ in flatten_offsets(router_like_layout)]
-        assert "queues[0][0].data" in names
-        assert "flags.busy" in names
 
 
 # -- property test: random layouts roundtrip ---------------------------------

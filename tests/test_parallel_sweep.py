@@ -16,6 +16,7 @@ import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
@@ -207,13 +208,14 @@ class TestSweepDeterminism:
         assert part.points == fig1.run(loads, cycles=60, workers=1).points
 
     def test_campaign_sweep_deterministic(self):
-        from repro.experiments.resilience import run_sweep
+        from repro.faults import run_campaigns
 
         base = CampaignConfig(
             width=3, height=3, n_faults=6, include_flap=False, spacing=3
         )
-        serial = run_sweep([1, 2], base=base, workers=1)
-        parallel = run_sweep([1, 2], base=base, workers=2)
+        configs = [replace(base, seed=seed) for seed in (1, 2)]
+        serial = run_campaigns(configs, workers=1)
+        parallel = run_campaigns(configs, workers=2)
         assert [r.config.seed for r in serial] == [1, 2]
         assert serial == parallel
 

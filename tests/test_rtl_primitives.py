@@ -1,16 +1,11 @@
-"""Tests for RTL primitives: registers, FIFOs, round-robin arbiters."""
+"""Tests for RTL primitives: FIFOs and the round-robin grant function."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.rtl import Simulator
-from repro.rtl.primitives import (
-    ClockedRegister,
-    RoundRobinArbiter,
-    SyncFifo,
-    round_robin_grant,
-)
+from repro.rtl.primitives import SyncFifo, round_robin_grant
 
 
 def make_clock(sim):
@@ -22,39 +17,6 @@ def make_clock(sim):
 def full_cycle(sim):
     """Advance one full clock period (rising then falling edge)."""
     sim.step(2)
-
-
-class TestClockedRegister:
-    def test_captures_on_rising_edge_only(self):
-        sim = Simulator()
-        clk = make_clock(sim)
-        d = sim.signal("d", 8)
-        reg = ClockedRegister(sim, "r", clk, d, 8)
-        sim.initialize()
-        d.assign(0x42)
-        sim.step(1)  # rising edge: d was still 0 at sample time? assign is
-        # delta-delayed; by edge delta, d==0x42 already committed in step's settle
-        # of the prior assign... d.assign happened outside; commit occurs first
-        # delta of this step, same delta as the edge evaluation sees old d.
-        sim.step(1)  # falling edge
-        sim.step(2)  # next full cycle captures 0x42
-        assert reg.q.uint == 0x42
-
-    def test_enable_gates_capture(self):
-        sim = Simulator()
-        clk = make_clock(sim)
-        d = sim.signal("d", 8)
-        en = sim.signal("en", 1, reset=0)
-        reg = ClockedRegister(sim, "r", clk, d, 8, en=en)
-        sim.initialize()
-        d.assign(7)
-        full_cycle(sim)
-        full_cycle(sim)
-        assert reg.q.uint == 0  # enable low: never captured
-        en.assign(1)
-        full_cycle(sim)
-        full_cycle(sim)
-        assert reg.q.uint == 7
 
 
 class TestSyncFifo:
@@ -181,41 +143,3 @@ class TestRoundRobinGrantFunction:
             seen.append(g)
             pointer = g
         assert sorted(seen) == list(range(10))
-
-
-class TestRoundRobinArbiterRtl:
-    def test_one_hot_grant_and_rotation(self):
-        sim = Simulator()
-        clk = make_clock(sim)
-        req = sim.signal("req", 4)
-        arb = RoundRobinArbiter(sim, "arb", clk, req, 4)
-        sim.initialize()
-        req.assign(0b1010)
-        sim.step(2)
-        first = arb.grant_index.uint
-        assert first in (1, 3)
-        assert arb.grant.uint == 1 << first
-        sim.step(2)
-        second = arb.grant_index.uint
-        assert second in (1, 3) and second != first
-
-    def test_no_request_no_grant(self):
-        sim = Simulator()
-        clk = make_clock(sim)
-        req = sim.signal("req", 4)
-        arb = RoundRobinArbiter(sim, "arb", clk, req, 4)
-        sim.initialize()
-        sim.step(4)
-        assert arb.grant.uint == 0
-
-    @settings(deadline=None)
-    @given(st.integers(min_value=1, max_value=15))
-    def test_grant_tracks_requests(self, reqval):
-        sim = Simulator()
-        clk = make_clock(sim)
-        req = sim.signal("req", 4)
-        arb = RoundRobinArbiter(sim, "arb", clk, req, 4)
-        sim.initialize()
-        req.assign(reqval)
-        sim.step(2)
-        assert (reqval >> arb.grant_index.uint) & 1

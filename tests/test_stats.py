@@ -12,7 +12,6 @@ from repro.stats import (
     ThroughputStats,
     gt_guarantee_bound,
 )
-from repro.stats.throughput import access_delay_stats, per_class_flit_counts
 from repro.traffic import BernoulliBeTraffic, GtStreamTraffic, TrafficDriver, uniform_random
 from repro.traffic.generators import reserve_shift_streams
 
@@ -90,23 +89,10 @@ class TestThroughput:
         assert stats.in_flight == 0
         assert 0 < stats.accepted_load < 0.2
 
-    def test_class_counts(self):
-        net = NetworkConfig(3, 3)
-        engine, _driver, _tracker = run_session(net, gt_period=120)
-        counts = per_class_flit_counts(engine)
-        assert counts["GT"] > 0 and counts["BE"] > 0
-
-    def test_access_delay_stats(self):
-        net = NetworkConfig(3, 3)
-        engine, _driver, _tracker = run_session(net)
-        stats = access_delay_stats(engine)
-        assert stats is not None and stats["mean"] >= 0
-
     def test_empty_engine(self):
         net = NetworkConfig(2, 2)
         engine = CycleEngine(net)
         assert ThroughputStats.from_engine(engine).accepted_load == 0.0
-        assert access_delay_stats(engine) is None
 
 
 class TestGuaranteeBound:

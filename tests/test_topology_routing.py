@@ -43,27 +43,6 @@ class TestTopology:
                     nb = topo.neighbor(r, p)
                     assert topo.neighbor(nb, p.opposite) == r
 
-    def test_signal_graph_levels_match_networkx(self):
-        # The levelizer sorts with its own Kahn scan; networkx is the
-        # cross-check: same DAG, a valid order, the same level sets.
-        import sys
-
-        from repro.kernels.levelize import levelize, toposort
-
-        for topology in ("torus", "mesh"):
-            nodes, edges = Topology(NetworkConfig(4, 3, topology=topology)).signal_graph()
-            g = nx.DiGraph()
-            g.add_nodes_from(nodes)
-            g.add_edges_from(edges)
-            assert nx.is_directed_acyclic_graph(g)
-            position = {node: i for i, node in enumerate(toposort(nodes, edges))}
-            assert all(position[a] < position[b] for a, b in g.edges)
-            levels = levelize((nodes, edges)).levels
-            assert [set(level) for level in levels] == [
-                set(generation) for generation in nx.topological_generations(g)
-            ]
-        assert "networkx" not in sys.modules["repro.kernels.levelize"].__dict__
-
     def test_local_port_has_no_neighbor(self):
         topo = Topology(NetworkConfig(3, 3))
         assert topo.neighbor(0, Port.LOCAL) is None

@@ -13,7 +13,6 @@ from repro.traffic import (
     HardwareLfsr,
     NetworkOverloadError,
     SoftwareRand,
-    StimuliTable,
     TrafficDriver,
     bit_complement,
     hotspot,
@@ -157,16 +156,6 @@ class TestGenerators:
         traffic = GtStreamTraffic(self.net, [], period=1000)
         assert traffic.load_per_stream == pytest.approx(130 / 1000)
 
-    def test_stimuli_table(self):
-        from tests.helpers import be_packet
-
-        table = StimuliTable()
-        table.add_packet(self.net, be_packet(self.net, 0, 5), vc=2, cycle=7)
-        assert len(table) == 7
-        entries = table.drain()
-        assert len(table) == 0
-        assert all(e.cycle == 7 and e.router == 0 and e.vc == 2 for e in entries)
-
 
 class TestTrafficDriver:
     def test_low_load_delivers_everything(self):
@@ -191,10 +180,9 @@ class TestTrafficDriver:
         driver.be = None
         driver.gt = None
         driver.drain()
-        from repro.stats.throughput import per_class_flit_counts
-
-        counts = per_class_flit_counts(engine)
-        assert counts["GT"] > 0 and counts["BE"] > 0
+        gt_vcs = net.router.gt_vcs
+        assert any(record.vc in gt_vcs for record in engine.ejections)
+        assert any(record.vc not in gt_vcs for record in engine.ejections)
 
     def test_overload_detection(self):
         """Saturating a tiny network trips the paper's overload stop."""
