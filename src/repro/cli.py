@@ -44,10 +44,10 @@ _fraction = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def _network_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--width", type=int, default=6)
-    parser.add_argument("--height", type=int, default=6)
+    parser.add_argument("--width", type=_positive, default=6)
+    parser.add_argument("--height", type=_positive, default=6)
     parser.add_argument("--topology", choices=["torus", "mesh"], default="torus")
-    parser.add_argument("--queue-depth", type=int, default=4)
+    parser.add_argument("--queue-depth", type=_positive, default=4)
 
 
 def _network_from(args) -> NetworkConfig:
@@ -147,7 +147,9 @@ def _report_run(engine, drivers) -> None:
     length and flits), the cycles the drain ran inside the body (a
     stepped run's drain steps too, for the reason the line opens with),
     the host's wall time a window around the body (the drain's call
-    included) and, when any did, the calls that met an error and ran
+    included), the events the engine's logs hold and the bytes that
+    hold them (16 an event, a tail buffer's unfilled columns not
+    counted) and, when any did, the calls that met an error and ran
     again in cycle order."""
     if getattr(engine, "kernel", None) is None:
         return
@@ -176,6 +178,10 @@ def _report_run(engine, drivers) -> None:
         if windows:
             host = (engine.kernel_loop_seconds - engine.kernel_seconds) / windows
             line += f"; host: {1e6 * host:.0f} µs a window outside the body"
+    logs = getattr(engine, "event_logs", None)
+    if logs:  # what the engine's two packed logs retain
+        events = sum(int(log.lengths().sum()) for log in logs)
+        line += f"; log: {events} events in {sum(log.nbytes for log in logs) / 1024:.0f} KiB"
     if getattr(engine, "kernel_replays", 0):
         line += f"; replays: {engine.kernel_replays}"
     print(f"kernel run: {line}")
@@ -551,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="package overview").set_defaults(fn=cmd_info)
 
     p = sub.add_parser("layout", help="Table-1 register budget")
-    p.add_argument("--queue-depth", type=int, default=4)
+    p.add_argument("--queue-depth", type=_positive, default=4)
     p.add_argument("--fields", action="store_true", help="dump every field offset")
     p.set_defaults(fn=cmd_layout)
 
@@ -643,15 +649,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--verbose", action="store_true", help="per-fault outcomes")
     p.add_argument(
-        "--seeds", type=int, default=1,
+        "--seeds", type=_positive, default=1,
         help="run N campaigns at seeds seed..seed+N-1 (parallel sweep)",
     )
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive, default=None,
         help="worker processes for --seeds > 1 (default: $REPRO_WORKERS or CPUs)",
     )
     p.add_argument(
-        "--min-recovery", type=float, default=0.9,
+        "--min-recovery", type=_fraction, default=0.9,
         help="exit nonzero if the recovery rate of any campaign with "
         "detections falls below this fraction (default 0.9)",
     )
@@ -669,7 +675,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "width"):  # a fabric the configuration refuses: a usage error
+        try:
+            _network_from(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.fn(args)
 
 

@@ -31,7 +31,7 @@ import time
 import warnings
 from typing import List, Optional, Sequence, Tuple
 
-from repro.engines.eventlog import EventLog
+from repro.engines.eventlog import PackedLog
 from repro.noc.config import NetworkConfig
 from repro.noc.deadlock import packed_policy
 from repro.noc.network import EjectionRecord, InjectionRecord, Network
@@ -187,17 +187,23 @@ class BatchEngine:
         self.state: Optional[ArrayState] = None
         #: the golden lanes, one network each (``None`` on the C body).
         self.networks: Optional[List[Network]] = None
+        #: the generated body's injection and ejection logs, every lane's
+        #: events in packed words (``None`` on golden lanes)
+        self.event_logs: Optional[Tuple[PackedLog, PackedLog]] = None
         self._compiled = None
         self._bind(kernel)
-        # per-lane logs: the lane networks' own record lists, or column
-        # blocks from the generated body with records built on read
+        # per-lane logs: the lane networks' own record lists, or views of
+        # the body's logs with records built on read
         if self._compiled is None:
             self.networks = [Network(cfg, self.routing) for _ in range(lanes)]
             self._injections = [net.injections for net in self.networks]
             self._ejections = [net.ejections for net in self.networks]
         else:
-            self._injections = [EventLog(InjectionRecord) for _ in range(lanes)]
-            self._ejections = [EventLog(EjectionRecord) for _ in range(lanes)]
+            self.event_logs = (
+                PackedLog(InjectionRecord, cfg.router.event_layout, lanes),
+                PackedLog(EjectionRecord, cfg.router.event_layout, lanes),
+            )
+            self._injections, self._ejections = (log.views for log in self.event_logs)
 
     def _bind(self, kernel: str) -> None:
         """Bind the body ``kernel`` asks for: ``python`` golden lanes,
@@ -573,7 +579,7 @@ def run_batched(
     of a near-idle run.  Each is one columnar
     :class:`~repro.traffic.stimuli.Stimuli`, staged ahead with
     timestamps; the pump moves into the kernel, and events come back as
-    column blocks of the lanes' :class:`EventLog`.
+    one block a window of the engine's :class:`PackedLog` pair.
 
     Where every driver carries a Bernoulli-BE/uniform-random stream
     (any per-lane load, zero and ``be=None`` included) with or without

@@ -1,20 +1,21 @@
-"""Columnar injection/ejection logs: record objects only when read.
+"""Columnar event logs: record objects only when read.
 
-The generated kernel hands back a window's events as integer arrays.
-:class:`EventLog` keeps them that way: a log is a sequence of *parts*,
-each a ``(block, lo, hi)`` column slice of an event array whose rows
-are the log's row names (the record's fields in declaration order, by
-default), or a plain list of
-records — what a driver's submit log appends (packets built in Python,
-whose payloads are no columns) and what :meth:`EventLog.extend` reads
-back from a resumed run's saved log.  A whole chunk's block is
-kept by reference; the few events of a single-cycle step are copied
-into the log's own tail buffer, where adjacent small blocks coalesce
-into one part.  ``len`` and :meth:`EventLog.extend_block` never build a
+The generated kernel hands back a call's events as integer arrays, and
+the logs keep them that way.  A compiled engine logs every lane's
+injections in one :class:`PackedLog` and its ejections in another, in
+the packed words of :class:`~repro.noc.layout.EventLayout`: each call
+appends one block grouped by lane, and a lane's log
+(``engine.lane_injections(i)``) is a :class:`LaneView` of it.  A
+driver's submit log is an :class:`EventLog`: a sequence of *parts*,
+each a ``(block, lo, hi)`` column slice of an array whose rows are the
+log's row names, or a plain list of records (packets built in Python,
+whose payloads are no columns, and a resumed run's saved log).  Both
+logs copy the events of a small call into a tail buffer of their own,
+where the blocks of adjacent small calls coalesce, so N single-cycle
+steps leave O(N / 4096) blocks.  ``len`` and appending never build a
 record; indexing, slicing, iteration and comparison build exactly the
-records they hand out, and keep none; :meth:`EventLog.blocks` hands a
-window out part by part as integer blocks without building any, and
-:meth:`EventLog.arrays` joins them into one.
+records they hand out, and keep none; ``blocks`` hands a window out
+block by block without building any, and ``arrays`` joins them into one.
 """
 
 from __future__ import annotations
@@ -27,13 +28,18 @@ from typing import Callable, List
 
 import numpy as np
 
-__all__ = ["EventLog", "log_blocks", "log_window", "record_block"]
+__all__ = [
+    "EventLog", "LaneView", "PackedLog", "lane_lengths", "log_blocks", "record_block",
+    "window_blocks",
+]
 
-#: blocks narrower than this are copied into the tail buffer.
+#: blocks narrower than this (a lane's share, in a packed log) are
+#: copied into the tail buffer.
 _SMALL = 64
 
-#: columns of a log's first tail buffer; each replacement doubles, up to
-#: the cap, so N single-cycle steps leave O(N / cap) parts.
+#: columns of a log's first tail buffer (a lane's, in a packed log);
+#: each replacement doubles, up to the cap, so N single-cycle steps
+#: leave O(N / cap) parts.
 _TAIL_MIN, _TAIL_MAX = 256, 4096
 
 
@@ -49,24 +55,98 @@ def record_block(records, names=EVENT_FIELDS, row=None):
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(names)).T
 
 
-def log_window(log, start: int, stop: int):
-    """Events ``[start, stop)`` of an engine log as a ``[fields, n]``
-    int64 block, rows in record-field order (:data:`EVENT_FIELDS` first).
-    An :class:`EventLog` hands out its columns; engines whose logs are
-    plain lists have the slice's records read once."""
-    arrays = getattr(log, "arrays", None)
-    return arrays(start, stop) if arrays is not None else record_block(log[start:stop])
+def pack_records(layout, records):
+    """Engine records (a Python engine's log) in ``layout``'s packed
+    words, read once: injections with their access delay."""
+    delay = bool(records) and hasattr(records[0], "access_delay")
+    names = EVENT_FIELDS + ("access_delay",) if delay else EVENT_FIELDS
+    return layout.pack(*record_block(records, names))
 
 
-def log_blocks(log, start: int, stop: int):
-    """:func:`log_window` without the join: the window as the blocks of
-    the log's own parts, in order (one block for a plain list)."""
-    blocks = getattr(log, "blocks", None)
-    return blocks(start, stop) if blocks is not None else [record_block(log[start:stop])]
+def log_blocks(log, start: int, stop: int, layout):
+    """Events ``[start, stop)`` of an engine log as packed blocks: a lane
+    view's own, read in place, or a record list's, packed once."""
+    if isinstance(log, LaneView):
+        return list(log.blocks(start, stop))
+    return [pack_records(layout, log[start:stop])]
 
 
-class EventLog(Sequence):
-    """One lane's cycle-ordered event log.
+def lane_lengths(logs):
+    """Every lane's event count in ``logs``, as :func:`window_blocks`
+    takes them."""
+    return logs.lengths() if isinstance(logs, PackedLog) else [len(log) for log in logs]
+
+
+def window_blocks(logs, start, stop, layout) -> List[List]:
+    """Per lane ``i``, events ``[start[i], stop[i])`` of ``logs`` — a
+    :class:`PackedLog`, or one engine log a lane — as packed blocks: a
+    packed log's views, every lane's read in one pass over its blocks,
+    or what :func:`log_blocks` makes of a lane's own log."""
+    if not isinstance(logs, PackedLog):
+        return [log_blocks(log, a, z, layout) for log, a, z in zip(logs, start, stop)]
+    pieces = [(block, lo.tolist(), hi.tolist()) for block, lo, hi in logs.pieces(start, stop)]
+    return [[block[:, lo[i] : hi[i]] for block, lo, hi in pieces] for i in range(logs.lanes)]
+
+
+class _Columns(Sequence):
+    """The readers of a log that yields its events as ``_pieces(start,
+    stop)``: ``(part, a, b)``, a record list's ``part[a:b]`` or a block's
+    columns ``[a, b)``, in order."""
+
+    __slots__ = ()
+
+    def _span(self, start: int, stop: int) -> List:
+        """Records ``[start, stop)`` as a fresh list."""
+        out: List = []
+        for part, a, b in self._pieces(start, stop):
+            out += part[a:b] if type(part) is list else self._records(part[:, a:b])
+        return out
+
+    def blocks(self, start: int, stop: int):
+        """Events ``[start, stop)`` block by block, no record built: a
+        column part is handed out as a view, appended records are read
+        once."""
+        for part, a, b in self._pieces(start, stop):
+            if type(part) is list:
+                yield record_block(part[a:b], self._names, self._row)
+            else:
+                yield part[:, a:b]
+
+    def arrays(self, start: int, stop: int):
+        """Events ``[start, stop)`` as one block: a view where one part
+        covers the window, else a copy."""
+        blocks = list(self.blocks(start, stop))
+        if len(blocks) == 1:
+            return blocks[0]
+        return np.concatenate([np.empty((self._rows, 0), dtype=np.int64), *blocks], axis=1)
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            start, stop, step = index.indices(n)
+            if step == 1:
+                return self._span(start, stop)
+            return self._span(0, n)[index]
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._span(index, index + 1)[0]
+
+    def __iter__(self):
+        return iter(self._span(0, len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Columns, list)):
+            return NotImplemented
+        return len(self) == len(other) and self[:] == other[:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self[:]!r})"
+
+
+class EventLog(_Columns):
+    """A driver's cycle-ordered submit log.
 
     Append-only: parts and their start offsets only ever grow at the
     end (``_parts`` first, ``_starts`` second), the last part may be
@@ -107,11 +187,6 @@ class EventLog(Sequence):
         tail = [record]
         self._add_part(tail)
         self.append = tail.append
-
-    def extend(self, records) -> None:
-        """Log ``records`` one by one (a resumed run's saved log)."""
-        for record in records:
-            self.append(record)
 
     def extend_block(self, block, lo: int, hi: int) -> None:
         """Log columns ``[lo, hi)`` of ``block`` (a ``[fields, n]`` integer
@@ -164,56 +239,119 @@ class EventLog(Sequence):
                 yield block, lo + a, min(lo + b, hi)
             i += 1
 
-    def _span(self, start: int, stop: int) -> List:
-        """Records ``[start, stop)`` as a fresh list."""
-        out: List = []
-        record = self._record
-        for part, a, b in self._pieces(start, stop):
-            if type(part) is list:
-                out += part[a:b]
-            else:
-                out += map(record, *part[:, a:b].tolist())
-        return out
+    def _records(self, block):
+        return map(self._record, *block.tolist())
 
-    def blocks(self, start: int, stop: int):
-        """Events ``[start, stop)`` part by part, each a ``[fields, n]``
-        int64 block and no record built: a column part is handed out as
-        a view, appended records are read once."""
-        for part, a, b in self._pieces(start, stop):
-            if type(part) is list:
-                yield record_block(part[a:b], self._names, self._row)
-            else:
-                yield part[:, a:b]
+    @property
+    def _rows(self) -> int:
+        return len(self._names)
 
-    def arrays(self, start: int, stop: int):
-        """Events ``[start, stop)`` as one ``[fields, n]`` int64 block: a
-        view where one column part covers the window, else a copy."""
-        blocks = list(self.blocks(start, stop))
-        if len(blocks) == 1:
-            return blocks[0]
-        empty = np.empty((len(self._names), 0), dtype=np.int64)
-        return np.concatenate([empty, *blocks], axis=1)
 
-    def __getitem__(self, index):
-        n = len(self)
-        if isinstance(index, slice):
-            start, stop, step = index.indices(n)
-            if step == 1:
-                return self._span(start, stop)
-            return self._span(0, n)[index]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("EventLog index out of range")
-        return self._span(index, index + 1)[0]
+class PackedLog:
+    """Every lane's events of one kind, in the packed words of ``layout``:
+    one block a call, grouped by lane (``blocks[k]``: lane ``b``'s
+    events from column ``lo[k, b]``, its count through the block
+    ``ends[k, b]``).  A call whose lanes each have fewer than 64 events
+    is copied into a tail buffer of ``lanes`` segments, and extends the
+    last block while that block is the tail's.
 
-    def __iter__(self):
-        return iter(self._span(0, len(self)))
+    Append-only, like :class:`EventLog`: a block's columns are written
+    before the table rows that expose them, the rows before the block
+    count, and no exposed column is rewritten — so a reader that stays
+    below a length it observed resolves the same events whatever is
+    appended meanwhile.  :attr:`views` are the lanes' logs.
+    """
 
-    def __eq__(self, other):
-        if not isinstance(other, (EventLog, list)):
-            return NotImplemented
-        return len(self) == len(other) and self[:] == other[:]
+    def __init__(self, record: Callable, layout, lanes: int) -> None:
+        self.layout, self.lanes = layout, lanes
+        #: fields of a record, in :meth:`~repro.noc.layout.EventLayout.unpack` order
+        self._record, self._fields = record, len(fields(record))
+        self._blocks: List = []
+        self._lo = np.zeros((16, lanes), dtype=np.int64)
+        self._ends = np.zeros((16, lanes), dtype=np.int64)
+        self._n = 0
+        #: the tail buffer, its lanes' segment width and fill, and the
+        #: block that is its last, if one is
+        self._tail, self._seg, self._used, self._tail_block = None, 0, None, None
+        self.views = [LaneView(self, lane) for lane in range(lanes)]
 
-    def __repr__(self) -> str:
-        return f"EventLog({self[:]!r})"
+    def append(self, block, counts) -> None:
+        """Log a call's events: the first columns of ``block``, grouped by
+        lane, ``counts[b]`` of lane ``b``."""
+        n, k = int(counts.sum()), self._n
+        if not n:
+            return
+        ends = self._ends[k - 1] + counts if k else counts.copy()
+        starts = np.cumsum(counts) - counts
+        if counts.max() >= _SMALL:
+            self._add(block[:, :n].copy(), starts, ends)
+            return
+        if self._tail is None or (self._used + counts > self._seg).any():
+            self._seg = min(2 * self._seg, _TAIL_MAX) if self._tail is not None else _TAIL_MIN
+            self._tail = np.empty((2, self.lanes * self._seg), dtype=np.int64)
+            self._used, self._tail_block = np.zeros(self.lanes, dtype=np.int64), None
+        at = np.arange(self.lanes) * self._seg + self._used
+        self._tail[:, np.arange(n) + np.repeat(at - starts, counts)] = block[:, :n]
+        self._used = self._used + counts
+        if self._tail_block == k - 1:
+            self._ends[k - 1] = ends  # the tail's block grows in place
+        else:
+            self._tail_block = k
+            self._add(self._tail, at, ends)
+
+    def _add(self, block, lo, ends) -> None:
+        k = self._n
+        if k == len(self._lo):  # grown tables; a reader may keep the old ones
+            self._lo, self._ends = (
+                np.concatenate([table, np.zeros_like(table)]) for table in (self._lo, self._ends)
+            )
+        self._lo[k], self._ends[k] = lo, ends
+        self._blocks.append(block)
+        self._n = k + 1
+
+    def lengths(self) -> np.ndarray:
+        """Every lane's event count (a copy)."""
+        n = self._n  # read first: a writer may be appending
+        return self._ends[n - 1].copy() if n else np.zeros(self.lanes, dtype=np.int64)
+
+    def pieces(self, start, stop, lanes=slice(None)):
+        """Events ``[start[i], stop[i])`` of each lane ``i`` of ``lanes``
+        (every lane by default), read in place: ``(block, lo, hi)`` per
+        block that holds any, lane ``i``'s columns ``[lo[i], hi[i])``."""
+        n = self._n  # read first: a writer may be appending
+        ends, first = self._ends[:n, lanes], self._lo[:n, lanes]
+        before = np.concatenate([np.zeros_like(ends[:1]), ends[:-1]])
+        lo = np.clip(start, before, ends) - before + first
+        hi = np.clip(stop, before, ends) - before + first
+        for k in np.flatnonzero((hi > lo).any(axis=1)).tolist():
+            yield self._blocks[k], lo[k], hi[k]
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes that hold the log's events, 16 an event: the
+        columns of a tail buffer no call has filled yet are not counted."""
+        return 16 * int(self.lengths().sum())
+
+
+class LaneView(_Columns):
+    """One lane's log in a :class:`PackedLog`: a list of records to its
+    readers, built only when read; ``blocks`` and ``arrays`` hand out
+    packed words."""
+
+    __slots__ = ("log", "lane")
+
+    def __init__(self, log: PackedLog, lane: int) -> None:
+        self.log, self.lane = log, lane
+
+    def __len__(self) -> int:
+        return int(self.log.lengths()[self.lane])
+
+    def _pieces(self, start: int, stop: int):
+        for block, lo, hi in self.log.pieces([start], [stop], [self.lane]):
+            yield block, int(lo[0]), int(hi[0])
+
+    _rows = 2
+
+    def _records(self, block):
+        log = self.log
+        return map(log._record, *(f.tolist() for f in log.layout.unpack(block)[: log._fields]))

@@ -92,15 +92,17 @@ def run_pattern(
 
 def _pattern_result(name: str, net, tracker, ejection_log) -> PatternResult:
     """Summarise one pattern run from its collected tracker and log."""
-    from repro.engines.eventlog import log_window
+    from repro.engines.eventlog import log_blocks
     from repro.stats.latency import S_HOPS
 
     stats = tracker.stats()
     hops = tracker.samples.columns[S_HOPS]
     target = net.index(*HOTSPOT_XY)
     ejections = len(ejection_log)
-    routers = log_window(ejection_log, 0, ejections)[1]
-    to_target = int((routers == target).sum())
+    to_target = sum(
+        int((tracker.layout.unpack(block)[1] == target).sum())
+        for block in log_blocks(ejection_log, 0, ejections, tracker.layout)
+    )
     return PatternResult(
         name=name,
         mean=stats.mean,

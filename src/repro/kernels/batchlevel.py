@@ -23,8 +23,9 @@ cheap bulk-synchronous sequential commit — but its cost follows fabric
   two queues, not ports x VCs), and what a router decides — pops,
   pushes, allocations, stimuli updates, ejections — goes into work
   lists the commit applies;
-* events leave the call grouped by lane with per-lane counts, so
-  logging them is one block copy and one column slice per lane.
+* events leave the call grouped by lane with per-lane counts, in the
+  packed words of :class:`~repro.noc.layout.EventLayout`, so logging
+  them is one block copy per call and log.
 
 The per-flit cost is kept down where a measurement showed it (DESIGN
 section 14, *The hot loop*): the pointer parameters are ``restrict`` —
@@ -182,6 +183,11 @@ _TEMPLATE = string.Template(
 #define FLIT_MASK ${FLIT_MASK}
 #define VMASK ${VMASK}
 #define HBR ${HBR}
+/* the packed event words (repro.noc.layout.EventLayout): word 0 is
+ * delay | vc | router | cycle, LSB first, word 1 the flit */
+#define EV_VC ${EV_VC}
+#define EV_ROUTER ${EV_ROUTER}
+#define EV_CYCLE ${EV_CYCLE}
 
 /* The fabric is a runtime argument: R routers and their neighbour
  * tables.  Each cycle of a lane range is one pure evaluation pass over
@@ -215,15 +221,15 @@ static inline int64_t rr_pick(int64_t req, int64_t last)
 }
 
 /* Close the gaps between the per-lane segments of an event buffer
- * (`rows` rows of `cap` columns; lane b holds n[b] events from column
+ * (two rows of `cap` columns; lane b holds n[b] events from column
  * at[b]): afterwards the events are one block, grouped by lane. */
-static void pack_lanes(int64_t *ev, int64_t cap, int64_t rows, int64_t B,
+static void pack_lanes(int64_t *ev, int64_t cap, int64_t B,
                        const int64_t *at, const int64_t *n)
 {
     int64_t out = 0;
     for (int64_t b = 0; b < B; b++) {
         if (n[b] && at[b] != out)
-            for (int64_t f = 0; f < rows; f++)
+            for (int64_t f = 0; f < 2; f++)
                 memmove(ev + f * cap + out, ev + f * cap + at[b],
                         (size_t)n[b] * sizeof(int64_t));
         out += n[b];
@@ -376,9 +382,9 @@ ${signature}
 {
     const int64_t BR = B * R;
     /* Row buffers, one row per column.  Staged stimuli queues (q) and
-     * their entries (e); injection and ejection events (sent, ej) with
-     * rows in record-field order, one segment per lane, so Python can
-     * log them as column blocks without touching a single event. */
+     * their entries (e); injection and ejection events (sent, ej) as
+     * packed words, one segment per lane, so Python logs a call's
+     * events as one block without touching a single event. */
     const int64_t *q_lane = q, *q_router = q + q_cap, *q_vc = q + 2 * q_cap;
     const int64_t *q_end = q + 3 * q_cap;
     int64_t *q_head = q + 4 * q_cap, *q_stall = q + 5 * q_cap;
@@ -389,12 +395,8 @@ ${signature}
     int64_t *q_due = q + 8 * q_cap;
     /* (rows 9-11: lane order's copy of rows 4-6, keep_lanes) */
     const int64_t *e_word = e, *e_cycle = e + e_cap;
-    int64_t *sent_cycle = ev_sent, *sent_r = ev_sent + sent_cap;
-    int64_t *sent_vc = ev_sent + 2 * sent_cap;
-    int64_t *sent_word = ev_sent + 3 * sent_cap;
-    int64_t *sent_delay = ev_sent + 4 * sent_cap;
-    int64_t *ej_cycle = ev_ej, *ej_r = ev_ej + ej_cap;
-    int64_t *ej_vc = ev_ej + 2 * ej_cap, *ej_word = ev_ej + 3 * ej_cap;
+    int64_t *sent_w0 = ev_sent, *sent_word = ev_sent + sent_cap;
+    int64_t *ej_w0 = ev_ej, *ej_word = ev_ej + ej_cap;
     int64_t *n_sent = lane_n, *n_ej = lane_n + B;
     /* Per-lane words: flits buffered, injection registers valid, eject
      * flags latched, the cycle's activity, where the lane's event
@@ -519,6 +521,10 @@ entry:
     L0 = 0;
 range:
     L1 = solo ? L0 + 1 : B;
+    if (solo && L0) { /* a lane's events follow the previous lane's */
+        sent_at[L0] = sent_at[L0 - 1] + n_sent[L0 - 1];
+        ej_at[L0] = ej_at[L0 - 1] + n_ej[L0 - 1];
+    }
     i0 = q_at[L0];
     i1 = q_at[L1];
     if (solo)
@@ -882,11 +888,10 @@ range:
                         continue;
                     }
                     const int64_t k = sent_at[b] + n_sent[b]++;
-                    sent_cycle[k] = ac;
-                    sent_r[k] = x - sc;
-                    sent_vc[k] = v;
+                    const int64_t w0 = (ac << EV_CYCLE) | ((x - sc) << EV_ROUTER)
+                                       | (v << EV_VC);
+                    sent_w0[k] = w0 | delay[i];
                     sent_word[k] = inj_word[i];
-                    sent_delay[k] = delay[i];
                     inj_valid[i] = 0;
                     delay[i] = 0;
                     rr_ptr[x] = v;
@@ -897,9 +902,8 @@ range:
             for (; lo < loc_end[b]; lo++) {
                 const int64_t x = loc_x[lo], word = loc_w[lo];
                 const int64_t k = ej_at[b] + n_ej[b]++;
-                ej_cycle[k] = ac;
-                ej_r[k] = x - sc;
-                ej_vc[k] = word >> VC_SHIFT;
+                ej_w0[k] = (ac << EV_CYCLE) | ((x - sc) << EV_ROUTER)
+                           | ((word >> VC_SHIFT) << EV_VC);
                 ej_word[k] = word & FLIT_MASK;
                 eject_word[x] = word;
                 eject_valid[x] = 1;
@@ -921,8 +925,8 @@ stop:
         goto entry;
     }
 done:
-    pack_lanes(ev_sent, sent_cap, 5, B, sent_at, n_sent);
-    pack_lanes(ev_ej, ej_cap, 4, B, ej_at, n_ej);
+    pack_lanes(ev_sent, sent_cap, B, sent_at, n_sent);
+    pack_lanes(ev_ej, ej_cap, B, ej_at, n_ej);
     /* cycles completed; over them, routers evaluated and lanes stepped;
      * whether the call replayed in cycle order */
     counts[0] = t;
@@ -1142,8 +1146,9 @@ _STATE_FIELDS = (
 )
 
 
-def generate_level_source(spec) -> str:
-    """The specialized C translation unit for ``spec``."""
+def generate_level_source(spec, layout) -> str:
+    """The specialized C translation unit for ``spec``, writing events
+    in ``layout``'s packed words."""
     return _TEMPLATE.substitute(
         spec=" ".join(f"{k}={v}" for k, v in sorted(vars(spec).items())),
         P=spec.n_ports,
@@ -1160,6 +1165,9 @@ def generate_level_source(spec) -> str:
         FLIT_MASK=(1 << spec.vc_shift) - 1,
         VMASK=(1 << spec.n_vcs) - 1,
         HBR=int(spec.hbr),
+        EV_VC=layout.shifts[0],
+        EV_ROUTER=layout.shifts[1],
+        EV_CYCLE=layout.shifts[2],
         MAX_DELTA_FACTOR=ConvergenceWatchdog.DEFAULT_FACTOR,
         signature=_SIGNATURE.strip().replace("*", "*restrict "),
         fabric=_FABRIC,
@@ -1172,9 +1180,6 @@ def generate_level_source(spec) -> str:
 #: last four ``q`` rows are the chunk kernel's own; ``deltas`` is the
 #: HBR pass's count per cycle, lane-major).
 _BUFFER_ROWS = {"q": 12, "e": 3, "deltas": 1}
-
-#: rows of a call's event buffers: injection and ejection records.
-_EVENT_ROWS = {"sent": 5, "ej": 4}
 
 
 class CompiledBatchLevel:
@@ -1190,7 +1195,9 @@ class CompiledBatchLevel:
                 f"per router (got {engine._NQ})"
             )
         spec = cbackend.KernelSpec.from_engine(engine)
-        source = generate_level_source(spec)
+        #: the packed words of the events the body writes
+        self.layout = engine.cfg.router.event_layout
+        source = generate_level_source(spec, self.layout)
         self._lib, self._ffi = cbackend.load_source(
             source, _SIGNATURE.strip() + ";" + _FABRIC_SIGNATURE
         )
@@ -1302,7 +1309,7 @@ class CompiledBatchLevel:
             buf = events.get(name)
             if buf is None or buf.shape[1] < need:
                 cap = need if buf is None else max(need, 2 * buf.shape[1])
-                events[name] = buf = np.empty((_EVENT_ROWS[name], cap), dtype=np.int64)
+                events[name] = buf = np.empty((2, cap), dtype=np.int64)
                 events[name, "ptr"] = self._ptr(buf)
         return events
 
@@ -1376,36 +1383,22 @@ class CompiledBatchLevel:
         args[-1] = self._ffi.NULL if done is None else done
         return tuple(args)
 
-    def _collect(self, events) -> list:
-        """Where the last call left its events in the ``events`` pair —
-        ``(logs, block view, per-lane counts)`` — with its activity
-        booked."""
+    def _collect(self) -> np.ndarray:
+        """The last call's events per lane — ``[2, lanes]``: injections,
+        ejections — with its activity booked."""
         engine = self.engine
-        lanes = engine.lanes
-        sent, ejected = self._scratch["lane_n"][: 2 * lanes].reshape(2, lanes).tolist()
         _, evals, lane_cycles, replays = self._scratch["counts"].tolist()
         engine.kernel_router_evals += evals
         engine.kernel_lane_cycles += lane_cycles
         engine.kernel_replays += replays
-        return [
-            (logs, events[name][:, : sum(n)], n)
-            for logs, name, n in (
-                (engine._injections, "sent", sent),
-                (engine._ejections, "ej", ejected),
-            )
-            if sum(n)
-        ]
+        return self._scratch["lane_n"][: 2 * engine.lanes].reshape(2, -1).copy()
 
-    def _log(self, collected, events) -> None:
-        """Hand collected events — grouped by lane by the kernel — to the
-        lanes' logs: one block sized to the events, one column slice per
-        lane, no record object built; the pair is free again."""
-        for logs, block, counts in collected:
-            block = block.copy()
-            start = 0
-            for lane, n in enumerate(counts):
-                logs[lane].extend_block(block, start, start + n)
-                start += n
+    def _log(self, counts, events) -> None:
+        """Hand a call's events — grouped by lane by the kernel, ``counts``
+        a lane — to the engine's two logs, one block each, no record
+        object built; the pair is free again."""
+        for log, name, n in zip(self.engine.event_logs, ("sent", "ej"), counts):
+            log.append(events[name], n)
         self._event_pool.append(events)
 
     def delta_column(self, cycles: int) -> Optional[np.ndarray]:
@@ -1419,6 +1412,8 @@ class CompiledBatchLevel:
 
     def step(self) -> None:
         """Advance every lane one cycle (events logged, errors raised)."""
+        # a packed event never wraps: the call's last cycle must fit
+        self.layout.check("cycle", self.engine.cycle)
         if self._stale():
             self._rebind()
         most = self.engine.lanes * self.engine.cfg.n_routers
@@ -1426,7 +1421,7 @@ class CompiledBatchLevel:
         start = time.perf_counter()
         ret = self._lib.repro_level_chunk(*self._args(1, 0, 0, events))
         self.engine.kernel_seconds += time.perf_counter() - start
-        self._log(self._collect(events), events)
+        self._log(self._collect(), events)
         if ret:
             self._raise(ret, self._scratch["err"])
 
@@ -1484,6 +1479,7 @@ class CompiledBatchLevel:
         column (:meth:`drain`)."""
         if self._in_flight is not None:
             raise RuntimeError("the chunk body is still running a job")
+        self.layout.check("cycle", self.engine.cycle + n_cycles - 1)
         if self._stale():
             self._rebind()
         engine = self.engine
@@ -1634,7 +1630,7 @@ class FabricJob:
         self.completed = 0
         self.seconds = self.cpu_seconds = 0.0
         self.started_on = -1
-        self._collected: list = []
+        self._counts = None
         self._overload = None
         self._marks = self._err = None
         self._landed = self._booked = False
@@ -1681,7 +1677,7 @@ class FabricJob:
         engine = body.engine
         scratch = body._scratch
         lanes = engine.lanes
-        self._collected = body._collect(self._events)
+        self._counts = body._collect()
         self.completed = completed = int(scratch["counts"][0])
         engine.kernel_seconds += self.seconds
         engine.book_cycles(completed, body.delta_column(completed))
@@ -1723,7 +1719,7 @@ class FabricJob:
         if self._booked:
             return
         self._booked = True
-        self.body._log(self._collected, self._events)
+        self.body._log(self._counts, self._events)
         window = self.window
         if window is not None and (self._overload or window.packets.shape[1]):
             from repro.traffic.stimuli import settle

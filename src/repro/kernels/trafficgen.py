@@ -104,6 +104,7 @@ void repro_carry(
     const int64_t *e, int64_t e_cap);
 int64_t repro_match(
     int64_t lanes, int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
+    int64_t vs, int64_t rs, int64_t cs,
     const int64_t *hops, const int64_t *lane, const int64_t *blocks,
     int64_t n_table, int64_t *scratch, int64_t *work,
     int64_t *samples, int64_t s_stride, int64_t *submits_left, int64_t m_stride,
@@ -691,10 +692,11 @@ void repro_carry(
  * loop of a sink (repro.noc.packet.Reassembler) with the latency
  * tracker's queues beside it (DESIGN section 15 has the contract).
  * Events come as blocks (`blocks` rows, `b_stride` apart: address,
- * columns a row, events) of rows cycle, router, vc, flit word, each read
- * in place in the log it is a column slice of: `n_inj` blocks of
- * injections, then the ejections so far of the packets still open and
- * the window's.
+ * columns a row, events) of packed words (repro.noc.layout.EventLayout:
+ * word 0 holds the vc, router and cycle from bits vs, rs and cs up, word
+ * 1 the flit), each read in place in the log it is a column slice of:
+ * `n_inj` blocks of injections, then the ejections so far of the
+ * packets still open and the window's.
  *
  *   submits [3, m]  src * 256 + seq, submit VC, submit cycle, in submit
  *                   order: a finished packet pops the oldest of its key;
@@ -742,6 +744,7 @@ static int64_t left_over(int64_t *queue, int64_t rows, int64_t cap,
 
 static int64_t match_lane(
     int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
+    int64_t vs, int64_t rs, int64_t cs,
     const int64_t *hops, const int64_t *submits, int64_t m,
     const int64_t *heads, int64_t h_stride, int64_t k, int64_t k_cap,
     const int64_t *blocks, int64_t b_stride, int64_t n_inj, int64_t n_blocks,
@@ -759,9 +762,11 @@ static int64_t match_lane(
 #define EVENTS(b)                                                           \\
     const int64_t stride = blocks[b_stride + (b)];                          \\
     const int64_t count = blocks[2 * b_stride + (b)];                       \\
-    const int64_t *const e_cycle = (const int64_t *)(intptr_t)blocks[b];    \\
-    const int64_t *const e_router = e_cycle + stride;                       \\
-    const int64_t *const e_vc = e_router + stride, *const e_word = e_vc + stride
+    const int64_t *const e_w0 = (const int64_t *)(intptr_t)blocks[b];       \\
+    const int64_t *const e_word = e_w0 + stride
+#define CYCLE(i) (e_w0[i] >> cs)
+#define ROUTER(i) ((e_w0[i] >> rs) & (((int64_t)1 << (cs - rs)) - 1))
+#define VC(i) ((e_w0[i] >> vs) & (((int64_t)1 << (rs - vs)) - 1))
 #define FAIL(code, a, b)                                                    \\
     do { counts[0] = (a); counts[1] = (b); n = (code); goto done; } while (0)
 #define OUTSIDE(router, vc)                                                 \\
@@ -793,8 +798,8 @@ static int64_t match_lane(
                 continue;
             if (n_heads == k_cap) /* more HEADs than packets to inject */
                 FAIL(DECLINED, 0, 0);
-            head_key[n_heads] = e_router[i] * 256 + e_vc[i];
-            head_cycle[n_heads++] = e_cycle[i];
+            head_key[n_heads] = ROUTER(i) * 256 + VC(i);
+            head_cycle[n_heads++] = CYCLE(i);
         }
     }
     for (int64_t j = n_heads - 1; j >= 0; j--) {
@@ -812,7 +817,7 @@ static int64_t match_lane(
             const int64_t word = e_word[i], ftype = (word >> dw) & 3;
             if (!ftype) /* IDLE words carry nothing */
                 continue;
-            const int64_t router = e_router[i], vc = e_vc[i];
+            const int64_t router = ROUTER(i), vc = VC(i);
             if (OUTSIDE(router, vc))
                 FAIL(DECLINED, 0, 0);
             int64_t *const reg = regs + (router * n_vcs + vc) * Q_REGS;
@@ -822,7 +827,7 @@ static int64_t match_lane(
                 reg[Q_HEAD_AT] = base + i;
                 reg[Q_FLITS] = 1;
                 reg[Q_HEADER] = word & mask;
-                reg[Q_HEAD_CYCLE] = e_cycle[i];
+                reg[Q_HEAD_CYCLE] = CYCLE(i);
                 continue;
             }
             if (reg[Q_HEAD_AT] < 0)
@@ -860,7 +865,7 @@ static int64_t match_lane(
             }
             const int64_t sample[8] = {
                 (header >> 8) & 1, src, router, hops[src * n_routers + router],
-                submits[2 * m + submit], head_inject, reg[Q_HEAD_CYCLE], e_cycle[i] };
+                submits[2 * m + submit], head_inject, reg[Q_HEAD_CYCLE], CYCLE(i) };
             for (int64_t r = 0; r < 8; r++)
                 samples[r * s_stride + n] = sample[r];
             n++;
@@ -883,11 +888,11 @@ static int64_t match_lane(
         for (int64_t i = oldest > base ? oldest - base : 0; i < count; i++) {
             if (!((e_word[i] >> dw) & 3))
                 continue;
-            const int64_t at = regs[(e_router[i] * n_vcs + e_vc[i]) * Q_REGS + Q_HEAD_AT];
+            const int64_t at = regs[(ROUTER(i) * n_vcs + VC(i)) * Q_REGS + Q_HEAD_AT];
             if (at < 0 || at > base + i)
                 continue;
-            for (int64_t r = 0; r < 4 && left < o_cap; r++)
-                still_open[r * o_stride + left] = e_cycle[r * stride + i];
+            for (int64_t r = 0; r < 2 && left < o_cap; r++)
+                still_open[r * o_stride + left] = e_w0[r * stride + i];
             left++;
         }
         base += count;
@@ -895,6 +900,9 @@ static int64_t match_lane(
     counts[2] = left;
 done:
 #undef EVENTS
+#undef CYCLE
+#undef ROUTER
+#undef VC
 #undef FAIL
 #undef OUTSIDE
     for (int64_t j = indexed; j < m; j++)
@@ -918,6 +926,7 @@ enum { L_FIRST, L_SUBMITS, L_INJ, L_EJ, L_HEADS, L_H_STRIDE, L_K, L_K_CAP,
  * what match_lane returned. */
 int64_t repro_match(
     int64_t lanes, int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
+    int64_t vs, int64_t rs, int64_t cs,
     const int64_t *hops, const int64_t *lane, const int64_t *blocks,
     int64_t n_table, int64_t *scratch, int64_t *work,
     int64_t *samples, int64_t s_stride, int64_t *submits_left, int64_t m_stride,
@@ -939,7 +948,7 @@ int64_t repro_match(
         }
         int64_t *const c = counts + 4 * l;
         c[3] = match_lane(
-            width, height, n_vcs, dw, hops, work, m,
+            width, height, n_vcs, dw, vs, rs, cs, hops, work, m,
             (const int64_t *)(intptr_t)w[L_HEADS], w[L_H_STRIDE], w[L_K], w[L_K_CAP],
             blocks + inj, n_table, w[L_INJ], w[L_INJ] + w[L_EJ],
             scratch, work + 3 * m, samples + w[L_S_AT], s_stride,
@@ -1028,7 +1037,8 @@ class PacketMatch:
         self._scratch = None
         self._scratch_size = n_routers * (256 + 6 * n_vcs)
         self._fabric = (
-            net.width, net.height, n_vcs, net.router.data_width, pointer(self._ffi, hops)
+            net.width, net.height, n_vcs, net.router.data_width,
+            *net.router.event_layout.shifts, pointer(self._ffi, hops),
         )
 
     def __call__(self, submits, head_injects, still_open, injections, ejections, refuse):
@@ -1091,7 +1101,7 @@ class PacketMatch:
                 )
                 base += len(submits) + len(events)
                 ends = [end + cap for end, cap in zip(ends, caps)]
-            out = [np.empty((rows, end), dtype=np.int64) for rows, end in zip((8, 3, 2, 4), ends)]
+            out = [np.empty((rows, end), dtype=np.int64) for rows, end in zip((8, 3, 2, 2), ends)]
             word_table = np.array(words, dtype=np.int64)
             counts = np.empty((len(lanes), 4), dtype=np.int64)
             work = np.empty(max(4 * caps[1] + caps[2] for *_, caps in lanes), dtype=np.int64)

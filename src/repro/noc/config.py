@@ -11,6 +11,7 @@ are plain parameter changes here.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 
@@ -101,6 +102,14 @@ class RouterConfig:
     def vc_bits(self) -> int:
         """Bits to name a VC (2 for 4 VCs)."""
         return max(1, (self.n_vcs - 1).bit_length())
+
+    @functools.cached_property
+    def event_layout(self):
+        """The packed words of a logged event
+        (:class:`~repro.noc.layout.EventLayout`)."""
+        from repro.noc.layout import EventLayout
+
+        return EventLayout(self)
 
     @property
     def n_queues(self) -> int:

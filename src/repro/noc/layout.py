@@ -41,14 +41,63 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from repro.bits import ArrayField, BitVector, Field, StructLayout
-from repro.noc.config import RouterConfig
+from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.network import StimuliState
 from repro.noc.router import RouterState
 
 #: Width of the stimuli access-delay counters (chosen so the default
 #: configuration reproduces Table 1's 180-bit stimuli interface).
 ACCESS_DELAY_BITS = 20
+
+
+class EventLayout:
+    """The packed words of a logged event (DESIGN section 14).
+
+    Word 0 holds, LSB first, an injection's access delay, the VC, the
+    router (any router a header can address) and the cycle in the bits
+    left of 63; word 1 holds the flit.  An ejection's delay bits read 0.
+    A value that does not fit its field raises; none wraps.  Built once
+    a router configuration (:attr:`RouterConfig.event_layout`).
+    """
+
+    def __init__(self, cfg: RouterConfig) -> None:
+        router = (NetworkConfig.MAX_ROUTERS - 1).bit_length()
+        widths = dict(delay=ACCESS_DELAY_BITS, vc=cfg.vc_bits, router=router)
+        widths["cycle"] = 63 - sum(widths.values())
+        self.word = StructLayout("event_word", [Field(*item) for item in widths.items()])
+        #: each field's width, the flit (word 1) included
+        self.fields = {m.name: m for m in self.word.members}
+        self.fields["flit"] = Field("flit", cfg.flit_width)
+        self.shifts = tuple(map(self.word.offset_of, ("vc", "router", "cycle")))
+
+    def check(self, name: str, values) -> np.ndarray:
+        """``values`` as int64, or raise unless every one fits field ``name``."""
+        width = self.fields[name].width
+        values = np.asarray(values, dtype=np.int64)
+        bad = values[(values >> width) != 0]
+        if bad.size:
+            raise ValueError(f"field {name!r}: value {int(bad[0]):#x} does not fit in {width} bits")
+        return values
+
+    def pack(self, cycle, router, vc, flit, delay=0) -> np.ndarray:
+        """The ``[2, n]`` packed words of events given field by field
+        (columns); with ``delay``, injections."""
+        columns = dict(cycle=cycle, router=router, vc=vc, flit=flit, delay=delay)
+        cycle, router, vc, flit, delay = (self.check(*column) for column in columns.items())
+        vs, rs, cs = self.shifts
+        rows = np.broadcast_arrays((cycle << cs) | (router << rs) | (vc << vs) | delay, flit)
+        return np.array(rows, dtype=np.int64).reshape(2, -1)
+
+    def unpack(self, words):
+        """``cycle, router, vc, flit, delay`` of packed words: the rows of
+        a block, or one event's words."""
+        vs, rs, cs = self.shifts
+        word = words[0]
+        router, vc = (word >> rs) & ((1 << (cs - rs)) - 1), (word >> vs) & ((1 << (rs - vs)) - 1)
+        return word >> cs, router, vc, words[1], word & ((1 << vs) - 1)
 
 
 def queue_storage_layout(cfg: RouterConfig) -> StructLayout:

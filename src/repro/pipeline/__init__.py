@@ -14,7 +14,7 @@ touching the fabric only at its boundary.
 * :mod:`~repro.pipeline.runner` — :func:`run_pipeline`, one loop over
   the calls ``run_batched``'s chunk path makes (``source.scan``,
   ``Stimuli.load``, the chunk body's
-  :class:`~repro.kernels.batchlevel.FabricJob`, ``log_window``,
+  :class:`~repro.kernels.batchlevel.FabricJob`, ``PackedLog.pieces``,
   ``repro_match``) on the caller's own ``TrafficDriver`` per lane:
   window k+1 generated and window k-1 analysed while window k simulates
   on the fabric thread, or every call in the caller (``threaded=False``)

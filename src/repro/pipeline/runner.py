@@ -33,8 +33,10 @@ each step may touch while a window simulates is the whole design:
   it ran).  Engines without the generated body (``kernel="python"``, a
   pre-step hook) step each window in the caller instead
   (:func:`~repro.traffic.stimuli.step_window`).
-* **retrieve** — :func:`~repro.engines.eventlog.log_window` below the
-  log bounds the booked window left: one integer block per lane and log.
+* **retrieve** — :func:`~repro.engines.eventlog.window_blocks` below
+  the log bounds the booked window left: per log and lane, its columns
+  of the window's blocks of packed words, read in place (a Python
+  engine's record lists are packed once).
 * **analyze** — :meth:`Analysis.add`: the report's own trackers and
   counters.
 
@@ -57,7 +59,7 @@ import numpy as np
 
 from repro.engines.base import lane_views
 from repro.engines.batch import BatchEngine, chunk_kernel, drain_batched, window_source
-from repro.engines.eventlog import log_window
+from repro.engines.eventlog import lane_lengths, window_blocks
 from repro.noc.config import NetworkConfig
 from repro.platform.profiler import PipelineProfiler
 from repro.stats.histogram import Histogram
@@ -89,7 +91,8 @@ class Analysis:
     def add(self, stimuli, injections, ejections) -> None:
         """Fold in one window: its submits noted on the trackers from the
         packet columns (``stimuli`` is ``None`` for the drain), then every
-        lane's events matched in one pass
+        lane's events — per log and lane, a list of blocks of packed
+        words — matched in one pass
         (:func:`~repro.stats.latency.collect_lanes`).  Every window's
         submits are noted before its events are matched, so per-key FIFO
         matching pops the same submit the end-of-run collection would."""
@@ -103,15 +106,15 @@ class Analysis:
             for lane, hi in enumerate(stimuli.lane_ends):
                 self.submit_counts[lane] += hi - lo
                 lo = hi
-        collect_lanes(
-            self.trackers, [[block] for block in injections], [[block] for block in ejections]
-        )
-        for lane, ejected in enumerate(ejections):
-            self.inj_counts[lane] += injections[lane].shape[1]
-            self.ej_counts[lane] += ejected.shape[1]
-            self.eject_router_counts[lane] += np.bincount(
-                ejected[1], minlength=self.net.n_routers
-            )
+        collect_lanes(self.trackers, injections, ejections)
+        for lane, (injected, ejected) in enumerate(zip(injections, ejections)):
+            self.inj_counts[lane] += sum(block.shape[1] for block in injected)
+            self.ej_counts[lane] += sum(block.shape[1] for block in ejected)
+            for block in ejected:
+                self.eject_router_counts[lane] += np.bincount(
+                    self.net.router.event_layout.unpack(block)[1],
+                    minlength=self.net.n_routers,
+                )
 
     @property
     def histograms(self) -> List[Histogram]:
@@ -184,13 +187,16 @@ def run_pipeline(
     body = chunk_kernel(engine, drivers)
     analysis = Analysis(net, len(views))
     prof = PipelineProfiler(threaded=threaded)
-    marks = [(0, 0)] * len(views)
+    logs = getattr(engine, "event_logs", None) or [
+        [getattr(view, kind) for view in views] for kind in ("injections", "ejections")
+    ]
+    marks = [[0] * len(views)] * 2
 
     def booked():
-        """Per lane, the ``(lo, hi)`` log bounds of each log's events
-        booked since the last call (entries below them never change)."""
+        """Per log, every lane's ``(lo, hi)`` bounds of the events booked
+        since the last call (entries below them never change)."""
         nonlocal marks
-        now = [(len(view.injections), len(view.ejections)) for view in views]
+        now = list(map(lane_lengths, logs))
         spans, marks = list(zip(marks, now)), now
         return spans
 
@@ -237,14 +243,10 @@ def run_pipeline(
 
     def analyse(window, spans) -> None:
         with prof.busy("retrieve"):
-            injections = [
-                log_window(view.injections, lo[0], hi[0])
-                for view, (lo, hi) in zip(views, spans)
-            ]
-            ejections = [
-                log_window(view.ejections, lo[1], hi[1])
-                for view, (lo, hi) in zip(views, spans)
-            ]
+            injections, ejections = (
+                window_blocks(log, lo, hi, net.router.event_layout)
+                for log, (lo, hi) in zip(logs, spans)
+            )
         prof.add_items("retrieve", 1)
         with prof.busy("analyze"):
             analysis.add(window, injections, ejections)

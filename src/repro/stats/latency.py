@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.engines.eventlog import log_blocks, record_block
+from repro.engines.eventlog import log_blocks, pack_records
 from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.flit import (
     GT_FIELD,
@@ -186,17 +186,7 @@ def _queue_key(router, vc):
     return router * 256 + vc
 
 
-def _event_block(events):
-    """A window's events as integer rows ``cycle, router, vc,
-    flit_word``, from a log block or from records."""
-    if not isinstance(events, np.ndarray):
-        events = record_block(events)
-    if len(events) < 4:
-        raise ValueError("an event block has rows cycle, router, vc, flit word")
-    return events[:4]
-
-
-_NO_EVENTS = np.empty((4, 0), dtype=np.int64)
+_NO_EVENTS = np.empty((2, 0), dtype=np.int64)
 _NO_SAMPLES = [np.empty((8, 0), dtype=np.int64)]
 
 #: what a sink refuses: ``repro_match``'s return codes (``kernels/trafficgen.py``)
@@ -252,6 +242,8 @@ class PacketLatencyTracker:
 
     def __init__(self, net: NetworkConfig) -> None:
         self.net = net
+        #: the packed words the events come in
+        self.layout = net.router.event_layout
         self.samples = SampleLog()
         #: outstanding submits in submit order, rows ``src * 256 + seq,
         #: vc, submit cycle``: the block left by the last window, then
@@ -260,8 +252,8 @@ class PacketLatencyTracker:
         #: unclaimed HEAD injections in event order, rows ``queue key,
         #: cycle``
         self._head_injects = np.empty((2, 0), dtype=np.int64)
-        #: ejection events so far of the packets still open
-        self._open = np.empty((4, 0), dtype=np.int64)
+        #: ejection events so far of the packets still open (packed)
+        self._open = _NO_EVENTS
         self._ej_seen = 0
         self._inj_seen = 0
         self._bind()
@@ -317,8 +309,8 @@ class PacketLatencyTracker:
         ejections = engine.ejections
         n_inj, n_ej = len(injections), len(ejections)
         self._collect(
-            log_blocks(injections, self._inj_seen, n_inj),
-            log_blocks(ejections, self._ej_seen, n_ej),
+            log_blocks(injections, self._inj_seen, n_inj, self.layout),
+            log_blocks(ejections, self._ej_seen, n_ej, self.layout),
         )
         self._inj_seen = n_inj
         self._ej_seen = n_ej
@@ -326,9 +318,9 @@ class PacketLatencyTracker:
     def collect_records(self, injections, ejections) -> None:
         """Process one window of events — the streaming analyze stage's
         entry point (:meth:`collect` is the cursor-keeping wrapper over
-        the engine's full logs).  Either argument is the ``[fields, n]``
-        block of a log window (:func:`~repro.engines.eventlog.log_window`)
-        or a list of records.
+        the engine's full logs).  Either argument is a block of a log
+        window's packed words (:class:`~repro.noc.layout.EventLayout`) or
+        a list of records.
 
         This is the analysis hot path, so reassembly works on the raw
         integer words, with the same wormhole-protocol checks (and the
@@ -339,14 +331,23 @@ class PacketLatencyTracker:
         """
         self._collect((injections,), (ejections,))
 
+    def _events(self, events):
+        """A window's events as packed words: a log block's (words 0 and
+        1), or records packed once."""
+        if not isinstance(events, np.ndarray):
+            events = pack_records(self.layout, events)
+        if len(events) < 2:
+            raise ValueError("an event block has packed words 0 and 1")
+        return events[:2]
+
     def _collect(self, injections, ejections) -> None:
         self._commit(
             self._match(
                 self._pending_block(),
                 self._head_injects,
                 self._open,
-                list(map(_event_block, injections)),
-                list(map(_event_block, ejections)),
+                list(map(self._events, injections)),
+                list(map(self._events, ejections)),
             )
         )
 
@@ -386,7 +387,8 @@ class PacketLatencyTracker:
             if found is not None:  # else the NumPy body's to judge
                 return found
         queued = [head_injects]
-        for cycle, router, vc, word in injections:
+        for block in injections:
+            cycle, router, vc, word, _ = self.layout.unpack(block)
             heads = (word >> self.net.router.data_width) & 3 == _HEAD
             queued.append([_queue_key(router[heads], vc[heads]), cycle[heads]])
         state, found = (submits, np.concatenate(queued, axis=1), still_open), []
@@ -402,11 +404,11 @@ class PacketLatencyTracker:
         net = self.net
         data_width = net.router.data_width
         events = np.concatenate([still_open, events], axis=1)
-        ftype = (events[3] >> data_width) & 3
+        ftype = (events[1] >> data_width) & 3
         live = ftype != 0
         if not live.all():  # IDLE words carry nothing
             events, ftype = events[:, live], ftype[live]
-        cycle, router, vc, word = events
+        cycle, router, vc, word, _ = self.layout.unpack(events)
         n = ftype.size
 
         # -- reassembly: one stable sort by sink queue ------------------
@@ -518,7 +520,8 @@ class PacketLatencyTracker:
     def open_vcs(self) -> List[Tuple[int, int]]:
         """(router, VC) pairs with a partially ejected packet (for
         end-of-run checks)."""
-        return sorted({(int(router), int(vc)) for router, vc in self._open[1:3].T})
+        _, routers, vcs, _, _ = self.layout.unpack(self._open)
+        return sorted({(int(router), int(vc)) for router, vc in zip(routers, vcs)})
 
     # -- aggregation ----------------------------------------------------------
     def stats(
@@ -557,14 +560,15 @@ def note_lanes(trackers, columns, lane_ends) -> None:
 def collect_lanes(trackers, injections, ejections) -> None:
     """:meth:`PacketLatencyTracker.collect_records` for every tracker,
     tracker ``i`` taking the event blocks ``injections[i]`` and
-    ``ejections[i]`` (each a list of blocks, in log order): one C pass
-    over all of them where the trackers have the C body.  Trackers take
-    their results in order, so a window a sink refuses raises with the
-    trackers before it updated and it and those after it as they were."""
+    ``ejections[i]`` (each a list of blocks of packed words, in log
+    order): one C pass over all of them where the trackers have the C
+    body.  Trackers take their results in order, so a window a sink
+    refuses raises with the trackers before it updated and it and those
+    after it as they were."""
     match = trackers[0]._c_match if trackers else None
     windows = [
         (tracker._submits, tracker._head_injects, tracker._open,
-         list(map(_event_block, inj)), list(map(_event_block, ej)))
+         list(map(tracker._events, inj)), list(map(tracker._events, ej)))
         for tracker, inj, ej in zip(trackers, injections, ejections)
     ]
     found = match.lanes(windows) if match else [None] * len(windows)
@@ -594,8 +598,8 @@ def analyse_lanes(drivers) -> List[PacketLatencyTracker]:
     logs = [(driver.engine.injections, driver.engine.ejections) for driver in drivers]
     collect_lanes(
         trackers,
-        [list(log_blocks(inj, 0, len(inj))) for inj, _ in logs],
-        [list(log_blocks(ej, 0, len(ej))) for _, ej in logs],
+        [log_blocks(inj, 0, len(inj), t.layout) for t, (inj, _) in zip(trackers, logs)],
+        [log_blocks(ej, 0, len(ej), t.layout) for t, (_, ej) in zip(trackers, logs)],
     )
     for driver, tracker, (inj, ej) in zip(drivers, trackers, logs):
         tracker._inj_seen, tracker._ej_seen = len(inj), len(ej)

@@ -120,6 +120,33 @@ class TestCli:
         assert len(errors) == 1 and f"argument {flag}: must be" in errors[0]
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ("simulate --width 0", "argument --width: must be >= 1 (got 0)"),
+            ("simulate --height -1", "argument --height: must be >= 1 (got -1)"),
+            ("simulate --queue-depth 0", "argument --queue-depth: must be >= 1 (got 0)"),
+            ("faults campaign --seeds 0", "argument --seeds: must be >= 1 (got 0)"),
+            ("faults campaign --workers 0", "argument --workers: must be >= 1 (got 0)"),
+            ("faults campaign --workers -2", "argument --workers: must be >= 1 (got -2)"),
+            ("faults campaign --min-recovery 2",
+             "argument --min-recovery: must be in [0, 1] (got 2)"),
+            ("simulate --width 1 --height 1", "network must contain at least 2 routers (1x2)"),
+        ],
+        ids=["width", "height", "queue-depth", "seeds", "workers-0", "workers-negative",
+             "min-recovery", "one-router"],
+    )
+    def test_a_bad_size_or_count_is_a_usage_error(self, capsys, argv, error):
+        """A size, count or threshold out of range — or a fabric the
+        configuration refuses — exits 2 with one error line, nothing run."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"error: {error}")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_simulate_streamed_prints_cpu_column_and_rejects_bad_chunk(self, capsys):
         args = ["simulate", "--stream", "--engine", "batch", "--lanes", "2",
                 "--width", "3", "--height", "3", "--cycles", "80"]
@@ -328,7 +355,8 @@ class TestSimulateReportLines:
                 r"; body: (\d+) ns per stepped lane-cycle"
                 r"; windows: (\d+) \(mean (\d+) cycles, (\d+) flits\)"
                 r"; drain: (\d+) cycles in C"
-                r"; host: (-?\d+) µs a window outside the body", line
+                r"; host: (-?\d+) µs a window outside the body"
+                r"; log: (\d+) events in (\d+) KiB", line
             )
             assert match and 0 < int(match.group(1)) < 100
             # the body's host time over the lane-cycles it stepped
@@ -342,6 +370,11 @@ class TestSimulateReportLines:
             assert int(match.group(6)) == max(map(int, drained)) > 0
             # the loop's wall around the body's own time
             assert int(match.group(7)) >= 0
+            # every lane's events, 16 bytes each at least
+            logged = re.findall(r"(\d+) flits injected, (\d+) ejected", "\n".join(self.lines))
+            events = sum(int(n) for pair in logged for n in pair)
+            assert int(match.group(8)) == events > 0
+            assert 16 * events <= 1024 * (int(match.group(9)) + 1)
 
     def test_run_line_reports_the_host_time_a_window(self, capsys):
         # the window loops' and the drain's wall, less the body's own
@@ -372,7 +405,7 @@ class TestSimulateReportLines:
         (line,) = capsys.readouterr().out.splitlines()
         host = (engine.kernel_loop_seconds - engine.kernel_seconds) / engine.kernel_windows
         assert engine.kernel_windows > 1
-        assert line.endswith(f"; host: {1e6 * host:.0f} µs a window outside the body")
+        assert f"; host: {1e6 * host:.0f} µs a window outside the body; log: " in line
 
     def test_run_line_counts_the_calls_replayed_in_cycle_order(self, capsys):
         # a clean run's line has no replays part (the fullmatch above); a
@@ -767,7 +800,6 @@ class TestSourceAudit:
         "BitVector.with_bit": "bit-vector value type: word operations",
         "BitVector.with_field": "bit-vector value type: word operations",
         "BitVector.zext": "bit-vector value type: word operations",
-        "StructLayout.offset_of": "paper statement (Table 1 field offsets)",
         "CircuitManager.teardown": "paper statement (section 4.1 circuit set-up)",
         "StaticScheduleEngine": _REFERENCE + ": the section 4.1 static schedule",
         "Table1Result.exact": "paper statement (Table 1)",

@@ -1,12 +1,14 @@
-"""The columnar event log: a list to its readers, arrays until read.
+"""The columnar event logs: a list to their readers, arrays until read.
 
-``EventLog`` replaces the per-lane record lists of the batch engine.
-The fused chunk kernel hands it column blocks; the per-cycle paths keep
-appending records.  Every reader in the repo — ``len``, ``log[seen:]``
-cursors, ``[lo:hi]`` window copies, iteration, ``==`` against a
-reference engine's plain list — must see exactly the list the old
-per-event extraction loop built, and must be the *only* thing that ever
-builds a record.
+A compiled engine's ``PackedLog`` pair replaces the per-lane record
+lists of the batch engine: the fused chunk kernel hands each log one
+block of packed words a call, and a lane's log is a ``LaneView`` of it.
+A driver's submit log is an ``EventLog`` of column blocks and appended
+records.  Every reader in the repo — ``len``, ``log[seen:]`` cursors,
+``[lo:hi]`` window copies, iteration, ``==`` against a reference
+engine's plain list — must see exactly the list the old per-event
+extraction loop built, and must be the *only* thing that ever builds a
+record.
 """
 
 from __future__ import annotations
@@ -14,21 +16,20 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engines.batch import BatchEngine, run_batched
-from repro.engines.eventlog import EventLog, log_window
+from repro.engines.batch import BatchEngine, drain_batched, run_batched
+from repro.engines.eventlog import EventLog, PackedLog, pack_records, record_block
 from repro.kernels import probe_backends
-from repro.kernels.batchlevel import CompiledBatchLevel
 from repro.noc import NetworkConfig, RouterConfig
 from repro.noc.network import EjectionRecord, InjectionRecord
+from repro.stats.latency import analyse_lanes
 from repro.traffic.generators import BernoulliBeTraffic, uniform_random
-from repro.traffic.stimuli import SUBMIT_FIELDS, TrafficDriver, _submit_row
+from repro.traffic.stimuli import SUBMIT_FIELDS, NetworkOverloadError, TrafficDriver, _submit_row
 
 JIT_REASON = probe_backends()["cffi"]
 needs_jit = pytest.mark.skipif(
@@ -207,7 +208,7 @@ class TestColumns:
                 (r.cycle, r.router, r.vc, r.flit_word) for r in want[lo:hi]
             ]
             # a plain record list (the Python engines' logs) reads the same
-            assert np.array_equal(log_window(want, lo, hi), block)
+            assert np.array_equal(record_block(want[lo:hi]), block)
         inj = EventLog(InjectionRecord)
         inj.extend_block(np.arange(10, dtype=np.int64).reshape(5, 2), 0, 2)
         assert inj.arrays(0, 2).tolist() == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
@@ -255,6 +256,9 @@ def old_extract_events(events, n_sent, n_ej, lanes, vc_shift):
 
 VC_SHIFT = 18
 
+#: the packed words of the runs below: 18-bit payloads, 20-bit flits
+LAYOUT = RouterConfig(data_width=VC_SHIFT).event_layout
+
 
 @st.composite
 def chunked_runs(draw):
@@ -276,8 +280,8 @@ class TestMatchesOldExtraction:
     def test_logs_equal_the_old_record_lists(self, run):
         lanes, chunks = run
         routers = 6
-        inj_logs = [EventLog(InjectionRecord) for _ in range(lanes)]
-        ej_logs = [EventLog(EjectionRecord) for _ in range(lanes)]
+        inj_log = PackedLog(InjectionRecord, LAYOUT, lanes)
+        ej_log = PackedLog(EjectionRecord, LAYOUT, lanes)
         want_inj = [[] for _ in range(lanes)]
         want_ej = [[] for _ in range(lanes)]
         cycle = 0
@@ -297,61 +301,41 @@ class TestMatchesOldExtraction:
             old_inj, old_ej = old_extract_events(
                 events, counts["sent"], counts["ej"], lanes, VC_SHIFT
             )
-            # The kernel's row buffers: record fields in order, the events
-            # grouped by lane (cycle order within a lane), plus how many
-            # each lane has.
+            # The kernel's buffers: packed words, the events grouped by
+            # lane (cycle order within a lane), plus how many each lane has.
             ej_word = events["ej_word"]
             by_lane = {
                 prefix: np.argsort(events[f"{prefix}_lane"], kind="stable")
                 for prefix in ("sent", "ej")
             }
             per_lane = {
-                prefix: np.bincount(events[f"{prefix}_lane"], minlength=lanes).tolist()
+                prefix: np.bincount(events[f"{prefix}_lane"], minlength=lanes)
                 for prefix in ("sent", "ej")
             }
-            buffers = {
-                "sent": np.stack(
-                    [
-                        events["sent_cycle"],
-                        events["sent_r"],
-                        events["sent_vc"],
-                        events["sent_word"],
-                        events["sent_delay"],
-                    ]
-                ).astype(np.int64)[:, by_lane["sent"]],
-                "ej": np.stack(
-                    [
-                        events["ej_cycle"],
-                        events["ej_r"],
-                        ej_word >> VC_SHIFT,
-                        ej_word & ((1 << VC_SHIFT) - 1),
-                    ]
-                ).astype(np.int64)[:, by_lane["ej"]],
-            }
-            kernel = SimpleNamespace(_event_pool=[])
-            CompiledBatchLevel._log(
-                kernel,
-                [
-                    (inj_logs, buffers["sent"], per_lane["sent"]),
-                    (ej_logs, buffers["ej"], per_lane["ej"]),
-                ],
-                buffers,
+            sent = LAYOUT.pack(
+                *(events[f"sent_{name}"] for name in ("cycle", "r", "vc", "word", "delay"))
             )
+            ejected = LAYOUT.pack(
+                events["ej_cycle"], events["ej_r"],
+                ej_word >> VC_SHIFT, ej_word & ((1 << VC_SHIFT) - 1),
+            )
+            inj_log.append(sent[:, by_lane["sent"]], per_lane["sent"])
+            ej_log.append(ejected[:, by_lane["ej"]], per_lane["ej"])
             cycle += n_cycles
+            # a per-cycle step between chunks: one ejection a lane
+            stepped = [EjectionRecord(cycle, lane, 0, 7) for lane in range(lanes)]
+            ej_log.append(pack_records(LAYOUT, stepped), np.ones(lanes, dtype=np.int64))
             for lane in range(lanes):
                 want_inj[lane] += old_inj[lane]
-                want_ej[lane] += old_ej[lane]
-                # a per-cycle step between chunks logs by append
-                stepped = EjectionRecord(cycle, lane, 0, 7)
-                ej_logs[lane].append(stepped)
-                want_ej[lane].append(stepped)
+                want_ej[lane] += old_ej[lane] + [stepped[lane]]
             cycle += 1
         for lane in range(lanes):
-            assert len(inj_logs[lane]) == len(want_inj[lane])
-            assert inj_logs[lane] == want_inj[lane]
-            assert ej_logs[lane] == want_ej[lane]
+            inj, ej = inj_log.views[lane], ej_log.views[lane]
+            assert len(inj) == len(want_inj[lane])
+            assert inj == want_inj[lane]
+            assert ej == want_ej[lane]
             mid = len(want_ej[lane]) // 2
-            assert ej_logs[lane][mid:] == want_ej[lane][mid:]
+            assert ej[mid:] == want_ej[lane][mid:]
 
 
 def be_drivers(engine, load, seed=0xBEE):
@@ -379,8 +363,14 @@ def test_chunked_run_builds_no_record_until_a_log_is_read(monkeypatch):
 
     cfg = NetworkConfig(3, 3, topology="torus", router=RouterConfig(queue_depth=2))
     engine = BatchEngine(cfg, lanes=2, kernel="levelized")
-    run_batched(engine, be_drivers(engine, 0.1), 256)
+    drivers = be_drivers(engine, 0.1)
+    run_batched(engine, drivers, 256)
     assert engine.cycle == 256
+    for driver in drivers:
+        driver.be = None
+    drain_batched(engine, drivers)  # the drain's call, and the one-pass analysis
+    trackers = analyse_lanes(drivers)
+    assert all(len(tracker.samples) > 10 for tracker in trackers)
     sizes = [
         (len(engine.lane_injections(i)), len(engine.lane_ejections(i)))
         for i in range(2)
@@ -442,25 +432,46 @@ def test_tracker_collects_a_chunked_run_from_columns(monkeypatch):
         assert replay.samples == driver.tracker.samples
 
 
+def packed_writer(at: int, width: int):
+    """What a call hands a two-lane packed log: one ejection on lane 0,
+    lane 1's ``width`` events at cycles ``at, at + 1, ...``."""
+    cycles = np.concatenate([[0], np.arange(at, at + width)])
+    return LAYOUT.pack(cycles, 0, 0, 0), np.array([1, width], dtype=np.int64)
+
+
 def test_reader_below_an_observed_length_is_safe_against_the_writer():
-    """The streaming pipeline's retrieve thread copies ``log[lo:hi]``
-    below a bound the simulate thread recorded, while that thread keeps
-    logging.  One writer, one reader, a tiny switch interval."""
-    log = EventLog(EjectionRecord)
+    """The streaming pipeline reads ``log[lo:hi]`` below a bound it
+    recorded while more is logged.  One writer — calls of a few events
+    into the tail, every seventh a wide one kept as a block of its own —
+    one reader, a tiny switch interval: on a packed log's lane view, and
+    on an ``EventLog``."""
+    for kind in ("packed", "submit"):
+        stress(kind)
+
+
+def stress(kind: str) -> None:
     total = 6000
-    failures = []
+    if kind == "packed":
+        packed = PackedLog(EjectionRecord, LAYOUT, 2)
+        log = packed.views[1]
+    else:
+        log = EventLog(EjectionRecord)
+    failures, wrote = [], []
     done = threading.Event()
 
     def writer():
-        at = 0
+        at, calls = 0, 0
         while at < total:
-            width = 1 + at % 5
-            if at % 2:
+            width = 70 if calls % 7 == 6 else 1 + at % 5
+            if kind == "packed":
+                packed.append(*packed_writer(at, width))
+            elif at % 2:
                 log.extend_block(block_of(at, at + width), 0, width)
             else:
                 for i in range(at, at + width):
                     log.append(record(i))
-            at += width
+            at, calls = at + width, calls + 1
+        wrote.append(calls)
         done.set()
 
     def reader():
@@ -494,6 +505,8 @@ def test_reader_below_an_observed_length_is_safe_against_the_writer():
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures
     assert len(log) >= total and log[-1].cycle == len(log) - 1
+    if kind == "packed":  # the tables grew under the reader; lane 0 kept its own
+        assert packed._n > 16 and [r.cycle for r in packed.views[0]] == [0] * wrote[0]
 
 
 class TestSubmitLogRows:
@@ -526,3 +539,63 @@ class TestSubmitLogRows:
                 assert np.array_equal(log.arrays(0, n), want)
                 assert np.array_equal(np.concatenate(list(log.blocks(0, n)), axis=1), want)
                 assert np.array_equal(log.arrays(n // 3, n // 2), want[:, n // 3 : n // 2])
+
+
+def sixteen_lane_run(kernel):
+    """Sixteen lanes through every way the body logs: chunked windows,
+    single-cycle step calls (a pre-step hook), more windows, the drain,
+    then a window whose last lane overloads — on the C body a lane-order
+    call replayed in cycle order."""
+    cfg = NetworkConfig(3, 3, topology="torus", router=RouterConfig(queue_depth=2))
+    engine = BatchEngine(cfg, lanes=16, kernel=kernel)
+    drivers = be_drivers(engine, 0.12)
+    run_batched(engine, drivers, 1200)
+    blocks = [log._n for log in engine.event_logs or ()], engine.kernel_windows
+    engine.pre_step_hooks.append(lambda engine: None)
+    run_batched(engine, drivers, 40)
+    engine.pre_step_hooks.clear()
+    run_batched(engine, drivers, 200)
+    for driver in drivers:
+        driver.be = None
+    drain_batched(engine, drivers)
+    drivers[-1].be = BernoulliBeTraffic(cfg, 0.9, uniform_random(cfg), seed=99)
+    for driver in drivers:
+        driver.stall_limit = 6
+    with pytest.raises(NetworkOverloadError):
+        run_batched(engine, drivers, 400)
+    return engine, blocks
+
+
+@needs_jit
+def test_lane_views_read_as_the_golden_lanes():
+    engine, blocks = sixteen_lane_run("jit")
+    golden, _ = sixteen_lane_run("python")
+    assert engine.kernel_replays == 1 and engine.cycle == golden.cycle
+    # each log: one block a window, whatever the lane count
+    (inj_blocks, ej_blocks), windows = blocks
+    assert windows > 1 and inj_blocks == ej_blocks == windows
+    for lanes in (1, 4):
+        few = BatchEngine(engine.cfg, lanes=lanes, kernel="jit")
+        run_batched(few, be_drivers(few, 0.2), 8000)
+        assert few.kernel_windows > 1
+        assert [log._n for log in few.event_logs] == [few.kernel_windows] * 2
+    for lane in range(16):
+        for got, want, log in (
+            (engine.lane_injections(lane), golden.lane_injections(lane), engine.event_logs[0]),
+            (engine.lane_ejections(lane), golden.lane_ejections(lane), engine.event_logs[1]),
+        ):
+            n = len(want)
+            assert len(got) == n > 100
+            assert got == want and want == got and list(got) == want and got[:] == want
+            # records either side of every block boundary, and windows across them
+            for end in sorted(set(log._ends[: log._n, lane].tolist()))[:-1]:
+                for i in (end - 1, end, end - n - 1, end - n):
+                    assert got[i] == want[i]
+                assert got[end - 3 : end + 3] == want[end - 3 : end + 3]
+                block = got.arrays(end - 3, end + 3)
+                fields = [row.tolist() for row in log.layout.unpack(block)[:4]]
+                assert fields == record_block(want[end - 3 : end + 3]).tolist()
+            for window in (slice(-40, -5), slice(None, None, -1), slice(3, -3, 7),
+                           slice(-1, -60, -4)):
+                assert got[window] == want[window]
+            assert sum(b.shape[1] for b in got.blocks(0, n)) == n

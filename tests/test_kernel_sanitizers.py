@@ -9,7 +9,10 @@ and the packet match included), a stall-limit overload, a lane-order
 window replayed in cycle order after its last lane overloads (the
 state snapshot and its restore), the packet match run again after its
 open-event output came out too short, and scans cut by a small flit
-budget.  Those are the places where the C sizes or copies its own
+budget.  Then the body's packed event writes with every call's event
+buffers sized exactly at the static bound: a lane-order window written
+lane after lane, a cycle-order replay, a drain and one-cycle steps.
+Those are the places where the C sizes or copies its own
 buffers, so an off-by-one shows up here as a sanitizer report instead
 of a quiet corruption.  The override lives in the subprocess only.
 """
@@ -38,6 +41,7 @@ SCRIPT = textwrap.dedent(
     from repro.engines import lane_views
     from repro.engines.batch import BatchEngine, drain_batched, run_batched
     from repro.engines.sequential import SequentialEngine
+    from repro.kernels.batchlevel import CompiledBatchLevel
     from repro.noc import NetworkConfig, RouterConfig
     from repro.noc.flit import Flit, FlitType
     from repro.pipeline import run_pipeline
@@ -104,23 +108,51 @@ SCRIPT = textwrap.dedent(
     # repro_match: a window's open packets outnumber the largest part of
     # its log, so the first pass's open-event output is too short
     dw = torus().router.data_width
-    opened = np.array(
+    tracker = PacketLatencyTracker(torus())
+    opened = tracker.layout.pack(*np.array(
         [[cycle, router, vc, Flit(ftype, 0).encode(dw)]
          for cycle, ftype in enumerate((FlitType.HEAD, FlitType.BODY, FlitType.BODY))
-         for router in range(5) for vc in range(2)], dtype=np.int64).T.copy()
-    tracker = PacketLatencyTracker(torus())
+         for router in range(5) for vc in range(2)], dtype=np.int64).T)
     assert tracker.kernel == "c"
     found = tracker._match(np.empty((3, 0), dtype=np.int64), np.empty((2, 0), dtype=np.int64),
-                           np.empty((4, 0), dtype=np.int64), [],
+                           np.empty((2, 0), dtype=np.int64), [],
                            [opened[:, lo : lo + 10] for lo in range(0, 30, 10)])
     assert np.array_equal(found[3], opened)
 
     # the scan's budget cut: windows of a few cycles, lanes that scanned
     # past a cut advanced back to it
-    stimuli.FLIT_BUDGET = 16
+    budget, stimuli.FLIT_BUDGET = stimuli.FLIT_BUDGET, 16
     engine = BatchEngine(torus(), lanes=4, kernel="levelized")
     run_batched(engine, drivers(engine, 0.1), 200)
     assert engine.kernel_windows > 20
+    stimuli.FLIT_BUDGET = budget
+
+    # every call's event buffers exactly at the static bound, fresh
+    events = CompiledBatchLevel._events
+    CompiledBatchLevel._events = lambda self, sent, ej: (
+        self._event_pool.clear(), events(self, sent, ej))[1]
+    engine = BatchEngine(torus(depth=1), lanes=4, kernel="levelized")
+    lanes = drivers(engine, [0.05, 0.02, 0.05, 0.05], stall_limit=20)
+    run_batched(engine, lanes, 150)  # lane order: each lane after the last
+    assert engine.kernel_replays == 0
+    lanes[3].be = BernoulliBeTraffic(engine.cfg, 0.9, uniform_random(engine.cfg), seed=3)
+    try:  # the last lane overloads: the call is replayed in cycle order
+        run_batched(engine, lanes, 300)
+    except NetworkOverloadError:
+        pass
+    else:
+        raise AssertionError("no overload")
+    assert engine.kernel_replays == 1
+    engine = BatchEngine(torus(), lanes=3, kernel="levelized")
+    lanes = drivers(engine, 0.3)
+    run_batched(engine, lanes, 100)
+    engine.pre_step_hooks.append(lambda engine: None)  # one-cycle steps
+    run_batched(engine, lanes, 30)
+    engine.pre_step_hooks.clear()
+    for driver in lanes:
+        driver.be = None
+    drain_batched(engine, lanes)  # the drain, in cycle order
+    assert engine.kernel_drain_cycles > 0
     print("sanitized run ok")
     """
 )

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engines import BatchEngine, CycleEngine, drain_batched, run_batched
-from repro.engines.eventlog import log_window
+from repro.engines.eventlog import pack_records
 from repro.experiments.common import fig1_network
 from repro.kernels import cbackend
 from repro.noc import NetworkConfig, Packet, PacketClass
@@ -111,16 +111,16 @@ class Oracle:
 
 class Scenario:
     """One run's submits ``(src, seq, vc, cycle)`` and its two logs, as
-    records and as blocks, with the oracle's samples."""
+    records and as blocks of packed words, with the oracle's samples."""
 
     def __init__(self, net, submits, injections, ejections) -> None:
         self.net = net
         self.submits = np.array(submits, dtype=np.int64).reshape(len(submits), 4).T
         self.injections, self.ejections = list(injections), list(ejections)
-        self.blocks = (
-            log_window(self.injections, 0, len(self.injections)),
-            log_window(self.ejections, 0, len(self.ejections)),
-        )
+        layout = PacketLatencyTracker(net).layout
+        self.blocks = tuple(pack_records(layout, log) for log in (self.injections, self.ejections))
+        #: each block's cycles, unpacked
+        self.cycles = tuple(layout.unpack(block)[0] for block in self.blocks)
         self.end = max(e.cycle for e in self.ejections) + 1
         oracle = Oracle(net)
         oracle.note_submits(*self.submits.tolist())
@@ -132,8 +132,8 @@ class Scenario:
         cycles = self.submits[3]
         tracker.note_submits(*self.submits[:, (cycles >= lo) & (cycles < hi)])
         window = []
-        for log, block in zip((self.injections, self.ejections), self.blocks):
-            a, b = np.searchsorted(block[0], (lo, hi))
+        for log, block, cycles in zip((self.injections, self.ejections), self.blocks, self.cycles):
+            a, b = np.searchsorted(cycles, (lo, hi))
             window.append(log[a:b] if records else block[:, a:b])
         tracker.collect_records(*window)
 

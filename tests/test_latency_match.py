@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engines.eventlog import EventLog, record_block
+from repro.engines.eventlog import PackedLog, pack_records
 from repro.kernels import cbackend
 from repro.noc import NetworkConfig, Packet, PacketClass, RouterConfig
 from repro.noc.flit import Flit, FlitType, Header, SourceInfo
@@ -78,17 +78,19 @@ def assert_same(got, want) -> bool:
 
 class Stream:
     """A run's submits ``[4, m]`` (src, seq, vc, cycle) and its two logs
-    as ``[4, n]`` blocks, cycle-ordered."""
+    as ``[2, n]`` blocks of packed words, cycle-ordered."""
 
     def __init__(self, net, submits, injections, ejections) -> None:
         self.net = net
         self.submits = np.asarray(submits, dtype=np.int64).reshape(4, -1)
         self.injections, self.ejections = injections, ejections
-        self.end = int(max(injections[0].max(initial=0), ejections[0].max(initial=0))) + 1
+        layout = PacketLatencyTracker(net).layout
+        self.cycles = [layout.unpack(block)[0] for block in (injections, ejections)]
+        self.end = int(max(self.cycles[0].max(initial=0), self.cycles[1].max(initial=0))) + 1
 
     @classmethod
     def of(cls, scenario) -> "Stream":
-        return cls(scenario.net, scenario.submits, *(b[:4] for b in scenario.blocks))
+        return cls(scenario.net, scenario.submits, *(b[:2] for b in scenario.blocks))
 
     def windows(self, cuts, pieces):
         """Per window: the submits noted in it (as the tracker keeps
@@ -99,8 +101,8 @@ class Stream:
         for lo, hi in zip(bounds, bounds[1:]):
             noted = (cycle >= lo) & (cycle < hi)
             keys = np.array([src * _SEQS + (seq & 0xFF), vc, cycle])[:, noted]
-            a, b = np.searchsorted(self.injections[0], (lo, hi))
-            c, d = np.searchsorted(self.ejections[0], (lo, hi))
+            a, b = np.searchsorted(self.cycles[0], (lo, hi))
+            c, d = np.searchsorted(self.cycles[1], (lo, hi))
             steps = np.linspace(c, d, pieces + 1).astype(int)
             yield (
                 keys,
@@ -215,7 +217,9 @@ def adversarial_streams(draw):
 
     def block(events):
         events.sort(key=lambda event: event[0])  # stable: a cycle keeps its order
-        return np.array(events, dtype=np.int64).reshape(len(events), 4).T
+        return layout.pack(*np.array(events, dtype=np.int64).reshape(len(events), 4).T)
+
+    layout = PacketLatencyTracker(net).layout
 
     stream = Stream(net, np.array(submits, dtype=np.int64).reshape(-1, 4).T,
                     block(injections), block(ejections))
@@ -255,7 +259,8 @@ def test_events_outside_the_fabric_are_the_numpy_bodys_to_judge():
     """The C pass indexes tables by router and VC: a stream that leaves
     them is handed to the NumPy body, whatever that makes of it."""
     net = wrapping_stream().net
-    stray = np.array([[5], [net.n_routers], [0], [Flit(FlitType.BODY, 0).encode(16)]])
+    layout = PacketLatencyTracker(net).layout
+    stray = layout.pack(5, net.n_routers, 0, Flit(FlitType.BODY, 0).encode(16))
     window = (np.empty((3, 0), dtype=np.int64), np.empty((2, 0), dtype=np.int64), _NO_EVENTS)
     got = outcome(tracker_on("c", net), *window, [], [stray])
     assert got == outcome(tracker_on("numpy", net), *window, [], [stray])
@@ -267,7 +272,6 @@ def test_one_pass_over_lanes_refuses_alike_and_stops_at_the_lane():
     (its first ejected HEAD lost): both bodies raise the same text; the
     lane before has its samples, it and the lane after stand as noted."""
     from repro.engines import BatchEngine, drain_batched, run_batched
-    from repro.engines.eventlog import log_window
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
     net = NetworkConfig(4, 4, topology="torus")
@@ -279,10 +283,10 @@ def test_one_pass_over_lanes_refuses_alike_and_stops_at_the_lane():
     run_batched(engine, drivers, 300)
     drain_batched(engine, drivers)
     logs = [(view.injections, view.ejections) for view in map(engine.lane, range(3))]
-    injections = [[log_window(inj, 0, len(inj))] for inj, _ in logs]
-    ejections = [[log_window(ej, 0, len(ej))] for _, ej in logs]
+    injections = [[inj.arrays(0, len(inj))] for inj, _ in logs]
+    ejections = [[ej.arrays(0, len(ej))] for _, ej in logs]
     (block,) = ejections[1]
-    heads = (block[3] >> net.router.data_width) & 3 == int(FlitType.HEAD)
+    heads = (block[1] >> net.router.data_width) & 3 == int(FlitType.HEAD)
     ejections[1] = [np.delete(block, np.flatnonzero(heads)[0], axis=1)]
     outcomes = []
     for body in ("c", "numpy"):
@@ -352,17 +356,19 @@ def test_a_run_resumes_on_the_other_body(first, then, clone):
 
 
 class LoggedEngine:
-    """An engine as ``collect`` sees one: two logs."""
+    """An engine as ``collect`` sees one: two logs, views of one-lane
+    packed logs."""
 
     def __init__(self, scenario, parts: int) -> None:
-        self.injections, self.ejections = (
-            EventLog(record) for record in (type(scenario.injections[0]), EjectionRecord)
-        )
-        for log, block in zip((self.injections, self.ejections), scenario.blocks):
+        layout = PacketLatencyTracker(scenario.net).layout
+        records = (type(scenario.injections[0]), EjectionRecord)
+        logs = [PackedLog(record, layout, 1) for record in records]
+        for log, block in zip(logs, scenario.blocks):
             steps = np.linspace(0, block.shape[1], parts + 1).astype(int)
             for lo, hi in zip(steps, steps[1:]):
-                # every part its own array, as every chunk's block is
-                log.extend_block(block[:, lo:hi].copy(), 0, hi - lo)
+                # every part its own block, as every chunk's is
+                log.append(block[:, lo:hi], np.array([hi - lo]))
+        self.injections, self.ejections = (log.views[0] for log in logs)
 
 
 @pytest.mark.parametrize("body", ["c", "numpy"])
@@ -373,7 +379,7 @@ def test_collect_reads_a_log_part_by_part(body):
 
     def collect(parts):
         engine = LoggedEngine(scenario, parts)
-        assert len(engine.ejections._parts) == parts
+        assert engine.ejections.log._n == parts
         tracker = tracker_on(body, scenario.net)
         tracker.note_submits(*scenario.submits)
         tracker.samples.extend_block(np.zeros((8, len(scenario.want)), dtype=np.int64))
@@ -386,9 +392,12 @@ def test_collect_reads_a_log_part_by_part(body):
 
     collect(1)  # warm: imports, caches
     whole, in_parts = collect(1), collect(20)
-    assert in_parts < whole / 3, (in_parts, whole)
-    if body == "c":  # mostly the samples, twice; a copy of the ejection log is 32 bytes an event
-        assert in_parts < 32 * len(scenario.ejections) / 2
+    # one part costs an open-event buffer the size of the log (16 bytes an
+    # event, packed); twenty parts pay a twentieth of it
+    log_bytes = 16 * len(scenario.ejections)
+    assert whole - in_parts > 0.8 * log_bytes, (in_parts, whole)
+    # what parts leave is mostly the samples (twice, on the C body)
+    assert in_parts < (0.9 if body == "c" else 1.6) * log_bytes, (in_parts, whole)
 
 
 def test_open_packets_that_outnumber_a_part_are_all_kept():
@@ -402,7 +411,7 @@ def test_open_packets_that_outnumber_a_part_are_all_kept():
         for cycle, ftype in enumerate((FlitType.HEAD, FlitType.BODY, FlitType.BODY))
         for router, vc in queues
     ]
-    block = record_block(events)
+    block = pack_records(PacketLatencyTracker(NET).layout, events)
     parts = [block[:, lo : lo + 10] for lo in range(0, 30, 10)]
     window = (np.empty((3, 0), dtype=np.int64), np.empty((2, 0), dtype=np.int64), _NO_EVENTS)
     want = outcome(tracker_on("numpy", NET), *window, [], parts)

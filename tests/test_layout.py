@@ -1,9 +1,13 @@
 """Tests for the Table-1 state-word layout: the published bit budget and
 lossless pack/unpack of live simulation state."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bits import BitVector
+from repro.engines.eventlog import PackedLog, pack_records
 from repro.noc import Network, NetworkConfig, RouterConfig
 from repro.noc.layout import (
     control_layout,
@@ -17,6 +21,7 @@ from repro.noc.layout import (
     unpack_router_core,
     unpack_stimuli,
 )
+from repro.noc.network import EjectionRecord, InjectionRecord
 
 from tests.helpers import PacketDriver, be_packet, gt_packet
 
@@ -127,3 +132,63 @@ class TestPackUnpack:
             out_packed, next_packed = router.eval(roundtripped, inputs)
             assert out_direct == out_packed
             assert next_direct == next_packed
+
+
+class TestEventLayout:
+    """The packed words of a logged event: records in, the same records
+    out, at every field's extremes; a value past its field raises and
+    never wraps."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_records_round_trip_through_packed_words(self, data):
+        n_vcs = data.draw(st.sampled_from([1, 2, 4, 8, 12]))
+        data_width = data.draw(st.sampled_from([16, 32, 56]))
+        layout = RouterConfig(n_vcs=n_vcs, data_width=data_width, gt_vcs=frozenset()).event_layout
+        top = {name: (1 << field.width) - 1 for name, field in layout.fields.items()}
+
+        def value(name, high):
+            return data.draw(st.one_of(st.just(0), st.just(high), st.integers(0, high)))
+
+        records = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            fields = (
+                value("cycle", top["cycle"]),
+                value("router", NetworkConfig.MAX_ROUTERS - 1),
+                value("vc", n_vcs - 1),
+                value("flit", top["flit"]),
+            )
+            if data.draw(st.booleans()):
+                records.append(InjectionRecord(*fields, value("delay", 0xFFFFF)))
+            else:
+                records.append(EjectionRecord(*fields))
+        for kind in (InjectionRecord, EjectionRecord):
+            mine = [r for r in records if type(r) is kind]
+            block = pack_records(layout, mine)
+            assert block.dtype == np.int64 and block.shape == (2, len(mine))
+            assert (block >= 0).all()  # 63 bits a word: never the sign bit
+            log = PackedLog(kind, layout, 1)
+            log.append(block, np.array([len(mine)]))
+            assert log.views[0] == mine and list(log.views[0]) == mine
+
+    def test_the_cycle_takes_the_bits_left_in_word_zero(self):
+        cfg = RouterConfig()
+        assert cfg.event_layout is cfg.event_layout  # built once a configuration
+        assert cfg.event_layout.fields["cycle"].width == 33
+        # the compiled body's most VCs (12: four VC bits) leave 31
+        wide = RouterConfig(n_vcs=12).event_layout
+        assert wide.fields["cycle"].width == 31 and wide.word.total_width == 63
+
+    @pytest.mark.parametrize("name", ["cycle", "router", "vc", "flit", "delay"])
+    def test_a_value_past_its_field_raises(self, name):
+        layout = RouterConfig().event_layout
+        event = dict(cycle=7, router=3, vc=1, flit=5, delay=2)
+        past = 1 << layout.fields[name].width
+        for bad in (past, -1):
+            with pytest.raises(ValueError, match=f"field '{name}': value .* does not fit in"):
+                layout.pack(**{**event, name: bad})
+        # the largest value that fits reads back as itself
+        top = dict(event, **{name: past - 1})
+        assert [int(v[0]) for v in layout.unpack(layout.pack(**top))] == [
+            top[field] for field in ("cycle", "router", "vc", "flit", "delay")
+        ]

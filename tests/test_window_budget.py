@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.engines import BatchEngine, CycleEngine, SequentialEngine, lane_views
 from repro.engines.batch import drain_batched, run_batched, window_source
-from repro.engines.eventlog import record_block
+from repro.engines.eventlog import LaneView, record_block
 from repro.experiments.common import fig1_gt_streams, fig1_network
 from repro.kernels import trafficgen
 from repro.kernels.batchlevel import CompiledBatchLevel
@@ -594,10 +594,10 @@ class TestBlockScan:
 
 def event_columns(log, record):
     """Every field of every event of ``log``, one row per field."""
-    arrays = getattr(log, "arrays", None)
-    if arrays is not None:
-        return arrays(0, len(log)).tolist()
     names = [field.name for field in dataclasses.fields(record)]
+    if isinstance(log, LaneView):  # packed words, unpacked
+        fields = log.log.layout.unpack(log.arrays(0, len(log)))
+        return [row.tolist() for row in fields[: len(names)]]
     return record_block(log, names).tolist()
 
 
