@@ -210,7 +210,6 @@ def _ignored_flag(args, engine_name: str) -> Optional[str]:
     error line naming what it needs — or None when every given flag is
     read.  (A flag counts as given when it differs from its default;
     ``--scheduler`` / ``--chunk`` default to None to tell the two apart.)"""
-    partitioned = engine_name == "partitioned"
     batch = engine_name == "batch"
     table = (
         # flag, given?, the path that reads it, is that the chosen path?
@@ -218,9 +217,8 @@ def _ignored_flag(args, engine_name: str) -> Optional[str]:
         (
             "--scheduler",
             args.scheduler is not None,
-            "--engine sequential --kernel python or --partitions K",
-            (engine_name == "sequential" and args.kernel == "python")
-            or partitioned,
+            "--engine sequential --kernel python",
+            engine_name == "sequential" and args.kernel == "python",
         ),
         (
             "--fast-forward",
@@ -243,25 +241,13 @@ def _cmd_simulate(args) -> int:
 
     net = _network_from(args)
     lanes = args.lanes
-    partitions = args.partitions or 0
     engine_name = args.engine
-    if partitions > 1 and engine_name == "sequential":
-        engine_name = "partitioned"  # --partitions implies the engine
-    if partitions > 1 and engine_name != "partitioned":
-        print(
-            f"--partitions requires --engine partitioned (got {args.engine})",
-            file=sys.stderr,
-        )
-        return 2
     ignored = _ignored_flag(args, engine_name)
     if ignored is not None:
         print(ignored, file=sys.stderr)
         return 2
-    if args.chunk is not None and args.chunk < 1:
-        print(f"--chunk must be >= 1 cycle (got {args.chunk})", file=sys.stderr)
-        return 2
     kwargs = {}
-    if engine_name in ("sequential", "partitioned") and args.scheduler:
+    if engine_name == "sequential" and args.scheduler:
         kwargs["scheduler"] = args.scheduler
     if engine_name == "batch":
         kwargs["lanes"] = lanes
@@ -276,22 +262,13 @@ def _cmd_simulate(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    if engine_name == "partitioned":
-        kwargs["partitions"] = partitions if partitions > 1 else 2
     kernel = args.kernel
     if kernel != "auto":
         kwargs["kernel"] = kernel
     try:
         engine = make_engine(engine_name, net, **kwargs)
-    except KernelUnavailableError as exc:
+    except (KernelUnavailableError, ValueError) as exc:
         print(f"--kernel {kernel}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        if engine_name == "partitioned":
-            # e.g. K does not tile the fabric; the message names valid Ks.
-            print(str(exc), file=sys.stderr)
-        else:
-            print(f"--kernel {kernel}: {exc}", file=sys.stderr)
         return 2
     return _drive_simulate(args, net, engine, lanes, engine_name)
 
@@ -300,9 +277,6 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
     from repro.stats import PacketLatencyTracker, ThroughputStats
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
-    layout = getattr(engine, "layout_line", None)
-    if callable(layout):  # partitioned engine (it has no kernel line)
-        print(layout())
     if args.stream:
         return _simulate_streamed(args, net, engine)
     if engine_name == "batch":
@@ -497,7 +471,7 @@ def cmd_faults(args) -> int:
             kinds=kinds,
             include_flap=args.flap,
         )
-        for seed in range(args.seed, args.seed + max(1, args.seeds))
+        for seed in range(args.seed, args.seed + args.seeds)
     ]
     start = time.perf_counter()
     if len(configs) == 1:
@@ -541,6 +515,34 @@ def cmd_faults(args) -> int:
     return 1 if exhausted or below else 0
 
 
+def _refused_seed(args) -> Optional[str]:
+    """The first traffic-LFSR seed the command derives from ``--seed``
+    (one a lane, one a campaign) that the LFSR refuses, as the error
+    naming it — or None."""
+    from repro.traffic.rng import valid_seed
+
+    if args.command == "faults":
+        from repro.faults.campaign import traffic_seed
+
+        derived = [
+            (traffic_seed(s), f" (campaign seed {s})")
+            for s in range(args.seed, args.seed + args.seeds)
+        ]
+    else:
+        lanes = getattr(args, "lanes", 1)
+        derived = [
+            (args.seed + i, f" (lane {i}: --seed + {i})" if lanes > 1 else "")
+            for i in range(lanes)
+        ]
+    for seed, how in derived:
+        if not valid_seed(seed):
+            return (
+                f"argument --seed: traffic seed {seed}{how} is not a "
+                "non-zero 32-bit value"
+            )
+    return None
+
+
 def cmd_experiments(args) -> int:
     from repro.experiments.__main__ import main as run_experiments
 
@@ -569,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     _network_args(p)
     p.add_argument(
         "--engine",
-        choices=["rtl", "cycle", "sequential", "batch", "partitioned"],
+        choices=["rtl", "cycle", "sequential", "batch"],
         default="sequential",
     )
     p.add_argument("--load", type=_fraction, default=0.08)
@@ -580,14 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="independent simulations run side by side (batch engine only)",
     )
     p.add_argument(
-        "--partitions", type=int, default=0,
-        help="split ONE simulation into K tiles, the lockstep "
-        "multi-FPGA model (implies --engine partitioned)",
-    )
-    p.add_argument(
         "--scheduler", choices=["worklist", "roundrobin"], default=None,
         help="delta-cycle scheduler of the Python HBR model (--engine "
-        "sequential --kernel python, or --partitions K)",
+        "sequential --kernel python)",
     )
     p.add_argument(
         "--kernel",
@@ -614,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fabric thread, generate/load/retrieve/analyze beside it)",
     )
     p.add_argument(
-        "--chunk", type=int, default=None,
+        "--chunk", type=_positive, default=None,
         help="cycles per pipeline window at most (--stream only; "
         "default: repro.pipeline.runner.DEFAULT_CHUNK)",
     )
@@ -682,6 +679,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             _network_from(args)
         except ValueError as exc:
             parser.error(str(exc))
+    if hasattr(args, "seed"):  # a seed the traffic LFSR refuses: a usage error
+        refused = _refused_seed(args)
+        if refused is not None:
+            parser.error(refused)
     return args.fn(args)
 
 

@@ -52,7 +52,6 @@ def _registry() -> Dict[str, EngineInfo]:
     from repro.engines.cycle import CycleEngine
     from repro.engines.rtl import RtlEngine
     from repro.engines.sequential import SequentialEngine
-    from repro.partition import PartitionedEngine
 
     return {
         "rtl": EngineInfo(
@@ -78,12 +77,6 @@ def _registry() -> Dict[str, EngineInfo]:
             "lane-parallel seeds on one generated-C body (golden lanes without one)",
             "batched FPGA lanes (one instance per independent run)",
             BatchEngine,
-        ),
-        "partitioned": EngineInfo(
-            "partitioned",
-            "one NoC split into tiles, stepped in lockstep on one link memory",
-            "multi-FPGA partitioning (one FPGA per tile, section 6)",
-            PartitionedEngine,
         ),
     }
 

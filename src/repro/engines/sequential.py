@@ -8,8 +8,7 @@ stated twice in this package:
   the readable statement of section 4.2, the reference every delta count
   is held against, and the host of everything the fast count does not
   model — packed state words, wire and state faults, quarantine,
-  ``scheduler=`` / ``watchdog_factor=``, partition tiles, checkpointed
-  rollback;
+  ``scheduler=`` / ``watchdog_factor=``, checkpointed rollback;
 * the HBR accounting pass of the generated body
   (:mod:`repro.kernels.batchlevel`): the same protocol walked in C over
   a persistent wire plane, once per stepped cycle, changing no

@@ -141,6 +141,11 @@ class ResilienceReport:
         return "\n".join(lines)
 
 
+def traffic_seed(seed: int) -> int:
+    """The BE traffic LFSR's seed in the campaign at ``seed``."""
+    return seed ^ 0x5EED
+
+
 def run_campaign(config: CampaignConfig) -> ResilienceReport:
     """Run one seeded campaign; see the module docstring for semantics."""
     # Imported lazily: repro.platform imports repro.faults.errors, so a
@@ -156,7 +161,7 @@ def run_campaign(config: CampaignConfig) -> ResilienceReport:
         net_cfg,
         load=config.load,
         pattern=uniform_random(net_cfg),
-        seed=config.seed ^ 0x5EED,
+        seed=traffic_seed(config.seed),
     )
     controller = SimulationController(
         engine,

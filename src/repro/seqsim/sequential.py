@@ -95,9 +95,6 @@ class SequentialNetwork(Network):
         self._evaluate = (
             self._evaluate_unit_fast if self.optimize else self._evaluate_unit
         )
-        #: the units this simulator evaluates and commits (all of them;
-        #: a partition tile narrows it to its own).
-        self._units: Sequence[int] = range(n)
         self.watchdog = ConvergenceWatchdog(
             n, watchdog_factor if watchdog_factor is not None else self.MAX_DELTA_FACTOR
         )
@@ -441,7 +438,7 @@ class SequentialNetwork(Network):
         room_cache = self._room_cache
         iface_output_word = iface.output_word
         iface_next_state = iface.next_state
-        for r in self._units:
+        for r in range(self.cfg.n_routers):
             rec = pending[r]
             if rec is None:  # unreachable: every unit evaluates every cycle
                 rec = (self.states[r], self.iface_states[r], None)
@@ -584,12 +581,7 @@ class SequentialNetwork(Network):
     def step(self) -> None:
         for hook in self.pre_step_hooks:
             hook(self)
-        self._begin_cycle()
-        self._converge()
-        self._finish_cycle()
-
-    def _begin_cycle(self) -> None:
-        """Open a system cycle: every HBR bit reset, every unit non-stable."""
+        # Open the cycle: every HBR bit reset, every unit non-stable.
         links = self.links
         links.begin_cycle()
         self._events = [None] * self.cfg.n_routers
@@ -598,12 +590,17 @@ class SequentialNetwork(Network):
         # cycles, never mid-cycle, so the inline-write decision holds
         # for the whole system cycle.
         self._fault_free_cycle = links.fault_free
+        self._converge()
+        # Close it: next states, bank swap, delta count.
+        if self.optimize:
+            self._finalize_units()
+        self._commit(self.watchdog.deltas)
 
     def _converge(self) -> None:
         """Evaluate non-stable units until none is left (section 4.2).
 
-        The delta count runs on from ``watchdog.deltas`` (0 after
-        :meth:`_begin_cycle`) under the one per-cycle bound.
+        The delta count runs on from ``watchdog.deltas`` (0 once
+        :meth:`step` opened the cycle) under the one per-cycle bound.
         """
         links = self.links
         scheduler = self.scheduler
@@ -672,19 +669,12 @@ class SequentialNetwork(Network):
         # per call (nothing reads the counter mid-convergence).
         links.wire_writes += sig_writes
 
-    def _finish_cycle(self) -> None:
-        """Close the system cycle: next states, bank swap, delta count."""
-        if self.optimize:
-            self._finalize_units()
-        self._commit(self.watchdog.deltas)
-
     def _commit(self, deltas: int) -> None:
         self.states, self._next_states = self._next_states, list(self._next_states)
         self.iface_states, self._next_iface = self._next_iface, list(self._next_iface)
         if self.packed:
             self.statemem.swap()
-        for r in self._units:
-            events = self._events[r]
+        for r, events in enumerate(self._events):
             if events is not None:
                 self._record(r, events)
         self.metrics.record_cycle(deltas)
@@ -708,12 +698,6 @@ class SequentialNetwork(Network):
         if not self.packed:
             raise RuntimeError("state faults need packed=True (no state memory)")
         return self.statemem.inject_fault(address, 1 << bit)
-
-    def inject_link_fault(self, wire, bit: int) -> int:
-        """Flip one bit of a stored link value (transient SEU in the
-        single-banked link memory).  ``wire`` is a name or wire id."""
-        wid = wire if isinstance(wire, int) else self.links.wire_id(wire)
-        return self.links.inject_value_fault(wid, 1 << bit)
 
     def link_wire_names(self) -> List[str]:
         """All wire names, in deterministic construction order."""

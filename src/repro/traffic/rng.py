@@ -118,6 +118,11 @@ def lfsr_jump(state: int, steps: int, mask: int = GALOIS_MASK, width: int = 32) 
     return result
 
 
+def valid_seed(seed: int) -> bool:
+    """Whether :class:`HardwareLfsr` accepts ``seed``: a non-zero 32-bit value."""
+    return 0 < seed < 2**32
+
+
 class HardwareLfsr:
     """The FPGA's 32-bit LFSR random number generator.
 
@@ -127,7 +132,7 @@ class HardwareLfsr:
     """
 
     def __init__(self, seed: int = 0xDEADBEEF) -> None:
-        if not 0 < seed < 2**32:
+        if not valid_seed(seed):
             raise ValueError("seed must be a non-zero 32-bit value")
         self.state = seed
         self.words_read = 0

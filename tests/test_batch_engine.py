@@ -10,6 +10,7 @@ injection/ejection logs and the drain cycle counts.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -258,8 +259,7 @@ class TestPackedState:
 
 class TestMemoryPreflight:
     """The packed-state allocator estimates its footprint and fails with
-    a plan (reduce --lanes), not an opaque numpy MemoryError.  Only
-    --lanes shrinks it: --partitions runs the Python model instead."""
+    a plan (reduce --lanes), not an opaque numpy MemoryError."""
 
     def test_estimate_matches_actual_allocation(self):
         from repro.seqsim.arraystate import ArrayState, estimate_bytes
@@ -287,7 +287,7 @@ class TestMemoryPreflight:
             arraystate.ArrayState(torus(4, 4), lanes=2)
         message = str(err.value)
         assert message.endswith("reduce --lanes")
-        assert "--partitions" not in message
+        assert re.findall(r"--[a-z-]+", message) == ["--lanes"]
         assert f"{arraystate.estimate_bytes(torus(4, 4), 2):,}" in message
 
     def test_cli_preflight_names_lanes_only(self, monkeypatch, capsys):
@@ -299,4 +299,4 @@ class TestMemoryPreflight:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.strip().endswith("are available; reduce --lanes")
-        assert "--partitions" not in err
+        assert re.findall(r"--[a-z-]+", err) == ["--lanes"]

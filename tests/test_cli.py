@@ -68,13 +68,11 @@ class TestCli:
             ("--link-latency 2", "unrecognized arguments: --link-latency"),
             (
                 "--engine batch --scheduler roundrobin",
-                "--scheduler requires --engine sequential --kernel python "
-                "or --partitions K",
+                "--scheduler requires --engine sequential --kernel python",
             ),
             (
                 "--scheduler roundrobin",  # the compiled engine has one order
-                "--scheduler requires --engine sequential --kernel python "
-                "or --partitions K",
+                "--scheduler requires --engine sequential --kernel python",
             ),
             ("--fast-forward", "--fast-forward requires --engine batch"),
             (
@@ -132,9 +130,29 @@ class TestCli:
             ("faults campaign --min-recovery 2",
              "argument --min-recovery: must be in [0, 1] (got 2)"),
             ("simulate --width 1 --height 1", "network must contain at least 2 routers (1x2)"),
+            ("simulate --seed 0",
+             "argument --seed: traffic seed 0 is not a non-zero 32-bit value"),
+            ("simulate --seed -5",
+             "argument --seed: traffic seed -5 is not a non-zero 32-bit value"),
+            ("trace --seed 0",
+             "argument --seed: traffic seed 0 is not a non-zero 32-bit value"),
+            ("simulate --engine batch --lanes 3 --seed 4294967294",
+             "argument --seed: traffic seed 4294967296 (lane 2: --seed + 2) "
+             "is not a non-zero 32-bit value"),
+            ("simulate --stream --engine batch --lanes 3 --seed 4294967294",
+             "argument --seed: traffic seed 4294967296 (lane 2: --seed + 2) "
+             "is not a non-zero 32-bit value"),
+            ("faults --seed 24301",
+             "argument --seed: traffic seed 0 (campaign seed 24301) "
+             "is not a non-zero 32-bit value"),
+            ("faults --seed 24299 --seeds 3",
+             "argument --seed: traffic seed 0 (campaign seed 24301) "
+             "is not a non-zero 32-bit value"),
         ],
         ids=["width", "height", "queue-depth", "seeds", "workers-0", "workers-negative",
-             "min-recovery", "one-router"],
+             "min-recovery", "one-router", "seed-0", "seed-negative", "trace-seed-0",
+             "lane-seed-overflow", "stream-lane-seed-overflow", "campaign-seed",
+             "campaign-seed-in-range"],
     )
     def test_a_bad_size_or_count_is_a_usage_error(self, capsys, argv, error):
         """A size, count or threshold out of range — or a fabric the
@@ -154,8 +172,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "batch engine (streamed): 2 lane(s)" in out and "cpu s" in out
         for chunk in ("0", "-3"):
-            assert main(args + ["--chunk", chunk]) == 2
-            assert "--chunk must be >= 1" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as excinfo:  # refused at parse time
+                main(args + ["--chunk", chunk])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --chunk: must be >= 1 (got {chunk})" in err
 
     def test_trace(self, tmp_path, capsys):
         out_file = tmp_path / "trace.vcd"
@@ -551,7 +572,7 @@ class TestEnvironmentSurface:
         probe = (
             "import repro.experiments.fig1, repro.pipeline, repro.engines, sys\n"
             "print([m for m in sys.modules if m.startswith(("
-            "'repro.farm', 'repro.partition', 'multiprocessing', 'concurrent'))])"
+            "'repro.farm', 'multiprocessing', 'concurrent'))])"
         )
         env = dict(os.environ, PYTHONPATH=os.path.join(self.ROOT, "src"))
         done = subprocess.run(
@@ -563,8 +584,7 @@ class TestEnvironmentSurface:
 
 
 class TestSourceAudit:
-    """The HBR cycle is stated once: no block of code lives in two files,
-    and the partitioner reaches the evaluator only through its phases."""
+    """The HBR cycle is stated once: no block of code lives in two files."""
 
     SRC = os.path.join(TestEnvironmentSurface.ROOT, "src", "repro")
 
@@ -660,20 +680,8 @@ class TestSourceAudit:
         r"|_quiesc_cache|_evaluate_unit_fast|_fault_free_cycle)\b"
     )
 
-    def test_partition_names_no_fast_path_internal(self):
-        import re
-
-        found = {
-            (os.path.basename(path), name)
-            for path, text in self._sources("partition")
-            for name in re.findall(self.INTERNALS, text)
-        }
-        assert not found
-
     def test_process_machinery_stays_in_the_sweep_pool(self):
-        """Only the sweep fan-out starts processes, and the partitioner
-        keeps no trace of its removed process transport or boundary
-        switch."""
+        """Only the sweep fan-out starts processes."""
         import re
 
         process = re.compile(
@@ -685,14 +693,6 @@ class TestSourceAudit:
             if process.search(text)
         ] == [os.path.join("experiments", "parallel.py")]
         assert not os.path.exists(os.path.join(self.SRC, "farm"))
-        removed = re.compile(
-            r"link_latency|BoundarySwitch|transport|ProcessWorkerPool"
-        )
-        assert not {
-            (os.path.basename(path), name)
-            for path, text in self._sources("partition")
-            for name in removed.findall(text)
-        }
 
     def test_the_router_step_lives_in_the_models_and_the_kernels(self):
         """The batch engine steps golden lanes, not a router step of its
@@ -825,7 +825,6 @@ class TestSourceAudit:
         "Router.eval": "paper statement (Fig. 4b: H(x))",
         "route_port": _REFERENCE + ": dimension-order routing",
         "Topology.connected_ports": _PROBE,
-        "PartitionedEngineFactory": "picklable engine_cls for the process-pool sweeps",
         "crosscheck_overlap": _REFERENCE + ": modelled against measured overlap",
         "CyclicBuffer.free": "paper statement (section 5.3 cyclic buffers)",
         "CyclicBuffer.try_read": "paper statement (section 5.3 cyclic buffers)",

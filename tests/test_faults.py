@@ -217,7 +217,7 @@ class TestLinkFaults:
         drv_a = warm_up(a, cycles=8)
         drv_b = warm_up(b, cycles=8)
         assert a.snapshot() == b.snapshot()
-        b.inject_link_fault("fwd:0.1", 2)
+        b.links.inject_value_fault(b.links.wire_id("fwd:0.1"), 1 << 2)
         for _ in range(12):
             a.step()
             b.step()

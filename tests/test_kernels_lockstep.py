@@ -180,7 +180,7 @@ class TestLevelizedLockstep:
         wire = engines[0].link_wire_names()[5]
 
         def upset(engine):
-            engine.inject_link_fault(wire, bit=2)
+            engine.links.inject_value_fault(engine.links.wire_id(wire), 1 << 2)
 
         lockstep(
             engines,
@@ -199,7 +199,7 @@ class TestLevelizedLockstep:
             wire, bit = rng.randrange(20), rng.randrange(8)
             events.append(
                 (rng.randrange(10, 40),
-                 lambda e: e.inject_link_fault(wire, bit=bit))
+                 lambda e: e.links.inject_value_fault(wire, 1 << bit))
             )
         lockstep(
             duo(cfg) if events else trio(cfg),

@@ -198,14 +198,18 @@ class TestSweepDeterminism:
         assert serial.points == parallel.points
         assert len(submitted) == 2
 
-    def test_callable_object_engine_cls_crosses_the_process_boundary(self):
-        from repro.partition import PartitionedEngineFactory
+    def test_callable_object_engine_cls_crosses_the_process_boundary(self, submitted):
+        from functools import partial
+
+        from repro.engines import SequentialEngine
 
         loads = (0.0, 0.04)
-        part = fig1.run(
-            loads, cycles=60, engine_cls=PartitionedEngineFactory(2), workers=2
+        model = fig1.run(
+            loads, cycles=60, engine_cls=partial(SequentialEngine, kernel="python"),
+            workers=2,
         )
-        assert part.points == fig1.run(loads, cycles=60, workers=1).points
+        assert len(submitted) == 2
+        assert model.points == fig1.run(loads, cycles=60, workers=1).points
 
     def test_campaign_sweep_deterministic(self):
         from repro.faults import run_campaigns

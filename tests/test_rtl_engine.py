@@ -138,7 +138,7 @@ class TestThreeWayEquivalence:
 class TestEngineRegistry:
     def test_engines_registered(self):
         names = {e.name for e in list_engines()}
-        assert names == {"rtl", "cycle", "sequential", "batch", "partitioned"}
+        assert names == {"rtl", "cycle", "sequential", "batch"}
 
     def test_make_engine(self):
         cfg = NetworkConfig(2, 2)

@@ -221,18 +221,12 @@ VARIANTS = {
 
 
 def fig1_run(variant):
-    """300 cycles of load-0.08 uniform BE traffic on the Fig. 1 network;
-    the one-tile partitioned engine runs the coordinator's pick loop."""
+    """300 cycles of load-0.08 uniform BE traffic on the Fig. 1 network."""
     from repro.experiments.common import fig1_network
-    from repro.partition import PartitionedEngine, PartitionMap
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
     cfg = fig1_network()
-    if variant == "one-tile":
-        one_tile = PartitionMap(cfg, (tuple(range(cfg.n_routers)),))
-        net = PartitionedEngine(cfg, partition_map=one_tile)
-    else:
-        net = VARIANTS[variant](cfg)
+    net = VARIANTS[variant](cfg)
     driver = TrafficDriver(
         net, be=BernoulliBeTraffic(cfg, 0.08, uniform_random(cfg), seed=0xBEE)
     )
@@ -249,18 +243,15 @@ def fig1_run(variant):
 
 
 class TestLinkTrafficCounters:
-    """The class docstring's promise, checked: every evaluation path —
-    and the partition coordinator's pick loop over one tile — produces
-    the same link-memory traffic counters, per-cycle delta counts and
-    state."""
+    """The class docstring's promise, checked: every evaluation path
+    produces the same link-memory traffic counters, per-cycle delta
+    counts and state."""
 
     @pytest.fixture(scope="class")
     def fast(self):
         return fig1_run("fast")
 
-    @pytest.mark.parametrize(
-        "variant", ["reference", "roundrobin", "packed", "one-tile"]
-    )
+    @pytest.mark.parametrize("variant", ["reference", "roundrobin", "packed"])
     def test_counters_equal_the_fast_path(self, fast, variant):
         assert (fast[0], fast[1], sum(fast[2])) == (107416, 5497, 13427)
         assert fig1_run(variant) == fast
