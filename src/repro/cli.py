@@ -311,11 +311,14 @@ def _drive_simulate(args, net, engine, lanes: int, engine_name: str) -> int:
         )
     metrics = getattr(engine, "metrics", None)
     if metrics is not None and metrics.system_cycles:
-        print(
+        line = (
             f"delta cycles: {metrics.total_deltas} "
             f"({metrics.mean_deltas_per_cycle():.1f}/cycle, "
             f"extra fraction {metrics.extra_fraction():.3f})"
         )
+        if getattr(engine, "HBR_ACCOUNTING", False):  # the compiled count
+            line += f", {engine.kernel_hbr_evals} evaluated"
+        print(line)
     return 0
 
 
@@ -674,15 +677,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "width"):  # a fabric the configuration refuses: a usage error
+    # a refused value is the subcommand's usage error, under its usage line
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    error = sub.choices[args.command].error
+    if hasattr(args, "width"):  # a fabric the configuration refuses
         try:
             _network_from(args)
         except ValueError as exc:
-            parser.error(str(exc))
-    if hasattr(args, "seed"):  # a seed the traffic LFSR refuses: a usage error
+            error(str(exc))
+    if hasattr(args, "seed"):  # a seed the traffic LFSR refuses
         refused = _refused_seed(args)
         if refused is not None:
-            parser.error(refused)
+            error(refused)
     return args.fn(args)
 
 

@@ -164,6 +164,9 @@ class BatchEngine:
         #: fabric windows left out.  The delta metrics stay nominal.
         self.kernel_router_evals = 0
         self.kernel_lane_cycles = 0
+        #: units the HBR accounting pass evaluated (0 without the pass):
+        #: a settled unit's pick is counted, not evaluated (DESIGN §8).
+        self.kernel_hbr_evals = 0
         #: calls that met an architectural error and re-ran in cycle
         #: order (the body runs a window lane by lane; DESIGN section 14).
         self.kernel_replays = 0

@@ -42,14 +42,19 @@ routers).  Generated with ``KernelSpec.hbr`` (the sequential engine: a
 second variant of the one template, handed the wire plane of
 ``ArrayState(..., hbr=True)``), the body also runs the **HBR accounting
 pass** before each stepped lane-cycle's commit: the paper's section 4.2
-protocol — every status bit cleared, every unit non-stable, round-robin
-picks above a persistent pointer, wires that still hold last cycle's
-value until rewritten, the ``LinkMemory.write_wire`` rule — over
-committed state, changing nothing architectural, returning one delta
-count per cycle, exactly the Python model's
-(:class:`~repro.seqsim.sequential.SequentialNetwork`).  A cycle the body
-skips costs the floor, one evaluation per unit: an idle lane's wires are
-at their reset values.
+protocol — every unit non-stable, round-robin picks above a persistent
+pointer, wires that still hold last cycle's value until rewritten, a
+changed wire un-stabilising its reader (the ``LinkMemory.write_wire``
+rule, with every wire read at every evaluation) — over committed
+state, changing nothing architectural, returning one delta count per
+cycle, exactly the Python model's
+(:class:`~repro.seqsim.sequential.SequentialNetwork`).  Only a unit
+whose inputs changed since its last evaluation — its router's state
+in a commit, a room wire into it — is evaluated again; a run of picks
+of settled units is counted with a popcount a mask word
+(``engine.kernel_hbr_evals`` counts the evaluations).  A cycle the
+body skips costs the floor, one evaluation per unit: an idle lane's
+wires are at their reset values.
 
 It is the only generated simulation body, behind both compiled labels
 of :class:`~repro.engines.batch.BatchEngine`: ``kernel="levelized"``
@@ -273,103 +278,145 @@ static void keep_lanes(int64_t *const *state, int64_t *keep, int64_t BR,
  * One lane's link memory is a wire plane: per (router, port) the forward
  * word and the room word the router last wrote there, then the
  * round-robin scheduler's pointer.  Values and pointer persist across
- * system cycles; the Has-Been-Read bits and the non-stable set live for
- * one cycle, in scratch: hbr[r] holds one bit per wire unit r samples
- * (bit p: the forward wire at input port p, bit P + p: the room wire at
- * output port p), unst one bit per unit. */
+ * system cycles; the non-stable set (unst, one bit per unit) lives for
+ * one cycle.  An evaluation reads every wire its unit samples, so on
+ * the fault-free fabrics this body runs a wire's Has-Been-Read bit is
+ * clear only while its reader is non-stable anyway: the bit rule of
+ * LinkMemory.write_wire is that a changed wire un-stabilises its
+ * reader, and no status bit is kept.
+ *
+ * A unit is settled while nothing it reads has changed since its last
+ * evaluation: not its router's committed state (the commit unsettles
+ * every router it pops, pushes into or allocates) and not the room
+ * wires into it (a changed room wire unsettles its reader).  Evaluated
+ * again, a settled unit would rewrite only what its wires already
+ * hold, so picking it costs a delta and nothing else.  The settled set
+ * is call scratch, one bit per flat router (lane-major, and a spare
+ * word), emptied at call entry. */
 
-/* LinkMemory.write_wire: a changed value is stored; a reader that had
- * consumed the old one is no longer stable; the wire is unread again. */
-static inline void write_wire(int64_t *slot, int64_t value, int64_t reader,
-                              int64_t bit, uint64_t *hbr, uint64_t *unst)
+/* The commit changed flat router x's state: its unit must be evaluated
+ * again. */
+static inline void unsettle(uint64_t *settled, int64_t x)
 {
-    if (*slot == value)
-        return;
-    *slot = value;
-    if ((hbr[reader] >> bit) & 1)
-        unst[reader >> 6] |= BIT(reader & 63);
-    hbr[reader] &= ~BIT(bit);
+    settled[x >> 6] &= ~BIT(x & 63);
+}
+
+/* Bits [at, at + 64) of a flat bit mask with a spare word. */
+static inline uint64_t bits_at(const uint64_t *mask, int64_t at)
+{
+    const uint64_t low = mask[at >> 6] >> (at & 63);
+    return at & 63 ? low | mask[(at >> 6) + 1] << (64 - (at & 63)) : low;
+}
+
+/* Evaluate unit u of one lane (x0: the lane's first flat router): its
+ * room words from its full-mask, its forward words by the crossbar
+ * arbitration against the room words *as stored* — they may still be
+ * last cycle's — written to its wires.  No architectural state
+ * changes.  The unit is settled from here on and stable once its
+ * writes are done. */
+static void hbr_eval(
+    int64_t R, int64_t x0, int64_t u,
+    const int64_t *nb_idx, const int64_t *nb_ok, const int64_t *opp,
+    const int64_t *mem, const int64_t *rd, const int64_t *queue_alloc,
+    const int64_t *arb_ptr, const int64_t *occ, int64_t *restrict wires,
+    uint64_t *restrict settled, uint64_t *restrict unst)
+{
+    int64_t *wfwd = wires, *wroom = wires + R * P;
+    const int64_t x = x0 + u;
+    const int64_t *o = occ + O_WORDS * x;
+    int64_t fwd[P] = {0};
+    uint64_t ready = (uint64_t)(o[O_NE] & o[O_QAM]), ports = 0;
+    settled[x >> 6] |= BIT(x & 63);
+    if (ready) {
+        const int64_t *qa = queue_alloc + x * NQ;
+        int64_t preq[P] = {0};
+        while (ready) {
+            const int64_t q = CTZ(ready);
+            ready &= ready - 1;
+            const int64_t p = qa[q] / V, v = qa[q] % V, k = u * P + p;
+            /* the local output is no wire */
+            if (!p || !nb_ok[k]
+                || !((wroom[nb_idx[k] * P + opp[p]] >> v) & 1))
+                continue;
+            preq[p] |= (int64_t)BIT(q);
+            ports |= BIT(p);
+        }
+        while (ports) {
+            const int64_t p = CTZ(ports);
+            ports &= ports - 1;
+            const int64_t g = rr_pick(preq[p], arb_ptr[x * P + p]);
+            fwd[p] = ((qa[g] - p * V) << VC_SHIFT)
+                     | mem[(x * NQ + g) * DMAX + rd[x * NQ + g]];
+        }
+    }
+    for (int64_t p = 1; p < P; p++) { /* write phase */
+        const int64_t k = u * P + p;
+        if (!nb_ok[k])
+            continue;
+        const int64_t v = nb_idx[k], xv = x0 + v;
+        const int64_t room =
+            (int64_t)(~(uint64_t)o[O_FULL] >> (p * V)) & VMASK;
+        const uint64_t fwd_new = wfwd[k] != fwd[p], room_new = wroom[k] != room;
+        wfwd[k] = fwd[p];
+        wroom[k] = room;
+        /* a changed wire un-stabilises its reader, a changed room wire
+         * unsettles it */
+        unst[v >> 6] |= (fwd_new | room_new) << (v & 63);
+        settled[xv >> 6] &= ~(room_new << (xv & 63));
+    }
+    unst[u >> 6] &= ~BIT(u & 63);
 }
 
 /* One system cycle of one lane under the HBR protocol, on the committed
- * state (x0: the lane's first flat router): every status bit cleared
- * and every unit non-stable; evaluate the next non-stable unit
- * cyclically above the pointer until none is left.  An evaluation reads
- * the unit's wires, computes its room words from its full-mask and its
- * forward words by the crossbar arbitration against the room words *as
- * stored* — they may still be last cycle's — and writes its wires.  No
- * architectural state changes.  Returns the delta cycles spent, -1 past
- * `limit`. */
-static int64_t hbr_cycle(
+ * state: every unit non-stable; pick the next non-stable unit
+ * cyclically above the pointer, one delta a pick, until none is left.
+ * The picks walk the words from the pointer's upwards, the first masked
+ * to the units above it, wrapping to its rest.  The settled picks ahead
+ * of the first unsettled one are counted with one popcount a word and
+ * leave the pointer on their last unit; the unsettled one is evaluated
+ * and the walk starts again above it.  Adds the units evaluated to
+ * `evals`; returns the delta cycles spent, -1 past `limit`. */
+static int64_t hbr_walk(
     int64_t R, int64_t x0, int64_t limit,
     const int64_t *nb_idx, const int64_t *nb_ok, const int64_t *opp,
     const int64_t *mem, const int64_t *rd, const int64_t *queue_alloc,
-    const int64_t *arb_ptr, const int64_t *occ,
-    int64_t *wires, uint64_t *hbr, uint64_t *unst)
+    const int64_t *arb_ptr, const int64_t *occ, int64_t *restrict wires,
+    uint64_t *restrict settled, uint64_t *restrict unst, int64_t *evals)
 {
-    int64_t *wfwd = wires, *wroom = wires + R * P;
     const int64_t W = (R + 63) >> 6;
-    int64_t pointer = wires[2 * R * P], deltas = 0;
-    memset(hbr, 0, (size_t)R * sizeof(uint64_t));
+    int64_t pointer = wires[2 * R * P], deltas = 0, u;
     memset(unst, 0xFF, (size_t)W * sizeof(uint64_t));
     if (R & 63)
         unst[W - 1] = BIT(R & 63) - 1;
-    for (;;) {
-        /* the round-robin pick: words from the pointer's upwards, the
-         * first masked to the units above it, wrapping to its rest */
-        int64_t s = pointer + 1 < R ? pointer + 1 : 0, w = s >> 6, u = -1;
-        uint64_t m = unst[w] & (~(uint64_t)0 << (s & 63));
-        for (int64_t k = 0; k <= W; k++) {
-            if (m) {
-                u = (w << 6) + CTZ(m);
+    do {
+        const int64_t s = pointer + 1 < R ? pointer + 1 : 0;
+        const uint64_t above = ~(uint64_t)0 << (s & 63);
+        u = -1;
+        for (int64_t k = 0, w = s >> 6; k <= W; k++, w = w + 1 < W ? w + 1 : 0) {
+            const uint64_t m =
+                unst[w] & (k == 0 ? above : k == W ? ~above : ~(uint64_t)0);
+            const uint64_t open = m & ~bits_at(settled, x0 + (w << 6));
+            const uint64_t run = open ? m & ((open & -open) - 1) : m;
+            if (run) {
+                deltas += __builtin_popcountll(run);
+                unst[w] &= ~run;
+                pointer = (w << 6) + 63 - __builtin_clzll(run);
+            }
+            if (open) {
+                u = (w << 6) + CTZ(open);
                 break;
             }
-            w = w + 1 < W ? w + 1 : 0;
-            m = unst[w];
         }
-        if (u < 0)
-            break;
-        if (++deltas > limit)
+        if (deltas + (u >= 0) > limit)
             return -1;
-        pointer = u;
-        const int64_t x = x0 + u;
-        const int64_t *o = occ + O_WORDS * x;
-        hbr[u] = ~(uint64_t)0; /* read phase: every sampled wire is read */
-        int64_t fwd[P] = {0};
-        uint64_t ready = (uint64_t)(o[O_NE] & o[O_QAM]), ports = 0;
-        if (ready) {
-            const int64_t *qa = queue_alloc + x * NQ;
-            int64_t preq[P] = {0};
-            while (ready) {
-                const int64_t q = CTZ(ready);
-                ready &= ready - 1;
-                const int64_t p = qa[q] / V, v = qa[q] % V, k = u * P + p;
-                /* the local output is no wire */
-                if (!p || !nb_ok[k]
-                    || !((wroom[nb_idx[k] * P + opp[p]] >> v) & 1))
-                    continue;
-                preq[p] |= (int64_t)BIT(q);
-                ports |= BIT(p);
-            }
-            while (ports) {
-                const int64_t p = CTZ(ports);
-                ports &= ports - 1;
-                const int64_t g = rr_pick(preq[p], arb_ptr[x * P + p]);
-                fwd[p] = ((qa[g] - p * V) << VC_SHIFT)
-                         | mem[(x * NQ + g) * DMAX + rd[x * NQ + g]];
-            }
+        if (u >= 0) {
+            deltas++;
+            *evals += 1;
+            pointer = u;
+            hbr_eval(R, x0, u, nb_idx, nb_ok, opp, mem, rd, queue_alloc,
+                     arb_ptr, occ, wires, settled, unst);
         }
-        for (int64_t p = 1; p < P; p++) { /* write phase */
-            const int64_t k = u * P + p;
-            if (!nb_ok[k])
-                continue;
-            const int64_t room =
-                (int64_t)(~(uint64_t)o[O_FULL] >> (p * V)) & VMASK;
-            write_wire(wfwd + k, fwd[p], nb_idx[k], opp[p], hbr, unst);
-            write_wire(wroom + k, room, nb_idx[k], P + opp[p], hbr, unst);
-        }
-        unst[u >> 6] &= ~BIT(u & 63);
-    }
+    } while (u >= 0);
     wires[2 * R * P] = pointer;
     return deltas;
 }
@@ -429,8 +476,11 @@ ${signature}
                               arb_ptr, alloc_ptr, inj_word, inj_valid,
                               rr_ptr, delay, eject_word, eject_valid, stalled};
 #if HBR
-    /* the pass's per-cycle scratch: status bits, non-stable set */
-    uint64_t *hbr = (uint64_t *)(busy + R), *unst = hbr + R;
+    /* the pass's scratch: the settled units (a bit per flat router, and
+     * a spare word), one lane's non-stable set; units it evaluated */
+    const int64_t S = ((BR + 63) >> 6) + 1;
+    uint64_t *settled = (uint64_t *)(busy + R), *unst = settled + S;
+    int64_t hbr_evals = 0;
 #else
     (void)wires;
     (void)deltas;
@@ -487,6 +537,7 @@ entry:
      * floor: every unit evaluated once. */
     for (int64_t i = 0; i < B * n_cycles; i++)
         deltas[i] = R;
+    memset(settled, 0, (size_t)S * sizeof(uint64_t));
 #endif
     /* Event segments: a lane injects at most its valid registers plus
      * its staged entries, ejects at most that plus what it has
@@ -630,10 +681,10 @@ range:
             cycle_lanes++;
             const int64_t sc = b * R;
 #if HBR
-            deltas[b * n_cycles + t] = hbr_cycle(
+            deltas[b * n_cycles + t] = hbr_walk(
                 R, sc, ${MAX_DELTA_FACTOR} * R, nb_idx, nb_ok, opp, mem, rd,
-                queue_alloc, arb_ptr, occ,
-                wires + b * (2 * R * P + 1), hbr, unst);
+                queue_alloc, arb_ptr, occ, wires + b * (2 * R * P + 1),
+                settled, unst, &hbr_evals);
             if (deltas[b * n_cycles + t] < 0) {
                 err[0] = 6;
                 err[1] = b;
@@ -865,6 +916,16 @@ range:
             occ[O_WORDS * x + O_QAM] |= (int64_t)BIT(q);
             alloc_ptr[x] = q; /* a router's last decision parks the pointer */
         }
+#if HBR
+        /* the routers the commit popped, pushed into or allocated: their
+         * units must be evaluated again */
+        for (int64_t i = 0; i < n_pop; i++)
+            unsettle(settled, pop_q[i] / NQ);
+        for (int64_t i = 0; i < n_push; i++)
+            unsettle(settled, push_q[i] / NQ);
+        for (int64_t i = 0; i < n_alloc; i++)
+            unsettle(settled, alloc_q[i] / NQ);
+#endif
         int64_t pops = 0, pushes = 0, ij = 0, lo = 0;
         for (int64_t b = L0; b < L1; b++) {
             if (!act[b])
@@ -928,11 +989,15 @@ done:
     pack_lanes(ev_sent, sent_cap, B, sent_at, n_sent);
     pack_lanes(ev_ej, ej_cap, B, ej_at, n_ej);
     /* cycles completed; over them, routers evaluated and lanes stepped;
-     * whether the call replayed in cycle order */
+     * whether the call replayed in cycle order; of an HBR body, the units
+     * its pass evaluated */
     counts[0] = t;
     counts[1] = evals;
     counts[2] = stepped;
     counts[3] = replays;
+#if HBR
+    counts[4] = hbr_evals;
+#endif
     return ret;
 }
 ${fabric}"""
@@ -1222,15 +1287,18 @@ class CompiledBatchLevel:
             # per lane and the lanes' queue starts; four occupancy words
             # per (lane, router) plus the latched-eject list; the cycle's
             # work lists, lane order's state snapshot, one lane's busy
-            # routers and the HBR pass's status bits and non-stable set
+            # routers, the HBR pass's settled mask (a bit per flat router,
+            # and a spare word) and one lane's non-stable set
             "lane": 12 * B + 1,
             "occ": 5 * B * R,
-            "work": (6 * P + 2 * NQ + 4 + keep) * B * R + 3 * R + 1,
+            "work": (6 * P + 2 * NQ + 4 + keep) * B * R + R
+            + (B * R + 63) // 64 + 1 + (R + 63) // 64,
             # out: events per lane (injections, then ejections); cycles
-            # completed, routers evaluated, lane-cycles stepped, replays;
-            # of a drain, the cycle each lane was done at
+            # completed, routers evaluated, lane-cycles stepped, replays,
+            # units the HBR pass evaluated; of a drain, the cycle each
+            # lane was done at
             "lane_n": 2 * B,
-            "counts": 4,
+            "counts": 5,
             "err": 6,
             "done": B,
             # staging: per store slot, the window queue behind it; per
@@ -1387,8 +1455,9 @@ class CompiledBatchLevel:
         """The last call's events per lane — ``[2, lanes]``: injections,
         ejections — with its activity booked."""
         engine = self.engine
-        _, evals, lane_cycles, replays = self._scratch["counts"].tolist()
+        _, evals, lane_cycles, replays, hbr_evals = self._scratch["counts"].tolist()
         engine.kernel_router_evals += evals
+        engine.kernel_hbr_evals += hbr_evals
         engine.kernel_lane_cycles += lane_cycles
         engine.kernel_replays += replays
         return self._scratch["lane_n"][: 2 * engine.lanes].reshape(2, -1).copy()

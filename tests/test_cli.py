@@ -156,13 +156,15 @@ class TestCli:
     )
     def test_a_bad_size_or_count_is_a_usage_error(self, capsys, argv, error):
         """A size, count or threshold out of range — or a fabric the
-        configuration refuses — exits 2 with one error line, nothing run."""
+        configuration refuses — exits 2 with one error line under the
+        subcommand's own usage line, nothing run."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv.split())
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].endswith(f"error: {error}")
+        assert captured.err.startswith(f"usage: repro {argv.split()[0]} ")
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_simulate_streamed_prints_cpu_column_and_rejects_bad_chunk(self, capsys):
@@ -275,7 +277,10 @@ class TestSimulateReportLines:
     def test_sequential_engine_prints_its_kernel_lines(self, request, capsys):
         """The default engine says which statement of the method runs,
         how it was driven, and counts the same deltas either way — the
-        Python model under either scheduler included."""
+        Python model under either scheduler included.  The compiled
+        count adds the units its pass evaluated, fewer than its deltas."""
+        import re
+
         from repro.kernels import probe_backends
 
         args = ["simulate", "--width", "3", "--height", "3", "--cycles", "150"]
@@ -288,9 +293,14 @@ class TestSimulateReportLines:
             return lines[0], ran, deltas
 
         first, ran, deltas = run([])
+        counted = r"delta cycles: (\d+) \(\d+\.\d/cycle, extra fraction \d\.\d{3}\)"
         if probe_backends()["cffi"] == "ok":
             assert first == "kernel: jit (generated C); traffic: C scan"
             assert ran.startswith("kernel run: chunked; activity: ")
+            match = re.fullmatch(counted + r", (\d+) evaluated", deltas)
+            assert match and 0 < int(match.group(2)) < int(match.group(1))
+            deltas = deltas.rsplit(", ", 1)[0]
+        assert re.fullmatch(counted, deltas)
         for extra in (["--kernel", "python"],
                       ["--kernel", "python", "--scheduler", "roundrobin"]):
             first, ran, model_deltas = run(extra)
@@ -737,10 +747,14 @@ class TestSourceAudit:
         old value" is the one decision of section 4.2; whoever tests a
         wire's HBR bit states it.  That is ``LinkMemory.write_wire``, the
         model's one inlined fault-free copy, and the generated body's
-        accounting pass — a fourth would be a fork."""
+        accounting pass — a fourth would be a fork.  The pass keeps no
+        status bit (every evaluation reads every wire, so on its
+        fault-free fabrics the rule is "a changed wire un-stabilises its
+        reader"): its statement is the one line that sets a non-stable
+        bit of another unit."""
         import re
 
-        rule = re.compile(r"\bif\b[^\n]*\bhbr\[")
+        rule = re.compile(r"\bif\b[^\n]*\bhbr\[|\bunst\[[^\n]*\|=")
         stated = {
             os.path.relpath(path, self.SRC): len(rule.findall(text))
             for path, text in self._sources()

@@ -4,17 +4,18 @@ A short subprocess rebuilds both generated units — the simulation body
 and the stimuli kernel — with ``-fsanitize=address,undefined`` into a
 private kernel cache and drives their main call shapes: a multi-lane
 chunked run whose event buffers regrow, a drain, the sequential
-engine's HBR body, a threaded streamed run (scan, staging, carry-over
-and the packet match included), a stall-limit overload, a lane-order
-window replayed in cycle order after its last lane overloads (the
-state snapshot and its restore), the packet match run again after its
-open-event output came out too short, and scans cut by a small flit
-budget.  Then the body's packed event writes with every call's event
-buffers sized exactly at the static bound: a lane-order window written
-lane after lane, a cycle-order replay, a drain and one-cycle steps.
-Those are the places where the C sizes or copies its own
-buffers, so an off-by-one shows up here as a sanitizer report instead
-of a quiet corruption.  The override lives in the subprocess only.
+engine's HBR body on one and on two mask words, a threaded streamed
+run (scan, staging, carry-over and the packet match included), a
+stall-limit overload, a lane-order window replayed in cycle order
+after its last lane overloads (the state snapshot and its restore),
+the packet match run again after its open-event output came out too
+short, and scans cut by a small flit budget.  Then the body's packed
+event writes with every call's event buffers sized exactly at the
+static bound: a lane-order window written lane after lane, a
+cycle-order replay, a drain and one-cycle steps.  Those are the places
+where the C sizes or copies its own buffers, so an off-by-one shows up
+here as a sanitizer report instead of a quiet corruption.  The
+override lives in the subprocess only.
 """
 
 from __future__ import annotations
@@ -72,12 +73,15 @@ SCRIPT = textwrap.dedent(
     assert engine.kernel_seconds > 0
     drain_batched(engine, lanes)
 
-    # the sequential engine's body: the HBR accounting pass
-    seq = SequentialEngine(torus())
-    (driver,) = drivers(seq, 0.1)
-    driver.run(300)
-    driver.drain()
-    assert seq.metrics.total_deltas > 0
+    # the sequential engine's body: the HBR accounting pass, on one mask
+    # word and on 72 routers (two words: the walk's shifts and popcounts
+    # across a word edge and around the wrap)
+    for net in (torus(), NetworkConfig(9, 8, topology="torus")):
+        seq = SequentialEngine(net)
+        (driver,) = drivers(seq, 0.1)
+        driver.run(300)
+        driver.drain()
+        assert 0 < seq.kernel_hbr_evals < seq.metrics.total_deltas
 
     # a streamed run: every window on the fabric thread
     engine = BatchEngine(torus(), lanes=2, kernel="levelized")

@@ -149,10 +149,14 @@ class TestDeltaEquality:
         # most cycles were never stepped, a few were
         assert 0 < engine.kernel_lane_cycles < cycles // 4 or not engine.injections
 
-    @pytest.mark.parametrize("shape", [(9, 8), (16, 16)], ids=["72", "256"])
+    @pytest.mark.parametrize(
+        "shape", [(8, 8), (13, 5), (9, 8), (16, 16)], ids=["64", "65", "72", "256"]
+    )
     def test_the_pick_wraps_across_mask_words(self, shape):
-        """Beyond 64 units the non-stable set spans several words (256
-        fills the last one exactly): same counts, pointer wrap included."""
+        """The non-stable and settled sets are one bit a unit in 64-bit
+        words: 64 units fill one word exactly, 65 spill one unit into a
+        second, 72 and 256 span several (256 fills the last one
+        exactly).  Same counts, pointer wrap included."""
         cfg = network("torus", shape, 2, hetero=False)
         reference, engine = model(cfg), SequentialEngine(cfg)
         want_driver = driver_for(reference, 0.15, 0, 0x5EED)
@@ -161,6 +165,50 @@ class TestDeltaEquality:
         driver.run(45)
         assert observed(engine, driver) == observed(reference, want_driver)
         assert max(engine.metrics.per_cycle) > cfg.n_routers
+
+    def test_the_settled_mask_does_not_outlive_a_call(self):
+        """Depth 1 and GT+BE toggle room wires most; the run alternates
+        one-cycle ``step`` calls with chunked ones, so every call starts
+        from an empty settled mask after the Python side had the state
+        (the stimuli pump between steps)."""
+        cfg = network("torus", (9, 8), 1, hetero=False)
+        traffic = (0.2, 40, 0xC0FFEE)
+        reference = model(cfg)
+        want_driver = driver_for(reference, *traffic)
+        calls = [1, 1, 37, 1, 70, 1, 1, 1, 29, 1]
+        stepped(want_driver, sum(calls))
+        engine = SequentialEngine(cfg)
+        driver = driver_for(engine, *traffic)
+        for cycles in calls:
+            if cycles == 1:
+                driver.step()
+            else:
+                driver.run(cycles)
+        assert observed(engine, driver) == observed(reference, want_driver)
+        assert engine.kernel_hbr_evals < engine.metrics.total_deltas
+
+    def test_every_lane_of_a_wider_body_counts_its_own_deltas(self):
+        """The settled mask is one bit a flat (lane, router): at 72
+        routers lanes 1 and 2 start mid-word.  One chunked call of a
+        three-lane body with the pass on counts each lane's deltas and
+        evaluates exactly the units that three one-lane engines, one a
+        lane's traffic, count and evaluate."""
+
+        class Counting(BatchEngine):
+            HBR_ACCOUNTING = True
+
+        cfg = network("torus", (9, 8), 1, hetero=False)
+        wide = Counting(cfg, lanes=3, kernel="jit")
+        views = lane_views(wide)
+        run_batched(wide, [driver_for(v, 0.2, 0, seed) for seed, v in enumerate(views, 1)], 100)
+        narrow = [SequentialEngine(cfg) for _ in views]
+        for seed, engine in enumerate(narrow, 1):
+            run_batched(engine, [driver_for(engine, 0.2, 0, seed)], 100)
+        assert [wide.kernel_windows, *(e.kernel_windows for e in narrow)] == [1] * 4
+        columns = wide._compiled._buffers["deltas"][0, :300].reshape(3, 100).tolist()
+        assert columns == [e.metrics.per_cycle for e in narrow]
+        assert wide.kernel_hbr_evals == sum(e.kernel_hbr_evals for e in narrow)
+        assert max(narrow[2].metrics.per_cycle) > cfg.n_routers
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_an_idle_lane_finds_its_wire_plane_at_reset(self, depth):
