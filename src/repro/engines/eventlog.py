@@ -16,6 +16,9 @@ steps leave O(N / 4096) blocks.  ``len`` and appending never build a
 record; indexing, slicing, iteration and comparison build exactly the
 records they hand out, and keep none; ``blocks`` hands a window out
 block by block without building any, and ``arrays`` joins them into one.
+A :class:`LogSpan` names a window of every lane's events by table — a
+packed log's own block tables, read in place by the analysis kernel —
+with no per-lane or per-block view built.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import fields
+from itertools import accumulate
 from operator import attrgetter
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "EventLog", "LaneView", "PackedLog", "lane_lengths", "log_blocks", "record_block",
-    "window_blocks",
+    "EventLog", "LaneView", "LogSpan", "PackedLog", "lane_lengths", "log_blocks",
+    "log_span", "record_block",
 ]
 
 #: blocks narrower than this (a lane's share, in a packed log) are
@@ -72,20 +76,85 @@ def log_blocks(log, start: int, stop: int, layout):
 
 
 def lane_lengths(logs):
-    """Every lane's event count in ``logs``, as :func:`window_blocks`
-    takes them."""
+    """Every lane's event count in ``logs``, as :func:`log_span` takes
+    them."""
     return logs.lengths() if isinstance(logs, PackedLog) else [len(log) for log in logs]
 
 
-def window_blocks(logs, start, stop, layout) -> List[List]:
-    """Per lane ``i``, events ``[start[i], stop[i])`` of ``logs`` — a
-    :class:`PackedLog`, or one engine log a lane — as packed blocks: a
-    packed log's views, every lane's read in one pass over its blocks,
-    or what :func:`log_blocks` makes of a lane's own log."""
-    if not isinstance(logs, PackedLog):
-        return [log_blocks(log, a, z, layout) for log, a, z in zip(logs, start, stop)]
-    pieces = [(block, lo.tolist(), hi.tolist()) for block, lo, hi in logs.pieces(start, stop)]
-    return [[block[:, lo[i] : hi[i]] for block, lo, hi in pieces] for i in range(logs.lanes)]
+def columns(block):
+    """``block`` as the kernels read it in place: int64 columns one word
+    apart (rows any distance apart); a copy only where it is not."""
+    if block.dtype == np.int64 and block.strides[1] == 8:
+        return block
+    return np.ascontiguousarray(block, dtype=np.int64)
+
+
+class LogSpan(NamedTuple):
+    """Events ``[start[i], stop[i])`` of column ``cols[i]`` of a log, per
+    reader ``i``, named by table: ``at`` (``[k, 2]``) holds each block's
+    address and row stride in words, ``lo`` / ``ends`` (``[k, lanes]``)
+    where a column's events start in block ``k`` and its event count
+    through it — a :class:`PackedLog`'s own tables, or those
+    :meth:`of_blocks` builds.  ``source`` holds the blocks."""
+
+    at: np.ndarray
+    lo: np.ndarray
+    ends: np.ndarray
+    cols: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    source: object
+
+    @classmethod
+    def of_blocks(cls, per_lane) -> "LogSpan":
+        """The span of one list of blocks of packed words per reader."""
+        blocks = [columns(block) for lane in per_lane for block in lane]
+        lanes, k = len(per_lane), len(blocks)
+        counts = np.zeros((k, lanes), dtype=np.int64)
+        owner = np.repeat(np.arange(lanes), [len(lane) for lane in per_lane])
+        counts[np.arange(k), owner] = [block.shape[1] for block in blocks]
+        at = np.array(
+            [(block.ctypes.data, block.strides[0] // 8) for block in blocks], dtype=np.int64
+        ).reshape(k, 2)
+        ends = np.cumsum(counts, axis=0)
+        cols = np.arange(lanes)
+        stop = ends[-1] if k else np.zeros(lanes, dtype=np.int64)
+        return cls(at, np.zeros_like(ends), ends, cols, np.zeros_like(stop), stop, blocks)
+
+    def sizes(self) -> np.ndarray:
+        """Each reader's event count."""
+        return self.stop - self.start
+
+    def widest(self) -> np.ndarray:
+        """Each reader's largest share of one block."""
+        ends = self.ends[:, self.cols]
+        before = np.concatenate([np.zeros_like(ends[:1]), ends[:-1]])
+        inside = np.clip(self.stop, before, ends) - np.clip(self.start, before, ends)
+        return inside.max(axis=0, initial=0)
+
+    def blocks(self, i: int) -> List:
+        """Reader ``i``'s events as views of the blocks that hold them."""
+        source = self.source
+        if isinstance(source, PackedLog):
+            pieces = source.pieces([self.start[i]], [self.stop[i]], [self.cols[i]])
+            return [block[:, lo[0] : hi[0]] for block, lo, hi in pieces]
+        ends = self.ends[:, i]
+        return [block for block, n in zip(source, np.diff(ends, prepend=0)) if n]
+
+
+def log_span(logs, start, stop, layout) -> LogSpan:
+    """Per reader ``i``, events ``[start[i], stop[i])`` of ``logs`` — a
+    :class:`PackedLog` (reader ``i`` its lane ``i``) or one engine log a
+    reader: lane views of one packed log are read in place through its
+    tables, any other log packed by :func:`log_blocks`."""
+    if isinstance(logs, PackedLog):
+        return logs.span(start, stop)
+    packed = {log.log for log in logs if isinstance(log, LaneView)}
+    if len(packed) == 1 and all(isinstance(log, LaneView) for log in logs):
+        return packed.pop().span(start, stop, [log.lane for log in logs])
+    return LogSpan.of_blocks(
+        [log_blocks(log, a, z, layout) for log, a, z in zip(logs, start, stop)]
+    )
 
 
 class _Columns(Sequence):
@@ -267,6 +336,9 @@ class PackedLog:
         #: fields of a record, in :meth:`~repro.noc.layout.EventLayout.unpack` order
         self._record, self._fields = record, len(fields(record))
         self._blocks: List = []
+        #: per block: its address and row stride, in words (what
+        #: :meth:`span` hands the analysis kernel), and the lanes' tables
+        self._at = np.zeros((16, 2), dtype=np.int64)
         self._lo = np.zeros((16, lanes), dtype=np.int64)
         self._ends = np.zeros((16, lanes), dtype=np.int64)
         self._n = 0
@@ -278,14 +350,16 @@ class PackedLog:
     def append(self, block, counts) -> None:
         """Log a call's events: the first columns of ``block``, grouped by
         lane, ``counts[b]`` of lane ``b``."""
-        n, k = int(counts.sum()), self._n
+        sizes, k = counts.tolist(), self._n
+        n = sum(sizes)
         if not n:
             return
         ends = self._ends[k - 1] + counts if k else counts.copy()
-        starts = np.cumsum(counts) - counts
-        if counts.max() >= _SMALL:
+        starts = list(accumulate(sizes, initial=0))[:-1]
+        if max(sizes) >= _SMALL:
             self._add(block[:, :n].copy(), starts, ends)
             return
+        starts = np.array(starts)
         if self._tail is None or (self._used + counts > self._seg).any():
             self._seg = min(2 * self._seg, _TAIL_MAX) if self._tail is not None else _TAIL_MIN
             self._tail = np.empty((2, self.lanes * self._seg), dtype=np.int64)
@@ -302,9 +376,11 @@ class PackedLog:
     def _add(self, block, lo, ends) -> None:
         k = self._n
         if k == len(self._lo):  # grown tables; a reader may keep the old ones
-            self._lo, self._ends = (
-                np.concatenate([table, np.zeros_like(table)]) for table in (self._lo, self._ends)
+            self._at, self._lo, self._ends = (
+                np.concatenate([table, np.zeros_like(table)])
+                for table in (self._at, self._lo, self._ends)
             )
+        self._at[k] = block.ctypes.data, block.shape[1]
         self._lo[k], self._ends[k] = lo, ends
         self._blocks.append(block)
         self._n = k + 1
@@ -325,6 +401,14 @@ class PackedLog:
         hi = np.clip(stop, before, ends) - before + first
         for k in np.flatnonzero((hi > lo).any(axis=1)).tolist():
             yield self._blocks[k], lo[k], hi[k]
+
+    def span(self, start, stop, cols=None) -> LogSpan:
+        """Events ``[start[i], stop[i])`` of lane ``cols[i]`` (of lane
+        ``i`` by default), named by this log's tables: no view built."""
+        n = self._n  # read first: a writer may be appending
+        cols = np.arange(self.lanes) if cols is None else np.asarray(cols)
+        start, stop = np.asarray(start, dtype=np.int64), np.asarray(stop, dtype=np.int64)
+        return LogSpan(self._at[:n], self._lo[:n], self._ends[:n], cols, start, stop, self)
 
     @property
     def nbytes(self) -> int:

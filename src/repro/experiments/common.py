@@ -32,15 +32,17 @@ def fig1_network() -> NetworkConfig:
     return NetworkConfig(6, 6, topology="torus", router=RouterConfig(queue_depth=2))
 
 
-def fig1_gt_streams(net: NetworkConfig) -> GtReservationTable:
-    """One GT stream per node to the node two columns east.
+def fig1_gt_streams(net: NetworkConfig, routing=None) -> GtReservationTable:
+    """One GT stream per node to the node two columns east, routed by
+    ``routing`` (a fresh :class:`~repro.noc.routing.RoutingTable` by
+    default: an engine's, where one is built already).
 
     Every east link then carries exactly two GT streams, which the
     greedy reservation colours onto VCs 0 and 1 — a fully loaded but
     feasible GT configuration, matching the paper's premise of one
     stream per VC per link.
     """
-    table = GtReservationTable(net)
+    table = GtReservationTable(net, routing)
     pattern = neighbor_shift(net, dx=2)
     for src in range(net.n_routers):
         dest = pattern(src, None)
@@ -182,7 +184,7 @@ def run_fig1_workloads_batched(
     engine = BatchEngine(net, lanes=len(be_loads))
     warmup = gt_period if warmup is None else warmup
     # one reservation table: the lanes carry identical (immutable) streams
-    streams = fig1_gt_streams(net).streams
+    streams = fig1_gt_streams(net, engine.routing).streams
     drivers = [
         TrafficDriver(
             engine.lane(i),

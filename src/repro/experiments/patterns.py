@@ -100,7 +100,7 @@ def _pattern_result(name: str, net, tracker, ejection_log) -> PatternResult:
     target = net.index(*HOTSPOT_XY)
     ejections = len(ejection_log)
     to_target = sum(
-        int((tracker.layout.unpack(block)[1] == target).sum())
+        int((tracker.layout.routers(block) == target).sum())
         for block in log_blocks(ejection_log, 0, ejections, tracker.layout)
     )
     return PatternResult(

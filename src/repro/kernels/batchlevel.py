@@ -1303,8 +1303,9 @@ class CompiledBatchLevel:
             "done": B,
             # staging: per store slot, the window queue behind it; per
             # lane, keys registered before and entries staged, + total
+            # and the lanes whose arena is too small for theirs
             "fresh": max(2, R * V),
-            "marks": 2 * B + 1,
+            "marks": 2 * B + 2,
             # the fabric thread's record
             "fabric": self._lib.repro_fabric_words(),
         }
@@ -1318,9 +1319,13 @@ class CompiledBatchLevel:
         #: patched in (:meth:`_args`); ``None`` once a pointer moved
         self._template: Optional[list] = None
         #: the drivers' stores as :meth:`stage` names them: their
-        #: addresses, and the ``[3, lanes]`` table of them
+        #: addresses, and the ``[3, lanes]`` table of them; the keys of
+        #: a store's table
         self._addresses: list = []
         self._stores = np.zeros((3, 0), dtype=np.int64)
+        self._n_keys = max(2, R * V)
+        #: the cycles a packed event holds
+        self._cycles = 1 << self.layout.fields["cycle"].width
         #: what a call may inject besides its staged entries (every valid
         #: injection register), and eject (those, and every buffered flit)
         self._held = B * R * V, B * R * (V + NQ * spec.depth_max)
@@ -1391,14 +1396,19 @@ class CompiledBatchLevel:
         bound["route"] = np.ascontiguousarray(engine._route, dtype=np.int64)
         # The body's pointer parameters are `restrict`: no two arrays it
         # is handed may overlap, or the compiled code is undefined.
+        # (Each is contiguous, or binding it refuses: its bytes are one
+        # range, and one sort of the ranges finds any two that overlap.)
         arrays = {**bound, **self._tables, **self._scratch, "wires": state.wires}
-        named = [(name, arr) for name, arr in arrays.items() if arr is not None]
-        for i, (name, arr) in enumerate(named):
-            for other, arr2 in named[i + 1 :]:
-                if np.shares_memory(arr, arr2):
-                    raise KernelUnavailableError(
-                        f"the chunk body's arrays {name} and {other} share memory"
-                    )
+        named = [(name, arr) for name, arr in arrays.items() if arr is not None and arr.nbytes]
+        end, last = 0, None
+        for start, i in sorted((arr.ctypes.data, i) for i, (_, arr) in enumerate(named)):
+            if start < end:
+                first, then = sorted((last, i))
+                raise KernelUnavailableError(
+                    f"the chunk body's arrays {named[first][0]} and {named[then][0]} share memory"
+                )
+            if start + named[i][1].nbytes > end:
+                end, last = start + named[i][1].nbytes, i
         #: the HBR wire plane (NULL: the pass is off, accounting nominal)
         self._ptrs["wires"] = (
             self._ffi.NULL if state.wires is None else self._ptr(state.wires)
@@ -1506,40 +1516,29 @@ class CompiledBatchLevel:
         names the drivers' tables and arenas by address.
         """
         lib, _ = self._stimuli
-        queues = [driver.queues for driver in drivers]
-        lanes = len(queues)
-        addresses = [store.address() for store in queues]
+        lanes = len(drivers)
+        addresses = [driver.queues._address for driver in drivers]
         if addresses != self._addresses:  # other stores, or a new arena
             self._addresses = addresses
             self._stores = np.array(addresses, dtype=np.int64).T.copy()
             self._ptrs["stores"] = self._ptr(self._stores)
-        stores = self._stores
-        backlog = sum(store._mark[1] for store in queues)  # arena fill marks
         n_fresh = 0 if window is None else window.queues.shape[1]
         if n_fresh:
             fresh = window.flits.shape[1]
             table, flits = self._ptr(window.queues), self._ptr(window.flits)
         else:
             fresh, table, flits = 0, self._ptrs["fresh"], self._ptrs["fresh"]
-        e = self._rows("e", backlog + fresh)
-        q = self._buffers["q"]
-        n_queues = lib.repro_stage(
-            lanes,
-            queues[0]._table.shape[1],
-            self.engine._V,
-            self._ptrs["stores"],
-            n_fresh,
-            table,
-            flits,
-            fresh,
-            self._ptrs["q"],
-            q.shape[1],
-            self._ptrs["e"],
-            e.shape[1],
-            self._ptrs["fresh"],
-            self._ptrs["marks"],
-        )
-        return stores, n_queues, int(self._scratch["marks"][2 * lanes])
+        while True:  # (a short `e` is grown: the call touched nothing)
+            n_queues = lib.repro_stage(
+                lanes, self._n_keys, self.engine._V, self._ptrs["stores"],
+                n_fresh, table, flits, fresh,
+                self._ptrs["q"], self._buffers["q"].shape[1],
+                self._ptrs["e"], self._buffers["e"].shape[1],
+                self._ptrs["fresh"], self._ptrs["marks"],
+            )
+            if n_queues >= 0:
+                return self._stores, n_queues, int(self._scratch["marks"][2 * lanes])
+            self._rows("e", -n_queues)
 
     def prepare(self, drivers: Sequence, n_cycles: int, window=None, done=None) -> "FabricJob":
         """Stage one call of at most ``n_cycles`` — the drivers' backlog,
@@ -1548,7 +1547,9 @@ class CompiledBatchLevel:
         column (:meth:`drain`)."""
         if self._in_flight is not None:
             raise RuntimeError("the chunk body is still running a job")
-        self.layout.check("cycle", self.engine.cycle + n_cycles - 1)
+        last = self.engine.cycle + n_cycles - 1
+        if not 0 <= last < self._cycles:
+            self.layout.check("cycle", last)
         if self._stale():
             self._rebind()
         engine = self.engine
@@ -1751,16 +1752,17 @@ class FabricJob:
         engine.kernel_seconds += self.seconds
         engine.book_cycles(completed, body.delta_column(completed))
         # An arena too small for its lane's staged entries is replaced
-        # (all of them are in `e`).
+        # (all of them are in `e`; the staging counted such lanes).
         marks, stores = scratch["marks"], self._stores
         if self._n_queues:
-            for lane in np.flatnonzero(marks[lanes : 2 * lanes] > stores[2]).tolist():
+            short = marks[lanes : 2 * lanes] > stores[2] if marks[2 * lanes + 1] else ()
+            for lane in np.flatnonzero(short).tolist():
                 store = drivers[lane].queues
                 store._use(np.empty((3, 2 * int(marks[lanes + lane])), dtype=np.int64))
                 stores[:, lane] = store.address()
             body._stimuli[0].repro_carry(
                 lanes,
-                drivers[0].queues._table.shape[1],
+                body._n_keys,
                 body._ptrs["stores"],
                 self._n_queues,
                 body._ptrs["q"],

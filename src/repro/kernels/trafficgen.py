@@ -33,7 +33,8 @@ the run, matching the packets that came out (``repro_match``):
   quiescence fast-forward's proof that a window is idle and its LFSR
   advance over that window, in one pass (bounded by the next GT
   firing).
-* ``repro_load_flits`` — **load**.  Packets grouped by lane; head,
+* ``repro_gen_window`` — generate, then **load**, in one call: the
+  scan's packets, grouped by lane, read in place in its scratch; head,
   source-info and ramp-payload flit words (pure functions of a packet
   column and the flit layout) grouped by stimuli queue.
 * ``repro_stage`` / ``repro_carry`` — the chunk kernel's two ends: merge
@@ -63,6 +64,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engines.eventlog import LogSpan, columns
 from repro.traffic.rng import GALOIS_MASK
 from repro.traffic.stimuli import Stimuli, WindowSource
 
@@ -88,11 +90,19 @@ int64_t repro_gen_be(
     int64_t *gt_seq, int64_t *work,
     int64_t *pk, int64_t cap, int64_t budget, int64_t *ends);
 void repro_lfsr_tables(int64_t mask, uint32_t *jumps, uint64_t *tops);
-int64_t repro_load_flits(
-    int64_t m, const int64_t *pk,
-    int64_t n_keys, int64_t n_vcs, int64_t width, int64_t dw,
-    int64_t *queues, int64_t q_cap, int64_t *flits, int64_t n,
-    int64_t *key_queue, int64_t *work);
+int64_t repro_gen_window(
+    int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
+    const int64_t *thresholds, int64_t bound, int64_t span,
+    const uint32_t *jumps, const uint64_t *tops,
+    int64_t *states, int64_t *tally,
+    int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
+    const int64_t *be_vcs, int64_t n_be_vcs,
+    int64_t n_gt, const int64_t *gt_lane, const int64_t *gt_stream,
+    int64_t *gt_seq, int64_t *work,
+    int64_t *pk, int64_t cap, int64_t budget, int64_t *ends,
+    int64_t dw, int64_t n_keys, int64_t n_vcs, int64_t width,
+    int64_t *queues, int64_t q_cap, int64_t *flits, int64_t f_cap,
+    int64_t *key_queue, int64_t *load_work, int64_t *loaded);
 int64_t repro_stage(
     int64_t lanes, int64_t n_keys, int64_t n_vcs, const int64_t *stores,
     int64_t nq_w, const int64_t *wq, const int64_t *wf, int64_t wf_cap,
@@ -105,11 +115,11 @@ void repro_carry(
 int64_t repro_match(
     int64_t lanes, int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
     int64_t vs, int64_t rs, int64_t cs,
-    const int64_t *hops, const int64_t *lane, const int64_t *blocks,
-    int64_t n_table, int64_t *scratch, int64_t *work,
+    const int64_t *hops, const int64_t *lane, const int64_t *logs,
+    int64_t *scratch, int64_t *work, int64_t *segs, int64_t seg_cap,
     int64_t *samples, int64_t s_stride, int64_t *submits_left, int64_t m_stride,
     int64_t *heads_left, int64_t k_stride, int64_t *still_open, int64_t o_stride,
-    int64_t *counts);
+    int64_t *counts, int64_t *routers);
 """
 
 _SOURCE = """
@@ -496,8 +506,8 @@ int64_t repro_gen_be(
     return c;
 }
 
-/* The load step: the flits of `m` packets (`pk`, [P_ROWS, m], grouped
- * by lane) grouped by stimuli queue.
+/* The load step: the flits of `m` packets (`pk`, [P_ROWS, m] with rows
+ * `stride` apart, grouped by lane) grouped by stimuli queue.
  *
  *   queues     [4, q_cap]   lane, router, vc and cumulative end of each
  *                           queue's run in `flits`: queues grouped by
@@ -512,8 +522,8 @@ int64_t repro_gen_be(
  * all -1 on entry and on return) and `work` (m + q_cap) are scratch.
  * Returns the number of queues.
  */
-int64_t repro_load_flits(
-    int64_t m, const int64_t *pk,
+static int64_t load_flits(
+    int64_t m, const int64_t *pk, int64_t stride,
     int64_t n_keys, int64_t n_vcs, int64_t width, int64_t dw,
     int64_t *queues, int64_t q_cap, int64_t *flits, int64_t n,
     int64_t *key_queue, int64_t *work)
@@ -525,18 +535,18 @@ int64_t repro_load_flits(
     int64_t at = 0, nq = 0;
 
     for (int64_t k = 0; k < m; k++) {
-        const int64_t lane = pk[P_LANE * m + k];
-        const int64_t key = lane * n_keys + pk[P_SRC * m + k] * n_vcs
-                          + pk[P_VC * m + k];
+        const int64_t lane = pk[P_LANE * stride + k];
+        const int64_t key = lane * n_keys + pk[P_SRC * stride + k] * n_vcs
+                          + pk[P_VC * stride + k];
         int64_t qi = key_queue[key];
         if (qi < 0) {
             qi = key_queue[key] = nq++;
             q_lane[qi] = lane;
-            q_router[qi] = pk[P_SRC * m + k];
-            q_vc[qi] = pk[P_VC * m + k];
+            q_router[qi] = pk[P_SRC * stride + k];
+            q_vc[qi] = pk[P_VC * stride + k];
             q_end[qi] = 0;
         }
-        q_end[qi] += packet_flits(pk[P_NBYTES * m + k], bpf);
+        q_end[qi] += packet_flits(pk[P_NBYTES * stride + k], bpf);
         packet_queue[k] = qi;
     }
     at = 0;
@@ -549,15 +559,15 @@ int64_t repro_load_flits(
 
     int64_t *f_word = flits, *f_cycle = flits + n, *f_seq = flits + 2 * n;
     for (int64_t k = 0; k < m; k++) {
-        const int64_t src = pk[P_SRC * m + k], dest = pk[P_DEST * m + k];
-        const int64_t seq = pk[P_SEQ * m + k], gt = pk[P_GT * m + k];
-        const int64_t nbytes = pk[P_NBYTES * m + k];
+        const int64_t src = pk[P_SRC * stride + k], dest = pk[P_DEST * stride + k];
+        const int64_t seq = pk[P_SEQ * stride + k], gt = pk[P_GT * stride + k];
+        const int64_t nbytes = pk[P_NBYTES * stride + k];
         const int64_t chunks = (nbytes + bpf - 1) / bpf;
         const int64_t ramp = gt ? seq : src + seq;
         int64_t w = cursor[packet_queue[k]];
         const int64_t first = w;
         f_word[w++] = ((int64_t)1 << dw) | (dest % width) | ((dest / width) << 4)
-                    | (gt << 8) | (pk[P_TAG * m + k] << 9);
+                    | (gt << 8) | (pk[P_TAG * stride + k] << 9);
         f_word[w++] = ((int64_t)2 << dw) | (src % width) | ((src / width) << 4)
                     | (seq << 8);
         for (int64_t c = 0; c < chunks; c++) {
@@ -568,12 +578,56 @@ int64_t repro_load_flits(
             f_word[w++] = ((int64_t)(c == chunks - 1 ? 3 : 2) << dw) | data;
         }
         for (int64_t i = first; i < w; i++) {
-            f_cycle[i] = pk[P_CYCLE * m + k];
+            f_cycle[i] = pk[P_CYCLE * stride + k];
             f_seq[i] = seq;
         }
         cursor[packet_queue[k]] = w;
     }
     return nq;
+}
+
+/* One window's generate and load steps in one call: repro_gen_be in
+ * generate mode (its arguments; `pk` rows 2 cap apart), then the load
+ * step over the lane-grouped packets it left at column `cap` of `pk`,
+ * read in place.  The flits land in `flits` (rows n apart; `f_cap` words
+ * hold the flits of any window the scan's sizing admits), the queue
+ * table in `queues` (rows nq apart; `q_cap` columns before).
+ * `loaded` returns m, n and nq.  Returns the cycle the scan stopped at.
+ */
+int64_t repro_gen_window(
+    int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
+    const int64_t *thresholds, int64_t bound, int64_t span,
+    const uint32_t *jumps, const uint64_t *tops,
+    int64_t *states, int64_t *tally,
+    int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
+    const int64_t *be_vcs, int64_t n_be_vcs,
+    int64_t n_gt, const int64_t *gt_lane, const int64_t *gt_stream,
+    int64_t *gt_seq, int64_t *work,
+    int64_t *pk, int64_t cap, int64_t budget, int64_t *ends,
+    int64_t dw, int64_t n_keys, int64_t n_vcs, int64_t width,
+    int64_t *queues, int64_t q_cap, int64_t *flits, int64_t f_cap,
+    int64_t *key_queue, int64_t *load_work, int64_t *loaded)
+{
+    const int64_t c = repro_gen_be(
+        lanes, upto, n_src, start, stop, 0, thresholds, bound, span, jumps, tops,
+        states, tally, bpf, be_nbytes, be_seq, toggles, be_vcs, n_be_vcs,
+        n_gt, gt_lane, gt_stream, gt_seq, work, pk, cap, budget, ends);
+    const int64_t m = ends[lanes - 1];
+    int64_t n = 0, nq = 0;
+    for (int64_t l = 0; l < lanes; l++)
+        n += ends[lanes + l];
+    if (3 * n > f_cap)
+        return -1;
+    if (m) {
+        nq = load_flits(m, pk + cap, 2 * cap, n_keys, n_vcs, width, dw,
+                        queues, q_cap, flits, n, key_queue, load_work);
+        for (int64_t r = 1; r < 4; r++) /* the table's rows nq apart */
+            memmove(queues + r * nq, queues + r * q_cap, (size_t)nq * sizeof(int64_t));
+    }
+    loaded[0] = m;
+    loaded[1] = n;
+    loaded[2] = nq;
+    return c;
 }
 
 /* A driver's StimuliQueues, by address: `stores` rows are the table's
@@ -599,7 +653,10 @@ int64_t repro_load_flits(
  * cumulative end in `wf`, `nq_w` columns) register their keys in the
  * stores, in window order.  `fresh` is n_keys zeros of scratch; `marks`
  * returns, per lane, the keys registered before and the entries staged,
- * then the entry total.  Returns the number of staged queues.
+ * then the entry total and the number of lanes whose arena is smaller
+ * than their staged entries.  Returns the number of staged queues, or,
+ * touching nothing, minus the entries `e` needs room for where its
+ * `e_cap` columns fall short (every arena's fill mark and the window).
  */
 int64_t repro_stage(
     int64_t lanes, int64_t n_keys, int64_t n_vcs, const int64_t *stores,
@@ -609,7 +666,13 @@ int64_t repro_stage(
 {
     const int64_t *w_lane = wq, *w_router = wq + nq_w;
     const int64_t *w_vc = wq + 2 * nq_w, *w_end = wq + 3 * nq_w;
-    int64_t nq = 0, ne = 0, j = 0;
+    int64_t nq = 0, ne = 0, j = 0, need = nq_w ? w_end[nq_w - 1] : 0, short_lanes = 0;
+    for (int64_t l = 0; l < lanes; l++) {
+        STORE(l);
+        need += mark[1];
+    }
+    if (need > e_cap)
+        return -need;
     for (int64_t l = 0; l < lanes; l++) {
         STORE(l);
         const int64_t first = ne;
@@ -655,8 +718,10 @@ int64_t repro_stage(
             nq++;
         }
         marks[lanes + l] = ne - first;
+        short_lanes += ne - first > cap;
     }
     marks[2 * lanes] = ne;
+    marks[2 * lanes + 1] = short_lanes;
     return nq;
 }
 
@@ -910,47 +975,118 @@ done:
     return n;
 }
 
-/* Rows of repro_match's per-lane words: where the lane's blocks start in
- * the table and how many it has of each — submits, injections,
- * ejections (the open packets' events first) — its unclaimed HEAD
- * injections (address, row stride, count) and their room, then where its
- * outputs start in the shared ones and the room for open events. */
-enum { L_FIRST, L_SUBMITS, L_INJ, L_EJ, L_HEADS, L_H_STRIDE, L_K, L_K_CAP,
-       L_S_AT, L_M_AT, L_K_AT, L_O_AT, L_O_CAP, L_WORDS };
+/* Words of repro_match's event-log descriptors, one per log (injections,
+ * ejections): its [k, 2] block table (address, row stride), its [k, w]
+ * `lo` / `ends` tables (a column's first event in block k, its event
+ * count through block k) and k, w (repro.engines.eventlog.LogSpan). */
+enum { G_AT, G_LO, G_ENDS, G_BLOCKS, G_WIDTH, G_WORDS };
+
+/* Rows of repro_match's per-lane words: the lane's submit part table
+ * (rows address, row stride, count, keyed: see below) and its length,
+ * its unclaimed HEAD injections (address, row stride, count) and their
+ * room, its open packets' events (address, row stride, count), its
+ * column in both logs and its window of each, then where its outputs
+ * start in the shared ones and the room for open events. */
+enum { L_PARTS, L_N_PARTS, L_HEADS, L_H_STRIDE, L_K, L_K_CAP,
+       L_OPEN, L_O_STRIDE, L_O_N, L_COL, L_INJ_START, L_INJ_STOP,
+       L_EJ_START, L_EJ_STOP, L_S_AT, L_M_AT, L_K_AT, L_O_AT, L_O_CAP,
+       L_WORDS };
+
+/* Append column `col`'s events [start, stop) of the log `g` describes to
+ * the segment table `segs` (rows `seg_cap` apart), one segment a block
+ * that holds any; returns the new segment count.  `routers`, where not
+ * NULL, counts each event's router below `n_routers`. */
+static int64_t log_segments(const int64_t *g, int64_t col, int64_t start, int64_t stop,
+                            int64_t *segs, int64_t seg_cap, int64_t ns,
+                            int64_t rs, int64_t cs, int64_t *routers, int64_t n_routers)
+{
+    const int64_t *at = (const int64_t *)(intptr_t)g[G_AT];
+    const int64_t *lo = (const int64_t *)(intptr_t)g[G_LO];
+    const int64_t *ends = (const int64_t *)(intptr_t)g[G_ENDS];
+    const int64_t width = g[G_WIDTH];
+    int64_t before = 0;
+    for (int64_t k = 0; k < g[G_BLOCKS] && before < stop; k++) {
+        const int64_t end = ends[k * width + col];
+        const int64_t a = start > before ? start : before, z = stop < end ? stop : end;
+        if (z > a) {
+            const int64_t *w0 = (const int64_t *)(intptr_t)at[2 * k]
+                              + lo[k * width + col] + (a - before);
+            segs[ns] = (int64_t)(intptr_t)w0;
+            segs[seg_cap + ns] = at[2 * k + 1];
+            segs[2 * seg_cap + ns] = z - a;
+            ns++;
+            for (int64_t i = 0; routers && i < z - a; i++) {
+                const int64_t router = (w0[i] >> rs) & (((int64_t)1 << (cs - rs)) - 1);
+                if (router < n_routers)
+                    routers[router]++;
+            }
+        }
+        before = end;
+    }
+    return ns;
+}
 
 /* match_lane for each of `lanes` trackers, in one call: lane l's words
- * are `lane` + l * L_WORDS, its blocks columns of the [3, n_table]
- * `blocks` table, its outputs columns of the shared output rows.  Its
- * submit blocks are joined first, in `work` (4 m + k_cap words at
- * least).  counts[4 l .. 4 l + 2] are the lane's counts, counts[4 l + 3]
- * what match_lane returned. */
+ * are `lane` + l * L_WORDS, its events read in place in the two logs
+ * `logs` describes (G_WORDS each), its outputs columns of the shared
+ * output rows.  Its submits are joined first, in `work` (4 m + k_cap
+ * words at least), from its part table: a keyed part's rows are src *
+ * 256 + seq, submit VC, submit cycle; any other part is a submit log's
+ * (repro.traffic.stimuli.SUBMIT_FIELDS: cycle, src, dest, vc, seq).  Its
+ * event blocks are listed in `segs` (3 rows `seg_cap` apart: as many
+ * columns as both logs have blocks, and one).  counts[4 l .. 4 l + 2]
+ * are the lane's counts, counts[4 l + 3] what match_lane returned.
+ * `routers`, where not NULL, gains each lane's window of ejections per
+ * sink router (R words a lane). */
 int64_t repro_match(
     int64_t lanes, int64_t width, int64_t height, int64_t n_vcs, int64_t dw,
     int64_t vs, int64_t rs, int64_t cs,
-    const int64_t *hops, const int64_t *lane, const int64_t *blocks,
-    int64_t n_table, int64_t *scratch, int64_t *work,
+    const int64_t *hops, const int64_t *lane, const int64_t *logs,
+    int64_t *scratch, int64_t *work, int64_t *segs, int64_t seg_cap,
     int64_t *samples, int64_t s_stride, int64_t *submits_left, int64_t m_stride,
     int64_t *heads_left, int64_t k_stride, int64_t *still_open, int64_t o_stride,
-    int64_t *counts)
+    int64_t *counts, int64_t *routers)
 {
     for (int64_t l = 0; l < lanes; l++) {
         const int64_t *w = lane + l * L_WORDS;
-        const int64_t first = w[L_FIRST], inj = first + w[L_SUBMITS];
+        const int64_t *parts = (const int64_t *)(intptr_t)w[L_PARTS];
         int64_t m = 0;
-        for (int64_t b = first; b < inj; b++)
-            m += blocks[2 * n_table + b];
-        for (int64_t b = first, at = 0; b < inj; b++) {
-            const int64_t *from = (const int64_t *)(intptr_t)blocks[b];
-            const int64_t stride = blocks[n_table + b], count = blocks[2 * n_table + b];
-            for (int64_t r = 0; r < 3; r++)
-                memcpy(work + r * m + at, from + r * stride, (size_t)count * sizeof(int64_t));
+        for (int64_t p = 0; p < w[L_N_PARTS]; p++)
+            m += parts[4 * p + 2];
+        for (int64_t p = 0, at = 0; p < w[L_N_PARTS]; p++) {
+            const int64_t *from = (const int64_t *)(intptr_t)parts[4 * p];
+            const int64_t stride = parts[4 * p + 1], count = parts[4 * p + 2];
+            if (parts[4 * p + 3]) {
+                for (int64_t r = 0; r < 3; r++)
+                    memcpy(work + r * m + at, from + r * stride,
+                           (size_t)count * sizeof(int64_t));
+            } else {
+                for (int64_t i = 0; i < count; i++) {
+                    work[at + i] = from[stride + i] * 256 + (from[4 * stride + i] & 0xFF);
+                    work[m + at + i] = from[3 * stride + i];
+                    work[2 * m + at + i] = from[i];
+                }
+            }
             at += count;
         }
+        const int64_t col = w[L_COL];
+        int64_t ns = log_segments(logs, col, w[L_INJ_START], w[L_INJ_STOP],
+                                  segs, seg_cap, 0, rs, cs, NULL, 0);
+        const int64_t n_inj = ns;
+        if (w[L_O_N]) {
+            segs[ns] = w[L_OPEN];
+            segs[seg_cap + ns] = w[L_O_STRIDE];
+            segs[2 * seg_cap + ns] = w[L_O_N];
+            ns++;
+        }
+        ns = log_segments(logs + G_WORDS, col, w[L_EJ_START], w[L_EJ_STOP],
+                          segs, seg_cap, ns, rs, cs,
+                          routers ? routers + l * width * height : NULL, width * height);
         int64_t *const c = counts + 4 * l;
         c[3] = match_lane(
             width, height, n_vcs, dw, vs, rs, cs, hops, work, m,
             (const int64_t *)(intptr_t)w[L_HEADS], w[L_H_STRIDE], w[L_K], w[L_K_CAP],
-            blocks + inj, n_table, w[L_INJ], w[L_INJ] + w[L_EJ],
+            segs, seg_cap, n_inj, ns,
             scratch, work + 3 * m, samples + w[L_S_AT], s_stride,
             submits_left + w[L_M_AT], m_stride, heads_left + w[L_K_AT], k_stride,
             still_open + w[L_O_AT], o_stride, w[L_O_CAP], c);
@@ -1014,13 +1150,8 @@ def pointer(ffi, array):
 #: ``repro_match``'s return for a stream outside the fabric's tables.
 MATCH_DECLINED = -7
 
-
-def _columns(block):
-    """``block`` as ``repro_match`` reads it in place: int64 columns one
-    word apart (rows any distance apart); a copy only where it is not."""
-    if block.dtype == np.int64 and block.strides[1] == 8:
-        return block
-    return np.ascontiguousarray(block, dtype=np.int64)
+#: an empty queue of ``rows`` rows
+_NO_COLUMNS = {rows: np.empty((rows, 0), dtype=np.int64) for rows in (2, 3)}
 
 
 class PacketMatch:
@@ -1046,71 +1177,94 @@ class PacketMatch:
         submits, head_injects, open events)``.  Has ``refuse(code,
         *particulars)`` raise for a stream no sink accepts; ``None`` for
         one outside the fabric's tables."""
-        (found,) = self.lanes([([submits], head_injects, still_open, injections, ejections)])
+        (found,) = self.lanes(
+            [([submits], head_injects, still_open)],
+            LogSpan.of_blocks([injections]),
+            LogSpan.of_blocks([ejections]),
+        )
         if type(found) is tuple:
             refuse(*found)
         return found
 
-    def lanes(self, windows) -> list:
-        """One pass over several trackers' windows, each ``(submit blocks,
-        head injections, open events, injection blocks, ejection
-        blocks)``.  Per window: its ``[samples, submits, head
-        injections, open events]`` (the samples a column slice of an
-        array the windows share), ``None`` for a stream outside the
-        fabric's tables, or
-        ``(code, *particulars)`` for one a sink refuses.  Every block is
-        read in place."""
-        lanes = []
-        for submits, heads, still_open, injections, ejections in windows:
-            submits = list(map(_columns, submits))
-            events = list(map(_columns, (*injections, still_open, *ejections)))
-            sizes = [block.shape[1] for block in events]
-            first, m = len(injections), sum(block.shape[1] for block in submits)
-            ejected = sum(sizes[first:])
+    def lanes(self, windows, injections, ejections, routers=None) -> list:
+        """One pass over several trackers' windows: tracker ``i``'s is
+        ``windows[i]`` — its submit parts (each a keyed ``[3, n]`` block or
+        submit-log columns, rows ``SUBMIT_FIELDS``), head injections and
+        open events — and reader ``i`` of the :class:`LogSpan`\\ s
+        ``injections`` and ``ejections``.  Per window: its ``[samples,
+        submits, head injections, open events]`` (column slices of
+        arrays the windows share), ``None`` for a stream outside the
+        fabric's tables, or ``(code, *particulars)`` for one a sink
+        refuses.  Every block is read in place.  ``routers`` (``[lanes,
+        R]``), where given, gains each reader's ejections per sink
+        router."""
+        parts, kept, lanes = [], [], []
+        injected, ejected_log = injections.sizes().tolist(), ejections.sizes().tolist()
+        widest = ejections.widest().tolist()
+        for i, (submits, heads, still_open) in enumerate(windows):
+            first, m = len(parts), 0
+            for block in submits:
+                if block.shape[1]:
+                    block = columns(block)
+                    kept.append(block)  # the address must outlive the call
+                    parts.append(
+                        (block.ctypes.data, block.strides[0] // 8, block.shape[1], len(block) == 3)
+                    )
+                    m += block.shape[1]
+            heads, still_open = columns(heads), columns(still_open)
+            n_open = still_open.shape[1]
+            ejected = n_open + ejected_log[i]
             # a HEAD is injected for a submit, a sample pops one and ends
             # three flits; the open packets' events seldom outnumber a
             # part of the log
             caps = [
                 min(ejected // 3, m) + 1,
                 m,
-                heads.shape[1] + min(sum(sizes[:first]), m),
-                min(ejected, max(sizes[first:]) + sizes[first]),
+                heads.shape[1] + min(injected[i], m),
+                min(ejected, max(widest[i], n_open) + n_open),
             ]
-            lanes.append((submits, events, _columns(heads), first, caps))
-        blocks = [block for submits, events, *_ in lanes for block in (*submits, *events)]
-        ffi = self._ffi
-        table = np.array(
+            lanes.append((first, len(parts) - first, heads, still_open, caps))
+        table = np.array(parts, dtype=np.int64).reshape(len(parts), 4)
+        logs = np.array(
             [
-                # a row's buffer names the block's address (half the cost
-                # of `.ctypes.data`, a few hundred blocks a pass)
-                [int(ffi.cast("intptr_t", ffi.from_buffer(block[0]))) for block in blocks],
-                [block.strides[0] // 8 for block in blocks],
-                [block.shape[1] for block in blocks],
+                word
+                for span in (injections, ejections)
+                for word in (
+                    span.at.ctypes.data, span.lo.ctypes.data, span.ends.ctypes.data,
+                    *span.ends.shape,
+                )
             ],
             dtype=np.int64,
         )
+        cols = injections.cols.tolist()
+        bounds = np.stack(
+            [injections.start, injections.stop, ejections.start, ejections.stop], axis=1
+        ).tolist()
+        segs = np.empty((3, len(injections.at) + len(ejections.at) + 1), dtype=np.int64)
         at = lambda array: pointer(self._ffi, array)  # noqa: E731
         if self._scratch is None:
             self._scratch = np.full(self._scratch_size, -1, dtype=np.int64)
         while True:
-            words, ends, base = [], [0, 0, 0, 0], 0
-            for submits, events, heads, first, caps in lanes:
+            words, ends = [], [0, 0, 0, 0]
+            for (first, n_parts, heads, still_open, caps), col, bound in zip(lanes, cols, bounds):
                 words.append(
-                    [base, len(submits), first, len(events) - first, heads.ctypes.data,
-                     heads.strides[0] // 8, heads.shape[1], caps[2], *ends, caps[3]]
+                    [table.ctypes.data + 32 * first, n_parts,
+                     heads.ctypes.data, heads.strides[0] // 8, heads.shape[1], caps[2],
+                     still_open.ctypes.data, still_open.strides[0] // 8, still_open.shape[1],
+                     col, *bound, *ends, caps[3]]
                 )
-                base += len(submits) + len(events)
                 ends = [end + cap for end, cap in zip(ends, caps)]
             out = [np.empty((rows, end), dtype=np.int64) for rows, end in zip((8, 3, 2, 2), ends)]
             word_table = np.array(words, dtype=np.int64)
             counts = np.empty((len(lanes), 4), dtype=np.int64)
             work = np.empty(max(4 * caps[1] + caps[2] for *_, caps in lanes), dtype=np.int64)
             self._lib.repro_match(
-                len(lanes), *self._fabric, at(word_table), at(table), table.shape[1],
-                at(self._scratch), at(work),
+                len(lanes), *self._fabric, at(word_table), at(logs),
+                at(self._scratch), at(work), at(segs), segs.shape[1],
                 *[arg for block in out for arg in (at(block), block.shape[1])],
-                at(counts),
+                at(counts), self._ffi.NULL if routers is None else at(routers),
             )
+            routers = None  # counted once
             found, short = [], False
             for (*_, caps), word, (left_m, left_k, left_o, n) in zip(lanes, words, counts.tolist()):
                 if n == MATCH_DECLINED:
@@ -1119,19 +1273,17 @@ class PacketMatch:
                     found.append((n, left_m, left_k))
                 elif left_o > caps[3]:
                     caps[3], short = left_o, True
-                else:  # the queues' leftovers are copied: they outlive the call
-                    samples, *left = (
-                        block[:, lo : lo + used]
-                        for block, lo, used in zip(out, word[8:12], (n, left_m, left_k, left_o))
+                else:  # read in place by the next call; an empty queue holds no output
+                    found.append(
+                        [
+                            block[:, lo : lo + used] if used or rows == 8 else _NO_COLUMNS[rows]
+                            for block, rows, lo, used in zip(
+                                out, (8, 3, 2, 2), word[14:18], (n, left_m, left_k, left_o)
+                            )
+                        ]
                     )
-                    found.append([samples, *(block.copy() for block in left)])
             if not short:
                 return found
-
-
-#: the queue table and flit columns of a window without packets.
-_NO_QUEUES = np.empty((4, 0), dtype=np.int64)
-_NO_FLITS = np.empty((3, 0), dtype=np.int64)
 
 
 class BatchedBeGenerator(WindowSource):
@@ -1227,26 +1379,46 @@ class BatchedBeGenerator(WindowSource):
             n_gt, at(self._gt_lane), at(self._gt_stream), at(self._gt_seq),
             at(self._work), at(self._packets), cap, self.budget, at(self._ends),
         )
-        self._p_key_queue = at(self._key_queue)
-        #: the load step's scratch: a window's queue table, then its work
-        #: words (grow-only)
-        self._load_work = np.empty(0, dtype=np.int64)
+        # the load step's scratch, read until the window is staged: the
+        # flits of a window one cycle past its budget, the queue table
+        # (one queue per lane and key at most), the work words
+        bpf = net.router.data_width // 8
+        most = max(self._be_nbytes.max(), self._gt_lane[2].max())
+        per_packet = 2 + -(-int(most) // bpf)
+        self._flits = np.empty(3 * (self.budget + lanes * (self.n_src + n_gt) * per_packet),
+                               dtype=np.int64)
+        q_cap = lanes * self._n_keys
+        self._queues = np.empty(4 * q_cap, dtype=np.int64)
+        self._loaded = np.zeros(3, dtype=np.int64)
+        #: repro_gen_window's arguments after `ends`
+        self._load_args = (
+            net.router.data_width, self._n_keys, net.router.n_vcs, net.width,
+            at(self._queues), q_cap, at(self._flits), self._flits.size,
+            at(self._key_queue), at(np.empty(cap + q_cap, dtype=np.int64)), at(self._loaded),
+        )
 
-    def _call(self, upto: int, start: int, stop: int, probe: int) -> int:
+    def _call(self, upto: int, start: int, stop: int, probe: int, load: bool = False) -> int:
         """One C scan from ``start``, to ``stop`` at most, over the live
-        LFSRs of lanes ``[0, upto)``; the generators' ``state`` /
-        ``words_read`` are carried in and out.  Returns the cycle the
-        scan stopped at."""
+        LFSRs of lanes ``[0, upto)``, with a ``load`` the window's load
+        step behind it; the generators' ``state`` / ``words_read`` are
+        carried in and out.  Returns the cycle the scan stopped at."""
         live = self._live
         if upto < len(self.drivers):
             live = [(lane, be) for lane, be in live if lane < upto]
         for lane, be in live:
             self._states[lane] = be.rng.state
         self._tally[:] = 0
-        stopped = self._lib.repro_gen_be(
-            len(self.drivers), upto, self.n_src, start, stop, probe,
-            *self._scan_args,
-        )
+        lanes, lib = len(self.drivers), self._lib
+        if load:
+            stopped = lib.repro_gen_window(
+                lanes, upto, self.n_src, start, stop, *self._scan_args, *self._load_args
+            )
+            if stopped < 0:
+                raise RuntimeError("a window's flits outgrew the load scratch")
+        else:
+            stopped = lib.repro_gen_be(
+                lanes, upto, self.n_src, start, stop, probe, *self._scan_args
+            )
         tally = self._tally.tolist()
         new_states = self._states.tolist()
         for lane, be in live:
@@ -1255,7 +1427,7 @@ class BatchedBeGenerator(WindowSource):
         self.probe_words += tally[-1]
         return stopped
 
-    def _generate(self, upto: int, start: int, limit: int) -> Tuple[Tuple, int]:
+    def _generate(self, upto: int, start: int, limit: int, load: bool = False) -> Tuple[Tuple, int]:
         """Scan lanes ``[0, upto)`` from ``start`` in generate mode: the
         packets land in the scratch columns.  Returns the state the scan
         started from (a rewind snapshot) and the cycle it stopped at."""
@@ -1265,47 +1437,28 @@ class BatchedBeGenerator(WindowSource):
             self._toggles.copy(),
             self._gt_seq.copy(),
         )
-        return snapshot, self._call(upto, start, limit, 0)
+        return snapshot, self._call(upto, start, limit, 0, load)
 
     def scan(self, start: int, limit: int) -> Stimuli:
-        snapshot, stop = self._generate(len(self.drivers), start, limit)
+        """The window from ``start`` (to ``limit`` at most) as the chunk
+        kernel stages it, in one C call: the scan, then the load step.
+        Its flits and queue table are views of this source's scratch,
+        good until the next scan (the window is staged by then); its
+        packets are copied out, since the submit logs keep them."""
+        snapshot, stop = self._generate(len(self.drivers), start, limit, load=True)
+        m, n, n_queues = self._loaded.tolist()
         cap = self._packets.shape[1] // 2
         lane_ends, lane_flits = self._ends.tolist()
         stimuli = Stimuli(
-            start, stop, self._packets[:, cap : cap + lane_ends[-1]].copy(),
-            lane_ends, snapshot=snapshot, source=self,
+            start, stop, self._packets[:, cap : cap + m].copy(), lane_ends,
+            snapshot=snapshot, source=self,
         )
         stimuli.lane_flits = lane_flits  # the scan counted them already
+        stimuli.flits = self._flits[: 3 * n].reshape(3, n)
+        stimuli.queues = self._queues[: 4 * n_queues].reshape(4, n_queues)
         return stimuli
 
-    def generate_window(self, start: int, limit: int) -> Stimuli:
-        """The window from ``start`` (:meth:`scan`: to ``limit`` at most)
-        as the chunk kernel stages it: one C scan, one C load."""
-        return self.load_flits(self.scan(start, limit))
-
-    def load_flits(self, stimuli: Stimuli) -> Stimuli:
-        """The load step of a scanned window (``Stimuli.load``): its flit
-        words, grouped by stimuli queue."""
-        packets = stimuli.packets
-        m, n = packets.shape[1], sum(stimuli.lane_flits)
-        if not m:
-            stimuli.queues, stimuli.flits = _NO_QUEUES, _NO_FLITS
-            return stimuli
-        net, ffi = self._net, self._ffi
-        q_cap = min(m, len(self._key_queue))
-        if self._load_work.size < 5 * q_cap + m:  # the queue table, the work words
-            self._load_work = np.empty(5 * q_cap + m, dtype=np.int64)
-            self._p_load_work = pointer(ffi, self._load_work)
-        flits = np.empty((3, n), dtype=np.int64)
-        n_queues = self._lib.repro_load_flits(
-            m, pointer(ffi, packets),
-            self._n_keys, net.router.n_vcs, net.width, net.router.data_width,
-            self._p_load_work, q_cap, pointer(ffi, flits), n,
-            self._p_key_queue, self._p_load_work + 4 * q_cap,
-        )
-        stimuli.queues = self._load_work[: 4 * q_cap].reshape(4, q_cap)[:, :n_queues].copy()
-        stimuli.flits = flits
-        return stimuli
+    generate_window = scan
 
     def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
         rngs, self._be_seq[:], self._toggles[:], self._gt_seq[:] = stimuli.snapshot

@@ -91,6 +91,11 @@ class EventLayout:
         rows = np.broadcast_arrays((cycle << cs) | (router << rs) | (vc << vs) | delay, flit)
         return np.array(rows, dtype=np.int64).reshape(2, -1)
 
+    def routers(self, words):
+        """The router field alone of packed words (:meth:`unpack`'s second)."""
+        _, rs, cs = self.shifts
+        return (words[0] >> rs) & ((1 << (cs - rs)) - 1)
+
     def unpack(self, words):
         """``cycle, router, vc, flit, delay`` of packed words: the rows of
         a block, or one event's words."""

@@ -135,11 +135,8 @@ class RoutingTable:
 
         net = self.net
         packed = np.full((net.n_routers, 256), -1, dtype=np.int64)
-        for dest in range(net.n_routers):
-            x, y = net.coords(dest)
-            code = (y << 4) | x
-            for r in range(net.n_routers):
-                packed[r, code] = int(self.table[r][dest])
+        codes = [(y << 4) | x for x, y in map(net.coords, range(net.n_routers))]
+        packed[:, codes] = self.table
         return packed
 
     def recompute_avoiding(self, blocked: Iterable[Tuple[int, int]]) -> None:

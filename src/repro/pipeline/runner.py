@@ -33,9 +33,9 @@ each step may touch while a window simulates is the whole design:
   it ran).  Engines without the generated body (``kernel="python"``, a
   pre-step hook) step each window in the caller instead
   (:func:`~repro.traffic.stimuli.step_window`).
-* **retrieve** — :func:`~repro.engines.eventlog.window_blocks` below
-  the log bounds the booked window left: per log and lane, its columns
-  of the window's blocks of packed words, read in place (a Python
+* **retrieve** — :func:`~repro.engines.eventlog.log_span` below the
+  log bounds the booked window left: per log, every lane's events of
+  the window named by the log's block tables, read in place (a Python
   engine's record lists are packed once).
 * **analyze** — :meth:`Analysis.add`: the report's own trackers and
   counters.
@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.engines.base import lane_views
 from repro.engines.batch import BatchEngine, chunk_kernel, drain_batched, window_source
-from repro.engines.eventlog import lane_lengths, window_blocks
+from repro.engines.eventlog import lane_lengths, log_span
 from repro.noc.config import NetworkConfig
 from repro.platform.profiler import PipelineProfiler
 from repro.stats.histogram import Histogram
@@ -91,8 +91,8 @@ class Analysis:
     def add(self, stimuli, injections, ejections) -> None:
         """Fold in one window: its submits noted on the trackers from the
         packet columns (``stimuli`` is ``None`` for the drain), then every
-        lane's events — per log and lane, a list of blocks of packed
-        words — matched in one pass
+        lane's events — per log, a :class:`~repro.engines.eventlog.LogSpan`
+        — matched and their sink routers counted in one pass
         (:func:`~repro.stats.latency.collect_lanes`).  Every window's
         submits are noted before its events are matched, so per-key FIFO
         matching pops the same submit the end-of-run collection would."""
@@ -106,15 +106,10 @@ class Analysis:
             for lane, hi in enumerate(stimuli.lane_ends):
                 self.submit_counts[lane] += hi - lo
                 lo = hi
-        collect_lanes(self.trackers, injections, ejections)
-        for lane, (injected, ejected) in enumerate(zip(injections, ejections)):
-            self.inj_counts[lane] += sum(block.shape[1] for block in injected)
-            self.ej_counts[lane] += sum(block.shape[1] for block in ejected)
-            for block in ejected:
-                self.eject_router_counts[lane] += np.bincount(
-                    self.net.router.event_layout.unpack(block)[1],
-                    minlength=self.net.n_routers,
-                )
+        collect_lanes(self.trackers, injections, ejections, self.eject_router_counts)
+        for counts, span in ((self.inj_counts, injections), (self.ej_counts, ejections)):
+            for lane, n in enumerate(map(int, span.sizes())):
+                counts[lane] += n
 
     @property
     def histograms(self) -> List[Histogram]:
@@ -244,7 +239,7 @@ def run_pipeline(
     def analyse(window, spans) -> None:
         with prof.busy("retrieve"):
             injections, ejections = (
-                window_blocks(log, lo, hi, net.router.event_layout)
+                log_span(log, lo, hi, net.router.event_layout)
                 for log, (lo, hi) in zip(logs, spans)
             )
         prof.add_items("retrieve", 1)

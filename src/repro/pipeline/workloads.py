@@ -51,10 +51,10 @@ def stream_fig1_sweep(
     from repro.traffic import BernoulliBeTraffic, GtStreamTraffic, uniform_random
 
     net = fig1_network()
-    # one reservation table for every lane and point (streams are immutable)
-    streams = fig1_gt_streams(net).streams
-    warmup = gt_period if warmup is None else warmup
     engine = BatchEngine(net, lanes=len(be_loads))
+    # one reservation table for every lane and point (streams are immutable)
+    streams = fig1_gt_streams(net, engine.routing).streams
+    warmup = gt_period if warmup is None else warmup
     drivers = [
         TrafficDriver(
             engine.lane(lane),

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.engines.eventlog import log_blocks, pack_records
+from repro.engines.eventlog import LogSpan, log_span, pack_records
 from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.flit import (
     GT_FIELD,
@@ -193,6 +193,16 @@ _NO_SAMPLES = [np.empty((8, 0), dtype=np.int64)]
 _HEAD_WHILE_OPEN, _NO_HEAD, _TOO_SHORT, _OFF_SRC, _OFF_DEST, _NO_SUBMIT = range(-1, -7, -1)
 
 
+def _keyed(part):
+    """A tracker's submit part as rows ``src * 256 + seq, vc, cycle``: a
+    keyed block as it is, a submit log's columns (rows
+    :data:`~repro.traffic.stimuli.SUBMIT_FIELDS`) keyed."""
+    if len(part) == 3:
+        return part
+    cycle, src, _, vc, seq = part[:5]
+    return np.array([src * _SEQS + (seq & SEQ_FIELD[1]), vc, cycle], dtype=np.int64)
+
+
 def _stable_order(keys):
     """Stable sort order of non-negative ``keys``; 16-bit keys get
     NumPy's radix sort."""
@@ -290,8 +300,11 @@ class PacketLatencyTracker:
         self._submits.append(np.array([keys, vcs, cycles], dtype=np.int64))
 
     def _pending_block(self):
-        if len(self._submits) > 1:
-            self._submits = [np.concatenate(self._submits, axis=1)]
+        """The outstanding submits as one keyed block (a part of a submit
+        log is keyed on the way)."""
+        submits = self._submits
+        if len(submits) > 1 or len(submits[0]) != 3:
+            self._submits = [np.concatenate(list(map(_keyed, submits)), axis=1)]
         return self._submits[0]
 
     def pending(self) -> List[Tuple[int, int, int, int]]:
@@ -308,9 +321,10 @@ class PacketLatencyTracker:
         injections = engine.injections
         ejections = engine.ejections
         n_inj, n_ej = len(injections), len(ejections)
-        self._collect(
-            log_blocks(injections, self._inj_seen, n_inj, self.layout),
-            log_blocks(ejections, self._ej_seen, n_ej, self.layout),
+        collect_lanes(
+            [self],
+            log_span([injections], [self._inj_seen], [n_inj], self.layout),
+            log_span([ejections], [self._ej_seen], [n_ej], self.layout),
         )
         self._inj_seen = n_inj
         self._ej_seen = n_ej
@@ -557,24 +571,36 @@ def note_lanes(trackers, columns, lane_ends) -> None:
         lo = hi
 
 
-def collect_lanes(trackers, injections, ejections) -> None:
+def collect_lanes(trackers, injections, ejections, routers=None) -> None:
     """:meth:`PacketLatencyTracker.collect_records` for every tracker,
-    tracker ``i`` taking the event blocks ``injections[i]`` and
-    ``ejections[i]`` (each a list of blocks of packed words, in log
-    order): one C pass over all of them where the trackers have the C
-    body.  Trackers take their results in order, so a window a sink
-    refuses raises with the trackers before it updated and it and those
-    after it as they were."""
+    tracker ``i`` taking reader ``i``'s events of the
+    :class:`~repro.engines.eventlog.LogSpan`\\ s ``injections`` and
+    ``ejections`` (or of per-tracker lists of blocks of packed words, in
+    log order): one C pass over all of them, read in place, where the
+    trackers have the C body.  Trackers take their results in order, so
+    a window a sink refuses raises with the trackers before it updated
+    and it and those after it as they were.  ``routers`` (``[trackers,
+    R]``), where given, gains each tracker's ejections per sink router."""
+    if not isinstance(injections, LogSpan):
+        injections, ejections = (
+            LogSpan.of_blocks(
+                [list(map(tracker._events, blocks)) for tracker, blocks in zip(trackers, logs)]
+            )
+            for logs in (injections, ejections)
+        )
     match = trackers[0]._c_match if trackers else None
-    windows = [
-        (tracker._submits, tracker._head_injects, tracker._open,
-         list(map(tracker._events, inj)), list(map(tracker._events, ej)))
-        for tracker, inj, ej in zip(trackers, injections, ejections)
-    ]
-    found = match.lanes(windows) if match else [None] * len(windows)
-    for tracker, inj, ej, result in zip(trackers, injections, ejections, found):
+    windows = [(tracker._submits, tracker._head_injects, tracker._open) for tracker in trackers]
+    found = [None] * len(trackers)
+    if match:
+        found = match.lanes(windows, injections, ejections, routers)
+    elif routers is not None:
+        layout = trackers[0].layout
+        for lane in range(len(trackers)):
+            for block in ejections.blocks(lane):
+                routers[lane] += np.bincount(layout.routers(block), minlength=routers.shape[1])
+    for lane, (tracker, result) in enumerate(zip(trackers, found)):
         if result is None:  # the NumPy body's to judge
-            tracker._collect(inj, ej)
+            tracker._collect(injections.blocks(lane), ejections.blocks(lane))
         elif type(result) is tuple:
             tracker._refuse(*result)
         else:
@@ -585,24 +611,28 @@ def analyse_lanes(drivers) -> List[PacketLatencyTracker]:
     """Every lane's latency analysis in one pass once its run has
     drained — the batched sweeps' schedule of what the streamed run's
     :class:`~repro.pipeline.runner.Analysis` does window by window.  Each
-    lane's submits are noted part by part from its driver's submit log,
-    then :func:`collect_lanes` matches every lane's whole event logs,
-    read in place.  Matching is FIFO per key, so the samples are the
-    ones window-by-window matching finds (DESIGN section 15).  Each
-    driver is handed its lane's tracker; returns them."""
+    lane's tracker takes its driver's submit log part by part, as it
+    lies, then :func:`collect_lanes` matches every lane's whole event
+    logs, named by their tables and read in place.  Matching is FIFO
+    per key, so the samples are the ones window-by-window matching finds
+    (DESIGN section 15).  Each driver is handed its lane's tracker;
+    returns them."""
     trackers = [PacketLatencyTracker(driver.net) for driver in drivers]
     for tracker, driver in zip(trackers, drivers):
         log = driver.submits
-        for cycle, src, _, vc, seq in (block[:5] for block in log.blocks(0, len(log))):
-            tracker.note_submits(src, seq, vc, cycle)
+        tracker._submits += log.blocks(0, len(log))
     logs = [(driver.engine.injections, driver.engine.ejections) for driver in drivers]
+    seen = [[len(log) for log in lane] for lane in logs]
+    layout = trackers[0].layout if trackers else None
     collect_lanes(
         trackers,
-        [log_blocks(inj, 0, len(inj), t.layout) for t, (inj, _) in zip(trackers, logs)],
-        [log_blocks(ej, 0, len(ej), t.layout) for t, (_, ej) in zip(trackers, logs)],
+        *(
+            log_span([lane[kind] for lane in logs], [0] * len(logs), [n[kind] for n in seen], layout)
+            for kind in (0, 1)
+        ),
     )
-    for driver, tracker, (inj, ej) in zip(drivers, trackers, logs):
-        tracker._inj_seen, tracker._ej_seen = len(inj), len(ej)
+    for driver, tracker, (n_inj, n_ej) in zip(drivers, trackers, seen):
+        tracker._inj_seen, tracker._ej_seen = n_inj, n_ej
         driver.attach_tracker(tracker)
     return trackers
 

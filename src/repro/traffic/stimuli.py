@@ -261,12 +261,10 @@ class Stimuli:
     def load(self, net: NetworkConfig, encoder: Optional[FlitEncoder]) -> "Stimuli":
         """Segment and flit-encode the packets into the queue-grouped
         flit columns (pure: the paper's load step).  A C-scanned window
-        is laid out by the traffic kernel; packet objects go through
+        comes loaded by the traffic kernel; packet objects go through
         ``encoder``."""
         if self.flits is not None:
             return self
-        if self.objects is None:
-            return self.source.load_flits(self)
         index: Dict[Tuple[int, int, int], int] = {}
         runs: List[Tuple[List[int], List[int], List[int]]] = []
         lane_flits = [0] * len(self.lane_ends)

@@ -573,6 +573,54 @@ class TestStreamedExperimentSweeps:
         assert chunks and all(window for _, window in chunks)
 
     @pytest.mark.parametrize("host", ["cc", "no_cc"])
+    def test_the_batched_analysis_reads_the_logs_by_table(self, host, request, monkeypatch):
+        """The one analysis pass of a batched Fig. 1 sweep names every
+        lane's events by the packed logs' block tables: no lane view,
+        log piece or per-lane block list is built on the compiled path,
+        and the points are the solo golden engine's.  A host without a
+        compiler runs golden lanes, whose record logs the NumPy body
+        matches, to the same points."""
+        import dataclasses
+
+        import repro.engines
+        from repro.engines import CycleEngine, eventlog
+        from repro.experiments.common import run_fig1_workload, run_fig1_workloads_batched
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the analysis read a log lane by lane")
+
+        loads, sized = (0.0, 0.06, 0.14), dict(seed=7, warmup=65)
+        # extra_delta_fraction is the engine's own accounting, not a result
+        golden = [
+            dataclasses.replace(
+                run_fig1_workload(load, 150, engine_cls=CycleEngine, **sized),
+                extra_delta_fraction=None,
+            )
+            for load in loads
+        ]
+        if host == "no_cc":
+            request.getfixturevalue("no_cc")
+        else:
+            for owner, name in (
+                (eventlog.LaneView, "blocks"),
+                (eventlog.PackedLog, "pieces"),
+                (eventlog, "log_blocks"),
+            ):
+                monkeypatch.setattr(owner, name, refused)
+        swept, run_batched = [], repro.engines.run_batched
+        monkeypatch.setattr(
+            repro.engines,
+            "run_batched",
+            lambda engine, drivers, cycles: (swept.append(drivers), run_batched(engine, drivers, cycles))[1],
+        )
+        points = run_fig1_workloads_batched(loads, 150, **sized)
+        (drivers,) = swept
+        body = "numpy" if host == "no_cc" else "c"
+        assert [driver.tracker.kernel for driver in drivers] == [body] * len(loads)
+        assert [dataclasses.replace(p, extra_delta_fraction=None) for p in points] == golden
+        assert points[-1].be_packets > 20
+
+    @pytest.mark.parametrize("host", ["cc", "no_cc"])
     def test_batched_sweeps_hand_each_driver_its_lanes_tracker(
         self, host, request, monkeypatch
     ):
