@@ -118,7 +118,6 @@ in a warm-cache process).
 
 from __future__ import annotations
 
-import string
 import time
 from typing import Optional, Sequence, Tuple
 
@@ -158,7 +157,18 @@ int64_t repro_level_chunk(
     int64_t *wires, int64_t *deltas, int64_t *done)
 """
 
-_TEMPLATE = string.Template(
+def _fill(template: str, **values) -> str:
+    """``template`` with each ``${name}`` in it replaced by
+    ``str(values[name])``."""
+    head, *parts = template.split("${")
+    out = [head]
+    for part in parts:
+        name, tail = part.split("}", 1)
+        out += (str(values[name]), tail)
+    return "".join(out)
+
+
+_TEMPLATE = (
     """
 /* Generated by repro.kernels.batchlevel -- do not edit.
  * Specialized activity-driven batch-chunk kernel: ${spec}
@@ -1022,7 +1032,7 @@ void repro_fabric_close(int64_t *fabric);
 """
 
 #: the fabric thread: ``repro_level_chunk`` calls beside the caller.
-_FABRIC = string.Template(
+_FABRIC = _fill(
     """
 /* ---- the fabric thread: the paper's FPGA beside its ARM ----
  * repro_fabric_open starts a thread that runs the repro_level_chunk
@@ -1166,8 +1176,7 @@ void repro_fabric_close(int64_t *fabric)
     pthread_cond_destroy(&f->cond);
     pthread_mutex_destroy(&f->lock);
 }
-"""
-).substitute(
+""",
     fields="\n".join(f"    {decl};" for decl, _ in _PARAMS),
     args=", ".join(f"f->{name}" for _, name in _PARAMS),
     post=_FABRIC_POST,
@@ -1214,7 +1223,8 @@ _STATE_FIELDS = (
 def generate_level_source(spec, layout) -> str:
     """The specialized C translation unit for ``spec``, writing events
     in ``layout``'s packed words."""
-    return _TEMPLATE.substitute(
+    return _fill(
+        _TEMPLATE,
         spec=" ".join(f"{k}={v}" for k, v in sorted(vars(spec).items())),
         P=spec.n_ports,
         V=spec.n_vcs,
