@@ -119,6 +119,7 @@ in a warm-cache process).
 from __future__ import annotations
 
 import time
+from operator import is_not
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -1220,6 +1221,10 @@ _STATE_FIELDS = (
 )
 
 
+#: the store fields :meth:`CompiledBatchLevel._rebind` binds by identity
+_BOUND = (*_STATE_FIELDS, "depth")
+
+
 def generate_level_source(spec, layout) -> str:
     """The specialized C translation unit for ``spec``, writing events
     in ``layout``'s packed words."""
@@ -1430,16 +1435,11 @@ class CompiledBatchLevel:
         self._template = None
 
     def _stale(self) -> bool:
-        engine = self.engine
-        state = engine.state
-        bound = self._bound
+        engine, bound = self.engine, self._bound
         if engine._route is not bound["route_src"]:
             return True
-        if state.depth is not bound["depth"]:
-            return True
-        return any(
-            getattr(state, name) is not bound[name] for name in _STATE_FIELDS
-        )
+        state = vars(engine.state)
+        return any(map(is_not, map(state.get, _BOUND), map(bound.get, _BOUND)))
 
     # -- execution ----------------------------------------------------------
     def _args(self, n_cycles, stall_limit, n_queues, events, done=None) -> tuple:
@@ -1471,16 +1471,16 @@ class CompiledBatchLevel:
         args[-1] = self._ffi.NULL if done is None else done
         return tuple(args)
 
-    def _collect(self) -> np.ndarray:
-        """The last call's events per lane — ``[2, lanes]``: injections,
-        ejections — with its activity booked."""
+    def _collect(self) -> Tuple[int, np.ndarray]:
+        """The last call's completed cycles and its events per lane —
+        ``[2, lanes]``: injections, ejections — with its activity booked."""
         engine = self.engine
-        _, evals, lane_cycles, replays, hbr_evals = self._scratch["counts"].tolist()
+        completed, evals, lane_cycles, replays, hbr_evals = self._scratch["counts"].tolist()
         engine.kernel_router_evals += evals
         engine.kernel_hbr_evals += hbr_evals
         engine.kernel_lane_cycles += lane_cycles
         engine.kernel_replays += replays
-        return self._scratch["lane_n"][: 2 * engine.lanes].reshape(2, -1).copy()
+        return completed, self._scratch["lane_n"][: 2 * engine.lanes].reshape(2, -1).copy()
 
     def _log(self, counts, events) -> None:
         """Hand a call's events — grouped by lane by the kernel, ``counts``
@@ -1510,7 +1510,7 @@ class CompiledBatchLevel:
         start = time.perf_counter()
         ret = self._lib.repro_level_chunk(*self._args(1, 0, 0, events))
         self.engine.kernel_seconds += time.perf_counter() - start
-        self._log(self._collect(), events)
+        self._log(self._collect()[1], events)
         if ret:
             self._raise(ret, self._scratch["err"])
 
@@ -1757,28 +1757,22 @@ class FabricJob:
         engine = body.engine
         scratch = body._scratch
         lanes = engine.lanes
-        self._counts = body._collect()
-        self.completed = completed = int(scratch["counts"][0])
+        self.completed, self._counts = completed, _ = body._collect()
         engine.kernel_seconds += self.seconds
         engine.book_cycles(completed, body.delta_column(completed))
-        # An arena too small for its lane's staged entries is replaced
-        # (all of them are in `e`; the staging counted such lanes).
         marks, stores = scratch["marks"], self._stores
         if self._n_queues:
-            short = marks[lanes : 2 * lanes] > stores[2] if marks[2 * lanes + 1] else ()
-            for lane in np.flatnonzero(short).tolist():
-                store = drivers[lane].queues
-                store._use(np.empty((3, 2 * int(marks[lanes + lane])), dtype=np.int64))
-                stores[:, lane] = store.address()
+            if marks[2 * lanes + 1]:
+                # an arena too small for its lane's staged entries is
+                # replaced (all of them are in `e`)
+                for lane in np.flatnonzero(marks[lanes : 2 * lanes] > stores[2]).tolist():
+                    store = drivers[lane].queues
+                    store._use(np.empty((3, 2 * int(marks[lanes + lane])), dtype=np.int64))
+                    stores[:, lane] = store.address()
+            p, buffers = body._ptrs, body._buffers
             body._stimuli[0].repro_carry(
-                lanes,
-                body._n_keys,
-                body._ptrs["stores"],
-                self._n_queues,
-                body._ptrs["q"],
-                body._buffers["q"].shape[1],
-                body._ptrs["e"],
-                body._buffers["e"].shape[1],
+                lanes, body._n_keys, p["stores"], self._n_queues,
+                p["q"], buffers["q"].shape[1], p["e"], buffers["e"].shape[1],
             )
         if ret == 4:
             lane = int(scratch["err"][4])

@@ -1190,8 +1190,8 @@ class PacketMatch:
         """One pass over several trackers' windows: tracker ``i``'s is
         ``windows[i]`` — its submit parts (each a keyed ``[3, n]`` block or
         submit-log columns, rows ``SUBMIT_FIELDS``), head injections and
-        open events — and reader ``i`` of the :class:`LogSpan`\\ s
-        ``injections`` and ``ejections``.  Per window: its ``[samples,
+        open events — and reader ``i`` of the spans ``injections`` and
+        ``ejections`` (:class:`LogSpan`).  Per window: its ``[samples,
         submits, head injections, open events]`` (column slices of
         arrays the windows share), ``None`` for a stream outside the
         fabric's tables, or ``(code, *particulars)`` for one a sink

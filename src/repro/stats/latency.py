@@ -573,14 +573,15 @@ def note_lanes(trackers, columns, lane_ends) -> None:
 
 def collect_lanes(trackers, injections, ejections, routers=None) -> None:
     """:meth:`PacketLatencyTracker.collect_records` for every tracker,
-    tracker ``i`` taking reader ``i``'s events of the
-    :class:`~repro.engines.eventlog.LogSpan`\\ s ``injections`` and
-    ``ejections`` (or of per-tracker lists of blocks of packed words, in
-    log order): one C pass over all of them, read in place, where the
-    trackers have the C body.  Trackers take their results in order, so
-    a window a sink refuses raises with the trackers before it updated
-    and it and those after it as they were.  ``routers`` (``[trackers,
-    R]``), where given, gains each tracker's ejections per sink router."""
+    tracker ``i`` taking reader ``i``'s events of the spans
+    ``injections`` and ``ejections``
+    (:class:`~repro.engines.eventlog.LogSpan`; or per-tracker lists of
+    blocks of packed words, in log order): one C pass over all of them,
+    read in place, where the trackers have the C body.  Trackers take
+    their results in order, so a window a sink refuses raises with the
+    trackers before it updated and it and those after it as they were.
+    ``routers`` (``[trackers, R]``), where given, gains each tracker's
+    ejections per sink router."""
     if not isinstance(injections, LogSpan):
         injections, ejections = (
             LogSpan.of_blocks(
