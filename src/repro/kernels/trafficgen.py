@@ -591,8 +591,9 @@ static int64_t load_flits(
  * step over the lane-grouped packets it left at column `cap` of `pk`,
  * read in place.  The flits land in `flits` (rows n apart; `f_cap` words
  * hold the flits of any window the scan's sizing admits), the queue
- * table in `queues` (rows nq apart; `q_cap` columns before).
- * `loaded` returns m, n and nq.  Returns the cycle the scan stopped at.
+ * table in `queues` (`q_cap` columns, its rows left nq apart).
+ * `loaded` returns m, n and nq.  Returns the cycle the scan stopped at,
+ * or -1, nothing loaded, where the flits would outgrow `f_cap`.
  */
 int64_t repro_gen_window(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
