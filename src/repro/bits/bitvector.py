@@ -57,14 +57,6 @@ class BitVector:
         """Unsigned integer value."""
         return self._value
 
-    @property
-    def signed(self) -> int:
-        """Two's-complement signed interpretation of the value."""
-        if self._width == 0:
-            return 0
-        sign = 1 << (self._width - 1)
-        return (self._value ^ sign) - sign
-
     def __int__(self) -> int:
         return self._value
 
@@ -184,56 +176,12 @@ class BitVector:
             raise ValueError(f"msb {msb} < lsb {lsb}")
         return self[lsb : msb + 1]
 
-    def with_bit(self, index: int, bit: int) -> "BitVector":
-        """Return a copy with bit ``index`` replaced by ``bit``."""
-        if not 0 <= index < self._width:
-            raise IndexError(f"bit {index} out of range for width {self._width}")
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        cleared = self._value & ~(1 << index)
-        return BitVector(self._width, cleared | (bit << index))
-
-    def with_field(self, lsb: int, field: "BitVector") -> "BitVector":
-        """Return a copy with ``field`` inserted at ``lsb``."""
-        if lsb < 0 or lsb + field._width > self._width:
-            raise IndexError(
-                f"field of width {field._width} at lsb {lsb} does not fit in {self._width} bits"
-            )
-        hole = ((1 << field._width) - 1) << lsb
-        return BitVector(self._width, (self._value & ~hole) | (field._value << lsb))
-
     def __iter__(self) -> Iterator[int]:
         """Iterate bits LSB-first."""
         value = self._value
         for _ in range(self._width):
             yield value & 1
             value >>= 1
-
-    # -- structural ops ---------------------------------------------------------
-    def zext(self, width: int) -> "BitVector":
-        """Zero-extend to ``width`` bits (must not truncate)."""
-        if width < self._width:
-            raise ValueError(f"cannot zero-extend {self._width} bits to {width}")
-        return BitVector(width, self._value)
-
-    def trunc(self, width: int) -> "BitVector":
-        """Truncate to the low ``width`` bits."""
-        if width > self._width:
-            raise ValueError(f"cannot truncate {self._width} bits to {width}")
-        return BitVector(width, self._value & ((1 << width) - 1))
-
-    def popcount(self) -> int:
-        """Number of set bits."""
-        return bin(self._value).count("1")
-
-    def reversed_bits(self) -> "BitVector":
-        """Return the vector with bit order reversed (MSB <-> LSB)."""
-        value = 0
-        v = self._value
-        for _ in range(self._width):
-            value = (value << 1) | (v & 1)
-            v >>= 1
-        return BitVector(self._width, value)
 
 
 def bv(width: int, value: int = 0) -> BitVector:

@@ -5,10 +5,12 @@ round-robin scheduler whose delta counts feed Table 3/4 and Fig. 5 — is
 stated twice in this package:
 
 * :class:`~repro.seqsim.sequential.SequentialNetwork`, the Python model:
-  the readable statement of section 4.2, the reference every delta count
-  is held against, and the host of everything the fast count does not
-  model — packed state words, wire and state faults, quarantine,
-  ``scheduler=`` / ``watchdog_factor=``, checkpointed rollback;
+  the plain statement of section 4.2 (one evaluation per delta cycle, one
+  :func:`~repro.seqsim.scheduler.converge` loop), the reference every
+  delta count is held against, and the host of everything the fast count
+  does not model — packed state words, wire and state faults,
+  quarantine, ``scheduler=`` / ``watchdog_factor=``, checkpointed
+  rollback;
 * the HBR accounting pass of the generated body
   (:mod:`repro.kernels.batchlevel`): the same protocol walked in C over
   a persistent wire plane, once per stepped cycle, changing no
@@ -79,7 +81,7 @@ def SequentialEngine(
     back to :class:`ModelSequentialEngine` where the generated-C tier
     cannot be built; ``kernel="python"`` asks for the model, and is the
     only way to pass one of its options (``packed=``, ``scheduler=``,
-    ``watchdog_factor=``, ``optimize=``).
+    ``watchdog_factor=``).
     """
     if kernel not in ("auto", "python"):
         raise ValueError(f"unknown kernel {kernel!r}; known: auto|python")

@@ -6,7 +6,8 @@ system (section 4) and its FPGA realisation model (section 5).
 * :mod:`repro.seqsim.linkmem` — the single-banked link memory with one
   Has-Been-Read status bit per wire (section 4.2).
 * :mod:`repro.seqsim.scheduler` — the round-robin non-stable-unit
-  scheduler.
+  scheduler and ``converge()``, the one loop that evaluates non-stable
+  units until every HBR bit is set.
 * :mod:`repro.seqsim.metrics` — delta-cycle accounting (the section 6
   "extra delta cycles" measurements).
 * :mod:`repro.seqsim.blocks` — the generic block-system framework of

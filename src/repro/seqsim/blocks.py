@@ -1,7 +1,8 @@
 """The generic sequential-simulation framework of paper section 4.
 
 The NoC instantiation in :mod:`repro.seqsim.sequential` is specialised
-for speed; this module keeps the method in its general form, usable for
+to the router's wires; this module keeps the method in its general form
+(both run the one :func:`~repro.seqsim.scheduler.converge` loop), usable for
 "other parallel systems [...] in particular systolic algorithms with
 many equal parts with a small state space" (section 7.1):
 
@@ -15,7 +16,10 @@ many equal parts with a small state space" (section 7.1):
 * :class:`DynamicBlockSimulator` — section 4.2 / Fig. 5: blocks also
   drive *combinatorial* output wires.  Wires live in a single-banked link
   memory with HBR status bits; a round-robin scheduler re-evaluates
-  non-stable blocks until the network settles.
+  non-stable blocks until the network settles, and a block system that
+  never settles (a combinational loop) raises
+  :class:`~repro.faults.errors.LivelockError`, a :class:`ConvergenceError`,
+  past ``MAX_DELTA_FACTOR`` deltas per block.
 """
 
 from __future__ import annotations
@@ -23,14 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.faults.errors import ConvergenceError  # noqa: F401 (re-exported)
 from repro.seqsim.linkmem import LinkMemory, WireSpec
 from repro.seqsim.metrics import DeltaMetrics
-from repro.seqsim.scheduler import RoundRobinScheduler
+from repro.seqsim.scheduler import ConvergenceWatchdog, RoundRobinScheduler, converge
 from repro.seqsim.statemem import PackedStateMemory
-
-
-class ConvergenceError(RuntimeError):
-    """The dynamic schedule found a combinational loop that never settles."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,7 @@ class DynamicBlockSimulator:
         self._in_wires: List[List[Tuple[str, int]]] = [[] for _ in self.blocks]
         self._out_wires: List[List[Tuple[str, int]]] = [[] for _ in self.blocks]
         self.scheduler = RoundRobinScheduler(len(self.blocks))
+        self.watchdog = ConvergenceWatchdog(len(self.blocks), self.MAX_DELTA_FACTOR)
         self.metrics = DeltaMetrics(n_units=len(self.blocks))
         self.cycle = 0
         #: trace of (cycle, delta, block) evaluations — lets tests recreate
@@ -227,38 +229,27 @@ class DynamicBlockSimulator:
 
     def step(self) -> None:
         self.elaborate()
-        links = self.links
-        links.begin_cycle()
-        deltas = 0
-        limit = len(self.blocks) * self.MAX_DELTA_FACTOR
-        while True:
-            unit = self.scheduler.next_unit(links)
-            if unit is None:
-                break
-            block = self.blocks[unit]
-            inputs = {}
-            for in_port, wid in self._in_wires[unit]:
-                links.hbr[wid] = 1
-                inputs[in_port] = links.values[wid]
-            outputs, next_state = block.fn(self.memory.read(unit), inputs)
-            out_values = []
-            for out_port, _wid in self._out_wires[unit]:
-                out_values.append(outputs[out_port])
-            # Tentatively stable once its inputs are read; writing a
-            # changed value to a self-loop wire must re-destabilise it.
-            links.mark_stable(unit)
-            links.write_outputs(unit, out_values)
-            self.memory.write(unit, next_state)
-            self.trace.append((self.cycle, deltas, unit))
-            deltas += 1
-            if deltas > limit:
-                raise ConvergenceError(
-                    f"cycle {self.cycle}: no fixed point after {deltas} deltas "
-                    f"(combinational loop?)"
-                )
+        self.links.begin_cycle()
+        self.watchdog.start_cycle(self.cycle)
+        converge(self.links, self.scheduler, self._evaluate_block, self.watchdog)
         self.memory.swap()
-        self.metrics.record_cycle(deltas)
+        self.metrics.record_cycle(self.watchdog.deltas)
         self.cycle += 1
+
+    def _evaluate_block(self, unit: int) -> None:
+        """One delta cycle of block ``unit``: read, evaluate, write."""
+        links = self.links
+        inputs = {}
+        for in_port, wid in self._in_wires[unit]:
+            links.hbr[wid] = 1
+            inputs[in_port] = links.values[wid]
+        outputs, next_state = self.blocks[unit].fn(self.memory.read(unit), inputs)
+        # Tentatively stable once its inputs are read; writing a changed
+        # value to a self-loop wire must re-destabilise it.
+        links.mark_stable(unit)
+        links.write_outputs(unit, [outputs[port] for port, _wid in self._out_wires[unit]])
+        self.memory.write(unit, next_state)
+        self.trace.append((self.cycle, self.watchdog.deltas, unit))
 
     def run(self, cycles: int) -> None:
         for _ in range(cycles):

@@ -53,7 +53,9 @@ class WireSpec:
 class LinkMemory:
     """Wire value store plus HBR bookkeeping and stability tracking.
 
-    Stability is kept as a single integer bitmask, ``unstable_mask``
+    Every write goes through :meth:`write_wire`, the one Python statement
+    of the HBR write rule.  Stability is kept as a single integer
+    bitmask, ``unstable_mask``
     (bit ``u`` set while unit ``u`` is non-stable).  The mask is the
     single source of truth: :meth:`is_stable` / :meth:`mark_stable` /
     :meth:`all_stable` operate on it, every destabilising write sets the
@@ -70,8 +72,6 @@ class LinkMemory:
         self._masks: List[int] = [(1 << w.width) - 1 for w in self.specs]
         #: reader unit per wire (hot-path shortcut for ``specs[w].reader``)
         self.reader_of: List[int] = [w.reader for w in self.specs]
-        #: writer unit per wire (hot-path shortcut for ``specs[w].writer``)
-        self.writer_of: List[int] = [w.writer for w in self.specs]
         self.reads_by_unit: List[List[int]] = [[] for _ in range(n_units)]
         self.writes_by_unit: List[List[int]] = [[] for _ in range(n_units)]
         self._by_name: Dict[str, int] = {}
@@ -88,18 +88,6 @@ class LinkMemory:
         self._all_units_mask: int = (1 << n_units) - 1
         self.value_changes = 0
         self.wire_writes = 0
-        # Change stamps: a global logical clock bumped on *every* stored
-        # value mutation (writes that change the value, injected faults,
-        # stuck-at application, quarantine freezes), and the clock value
-        # at each wire's last mutation.  "Inputs unchanged since my last
-        # evaluation" then reduces to comparing the max stamp over a
-        # unit's wires against a remembered clock snapshot.
-        self.change_clock: int = 0
-        self.stamp: List[int] = [0] * len(self.specs)
-        #: per-unit clock of the last mutation of *any* wire the unit
-        #: touches (reads or writes) — ``max(stamp[w] for w in touched)``
-        #: folded incrementally so the "inputs unchanged" check is O(1).
-        self.touch_stamp: List[int] = [0] * n_units
         #: per-wire count of value changes within the current system
         #: cycle; the livelock diagnosis looks for outliers here.
         self.changes_this_cycle: List[int] = [0] * len(self.specs)
@@ -115,12 +103,6 @@ class LinkMemory:
     # -- lookup ------------------------------------------------------------
     def wire_id(self, name: str) -> int:
         return self._by_name[name]
-
-    @property
-    def fault_free(self) -> bool:
-        """True while no persistent wire fault or quarantine is installed
-        (lets the simulator keep its fast write path)."""
-        return not (self.flaky or self.stuck or self.quarantined)
 
     # -- the HBR protocol ---------------------------------------------------
     def begin_cycle(self) -> None:
@@ -164,11 +146,6 @@ class LinkMemory:
         self.values[wid] = value
         self.value_changes += 1
         self.changes_this_cycle[wid] += 1
-        clock = self.change_clock + 1
-        self.change_clock = clock
-        self.stamp[wid] = clock
-        self.touch_stamp[self.reader_of[wid]] = clock
-        self.touch_stamp[self.writer_of[wid]] = clock
         invalidated: Optional[int] = None
         if self.hbr[wid] == 1:
             # The reader consumed the stale value: force re-evaluation.
@@ -228,11 +205,6 @@ class LinkMemory:
         """
         value = (self.values[wid] ^ xor_mask) & self._masks[wid]
         self.values[wid] = value
-        clock = self.change_clock + 1
-        self.change_clock = clock
-        self.stamp[wid] = clock
-        self.touch_stamp[self.reader_of[wid]] = clock
-        self.touch_stamp[self.writer_of[wid]] = clock
         self.faults_injected += 1
         return value
 
@@ -248,11 +220,6 @@ class LinkMemory:
         self.stuck[wid] = (and_mask, or_mask)
         # The fault acts on the stored value immediately.
         self.values[wid] = (self.values[wid] & and_mask) | or_mask
-        clock = self.change_clock + 1
-        self.change_clock = clock
-        self.stamp[wid] = clock
-        self.touch_stamp[self.reader_of[wid]] = clock
-        self.touch_stamp[self.writer_of[wid]] = clock
         self.faults_injected += 1
 
     def set_flaky(self, wid: int) -> None:
@@ -276,11 +243,6 @@ class LinkMemory:
         self.quarantined.add(wid)
         if self.values[wid] != frozen_value:
             self.values[wid] = frozen_value
-            clock = self.change_clock + 1
-            self.change_clock = clock
-            self.stamp[wid] = clock
-            self.touch_stamp[self.reader_of[wid]] = clock
-            self.touch_stamp[self.writer_of[wid]] = clock
             self.unstable_mask |= 1 << self.reader_of[wid]
         self.hbr[wid] = 0
 

@@ -5,7 +5,8 @@ convergence watchdog.
 to be evaluated.  If all routers are stable the network is considered to
 be completely evaluated and ready for the next system cycle."
 
-Two interchangeable schedulers implement that contract:
+:func:`converge` is that loop, for the NoC model and the generic block
+framework alike.  Two interchangeable schedulers pick its units:
 
 * :class:`RoundRobinScheduler` — the literal reading: an O(n) circular
   scan of the stability flags per pick.
@@ -142,6 +143,24 @@ def make_scheduler(kind: str, n_units: int):
             f"unknown scheduler {kind!r}; choose from {sorted(SCHEDULERS)}"
         ) from None
     return cls(n_units)
+
+
+def converge(links: LinkMemory, scheduler, evaluate, watchdog: "ConvergenceWatchdog") -> None:
+    """Evaluate non-stable units, round robin, until every HBR bit is set.
+
+    The one loop of section 4.2.  ``evaluate(unit)`` is one delta cycle:
+    it reads the unit's input wires (setting their HBR bits), writes its
+    output wires (a changed value un-stabilises a reader that had read
+    the old one) and marks the unit stable.  ``watchdog`` counts the
+    deltas from its :meth:`~ConvergenceWatchdog.start_cycle` and raises
+    :class:`LivelockError` past its bound.
+    """
+    while True:
+        unit = scheduler.next_unit(links)
+        if unit is None:
+            return
+        evaluate(unit)
+        watchdog.tick(links)
 
 
 class ConvergenceWatchdog:

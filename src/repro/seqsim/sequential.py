@@ -6,8 +6,9 @@ the paper's FPGA does (sections 4.2/5.2):
 
 * the committed ("old") register state of every router+stimuli-interface
   unit lives in a double-banked state memory — optionally as genuinely
-  packed 1912-bit words (``packed=True``), exercising the Table-1 layout
-  on every access;
+  packed 1912-bit words (``packed=True``): every evaluation reads its
+  unit's word, and every cycle packs each unit's next state into the
+  other bank, exercising the Table-1 layout;
 * inter-router wires live in a single-banked link memory with HBR bits;
 * a round-robin scheduler evaluates non-stable units until the network
   settles, counting delta cycles;
@@ -41,7 +42,7 @@ from repro.noc.router import RouterInputs
 from repro.noc.routing import RoutingTable
 from repro.seqsim.linkmem import LinkMemory, WireSpec
 from repro.seqsim.metrics import DeltaMetrics
-from repro.seqsim.scheduler import ConvergenceWatchdog, WorklistScheduler, make_scheduler
+from repro.seqsim.scheduler import ConvergenceWatchdog, converge, make_scheduler
 from repro.seqsim.statemem import PackedStateMemory
 
 __all__ = [
@@ -55,23 +56,20 @@ __all__ = [
 class SequentialNetwork(Network):
     """Dynamic-schedule sequential simulator (the paper's method).
 
+    The plain statement of section 4.2, and the reference the compiled
+    HBR accounting pass is held against: one delta cycle of a unit reads
+    its committed state and input wires, computes its outputs and next
+    state, and writes its output wires (:meth:`_evaluate_unit`);
+    :func:`~repro.seqsim.scheduler.converge` repeats that for the
+    non-stable units until every HBR bit is set.
+
     ``scheduler`` selects the non-stable-unit picker (``"worklist"``,
     the default O(1)-amortised bitmask scan, or ``"roundrobin"``, the
     literal O(n) scan — both emit the identical pick sequence; see
-    :mod:`repro.seqsim.scheduler`).  ``optimize`` selects the evaluation
-    path: the default fast path memoizes pure per-state values and
-    defers next-state computation to commit time (see
-    :meth:`_evaluate_unit_fast`); ``optimize=False`` keeps the
-    straight-line reference evaluator, which recomputes everything on
-    every delta — it exists as the benchmark baseline and as a
-    differential-testing foil.  Both paths are bit-identical to the
-    golden :meth:`Network.step` and to each other, with identical delta
-    counts and link-memory traffic counters.
+    :mod:`repro.seqsim.scheduler`).  ``packed=True`` keeps the committed
+    state as packed state-memory words; ``watchdog_factor`` bounds the
+    deltas of one system cycle at that multiple of the unit count.
     """
-
-    #: watchdog bound: deltas per system cycle may never exceed this
-    #: multiple of the unit count (the NoC needs < 3x).
-    MAX_DELTA_FACTOR = 10
 
     def __init__(
         self,
@@ -80,7 +78,6 @@ class SequentialNetwork(Network):
         packed: bool = False,
         watchdog_factor: Optional[int] = None,
         scheduler: str = "worklist",
-        optimize: bool = True,
     ) -> None:
         super().__init__(cfg, routing)
         self.packed = packed
@@ -88,16 +85,8 @@ class SequentialNetwork(Network):
         n = cfg.n_routers
         self._sink = (1 << rc.n_vcs) - 1
         self.metrics = DeltaMetrics(n_units=n)
-        self.scheduler_name = scheduler
         self.scheduler = make_scheduler(scheduler, n)
-        self.optimize = bool(optimize)
-        #: one delta cycle of one unit — the entry every pick loop calls.
-        self._evaluate = (
-            self._evaluate_unit_fast if self.optimize else self._evaluate_unit
-        )
-        self.watchdog = ConvergenceWatchdog(
-            n, watchdog_factor if watchdog_factor is not None else self.MAX_DELTA_FACTOR
-        )
+        self.watchdog = ConvergenceWatchdog(n, watchdog_factor)
 
         # -- link memory ---------------------------------------------------
         # One wire per :meth:`Topology.wires` entry, its index there the
@@ -125,58 +114,6 @@ class SequentialNetwork(Network):
                 if w >= 0:
                     self.links.values[w] = self._sink
 
-        # -- hot-path structures (fast evaluation path) --------------------
-        # Per-unit flat (port, wire) lists, the -1 sentinels filtered out
-        # once, so the inner loops never branch on absent wires.
-        self._fwd_reads: List[List[Tuple[int, int]]] = [
-            [(p, w) for p, w in enumerate(ws) if w >= 0] for ws in self._in_fwd_wire
-        ]
-        self._room_reads: List[List[Tuple[int, int]]] = [
-            [(p, w) for p, w in enumerate(ws) if w >= 0] for ws in self._in_room_wire
-        ]
-        #: per-unit (slot, wire) write list over the concatenated output
-        #: vector ``fwd_out + rooms``: slot ``p`` is forward port ``p``,
-        #: slot ``n_ports + p`` the room mask of input port ``p``.
-        self._writes: List[List[Tuple[int, int]]] = [
-            [(p, w) for p, w in enumerate(self._out_fwd_wire[r]) if w >= 0]
-            + [
-                (rc.n_ports + p, w)
-                for p, w in enumerate(self._out_room_wire[r])
-                if w >= 0
-            ]
-            for r in range(n)
-        ]
-        self._n_writes: List[int] = [len(ws) for ws in self._writes]
-        #: the output vector of a quiescent unit: idle words, full room.
-        self._idle_out: List[int] = [0] * rc.n_ports + [self._sink] * rc.n_ports
-        #: flat read-wire ids, for the sig-hit path (HBR-only touch).
-        self._read_wids: List[List[int]] = [
-            [w for _p, w in self._fwd_reads[r] + self._room_reads[r]]
-            for r in range(n)
-        ]
-        self._n_ports = rc.n_ports
-        #: per-wire reader bit for inline destabilisation.
-        self._reader_bit: List[int] = [1 << rd for rd in self.links.reader_of]
-        #: per-unit mask clearing the unit's own unstable bit.
-        self._stable_clear: List[int] = [~(1 << r) for r in range(n)]
-        # Identity-keyed memos of pure per-state values.  RouterState
-        # objects are never mutated in place by this simulator (the
-        # next-state function copies), so `obj is cached_obj` proves the
-        # cached value is current.
-        self._quiesc_cache: List[Optional[tuple]] = [None] * n
-        self._room_cache: List[Optional[tuple]] = [None] * n
-        #: (state, room_in, fwd_out, grants) of the last output
-        #: computation — outputs are a pure function of those two.
-        self._out_cache: List[Optional[tuple]] = [None] * n
-        #: per-unit record of the last evaluation this cycle; the commit
-        #: computes each unit's next state exactly once from it.
-        self._pending: List[Optional[tuple]] = [None] * n
-        #: per-unit (change-clock snapshot, record) of the last full
-        #: evaluation — the "inputs unchanged since last evaluation"
-        #: memo driven by the link-memory change stamps.
-        self._eval_sig: List[Optional[tuple]] = [None] * n
-        self._fault_free_cycle = True
-
         # -- state memory ------------------------------------------------------
         self._events: List[Optional[StimuliEvents]] = [None] * n
         self._next_states = list(self.states)
@@ -195,7 +132,8 @@ class SequentialNetwork(Network):
             # Packed-mode caches: the unpack memo is validated by word
             # equality (so an injected SEU in the state memory still
             # propagates — the corrupted word misses the cache), and the
-            # two pack memos are identity-keyed on the state objects.
+            # two pack memos are identity-keyed on the state objects,
+            # which nothing mutates in place but :meth:`offer`.
             self._read_cache: List[Optional[tuple]] = [None] * n
             self._core_cache: List[Optional[tuple]] = [None] * n
             self._stim_cache: List[Optional[tuple]] = [None] * n
@@ -210,24 +148,23 @@ class SequentialNetwork(Network):
         return self._compose_word(r, self.states[r], self.iface_states[r])
 
     def _compose_word(self, r: int, state, iface_state) -> int:
-        """Packed word for (state, iface) of unit ``r``, through the
-        identity-keyed pack memos (``concat(core, stim)`` layout: core in
-        the high bits, stimuli in the low ``_stim_width`` bits)."""
-        cached = self._core_cache[r]
-        if cached is not None and cached[0] is state:
-            core_bits = cached[1]
-        else:
-            rc = self.cfg.router_at(r)
-            core_bits = pack_router_core(rc, state).value << self._stim_width
-            self._core_cache[r] = (state, core_bits)
-        cached = self._stim_cache[r]
-        if cached is not None and cached[0] is iface_state:
-            stim_bits = cached[1]
-        else:
-            rc = self.cfg.router_at(r)
-            stim_bits = pack_stimuli(rc, iface_state).value
-            self._stim_cache[r] = (iface_state, stim_bits)
-        return core_bits | stim_bits
+        """Packed word for (state, iface) of unit ``r``: the router core
+        in the high bits, the stimuli interface in the low
+        ``_stim_width`` bits, each packed through its identity-keyed
+        memo."""
+        core = self._core_cache[r]
+        if core is None or core[0] is not state:
+            core = self._core_cache[r] = (
+                state,
+                pack_router_core(self.cfg.router_at(r), state),
+            )
+        stim = self._stim_cache[r]
+        if stim is None or stim[0] is not iface_state:
+            stim = self._stim_cache[r] = (
+                iface_state,
+                pack_stimuli(self.cfg.router_at(r), iface_state),
+            )
+        return concat(core[1], stim[1]).value
 
     def _unpack_unit(self, r: int, word: int):
         rc = self.cfg.router_at(r)
@@ -239,15 +176,26 @@ class SequentialNetwork(Network):
         )
         return core, stim
 
+    def _read_unit(self, r: int):
+        """Unit ``r``'s committed (router state, interface state): in
+        packed mode, its state-memory word unpacked through the
+        word-keyed cache."""
+        if not self.packed:
+            return self.states[r], self.iface_states[r]
+        word = self.statemem.read(r)
+        cached = self._read_cache[r]
+        if cached is None or cached[0] != word:
+            cached = self._read_cache[r] = (word, *self._unpack_unit(r, word))
+        return cached[1], cached[2]
+
     def offer(self, router: int, vc: int, flit) -> bool:
         accepted = super().offer(router, vc, flit)
-        # The base class mutates the stimuli state *in place* (including
-        # the stall flag a refused offer sets), so every identity-keyed
-        # memo involving this unit's interface must be dropped.
-        self._eval_sig[router] = None
         if self.packed:
-            # The control software writes the interface register through
-            # the memory interface, into the *current* bank.
+            # The base class mutates the stimuli state *in place*
+            # (including the stall flag a refused offer sets), so its
+            # pack memo is stale.  The control software writes the
+            # interface register through the memory interface, into the
+            # *current* bank.
             self._stim_cache[router] = None
             word = self._pack_unit(router)
             self.statemem.write_current(router, word)
@@ -258,255 +206,13 @@ class SequentialNetwork(Network):
             )
         return accepted
 
-    # -- one unit evaluation = one delta cycle (fast path) -------------------
-    def _evaluate_unit_fast(self, r: int) -> None:
-        """One delta cycle of unit ``r``, optimised.
-
-        Observable behaviour (wire traffic, HBR updates, destabilisation,
-        delta counts, committed state) is bit-identical to the reference
-        :meth:`_evaluate_unit`; the differences are purely mechanical:
-
-        * pure per-state values (``is_quiescent``, ``room_mask``, the
-          packed-word unpack) are memoized, keyed on object identity or
-          stored-word equality;
-        * the next-state computation is deferred: the evaluation records
-          its sampled inputs and grants, and :meth:`_finalize_units`
-          computes each unit's next state once per system cycle from the
-          *last* evaluation's record.  At convergence the last
-          evaluation read the final wire values, so the deferred result
-          equals the per-delta result the reference path computes;
-        * wire writes are inlined against the link-memory bitmask while
-          no wire fault is installed (``_fault_free_cycle``, recomputed
-          every cycle after the pre-step hooks ran).
-        """
+    # -- one unit evaluation = one delta cycle ----------------------------------
+    def _evaluate_unit(self, r: int) -> None:
+        n_ports = self.cfg.router.n_ports
         links = self.links
         hbr = links.hbr
         values = links.values
-
-        if self.packed:
-            word = self.statemem.read(r)
-            cached = self._read_cache[r]
-            if cached is not None and cached[0] == word:
-                state = cached[1]
-                iface_state = cached[2]
-            else:
-                state, iface_state = self._unpack_unit(r, word)
-                self._read_cache[r] = (word, state, iface_state)
-        else:
-            state = self.states[r]
-            iface_state = self.iface_states[r]
-
-        fault_free = self._fault_free_cycle
-
-        # "Inputs unchanged since last evaluation": if this unit's state
-        # and interface are the very objects of its last recorded
-        # evaluation and none of the wires it touches changed since (the
-        # link-memory change stamps prove it), its outputs are already
-        # on the wires and the recorded evaluation is reused verbatim.
-        # Only the HBR bits of the read wires need touching — values are
-        # provably identical, and unchanged writes leave HBR alone in
-        # the reference protocol too.  Disabled while wire faults are
-        # installed: flaky/stuck wires make even identical writes
-        # observable.
-        sig = self._eval_sig[r]
-        if sig is not None and fault_free:
-            rec = sig[1]
-            if (
-                rec[0] is state
-                and rec[1] is iface_state
-                and links.touch_stamp[r] <= sig[0]
-            ):
-                for w in self._read_wids[r]:
-                    hbr[w] = 1
-                self._pending[r] = rec
-                links.wire_writes += self._n_writes[r]
-                links.unstable_mask &= self._stable_clear[r]
-                return
-
-        # Read phase: sample every wire this unit reads (sets HBR bits).
-        n_ports = self._n_ports
-        fwd_in = [0] * n_ports
-        room_in = [0] * n_ports
-        room_in[0] = self._sink  # Port.LOCAL
-        any_fwd = 0
-        for p, w in self._fwd_reads[r]:
-            hbr[w] = 1
-            v = values[w]
-            fwd_in[p] = v
-            any_fwd |= v
-        for p, w in self._room_reads[r]:
-            hbr[w] = 1
-            room_in[p] = values[w]
-
-        cached = self._quiesc_cache[r]
-        if cached is not None and cached[0] is state:
-            quiescent = cached[1]
-        else:
-            quiescent = state.is_quiescent
-            self._quiesc_cache[r] = (state, quiescent)
-
-        if (
-            quiescent
-            and any_fwd == 0
-            and iface_state.eject_valid == 0
-            and not any(iface_state.inj_valid)
-        ):
-            # Quiescence fast path: idle outputs, state unchanged.
-            rec = (state, iface_state, None)
-            out = self._idle_out
-        else:
-            router = self.routers[r]
-            cached = self._room_cache[r]
-            if cached is not None and cached[0] is state:
-                rooms = cached[1]
-            else:
-                rooms = router.room_mask(state)
-                self._room_cache[r] = (state, rooms)
-            # Outputs depend only on (state, room_in) — a re-evaluation
-            # triggered by a forward-wire change reuses them.
-            cached = self._out_cache[r]
-            if cached is not None and cached[0] is state and cached[1] == room_in:
-                fwd_out = cached[2]
-                grants = cached[3]
-            else:
-                fwd_out, grants = router.output_words(state, room_in)
-                self._out_cache[r] = (state, room_in, fwd_out, grants)
-            rec = (
-                state,
-                iface_state,
-                fwd_in,
-                room_in,
-                grants,
-                rooms[0],  # local room mask, for the stimuli output word
-                fwd_out[0],  # local forward word = the ejected word
-            )
-            out = fwd_out + rooms
-        self._pending[r] = rec
-
-        # Write phase.  Fault-free, this is the one inlined copy of the
-        # HBR write rule of :meth:`LinkMemory.write_wire` (minus its
-        # width check and fault lookups); with a wire fault installed
-        # the link memory's own method applies it.
-        if fault_free:
-            reader_of = links.reader_of
-            reader_bit = self._reader_bit
-            touch = links.touch_stamp
-            links.wire_writes += self._n_writes[r]
-            for slot, w in self._writes[r]:
-                v = out[slot]
-                if values[w] != v:
-                    values[w] = v
-                    links.value_changes += 1
-                    links.changes_this_cycle[w] += 1
-                    clock = links.change_clock + 1
-                    links.change_clock = clock
-                    links.stamp[w] = clock
-                    touch[reader_of[w]] = clock
-                    touch[r] = clock
-                    if hbr[w]:
-                        links.unstable_mask |= reader_bit[w]
-                    hbr[w] = 0
-            # Snapshot the change clock *after* the writes: a later
-            # mutation of a touched wire invalidates the memo.  Only
-            # recorded on fault-free cycles — a stuck mask can leave the
-            # wires carrying something other than fwd_out/rooms.
-            self._eval_sig[r] = (links.change_clock, rec)
-        else:
-            write_wire = links.write_wire
-            for slot, w in self._writes[r]:
-                write_wire(w, out[slot])
-        links.unstable_mask &= self._stable_clear[r]
-
-    def _finalize_units(self) -> None:
-        """Commit-time next-state computation for the fast path.
-
-        Each unit's next state is computed exactly once per system
-        cycle, from its last evaluation's record: the inputs sampled
-        then are the converged wire values, so the result is
-        bit-identical to recomputing on every delta.  In packed mode
-        this is also where the next-bank word is packed — once per unit
-        per cycle instead of once per delta — through the identity-keyed
-        pack memos.
-        """
-        iface = self.iface
-        packed = self.packed
-        routers = self.routers
-        pending = self._pending
-        events_out = self._events
-        next_states = self._next_states
-        next_iface = self._next_iface
-        room_cache = self._room_cache
-        iface_output_word = iface.output_word
-        iface_next_state = iface.next_state
-        for r in range(self.cfg.n_routers):
-            rec = pending[r]
-            if rec is None:  # unreachable: every unit evaluates every cycle
-                rec = (self.states[r], self.iface_states[r], None)
-            if rec[2] is None:
-                new_state = rec[0]
-                new_iface = rec[1]
-                events_out[r] = None
-            else:
-                state, iface_state, fwd_in, room_in, grants, room_local, eject_word = rec
-                choice, iface_word = iface_output_word(iface_state, room_local)
-                fwd_in[0] = iface_word  # Port.LOCAL
-                router = routers[r]
-                new_state = router.next_state(
-                    state, RouterInputs(fwd=fwd_in, room=room_in), grants, strict=False
-                )
-                new_iface, events = iface_next_state(iface_state, choice, eject_word)
-                events_out[r] = events
-                cached = room_cache[r]
-                if new_state is not state and cached is not None and cached[0] is state:
-                    # Prime next cycle's room-mask memo incrementally:
-                    # only queues that popped (grants) or received a push
-                    # (non-idle fwd words) can change occupancy, and the
-                    # new bit is read off the final count — so a push
-                    # dropped against a full queue (strict=False) or a
-                    # pop-then-push of the same queue lands on the same
-                    # mask :meth:`Router.room_mask` would compute.
-                    n_vcs = router._n_vcs
-                    depth = router._depth
-                    vc_shift = router._vc_shift
-                    data_width = router._data_width
-                    idle = router._idle_type
-                    masks = list(cached[1])
-                    queues = new_state.queues
-                    for g in grants:
-                        if g is not None:
-                            q = g[0]
-                            if queues[q].count < depth:
-                                masks[q // n_vcs] |= 1 << (q % n_vcs)
-                            else:
-                                masks[q // n_vcs] &= ~(1 << (q % n_vcs))
-                    for p, word in enumerate(fwd_in):
-                        if (word >> data_width) & 3 != idle:
-                            q = p * n_vcs + (word >> vc_shift)
-                            if queues[q].count < depth:
-                                masks[q // n_vcs] |= 1 << (q % n_vcs)
-                            else:
-                                masks[q // n_vcs] &= ~(1 << (q % n_vcs))
-                    room_cache[r] = (new_state, masks)
-            next_states[r] = new_state
-            next_iface[r] = new_iface
-            if packed:
-                word = self._compose_word(r, new_state, new_iface)
-                self.statemem.write(r, word)
-                # After the bank swap this is exactly what read() returns.
-                self._read_cache[r] = (word, new_state, new_iface)
-            pending[r] = None
-
-    # -- one unit evaluation = one delta cycle (reference path) --------------
-    def _evaluate_unit(self, r: int) -> None:
-        rc = self.cfg.router
-        n_ports = rc.n_ports
-        links = self.links
-
-        if self.packed:
-            state, iface_state = self._unpack_unit(r, self.statemem.read(r))
-        else:
-            state = self.states[r]
-            iface_state = self.iface_states[r]
+        state, iface_state = self._read_unit(r)
 
         # Read phase: sample every wire this unit reads (sets HBR bits).
         fwd_in = [0] * n_ports
@@ -517,27 +223,26 @@ class SequentialNetwork(Network):
         for p in range(1, n_ports):
             w = in_fwd[p]
             if w >= 0:
-                links.hbr[w] = 1
-                fwd_in[p] = links.values[w]
+                hbr[w] = 1
+                fwd_in[p] = values[w]
             w = in_room[p]
             if w >= 0:
-                links.hbr[w] = 1
-                room_in[p] = links.values[w]
+                hbr[w] = 1
+                room_in[p] = values[w]
 
-        # Quiescence fast path: nothing buffered, nothing arriving,
-        # nothing to inject or eject -> the unit's outputs are idle and
-        # its state is unchanged.  This is an optimisation of the model
-        # evaluation only; the delta cycle is still counted by the caller.
+        # Quiescence: nothing buffered, nothing arriving, nothing to
+        # inject or eject -> the unit's outputs are idle and its state is
+        # unchanged.  This shortens the evaluation only; the delta cycle
+        # is still counted.
         if (
             state.is_quiescent
-            and not any(iface_state.inj_valid)
+            and not any(fwd_in)
             and iface_state.eject_valid == 0
-            and all(w == 0 for w in fwd_in)
+            and not any(iface_state.inj_valid)
         ):
-            new_state, new_iface = state, iface_state
-            fwd_out_edge = [0] * n_ports
+            new_state, new_iface, events = state, iface_state, None
+            fwd_out = [0] * n_ports
             rooms = [self._sink] * n_ports
-            events = StimuliEvents()
         else:
             router = self.routers[r]
             rooms = router.room_mask(state)
@@ -545,33 +250,29 @@ class SequentialNetwork(Network):
                 iface_state, rooms[Port.LOCAL]
             )
             fwd_in[Port.LOCAL] = iface_word
-            fwd_out_edge, grants = router.output_words(state, room_in)
+            fwd_out, grants = router.output_words(state, room_in)
             new_state = router.next_state(
                 state, RouterInputs(fwd=fwd_in, room=room_in), grants, strict=False
             )
             new_iface, events = self.iface.next_state(
-                iface_state, choice, fwd_out_edge[Port.LOCAL]
+                iface_state, choice, fwd_out[Port.LOCAL]
             )
 
         # Write phase: drive every wire this unit owns; changed values
         # clear HBR bits and de-stabilise their readers.
         out_fwd = self._out_fwd_wire[r]
         out_room = self._out_room_wire[r]
+        write_wire = links.write_wire
         for p in range(1, n_ports):
             w = out_fwd[p]
             if w >= 0:
-                links.write_wire(w, fwd_out_edge[p])
+                write_wire(w, fwd_out[p])
             w = out_room[p]
             if w >= 0:
-                links.write_wire(w, rooms[p])
+                write_wire(w, rooms[p])
 
-        # Store next state into the other bank.
-        if self.packed:
-            rc_ = self.cfg.router_at(r)
-            word = concat(
-                pack_router_core(rc_, new_state), pack_stimuli(rc_, new_iface)
-            )
-            self.statemem.write(r, word.value)
+        # The next state, as of this delta; the last one of the cycle is
+        # committed.
         self._next_states[r] = new_state
         self._next_iface[r] = new_iface
         self._events[r] = events
@@ -582,94 +283,23 @@ class SequentialNetwork(Network):
         for hook in self.pre_step_hooks:
             hook(self)
         # Open the cycle: every HBR bit reset, every unit non-stable.
-        links = self.links
-        links.begin_cycle()
+        self.links.begin_cycle()
         self._events = [None] * self.cfg.n_routers
         self.watchdog.start_cycle(self.cycle)
-        # Wire faults are installed by the pre-step hooks or between
-        # cycles, never mid-cycle, so the inline-write decision holds
-        # for the whole system cycle.
-        self._fault_free_cycle = links.fault_free
-        self._converge()
+        converge(self.links, self.scheduler, self._evaluate_unit, self.watchdog)
         # Close it: next states, bank swap, delta count.
-        if self.optimize:
-            self._finalize_units()
         self._commit(self.watchdog.deltas)
 
-    def _converge(self) -> None:
-        """Evaluate non-stable units until none is left (section 4.2).
-
-        The delta count runs on from ``watchdog.deltas`` (0 once
-        :meth:`step` opened the cycle) under the one per-cycle bound.
-        """
-        links = self.links
-        scheduler = self.scheduler
-        watchdog = self.watchdog
-        evaluate = self._evaluate
-        if not (self.optimize and type(scheduler) is WorklistScheduler):
-            while True:
-                unit = scheduler.next_unit(links)
-                if unit is None:
-                    return
-                evaluate(unit)
-                watchdog.tick(links)
-        # The hot loop, inlined: the worklist pick (the scheduler's own
-        # algorithm, verbatim), the watchdog count, and — in plain
-        # fault-free mode — the "inputs unchanged" sig-hit, the single
-        # most common evaluation outcome.  Each is a handful of int ops
-        # and the call overhead would otherwise dominate at ~n deltas
-        # per cycle.
-        pointer = scheduler._pointer
-        limit = watchdog.limit
-        deltas = watchdog.deltas
-        inline_sig = not self.packed and self._fault_free_cycle
-        states = self.states
-        iface_states = self.iface_states
-        eval_sig = self._eval_sig
-        read_wids = self._read_wids
-        pending = self._pending
-        n_writes = self._n_writes
-        stable_clear = self._stable_clear
-        touch = links.touch_stamp
-        hbr = links.hbr
-        sig_writes = 0
-        while True:
-            mask = links.unstable_mask
-            if not mask:
-                break
-            above = mask >> (pointer + 1)
-            if above:
-                pointer = pointer + 1 + ((above & -above).bit_length() - 1)
-            else:
-                pointer = (mask & -mask).bit_length() - 1
-            sig = eval_sig[pointer] if inline_sig else None
-            if (
-                sig is not None
-                and touch[pointer] <= sig[0]
-                and sig[1][0] is states[pointer]
-                and sig[1][1] is iface_states[pointer]
-            ):
-                for w in read_wids[pointer]:
-                    hbr[w] = 1
-                pending[pointer] = sig[1]
-                sig_writes += n_writes[pointer]
-                links.unstable_mask = mask & stable_clear[pointer]
-            else:
-                evaluate(pointer)
-            deltas += 1
-            if deltas > limit:
-                # Delegate to the watchdog for the trip bookkeeping
-                # and the livelock diagnosis (raises LivelockError).
-                scheduler._pointer = pointer
-                watchdog._deltas = deltas - 1
-                watchdog.tick(links)
-        scheduler._pointer = pointer
-        watchdog._deltas = deltas
-        # Wire-write accounting for the inlined sig-hits, flushed once
-        # per call (nothing reads the counter mid-convergence).
-        links.wire_writes += sig_writes
-
     def _commit(self, deltas: int) -> None:
+        if self.packed:
+            # Store every unit's next state into the other bank.
+            for r, (state, iface_state) in enumerate(
+                zip(self._next_states, self._next_iface)
+            ):
+                word = self._compose_word(r, state, iface_state)
+                self.statemem.write(r, word)
+                # After the bank swap this is exactly what read() returns.
+                self._read_cache[r] = (word, state, iface_state)
         self.states, self._next_states = self._next_states, list(self._next_states)
         self.iface_states, self._next_iface = self._next_iface, list(self._next_iface)
         if self.packed:
@@ -770,8 +400,7 @@ class StaticSequentialNetwork(SequentialNetwork):
         # the unpacked unit, its room masks, its stimuli output word and
         # grants — is computed once per unit per cycle and reused across
         # the phase sweeps instead of being recomputed in B and C.
-        states = [self._state_of(r) for r in range(n)]
-        ifaces = [self._iface_of(r) for r in range(n)]
+        states, ifaces = zip(*(self._read_unit(r) for r in range(n)))
         rooms_cache = [self.routers[r].room_mask(states[r]) for r in range(n)]
 
         # Phase A: every unit publishes its room wires (state-only).
@@ -820,12 +449,6 @@ class StaticSequentialNetwork(SequentialNetwork):
             new_iface, events = self.iface.next_state(
                 ifaces[r], choice_cache[r], fwd_cache[r][Port.LOCAL]
             )
-            if self.packed:
-                rc_r = self.cfg.router_at(r)
-                word = concat(
-                    pack_router_core(rc_r, new_state), pack_stimuli(rc_r, new_iface)
-                )
-                self.statemem.write(r, word.value)
             self._next_states[r] = new_state
             self._next_iface[r] = new_iface
             self._events[r] = events
@@ -834,18 +457,6 @@ class StaticSequentialNetwork(SequentialNetwork):
         self._commit(deltas)
 
     # -- helpers ----------------------------------------------------------
-    def _state_of(self, r: int):
-        if self.packed:
-            state, _ = self._unpack_unit(r, self.statemem.read(r))
-            return state
-        return self.states[r]
-
-    def _iface_of(self, r: int):
-        if self.packed:
-            _, iface = self._unpack_unit(r, self.statemem.read(r))
-            return iface
-        return self.iface_states[r]
-
     def _gather_room(self, r: int) -> List[int]:
         rc = self.cfg.router
         room_in = [0] * rc.n_ports

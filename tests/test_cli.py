@@ -742,16 +742,16 @@ class TestSourceAudit:
         ]
         assert not re.findall(self.INTERNALS, text)
 
-    def test_the_hbr_write_rule_is_stated_in_exactly_three_places(self):
+    def test_the_hbr_write_rule_is_stated_in_exactly_two_places(self):
         """"A changed write un-stabilises the reader if it had read the
         old value" is the one decision of section 4.2; whoever tests a
-        wire's HBR bit states it.  That is ``LinkMemory.write_wire``, the
-        model's one inlined fault-free copy, and the generated body's
-        accounting pass — a fourth would be a fork.  The pass keeps no
-        status bit (every evaluation reads every wire, so on its
-        fault-free fabrics the rule is "a changed wire un-stabilises its
-        reader"): its statement is the one line that sets a non-stable
-        bit of another unit."""
+        wire's HBR bit states it.  That is ``LinkMemory.write_wire``,
+        which the Python model and the block framework both call, and the
+        generated body's accounting pass — a third would be a fork.  The
+        pass keeps no status bit (every evaluation reads every wire, so
+        on its fault-free fabrics the rule is "a changed wire
+        un-stabilises its reader"): its statement is the one line that
+        sets a non-stable bit of another unit."""
         import re
 
         rule = re.compile(r"\bif\b[^\n]*\bhbr\[|\bunst\[[^\n]*\|=")
@@ -762,9 +762,22 @@ class TestSourceAudit:
         }
         assert stated == {
             os.path.join("seqsim", "linkmem.py"): 1,
-            os.path.join("seqsim", "sequential.py"): 1,
             os.path.join("kernels", "batchlevel.py"): 1,
         }
+
+    def test_the_section_4_2_loop_is_stated_once(self):
+        """Evaluate the non-stable units until every HBR bit is set: the
+        NoC model and the block framework run the one ``converge()``
+        loop, which alone asks a scheduler for its next unit."""
+        import re
+
+        pick = re.compile(r"\bscheduler\.next_unit\(")
+        stated = {
+            os.path.relpath(path, self.SRC): len(pick.findall(text))
+            for path, text in self._sources()
+            if pick.search(text)
+        }
+        assert stated == {os.path.join("seqsim", "scheduler.py"): 1}
 
     def test_the_window_budget_is_stated_once(self):
         """A traffic window is a stimuli buffer's worth of flits: one
@@ -807,13 +820,6 @@ class TestSourceAudit:
     _PROBE = "introspection the tests read the model through"
     _TEST_HOOK = "hook the test harness drives"
     ONLY_TESTS_CALL = {
-        "BitVector.popcount": "bit-vector value type: word operations",
-        "BitVector.reversed_bits": "bit-vector value type: word operations",
-        "BitVector.signed": "bit-vector value type: word operations",
-        "BitVector.trunc": "bit-vector value type: word operations",
-        "BitVector.with_bit": "bit-vector value type: word operations",
-        "BitVector.with_field": "bit-vector value type: word operations",
-        "BitVector.zext": "bit-vector value type: word operations",
         "CircuitManager.teardown": "paper statement (section 4.1 circuit set-up)",
         "StaticScheduleEngine": _REFERENCE + ": the section 4.1 static schedule",
         "Table1Result.exact": "paper statement (Table 1)",

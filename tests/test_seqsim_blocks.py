@@ -188,6 +188,27 @@ class TestDynamicSchedule:
         with pytest.raises(ConvergenceError):
             sim.run(2)
 
+    def test_a_ring_oscillator_raises_the_packages_livelock_error(self):
+        """The block framework settles under the NoC model's watchdog: a
+        system that never settles raises ``repro.seqsim``'s
+        ``ConvergenceError``, as a ``LivelockError`` naming the unit."""
+        import repro.seqsim
+
+        def inverter(state, inputs):
+            return {"out": inputs["in"] ^ 1}, state
+
+        sim = DynamicBlockSimulator(
+            [CombBlock("i0", 1, (("in", 1),), (("out", 1),), inverter)]
+        )
+        sim.connect("i0", "out", "i0", "in")
+        with pytest.raises(repro.seqsim.ConvergenceError) as excinfo:
+            sim.step()
+        err = excinfo.value
+        assert isinstance(err, repro.seqsim.LivelockError)
+        assert err.unstable_units == (0,)
+        assert (err.cycle, err.deltas, err.limit) == (0, 65, 64)
+        assert err.suspect_wires == ("i0.out->i0.in",)
+
     def test_cross_coupled_inverters_form_a_latch(self):
         """Two cross-coupled inverters are bistable, not oscillating: the
         dynamic schedule finds one of the two stable fixed points."""

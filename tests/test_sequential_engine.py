@@ -36,9 +36,9 @@ needs_jit = pytest.mark.skipif(
 
 
 def model(cfg):
-    """The reference: the straight-line evaluator under the literal
-    round-robin scan."""
-    return SequentialNetwork(cfg, optimize=False, scheduler="roundrobin")
+    """The reference: the Python model under the literal round-robin
+    scan."""
+    return SequentialNetwork(cfg, scheduler="roundrobin")
 
 
 def network(topology, shape, depth, hetero):
@@ -323,13 +323,12 @@ class TestBodySelection:
             dict(packed=True),
             dict(scheduler="roundrobin"),
             dict(watchdog_factor=4),
-            dict(optimize=False),
         ):
             with pytest.raises(TypeError, match="SequentialNetwork.*kernel='python'"):
                 SequentialEngine(self.CFG, **option)
             engine = SequentialEngine(self.CFG, kernel="python", **option)
             assert isinstance(engine, SequentialNetwork)
-        assert engine.optimize is False
+        assert engine.watchdog.factor == 4
         with pytest.raises(ValueError, match="auto|python"):
             SequentialEngine(self.CFG, kernel="levelized")
 
