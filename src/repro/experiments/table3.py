@@ -3,7 +3,9 @@
 Two complementary reproductions:
 
 1. **Measured**: wall-clock speed of our engines on the same 6x6
-   workload.  Absolute values are this host's; the reproducible
+   workload, each row the median of several fresh runs with its
+   slowest and fastest beside it (one short run swings up to ~1.8x).
+   Absolute values are this host's; the reproducible
    ordering is event-driven ("VHDL") slowest by a wide margin.  The
    sequential row is the engine users get — one lane of the generated-C
    body counting HBR delta cycles — and lands beside the paper's own
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.engines import CycleEngine, RtlEngine, SequentialEngine
 from repro.experiments.common import fig1_network, render_table, scale
@@ -32,18 +34,37 @@ from repro.fpga.timing import PAPER_TABLE3, FpgaTimingModel, PlatformModel
 from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
 
+#: fresh runs timed per row (the event-driven row is the slow one)
+RUNS = {"rtl": 3}
+DEFAULT_RUNS = 5
+
+
 @dataclass
 class EngineMeasurement:
     name: str
     paper_analogue: str
+    #: cycles of each run
     cycles: int
-    seconds: float
+    #: the wall time of each fresh run of the same workload
+    seconds: Tuple[float, ...]
     #: which body ran, where the engine has more than one
     body: str = ""
 
     @property
+    def each_cps(self) -> List[float]:
+        return sorted(self.cycles / s if s > 0 else 0.0 for s in self.seconds)
+
+    @property
     def cps(self) -> float:
-        return self.cycles / self.seconds if self.seconds > 0 else 0.0
+        """The median run's speed."""
+        each = self.each_cps
+        return (each[len(each) // 2] + each[~(len(each) // 2)]) / 2
+
+    @property
+    def spread(self) -> str:
+        """The slowest and the fastest run, ``min-max``."""
+        each = self.each_cps
+        return f"{each[0]:,.0f}-{each[-1]:,.0f}"
 
 
 @dataclass
@@ -57,12 +78,12 @@ class Table3Result:
     def rows(self) -> List[Tuple]:
         rows = [
             (f"{m.name} ({m.body})" if m.body else m.name, m.paper_analogue,
-             f"{m.cps:,.0f}")
+             f"{m.cps:,.0f}", f"{m.spread} ({len(m.seconds)} runs)")
             for m in self.measurements
         ]
-        rows.append(("FPGA model (average)", "FPGA average 22 kHz", f"{self.modeled_avg_cps:,.0f}"))
-        rows.append(("FPGA model (fastest)", "FPGA fastest 61.6 kHz", f"{self.modeled_fast_cps:,.0f}"))
-        rows.append(("FPGA model (ceiling)", "91.6 kHz (section 6)", f"{self.ceiling_cps:,.0f}"))
+        rows.append(("FPGA model (average)", "FPGA average 22 kHz", f"{self.modeled_avg_cps:,.0f}", ""))
+        rows.append(("FPGA model (fastest)", "FPGA fastest 61.6 kHz", f"{self.modeled_fast_cps:,.0f}", ""))
+        rows.append(("FPGA model (ceiling)", "91.6 kHz (section 6)", f"{self.ceiling_cps:,.0f}", ""))
         return rows
 
     def hierarchy_holds(self) -> bool:
@@ -86,7 +107,7 @@ class Table3Result:
 
     def render(self) -> str:
         table = render_table(
-            ["Engine", "paper analogue (Table 3)", "simulated cycles/s"],
+            ["Engine", "paper analogue (Table 3)", "simulated cycles/s", "min-max"],
             self.rows(),
             title="Table 3 — simulated clock cycles per second (6x6 NoC)",
         )
@@ -98,34 +119,47 @@ class Table3Result:
         )
 
 
-def _measure(engine, cycles: int, load: float) -> EngineMeasurement:
+def _timed(engine, cycles: int, load: float) -> float:
+    """Wall seconds of ``cycles`` of the seeded workload on ``engine``."""
     net = engine.cfg
     be = BernoulliBeTraffic(net, load, uniform_random(net), seed=0xBEE)
     driver = TrafficDriver(engine, be=be)
-    body = ""
-    if engine.name == "sequential":
-        compiled = engine.kernel_reason is None
-        body = "generated C, HBR pass" if compiled else "Python model"
-        cycles *= 10 if compiled else 1  # long enough to time
     start = time.perf_counter()
     driver.run(cycles)
-    elapsed = time.perf_counter() - start
+    return time.perf_counter() - start
+
+
+def _measure(make: Callable, cycles: int, load: float) -> EngineMeasurement:
+    """Time fresh engines from ``make`` on one seeded workload: the row's
+    ``cycles`` split over its runs (:data:`RUNS`), one engine a run."""
+    first = make()
+    runs = RUNS.get(first.name, DEFAULT_RUNS)
+    body = ""
+    if first.name == "sequential":
+        compiled = first.kernel_reason is None
+        body = "generated C, HBR pass" if compiled else "Python model"
+        cycles *= 10 if compiled else 1  # long enough to time
+    cycles = max(1, cycles // runs)
+    seconds = tuple(_timed(first if i == 0 else make(), cycles, load) for i in range(runs))
     analogue = {
         "rtl": "VHDL 10-17 Hz",
         "cycle": "SystemC 215 Hz",
         "sequential": "FPGA 22-61.6 kHz",
-    }[engine.name]
-    return EngineMeasurement(engine.name, analogue, cycles, elapsed, body)
+    }[first.name]
+    return EngineMeasurement(first.name, analogue, cycles, seconds, body)
 
 
 def run(load: float = 0.08, base_cycles: Optional[int] = None) -> Table3Result:
-    base = base_cycles if base_cycles is not None else scale(400)
+    """Every row's median, slowest and fastest of its fresh runs, which
+    share the row's cycle budget (``base_cycles``; an eighth of it for
+    the event-driven row, ten times it for the compiled one)."""
+    base = base_cycles if base_cycles is not None else scale(2000)
     net = fig1_network()
     measurements = [
-        _measure(RtlEngine(net), max(20, base // 8), load),
-        _measure(CycleEngine(net), base, load),
-        _measure(SequentialEngine(net), base, load),
-        _measure(SequentialEngine(net, kernel="python"), base, load),
+        _measure(lambda: RtlEngine(net), max(20, base // 8), load),
+        _measure(lambda: CycleEngine(net), base, load),
+        _measure(lambda: SequentialEngine(net), base, load),
+        _measure(lambda: SequentialEngine(net, kernel="python"), base, load),
     ]
     # Model rows: Fig. 1-scale event counts through the platform model.
     pm = PlatformModel()

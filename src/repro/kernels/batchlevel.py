@@ -297,13 +297,20 @@ static void keep_lanes(int64_t *const *state, int64_t *keep, int64_t BR,
  * reader, and no status bit is kept.
  *
  * A unit is settled while nothing it reads has changed since its last
- * evaluation: not its router's committed state (the commit unsettles
- * every router it pops, pushes into or allocates) and not the room
- * wires into it (a changed room wire unsettles its reader).  Evaluated
- * again, a settled unit would rewrite only what its wires already
- * hold, so picking it costs a delta and nothing else.  The settled set
- * is call scratch, one bit per flat router (lane-major, and a spare
- * word), emptied at call entry. */
+ * evaluation: not its router's committed state as its evaluation sees
+ * it (the commit unsettles the routers whose ready set, room word, head
+ * flit or pointers it changed) and not the room wires into it (a
+ * changed room wire unsettles its reader).  Evaluated again, a settled
+ * unit would rewrite only what its wires already hold, so picking it
+ * costs a delta and nothing else.  The settled set is call scratch, one
+ * bit per flat router (lane-major, and a spare word), emptied at call
+ * entry.
+ *
+ * W, the lane's mask words (ceil(R / 64)), is a compile-time constant
+ * like P and V, so the walk keeps a lane's two masks in locals: up to
+ * 64 routers every word index is 0 and both live in registers. */
+#define W ${W}
+#define WORD(n) (W == 1 ? 0 : (n) >> 6)
 
 /* The commit changed flat router x's state: its unit must be evaluated
  * again. */
@@ -319,94 +326,55 @@ static inline uint64_t bits_at(const uint64_t *mask, int64_t at)
     return at & 63 ? low | mask[(at >> 6) + 1] << (64 - (at & 63)) : low;
 }
 
-/* Evaluate unit u of one lane (x0: the lane's first flat router): its
- * room words from its full-mask, its forward words by the crossbar
- * arbitration against the room words *as stored* — they may still be
- * last cycle's — written to its wires.  No architectural state
- * changes.  The unit is settled from here on and stable once its
- * writes are done. */
-static void hbr_eval(
-    int64_t R, int64_t x0, int64_t u,
-    const int64_t *nb_idx, const int64_t *nb_ok, const int64_t *opp,
-    const int64_t *mem, const int64_t *rd, const int64_t *queue_alloc,
-    const int64_t *arb_ptr, const int64_t *occ, int64_t *restrict wires,
-    uint64_t *restrict settled, uint64_t *restrict unst)
+/* Store the low n (1..64) bits of `bits` at bits [at, at + n) of a flat
+ * bit mask, the rest of it kept: two words where the run crosses a word
+ * edge. */
+static inline void bits_put(uint64_t *mask, int64_t at, int64_t n, uint64_t bits)
 {
-    int64_t *wfwd = wires, *wroom = wires + R * P;
-    const int64_t x = x0 + u;
-    const int64_t *o = occ + O_WORDS * x;
-    int64_t fwd[P] = {0};
-    uint64_t ready = (uint64_t)(o[O_NE] & o[O_QAM]), ports = 0;
-    settled[x >> 6] |= BIT(x & 63);
-    if (ready) {
-        const int64_t *qa = queue_alloc + x * NQ;
-        int64_t preq[P] = {0};
-        while (ready) {
-            const int64_t q = CTZ(ready);
-            ready &= ready - 1;
-            const int64_t p = qa[q] / V, v = qa[q] % V, k = u * P + p;
-            /* the local output is no wire */
-            if (!p || !nb_ok[k]
-                || !((wroom[nb_idx[k] * P + opp[p]] >> v) & 1))
-                continue;
-            preq[p] |= (int64_t)BIT(q);
-            ports |= BIT(p);
-        }
-        while (ports) {
-            const int64_t p = CTZ(ports);
-            ports &= ports - 1;
-            const int64_t g = rr_pick(preq[p], arb_ptr[x * P + p]);
-            fwd[p] = ((qa[g] - p * V) << VC_SHIFT)
-                     | mem[(x * NQ + g) * DMAX + rd[x * NQ + g]];
-        }
-    }
-    for (int64_t p = 1; p < P; p++) { /* write phase */
-        const int64_t k = u * P + p;
-        if (!nb_ok[k])
-            continue;
-        const int64_t v = nb_idx[k], xv = x0 + v;
-        const int64_t room =
-            (int64_t)(~(uint64_t)o[O_FULL] >> (p * V)) & VMASK;
-        const uint64_t fwd_new = wfwd[k] != fwd[p], room_new = wroom[k] != room;
-        wfwd[k] = fwd[p];
-        wroom[k] = room;
-        /* a changed wire un-stabilises its reader, a changed room wire
-         * unsettles it */
-        unst[v >> 6] |= (fwd_new | room_new) << (v & 63);
-        settled[xv >> 6] &= ~(room_new << (xv & 63));
-    }
-    unst[u >> 6] &= ~BIT(u & 63);
+    const uint64_t keep = n < 64 ? BIT(n) - 1 : ~(uint64_t)0;
+    const int64_t w = at >> 6, s = at & 63;
+    bits &= keep;
+    mask[w] = (mask[w] & ~(keep << s)) | bits << s;
+    if (s + n > 64)
+        mask[w + 1] = (mask[w + 1] & ~(keep >> (64 - s))) | bits >> (64 - s);
 }
 
 /* One system cycle of one lane under the HBR protocol, on the committed
- * state: every unit non-stable; pick the next non-stable unit
- * cyclically above the pointer, one delta a pick, until none is left.
- * The picks walk the words from the pointer's upwards, the first masked
- * to the units above it, wrapping to its rest.  The settled picks ahead
- * of the first unsettled one are counted with one popcount a word and
- * leave the pointer on their last unit; the unsettled one is evaluated
- * and the walk starts again above it.  Adds the units evaluated to
- * `evals`; returns the delta cycles spent, -1 past `limit`. */
+ * state (x0: the lane's first flat router): every unit non-stable; pick
+ * the next non-stable unit cyclically above the pointer, one delta a
+ * pick, until none is left.  The picks walk the words from the
+ * pointer's upwards, the first masked to the units above it, wrapping
+ * to its rest.  The settled picks ahead of the first unsettled one are
+ * counted with one popcount a word and leave the pointer on their last
+ * unit; the unsettled one is evaluated and the walk starts again above
+ * it.  An evaluation computes the unit's room words from its full-mask
+ * and its forward words by the crossbar arbitration against the room
+ * words *as stored* — they may still be last cycle's — and writes them
+ * to its wires; no architectural state changes.  The lane's settled
+ * bits are read once and written back once.  Adds the units evaluated
+ * to `evals`; returns the delta cycles spent, -1 past `limit`. */
 static int64_t hbr_walk(
     int64_t R, int64_t x0, int64_t limit,
     const int64_t *nb_idx, const int64_t *nb_ok, const int64_t *opp,
     const int64_t *mem, const int64_t *rd, const int64_t *queue_alloc,
     const int64_t *arb_ptr, const int64_t *occ, int64_t *restrict wires,
-    uint64_t *restrict settled, uint64_t *restrict unst, int64_t *evals)
+    uint64_t *restrict settled, int64_t *evals)
 {
-    const int64_t W = (R + 63) >> 6;
-    int64_t pointer = wires[2 * R * P], deltas = 0, u;
-    memset(unst, 0xFF, (size_t)W * sizeof(uint64_t));
-    if (R & 63)
-        unst[W - 1] = BIT(R & 63) - 1;
-    do {
+    int64_t *wfwd = wires, *wroom = wires + R * P;
+    uint64_t unst[W], sett[W];
+    int64_t pointer = wires[2 * R * P], deltas = 0, n = 0;
+    for (int64_t w = 0; w < W; w++) {
+        unst[w] = w < W - 1 || !(R & 63) ? ~(uint64_t)0 : BIT(R & 63) - 1;
+        sett[w] = bits_at(settled, x0 + (w << 6));
+    }
+    for (;;) {
         const int64_t s = pointer + 1 < R ? pointer + 1 : 0;
         const uint64_t above = ~(uint64_t)0 << (s & 63);
-        u = -1;
-        for (int64_t k = 0, w = s >> 6; k <= W; k++, w = w + 1 < W ? w + 1 : 0) {
+        int64_t u = -1;
+        for (int64_t k = 0, w = WORD(s); k <= W; k++, w = w + 1 < W ? w + 1 : 0) {
             const uint64_t m =
                 unst[w] & (k == 0 ? above : k == W ? ~above : ~(uint64_t)0);
-            const uint64_t open = m & ~bits_at(settled, x0 + (w << 6));
+            const uint64_t open = m & ~sett[w];
             const uint64_t run = open ? m & ((open & -open) - 1) : m;
             if (run) {
                 deltas += __builtin_popcountll(run);
@@ -420,15 +388,61 @@ static int64_t hbr_walk(
         }
         if (deltas + (u >= 0) > limit)
             return -1;
-        if (u >= 0) {
-            deltas++;
-            *evals += 1;
-            pointer = u;
-            hbr_eval(R, x0, u, nb_idx, nb_ok, opp, mem, rd, queue_alloc,
-                     arb_ptr, occ, wires, settled, unst);
+        if (u < 0)
+            break;
+        deltas++;
+        n++;
+        pointer = u;
+        /* evaluate unit u: settled from here on, stable once its
+         * writes are done */
+        const int64_t x = x0 + u;
+        const int64_t *o = occ + O_WORDS * x;
+        int64_t fwd[P] = {0};
+        uint64_t ready = (uint64_t)(o[O_NE] & o[O_QAM]), ports = 0;
+        sett[WORD(u)] |= BIT(u & 63);
+        if (ready) {
+            const int64_t *qa = queue_alloc + x * NQ;
+            int64_t preq[P] = {0};
+            while (ready) {
+                const int64_t q = CTZ(ready);
+                ready &= ready - 1;
+                const int64_t p = qa[q] / V, v = qa[q] % V, k = u * P + p;
+                /* the local output is no wire */
+                if (!p || !nb_ok[k]
+                    || !((wroom[nb_idx[k] * P + opp[p]] >> v) & 1))
+                    continue;
+                preq[p] |= (int64_t)BIT(q);
+                ports |= BIT(p);
+            }
+            while (ports) {
+                const int64_t p = CTZ(ports);
+                ports &= ports - 1;
+                const int64_t g = rr_pick(preq[p], arb_ptr[x * P + p]);
+                fwd[p] = ((qa[g] - p * V) << VC_SHIFT)
+                         | mem[(x * NQ + g) * DMAX + rd[x * NQ + g]];
+            }
         }
-    } while (u >= 0);
+        for (int64_t p = 1; p < P; p++) { /* write phase */
+            const int64_t k = u * P + p;
+            if (!nb_ok[k])
+                continue;
+            const int64_t v = nb_idx[k];
+            const int64_t room =
+                (int64_t)(~(uint64_t)o[O_FULL] >> (p * V)) & VMASK;
+            const uint64_t fwd_new = wfwd[k] != fwd[p], room_new = wroom[k] != room;
+            wfwd[k] = fwd[p];
+            wroom[k] = room;
+            /* a changed wire un-stabilises its reader, a changed room wire
+             * unsettles it */
+            unst[WORD(v)] |= (fwd_new | room_new) << (v & 63);
+            sett[WORD(v)] &= ~(room_new << (v & 63));
+        }
+        unst[WORD(u)] &= ~BIT(u & 63);
+    }
+    for (int64_t w = 0; w < W; w++)
+        bits_put(settled, x0 + (w << 6), w < W - 1 ? 64 : R - (w << 6), sett[w]);
     wires[2 * R * P] = pointer;
+    *evals += n;
     return deltas;
 }
 #endif
@@ -488,9 +502,9 @@ ${signature}
                               rr_ptr, delay, eject_word, eject_valid, stalled};
 #if HBR
     /* the pass's scratch: the settled units (a bit per flat router, and
-     * a spare word), one lane's non-stable set; units it evaluated */
+     * a spare word); units it evaluated */
     const int64_t S = ((BR + 63) >> 6) + 1;
-    uint64_t *settled = (uint64_t *)(busy + R), *unst = settled + S;
+    uint64_t *settled = (uint64_t *)(busy + R);
     int64_t hbr_evals = 0;
 #else
     (void)wires;
@@ -695,7 +709,7 @@ range:
             deltas[b * n_cycles + t] = hbr_walk(
                 R, sc, ${MAX_DELTA_FACTOR} * R, nb_idx, nb_ok, opp, mem, rd,
                 queue_alloc, arb_ptr, occ, wires + b * (2 * R * P + 1),
-                settled, unst, &hbr_evals);
+                settled, &hbr_evals);
             if (deltas[b * n_cycles + t] < 0) {
                 err[0] = 6;
                 err[1] = b;
@@ -928,12 +942,18 @@ range:
             alloc_ptr[x] = q; /* a router's last decision parks the pointer */
         }
 #if HBR
-        /* the routers the commit popped, pushed into or allocated: their
-         * units must be evaluated again */
+        /* the routers whose units see a change: every router the commit
+         * popped or allocated, and one it pushed into where the push
+         * filled the queue (its room word) or landed in an empty
+         * allocated queue (its ready set) — any other push changes
+         * nothing its unit reads.  Their units must be evaluated again. */
         for (int64_t i = 0; i < n_pop; i++)
             unsettle(settled, pop_q[i] / NQ);
-        for (int64_t i = 0; i < n_push; i++)
-            unsettle(settled, push_q[i] / NQ);
+        for (int64_t i = 0; i < n_push; i++) {
+            const int64_t xq = push_q[i], c = count[xq];
+            if (c >= push_d[i] || (c == 1 && queue_alloc[xq] >= 0))
+                unsettle(settled, xq / NQ);
+        }
         for (int64_t i = 0; i < n_alloc; i++)
             unsettle(settled, alloc_q[i] / NQ);
 #endif
@@ -1244,7 +1264,8 @@ def generate_level_source(spec, layout) -> str:
         PAYLOAD_MASK=(1 << spec.data_width) - 1,
         FLIT_MASK=(1 << spec.vc_shift) - 1,
         VMASK=(1 << spec.n_vcs) - 1,
-        HBR=int(spec.hbr),
+        HBR=int(spec.hbr > 0),
+        W=int(spec.hbr),
         EV_VC=layout.shifts[0],
         EV_ROUTER=layout.shifts[1],
         EV_CYCLE=layout.shifts[2],
@@ -1302,12 +1323,11 @@ class CompiledBatchLevel:
             # per lane and the lanes' queue starts; four occupancy words
             # per (lane, router) plus the latched-eject list; the cycle's
             # work lists, lane order's state snapshot, one lane's busy
-            # routers, the HBR pass's settled mask (a bit per flat router,
-            # and a spare word) and one lane's non-stable set
+            # routers and the HBR pass's settled mask (a bit per flat
+            # router, and a spare word)
             "lane": 12 * B + 1,
             "occ": 5 * B * R,
-            "work": (6 * P + 2 * NQ + 4 + keep) * B * R + R
-            + (B * R + 63) // 64 + 1 + (R + 63) // 64,
+            "work": (6 * P + 2 * NQ + 4 + keep) * B * R + R + (B * R + 63) // 64 + 1,
             # out: events per lane (injections, then ejections); cycles
             # completed, routers evaluated, lane-cycles stepped, replays,
             # units the HBR pass evaluated; of a drain, the cycle each

@@ -58,8 +58,11 @@ class KernelSpec:
     depth_max: int
     data_width: int
     gt_mask: int
-    #: whether the body carries the HBR delta-accounting pass
-    hbr: bool = False
+    #: the mask words a lane of the HBR delta-accounting pass, one bit a
+    #: router (``ceil(R / 64)``); 0: the body carries no pass.  The one
+    #: constant of a fabric's size: a kernel with the pass serves every
+    #: fabric of as many mask words, one without it every fabric.
+    hbr: int = 0
 
     @classmethod
     def from_engine(cls, engine) -> "KernelSpec":
@@ -70,7 +73,7 @@ class KernelSpec:
             depth_max=int(engine.state.mem.shape[-1]),
             data_width=engine._dw,
             gt_mask=engine._gt_mask,
-            hbr=engine.HBR_ACCOUNTING,
+            hbr=-(-engine.cfg.n_routers // 64) if engine.HBR_ACCOUNTING else 0,
         )
 
     @property

@@ -25,7 +25,10 @@ all engines stay bit-identical.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, FrozenSet, List, Tuple
+
+import numpy as np
 
 from repro.noc.config import NetworkConfig, Port, RouterConfig
 
@@ -61,7 +64,21 @@ def dateline_policy(net: NetworkConfig, position: int) -> BeVcPolicy:
 
     The BE VCs are split in half: the lower indices form the low class,
     the upper ones the high class (the default config's BE VCs {2, 3}
-    give one VC per class).  Selection rules:
+    give one VC per class).  The rules are stated once, as a table
+    (:func:`_dateline_table`); the policy reads it.
+    """
+    cfg = net.router
+    return _dateline_table(cfg.be_vcs, cfg.n_ports, cfg.n_vcs, _wrap_ports(net, position))[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _dateline_table(
+    be: Tuple[int, ...], n_ports: int, n_vcs: int, wraps: FrozenSet[int]
+) -> Tuple[np.ndarray, BeVcPolicy]:
+    """The dateline rules of a router whose wrap-around output ports are
+    ``wraps``: ``table[in_port, in_vc, out_port]`` holds the candidate
+    output VCs in trial order, padded with ``-1`` (read-only), and the
+    policy that reads it.  Selection rules:
 
     * taking a wrap-around link -> high class (the packet is crossing
       the dateline now, or injecting directly onto it);
@@ -71,29 +88,40 @@ def dateline_policy(net: NetworkConfig, position: int) -> BeVcPolicy:
       class;
     * ejecting locally -> keep the current class.
     """
-    cfg = net.router
-    be = cfg.be_vcs
     if len(be) < 2:
         raise ValueError(
             "the dateline scheme needs at least two best-effort VCs "
             f"(configured: {be}); use free_policy for single-VC designs"
         )
-    half = len(be) // 2
-    low: Tuple[int, ...] = be[:half] if half else be
-    high: Tuple[int, ...] = be[half:]
-    wraps = _wrap_ports(net, position)
+    low, high = be[: len(be) // 2], be[len(be) // 2 :]
+    classes = np.full((2, n_vcs), -1, dtype=np.int64)  # rows: low, high
+    classes[0, : len(low)] = low
+    classes[1, : len(high)] = high
+    if wraps:  # the rules without them, the wrap-around links high
+        table = _dateline_table(be, n_ports, n_vcs, frozenset())[0].copy()
+        table[:, :, sorted(wraps)] = classes[1]
+    else:
+        local = int(Port.LOCAL)
+        axis = [_AXIS.get(p) for p in range(n_ports)]  # None for LOCAL
+        # [in_port][out_port]: whether a packet keeps its class (ejecting,
+        # or straight on in its dimension); [in_vc]: whether it is high
+        keeps = [[out == local or axis[i] == axis[out] for out in range(n_ports)] for i in range(n_ports)]
+        was_high = [vc in high for vc in range(n_vcs)]
+        table = classes[
+            np.array([[[h and k for k in keep] for h in was_high] for keep in keeps], dtype=np.intp)
+        ]
+    table.flags.writeable = False
+    rows: list = []  # the table as tuples, built at the policy's first call
 
     def policy(in_port: int, in_vc: int, out_port: int) -> Tuple[int, ...]:
-        if out_port == int(Port.LOCAL):
-            return high if in_vc in high else low
-        if out_port in wraps:
-            return high
-        in_axis = _AXIS.get(in_port)  # None for LOCAL
-        if in_axis is None or in_axis != _AXIS[out_port]:
-            return low  # a fresh ring: start below the dateline
-        return high if in_vc in high else low
+        if not rows:
+            rows[:] = [
+                [[tuple(c for c in cands if c >= 0) for cands in by_out] for by_out in by_vc]
+                for by_vc in table.tolist()
+            ]
+        return rows[in_port][in_vc][out_port]
 
-    return policy
+    return table, policy
 
 
 def _wrap_ports(net: NetworkConfig, position: int) -> FrozenSet[int]:
@@ -125,37 +153,28 @@ def make_policy(net: NetworkConfig, position: int) -> BeVcPolicy:
     return free_policy(net.router)
 
 
-def packed_policy(net: NetworkConfig):
+def packed_policy(net: NetworkConfig) -> np.ndarray:
     """The whole network's BE VC-selection policy as one gather table.
 
     Returns an ``[n_routers, n_ports, n_vcs, n_ports, n_vcs]`` int64
     NumPy array: ``table[r, in_port, in_vc, out_port]`` holds the
-    candidate output VCs in trial order, padded with ``-1``.  The
-    entries are produced by calling :func:`make_policy` itself for every
-    argument combination, so the packed table is the exact policy every
-    engine shares — the batch engine gathers from it instead of calling
-    the closure per HEAD flit.  A router's policy depends on its
-    position only through its dateline ports, so one ``[P, V, P, V]``
-    table is built per distinct set of them and broadcast to its
-    routers.
+    candidate output VCs in trial order, padded with ``-1`` — the exact
+    policy every engine shares: the batch engine gathers from it instead
+    of calling the closure per HEAD flit.  A router's dateline policy
+    depends on its position only through its wrap-around ports, so the
+    table each distinct set of them reads (:func:`_dateline_table`) is
+    broadcast to its routers.
     """
-    import numpy as np
-
     cfg = net.router
     n_ports, n_vcs = cfg.n_ports, cfg.n_vcs
-    classes: Dict[FrozenSet[int], List[int]] = {}
-    dateline = _uses_dateline(net)
-    for r in range(net.n_routers):
-        key = _wrap_ports(net, r) if dateline else frozenset()
-        classes.setdefault(key, []).append(r)
     table = np.empty((net.n_routers, n_ports, n_vcs, n_ports, n_vcs), dtype=np.int64)
-    for routers in classes.values():
-        policy = make_policy(net, routers[0])
-        block = np.full((n_ports, n_vcs, n_ports, n_vcs), -1, dtype=np.int64)
-        for in_port in range(n_ports):
-            for in_vc in range(n_vcs):
-                for out_port in range(n_ports):
-                    cands = policy(in_port, in_vc, out_port)
-                    block[in_port, in_vc, out_port, : len(cands)] = cands
-        table[routers] = block
+    if not _uses_dateline(net):  # free_policy: every BE VC, whatever the arguments
+        table.fill(-1)
+        table[..., : len(cfg.be_vcs)] = cfg.be_vcs
+        return table
+    classes: Dict[FrozenSet[int], List[int]] = {}
+    for r in range(net.n_routers):
+        classes.setdefault(_wrap_ports(net, r), []).append(r)
+    for wraps, routers in classes.items():
+        table[routers] = _dateline_table(cfg.be_vcs, n_ports, n_vcs, wraps)[0]
     return table

@@ -11,7 +11,6 @@ cycle costs two FPGA clock cycles.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -22,16 +21,17 @@ import numpy as np
 class DeltaMetrics:
     """Per-run delta-cycle statistics of a sequential simulation.
 
-    The per-cycle column is kept as runs: ``values[i]`` deltas in each
-    of ``counts[i]`` consecutive system cycles, no two neighbouring runs
-    of one value.  A chunk of statically scheduled or fast-forwarded
-    cycles is one run, whatever its length; :attr:`per_cycle` expands
-    the column on demand.
+    The per-cycle column is kept in chunks, in cycle order: a run
+    ``[deltas, cycles]`` — ``deltas`` in each of ``cycles`` consecutive
+    system cycles, no two neighbouring runs of one value — or a measured
+    column, an int64 array of one count per cycle.  A chunk of
+    statically scheduled or fast-forwarded cycles is one run, whatever
+    its length, and a measured column is booked as it came;
+    :attr:`per_cycle` expands the chunks on demand.
     """
 
     n_units: int
-    values: List[int] = field(default_factory=list)
-    counts: List[int] = field(default_factory=list)
+    chunks: List = field(default_factory=list)
     system_cycles: int = 0
     total_deltas: int = 0
 
@@ -41,14 +41,6 @@ class DeltaMetrics:
                 f"{deltas} deltas < {self.n_units} units: every unit must be "
                 "evaluated at least once per system cycle"
             )
-
-    def _book(self, values: List[int], counts: List[int]) -> None:
-        """Append runs (no two neighbours among them equal, none empty)."""
-        if self.values and self.values[-1] == values[0]:
-            self.counts[-1] += counts[0]
-            values, counts = values[1:], counts[1:]
-        self.values += values
-        self.counts += counts
 
     def record_cycle(self, deltas: int) -> None:
         self.record_cycles(1, deltas)
@@ -65,35 +57,36 @@ class DeltaMetrics:
             raise ValueError("cycles must be non-negative")
         self._check_floor(deltas)
         if cycles:
-            self._book([deltas], [cycles])
+            last = self.chunks[-1] if self.chunks else None
+            if type(last) is list and last[0] == deltas:
+                last[1] += cycles
+            else:
+                self.chunks.append([deltas, cycles])
             self.system_cycles += cycles
             self.total_deltas += cycles * deltas
 
     def record_counts(self, deltas: Sequence[int]) -> None:
         """Book one measured delta count per system cycle: the column
         the generated body's HBR accounting pass hands back (a list or
-        a NumPy array)."""
+        a NumPy array; copied, so the caller may reuse it)."""
         if len(deltas) <= 1:  # a stepped cycle
             for value in deltas:
                 self.record_cycle(int(value))
             return
-        column = np.asarray(deltas, dtype=np.int64)
+        column = np.array(deltas, dtype=np.int64)
         self._check_floor(int(column.min()))
-        # a run starts at 0 and wherever the count changes
-        starts = np.flatnonzero(column[1:] != column[:-1]) + 1
-        self._book(
-            column[np.append(0, starts)].tolist(),
-            np.diff(starts, prepend=0, append=len(column)).tolist(),
-        )
+        self.chunks.append(column)
         self.system_cycles += len(column)
         self.total_deltas += int(column.sum())
 
     @property
     def per_cycle(self) -> List[int]:
-        """The delta count of every system cycle, in order (a new list)."""
-        return list(
-            itertools.chain.from_iterable(map(itertools.repeat, self.values, self.counts))
-        )
+        """The delta count of every system cycle, in order (a new list
+        of Python ints)."""
+        out: List[int] = []
+        for chunk in self.chunks:
+            out += chunk.tolist() if type(chunk) is np.ndarray else [chunk[0]] * chunk[1]
+        return out
 
     @property
     def min_deltas(self) -> int:
@@ -125,5 +118,8 @@ class DeltaMetrics:
             "extra_deltas": self.extra_deltas,
             "extra_fraction": self.extra_fraction(),
             "mean_deltas_per_cycle": self.mean_deltas_per_cycle(),
-            "max_deltas_per_cycle": max(self.values, default=0),
+            "max_deltas_per_cycle": max(
+                (int(c.max()) if type(c) is np.ndarray else c[0] for c in self.chunks),
+                default=0,
+            ),
         }

@@ -262,9 +262,12 @@ class TestDeltaMetrics:
                 plain += arg
         assert metrics.per_cycle == plain
         assert all(type(d) is int for d in metrics.per_cycle)
-        # neighbouring runs differ, and no run is empty
-        assert all(a != b for a, b in zip(metrics.values, metrics.values[1:]))
-        assert all(n > 0 for n in metrics.counts)
+        # a measured column is one int64 array; neighbouring runs differ,
+        # and no run is empty
+        chunks = metrics.chunks
+        assert all(c.dtype == np.int64 for c in chunks if type(c) is not list)
+        assert not any(type(a) is type(b) is list and a[0] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(c[1] > 0 for c in chunks if type(c) is list)
         total, cycles = sum(plain), len(plain)
         extra = total - 5 * cycles
         assert metrics.summary() == {
@@ -284,8 +287,8 @@ class TestDeltaMetrics:
         metrics.record_cycles(198_848, 108)
         metrics.record_cycles(0, 108)
         metrics.record_cycle(108)
-        assert metrics.values == [108, 110, 108]
-        assert metrics.counts == [2, 1, 198_849]
+        column, stretch = metrics.chunks
+        assert column.tolist() == [108, 108, 110] and stretch == [108, 198_849]
         assert metrics.system_cycles == 198_852
         assert metrics.total_deltas == 108 * 198_851 + 110
 

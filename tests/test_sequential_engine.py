@@ -150,13 +150,16 @@ class TestDeltaEquality:
         assert 0 < engine.kernel_lane_cycles < cycles // 4 or not engine.injections
 
     @pytest.mark.parametrize(
-        "shape", [(8, 8), (13, 5), (9, 8), (16, 16)], ids=["64", "65", "72", "256"]
+        "shape",
+        [(8, 8), (13, 5), (9, 8), (16, 8), (16, 16)],
+        ids=["64", "65", "72", "128", "256"],
     )
     def test_the_pick_wraps_across_mask_words(self, shape):
         """The non-stable and settled sets are one bit a unit in 64-bit
-        words: 64 units fill one word exactly, 65 spill one unit into a
-        second, 72 and 256 span several (256 fills the last one
-        exactly).  Same counts, pointer wrap included."""
+        words, as many as the body was compiled for: 64 units fill one
+        word exactly, 65 spill one unit into a second, 72 and 128 take
+        two (128 fills both), 256 four.  Same counts, pointer wrap
+        included."""
         cfg = network("torus", shape, 2, hetero=False)
         reference, engine = model(cfg), SequentialEngine(cfg)
         want_driver = driver_for(reference, 0.15, 0, 0x5EED)
@@ -165,6 +168,23 @@ class TestDeltaEquality:
         driver.run(45)
         assert observed(engine, driver) == observed(reference, want_driver)
         assert max(engine.metrics.per_cycle) > cfg.n_routers
+
+    def test_a_push_that_changes_no_wire_evaluates_nothing(self):
+        """At depth 3 many pushes land in an allocated queue that holds a
+        flit and has room left after it: the router's ready set, head
+        flit and room words are what they were, so its unit stays
+        settled.  The count is the model's all the same, with fewer
+        units evaluated than when every push unsettled its router
+        (3,309 on this run)."""
+        cfg = network("torus", (4, 4), 3, hetero=False)
+        reference = model(cfg)
+        want_driver = driver_for(reference, 0.2, 0, 0xD3)
+        stepped(want_driver, 300)
+        engine = SequentialEngine(cfg)
+        driver = driver_for(engine, 0.2, 0, 0xD3)
+        driver.run(300)
+        assert observed(engine, driver) == observed(reference, want_driver)
+        assert engine.kernel_hbr_evals < 3309
 
     def test_the_settled_mask_does_not_outlive_a_call(self):
         """Depth 1 and GT+BE toggle room wires most; the run alternates
@@ -268,6 +288,33 @@ class TestDeltaEquality:
         assert observed(chunked, driver) == observed(by_cycle, other)
         with pytest.raises(RuntimeError, match="cannot step alone"):
             BatchEngine(cfg, lanes=2).lane(0).step()
+
+
+@needs_jit
+class TestSourceShape:
+    """One compiled body serves every fabric of its router; the HBR
+    variant every fabric of as many mask words."""
+
+    @staticmethod
+    def source(shape, engine=BatchEngine):
+        from repro.kernels.batchlevel import generate_level_source
+        from repro.kernels.cbackend import KernelSpec
+
+        cfg = network("torus", shape, 2, hetero=False)
+        spec = KernelSpec.from_engine(engine(cfg, kernel="jit"))
+        return generate_level_source(spec, cfg.router.event_layout)
+
+    def test_the_batch_body_does_not_depend_on_the_fabric(self):
+        assert "#define HBR 0" in self.source((6, 6))
+        assert self.source((6, 6)) == self.source((10, 10))
+
+    def test_the_hbr_body_depends_on_its_mask_words_only(self):
+        class Counting(BatchEngine):
+            HBR_ACCOUNTING = True
+
+        one, full, two = (self.source(s, Counting) for s in ((6, 6), (8, 8), (13, 5)))
+        assert "#define HBR 1" in one and "#define W 1" in one
+        assert one == full != two and "#define W 2" in two
 
 
 class TestBodySelection:
