@@ -133,7 +133,7 @@ def _report_kernel(engine, drivers) -> None:
         body = "Python model" if engine.name == "sequential" else "golden lanes"
     if engine.kernel_reason:
         body += f"; {engine.kernel_reason}"
-    reason = window_source(engine, drivers).reason
+    _, reason = window_source(engine, drivers)
     traffic = "C scan" if reason is None else f"Python generators ({reason})"
     print(f"kernel: {kernel} ({body}); traffic: {traffic}")
 
@@ -153,10 +153,11 @@ def _report_run(engine, drivers) -> None:
     again in cycle order."""
     if getattr(engine, "kernel", None) is None:
         return
-    from repro.engines.batch import chunk_decline
+    from repro.engines.batch import chunk_decline, window_source
 
     decline = chunk_decline(engine, drivers)
-    line = "chunked" if decline is None else f"stepping per cycle ({decline})"
+    stepped = decline or window_source(engine, drivers)[1]  # no windows without the scan
+    line = "chunked" if stepped is None else f"stepping per cycle ({stepped})"
     if getattr(engine, "kernel_lane_cycles", 0):
         share = engine.kernel_router_evals / (
             engine.kernel_lane_cycles * engine.cfg.n_routers

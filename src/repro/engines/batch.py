@@ -463,18 +463,27 @@ def chunk_kernel(engine, drivers: Sequence):
 
 
 def window_source(engine, drivers: Sequence):
-    """Where ``drivers``' traffic windows come from: the batched C scan
-    when the engine was bound to the generated body and the drivers
-    qualify (:func:`repro.kernels.trafficgen.batched_be_generator`),
-    else the drivers' own Python generators — ``source.reason`` says
-    why."""
+    """``(generator, None)``: the batched C scan that generates
+    ``drivers``' traffic windows
+    (:func:`repro.kernels.trafficgen.batched_be_generator`), where the
+    engine was bound to the generated body and the scan takes the
+    drivers; else ``(None, reason)`` — the run generates cycle by cycle
+    through the drivers' own generators."""
     from repro.kernels.trafficgen import batched_be_generator
-    from repro.traffic.stimuli import DriverWindows
 
     if getattr(engine, "_compiled", None) is None:
-        return DriverWindows(drivers, "the engine has no generated-C body")
-    generator, reason = batched_be_generator(drivers)
-    return generator if generator is not None else DriverWindows(drivers, reason)
+        return None, "the engine has no generated-C body"
+    return batched_be_generator(drivers)
+
+
+def step_cycle(engine, drivers: Sequence) -> None:
+    """One cycle of the per-cycle reference loop: every driver generates
+    and pumps, then the engine steps (every lane at once)."""
+    cycle = engine.cycle
+    for driver in drivers:
+        driver.generate(cycle)
+        driver.pump()
+    engine.step()
 
 
 def _hook_horizon(engine: BatchEngine, limit: int) -> int:
@@ -584,16 +593,13 @@ def run_batched(
     timestamps; the pump moves into the kernel, and events come back as
     one block a window of the engine's :class:`PackedLog` pair.
 
-    Where every driver carries a Bernoulli-BE/uniform-random stream
-    (any per-lane load, zero and ``be=None`` included) with or without
-    plain GT streams, and the generated-C tier is available, the
-    per-lane generate calls are replaced by one C scan per window or
-    cycle (:func:`repro.kernels.trafficgen.batched_be_generator`) — a
-    pure reordering of independent per-lane work, bit-identical per
-    lane.  Other generators (transpose, hotspot, ...) fill the same
-    columns from Python, a window ahead of each chunk
-    (:func:`window_source` says which, and why).  Golden lanes keep the
-    all-Python reference path end to end.  A
+    Every window comes from one C scan over every lane's generators
+    (:func:`repro.kernels.trafficgen.batched_be_generator`: any per-lane
+    mix of the :mod:`repro.traffic` patterns and loads, GT streams, lanes
+    with no live BE stream) — a pure reordering of independent per-lane
+    work, bit-identical per lane.  Where the scan declines the drivers
+    (:func:`window_source` says why) the run steps cycle by cycle, as
+    golden lanes do, with the all-Python reference path end to end.  A
     :class:`~repro.traffic.stimuli.NetworkOverloadError` leaves the
     drivers where that reference loop would, on every path.
 
@@ -607,8 +613,7 @@ def run_batched(
     """
     from repro.traffic.stimuli import step_window
 
-    source = window_source(engine, drivers)
-    scan = source if source.reason is None else None
+    scan, _ = window_source(engine, drivers)
     end = engine.cycle + cycles
 
     def skipped() -> bool:
@@ -616,14 +621,14 @@ def run_batched(
             _try_fast_forward(engine, drivers, end - engine.cycle, scan)
         )
 
-    compiled = chunk_kernel(engine, drivers)
+    compiled = chunk_kernel(engine, drivers) if scan is not None else None
     if compiled is not None:
         start = time.perf_counter()
         try:
             while engine.cycle < end:
                 if skipped():
                     continue
-                window = source.generate_window(engine.cycle, end)
+                window = scan.generate_window(engine.cycle, end)
                 compiled.run_chunk(drivers, window.stop - window.start, window)
         finally:
             engine.kernel_loop_seconds += time.perf_counter() - start
@@ -635,10 +640,7 @@ def run_batched(
         if scan is not None:
             step_window(engine, drivers, scan.generate_window(cycle, cycle + 1))
         else:
-            for driver in drivers:
-                driver.generate(cycle)
-                driver.pump()
-            engine.step()
+            step_cycle(engine, drivers)
 
 
 def drain_batched(

@@ -161,6 +161,24 @@ def _fig1_point_result(
     )
 
 
+def fig1_lane_drivers(
+    engine, be_loads: Sequence[float], gt_period: int, seed: int
+) -> List[TrafficDriver]:
+    """One Fig. 1 driver a lane of ``engine``: lane ``i`` offers BE load
+    ``be_loads[i]`` from ``seed`` beside the fixed GT streams (one
+    reservation table: the lanes carry identical, immutable streams)."""
+    net = engine.cfg
+    streams = fig1_gt_streams(net, engine.routing).streams
+    return [
+        TrafficDriver(
+            engine.lane(i),
+            be=BernoulliBeTraffic(net, be_load, uniform_random(net), seed=seed),
+            gt=GtStreamTraffic(net, streams, period=gt_period),
+        )
+        for i, be_load in enumerate(be_loads)
+    ]
+
+
 def run_fig1_workloads_batched(
     be_loads: Sequence[float],
     cycles: int,
@@ -183,16 +201,7 @@ def run_fig1_workloads_batched(
     net = fig1_network()
     engine = BatchEngine(net, lanes=len(be_loads))
     warmup = gt_period if warmup is None else warmup
-    # one reservation table: the lanes carry identical (immutable) streams
-    streams = fig1_gt_streams(net, engine.routing).streams
-    drivers = [
-        TrafficDriver(
-            engine.lane(i),
-            be=BernoulliBeTraffic(net, be_load, uniform_random(net), seed=seed),
-            gt=GtStreamTraffic(net, streams, period=gt_period),
-        )
-        for i, be_load in enumerate(be_loads)
-    ]
+    drivers = fig1_lane_drivers(engine, be_loads, gt_period, seed)
     done = run_lane_sweep(engine, drivers, warmup + cycles)
     return [
         _fig1_point_result(

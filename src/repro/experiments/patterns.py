@@ -87,22 +87,16 @@ def run_pattern(
     driver.be = None
     driver.drain()
     tracker.collect(engine)
-    return _pattern_result(name, net, tracker, engine.ejections)
+    return _logged_result(name, net, tracker, engine.ejections)
 
 
-def _pattern_result(name: str, net, tracker, ejection_log) -> PatternResult:
-    """Summarise one pattern run from its collected tracker and log."""
-    from repro.engines.eventlog import log_blocks
+def _pattern_result(name: str, tracker, ejections: int, to_target: int) -> PatternResult:
+    """Summarise one pattern run from its collected tracker, its count
+    of ejected flits and how many of them the hotspot target took."""
     from repro.stats.latency import S_HOPS
 
     stats = tracker.stats()
     hops = tracker.samples.columns[S_HOPS]
-    target = net.index(*HOTSPOT_XY)
-    ejections = len(ejection_log)
-    to_target = sum(
-        int((tracker.layout.routers(block) == target).sum())
-        for block in log_blocks(ejection_log, 0, ejections, tracker.layout)
-    )
     return PatternResult(
         name=name,
         mean=stats.mean,
@@ -113,6 +107,34 @@ def _pattern_result(name: str, net, tracker, ejection_log) -> PatternResult:
         ejections=ejections,
         to_hotspot_fraction=to_target / ejections if ejections else 0.0,
     )
+
+
+def _logged_result(name: str, net, tracker, ejection_log) -> PatternResult:
+    """:func:`_pattern_result` with the counts read off the ejection log."""
+    from repro.engines.eventlog import log_blocks
+
+    target = net.index(*HOTSPOT_XY)
+    ejections = len(ejection_log)
+    to_target = sum(
+        int((tracker.layout.routers(block) == target).sum())
+        for block in log_blocks(ejection_log, 0, ejections, tracker.layout)
+    )
+    return _pattern_result(name, tracker, ejections, to_target)
+
+
+def pattern_lane_drivers(engine, names: Sequence[str], load: float, seed: int):
+    """One driver a lane of ``engine``: lane ``i`` offers ``load`` to
+    pattern ``names[i]``, every lane from the same seed."""
+    from repro.traffic import BernoulliBeTraffic, TrafficDriver
+
+    net = engine.cfg
+    return [
+        TrafficDriver(
+            engine.lane(i),
+            be=BernoulliBeTraffic(net, load, _make_pattern(name, net), seed=seed),
+        )
+        for i, name in enumerate(names)
+    ]
 
 
 def run_patterns_batched(
@@ -126,20 +148,13 @@ def run_patterns_batched(
     """
     from repro.engines import BatchEngine
     from repro.noc import NetworkConfig
-    from repro.traffic import BernoulliBeTraffic, TrafficDriver
 
     net = NetworkConfig(6, 6, topology="torus")
     engine = BatchEngine(net, lanes=len(names))
-    drivers = [
-        TrafficDriver(
-            engine.lane(i),
-            be=BernoulliBeTraffic(net, load, _make_pattern(name, net), seed=seed),
-        )
-        for i, name in enumerate(names)
-    ]
+    drivers = pattern_lane_drivers(engine, names, load, seed)
     run_lane_sweep(engine, drivers, cycles)
     return [
-        _pattern_result(name, net, driver.tracker, engine.lane_ejections(i))
+        _logged_result(name, net, driver.tracker, engine.lane_ejections(i))
         for i, (name, driver) in enumerate(zip(names, drivers))
     ]
 

@@ -169,120 +169,21 @@ def _fill(template: str, **values) -> str:
     return "".join(out)
 
 
-_TEMPLATE = (
-    """
-/* Generated by repro.kernels.batchlevel -- do not edit.
- * Specialized activity-driven batch-chunk kernel: ${spec}
- */
-#define _GNU_SOURCE
-#include <pthread.h>
-#include <sched.h>
-#include <stdint.h>
-#include <string.h>
-#include <time.h>
-#ifdef __linux__
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
-
-#define P ${P}
-#define V ${V}
-#define NQ ${NQ}
-#define DMAX ${DMAX}
-#define DW ${DW}
-#define VC_SHIFT ${VC_SHIFT}
-#define HEAD_T ${HEAD_T}
-#define TAIL_T ${TAIL_T}
-#define IDLE_T ${IDLE_T}
-#define GT_MASK ${GT_MASK}
-#define PAYLOAD_MASK ${PAYLOAD_MASK}
-#define FLIT_MASK ${FLIT_MASK}
-#define VMASK ${VMASK}
-#define HBR ${HBR}
-/* the packed event words (repro.noc.layout.EventLayout): word 0 is
- * delay | vc | router | cycle, LSB first, word 1 the flit */
-#define EV_VC ${EV_VC}
-#define EV_ROUTER ${EV_ROUTER}
-#define EV_CYCLE ${EV_CYCLE}
-
-/* The fabric is a runtime argument: R routers and their neighbour
- * tables.  Each cycle of a lane range is one pure evaluation pass over
- * its lanes, then one registered commit; a traffic window runs one
- * lane at a time through the whole window (lane order, in the body
- * below).  Evaluation reads committed state only — room at a
- * neighbour's queue is a bit of that neighbour's committed full-mask —
- * so any router order is a valid level order of the room -> forward ->
- * state graph; the walk is ascending, the order the event logs need.
- *
- * Cost follows activity, not fabric size.  Four occupancy words per
- * (lane, router) — queue q non-empty / full / allocated, injection
- * register v valid — are derived from the state arrays at call entry
- * and maintained at the only places they change (pump accept, pop,
- * push, tail release, allocation, injection sent); they are call
- * scratch, the state arrays stay the single source of truth.  A router
- * with nothing buffered and nothing pending is skipped; the others
- * record what they decide — pops, pushes, allocations, stimuli updates,
- * ejections — in work lists, and the commit walks the lists. */
-enum { O_NE, O_FULL, O_QAM, O_INJ, O_WORDS };
-
-#define CTZ(x) ((int64_t)__builtin_ctzll((unsigned long long)(x)))
-#define BIT(n) ((uint64_t)1 << (n))
-
-/* First set bit of req cyclically above `last` (the shared round-robin
- * grant): the bits above the pointer win outright, else wrap. */
-static inline int64_t rr_pick(int64_t req, int64_t last)
-{
-    const int64_t above = req >> (last + 1);
-    return above ? CTZ(above) + last + 1 : CTZ(req);
-}
-
-/* Close the gaps between the per-lane segments of an event buffer
- * (two rows of `cap` columns; lane b holds n[b] events from column
- * at[b]): afterwards the events are one block, grouped by lane. */
-static void pack_lanes(int64_t *ev, int64_t cap, int64_t B,
-                       const int64_t *at, const int64_t *n)
-{
-    int64_t out = 0;
-    for (int64_t b = 0; b < B; b++) {
-        if (n[b] && at[b] != out)
-            for (int64_t f = 0; f < 2; f++)
-                memmove(ev + f * cap + out, ev + f * cap + at[b],
-                        (size_t)n[b] * sizeof(int64_t));
-        out += n[b];
-    }
-}
-
-/* Lane order's snapshot: per (lane, router), the words of every mutable
- * state array, in parameter order (mem, rd, wr, count, alloc,
- * queue_alloc, arb_ptr, alloc_ptr, inj_word, inj_valid, rr_ptr, delay,
- * eject_word, eject_valid, stalled). */
-#define KEEP (NQ * DMAX + 5 * NQ + P + 5 + 3 * V)
-
-/* Copy lanes [L0, L1) of the state arrays to `keep` (save) or back
- * (restore), and their staged queues' head, stall and touched rows to
- * the three rows five below them.  Array a holds w[a] words a (lane,
- * router) and is kept at keep + BR x (the words of the arrays before
- * it); queue i at column i. */
-static void keep_lanes(int64_t *const *state, int64_t *keep, int64_t BR,
-                       int64_t R, int64_t L0, int64_t L1, int64_t *q,
-                       int64_t q_cap, const int64_t *q_at, int save)
-{
-    const int64_t w[] = {NQ * DMAX, NQ, NQ, NQ, NQ, NQ, P, 1, V, V, 1, V, 1, 1, 1};
-    for (int64_t a = 0; a < 15; a++) {
-        int64_t *s = state[a] + L0 * R * w[a], *k = keep + L0 * R * w[a];
-        const size_t n = (size_t)((L1 - L0) * R * w[a]) * sizeof(int64_t);
-        memcpy(save ? k : s, save ? s : k, n);
-        keep += BR * w[a];
-    }
-    for (int64_t row = 4; row < 7; row++) {
-        int64_t *s = q + row * q_cap + q_at[L0], *k = s + 5 * q_cap;
-        const size_t n = (size_t)(q_at[L1] - q_at[L0]) * sizeof(int64_t);
-        memcpy(save ? k : s, save ? s : k, n);
-    }
-}
-
-#if HBR
-/* ---- HBR delta accounting (the paper's section 4.2 schedule) ----
+#: the HBR accounting pass and its call, filled into the sources that
+#: carry it only (an edit to either leaves every other kernel's source,
+#: and cache key, as it was)
+_HBR_CALL = """            deltas[b * n_cycles + t] = hbr_walk(
+                R, sc, ${MAX_DELTA_FACTOR} * R, nb_idx, nb_ok, opp, mem, rd,
+                queue_alloc, arb_ptr, occ, wires + b * (2 * R * P + 1),
+                settled, &hbr_evals);
+            if (deltas[b * n_cycles + t] < 0) {
+                err[0] = 6;
+                err[1] = b;
+                ret = 6;
+                goto stop;
+            }
+"""
+_HBR_PASS = """/* ---- HBR delta accounting (the paper's section 4.2 schedule) ----
  * Generated only for an engine that counts them (the sequential
  * engine): the batch engine's body carries none of this, not even the
  * call site, so its loops compile as they always did.
@@ -445,7 +346,122 @@ static int64_t hbr_walk(
     *evals += n;
     return deltas;
 }
+"""
+
+_TEMPLATE = (
+    """
+/* Generated by repro.kernels.batchlevel -- do not edit.
+ * Specialized activity-driven batch-chunk kernel: ${spec}
+ */
+#define _GNU_SOURCE
+#include <pthread.h>
+#include <sched.h>
+#include <stdint.h>
+#include <string.h>
+#include <time.h>
+#ifdef __linux__
+#include <sys/syscall.h>
+#include <unistd.h>
 #endif
+
+#define P ${P}
+#define V ${V}
+#define NQ ${NQ}
+#define DMAX ${DMAX}
+#define DW ${DW}
+#define VC_SHIFT ${VC_SHIFT}
+#define HEAD_T ${HEAD_T}
+#define TAIL_T ${TAIL_T}
+#define IDLE_T ${IDLE_T}
+#define GT_MASK ${GT_MASK}
+#define PAYLOAD_MASK ${PAYLOAD_MASK}
+#define FLIT_MASK ${FLIT_MASK}
+#define VMASK ${VMASK}
+#define HBR ${HBR}
+/* the packed event words (repro.noc.layout.EventLayout): word 0 is
+ * delay | vc | router | cycle, LSB first, word 1 the flit */
+#define EV_VC ${EV_VC}
+#define EV_ROUTER ${EV_ROUTER}
+#define EV_CYCLE ${EV_CYCLE}
+
+/* The fabric is a runtime argument: R routers and their neighbour
+ * tables.  Each cycle of a lane range is one pure evaluation pass over
+ * its lanes, then one registered commit; a traffic window runs one
+ * lane at a time through the whole window (lane order, in the body
+ * below).  Evaluation reads committed state only — room at a
+ * neighbour's queue is a bit of that neighbour's committed full-mask —
+ * so any router order is a valid level order of the room -> forward ->
+ * state graph; the walk is ascending, the order the event logs need.
+ *
+ * Cost follows activity, not fabric size.  Four occupancy words per
+ * (lane, router) — queue q non-empty / full / allocated, injection
+ * register v valid — are derived from the state arrays at call entry
+ * and maintained at the only places they change (pump accept, pop,
+ * push, tail release, allocation, injection sent); they are call
+ * scratch, the state arrays stay the single source of truth.  A router
+ * with nothing buffered and nothing pending is skipped; the others
+ * record what they decide — pops, pushes, allocations, stimuli updates,
+ * ejections — in work lists, and the commit walks the lists. */
+enum { O_NE, O_FULL, O_QAM, O_INJ, O_WORDS };
+
+#define CTZ(x) ((int64_t)__builtin_ctzll((unsigned long long)(x)))
+#define BIT(n) ((uint64_t)1 << (n))
+
+/* First set bit of req cyclically above `last` (the shared round-robin
+ * grant): the bits above the pointer win outright, else wrap. */
+static inline int64_t rr_pick(int64_t req, int64_t last)
+{
+    const int64_t above = req >> (last + 1);
+    return above ? CTZ(above) + last + 1 : CTZ(req);
+}
+
+/* Close the gaps between the per-lane segments of an event buffer
+ * (two rows of `cap` columns; lane b holds n[b] events from column
+ * at[b]): afterwards the events are one block, grouped by lane. */
+static void pack_lanes(int64_t *ev, int64_t cap, int64_t B,
+                       const int64_t *at, const int64_t *n)
+{
+    int64_t out = 0;
+    for (int64_t b = 0; b < B; b++) {
+        if (n[b] && at[b] != out)
+            for (int64_t f = 0; f < 2; f++)
+                memmove(ev + f * cap + out, ev + f * cap + at[b],
+                        (size_t)n[b] * sizeof(int64_t));
+        out += n[b];
+    }
+}
+
+/* Lane order's snapshot: per (lane, router), the words of every mutable
+ * state array, in parameter order (mem, rd, wr, count, alloc,
+ * queue_alloc, arb_ptr, alloc_ptr, inj_word, inj_valid, rr_ptr, delay,
+ * eject_word, eject_valid, stalled). */
+#define KEEP (NQ * DMAX + 5 * NQ + P + 5 + 3 * V)
+
+/* Copy lanes [L0, L1) of the state arrays to `keep` (save) or back
+ * (restore), and their staged queues' head, stall and touched rows to
+ * the three rows five below them.  Array a holds w[a] words a (lane,
+ * router) and is kept at keep + BR x (the words of the arrays before
+ * it); queue i at column i. */
+static void keep_lanes(int64_t *const *state, int64_t *keep, int64_t BR,
+                       int64_t R, int64_t L0, int64_t L1, int64_t *q,
+                       int64_t q_cap, const int64_t *q_at, int save)
+{
+    const int64_t w[] = {NQ * DMAX, NQ, NQ, NQ, NQ, NQ, P, 1, V, V, 1, V, 1, 1, 1};
+    for (int64_t a = 0; a < 15; a++) {
+        int64_t *s = state[a] + L0 * R * w[a], *k = keep + L0 * R * w[a];
+        const size_t n = (size_t)((L1 - L0) * R * w[a]) * sizeof(int64_t);
+        memcpy(save ? k : s, save ? s : k, n);
+        keep += BR * w[a];
+    }
+    for (int64_t row = 4; row < 7; row++) {
+        int64_t *s = q + row * q_cap + q_at[L0], *k = s + 5 * q_cap;
+        const size_t n = (size_t)(q_at[L1] - q_at[L0]) * sizeof(int64_t);
+        memcpy(save ? k : s, save ? s : k, n);
+    }
+}
+
+#if HBR
+${hbr_pass}#endif
 
 /* Every pointer parameter is `restrict`: no two of the arrays overlap
  * (CompiledBatchLevel._rebind refuses any that do), so a store to one
@@ -706,17 +722,7 @@ range:
             cycle_lanes++;
             const int64_t sc = b * R;
 #if HBR
-            deltas[b * n_cycles + t] = hbr_walk(
-                R, sc, ${MAX_DELTA_FACTOR} * R, nb_idx, nb_ok, opp, mem, rd,
-                queue_alloc, arb_ptr, occ, wires + b * (2 * R * P + 1),
-                settled, &hbr_evals);
-            if (deltas[b * n_cycles + t] < 0) {
-                err[0] = 6;
-                err[1] = b;
-                ret = 6;
-                goto stop;
-            }
-#endif
+${hbr_call}#endif
             int64_t lane_err = 0, lane_r = 0, lane_pos = 0;
             int64_t lane_data = 0, lane_vc = 0;
             int64_t n_busy = 0;
@@ -1265,11 +1271,15 @@ def generate_level_source(spec, layout) -> str:
         FLIT_MASK=(1 << spec.vc_shift) - 1,
         VMASK=(1 << spec.n_vcs) - 1,
         HBR=int(spec.hbr > 0),
-        W=int(spec.hbr),
         EV_VC=layout.shifts[0],
         EV_ROUTER=layout.shifts[1],
         EV_CYCLE=layout.shifts[2],
-        MAX_DELTA_FACTOR=ConvergenceWatchdog.DEFAULT_FACTOR,
+        hbr_pass=_fill(_HBR_PASS, W=int(spec.hbr)) if spec.hbr else "",
+        hbr_call=(
+            _fill(_HBR_CALL, MAX_DELTA_FACTOR=ConvergenceWatchdog.DEFAULT_FACTOR)
+            if spec.hbr
+            else ""
+        ),
         signature=_SIGNATURE.strip().replace("*", "*restrict "),
         fabric=_FABRIC,
     )

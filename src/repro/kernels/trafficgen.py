@@ -1,9 +1,10 @@
 """Generated-C stimuli kernel: lane-batched traffic windows as columns.
 
 Sweeps and benches drive every lane of a batch engine with its own
-:class:`~repro.traffic.generators.BernoulliBeTraffic` stream, usually
-beside a fixed set of :class:`~repro.traffic.generators.GtStreamTraffic`
-streams (the Fig. 1 workload).  Everything between the LFSR and the
+:class:`~repro.traffic.generators.BernoulliBeTraffic` stream — any
+destination pattern of :mod:`repro.traffic`, any load — usually beside a
+fixed set of :class:`~repro.traffic.generators.GtStreamTraffic` streams
+(the Fig. 1 workload).  Everything between the LFSR and the
 chunk kernel's stimuli buffers is integer arithmetic on the scan's
 ``(lane, cycle, src, dest)`` hits, so it runs here, in C functions over
 the columns of :mod:`repro.traffic.stimuli` — and so is the other end of
@@ -20,10 +21,12 @@ the run, matching the packets that came out (``repro_match``):
   some lane hits or a GT stream fires.  A window ends at the first
   cycle boundary at which it holds its flit budget
   (:data:`~repro.traffic.stimuli.FLIT_BUDGET`), and a lane that read
-  past it is advanced again to it.  A Bernoulli hit draws the
-  uniform-random destination with the same rejection sampling as
+  past it is advanced again to it.  A Bernoulli hit reads the lane's
+  destination row: a fixed pattern's table entry draws no word; a
+  uniform draw takes the same rejection sampling as
   :meth:`~repro.traffic.rng.HardwareLfsr.next_below` — the identical
-  number of RNG words in the identical order — and becomes one packet
+  number of RNG words in the identical order — after a hotspot's one
+  Bernoulli word off the target; and the hit becomes one packet
   column then and there: sequence number, tag and BE-VC toggle are
   per-lane counters the scan carries.  GT streams are periodic, so their
   firings are closed-form; they are emitted cycle-major, GT before BE —
@@ -51,22 +54,21 @@ the run, matching the packets that came out (``repro_match``):
 The kernel is built, cached and loaded through the same pipeline as the
 simulation body (:func:`repro.kernels.cbackend.load_source`), so it
 shares the compiler probe, the content-hashed disk cache and the
-availability gating.  Where the scan does not apply, windows come from
-the drivers' own Python generators
-(:class:`~repro.traffic.stimuli.DriverWindows`), bit-identical by
-construction.
+availability gating.  It is the only source of traffic windows: where
+it does not apply (:func:`batched_be_generator` says why) a run
+generates cycle by cycle through the drivers' own generators.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engines.eventlog import LogSpan, columns
 from repro.traffic.rng import GALOIS_MASK
-from repro.traffic.stimuli import Stimuli, WindowSource
+from repro.traffic.stimuli import Stimuli
 
 __all__ = [
     "BatchedBeGenerator",
@@ -82,6 +84,7 @@ int64_t repro_gen_be(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
     int64_t probe,
     const int64_t *thresholds, int64_t bound, int64_t span,
+    const int64_t *dests, const int64_t *hot,
     const uint32_t *jumps, const uint64_t *tops,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
@@ -93,6 +96,7 @@ void repro_lfsr_tables(int64_t mask, uint32_t *jumps, uint64_t *tops);
 int64_t repro_gen_window(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
     const int64_t *thresholds, int64_t bound, int64_t span,
+    const int64_t *dests, const int64_t *hot,
     const uint32_t *jumps, const uint64_t *tops,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
@@ -301,10 +305,16 @@ static int64_t lfsr_scan(uint32_t *state, int64_t n, int64_t threshold,
  * (gt_lane rows: count, period, payload bytes; gt_stream rows: phase,
  * src, dest, vc; `n_gt` columns per lane) fire at the cycles congruent
  * to their phase, in stream order.  On a BE hit the destination is
- * drawn in place with rejection sampling below `span` then reduced
- * modulo `bound` — the same word sequence HardwareLfsr.next_below
- * consumes.  Sequence numbers (be_seq, gt_seq) and the per-source BE-VC
- * toggles advance as TrafficDriver.generate advances them.
+ * the lane's row of `dests` ([lanes, n_src]) at the source, where that
+ * is not negative: a fixed pattern draws no word.  Otherwise it is drawn
+ * in place with rejection sampling below `span` then reduced modulo
+ * `bound` — the same word sequence HardwareLfsr.next_below consumes —
+ * and a hotspot lane (`hot` rows: target, or -1, and Bernoulli
+ * threshold, `lanes` columns) whose source is not the target first
+ * draws one word and sends to the target below the threshold, as
+ * HardwareLfsr.bernoulli does.  Sequence numbers (be_seq, gt_seq) and
+ * the per-source BE-VC toggles advance as TrafficDriver.generate
+ * advances them.
  *
  * probe != 0 (idle window; the caller cut it at the next GT firing):
  * stop before the first cycle in which any lane hits.  The scan goes
@@ -319,6 +329,7 @@ int64_t repro_gen_be(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
     int64_t probe,
     const int64_t *thresholds, int64_t bound, int64_t span,
+    const int64_t *dests, const int64_t *hot,
     const uint32_t *jumps, const uint64_t *tops,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
@@ -445,17 +456,28 @@ int64_t repro_gen_be(
                 gt_next[l] = next;
             }
             while (hit_cycle[l] == c) {
-                /* the destination, drawn as HardwareLfsr.next_below draws */
-                uint32_t s = (uint32_t)hit_word[l], d;
-                do {
-                    d = lfsr_image(s, jumps + J1);
-                    tally[l]++;
-                    s = d;
-                } while ((int64_t)d >= span);
+                /* the destination: the lane's fixed one, or drawn as its
+                 * pattern draws it */
                 const int64_t src = hit[l] - (c - start) * n_src;
-                int64_t dest = (int64_t)(d % (uint32_t)bound);
-                if (dest >= src)
-                    dest += 1;
+                uint32_t s = (uint32_t)hit_word[l];
+                int64_t dest = dests[l * n_src + src];
+                if (dest < 0 && hot[l] >= 0 && src != hot[l]) {
+                    s = lfsr_image(s, jumps + J1); /* HardwareLfsr.bernoulli */
+                    tally[l]++;
+                    if ((int64_t)s < hot[lanes + l])
+                        dest = hot[l];
+                }
+                if (dest < 0) { /* HardwareLfsr.next_below */
+                    uint32_t d;
+                    do {
+                        d = lfsr_image(s, jumps + J1);
+                        tally[l]++;
+                        s = d;
+                    } while ((int64_t)d >= span);
+                    dest = (int64_t)(d % (uint32_t)bound);
+                    if (dest >= src)
+                        dest += 1;
+                }
                 const int64_t k = l * n_src + src;
                 const int64_t seq = be_seq[k], toggle = toggles[k];
                 be_seq[k] = (seq + 1) & 0xFF;
@@ -598,6 +620,7 @@ static int64_t load_flits(
 int64_t repro_gen_window(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
     const int64_t *thresholds, int64_t bound, int64_t span,
+    const int64_t *dests, const int64_t *hot,
     const uint32_t *jumps, const uint64_t *tops,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
@@ -610,7 +633,8 @@ int64_t repro_gen_window(
     int64_t *key_queue, int64_t *load_work, int64_t *loaded)
 {
     const int64_t c = repro_gen_be(
-        lanes, upto, n_src, start, stop, 0, thresholds, bound, span, jumps, tops,
+        lanes, upto, n_src, start, stop, 0, thresholds, bound, span, dests, hot,
+        jumps, tops,
         states, tally, bpf, be_nbytes, be_seq, toggles, be_vcs, n_be_vcs,
         n_gt, gt_lane, gt_stream, gt_seq, work, pk, cap, budget, ends);
     const int64_t m = ends[lanes - 1];
@@ -1287,11 +1311,24 @@ class PacketMatch:
                 return found
 
 
-class BatchedBeGenerator(WindowSource):
-    """Every lane's BE (and GT) streams through one C scan per window."""
+class BatchedBeGenerator:
+    """Every lane's BE (and GT) streams through one C scan per window:
+    the only source of traffic windows.
+
+    A scan touches only generator state — LFSR state, sequence numbers,
+    BE-VC toggles — never a driver's queues, books or tracker, so the
+    streaming pipeline scans the next window while the current one
+    simulates.  A window that ends in a
+    :class:`~repro.traffic.stimuli.NetworkOverloadError` is rewound
+    through :meth:`rewind`, however far past it the scan had run.
+    """
 
     def __init__(self, drivers: Sequence, kernel) -> None:
-        super().__init__(drivers)
+        from repro.traffic.stimuli import FLIT_BUDGET
+
+        self.drivers: List = list(drivers)
+        #: flits after which a window ends
+        self.budget = FLIT_BUDGET
         self._lib, self._ffi = kernel
         net = self._net = self.drivers[0].net
         self.n_src = net.n_routers
@@ -1321,6 +1358,17 @@ class BatchedBeGenerator(WindowSource):
                 self._be_nbytes[lane] = be.payload_bytes
         for lane, be in self._live:
             self._thresholds[lane] = int(be.packet_probability * 2**32)
+        # destination tables: a fixed pattern's row, -1 where drawn; a
+        # hotspot's target (-1: none) and Bernoulli threshold
+        self._dests = np.full((lanes, self.n_src), -1, dtype=np.int64)
+        self._hot = np.full((2, lanes), -1, dtype=np.int64)
+        for lane, be in enumerate(self._bes):
+            pattern = getattr(be, "pattern", None)
+            if hasattr(pattern, "destinations"):
+                self._dests[lane] = pattern.destinations
+            elif hasattr(pattern, "hotspot"):
+                target, fraction = pattern.hotspot
+                self._hot[:, lane] = target, int(fraction * 2**32)
         # GT tables: per lane (count, period, payload bytes), per stream
         # (phase, src, dest, vc)
         n_gt = max([len(gt.streams) for _, gt in self._gts] + [1])
@@ -1371,7 +1419,7 @@ class BatchedBeGenerator(WindowSource):
         jumps, tops = lfsr_tables()
         #: repro_gen_be's arguments after `probe`
         self._scan_args = (
-            at(self._thresholds), self.bound, self.span,
+            at(self._thresholds), self.bound, self.span, at(self._dests), at(self._hot),
             ffi.cast("uint32_t *", jumps.ctypes.data),
             ffi.cast("uint64_t *", tops.ctypes.data),
             at(self._states), at(self._tally),
@@ -1440,28 +1488,32 @@ class BatchedBeGenerator(WindowSource):
         )
         return snapshot, self._call(upto, start, limit, 0, load)
 
-    def scan(self, start: int, limit: int) -> Stimuli:
-        """The window from ``start`` (to ``limit`` at most) as the chunk
-        kernel stages it, in one C call: the scan, then the load step.
-        Its flits and queue table are views of this source's scratch,
-        good until the next scan (the window is staged by then); its
-        packets are copied out, since the submit logs keep them."""
+    def generate_window(self, start: int, limit: int) -> Stimuli:
+        """The next window from ``start``, as the chunk kernel stages it,
+        in one C call: every lane's packets of cycles ``[start,
+        window.stop)``, ``window.stop`` the first cycle boundary at which
+        the window holds its flit budget — ``limit`` at most, one cycle
+        at least — then the load step.  Each lane's generator state
+        advances exactly as that many ``TrafficDriver.generate`` calls
+        advance it.  The window's flits and queue table are views of
+        this source's scratch, good until the next scan (the window is
+        staged by then); its packets are copied out, since the submit
+        logs keep them."""
         snapshot, stop = self._generate(len(self.drivers), start, limit, load=True)
         m, n, n_queues = self._loaded.tolist()
         cap = self._packets.shape[1] // 2
         lane_ends, lane_flits = self._ends.tolist()
-        stimuli = Stimuli(
-            start, stop, self._packets[:, cap : cap + m].copy(), lane_ends,
-            snapshot=snapshot, source=self,
+        return Stimuli(
+            start, stop, self._packets[:, cap : cap + m].copy(), lane_ends, lane_flits,
+            self._flits[: 3 * n].reshape(3, n),
+            self._queues[: 4 * n_queues].reshape(4, n_queues), snapshot, self,
         )
-        stimuli.lane_flits = lane_flits  # the scan counted them already
-        stimuli.flits = self._flits[: 3 * n].reshape(3, n)
-        stimuli.queues = self._queues[: 4 * n_queues].reshape(4, n_queues)
-        return stimuli
-
-    generate_window = scan
 
     def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
+        """Put the generators where the per-cycle reference loop leaves
+        them when ``lane``'s pump raises at ``cycle`` inside ``stimuli``:
+        lanes up to ``lane`` have generated ``cycle``, later lanes have
+        not."""
         rngs, self._be_seq[:], self._toggles[:], self._gt_seq[:] = stimuli.snapshot
         for (_, be), (state, words_read) in zip(self._live, rngs):
             be.rng.state, be.rng.words_read = state, words_read
@@ -1483,26 +1535,37 @@ class BatchedBeGenerator(WindowSource):
         return self._call(len(self.drivers), 0, limit, 1)
 
 
+def _declared(pattern, n: int) -> bool:
+    """Whether ``pattern`` declares the data the scan draws its
+    destinations from, for a fabric of ``n`` routers: a table of fixed
+    destinations, or the uniform draw's bound (and a hotspot's target)."""
+    table = getattr(pattern, "destinations", None)
+    if table is not None:
+        return len(table) == n and all(0 <= dest < n for dest in table)
+    target, _ = getattr(pattern, "hotspot", (0, 0.0))
+    return getattr(pattern, "uniform_bound", None) == n - 1 and 0 <= target < n
+
+
 def batched_be_generator(
     drivers: Sequence,
 ) -> Tuple[Optional[BatchedBeGenerator], Optional[str]]:
     """``(generator, None)`` for ``drivers``, or ``(None, reason)`` when
     the C scan does not apply.
 
-    Eligibility is strict so the C scan is exactly the Python scan:
-    every driver a plain :class:`~repro.traffic.stimuli.TrafficDriver`
-    whose GT source (if any) is exactly a :class:`GtStreamTraffic` and
-    whose BE source (if any) is a :class:`BernoulliBeTraffic` over the
-    declared-bound uniform-random pattern, at least one lane with a
-    positive packet probability — loads may differ per lane — a data
-    path that holds the 16-bit header and source-info fields, and a
-    loadable C tier.
+    Eligibility is strict so the C scan is exactly the drivers' own
+    generators: every driver a plain
+    :class:`~repro.traffic.stimuli.TrafficDriver` whose GT source (if
+    any) is exactly a :class:`GtStreamTraffic` and whose BE source (if
+    any) is a :class:`BernoulliBeTraffic` over a pattern that declares
+    its data for this fabric (every pattern of :mod:`repro.traffic`
+    does) — loads and patterns may differ per lane, and a lane may have
+    no live BE stream — a data path that holds the 16-bit header and
+    source-info fields, and a loadable C tier.
     """
     from repro.traffic.generators import BernoulliBeTraffic, GtStreamTraffic
     from repro.traffic.stimuli import TrafficDriver
 
     drivers = list(drivers)
-    live = False
     for lane, driver in enumerate(drivers):
         if type(driver) is not TrafficDriver:
             return None, f"lane {lane}: driver is a TrafficDriver subclass"
@@ -1513,11 +1576,10 @@ def batched_be_generator(
             continue
         if not isinstance(be, BernoulliBeTraffic) or be.payload_bytes < 1:
             return None, f"lane {lane}: BE source is not a BernoulliBeTraffic"
-        if getattr(be.pattern, "uniform_bound", None) != driver.net.n_routers - 1:
-            return None, f"lane {lane}: non-uniform destination pattern"
-        live = live or be.packet_probability > 0
-    if not live:
-        return None, "no lane carries a live BE stream"
+        if not _declared(be.pattern, driver.net.n_routers):
+            return None, f"lane {lane}: the destination pattern declares no data for this fabric"
+    if not drivers:
+        return None, "no drivers"
     if not 16 <= drivers[0].net.router.data_width <= 56:
         return None, "flit layout outside the C encoder's 16..56-bit data path"
     kernel, reason = bind_stimuli_kernel()

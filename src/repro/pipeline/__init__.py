@@ -12,8 +12,8 @@ one period of cycles, run as one call of the chunk body with the host
 touching the fabric only at its boundary.
 
 * :mod:`~repro.pipeline.runner` — :func:`run_pipeline`, one loop over
-  the calls ``run_batched``'s chunk path makes (``source.scan``,
-  ``Stimuli.load``, the chunk body's
+  the calls ``run_batched``'s chunk path makes (the C traffic scan's
+  ``generate_window``, the chunk body's
   :class:`~repro.kernels.batchlevel.FabricJob`, ``PackedLog.pieces``,
   ``repro_match``) on the caller's own ``TrafficDriver`` per lane:
   window k+1 generated and window k-1 analysed while window k simulates

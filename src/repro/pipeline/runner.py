@@ -19,26 +19,30 @@ the caller::
 so only the landing and the staging separate two simulations.  What
 each step may touch while a window simulates is the whole design:
 
-* **generate** (a window ahead) — ``source.scan``
-  (:func:`~repro.engines.batch.window_source`: the batched C scan where
-  it applies, the drivers' Python generators otherwise).  It owns the
-  generators' LFSR state and sequence numbers, the GT emit counters and
-  the drivers' BE-VC toggles; never ``driver.queues``.
-* **load** — ``Stimuli.load``: the flit columns, pure.
+* **generate + load** (a window ahead) — one call of the C traffic scan
+  (:func:`~repro.engines.batch.window_source`), which leaves the flit
+  columns loaded.  It owns the generators' LFSR state and sequence
+  numbers, the GT emit counters and the drivers' BE-VC toggles; never
+  ``driver.queues``.
 * **simulate** — the window in flight owns the engine's state arrays,
   the staged rows, its event buffers and the call scratch.  Landing it
   hands each queue's unconsumed tail back to its driver; booking it logs
   its events and books its traffic on the drivers (an overload rewinds
   the generate side through the window's own source, however far ahead
-  it ran).  Engines without the generated body (``kernel="python"``, a
-  pre-step hook) step each window in the caller instead
-  (:func:`~repro.traffic.stimuli.step_window`).
+  it ran).  A compiled engine with a pre-step hook steps each window in
+  the caller instead (:func:`~repro.traffic.stimuli.step_window`).
 * **retrieve** — :func:`~repro.engines.eventlog.log_span` below the
   log bounds the booked window left: per log, every lane's events of
   the window named by the log's block tables, read in place (a Python
   engine's record lists are packed once).
 * **analyze** — :meth:`Analysis.add`: the report's own trackers and
-  counters.
+  counters, the window's submits read from the drivers' submit logs.
+
+Where the scan declines the run — golden lanes, a host without ``cc``,
+an engine with no generated body, drivers the scan does not take —
+each span of ``chunk`` cycles steps cycle by cycle in the caller
+(``generate``, ``pump``, ``step``) and is then retrieved and analysed
+the same way.
 
 An error the body stops on surfaces at the landing — the window booked
 first, so the engine, drivers and generators stand where the serial
@@ -58,14 +62,20 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.engines.base import lane_views
-from repro.engines.batch import BatchEngine, chunk_kernel, drain_batched, window_source
+from repro.engines.batch import (
+    BatchEngine,
+    chunk_kernel,
+    drain_batched,
+    step_cycle,
+    window_source,
+)
 from repro.engines.eventlog import lane_lengths, log_span
 from repro.noc.config import NetworkConfig
 from repro.platform.profiler import PipelineProfiler
 from repro.stats.histogram import Histogram
-from repro.stats.latency import PacketLatencyTracker, collect_lanes, note_lanes
+from repro.stats.latency import PacketLatencyTracker, collect_lanes
 from repro.stats.throughput import ThroughputStats
-from repro.traffic.stimuli import FlitEncoder, TrafficDriver, step_window
+from repro.traffic.stimuli import TrafficDriver, step_window
 
 #: default cycles per chunk: big enough to amortise per-chunk overhead,
 #: small enough that a window and its neighbours stay in cache.
@@ -88,24 +98,17 @@ class Analysis:
         #: per lane: ejected flits per sink router (hotspot accounting)
         self.eject_router_counts = np.zeros((lanes, net.n_routers), dtype=np.int64)
 
-    def add(self, stimuli, injections, ejections) -> None:
-        """Fold in one window: its submits noted on the trackers from the
-        packet columns (``stimuli`` is ``None`` for the drain), then every
-        lane's events — per log, a :class:`~repro.engines.eventlog.LogSpan`
-        — matched and their sink routers counted in one pass
+    def add(self, drivers, injections, ejections) -> None:
+        """Fold in one window: the submits ``drivers`` logged since the
+        last call noted on the trackers, then every lane's events — per
+        log, a :class:`~repro.engines.eventlog.LogSpan` — matched and
+        their sink routers counted in one pass
         (:func:`~repro.stats.latency.collect_lanes`).  Every window's
         submits are noted before its events are matched, so per-key FIFO
         matching pops the same submit the end-of-run collection would."""
-        if stimuli is not None:
-            note_lanes(
-                self.trackers,
-                stimuli.submit_columns(0, stimuli.packets.shape[1]),
-                stimuli.lane_ends,
-            )
-            lo = 0
-            for lane, hi in enumerate(stimuli.lane_ends):
-                self.submit_counts[lane] += hi - lo
-                lo = hi
+        for lane, (tracker, driver) in enumerate(zip(self.trackers, drivers)):
+            seen, self.submit_counts[lane] = self.submit_counts[lane], len(driver.submits)
+            tracker.note_log(driver.submits, seen, self.submit_counts[lane])
         collect_lanes(self.trackers, injections, ejections, self.eject_router_counts)
         for counts, span in ((self.inj_counts, injections), (self.ej_counts, ejections)):
             for lane, n in enumerate(map(int, span.sizes())):
@@ -178,8 +181,8 @@ def run_pipeline(
             "trackers analyse the run"
         )
     net: NetworkConfig = engine.cfg
-    source, encoder = window_source(engine, drivers), FlitEncoder(net)
-    body = chunk_kernel(engine, drivers)
+    scan, _ = window_source(engine, drivers)
+    body = chunk_kernel(engine, drivers) if scan is not None else None
     analysis = Analysis(net, len(views))
     prof = PipelineProfiler(threaded=threaded)
     logs = getattr(engine, "event_logs", None) or [
@@ -198,17 +201,17 @@ def run_pipeline(
     def launch(window):
         """Start simulating a loaded window — one call of the chunk body,
         on the fabric thread or here — or, without the body, step it here
-        and book it: ``(job, window, log spans once booked)``."""
+        and book it: ``(job, log spans once booked)``."""
         if body is None:
             step_window(engine, drivers, window)
-            return None, window, booked()
+            return None, booked()
         job = body.prepare(drivers, window.stop - window.start, window)
         if not threaded:
-            return job.run(), window, None
+            return job.run(), None
         job.start()
         if job.threaded and prof.caller_cpu < 0:
             prof.caller_cpu = body.fabric_placement()[0]
-        return job, window, None
+        return job, None
 
     def land(flight) -> None:
         """Take a window back: its cycles and the drivers' queues.  A
@@ -229,14 +232,15 @@ def run_pipeline(
                 job.check()
 
     def book(flight):
-        """Log a landed window's events and book its traffic."""
-        job, window, spans = flight
+        """Log a landed window's events and book its traffic: its log
+        spans."""
+        job, spans = flight
         if job is None:
-            return window, spans
+            return spans
         job.book()
-        return window, booked()
+        return booked()
 
-    def analyse(window, spans) -> None:
+    def analyse(spans) -> None:
         with prof.busy("retrieve"):
             injections, ejections = (
                 log_span(log, lo, hi, net.router.event_layout)
@@ -244,7 +248,7 @@ def run_pipeline(
             )
         prof.add_items("retrieve", 1)
         with prof.busy("analyze"):
-            analysis.add(window, injections, ejections)
+            analysis.add(drivers, injections, ejections)
         prof.add_items("analyze", 1)
 
     start, end = engine.cycle, engine.cycle + cycles
@@ -253,13 +257,20 @@ def run_pipeline(
     looped = None  # the window loop's wall, once it ended (the drain times itself)
     try:
         while start < end:
+            stop = min(start + chunk, end)
+            if scan is None:  # no windows: the span steps cycle by cycle
+                with prof.busy("simulate"):
+                    for _ in range(start, stop):
+                        step_cycle(engine, drivers)
+                    spans = booked()
+                prof.add_items("simulate", 1)
+                analyse(spans)
+                start = stop
+                continue
             with prof.busy("generate"):
-                window = source.scan(start, min(start + chunk, end))
+                window = scan.generate_window(start, stop)
             prof.add_items("generate", 1)
             start = window.stop
-            with prof.busy("load"):
-                window = window.load(net, encoder)
-            prof.add_items("load", 1)
             landed = flight
             if landed is not None:
                 land(landed)
@@ -271,12 +282,12 @@ def run_pipeline(
                         landed = book(landed)
             prof.add_items("simulate", 1)
             if landed is not None:
-                analyse(*landed)
+                analyse(landed)
         if flight is not None:
             land(flight)
             with prof.busy("simulate"):
                 landed = book(flight)
-            analyse(*landed)
+            analyse(landed)
         looped = time.perf_counter() - wall_start
         with prof.busy("simulate"):
             if isinstance(engine, BatchEngine):
@@ -284,7 +295,7 @@ def run_pipeline(
             else:
                 done = [drivers[0].drain()]
             spans = booked()
-        analyse(None, spans)
+        analyse(spans)
     finally:
         # a window a failing run unwinds past is landed and booked, so the
         # engine and drivers end where it ended; its own error gives way

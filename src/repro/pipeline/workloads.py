@@ -45,24 +45,14 @@ def stream_fig1_sweep(
     from repro.engines import BatchEngine
     from repro.experiments.common import (
         _fig1_point_result,
-        fig1_gt_streams,
+        fig1_lane_drivers,
         fig1_network,
     )
-    from repro.traffic import BernoulliBeTraffic, GtStreamTraffic, uniform_random
 
     net = fig1_network()
     engine = BatchEngine(net, lanes=len(be_loads))
-    # one reservation table for every lane and point (streams are immutable)
-    streams = fig1_gt_streams(net, engine.routing).streams
     warmup = gt_period if warmup is None else warmup
-    drivers = [
-        TrafficDriver(
-            engine.lane(lane),
-            be=BernoulliBeTraffic(net, load, uniform_random(net), seed=seed),
-            gt=GtStreamTraffic(net, streams, period=gt_period),
-        )
-        for lane, load in enumerate(be_loads)
-    ]
+    drivers = fig1_lane_drivers(engine, be_loads, gt_period, seed)
     report = run_pipeline(
         engine, drivers, warmup + cycles, chunk=chunk, threaded=threaded
     )
@@ -102,44 +92,23 @@ def stream_pattern_sweep(
     from repro.engines import BatchEngine
     from repro.experiments.patterns import (
         HOTSPOT_XY,
-        PatternResult,
-        _make_pattern,
+        _pattern_result,
+        pattern_lane_drivers,
     )
     from repro.noc import NetworkConfig
-    from repro.stats.latency import S_HOPS
-    from repro.traffic import BernoulliBeTraffic
 
     net = NetworkConfig(6, 6, topology="torus")
     engine = BatchEngine(net, lanes=len(names))
-    drivers = [
-        TrafficDriver(
-            engine.lane(lane),
-            be=BernoulliBeTraffic(net, load, _make_pattern(name, net), seed=seed),
-        )
-        for lane, name in enumerate(names)
-    ]
+    drivers = pattern_lane_drivers(engine, names, load, seed)
     report = run_pipeline(engine, drivers, cycles, chunk=chunk, threaded=threaded)
-
     target = net.index(*HOTSPOT_XY)
-    points = []
-    for i, name in enumerate(names):
-        tracker = report.trackers[i]
-        stats = tracker.stats()
-        ejections = report.analyze.ej_counts[i]
-        to_target = int(report.analyze.eject_router_counts[i, target])
-        hops = tracker.samples.columns[S_HOPS]
-        points.append(
-            PatternResult(
-                name=name,
-                mean=stats.mean,
-                p99=stats.p99,
-                max=stats.maximum,
-                packets=stats.count,
-                mean_hops=int(hops.sum()) / hops.size,
-                ejections=ejections,
-                to_hotspot_fraction=(
-                    to_target / ejections if ejections else 0.0
-                ),
-            )
+    points = [
+        _pattern_result(
+            name,
+            report.trackers[i],
+            report.analyze.ej_counts[i],
+            int(report.analyze.eject_router_counts[i, target]),
         )
+        for i, name in enumerate(names)
+    ]
     return StreamedSweep(points, report, drivers)

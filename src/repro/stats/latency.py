@@ -299,6 +299,12 @@ class PacketLatencyTracker:
         keys = np.asarray(srcs) * _SEQS + (np.asarray(seqs) & SEQ_FIELD[1])
         self._submits.append(np.array([keys, vcs, cycles], dtype=np.int64))
 
+    def note_log(self, log, start: int, stop: int) -> None:
+        """Note submits ``[start, stop)`` of a driver's submit log
+        (:data:`~repro.traffic.stimuli.SUBMIT_FIELDS`), part by part as
+        they lie: no record built, no column copied."""
+        self._submits += log.blocks(start, stop)
+
     def _pending_block(self):
         """The outstanding submits as one keyed block (a part of a submit
         log is keyed on the way)."""
@@ -558,19 +564,6 @@ class PacketLatencyTracker:
         return int((self.samples.columns[S_GT] == _CLASSES.index(pclass)).sum())
 
 
-def note_lanes(trackers, columns, lane_ends) -> None:
-    """:meth:`PacketLatencyTracker.note_submits` for every tracker at
-    once: ``columns`` are rows ``src, seq, vc, cycle`` of all the
-    trackers' submits, grouped by tracker, tracker ``i``'s ending at
-    column ``lane_ends[i]``."""
-    src, seq, vc, cycle = columns
-    block = np.array([src * _SEQS + (seq & SEQ_FIELD[1]), vc, cycle], dtype=np.int64)
-    lo = 0
-    for tracker, hi in zip(trackers, lane_ends):
-        tracker._submits.append(block[:, lo:hi])
-        lo = hi
-
-
 def collect_lanes(trackers, injections, ejections, routers=None) -> None:
     """:meth:`PacketLatencyTracker.collect_records` for every tracker,
     tracker ``i`` taking reader ``i``'s events of the spans
@@ -620,8 +613,7 @@ def analyse_lanes(drivers) -> List[PacketLatencyTracker]:
     returns them."""
     trackers = [PacketLatencyTracker(driver.net) for driver in drivers]
     for tracker, driver in zip(trackers, drivers):
-        log = driver.submits
-        tracker._submits += log.blocks(0, len(log))
+        tracker.note_log(driver.submits, 0, len(driver.submits))
     logs = [(driver.engine.injections, driver.engine.ejections) for driver in drivers]
     seen = [[len(log) for log in lane] for lane in logs]
     layout = trackers[0].layout if trackers else None

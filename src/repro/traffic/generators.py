@@ -53,6 +53,19 @@ def uniform_random(net: NetworkConfig) -> DestinationPattern:
     return pick
 
 
+def _fixed(net: NetworkConfig, dest_of: Callable[[int, int, int], int]) -> DestinationPattern:
+    """The pattern sending each source ``(x, y)`` to ``dest_of(src, x,
+    y)``, always: it draws no RNG word, and declares its per-source
+    table (``destinations``) for the batched traffic kernel."""
+    table = tuple(dest_of(src, *net.coords(src)) for src in range(net.n_routers))
+
+    def pick(src: int, rng) -> int:
+        return table[src]
+
+    pick.destinations = table
+    return pick
+
+
 def transpose(net: NetworkConfig) -> DestinationPattern:
     """(x, y) -> (y, x); classic adversarial pattern for XY routing.
 
@@ -62,27 +75,21 @@ def transpose(net: NetworkConfig) -> DestinationPattern:
     if net.width != net.height:
         raise ValueError("transpose needs a square network")
 
-    def pick(src: int, rng) -> int:
-        x, y = net.coords(src)
+    def dest_of(src: int, x: int, y: int) -> int:
         dest = net.index(y, x)
-        if dest == src:
-            dest = net.index((y + 1) % net.width, x)
-        return dest
+        return net.index((y + 1) % net.width, x) if dest == src else dest
 
-    return pick
+    return _fixed(net, dest_of)
 
 
 def bit_complement(net: NetworkConfig) -> DestinationPattern:
     """(x, y) -> (W-1-x, H-1-y)."""
 
-    def pick(src: int, rng) -> int:
-        x, y = net.coords(src)
+    def dest_of(src: int, x: int, y: int) -> int:
         dest = net.index(net.width - 1 - x, net.height - 1 - y)
-        if dest == src:
-            dest = (src + 1) % net.n_routers
-        return dest
+        return (src + 1) % net.n_routers if dest == src else dest
 
-    return pick
+    return _fixed(net, dest_of)
 
 
 def hotspot(net: NetworkConfig, target: int, fraction: float = 0.5) -> DestinationPattern:
@@ -94,18 +101,18 @@ def hotspot(net: NetworkConfig, target: int, fraction: float = 0.5) -> Destinati
             return target
         return base(src, rng)
 
+    # declared: the uniform draw's bound, and the Bernoulli draw before it
+    pick.uniform_bound = base.uniform_bound
+    pick.hotspot = (target, fraction)
     return pick
 
 
 def neighbor_shift(net: NetworkConfig, dx: int = 1, dy: int = 0) -> DestinationPattern:
     """(x, y) -> (x+dx, y+dy) with wrap-around — the link-disjoint GT
     pattern used in the Fig. 1 reproduction."""
-
-    def pick(src: int, rng) -> int:
-        x, y = net.coords(src)
-        return net.index((x + dx) % net.width, (y + dy) % net.height)
-
-    return pick
+    return _fixed(
+        net, lambda src, x, y: net.index((x + dx) % net.width, (y + dy) % net.height)
+    )
 
 
 @dataclass
@@ -131,13 +138,6 @@ class BernoulliBeTraffic:
             self.payload_bytes, self.net.router.data_width
         )
         self._seq = [0] * self.net.n_routers
-
-    def snapshot(self) -> Tuple:
-        """The generator's mutable state, for :meth:`restore`."""
-        return self.rng.state, self.rng.words_read, list(self._seq)
-
-    def restore(self, state: Tuple) -> None:
-        self.rng.state, self.rng.words_read, self._seq[:] = state
 
     def packets_for_cycle(self, cycle: int) -> List[Packet]:
         """Packets generated network-wide in one cycle."""
@@ -222,13 +222,6 @@ class GtStreamTraffic:
         self._by_phase: Dict[int, List[int]] = {}
         for i, phase in enumerate(self._phase):
             self._by_phase.setdefault(phase, []).append(i)
-
-    def snapshot(self) -> List[int]:
-        """The generator's mutable state, for :meth:`restore`."""
-        return list(self._seq)
-
-    def restore(self, state: List[int]) -> None:
-        self._seq[:] = state
 
     @property
     def load_per_stream(self) -> float:

@@ -12,9 +12,9 @@ Stimuli travel as integer columns, never as per-flit objects:
 
 * :class:`Stimuli` — one window of cycles for every lane: packet columns
   plus flit columns grouped by ``(lane, router, vc)`` queue.  The C
-  traffic scan fills one directly; a :class:`DriverWindows` source fills
-  one from the drivers' own Python generators through
-  :class:`FlitEncoder`.
+  traffic scan (:mod:`repro.kernels.trafficgen`) is the only source of
+  windows; a run it declines generates cycle by cycle
+  (``TrafficDriver.generate``, through :class:`FlitEncoder`).
 * :class:`StimuliQueues` — one driver's FIFOs in the same flit columns,
   read by ``TrafficDriver.pump`` one head at a time and by the chunk
   kernel's staging in one pass.
@@ -35,7 +35,7 @@ import numpy as np
 from repro.engines.eventlog import EventLog
 from repro.noc.config import NetworkConfig
 from repro.noc.flit import FlitType, Header, SourceInfo
-from repro.noc.packet import Packet, PacketClass, flits_per_packet, segment
+from repro.noc.packet import Packet, PacketClass, segment
 from repro.traffic.generators import (
     BernoulliBeTraffic,
     GtStreamTraffic,
@@ -178,122 +178,39 @@ def _submit_record(cycle, src, dest, vc, seq, tag, gt, nbytes) -> SubmitRecord:
     return SubmitRecord(packet, vc, cycle)
 
 
+@dataclass(eq=False, slots=True)
 class Stimuli:
-    """One window ``[start, stop)`` of traffic for every lane, columnar.
+    """One window ``[start, stop)`` of traffic for every lane, columnar,
+    as the C traffic scan fills it
+    (:meth:`~repro.kernels.trafficgen.BatchedBeGenerator.generate_window`).
 
     ``packets`` is a ``[9, m]`` integer array (rows ``P_*``), grouped by
     lane and in submit order within each lane (cycle-major, GT streams
     before BE sources — the order ``TrafficDriver.generate`` submits in);
-    ``lane_ends[lane]`` is the cumulative end of that lane's columns.
-    ``objects`` holds the packet objects where Python generators made
-    them (their payloads are arbitrary), ``None`` for a C-scanned window.
+    ``lane_ends[lane]`` is the cumulative end of that lane's columns and
+    ``lane_flits[lane]`` its flit count.  The paper's load step is done
+    too: ``flits`` (``[3, n]``, rows ``F_*``) grouped by stimuli queue,
+    ``queues`` (``[4, q]``, rows ``Q_*``) naming each run — queues
+    grouped by lane, in the order their first packet was submitted.
 
-    :meth:`load` adds the paper's load step: ``flits`` (``[3, n]``, rows
-    ``F_*``) grouped by stimuli queue, ``queues`` (``[4, q]``, rows
-    ``Q_*``) naming each run — queues grouped by lane, in the order
-    their first packet was submitted — and ``lane_flits``.
-
-    ``snapshot`` is the source's generator state at ``start``: a
+    ``snapshot`` is the ``source``'s generator state at ``start``: a
     mid-window :class:`NetworkOverloadError` rewinds to it.
     """
 
-    __slots__ = (
-        "start",
-        "stop",
-        "packets",
-        "lane_ends",
-        "objects",
-        "queues",
-        "flits",
-        "lane_flits",
-        "snapshot",
-        "source",
-    )
-
-    def __init__(
-        self, start, stop, packets, lane_ends, objects=None, snapshot=None, source=None
-    ) -> None:
-        self.start = start
-        self.stop = stop
-        self.packets = packets
-        self.lane_ends: List[int] = lane_ends
-        self.objects: Optional[List[Packet]] = objects
-        self.queues = None
-        self.flits = None
-        self.lane_flits: Optional[List[int]] = None
-        self.snapshot = snapshot
-        self.source = source
-
-    @classmethod
-    def from_packets(cls, start, stop, per_lane, snapshot=None, source=None) -> "Stimuli":
-        """The window of one ``(cycle, packet, vc)`` list per lane (what
-        ``TrafficDriver.packets`` returns)."""
-        rows, objects, lane_ends = [], [], []
-        gt = PacketClass.GT
-        for lane, packets in enumerate(per_lane):
-            for cycle, packet, vc in packets:
-                rows.append(
-                    (
-                        lane,
-                        cycle,
-                        packet.src,
-                        packet.dest,
-                        vc,
-                        packet.seq,
-                        packet.tag,
-                        packet.pclass is gt,
-                        len(packet.payload),
-                    )
-                )
-                objects.append(packet)
-            lane_ends.append(len(rows))
-        columns = np.array(rows, dtype=np.int64).reshape(len(rows), 9).T
-        return cls(
-            start, stop, np.ascontiguousarray(columns), lane_ends, objects,
-            snapshot, source,
-        )
+    start: int
+    stop: int
+    packets: np.ndarray
+    lane_ends: List[int]
+    lane_flits: List[int]
+    flits: np.ndarray
+    queues: np.ndarray
+    snapshot: object
+    source: object
 
     def submit_columns(self, lo: int, hi: int):
         """Rows ``src, seq, vc, cycle`` of packet columns ``[lo, hi)`` —
         what a latency tracker notes of a submit."""
         return self.packets[[P_SRC, P_SEQ, P_VC, P_CYCLE], lo:hi]
-
-    def load(self, net: NetworkConfig, encoder: Optional[FlitEncoder]) -> "Stimuli":
-        """Segment and flit-encode the packets into the queue-grouped
-        flit columns (pure: the paper's load step).  A C-scanned window
-        comes loaded by the traffic kernel; packet objects go through
-        ``encoder``."""
-        if self.flits is not None:
-            return self
-        index: Dict[Tuple[int, int, int], int] = {}
-        runs: List[Tuple[List[int], List[int], List[int]]] = []
-        lane_flits = [0] * len(self.lane_ends)
-        lanes, cycles, _, _, vcs = self.packets[:5].tolist()
-        for lane, cycle, vc, packet in zip(lanes, cycles, vcs, self.objects):
-            words = flit_words(net, encoder, packet)
-            key = (lane, packet.src, vc)
-            at = index.get(key)
-            if at is None:
-                at = index[key] = len(runs)
-                runs.append(([], [], []))
-            run = runs[at]
-            run[F_WORD].extend(words)
-            run[F_CYCLE].extend([cycle] * len(words))
-            run[F_SEQ].extend([packet.seq] * len(words))
-            lane_flits[lane] += len(words)
-        # packets are grouped by lane, so first-submit order already is
-        flits: Tuple[List[int], List[int], List[int]] = ([], [], [])
-        table = []
-        for key, at in index.items():
-            for column, values in zip(flits, runs[at]):
-                column += values
-            table.append((*key, len(flits[0])))
-        self.flits = np.array(flits, dtype=np.int64).reshape(3, len(flits[0]))
-        self.queues = np.ascontiguousarray(
-            np.array(table, dtype=np.int64).reshape(len(table), 4).T
-        )
-        self.lane_flits = lane_flits
-        return self
 
 
 class StimuliQueue(Sequence):
@@ -545,8 +462,9 @@ def settle(drivers, stimuli: Stimuli, before, overload=None) -> None:
 
 def step_window(engine, drivers, stimuli: Stimuli) -> None:
     """Advance ``engine`` over a loaded window cycle by cycle — the path
-    of every engine and driver set the chunk kernel does not own.  The
-    whole window is queued up front; ``pump`` offers an entry only from
+    of a compiled engine whose pre-step hooks keep the chunk kernel out,
+    its traffic still from the C scan.  The whole window is queued up
+    front; ``pump`` offers an entry only from
     its release cycle on, so each cycle sees what ``TrafficDriver.step``
     would have generated by then."""
     before = [
@@ -562,78 +480,6 @@ def step_window(engine, drivers, stimuli: Stimuli) -> None:
         settle(drivers, stimuli, before, (cycle, lane))
         raise
     settle(drivers, stimuli, before)
-
-
-class WindowSource:
-    """Where traffic windows come from: the drivers' generators, scanned
-    a window at a time.  Subclasses scan in Python
-    (:class:`DriverWindows`) or in C
-    (:class:`repro.kernels.trafficgen.BatchedBeGenerator`).
-
-    A scan touches only generator state — LFSR state, sequence numbers,
-    BE-VC toggles — never a driver's queues, books or tracker, so the
-    streaming pipeline scans the next window while the current one
-    simulates.
-    """
-
-    #: why the traffic is not scanned in C (``None``: it is).
-    reason: Optional[str] = None
-
-    def __init__(self, drivers) -> None:
-        self.drivers: List = list(drivers)
-        #: flits after which a window ends (:data:`FLIT_BUDGET`).
-        self.budget = FLIT_BUDGET
-
-    def scan(self, start: int, limit: int) -> Stimuli:
-        """The next window from ``start``: every lane's packets of cycles
-        ``[start, window.stop)``, ``window.stop`` the first cycle
-        boundary at which the window holds its flit budget — ``limit``
-        at most, one cycle at least.  Each lane's generator state
-        advances exactly as that many ``TrafficDriver.generate`` calls
-        advance it."""
-        raise NotImplementedError
-
-    def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
-        """Put the generators where the per-cycle reference loop leaves
-        them when ``lane``'s pump raises at ``cycle`` inside ``stimuli``:
-        lanes up to ``lane`` have generated ``cycle``, later lanes have
-        not — however far past the window the generators had run."""
-        raise NotImplementedError
-
-
-class DriverWindows(WindowSource):
-    """Windows from the drivers' own Python generators (any pattern, any
-    generator class)."""
-
-    def __init__(self, drivers, reason: str) -> None:
-        super().__init__(drivers)
-        self.reason = reason
-        #: the lanes share one fabric, so one (pure) word cache serves all.
-        self._encoder = self.drivers[0]._encoder
-
-    def generate_window(self, start: int, limit: int) -> Stimuli:
-        """:meth:`scan` plus the load step: the window the chunk kernel
-        stages."""
-        return self.scan(start, limit).load(self.drivers[0].net, self._encoder)
-
-    def scan(self, start: int, limit: int) -> Stimuli:
-        snapshot = [driver.snapshot() for driver in self.drivers]
-        packets: List[List] = [[] for _ in self.drivers]
-        width = self.drivers[0].net.router.data_width
-        flits, stop = 0, start
-        while stop < limit and flits < self.budget:
-            for driver, lane in zip(self.drivers, packets):
-                fresh = driver.packets(stop, stop + 1)
-                for _, packet, _ in fresh:
-                    flits += flits_per_packet(len(packet.payload), width)
-                lane += fresh
-            stop += 1
-        return Stimuli.from_packets(start, stop, packets, snapshot, self)
-
-    def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
-        for i, (driver, state) in enumerate(zip(self.drivers, stimuli.snapshot)):
-            driver.restore(state)
-            driver.packets(stimuli.start, cycle + (i <= lane))
 
 
 class TrafficDriver:
@@ -685,7 +531,7 @@ class TrafficDriver:
         packet of cycles ``[start, stop)`` in submit order (cycle-major,
         GT streams before BE sources).  Only generator state and the
         per-source BE-VC toggles advance — no queue, counter or tracker
-        is touched, so it may run while the window before simulates."""
+        is touched."""
         gt_cycles = (
             self.gt.packets_for_cycles(start, stop) if self.gt is not None else None
         )
@@ -707,22 +553,6 @@ class TrafficDriver:
                     toggles[packet.src] = (toggle + 1) % n_vcs
                     out.append((cycle, packet, be_vcs[toggle]))
         return out
-
-    def snapshot(self) -> Tuple:
-        """Everything :meth:`packets` advances, for :meth:`restore`."""
-        return (
-            self.be.snapshot() if hasattr(self.be, "snapshot") else None,
-            self.gt.snapshot() if hasattr(self.gt, "snapshot") else None,
-            list(self._be_vc_toggle),
-        )
-
-    def restore(self, state: Tuple) -> None:
-        be, gt, toggles = state
-        if be is not None:
-            self.be.restore(be)
-        if gt is not None:
-            self.gt.restore(gt)
-        self._be_vc_toggle[:] = toggles
 
     def generate(self, cycle: int) -> None:
         for _, packet, vc in self.packets(cycle, cycle + 1):
@@ -749,13 +579,7 @@ class TrafficDriver:
         self.flits_generated += flits
         if hi <= lo:
             return
-        packets = stimuli.packets
-        if stimuli.objects is None:
-            self.submits.extend_block(packets[P_CYCLE:], lo, hi)
-        else:
-            vcs, cycles = packets[P_VC, lo:hi].tolist(), packets[P_CYCLE, lo:hi].tolist()
-            for packet, vc, cycle in zip(stimuli.objects[lo:hi], vcs, cycles):
-                self.submits.append(SubmitRecord(packet, vc, cycle))
+        self.submits.extend_block(stimuli.packets[P_CYCLE:], lo, hi)
         if self.tracker is not None:
             self.tracker.note_submits(*stimuli.submit_columns(lo, hi))
 

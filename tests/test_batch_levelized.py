@@ -292,8 +292,8 @@ class TestLevelizedLockstep:
 
     @needs_jit
     def test_overload_parity_with_python_generated_windows(self):
-        # transpose: no C scan, the chunk's window comes from the drivers'
-        # own generators — and rewinds through them
+        # transpose: the C scan reads its fixed destination table and
+        # draws no destination word — and a window rewinds through it
         cfg = NetworkConfig(
             4, 4, topology="torus", router=RouterConfig(queue_depth=1)
         )
@@ -952,7 +952,7 @@ class TestOneBodyOwnsFig1:
         assert gt_packets >= 2 * 36 * len(stepped)
 
     @needs_jit
-    def test_non_uniform_patterns_generate_in_python_inside_chunks(self, monkeypatch):
+    def test_non_uniform_patterns_are_scanned_in_c_inside_chunks(self, monkeypatch):
         cfg = NetworkConfig(6, 6, topology="torus")
 
         def run(kernel):
@@ -966,7 +966,7 @@ class TestOneBodyOwnsFig1:
                 for i, pattern in enumerate(patterns)
             ]
             generator, reason = trafficgen.batched_be_generator(drivers)
-            assert generator is None and "non-uniform destination pattern" in reason
+            assert generator is not None and reason is None
             run_batched(engine, drivers, 200)
             return full_digest(engine, drivers)
 
@@ -976,12 +976,12 @@ class TestOneBodyOwnsFig1:
             CompiledBatchLevel,
             "run_chunk",
             lambda self, drivers, k, window=None: (
-                chunks.append(window.objects is not None),
+                chunks.append(window.source is not None),
                 real(self, drivers, k, window),
             )[1],
         )
         assert run("auto") == run("python")
-        assert chunks and all(chunks)  # chunked; windows of packet objects
+        assert chunks and all(chunks)  # chunked; every window from the C scan
 
     @needs_jit
     def test_single_cycle_steps_coalesce_into_few_log_parts(self):

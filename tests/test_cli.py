@@ -461,6 +461,34 @@ class TestSimulateReportLines:
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith("kernel run: chunked; ") and line.endswith("; replays: 1")
 
+    def test_run_line_names_a_scan_that_declined(self, capsys):
+        # the body could take whole windows, but the C scan declines the
+        # drivers (a 12-bit data path): the run steps, and says why
+        from repro.cli import _report_run
+        from repro.engines import BatchEngine, run_batched
+        from repro.kernels import probe_backends
+        from repro.noc import NetworkConfig, RouterConfig
+        from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
+
+        if probe_backends()["cffi"] != "ok":
+            pytest.skip("no generated-C body")
+        net = NetworkConfig(3, 3, topology="torus", router=RouterConfig(data_width=12))
+        engine = BatchEngine(net, lanes=2)
+        drivers = [
+            TrafficDriver(
+                engine.lane(i),
+                be=BernoulliBeTraffic(net, 0.1, uniform_random(net), seed=5 + i),
+            )
+            for i in range(2)
+        ]
+        run_batched(engine, drivers, 100)
+        _report_run(engine, drivers)
+        (line,) = capsys.readouterr().out.splitlines()
+        assert engine.kernel_windows == 0  # every cycle one call of the body
+        assert line.startswith(
+            "kernel run: stepping per cycle (flit layout outside the C encoder's"
+        )
+
     def test_run_line_says_why_a_run_steps_per_cycle(self, request, capsys):
         from repro.kernels import probe_backends
 
@@ -781,9 +809,10 @@ class TestSourceAudit:
 
     def test_the_window_budget_is_stated_once(self):
         """A traffic window is a stimuli buffer's worth of flits: one
-        constant, read where a window source is built, and no
-        cycle-length chunk constant left on ``run_batched``'s path (the
-        pipeline's window length is its own, in ``pipeline/runner.py``)."""
+        constant, read where the window source (the C scan) is built,
+        and no cycle-length chunk constant left on ``run_batched``'s
+        path (the pipeline's window length is its own, in
+        ``pipeline/runner.py``)."""
         import re
 
         named = re.compile(r"\bFLIT_BUDGET\b(?! flits)(?!`)")
@@ -795,12 +824,14 @@ class TestSourceAudit:
             ]
             for path, text in self._sources()
         }
-        ((path, (stated, read)),) = [
-            (path, lines) for path, lines in code.items() if lines
-        ]
-        assert path == os.path.join("traffic", "stimuli.py")
+        (stated,) = code.pop(os.path.join("traffic", "stimuli.py"))
         assert re.fullmatch(r"FLIT_BUDGET = \d+", stated)
-        assert read == "self.budget = FLIT_BUDGET"
+        assert {path: lines for path, lines in code.items() if lines} == {
+            os.path.join("kernels", "trafficgen.py"): [
+                "from repro.traffic.stimuli import FLIT_BUDGET",
+                "self.budget = FLIT_BUDGET",
+            ]
+        }
         chunk = re.compile(r"^_?[A-Z_]*(CHUNK|CYCLES)[A-Z_]*\s*=\s*\d", re.M)
         on_path = ("engines/batch.py", "kernels/trafficgen.py",
                    "kernels/batchlevel.py", "traffic/stimuli.py")

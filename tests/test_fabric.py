@@ -340,5 +340,5 @@ def test_no_compiler_runs_the_threaded_sweep_bit_identically(request):
         FabricJob, "start", lambda job: starts.append(job) or real_start(job)
     )
     swept = stream_fig1_sweep(LOADS, CYCLES, seed=SEED, warmup=WARMUP)
-    # step_window in the caller: no fabric thread was started
+    # stepped per cycle in the caller: no fabric thread was started
     assert swept.points == want and starts == []

@@ -148,7 +148,7 @@ def run_every_consumer():
 
     engine = BatchEngine(cfg, lanes=2)
     drivers = [driver(engine.lane(i), 7 + i) for i in range(2)]
-    source = window_source(engine, drivers)
+    _, source_reason = window_source(engine, drivers)
     _, scan_reason = batched_be_generator(drivers)
     run_batched(engine, drivers, 300)
     drain_batched(engine, drivers)
@@ -176,7 +176,7 @@ def run_every_consumer():
     bodies = (
         engine.kernel,
         sequential.kernel,
-        source.reason,
+        source_reason,
         [tracker.kernel for tracker in trackers],
     )
     reasons = (

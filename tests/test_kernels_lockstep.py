@@ -327,7 +327,7 @@ class TestEnvFallback:
                 )
                 for i in range(engine.lanes)
             ]
-            return chunk_kernel(engine, drivers), window_source(engine, drivers).reason
+            return chunk_kernel(engine, drivers), window_source(engine, drivers)[1]
 
         no_body = (None, "the engine has no generated-C body")
         assert paths(BatchEngine(torus(), lanes=2, kernel="python")) == no_body

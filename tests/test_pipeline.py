@@ -251,6 +251,21 @@ class TestPipelineEquivalence:
         assert report.analyze.submit_counts == [len(driver.submits)]
         assert streamed.submits == driver.submits and streamed.tracker is None
 
+    @pytest.mark.parametrize("kernel", ["python", "auto"])
+    def test_every_submit_is_noted_once(self, kernel):
+        # golden lanes step each span cycle by cycle, the compiled body
+        # runs windows: either way each submit is noted once, and a
+        # drained run leaves none unmatched
+        net = small_net()
+        engine = BatchEngine(net, lanes=2, kernel=kernel)
+        traffic = [make_traffic(net, seed=seed, with_gt=True) for seed in (3, 4)]
+        drivers = lane_drivers(engine, traffic)
+        report = run_pipeline(engine, drivers, 300, chunk=32)
+        for tracker, driver in zip(report.trackers, drivers):
+            assert tracker.pending() == []
+            assert len(tracker.samples) == len(driver.submits) > 20
+        assert report.analyze.submit_counts == [len(d.submits) for d in drivers]
+
     def test_batch_lanes_match_classic_batched(self):
         net = small_net()
         cycles, lanes = 300, 4
@@ -457,9 +472,9 @@ class TestPipelineEquivalence:
 
 class TestPipelineErrors:
     def test_overload_root_cause_survives_abort(self):
-        # a per-cycle engine: the window is stepped by step_window, its
-        # traffic came from the driver's own generators — and is rewound
-        # through them to where the classic driver loop stops
+        # a per-cycle engine: each span steps cycle by cycle through the
+        # driver's own generators, and stops where the classic driver
+        # loop stops
         net = small_net(queue_depth=1)
         be = BernoulliBeTraffic(net, 0.95, uniform_random(net), seed=1)
         classic_engine = CycleEngine(net)
@@ -480,7 +495,9 @@ class TestPipelineErrors:
         }
         assert list(streamed.queues) == list(classic.queues)
         assert streamed._stall == classic._stall
-        assert be.snapshot() == classic.be.snapshot()
+        assert (be.rng.state, be.rng.words_read, be._seq) == (
+            classic.be.rng.state, classic.be.rng.words_read, classic.be._seq
+        )
         assert streamed._be_vc_toggle == classic._be_vc_toggle
 
     @pytest.mark.parametrize("chunk", [0, -3])
@@ -559,13 +576,22 @@ class TestStreamedExperimentSweeps:
         assert streamed.points == batched.points
 
     @needs_jit
-    def test_pattern_sweep_generates_in_python_and_still_chunks(self, monkeypatch):
+    def test_pattern_sweep_is_scanned_in_c_and_chunks(self, monkeypatch):
         from repro.experiments.patterns import PATTERNS, run_patterns_batched
+        from repro.kernels import trafficgen
         from repro.pipeline import stream_pattern_sweep
 
+        made, real = [], trafficgen.batched_be_generator
+
+        def recording(drivers):
+            made.append(real(drivers))
+            return made[-1]
+
+        monkeypatch.setattr(trafficgen, "batched_be_generator", recording)
         chunks, steps = spy_paths(monkeypatch)
         swept = stream_pattern_sweep(PATTERNS, 300, chunk=128)
-        # transpose/hotspot: no C scan, yet one run_chunk per chunk
+        # transpose/hotspot: the C scan, one run_chunk per chunk
+        assert [reason for _, reason in made] == [None]
         assert chunks == [(128, True), (128, True), (44, True)]
         assert steps == [] and max(swept.report.done_cycles) > 0  # drained in C
         chunks.clear()
@@ -797,7 +823,7 @@ class TestPipelineSmoke:
         assert engine.cycle >= 64  # measured cycles plus drain
         assert prof.wall_seconds > 0
         assert set(prof.wait_seconds) <= {"simulate"}  # the caller waits on the fabric only
-        stages = {"generate", "load", "simulate", "retrieve", "analyze"}
+        stages = {"generate", "simulate", "retrieve", "analyze"}  # the scan loads
         assert set(prof.cpu_seconds) == set(prof.busy_seconds) == stages
         assert all(seconds >= 0.0 for seconds in prof.cpu_seconds.values())
         assert prof.cpu_seconds["simulate"] > 0.0

@@ -308,6 +308,12 @@ class TestSourceShape:
         assert "#define HBR 0" in self.source((6, 6))
         assert self.source((6, 6)) == self.source((10, 10))
 
+    def test_the_batch_body_carries_no_hbr_text(self):
+        # an edit to the HBR pass must not change the batch kernels'
+        # sources, the key they are cached under
+        batch = self.source((6, 6))
+        assert "hbr_walk" not in batch and "#define W " not in batch
+
     def test_the_hbr_body_depends_on_its_mask_words_only(self):
         class Counting(BatchEngine):
             HBR_ACCOUNTING = True

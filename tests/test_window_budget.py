@@ -2,7 +2,7 @@
 
 Two contracts of the generate phase (DESIGN section 10):
 
-* ``WindowSource.scan(start, limit)`` ends a window at the first cycle
+* ``BatchedBeGenerator.generate_window(start, limit)`` ends a window at the first cycle
   boundary at which it holds ``FLIT_BUDGET`` flits.  Where the cuts fall
   is invisible in every simulated result: one-flit windows, the default
   and a budget no run reaches give the same snapshots, event columns,
@@ -150,7 +150,7 @@ def scanned_hits(generator, cycles):
     window after window."""
     hits, start = [], 0
     while start < cycles:
-        window = generator.scan(start, cycles)
+        window = generator.generate_window(start, cycles)
         assert start < window.stop <= cycles
         hits += zip(*window.packets[[P_LANE, P_CYCLE, P_SRC, P_DEST]].tolist())
         start = window.stop
@@ -324,11 +324,13 @@ class DirectScan:
         )
         be_nbytes = np.full(lanes, self.BE_BYTES, dtype=np.int64)
         be_vcs = np.array(self.BE_VCS, dtype=np.int64)
+        dests = np.full((lanes, self.n_src), -1, dtype=np.int64)  # uniform draws
+        hot = np.full((2, lanes), -1, dtype=np.int64)  # no hotspot
         jumps, tops = trafficgen.lfsr_tables()
         at = lambda array: trafficgen.pointer(ffi, array)  # noqa: E731
         stopped = self.lib.repro_gen_be(
             lanes, upto, self.n_src, start, stop, probe,
-            at(thresholds), self.bound, self.span,
+            at(thresholds), self.bound, self.span, at(dests), at(hot),
             ffi.cast("uint32_t *", jumps.ctypes.data),
             ffi.cast("uint64_t *", tops.ctypes.data),
             at(self.states), at(tally), self.BPF, at(be_nbytes), at(self.be_seq),
@@ -674,7 +676,7 @@ CASES = {
     "fig1": (lambda: BatchEngine(fig1_network(), lanes=5), 5, fig1_lane, 300, 7, "C scan"),
     "hbr": (lambda: SequentialEngine(fig1_network()), 1, hbr_lane, 1000, 2, "C scan"),
     "patterns": (lambda: BatchEngine(fig1_network(), lanes=2), 2, pattern_lane,
-                 280, 4, "python"),
+                 280, 4, "C scan"),
 }
 
 
@@ -696,7 +698,7 @@ def run_budgeted(case, budget, monkeypatch):
         engine = make_engine()
         views = lane_views(engine)
         drivers = [tracked(make_lane(view, lane)) for lane, view in enumerate(views)]
-        assert (window_source(engine, drivers).reason is None) == (source == "C scan")
+        assert (window_source(engine, drivers)[1] is None) == (source == "C scan")
         run_batched(engine, drivers, cycles)
     for driver in drivers:
         driver.be = driver.gt = None
@@ -747,15 +749,15 @@ class TestBudgetWindows:
         assert sum(len(lane[1][0]) for lane in columns) > 1000
 
     def test_a_window_stops_at_the_first_boundary_holding_the_budget(self, monkeypatch):
-        # the rule itself, for both sources: against the per-cycle flit
-        # counts of one unbounded window
+        # the rule itself, on uniform and on pattern lanes: against the
+        # per-cycle flit counts of one unbounded window
         for make_lane, lanes in ((fig1_lane, 5), (pattern_lane, 2)):
             def source(budget):
                 monkeypatch.setattr(stimuli, "FLIT_BUDGET", budget)
                 engine = BatchEngine(fig1_network(), lanes=lanes)
                 return window_source(
                     engine, [make_lane(engine.lane(i), i) for i in range(lanes)]
-                )
+                )[0]
 
             whole = source(UNBOUNDED).generate_window(0, 400)
             assert whole.stop == 400
@@ -772,13 +774,13 @@ class TestBudgetWindows:
 
     def test_the_scan_scratch_is_sized_by_the_budget(self):
         engine = BatchEngine(fig1_network(), lanes=16)
-        generator = window_source(engine, make_drivers(engine, 0.08))
+        generator, _ = window_source(engine, make_drivers(engine, 0.08))
         cap = generator._packets.shape[1] // 2
         assert cap == stimuli.FLIT_BUDGET // 3 + 16 * (36 + 1)
         # every lane hitting on every source in the last cycle still fits
         for be in (d.be for d in generator.drivers):
             be.packet_probability = 1.0
-        full = window_source(engine, generator.drivers)
+        full, _ = window_source(engine, generator.drivers)
         window = full.generate_window(0, 50)
         assert window.stop < 50 and window.packets.shape[1] <= cap
         assert generator._packets.nbytes < 512 * 1024
@@ -825,7 +827,7 @@ class TestOverloadInsideACutWindow:
                 )
                 for i in range(3)
             ]
-            source = window_source(engine, drivers)
+            scan, _ = window_source(engine, drivers)
             with pytest.raises(NetworkOverloadError) as err:
                 run_batched(engine, drivers, 2000)
             results[kernel] = (
@@ -838,7 +840,7 @@ class TestOverloadInsideACutWindow:
                 ],
             )
         assert results["levelized"] == results["python"]
-        assert (source.reason is None) == (pattern == "uniform")
+        assert scan is not None  # every pattern: the C scan
         # the fatal window was a later one, cut short by the budget, and
         # the overload fell strictly inside it
         start, stop = windows[-1]
