@@ -125,7 +125,8 @@ def _report_kernel(engine, drivers) -> None:
     kernel = getattr(engine, "kernel", None)
     if kernel is None:
         return
-    from repro.engines.batch import window_source
+    from repro.engines.batch import chunk_decline
+    from repro.kernels.trafficgen import scan_decline
 
     if getattr(engine, "_compiled", None) is not None:
         body = "generated C"
@@ -133,7 +134,7 @@ def _report_kernel(engine, drivers) -> None:
         body = "Python model" if engine.name == "sequential" else "golden lanes"
     if engine.kernel_reason:
         body += f"; {engine.kernel_reason}"
-    _, reason = window_source(engine, drivers)
+    reason = chunk_decline(engine, drivers) or scan_decline(drivers)
     traffic = "C scan" if reason is None else f"Python generators ({reason})"
     print(f"kernel: {kernel} ({body}); traffic: {traffic}")
 
@@ -153,10 +154,11 @@ def _report_run(engine, drivers) -> None:
     again in cycle order."""
     if getattr(engine, "kernel", None) is None:
         return
-    from repro.engines.batch import chunk_decline, window_source
+    from repro.engines.batch import chunk_decline
+    from repro.kernels.trafficgen import scan_decline
 
     decline = chunk_decline(engine, drivers)
-    stepped = decline or window_source(engine, drivers)[1]  # no windows without the scan
+    stepped = decline or scan_decline(drivers)  # no windows without the scan
     line = "chunked" if stepped is None else f"stepping per cycle ({stepped})"
     if getattr(engine, "kernel_lane_cycles", 0):
         share = engine.kernel_router_evals / (

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import nullcontext
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engines.eventlog import PackedLog
@@ -453,32 +454,29 @@ def chunk_decline(engine, drivers: Sequence) -> Optional[str]:
     return None
 
 
-def chunk_kernel(engine, drivers: Sequence):
-    """The engine's generated body when it may run ``drivers`` in whole
-    chunks (``run_chunk``), else ``None``: step cycle by cycle
-    (:func:`chunk_decline` says why)."""
-    if chunk_decline(engine, drivers) is None:
-        return engine._compiled
-    return None
+def run_plan(engine, drivers: Sequence):
+    """How a run of ``drivers`` executes, decided once: ``(scan, body)``.
 
-
-def window_source(engine, drivers: Sequence):
-    """``(generator, None)``: the batched C scan that generates
-    ``drivers``' traffic windows
-    (:func:`repro.kernels.trafficgen.batched_be_generator`), where the
-    engine was bound to the generated body and the scan takes the
-    drivers; else ``(None, reason)`` — the run generates cycle by cycle
-    through the drivers' own generators."""
-    from repro.kernels.trafficgen import batched_be_generator
-
+    ``scan``, the C scan over the drivers' generators, is built only where
+    the engine is bound to the generated body and
+    :func:`~repro.kernels.trafficgen.scan_decline` takes the drivers.
+    ``body`` is the chunk body where :func:`chunk_decline` objects to
+    nothing either; else ``None``, and the run steps through the drivers'
+    own generators (:func:`step_cycle`) — a scan still proves the idle
+    stretches fast-forward skips."""
     if getattr(engine, "_compiled", None) is None:
-        return None, "the engine has no generated-C body"
-    return batched_be_generator(drivers)
+        return None, None
+    from repro.kernels import trafficgen
+
+    if trafficgen.scan_decline(drivers) is not None:
+        return None, None
+    body = engine._compiled if chunk_decline(engine, drivers) is None else None
+    return trafficgen.BatchedBeGenerator(drivers), body
 
 
 def step_cycle(engine, drivers: Sequence) -> None:
-    """One cycle of the per-cycle reference loop: every driver generates
-    and pumps, then the engine steps (every lane at once)."""
+    """One cycle of the per-cycle loop: every driver generates and
+    pumps, then the engine steps (every lane at once)."""
     cycle = engine.cycle
     for driver in drivers:
         driver.generate(cycle)
@@ -568,93 +566,104 @@ def _try_fast_forward(
     return horizon
 
 
+def window_loop(
+    engine,
+    drivers: Sequence,
+    end: int,
+    scan,
+    body,
+    *,
+    fast_forward: bool = False,
+    chunk: Optional[int] = None,
+    phase=lambda name: nullcontext(),
+    booked=None,
+) -> None:
+    """The serial window loop to cycle ``end``: fast-forward, generate a
+    window, simulate it, book it — section 5.3's control program.
+
+    With :func:`run_plan`'s chunk ``body`` a window is the ``scan``'s next
+    (``chunk`` cycles at most), simulated and booked by one ``run_chunk``
+    call; without it, ``chunk`` cycles of :func:`step_cycle` (the rest of
+    the run; one cycle while fast-forward looks for idle stretches).
+    ``phase(name)`` times the generate and simulate steps; ``booked()``
+    runs once a window is booked."""
+    start = time.perf_counter()
+    try:
+        while engine.cycle < end:
+            if fast_forward and _try_fast_forward(engine, drivers, end - engine.cycle, scan):
+                continue
+            cycle = engine.cycle
+            stop = min(cycle + chunk, end) if chunk else end
+            if body is None:
+                with phase("simulate"):
+                    for _ in range(cycle, cycle + 1 if fast_forward else stop):
+                        step_cycle(engine, drivers)
+            else:
+                with phase("generate"):
+                    window = scan.generate_window(cycle, stop)
+                with phase("simulate"):
+                    body.run_chunk(drivers, window.stop - cycle, window)
+            if booked is not None:
+                booked()
+    finally:
+        if body is not None:
+            engine.kernel_loop_seconds += time.perf_counter() - start
+
+
 def run_batched(
     engine: BatchEngine,
     drivers: Sequence,
     cycles: int,
     fast_forward: bool = False,
 ) -> None:
-    """Pump one traffic driver per lane against a single batched loop.
+    """Run ``cycles`` cycles of ``drivers``' traffic, ``drivers[i]`` on
+    lane ``i`` of ``engine`` (a single-lane engine is its own lane): the
+    one way every run goes, ``TrafficDriver.run`` included.
 
-    ``drivers[i]`` must wrap ``engine.lane(i)`` (a
-    :class:`~repro.traffic.stimuli.TrafficDriver` or anything with
-    ``generate(cycle)`` / ``pump()``).  Per cycle this performs exactly
-    what ``TrafficDriver.step`` does per lane — generate, pump, step —
-    except the step advances all lanes at once.
-
-    A compiled engine (``jit`` or ``levelized``: one generated body)
-    runs whole traffic windows inside one fused C call each whenever
-    :func:`chunk_decline` finds no objection — the Fig. 1 GT + BE sweep
-    and the pattern sweeps included.  A window is a stimuli buffer's
-    worth of flits (:data:`~repro.traffic.stimuli.FLIT_BUDGET`), not a
-    number of cycles: a hundred-odd cycles of a loaded fabric, the whole
-    of a near-idle run.  Each is one columnar
-    :class:`~repro.traffic.stimuli.Stimuli`, staged ahead with
-    timestamps; the pump moves into the kernel, and events come back as
-    one block a window of the engine's :class:`PackedLog` pair.
-
-    Every window comes from one C scan over every lane's generators
-    (:func:`repro.kernels.trafficgen.batched_be_generator`: any per-lane
-    mix of the :mod:`repro.traffic` patterns and loads, GT streams, lanes
-    with no live BE stream) — a pure reordering of independent per-lane
-    work, bit-identical per lane.  Where the scan declines the drivers
-    (:func:`window_source` says why) the run steps cycle by cycle, as
-    golden lanes do, with the all-Python reference path end to end.  A
+    :func:`run_plan` decides how, once; :func:`window_loop` runs it.  A
+    compiled engine runs whole traffic windows, one fused C call each,
+    wherever :func:`chunk_decline` and
+    :func:`~repro.kernels.trafficgen.scan_decline` find no objection —
+    the Fig. 1 GT + BE sweep and the pattern sweeps included.  A window
+    is a stimuli buffer's worth of flits
+    (:data:`~repro.traffic.stimuli.FLIT_BUDGET`), not of cycles: a
+    hundred-odd cycles of a loaded fabric, the whole of a near-idle run;
+    the pump moves into the kernel, and events come back as one block a
+    window of the engine's :class:`PackedLog` pair.  Anything else steps
+    cycle by cycle through the drivers' own generators
+    (:func:`step_cycle`), bit-identically.  A
     :class:`~repro.traffic.stimuli.NetworkOverloadError` leaves the
-    drivers where that reference loop would, on every path.
+    drivers where that per-cycle loop would, on every path.
 
-    ``fast_forward`` enables quiescence skipping: before generating each
-    cycle the run checks :func:`_try_fast_forward`, and when the fabric,
-    queues, hooks and generators are all provably idle for D cycles it
-    jumps the clocks by D instead of stepping.  Live BE streams are
-    proven idle (and their LFSRs advanced) only by the batched C scan;
-    without it they veto the skip and the run simply steps.
-    Fast-forward never fires while any fault is resident.
+    ``fast_forward`` enables quiescence skipping: before each window
+    (each cycle, when stepping) :func:`_try_fast_forward` jumps the
+    clocks over D cycles in which the fabric, queues, hooks and
+    generators are provably idle.  Live BE streams are proven idle (and
+    their LFSRs advanced) only by the C scan, which a hooked compiled run
+    keeps for this; without it they veto the skip.  Fast-forward never
+    fires while any fault is resident.
     """
-    from repro.traffic.stimuli import step_window
-
-    scan, _ = window_source(engine, drivers)
-    end = engine.cycle + cycles
-
-    def skipped() -> bool:
-        return fast_forward and bool(
-            _try_fast_forward(engine, drivers, end - engine.cycle, scan)
-        )
-
-    compiled = chunk_kernel(engine, drivers) if scan is not None else None
-    if compiled is not None:
-        start = time.perf_counter()
-        try:
-            while engine.cycle < end:
-                if skipped():
-                    continue
-                window = scan.generate_window(engine.cycle, end)
-                compiled.run_chunk(drivers, window.stop - window.start, window)
-        finally:
-            engine.kernel_loop_seconds += time.perf_counter() - start
-        return
-    while engine.cycle < end:
-        if skipped():
-            continue
-        cycle = engine.cycle
-        if scan is not None:
-            step_window(engine, drivers, scan.generate_window(cycle, cycle + 1))
-        else:
-            step_cycle(engine, drivers)
+    scan, body = run_plan(engine, drivers)
+    window_loop(
+        engine, drivers, engine.cycle + cycles, scan, body, fast_forward=fast_forward
+    )
 
 
 def drain_batched(
     engine: BatchEngine, drivers: Sequence, max_cycles: int = 100_000
 ) -> List[int]:
-    """Run until every lane is drained; returns per-lane drain cycles.
+    """Run until every lane is drained; returns per-lane drain cycles
+    (``TrafficDriver.drain`` is this, for one driver).
 
-    Mirrors ``TrafficDriver.drain`` per lane: a lane is *done* at the
-    first iteration where its backlog is empty and its fabric is
-    drained, so each returned count equals exactly what the solo run's
-    ``drain`` would have returned.  Lanes that finish early keep idling
-    until the slowest lane drains (bulk-synchronous lanes cannot park),
-    which never creates events — the final lane state equals a solo run
-    stepped to the batch's total cycle count.
+    A lane is *done* at the first iteration where its driver's backlog
+    is empty and its engine view is drained, so each returned count
+    equals exactly what the lane's solo drain would have returned.
+    Lanes that finish early keep idling until the slowest lane drains
+    (bulk-synchronous lanes cannot park), which never creates events —
+    the final lane state equals a solo run stepped to the batch's total
+    cycle count.  A lane still open after ``max_cycles`` raises
+    :class:`~repro.traffic.stimuli.NetworkOverloadError`, naming every
+    such lane and the flits its driver still holds.
 
     Like a traffic window, the drain is one fused C call wherever
     :func:`chunk_decline` finds no objection (the backlogs staged once,
@@ -662,14 +671,13 @@ def drain_batched(
     :meth:`~repro.kernels.batchlevel.CompiledBatchLevel.drain`); the
     loop below is the reference, and the path of everything else.
     """
-    compiled = chunk_kernel(engine, drivers)
-    if compiled is not None:
-        done = compiled.drain(drivers, max_cycles)
+    if chunk_decline(engine, drivers) is None:
+        done = engine._compiled.drain(drivers, max_cycles)
     else:
         done = [-1] * len(drivers)
         for used in range(max_cycles):
             for i, driver in enumerate(drivers):
-                if done[i] < 0 and driver.backlog() == 0 and engine.drained(i):
+                if done[i] < 0 and driver.backlog() == 0 and driver.engine.drained():
                     done[i] = used
             if all(d >= 0 for d in done):
                 break
@@ -680,7 +688,9 @@ def drain_batched(
     if stuck:
         from repro.traffic.stimuli import NetworkOverloadError
 
+        queued = [drivers[i].backlog() for i in stuck]
         raise NetworkOverloadError(
-            f"lanes {stuck} did not drain within {max_cycles} cycles"
+            f"lanes {stuck} did not drain within {max_cycles} cycles "
+            f"({queued} flits still queued)"
         )
     return done

@@ -55,7 +55,7 @@ The kernel is built, cached and loaded through the same pipeline as the
 simulation body (:func:`repro.kernels.cbackend.load_source`), so it
 shares the compiler probe, the content-hashed disk cache and the
 availability gating.  It is the only source of traffic windows: where
-it does not apply (:func:`batched_be_generator` says why) a run
+it does not apply (:func:`scan_decline` says why) a run
 generates cycle by cycle through the drivers' own generators.
 """
 
@@ -73,9 +73,9 @@ from repro.traffic.stimuli import Stimuli
 __all__ = [
     "BatchedBeGenerator",
     "PacketMatch",
-    "batched_be_generator",
     "bind_stimuli_kernel",
     "lfsr_tables",
+    "scan_decline",
     "stimuli_kernel",
 ]
 
@@ -1321,15 +1321,19 @@ class BatchedBeGenerator:
     simulates.  A window that ends in a
     :class:`~repro.traffic.stimuli.NetworkOverloadError` is rewound
     through :meth:`rewind`, however far past it the scan had run.
+
+    Build one only for drivers :func:`scan_decline` takes: it rebinds
+    their sequence numbers and BE-VC toggles to rows of its own, which
+    their generators then advance too.
     """
 
-    def __init__(self, drivers: Sequence, kernel) -> None:
+    def __init__(self, drivers: Sequence) -> None:
         from repro.traffic.stimuli import FLIT_BUDGET
 
         self.drivers: List = list(drivers)
         #: flits after which a window ends
         self.budget = FLIT_BUDGET
-        self._lib, self._ffi = kernel
+        self._lib, self._ffi = stimuli_kernel()
         net = self._net = self.drivers[0].net
         self.n_src = net.n_routers
         self.bound = net.n_routers - 1
@@ -1509,14 +1513,19 @@ class BatchedBeGenerator:
             self._queues[: 4 * n_queues].reshape(4, n_queues), snapshot, self,
         )
 
+    def restore(self, stimuli: Stimuli) -> None:
+        """Put the generators back where they stood when ``stimuli``
+        was generated: at its start."""
+        rngs, self._be_seq[:], self._toggles[:], self._gt_seq[:] = stimuli.snapshot
+        for (_, be), (state, words_read) in zip(self._live, rngs):
+            be.rng.state, be.rng.words_read = state, words_read
+
     def rewind(self, stimuli: Stimuli, cycle: int, lane: int) -> None:
         """Put the generators where the per-cycle reference loop leaves
         them when ``lane``'s pump raises at ``cycle`` inside ``stimuli``:
         lanes up to ``lane`` have generated ``cycle``, later lanes have
         not."""
-        rngs, self._be_seq[:], self._toggles[:], self._gt_seq[:] = stimuli.snapshot
-        for (_, be), (state, words_read) in zip(self._live, rngs):
-            be.rng.state, be.rng.words_read = state, words_read
+        self.restore(stimuli)
         self._generate(len(self.drivers), stimuli.start, cycle)
         self._generate(lane + 1, cycle, cycle + 1)
 
@@ -1546,11 +1555,9 @@ def _declared(pattern, n: int) -> bool:
     return getattr(pattern, "uniform_bound", None) == n - 1 and 0 <= target < n
 
 
-def batched_be_generator(
-    drivers: Sequence,
-) -> Tuple[Optional[BatchedBeGenerator], Optional[str]]:
-    """``(generator, None)`` for ``drivers``, or ``(None, reason)`` when
-    the C scan does not apply.
+def scan_decline(drivers: Sequence) -> Optional[str]:
+    """Why the C scan cannot generate ``drivers``' traffic, ``None``
+    when it can; builds nothing.
 
     Eligibility is strict so the C scan is exactly the drivers' own
     generators: every driver a plain
@@ -1565,24 +1572,20 @@ def batched_be_generator(
     from repro.traffic.generators import BernoulliBeTraffic, GtStreamTraffic
     from repro.traffic.stimuli import TrafficDriver
 
-    drivers = list(drivers)
     for lane, driver in enumerate(drivers):
         if type(driver) is not TrafficDriver:
-            return None, f"lane {lane}: driver is a TrafficDriver subclass"
+            return f"lane {lane}: driver is a TrafficDriver subclass"
         gt, be = driver.gt, driver.be
         if gt is not None and (type(gt) is not GtStreamTraffic or gt.payload_bytes < 1):
-            return None, f"lane {lane}: GT source is not a plain GtStreamTraffic"
+            return f"lane {lane}: GT source is not a plain GtStreamTraffic"
         if be is None:
             continue
         if not isinstance(be, BernoulliBeTraffic) or be.payload_bytes < 1:
-            return None, f"lane {lane}: BE source is not a BernoulliBeTraffic"
+            return f"lane {lane}: BE source is not a BernoulliBeTraffic"
         if not _declared(be.pattern, driver.net.n_routers):
-            return None, f"lane {lane}: the destination pattern declares no data for this fabric"
+            return f"lane {lane}: the destination pattern declares no data for this fabric"
     if not drivers:
-        return None, "no drivers"
+        return "no drivers"
     if not 16 <= drivers[0].net.router.data_width <= 56:
-        return None, "flit layout outside the C encoder's 16..56-bit data path"
-    kernel, reason = bind_stimuli_kernel()
-    if kernel is None:
-        return None, reason
-    return BatchedBeGenerator(drivers, kernel), None
+        return "flit layout outside the C encoder's 16..56-bit data path"
+    return bind_stimuli_kernel()[1]

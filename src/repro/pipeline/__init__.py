@@ -17,8 +17,8 @@ touching the fabric only at its boundary.
   :class:`~repro.kernels.batchlevel.FabricJob`, ``PackedLog.pieces``,
   ``repro_match``) on the caller's own ``TrafficDriver`` per lane:
   window k+1 generated and window k-1 analysed while window k simulates
-  on the fabric thread, or every call in the caller (``threaded=False``)
-  with byte-identical results; instrumented by
+  on the fabric thread, or ``run_batched``'s own serial loop with each
+  window analysed (``threaded=False``), byte-identical; instrumented by
   :class:`~repro.platform.profiler.PipelineProfiler`;
 * :mod:`~repro.pipeline.workloads` — streamed versions of the
   Figure-1 and pattern sweeps.

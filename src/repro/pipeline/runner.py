@@ -1,7 +1,7 @@
 """The streamed run: the five steps of the paper's control program
-(section 5.3, Figure 8) as one loop over the calls the chunk path of
-:func:`~repro.engines.batch.run_batched` makes, the caller beside one
-fabric thread — or every call in the caller, byte-identical.
+(section 5.3, Figure 8) — the serial window loop of
+:func:`~repro.engines.batch.run_batched` with each window analysed as it
+is booked, and the caller beside one fabric thread, byte-identical.
 
 Figure 8's split: the paper's ARM generates, loads, retrieves and
 analyses while its FPGA simulates.  Here the calling thread is the ARM
@@ -20,17 +20,16 @@ so only the landing and the staging separate two simulations.  What
 each step may touch while a window simulates is the whole design:
 
 * **generate + load** (a window ahead) — one call of the C traffic scan
-  (:func:`~repro.engines.batch.window_source`), which leaves the flit
-  columns loaded.  It owns the generators' LFSR state and sequence
-  numbers, the GT emit counters and the drivers' BE-VC toggles; never
-  ``driver.queues``.
+  (the ``scan`` of :func:`~repro.engines.batch.run_plan`), which leaves
+  the flit columns loaded.  It owns the generators' LFSR state and
+  sequence numbers, the GT emit counters and the drivers' BE-VC
+  toggles; never ``driver.queues``.
 * **simulate** — the window in flight owns the engine's state arrays,
   the staged rows, its event buffers and the call scratch.  Landing it
   hands each queue's unconsumed tail back to its driver; booking it logs
   its events and books its traffic on the drivers (an overload rewinds
   the generate side through the window's own source, however far ahead
-  it ran).  A compiled engine with a pre-step hook steps each window in
-  the caller instead (:func:`~repro.traffic.stimuli.step_window`).
+  it ran).
 * **retrieve** — :func:`~repro.engines.eventlog.log_span` below the
   log bounds the booked window left: per log, every lane's events of
   the window named by the log's block tables, read in place (a Python
@@ -38,19 +37,20 @@ each step may touch while a window simulates is the whole design:
 * **analyze** — :meth:`Analysis.add`: the report's own trackers and
   counters, the window's submits read from the drivers' submit logs.
 
-Where the scan declines the run — golden lanes, a host without ``cc``,
-an engine with no generated body, drivers the scan does not take —
-each span of ``chunk`` cycles steps cycle by cycle in the caller
-(``generate``, ``pump``, ``step``) and is then retrieved and analysed
-the same way.
+Every other run — ``threaded=False``, and every run
+:func:`~repro.engines.batch.run_plan` gives no chunk body (golden lanes,
+a host without ``cc``, an engine with no generated body, a pre-step
+hook, drivers the scan does not take) — is the serial loop itself
+(:func:`~repro.engines.batch.window_loop`): windows of ``chunk`` cycles,
+each one chunk call or ``chunk`` cycles stepped through the drivers' own
+generators, in the caller, then retrieved and analysed the same way.
+The drain is :func:`~repro.engines.batch.drain_batched` on every engine.
 
 An error the body stops on surfaces at the landing — the window booked
 first, so the engine, drivers and generators stand where the serial
 loop leaves them — and a run that unwinds with a window on the fabric
 lands and books it on the way out.  The fabric thread lives from the
-first launch to the end of :func:`run_pipeline`, no longer.  The serial
-loop (``threaded=False``) makes each call in the caller, in the same
-order.
+first launch to the end of :func:`run_pipeline`, no longer.
 """
 
 from __future__ import annotations
@@ -62,20 +62,14 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.engines.base import lane_views
-from repro.engines.batch import (
-    BatchEngine,
-    chunk_kernel,
-    drain_batched,
-    step_cycle,
-    window_source,
-)
+from repro.engines.batch import drain_batched, run_plan, window_loop
 from repro.engines.eventlog import lane_lengths, log_span
 from repro.noc.config import NetworkConfig
 from repro.platform.profiler import PipelineProfiler
 from repro.stats.histogram import Histogram
 from repro.stats.latency import PacketLatencyTracker, collect_lanes
 from repro.stats.throughput import ThroughputStats
-from repro.traffic.stimuli import TrafficDriver, step_window
+from repro.traffic.stimuli import TrafficDriver
 
 #: default cycles per chunk: big enough to amortise per-chunk overhead,
 #: small enough that a window and its neighbours stay in cache.
@@ -181,8 +175,7 @@ def run_pipeline(
             "trackers analyse the run"
         )
     net: NetworkConfig = engine.cfg
-    scan, _ = window_source(engine, drivers)
-    body = chunk_kernel(engine, drivers) if scan is not None else None
+    scan, body = run_plan(engine, drivers)
     analysis = Analysis(net, len(views))
     prof = PipelineProfiler(threaded=threaded)
     logs = getattr(engine, "event_logs", None) or [
@@ -190,36 +183,42 @@ def run_pipeline(
     ]
     marks = [[0] * len(views)] * 2
 
-    def booked():
-        """Per log, every lane's ``(lo, hi)`` bounds of the events booked
-        since the last call (entries below them never change)."""
+    def analyse() -> None:
+        """Retrieve and analyse every lane's events booked since the last
+        call (entries below the last call's bounds never change)."""
         nonlocal marks
         now = list(map(lane_lengths, logs))
-        spans, marks = list(zip(marks, now)), now
-        return spans
+        with prof.busy("retrieve"):
+            injections, ejections = (
+                log_span(log, lo, hi, net.router.event_layout)
+                for log, lo, hi in zip(logs, marks, now)
+            )
+        marks = now
+        prof.add_items("retrieve", 1)
+        with prof.busy("analyze"):
+            analysis.add(drivers, injections, ejections)
+        prof.add_items("analyze", 1)
+
+    def simulated() -> None:
+        """A window of the serial loop is booked: count it, analyse it."""
+        if body is not None:
+            prof.add_items("generate", 1)
+        prof.add_items("simulate", 1)
+        analyse()
 
     def launch(window):
-        """Start simulating a loaded window — one call of the chunk body,
-        on the fabric thread or here — or, without the body, step it here
-        and book it: ``(job, log spans once booked)``."""
-        if body is None:
-            step_window(engine, drivers, window)
-            return None, booked()
-        job = body.prepare(drivers, window.stop - window.start, window)
-        if not threaded:
-            return job.run(), None
-        job.start()
+        """Stage a loaded window and start it on the fabric thread."""
+        job = body.prepare(drivers, window.stop - window.start, window).start()
         if job.threaded and prof.caller_cpu < 0:
             prof.caller_cpu = body.fabric_placement()[0]
-        return job, None
+        prof.add_items("simulate", 1)
+        return job
 
-    def land(flight) -> None:
-        """Take a window back: its cycles and the drivers' queues.  A
-        window the body stopped with an error is booked, and the error
-        raised.  (A stepped window is back already.)"""
-        job = flight[0]
-        if job is None:
-            return
+    def land(job, ahead=None) -> None:
+        """Take a window back from the fabric: its cycles and the
+        drivers' queues.  A window the body stopped with an error is
+        booked, and the error raised — the window generated ``ahead`` of
+        it first taken back, as the serial loop never generated it."""
         if job.threaded:
             with prof.wait("simulate"):
                 job.wait()
@@ -228,85 +227,52 @@ def run_pipeline(
         with prof.busy("simulate"):
             job.land()
             if job.ret:
+                if ahead is not None:
+                    scan.restore(ahead)
                 job.book()
                 job.check()
 
-    def book(flight):
-        """Log a landed window's events and book its traffic: its log
-        spans."""
-        job, spans = flight
-        if job is None:
-            return spans
-        job.book()
-        return booked()
-
-    def analyse(spans) -> None:
-        with prof.busy("retrieve"):
-            injections, ejections = (
-                log_span(log, lo, hi, net.router.event_layout)
-                for log, (lo, hi) in zip(logs, spans)
-            )
-        prof.add_items("retrieve", 1)
-        with prof.busy("analyze"):
-            analysis.add(drivers, injections, ejections)
-        prof.add_items("analyze", 1)
-
     start, end = engine.cycle, engine.cycle + cycles
-    flight = None  # the window simulating
+    flight = None  # the window simulating on the fabric thread
     wall_start = time.perf_counter()
-    looped = None  # the window loop's wall, once it ended (the drain times itself)
     try:
-        while start < end:
-            stop = min(start + chunk, end)
-            if scan is None:  # no windows: the span steps cycle by cycle
-                with prof.busy("simulate"):
-                    for _ in range(start, stop):
-                        step_cycle(engine, drivers)
-                    spans = booked()
-                prof.add_items("simulate", 1)
-                analyse(spans)
-                start = stop
-                continue
-            with prof.busy("generate"):
-                window = scan.generate_window(start, stop)
-            prof.add_items("generate", 1)
-            start = window.stop
-            landed = flight
-            if landed is not None:
-                land(landed)
-            with prof.busy("simulate"):
-                try:
-                    flight = launch(window)
-                finally:  # the landed window's events go to the logs first
+        if body is None or not threaded:
+            window_loop(
+                engine, drivers, end, scan, body,
+                chunk=chunk, phase=prof.busy, booked=simulated,
+            )
+        else:
+            try:
+                while start < end or flight is not None:
+                    landed, window = flight, None
+                    if start < end:
+                        with prof.busy("generate"):
+                            window = scan.generate_window(start, min(start + chunk, end))
+                        prof.add_items("generate", 1)
+                        start = window.stop
                     if landed is not None:
-                        landed = book(landed)
-            prof.add_items("simulate", 1)
-            if landed is not None:
-                analyse(landed)
-        if flight is not None:
-            land(flight)
-            with prof.busy("simulate"):
-                landed = book(flight)
-            analyse(landed)
-        looped = time.perf_counter() - wall_start
+                        land(landed, window)
+                    with prof.busy("simulate"):
+                        try:
+                            flight = launch(window) if window is not None else None
+                        finally:  # the landed window's events go to the logs first
+                            if landed is not None:
+                                landed.book()
+                    if landed is not None:
+                        analyse()
+            finally:
+                engine.kernel_loop_seconds += time.perf_counter() - wall_start
         with prof.busy("simulate"):
-            if isinstance(engine, BatchEngine):
-                done = list(drain_batched(engine, drivers))
-            else:
-                done = [drivers[0].drain()]
-            spans = booked()
-        analyse(spans)
+            done = drain_batched(engine, drivers)
+        analyse()
     finally:
         # a window a failing run unwinds past is landed and booked, so the
         # engine and drivers end where it ended; its own error gives way
         # to the one unwinding
-        if flight is not None and flight[0] is not None:
-            flight[0].land()
-            flight[0].book()
+        if flight is not None:
+            flight.land()
+            flight.book()
         if body is not None:
             body.close_fabric()
-            if looped is None:
-                looped = time.perf_counter() - wall_start
-            engine.kernel_loop_seconds += looped
     prof.wall_seconds += time.perf_counter() - wall_start
     return PipelineReport(cycles, done, prof, analysis)

@@ -13,8 +13,11 @@ Stimuli travel as integer columns, never as per-flit objects:
 * :class:`Stimuli` — one window of cycles for every lane: packet columns
   plus flit columns grouped by ``(lane, router, vc)`` queue.  The C
   traffic scan (:mod:`repro.kernels.trafficgen`) is the only source of
-  windows; a run it declines generates cycle by cycle
+  windows; every other run generates cycle by cycle
   (``TrafficDriver.generate``, through :class:`FlitEncoder`).
+  :func:`~repro.engines.batch.run_plan` decides which, once, for every
+  run: ``TrafficDriver.run`` / ``drain`` are ``run_batched`` /
+  ``drain_batched`` with one driver, on every engine.
 * :class:`StimuliQueues` — one driver's FIFOs in the same flit columns,
   read by ``TrafficDriver.pump`` one head at a time and by the chunk
   kernel's staging in one pass.
@@ -396,21 +399,6 @@ class StimuliQueues(Mapping):
         self._use(rows)
         self._mark[1] = top
 
-    def admit(self, stimuli: Stimuli, lane: int) -> int:
-        """Queue ``lane``'s flits of a loaded window; returns how many
-        keys were registered before (what :meth:`trim` rewinds to)."""
-        before = len(self)
-        table, flits = stimuli.queues, stimuli.flits
-        first, last = np.searchsorted(table[Q_LANE], (lane, lane + 1)).tolist()
-        _, routers, vcs, ends = table[:, first:last].tolist()
-        lo = int(table[Q_END, first - 1]) if first else 0
-        for router, vc, hi in zip(routers, vcs, ends):
-            self.append(
-                router, vc, flits[F_WORD, lo:hi], flits[F_CYCLE, lo:hi], flits[F_SEQ, lo:hi]
-            )
-            lo = hi
-        return before
-
     def trim(self, cut: int, before: int) -> int:
         """Forget every entry released at cycle ``cut`` or later, and
         every key past the first ``before`` that then never held one;
@@ -458,28 +446,6 @@ def settle(drivers, stimuli: Stimuli, before, overload=None) -> None:
         driver.book(stimuli, lo, hi, n)
     if overload is not None:
         stimuli.source.rewind(stimuli, *overload)
-
-
-def step_window(engine, drivers, stimuli: Stimuli) -> None:
-    """Advance ``engine`` over a loaded window cycle by cycle — the path
-    of a compiled engine whose pre-step hooks keep the chunk kernel out,
-    its traffic still from the C scan.  The whole window is queued up
-    front; ``pump`` offers an entry only from
-    its release cycle on, so each cycle sees what ``TrafficDriver.step``
-    would have generated by then."""
-    before = [
-        driver.queues.admit(stimuli, lane) for lane, driver in enumerate(drivers)
-    ]
-    cycle, lane = stimuli.start, 0
-    try:
-        for cycle in range(stimuli.start, stimuli.stop):
-            for lane, driver in enumerate(drivers):
-                driver.pump()
-            engine.step()
-    except NetworkOverloadError:
-        settle(drivers, stimuli, before, (cycle, lane))
-        raise
-    settle(drivers, stimuli, before)
 
 
 class TrafficDriver:
@@ -615,26 +581,28 @@ class TrafficDriver:
                     )
 
     def step(self) -> None:
-        """One driver cycle: generate, pump, advance the engine."""
-        self.generate(self.engine.cycle)
-        self.pump()
-        self.engine.step()
+        """One driver cycle: generate, pump, advance the engine
+        (:func:`~repro.engines.batch.step_cycle`)."""
+        from repro.engines import batch
+
+        batch.step_cycle(self.engine, [self])
 
     def run(self, cycles: int) -> None:
-        """``cycles`` driver cycles.  A one-lane engine that can take
-        whole windows gets them (:func:`~repro.engines.batch.run_batched`:
-        generated traffic windows, fused chunks); any other engine,
-        driver subclass or hooked run steps per cycle —
-        :func:`~repro.engines.batch.chunk_decline` names the reason.
+        """``cycles`` driver cycles: :func:`~repro.engines.batch.run_batched`
+        with this driver alone, on every engine — whole generated windows
+        on a compiled one, cycle by cycle elsewhere
+        (:func:`~repro.engines.batch.chunk_decline` and
+        :func:`~repro.kernels.trafficgen.scan_decline` name the reason).
         Bit-identical either way."""
         from repro.engines import batch
 
-        engine = getattr(self.engine, "engine", self.engine)  # a lane's
-        if batch.chunk_decline(engine, [self]) is None:
-            batch.run_batched(engine, [self], cycles)
-            return
-        for _ in range(cycles):
-            self.step()
+        batch.run_batched(self._solo(), [self], cycles)
+
+    def _solo(self):
+        """The engine this driver alone advances (a one-lane engine's lane
+        advances the engine; a lane among several cannot step alone)."""
+        owner = getattr(self.engine, "engine", None)
+        return owner if owner is not None and owner.lanes == 1 else self.engine
 
     # -- accounting -----------------------------------------------------------
     def backlog(self) -> int:
@@ -642,23 +610,10 @@ class TrafficDriver:
         return self.queues.backlog()
 
     def drain(self, max_cycles: int = 100_000) -> int:
-        """Stop generating, run until everything in flight is delivered
-        (one fused call on an engine :meth:`run` hands windows to)."""
+        """Stop generating, run until everything in flight is delivered;
+        returns the cycles it took (:func:`~repro.engines.batch.drain_batched`
+        with this driver alone: one fused call on a compiled engine)."""
         from repro.engines import batch
 
-        engine = getattr(self.engine, "engine", self.engine)  # a lane's
-        compiled = batch.chunk_kernel(engine, [self])
-        if compiled is not None:
-            (used,) = compiled.drain([self], max_cycles)
-            if used >= 0:
-                return used
-        else:
-            for used in range(max_cycles):
-                if self.backlog() == 0 and self.engine.drained():
-                    return used
-                self.pump()
-                self.engine.step()
-        raise NetworkOverloadError(
-            f"network did not drain within {max_cycles} cycles "
-            f"({self.backlog()} flits still queued)"
-        )
+        (used,) = batch.drain_batched(self._solo(), [self], max_cycles)
+        return used

@@ -48,9 +48,9 @@ from repro.engines.batch import (
     BatchEngine,
     _try_fast_forward,
     chunk_decline,
-    chunk_kernel,
     drain_batched,
     run_batched,
+    run_plan,
 )
 from repro.experiments.common import fig1_gt_streams, fig1_network
 from repro.kernels import KernelUnavailableError, cbackend, probe_backends, trafficgen
@@ -487,10 +487,38 @@ def generation_state(drivers):
     return [driver_state(driver) for driver in drivers]
 
 
+def column_state(driver):
+    """:func:`driver_state` read as columns, no record or entry built:
+    the queue table's key and slot rows, every queue's live run of the
+    entry arena in slot order (its entries, whatever the arena's
+    layout), the submit log's block, and the counters and generator
+    state."""
+    be, gt, tracker = driver.be, driver.gt, driver.tracker
+    queues = driver.queues
+    n, table, rows = len(queues), queues._table, queues._rows
+    live = [rows[:, lo:hi] for lo, hi in table[3:5, :n].T.tolist()]
+    return (
+        driver.submits.arrays(0, len(driver.submits)).tolist(),
+        table[0].tolist(),
+        table[[1, 2, 5], :n].tolist(),
+        np.concatenate([np.empty((3, 0), dtype=np.int64), *live], axis=1).tolist(),
+        None if tracker is None else tracker.pending(),
+        driver.flits_generated,
+        None if be is None else (be.rng.state, be.rng.words_read, list(map(int, be._seq))),
+        None if gt is None else list(map(int, gt._seq)),
+        list(map(int, driver._be_vc_toggle)),
+    )
+
+
 def admit_window(drivers, window):
     """What a consumer that does not simulate a window does with it:
-    queue its flits, book its packets."""
-    before = [d.queues.admit(window, lane) for lane, d in enumerate(drivers)]
+    queue its flits (queue by queue, as the chunk kernel stages them),
+    book its packets."""
+    before, lo = [len(d.queues) for d in drivers], 0
+    for lane, router, vc, hi in window.queues.T.tolist():
+        words, cycles, seqs = window.flits[:, lo:hi]  # rows F_WORD, F_CYCLE, F_SEQ
+        drivers[lane].queues.append(router, vc, words, cycles, seqs)
+        lo = hi
     settle(drivers, window, before)
 
 
@@ -507,8 +535,8 @@ class TestWindowGeneration:
 
     def test_window_equals_per_cycle_generate(self):
         windowed, stepped, batched = self.build(), self.build(), self.build()
-        generator, _ = trafficgen.batched_be_generator(windowed)
-        per_cycle, _ = trafficgen.batched_be_generator(batched)
+        generator = trafficgen.BatchedBeGenerator(windowed)
+        per_cycle = trafficgen.BatchedBeGenerator(batched)
         start = 0
         for width in (1, 7, 64, 7, 1):
             window = generator.generate_window(start, start + width)
@@ -527,7 +555,7 @@ class TestWindowGeneration:
 
     def test_probe_stops_before_the_first_hit_in_any_lane(self):
         probed, stepped = self.build(lanes=4, load=0.01), self.build(lanes=4, load=0.01)
-        generator, _ = trafficgen.batched_be_generator(probed)
+        generator = trafficgen.BatchedBeGenerator(probed)
         n_routers = probed[0].net.n_routers
         cycle = 0
         for _ in range(12):
@@ -562,8 +590,8 @@ def columnar_case(widths, loads, gt_period, data_width, be_bytes, gt_bytes):
     )
     streams = fig1_gt_streams(cfg).streams
 
-    def build():  # the engine only hosts the drivers: the C body is the cheapest host
-        engine = BatchEngine(cfg, lanes=len(loads))
+    def build():  # the engine only hosts the drivers: golden lanes compile nothing
+        engine = BatchEngine(cfg, lanes=len(loads), kernel="python")
         return [
             TrafficDriver(
                 engine.lane(lane),
@@ -580,8 +608,9 @@ def columnar_case(widths, loads, gt_period, data_width, be_bytes, gt_bytes):
         ]
 
     windowed, stepped = build(), build()
-    generator, reason = trafficgen.batched_be_generator(windowed)
+    reason = trafficgen.scan_decline(windowed)
     assert reason is None, reason
+    generator = trafficgen.BatchedBeGenerator(windowed)
     start = 0
     for width in widths:
         for driver in stepped:
@@ -593,7 +622,7 @@ def columnar_case(widths, loads, gt_period, data_width, be_bytes, gt_bytes):
             assert start < window.stop <= stop
             admit_window(windowed, window)
             start = window.stop
-        assert generation_state(windowed) == generation_state(stepped)
+        assert list(map(column_state, windowed)) == list(map(column_state, stepped))
     return stepped
 
 
@@ -642,8 +671,7 @@ class TestColumnarStimuli:
                 engine.lane(0), be=BernoulliBeTraffic(cfg, 0.3, uniform_random(cfg))
             )
         ]
-        generator, reason = trafficgen.batched_be_generator(drivers)
-        assert generator is None and "data path" in reason
+        assert "data path" in trafficgen.scan_decline(drivers)
 
     @needs_jit
     def test_backlog_rides_across_chunks_as_columns(self, monkeypatch):
@@ -715,14 +743,13 @@ class TestColumnarStimuli:
 def capture_generator(monkeypatch):
     """Collect the batched generators ``run_batched`` builds."""
     made = []
-    real = trafficgen.batched_be_generator
+    real = trafficgen.BatchedBeGenerator.__init__
 
-    def recording(drivers):
-        generator, reason = real(drivers)
+    def recording(generator, drivers):
+        real(generator, drivers)
         made.append(generator)
-        return generator, reason
 
-    monkeypatch.setattr(trafficgen, "batched_be_generator", recording)
+    monkeypatch.setattr(trafficgen.BatchedBeGenerator, "__init__", recording)
     return made
 
 
@@ -929,9 +956,9 @@ class TestOneBodyOwnsFig1:
             ]
 
         windowed, stepped, batched = build(), build(), build()
-        generator, reason = trafficgen.batched_be_generator(windowed)
-        per_cycle, _ = trafficgen.batched_be_generator(batched)
-        assert generator is not None and reason is None
+        assert trafficgen.scan_decline(windowed) is None
+        generator = trafficgen.BatchedBeGenerator(windowed)
+        per_cycle = trafficgen.BatchedBeGenerator(batched)
         start = 0
         for width in (1, 7, 64, 64, 7, 1, 150):  # 150: wider than the GT period
             for cycle in range(start, start + width):
@@ -965,8 +992,7 @@ class TestOneBodyOwnsFig1:
                 )
                 for i, pattern in enumerate(patterns)
             ]
-            generator, reason = trafficgen.batched_be_generator(drivers)
-            assert generator is not None and reason is None
+            assert trafficgen.scan_decline(drivers) is None
             run_batched(engine, drivers, 200)
             return full_digest(engine, drivers)
 
@@ -1551,7 +1577,7 @@ class TestChunkDecline:
     def reason(self, engine, drivers=None):
         drivers = make_drivers(engine, 0.05) if drivers is None else drivers
         reason = chunk_decline(engine, drivers)
-        assert (chunk_kernel(engine, drivers) is None) == (reason is not None)
+        assert (run_plan(engine, drivers)[1] is None) == (reason is not None)
         return reason
 
     def test_no_body(self):

@@ -274,6 +274,27 @@ class TestSimulateReportLines:
             assert "auto already binds the generated-C body" in err
             assert "--engine batch" not in err
 
+    @pytest.mark.parametrize("engine", [[], ["--engine", "batch", "--lanes", "2"]])
+    def test_a_run_builds_one_traffic_scan(self, engine, monkeypatch, capsys):
+        """The report lines ask the two predicates; only the run builds
+        the C scan, once."""
+        from repro.kernels import probe_backends
+        from repro.kernels.trafficgen import BatchedBeGenerator
+
+        built, real = [], BatchedBeGenerator.__init__
+        monkeypatch.setattr(
+            BatchedBeGenerator,
+            "__init__",
+            lambda scan, drivers: (built.append(len(drivers)), real(scan, drivers))[1],
+        )
+        assert main(["simulate", "--cycles", "200", *engine]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if probe_backends()["cffi"] == "ok":
+            assert lines[0].endswith("; traffic: C scan")
+            assert built == [2 if engine else 1]
+        else:
+            assert built == []
+
     def test_sequential_engine_prints_its_kernel_lines(self, request, capsys):
         """The default engine says which statement of the method runs,
         how it was driven, and counts the same deltas either way — the

@@ -14,6 +14,8 @@ stamps, ``engine.cycle``, stall counters and the delta accounting.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,7 +249,10 @@ class TestSequentialEngineDrain:
             outcomes.append((str(err.value), engine.cycle, engine.snapshot(),
                              list(engine.metrics.per_cycle)))
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0].startswith("network did not drain within 50 cycles (")
+        assert re.fullmatch(
+            r"lanes \[0\] did not drain within 50 cycles \(\[[1-9]\d*\] flits still queued\)",
+            outcomes[0][0],
+        )
         assert outcomes[0][1] == 50
 
 
@@ -279,7 +284,11 @@ class TestDrainErrors:
             # a lane done at cycle d is seen done by the test at d, so
             # needs a bound above d
             stuck = [lane for lane in range(4) if done[lane] >= bound]
-            assert outcomes[0][0] == f"lanes {stuck} did not drain within {bound} cycles"
+            queued = [drivers[lane].backlog() for lane in stuck]
+            assert outcomes[0][0] == (
+                f"lanes {stuck} did not drain within {bound} cycles "
+                f"({queued} flits still queued)"
+            )
             assert engine.cycle == bound
         engine, drivers = self.loaded("auto")
         assert drain_batched(engine, drivers, max_cycles=done[3] + 1) == done

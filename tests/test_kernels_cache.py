@@ -35,7 +35,7 @@ CHILD = textwrap.dedent(
     import json, os, sys
     from repro.engines import BatchEngine
     from repro.experiments.common import fig1_network
-    from repro.kernels.trafficgen import BatchedBeGenerator, batched_be_generator
+    from repro.kernels.trafficgen import BatchedBeGenerator, scan_decline
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
     net = fig1_network()
@@ -44,8 +44,9 @@ CHILD = textwrap.dedent(
         TrafficDriver(engine.lane(i), be=BernoulliBeTraffic(net, 0.05, uniform_random(net), seed=3))
         for i in range(2)
     ]
-    generator, reason = batched_be_generator(drivers)
-    assert isinstance(generator, BatchedBeGenerator), reason
+    reason = scan_decline(drivers)
+    assert reason is None, reason
+    BatchedBeGenerator(drivers)
     cache = os.environ["REPRO_KERNEL_CACHE"]
     files = {}
     for name in sorted(os.listdir(cache)):

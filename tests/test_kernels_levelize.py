@@ -131,12 +131,12 @@ class TestBackendLadder:
 def run_every_consumer():
     """One workload through every consumer of the C tier, each on the
     body the host allows: a two-lane auto :class:`BatchEngine` (its
-    windows from ``window_source``), a latency tracker per lane and the
+    windows from the C scan where it chunks), a latency tracker per lane and the
     auto sequential engine.  Returns what they computed, the bodies they
     ran on and their recorded reasons."""
     from repro.engines import BatchEngine, SequentialEngine, drain_batched, run_batched
-    from repro.engines.batch import window_source
-    from repro.kernels.trafficgen import batched_be_generator
+    from repro.engines.batch import chunk_decline
+    from repro.kernels.trafficgen import scan_decline
     from repro.stats import PacketLatencyTracker
     from repro.traffic import BernoulliBeTraffic, TrafficDriver, uniform_random
 
@@ -148,8 +148,8 @@ def run_every_consumer():
 
     engine = BatchEngine(cfg, lanes=2)
     drivers = [driver(engine.lane(i), 7 + i) for i in range(2)]
-    _, source_reason = window_source(engine, drivers)
-    _, scan_reason = batched_be_generator(drivers)
+    source_reason = chunk_decline(engine, drivers) or scan_decline(drivers)
+    scan_reason = scan_decline(drivers)
     run_batched(engine, drivers, 300)
     drain_batched(engine, drivers)
     trackers = []

@@ -315,7 +315,8 @@ class TestEnvFallback:
         never on the ``jit``/``levelized`` label: both labels bind the
         one C body, and no label runs golden lanes but ``python``
         (or ``auto`` on a host without a compiler)."""
-        from repro.engines.batch import chunk_kernel, window_source
+        from repro.engines.batch import chunk_decline, run_plan
+        from repro.kernels.trafficgen import scan_decline
 
         def paths(engine):
             drivers = [
@@ -327,7 +328,8 @@ class TestEnvFallback:
                 )
                 for i in range(engine.lanes)
             ]
-            return chunk_kernel(engine, drivers), window_source(engine, drivers)[1]
+            traffic = chunk_decline(engine, drivers) or scan_decline(drivers)
+            return run_plan(engine, drivers)[1], traffic
 
         no_body = (None, "the engine has no generated-C body")
         assert paths(BatchEngine(torus(), lanes=2, kernel="python")) == no_body

@@ -40,6 +40,7 @@ from repro.traffic import (
 from repro.traffic.stimuli import FLIT_BUDGET, FlitEncoder, NetworkOverloadError
 from tests.test_batch_levelized import (
     FIG1_LANE_LOADS,
+    capture_generator,
     fig1_driver,
     fig1_lane_digest,
     full_digest,
@@ -438,17 +439,31 @@ class TestPipelineEquivalence:
         assert streamed == reference
 
     @needs_jit
-    def test_hooked_engine_steps_per_cycle_from_the_c_scan(
+    def test_hooked_engine_steps_through_the_drivers_generators(
         self, fig1_reference, monkeypatch
     ):
-        # an opaque hook makes chunk_decline object: same branch as run_batched
+        # an opaque hook makes chunk_decline object: the serial loop of
+        # run_batched steps every cycle, each lane generating it itself
+        from repro.kernels.trafficgen import BatchedBeGenerator
+
         cycles, end_cycle, reference = fig1_reference
         chunks, steps = spy_paths(monkeypatch)
+        generated, scanned = [], []
+        real_generate = TrafficDriver.generate
+        monkeypatch.setattr(
+            TrafficDriver,
+            "generate",
+            lambda driver, cycle: (generated.append(cycle), real_generate(driver, cycle))[1],
+        )
+        monkeypatch.setattr(
+            BatchedBeGenerator, "generate_window", lambda *args: scanned.append(args)
+        )
         engine = BatchEngine(fig1_network(), lanes=len(FIG1_LANE_LOADS))
         engine.pre_step_hooks.append(lambda e: None)
         drivers = lane_drivers(engine, fig1_traffic())
         report = run_pipeline(engine, drivers, cycles, chunk=50)
-        assert chunks == [] and len(steps) == end_cycle
+        assert chunks == [] and len(steps) == end_cycle and scanned == []
+        assert generated == [c for c in range(cycles) for _ in FIG1_LANE_LOADS]
         for lane, want in enumerate(reference):
             assert engine.lane_snapshot(lane) == want[0]
             assert report.trackers[lane].samples == want[4]
@@ -578,20 +593,13 @@ class TestStreamedExperimentSweeps:
     @needs_jit
     def test_pattern_sweep_is_scanned_in_c_and_chunks(self, monkeypatch):
         from repro.experiments.patterns import PATTERNS, run_patterns_batched
-        from repro.kernels import trafficgen
         from repro.pipeline import stream_pattern_sweep
 
-        made, real = [], trafficgen.batched_be_generator
-
-        def recording(drivers):
-            made.append(real(drivers))
-            return made[-1]
-
-        monkeypatch.setattr(trafficgen, "batched_be_generator", recording)
+        made = capture_generator(monkeypatch)
         chunks, steps = spy_paths(monkeypatch)
         swept = stream_pattern_sweep(PATTERNS, 300, chunk=128)
         # transpose/hotspot: the C scan, one run_chunk per chunk
-        assert [reason for _, reason in made] == [None]
+        assert len(made) == 1
         assert chunks == [(128, True), (128, True), (44, True)]
         assert steps == [] and max(swept.report.done_cycles) > 0  # drained in C
         chunks.clear()

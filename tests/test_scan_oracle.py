@@ -186,9 +186,8 @@ def build(net):
 def pair(net):
     """The C scan over one driver set, the oracle over a twin."""
     scanned, twin = build(net), build(net)
-    generator, reason = trafficgen.batched_be_generator(scanned)
-    assert reason is None and generator is not None
-    return generator, DriverWindows(twin)
+    assert trafficgen.scan_decline(scanned) is None
+    return trafficgen.BatchedBeGenerator(scanned), DriverWindows(twin)
 
 
 def assert_same(window: Stimuli, want: Stimuli, generator, oracle) -> None:

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engines import BatchEngine, CycleEngine, SequentialEngine, lane_views
-from repro.engines.batch import drain_batched, run_batched, window_source
+from repro.engines.batch import drain_batched, run_batched
 from repro.engines.eventlog import LaneView, record_block
 from repro.experiments.common import fig1_gt_streams, fig1_network
 from repro.kernels import trafficgen
@@ -106,9 +106,9 @@ def scan_drivers(n_src, probabilities, seeds):
             be = BernoulliBeTraffic(cfg, 0.5, uniform_random(cfg), seed=seed)
             be.packet_probability = probability
         drivers.append(TrafficDriver(engine.lane(lane), be=be))
-    generator, reason = trafficgen.batched_be_generator(drivers)
+    reason = trafficgen.scan_decline(drivers)
     assert reason is None, reason
-    return drivers, generator
+    return drivers, trafficgen.BatchedBeGenerator(drivers)
 
 
 def serial_rngs(probabilities, seeds):
@@ -698,7 +698,7 @@ def run_budgeted(case, budget, monkeypatch):
         engine = make_engine()
         views = lane_views(engine)
         drivers = [tracked(make_lane(view, lane)) for lane, view in enumerate(views)]
-        assert (window_source(engine, drivers)[1] is None) == (source == "C scan")
+        assert (trafficgen.scan_decline(drivers) is None) == (source == "C scan")
         run_batched(engine, drivers, cycles)
     for driver in drivers:
         driver.be = driver.gt = None
@@ -755,9 +755,9 @@ class TestBudgetWindows:
             def source(budget):
                 monkeypatch.setattr(stimuli, "FLIT_BUDGET", budget)
                 engine = BatchEngine(fig1_network(), lanes=lanes)
-                return window_source(
-                    engine, [make_lane(engine.lane(i), i) for i in range(lanes)]
-                )[0]
+                return trafficgen.BatchedBeGenerator(
+                    [make_lane(engine.lane(i), i) for i in range(lanes)]
+                )
 
             whole = source(UNBOUNDED).generate_window(0, 400)
             assert whole.stop == 400
@@ -774,13 +774,13 @@ class TestBudgetWindows:
 
     def test_the_scan_scratch_is_sized_by_the_budget(self):
         engine = BatchEngine(fig1_network(), lanes=16)
-        generator, _ = window_source(engine, make_drivers(engine, 0.08))
+        generator = trafficgen.BatchedBeGenerator(make_drivers(engine, 0.08))
         cap = generator._packets.shape[1] // 2
         assert cap == stimuli.FLIT_BUDGET // 3 + 16 * (36 + 1)
         # every lane hitting on every source in the last cycle still fits
         for be in (d.be for d in generator.drivers):
             be.packet_probability = 1.0
-        full, _ = window_source(engine, generator.drivers)
+        full = trafficgen.BatchedBeGenerator(generator.drivers)
         window = full.generate_window(0, 50)
         assert window.stop < 50 and window.packets.shape[1] <= cap
         assert generator._packets.nbytes < 512 * 1024
@@ -827,7 +827,7 @@ class TestOverloadInsideACutWindow:
                 )
                 for i in range(3)
             ]
-            scan, _ = window_source(engine, drivers)
+            declined = trafficgen.scan_decline(drivers)
             with pytest.raises(NetworkOverloadError) as err:
                 run_batched(engine, drivers, 2000)
             results[kernel] = (
@@ -840,7 +840,7 @@ class TestOverloadInsideACutWindow:
                 ],
             )
         assert results["levelized"] == results["python"]
-        assert scan is not None  # every pattern: the C scan
+        assert declined is None  # every pattern: the C scan
         # the fatal window was a later one, cut short by the budget, and
         # the overload fell strictly inside it
         start, stop = windows[-1]
