@@ -16,12 +16,14 @@ the run, matching the packets that came out (``repro_match``):
   draws no words at all, like ``packets_for_cycles``' early return).
   One dependency step rejects sixteen words: four lookups give their
   top bytes (:func:`lfsr_tables`), a byte compare proves none is a hit,
-  one ``J^16`` lookup takes them.  A lane's scan runs on across cycles
-  to its next hit, so the cycle-major loop visits only cycles in which
-  some lane hits or a GT stream fires.  A window ends at the first
-  cycle boundary at which it holds its flit budget
-  (:data:`~repro.traffic.stimuli.FLIT_BUDGET`), and a lane that read
-  past it is advanced again to it.  A Bernoulli hit reads the lane's
+  one ``J^16`` lookup takes them; on a lane at or under
+  :data:`SPARSE_CUTOFF` one step takes 32 words and tests a lone
+  candidate without a branch (:func:`sparse_lfsr_tables`).  A lane's
+  scan runs on across cycles to its next hit, so the cycle-major loop
+  visits only cycles in which some lane hits or a GT stream fires.  A
+  window ends at the first cycle boundary at which it holds its flit
+  budget (:data:`~repro.traffic.stimuli.FLIT_BUDGET`), and a lane that
+  read past it is advanced again to it.  A Bernoulli hit reads the lane's
   destination row: a fixed pattern's table entry draws no word; a
   uniform draw takes the same rejection sampling as
   :meth:`~repro.traffic.rng.HardwareLfsr.next_below` — the identical
@@ -76,6 +78,7 @@ __all__ = [
     "bind_stimuli_kernel",
     "lfsr_tables",
     "scan_decline",
+    "sparse_lfsr_tables",
     "stimuli_kernel",
 ]
 
@@ -86,6 +89,7 @@ int64_t repro_gen_be(
     const int64_t *thresholds, int64_t bound, int64_t span,
     const int64_t *dests, const int64_t *hot,
     const uint32_t *jumps, const uint64_t *tops,
+    const uint32_t *rows, const uint64_t *tops32,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
     const int64_t *be_vcs, int64_t n_be_vcs,
@@ -93,11 +97,13 @@ int64_t repro_gen_be(
     int64_t *gt_seq, int64_t *work,
     int64_t *pk, int64_t cap, int64_t budget, int64_t *ends);
 void repro_lfsr_tables(int64_t mask, uint32_t *jumps, uint64_t *tops);
+void repro_lfsr_rows(int64_t mask, uint32_t *rows, uint64_t *tops32);
 int64_t repro_gen_window(
     int64_t lanes, int64_t upto, int64_t n_src, int64_t start, int64_t stop,
     const int64_t *thresholds, int64_t bound, int64_t span,
     const int64_t *dests, const int64_t *hot,
     const uint32_t *jumps, const uint64_t *tops,
+    const uint32_t *rows, const uint64_t *tops32,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
     const int64_t *be_vcs, int64_t n_be_vcs,
@@ -142,16 +148,25 @@ static inline int64_t packet_flits(int64_t nbytes, int64_t bpf)
 
 /* The look-ahead tables of the 32-bit Galois LFSR, J one register read
  * (32 shifts; HardwareLfsr.next_u32).  Every J^k is linear over GF(2),
- * so the image of a state is the XOR of the images of its four bytes:
+ * so the image of a state is the XOR of the images of its four bytes.
+ * Every lane reads the dense pair (28 KB):
  *
- *   jumps  [3][4][256] uint32  byte images of J^1, J^8 and J^16 (rows
- *                              J1, J8, J16);
- *   tops   [4][256][2] uint64  the top bytes of the images under J^1 ..
- *                              J^16, packed little-endian: word k of a
- *                              state in byte (k - 1) % 8 of uint64
- *                              (k - 1) / 8.
+ *   jumps  [3][4][256] uint32   byte images of J^1, J^8 and J^16 (rows
+ *                               J1, J8, J16);
+ *   tops   [4][256][2] uint64   the top bytes of the images under J^1 ..
+ *                               J^16, packed little-endian: word k of a
+ *                               state in byte (k - 1) % 8 of uint64
+ *                               (k - 1) / 8;
+ *
+ * and a lane at or under SPARSE_CUTOFF the sparse pair (160 KB; NULL
+ * where no lane of the call is that sparse):
+ *
+ *   rows   [32][4][256] uint32  byte images of J^1 .. J^32, J^k in row
+ *                               k - 1;
+ *   tops32 [4][256][4] uint64   the top bytes of words 1 .. 32, packed
+ *                               as in `tops`.
  */
-enum { J1 = 0, J8 = 1024, J16 = 2048 };
+enum { J1 = 0, J8 = 1024, J16 = 2048, ROW = 1024 };
 
 static inline uint32_t lfsr_image(uint32_t s, const uint32_t *t)
 {
@@ -159,25 +174,36 @@ static inline uint32_t lfsr_image(uint32_t s, const uint32_t *t)
          ^ t[512 + ((s >> 16) & 0xFF)] ^ t[768 + (s >> 24)];
 }
 
-/* Fill both tables for the feedback mask `mask`, by stepping single
- * bits and bytes: no map composition. */
-void repro_lfsr_tables(int64_t mask, uint32_t *jumps, uint64_t *tops)
+/* The images of the 32 single bits under J^1 for the feedback mask
+ * `mask`, by stepping: no map composition. */
+static void lfsr_bit_images(int64_t mask, uint32_t *bit_image)
 {
-    uint32_t bit_image[32];
     for (int b = 0; b < 32; b++) {
         uint32_t s = (uint32_t)1 << b;
         for (int shift = 0; shift < 32; shift++)
             s = (s >> 1) ^ ((s & 1) ? (uint32_t)mask : 0);
         bit_image[b] = s;
     }
-    for (int p = 0; p < 4; p++)
-        for (int v = 0; v < 256; v++) {
-            uint32_t image = 0;
-            for (int b = 0; b < 8; b++)
-                if ((v >> b) & 1)
-                    image ^= bit_image[8 * p + b];
-            jumps[J1 + 256 * p + v] = image;
-        }
+}
+
+/* A linear map's byte images ([4][256]) from its images of the 32
+ * single bits: a byte's is its lowest bit's XOR the rest's. */
+static void byte_images(const uint32_t *bit_image, uint32_t *table)
+{
+    for (int p = 0; p < 4; p++) {
+        uint32_t *const t = table + 256 * p;
+        t[0] = 0;
+        for (int v = 1; v < 256; v++)
+            t[v] = t[v & (v - 1)] ^ bit_image[8 * p + __builtin_ctz(v)];
+    }
+}
+
+/* Fill the dense pair for `mask`, by stepping bytes through J^1. */
+void repro_lfsr_tables(int64_t mask, uint32_t *jumps, uint64_t *tops)
+{
+    uint32_t bit_image[32];
+    lfsr_bit_images(mask, bit_image);
+    byte_images(bit_image, jumps + J1);
     for (int p = 0; p < 4; p++)
         for (int v = 0; v < 256; v++) {
             uint32_t s = (uint32_t)v << (8 * p);
@@ -190,6 +216,27 @@ void repro_lfsr_tables(int64_t mask, uint32_t *jumps, uint64_t *tops)
                     jumps[J8 + 256 * p + v] = s;
             }
             jumps[J16 + 256 * p + v] = s;
+        }
+}
+
+/* Fill the sparse pair for `mask`: row k, J^(k + 1), from the single
+ * bits' images under J^1 stepped k more times through row 0, then the
+ * top bytes. */
+void repro_lfsr_rows(int64_t mask, uint32_t *rows, uint64_t *tops32)
+{
+    uint32_t bit_image[32];
+    lfsr_bit_images(mask, bit_image);
+    for (int k = 0; k < 32; k++) {
+        for (int b = 0; k && b < 32; b++)
+            bit_image[b] = lfsr_image(bit_image[b], rows);
+        byte_images(bit_image, rows + ROW * k);
+    }
+    for (int i = 0; i < 1024; i++)
+        for (int w = 0; w < 4; w++) {
+            uint64_t top = 0;
+            for (int k = 0; k < 8; k++)
+                top |= (uint64_t)(rows[ROW * (8 * w + k) + i] >> 24) << (8 * k);
+            tops32[4 * i + w] = top;
         }
 }
 
@@ -221,24 +268,67 @@ static inline uint64_t bytes_below(uint64_t x, uint64_t under)
  * word in `*state`, or `n`, with `*state` advanced `n` words.
  *
  * A word is below the threshold only if its top byte is at most
- * (threshold - 1) >> 24.  Up to 2^31 that limit fits a SWAR byte
- * compare, so one dependency step reads the top bytes of the next 16
- * words (four lookups, two uint64) and, when none can be a hit, takes
- * all 16 through J^16.  A block whose first 8 words hold no candidate
- * takes those 8 through J^8; the words before the first candidate are
- * stepped without a test, and the candidate is tested whole — so hits
- * and word counts are the serial walk's.  Above 2^31 nearly every block
- * holds a candidate, and the scan is the serial walk. */
+ * (threshold - 1) >> 24 — a candidate.  Up to 2^31 that limit fits a
+ * SWAR byte compare, so one dependency step reads the top bytes of the
+ * next 16 words (four lookups, two uint64) and, when none can be a hit,
+ * takes all 16 through J^16.  A block whose first 8 words hold no
+ * candidate takes those 8 through J^8; the words before the first
+ * candidate are stepped without a test, and the candidate is tested
+ * whole — so hits and word counts are the serial walk's.  Above 2^31
+ * nearly every block holds a candidate, and the scan is the serial
+ * walk.
+ *
+ * At or under SPARSE_CUTOFF (load below ~0.8 %: a candidate's top byte
+ * is 0 or 1) a step reads the next 32 words' top bytes from `tops32`
+ * and folds the four compares into one mask, byte b of uint64 w at bit
+ * 8 b + w.  A lone bit is a candidate, and the only one: a spurious
+ * borrow bit needs a true one below it in its uint64, and with a limit
+ * this low the compare misses none.  So the step always computes the
+ * lone (or, with none, the 32nd) word through its row J^(pos + 1) and
+ * branches only on a hit; otherwise J^32 takes all 32 words.  A block
+ * with two or more bits takes one step of the dense path, which tests
+ * its candidates in order. */
+#define SPARSE_CUTOFF ((int64_t)1 << 25)
+
 static int64_t lfsr_scan(uint32_t *state, int64_t n, int64_t threshold,
-                         const uint32_t *jumps, const uint64_t *tops)
+                         const uint32_t *jumps, const uint64_t *tops,
+                         const uint32_t *rows, const uint64_t *tops32)
 {
     const int blocks = threshold <= ((int64_t)1 << 31);
+    const int sparse = rows != NULL && threshold <= SPARSE_CUTOFF;
     const uint64_t under = 0x0101010101010101ULL
                          * (uint64_t)(threshold > 0 ? ((threshold - 1) >> 24) + 1 : 0);
     uint32_t s = *state;
     int64_t k = 0;
     while (k < n) {
         int64_t skip = 0; /* words before the next candidate */
+        if (sparse) {
+            const uint32_t *const j32 = rows + ROW * 31;
+            for (; n - k >= 32; k += 32) {
+                const uint64_t *const t0 = tops32 + 4 * (s & 0xFF);
+                const uint64_t *const t1 = tops32 + 4 * (256 + ((s >> 8) & 0xFF));
+                const uint64_t *const t2 = tops32 + 4 * (512 + ((s >> 16) & 0xFF));
+                const uint64_t *const t3 = tops32 + 4 * (768 + (s >> 24));
+                const uint64_t found =
+                      bytes_below(t0[0] ^ t1[0] ^ t2[0] ^ t3[0], under) >> 7
+                    | bytes_below(t0[1] ^ t1[1] ^ t2[1] ^ t3[1], under) >> 6
+                    | bytes_below(t0[2] ^ t1[2] ^ t2[2] ^ t3[2], under) >> 5
+                    | bytes_below(t0[3] ^ t1[3] ^ t2[3] ^ t3[3], under) >> 4;
+                if (found & (found - 1))
+                    break; /* two or more: a dense step */
+                /* bit 63 stands for no candidate: position 31 */
+                const int bit = __builtin_ctzll(found | (uint64_t)1 << 63);
+                const int64_t pos = (8 * (bit & 7) + (bit >> 3)) & 31;
+                const uint32_t word = lfsr_image(s, rows + ROW * pos);
+                if ((int64_t)word < threshold) {
+                    *state = word;
+                    return k + pos;
+                }
+                s = lfsr_image(s, j32);
+            }
+            if (k == n)
+                break;
+        }
         if (blocks && n - k >= 8) {
             const uint64_t *const t0 = tops + 2 * (s & 0xFF);
             const uint64_t *const t1 = tops + 2 * (256 + ((s >> 8) & 0xFF));
@@ -281,9 +371,9 @@ static int64_t lfsr_scan(uint32_t *state, int64_t n, int64_t threshold,
  *
  * Per cycle, per lane, per source: one LFSR word compared against the
  * lane's threshold (the Bernoulli draw; lfsr_scan rejects 16 words per
- * dependency step).  A lane whose threshold is negative has no live BE
- * stream and draws no words.  `states` and `tally[l]` (words consumed
- * by lane l) are updated in place.  `work` is scratch: n_gt + 5 words a
+ * dependency step, 32 on a sparse lane).  A lane whose threshold is
+ * negative has no live BE stream and draws no words.  `states` and
+ * `tally[l]` (words consumed by lane l) are updated in place.  `work` is scratch: n_gt + 5 words a
  * lane.
  *
  * probe == 0 (generate): stop at the first cycle boundary at which the
@@ -331,6 +421,7 @@ int64_t repro_gen_be(
     const int64_t *thresholds, int64_t bound, int64_t span,
     const int64_t *dests, const int64_t *hot,
     const uint32_t *jumps, const uint64_t *tops,
+    const uint32_t *rows, const uint64_t *tops32,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
     const int64_t *be_vcs, int64_t n_be_vcs,
@@ -377,7 +468,8 @@ int64_t repro_gen_be(
                 if (thresholds[l] < 0)
                     continue;
                 uint32_t s = (uint32_t)states[l];
-                const int64_t k = lfsr_scan(&s, n_src, thresholds[l], jumps, tops);
+                const int64_t k = lfsr_scan(&s, n_src, thresholds[l], jumps, tops,
+                                            rows, tops32);
                 if (k < n_src) {
                     tally[lanes] += examined + k + 1;
                     return c;
@@ -401,7 +493,7 @@ int64_t repro_gen_be(
     do {                                                                    \\
         uint32_t s_ = (uint32_t)states[l];                                  \\
         hit[l] = exact[l] + lfsr_scan(&s_, total - exact[l], thresholds[l], \\
-                                      jumps, tops);                         \\
+                                      jumps, tops, rows, tops32);           \\
         hit_cycle[l] = hit[l] < total ? start + hit[l] / n_src : INT64_MAX; \\
         hit_word[l] = (int64_t)s_;                                          \\
     } while (0)
@@ -622,6 +714,7 @@ int64_t repro_gen_window(
     const int64_t *thresholds, int64_t bound, int64_t span,
     const int64_t *dests, const int64_t *hot,
     const uint32_t *jumps, const uint64_t *tops,
+    const uint32_t *rows, const uint64_t *tops32,
     int64_t *states, int64_t *tally,
     int64_t bpf, const int64_t *be_nbytes, int64_t *be_seq, int64_t *toggles,
     const int64_t *be_vcs, int64_t n_be_vcs,
@@ -634,7 +727,7 @@ int64_t repro_gen_window(
 {
     const int64_t c = repro_gen_be(
         lanes, upto, n_src, start, stop, 0, thresholds, bound, span, dests, hot,
-        jumps, tops,
+        jumps, tops, rows, tops32,
         states, tally, bpf, be_nbytes, be_seq, toggles, be_vcs, n_be_vcs,
         n_gt, gt_lane, gt_stream, gt_seq, work, pk, cap, budget, ends);
     const int64_t m = ends[lanes - 1];
@@ -1137,7 +1230,10 @@ def lfsr_tables() -> Tuple[np.ndarray, np.ndarray]:
     ``jumps`` (``[3, 4, 256]`` ``uint32``) holds the byte images of
     ``J^1``, ``J^8`` and ``J^16``; ``tops`` (``[4, 256, 2]`` ``uint64``)
     the top bytes of the images under ``J^1 .. J^16``, word ``k`` in
-    byte ``(k - 1) % 8`` of ``tops[..., (k - 1) // 8]``.  The kernel
+    byte ``(k - 1) % 8`` of ``tops[..., (k - 1) // 8]``: 28 KB, which
+    every scan reads — the 16-word path of a dense lane, and a sparse
+    lane's steps with two or more candidates and its tail
+    (:func:`sparse_lfsr_tables` has the sparse path's own).  The kernel
     fills them (``repro_lfsr_tables``, tens of microseconds) once per
     process; the arrays are shared and read-only.
     """
@@ -1152,6 +1248,38 @@ def lfsr_tables() -> Tuple[np.ndarray, np.ndarray]:
     for table in (jumps, tops):
         table.setflags(write=False)
     return jumps, tops
+
+
+#: the Bernoulli threshold (``int(p * 2**32)``) at or under which a lane
+#: takes the scan's sparse path: load below ~0.8 %, candidates' top
+#: bytes 0 or 1.  The C source's ``SPARSE_CUTOFF``.
+SPARSE_CUTOFF = 1 << 25
+
+
+@functools.lru_cache(maxsize=None)
+def sparse_lfsr_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """The sparse path's look-ahead tables ``(rows, tops32)`` for
+    :data:`~repro.traffic.rng.GALOIS_MASK`, ``J`` one register read.
+
+    ``rows`` (``[32, 4, 256]`` ``uint32``) holds the byte images of
+    ``J^1 .. J^32``, ``J^k`` in row ``k - 1``; ``tops32`` (``[4, 256,
+    4]`` ``uint64``) the top bytes of words 1 .. 32, word ``k`` in byte
+    ``(k - 1) % 8`` of ``tops32[..., (k - 1) // 8]``.  160 KB, so the
+    kernel fills them (``repro_lfsr_rows``, ~0.2 ms) once per process,
+    on the first scan with a lane at or under :data:`SPARSE_CUTOFF`; the
+    arrays are shared and read-only.
+    """
+    lib, ffi = stimuli_kernel()
+    rows = np.empty((32, 4, 256), dtype=np.uint32)
+    tops32 = np.empty((4, 256, 4), dtype=np.uint64)
+    lib.repro_lfsr_rows(
+        GALOIS_MASK,
+        ffi.cast("uint32_t *", rows.ctypes.data),
+        ffi.cast("uint64_t *", tops32.ctypes.data),
+    )
+    for table in (rows, tops32):
+        table.setflags(write=False)
+    return rows, tops32
 
 
 def bind_stimuli_kernel():
@@ -1421,12 +1549,16 @@ class BatchedBeGenerator:
         ffi = self._ffi
         at = lambda array: pointer(ffi, array)  # noqa: E731
         jumps, tops = lfsr_tables()
+        rows = tops32 = None  # the sparse pair, where a lane takes that path
+        if any(0 <= t <= SPARSE_CUTOFF for t in self._thresholds.tolist()):
+            rows, tops32 = sparse_lfsr_tables()
+        words = lambda table: ffi.NULL if table is None else ffi.cast(  # noqa: E731
+            f"uint{8 * table.itemsize}_t *", table.ctypes.data
+        )
         #: repro_gen_be's arguments after `probe`
         self._scan_args = (
             at(self._thresholds), self.bound, self.span, at(self._dests), at(self._hot),
-            ffi.cast("uint32_t *", jumps.ctypes.data),
-            ffi.cast("uint64_t *", tops.ctypes.data),
-            at(self._states), at(self._tally),
+            *map(words, (jumps, tops, rows, tops32)), at(self._states), at(self._tally),
             net.router.data_width // 8, at(self._be_nbytes), at(self._be_seq),
             at(self._toggles), at(self._be_vcs), len(self._be_vcs),
             n_gt, at(self._gt_lane), at(self._gt_stream), at(self._gt_seq),

@@ -9,7 +9,10 @@ run (scan, staging, carry-over and the packet match included), a
 stall-limit overload, a lane-order window replayed in cycle order
 after its last lane overloads (the state snapshot and its restore),
 the packet match run again after its open-event output came out too
-short, and scans cut by a small flit budget.  Then the body's packed
+short, scans cut by a small flit budget, and the scan's sparse path (a
+generated window and fast-forward probes on 36 sources, at a threshold
+just under its cutoff, so that blocks hold several candidates).  Then
+the body's packed
 event writes with every call's event buffers sized exactly at the
 static bound: a lane-order window written lane after lane, a
 cycle-order replay, a drain and one-cycle steps.  Those are the places
@@ -130,6 +133,18 @@ SCRIPT = textwrap.dedent(
     run_batched(engine, drivers(engine, 0.1), 200)
     assert engine.kernel_windows > 20
     stimuli.FLIT_BUDGET = budget
+
+    # the scan's sparse path, just under its cutoff: a generated window,
+    # then fast-forward probes with a one-cycle window past each hit
+    from repro.kernels.trafficgen import SPARSE_CUTOFF, BatchedBeGenerator
+    engine = BatchEngine(NetworkConfig(6, 6, topology="torus"), lanes=3, kernel="levelized")
+    scan = BatchedBeGenerator(drivers(engine, (SPARSE_CUTOFF - 1) / 2**32))
+    start = scan.generate_window(0, 2000).stop
+    assert start > 100
+    for _ in range(20):
+        start += scan.skip_idle(start, 50)
+        start = scan.generate_window(start, start + 1).stop
+    assert scan.probe_words > 0
 
     # every call's event buffers exactly at the static bound, fresh
     events = CompiledBatchLevel._events

@@ -10,12 +10,15 @@ Two contracts of the generate phase (DESIGN section 10):
   columns, all equal to the golden cycle engine — through an overload
   that rewinds a cut window, and with fast-forward on or off.
 * ``repro_gen_be`` reads the top bytes of the next sixteen words of an
-  LFSR state at once and takes them all when none can be a hit; in
-  generate mode a lane's blocks run on across cycles, and a lane that
-  read past the window's end is advanced again to it.  Word for word it
+  LFSR state at once and takes them all when none can be a hit — 32 on
+  a lane at or under ``trafficgen.SPARSE_CUTOFF``, whose lone candidate
+  is tested without a branch; in generate mode a lane's blocks run on
+  across cycles, and a lane that read past the window's end is advanced
+  again to it.  Word for word it
   is the serial scan on :class:`~repro.traffic.rng.HardwareLfsr`: a hit
   at any block position and across a cycle boundary, thresholds at the
-  byte limit, back-to-back hits, rejection-sampled destinations, any
+  byte limit and at the sparse cutoff, false candidates before a hit and
+  in pairs, back-to-back hits, rejection-sampled destinations, any
   source count, windows cut by the budget or the limit, GT firings
   between hits, in generate and probe mode.
 """
@@ -23,6 +26,7 @@ Two contracts of the generate phase (DESIGN section 10):
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -251,7 +255,7 @@ class TestLookaheadScan:
     @given(
         n_src=st.sampled_from(sorted(SHAPES)),
         probabilities=st.lists(
-            st.sampled_from((None, 0.0, RARE, 0.02, 0.3, RETRY, 1.0)),
+            st.sampled_from((None, 0.0, RARE, 0.002, 0.02, 0.3, RETRY, 1.0)),
             min_size=1, max_size=4,
         ).filter(lambda ps: any(ps)),
         seeds=st.lists(
@@ -326,13 +330,15 @@ class DirectScan:
         be_vcs = np.array(self.BE_VCS, dtype=np.int64)
         dests = np.full((lanes, self.n_src), -1, dtype=np.int64)  # uniform draws
         hot = np.full((2, lanes), -1, dtype=np.int64)  # no hotspot
-        jumps, tops = trafficgen.lfsr_tables()
+        # both pairs of tables: the kernel picks each lane's path
+        tables = [
+            ffi.cast(f"uint{8 * table.itemsize}_t *", table.ctypes.data)
+            for table in (*trafficgen.lfsr_tables(), *trafficgen.sparse_lfsr_tables())
+        ]
         at = lambda array: trafficgen.pointer(ffi, array)  # noqa: E731
         stopped = self.lib.repro_gen_be(
             lanes, upto, self.n_src, start, stop, probe,
-            at(thresholds), self.bound, self.span, at(dests), at(hot),
-            ffi.cast("uint32_t *", jumps.ctypes.data),
-            ffi.cast("uint64_t *", tops.ctypes.data),
+            at(thresholds), self.bound, self.span, at(dests), at(hot), *tables,
             at(self.states), at(tally), self.BPF, at(be_nbytes), at(self.be_seq),
             at(self.toggles), at(be_vcs), len(be_vcs), self.n_gt, at(self.gt_lane),
             at(self.gt_stream), at(self.gt_seq), at(work), at(pk), cap, budget,
@@ -500,8 +506,8 @@ class TestBlockScan:
         n_src=st.sampled_from(N_SRCS),
         thresholds=st.lists(
             st.sampled_from(
-                (None, 0, T_RARE, 1 << 24, int(0.02 * 2**32), int(0.3 * 2**32),
-                 2**31 + 1, 2**32)
+                (None, 0, T_RARE, 1 << 24, int(0.002 * 2**32), int(0.02 * 2**32),
+                 int(0.3 * 2**32), 2**31 + 1, 2**32)
             ),
             min_size=1, max_size=4,
         ),
@@ -588,6 +594,139 @@ class TestBlockScan:
         # a limit before the hit: exactly the cycles up to it
         scan = DirectScan(n_src, (T_RARE,) * lanes, seeds)
         assert scan.probe(0, 3) == 3 and scan.probe_words == lanes * n_src * 3
+
+
+#: LFSR words a sparse lane's scan takes per dependency step
+SPARSE_BLOCK = 32
+
+
+@functools.lru_cache(maxsize=None)
+def top_byte_zero_pair(max_gap: int):
+    """``(first, second, gap)``: two words of one LFSR stream whose top
+    bytes are 0 — candidates at any sparse threshold — read ``gap <=
+    max_gap`` words apart, ``first > second``."""
+    rng, last = HardwareLfsr(0xBEE), None
+    for index in range(1 << 20):
+        word = rng.next_u32()
+        if word >> 24:
+            continue
+        if last is not None and index - last[0] <= max_gap and last[1] > word:
+            return last[1], word, index - last[0]
+        last = (index, word)
+    raise AssertionError("no pair")
+
+
+def block_bit(position: int) -> int:
+    """The bit of the scan's folded candidate mask that stands for word
+    ``position`` of a 32-word block: byte ``position % 8`` of uint64
+    ``position // 8``."""
+    return 8 * (position % 8) + position // 8
+
+
+@needs_jit
+class TestSparseScan:
+    """Lanes at or under ``trafficgen.SPARSE_CUTOFF``: 32 words a step, a
+    lone candidate tested without a branch, a block of several through
+    a dense step — word for word the serial scan."""
+
+    def test_table_rows_are_successive_reads(self):
+        rows, tops32 = trafficgen.sparse_lfsr_tables()
+        assert rows.shape == (32, 4, 256) and rows.dtype == np.uint32
+        assert tops32.shape == (4, 256, 4) and tops32.dtype == np.uint64
+        assert not rows.flags.writeable and not tops32.flags.writeable
+        assert trafficgen.sparse_lfsr_tables()[0] is rows
+        # the 32 packed top bytes as one integer: byte k - 1 is word k's
+        packed = [
+            [sum(word << (64 * i) for i, word in enumerate(entry)) for entry in row]
+            for row in tops32.tolist()
+        ]
+        rows = rows.tolist()
+        rng = np.random.default_rng(0xC0FFEE)
+        for state in [1, 0xFFFFFFFF, *rng.integers(1, 2**32, size=20).tolist()]:
+            lfsr = HardwareLfsr(state)
+            words = [lfsr.next_u32() for _ in range(SPARSE_BLOCK)]
+            # row k - 1 is the k-th next read
+            assert [image(row, state) for row in rows] == words
+            assert image(packed, state) == int.from_bytes(
+                bytes(word >> 24 for word in words), "little"
+            )
+
+    @pytest.mark.parametrize("n_src", [19, 36, 100])
+    def test_a_hit_at_every_position_of_two_blocks_and_the_tail(self, n_src):
+        # lane 1 reads its planted hit as word `position` of the window:
+        # two whole blocks and a tail after them (19 sources: 31 words;
+        # 36 and 100: a third block first), across cycle boundaries in
+        # generate mode, inside one cycle's words in probe mode
+        cycles = -(-(2 * SPARSE_BLOCK + 31) // n_src)
+        for position in range(n_src * cycles):
+            seeds = (0xBEE, planted(T_RARE - 1, position), 0xFEED)
+            thresholds = (T_RARE, T_RARE, None)
+            hits, stop = DirectScan(n_src, thresholds, seeds).window(0, cycles)
+            assert stop == cycles
+            assert [hit[:3] for hit in hits] == [(1, *divmod(position, n_src))]
+            probe = DirectScan(n_src, thresholds, seeds)
+            assert probe.probe(0, cycles) == position // n_src
+
+    @pytest.mark.parametrize("n_src", [7, 36])
+    def test_a_false_candidate_before_a_hit(self, n_src):
+        # a word of top byte 0 at or above the threshold, then the hit
+        # `gap` words on: in the same block, and in the block before.
+        # A lone candidate that is no hit takes the whole block; two
+        # are tested in order, whichever the folded mask holds lower
+        first, second, gap = top_byte_zero_pair(SPARSE_BLOCK // 2)
+        threshold = second + 1
+        placements = range(SPARSE_BLOCK - 1)
+        same = [p for p in placements if p + gap < SPARSE_BLOCK]
+        assert any(block_bit(p) < block_bit(p + gap) for p in same)
+        assert any(p + gap >= SPARSE_BLOCK for p in placements)
+        cycles = 2 * SPARSE_BLOCK // n_src + 1
+        for position in placements:
+            seeds = (0xBEE, planted(first, position))
+            scan = DirectScan(n_src, (threshold, threshold), seeds)
+            hits, _ = scan.window(0, cycles)
+            assert (1, *divmod(position + gap, n_src)) in [hit[:3] for hit in hits]
+            DirectScan(n_src, (threshold, threshold), seeds).probe(0, cycles)
+
+    @pytest.mark.parametrize("n_src", [7, 36, 100])
+    def test_two_false_candidates_in_one_block(self, n_src):
+        # both words at or above the threshold: the block takes a dense
+        # step per candidate, and no word is lost or read twice
+        first, second, gap = top_byte_zero_pair(SPARSE_BLOCK - 1)
+        threshold = min(first, second)
+        cycles = 2 * SPARSE_BLOCK // n_src + 1
+        for position in range(SPARSE_BLOCK - gap):
+            seeds = (planted(first, position), 0xBEE)
+            scan = DirectScan(n_src, (threshold, T_RARE), seeds)
+            hits, _ = scan.window(0, cycles)
+            assert (0, *divmod(position, n_src)) not in [hit[:3] for hit in hits]
+            DirectScan(n_src, (threshold, T_RARE), seeds).probe(0, cycles)
+
+    @pytest.mark.parametrize(
+        "threshold", [1, 2**24, 2**24 + 1, trafficgen.SPARSE_CUTOFF, trafficgen.SPARSE_CUTOFF + 1]
+    )
+    @pytest.mark.parametrize("n_src", [4, 36, 100])
+    def test_thresholds_at_the_cutoff(self, threshold, n_src):
+        # lane 0 reads the largest hit, threshold - 1 (none at 1: the
+        # LFSR never reads 0), lane 1 the threshold itself, a candidate
+        # that is no hit; ~3,600 words a lane, so that blocks of two or
+        # more candidates come up.  The probe runs on past each hit
+        # through a one-cycle window, as the fast-forward does
+        # the binding's cutoff is the kernel's
+        assert trafficgen.SPARSE_CUTOFF == 2**25
+        assert "#define SPARSE_CUTOFF ((int64_t)1 << 25)" in trafficgen._SOURCE
+        seeds = [0xBEE, planted(threshold, 9), 0xFEED]
+        if threshold > 1:
+            seeds[0] = planted(threshold - 1, 20)
+        cycles = 3600 // n_src
+        thresholds = (threshold,) * 3
+        hits, _ = DirectScan(n_src, thresholds, seeds).window(0, cycles)
+        if threshold > 1:
+            assert (0, *divmod(20, n_src)) in [hit[:3] for hit in hits]
+        scan, cycle = DirectScan(n_src, thresholds, seeds), 0
+        while cycle < cycles:
+            cycle = scan.probe(cycle, cycles)
+            if cycle < cycles:
+                cycle = scan.window(cycle, cycle + 1)[1]
 
 
 # --------------------------------------------------------------------------
